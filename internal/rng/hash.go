@@ -20,12 +20,20 @@ func Remix(x uint64) uint64 {
 // Hash mixes vals into seed and returns 64 uniform bits. The result is a
 // pure function of (seed, vals); distinct tuples yield independent values.
 func Hash(seed uint64, vals ...uint64) uint64 {
-	h := Remix(seed ^ 0x632be59bd9b4e019)
+	h := HashInit(seed)
 	for _, v := range vals {
-		h = Remix(h ^ v*0x9e3779b97f4a7c15)
+		h = HashMix(h, v)
 	}
 	return h
 }
+
+// HashInit and HashMix are Hash unrolled for loops that hash many tuples
+// sharing a prefix: Hash(seed, a, b) == HashMix(HashMix(HashInit(seed), a), b),
+// so the prefix state is computed once and each tuple pays one Remix.
+func HashInit(seed uint64) uint64 { return Remix(seed ^ 0x632be59bd9b4e019) }
+
+// HashMix folds one more value into a HashInit/HashMix state.
+func HashMix(h, v uint64) uint64 { return Remix(h ^ v*0x9e3779b97f4a7c15) }
 
 // Unit maps 64 random bits to a uniform float64 in [0, 1), using the same
 // top-53-bit construction as Stream.Float64.

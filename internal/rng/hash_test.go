@@ -21,6 +21,30 @@ func TestHashDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestHashInitMixUnrollsHash pins the prefix-hoisting identity the routed
+// hop kernel relies on, and Hash itself to values recorded before it was
+// expressed through HashInit/HashMix: every seeded decision in the repo
+// (fault fates, walk ports, repair proposals) depends on these bits.
+func TestHashInitMixUnrollsHash(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		vals []uint64
+		want uint64
+	}{
+		{1, nil, 0x6e4e8f3d5fc98118},
+		{1, []uint64{2, 3}, 0x7500b8c8551ebb75},
+		{0xdeadbeef, []uint64{1 << 63, 0}, 0x2565212b892afa9e},
+	} {
+		h := HashInit(tc.seed)
+		for _, v := range tc.vals {
+			h = HashMix(h, v)
+		}
+		if got := Hash(tc.seed, tc.vals...); got != tc.want || h != tc.want {
+			t.Fatalf("Hash(%#x, %v) = %#x, unrolled %#x, want %#x", tc.seed, tc.vals, got, h, tc.want)
+		}
+	}
+}
+
 func TestHashUnitUniformity(t *testing.T) {
 	// Units derived from consecutive hash inputs should look uniform.
 	const n = 20000

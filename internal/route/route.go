@@ -13,12 +13,23 @@
 // up as real queueing delay, and queue depth, link load, and drops are
 // first-class metrics.
 //
-// Determinism: the router runs in one serial engine phase. Walkers are
-// processed in a fixed order — parked walkers oldest first, then fresh
-// transit in the engine's canonical (send round, source slot, sequence)
-// order — and each hop's port is a pure hash of (message seed, hop
-// index). Nothing depends on worker count or scheduling, so every metric
-// the router reports is bit-identical at any Workers value.
+// Determinism: a walker's trajectory is a pure function of (message seed,
+// start slot, round adjacency) — each hop's port is a hash of (seed, hop
+// index) — so with unlimited link capacity walkers commute and Step walks
+// them on several lanes at once, each walker recording only its outcome.
+// Every side effect (metrics, Deliver, OnDrop, parking) then happens in
+// one serial merge over the canonical walker order — parked walkers oldest
+// first, then fresh transit in the engine's (send round, source slot,
+// sequence) order. Finite capacity makes walkers compete for link budget
+// in that order, and a hop recorder observes it, so either runs the same
+// code on a single lane. Nothing depends on worker count or scheduling:
+// every metric the router reports is bit-identical at any Workers value.
+//
+// Precondition: the adjacency is a symmetric multigraph (u appears in v's
+// row exactly as often as v in u's) — what graph.CheckRegular's callers
+// and the overlay's reciprocal-port table maintain. The hop kernel spots
+// "the target is a neighbour of the current slot" by testing the current
+// slot against the target's own row, loaded once per walker.
 //
 // The Router is generic in the message type so the package does not
 // import the engine; simnet instantiates Router[simnet.Msg] and supplies
@@ -27,6 +38,10 @@
 package route
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/telemetry"
@@ -61,7 +76,8 @@ const (
 	// queue dies with its node.
 	DropChurn
 	// DropDead: the id-addressed target departed before the walk began or
-	// resumed, so no reachable destination exists.
+	// resumed — or the message named none — so no reachable destination
+	// exists.
 	DropDead
 )
 
@@ -105,16 +121,28 @@ type Header struct {
 	Seed   uint64 // per-message walk seed (hash of the message identity)
 }
 
-// walker is one in-flight routed message: its header, the slot currently
-// holding it, and the payload.
+// walker is one in-flight routed message: its header, the slot holding it
+// (origin or parking slot before a Step's walk, end slot after), the
+// outcome the walk recorded for the merge, and the payload.
 type walker[M any] struct {
-	h  Header
-	at int32
-	m  M
+	h   Header
+	at  int32
+	out uint8
+	m   M
 }
 
-// Env supplies the engine-side environment. All callbacks are invoked
-// only from the serial routed-delivery phase.
+// Walk outcomes; a drop is outDrop + its DropReason.
+const (
+	outDeliver uint8 = iota
+	outPark
+	outDrop
+)
+
+// Env supplies the engine-side environment. Graph, SlotOf and Holder are
+// read during the walk, possibly from several goroutines at once, and
+// must be side-effect free; Deliver, OnDrop and OnHop fire on the Step
+// caller's goroutine only, and must not change what the first three
+// return.
 type Env[M any] struct {
 	// Graph returns the round's live adjacency (post-repair under
 	// self-healing, post-rewire under the oracle modes).
@@ -125,18 +153,20 @@ type Env[M any] struct {
 	// storage landmark, or committee copy). nil = no holder early-exit.
 	Holder func(slot int32, key uint64) bool
 	// Deliver hands a message that reached slot to the engine, with the
-	// number of forwards it took.
+	// number of forwards it took. Changes made through m are what
+	// EachDelivered later revisits.
 	Deliver func(slot int32, m *M, hops int32)
 	// OnDrop observes every discarded message (accounting + tracing).
 	// May be nil.
 	OnDrop func(m *M, h *Header, reason DropReason)
 	// OnHop observes every forward as a (from, to) slot edge — the
-	// edge-conformance test hook. May be nil (the production case).
+	// edge-conformance test hook. May be nil (the production case); while
+	// installed the walk stays on one lane so hops arrive in walker order.
 	OnHop func(from, to int32)
 }
 
-// metrics is the router's registry surface. The routed phase is serial,
-// so every update goes to shard 0.
+// metrics is the router's registry surface. Only the serial parts of the
+// routed phase touch it, so every update goes to shard 0.
 type metrics struct {
 	sent       telemetry.Counter
 	delivered  telemetry.Counter
@@ -180,40 +210,72 @@ type Metrics struct {
 	MaxLinkLoad      int64
 }
 
-// Router walks in-flight messages over the topology, one serial phase per
-// round. Create with New, feed with Send, advance with Step.
+// Router walks in-flight messages over the topology, one phase per round.
+// Create with New, feed with Send, advance with Step.
 type Router[M any] struct {
 	p   Params
-	n   int
 	env Env[M]
 
-	transit []walker[M] // fresh sends, walking next Step from their origin
-	queued  []walker[M] // parked walkers in processing (FIFO) order
-	next    []walker[M] // next round's queued, built during Step
+	// ws is the walker array in canonical order: ws[:nq] parked (FIFO),
+	// then fresh sends. Step leaves the walkers it walked in place with
+	// their outcomes, so EachDelivered reads delivered payloads where they
+	// lie; that stale prefix is ws[:walked], of which nq parked, and
+	// settle compacts it away before anything else touches ws.
+	ws     []walker[M]
+	nq     int
+	walked int
 
-	fwd  []int32 // per-slot forwards this round
+	lanes  []lane       // per-worker walk scratch; lanes[0] also serves the serial case
+	g      *graph.Graph // adjacency of the Step in progress
+	cursor atomic.Int64 // next unclaimed walker of the Step in progress
+	wg     sync.WaitGroup
+
 	qlen []int32 // per-slot parked-walker count
 	mark []uint8 // churn scratch for DropQueuedAt
 
 	m metrics
 }
 
+// lane is one worker's walk scratch, allocated once in New.
+type lane struct {
+	fwd      []int32  // per-slot forwards this lane walked this round
+	near     []uint64 // bitset: slots adjacent to the current walker's target
+	forwards int64    // forwards this lane walked this round
+	spawn    func()   // goroutine body, built once so a Step allocates nothing
+}
+
+// walkChunk is how many consecutive walkers a lane claims at a time:
+// enough that the shared cursor is touched once per ~10⁴ hops, few enough
+// that lanes finish together.
+const walkChunk = 64
+
 // New builds a router over n slots, registering its metrics on reg.
-func New[M any](reg *telemetry.Registry, n int, p Params) *Router[M] {
+// workers bounds the lanes an unlimited-capacity Step walks on.
+func New[M any](reg *telemetry.Registry, n int, p Params, workers int) *Router[M] {
 	if p.Budget <= 0 {
 		panic("route: Params.Budget must be > 0")
 	}
 	if p.QueueLimit <= 0 {
 		p.QueueLimit = DefaultQueueLimit
 	}
-	return &Router[M]{
-		p:    p,
-		n:    n,
-		fwd:  make([]int32, n),
-		qlen: make([]int32, n),
-		mark: make([]uint8, n),
-		m:    newMetrics(reg),
+	r := &Router[M]{
+		p:     p,
+		lanes: make([]lane, max(workers, 1)),
+		qlen:  make([]int32, n),
+		mark:  make([]uint8, n),
+		m:     newMetrics(reg),
 	}
+	for l := range r.lanes {
+		r.lanes[l] = lane{
+			fwd:  make([]int32, n),
+			near: make([]uint64, (n+63)/64),
+			spawn: func() {
+				defer r.wg.Done()
+				r.runLane(l)
+			},
+		}
+	}
+	return r
 }
 
 // SetEnv installs the engine callbacks. Call before the first Step.
@@ -226,17 +288,42 @@ func (r *Router[M]) Params() Params { return r.p }
 // starts during the next Step. h.Budget 0 takes the router's default.
 // Callers must invoke Send in canonical message order (the engine's
 // serial exchange merge does).
-func (r *Router[M]) Send(m M, h Header, at int32) {
+func (r *Router[M]) Send(m *M, h Header, at int32) {
+	r.settle()
 	if h.Budget <= 0 {
 		h.Budget = int32(r.p.Budget)
 	}
 	r.m.sent.Inc(0)
-	r.transit = append(r.transit, walker[M]{h: h, at: at, m: m})
+	r.ws = append(r.ws, walker[M]{h: h, at: at, m: *m})
 }
 
 // InFlight returns the number of messages the router currently holds
 // (parked plus transit).
-func (r *Router[M]) InFlight() int { return len(r.queued) + len(r.transit) }
+func (r *Router[M]) InFlight() int {
+	if r.walked > 0 {
+		return r.nq // only the parked survive a Step
+	}
+	return len(r.ws)
+}
+
+// settle drops the walkers the last Step finished with, keeping the
+// parked ones, in order, as the new head of ws.
+func (r *Router[M]) settle() {
+	if r.walked == 0 {
+		return
+	}
+	kept := 0
+	for i := 0; kept < r.nq; i++ {
+		if r.ws[i].out != outPark {
+			continue
+		}
+		if kept != i {
+			r.ws[kept] = r.ws[i]
+		}
+		kept++
+	}
+	r.ws, r.walked = r.ws[:kept], 0
+}
 
 // QueuedAt returns the number of walkers parked at slot s.
 func (r *Router[M]) QueuedAt(s int) int { return int(r.qlen[s]) }
@@ -262,23 +349,30 @@ func (r *Router[M]) Metrics() Metrics {
 // silently lost. Transit messages are not affected: their transmission
 // already left the sender.
 func (r *Router[M]) DropQueuedAt(slots []int) {
-	if len(r.queued) == 0 || len(slots) == 0 {
+	r.settle()
+	if r.nq == 0 || len(slots) == 0 {
 		return
 	}
 	for _, s := range slots {
 		r.mark[s] = 1
 	}
-	kept := r.queued[:0]
-	for i := range r.queued {
-		w := &r.queued[i]
+	kept := 0
+	for i := 0; i < r.nq; i++ {
+		w := &r.ws[i]
 		if r.mark[w.at] != 0 {
 			r.qlen[w.at]--
 			r.drop(w, DropChurn)
 			continue
 		}
-		kept = append(kept, *w)
+		if kept != i {
+			r.ws[kept] = *w
+		}
+		kept++
 	}
-	r.queued = kept
+	if kept != r.nq {
+		r.ws = r.ws[:kept+copy(r.ws[kept:], r.ws[r.nq:])]
+		r.nq = kept
+	}
 	for _, s := range slots {
 		r.mark[s] = 0
 	}
@@ -288,130 +382,225 @@ func (r *Router[M]) DropQueuedAt(slots []int) {
 // each as a churn drop. Engines call it when routing is switched off
 // mid-run, the same discipline SetFault applies to delayed messages.
 func (r *Router[M]) Flush() {
-	for i := range r.queued {
-		r.qlen[r.queued[i].at]--
-		r.drop(&r.queued[i], DropChurn)
+	r.settle()
+	for i := range r.ws {
+		if i < r.nq {
+			r.qlen[r.ws[i].at]--
+		}
+		r.drop(&r.ws[i], DropChurn)
 	}
-	for i := range r.transit {
-		r.drop(&r.transit[i], DropChurn)
-	}
-	r.queued = r.queued[:0]
-	r.transit = r.transit[:0]
+	r.ws, r.nq = r.ws[:0], 0
 }
 
 // Step runs one routed-delivery phase: parked walkers resume (oldest
 // first), then fresh transit walks in arrival order. Each walker forwards
-// until it delivers, drops, or parks at a capacity-exhausted slot. Must
-// run serially, after the round's topology/repair and before handlers.
+// until it delivers, drops, or parks at a capacity-exhausted slot; the
+// outcomes are then booked in that same order. Must run after the round's
+// topology/repair and before handlers.
 func (r *Router[M]) Step() {
-	if len(r.queued) == 0 && len(r.transit) == 0 {
-		r.m.maxLink.SetMax(0)
-		return
-	}
-	g := r.env.Graph()
-	for i := range r.fwd {
-		r.fwd[i] = 0
-	}
-	// Parked walkers leave their queues as they are picked up; qlen is
-	// rebuilt by the parking events of this Step.
-	for i := range r.qlen {
-		r.qlen[i] = 0
-	}
-	r.next = r.next[:0]
-	for i := range r.queued {
-		r.walk(&r.queued[i], g)
-	}
-	for i := range r.transit {
-		r.walk(&r.transit[i], g)
-	}
-	r.queued, r.next = r.next, r.queued[:0]
-	r.transit = r.transit[:0]
+	r.settle()
 	var maxLink int32
-	for _, f := range r.fwd {
-		if f > maxLink {
-			maxLink = f
-		}
+	if len(r.ws) > 0 {
+		maxLink = r.walkAll()
+		r.merge()
 	}
 	r.m.maxLink.SetMax(int64(maxLink))
 }
 
-// walk advances one message until it delivers, drops, or parks.
-func (r *Router[M]) walk(w *walker[M], g *graph.Graph) {
-	// Resolve the id-addressed target once per round: churn cannot move
-	// it mid-phase. A departed target ends a pure id walk immediately —
-	// the same failure mode (and drop timing) as oracle routing — while a
-	// keyed walk keeps going: any live holder can still answer.
-	tslot := int32(-1)
-	if w.h.Target != 0 {
-		if s, ok := r.env.SlotOf(w.h.Target); ok {
-			tslot = s
-		} else if !w.h.Keyed {
-			r.drop(w, DropDead)
-			return
+// EachDelivered revisits, in canonical order, every message the last Step
+// delivered and the slot it reached — the engine's inbox placement pass,
+// reading payloads straight out of the walker array. Valid until the next
+// Send, Step, DropQueuedAt or Flush.
+func (r *Router[M]) EachDelivered(fn func(slot int32, m *M)) {
+	for i := range r.ws[:r.walked] {
+		if w := &r.ws[i]; w.out == outDeliver {
+			fn(w.at, &w.m)
 		}
 	}
-	cap32 := int32(r.p.LinkCapacity)
+}
+
+// walkAll advances every walker in ws to its outcome and returns the
+// round's largest per-slot forward count. With unlimited capacity and no
+// hop recorder the walkers commute, so up to len(r.lanes) goroutines claim
+// chunks of ws off a shared cursor; otherwise the caller walks them all,
+// in order, on lane 0.
+func (r *Router[M]) walkAll() int32 {
+	lanes := 1
+	if r.p.LinkCapacity == 0 && r.env.OnHop == nil {
+		lanes = max(1, min(len(r.lanes), len(r.ws)/walkChunk))
+	}
+	r.g = r.env.Graph()
+	r.cursor.Store(0)
+	r.wg.Add(lanes - 1)
+	for l := 1; l < lanes; l++ {
+		go r.lanes[l].spawn()
+	}
+	r.runLane(0)
+	r.wg.Wait()
+
+	fwd := r.lanes[0].fwd
+	forwards := r.lanes[0].forwards
+	for l := 1; l < lanes; l++ {
+		forwards += r.lanes[l].forwards
+		for s, f := range r.lanes[l].fwd {
+			fwd[s] += f
+		}
+	}
+	r.m.forwards.Add(0, forwards)
+	var maxLink int32
+	for _, f := range fwd {
+		maxLink = max(maxLink, f)
+	}
+	return maxLink
+}
+
+// runLane walks chunks of ws claimed off the cursor on lane l.
+func (r *Router[M]) runLane(l int) {
+	ln, cur, g := &r.lanes[l], r.ws, r.g
+	clear(ln.fwd)
+	var forwards int64
 	for {
-		s := w.at
-		if s == tslot {
-			r.deliver(w, s)
-			return
+		hi := int(r.cursor.Add(walkChunk))
+		lo := hi - walkChunk
+		if lo >= len(cur) {
+			break
 		}
-		if w.h.Keyed && r.env.Holder != nil && r.env.Holder(s, w.h.Key) {
-			r.deliver(w, s)
-			return
+		for i := lo; i < min(hi, len(cur)); i++ {
+			forwards += r.walk(&cur[i], ln, g)
 		}
-		if w.h.Budget <= 0 {
-			r.drop(w, DropBudget)
-			return
-		}
-		if cap32 > 0 && r.fwd[s] >= cap32 {
-			r.park(w, s)
-			return
-		}
-		nbrs := g.Neighbors(int(s))
-		next := int32(-1)
-		for _, nb := range nbrs {
-			if nb == tslot {
-				next = nb
-				break
-			}
-			if w.h.Keyed && next < 0 && r.env.Holder != nil && r.env.Holder(nb, w.h.Key) {
-				next = nb // keep scanning: the exact target still wins
-			}
-		}
-		if next < 0 {
-			next = nbrs[rng.Hash(w.h.Seed, uint64(w.h.Hops))%uint64(len(nbrs))]
-		}
-		r.fwd[s]++
-		w.h.Budget--
-		w.h.Hops++
-		r.m.forwards.Inc(0)
-		if r.env.OnHop != nil {
-			r.env.OnHop(s, next)
-		}
-		w.at = next
 	}
+	ln.forwards = forwards
 }
 
-// park stores w in slot s's FIFO queue, or drops it when the queue is at
-// its bound.
-func (r *Router[M]) park(w *walker[M], s int32) {
-	if int(r.qlen[s]) >= r.p.QueueLimit {
-		r.drop(w, DropQueueFull)
-		return
+// walk is the hop kernel: it advances one message until it delivers,
+// drops, or parks, records that outcome in w and returns the forwards
+// taken. Per hop it costs one port hash, one adjacency load and one
+// link-meter update; everything hop-invariant is set up here, once.
+func (r *Router[M]) walk(w *walker[M], ln *lane, g *graph.Graph) int64 {
+	h := &w.h
+	// Resolve the id-addressed target once per round: churn cannot move
+	// it mid-phase. A departed (or absent) target ends a pure id walk
+	// immediately — the same failure mode (and drop timing) as oracle
+	// routing — while a keyed walk keeps going: any live holder can still
+	// answer.
+	tslot := int32(-1)
+	if h.Target != 0 {
+		if s, ok := r.env.SlotOf(h.Target); ok {
+			tslot = s
+		}
 	}
-	r.qlen[s]++
-	w.at = s
-	r.m.parked.Inc(0)
-	r.m.queueDepth.Observe(0, int64(r.qlen[s]))
-	r.next = append(r.next, *w)
+	if tslot < 0 && !h.Keyed {
+		w.out = outDrop + uint8(DropDead)
+		return 0
+	}
+	adj, d := g.Adjacency(), g.Degree()
+	// The target's row, as a bitset over slots: by port reciprocity
+	// "s has the target as a neighbour" is "s is in the target's row".
+	near := ln.near
+	var trow []int32
+	if tslot >= 0 {
+		trow = adj[int(tslot)*d : (int(tslot)+1)*d]
+		for _, nb := range trow {
+			near[nb>>6] |= 1 << (nb & 63)
+		}
+	}
+	holder, key := r.env.Holder, h.Key
+	keyed := h.Keyed && holder != nil
+	onHop := r.env.OnHop
+	fwd := ln.fwd
+	capacity := int32(math.MaxInt32)
+	if r.p.LinkCapacity > 0 {
+		capacity = int32(r.p.LinkCapacity)
+	}
+	// Port p of hop i is rng.Hash(seed, i) mod d, with the seed round of
+	// the hash hoisted and the modulus a mask when d is a power of two.
+	base := rng.HashInit(h.Seed)
+	mask := uint64(0)
+	if d&(d-1) == 0 {
+		mask = uint64(d - 1)
+	}
+	s, hops := w.at, int(h.Hops)
+	limit := hops + int(h.Budget)
+	for {
+		if s == tslot || (keyed && holder(s, key)) {
+			w.out = outDeliver
+			break
+		}
+		if hops >= limit {
+			w.out = outDrop + uint8(DropBudget)
+			break
+		}
+		f := fwd[s]
+		if f >= capacity {
+			w.out = outPark
+			break
+		}
+		next := tslot // the exact target wins over any holder
+		if near[s>>6]&(1<<(s&63)) == 0 {
+			next = -1
+			row := int(s) * d
+			if keyed {
+				for _, nb := range adj[row : row+d] {
+					if holder(nb, key) {
+						next = nb
+						break
+					}
+				}
+			}
+			if next < 0 {
+				x := rng.HashMix(base, uint64(hops))
+				if mask != 0 {
+					x &= mask
+				} else {
+					x %= uint64(d)
+				}
+				next = adj[row+int(x)]
+			}
+		}
+		fwd[s] = f + 1
+		hops++
+		if onHop != nil {
+			onHop(s, next)
+		}
+		s = next
+	}
+	for _, nb := range trow {
+		near[nb>>6] &^= 1 << (nb & 63)
+	}
+	taken := int64(hops) - int64(h.Hops)
+	w.at, h.Hops, h.Budget = s, int32(hops), int32(limit-hops)
+	return taken
 }
 
-func (r *Router[M]) deliver(w *walker[M], s int32) {
-	r.m.delivered.Inc(0)
-	r.m.hops.Observe(0, int64(w.h.Hops))
-	r.env.Deliver(s, &w.m, w.h.Hops)
+// merge books every walker's outcome in canonical order — the only place
+// the routed phase touches metrics, callbacks or queues.
+func (r *Router[M]) merge() {
+	// Parked walkers left their queues when they were picked up; qlen is
+	// rebuilt by this Step's parking events.
+	clear(r.qlen)
+	r.nq, r.walked = 0, len(r.ws)
+	for i := range r.ws {
+		w := &r.ws[i]
+		switch w.out {
+		case outDeliver:
+			r.m.delivered.Inc(0)
+			r.m.hops.Observe(0, int64(w.h.Hops))
+			r.env.Deliver(w.at, &w.m, w.h.Hops)
+		case outPark:
+			// The slot's FIFO queue is bounded; arrivals beyond it drop.
+			if int(r.qlen[w.at]) >= r.p.QueueLimit {
+				w.out = outDrop + uint8(DropQueueFull)
+				r.drop(w, DropQueueFull)
+				continue
+			}
+			r.qlen[w.at]++
+			r.nq++
+			r.m.parked.Inc(0)
+			r.m.queueDepth.Observe(0, int64(r.qlen[w.at]))
+		default:
+			r.drop(w, DropReason(w.out-outDrop))
+		}
+	}
 }
 
 func (r *Router[M]) drop(w *walker[M], reason DropReason) {

@@ -47,7 +47,7 @@ func newHarness(t *testing.T, n int, p Params) *harness {
 		holders: map[int32]uint64{},
 		dead:    map[uint64]bool{},
 	}
-	h.r = New[testMsg](telemetry.NewRegistry(), n, p)
+	h.r = New[testMsg](telemetry.NewRegistry(), n, p, 1)
 	h.r.SetEnv(Env[testMsg]{
 		Graph: func() *graph.Graph { return h.g },
 		SlotOf: func(id uint64) (int32, bool) {
@@ -68,7 +68,7 @@ func newHarness(t *testing.T, n int, p Params) *harness {
 }
 
 func (h *harness) send(id, from, targetSlot int, keyed bool, key uint64) {
-	h.r.Send(testMsg{id: id}, Header{
+	h.r.Send(&testMsg{id: id}, Header{
 		Target: uint64(targetSlot + 1), Keyed: keyed, Key: key,
 		Seed: uint64(id) * 0x9e3779b97f4a7c15,
 	}, int32(from))
@@ -139,6 +139,10 @@ func TestKeyedWalkPrefersExactTargetOverHolderNeighbor(t *testing.T) {
 	}
 	g.SetPort(0, 0, 2)
 	g.SetPort(0, 1, 3)
+	// The router spots an adjacent target from the target's side (the
+	// reciprocal-port precondition), so the 0–3 edge needs its back port;
+	// the forced corridors of the other tests never consult it.
+	g.SetPort(3, 0, 0)
 	h.g = g
 	h.holders[2] = 77
 	h.send(1, 0, 3, true, 77)
@@ -174,6 +178,28 @@ func TestDeadTargetDropsAtPickup(t *testing.T) {
 	}
 	if h.r.Metrics().Forwards != 0 {
 		t.Fatal("dead-target walk must not burn forwards")
+	}
+	h.conserve(t)
+}
+
+// TestUnaddressedIdWalkDropsAtPickup pins the no-target fix: a pure id
+// walk to Target 0 has nowhere to arrive, so it is a dead-target drop at
+// pickup — as oracle mode discards mail to id 0 in one round — instead of
+// wandering its whole budget, spending link capacity that parks real
+// traffic, and being booked as a budget drop.
+func TestUnaddressedIdWalkDropsAtPickup(t *testing.T) {
+	h := newHarness(t, 8, Params{Budget: 16, LinkCapacity: 1})
+	h.r.Send(&testMsg{id: 1}, Header{Target: 0, Seed: 1}, 0)
+	h.send(2, 0, 2, false, 0) // behind it on the same links
+	h.r.Step()
+	if len(h.drops) != 1 || h.drops[0] != (droppedMsg{1, DropDead}) {
+		t.Fatalf("drops = %+v, want message 1 as DropDead", h.drops)
+	}
+	if len(h.delivered) != 1 || h.delivered[0] != (delivery{slot: 2, id: 2, hops: 2}) {
+		t.Fatalf("delivery = %+v, want message 2 at slot 2 unhindered", h.delivered)
+	}
+	if m := h.r.Metrics(); m.DroppedDead != 1 || m.DroppedBudget != 0 || m.Forwards != 2 || m.Parked != 0 {
+		t.Fatalf("metrics %+v", m)
 	}
 	h.conserve(t)
 }
@@ -316,5 +342,5 @@ func TestNewValidates(t *testing.T) {
 			t.Fatal("zero budget did not panic")
 		}
 	}()
-	New[testMsg](telemetry.NewRegistry(), 8, Params{})
+	New[testMsg](telemetry.NewRegistry(), 8, Params{}, 1)
 }

@@ -13,8 +13,9 @@ package simnet
 // before handlers (so an uncongested routed message still arrives the
 // round after it was sent — the oracle's latency). Congestion, by
 // contrast, parks walkers at capacity-exhausted slots and resurfaces as
-// real queueing rounds. The whole phase is serial and processes walkers
-// in a fixed order, so routed metrics are worker-count independent.
+// real queueing rounds. Walkers are walked on the engine's workers when
+// link capacity is unlimited and their outcomes booked in one fixed-order
+// serial merge, so routed metrics are worker-count independent.
 
 import (
 	"fmt"
@@ -72,16 +73,11 @@ type RoutingConfig struct {
 	QueueLimit int
 }
 
-// placedMsg is one routed delivery staged for inbox placement.
-type placedMsg struct {
-	slot int32
-	m    Msg
-}
-
 // deliveryArena is the routed phase's flat inbox store, the serial
 // sibling of inboxArena: all of a round's routed deliveries are placed
-// slot-major by one counting sort and the per-slot views sliced out, so
-// steady-state routed rounds allocate nothing.
+// slot-major by one counting sort over the router's walker array and the
+// per-slot views sliced out, so steady-state routed rounds allocate
+// nothing.
 type deliveryArena struct {
 	msgs   []Msg
 	off    []int32 // len N+1
@@ -104,7 +100,7 @@ func (e *Engine) initRouter() {
 		LinkCapacity: rc.LinkCapacity,
 		QueueLimit:   rc.QueueLimit,
 		Seed:         rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
-	})
+	}, e.workers)
 	e.applyRouterEnv()
 	if e.routedArena.off == nil {
 		e.routedArena.off = make([]int32, e.cfg.N+1)
@@ -249,53 +245,48 @@ func (e *Engine) sendToRouter(m *Msg) {
 		h.Keyed = true
 		h.Key = m.Item
 	}
-	e.router.Send(*m, h, m.srcSlot)
+	e.router.Send(m, h, m.srcSlot)
 }
 
-// deliverRouted is the router's delivery callback: stamp the true path
-// length, rewrite the addressee on holder early-exit, and stage the
-// message for inbox placement.
+// deliverRouted is the router's delivery callback and the counting pass
+// of the inbox placement: stamp the true path length and rewrite the
+// addressee on holder early-exit, in place in the router's walker array.
 func (e *Engine) deliverRouted(slot int32, m *Msg, hops int32) {
 	m.Hops = hops
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}
 	e.em.delivered.Inc(0)
-	e.routedPlaced = append(e.routedPlaced, placedMsg{slot: slot, m: *m})
+	e.routedArena.counts[slot]++
 }
 
 // runRouted executes the routed-delivery phase: advance every in-flight
 // walker over this round's adjacency, then place the deliveries into
-// this round's inboxes with one stable counting sort. Slots that already
-// hold oracle-delivered messages (mixed SendMsg/SendRouted usage) take
-// the canonical-insert slow path instead.
+// this round's inboxes with one stable counting sort, copying each
+// message once, from the walker that carried it. Slots that already hold
+// oracle-delivered messages (mixed SendMsg/SendRouted usage) take the
+// canonical-insert slow path instead.
 func (e *Engine) runRouted() {
-	e.routedPlaced = e.routedPlaced[:0]
-	e.router.Step()
-	if len(e.routedPlaced) == 0 {
-		return
-	}
 	ra := &e.routedArena
 	counts := ra.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range e.routedPlaced {
-		counts[e.routedPlaced[i].slot]++
-	}
+	clear(counts)
+	e.router.Step()
 	total := int(shard.Offsets(counts, ra.off))
+	if total == 0 {
+		return
+	}
 	if cap(ra.msgs) < total {
 		ra.msgs = make([]Msg, total, max(total, 2*cap(ra.msgs)))
 	} else {
 		ra.msgs = ra.msgs[:total]
 	}
 	copy(counts, ra.off[:len(counts)])
-	for i := range e.routedPlaced {
-		p := &e.routedPlaced[i]
-		pos := counts[p.slot]
-		counts[p.slot] = pos + 1
-		ra.msgs[pos] = p.m
-	}
+	msgs := ra.msgs
+	e.router.EachDelivered(func(slot int32, m *Msg) {
+		pos := counts[slot]
+		counts[slot] = pos + 1
+		msgs[pos] = *m
+	})
 	for s := 0; s < e.cfg.N; s++ {
 		a, b := ra.off[s], ra.off[s+1]
 		if a == b {

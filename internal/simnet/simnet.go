@@ -335,13 +335,12 @@ type Engine struct {
 
 	// Overlay routing state (routing.go): the walker router, the
 	// protocol's key-holder predicate, the test-only hop recorder, the
-	// per-message walk-seed salt, and the delivery staging buffers.
-	router       *route.Router[Msg]
-	keyHolder    func(slot int, key uint64, round int) bool
-	hopRec       func(round, from, to int)
-	routeSeed    uint64
-	routedPlaced []placedMsg
-	routedArena  deliveryArena
+	// per-message walk-seed salt, and the delivery arena.
+	router      *route.Router[Msg]
+	keyHolder   func(slot int, key uint64, round int) bool
+	hopRec      func(round, from, to int)
+	routeSeed   uint64
+	routedArena deliveryArena
 
 	reg    *telemetry.Registry
 	em     engineMetrics

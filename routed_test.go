@@ -1,8 +1,10 @@
 package dynp2p
 
 import (
+	"cmp"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynp2p/internal/rng"
@@ -52,6 +54,8 @@ func TestRoutedStoreRetrieve(t *testing.T) {
 // phase within a round, so validating the hops recorded during Run(1)
 // against the adjacency visible after it returns is exact. Message
 // conservation and the zero-teleport invariant are checked at the end.
+// The recorder does not switch kernels: it only keeps the walk on one
+// lane, so the hops audited here are the production hop loop's.
 func TestRoutedEdgeConformance(t *testing.T) {
 	const rounds = 220
 	nw := New(Config{
@@ -117,22 +121,25 @@ func TestRoutedEdgeConformance(t *testing.T) {
 }
 
 // TestRoutedWorkerCountIndependence pins the routed phase's determinism:
-// on a churning self-healing network in overlay mode with tracing on and
-// link capacities tight enough to queue and drop, the combined stats
-// (including every route counter), the retrieval results, and the full
-// deterministic telemetry snapshot must be bit-identical for
-// Workers ∈ {1, 3, GOMAXPROCS}.
+// on a churning self-healing network in overlay mode with tracing on, the
+// combined stats (including every route counter), the retrieval results,
+// and the full deterministic telemetry snapshot must be bit-identical at
+// every worker count — with link capacities tight enough to queue and
+// drop (walkers compete in canonical order on one lane), and with
+// unlimited capacity (walkers are walked on Workers lanes at once and
+// only the merge is ordered).
 func TestRoutedWorkerCountIndependence(t *testing.T) {
 	type snapshot struct {
 		stats   Stats
 		results []Result
 		metrics any
 	}
-	run := func(workers int) snapshot {
+	run := func(rc RoutingConfig, workers int) snapshot {
+		rc.Mode, rc.WalkBudget = RoutingOverlay, 2048
 		nw := New(Config{
 			N: 1024, ChurnRate: 1, ChurnDelta: 1.0, Seed: 5, Workers: workers,
 			Edges:            EdgesSelfHealing,
-			Routing:          RoutingConfig{Mode: RoutingOverlay, WalkBudget: 2048, LinkCapacity: 4, QueueLimit: 8},
+			Routing:          rc,
 			Cache:            CacheConfig{Capacity: 2, SeedRate: 0.7},
 			TraceSampleEvery: 1,
 		})
@@ -144,29 +151,48 @@ func TestRoutedWorkerCountIndependence(t *testing.T) {
 		nw.Retrieve(512, 7, data)
 		nw.Retrieve(99, 7, data)
 		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		// Retrievals that finish in the same round are recorded by whichever
+		// handler shard gets there first; order them before comparing.
+		results := nw.Results()
+		slices.SortFunc(results, func(a, b Result) int {
+			return cmp.Or(cmp.Compare(a.Done, b.Done), cmp.Compare(a.Searcher, b.Searcher))
+		})
 		return snapshot{
 			stats:   nw.Stats(),
-			results: nw.Results(),
+			results: results,
 			metrics: nw.Telemetry().DeterministicSnapshot(),
 		}
 	}
-	base := run(1)
-	if base.stats.Route.Sent == 0 {
-		t.Fatal("no routed traffic")
-	}
-	if base.stats.Route.Parked == 0 && base.stats.Route.DroppedQueueFull == 0 {
-		t.Error("congestion leg produced no queueing; tighten LinkCapacity")
-	}
-	for _, w := range []int{3, runtime.GOMAXPROCS(0)} {
-		got := run(w)
-		if base.stats != got.stats {
-			t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, base.stats, got.stats)
-		}
-		if !reflect.DeepEqual(base.results, got.results) {
-			t.Errorf("workers=%d: retrieval results differ", w)
-		}
-		if !reflect.DeepEqual(base.metrics, got.metrics) {
-			t.Errorf("workers=%d: deterministic telemetry snapshots differ", w)
-		}
+	for _, leg := range []struct {
+		name    string
+		rc      RoutingConfig
+		workers []int
+	}{
+		{"congested", RoutingConfig{LinkCapacity: 4, QueueLimit: 8}, []int{3, runtime.GOMAXPROCS(0)}},
+		{"unlimited", RoutingConfig{}, []int{2, 3, runtime.GOMAXPROCS(0)}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			base := run(leg.rc, 1)
+			rs := base.stats.Route
+			if rs.Sent == 0 {
+				t.Fatal("no routed traffic")
+			}
+			if queued := rs.Parked > 0 || rs.DroppedQueueFull > 0; queued != (leg.rc.LinkCapacity > 0) {
+				t.Errorf("queueing = %v with LinkCapacity %d (parked %d, queue-full drops %d)",
+					queued, leg.rc.LinkCapacity, rs.Parked, rs.DroppedQueueFull)
+			}
+			for _, w := range leg.workers {
+				got := run(leg.rc, w)
+				if base.stats != got.stats {
+					t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, base.stats, got.stats)
+				}
+				if !reflect.DeepEqual(base.results, got.results) {
+					t.Errorf("workers=%d: retrieval results differ:\n%+v\n%+v", w, base.results, got.results)
+				}
+				if !reflect.DeepEqual(base.metrics, got.metrics) {
+					t.Errorf("workers=%d: deterministic telemetry snapshots differ", w)
+				}
+			}
+		})
 	}
 }
