@@ -86,10 +86,13 @@ func TestWorkerCountIndependence(t *testing.T) {
 		rng.New(4).Fill(data)
 		nw.Store(0, 7, data)
 		nw.Run(nw.Tunables().Protocol.Period)
-		nw.Retrieve(1024, 7, data)
-		nw.Retrieve(99, 7, data)
+		// Several retrievals at once, so that some finish in the same round
+		// on different handler shards and Results() has an order to keep.
+		for _, slot := range []int{1024, 99, 300, 700, 1500, 1900} {
+			nw.Retrieve(slot, 7, data)
+		}
 		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
-		// A third retrieval after the first two completed: with caching
+		// One more retrieval after those completed: with caching
 		// on it exercises serve/admit paths against a warm population.
 		nw.Retrieve(555, 7, data)
 		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
@@ -111,6 +114,14 @@ func TestWorkerCountIndependence(t *testing.T) {
 			base := run(1, leg.cache)
 			if leg.cache.Capacity > 0 && base.stats.Proto.CacheInserts == 0 {
 				t.Error("caching leg produced no cache activity")
+			}
+			sameRound := false
+			for i := 1; i < len(base.results); i++ {
+				// Canonical order is by Done first, so ties are adjacent.
+				sameRound = sameRound || base.results[i].Done == base.results[i-1].Done
+			}
+			if !sameRound {
+				t.Error("no two retrievals finished in one round: result order is not exercised")
 			}
 			for _, w := range []int{3, runtime.GOMAXPROCS(0)} {
 				got := run(w, leg.cache)

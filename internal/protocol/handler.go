@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -410,20 +411,28 @@ func (h *Handler) sweepExpired(round int, st *nodeState) {
 	}
 }
 
-// recordResult appends a finished retrieval outcome (thread-safe).
+// recordResult appends a finished retrieval outcome (thread-safe). The
+// append order within a round is the handler shards' scheduling order,
+// which DrainResults does not expose.
 func (h *Handler) recordResult(r SearchResult) {
 	h.mu.Lock()
 	h.results = append(h.results, r)
 	h.mu.Unlock()
 }
 
-// DrainResults returns and clears the accumulated retrieval outcomes.
+// DrainResults returns and clears the accumulated retrieval outcomes in
+// canonical order — by (Done, Searcher, Key, Start), so expired
+// retrievals (Done = -1) come first — identical at every worker count.
 // Call between rounds only.
 func (h *Handler) DrainResults() []SearchResult {
 	h.mu.Lock()
 	r := h.results
 	h.results = nil
 	h.mu.Unlock()
+	slices.SortStableFunc(r, func(a, b SearchResult) int {
+		return cmp.Or(cmp.Compare(a.Done, b.Done), cmp.Compare(a.Searcher, b.Searcher),
+			cmp.Compare(a.Key, b.Key), cmp.Compare(a.Start, b.Start))
+	})
 	return r
 }
 

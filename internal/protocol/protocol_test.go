@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"dynp2p/internal/churn"
@@ -448,5 +449,27 @@ func TestSortIDsHelper(t *testing.T) {
 		if ids[i-1] > ids[i] {
 			t.Fatal("sortIDs did not sort")
 		}
+	}
+}
+
+// TestDrainResultsCanonicalOrder pins that DrainResults hides the order
+// in which parallel handler shards recorded a round's outcomes.
+func TestDrainResultsCanonicalOrder(t *testing.T) {
+	want := []SearchResult{
+		{Searcher: 9, Key: 1, Start: 3, Done: -1},
+		{Searcher: 4, Key: 2, Start: 1, Done: 7, Success: true},
+		{Searcher: 4, Key: 5, Start: 1, Done: 7, Success: true},
+		{Searcher: 6, Key: 2, Start: 2, Done: 7, Success: true},
+		{Searcher: 1, Key: 2, Start: 4, Done: 8, Success: true},
+	}
+	h := &Handler{}
+	for _, i := range []int{3, 4, 1, 0, 2} {
+		h.recordResult(want[i])
+	}
+	if got := h.DrainResults(); !slices.Equal(got, want) {
+		t.Fatalf("drained %+v, want %+v", got, want)
+	}
+	if rest := h.DrainResults(); len(rest) != 0 {
+		t.Fatalf("second drain returned %+v", rest)
 	}
 }

@@ -219,13 +219,6 @@ func NewBarrier(parties int) *Barrier {
 	return &Barrier{parties: int32(parties)}
 }
 
-// Reset re-arms the barrier for a (possibly different) participant
-// count. Must not race with Wait.
-func (b *Barrier) Reset(parties int) {
-	b.parties = int32(parties)
-	b.count.Store(0)
-}
-
 // Wait blocks until all participants have called Wait for the current
 // generation. The final arriver first runs last (if non-nil), then
 // releases the others. Spin-waits with Gosched: phases are short and

@@ -37,7 +37,11 @@ package walks
 // through round r against the one materialized row, then a barrier
 // advances the row to r+1 (its last-arriver callback applies the deltas
 // serially). Shard-major replay died with the snapshots — there is no
-// longer a per-round row to read at random.
+// longer a per-round row to read at random. The workers are replay LANES
+// (lzLane): each claims shards off a cursor and counts the arrivals it
+// produces in a table of its own, so the kernel shares no written cache
+// line between cores; the same barrier folds the lane tables into the
+// ring's arrival table.
 //
 // Two parts are retrospective and make the representation exact, not
 // approximate:
@@ -45,10 +49,12 @@ package walks
 //   - Serial continuation. A slot's fresh walks continue serials from its
 //     stored-survivor count (store.go's generation coda), which depends
 //     on where every older cohort's tokens sit at the birth round. Each
-//     cohort's replay therefore increments the NEXT round's arrival
-//     table as tokens land; cohort b-1 delivers (and finishes writing
-//     arrive[b]) one round before cohort b is created, so the serial
-//     bases are always complete exactly when they are needed.
+//     cohort's replay therefore counts the NEXT round's arrivals as
+//     tokens land (per lane, summed into arrive[r+1] at the round
+//     barrier — a sum, so the same at every worker count); cohort b-1
+//     delivers (and finishes arrive[b]) one round before cohort b is
+//     created, so the serial bases are always complete exactly when they
+//     are needed.
 //   - Metrics and introspection. Queries (Metrics, TokensAt, TotalTokens,
 //     AppendTokens, Inject) force every in-flight cohort's partial
 //     trajectory up to the last stepped round, caching per-cohort
@@ -148,14 +154,30 @@ type lazySoup struct {
 	idRound int             // round idRow holds; -1 = unset
 	idRow   []simnet.NodeID
 
-	bar *shard.Barrier // round-major replay barrier, reused across advances
+	// Replay lanes (lzLane), all built once so an advance allocates
+	// nothing. Lane 0 runs on the caller and counts arrivals straight into
+	// the ring table; lane l >= 1 runs spawn[l-1] and counts into
+	// laneArr[l-1], which lzEndRound folds into the ring table and zeroes at
+	// every round barrier. Counts are additive, so the sums — and
+	// everything derived from them — are identical at every worker count.
+	// The lanes also publish what Samples() serves: a delivery's sample
+	// gather is their last phase, so a delivery path must go through
+	// lzAdvance.
+	laneArr [][]int32
+	spawn   []func()
+	wg      sync.WaitGroup
+	bar     *shard.Barrier // the lanes' round barrier; lzEndRound is its callback
+	cursor  atomic.Int64   // next unclaimed shard of the phase in progress
 
-	// atomicArrive: with >1 workers, shards replay concurrently and land
-	// tokens on arbitrary slots, so arrival-count increments go through
-	// atomics; counts are additive, so the sums — and everything derived
-	// from them — are identical at every worker count.
-	atomicArrive bool
-	countsOK     bool // per-shard counts caches reflect current state
+	// The advance in progress, written by lzAdvance before the lanes start
+	// and by lzEndRound between rounds: cohort advB replays round advR
+	// against advRow, through advTo. advR == advB-1 is the creation phase,
+	// which reads advIds (the round-advB occupants) instead of a row.
+	advB, advR, advTo int
+	advRow            []int32
+	advIds            []simnet.NodeID
+
+	countsOK bool // per-shard counts caches reflect current state
 }
 
 // newLazySoup builds the ring. Cursor rows and per-round tables are
@@ -170,20 +192,27 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 		T: T, depth: depth, d: d, eng: e,
 		firstRound: -1, lastRound: -1,
 		tailRound: -1, repRound: -1, idRound: -1,
-		atomicArrive: s.workers > 1,
-		rounds:       make([]lazyRound, depth),
-		arrives:      make([][]int32, depth),
-		cohorts:      make([]lazyCohort, depth),
-		tailBuf:      make([]int32, n*d),
-		repRow:       make([]int32, n*d),
-		tailIds:      make([]simnet.NodeID, 0, n),
-		idRow:        make([]simnet.NodeID, 0, n),
-		bar:          shard.NewBarrier(1),
+		rounds:  make([]lazyRound, depth),
+		arrives: make([][]int32, depth),
+		cohorts: make([]lazyCohort, depth),
+		tailBuf: make([]int32, n*d),
+		repRow:  make([]int32, n*d),
+		tailIds: make([]simnet.NodeID, 0, n),
+		idRow:   make([]simnet.NodeID, 0, n),
 	}
 	for i := range lz.rounds {
 		lz.rounds[i].round = -1
 		lz.arrives[i] = make([]int32, n)
 		lz.cohorts[i].round = -1
+	}
+	lanes := min(s.workers, len(s.shards))
+	lz.bar = shard.NewBarrier(lanes)
+	for l := 1; l < lanes; l++ {
+		lz.laneArr = append(lz.laneArr, make([]int32, n))
+		lz.spawn = append(lz.spawn, func() {
+			defer lz.wg.Done()
+			s.lzLane(l)
+		})
 	}
 	for i := range s.shards {
 		s.shards[i].lzToks = make([][]replayTok, depth)
@@ -327,8 +356,9 @@ func (lz *lazySoup) advanceTail(to int) {
 
 // stepLazy is the lazy store's StepRound: record the round's inputs
 // (journal drain, id deltas), seat the round's cohort (identity only —
-// no token state), replay the one cohort falling due, advance the tail
-// cursors past the retired round, and publish the delivered samples.
+// no token state), replay the one cohort falling due and publish its
+// samples (lzAdvance), and advance the tail cursors past the retired
+// round.
 func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 	lz := s.lz
 	ri := round % lz.depth
@@ -406,16 +436,7 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 		// at the last recorded round — T = 1 delivers the round it records).
 		lz.advanceTail(min(c+1, lz.lastRound))
 	}
-	s.gatherSamples()
 	lz.countsOK = false
-}
-
-// gatherSamples rebuilds the per-shard sample stores from outSmp staging
-// (shared counting sort with the eager gather).
-func (s *Soup) gatherSamples() {
-	s.grid.Run(s.workers, func(dsh int) {
-		s.gatherSamplesShard(&s.shards[dsh], dsh)
-	})
 }
 
 // lzAdvance creates cohort b if needed and replays it through round to,
@@ -424,99 +445,101 @@ func (s *Soup) gatherSamples() {
 // in birth order; lzSync forces in birth order), which is what makes the
 // arrival tables — and so the serial bases — complete when read.
 //
-// Replay is round-major at every worker count: all shards step through
-// round r against the one materialized adjacency row before any shard
-// sees r+1. Inline this is just loop order; in parallel, workers claim
-// shards from a cursor per round and a barrier separates rounds, its
-// last-arriver callback advancing the shared row (and resetting the
-// cursor) serially. Arrival updates are atomic and additive, so the
-// result is bit-identical at every worker count.
+// The work runs on the prebuilt replay lanes (lzLane), one per worker
+// with the caller as lane 0; a single lane is the serial case of the
+// same code. An advance through the cohort's last round (the delivery)
+// also rebuilds the sample stores from what it staged.
 func (s *Soup) lzAdvance(b, to int) {
 	lz := s.lz
 	coh := &lz.cohorts[b%lz.depth]
 	if int(coh.round) != b {
 		panic("walks: lazy cohort ring does not cover the requested round")
 	}
-	from := b
+	if int(coh.evalRound) >= to {
+		return
+	}
+	// An uncreated cohort stands at evalRound b-1: its first phase is
+	// "round" b-1, creation, which needs the round-b occupants and no row.
+	lz.advB, lz.advR, lz.advTo = b, int(coh.evalRound)+1, to
 	if coh.created {
-		if int(coh.evalRound) >= to {
-			return
-		}
-		from = int(coh.evalRound) + 1
-	}
-	final := b + lz.T - 1
-	nsh := len(s.shards)
-	if wk := min(s.workers, nsh); wk == 1 {
-		if !coh.created {
-			ids := lz.idsAt(b)
-			for sh := range s.shards {
-				s.lzCreateShard(&s.shards[sh], b, ids)
-			}
-		}
-		for r := from; r <= to; r++ {
-			row := lz.rowAt(r)
-			fin := r == final
-			for sh := range s.shards {
-				s.lzReplayShard(&s.shards[sh], b, r, fin, row)
-			}
-		}
+		lz.advRow = lz.rowAt(lz.advR)
 	} else {
-		var createIds []simnet.NodeID
-		if !coh.created {
-			createIds = lz.idsAt(b)
-		}
-		lz.bar.Reset(wk)
-		var cursor atomic.Int64
-		r := from
-		curRow := lz.rowAt(from)
-		body := func() {
-			if createIds != nil {
-				for {
-					sh := int(cursor.Add(1) - 1)
-					if sh >= nsh {
-						break
-					}
-					s.lzCreateShard(&s.shards[sh], b, createIds)
-				}
-				lz.bar.Wait(func() { cursor.Store(0) })
-			}
-			for {
-				cr, crow := r, curRow
-				fin := cr == final
-				for {
-					sh := int(cursor.Add(1) - 1)
-					if sh >= nsh {
-						break
-					}
-					s.lzReplayShard(&s.shards[sh], b, cr, fin, crow)
-				}
-				if cr == to {
-					lz.bar.Wait(nil)
-					return
-				}
-				lz.bar.Wait(func() {
-					cursor.Store(0)
-					r = cr + 1
-					curRow = lz.rowAt(r)
-				})
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 1; w < wk; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				body()
-			}()
-		}
-		body()
-		wg.Wait()
+		lz.advR, lz.advIds = b-1, lz.idsAt(b)
 	}
+	lz.cursor.Store(0)
+	lz.wg.Add(len(lz.spawn))
+	for _, spawn := range lz.spawn {
+		go spawn()
+	}
+	s.lzLane(0)
+	lz.wg.Wait()
 	coh.created = true
 	coh.evalRound = int32(to)
 	for i := range s.shards {
 		s.m.add(&s.shards[i].tally)
 		s.shards[i].tally = Metrics{}
+	}
+}
+
+// lzLane is one replay lane's share of the advance in progress. Replay is
+// round-major: the lanes claim shards off the cursor and step them
+// through round r against the one materialized adjacency row, and a
+// barrier separates r from r+1 (and cohort creation from the first
+// round). Each lane counts the arrivals it produces in its own table, so
+// the kernel's writes never cross cores; lzEndRound, the barrier's
+// last-arriver callback, sums the tables into the ring while every lane
+// is parked.
+func (s *Soup) lzLane(l int) {
+	lz := s.lz
+	b, to, nsh := lz.advB, lz.advTo, int64(len(s.shards))
+	final := b + lz.T - 1
+	for {
+		r, row := lz.advR, lz.advRow
+		arr := lz.arrives[(r+1)%lz.depth]
+		if l > 0 {
+			arr = lz.laneArr[l-1]
+		}
+		for sh := lz.cursor.Add(1) - 1; sh < nsh; sh = lz.cursor.Add(1) - 1 {
+			if r < b {
+				s.lzCreateShard(&s.shards[sh], b, lz.advIds)
+			} else {
+				s.lzReplayShard(&s.shards[sh], b, r, r == final, row, arr)
+			}
+		}
+		lz.bar.Wait(lz.lzEndRound)
+		if r == to {
+			break
+		}
+	}
+	// A delivery has staged the round's samples in outSmp: rebuild the
+	// per-shard sample stores (the eager gather's counting sort) while the
+	// lanes are up. Until the first delivery there is nothing to replace.
+	if to == final {
+		for dsh := lz.cursor.Add(1) - 1; dsh < nsh; dsh = lz.cursor.Add(1) - 1 {
+			s.gatherSamplesShard(&s.shards[dsh], int(dsh))
+		}
+	}
+}
+
+// lzEndRound closes phase advR of the advance in progress, serially, with
+// every lane parked at the barrier: it folds the lane tables into
+// arrive[advR+1] and zeroes them — also when advR == advTo ends a
+// query-forced partial advance, whose counts the next cohort's creation
+// still needs — then re-arms the shard cursor and moves the shared row to
+// the next round. (Creation and the delivery round count no arrivals;
+// their fold adds zeros.)
+func (lz *lazySoup) lzEndRound() {
+	arr := lz.arrives[(lz.advR+1)%lz.depth]
+	for _, lane := range lz.laneArr {
+		for i, c := range lane {
+			arr[i] += c
+		}
+		clear(lane)
+	}
+	lz.cursor.Store(0)
+	if lz.advR < lz.advTo {
+		lz.advR++
+		lz.advRow = lz.rowAt(lz.advR)
 	}
 }
 
@@ -605,8 +628,9 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 // per-step death check against the engine's replacement record, one
 // step hash, one row load against the materialized round-r adjacency,
 // and — for non-final rounds — one arrival increment at the landing
-// slot. The step core matches store.go's scatter loops bit for bit.
-func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row []int32) {
+// slot in arr, the calling lane's own round-r+1 arrival table. The step
+// core matches store.go's scatter loops bit for bit.
+func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
 	toks := ss.lzToks[b%lz.depth]
@@ -621,8 +645,6 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row []int32) {
 	if r > b && ring.anyChurn {
 		death = lz.eng.ReplacedBitsInRound(r)
 	}
-	arr := lz.arrives[(r+1)%lz.depth]
-	atomicArr := lz.atomicArrive
 	lazyWalk := s.p.Lazy
 	seed := s.seed
 	slotLoc := s.slotLoc
@@ -658,11 +680,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row []int32) {
 			ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
 				loc: t.idser>>16<<shard.LocalBits | uint64(loc&localMask), birth: t.birth})
 		} else {
-			if atomicArr {
-				atomic.AddInt32(&arr[pos], 1)
-			} else {
-				arr[pos]++
-			}
+			arr[pos]++
 			t.pos = pos
 			toks[w] = t
 			w++

@@ -1,6 +1,7 @@
 package walks
 
 import (
+	"slices"
 	"testing"
 
 	"dynp2p/internal/churn"
@@ -63,8 +64,8 @@ func TestLazyForcingIndependence(t *testing.T) {
 // TestLazyDeterministicAcrossWorkerCounts is the lazy-store sibling of
 // TestDeterministicAcrossWorkerCounts (which runs the capped store): the
 // full ordered arrival stream, metrics, and per-slot counts must be
-// identical at every worker count even though multi-worker replays use
-// atomic arrival updates and shard-major evaluation order.
+// identical at every worker count even though multi-worker replays count
+// arrivals in per-lane tables and claim shards in scheduling order.
 func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n, rounds = 128, 40
 	run := func(workers int) (Metrics, []int) {
@@ -97,6 +98,62 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range a1 {
 		if a1[i] != a7[i] {
 			t.Fatalf("arrival streams differ at %d: %d vs %d", i, a1[i], a7[i])
+		}
+	}
+}
+
+// TestLazyLaneArrivalsMatchSerial pins the lane-private arrival counting
+// against the single-lane run: every lane table must reach the ring's
+// arrival table at the barrier that ends its round, whether the advance
+// is a full delivery (every round) or a query-forced partial one (Inject
+// rounds, which read TokensAt, and the explicit query rounds below) —
+// the next cohort's serial bases are read from those sums. Rounds
+// without any query keep partial and full advances interleaved. Each
+// round's ordered samples, and on query rounds the metrics, per-slot
+// counts and every in-flight token identity, must equal the workers = 1
+// run.
+func TestLazyLaneArrivalsMatchSerial(t *testing.T) {
+	const n, rounds = 128, 48
+	run := func(workers int) [][]uint64 {
+		e := newEngine(n, churn.FixedLaw{Count: 4}, 51, 52)
+		s := NewSoup(e, lazyTestParams(), workers)
+		e.AddHook(s)
+		trace := make([][]uint64, rounds)
+		var toks []Token
+		for r := 0; r < rounds; r++ {
+			if r%5 == 2 {
+				s.Inject(e, (r*11)%n, 9, e.Round())
+			}
+			e.RunRound(simnet.NopHandler{})
+			var rec []uint64
+			for slot := 0; slot < n; slot++ {
+				for _, sm := range s.Samples(slot) {
+					rec = append(rec, uint64(slot), uint64(sm.Src), uint64(sm.Birth))
+				}
+			}
+			if r%7 < 3 {
+				m := s.Metrics()
+				rec = append(rec, uint64(m.Generated), uint64(m.Completed), uint64(m.Died), uint64(m.Moves))
+				for slot := 0; slot < n; slot++ {
+					rec = append(rec, uint64(s.TokensAt(slot)))
+					toks = s.AppendTokens(slot, toks[:0])
+					for _, tok := range toks {
+						rec = append(rec, uint64(tok.Src), uint64(tok.Birth), uint64(tok.Serial), uint64(tok.Steps))
+					}
+				}
+			}
+			trace[r] = rec
+		}
+		return trace
+	}
+	want := run(1)
+	for _, workers := range []int{2, 3, 8} {
+		got := run(workers)
+		for r := range want {
+			if !slices.Equal(got[r], want[r]) {
+				t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
+					workers, r, len(got[r]), len(want[r]))
+			}
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package dynp2p
 
 import (
-	"cmp"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"dynp2p/internal/rng"
@@ -151,15 +149,9 @@ func TestRoutedWorkerCountIndependence(t *testing.T) {
 		nw.Retrieve(512, 7, data)
 		nw.Retrieve(99, 7, data)
 		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
-		// Retrievals that finish in the same round are recorded by whichever
-		// handler shard gets there first; order them before comparing.
-		results := nw.Results()
-		slices.SortFunc(results, func(a, b Result) int {
-			return cmp.Or(cmp.Compare(a.Done, b.Done), cmp.Compare(a.Searcher, b.Searcher))
-		})
 		return snapshot{
 			stats:   nw.Stats(),
-			results: results,
+			results: nw.Results(),
 			metrics: nw.Telemetry().DeterministicSnapshot(),
 		}
 	}
