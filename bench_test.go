@@ -8,13 +8,11 @@ package dynp2p_test
 // whole evaluation. EXPERIMENTS.md records the full tables.
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dynp2p"
-	"dynp2p/internal/bench"
 	"dynp2p/internal/expt"
 )
 
@@ -132,21 +130,6 @@ func BenchmarkE13Ablations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := expt.E13Ablations(expt.Quick)
 		reportCell(b, t, 0, 1, "defaults-success-%")
-	}
-}
-
-// BenchmarkMicroSimRound measures raw engine+soup+protocol throughput: one
-// full simulated round of an n-node network under churn (the shared
-// bench.FullRound workload, so this and internal/bench's BenchmarkFullRound
-// always measure the same thing). The large size is the scale Theorems
-// 1–4's w.h.p. bounds need; -short drops it.
-func BenchmarkMicroSimRound(b *testing.B) {
-	ns := []int{4096, 65536}
-	if testing.Short() {
-		ns = ns[:1]
-	}
-	for _, n := range ns {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { bench.FullRound(b, n) })
 	}
 }
 

@@ -34,8 +34,7 @@ func main() {
 	rounds := flag.Int("rounds", 0, "measurement rounds (0 = 3x walk length)")
 	seed := flag.Uint64("seed", 1, "seed")
 	lazy := flag.Bool("lazy", false, "use lazy walks (stay-put coin)")
-	store := flag.String("store", "auto", "token store: auto|lazy|eager (auto = lazy trajectory evaluation when uncapped)")
-	edges := flag.String("edges", "rerandomize", "topology: rerandomize|selfhealing|static (selfhealing attaches the overlay repair hook)")
+	edges := flag.String("edges", "rerandomize", "topology: rerandomize|static|self-healing (self-healing attaches the overlay repair hook)")
 	memLimit := flag.Float64("memlimit", 0, "soft heap limit in GiB (0 = runtime default). The soup's cohort caches are pointer-free, so capping the GC heap target well below GOGC's 2x-live default costs little mark time and bounds peak RSS")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -48,16 +47,9 @@ func main() {
 	if *c > 0 {
 		law = churn.PaperLaw(*c, *delta)
 	}
-	var mode expander.EdgeMode
-	switch *edges {
-	case "rerandomize":
-		mode = expander.Rerandomize
-	case "selfhealing":
-		mode = expander.SelfHealing
-	case "static":
-		mode = expander.Static
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -edges %q (want rerandomize|selfhealing|static)\n", *edges)
+	mode, err := expander.ParseEdgeMode(*edges)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	e := simnet.New(simnet.Config{
@@ -67,17 +59,6 @@ func main() {
 	})
 	p := walks.DefaultParams(*n)
 	p.Lazy = *lazy
-	switch *store {
-	case "auto":
-		p.Store = walks.StoreAuto
-	case "lazy":
-		p.Store = walks.StoreLazy
-	case "eager":
-		p.Store = walks.StoreEager
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -store %q (want auto|lazy|eager)\n", *store)
-		os.Exit(2)
-	}
 	s := walks.NewSoup(e, p, 0)
 	e.AddHook(s)
 	var ov *overlay.Overlay
@@ -86,9 +67,8 @@ func main() {
 		e.AddHook(ov)
 	}
 
-	storeName := [...]string{"auto", "capped", "eager", "lazy-eval"}[s.Params().Store]
-	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d lazy=%v store=%s edges=%s shards=%d\n",
-		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, *lazy, storeName, *edges, e.Grid().Count())
+	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d lazy=%v edges=%v shards=%d\n",
+		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, *lazy, mode, e.Grid().Count())
 
 	// Profiling brackets the simulated rounds, not setup or reporting.
 	stopCPU := startCPUProfile(*cpuProfile)

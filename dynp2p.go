@@ -65,15 +65,13 @@ type EdgeMode = expander.EdgeMode
 // oracle with the peer-maintained repair of internal/overlay: live nodes
 // detect dead neighbors and rebuild their adjacency from walk samples.
 const (
-	EdgesRerandomize    = expander.Rerandomize
-	EdgesStatic         = expander.Static
-	EdgesPeriodic       = expander.Periodic
-	EdgesRingPlusRandom = expander.RingPlusRandom
-	EdgesSelfHealing    = expander.SelfHealing
+	EdgesRerandomize = expander.Rerandomize
+	EdgesStatic      = expander.Static
+	EdgesSelfHealing = expander.SelfHealing
 )
 
 // ParseEdgeMode resolves an edge-mode name ("rerandomize", "static",
-// "periodic", "ring+random", "self-healing") to its EdgeMode.
+// "self-healing") to its EdgeMode.
 func ParseEdgeMode(s string) (EdgeMode, error) { return expander.ParseEdgeMode(s) }
 
 // RoutingMode selects how protocol messages travel (re-exported; see
@@ -156,16 +154,10 @@ type Config struct {
 	// EdgesSelfHealing turns the oracle off after round 0 and lets the
 	// peers maintain the expander themselves (internal/overlay).
 	Edges EdgeMode
-	// EdgePeriod is the re-randomisation period for EdgesPeriodic.
-	EdgePeriod int
 	// SpectralEvery estimates the topology's second eigenvalue λ every
 	// k rounds (0 = off), surfaced in Stats.Overlay. Telemetry only: it
 	// never affects the simulation's behaviour.
 	SpectralEvery int
-	// StaticEdges freezes the topology (edges stop changing; churn still
-	// replaces occupants). Deprecated shorthand for Edges: EdgesStatic,
-	// honoured when Edges is left at its zero value.
-	StaticEdges bool
 	// Routing selects how protocol messages travel. The zero value is
 	// RoutingOracle (one-round teleports, the historical engine).
 	// Routing.Mode = RoutingOverlay makes every protocol message walk the
@@ -248,12 +240,8 @@ func NewCustom(cfg Config, adjust func(*walks.Params, *protocol.Params)) *Networ
 	if cfg.ChurnLaw != nil {
 		law = cfg.ChurnLaw
 	}
-	mode := cfg.Edges
-	if cfg.StaticEdges && mode == EdgesRerandomize {
-		mode = EdgesStatic
-	}
 	e := simnet.New(simnet.Config{
-		N: cfg.N, Degree: cfg.Degree, EdgeMode: mode, EdgePeriod: cfg.EdgePeriod,
+		N: cfg.N, Degree: cfg.Degree, EdgeMode: cfg.Edges,
 		AdversarySeed: cfg.Seed, ProtocolSeed: cfg.Seed + 1,
 		Strategy: cfg.Strategy, Law: law, Fault: cfg.Fault, Workers: cfg.Workers,
 		Shards: cfg.Shards, Routing: cfg.Routing,
@@ -341,11 +329,10 @@ func (nw *Network) SetRouting(rc RoutingConfig) { nw.e.SetRouting(rc) }
 // Routing returns the current routing configuration.
 func (nw *Network) Routing() RoutingConfig { return nw.e.Routing() }
 
-// SetEdgeMode switches the topology's edge dynamics mid-run (period is
-// only used by EdgesPeriodic; pass 0 to keep the current period). Call
+// SetEdgeMode switches the topology's edge dynamics mid-run. Call
 // between Run calls; scenario phases use this to pit oracle-maintained
 // and self-maintained topologies against the same churn timeline.
-func (nw *Network) SetEdgeMode(mode EdgeMode, period int) { nw.e.SetEdgeMode(mode, period) }
+func (nw *Network) SetEdgeMode(mode EdgeMode) { nw.e.SetEdgeMode(mode) }
 
 // Stats returns a combined metrics snapshot.
 func (nw *Network) Stats() Stats {

@@ -100,39 +100,6 @@ func BenchmarkSoupOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkSoupOnlyEager is BenchmarkSoupOnly pinned to the eager
-// staged-exchange store (walks.StoreEager) instead of the default lazy
-// trajectory evaluator: the differential row that keeps the PR 3 fast
-// path measured now that StoreAuto resolves uncapped soups to StoreLazy.
-// It skips the n=262144 scale point — the eager double-buffered staging
-// needs ~3 GB there, which is the point of the lazy store.
-func BenchmarkSoupOnlyEager(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Rerandomize,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
-			})
-			p := walks.DefaultParams(n)
-			p.Store = walks.StoreEager
-			soup := walks.NewSoup(e, p, 0)
-			e.AddHook(soup)
-			e.Run(simnet.NopHandler{}, p.WalkLength+16)
-			startMoves := soup.Metrics().Moves
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunRound(simnet.NopHandler{})
-			}
-			b.StopTimer()
-			moves := soup.Metrics().Moves - startMoves
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(moves)/s, "token-moves/s")
-			}
-		})
-	}
-}
-
 // BenchmarkOverlayRepair measures one engine round of soup plus
 // self-healing topology repair under the paper's churn law (C=1,
 // δ=0.5): the walk exchange, severing every churned slot's edges, and
@@ -230,8 +197,7 @@ func BenchmarkRoutedRound(b *testing.B) {
 
 // BenchmarkFullRound measures one round of the complete stack — engine,
 // soup, committees/landmarks/storage protocol — under the paper's churn
-// law. The body is FullRound, shared with the root-level
-// BenchmarkMicroSimRound.
+// law. The body is FullRound, shared with BenchmarkRoundMatrix.
 func BenchmarkFullRound(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { FullRound(b, n) })

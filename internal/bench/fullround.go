@@ -9,10 +9,9 @@ import (
 // FullRound is the canonical full-stack round benchmark body: one simulated
 // round of an n-node network — engine, soup, committees/landmarks/storage —
 // under the paper's churn law, with one item stored. It is the single
-// source of truth for the "full round" number: BenchmarkFullRound here and
-// the root-level BenchmarkMicroSimRound both run it, so the committed
-// BENCH_roundloop.json trajectory and the experiment-suite benchmark can
-// never drift onto different workloads.
+// source of truth for the "full round" number: BenchmarkFullRound and
+// BenchmarkRoundMatrix both run it, so the committed BENCH_roundloop.json
+// rows can never drift onto different workloads.
 func FullRound(b *testing.B, n int) { fullRound(b, n, false) }
 
 // FullRoundTelemetry is FullRound with the whole observability stack hot:

@@ -3,16 +3,13 @@
 // expander (paper §2.1), while the adversary is free to change edges
 // arbitrarily between rounds.
 //
-// The package offers several edge dynamics, all driven by the adversary's
+// The package offers three edge dynamics, all driven by the adversary's
 // seed (so they are part of the oblivious pre-commitment):
 //
 //   - Rerandomize: a fresh permutation-model d-regular graph every round —
 //     the most dynamic topology the model allows;
-//   - Periodic(p): re-randomise every p rounds, static in between;
 //   - Static: one random expander for the whole execution (only node
 //     occupants change) — the gentlest topology;
-//   - RingPlusRandom: a deterministic odd cycle plus random perfect
-//     matchings, guaranteeing non-bipartiteness without laziness.
 //   - SelfHealing: the oracle builds only the round-0 graph and then
 //     never touches an edge again — the live nodes themselves maintain
 //     the expander by local, sample-driven repair (internal/overlay).
@@ -40,8 +37,6 @@ type EdgeMode int
 const (
 	Rerandomize EdgeMode = iota
 	Static
-	Periodic
-	RingPlusRandom
 	// SelfHealing disables the oracle after round 0: the topology only
 	// changes through the peer-maintained repair of internal/overlay.
 	SelfHealing
@@ -50,7 +45,7 @@ const (
 // Modes returns every valid edge mode, in declaration order. Tests and
 // CLIs enumerate it so a newly added mode cannot be missed.
 func Modes() []EdgeMode {
-	return []EdgeMode{Rerandomize, Static, Periodic, RingPlusRandom, SelfHealing}
+	return []EdgeMode{Rerandomize, Static, SelfHealing}
 }
 
 func (m EdgeMode) String() string {
@@ -59,10 +54,6 @@ func (m EdgeMode) String() string {
 		return "rerandomize"
 	case Static:
 		return "static"
-	case Periodic:
-		return "periodic"
-	case RingPlusRandom:
-		return "ring+random"
 	case SelfHealing:
 		return "self-healing"
 	default:
@@ -79,10 +70,6 @@ func ParseEdgeMode(s string) (EdgeMode, error) {
 		return Rerandomize, nil
 	case "static":
 		return Static, nil
-	case "periodic":
-		return Periodic, nil
-	case "ring+random", "ringplusrandom", "ring-random":
-		return RingPlusRandom, nil
 	case "self-healing", "selfhealing":
 		return SelfHealing, nil
 	default:
@@ -95,7 +82,6 @@ type Config struct {
 	N      int      // stable network size (slots)
 	Degree int      // regular degree d (even)
 	Mode   EdgeMode // edge dynamics
-	Period int      // for Periodic: rounds between re-randomisations (>= 1)
 }
 
 // Dynamic is the evolving topology. It is deterministic in (Config, seed).
@@ -113,24 +99,13 @@ func New(cfg Config, seed uint64) *Dynamic {
 	if cfg.Degree < 2 || cfg.Degree%2 != 0 {
 		panic("expander: degree must be even and >= 2")
 	}
-	if cfg.Mode == Periodic && cfg.Period < 1 {
-		panic("expander: Periodic mode needs Period >= 1")
-	}
 	d := &Dynamic{
 		cfg: cfg,
 		g:   graph.New(cfg.N, cfg.Degree),
 		r:   rng.Derive(seed, 0xed6e),
 	}
-	d.fill()
+	d.g.FillRandomRegular(d.r)
 	return d
-}
-
-func (d *Dynamic) fill() {
-	if d.cfg.Mode == RingPlusRandom {
-		d.g.FillRingPlusRandom(d.r)
-	} else {
-		d.g.FillRandomRegular(d.r)
-	}
 }
 
 // Graph returns the current topology. The graph is owned by Dynamic; it is
@@ -144,12 +119,8 @@ func (d *Dynamic) Config() Config { return d.cfg }
 // with strictly increasing round numbers starting at 1).
 func (d *Dynamic) Step(round int) {
 	switch d.cfg.Mode {
-	case Rerandomize, RingPlusRandom:
-		d.fill()
-	case Periodic:
-		if round%d.cfg.Period == 0 {
-			d.g.FillRandomRegular(d.r)
-		}
+	case Rerandomize:
+		d.g.FillRandomRegular(d.r)
 	case Static, SelfHealing:
 		// The oracle never touches edges again. Under SelfHealing the
 		// graph still evolves — through overlay repair, not here.
@@ -160,16 +131,8 @@ func (d *Dynamic) Step(round int) {
 
 // SetMode switches the edge dynamics mid-run (scenario phases compare
 // oracle-maintained and self-maintained topologies inside one timeline).
-// The current graph is kept as-is: an oracle mode resumes rewriting it on
-// its own schedule from the next Step, and SelfHealing freezes it for the
+// The current graph is kept as-is: Rerandomize resumes rewriting it from
+// the next Step, Static freezes it, and SelfHealing freezes it for the
 // overlay to take over. The oracle's RNG stream is shared across modes,
 // so a run with mode switches remains deterministic in the seed.
-func (d *Dynamic) SetMode(mode EdgeMode, period int) {
-	if period >= 1 {
-		d.cfg.Period = period
-	}
-	if mode == Periodic && d.cfg.Period < 1 {
-		panic("expander: Periodic mode needs Period >= 1")
-	}
-	d.cfg.Mode = mode
-}
+func (d *Dynamic) SetMode(mode EdgeMode) { d.cfg.Mode = mode }

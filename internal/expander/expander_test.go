@@ -7,9 +7,8 @@ import (
 )
 
 func TestEveryRoundIsRegular(t *testing.T) {
-	for _, mode := range []EdgeMode{Rerandomize, Static, Periodic, RingPlusRandom} {
-		cfg := Config{N: 200, Degree: 8, Mode: mode, Period: 3}
-		d := New(cfg, 11)
+	for _, mode := range Modes() {
+		d := New(Config{N: 200, Degree: 8, Mode: mode}, 11)
 		for round := 1; round <= 20; round++ {
 			d.Step(round)
 			if err := d.Graph().CheckRegular(); err != nil {
@@ -47,32 +46,6 @@ func TestRerandomizeChanges(t *testing.T) {
 	}
 }
 
-func TestPeriodicChangesOnlyOnPeriod(t *testing.T) {
-	d := New(Config{N: 300, Degree: 6, Mode: Periodic, Period: 5}, 5)
-	snap := func() []int32 { return append([]int32(nil), d.Graph().Neighbors(1)...) }
-	before := snap()
-	for round := 1; round <= 4; round++ {
-		d.Step(round)
-		after := snap()
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("periodic topology changed at round %d (period 5)", round)
-			}
-		}
-	}
-	d.Step(5)
-	after := snap()
-	changed := false
-	for i := range before {
-		if before[i] != after[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("periodic topology did not change at the period boundary")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a := New(Config{N: 150, Degree: 4, Mode: Rerandomize}, 9)
 	b := New(Config{N: 150, Degree: 4, Mode: Rerandomize}, 9)
@@ -105,16 +78,6 @@ func TestExpansionMaintained(t *testing.T) {
 	}
 }
 
-func TestRingPlusRandomNonBipartite(t *testing.T) {
-	d := New(Config{N: 201, Degree: 6, Mode: RingPlusRandom}, 17)
-	for round := 1; round <= 5; round++ {
-		d.Step(round)
-		if d.Graph().IsBipartite() {
-			t.Fatalf("round %d: ring+random topology is bipartite", round)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -126,7 +89,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	mustPanic("tiny n", func() { New(Config{N: 2, Degree: 2, Mode: Static}, 1) })
 	mustPanic("odd degree", func() { New(Config{N: 10, Degree: 3, Mode: Static}, 1) })
-	mustPanic("bad period", func() { New(Config{N: 10, Degree: 2, Mode: Periodic}, 1) })
 }
 
 func TestModeStrings(t *testing.T) {
@@ -167,44 +129,6 @@ func TestParseEdgeModeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeriodicStepBoundaries pins the Periodic schedule at its edges:
-// nothing changes on the first round of a period, the change lands
-// exactly on the period round, and the round after a change is quiet
-// again (the "post-churn" round a fresh occupant first steps through).
-// Period=1 degenerates to Rerandomize.
-func TestPeriodicStepBoundaries(t *testing.T) {
-	d := New(Config{N: 300, Degree: 6, Mode: Periodic, Period: 4}, 21)
-	snap := func() []int32 { return append([]int32(nil), d.Graph().Neighbors(2)...) }
-	same := func(a, b []int32) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	prev := snap()
-	for round := 1; round <= 12; round++ {
-		d.Step(round)
-		cur := snap()
-		if onBoundary := round%4 == 0; onBoundary == same(prev, cur) {
-			t.Fatalf("round %d (period 4): boundary=%v but changed=%v", round, onBoundary, !same(prev, cur))
-		}
-		prev = cur
-	}
-
-	every := New(Config{N: 300, Degree: 6, Mode: Periodic, Period: 1}, 22)
-	prev = append([]int32(nil), every.Graph().Neighbors(2)...)
-	for round := 1; round <= 3; round++ {
-		every.Step(round)
-		cur := append([]int32(nil), every.Graph().Neighbors(2)...)
-		if same(prev, cur) {
-			t.Fatalf("period 1 round %d: topology did not change", round)
-		}
-		prev = cur
-	}
-}
-
 // TestSelfHealingStepIsInert: under SelfHealing the oracle must never
 // touch an edge after round 0 — the overlay owns them.
 func TestSelfHealingStepIsInert(t *testing.T) {
@@ -236,7 +160,7 @@ func TestSetModeSwitches(t *testing.T) {
 			t.Fatal("static mode rewired")
 		}
 	}
-	d.SetMode(Rerandomize, 0)
+	d.SetMode(Rerandomize)
 	d.Step(2)
 	changed := false
 	for i, w := range snap() {
@@ -248,7 +172,7 @@ func TestSetModeSwitches(t *testing.T) {
 		t.Fatal("rerandomize after SetMode did not rewire")
 	}
 	frozen := snap()
-	d.SetMode(SelfHealing, 0)
+	d.SetMode(SelfHealing)
 	d.Step(3)
 	for i, w := range snap() {
 		if frozen[i] != w {

@@ -130,33 +130,6 @@ func (g *Graph) FillRandomRegular(r *rng.Stream) {
 	}
 }
 
-// Ring fills g's first two ports with the cycle i → i±1 (mod n) and the
-// remaining ports with random permutation edges. The explicit odd cycle
-// when n is odd guarantees non-bipartiteness deterministically; used by
-// tests and as a topology option.
-func (g *Graph) FillRingPlusRandom(r *rng.Stream) {
-	g.j.disrupt()
-	for i := 0; i < g.n; i++ {
-		g.setPortBulk(i, 0, int32((i+1)%g.n))
-		g.setPortBulk(i, 1, int32((i-1+g.n)%g.n))
-	}
-	half := g.d / 2
-	perm := g.permScratch()
-	for k := 1; k < half; k++ {
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		for i := g.n - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		for i := 0; i < g.n; i++ {
-			g.setPortBulk(i, 2*k, perm[i])
-			g.setPortBulk(int(perm[i]), 2*k+1, int32(i))
-		}
-	}
-}
-
 // IsConnected reports whether the graph is connected (ignoring direction;
 // the multigraph is symmetric by construction).
 func (g *Graph) IsConnected() bool {

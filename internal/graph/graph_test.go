@@ -76,20 +76,6 @@ func TestFillRandomRegularReusesStorage(t *testing.T) {
 	}
 }
 
-func TestRingPlusRandomNonBipartiteOddN(t *testing.T) {
-	g := New(101, 6)
-	g.FillRingPlusRandom(rng.New(5))
-	if err := g.CheckRegular(); err != nil {
-		t.Fatal(err)
-	}
-	if g.IsBipartite() {
-		t.Fatal("odd ring + random should be non-bipartite")
-	}
-	if !g.IsConnected() {
-		t.Fatal("ring-based graph must be connected")
-	}
-}
-
 func TestIsBipartiteDetectsEvenCycle(t *testing.T) {
 	// A pure even cycle is bipartite.
 	n := 8
@@ -209,31 +195,6 @@ func BenchmarkMicroFillRandomRegular(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.FillRandomRegular(r)
-	}
-}
-
-// TestSpectralGapOnRingPlusRandom: the deterministic-odd-cycle
-// construction must still be an expander (the ring contributes only 2 of
-// d ports; the random matchings dominate the spectrum) at both parities
-// of n, and successive refills must stay expanding.
-func TestSpectralGapOnRingPlusRandom(t *testing.T) {
-	for _, n := range []int{501, 1024} {
-		g := New(n, 8)
-		r := rng.New(31)
-		probe := rng.New(5)
-		for fill := 0; fill < 3; fill++ {
-			g.FillRingPlusRandom(r)
-			if err := g.CheckRegular(); err != nil {
-				t.Fatalf("n=%d fill %d: %v", n, fill, err)
-			}
-			lambda := g.SpectralGapEstimate(probe, 50)
-			if lambda > 0.85 {
-				t.Fatalf("n=%d fill %d: lambda %v too large for ring+random", n, fill, lambda)
-			}
-			if lambda < 0.3 {
-				t.Fatalf("n=%d fill %d: lambda %v implausibly small", n, fill, lambda)
-			}
-		}
 	}
 }
 

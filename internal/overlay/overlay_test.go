@@ -144,15 +144,15 @@ func TestModeSwitchRebuilds(t *testing.T) {
 	if m := r.ov.Metrics(); m.PortsSevered != 0 {
 		t.Fatalf("overlay repaired under an oracle mode: %+v", m)
 	}
-	r.e.SetEdgeMode(expander.SelfHealing, 0)
+	r.e.SetEdgeMode(expander.SelfHealing)
 	r.run(t, 30, 1)
 	if m := r.ov.Metrics(); m.PortsSevered == 0 {
 		t.Fatal("no repairs after switching to self-healing")
 	}
-	r.e.SetEdgeMode(expander.Rerandomize, 0)
+	r.e.SetEdgeMode(expander.Rerandomize)
 	r.run(t, 5, 0)
 	severed := r.ov.Metrics().PortsSevered
-	r.e.SetEdgeMode(expander.SelfHealing, 0)
+	r.e.SetEdgeMode(expander.SelfHealing)
 	r.run(t, 30, 1)
 	if m := r.ov.Metrics(); m.PortsSevered == severed {
 		t.Fatal("no repairs after re-activation")

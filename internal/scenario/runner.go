@@ -156,8 +156,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		Fault:    spec.Phases[0].Fault.model(),
 		Cache:    spec.Cache.config(),
 		Routing:  spec.Routing.config(),
-		Edges:    edges, EdgePeriod: spec.Topology.Period,
-		SpectralEvery: spec.Topology.SpectralEvery,
+		Edges:    edges, SpectralEvery: spec.Topology.SpectralEvery,
 		// Scenario runs trace every operation: the report's hop-count and
 		// rounds-to-resolve distributions come from the lifecycle tracer.
 		TraceSampleEvery: 1,
@@ -193,7 +192,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q phase %d: %w", spec.Name, i, err)
 			}
-			nw.SetEdgeMode(m, spec.Topology.Period)
+			nw.SetEdgeMode(m)
 		}
 		if p.Cache != nil {
 			// Like Edges: a phase-level cache override persists until a

@@ -326,7 +326,10 @@ func TestTopologyBlock(t *testing.T) {
 	bad := map[string]string{
 		"bad spec mode":  `{"name":"x","n":64,"topology":{"edges":"mesh"},"phases":[{"name":"p","rounds":5}]}`,
 		"bad phase mode": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"mesh"}]}`,
-		"periodic 0":     `{"name":"x","n":64,"topology":{"edges":"periodic"},"phases":[{"name":"p","rounds":5}]}`,
+		"periodic":       `{"name":"x","n":64,"topology":{"edges":"periodic"},"phases":[{"name":"p","rounds":5}]}`,
+		"periodic phase": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"periodic"}]}`,
+		"ring":           `{"name":"x","n":64,"topology":{"edges":"ring+random"},"phases":[{"name":"p","rounds":5}]}`,
+		"ring phase":     `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"ring+random"}]}`,
 		"neg spectral":   `{"name":"x","n":64,"topology":{"spectralEvery":-1},"phases":[{"name":"p","rounds":5}]}`,
 	}
 	for what, in := range bad {
@@ -507,19 +510,5 @@ func TestOracleReportHasNoRoutedColumns(t *testing.T) {
 		if strings.Contains(out.String(), col) {
 			t.Fatalf("oracle-only report grew routed column %q:\n%s", col, out.String())
 		}
-	}
-}
-
-// TestPhasePeriodicNeedsPeriod: a phase-level periodic switch without a
-// topology period must be rejected just like the spec-level one (it
-// would otherwise silently run as period 1).
-func TestPhasePeriodicNeedsPeriod(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"name":"x","n":64,
-		"phases":[{"name":"p","rounds":5,"edges":"periodic"}]}`)); err == nil {
-		t.Fatal("phase-level periodic without topology.period not rejected")
-	}
-	if _, err := ParseSpec([]byte(`{"name":"x","n":64,"topology":{"period":3},
-		"phases":[{"name":"p","rounds":5,"edges":"periodic"}]}`)); err != nil {
-		t.Fatalf("phase-level periodic with period rejected: %v", err)
 	}
 }

@@ -82,14 +82,12 @@ type Spec struct {
 // builtins now select them.
 type Topology struct {
 	// Edges names the edge dynamics:
-	// rerandomize | static | periodic | ring+random | self-healing.
+	// rerandomize | static | self-healing.
 	// Empty means rerandomize. Phases may override it mid-run (Phase.Edges).
 	Edges string `json:"edges,omitempty"`
 	// Degree is the expander degree (even); overrides Spec.Degree when
 	// both are set.
 	Degree int `json:"degree,omitempty"`
-	// Period is the re-randomisation period for periodic mode.
-	Period int `json:"period,omitempty"`
 	// SpectralEvery estimates the second eigenvalue λ every k rounds
 	// (0 = off); measured values appear in traces and phase reports.
 	SpectralEvery int `json:"spectralEvery,omitempty"`
@@ -304,9 +302,6 @@ func (s *Spec) Validate() error {
 	if _, err := s.edgeMode(); err != nil {
 		return err
 	}
-	if s.Topology.Period < 0 {
-		return fmt.Errorf("scenario %q: topology period must be >= 0 (got %d)", s.Name, s.Topology.Period)
-	}
 	if s.Topology.SpectralEvery < 0 {
 		return fmt.Errorf("scenario %q: spectralEvery must be >= 0 (got %d)", s.Name, s.Topology.SpectralEvery)
 	}
@@ -328,12 +323,8 @@ func (s *Spec) Validate() error {
 			}
 		}
 		if p.Edges != "" {
-			m, err := expander.ParseEdgeMode(p.Edges)
-			if err != nil {
+			if _, err := expander.ParseEdgeMode(p.Edges); err != nil {
 				return fmt.Errorf("scenario %q phase %d (%s): %w", s.Name, i, p.Name, err)
-			}
-			if m == expander.Periodic && s.Topology.Period < 1 {
-				return fmt.Errorf("scenario %q phase %d (%s): periodic topology needs topology.period >= 1", s.Name, i, p.Name)
 			}
 		}
 		switch {
@@ -366,9 +357,6 @@ func (s *Spec) edgeMode() (expander.EdgeMode, error) {
 	m, err := expander.ParseEdgeMode(s.Topology.Edges)
 	if err != nil {
 		return 0, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	if m == expander.Periodic && s.Topology.Period < 1 {
-		return 0, fmt.Errorf("scenario %q: periodic topology needs period >= 1", s.Name)
 	}
 	return m, nil
 }

@@ -220,18 +220,7 @@ func (c *Ctx) SendRoutedKeyed(m Msg) {
 // sendRouted stamps identity and sequencing exactly like SendMsg and
 // stages m in the shard's routed buffer; the serial exchange merge hands
 // it to the router in canonical order.
-func (c *Ctx) sendRouted(m Msg) {
-	if len(m.IDs) > MaxPayloadLen || len(m.Blob) > MaxPayloadLen {
-		panic("simnet: routed payload exceeds MaxPayloadLen")
-	}
-	m.From = c.ID
-	m.sentRound = int32(c.Round)
-	m.srcSlot = int32(c.Slot)
-	m.seq = c.seq
-	c.seq++
-	c.bits += int64(m.Bits())
-	*c.routed = append(*c.routed, m)
-}
+func (c *Ctx) sendRouted(m Msg) { c.stampInto(c.routed, m) }
 
 // sendToRouter hands one stamped message to the overlay router. The walk
 // seed is a pure hash of the message identity, so its port choices are

@@ -153,7 +153,6 @@ type Config struct {
 	N             int // stable network size
 	Degree        int // expander degree (even)
 	EdgeMode      expander.EdgeMode
-	EdgePeriod    int            // for Periodic mode
 	AdversarySeed uint64         // drives churn schedule and topology
 	ProtocolSeed  uint64         // drives all protocol randomness
 	Strategy      churn.Strategy // which slots get churned
@@ -386,7 +385,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg: cfg,
 		topo: expander.New(expander.Config{
-			N: cfg.N, Degree: cfg.Degree, Mode: cfg.EdgeMode, Period: max(cfg.EdgePeriod, 1),
+			N: cfg.N, Degree: cfg.Degree, Mode: cfg.EdgeMode,
 		}, cfg.AdversarySeed),
 		adv:       churn.NewAdversary(cfg.N, cfg.AdversarySeed, cfg.Strategy, cfg.Law),
 		ids:       make([]NodeID, cfg.N),
@@ -496,13 +495,10 @@ func (e *Engine) EdgeMode() expander.EdgeMode { return e.cfg.EdgeMode }
 // self-maintained topologies against the same churn timeline. Switching
 // to SelfHealing hands the current graph to the overlay hook (which
 // rebuilds its port bookkeeping on activation); switching back lets the
-// oracle resume rewriting edges on its own schedule.
-func (e *Engine) SetEdgeMode(mode expander.EdgeMode, period int) {
+// oracle resume rewriting edges.
+func (e *Engine) SetEdgeMode(mode expander.EdgeMode) {
 	e.cfg.EdgeMode = mode
-	if period >= 1 {
-		e.cfg.EdgePeriod = period
-	}
-	e.topo.SetMode(mode, period)
+	e.topo.SetMode(mode)
 }
 
 // IDAt returns the id occupying slot s.
@@ -709,7 +705,15 @@ func (c *Ctx) Send(to NodeID, kind uint8, item, aux uint64, ids []NodeID) {
 // SendMsg queues m (with From and sequencing filled in by the engine).
 // Panics if a payload exceeds MaxPayloadLen: the modelled wire format
 // cannot express it, so sending one is a protocol bug.
-func (c *Ctx) SendMsg(m Msg) {
+func (c *Ctx) SendMsg(m Msg) { c.stampInto(c.out, m) }
+
+// stampInto is the one send path: it checks m's payload bound, fills in
+// the sender identity and sequencing, charges the message's bits to the
+// sender, and appends m to buf — the shard's oracle buffer (SendMsg) or
+// routed buffer (sendRouted). It takes m by value and does the append
+// itself on purpose: a stamp(&m) helper under inlined wrappers cost an
+// extra 128-byte copy per send (RouteOnly/n=65536 +15 %).
+func (c *Ctx) stampInto(buf *[]Msg, m Msg) {
 	if len(m.IDs) > MaxPayloadLen || len(m.Blob) > MaxPayloadLen {
 		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
 			len(m.IDs), len(m.Blob)))
@@ -720,7 +724,7 @@ func (c *Ctx) SendMsg(m Msg) {
 	m.seq = c.seq
 	c.seq++
 	c.bits += int64(m.Bits())
-	*c.out = append(*c.out, m)
+	*buf = append(*buf, m)
 }
 
 // NeighborSlots returns the node's current neighbour slots (aliased; do not
@@ -906,18 +910,8 @@ func (e *Engine) route() {
 		for i := range rs.out {
 			m := &rs.out[i]
 			rs.sent++
-			if e.fault != nil {
-				rnd := rng.Hash(e.faultSeed, uint64(e.round), uint64(m.From), uint64(m.seq))
-				drop, delay := e.fault.Fate(e.round, m, rnd)
-				if drop {
-					rs.faultDropped++
-					continue
-				}
-				if delay > 0 {
-					rs.delayedCnt++
-					rs.delayed = append(rs.delayed, delayedMsg{deliverAt: e.round + 1 + delay, m: *m})
-					continue
-				}
+			if e.fault != nil && e.faultFate(rs, m) {
+				continue
 			}
 			dst, ok := e.slotOf(m.To)
 			if !ok {
@@ -977,34 +971,44 @@ func (e *Engine) route() {
 	// order: e.delayed stays sorted by the canonical (sentRound, srcSlot,
 	// seq) key across rounds because rounds are appended in increasing
 	// sentRound order and shards in increasing srcSlot order. Routed
-	// sends are handed to the overlay router here, in the same canonical
-	// order, after deciding their fault fate with the same identity hash
-	// the oracle path uses.
+	// sends are handed to the overlay router here first, in the same
+	// canonical order, after deciding their fault fate the way the scatter
+	// did for the shard's oracle sends (whose delayed messages they queue
+	// behind).
 	for sh := range e.shardOut {
 		rs := &e.shardOut[sh]
+		for i := range rs.routed {
+			m := &rs.routed[i]
+			if e.fault != nil && e.faultFate(rs, m) {
+				continue
+			}
+			e.sendToRouter(m)
+		}
 		e.em.sent.Add(0, rs.sent+int64(len(rs.routed)))
 		e.em.dropped.Add(0, rs.dropped)
 		e.em.faultDropped.Add(0, rs.faultDropped)
 		e.em.delayed.Add(0, rs.delayedCnt)
 		e.delayed = append(e.delayed, rs.delayed...)
-		for i := range rs.routed {
-			m := &rs.routed[i]
-			if e.fault != nil {
-				rnd := rng.Hash(e.faultSeed, uint64(e.round), uint64(m.From), uint64(m.seq))
-				drop, delay := e.fault.Fate(e.round, m, rnd)
-				if drop {
-					e.em.faultDropped.Inc(0)
-					continue
-				}
-				if delay > 0 {
-					e.em.delayed.Inc(0)
-					e.delayed = append(e.delayed, delayedMsg{deliverAt: e.round + 1 + delay, m: *m})
-					continue
-				}
-			}
-			e.sendToRouter(m)
-		}
 	}
+}
+
+// faultFate decides m's fate under the fault model (non-nil) from a pure
+// hash of the message identity, so the fate is the same at any worker
+// count. It reports whether the message was consumed — dropped, or queued
+// in rs.delayed for a later round — and tallies it in rs.
+func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
+	rnd := rng.Hash(e.faultSeed, uint64(e.round), uint64(m.From), uint64(m.seq))
+	drop, delay := e.fault.Fate(e.round, m, rnd)
+	switch {
+	case drop:
+		rs.faultDropped++
+	case delay > 0:
+		rs.delayedCnt++
+		rs.delayed = append(rs.delayed, delayedMsg{deliverAt: e.round + 1 + delay, m: *m})
+	default:
+		return false
+	}
+	return true
 }
 
 // insertCanonical places m into slot s's inbox at its canonical position

@@ -1,10 +1,10 @@
 package walks
 
-// The lazy trajectory evaluator (StoreLazy) is the third store
-// representation. With ForwardCap == 0 no token is ever deferred, so a
+// The lazy trajectory evaluator is the store of every soup without a
+// forwarding cap. With ForwardCap == 0 no token is ever deferred, so a
 // walk's entire T-step trajectory is a pure function of its identity
-// (src, birth, serial), the evolving topology, and the churn record: the
-// per-round staged exchange can be deleted outright. Instead of moving
+// (src, birth, serial), the evolving topology, and the churn record: no
+// per-round token exchange is needed at all. Instead of moving
 // every in-flight token every round, StepRound records only the round's
 // inputs in a (T+2)-deep ring (churn itself lives in the engine's bounded
 // ReplacedInRound history), and replays one birth cohort's full
@@ -47,7 +47,7 @@ package walks
 // approximate:
 //
 //   - Serial continuation. A slot's fresh walks continue serials from its
-//     stored-survivor count (store.go's generation coda), which depends
+//     stored-survivor count (as in store.go's scatter), which depends
 //     on where every older cohort's tokens sit at the birth round. Each
 //     cohort's replay therefore counts the NEXT round's arrivals as
 //     tokens land (per lane, summed into arrive[r+1] at the round
@@ -59,13 +59,13 @@ package walks
 //     AppendTokens, Inject) force every in-flight cohort's partial
 //     trajectory up to the last stepped round, caching per-cohort
 //     positions and resuming at delivery, so an event is counted iff its
-//     round has run — bit-identical to the eager stores at any query
+//     round has run — bit-identical to the reference model at any query
 //     pattern and any worker count. The no-query hot path never pays for
 //     any of this.
 //
-// Overdue is identically zero here for the same reason as the eager
-// uncapped path: an undeferred token's age never exceeds WalkLength-1,
-// and NewSoup clamps Deadline up to WalkLength.
+// Overdue is identically zero here: an undeferred token steps every
+// round, so its age never exceeds WalkLength-1, and NewSoup clamps
+// Deadline up to WalkLength.
 
 import (
 	"math/bits"
@@ -512,7 +512,7 @@ func (s *Soup) lzLane(l int) {
 		}
 	}
 	// A delivery has staged the round's samples in outSmp: rebuild the
-	// per-shard sample stores (the eager gather's counting sort) while the
+	// per-shard sample stores (the capped gather's counting sort) while the
 	// lanes are up. Until the first delivery there is nothing to replace.
 	if to == final {
 		for dsh := lz.cursor.Add(1) - 1; dsh < nsh; dsh = lz.cursor.Add(1) - 1 {
@@ -553,7 +553,7 @@ func lzReplaced(death []uint64, slot int32) bool {
 // round began, so they die with a churned carrier and their survivors
 // count toward the generation serial base), then one implicit fresh batch
 // per slot, serials continuing from the slot's stored-survivor count —
-// identical semantics to the eager scatter's generation coda. ids is the
+// identical semantics to the capped scatter's generation. ids is the
 // round-b occupant table materialized by the caller.
 func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 	lz := s.lz
@@ -576,16 +576,13 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 		}
 		if !hasInj {
 			hasInj = true
-			cur := ss.cursor
-			for j := range cur {
-				cur[j] = 0
-			}
+			clear(ss.injCount)
 		}
 		if lzReplaced(death, in.slot) {
 			died += int64(in.count)
 			continue
 		}
-		ss.cursor[slot-lo] += in.count
+		ss.injCount[slot-lo] += in.count
 		idser := uint64(in.id) << 16
 		for k := int32(0); k < in.count; k++ {
 			toks = append(toks, replayTok{idser: idser | uint64(in.base+uint16(k)), birth: in.birth, pos: in.slot})
@@ -597,10 +594,10 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 			if !lzReplaced(death, int32(slot)) {
 				base = int(arrive[slot])
 				if hasInj {
-					base += int(ss.cursor[slot-lo])
+					base += int(ss.injCount[slot-lo])
 				}
 			}
-			// Same uint16-serial clamp as the eager generation coda.
+			// Same uint16-serial clamp as the capped scatter's generation.
 			gen := wpr
 			if limit := 1<<16 - base; gen > limit {
 				gen = max(limit, 0)
@@ -629,7 +626,7 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 // step hash, one row load against the materialized round-r adjacency,
 // and — for non-final rounds — one arrival increment at the landing
 // slot in arr, the calling lane's own round-r+1 arrival table. The step
-// core matches store.go's scatter loops bit for bit.
+// core matches store.go's scatter loop bit for bit.
 func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
@@ -662,7 +659,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int
 			died++
 			continue
 		}
-		// Step core — keep in sync with scatter/scatterUncapped.
+		// Step core — keep in sync with scatter (store.go).
 		h := stepHash(seed, r, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
 		pos := t.pos
 		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
@@ -709,8 +706,8 @@ func (ss *soupShard) lzPop() []replayTok {
 // stepped round (and optionally refreshes the per-slot count caches),
 // serialized so concurrent protocol handlers can query freely. Repeat
 // calls are cheap: each cohort resumes from its cached positions, so a
-// query-every-round workload degrades gracefully to eager-equivalent
-// work rather than re-deriving trajectories.
+// query-every-round workload degrades gracefully to one step per token
+// per round rather than re-deriving trajectories.
 func (s *Soup) lzSync(wantCounts bool) {
 	lz := s.lz
 	s.countsMu.Lock()

@@ -10,7 +10,7 @@ import (
 
 // lazyTestParams is the standard churny configuration the lazy tests run.
 func lazyTestParams() Params {
-	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true, Store: StoreLazy}
+	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true}
 }
 
 // TestLazyForcingIndependence pins that query-time forcing is purely
@@ -159,7 +159,7 @@ func TestLazyLaneArrivalsMatchSerial(t *testing.T) {
 }
 
 // TestInjectGenerationSerialDisjoint pins the Inject / generation-coda
-// serial-disjointness invariant in every store mode: generation continues
+// serial-disjointness invariant in both stores: generation continues
 // serials from the *post-inject* stored count, so injecting into a slot
 // immediately before RunRound — including into the slot that also
 // generates that round — must never mint two tokens sharing a
@@ -175,9 +175,8 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 		name string
 		p    Params
 	}{
-		{"capped", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20, Store: StoreCapped}},
-		{"eager", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, Store: StoreEager}},
-		{"lazy", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, Store: StoreLazy}},
+		{"capped", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20}},
+		{"lazy", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
@@ -208,29 +207,6 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 				t.Fatal("no cohort ever delivered; the audit never crossed a delivery round")
 			}
 		})
-	}
-}
-
-// TestStoreKindValidation pins the Params.Store / ForwardCap contract.
-func TestStoreKindValidation(t *testing.T) {
-	e := newEngine(32, churn.ZeroLaw{})
-	mustPanic := func(name string, p Params) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: NewSoup did not panic", name)
-			}
-		}()
-		NewSoup(e, p, 0)
-	}
-	mustPanic("capped without cap", Params{WalkLength: 4, Store: StoreCapped})
-	mustPanic("lazy with cap", Params{WalkLength: 4, ForwardCap: 3, Store: StoreLazy})
-	mustPanic("eager with cap", Params{WalkLength: 4, ForwardCap: 3, Store: StoreEager})
-	if s := NewSoup(e, Params{WalkLength: 4}, 0); s.Params().Store != StoreLazy {
-		t.Fatalf("auto uncapped resolved to %v, want StoreLazy", s.Params().Store)
-	}
-	if s := NewSoup(e, Params{WalkLength: 4, ForwardCap: 2}, 0); s.Params().Store != StoreCapped {
-		t.Fatalf("auto capped resolved to %v, want StoreCapped", s.Params().Store)
 	}
 }
 

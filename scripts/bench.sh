@@ -60,7 +60,7 @@
 # the 2^20 rows cost minutes of warmup per cpu value), CPUS (default
 # 1,2,4), MAX_STEADY_ALLOCS (default 256), OUT (default
 # BENCH_roundloop.json), GATED_BENCHES (awk regex of benchmark names the
-# alloc gate applies to; default RouteOnly, SoupOnly, SoupOnlyEager and
+# alloc gate applies to; default RouteOnly, SoupOnly and
 # OverlayRepair at the n=4096 reference size, RouteOnly at n=65536 —
 # the row whose 637-alloc regression motivated the inbox arena — and
 # SoupOnly at n=262144, where per-round trajectory scratch once cost
@@ -79,7 +79,7 @@ BENCHTIME="${BENCHTIME:-20x}"
 MATRIX_BENCHTIME="${MATRIX_BENCHTIME:-5x}"
 CPUS="${CPUS:-1,2,4}"
 MAX_STEADY_ALLOCS="${MAX_STEADY_ALLOCS:-256}"
-GATED_BENCHES="${GATED_BENCHES:-^(RouteOnly|SoupOnly|SoupOnlyEager|OverlayRepair)\\/n=4096\$|^RoutedRound\\/n=4096\\/mode=routed\$|^RouteOnly\\/n=65536\$|^SoupOnly\\/n=262144\$}"
+GATED_BENCHES="${GATED_BENCHES:-^(RouteOnly|SoupOnly|OverlayRepair)\\/n=4096\$|^RoutedRound\\/n=4096\\/mode=routed\$|^RouteOnly\\/n=65536\$|^SoupOnly\\/n=262144\$}"
 TELEMETRY_MAX_NS_PCT="${TELEMETRY_MAX_NS_PCT:-5}"
 TELEMETRY_MAX_ALLOC_DELTA="${TELEMETRY_MAX_ALLOC_DELTA:-0}"
 TELEMETRY_NS_GATE_SIZE="${TELEMETRY_NS_GATE_SIZE:-65536}"
@@ -117,7 +117,7 @@ awk -v go_version="$(go version | awk '{print $3}')" \
     -v tel_ns_size="$TELEMETRY_NS_GATE_SIZE" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^# leg: soup-scaling/ { scaling = 1 }
-/^Benchmark(RouteOnly|RoutedRound|SoupOnly|SoupOnlyEager|OverlayRepair|FullRound|FullRoundTelemetry|RoundMatrix|RetrieveHot)\// {
+/^Benchmark(RouteOnly|RoutedRound|SoupOnly|OverlayRepair|FullRound|FullRoundTelemetry|RoundMatrix|RetrieveHot)\// {
   name = $1
   sub(/^Benchmark/, "", name)
   # The testing package suffixes -$GOMAXPROCS when -cpu != 1. Matrix rows

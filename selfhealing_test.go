@@ -138,7 +138,7 @@ func TestSelfHealingWorkerIndependence(t *testing.T) {
 			N: 2048, ChurnRate: 1, ChurnDelta: 1.0, Seed: 5, Workers: workers,
 			Shards: shards,
 			Edges:  EdgesSelfHealing, SpectralEvery: 7,
-			Fault:  FaultConfig{DropProb: 0.03, DelayProb: 0.1, MaxDelay: 2},
+			Fault: FaultConfig{DropProb: 0.03, DelayProb: 0.1, MaxDelay: 2},
 		})
 		nw.Run(nw.WarmupRounds())
 		data := make([]byte, 48)
@@ -207,7 +207,7 @@ func TestSelfHealingModeSwitchFacade(t *testing.T) {
 	if s := nw.Stats().Overlay; s.PortsSevered != 0 {
 		t.Fatalf("repairs under oracle mode: %+v", s)
 	}
-	nw.SetEdgeMode(EdgesSelfHealing, 0)
+	nw.SetEdgeMode(EdgesSelfHealing)
 	nw.Run(20)
 	mid := nw.Stats().Overlay
 	if mid.PortsSevered == 0 {
@@ -216,7 +216,7 @@ func TestSelfHealingModeSwitchFacade(t *testing.T) {
 	if err := nw.Engine().Graph().CheckRegular(); err != nil {
 		t.Fatal(err)
 	}
-	nw.SetEdgeMode(EdgesStatic, 0)
+	nw.SetEdgeMode(EdgesStatic)
 	snap := append([]int32(nil), nw.Engine().Graph().Adjacency()...)
 	nw.Run(10)
 	if got := nw.Stats().Overlay; got.PortsSevered != mid.PortsSevered {
