@@ -155,7 +155,7 @@ func (h neighborFanout) HandleRound(ctx *simnet.Ctx) {
 	for i := 0; i < h.fanout; i++ {
 		to := ctx.E.IDAt(int(nb[ctx.Rand.Intn(len(nb))]))
 		if h.routed {
-			ctx.SendRouted(simnet.Msg{To: to, Kind: 1})
+			ctx.SendRouted(to, 1)
 		} else {
 			ctx.Send(to, 1, 0, 0, nil)
 		}

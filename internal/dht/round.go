@@ -17,7 +17,7 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 		m := &ctx.Inbox[i]
 		switch m.Kind {
 		case KindFind:
-			h.route(ctx, st, m)
+			h.route(ctx, st, find{item: m.Item, aux: m.Aux, origin: simnet.NodeID(m.Aux2), blob: m.Blob()})
 		case KindFound:
 			h.onFound(ctx, st, m)
 		case KindGetSuccs:
@@ -27,8 +27,8 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 		case KindNotify:
 			h.onNotify(ctx, st, m)
 		case KindStore, KindRepl:
-			if len(m.Blob) > 0 {
-				st.items[m.Item] = append([]byte(nil), m.Blob...)
+			if blob := m.Blob(); len(blob) > 0 {
+				st.items[m.Item] = append([]byte(nil), blob...)
 			}
 		case KindData:
 			h.finish(m.Item^uint64(ctx.ID), ctx.Round, true, int(m.Aux))
@@ -56,31 +56,49 @@ func (h *Handler) tryJoin(ctx *simnet.Ctx, st *state) {
 	if nb == ctx.ID {
 		return
 	}
-	ctx.SendRouted(simnet.Msg{
-		To: nb, Kind: KindFind, Item: st.pt,
-		Aux: packFind(purposeJoin, h.ttl, 0), Aux2: uint64(ctx.ID),
-	})
+	find{item: st.pt, aux: packFind(purposeJoin, h.ttl, 0), origin: ctx.ID}.sendTo(ctx, nb)
+}
+
+// find is a lookup as the routing step sees it: the fields a KindFind
+// message carries, whether it arrived in the inbox or starts at this node.
+type find struct {
+	item   uint64        // target point, or the item key of a store/get
+	aux    uint64        // packFind(purpose, ttl, finger)
+	origin simnet.NodeID // who gets the answer
+	blob   []byte        // the item bytes of a store
+}
+
+// sendTo sends the lookup on to the next hop.
+func (f find) sendTo(ctx *simnet.Ctx, next simnet.NodeID) {
+	m := ctx.SendRouted(next, KindFind)
+	m.Item, m.Aux, m.Aux2 = f.item, f.aux, uint64(f.origin)
+	ctx.SetPayload(m, nil, f.blob)
+}
+
+// sendItem sends item bytes: a store, a replica push, or (KindData, with
+// the lookup's hop count in aux) the answer to a get.
+func sendItem(ctx *simnet.Ctx, to simnet.NodeID, kind uint8, key, aux uint64, data []byte) {
+	m := ctx.SendRouted(to, kind)
+	m.Item, m.Aux = key, aux
+	ctx.SetPayload(m, nil, data)
 }
 
 // route is the Chord greedy routing step for a KindFind message.
-func (h *Handler) route(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
-	purpose, ttl, finger := unpackFind(m.Aux)
+func (h *Handler) route(ctx *simnet.Ctx, st *state, m find) {
+	purpose, ttl, finger := unpackFind(m.aux)
 	if !st.joined || len(st.succs) == 0 || ttl <= 0 {
 		return // lookup dies; the originator's deadline handles it
 	}
-	target := m.Item
+	target := m.item
 	if purpose == purposeStore || purpose == purposeGet {
-		target = Point(m.Item)
+		target = Point(m.item)
 	}
 	// Get lookups short-circuit on any replica along the path. For
 	// store/get lookups the finger byte carries the hop count so far;
 	// the KindData reply's Aux reports it (plus the reply hop itself).
 	if purpose == purposeGet {
-		if data, ok := st.items[m.Item]; ok {
-			ctx.SendRouted(simnet.Msg{
-				To: simnet.NodeID(m.Aux2), Kind: KindData, Item: m.Item, Blob: data,
-				Aux: uint64(finger + 1),
-			})
+		if data, ok := st.items[m.item]; ok {
+			sendItem(ctx, m.origin, KindData, m.item, uint64(finger+1), data)
 			return
 		}
 	}
@@ -98,52 +116,43 @@ func (h *Handler) route(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 		// No better hop known; hand to the successor as a fallback.
 		next = st.succs[0]
 	}
-	fwd := *m
 	hop := finger
 	if purpose == purposeStore || purpose == purposeGet {
 		hop++ // finger byte doubles as hop counter for data lookups
 	}
-	fwd.Aux = packFind(purpose, ttl-1, hop)
-	fwd.To = next.id
-	ctx.SendRouted(fwd)
+	m.aux = packFind(purpose, ttl-1, hop)
+	m.sendTo(ctx, next.id)
 }
 
 // resolve completes a routed lookup at the hop preceding the responsible
 // node.
-func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m *simnet.Msg, purpose uint8, finger int, resp peer) {
-	origin := simnet.NodeID(m.Aux2)
+func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m find, purpose uint8, finger int, resp peer) {
 	switch purpose {
 	case purposeJoin, purposeFinger:
 		ids := []simnet.NodeID{resp.id}
 		for _, s := range st.succs {
 			ids = append(ids, s.id)
 		}
-		ctx.SendRouted(simnet.Msg{
-			To: origin, Kind: KindFound, Item: m.Item,
-			Aux: uint64(uint8(purpose)) | uint64(uint8(finger))<<8, IDs: ids,
-		})
+		found := ctx.SendRouted(m.origin, KindFound)
+		found.Item, found.Aux = m.item, uint64(uint8(purpose))|uint64(uint8(finger))<<8
+		ctx.SetPayload(found, ids, nil)
 	case purposeStore:
 		if resp.id == ctx.ID {
-			st.items[m.Item] = append([]byte(nil), m.Blob...)
+			st.items[m.item] = append([]byte(nil), m.blob...)
 			return
 		}
-		ctx.SendRouted(simnet.Msg{To: resp.id, Kind: KindStore, Item: m.Item, Blob: m.Blob})
+		sendItem(ctx, resp.id, KindStore, m.item, 0, m.blob)
 	case purposeGet:
 		if resp.id == ctx.ID {
-			if data, ok := st.items[m.Item]; ok {
-				ctx.SendRouted(simnet.Msg{
-					To: origin, Kind: KindData, Item: m.Item, Blob: data,
-					Aux: uint64(finger + 1),
-				})
+			if data, ok := st.items[m.item]; ok {
+				sendItem(ctx, m.origin, KindData, m.item, uint64(finger+1), data)
 			}
 			return
 		}
 		// Forward the final hop to the responsible node; it answers (or
 		// the lookup dies there if it lacks the data).
-		fwd := *m
-		fwd.To = resp.id
-		fwd.Aux = packFind(purposeGet, 1, finger+1)
-		ctx.SendRouted(fwd)
+		m.aux = packFind(purposeGet, 1, finger+1)
+		m.sendTo(ctx, resp.id)
 	}
 }
 
@@ -177,13 +186,14 @@ func (h *Handler) closestPreceding(st *state, target uint64) peer {
 func (h *Handler) onFound(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	purpose := uint8(m.Aux)
 	finger := int(uint8(m.Aux >> 8))
-	if len(m.IDs) == 0 {
+	ids := m.IDs()
+	if len(ids) == 0 {
 		return
 	}
 	switch purpose {
 	case purposeJoin:
 		st.succs = st.succs[:0]
-		for _, id := range m.IDs {
+		for _, id := range ids {
 			if id != ctx.ID {
 				st.succs = append(st.succs, peer{id: id, pt: Point(uint64(id))})
 				st.seen(id, ctx.Round)
@@ -192,11 +202,11 @@ func (h *Handler) onFound(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 		h.sortSuccs(st)
 		if len(st.succs) > 0 {
 			st.joined = true
-			ctx.SendRouted(simnet.Msg{To: st.succs[0].id, Kind: KindNotify})
+			ctx.SendRouted(st.succs[0].id, KindNotify)
 		}
 	case purposeFinger:
 		if finger >= 0 && finger < numFingers {
-			st.fingers[finger] = peer{id: m.IDs[0], pt: Point(uint64(m.IDs[0]))}
+			st.fingers[finger] = peer{id: ids[0], pt: Point(uint64(ids[0]))}
 		}
 	}
 }
@@ -209,11 +219,11 @@ func (h *Handler) stabilize(ctx *simnet.Ctx, st *state) {
 		st.joined = false // lost the ring entirely; rejoin
 		return
 	}
-	ctx.SendRouted(simnet.Msg{To: st.succs[0].id, Kind: KindGetSuccs})
+	ctx.SendRouted(st.succs[0].id, KindGetSuccs)
 	if len(st.succs) > 1 {
 		probe := st.succs[1+st.probeIdx%(len(st.succs)-1)]
 		st.probeIdx++
-		ctx.SendRouted(simnet.Msg{To: probe.id, Kind: KindGetSuccs})
+		ctx.SendRouted(probe.id, KindGetSuccs)
 	}
 	if st.pred.id != 0 && ctx.Round-st.predSeen > 2*stabTimeout {
 		st.pred = peer{} // stale predecessor; stop advertising it
@@ -247,14 +257,15 @@ func (h *Handler) onGetSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	for _, s := range st.succs {
 		ids = append(ids, s.id)
 	}
-	ctx.SendRouted(simnet.Msg{To: m.From, Kind: KindSuccs, IDs: ids})
+	ctx.SetPayload(ctx.SendRouted(m.From, KindSuccs), ids, nil)
 	// The asker is alive and a predecessor candidate.
 	st.seen(m.From, ctx.Round)
 	h.considerPred(st, m.From, ctx.Round)
 }
 
 func (h *Handler) onSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
-	if len(m.IDs) == 0 {
+	ids := m.IDs()
+	if len(ids) == 0 {
 		return
 	}
 	st.seen(m.From, ctx.Round)
@@ -262,13 +273,13 @@ func (h *Handler) onSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	// and the successor, adopt it.
 	fromPt := Point(uint64(m.From))
 	merged := []peer{{id: m.From, pt: fromPt}}
-	if pred := m.IDs[0]; pred != 0 && pred != ctx.ID {
+	if pred := ids[0]; pred != 0 && pred != ctx.ID {
 		pp := Point(uint64(pred))
 		if between(st.pt, pp, fromPt) {
 			merged = append([]peer{{id: pred, pt: pp}}, merged...)
 		}
 	}
-	for _, id := range m.IDs[1:] {
+	for _, id := range ids[1:] {
 		if id != 0 && id != ctx.ID {
 			merged = append(merged, peer{id: id, pt: Point(uint64(id))})
 		}
@@ -326,11 +337,7 @@ func (h *Handler) refreshFinger(ctx *simnet.Ctx, st *state) {
 	st.nextFinger = (st.nextFinger + 1) % numFingers
 	target := st.pt + uint64(1)<<(63-uint(f))
 	// Route the lookup starting at ourselves.
-	m := simnet.Msg{
-		From: ctx.ID, Kind: KindFind, Item: target,
-		Aux: packFind(purposeFinger, h.ttl, f), Aux2: uint64(ctx.ID),
-	}
-	h.route(ctx, st, &m)
+	h.route(ctx, st, find{item: target, aux: packFind(purposeFinger, h.ttl, f), origin: ctx.ID})
 }
 
 // replicate pushes held items to the successor list every replEvery
@@ -351,7 +358,7 @@ func (h *Handler) replicate(ctx *simnet.Ctx, st *state) {
 	}
 	for _, k := range keys {
 		for i := 0; i < limit; i++ {
-			ctx.SendRouted(simnet.Msg{To: st.succs[i].id, Kind: KindRepl, Item: k, Blob: st.items[k]})
+			sendItem(ctx, st.succs[i].id, KindRepl, k, 0, st.items[k])
 		}
 	}
 }
@@ -359,20 +366,11 @@ func (h *Handler) replicate(ctx *simnet.Ctx, st *state) {
 // firePending launches queued store/get operations as self-routed finds.
 func (h *Handler) firePending(ctx *simnet.Ctx, st *state) {
 	for _, ps := range st.pendingStores {
-		m := simnet.Msg{
-			From: ctx.ID, Kind: KindFind, Item: ps.key,
-			Aux: packFind(purposeStore, h.ttl, 0), Aux2: uint64(ctx.ID),
-			Blob: ps.data,
-		}
-		h.route(ctx, st, &m)
+		h.route(ctx, st, find{item: ps.key, aux: packFind(purposeStore, h.ttl, 0), origin: ctx.ID, blob: ps.data})
 	}
 	st.pendingStores = st.pendingStores[:0]
 	for _, key := range st.pendingGets {
-		m := simnet.Msg{
-			From: ctx.ID, Kind: KindFind, Item: key,
-			Aux: packFind(purposeGet, h.ttl, 0), Aux2: uint64(ctx.ID),
-		}
-		h.route(ctx, st, &m)
+		h.route(ctx, st, find{item: key, aux: packFind(purposeGet, h.ttl, 0), origin: ctx.ID})
 	}
 	st.pendingGets = st.pendingGets[:0]
 }

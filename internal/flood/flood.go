@@ -155,7 +155,7 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 		switch m.Kind {
 		case KindStore:
 			if _, ok := st.items[m.Item]; !ok {
-				st.items[m.Item] = append([]byte(nil), m.Blob...)
+				st.items[m.Item] = append([]byte(nil), m.Blob()...)
 				st.fwdItems = append(st.fwdItems, m.Item)
 			}
 		case KindQuery:
@@ -164,11 +164,10 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 				break
 			}
 			st.seenQuery[mark] = true
-			if _, ok := st.items[m.Item]; ok {
-				ctx.SendMsg(simnet.Msg{
-					To: simnet.NodeID(m.Aux2), Kind: KindReply, Item: m.Item,
-					Blob: st.items[m.Item],
-				})
+			if data, ok := st.items[m.Item]; ok {
+				reply := ctx.SendMsg(simnet.NodeID(m.Aux2), KindReply)
+				reply.Item = m.Item
+				ctx.SetPayload(reply, nil, data)
 			}
 			st.fwdQuery = append(st.fwdQuery, fq{key: m.Item, searcher: simnet.NodeID(m.Aux2)})
 		case KindReply:
@@ -182,12 +181,15 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 		neighbors = ctx.NeighborIDs(neighbors)
 		for _, key := range st.fwdItems {
 			for _, nb := range neighbors {
-				ctx.SendMsg(simnet.Msg{To: nb, Kind: KindStore, Item: key, Blob: st.items[key]})
+				m := ctx.SendMsg(nb, KindStore)
+				m.Item = key
+				ctx.SetPayload(m, nil, st.items[key])
 			}
 		}
 		for _, q := range st.fwdQuery {
 			for _, nb := range neighbors {
-				ctx.SendMsg(simnet.Msg{To: nb, Kind: KindQuery, Item: q.key, Aux2: uint64(q.searcher)})
+				m := ctx.SendMsg(nb, KindQuery)
+				m.Item, m.Aux2 = q.key, uint64(q.searcher)
 			}
 		}
 		st.fwdItems = st.fwdItems[:0]

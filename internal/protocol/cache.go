@@ -233,12 +233,9 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 			continue
 		}
 		e.aliased = int32(ctx.Round)
-		ctx.SendRouted(simnet.Msg{
-			To: s.Src, Kind: KindCacheSeed, Item: e.key,
-			Aux:   uint64(e.depth) + 1,
-			Blob:  e.data,
-			Trace: trace,
-		})
+		m := ctx.SendRouted(s.Src, KindCacheSeed)
+		m.Item, m.Aux, m.Trace = e.key, uint64(e.depth)+1, trace
+		ctx.SetPayload(m, nil, e.data)
 		h.ctr.cacheSeeds.Inc(ctx.Shard)
 		sent++
 	}
@@ -258,12 +255,9 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 	}
 	e.served = int32(ctx.Round)
 	e.aliased = int32(ctx.Round)
-	ctx.SendRouted(simnet.Msg{
-		To: searcher, Kind: KindCacheData, Item: e.key,
-		Aux:   uint64(e.depth),
-		Blob:  e.data,
-		Trace: trace,
-	})
+	m := ctx.SendRouted(searcher, KindCacheData)
+	m.Item, m.Aux, m.Trace = e.key, uint64(e.depth), trace
+	ctx.SetPayload(m, nil, e.data)
 	h.ctr.cacheServed.Inc(ctx.Shard)
 	h.ctr.cacheHitsByHop.Observe(ctx.Shard, int64(e.depth))
 }
@@ -291,7 +285,7 @@ func (h *Handler) onCached(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if !ok {
 		return
 	}
-	item := msg.Blob
+	item := msg.Blob()
 	ok = srch.want == nil || bytes.Equal(item, srch.want)
 	if srch.found < 0 {
 		srch.found = ctx.Round
@@ -320,7 +314,7 @@ func (h *Handler) onSeed(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if !h.cacheEnabled() || msg.Aux > cacheMaxDepth {
 		return
 	}
-	if e, cascade := h.cachePut(ctx, msg.Item, msg.Blob, uint8(msg.Aux)); cascade {
+	if e, cascade := h.cachePut(ctx, msg.Item, msg.Blob(), uint8(msg.Aux)); cascade {
 		h.cacheSeed(ctx, st, e, msg.Trace)
 	}
 }

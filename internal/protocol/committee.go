@@ -70,7 +70,7 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 		return
 	}
 	round := ctx.Round
-	for _, com := range st.sortedComIDs() {
+	for _, com := range sortedKeys(h, ctx, st.memberships) {
 		m := st.memberships[com]
 
 		// Search committees dissolve after SearchTTL (Algorithm 4 step 1).
@@ -144,11 +144,9 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 		if peer == st.id {
 			continue
 		}
-		ctx.SendRouted(simnet.Msg{
-			To: peer, Kind: KindCCount, Item: m.com,
-			Aux: aux, Aux2: itemLen, Blob: blob,
-			Trace: m.trace,
-		})
+		msg := ctx.SendRouted(peer, KindCCount)
+		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.com, aux, itemLen, m.trace
+		ctx.SetPayload(msg, nil, blob)
 	}
 }
 
@@ -160,12 +158,12 @@ func (h *Handler) onCount(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	count, pieceIdx, hasPiece := unpackCount(msg.Aux)
 	m.counts[msg.From] = count
-	if hasPiece && len(msg.Blob) > 0 {
+	if blob := msg.Blob(); hasPiece && len(blob) > 0 {
 		if m.gathered == nil {
 			m.gathered = make(map[int][]byte)
 		}
 		if _, dup := m.gathered[pieceIdx]; !dup {
-			m.gathered[pieceIdx] = append([]byte(nil), msg.Blob...)
+			m.gathered[pieceIdx] = append([]byte(nil), blob...)
 			m.gatheredLen = int(msg.Aux2)
 		}
 	}
@@ -261,22 +259,16 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 				pieceIdx = i % h.P.CommitteeSize
 			}
 		}
-		ctx.SendRouted(simnet.Msg{
-			To: peer, Kind: KindCInvite, Item: m.com,
-			Aux:   packInvite(m.base, m.mode, pieceIdx),
-			Aux2:  itemLen,
-			IDs:   newRoster,
-			Blob:  blob,
-			Trace: m.trace,
-		})
+		msg := ctx.SendRouted(peer, KindCInvite)
+		msg.Item, msg.Aux, msg.Aux2 = m.com, packInvite(m.base, m.mode, pieceIdx), itemLen
+		msg.Trace = m.trace
+		ctx.SetPayload(msg, newRoster, blob)
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(newRoster)))
 	for _, peer := range m.roster {
-		ctx.SendRouted(simnet.Msg{
-			To: peer, Kind: KindCHandover, Item: m.com,
-			Aux: uint64(epoch), IDs: newRoster,
-			Trace: m.trace,
-		})
+		msg := ctx.SendRouted(peer, KindCHandover)
+		msg.Item, msg.Aux, msg.Trace = m.com, uint64(epoch), m.trace
+		ctx.SetPayload(msg, newRoster, nil)
 	}
 	h.ctr.handovers.Inc(ctx.Shard)
 	if k > 0 {
@@ -331,13 +323,13 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	key := com
 	var searcher simnet.NodeID
 	if mode == ModeSearch {
-		key = blobKey(msg.Blob)
+		key = blobKey(msg.Blob())
 		searcher = simnet.NodeID(msg.Aux2)
 	}
 	m := &membership{
 		com: com, key: key, mode: mode, base: base,
 		searcher: searcher,
-		roster:   append([]simnet.NodeID(nil), msg.IDs...),
+		roster:   append([]simnet.NodeID(nil), msg.IDs()...),
 		joined:   ctx.Round,
 		owner:    st.id,
 		curEpoch: -1,
@@ -348,13 +340,13 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 
 	switch mode {
 	case ModeStore:
-		if len(msg.Blob) > 0 {
+		if blob := msg.Blob(); len(blob) > 0 {
 			idx := -1
 			if h.code != nil {
 				idx = pieceIdx
 			}
 			st.stored[key] = &storedCopy{
-				data:     append([]byte(nil), msg.Blob...),
+				data:     append([]byte(nil), blob...),
 				pieceIdx: idx,
 				itemLen:  int(msg.Aux2),
 			}
@@ -390,7 +382,7 @@ func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if int(msg.Aux) > m.handledEpoch {
 		m.handledEpoch = int(msg.Aux)
 	}
-	if inRoster(msg.IDs, st.id) {
+	if inRoster(msg.IDs(), st.id) {
 		return // re-invited: the CInvite (processed earlier) refreshed us
 	}
 	delete(st.memberships, msg.Item)

@@ -38,7 +38,16 @@ type Handler struct {
 	mu      sync.Mutex
 	results []SearchResult
 
+	keys []keyScratch // per engine shard: sortedKeys' reused buffer
+
 	ctr counters
+}
+
+// keyScratch is one shard's sortedKeys buffer, padded to its own cache
+// line so workers running adjacent shards never false-share the header.
+type keyScratch struct {
+	buf []uint64
+	_   [40]byte
 }
 
 // counters are the handler's event counters: registry-backed sharded
@@ -214,6 +223,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		P: p, soup: soup,
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
+		keys:   make([]keyScratch, e.Grid().Count()),
 		ctr:    newCounters(e.Telemetry()),
 	}
 	h.SetCache(p.CacheCapacity, p.CacheTTL, p.CacheSeedRate)
@@ -282,17 +292,17 @@ func (st *nodeState) pushRecent(src simnet.NodeID) {
 	}
 }
 
-// recentDistinct appends up to want distinct recent sample sources to dst,
-// newest first, excluding the node itself.
+// recentDistinct appends recent sample sources to dst, newest first,
+// excluding the node itself and anything already in dst, until dst holds
+// want ids. want is a committee or a tree fanout, so dst is its own
+// seen-set: a linear scan beats building a map per call.
 func (st *nodeState) recentDistinct(dst []simnet.NodeID, want int) []simnet.NodeID {
-	seen := make(map[simnet.NodeID]bool, want*2)
 	for i := 0; i < st.recentLen && len(dst) < want; i++ {
 		pos := (st.recentPos - 1 - i + len(st.recent)*2) % len(st.recent)
 		src := st.recent[pos]
-		if src == st.id || seen[src] {
+		if src == st.id || slices.Contains(dst, src) {
 			continue
 		}
-		seen[src] = true
 		dst = append(dst, src)
 	}
 	return dst
@@ -358,35 +368,20 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 	}
 }
 
-// sortedComIDs returns the node's committee ids in ascending order, so
-// per-round iteration over the memberships map is deterministic.
-func (st *nodeState) sortedComIDs() []uint64 {
-	ids := make([]uint64, 0, len(st.memberships))
-	for com := range st.memberships {
-		ids = append(ids, com)
+// sortedKeys returns m's keys (committee ids, searched keys, landmark
+// keys) in ascending order, so per-round iteration over a node's maps is
+// deterministic. The slice is the calling shard's scratch buffer: valid
+// until the next sortedKeys call on that shard, so the per-round ticks use
+// it one after another, never nested.
+func sortedKeys[V any](h *Handler, ctx *simnet.Ctx, m map[uint64]V) []uint64 {
+	sc := &h.keys[ctx.Shard]
+	keys := sc.buf[:0]
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.Sort(ids)
-	return ids
-}
-
-// sortedSearchKeys returns the keys of active searches in ascending order.
-func (st *nodeState) sortedSearchKeys() []uint64 {
-	ids := make([]uint64, 0, len(st.searches))
-	for k := range st.searches {
-		ids = append(ids, k)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// sortedLMKeys returns the keys with search-landmark tasks in order.
-func (st *nodeState) sortedLMKeys() []uint64 {
-	ids := make([]uint64, 0, len(st.searchLM))
-	for k := range st.searchLM {
-		ids = append(ids, k)
-	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(keys)
+	sc.buf = keys
+	return keys
 }
 
 // sweepExpired drops expired landmark registrations.

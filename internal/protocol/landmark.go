@@ -43,13 +43,10 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, key uint64,
 	}
 	children := st.recentDistinct(nil, h.P.TreeFanout)
 	for _, child := range children {
-		ctx.SendRouted(simnet.Msg{
-			To: child, Kind: KindLGrow, Item: key,
-			Aux:   packGrow(depth-1, wave, mode),
-			Aux2:  uint64(searcher),
-			IDs:   roster,
-			Trace: trace,
-		})
+		m := ctx.SendRouted(child, KindLGrow)
+		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave, mode), uint64(searcher)
+		m.Trace = trace
+		ctx.SetPayload(m, roster, nil)
 	}
 	h.ctr.growSent.Add(ctx.Shard, int64(len(children)))
 }
@@ -71,7 +68,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			return
 		}
 		st.storageLM[key] = &lmEntry{
-			roster: append([]simnet.NodeID(nil), msg.IDs...),
+			roster: append([]simnet.NodeID(nil), msg.IDs()...),
 			expiry: ctx.Round + h.P.LandmarkTTL,
 			wave:   wave,
 		}
@@ -87,7 +84,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	default:
 		return
 	}
-	h.growChildren(ctx, st, key, mode, simnet.NodeID(msg.Aux2), msg.IDs, depth, wave, msg.Trace)
+	h.growChildren(ctx, st, key, mode, simnet.NodeID(msg.Aux2), msg.IDs(), depth, wave, msg.Trace)
 }
 
 // addSearchTask registers this node as a search landmark for (key,

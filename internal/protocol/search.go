@@ -106,14 +106,10 @@ func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendin
 			blob = p.Data
 			pieceIdx = p.Index
 		}
-		ctx.SendRouted(simnet.Msg{
-			To: peer, Kind: KindCInvite, Item: com,
-			Aux:   packInvite(ctx.Round, ModeStore, pieceIdx),
-			Aux2:  uint64(len(op.data)),
-			IDs:   roster,
-			Blob:  blob,
-			Trace: trace,
-		})
+		m := ctx.SendRouted(peer, KindCInvite)
+		m.Item, m.Aux, m.Aux2 = com, packInvite(ctx.Round, ModeStore, pieceIdx), uint64(len(op.data))
+		m.Trace = trace
+		ctx.SetPayload(m, roster, blob)
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
 	h.ctr.committeeCreated.Inc(ctx.Shard)
@@ -153,14 +149,10 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	}
 	kb := keyBlob(op.key)
 	for _, peer := range roster {
-		ctx.SendRouted(simnet.Msg{
-			To: peer, Kind: KindCInvite, Item: com,
-			Aux:   packInvite(ctx.Round, ModeSearch, 0),
-			Aux2:  uint64(st.id),
-			IDs:   roster,
-			Blob:  kb,
-			Trace: trace,
-		})
+		m := ctx.SendRouted(peer, KindCInvite)
+		m.Item, m.Aux, m.Aux2 = com, packInvite(ctx.Round, ModeSearch, 0), uint64(st.id)
+		m.Trace = trace
+		ctx.SetPayload(m, roster, kb)
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
 	h.ctr.committeeCreated.Inc(ctx.Shard)
@@ -178,7 +170,8 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 			}
 			srch.fetched[member] = true
 			srch.roster = append(srch.roster, member)
-			ctx.SendRouted(simnet.Msg{To: member, Kind: KindSFetch, Item: op.key, Trace: trace})
+			m := ctx.SendRouted(member, KindSFetch)
+			m.Item, m.Trace = op.key, trace
 			h.ctr.fetches.Inc(ctx.Shard)
 		}
 	}
@@ -199,7 +192,7 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 	if len(st.searchLM) == 0 || len(samples) == 0 {
 		return
 	}
-	for _, key := range st.sortedLMKeys() {
+	for _, key := range sortedKeys(h, ctx, st.searchLM) {
 		tasks := st.searchLM[key]
 		for _, t := range tasks {
 			if ctx.Round >= t.expiry {
@@ -213,11 +206,8 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// terminate early at ANY current holder of the item (cache
 				// replica, storage landmark, committee member), not just
 				// the sampled source — replicas cut network distance.
-				ctx.SendRoutedKeyed(simnet.Msg{
-					To: s.Src, Kind: KindSInquire, Item: key,
-					Aux2:  uint64(t.searcher),
-					Trace: t.trace,
-				})
+				m := ctx.SendRoutedKeyed(s.Src, KindSInquire)
+				m.Item, m.Aux2, m.Trace = key, uint64(t.searcher), t.trace
 			}
 			h.ctr.inquiries.Add(ctx.Shard, int64(len(samples)))
 		}
@@ -238,11 +228,10 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if !ok || ctx.Round >= ent.expiry {
 		return
 	}
-	ctx.SendRouted(simnet.Msg{
-		To: simnet.NodeID(msg.Aux2), Kind: KindSFound, Item: msg.Item,
-		IDs:   ent.roster,
-		Trace: msg.Trace, // the inquiring search's trace rides the reply
-	})
+	m := ctx.SendRouted(simnet.NodeID(msg.Aux2), KindSFound)
+	m.Item = msg.Item
+	m.Trace = msg.Trace // the inquiring search's trace rides the reply
+	ctx.SetPayload(m, ent.roster, nil)
 	h.ctr.founds.Inc(ctx.Shard)
 }
 
@@ -256,13 +245,14 @@ func (h *Handler) onFound(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if srch.found < 0 {
 		srch.found = ctx.Round
 	}
-	for _, member := range msg.IDs {
+	for _, member := range msg.IDs() {
 		if member == st.id || srch.fetched[member] {
 			continue
 		}
 		srch.fetched[member] = true
 		srch.roster = append(srch.roster, member)
-		ctx.SendRouted(simnet.Msg{To: member, Kind: KindSFetch, Item: msg.Item, Trace: srch.trace})
+		m := ctx.SendRouted(member, KindSFetch)
+		m.Item, m.Trace = msg.Item, srch.trace
 		h.ctr.fetches.Inc(ctx.Shard)
 	}
 }
@@ -278,13 +268,10 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if idx < 0 {
 		idx = 0
 	}
-	ctx.SendRouted(simnet.Msg{
-		To: msg.From, Kind: KindSData, Item: msg.Item,
-		Aux:   packCount(0, idx, hasPiece),
-		Aux2:  uint64(cp.itemLen),
-		Blob:  cp.data,
-		Trace: msg.Trace,
-	})
+	m := ctx.SendRouted(msg.From, KindSData)
+	m.Item, m.Aux, m.Aux2 = msg.Item, packCount(0, idx, hasPiece), uint64(cp.itemLen)
+	m.Trace = msg.Trace
+	ctx.SetPayload(m, nil, cp.data)
 }
 
 // onData completes (or advances) a retrieval with a data response.
@@ -296,14 +283,14 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	_, pieceIdx, hasPiece := unpackCount(msg.Aux)
 	var item []byte
 	if !hasPiece {
-		item = msg.Blob
+		item = msg.Blob()
 	} else {
 		if h.code == nil {
 			return
 		}
 		srch.itemLen = int(msg.Aux2)
 		srch.pieces = append(srch.pieces, ida.Piece{
-			Index: pieceIdx, Data: append([]byte(nil), msg.Blob...),
+			Index: pieceIdx, Data: append([]byte(nil), msg.Blob()...),
 		})
 		if distinctPieces(srch.pieces) < h.code.K() {
 			return
@@ -367,7 +354,7 @@ func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 	if len(st.searches) == 0 {
 		return
 	}
-	for _, key := range st.sortedSearchKeys() {
+	for _, key := range sortedKeys(h, ctx, st.searches) {
 		srch := st.searches[key]
 		if ctx.Round >= srch.deadline {
 			h.recordResult(SearchResult{

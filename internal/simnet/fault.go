@@ -108,15 +108,18 @@ func (e *Engine) deliverDelayed(round int) {
 	if len(e.delayed) == 0 {
 		return
 	}
-	kept := e.delayed[:0]
-	for _, d := range e.delayed {
+	kept := 0
+	for i := range e.delayed {
+		d := &e.delayed[i]
 		if d.deliverAt > round {
-			kept = append(kept, d)
+			if kept != i {
+				e.delayed[kept] = *d
+			}
+			kept++
 			continue
 		}
 		if e.router != nil {
-			m := d.m
-			e.sendToRouter(&m)
+			e.sendToRouter(&d.m)
 			continue
 		}
 		s, ok := e.slotOf(d.m.To)
@@ -124,8 +127,8 @@ func (e *Engine) deliverDelayed(round int) {
 			e.em.dropped.Inc(0)
 			continue
 		}
-		e.insertCanonical(s, d.m)
+		e.insertCanonical(s, &d.m)
 		e.em.delivered.Inc(0)
 	}
-	e.delayed = kept
+	e.delayed = e.delayed[:kept]
 }

@@ -4,9 +4,9 @@ package simnet
 // RoutingOverlay the engine stops teleporting protocol messages to their
 // addressee and instead walks each one edge-by-edge over the live
 // topology via internal/route. Handlers opt in per message with
-// Ctx.SendRouted / Ctx.SendRoutedKeyed; under RoutingOracle both fall
-// back to SendMsg, which is what keeps oracle A/B runs byte-compatible
-// with the historical engine.
+// Ctx.SendRouted / Ctx.SendRoutedKeyed; under RoutingOracle both are
+// SendMsg, which is what keeps oracle A/B runs byte-compatible with the
+// historical engine.
 //
 // Phase placement: routed delivery runs after the round's hooks (so the
 // walked adjacency is the post-repair graph under self-healing) and
@@ -73,6 +73,17 @@ type RoutingConfig struct {
 	QueueLimit int
 }
 
+// walkerMsg is a message in the overlay router's walker array. A walker can
+// park for many rounds, far past the reuse of the sender's payload slab, so
+// it carries its payload with it: sendToRouter copies the cell in and
+// clears the pointer, and deliverRouted points the delivered message at
+// the walker's own copy, which the router leaves in place until the next
+// Send — after the round's handlers have read it.
+type walkerMsg struct {
+	Msg
+	cell payload
+}
+
 // deliveryArena is the routed phase's flat inbox store, the serial
 // sibling of inboxArena: all of a round's routed deliveries are placed
 // slot-major by one counting sort over the router's walker array and the
@@ -95,7 +106,7 @@ func (e *Engine) initRouter() {
 	if budget <= 0 {
 		budget = route.AutoBudget(e.cfg.N, e.cfg.Degree)
 	}
-	e.router = route.New[Msg](e.reg, e.cfg.N, route.Params{
+	e.router = route.New[walkerMsg](e.reg, e.cfg.N, route.Params{
 		Budget:       budget,
 		LinkCapacity: rc.LinkCapacity,
 		QueueLimit:   rc.QueueLimit,
@@ -110,14 +121,14 @@ func (e *Engine) initRouter() {
 
 // applyRouterEnv installs the engine-side callbacks on the router.
 func (e *Engine) applyRouterEnv() {
-	env := route.Env[Msg]{
+	env := route.Env[walkerMsg]{
 		Graph:  func() *graph.Graph { return e.topo.Graph() },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
 		Holder: func(slot int32, key uint64) bool {
 			return e.keyHolder != nil && e.keyHolder(int(slot), key, e.round)
 		},
 		Deliver: e.deliverRouted,
-		OnDrop: func(m *Msg, h *route.Header, reason route.DropReason) {
+		OnDrop: func(m *walkerMsg, h *route.Header, reason route.DropReason) {
 			if m.Trace == 0 || e.tracer == nil {
 				return
 			}
@@ -191,36 +202,26 @@ func (e *Engine) SetHopRecorder(fn func(round, from, to int)) {
 	}
 }
 
-// SendRouted queues m for overlay delivery: the message walks the
-// expander edge-by-edge toward m.To, parking at congested slots. Under
-// RoutingOracle it is exactly SendMsg, which lets protocols call it
+// SendRouted queues a message for overlay delivery and returns it for the
+// handler to fill in, exactly as SendMsg does: the message walks the
+// expander edge-by-edge toward its addressee, parking at congested slots.
+// Under RoutingOracle it is SendMsg, which lets protocols call it
 // unconditionally and leave the mode to configuration.
-func (c *Ctx) SendRouted(m Msg) {
+func (c *Ctx) SendRouted(to NodeID, kind uint8) *Msg {
 	if c.E.router == nil {
-		c.SendMsg(m)
-		return
+		return c.SendMsg(to, kind)
 	}
-	m.keyed = false
-	c.sendRouted(m)
+	return c.emplace(c.routed, to, kind)
 }
 
 // SendRoutedKeyed is SendRouted for holder-seeking messages: the walk
 // additionally terminates at any slot (or neighbor) currently holding
-// item m.Item, rewriting m.To to the holder. Under RoutingOracle it is
-// SendMsg.
-func (c *Ctx) SendRoutedKeyed(m Msg) {
-	if c.E.router == nil {
-		c.SendMsg(m)
-		return
-	}
-	m.keyed = true
-	c.sendRouted(m)
+// the item the handler names in Item, rewriting To to the holder.
+func (c *Ctx) SendRoutedKeyed(to NodeID, kind uint8) *Msg {
+	m := c.SendRouted(to, kind)
+	m.keyed = c.E.router != nil
+	return m
 }
-
-// sendRouted stamps identity and sequencing exactly like SendMsg and
-// stages m in the shard's routed buffer; the serial exchange merge hands
-// it to the router in canonical order.
-func (c *Ctx) sendRouted(m Msg) { c.stampInto(c.routed, m) }
 
 // sendToRouter hands one stamped message to the overlay router. The walk
 // seed is a pure hash of the message identity, so its port choices are
@@ -234,14 +235,21 @@ func (e *Engine) sendToRouter(m *Msg) {
 		h.Keyed = true
 		h.Key = m.Item
 	}
-	e.router.Send(m, h, m.srcSlot)
+	w := walkerMsg{Msg: *m}
+	if m.payload != nil {
+		w.cell, w.payload = *m.payload, nil
+	}
+	e.router.Send(&w, h, m.srcSlot)
 }
 
 // deliverRouted is the router's delivery callback and the counting pass
 // of the inbox placement: stamp the true path length and rewrite the
 // addressee on holder early-exit, in place in the router's walker array.
-func (e *Engine) deliverRouted(slot int32, m *Msg, hops int32) {
+func (e *Engine) deliverRouted(slot int32, m *walkerMsg, hops int32) {
 	m.Hops = hops
+	if len(m.cell.ids) > 0 || len(m.cell.blob) > 0 {
+		m.payload = &m.cell
+	}
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}
@@ -271,10 +279,10 @@ func (e *Engine) runRouted() {
 	}
 	copy(counts, ra.off[:len(counts)])
 	msgs := ra.msgs
-	e.router.EachDelivered(func(slot int32, m *Msg) {
+	e.router.EachDelivered(func(slot int32, m *walkerMsg) {
 		pos := counts[slot]
 		counts[slot] = pos + 1
-		msgs[pos] = *m
+		msgs[pos] = m.Msg
 	})
 	for s := 0; s < e.cfg.N; s++ {
 		a, b := ra.off[s], ra.off[s+1]
@@ -285,8 +293,8 @@ func (e *Engine) runRouted() {
 			e.inbox[s] = ra.msgs[a:b:b]
 			continue
 		}
-		for _, m := range ra.msgs[a:b] {
-			e.insertCanonical(int32(s), m)
+		for i := a; i < b; i++ {
+			e.insertCanonical(int32(s), &ra.msgs[i])
 		}
 	}
 }

@@ -36,7 +36,7 @@ func (h *routedSpammer) HandleRound(ctx *Ctx) {
 	if tr := ctx.E.Tracer(); tr != nil {
 		tr.Emit(ctx.Shard, telemetry.Event{Trace: trace, Round: int64(ctx.Round), Kind: telemetry.EvOpStart})
 	}
-	ctx.SendRouted(Msg{To: ctx.E.IDAt(h.target), Kind: 1, Trace: trace})
+	ctx.SendRouted(ctx.E.IDAt(h.target), 1).Trace = trace
 }
 
 func routedConfig(n int, law churn.Law, rc RoutingConfig) Config {

@@ -32,7 +32,9 @@ package simnet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"dynp2p/internal/churn"
 	"dynp2p/internal/expander"
@@ -47,9 +49,9 @@ import (
 // invalid.
 type NodeID uint64
 
-// MaxPayloadLen bounds len(Msg.IDs) and len(Msg.Blob): the modelled wire
-// format carries each with a 16-bit length field (see Msg.Bits), so a
-// longer payload cannot be expressed on the wire. SendMsg enforces it.
+// MaxPayloadLen bounds len(Msg.IDs()) and len(Msg.Blob()): the modelled
+// wire format carries each with a 16-bit length field (see Msg.Bits), so a
+// longer payload cannot be expressed on the wire. SetPayload enforces it.
 // The paper's algorithms stay far below: committee rosters and id lists
 // are O(log n), blobs are item payloads or IDA pieces.
 const MaxPayloadLen = 65535
@@ -58,15 +60,18 @@ const MaxPayloadLen = 65535
 // The fixed fields cover every message of the paper's algorithms: walk
 // samples carry ids, committee invitations carry id lists, storage and
 // retrieval messages carry an item key plus an id.
+//
+// A Msg is a header: 80 bytes, one pointer word (TestMsgLayout; the field
+// table with offsets is in DESIGN.md §6). The few messages that carry an
+// id list or a data blob hold them in a pooled payload cell behind that
+// pointer, attached with Ctx.SetPayload and read with IDs() and Blob().
+// Fields are ordered widest first so the struct has no padding holes.
 type Msg struct {
 	From NodeID
 	To   NodeID
-	Kind uint8
-	Item uint64   // item key (or unused)
-	Aux  uint64   // auxiliary value (round numbers, piece indices, ...)
-	Aux2 uint64   // second auxiliary (e.g. the searcher id a reply routes to)
-	IDs  []NodeID // id-list payload (committee rosters etc.); ≤ MaxPayloadLen, may be nil
-	Blob []byte   // data payload (item copies, IDA pieces); ≤ MaxPayloadLen, may be nil
+	Item uint64 // item key (or unused)
+	Aux  uint64 // auxiliary value (round numbers, piece indices, ...)
+	Aux2 uint64 // second auxiliary (e.g. the searcher id a reply routes to)
 
 	// Trace is an observability tag: when an operation is sampled for
 	// lifecycle tracing (telemetry.Tracer), protocol messages belonging
@@ -75,15 +80,17 @@ type Msg struct {
 	// the modelled wire format, so it does not count toward Bits().
 	Trace uint64
 
+	// payload is the id-list/blob cell, nil for a header-only message. It
+	// points into the sender shard's slab (payloadSlab), which is recycled
+	// two rounds after the send; whoever keeps a Msg longer than its
+	// delivery round must copy the cell out (faultFate, sendToRouter).
+	payload *payload
+
 	// Hops is the true network path length the message travelled when it
 	// was delivered over the overlay (Ctx.SendRouted under
 	// RoutingOverlay); 0 for oracle-delivered messages. Like Trace it is
 	// out-of-band telemetry and does not count toward Bits().
 	Hops int32
-
-	// keyed marks a holder-seeking routed message (SendRoutedKeyed): the
-	// overlay walk may terminate early at any current holder of Item.
-	keyed bool
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
 	// inbox order. Fresh messages arrive already ordered (the sharded
@@ -92,24 +99,97 @@ type Msg struct {
 	sentRound int32
 	srcSlot   int32  // sender's slot at send time
 	seq       uint32 // per-sender per-round sequence
+
+	Kind uint8
+
+	// keyed marks a holder-seeking routed message (SendRoutedKeyed): the
+	// overlay walk may terminate early at any current holder of Item.
+	keyed bool
+}
+
+// payload is the variable-length part of a message: the id list (committee
+// rosters etc.) and the data blob (item copies, IDA pieces), each at most
+// MaxPayloadLen long. The slices are the sender's; the engine never copies
+// their contents.
+type payload struct {
+	ids  []NodeID
+	blob []byte
+}
+
+// IDs returns the message's id-list payload, nil if it has none. Like the
+// Inbox it is only valid during the HandleRound that received the message.
+func (m *Msg) IDs() []NodeID {
+	if m.payload == nil {
+		return nil
+	}
+	return m.payload.ids
+}
+
+// Blob returns the message's data payload, nil if it has none; valid as
+// long as IDs.
+func (m *Msg) Blob() []byte {
+	if m.payload == nil {
+		return nil
+	}
+	return m.payload.blob
+}
+
+// headerBits is the modelled wire size of a message without payload:
+// from + to + kind + item + aux + aux2 = 64+64+8+64+64+64.
+const headerBits = 328
+
+// payloadBits is the modelled wire size of a payload: 64 per id and 8 per
+// blob byte, each list with a 16-bit length field when present.
+// SetPayload bounds both lengths to MaxPayloadLen so the 16-bit fields
+// cannot be overrun.
+func payloadBits(ids []NodeID, blob []byte) int {
+	b := 0
+	if len(ids) > 0 {
+		b += 16 + 64*len(ids)
+	}
+	if len(blob) > 0 {
+		b += 16 + 8*len(blob)
+	}
+	return b
 }
 
 // Bits returns the message's modelled wire size in bits. The paper requires
 // every node to send only polylog(n) bits per round; experiment E9 audits
 // this via the engine's accounting.
 func (m *Msg) Bits() int {
-	// from + to + kind + item + aux + aux2 = 64+64+8+64+64+64, plus 64 per
-	// id and 8 per blob byte, each with a 16-bit length field when present.
-	// SendMsg bounds both lengths to MaxPayloadLen so the 16-bit fields
-	// cannot be overrun.
-	b := 328
-	if len(m.IDs) > 0 {
-		b += 16 + 64*len(m.IDs)
+	if p := m.payload; p != nil {
+		return headerBits + payloadBits(p.ids, p.blob)
 	}
-	if len(m.Blob) > 0 {
-		b += 16 + 8*len(m.Blob)
+	return headerBits
+}
+
+// payloadSlab is one shard's pool of payload cells for one round parity.
+// Handlers of round r take cells from their shard's slab r&1; the cells
+// are read out of the round r+1 inboxes, and round r+2 starts the slab
+// over. Only a few percent of messages carry a payload, but a heap cell
+// for each was ~15k allocations a round on the cached workload.
+type payloadSlab struct {
+	cells []payload
+}
+
+// reset starts the slab over, dropping the cells' references so a recycled
+// slab pins no sender's buffers.
+func (s *payloadSlab) reset() {
+	clear(s.cells)
+	s.cells = s.cells[:0]
+}
+
+// alloc returns a zeroed cell. A full slab is replaced by one twice the
+// size rather than grown by copying: the messages already sent this round
+// point into the old array and keep it alive exactly as long as they last.
+func (s *payloadSlab) alloc() *payload {
+	n := len(s.cells)
+	if n == cap(s.cells) {
+		s.cells = make([]payload, 0, max(64, 2*n))
+		n = 0
 	}
-	return b
+	s.cells = s.cells[:n+1]
+	return &s.cells[n]
 }
 
 // msgBefore reports whether a precedes b in the canonical inbox order
@@ -232,8 +312,9 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 
 // routedRef identifies a message staged for delivery: the destination slot
 // it resolved to, plus its index in the source shard's out buffer. An
-// 8-byte reference rides the exchange instead of a ~112-byte Msg copy; the
-// gather phase copies each message exactly once, straight into its inbox.
+// 8-byte reference rides the exchange instead of an 80-byte Msg copy; the
+// gather phase copies each message exactly once, straight into its inbox —
+// the only Msg-sized copy between a handler's send and the inbox.
 type routedRef struct {
 	slot int32  // destination slot
 	idx  uint32 // index into the source shard's out buffer
@@ -253,6 +334,11 @@ type routeShard struct {
 	routed  []Msg         // overlay-routed output, canonical (slot, seq) order
 	ctx     *Ctx          // reusable handler context for this shard's slots
 
+	// pay holds the payload cells of this shard's sends, double-buffered
+	// by round parity like the inbox arenas: round r fills pay[r&1] while
+	// round r's inboxes still read cells out of pay[1-r&1].
+	pay [2]payloadSlab
+
 	bits         int64 // handler bits sent by this shard's slots this round
 	maxBits      int64 // max per-node bits in this shard this round
 	sent         int64
@@ -260,7 +346,7 @@ type routeShard struct {
 	faultDropped int64
 	delayedCnt   int64
 
-	_ [40]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
+	_ [56]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
 }
 
 // inboxArena is one destination shard's next-round message store: every
@@ -335,7 +421,7 @@ type Engine struct {
 	// Overlay routing state (routing.go): the walker router, the
 	// protocol's key-holder predicate, the test-only hop recorder, the
 	// per-message walk-seed salt, and the delivery arena.
-	router      *route.Router[Msg]
+	router      *route.Router[walkerMsg]
 	keyHolder   func(slot int, key uint64, round int) bool
 	hopRec      func(round, from, to int)
 	routeSeed   uint64
@@ -423,7 +509,42 @@ func New(cfg Config) *Engine {
 	if cfg.Routing.Mode == RoutingOverlay {
 		e.initRouter()
 	}
+	e.reg.RegisterCollector(e.collectMemory)
 	return e
+}
+
+// collectMemory is the engine's row of the memory ledger: who owns the
+// message bytes. Each gauge is a buffer family's capacity times its element
+// size, summed over shards, read only when a snapshot is taken — nothing is
+// counted per message. Capacities are a function of the message history,
+// so the values are the same at any worker count.
+func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
+	const (
+		msgSize  = int(unsafe.Sizeof(Msg{}))
+		refSize  = int(unsafe.Sizeof(routedRef{}))
+		cellSize = int(unsafe.Sizeof(payload{}))
+	)
+	var out, xfer, inbox, slabs int
+	for sh := range e.shardOut {
+		rs := &e.shardOut[sh]
+		out += (cap(rs.out) + cap(rs.routed)) * msgSize
+		for _, refs := range rs.xfer {
+			xfer += cap(refs) * refSize
+		}
+		for p := range rs.pay {
+			slabs += cap(rs.pay[p].cells) * cellSize
+		}
+	}
+	for p := range e.arenas {
+		for sh := range e.arenas[p] {
+			inbox += cap(e.arenas[p][sh].msgs) * msgSize
+		}
+	}
+	emit("dynp2p_engine_mem_out_bytes", telemetry.KindGauge, int64(out))
+	emit("dynp2p_engine_mem_xfer_bytes", telemetry.KindGauge, int64(xfer))
+	emit("dynp2p_engine_mem_inbox_arena_bytes", telemetry.KindGauge, int64(inbox))
+	emit("dynp2p_engine_mem_payload_slab_bytes", telemetry.KindGauge, int64(slabs))
+	emit("dynp2p_engine_mem_routed_arena_bytes", telemetry.KindGauge, int64(cap(e.routedArena.msgs)*msgSize))
 }
 
 // newSlotIndex returns an id->slot table of the given length with every
@@ -690,41 +811,77 @@ type Ctx struct {
 	Rand  *rng.Stream
 	Inbox []Msg
 
-	out    *[]Msg
-	routed *[]Msg
+	out    *[]Msg       // the shard's oracle send buffer
+	routed *[]Msg       // the shard's overlay send buffer
+	pay    *payloadSlab // the shard's payload cells for this round
 	seq    uint32
 	bits   int64
 }
 
-// Send queues an id-addressed message from this node. Delivery happens at
-// the start of the next round, and only if the target is still live then.
+// Send queues a message with the common fields filled in: the convenience
+// form of SendMsg for handlers that need nothing else.
 func (c *Ctx) Send(to NodeID, kind uint8, item, aux uint64, ids []NodeID) {
-	c.SendMsg(Msg{To: to, Kind: kind, Item: item, Aux: aux, IDs: ids})
+	m := c.SendMsg(to, kind)
+	m.Item, m.Aux = item, aux
+	if len(ids) > 0 {
+		c.SetPayload(m, ids, nil)
+	}
 }
 
-// SendMsg queues m (with From and sequencing filled in by the engine).
-// Panics if a payload exceeds MaxPayloadLen: the modelled wire format
-// cannot express it, so sending one is a protocol bug.
-func (c *Ctx) SendMsg(m Msg) { c.stampInto(c.out, m) }
+// SendMsg queues an id-addressed message from this node and returns it for
+// the handler to fill in. Delivery happens at the start of the next round,
+// and only if the target is still live then.
+//
+// The message is built in place: the returned pointer is the message's
+// slot in the shard's send buffer, already zeroed and stamped with the
+// sender and its sequencing. Set Item, Aux, Aux2 and Trace through it,
+// attach a payload with SetPayload, and do not use it after the next send
+// of this HandleRound (the buffer may have moved) or assign a whole Msg
+// through it (that would overwrite the stamp).
+func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(c.out, to, kind) }
 
-// stampInto is the one send path: it checks m's payload bound, fills in
-// the sender identity and sequencing, charges the message's bits to the
-// sender, and appends m to buf — the shard's oracle buffer (SendMsg) or
-// routed buffer (sendRouted). It takes m by value and does the append
-// itself on purpose: a stamp(&m) helper under inlined wrappers cost an
-// extra 128-byte copy per send (RouteOnly/n=65536 +15 %).
-func (c *Ctx) stampInto(buf *[]Msg, m Msg) {
-	if len(m.IDs) > MaxPayloadLen || len(m.Blob) > MaxPayloadLen {
-		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
-			len(m.IDs), len(m.Blob)))
+// emplace is the one send path: it grows buf — the shard's oracle buffer
+// (SendMsg) or routed buffer (SendRouted) — by one message, zeroes it,
+// fills in the addressee, the sender identity and the sequencing, and
+// charges the header's bits to the sender.
+func (c *Ctx) emplace(buf *[]Msg, to NodeID, kind uint8) *Msg {
+	b := *buf
+	n := len(b)
+	if n == cap(b) {
+		b = slices.Grow(b, 1)
 	}
-	m.From = c.ID
-	m.sentRound = int32(c.Round)
-	m.srcSlot = int32(c.Slot)
-	m.seq = c.seq
+	b = b[:n+1]
+	*buf = b
+	m := &b[n]
+	*m = Msg{}
+	m.From, m.To, m.Kind = c.ID, to, kind
+	m.sentRound, m.srcSlot, m.seq = int32(c.Round), int32(c.Slot), c.seq
 	c.seq++
-	c.bits += int64(m.Bits())
-	*buf = append(*buf, m)
+	c.bits += headerBits
+	return m
+}
+
+// SetPayload attaches an id list and/or a data blob to m, a message this
+// HandleRound is building (see SendMsg), and charges their bits to the
+// sender. Either may be empty; a message takes a payload at most once.
+// The slices are not copied and must stay untouched until the message has
+// been delivered. Panics if either exceeds MaxPayloadLen: the modelled
+// wire format cannot express it, so sending one is a protocol bug.
+func (c *Ctx) SetPayload(m *Msg, ids []NodeID, blob []byte) {
+	if len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen {
+		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
+			len(ids), len(blob)))
+	}
+	if m.payload != nil {
+		panic("simnet: SetPayload called twice on one message")
+	}
+	if len(ids) == 0 && len(blob) == 0 {
+		return
+	}
+	p := c.pay.alloc()
+	p.ids, p.blob = ids, blob
+	m.payload = p
+	c.bits += int64(payloadBits(ids, blob))
 }
 
 // NeighborSlots returns the node's current neighbour slots (aliased; do not
@@ -865,14 +1022,14 @@ func (e *Engine) runHandlers(h Handler, round int) {
 		rs.out = rs.out[:0]
 		rs.routed = rs.routed[:0]
 		rs.bits, rs.maxBits = 0, 0
+		pay := &rs.pay[round&1]
+		pay.reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
 		ctx := rs.ctx
+		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, routed: &rs.routed, pay: pay}
 		for s := lo; s < hi; s++ {
-			*ctx = Ctx{
-				E: e, Round: round, Slot: s, Shard: sh, ID: e.ids[s],
-				Rand: e.nodeRng[s], Inbox: e.inbox[s], out: &rs.out,
-				routed: &rs.routed,
-			}
+			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], e.inbox[s]
+			ctx.seq, ctx.bits = 0, 0
 			h.HandleRound(ctx)
 			rs.bits += ctx.bits
 			if ctx.bits > rs.maxBits {
@@ -1004,7 +1161,13 @@ func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 		rs.faultDropped++
 	case delay > 0:
 		rs.delayedCnt++
-		rs.delayed = append(rs.delayed, delayedMsg{deliverAt: e.round + 1 + delay, m: *m})
+		d := delayedMsg{deliverAt: e.round + 1 + delay, m: *m}
+		if m.payload != nil {
+			// The queue outlives the sender's slab: move the cell to the heap.
+			cell := *m.payload
+			d.m.payload = &cell
+		}
+		rs.delayed = append(rs.delayed, d)
 	default:
 		return false
 	}
@@ -1014,12 +1177,12 @@ func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 // insertCanonical places m into slot s's inbox at its canonical position
 // (binary search on the (sentRound, srcSlot, seq) key). Only the
 // fault-delay path pays for this; fresh messages arrive pre-ordered.
-func (e *Engine) insertCanonical(s int32, m Msg) {
+func (e *Engine) insertCanonical(s int32, m *Msg) {
 	in := e.inbox[s]
-	i := sort.Search(len(in), func(j int) bool { return msgBefore(&m, &in[j]) })
+	i := sort.Search(len(in), func(j int) bool { return msgBefore(m, &in[j]) })
 	in = append(in, Msg{})
 	copy(in[i+1:], in[i:])
-	in[i] = m
+	in[i] = *m
 	e.inbox[s] = in
 }
 

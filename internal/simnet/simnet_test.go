@@ -310,7 +310,7 @@ func TestSendMsgPayloadBound(t *testing.T) {
 			return
 		}
 		// The largest expressible payload must go through...
-		ctx.SendMsg(Msg{To: ctx.ID, Blob: make([]byte, MaxPayloadLen)})
+		ctx.SetPayload(ctx.SendMsg(ctx.ID, 1), nil, make([]byte, MaxPayloadLen))
 		sent.Store(true)
 		// ...and one byte more must be rejected: the 16-bit wire length
 		// field cannot express it.
@@ -319,7 +319,7 @@ func TestSendMsgPayloadBound(t *testing.T) {
 				panicked.Store(true)
 			}
 		}()
-		ctx.SendMsg(Msg{To: ctx.ID, Blob: make([]byte, MaxPayloadLen+1)})
+		ctx.SetPayload(ctx.SendMsg(ctx.ID, 1), nil, make([]byte, MaxPayloadLen+1))
 	})
 	e := New(testConfig(10, churn.ZeroLaw{}))
 	e.RunRound(h)
@@ -367,11 +367,11 @@ func TestMsgBits(t *testing.T) {
 	if m.Bits() != 328 {
 		t.Fatalf("empty msg bits = %d, want 328", m.Bits())
 	}
-	m.IDs = make([]NodeID, 5)
+	m.payload = &payload{ids: make([]NodeID, 5)}
 	if m.Bits() != 328+16+320 {
 		t.Fatalf("5-id msg bits = %d", m.Bits())
 	}
-	m.Blob = make([]byte, 10)
+	m.payload.blob = make([]byte, 10)
 	if m.Bits() != 328+16+320+16+80 {
 		t.Fatalf("blob msg bits = %d", m.Bits())
 	}

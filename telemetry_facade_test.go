@@ -108,6 +108,11 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 	for _, family := range []string{
 		"dynp2p_engine_rounds_total",
 		"dynp2p_engine_msgs_sent_total",
+		"dynp2p_engine_mem_out_bytes",
+		"dynp2p_engine_mem_xfer_bytes",
+		"dynp2p_engine_mem_inbox_arena_bytes",
+		"dynp2p_engine_mem_payload_slab_bytes",
+		"dynp2p_engine_mem_routed_arena_bytes",
 		"dynp2p_proto_committees_created_total",
 		"dynp2p_soup_generated_total",
 		"dynp2p_overlay_lambda_e6",
@@ -194,6 +199,7 @@ func TestMetricsJSONLSchema(t *testing.T) {
 	if err := telemetry.WriteJSONL(&buf, nw.Telemetry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
+	kinds := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var rec struct {
 			Metric  string     `json:"metric"`
@@ -208,6 +214,7 @@ func TestMetricsJSONLSchema(t *testing.T) {
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatalf("metrics line does not match schema: %q: %v", line, err)
 		}
+		kinds[rec.Metric] = rec.Kind
 		switch rec.Kind {
 		case "histogram":
 			if rec.Count == nil || rec.Sum == nil || rec.Buckets == nil {
@@ -224,6 +231,12 @@ func TestMetricsJSONLSchema(t *testing.T) {
 			}
 		default:
 			t.Fatalf("unknown metric kind %q in %q", rec.Kind, line)
+		}
+	}
+	// The engine's memory ledger is collector-fed: one gauge per owner.
+	for _, owner := range []string{"out", "xfer", "inbox_arena", "payload_slab", "routed_arena"} {
+		if name := "dynp2p_engine_mem_" + owner + "_bytes"; kinds[name] != "gauge" {
+			t.Errorf("metrics JSONL: %s is %q, want a gauge", name, kinds[name])
 		}
 	}
 }
