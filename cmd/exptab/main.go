@@ -35,18 +35,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	ids := []string{"E01", "E02", "E03", "E04", "E05", "E06", "E07", "E08", "E09", "E10", "E11", "E12", "E13"}
+	run := expt.Index
 	if *only != "" {
-		ids = strings.Split(*only, ",")
-	}
-	for _, id := range ids {
-		fn := expt.ByID(strings.TrimSpace(id))
-		if fn == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
+		run = nil
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(id)
+			fn := expt.ByID(id)
+			if fn == nil {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
+				os.Exit(2)
+			}
+			run = append(run, expt.Experiment{ID: id, Run: fn})
 		}
+	}
+	for _, e := range run {
 		start := time.Now()
-		table := fn(scale)
+		table := e.Run(scale)
 		table.Fprint(os.Stdout)
 		fmt.Printf("  (%s in %.1fs)\n\n", table.ID, time.Since(start).Seconds())
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dynp2p/internal/churn"
@@ -11,12 +12,53 @@ import (
 	"dynp2p/internal/walks"
 )
 
+// refSize is the reference size: the one -short keeps, and the one the
+// exact allocation gates in gates_test.go run at. ratioSize is the
+// acceptance size the two timing-ratio gates are defined at.
+const (
+	refSize   = 4096
+	ratioSize = 65536
+)
+
 // sizes returns the network sizes the round-loop benchmarks run at.
 func sizes() []int {
 	if testing.Short() {
-		return []int{4096}
+		return []int{refSize}
 	}
-	return []int{4096, 65536}
+	return []int{refSize, ratioSize}
+}
+
+// loop is the timed section every round benchmark shares: b.N rounds
+// with allocation reporting on. It is also where a benchmark asserts its
+// own allocation contract: a run of at least gateRounds rounds that
+// averages more than budget allocations per round fails (shorter runs,
+// like the harness's N=1 probe, are a single round's noise, not a mean).
+func loop(b *testing.B, round func(), budget int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	got := allocsPerRound(round, b.N)
+	b.StopTimer()
+	if b.N >= gateRounds {
+		if err := checkBudget(b.Name(), got, budget); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// reportMoves reports the soup's token-moves/s for the loop just timed.
+// Reading the move counter forces every in-flight cohort of the lazy
+// walk store up to the current round — work the next WalkLength rounds
+// then find already done — so it must never precede timed rounds: the
+// moves are counted over b.N further, untimed rounds instead (the soup
+// is in steady state, so the two windows move the same tokens).
+func reportMoves(b *testing.B, round func(), moves func() int64) {
+	start := moves()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(moves()-start)/s, "token-moves/s")
+	}
 }
 
 // fanoutHandler sends a fixed number of messages per node per round to
@@ -33,25 +75,28 @@ func (h fanoutHandler) HandleRound(ctx *simnet.Ctx) {
 	}
 }
 
-// BenchmarkRouteOnly measures one engine round whose only work is message
-// fan-out and routing: static topology, no churn, no soup, 4 messages per
-// node per round. In steady state this path must be allocation-free.
+// routeOnly builds an engine whose only work is message fan-out and
+// routing — static topology, no churn, no soup, 4 messages per node per
+// round — warmed to steady state, and returns its one-round function.
+func routeOnly(n int) func() {
+	e := simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: expander.Static,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
+	})
+	h := fanoutHandler{fanout: 4}
+	// Warm so inbox/shard buffers reach capacity (inbox sizes are random
+	// maxima; give them time to peak).
+	e.Run(h, 64)
+	return func() { e.RunRound(h) }
+}
+
+// BenchmarkRouteOnly measures one engine round of routeOnly. In steady
+// state this path must be allocation-free: steadyAllocs bounds it at
+// every size.
 func BenchmarkRouteOnly(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Static,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
-			})
-			h := fanoutHandler{fanout: 4}
-			// Warm to steady state so inbox/shard buffers reach capacity
-			// (inbox sizes are random maxima; give them time to peak).
-			e.Run(h, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunRound(h)
-			}
+			loop(b, routeOnly(n), steadyAllocs)
 			b.ReportMetric(float64(4*n), "msgs/round")
 		})
 	}
@@ -64,69 +109,76 @@ func BenchmarkRouteOnly(b *testing.B) {
 // that shows whether token-moves/s holds as the working set leaves cache.
 func soupSizes() []int {
 	if testing.Short() {
-		return []int{4096}
+		return []int{refSize}
 	}
-	return []int{4096, 65536, 262144}
+	return []int{refSize, ratioSize, 262144}
 }
 
-// BenchmarkSoupOnly measures one engine round whose only work is the
-// random-walk soup plus per-round topology re-randomisation: the token
-// scatter/gather exchange at the paper's default walk density.
+// soupOnly builds an engine whose only work is the random-walk soup plus
+// per-round topology re-randomisation — the token exchange at the paper's
+// default walk density — on the given worker count (0 = GOMAXPROCS),
+// warmed until the in-flight token population is steady.
+func soupOnly(n, workers int) (round func(), soup *walks.Soup) {
+	e := simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: expander.Rerandomize, Workers: workers,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
+	})
+	p := walks.DefaultParams(n)
+	soup = walks.NewSoup(e, p, workers)
+	e.AddHook(soup)
+	// One walk lifetime plus slack, so bucket and exchange buffers stop
+	// growing.
+	e.Run(simnet.NopHandler{}, p.WalkLength+16)
+	return func() { e.RunRound(simnet.NopHandler{}) }, soup
+}
+
+// BenchmarkSoupOnly measures one engine round of soupOnly, bounded by
+// steadyAllocs at every size. At ratioSize on a multi-core host it also
+// asserts the soup's scaling contract: the replay lanes share no written
+// cache line, so a second worker must pay — Workers 2 takes at most
+// workerSpeedup of the Workers 1 round time.
 func BenchmarkSoupOnly(b *testing.B) {
 	for _, n := range soupSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Rerandomize,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
-			})
-			soup := walks.NewSoup(e, walks.DefaultParams(n), 0)
-			e.AddHook(soup)
-			// Warm until the in-flight token population is steady (one walk
-			// lifetime plus slack) so bucket and exchange buffers stop
-			// growing.
-			e.Run(simnet.NopHandler{}, walks.DefaultParams(n).WalkLength+16)
-			startMoves := soup.Metrics().Moves
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunRound(simnet.NopHandler{})
-			}
-			b.StopTimer()
-			moves := soup.Metrics().Moves - startMoves
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(moves)/s, "token-moves/s")
+			round, soup := soupOnly(n, 0)
+			loop(b, round, steadyAllocs)
+			reportMoves(b, round, func() int64 { return soup.Metrics().Moves })
+			if n == ratioSize && b.N >= gateRounds && runtime.GOMAXPROCS(0) >= 2 {
+				one, _ := soupOnly(n, 1)
+				two, _ := soupOnly(n, 2)
+				ratioGate(b, "x-workers1", one, two, workerSpeedup)
 			}
 		})
 	}
 }
 
-// BenchmarkOverlayRepair measures one engine round of soup plus
-// self-healing topology repair under the paper's churn law (C=1,
-// δ=0.5): the walk exchange, severing every churned slot's edges, and
-// healing the dangling ports through sampled splices. The marginal
-// repair cost over SoupOnly is the overlay's budget; like the other
-// steady-state engine paths it must stay (near-)allocation-free, which
-// the n=4096 row gates in scripts/bench.sh.
+// overlayRepair builds an engine running the soup plus self-healing
+// topology repair under the paper's churn law (C=1, δ=0.5): the walk
+// exchange, severing every churned slot's edges, and healing the dangling
+// ports through sampled splices. The marginal cost over soupOnly is the
+// overlay's budget.
+func overlayRepair(n int) (round func(), ov *overlay.Overlay) {
+	e := simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: expander.SelfHealing,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.PaperLaw(1, 0.5),
+	})
+	p := walks.DefaultParams(n)
+	soup := walks.NewSoup(e, p, 0)
+	e.AddHook(soup)
+	ov = overlay.New(e, soup, overlay.Config{})
+	e.AddHook(ov)
+	e.Run(simnet.NopHandler{}, p.WalkLength+16)
+	return func() { e.RunRound(simnet.NopHandler{}) }, ov
+}
+
+// BenchmarkOverlayRepair measures one engine round of overlayRepair; like
+// the other steady-state engine paths it is bounded by steadyAllocs.
 func BenchmarkOverlayRepair(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.SelfHealing,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.PaperLaw(1, 0.5),
-			})
-			p := walks.DefaultParams(n)
-			soup := walks.NewSoup(e, p, 0)
-			e.AddHook(soup)
-			ov := overlay.New(e, soup, overlay.Config{})
-			e.AddHook(ov)
-			e.Run(simnet.NopHandler{}, p.WalkLength+16)
+			round, ov := overlayRepair(n)
 			start := ov.Metrics()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunRound(simnet.NopHandler{})
-			}
-			b.StopTimer()
+			loop(b, round, steadyAllocs)
 			m := ov.Metrics()
 			repairs := m.Splices + m.DirectPairs - start.Splices - start.DirectPairs
 			b.ReportMetric(float64(repairs)/float64(b.N), "repairs/round")
@@ -162,77 +214,92 @@ func (h neighborFanout) HandleRound(ctx *simnet.Ctx) {
 	}
 }
 
-// BenchmarkRoutedRound measures one engine round of neighbor fan-out with
-// the overlay router on (mode=routed) against the id-addressed oracle
-// fast path (mode=oracle): the per-message cost of hopping the expander
-// instead of teleporting. Static topology, no churn, 4 messages per node
-// per round; in steady state the routed path must stay allocation-free,
-// which the n=4096 row gates in scripts/bench.sh.
+// routedRound builds an engine doing neighbor fan-out — static topology,
+// no churn, 4 messages per node per round — with the overlay router on
+// (routed) or through the id-addressed oracle fast path.
+func routedRound(n int, routed bool) func() {
+	cfg := simnet.Config{
+		N: n, Degree: 8, EdgeMode: expander.Static,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
+	}
+	if routed {
+		cfg.Routing = simnet.RoutingConfig{Mode: simnet.RoutingOverlay, WalkBudget: 64}
+	}
+	e := simnet.New(cfg)
+	h := neighborFanout{fanout: 4, routed: routed}
+	e.Run(h, 64)
+	return func() { e.RunRound(h) }
+}
+
+// BenchmarkRoutedRound measures one engine round of routedRound in both
+// modes: the per-message cost of hopping the expander instead of
+// teleporting. Hop-by-hop forwarding must stay steady-state
+// allocation-free like the rest of the engine paths, so mode=routed is
+// bounded by steadyAllocs; the oracle row is the comparison, not a
+// contract.
 func BenchmarkRoutedRound(b *testing.B) {
 	for _, n := range sizes() {
 		for _, routed := range []bool{true, false} {
-			label := "oracle"
-			cfg := simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Static,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
-			}
+			label, budget := "oracle", noBudget
 			if routed {
-				label = "routed"
-				cfg.Routing = simnet.RoutingConfig{Mode: simnet.RoutingOverlay, WalkBudget: 64}
+				label, budget = "routed", steadyAllocs
 			}
 			b.Run(fmt.Sprintf("n=%d/mode=%s", n, label), func(b *testing.B) {
-				e := simnet.New(cfg)
-				h := neighborFanout{fanout: 4, routed: routed}
-				e.Run(h, 64)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.RunRound(h)
-				}
+				loop(b, routedRound(n, routed), budget)
 				b.ReportMetric(float64(4*n), "msgs/round")
 			})
 		}
 	}
 }
 
-// BenchmarkFullRound measures one round of the complete stack — engine,
-// soup, committees/landmarks/storage protocol — under the paper's churn
-// law. The body is FullRound, shared with BenchmarkRoundMatrix.
+// benchFullRound times one round of fullRound's network and reports its
+// soup throughput.
+func benchFullRound(b *testing.B, n int, observed bool) {
+	nw := fullRound(n, observed)
+	round := func() { nw.Run(1) }
+	loop(b, round, noBudget)
+	reportMoves(b, round, func() int64 { return nw.Stats().Soup.Moves })
+	b.ReportMetric(float64(nw.Stats().Soup.Moves)/float64(nw.Round()), "token-moves/round")
+}
+
+// BenchmarkFullRound measures one round of the complete stack (the
+// fullRound body). Without -short it also runs the paper-scale n=2^20
+// point the delta-encoded walk ring and adaptive shard grid exist for
+// (minutes of warm-up), so `-bench 'FullRound$' -cpu 1,2,4` is the
+// multi-core matrix: GOMAXPROCS governs both the engine's default worker
+// count and the adaptive shard-grid pick. Not alloc-gated: the protocol
+// allocates per-operation state by design.
 func BenchmarkFullRound(b *testing.B) {
+	ns := sizes()
+	if !testing.Short() {
+		ns = append(ns, 1<<20)
+	}
+	for _, n := range ns {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchFullRound(b, n, false) })
+	}
+}
+
+// BenchmarkFullRoundTelemetry is BenchmarkFullRound with the whole
+// observability stack hot: the telemetry-tax row. The allocation half of
+// the tax is exact and gated in gates_test.go; the time half is asserted
+// here, at ratioSize only — at small sizes run-to-run noise exceeds the
+// real tax, which is ~0.
+func BenchmarkFullRoundTelemetry(b *testing.B) {
 	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { FullRound(b, n) })
-	}
-}
-
-// matrixSizes returns the sizes BenchmarkRoundMatrix runs at: the
-// acceptance size and the paper-scale 2^20 point the delta-encoded walk
-// ring and adaptive shard grid exist for. The 2^20 row is minutes of
-// warmup, so -short drops to the reference size.
-func matrixSizes() []int {
-	if testing.Short() {
-		return []int{4096}
-	}
-	return []int{65536, 1 << 20}
-}
-
-// BenchmarkRoundMatrix is the multi-core scaling matrix: the canonical
-// FullRound body, run by scripts/bench.sh under -cpu 1,2,4 so every row
-// appears at GOMAXPROCS ∈ {1,2,4}. GOMAXPROCS here governs both the
-// engine's default worker count and the adaptive shard-grid pick, so the
-// matrix exercises the full parallel configuration space, not just the
-// scheduler. Kept separate from BenchmarkFullRound so the committed
-// single-core trajectory rows stay name-compatible with the baselines.
-func BenchmarkRoundMatrix(b *testing.B) {
-	for _, n := range matrixSizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { FullRound(b, n) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchFullRound(b, n, true)
+			if n == ratioSize && b.N >= gateRounds {
+				plain, observed := fullRound(n, false), fullRound(n, true)
+				ratioGate(b, "x-FullRound", func() { plain.Run(1) }, func() { observed.Run(1) }, telemetryTax)
+			}
+		})
 	}
 }
 
 // BenchmarkRetrieveHot measures rounds of a Zipf-skewed retrieval
-// workload with the hot-key cache off (the committed baseline) and on.
-// The body is RetrieveHot; scripts/bench.sh emits both rows so the
-// cache's latency win and steady-state cost stay visible in the
-// committed trajectory.
+// workload with the hot-key cache off (the baseline) and on; the body is
+// RetrieveHot. Neither row is alloc-gated: the retrieval path allocates
+// per-search protocol state by design.
 func BenchmarkRetrieveHot(b *testing.B) {
 	for _, n := range sizes() {
 		for _, c := range []bool{false, true} {
@@ -242,16 +309,5 @@ func BenchmarkRetrieveHot(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("n=%d/cache=%s", n, label), func(b *testing.B) { RetrieveHot(b, n, c) })
 		}
-	}
-}
-
-// BenchmarkFullRoundTelemetry is BenchmarkFullRound with full tracing
-// (sample rate 1) and the round-phase profiler enabled: the telemetry-tax
-// row. scripts/bench.sh gates its deltas against the FullRound row — at
-// most TELEMETRY_MAX_NS_PCT slower and TELEMETRY_MAX_ALLOC_DELTA extra
-// allocations per round.
-func BenchmarkFullRoundTelemetry(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { FullRoundTelemetry(b, n) })
 	}
 }

@@ -10,8 +10,8 @@ import (
 // RetrieveHot is the skewed-retrieval benchmark body: an n-node network
 // under the paper's churn law serving a Zipf(s=1.1) retrieval stream
 // over 16 stored keys, two arrivals per round. One iteration is one
-// simulated round. Run with cached=false it is the committed baseline
-// for the hot-key cache; with cached=true the same workload runs with
+// simulated round. Run with cached=false it is the baseline for the
+// hot-key cache; with cached=true the same workload runs with
 // per-node caches on, so the ns/op and rounds/retrieval deltas are the
 // cache's measured win (and the alloc column its steady-state cost).
 func RetrieveHot(b *testing.B, n int, cached bool) {

@@ -71,16 +71,6 @@ func (s *Set) trim() {
 	}
 }
 
-// And intersects s with t in place. Panics if capacities differ.
-func (s *Set) And(t *Set) {
-	if s.n != t.n {
-		panic("bitset: size mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
 // Or unions t into s in place. Panics if capacities differ.
 func (s *Set) Or(t *Set) {
 	if s.n != t.n {
@@ -91,29 +81,11 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
-// AndNot removes t's members from s in place. Panics if capacities differ.
-func (s *Set) AndNot(t *Set) {
-	if s.n != t.n {
-		panic("bitset: size mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
 	w := make([]uint64, len(s.words))
 	copy(w, s.words)
 	return &Set{words: w, n: s.n}
-}
-
-// CopyFrom overwrites s with t's contents. Panics if capacities differ.
-func (s *Set) CopyFrom(t *Set) {
-	if s.n != t.n {
-		panic("bitset: size mismatch")
-	}
-	copy(s.words, t.words)
 }
 
 // ForEach calls fn for every set bit in ascending order.
@@ -126,32 +98,4 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members appends all set bit indices to dst (which may be nil) and
-// returns it.
-func (s *Set) Members(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i >> 6
-	w := s.words[wi] >> (uint(i) & 63)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
 }

@@ -182,8 +182,7 @@ func (a *Adversary) Batch(round int) []int {
 	switch a.strategy {
 	case Uniform:
 		// Reservoir-sample count distinct slots directly into the reused
-		// batch buffer; draw-for-draw identical to rng.SampleK, without
-		// its fresh result slice.
+		// batch buffer.
 		if count >= a.n {
 			for i := range a.batch {
 				a.batch[i] = i
@@ -227,14 +226,4 @@ func (a *Adversary) Batch(round int) []int {
 		panic("churn: unknown strategy")
 	}
 	return a.batch
-}
-
-// TotalOverHorizon returns the total number of replacements the law will
-// make over the given number of rounds (for experiment sizing).
-func TotalOverHorizon(l Law, n, rounds int) int {
-	t := 0
-	for r := 0; r < rounds; r++ {
-		t += l.PerRound(n, r)
-	}
-	return t
 }

@@ -194,12 +194,6 @@ func TestZeroChurnBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestTotalOverHorizon(t *testing.T) {
-	if got := TotalOverHorizon(FixedLaw{Count: 5}, 100, 10); got != 50 {
-		t.Fatalf("TotalOverHorizon = %d, want 50", got)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	for _, s := range []Strategy{Uniform, OldestFirst, YoungestFirst, SweepBurst, Strategy(99)} {
 		if s.String() == "" {

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"dynp2p/internal/simnet"
-	"dynp2p/internal/telemetry"
 )
 
 // Message kinds (0x60 range).
@@ -142,12 +141,6 @@ type Handler struct {
 	mu      sync.Mutex
 	results []Result
 	open    map[uint64]openGet
-
-	instrumented  bool
-	lookupHops    telemetry.Histogram
-	lookupRounds  telemetry.Histogram
-	lookupsDone   telemetry.Counter
-	lookupsFailed telemetry.Counter
 }
 
 type openGet struct {
@@ -162,17 +155,6 @@ type openGet struct {
 func NewHandler(n int) *Handler {
 	ttl := 2*log2ceil(n) + 10
 	return &Handler{states: make([]state, n), ttl: ttl, open: make(map[uint64]openGet)}
-}
-
-// Instrument registers DHT lookup metrics on reg: hop-count and
-// rounds-to-resolve histograms over successful lookups, plus done/failed
-// counters. Call once during setup.
-func (h *Handler) Instrument(reg *telemetry.Registry) {
-	h.lookupHops = reg.Histogram("dynp2p_dht_lookup_hops", "network hops per successful DHT get lookup")
-	h.lookupRounds = reg.Histogram("dynp2p_dht_lookup_rounds", "rounds to resolve per successful DHT get lookup")
-	h.lookupsDone = reg.Counter("dynp2p_dht_lookups_done_total", "DHT get lookups that returned data")
-	h.lookupsFailed = reg.Counter("dynp2p_dht_lookups_failed_total", "DHT get lookups that expired unanswered")
-	h.instrumented = true
 }
 
 func log2ceil(n int) int {
@@ -265,9 +247,6 @@ func (h *Handler) DrainResults(round int) []Result {
 			h.results = append(h.results, Result{
 				Searcher: o.searcher, Key: o.key, Start: o.start, Done: -1, Success: false,
 			})
-			if h.instrumented {
-				h.lookupsFailed.Inc(0)
-			}
 		}
 	}
 	r := h.results
@@ -287,13 +266,6 @@ func (h *Handler) finish(mark uint64, round int, success bool, hops int) {
 	h.results = append(h.results, Result{
 		Searcher: o.searcher, Key: o.key, Start: o.start, Done: round, Success: success, Hops: hops,
 	})
-	if h.instrumented && success {
-		// Serialised by h.mu, so writing one fixed shard is race-free;
-		// merge-on-read makes the shard choice value-neutral.
-		h.lookupHops.Observe(0, int64(hops))
-		h.lookupRounds.Observe(0, int64(round-o.start))
-		h.lookupsDone.Inc(0)
-	}
 }
 
 // CopyCount returns how many nodes hold key.

@@ -49,7 +49,6 @@ func TestBootstrapRingHealthy(t *testing.T) {
 func TestStoreAndGetNoChurn(t *testing.T) {
 	e := newEngine(256, churn.ZeroLaw{}, 2)
 	h := NewHandler(256)
-	h.Instrument(e.Telemetry())
 	e.RunRound(h)
 	h.Bootstrap(e)
 	h.RequestStore(e, 3, 42, []byte("hello dht"))
@@ -68,12 +67,6 @@ func TestStoreAndGetNoChurn(t *testing.T) {
 	}
 	if res[0].Hops <= 0 || res[0].Hops > h.ttl+1 {
 		t.Fatalf("Hops = %d, want in (0, %d]", res[0].Hops, h.ttl+1)
-	}
-	if hv := e.Telemetry().HistogramValue("dynp2p_dht_lookup_hops"); hv.Count != 1 {
-		t.Fatalf("dht lookup hops histogram count = %d, want 1", hv.Count)
-	}
-	if got := e.Telemetry().CounterValue("dynp2p_dht_lookups_done_total"); got != 1 {
-		t.Fatalf("dht lookups done = %d, want 1", got)
 	}
 }
 

@@ -104,55 +104,37 @@ func d64(v int64) string  { return fmt.Sprintf("%d", v) }
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// All runs every experiment at the given scale in order.
-func All(scale Scale) []*Table {
-	return []*Table{
-		E01SoupMixing(scale),
-		E02WalkCompletion(scale),
-		E03WalkSurvival(scale),
-		E04ReceiptBounds(scale),
-		E05CommitteeLifetime(scale),
-		E06LandmarkSize(scale),
-		E07StorageAvailability(scale),
-		E08RetrievalLatency(scale),
-		E09MessageComplexity(scale),
-		E10ErasureCoding(scale),
-		E11ChurnStress(scale),
-		E12BaselineComparison(scale),
-		E13Ablations(scale),
-	}
+// Experiment is one entry of the experiment index.
+type Experiment struct {
+	ID  string // "E01" … "E13"
+	Run func(Scale) *Table
 }
 
-// ByID returns the experiment function for an id like "E01", or nil.
+// Index lists every reproduction experiment in table order. It is the
+// only list: ByID and cmd/exptab's default run both read it.
+var Index = []Experiment{
+	{"E01", E01SoupMixing},
+	{"E02", E02WalkCompletion},
+	{"E03", E03WalkSurvival},
+	{"E04", E04ReceiptBounds},
+	{"E05", E05CommitteeLifetime},
+	{"E06", E06LandmarkSize},
+	{"E07", E07StorageAvailability},
+	{"E08", E08RetrievalLatency},
+	{"E09", E09MessageComplexity},
+	{"E10", E10ErasureCoding},
+	{"E11", E11ChurnStress},
+	{"E12", E12BaselineComparison},
+	{"E13", E13Ablations},
+}
+
+// ByID returns the experiment function for an id like "E01" (any case),
+// or nil.
 func ByID(id string) func(Scale) *Table {
-	switch strings.ToUpper(id) {
-	case "E01":
-		return E01SoupMixing
-	case "E02":
-		return E02WalkCompletion
-	case "E03":
-		return E03WalkSurvival
-	case "E04":
-		return E04ReceiptBounds
-	case "E05":
-		return E05CommitteeLifetime
-	case "E06":
-		return E06LandmarkSize
-	case "E07":
-		return E07StorageAvailability
-	case "E08":
-		return E08RetrievalLatency
-	case "E09":
-		return E09MessageComplexity
-	case "E10":
-		return E10ErasureCoding
-	case "E11":
-		return E11ChurnStress
-	case "E12":
-		return E12BaselineComparison
-	case "E13":
-		return E13Ablations
-	default:
-		return nil
+	for _, e := range Index {
+		if strings.EqualFold(e.ID, id) {
+			return e.Run
+		}
 	}
+	return nil
 }

@@ -59,17 +59,6 @@ func Inv(a byte) byte {
 	return expTable[255-int(logTable[a])]
 }
 
-// Div returns a/b. Panics if b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+255-int(logTable[b])]
-}
-
 // Exp returns the generator 2 raised to the power e (e taken mod 255).
 func Exp(e int) byte {
 	e %= 255

@@ -75,11 +75,6 @@ func (g *Graph) SetPort(v, p int, w int32) {
 // disruption instead of n·d delta entries.
 func (g *Graph) setPortBulk(v, p int, w int32) { g.adj[v*g.d+p] = w }
 
-// RandomNeighbor returns a uniformly random neighbour of v.
-func (g *Graph) RandomNeighbor(v int, r *rng.Stream) int32 {
-	return g.adj[v*g.d+r.Intn(g.d)]
-}
-
 // RandomRegular builds a d-regular multigraph from d/2 uniformly random
 // permutations: for each permutation π, vertex i gets edge (i, π(i)), used
 // in both directions. d must be even. This is the standard permutation

@@ -155,24 +155,6 @@ func TestCheckRegularCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestRandomNeighborIsNeighbor(t *testing.T) {
-	g := RandomRegular(64, 6, rng.New(10))
-	r := rng.New(11)
-	for trial := 0; trial < 500; trial++ {
-		v := r.Intn(64)
-		w := g.RandomNeighbor(v, r)
-		found := false
-		for _, u := range g.Neighbors(v) {
-			if u == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("RandomNeighbor returned non-neighbour %d of %d", w, v)
-		}
-	}
-}
-
 func TestMixingTimeUpperBound(t *testing.T) {
 	if MixingTimeUpperBound(1000, 0.7, 0.01) <= 0 {
 		t.Fatal("mixing bound should be positive")

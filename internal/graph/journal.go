@@ -42,9 +42,6 @@ func (g *Graph) EnableJournal(limit int) {
 	g.j = &journal{deltas: make([]PortDelta, 0, 256), limit: limit, disrupted: true}
 }
 
-// JournalEnabled reports whether a change journal is recording.
-func (g *Graph) JournalEnabled() bool { return g.j != nil }
-
 // DrainJournal returns the port deltas recorded since the previous drain
 // and whether the interval was disrupted (bulk rewrite or over-limit
 // churn: the deltas are void and the caller must snapshot Adjacency

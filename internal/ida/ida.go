@@ -49,9 +49,6 @@ func (c *Coder) K() int { return c.k }
 // L returns the total number of pieces produced.
 func (c *Coder) L() int { return c.l }
 
-// Overhead returns the storage blow-up ratio L/K.
-func (c *Coder) Overhead() float64 { return float64(c.l) / float64(c.k) }
-
 // PieceLen returns the byte length of each piece for an item of itemLen
 // bytes.
 func (c *Coder) PieceLen(itemLen int) int {

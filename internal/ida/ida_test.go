@@ -162,9 +162,6 @@ func TestOverheadAndSizes(t *testing.T) {
 	if c.K() != 5 || c.L() != 15 {
 		t.Fatal("accessors wrong")
 	}
-	if c.Overhead() != 3.0 {
-		t.Fatalf("overhead = %v, want 3", c.Overhead())
-	}
 	if c.PieceLen(100) != 20 {
 		t.Fatalf("PieceLen(100) = %d, want 20", c.PieceLen(100))
 	}

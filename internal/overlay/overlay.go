@@ -90,6 +90,14 @@ const maxSampleTries = 8
 // pickEdge for why zero hops stratifies the graph by node age).
 const spliceHops = 2
 
+// spectralIters is the power-iteration count per λ measurement: ample
+// for the 1e-2 resolution telemetry needs.
+const spectralIters = 40
+
+// guardEvery runs the bipartiteness guard every k repair rounds (the
+// guard also runs once on activation).
+const guardEvery = 16
+
 // Config parameterises an Overlay. The zero value is a working default:
 // repair active whenever the engine is in SelfHealing mode, spectral
 // telemetry off.
@@ -98,12 +106,6 @@ type Config struct {
 	// Measurement draws from a dedicated stream, so changing the cadence
 	// never perturbs repair decisions.
 	SpectralEvery int
-	// SpectralIters is the power-iteration count per measurement
-	// (default 40; ample for the 1e-2 resolution telemetry needs).
-	SpectralIters int
-	// GuardEvery runs the bipartiteness guard every k repair rounds
-	// (default 16; the guard also runs once on activation).
-	GuardEvery int
 }
 
 // Metrics counts overlay events since creation. All fields are scalars so
@@ -173,12 +175,6 @@ type proposal struct{ w, q int32 }
 // New creates an overlay for the engine and its walk soup. The caller
 // must register it via e.AddHook *after* the soup hook.
 func New(e *simnet.Engine, soup *walks.Soup, cfg Config) *Overlay {
-	if cfg.SpectralIters <= 0 {
-		cfg.SpectralIters = 40
-	}
-	if cfg.GuardEvery <= 0 {
-		cfg.GuardEvery = 16
-	}
 	// The derivation tags share the ProtocolSeed namespace with per-node
 	// streams (Derive(seed, id), ids assigned sequentially from 1); the
 	// set top bit keeps them out of any reachable id range so no node's
@@ -413,7 +409,7 @@ func (o *Overlay) repair(e *simnet.Engine, g *graph.Graph, round int) {
 	}
 
 	o.repairRounds++
-	if o.repairRounds%int64(o.cfg.GuardEvery) == 0 {
+	if o.repairRounds%guardEvery == 0 {
 		o.guard(g)
 	}
 }
@@ -585,7 +581,7 @@ func (o *Overlay) bipartite(g *graph.Graph) bool {
 
 // measure records one spectral-gap estimate.
 func (o *Overlay) measure(g *graph.Graph, round int) {
-	l := g.SpectralGapEstimateScratch(o.tele, o.cfg.SpectralIters, o.x, o.y)
+	l := g.SpectralGapEstimateScratch(o.tele, spectralIters, o.x, o.y)
 	o.m.SpectralRounds++
 	o.m.Lambda = l
 	o.m.LambdaRound = round

@@ -467,37 +467,3 @@ func (h *Handler) StorageLandmarkCount(key uint64, round int) int {
 	}
 	return c
 }
-
-// SearchLandmarkCount returns the number of current search landmarks for
-// the item across all searchers.
-func (h *Handler) SearchLandmarkCount(key uint64, round int) int {
-	c := 0
-	for s := range h.states {
-		for _, t := range h.states[s].searchLM[key] {
-			if round < t.expiry {
-				c++
-				break
-			}
-		}
-	}
-	return c
-}
-
-// StorageLandmarkSlots returns the slots currently registered as storage
-// landmarks for key.
-func (h *Handler) StorageLandmarkSlots(key uint64, round int) []int {
-	var out []int
-	for s := range h.states {
-		if ent, ok := h.states[s].storageLM[key]; ok && round < ent.expiry {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// PendingSearch reports whether the given slot still has an active search
-// for key.
-func (h *Handler) PendingSearch(slot int, key uint64) bool {
-	_, ok := h.states[slot].searches[key]
-	return ok
-}

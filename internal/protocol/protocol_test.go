@@ -442,16 +442,6 @@ func TestPackingRoundTrips(t *testing.T) {
 	}
 }
 
-func TestSortIDsHelper(t *testing.T) {
-	ids := []simnet.NodeID{5, 1, 9, 3}
-	sortIDs(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] > ids[i] {
-			t.Fatal("sortIDs did not sort")
-		}
-	}
-}
-
 // TestDrainResultsCanonicalOrder pins that DrainResults hides the order
 // in which parallel handler shards recorded a round's outcomes.
 func TestDrainResultsCanonicalOrder(t *testing.T) {

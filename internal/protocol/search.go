@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"slices"
 
 	"dynp2p/internal/ida"
 	"dynp2p/internal/simnet"
@@ -371,9 +370,4 @@ func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 			t.expiry = ctx.Round + 2
 		}
 	}
-}
-
-// sortIDs sorts a NodeID slice ascending (helper for tests).
-func sortIDs(ids []simnet.NodeID) {
-	slices.Sort(ids)
 }

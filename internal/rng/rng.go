@@ -14,10 +14,7 @@
 // function for it. Both are public-domain algorithms (Blackman & Vigna).
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // splitMix64 advances the SplitMix64 state and returns the next value.
 // It is used only for seeding and stream derivation.
@@ -34,9 +31,6 @@ func splitMix64(state *uint64) uint64 {
 // each goroutine its own Stream.
 type Stream struct {
 	s0, s1, s2, s3 uint64
-	// cachedNorm holds a spare normal variate from the Box-Muller pair.
-	cachedNorm    float64
-	hasCachedNorm bool
 }
 
 // New returns a Stream seeded from seed.
@@ -81,7 +75,6 @@ func (r *Stream) Reseed(seed uint64) {
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 1
 	}
-	r.hasCachedNorm = false
 }
 
 // Split derives a child stream from the current stream state. The parent
@@ -104,12 +97,6 @@ func (r *Stream) Uint64() uint64 {
 	r.s3 = rotl(r.s3, 45)
 	return result
 }
-
-// Uint32 returns 32 uniformly random bits.
-func (r *Stream) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
-// Int63 returns a non-negative int64.
-func (r *Stream) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Uint64n returns a uniform value in [0, n). n must be > 0.
 // Uses Lemire's multiply-shift rejection method (unbiased).
@@ -160,48 +147,6 @@ func (r *Stream) Float64() float64 {
 // Bool returns a fair coin flip.
 func (r *Stream) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Bernoulli returns true with probability p.
-func (r *Stream) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-// (Used by the network-size estimation primitive from §4 of the paper.)
-func (r *Stream) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller).
-func (r *Stream) NormFloat64() float64 {
-	if r.hasCachedNorm {
-		r.hasCachedNorm = false
-		return r.cachedNorm
-	}
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		rad := math.Sqrt(-2 * math.Log(u))
-		theta := 2 * math.Pi * v
-		r.cachedNorm = rad * math.Sin(theta)
-		r.hasCachedNorm = true
-		return rad * math.Cos(theta)
-	}
-}
-
 // Perm returns a random permutation of [0, n) as a fresh slice.
 func (r *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -209,19 +154,6 @@ func (r *Stream) Perm(n int) []int {
 		p[i] = i
 	}
 	r.ShuffleInts(p)
-	return p
-}
-
-// Perm32 returns a random permutation of [0, n) as int32s.
-func (r *Stream) Perm32(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 	return p
 }
 
@@ -239,26 +171,6 @@ func (r *Stream) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// SampleK reservoir-samples k distinct values from [0, n). If k >= n it
-// returns a permutation of [0, n). The result order is random.
-func (r *Stream) SampleK(n, k int) []int {
-	if k >= n {
-		return r.Perm(n)
-	}
-	res := make([]int, k)
-	for i := 0; i < k; i++ {
-		res[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := r.Intn(i + 1)
-		if j < k {
-			res[j] = i
-		}
-	}
-	r.ShuffleInts(res)
-	return res
 }
 
 // Fill fills b with random bytes.

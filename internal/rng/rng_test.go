@@ -118,42 +118,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(6)
-	var sum float64
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 negative: %v", v)
-		}
-		sum += v
-	}
-	mean := sum / draws
-	if math.Abs(mean-1.0) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want about 1", mean)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(7)
-	var sum, sumSq float64
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean = %v, want about 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormFloat64 variance = %v, want about 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		r := New(seed)
@@ -169,76 +133,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerm32IsPermutation(t *testing.T) {
-	r := New(13)
-	p := r.Perm32(1000)
-	seen := make([]bool, 1000)
-	for _, v := range p {
-		if seen[v] {
-			t.Fatalf("duplicate value %d in Perm32", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleKProperties(t *testing.T) {
-	check := func(seed uint64, nRaw, kRaw uint8) bool {
-		n := int(nRaw)%64 + 1
-		k := int(kRaw) % 80
-		r := New(seed)
-		s := r.SampleK(n, k)
-		wantLen := k
-		if k >= n {
-			wantLen = n
-		}
-		if len(s) != wantLen {
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, v := range s {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleKUniform(t *testing.T) {
-	// Every element of [0,n) should appear in a k-sample with probability
-	// k/n; verify the empirical inclusion frequencies.
-	r := New(17)
-	const n, k, trials = 20, 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < trials; i++ {
-		for _, v := range r.SampleK(n, k) {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Fatalf("element %d sampled %d times, want about %.0f", i, c, want)
-		}
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
 	}
 }
 

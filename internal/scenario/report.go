@@ -126,6 +126,16 @@ type PhaseReport struct {
 	SLO          SLO   `json:"slo"`
 }
 
+// ItemState is one stored key's state when the run ended: live copies (or
+// IDA pieces), storage landmarks advertising it, and live members of its
+// storage committee. A key lost to churn reads as zeros.
+type ItemState struct {
+	Key       uint64 `json:"key"`
+	Copies    int    `json:"copies"`
+	Landmarks int    `json:"landmarks"`
+	Committee int    `json:"committee"`
+}
+
 // Report is the final result of a scenario run. It is deterministic in
 // the Spec: two runs of the same spec render byte-identical reports.
 type Report struct {
@@ -134,6 +144,8 @@ type Report struct {
 	Phases []PhaseReport `json:"phases"`
 	Total  SLO           `json:"total"`
 	Stats  dynp2p.Stats  `json:"stats"`
+	// Items lists every key the run stored, in store order.
+	Items []ItemState `json:"items,omitempty"`
 	// Per-operation distributions from the lifecycle tracer (scenario
 	// runs trace every store and search): delivered protocol messages
 	// per operation, and rounds from issue to resolution/settlement.
@@ -155,7 +167,7 @@ type Report struct {
 }
 
 // Fprint renders the report as an aligned text table (the idiom of
-// internal/expt tables and cmd/churnsim output).
+// internal/expt tables).
 func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== scenario %s: n=%d seed=%d strategy=%s", r.Spec.Name, r.Spec.N, r.Spec.Seed, r.Spec.Strategy)
 	if r.Spec.ErasureK > 0 {
@@ -237,8 +249,14 @@ func (r *Report) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "soup: %d walks completed of %d finished (%.1f%% survival)\n",
 			st.Soup.Completed, soupTotal, 100*float64(st.Soup.Completed)/float64(soupTotal))
 	}
-	fmt.Fprintf(w, "committees: %d created, %d handovers, %d resignations; churn: %d replacements\n",
-		st.Proto.CommitteesCreated, st.Proto.Handovers, st.Proto.Resignations, st.Engine.Replacements)
+	fmt.Fprintf(w, "committees: %d created, %d handovers (%d by fallback leaders), %d resignations; churn: %d replacements\n",
+		st.Proto.CommitteesCreated, st.Proto.Handovers, st.Proto.FallbackHandovers, st.Proto.Resignations, st.Engine.Replacements)
+	if len(r.Items) > 0 {
+		fmt.Fprintf(w, "items: %d stored, state at end of run\n", len(r.Items))
+		for _, it := range r.Items {
+			fmt.Fprintf(w, "  item %d: copies=%d landmarks=%d committee=%d\n", it.Key, it.Copies, it.Landmarks, it.Committee)
+		}
+	}
 	if pc := st.Proto; pc.CacheInserts > 0 || pc.CacheHits > 0 {
 		rate := 0.0
 		if r.Total.Succeeded > 0 {

@@ -137,6 +137,15 @@ type runner struct {
 // Run executes the spec and returns its report. The run is deterministic
 // in the Spec: same spec, same report and trace, byte for byte.
 func Run(spec Spec, opt Options) (*Report, error) {
+	r, err := run(spec, opt)
+	if err != nil {
+		return nil, err
+	}
+	return r.report(), nil
+}
+
+// run executes the spec and returns the finished runner, network included.
+func run(spec Spec, opt Options) (*runner, error) {
 	spec.normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -234,7 +243,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 			return nil, fmt.Errorf("scenario %q: metrics snapshot: %w", spec.Name, err)
 		}
 	}
-	return r.report(), nil
+	return r, nil
 }
 
 // runSegment simulates rounds with the given workload, attributing issued
@@ -464,6 +473,12 @@ func (r *runner) report() *Report {
 		Rounds: r.nw.Round(),
 		Total:  r.total.finalize(),
 		Stats:  r.nw.Stats(),
+	}
+	for _, key := range r.stored {
+		rep.Items = append(rep.Items, ItemState{
+			Key: key, Copies: r.nw.CopyCount(key),
+			Landmarks: r.nw.LandmarkCount(key), Committee: r.nw.CommitteeSize(key),
+		})
 	}
 	reg := r.nw.Telemetry()
 	for name, dst := range map[string]**telemetry.HistValue{

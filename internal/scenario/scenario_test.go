@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -210,6 +211,51 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if out1 != out2 {
 		t.Fatal("rendered reports differ across identical runs")
+	}
+}
+
+// TestReportItemsMatchNetwork pins the per-item block: after a steady run
+// it lists every stored key in store order, each row is what the
+// finished network's CopyCount/LandmarkCount/CommitteeSize return (a key
+// lost to churn reads as zeros, not as a failure), and the rendered
+// report — items included — is byte-identical across two runs.
+func TestReportItemsMatchNetwork(t *testing.T) {
+	spec, err := Builtin("steady", 128, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() (*runner, string) {
+		r, err := run(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		r.report().Fprint(&out)
+		return r, out.String()
+	}
+	r, out := render()
+	items := r.report().Items
+	if len(r.stored) == 0 || len(items) != len(r.stored) {
+		t.Fatalf("report lists %d items, runner stored %d keys", len(items), len(r.stored))
+	}
+	for i, it := range items {
+		want := ItemState{
+			Key: r.stored[i], Copies: r.nw.CopyCount(r.stored[i]),
+			Landmarks: r.nw.LandmarkCount(r.stored[i]), Committee: r.nw.CommitteeSize(r.stored[i]),
+		}
+		if it != want {
+			t.Fatalf("item row %d = %+v, network says %+v", i, it, want)
+		}
+		row := fmt.Sprintf("  item %d: copies=%d landmarks=%d committee=%d\n", it.Key, it.Copies, it.Landmarks, it.Committee)
+		if !strings.Contains(out, row) {
+			t.Fatalf("rendered report lacks %q:\n%s", row, out)
+		}
+	}
+	if !strings.Contains(out, fmt.Sprintf("\nitems: %d stored", len(items))) {
+		t.Fatalf("rendered report lacks the items: header:\n%s", out)
+	}
+	if _, again := render(); again != out {
+		t.Fatal("rendered report differs across two runs of the same spec")
 	}
 }
 

@@ -40,9 +40,8 @@ const (
 	// staging buffer headers) stays cheap and shard indices fit the
 	// 32-LocalBits top bits of a packed location with room to spare.
 	MaxCount = 256
-	// DefaultCount is the historical fixed grid, kept as the default for
-	// mid-sized networks (n=65536 under Pick) and for callers that don't
-	// care about sizing.
+	// DefaultCount is the historical fixed grid, which Pick still
+	// yields for mid-sized networks (n=65536 on <= 4 cores).
 	DefaultCount = 64
 )
 
@@ -59,7 +58,7 @@ const (
 )
 
 // Grid is a slot-sharding layout with a fixed power-of-two shard count.
-// The zero value is invalid; construct with New, Default, or Pick.
+// The zero value is invalid; construct with New or Pick.
 type Grid struct {
 	count int
 }
@@ -72,9 +71,6 @@ func New(count int) Grid {
 	}
 	return Grid{count: count}
 }
-
-// Default returns the DefaultCount grid.
-func Default() Grid { return Grid{count: DefaultCount} }
 
 // Pick sizes a grid for a network of n slots running on procs cores
 // (procs <= 0 means 1). The rule: one shard per ~1024 slots — small

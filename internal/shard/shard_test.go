@@ -8,7 +8,7 @@ import (
 // grids under test: the minimum, the default, and the maximum Pick can
 // return.
 func testGrids() []Grid {
-	return []Grid{New(MinCount), Default(), New(MaxCount)}
+	return []Grid{New(MinCount), New(DefaultCount), New(MaxCount)}
 }
 
 func TestOfBoundsConsistency(t *testing.T) {

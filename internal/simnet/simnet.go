@@ -731,11 +731,6 @@ func (e *Engine) recordReplacedHistory(round int) {
 	e.histRounds[i] = int32(round)
 }
 
-// NodeRand returns slot s's occupant random stream. Handlers should use
-// Ctx.Rand instead; hooks (e.g. the walk soup) may use this directly but
-// only from a single goroutine per slot.
-func (e *Engine) NodeRand(s int) *rng.Stream { return e.nodeRng[s] }
-
 // AddHook registers a round hook, run in registration order each round.
 // The hook's profiler phase is labelled hookN; AddNamedHook gives it a
 // meaningful name.

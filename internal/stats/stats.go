@@ -1,6 +1,6 @@
 // Package stats provides the statistical analysis primitives used by the
-// experiment harness: summary statistics, quantiles, histograms, total
-// variation distance between distributions, and least-squares fits used to
+// experiment harness: summary statistics, quantiles, integer counters,
+// total variation distance from uniform, and least-squares fits used to
 // extract scaling exponents from parameter sweeps.
 package stats
 
@@ -123,19 +123,6 @@ func TVDistanceFromUniform(counts []int) float64 {
 	return tv / 2
 }
 
-// TVDistance computes the total variation distance between two probability
-// vectors p and q of equal length: (1/2) Σ |p_i − q_i|.
-func TVDistance(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: TVDistance length mismatch")
-	}
-	var tv float64
-	for i := range p {
-		tv += math.Abs(p[i] - q[i])
-	}
-	return tv / 2
-}
-
 // FractionInBand returns the fraction of counts that, normalised by total,
 // fall inside [lo, hi]. Used to check the Soup Theorem's [1/17n, 3/2n]
 // per-destination probability band.
@@ -204,59 +191,6 @@ func PowerLawExponent(x, y []float64) (p, r2 float64) {
 	}
 	_, p, r2 = LinearFit(lx, ly)
 	return p, r2
-}
-
-// Histogram is a fixed-width binned histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Under    int // observations below Lo
-	Over     int // observations at or above Hi
-	NSamples int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if hi <= lo || nbins <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, nbins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.NSamples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i >= len(h.Bins) { // float rounding at the upper edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// CDFAt returns the empirical CDF at x (fraction of samples <= x).
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.NSamples == 0 {
-		return 0
-	}
-	c := h.Under
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		upper := h.Lo + float64(i+1)*width
-		if upper <= x {
-			c += b
-		}
-	}
-	if x >= h.Hi {
-		c += h.Over
-	}
-	return float64(c) / float64(h.NSamples)
 }
 
 // Counter accumulates integer observations keyed by small non-negative ints

@@ -79,38 +79,6 @@ func TestTVDistanceFromUniform(t *testing.T) {
 	}
 }
 
-func TestTVDistanceProperties(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		k := r.Intn(20) + 2
-		p := make([]float64, k)
-		q := make([]float64, k)
-		var sp, sq float64
-		for i := 0; i < k; i++ {
-			p[i] = r.Float64()
-			q[i] = r.Float64()
-			sp += p[i]
-			sq += q[i]
-		}
-		for i := 0; i < k; i++ {
-			p[i] /= sp
-			q[i] /= sq
-		}
-		tv := TVDistance(p, q)
-		// TV is in [0,1], symmetric, zero on identical inputs.
-		if tv < 0 || tv > 1 {
-			return false
-		}
-		if !almostEq(tv, TVDistance(q, p), 1e-12) {
-			return false
-		}
-		return almostEq(TVDistance(p, p), 0, 1e-12)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFractionInBand(t *testing.T) {
 	counts := []int{1, 2, 3, 4} // probs .1 .2 .3 .4
 	got := FractionInBand(counts, 10, 0.15, 0.35)
@@ -141,27 +109,6 @@ func TestPowerLawExponent(t *testing.T) {
 	p, r2 := PowerLawExponent(x, y)
 	if !almostEq(p, 0.5, 1e-9) || !almostEq(r2, 1, 1e-9) {
 		t.Fatalf("exponent = %v r2 = %v, want 0.5, 1", p, r2)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)   // under
-	h.Add(10)   // over
-	h.Add(10.5) // over
-	if h.Under != 1 || h.Over != 2 || h.NSamples != 13 {
-		t.Fatalf("histogram tails wrong: %+v", h)
-	}
-	for i, b := range h.Bins {
-		if b != 1 {
-			t.Fatalf("bin %d count %d, want 1", i, b)
-		}
-	}
-	if got := h.CDFAt(5); !almostEq(got, 6.0/13, 1e-9) {
-		t.Fatalf("CDFAt(5) = %v", got)
 	}
 }
 

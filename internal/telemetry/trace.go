@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 
 	"dynp2p/internal/rng"
@@ -338,26 +337,4 @@ func (t *Tracer) writeJSON(ev *Event) {
 	b = append(b, '}', '\n')
 	t.buf = b
 	t.w.Write(b)
-}
-
-// SortEventsForTest orders events by (round, trace, kind, from, to) — a
-// stable cross-run order for golden tests that don't want to depend on
-// shard interleaving.
-func SortEventsForTest(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Trace != b.Trace {
-			return a.Trace < b.Trace
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
 }
