@@ -267,8 +267,8 @@ func benchFullRound(b *testing.B, n int, observed bool) {
 // point the delta-encoded walk ring and adaptive shard grid exist for
 // (minutes of warm-up), so `-bench 'FullRound$' -cpu 1,2,4` is the
 // multi-core matrix: GOMAXPROCS governs both the engine's default worker
-// count and the adaptive shard-grid pick. Not alloc-gated: the protocol
-// allocates per-operation state by design.
+// count and the adaptive shard-grid pick. The refSize row's allocations
+// are gated by TestSteadyStateAllocs; the larger rows are recorded.
 func BenchmarkFullRound(b *testing.B) {
 	ns := sizes()
 	if !testing.Short() {
@@ -298,8 +298,10 @@ func BenchmarkFullRoundTelemetry(b *testing.B) {
 
 // BenchmarkRetrieveHot measures rounds of a Zipf-skewed retrieval
 // workload with the hot-key cache off (the baseline) and on; the body is
-// RetrieveHot. Neither row is alloc-gated: the retrieval path allocates
-// per-search protocol state by design.
+// RetrieveHot. Neither row is alloc-gated: each retrieval still allocates
+// the rosters and child lists it draws and clones out of messages, its
+// landmarks' task lists, and a table's first entry on every node its trees
+// reach.
 func BenchmarkRetrieveHot(b *testing.B) {
 	for _, n := range sizes() {
 		for _, c := range []bool{false, true} {

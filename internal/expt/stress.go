@@ -304,7 +304,7 @@ func buildTweaked(cfg dynp2p.Config, tw tweaks) *dynp2p.Network {
 			pp.CommitteeSize = 4
 		}
 		pp.SampleBuffer = 4 * pp.CommitteeSize
-		if v := int(float64(pp.Period) * tw.periodMul); v > pp.SampleWindow+8 {
+		if v := int(float64(pp.Period) * tw.periodMul); v > protocol.SampleWindow+8 {
 			pp.Period = v
 		}
 		if v := pp.TreeDepth + tw.depthDelta; v >= 1 {

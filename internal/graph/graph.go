@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"dynp2p/internal/bitset"
 	"dynp2p/internal/rng"
 )
 
@@ -131,17 +130,17 @@ func (g *Graph) IsConnected() bool {
 	if g.n == 0 {
 		return true
 	}
-	visited := bitset.New(g.n)
+	visited := make([]bool, g.n)
 	stack := make([]int32, 0, g.n)
 	stack = append(stack, 0)
-	visited.Set(0)
+	visited[0] = true
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, w := range g.Neighbors(int(v)) {
-			if !visited.Test(int(w)) {
-				visited.Set(int(w))
+			if !visited[w] {
+				visited[w] = true
 				count++
 				stack = append(stack, w)
 			}

@@ -1,14 +1,12 @@
 package graph
 
-// PortDelta records one port write: adjacency index Idx (= v*d + p) went
-// from Old to New. A round's delta list, applied in order, transforms the
-// round-start adjacency into the round-end adjacency; applied in reverse
-// order writing Old, it undoes the round. 12 bytes per rewired port —
-// the currency the walk soup's lazy ring pays instead of full n·d
-// snapshots.
+// PortDelta records one port write: adjacency index Idx (= v*d + p)
+// became New. A round's delta list, applied in order, transforms the
+// round-start adjacency into the round-end adjacency. 8 bytes per
+// rewired port — the currency the walk soup's lazy ring pays instead of
+// full n·d snapshots.
 type PortDelta struct {
 	Idx int32
-	Old int32
 	New int32
 }
 
@@ -75,7 +73,7 @@ func (j *journal) record(idx int32, old, new int32) {
 		j.deltas = j.deltas[:0]
 		return
 	}
-	j.deltas = append(j.deltas, PortDelta{Idx: idx, Old: old, New: new})
+	j.deltas = append(j.deltas, PortDelta{Idx: idx, New: new})
 }
 
 // disrupt voids the current interval: the consumer must snapshot.
@@ -93,13 +91,5 @@ func (j *journal) disrupt() {
 func ApplyDeltas(adj []int32, deltas []PortDelta) {
 	for _, pd := range deltas {
 		adj[pd.Idx] = pd.New
-	}
-}
-
-// UnapplyDeltas undoes a drained delta list on adj: entries are walked
-// in reverse order writing Old, returning adj to its pre-interval state.
-func UnapplyDeltas(adj []int32, deltas []PortDelta) {
-	for i := len(deltas) - 1; i >= 0; i-- {
-		adj[deltas[i].Idx] = deltas[i].Old
 	}
 }

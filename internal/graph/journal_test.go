@@ -97,8 +97,7 @@ func spliceEdges(g *Graph, u, pa, pb, a, qa, b, qb int) {
 // splicing, raw port writes, and full Rerandomize rebuilds — with
 // the journal drained each round. A mirror adjacency advanced only by
 // drained deltas (or re-snapshotted on disruption) must match the live
-// adjacency exactly after every round, and unapplying the round's deltas
-// must reproduce the round-start adjacency.
+// adjacency exactly after every round.
 func TestJournalReplayProperty(t *testing.T) {
 	const n, d, rounds = 128, 6, 300
 	build := rng.New(7)
@@ -109,10 +108,7 @@ func TestJournalReplayProperty(t *testing.T) {
 	mirror := append([]int32(nil), g.Adjacency()...)
 	g.DrainJournal() // consume the enable-time disruption
 
-	prev := make([]int32, n*d)
-	scratch := make([]int32, n*d)
 	for round := 0; round < rounds; round++ {
-		copy(prev, g.Adjacency())
 		switch mut.Intn(6) {
 		case 0, 1: // full re-randomisation (oracle Rerandomize mode)
 			g.FillRandomRegular(build)
@@ -144,16 +140,6 @@ func TestJournalReplayProperty(t *testing.T) {
 		} else {
 			// Forward replay advances the mirror to the live adjacency.
 			ApplyDeltas(mirror, deltas)
-			// Reverse replay of the same list recovers the round-start
-			// adjacency from the round-end one.
-			copy(scratch, g.Adjacency())
-			UnapplyDeltas(scratch, deltas)
-			for i := range scratch {
-				if scratch[i] != prev[i] {
-					t.Fatalf("round %d: unapply mismatch at index %d: got %d want %d",
-						round, i, scratch[i], prev[i])
-				}
-			}
 		}
 		adj := g.Adjacency()
 		for i := range adj {

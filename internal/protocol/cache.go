@@ -281,12 +281,12 @@ func (h *Handler) serveOwnCacheHit(ctx *simnet.Ctx, st *nodeState, op pendingOp,
 
 // onCached completes a retrieval with a cache-served reply.
 func (h *Handler) onCached(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	srch, ok := st.searches[msg.Item]
-	if !ok {
+	srch := st.searches.get(msg.Item)
+	if srch == nil {
 		return
 	}
 	item := msg.Blob()
-	ok = srch.want == nil || bytes.Equal(item, srch.want)
+	ok := srch.want == nil || bytes.Equal(item, srch.want)
 	if srch.found < 0 {
 		srch.found = ctx.Round
 	}

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"cmp"
 	"slices"
 
 	"dynp2p/internal/ida"
@@ -22,17 +21,16 @@ type membership struct {
 	searcher simnet.NodeID   // search mode: whom results are for
 	roster   []simnet.NodeID // current members (possibly including dead ids)
 	joined   int             // round this node (re-)joined
-	owner    simnet.NodeID   // the node this membership state belongs to
 	trace    uint64          // lifecycle trace id inherited from the invite (0 = untraced)
 
 	// Per-epoch scratch, reset at each epoch's sample window.
-	curEpoch     int                   // epoch the scratch belongs to
-	sources      []simnet.NodeID       // walk sources recorded in the window
-	myCount      int                   // walks received in the window
-	counts       map[simnet.NodeID]int // member -> reported count
-	gathered     map[int][]byte        // IDA pieces piggybacked on counts
-	gatheredLen  int                   // item length for gathered pieces
-	handledEpoch int                   // last epoch with a handover seen/attempted
+	curEpoch     int             // epoch the scratch belongs to; -1 before the first window
+	sources      []simnet.NodeID // walk sources recorded in the window
+	myCount      int             // walks received in the window
+	counts       table[int]      // member id -> reported count
+	gathered     []ida.Piece     // IDA pieces piggybacked on counts, ascending by index
+	gatheredLen  int             // item length for gathered pieces
+	handledEpoch int             // last epoch with a handover seen/attempted
 }
 
 // epochOf returns the maintenance epoch index for a round (0 = the epoch
@@ -52,31 +50,19 @@ func (m *membership) phaseOf(round, period int) int {
 	return (round - m.base) % period
 }
 
-// inRoster reports whether id appears in ids.
-func inRoster(ids []simnet.NodeID, id simnet.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // tickMemberships runs the per-round committee machinery for every
 // committee this node belongs to: sample-window recording, count exchange,
 // ranked handover attempts, landmark waves, and search-committee expiry.
 func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
-	if len(st.memberships) == 0 {
-		return
-	}
 	round := ctx.Round
-	for _, com := range sortedKeys(h, ctx, st.memberships) {
-		m := st.memberships[com]
+	for i := 0; i < len(st.memberships.vals); i++ {
+		m := &st.memberships.vals[i]
 
 		// Search committees dissolve after SearchTTL (Algorithm 4 step 1).
 		if m.mode == ModeSearch {
 			if round >= m.base+h.P.SearchTTL {
-				delete(st.memberships, com)
+				st.memberships.delAt(i)
+				i--
 				continue
 			}
 			h.maybeWave(ctx, st, m)
@@ -87,13 +73,13 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 		epoch := m.epochOf(round, h.P.Period)
 		phase := m.phaseOf(round, h.P.Period)
 		if epoch >= 1 {
-			if phase < h.P.SampleWindow {
+			if phase < SampleWindow {
 				if m.curEpoch != epoch {
 					m.curEpoch = epoch
 					m.sources = m.sources[:0]
 					m.myCount = 0
-					m.counts = make(map[simnet.NodeID]int, len(m.roster))
-					m.gathered = nil
+					m.counts.reset()
+					m.gathered = m.gathered[:0]
 					m.gatheredLen = 0
 				}
 				m.myCount += len(samples)
@@ -103,14 +89,14 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 					}
 				}
 			}
-			if phase == h.P.SampleWindow && m.curEpoch == epoch {
+			if phase == SampleWindow && m.curEpoch == epoch {
 				h.sendCounts(ctx, st, m)
 			}
-			if phase > h.P.SampleWindow && m.curEpoch == epoch && m.handledEpoch < epoch {
-				k := phase - h.P.SampleWindow - 1
-				if k >= 0 && k%h.P.FallbackSpacing == 0 {
-					k /= h.P.FallbackSpacing
-					if k < h.P.FallbackCandidates && h.rankOf(m) == k {
+			if phase > SampleWindow && m.curEpoch == epoch && m.handledEpoch < epoch {
+				k := phase - SampleWindow - 1
+				if k >= 0 && k%FallbackSpacing == 0 {
+					k /= FallbackSpacing
+					if k < FallbackCandidates && m.rankOf(st.id) == k {
 						h.attemptHandover(ctx, st, m, epoch, k)
 					}
 				}
@@ -123,20 +109,22 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 // sendCounts broadcasts this member's sample count (and, in IDA mode, its
 // piece) to the whole roster.
 func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
-	m.counts[st.id] = m.myCount
+	m.counts.put(uint64(st.id), m.myCount)
 	var blob []byte
 	aux := packCount(m.myCount, 0, false)
 	var itemLen uint64
 	if h.code != nil {
-		if cp, ok := st.stored[m.key]; ok && cp.pieceIdx >= 0 {
+		if cp := st.stored.get(m.key); cp != nil && cp.pieceIdx >= 0 {
 			blob = cp.data
 			aux = packCount(m.myCount, cp.pieceIdx, true)
 			itemLen = uint64(cp.itemLen)
-			// Record own piece for a potential local reconstruction.
-			if m.gathered == nil {
-				m.gathered = make(map[int][]byte)
+			// Record own piece for a potential local reconstruction; it
+			// takes the place of a peer's copy of the same piece.
+			if i, dup := m.pieceAt(cp.pieceIdx); dup {
+				m.gathered[i].Data = cp.data
+			} else {
+				m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: cp.pieceIdx, Data: cp.data})
 			}
-			m.gathered[cp.pieceIdx] = cp.data
 			m.gatheredLen = cp.itemLen
 		}
 	}
@@ -152,62 +140,56 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 
 // onCount records a peer's count (and piece) for the current epoch.
 func (h *Handler) onCount(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	m, ok := st.memberships[msg.Item]
-	if !ok || m.counts == nil {
+	m := st.memberships.get(msg.Item)
+	if m == nil || m.curEpoch < 0 {
 		return
 	}
 	count, pieceIdx, hasPiece := unpackCount(msg.Aux)
-	m.counts[msg.From] = count
+	m.counts.put(uint64(msg.From), count)
 	if blob := msg.Blob(); hasPiece && len(blob) > 0 {
-		if m.gathered == nil {
-			m.gathered = make(map[int][]byte)
-		}
-		if _, dup := m.gathered[pieceIdx]; !dup {
-			m.gathered[pieceIdx] = append([]byte(nil), blob...)
+		if i, dup := m.pieceAt(pieceIdx); !dup {
+			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: pieceIdx, Data: slices.Clone(blob)})
 			m.gatheredLen = int(msg.Aux2)
 		}
 	}
 }
 
-// rankOf returns this node's position in the epoch leader ranking:
+// pieceAt returns where piece idx sits, or belongs, in gathered.
+func (m *membership) pieceAt(idx int) (int, bool) {
+	return slices.BinarySearchFunc(m.gathered, idx, func(p ida.Piece, idx int) int { return p.Index - idx })
+}
+
+// rankOf returns node self's position in the epoch leader ranking:
 // members ordered by (count desc, id asc), as in Algorithm 1 ("the node
 // with the largest number of random walks, breaking ties arbitrarily yet
 // unanimously").
-func (h *Handler) rankOf(m *membership) int {
-	type entry struct {
-		id    simnet.NodeID
-		count int
+func (m *membership) rankOf(self simnet.NodeID) int {
+	own := m.counts.get(uint64(self))
+	if own == nil {
+		return len(m.counts.keys)
 	}
-	entries := make([]entry, 0, len(m.counts))
-	for id, c := range m.counts {
-		entries = append(entries, entry{id, c})
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	for i, e := range entries {
-		if e.id == m.owner {
-			return i
+	rank := 0
+	for i, c := range m.counts.vals {
+		if c > *own || c == *own && m.counts.keys[i] < uint64(self) {
+			rank++
 		}
 	}
-	return len(entries)
+	return rank
+}
+
+// inviteCount is the number of invitations sent per committee formation:
+// CommitteeSize scaled by the over-provisioning factor.
+func (h *Handler) inviteCount() int {
+	return int(InviteFactor*float64(h.P.CommitteeSize) + 0.5)
 }
 
 // attemptHandover is the epoch leader action (Algorithm 1 rounds r+2/r+3):
 // pick a fresh roster from the walk sources recorded in the sample window,
 // invite them (with the item payload), and tell the old roster to resign.
 // Fallback candidates (k > 0) run the same code if the primary vanished.
-// inviteCount is the number of invitations sent per committee formation:
-// CommitteeSize scaled by the over-provisioning factor.
-func (h *Handler) inviteCount() int {
-	return int(h.P.InviteFactor*float64(h.P.CommitteeSize) + 0.5)
-}
-
 func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership, epoch, k int) {
-	newRoster := dedupeIDs(m.sources, h.inviteCount(), st.id)
+	want := h.inviteCount()
+	newRoster := appendDistinct(make([]simnet.NodeID, 0, want), m.sources, want, st.id)
 	if len(newRoster) == 0 {
 		return // no samples: let the next candidate try
 	}
@@ -222,8 +204,8 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	var itemLen uint64
 	if m.mode == ModeStore {
 		if h.code == nil {
-			cp, ok := st.stored[m.key]
-			if !ok {
+			cp := st.stored.get(m.key)
+			if cp == nil {
 				return
 			}
 			blobs = make([][]byte, len(newRoster))
@@ -281,38 +263,24 @@ func (h *Handler) reconstruct(m *membership) ([]byte, bool) {
 	if len(m.gathered) < h.code.K() {
 		return nil, false
 	}
-	idxs := make([]int, 0, len(m.gathered))
-	for i := range m.gathered {
-		idxs = append(idxs, i)
-	}
-	slices.Sort(idxs)
-	pieces := make([]ida.Piece, 0, len(idxs))
-	for _, i := range idxs {
-		pieces = append(pieces, ida.Piece{Index: i, Data: m.gathered[i]})
-	}
-	item, err := h.code.Decode(pieces, m.gatheredLen)
-	if err != nil {
-		return nil, false
-	}
-	return item, true
+	item, err := h.code.Decode(m.gathered, m.gatheredLen)
+	return item, err == nil
 }
 
-// dedupeIDs returns up to want distinct ids from src (order preserved),
-// excluding self.
-func dedupeIDs(src []simnet.NodeID, want int, self simnet.NodeID) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, want)
-	seen := make(map[simnet.NodeID]bool, want*2)
+// appendDistinct appends src's ids to dst in order, skipping self and
+// anything dst already holds, until dst holds want ids. The lists are
+// rosters — Θ(log n) long — so dst is its own seen-set (the rule
+// recentDistinct states).
+func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []simnet.NodeID {
 	for _, id := range src {
-		if id == self || seen[id] {
-			continue
-		}
-		seen[id] = true
-		out = append(out, id)
-		if len(out) == want {
+		if len(dst) >= want {
 			break
 		}
+		if id != self && !slices.Contains(dst, id) {
+			dst = append(dst, id)
+		}
 	}
-	return out
+	return dst
 }
 
 // onInvite installs (or refreshes) a committee membership, stores the task
@@ -326,17 +294,15 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		key = blobKey(msg.Blob())
 		searcher = simnet.NodeID(msg.Aux2)
 	}
-	m := &membership{
+	m := st.memberships.put(com, membership{
 		com: com, key: key, mode: mode, base: base,
 		searcher: searcher,
-		roster:   append([]simnet.NodeID(nil), msg.IDs()...),
+		roster:   slices.Clone(msg.IDs()),
 		joined:   ctx.Round,
-		owner:    st.id,
 		curEpoch: -1,
 		trace:    msg.Trace,
-	}
+	})
 	m.handledEpoch = m.epochOf(ctx.Round, h.P.Period)
-	st.memberships[com] = m
 
 	switch mode {
 	case ModeStore:
@@ -345,15 +311,15 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			if h.code != nil {
 				idx = pieceIdx
 			}
-			st.stored[key] = &storedCopy{
-				data:     append([]byte(nil), blob...),
+			st.stored.put(key, storedCopy{
+				data:     slices.Clone(blob),
 				pieceIdx: idx,
 				itemLen:  int(msg.Aux2),
-			}
+			})
 		}
-		st.storageLM[key] = &lmEntry{
+		st.storageLM.put(key, lmEntry{
 			roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL, wave: ctx.Round,
-		}
+		})
 		// A traced store settles when its *creation* invites land (base ==
 		// the send round): every founding member emits a done event, and
 		// the tracer's first-done-wins aggregation closes the lifecycle
@@ -367,7 +333,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			}
 		}
 	case ModeSearch:
-		h.addSearchTask(st, key, searcher, ctx.Round, msg.Trace)
+		h.addSearchTask(st, key, searcher, ctx.Round, ctx.Round, msg.Trace)
 	}
 }
 
@@ -375,19 +341,19 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 // resign and drop the task payload (Algorithm 1: "the nodes in Com cease to
 // be members of the committee").
 func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	m, ok := st.memberships[msg.Item]
-	if !ok {
+	m := st.memberships.get(msg.Item)
+	if m == nil {
 		return
 	}
 	if int(msg.Aux) > m.handledEpoch {
 		m.handledEpoch = int(msg.Aux)
 	}
-	if inRoster(msg.IDs(), st.id) {
+	if slices.Contains(msg.IDs(), st.id) {
 		return // re-invited: the CInvite (processed earlier) refreshed us
 	}
-	delete(st.memberships, msg.Item)
 	if m.mode == ModeStore {
-		delete(st.stored, m.key)
+		st.stored.del(m.key)
 	}
+	st.memberships.del(msg.Item)
 	h.ctr.resignations.Inc(ctx.Shard)
 }

@@ -38,16 +38,7 @@ type Handler struct {
 	mu      sync.Mutex
 	results []SearchResult
 
-	keys []keyScratch // per engine shard: sortedKeys' reused buffer
-
 	ctr counters
-}
-
-// keyScratch is one shard's sortedKeys buffer, padded to its own cache
-// line so workers running adjacent shards never false-share the header.
-type keyScratch struct {
-	buf []uint64
-	_   [40]byte
 }
 
 // counters are the handler's event counters: registry-backed sharded
@@ -163,8 +154,8 @@ type SearchResult struct {
 	Bytes    int  // length of the retrieved data
 }
 
-// nodeState is the per-slot protocol state. It is reset when the slot's
-// occupant is churned: the newcomer knows nothing.
+// nodeState is the per-slot protocol state. It is reset in place when the
+// slot's occupant is churned: the newcomer knows nothing.
 type nodeState struct {
 	id simnet.NodeID
 
@@ -174,11 +165,11 @@ type nodeState struct {
 	recentPos int
 	recentLen int
 
-	memberships map[uint64]*membership   // com id -> membership
-	stored      map[uint64]*storedCopy   // item key -> local copy/piece
-	storageLM   map[uint64]*lmEntry      // item key -> storage landmark state
-	searchLM    map[uint64][]*searchTask // item key -> active search tasks
-	searches    map[uint64]*searchState  // item key -> retrieval this node runs
+	memberships table[membership]   // com id -> membership
+	stored      table[storedCopy]   // item key -> local copy/piece
+	storageLM   table[lmEntry]      // item key -> storage landmark state
+	searchLM    table[[]searchTask] // item key -> active search tasks
+	searches    table[searchState]  // item key -> retrieval this node runs
 	pending     []pendingOp
 }
 
@@ -223,7 +214,6 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		P: p, soup: soup,
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
-		keys:   make([]keyScratch, e.Grid().Count()),
 		ctr:    newCounters(e.Telemetry()),
 	}
 	h.SetCache(p.CacheCapacity, p.CacheTTL, p.CacheSeedRate)
@@ -255,25 +245,30 @@ func (h *Handler) holdsKey(slot int, key uint64, round int) bool {
 			}
 		}
 	}
-	ent, ok := h.states[slot].storageLM[key]
-	return ok && round < ent.expiry
+	ent := h.states[slot].storageLM.get(key)
+	return ent != nil && round < ent.expiry
 }
 
 // IDA reports whether erasure-coded storage is active.
 func (h *Handler) IDA() bool { return h.code != nil }
 
-// OnJoin implements simnet.Handler: a fresh node knows nothing.
+// OnJoin implements simnet.Handler: a fresh node knows nothing. The slot's
+// tables and sample ring are emptied in place — churn runs serially between
+// handler phases, and no pointer into a table outlives the handler call
+// that took it — so a replaced slot costs no allocation.
 func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
 	st := &h.states[slot]
-	*st = nodeState{
-		id:          id,
-		recent:      make([]simnet.NodeID, h.P.SampleBuffer),
-		memberships: make(map[uint64]*membership),
-		stored:      make(map[uint64]*storedCopy),
-		storageLM:   make(map[uint64]*lmEntry),
-		searchLM:    make(map[uint64][]*searchTask),
-		searches:    make(map[uint64]*searchState),
+	st.id = id
+	if st.recent == nil {
+		st.recent = make([]simnet.NodeID, h.P.SampleBuffer)
 	}
+	st.recentPos, st.recentLen = 0, 0
+	st.memberships.reset()
+	st.stored.reset()
+	st.storageLM.reset()
+	st.searchLM.reset()
+	st.searches.reset()
+	st.pending = nil
 	h.cacheClearSlot(slot)
 }
 
@@ -368,40 +363,19 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 	}
 }
 
-// sortedKeys returns m's keys (committee ids, searched keys, landmark
-// keys) in ascending order, so per-round iteration over a node's maps is
-// deterministic. The slice is the calling shard's scratch buffer: valid
-// until the next sortedKeys call on that shard, so the per-round ticks use
-// it one after another, never nested.
-func sortedKeys[V any](h *Handler, ctx *simnet.Ctx, m map[uint64]V) []uint64 {
-	sc := &h.keys[ctx.Shard]
-	keys := sc.buf[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	sc.buf = keys
-	return keys
-}
-
 // sweepExpired drops expired landmark registrations.
 func (h *Handler) sweepExpired(round int, st *nodeState) {
-	for k, ent := range st.storageLM {
-		if round >= ent.expiry {
-			delete(st.storageLM, k)
+	for i := 0; i < len(st.storageLM.vals); i++ {
+		if round >= st.storageLM.vals[i].expiry {
+			st.storageLM.delAt(i)
+			i--
 		}
 	}
-	for k, tasks := range st.searchLM {
-		kept := tasks[:0]
-		for _, t := range tasks {
-			if round < t.expiry {
-				kept = append(kept, t)
-			}
-		}
-		if len(kept) == 0 {
-			delete(st.searchLM, k)
-		} else {
-			st.searchLM[k] = kept
+	for i := 0; i < len(st.searchLM.vals); i++ {
+		kept := slices.DeleteFunc(st.searchLM.vals[i], func(t searchTask) bool { return round >= t.expiry })
+		if st.searchLM.vals[i] = kept; len(kept) == 0 {
+			st.searchLM.delAt(i)
+			i--
 		}
 	}
 }
@@ -438,7 +412,7 @@ func (h *Handler) DrainResults() []SearchResult {
 func (h *Handler) CommitteeSlots(com uint64) []int {
 	var out []int
 	for s := range h.states {
-		if _, ok := h.states[s].memberships[com]; ok {
+		if h.states[s].memberships.get(com) != nil {
 			out = append(out, s)
 		}
 	}
@@ -449,7 +423,7 @@ func (h *Handler) CommitteeSlots(com uint64) []int {
 func (h *Handler) CopyCount(key uint64) int {
 	c := 0
 	for s := range h.states {
-		if _, ok := h.states[s].stored[key]; ok {
+		if h.states[s].stored.get(key) != nil {
 			c++
 		}
 	}
@@ -461,7 +435,7 @@ func (h *Handler) CopyCount(key uint64) int {
 func (h *Handler) StorageLandmarkCount(key uint64, round int) int {
 	c := 0
 	for s := range h.states {
-		if ent, ok := h.states[s].storageLM[key]; ok && round < ent.expiry {
+		if ent := h.states[s].storageLM.get(key); ent != nil && round < ent.expiry {
 			c++
 		}
 	}

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"dynp2p/internal/simnet"
 )
 
@@ -23,11 +25,11 @@ func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	// The member itself is a landmark for its task.
 	switch m.mode {
 	case ModeStore:
-		st.storageLM[m.key] = &lmEntry{
+		st.storageLM.put(m.key, lmEntry{
 			roster: m.roster, expiry: round + h.P.LandmarkTTL, wave: wave,
-		}
+		})
 	case ModeSearch:
-		h.addSearchTask(st, m.key, m.searcher, round, m.trace)
+		h.addSearchTask(st, m.key, m.searcher, round, wave, m.trace)
 	}
 
 	h.growChildren(ctx, st, m.key, m.mode, m.searcher, m.roster, h.P.TreeDepth, wave, m.trace)
@@ -41,7 +43,7 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, key uint64,
 	if depth <= 0 {
 		return
 	}
-	children := st.recentDistinct(nil, h.P.TreeFanout)
+	children := st.recentDistinct(nil, TreeFanout)
 	for _, child := range children {
 		m := ctx.SendRouted(child, KindLGrow)
 		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave, mode), uint64(searcher)
@@ -60,18 +62,18 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	key := msg.Item
 	switch mode {
 	case ModeStore:
-		if ent, ok := st.storageLM[key]; ok && ent.wave == wave {
+		if ent := st.storageLM.get(key); ent != nil && ent.wave == wave {
 			// Already in this wave's tree: refresh, do not extend.
 			if exp := ctx.Round + h.P.LandmarkTTL; exp > ent.expiry {
 				ent.expiry = exp
 			}
 			return
 		}
-		st.storageLM[key] = &lmEntry{
-			roster: append([]simnet.NodeID(nil), msg.IDs()...),
+		st.storageLM.put(key, lmEntry{
+			roster: slices.Clone(msg.IDs()),
 			expiry: ctx.Round + h.P.LandmarkTTL,
 			wave:   wave,
-		}
+		})
 	case ModeSearch:
 		searcher := simnet.NodeID(msg.Aux2)
 		if t := findSearchTask(st, key, searcher); t != nil && t.wave == wave {
@@ -80,7 +82,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			}
 			return
 		}
-		h.addSearchTaskWave(st, key, searcher, ctx.Round, wave, msg.Trace)
+		h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace)
 	default:
 		return
 	}
@@ -88,12 +90,9 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 }
 
 // addSearchTask registers this node as a search landmark for (key,
-// searcher), creating or refreshing the task.
-func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round int, trace uint64) {
-	h.addSearchTaskWave(st, key, searcher, round, round, trace)
-}
-
-func (h *Handler) addSearchTaskWave(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) {
+// searcher), creating or refreshing the task; wave is the round its tree
+// was rooted (the current round for a task no tree delivered).
+func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) {
 	if t := findSearchTask(st, key, searcher); t != nil {
 		t.expiry = round + h.P.LandmarkTTL
 		t.wave = wave
@@ -102,15 +101,21 @@ func (h *Handler) addSearchTaskWave(st *nodeState, key uint64, searcher simnet.N
 		}
 		return
 	}
-	st.searchLM[key] = append(st.searchLM[key], &searchTask{
+	tasks := st.searchLM.get(key)
+	if tasks == nil {
+		tasks = st.searchLM.put(key, nil)
+	}
+	*tasks = append(*tasks, searchTask{
 		searcher: searcher, expiry: round + h.P.LandmarkTTL, wave: wave, trace: trace,
 	})
 }
 
 func findSearchTask(st *nodeState, key uint64, searcher simnet.NodeID) *searchTask {
-	for _, t := range st.searchLM[key] {
-		if t.searcher == searcher {
-			return t
+	if tasks := st.searchLM.get(key); tasks != nil {
+		for i := range *tasks {
+			if (*tasks)[i].searcher == searcher {
+				return &(*tasks)[i]
+			}
 		}
 	}
 	return nil

@@ -43,26 +43,12 @@ type Params struct {
 	// epoch — count exchange, leader election, handover — runs every
 	// Period rounds.
 	Period int
-	// SampleWindow is how many rounds at the start of an epoch members
-	// record walk samples before exchanging counts. The paper records one
-	// round (its α is astronomically large); small networks need a few
-	// rounds to gather committee-size many samples.
-	SampleWindow int
-	// FallbackCandidates is the number of ranked leader candidates that
-	// may attempt the handover if the primary is churned out mid-epoch
-	// (the paper's footnote-†† resilience mechanism).
-	FallbackCandidates int
-	// FallbackSpacing is the number of rounds a candidate waits for
-	// evidence of the previous candidate's handover before acting.
-	FallbackSpacing int
 	// WaveEvery is the landmark-rebuild period (the paper's "every τ
 	// rounds" in Algorithm 2).
 	WaveEvery int
 	// TreeDepth is µ from Algorithm 2 equation (4): landmark trees grow
 	// to this depth with fanout TreeFanout.
 	TreeDepth int
-	// TreeFanout is the number of children per tree node (2 in the paper).
-	TreeFanout int
 	// LandmarkTTL is how long a node stays a landmark after its last
 	// refresh (the paper's 2τ).
 	LandmarkTTL int
@@ -72,13 +58,6 @@ type Params struct {
 	// SampleBuffer is the capacity of each node's ring of recent walk
 	// sample sources.
 	SampleBuffer int
-	// InviteFactor over-provisions committee invitations: a creator or
-	// epoch leader invites InviteFactor*CommitteeSize sample sources.
-	// Walk samples are T rounds old, so under churn a fraction of the
-	// invitees is already gone; over-inviting keeps the realised
-	// committee near CommitteeSize. (Still Θ(log n) invitations; the
-	// paper's asymptotics hide this constant inside Lemma 7.)
-	InviteFactor float64
 	// IDA enables erasure-coded storage (§4.4) with the given
 	// reconstruction threshold K; the number of pieces L equals
 	// CommitteeSize. K = 0 selects plain replication.
@@ -95,6 +74,31 @@ type Params struct {
 	CacheSeedRate float64
 }
 
+// Paper quantities no experiment, scenario or workload varies.
+const (
+	// SampleWindow is how many rounds at the start of an epoch members
+	// record walk samples before exchanging counts. The paper records one
+	// round (its α is astronomically large); small networks need a few
+	// rounds to gather committee-size many samples.
+	SampleWindow = 3
+	// FallbackCandidates is the number of ranked leader candidates that
+	// may attempt the handover if the primary is churned out mid-epoch
+	// (the paper's footnote-†† resilience mechanism).
+	FallbackCandidates = 3
+	// FallbackSpacing is the number of rounds a candidate waits for
+	// evidence of the previous candidate's handover before acting.
+	FallbackSpacing = 2
+	// TreeFanout is the number of children per tree node (2 in the paper).
+	TreeFanout = 2
+	// InviteFactor over-provisions committee invitations: a creator or
+	// epoch leader invites InviteFactor*CommitteeSize sample sources.
+	// Walk samples are T rounds old, so under churn a fraction of the
+	// invitees is already gone; over-inviting keeps the realised
+	// committee near CommitteeSize. (Still Θ(log n) invitations; the
+	// paper's asymptotics hide this constant inside Lemma 7.)
+	InviteFactor = 1.5
+)
+
 // DefaultParams derives protocol parameters for network size n from the
 // paper's Θ(log n) prescriptions (natural log, as in the paper) with
 // simulation-calibrated constants. walkLen is the soup's walk length T
@@ -103,20 +107,15 @@ func DefaultParams(n, walkLen int) Params {
 	ln := math.Log(float64(n))
 	size := int(math.Ceil(2.5 * ln))
 	p := Params{
-		CommitteeSize:      size,
-		Period:             2 * walkLen,
-		SampleWindow:       3,
-		FallbackCandidates: 3,
-		FallbackSpacing:    2,
-		WaveEvery:          walkLen,
-		TreeDepth:          DefaultTreeDepth(n, size),
-		TreeFanout:         2,
-		LandmarkTTL:        2 * walkLen,
-		SearchTTL:          6 * walkLen,
-		SampleBuffer:       4 * size,
-		InviteFactor:       1.5,
+		CommitteeSize: size,
+		Period:        2 * walkLen,
+		WaveEvery:     walkLen,
+		TreeDepth:     DefaultTreeDepth(n, size),
+		LandmarkTTL:   2 * walkLen,
+		SearchTTL:     6 * walkLen,
+		SampleBuffer:  4 * size,
 	}
-	if min := p.SampleWindow + 1 + p.FallbackCandidates*p.FallbackSpacing + 3; p.Period < min {
+	if min := SampleWindow + 1 + FallbackCandidates*FallbackSpacing + 3; p.Period < min {
 		p.Period = min
 	}
 	return p
@@ -173,16 +172,12 @@ func (p Params) validate() {
 	switch {
 	case p.CommitteeSize < 1:
 		panic("protocol: CommitteeSize must be >= 1")
-	case p.Period < p.SampleWindow+2:
+	case p.Period < SampleWindow+2:
 		panic("protocol: Period too short for the epoch phases")
-	case p.TreeFanout < 1:
-		panic("protocol: TreeFanout must be >= 1")
 	case p.TreeDepth < 0:
 		panic("protocol: negative TreeDepth")
 	case p.IDAThreshold < 0 || p.IDAThreshold > p.CommitteeSize:
 		panic("protocol: IDAThreshold must be in [0, CommitteeSize]")
-	case p.InviteFactor < 1:
-		panic("protocol: InviteFactor must be >= 1")
 	case p.CacheCapacity < 0:
 		panic("protocol: negative CacheCapacity")
 	case p.CacheTTL < 0:

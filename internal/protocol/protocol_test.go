@@ -58,7 +58,7 @@ func TestStoreCreatesCommitteeAndCopies(t *testing.T) {
 	s.run(4)
 	// Without churn every invitee materialises, so the committee equals
 	// the over-provisioned invitation count.
-	invited := int(s.h.P.InviteFactor*float64(s.h.P.CommitteeSize) + 0.5)
+	invited := s.h.inviteCount()
 	copies := s.h.CopyCount(42)
 	if copies != invited {
 		t.Fatalf("copies = %d, want invite count %d", copies, invited)
@@ -79,10 +79,10 @@ func TestLandmarksGrow(t *testing.T) {
 		t.Fatalf("landmarks = %d, want at least committee size %d", lm, s.h.P.CommitteeSize)
 	}
 	// Lemma 8 upper bound: members (invite count, no churn) * full tree.
-	invited := int(s.h.P.InviteFactor*float64(s.h.P.CommitteeSize) + 0.5)
+	invited := s.h.inviteCount()
 	treeMax := 1
 	for i := 0; i < s.h.P.TreeDepth; i++ {
-		treeMax *= s.h.P.TreeFanout
+		treeMax *= TreeFanout
 		treeMax++
 	}
 	if lm > invited*treeMax {
@@ -218,7 +218,7 @@ func TestIDAStoreAndRetrieve(t *testing.T) {
 	data := itemBytes(88, 333)
 	s.h.RequestStore(s.e, 2, 88, data)
 	// Run past the first epoch's handover phase to exercise re-coding.
-	s.run(s.h.P.Period + s.h.P.SampleWindow + 8)
+	s.run(s.h.P.Period + SampleWindow + 8)
 	if c := s.h.Counters(); c.IDARecoded == 0 {
 		t.Fatal("handover never reconstructed and re-dispersed the item")
 	}
@@ -245,11 +245,11 @@ func TestIDAStorageOverhead(t *testing.T) {
 	s.run(4)
 	var total int
 	for slot := range s.h.states {
-		if cp, ok := s.h.states[slot].stored[11]; ok {
+		if cp := s.h.states[slot].stored.get(11); cp != nil {
 			total += len(cp.data)
 		}
 	}
-	invited := int(s.h.P.InviteFactor*float64(s.h.P.CommitteeSize) + 0.5)
+	invited := s.h.inviteCount()
 	replicated := invited * len(data)
 	if total >= replicated/2 {
 		t.Fatalf("IDA stored %d bytes; replication would be %d — expected large saving", total, replicated)
@@ -290,7 +290,7 @@ func TestSearchCommitteeDissolves(t *testing.T) {
 	s.run(2)
 	// Find the search committee id via the searcher's state.
 	searcher := &s.h.states[8]
-	srch := searcher.searches[555]
+	srch := searcher.searches.get(555)
 	if srch == nil {
 		t.Fatal("search state missing")
 	}
@@ -461,5 +461,86 @@ func TestDrainResultsCanonicalOrder(t *testing.T) {
 	}
 	if rest := h.DrainResults(); len(rest) != 0 {
 		t.Fatalf("second drain returned %+v", rest)
+	}
+}
+
+// TestSecondRetrieveReportsItsOwnResult: a node asked for a key it is
+// already searching must answer both requests — the later one waits for
+// the running search, then runs as its own operation with its own Start.
+// (The second request used to overwrite the first's state: two requests,
+// one result.)
+func TestSecondRetrieveReportsItsOwnResult(t *testing.T) {
+	for _, gap := range []int{0, 1} { // rounds between the two requests
+		s := newSim(t, 256, churn.ZeroLaw{}, 0, 3)
+		s.warm()
+		data := itemBytes(99, 128)
+		s.h.RequestStore(s.e, 3, 99, data)
+		s.run(s.h.P.Period)
+		starts := []int{s.e.Round(), s.e.Round() + gap}
+		s.h.RequestRetrieve(s.e, 200, 99, data)
+		s.run(gap)
+		s.h.RequestRetrieve(s.e, 200, 99, data)
+		var results []SearchResult
+		for i := 0; i < 2*s.h.P.SearchTTL && len(results) < 2; i++ {
+			s.run(1)
+			results = append(results, s.h.DrainResults()...)
+		}
+		if len(results) != 2 {
+			t.Fatalf("gap %d: two requests returned %d results: %+v", gap, len(results), results)
+		}
+		for i, r := range results {
+			if !r.Success || r.Start != starts[i] {
+				t.Fatalf("gap %d: result %d = %+v, want a success with Start %d", gap, i, r, starts[i])
+			}
+		}
+	}
+}
+
+// TestReplacedSlotKnowsNothing extends the cache's churn invariant to the
+// rest of nodeState, which OnJoin empties in place: a slot replaced while
+// it was a committee member, a copy holder, a storage landmark, a search
+// landmark and a searcher — with a further request still pending — must
+// show up in none of those roles, and the departed searcher's retrievals
+// must never report.
+func TestReplacedSlotKnowsNothing(t *testing.T) {
+	s := newSim(t, 256, churn.ZeroLaw{}, 0, 5)
+	s.warm()
+	const key, missing, queued = 42, 777, 778
+	s.h.RequestStore(s.e, 0, key, itemBytes(key, 64))
+	s.run(s.h.P.Period)
+	slot := s.h.CommitteeSlots(key)[0]
+	s.h.RequestRetrieve(s.e, slot, missing, nil)
+	s.run(2)
+	s.h.RequestRetrieve(s.e, slot, queued, nil)
+	round := s.e.Round()
+	st := &s.h.states[slot]
+	if st.memberships.get(key) == nil || st.stored.get(key) == nil || !s.h.holdsKey(slot, key, round) ||
+		st.searchLM.get(missing) == nil || st.searches.get(missing) == nil || len(st.pending) != 1 || st.recentLen == 0 {
+		t.Fatalf("slot %d does not hold every role before the replacement: %+v", slot, st)
+	}
+	copies, landmarks := s.h.CopyCount(key), s.h.StorageLandmarkCount(key, round)
+
+	s.h.OnJoin(s.e, slot, 1<<40, round) // replace the node as the engine would on churn
+
+	if slices.Contains(s.h.CommitteeSlots(key), slot) {
+		t.Error("replaced slot is still a committee member")
+	}
+	if got := s.h.CopyCount(key); got != copies-1 {
+		t.Errorf("copy count %d after the replacement, want %d", got, copies-1)
+	}
+	if got := s.h.StorageLandmarkCount(key, round); got != landmarks-1 || s.h.holdsKey(slot, key, round) {
+		t.Errorf("replaced slot still a storage landmark (%d counted, want %d)", got, landmarks-1)
+	}
+	if st.searchLM.get(missing) != nil {
+		t.Error("replaced slot is still a search landmark")
+	}
+	if got := st.recentDistinct(nil, 1); len(got) != 0 {
+		t.Errorf("newcomer draws on the departed node's walk samples: %v", got)
+	}
+	s.run(s.h.P.SearchTTL + 5)
+	for _, r := range s.h.DrainResults() {
+		if r.Key == missing || r.Key == queued {
+			t.Errorf("the departed searcher's retrieval reported: %+v", r)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"math"
+	"slices"
 
 	"dynp2p/internal/ida"
 	"dynp2p/internal/simnet"
@@ -15,9 +17,8 @@ type searchState struct {
 	com      uint64 // the search committee's id
 	start    int
 	deadline int
-	found    int // round the first storage roster arrived; -1 until then
-	roster   []simnet.NodeID
-	fetched  map[simnet.NodeID]bool // members already asked for data
+	found    int             // round the first storage roster arrived; -1 until then
+	roster   []simnet.NodeID // storage members already asked for data
 	pieces   []ida.Piece
 	itemLen  int
 	want     []byte // expected content, if known (for verification)
@@ -40,7 +41,9 @@ func (h *Handler) RequestStore(e *simnet.Engine, slot int, key uint64, data []by
 
 // RequestRetrieve asks the node at slot to retrieve item key via
 // Algorithm 4. expect, when non-nil, is verified against the retrieved
-// bytes. Call between rounds only. One active search per (node, key).
+// bytes. Call between rounds only. A node runs one search per key at a
+// time: a request for a key it is still searching waits for that search to
+// report, then runs as its own operation.
 func (h *Handler) RequestRetrieve(e *simnet.Engine, slot int, key uint64, expect []byte) {
 	st := &h.states[slot]
 	st.pending = append(st.pending, pendingOp{
@@ -58,9 +61,15 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 	}
 	kept := st.pending[:0]
 	for _, op := range st.pending {
-		// A retrieval the node can answer from its own cache never forms
-		// a committee: it resolves in place, this tick.
 		if op.mode == ModeSearch {
+			// One search per key: the running one must report before this
+			// request starts, or one result would answer both.
+			if st.searches.get(op.key) != nil {
+				kept = append(kept, op)
+				continue
+			}
+			// A retrieval the node can answer from its own cache never
+			// forms a committee: it resolves in place, this tick.
 			if e := h.cacheLookup(ctx, op.key); e != nil {
 				h.serveOwnCacheHit(ctx, st, op, e)
 				continue
@@ -70,7 +79,7 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 		// Wait until a full committee can be drawn; the grace period
 		// covers the soup warm-up (a fresh node sees its first samples
 		// only after one walk length), after which we use what we have.
-		grace := h.soup.Params().WalkLength + 2*h.P.SampleWindow
+		grace := h.soup.Params().WalkLength + 2*SampleWindow
 		enough := len(roster) >= h.P.CommitteeSize ||
 			(ctx.Round-op.start > grace && len(roster) > 0)
 		if !enough {
@@ -138,14 +147,13 @@ func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp, isStore
 func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
 	com := searchComID(op.key, st.id, op.start)
 	trace := h.sampleOp(ctx, st, op, false)
-	st.searches[op.key] = &searchState{
+	srch := st.searches.put(op.key, searchState{
 		key: op.key, com: com, start: op.start,
 		deadline: op.start + h.P.SearchTTL,
 		found:    -1,
-		fetched:  make(map[simnet.NodeID]bool),
 		want:     op.data,
 		trace:    trace,
-	}
+	})
 	kb := keyBlob(op.key)
 	for _, peer := range roster {
 		m := ctx.SendRouted(peer, KindCInvite)
@@ -157,22 +165,24 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 	// The searcher doubles as a search landmark so its own walk samples
 	// contribute to the rendezvous.
-	h.addSearchTask(st, op.key, st.id, ctx.Round, trace)
+	h.addSearchTask(st, op.key, st.id, ctx.Round, ctx.Round, trace)
 	// Shortcut: if the searcher already happens to be a storage landmark
 	// for the item, it knows the roster and can fetch immediately.
-	if ent, ok := st.storageLM[op.key]; ok && ctx.Round < ent.expiry {
-		srch := st.searches[op.key]
+	if ent := st.storageLM.get(op.key); ent != nil && ctx.Round < ent.expiry {
 		srch.found = ctx.Round
-		for _, member := range ent.roster {
-			if member == st.id || srch.fetched[member] {
-				continue
-			}
-			srch.fetched[member] = true
-			srch.roster = append(srch.roster, member)
-			m := ctx.SendRouted(member, KindSFetch)
-			m.Item, m.Trace = op.key, trace
-			h.ctr.fetches.Inc(ctx.Shard)
-		}
+		h.fetchFrom(ctx, st, srch, ent.roster)
+	}
+}
+
+// fetchFrom asks every member the search has not asked yet for the item
+// bytes; srch.roster is the asked-set.
+func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, members []simnet.NodeID) {
+	asked := len(srch.roster)
+	srch.roster = appendDistinct(srch.roster, members, math.MaxInt, st.id)
+	for _, member := range srch.roster[asked:] {
+		m := ctx.SendRouted(member, KindSFetch)
+		m.Item, m.Trace = srch.key, srch.trace
+		h.ctr.fetches.Inc(ctx.Shard)
 	}
 }
 
@@ -188,12 +198,11 @@ func searchComID(key uint64, searcher simnet.NodeID, round int) uint64 {
 // landmark contacts the sources of the walk samples it received this round
 // and inquires about the item.
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
-	if len(st.searchLM) == 0 || len(samples) == 0 {
+	if len(samples) == 0 {
 		return
 	}
-	for _, key := range sortedKeys(h, ctx, st.searchLM) {
-		tasks := st.searchLM[key]
-		for _, t := range tasks {
+	for i, key := range st.searchLM.keys {
+		for _, t := range st.searchLM.vals[i] {
 			if ctx.Round >= t.expiry {
 				continue
 			}
@@ -223,8 +232,8 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		h.cacheServe(ctx, e, simnet.NodeID(msg.Aux2), msg.Trace)
 		return
 	}
-	ent, ok := st.storageLM[msg.Item]
-	if !ok || ctx.Round >= ent.expiry {
+	ent := st.storageLM.get(msg.Item)
+	if ent == nil || ctx.Round >= ent.expiry {
 		return
 	}
 	m := ctx.SendRouted(simnet.NodeID(msg.Aux2), KindSFound)
@@ -237,29 +246,20 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 // onFound handles the searcher's side: record the storage roster and fetch
 // the item from the committee members.
 func (h *Handler) onFound(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	srch, ok := st.searches[msg.Item]
-	if !ok {
+	srch := st.searches.get(msg.Item)
+	if srch == nil {
 		return
 	}
 	if srch.found < 0 {
 		srch.found = ctx.Round
 	}
-	for _, member := range msg.IDs() {
-		if member == st.id || srch.fetched[member] {
-			continue
-		}
-		srch.fetched[member] = true
-		srch.roster = append(srch.roster, member)
-		m := ctx.SendRouted(member, KindSFetch)
-		m.Item, m.Trace = msg.Item, srch.trace
-		h.ctr.fetches.Inc(ctx.Shard)
-	}
+	h.fetchFrom(ctx, st, srch, msg.IDs())
 }
 
 // onFetch returns this member's copy or piece of the item.
 func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	cp, ok := st.stored[msg.Item]
-	if !ok {
+	cp := st.stored.get(msg.Item)
+	if cp == nil {
 		return
 	}
 	hasPiece := cp.pieceIdx >= 0
@@ -275,8 +275,8 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 
 // onData completes (or advances) a retrieval with a data response.
 func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	srch, ok := st.searches[msg.Item]
-	if !ok {
+	srch := st.searches.get(msg.Item)
+	if srch == nil {
 		return
 	}
 	_, pieceIdx, hasPiece := unpackCount(msg.Aux)
@@ -289,7 +289,7 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		}
 		srch.itemLen = int(msg.Aux2)
 		srch.pieces = append(srch.pieces, ida.Piece{
-			Index: pieceIdx, Data: append([]byte(nil), msg.Blob()...),
+			Index: pieceIdx, Data: slices.Clone(msg.Blob()),
 		})
 		if distinctPieces(srch.pieces) < h.code.K() {
 			return
@@ -300,19 +300,23 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		}
 		item = dec
 	}
-	ok = srch.want == nil || bytes.Equal(item, srch.want)
+	ok := srch.want == nil || bytes.Equal(item, srch.want)
 	if ok {
 		h.cacheAdmit(ctx, st, msg.Item, item, srch.trace)
 	}
 	h.finishSearch(ctx, st, srch, ctx.Round, ok, len(item))
 }
 
+// distinctPieces counts the distinct piece indexes in ps: each piece
+// counts unless an earlier one carries its index.
 func distinctPieces(ps []ida.Piece) int {
-	seen := make(map[int]bool, len(ps))
-	for _, p := range ps {
-		seen[p.Index] = true
+	n := 0
+	for i, p := range ps {
+		if !slices.ContainsFunc(ps[:i], func(q ida.Piece) bool { return q.Index == p.Index }) {
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // finishSearch records the retrieval outcome and clears the local state.
@@ -331,7 +335,7 @@ func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState
 		}
 	}
 	h.emitSearchDone(ctx, st, srch, done, success)
-	delete(st.searches, srch.key)
+	st.searches.del(srch.key)
 }
 
 // emitSearchDone closes a traced retrieval's lifecycle.
@@ -350,23 +354,21 @@ func (h *Handler) emitSearchDone(ctx *simnet.Ctx, st *nodeState, srch *searchSta
 
 // tickSearches expires overdue retrievals (recorded as failures).
 func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
-	if len(st.searches) == 0 {
-		return
-	}
-	for _, key := range sortedKeys(h, ctx, st.searches) {
-		srch := st.searches[key]
+	for i := 0; i < len(st.searches.vals); i++ {
+		srch := &st.searches.vals[i]
 		if ctx.Round >= srch.deadline {
 			h.recordResult(SearchResult{
 				Searcher: st.id, Key: srch.key, Start: srch.start,
 				Found: srch.found, Done: -1, Success: false,
 			})
 			h.emitSearchDone(ctx, st, srch, ctx.Round, false)
-			delete(st.searches, key)
+			st.searches.delAt(i)
+			i--
 			continue
 		}
 		// Keep the searcher's own inquiry task alive while the search
 		// runs, even past the landmark TTL.
-		if t := findSearchTask(st, key, st.id); t != nil && t.expiry <= ctx.Round+1 {
+		if t := findSearchTask(st, srch.key, st.id); t != nil && t.expiry <= ctx.Round+1 {
 			t.expiry = ctx.Round + 2
 		}
 	}

@@ -149,3 +149,80 @@ func TestSetFaultMidRun(t *testing.T) {
 		t.Fatal("no deliveries after clearing fault model")
 	}
 }
+
+// delayAllFaults is a deterministic test model: never drops, delays every
+// message by exactly Delay extra rounds.
+type delayAllFaults struct{ Delay int }
+
+func (f delayAllFaults) Fate(int, *Msg, uint64) (bool, int) { return false, f.Delay }
+func (f delayAllFaults) String() string                     { return "delay-all" }
+
+// TestDeliverDelayedChurnedTargetDrops is the directed unit test for
+// Engine.deliverDelayed: a fault-delayed message whose target churns out
+// before delivery must be counted as a drop, not a delivery, while a
+// not-yet-due message stays queued.
+func TestDeliverDelayedChurnedTargetDrops(t *testing.T) {
+	e := New(Config{
+		N: 16, Degree: 8, EdgeMode: expander.Static,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
+	})
+	doomed, survivor := e.IDAt(3), e.IDAt(5)
+	e.delayed = append(e.delayed,
+		delayedMsg{deliverAt: 4, m: Msg{To: doomed, Kind: 1}},
+		delayedMsg{deliverAt: 4, m: Msg{To: survivor, Kind: 2}},
+		delayedMsg{deliverAt: 9, m: Msg{To: survivor, Kind: 3}},
+	)
+	e.placeNewNode(3, 1) // churn the doomed target's slot
+	before := e.Metrics()
+	e.deliverDelayed(4)
+	m := e.Metrics()
+	if got := m.MsgsDropped - before.MsgsDropped; got != 1 {
+		t.Fatalf("dropped %d messages, want exactly the churned target's 1", got)
+	}
+	if got := m.MsgsDelivered - before.MsgsDelivered; got != 1 {
+		t.Fatalf("delivered %d messages, want exactly the live target's 1", got)
+	}
+	if len(e.inbox[5]) != 1 || e.inbox[5][0].Kind != 2 {
+		t.Fatalf("live target inbox = %+v, want the Kind 2 message", e.inbox[5])
+	}
+	if len(e.delayed) != 1 || e.delayed[0].m.Kind != 3 {
+		t.Fatalf("not-yet-due message not retained: %+v", e.delayed)
+	}
+}
+
+// TestSetFaultClearsPendingDelayed pins the phase-swap semantics: messages
+// a fault model was still holding back must not survive SetFault — they
+// are dropped (and accounted as fault drops), so a phase that declared
+// reliable links never observes the previous phase's delayed traffic.
+func TestSetFaultClearsPendingDelayed(t *testing.T) {
+	e := New(Config{
+		N: 32, Degree: 8, EdgeMode: expander.Static,
+		AdversarySeed: 7, ProtocolSeed: 8, Law: churn.ZeroLaw{},
+		Fault: delayAllFaults{Delay: 10},
+	})
+	h := &pingHandler{received: make([]int, 32)}
+	e.Run(h, 5)
+	if len(e.delayed) == 0 {
+		t.Fatal("delay-all model queued nothing")
+	}
+	pending := int64(len(e.delayed))
+	before := e.Metrics()
+	e.SetFault(nil)
+	m := e.Metrics()
+	if len(e.delayed) != 0 {
+		t.Fatalf("%d delayed messages survived SetFault(nil)", len(e.delayed))
+	}
+	if got := m.MsgsFaultDropped - before.MsgsFaultDropped; got != pending {
+		t.Fatalf("SetFault accounted %d fault drops, want %d", got, pending)
+	}
+	// After the swap the network is reliable: everything sent from now on
+	// is delivered next round, and nothing from the faulty phase leaks in.
+	recvBefore := totalReceived(h)
+	sentBefore := e.Metrics().MsgsSent
+	e.Run(h, 10)
+	gotRecv := int64(totalReceived(h) - recvBefore)
+	gotSent := e.Metrics().MsgsSent - sentBefore
+	if want := gotSent - 32; gotRecv != want { // last round's sends in flight
+		t.Fatalf("received %d after swap, want %d (no leakage, full delivery)", gotRecv, want)
+	}
+}

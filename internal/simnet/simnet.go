@@ -396,18 +396,6 @@ type Engine struct {
 
 	churned []int // slots replaced in the current round
 
-	// Bounded per-round replacement history (RetainReplacedHistory): a
-	// ring of per-round bitsets over slots, so ReplacedInRound can answer
-	// exactly for any round in the retained window — not just for each
-	// slot's latest occupancy. The walk soup's lazy trajectory evaluator
-	// replays up to a walk length of past rounds and needs exact per-round
-	// death checks even for slots that churned several times in the window.
-	histDepth  int       // retained rounds; 0 = history disabled
-	histWords  int       // bitset words per round, (N+63)/64
-	histRounds []int32   // ring: round recorded in each slot, -1 = empty
-	histBits   []uint64  // ring: histDepth × histWords bitset words
-	histLists  [][]int32 // ring: the slots set in each round's bitset
-
 	// slotLoc is the slot → packed (shard, local) table (shard.LocTable):
 	// one load resolves a destination slot's shard on the routing hot path
 	// instead of a hardware divide per message.
@@ -656,79 +644,18 @@ func (e *Engine) Age(s int) int { return e.round - int(e.joinRound[s]) }
 // round. The slice is owned by the engine; do not retain it.
 func (e *Engine) ChurnedThisRound() []int { return e.churned }
 
-// ReplacedInRound reports whether slot's occupant was churned in at the
-// start of the given round. This is the O(1) per-slot form of
+// ReplacedInRound reports whether slot's current occupant was churned in
+// at the start of the given round: it answers for the occupant's own join
+// round, not for earlier occupancies of the slot (the walk ring keeps its
+// own per-round record for those). This is the O(1) per-slot form of
 // ChurnedThisRound, for sharded round hooks (e.g. the walk soup's columnar
 // scatter) that fold churn handling into a parallel pass over slots and
 // cannot share an iteration over the churned list. The round is explicit
 // because hooks run before the engine's round counter advances while
 // between-rounds callers see it already incremented: pass the hook's round
 // argument, or Round()-1 after RunRound returns.
-//
-// Without RetainReplacedHistory the answer is exact only for the slot's
-// latest replacement (earlier occupancies are not recorded); with a
-// retained window covering round it is exact unconditionally.
 func (e *Engine) ReplacedInRound(slot, round int) bool {
-	if bits := e.ReplacedBitsInRound(round); bits != nil {
-		return bits[uint(slot)>>6]>>(uint(slot)&63)&1 != 0
-	}
 	return round > 0 && e.joinRound[slot] == int32(round)
-}
-
-// RetainReplacedHistory keeps exact per-round replacement records for the
-// last depth rounds, making ReplacedInRound exact for any round in that
-// window even when a slot churns repeatedly. Multiple callers may ask for
-// different depths; the deepest wins. Recording starts with the next
-// round; call before driving the engine (hooks call it at construction).
-// Cost: depth ceil(N/64)-word bitsets plus O(churn) upkeep per round.
-func (e *Engine) RetainReplacedHistory(depth int) {
-	if depth <= e.histDepth {
-		return
-	}
-	e.histDepth = depth
-	e.histWords = (e.cfg.N + 63) / 64
-	e.histRounds = make([]int32, depth)
-	for i := range e.histRounds {
-		e.histRounds[i] = -1
-	}
-	e.histBits = make([]uint64, depth*e.histWords)
-	e.histLists = make([][]int32, depth)
-}
-
-// ReplacedBitsInRound returns the replacement bitset recorded for round
-// (one bit per slot, slot s at word s/64 bit s%64), or nil when the round
-// is outside the retained history window. The returned words are owned by
-// the engine and valid until the window advances past the round; callers
-// on the hot path fetch the slice once per round and test bits locally.
-func (e *Engine) ReplacedBitsInRound(round int) []uint64 {
-	if e.histDepth == 0 || round < 0 {
-		return nil
-	}
-	i := round % e.histDepth
-	if e.histRounds[i] != int32(round) {
-		return nil
-	}
-	return e.histBits[i*e.histWords : (i+1)*e.histWords]
-}
-
-// recordReplacedHistory stores the current round's churned slots in the
-// history ring, reclaiming the ring slot's previous round via its list.
-func (e *Engine) recordReplacedHistory(round int) {
-	if e.histDepth == 0 {
-		return
-	}
-	i := round % e.histDepth
-	w := e.histBits[i*e.histWords : (i+1)*e.histWords]
-	for _, s := range e.histLists[i] {
-		w[uint(s)>>6] = 0 // coarse clear; resetting whole words is fine
-	}
-	list := e.histLists[i][:0]
-	for _, s := range e.churned {
-		w[uint(s)>>6] |= 1 << (uint(s) & 63)
-		list = append(list, int32(s))
-	}
-	e.histLists[i] = list
-	e.histRounds[i] = int32(round)
 }
 
 // AddHook registers a round hook, run in registration order each round.
@@ -945,7 +872,6 @@ func (e *Engine) RunRound(h Handler) {
 			prof.Lap(1) // topology
 		}
 	}
-	e.recordReplacedHistory(round)
 
 	// Swap inboxes: what was accumulated last round is delivered now.
 	// One fused pass resets next-round inboxes and tallies deliveries.

@@ -6,8 +6,8 @@ package walks
 // (src, birth, serial), the evolving topology, and the churn record: no
 // per-round token exchange is needed at all. Instead of moving
 // every in-flight token every round, StepRound records only the round's
-// inputs in a (T+2)-deep ring (churn itself lives in the engine's bounded
-// ReplacedInRound history), and replays one birth cohort's full
+// inputs in a (T+2)-deep ring — topology change, occupant changes and the
+// set of replaced slots — and replays one birth cohort's full
 // trajectory at its delivery round birth+T-1, with per-step death checks
 // against the ring. Fresh cohorts need no storage at all: every live slot
 // mints WalksPerRound implicit walks, and Inject records explicit extras;
@@ -28,8 +28,9 @@ package walks
 //     advanced forward one round per delivery (and aliasing a snapshot
 //     entry outright when one is on file for the tail round).
 //   - repRow: the replay scratch row, stepped forward through the ring
-//     by applying each round's deltas — or backward by unapplying them,
-//     deltas being reversible — as cohort replays demand rows.
+//     by applying each round's deltas as cohort replays demand rows; a
+//     replay that needs an older row re-anchors at the tail (forward
+//     only: DESIGN.md §9 records the measurement).
 //   - tailIds/idRow: the same scheme for the per-round occupant-id
 //     table, whose per-round delta is exactly the churned slots.
 //
@@ -106,14 +107,17 @@ type idDelta struct {
 // lazyRound is one ring entry of recorded round inputs: the round's
 // adjacency TRANSITION (deltas from the previous round's row, or a full
 // snapshot when the interval was disrupted) plus the round's occupant
-// changes.
+// changes. The occupant changes are kept twice: as the list that steps an
+// id table forward, and as the bitset a replay tests a token's slot
+// against — exact for this round even when the slot churns again inside
+// the window, which the engine's latest-occupancy record is not.
 type lazyRound struct {
-	round     int32 // validity tag; -1 = empty
-	anyChurn  bool
+	round     int32             // validity tag; -1 = empty
 	disrupted bool              // snap holds the round's full row; deltas void
 	deltas    []graph.PortDelta // row(round-1) → row(round), when !disrupted
 	snap      []int32           // full n·d row, allocated on first disruption
 	idDeltas  []idDelta         // occupant changes in this round (churned slots)
+	death     []uint64          // the same slots as a bitset: bit s%64 of word s/64
 }
 
 // lazyCohort tracks one birth cohort's evaluation state. Its token
@@ -131,7 +135,6 @@ type lazySoup struct {
 	T     int // WalkLength: trajectory length and delivery offset
 	depth int // ring depth, T+2: covers every input a replay can need
 	d     int // topology degree
-	eng   *simnet.Engine
 
 	firstRound, lastRound int // first/last round stepped; -1 before any
 
@@ -189,7 +192,7 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 	depth := T + 2
 	n, d := s.n, e.Degree()
 	lz := &lazySoup{
-		T: T, depth: depth, d: d, eng: e,
+		T: T, depth: depth, d: d,
 		firstRound: -1, lastRound: -1,
 		tailRound: -1, repRound: -1, idRound: -1,
 		rounds:  make([]lazyRound, depth),
@@ -202,6 +205,7 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 	}
 	for i := range lz.rounds {
 		lz.rounds[i].round = -1
+		lz.rounds[i].death = make([]uint64, (n+63)/64)
 		lz.arrives[i] = make([]int32, n)
 		lz.cohorts[i].round = -1
 	}
@@ -218,13 +222,10 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 		s.shards[i].lzToks = make([][]replayTok, depth)
 	}
 	// The ring consumes the graph's change journal: every incremental
-	// rewire between soup observations becomes one 12-byte delta; bulk
+	// rewire between soup observations becomes one 8-byte delta; bulk
 	// rewrites surface as drain-time disruptions. The limit keeps a
 	// worst-case round's delta bytes well under snapshot cost.
 	e.Graph().EnableJournal(n * d / 8)
-	// Replays need exact per-round death checks for up to T rounds back,
-	// beyond what the engine's latest-occupancy record can answer.
-	e.RetainReplacedHistory(depth)
 	return lz
 }
 
@@ -243,10 +244,8 @@ func (lz *lazySoup) entry(r int) *lazyRound {
 // (tailRound <= target <= lastRound). Snapshot entries are returned
 // aliased (zero copy — the Rerandomize oracle pays nothing it didn't
 // pay with full-row rings). Delta entries step the repRow scratch
-// forward from the nearest absolute anchor — or backward from where
-// repRow already is, deltas being reversible, when that is cheaper than
-// re-anchoring. The returned slice is read-only for callers and valid
-// until the next rowAt/advanceTail call.
+// forward from the nearest absolute anchor. The returned slice is
+// read-only for callers and valid until the next rowAt/advanceTail call.
 func (lz *lazySoup) rowAt(target int) []int32 {
 	e := lz.entry(target)
 	if e.disrupted {
@@ -255,30 +254,9 @@ func (lz *lazySoup) rowAt(target int) []int32 {
 	if lz.repRound == target {
 		return lz.repRow
 	}
-	// Backward: unapply the intervening rounds' deltas when they are all
-	// delta-encoded and collectively cheaper than a full-row copy.
-	if lz.repRound > target {
-		sum, ok := 0, true
-		for r := lz.repRound; r > target; r-- {
-			er := lz.entry(r)
-			if er.disrupted {
-				ok = false
-				break
-			}
-			sum += len(er.deltas)
-		}
-		if ok && sum < len(lz.repRow)/2 {
-			for r := lz.repRound; r > target; r-- {
-				graph.UnapplyDeltas(lz.repRow, lz.entry(r).deltas)
-			}
-			lz.repRound = target
-			return lz.repRow
-		}
-		lz.repRound = -1 // cheaper to re-anchor below
-	}
-	// Forward: anchor at the nearest absolute row at or below target —
-	// repRow where it stands, a snapshot entry, or the tail row — then
-	// apply each round's deltas up to target.
+	// Anchor at the nearest absolute row at or below target — repRow where
+	// it stands, a snapshot entry, or the tail row — then apply each
+	// round's deltas up to target.
 	anchor := -1
 	var src []int32
 	for r := target; r >= lz.tailRound; r-- {
@@ -364,7 +342,6 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 	ri := round % lz.depth
 	rr := &lz.rounds[ri]
 	rr.round = int32(round)
-	rr.anyChurn = round > 0 && len(e.ChurnedThisRound()) > 0
 	// Adjacency transition: the drained change journal when the interval
 	// was incremental, a full snapshot when it was disrupted (bulk
 	// rewrite or over-limit churn).
@@ -380,11 +357,16 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 		rr.disrupted = false
 		rr.deltas = append(rr.deltas[:0], deltas...)
 	}
-	// Occupant changes: the churned slots' fresh ids.
+	// Occupant changes: the churned slots' fresh ids, and their bits. The
+	// ring slot's previous tenant's list says which words to clear first.
+	for _, ch := range rr.idDeltas {
+		rr.death[uint32(ch.slot)>>6] = 0
+	}
 	rr.idDeltas = rr.idDeltas[:0]
-	if rr.anyChurn {
+	if round > 0 {
 		for _, slot := range e.ChurnedThisRound() {
-			rr.idDeltas = append(rr.idDeltas, idDelta{slot: int32(slot), id: e.IDAt(int(slot))})
+			rr.idDeltas = append(rr.idDeltas, idDelta{slot: int32(slot), id: e.IDAt(slot)})
+			rr.death[uint(slot)>>6] |= 1 << (uint(slot) & 63)
 		}
 	}
 	if lz.firstRound < 0 {
@@ -561,8 +543,8 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 	arrive := lz.arrives[b%lz.depth]
 	coh := &lz.cohorts[b%lz.depth]
 	var death []uint64
-	if ring.anyChurn {
-		death = lz.eng.ReplacedBitsInRound(b)
+	if len(ring.idDeltas) > 0 {
+		death = ring.death
 	}
 	toks := ss.lzPop()
 	var generated, died int64
@@ -622,7 +604,7 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 }
 
 // lzReplayShard advances cohort b's tokens in ss by the single round r:
-// per-step death check against the engine's replacement record, one
+// per-step death check against the ring's replacement bitset, one
 // step hash, one row load against the materialized round-r adjacency,
 // and — for non-final rounds — one arrival increment at the landing
 // slot in arr, the calling lane's own round-r+1 arrival table. The step
@@ -639,8 +621,8 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int
 	var death []uint64
 	// At r == b every token is freshly minted (injected deaths were
 	// resolved at creation), so only later rounds check for churn.
-	if r > b && ring.anyChurn {
-		death = lz.eng.ReplacedBitsInRound(r)
+	if r > b && len(ring.idDeltas) > 0 {
+		death = ring.death
 	}
 	lazyWalk := s.p.Lazy
 	seed := s.seed

@@ -240,3 +240,40 @@ func TestLazySteadyStateReleasesBuffers(t *testing.T) {
 		t.Fatalf("pool holds %d buffers, want exactly one per shard (%d)", pooled, len(s.shards))
 	}
 }
+
+// TestLazyRingReplacedSetExactWithinWindow pins the ring's own replacement
+// record: with slots churning several times inside the T+2-round window,
+// every retained round's bitset must equal that round's ChurnedThisRound —
+// including rounds before a slot's latest replacement, which the engine's
+// join-round record cannot answer.
+func TestLazyRingReplacedSetExactWithinWindow(t *testing.T) {
+	const n, rounds = 48, 40
+	e := newEngine(n, churn.FixedLaw{Count: 6}, 3, 4)
+	s := NewSoup(e, lazyTestParams(), 0)
+	e.AddHook(s)
+	truth := make([][]int, rounds)
+	for r := 0; r < rounds; r++ {
+		e.RunRound(simnet.NopHandler{})
+		truth[r] = slices.Clone(e.ChurnedThisRound())
+	}
+	lz := s.lz
+	sawRechurn := false
+	for r := rounds - lz.depth; r < rounds; r++ {
+		ring := lz.entry(r)
+		if len(ring.idDeltas) != len(truth[r]) {
+			t.Fatalf("round %d: %d occupant changes recorded, %d slots churned", r, len(ring.idDeltas), len(truth[r]))
+		}
+		for slot := 0; slot < n; slot++ {
+			want := slices.Contains(truth[r], slot)
+			if got := lzReplaced(ring.death, int32(slot)); got != want {
+				t.Fatalf("round %d slot %d: ring says replaced = %v, want %v", r, slot, got, want)
+			}
+			if want && e.JoinRound(slot) > r {
+				sawRechurn = true
+			}
+		}
+	}
+	if !sawRechurn {
+		t.Fatal("no slot churned twice inside the window; raise churn")
+	}
+}
