@@ -47,17 +47,21 @@ const (
 	noBudget = math.MaxInt
 )
 
-// allocsPerRound runs round the given number of times and returns the
-// mean heap allocations per call, truncated like testing's allocs/op.
-func allocsPerRound(round func(), rounds int) int {
+// allocs runs round the given number of times and returns the heap
+// allocations made.
+func allocs(round func(), rounds int) int {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
 		round()
 	}
 	runtime.ReadMemStats(&after)
-	return int(after.Mallocs-before.Mallocs) / rounds
+	return int(after.Mallocs - before.Mallocs)
 }
+
+// allocsPerRound is the mean of allocs per call, truncated like testing's
+// allocs/op.
+func allocsPerRound(round func(), rounds int) int { return allocs(round, rounds) / rounds }
 
 func checkBudget(name string, got, budget int) error {
 	if got > budget {
@@ -73,12 +77,14 @@ func steadyGate(name string, round func()) error {
 }
 
 // deltaGate fails when other averages more than budget allocations per
-// round above base, each over gateRounds rounds. Allocation counts are
-// exact, so this holds on any host.
+// round above base, each over gateRounds rounds. The difference of the
+// totals is what is truncated to whole allocations per round: truncating
+// each side first turns a couple of stray runtime allocations into a
+// failure whenever base sits just under a multiple of gateRounds.
 func deltaGate(name string, base, other func(), budget int) error {
-	b, o := allocsPerRound(base, gateRounds), allocsPerRound(other, gateRounds)
-	if o-b > budget {
-		return fmt.Errorf("%s allocates %d/round against %d, budget is +%d", name, o, b, budget)
+	b, o := allocs(base, gateRounds), allocs(other, gateRounds)
+	if (o-b)/gateRounds > budget {
+		return fmt.Errorf("%s allocates %d against %d over %d rounds, budget is +%d/round", name, o, b, gateRounds, budget)
 	}
 	return nil
 }

@@ -150,3 +150,89 @@ func TestJournalReplayProperty(t *testing.T) {
 		}
 	}
 }
+
+// Journal scripts are byte strings, four bytes per operation: an opcode
+// and three arguments. The graph is small and the journal limit low so a
+// short script reaches the over-limit collapse.
+const (
+	jopSet    = iota // SetPort(a, b, c); c == 255 rewrites the current value (a no-op)
+	jopSever         // severSlot(a)
+	jopSplice        // spliceEdges of vertex a into edge (b, c)
+	jopFill          // FillRandomRegular
+	jopBurst         // more raw writes than the limit, from slot a on
+	jopDrain         // DrainJournal and compare
+	jopCount
+
+	jN, jD, jLimit = 16, 4, 8
+)
+
+// runJournalScript drives a journaled graph through script. After every
+// drain (and a final one) a shadow row advanced only by the drained deltas,
+// or re-snapshotted on a disruption, must equal the live adjacency: the
+// contract the walk soup's delta ring is built on.
+func runJournalScript(t *testing.T, script []byte) {
+	t.Helper()
+	build := rng.New(7)
+	g := RandomRegular(jN, jD, build)
+	g.EnableJournal(jLimit)
+	shadow := make([]int32, jN*jD)
+	drain := func(op int) {
+		t.Helper()
+		deltas, disrupted := g.DrainJournal()
+		if disrupted {
+			if len(deltas) != 0 {
+				t.Fatalf("op %d: disrupted drain returned %d deltas", op, len(deltas))
+			}
+			copy(shadow, g.Adjacency())
+		} else {
+			if len(deltas) > jLimit {
+				t.Fatalf("op %d: %d deltas drained, limit %d", op, len(deltas), jLimit)
+			}
+			ApplyDeltas(shadow, deltas)
+		}
+		for i, w := range g.Adjacency() {
+			if shadow[i] != w {
+				t.Fatalf("op %d (disrupted=%v, %d deltas): shadow[%d] = %d, adjacency %d",
+					op, disrupted, len(deltas), i, shadow[i], w)
+			}
+		}
+	}
+	drain(-1) // the enable-time disruption seeds the shadow
+	for pc := 0; pc+3 < len(script); pc += 4 {
+		a, b, c := int(script[pc+1]), int(script[pc+2]), int(script[pc+3])
+		switch script[pc] % jopCount {
+		case jopSet:
+			w := int32(c % jN)
+			if c == 255 {
+				w = g.Neighbor(a%jN, b%jD)
+			}
+			g.SetPort(a%jN, b%jD, w)
+		case jopSever:
+			severSlot(g, a%jN)
+		case jopSplice:
+			spliceEdges(g, a%jN, b%jD, c%jD, b%jN, (b/jN)%jD, c%jN, (c/jN)%jD)
+		case jopFill:
+			g.FillRandomRegular(build)
+		case jopBurst:
+			for i := 0; i <= jLimit; i++ {
+				v := (a + i) % jN
+				g.SetPort(v, b%jD, (g.Neighbor(v, b%jD)+1)%jN)
+			}
+		case jopDrain:
+			drain(pc / 4)
+		}
+	}
+	drain(len(script) / 4)
+}
+
+// FuzzJournalReplay seeds one script per mutation shape
+// TestJournalReplayProperty mixes — rebuild, severing, splices, raw writes
+// with no-ops, quiet drains — plus the over-limit burst and its recovery.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte{jopFill, 0, 0, 0, jopDrain, 0, 0, 0, jopSet, 1, 2, 3, jopFill, 0, 0, 0, jopDrain, 0, 0, 0})
+	f.Add([]byte{jopSever, 3, 0, 0, jopDrain, 0, 0, 0, jopSever, 3, 0, 0, jopSever, 9, 0, 0})
+	f.Add([]byte{jopSplice, 5, 17, 38, jopSplice, 2, 200, 7, jopDrain, 0, 0, 0, jopDrain, 0, 0, 0})
+	f.Add([]byte{jopSet, 1, 1, 9, jopSet, 1, 1, 255, jopSet, 4, 0, 4, jopDrain, 0, 0, 0, jopSet, 1, 1, 9})
+	f.Add([]byte{jopBurst, 0, 1, 0, jopDrain, 0, 0, 0, jopSet, 2, 2, 2, jopDrain, 0, 0, 0, jopBurst, 14, 3, 0, jopSet, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, script []byte) { runJournalScript(t, script) })
+}

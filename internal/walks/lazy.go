@@ -39,30 +39,22 @@ package walks
 // advances the row to r+1 (its last-arriver callback applies the deltas
 // serially). Shard-major replay died with the snapshots — there is no
 // longer a per-round row to read at random. The workers are replay LANES
-// (lzLane): each claims shards off a cursor and counts the arrivals it
-// produces in a table of its own, so the kernel shares no written cache
-// line between cores; the same barrier folds the lane tables into the
-// ring's arrival table.
+// (lzLane): each claims shards off a cursor and writes only that shard's
+// cohort buffer, sample staging and tallies, so the kernel shares no
+// written cache line between cores.
 //
-// Two parts are retrospective and make the representation exact, not
-// approximate:
+// A cohort's replay reads nothing any other cohort produced: a walk's
+// identity is (source id, birth round, index in its batch) — ids are never
+// reused, so that is unique with no counting — which is what lets a cohort
+// sit unmaterialized until its delivery round.
 //
-//   - Serial continuation. A slot's fresh walks continue serials from its
-//     stored-survivor count (as in store.go's scatter), which depends
-//     on where every older cohort's tokens sit at the birth round. Each
-//     cohort's replay therefore counts the NEXT round's arrivals as
-//     tokens land (per lane, summed into arrive[r+1] at the round
-//     barrier — a sum, so the same at every worker count); cohort b-1
-//     delivers (and finishes arrive[b]) one round before cohort b is
-//     created, so the serial bases are always complete exactly when they
-//     are needed.
-//   - Metrics and introspection. Queries (Metrics, TokensAt, TotalTokens,
-//     AppendTokens, Inject) force every in-flight cohort's partial
-//     trajectory up to the last stepped round, caching per-cohort
-//     positions and resuming at delivery, so an event is counted iff its
-//     round has run — bit-identical to the reference model at any query
-//     pattern and any worker count. The no-query hot path never pays for
-//     any of this.
+// One part is retrospective and makes the representation exact, not
+// approximate: metrics and introspection. Queries (Metrics, TotalTokens,
+// AppendTokens) force every in-flight cohort's partial trajectory up to
+// the last stepped round, caching per-cohort positions and resuming at
+// delivery, so an event is counted iff its round has run — bit-identical
+// to the reference model at any query pattern and any worker count. The
+// no-query hot path never pays for any of this.
 //
 // Overdue is identically zero here: an undeferred token steps every
 // round, so its age never exceeds WalkLength-1, and NewSoup clamps
@@ -87,12 +79,13 @@ type replayTok struct {
 	pos   int32  // slot the token occupies after the evalRound step
 }
 
-// injRec is one Inject call, recorded until its cohort is materialized.
+// injRec is one Inject call, recorded (Soup.inj) until the next StepRound
+// and, on the lazy store, from there until its cohort is materialized.
 type injRec struct {
 	slot  int32
 	count int32
 	birth int32
-	base  uint16 // serial base: the slot's stored count at inject time
+	base  uint16 // first serial: WalksPerRound + the slot's earlier injections
 	id    simnet.NodeID
 }
 
@@ -139,9 +132,7 @@ type lazySoup struct {
 	firstRound, lastRound int // first/last round stepped; -1 before any
 
 	rounds  []lazyRound
-	arrives [][]int32 // arrives[r%depth][slot]: tokens stored at slot at round r
 	cohorts []lazyCohort
-	pending []injRec // injections for the next stepped round
 
 	// Adjacency cursors over the delta ring (see the package comment).
 	tailRound int     // oldest round any future replay can need
@@ -158,19 +149,13 @@ type lazySoup struct {
 	idRow   []simnet.NodeID
 
 	// Replay lanes (lzLane), all built once so an advance allocates
-	// nothing. Lane 0 runs on the caller and counts arrivals straight into
-	// the ring table; lane l >= 1 runs spawn[l-1] and counts into
-	// laneArr[l-1], which lzEndRound folds into the ring table and zeroes at
-	// every round barrier. Counts are additive, so the sums — and
-	// everything derived from them — are identical at every worker count.
-	// The lanes also publish what Samples() serves: a delivery's sample
-	// gather is their last phase, so a delivery path must go through
-	// lzAdvance.
-	laneArr [][]int32
-	spawn   []func()
-	wg      sync.WaitGroup
-	bar     *shard.Barrier // the lanes' round barrier; lzEndRound is its callback
-	cursor  atomic.Int64   // next unclaimed shard of the phase in progress
+	// nothing. Lane 0 runs on the caller; lane l >= 1 runs spawn[l-1]. The
+	// lanes also publish what Samples() serves: a delivery's sample gather
+	// is their last phase, so a delivery path must go through lzAdvance.
+	spawn  []func()
+	wg     sync.WaitGroup
+	bar    *shard.Barrier // the lanes' round barrier; lzEndRound is its callback
+	cursor atomic.Int64   // next unclaimed shard of the phase in progress
 
 	// The advance in progress, written by lzAdvance before the lanes start
 	// and by lzEndRound between rounds: cohort advB replays round advR
@@ -179,8 +164,6 @@ type lazySoup struct {
 	advB, advR, advTo int
 	advRow            []int32
 	advIds            []simnet.NodeID
-
-	countsOK bool // per-shard counts caches reflect current state
 }
 
 // newLazySoup builds the ring. Cursor rows and per-round tables are
@@ -196,7 +179,6 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 		firstRound: -1, lastRound: -1,
 		tailRound: -1, repRound: -1, idRound: -1,
 		rounds:  make([]lazyRound, depth),
-		arrives: make([][]int32, depth),
 		cohorts: make([]lazyCohort, depth),
 		tailBuf: make([]int32, n*d),
 		repRow:  make([]int32, n*d),
@@ -206,16 +188,14 @@ func newLazySoup(e *simnet.Engine, s *Soup) *lazySoup {
 	for i := range lz.rounds {
 		lz.rounds[i].round = -1
 		lz.rounds[i].death = make([]uint64, (n+63)/64)
-		lz.arrives[i] = make([]int32, n)
 		lz.cohorts[i].round = -1
 	}
 	lanes := min(s.workers, len(s.shards))
 	lz.bar = shard.NewBarrier(lanes)
 	for l := 1; l < lanes; l++ {
-		lz.laneArr = append(lz.laneArr, make([]int32, n))
 		lz.spawn = append(lz.spawn, func() {
 			defer lz.wg.Done()
-			s.lzLane(l)
+			s.lzLane()
 		})
 	}
 	for i := range s.shards {
@@ -382,20 +362,12 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 		}
 		lz.tailIds = e.LiveIDs(lz.tailIds[:0])
 	}
-	// arrive[round+1] starts accumulating this round (delivery landings
-	// now, query-forced partial landings after); its ring slot's previous
-	// tenant was last read at cohort creation T+1 rounds ago.
-	arr := lz.arrives[(round+1)%lz.depth]
-	for i := range arr {
-		arr[i] = 0
-	}
+	// The cohort takes the round's injection record; the soup gets the ring
+	// slot's previous list back, emptied.
 	coh := &lz.cohorts[ri]
 	oldInj := coh.inj
-	*coh = lazyCohort{round: int32(round), evalRound: int32(round - 1), inj: lz.pending}
-	if oldInj != nil {
-		oldInj = oldInj[:0]
-	}
-	lz.pending = oldInj
+	*coh = lazyCohort{round: int32(round), evalRound: int32(round - 1), inj: s.inj}
+	s.inj = oldInj[:0]
 	for i := range s.shards {
 		ss := &s.shards[i]
 		for dsh := range ss.outSmp {
@@ -418,14 +390,10 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 		// at the last recorded round — T = 1 delivers the round it records).
 		lz.advanceTail(min(c+1, lz.lastRound))
 	}
-	lz.countsOK = false
 }
 
 // lzAdvance creates cohort b if needed and replays it through round to,
-// folding the tallies into the soup metrics. Callers guarantee every
-// older cohort has already been replayed through b-1 (StepRound delivers
-// in birth order; lzSync forces in birth order), which is what makes the
-// arrival tables — and so the serial bases — complete when read.
+// folding the tallies into the soup metrics.
 //
 // The work runs on the prebuilt replay lanes (lzLane), one per worker
 // with the caller as lane 0; a single lane is the serial case of the
@@ -453,7 +421,7 @@ func (s *Soup) lzAdvance(b, to int) {
 	for _, spawn := range lz.spawn {
 		go spawn()
 	}
-	s.lzLane(0)
+	s.lzLane()
 	lz.wg.Wait()
 	coh.created = true
 	coh.evalRound = int32(to)
@@ -467,25 +435,19 @@ func (s *Soup) lzAdvance(b, to int) {
 // round-major: the lanes claim shards off the cursor and step them
 // through round r against the one materialized adjacency row, and a
 // barrier separates r from r+1 (and cohort creation from the first
-// round). Each lane counts the arrivals it produces in its own table, so
-// the kernel's writes never cross cores; lzEndRound, the barrier's
-// last-arriver callback, sums the tables into the ring while every lane
-// is parked.
-func (s *Soup) lzLane(l int) {
+// round); lzEndRound, the barrier's last-arriver callback, moves the row
+// while every lane is parked.
+func (s *Soup) lzLane() {
 	lz := s.lz
 	b, to, nsh := lz.advB, lz.advTo, int64(len(s.shards))
 	final := b + lz.T - 1
 	for {
 		r, row := lz.advR, lz.advRow
-		arr := lz.arrives[(r+1)%lz.depth]
-		if l > 0 {
-			arr = lz.laneArr[l-1]
-		}
 		for sh := lz.cursor.Add(1) - 1; sh < nsh; sh = lz.cursor.Add(1) - 1 {
 			if r < b {
 				s.lzCreateShard(&s.shards[sh], b, lz.advIds)
 			} else {
-				s.lzReplayShard(&s.shards[sh], b, r, r == final, row, arr)
+				s.lzReplayShard(&s.shards[sh], b, r, r == final, row)
 			}
 		}
 		lz.bar.Wait(lz.lzEndRound)
@@ -504,20 +466,9 @@ func (s *Soup) lzLane(l int) {
 }
 
 // lzEndRound closes phase advR of the advance in progress, serially, with
-// every lane parked at the barrier: it folds the lane tables into
-// arrive[advR+1] and zeroes them — also when advR == advTo ends a
-// query-forced partial advance, whose counts the next cohort's creation
-// still needs — then re-arms the shard cursor and moves the shared row to
-// the next round. (Creation and the delivery round count no arrivals;
-// their fold adds zeros.)
+// every lane parked at the barrier: it re-arms the shard cursor and moves
+// the shared row to the next round.
 func (lz *lazySoup) lzEndRound() {
-	arr := lz.arrives[(lz.advR+1)%lz.depth]
-	for _, lane := range lz.laneArr {
-		for i, c := range lane {
-			arr[i] += c
-		}
-		clear(lane)
-	}
 	lz.cursor.Store(0)
 	if lz.advR < lz.advTo {
 		lz.advR++
@@ -532,84 +483,57 @@ func lzReplaced(death []uint64, slot int32) bool {
 
 // lzCreateShard materializes cohort b's tokens born in ss's slots:
 // recorded injections first (they were stored at their slot before the
-// round began, so they die with a churned carrier and their survivors
-// count toward the generation serial base), then one implicit fresh batch
-// per slot, serials continuing from the slot's stored-survivor count —
-// identical semantics to the capped scatter's generation. ids is the
-// round-b occupant table materialized by the caller.
+// round began, so they die with a churned carrier), then one implicit
+// fresh batch per slot with serials 0 … WalksPerRound-1 — identical
+// semantics to the capped scatter's generation. ids is the round-b
+// occupant table materialized by the caller.
 func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 	lz := s.lz
 	ring := &lz.rounds[b%lz.depth]
-	arrive := lz.arrives[b%lz.depth]
 	coh := &lz.cohorts[b%lz.depth]
 	var death []uint64
 	if len(ring.idDeltas) > 0 {
 		death = ring.death
 	}
 	toks := ss.lzPop()
-	var generated, died int64
+	var died int64
 	lo, hi := ss.lo, ss.hi
-	hasInj := false
 	for i := range coh.inj {
 		in := &coh.inj[i]
-		slot := int(in.slot)
-		if slot < lo || slot >= hi {
+		if slot := int(in.slot); slot < lo || slot >= hi {
 			continue
-		}
-		if !hasInj {
-			hasInj = true
-			clear(ss.injCount)
 		}
 		if lzReplaced(death, in.slot) {
 			died += int64(in.count)
 			continue
 		}
-		ss.injCount[slot-lo] += in.count
 		idser := uint64(in.id) << 16
 		for k := int32(0); k < in.count; k++ {
 			toks = append(toks, replayTok{idser: idser | uint64(in.base+uint16(k)), birth: in.birth, pos: in.slot})
 		}
 	}
-	if wpr := s.p.WalksPerRound; wpr > 0 {
-		for slot := lo; slot < hi; slot++ {
-			base := 0
-			if !lzReplaced(death, int32(slot)) {
-				base = int(arrive[slot])
-				if hasInj {
-					base += int(ss.injCount[slot-lo])
-				}
-			}
-			// Same uint16-serial clamp as the capped scatter's generation.
-			gen := wpr
-			if limit := 1<<16 - base; gen > limit {
-				gen = max(limit, 0)
-			}
-			generated += int64(gen)
-			if gen == 0 {
-				continue
-			}
-			id := ids[slot]
-			if uint64(id) >= maxSrcID {
-				panic("walks: node id exceeds the packed staging range")
-			}
-			idser := uint64(id) << 16
-			for k := 0; k < gen; k++ {
-				toks = append(toks, replayTok{idser: idser | uint64(uint16(base+k)), birth: int32(b), pos: int32(slot)})
-			}
+	wpr := s.p.WalksPerRound
+	for slot := lo; slot < hi; slot++ {
+		id := ids[slot]
+		if uint64(id) >= maxSrcID {
+			panic("walks: node id exceeds the packed staging range")
+		}
+		idser := uint64(id) << 16
+		for k := 0; k < wpr; k++ {
+			toks = append(toks, replayTok{idser: idser | uint64(k), birth: int32(b), pos: int32(slot)})
 		}
 	}
 	ss.lzToks[b%lz.depth] = toks
-	ss.tally.Generated += generated
+	ss.tally.Generated += int64(hi-lo) * int64(wpr)
 	ss.tally.Died += died
 }
 
 // lzReplayShard advances cohort b's tokens in ss by the single round r:
 // per-step death check against the ring's replacement bitset, one
-// step hash, one row load against the materialized round-r adjacency,
-// and — for non-final rounds — one arrival increment at the landing
-// slot in arr, the calling lane's own round-r+1 arrival table. The step
-// core matches store.go's scatter loop bit for bit.
-func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int32) {
+// step hash and one row load against the materialized round-r adjacency.
+// It writes only ss's own cohort buffer, sample staging and tallies. The
+// step core matches store.go's scatter loop bit for bit.
+func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
 	toks := ss.lzToks[b%lz.depth]
@@ -659,7 +583,6 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row, arr []int
 			ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
 				loc: t.idser>>16<<shard.LocalBits | uint64(loc&localMask), birth: t.birth})
 		} else {
-			arr[pos]++
 			t.pos = pos
 			toks[w] = t
 			w++
@@ -685,12 +608,11 @@ func (ss *soupShard) lzPop() []replayTok {
 }
 
 // lzSync forces every in-flight cohort's evaluation up to the last
-// stepped round (and optionally refreshes the per-slot count caches),
-// serialized so concurrent protocol handlers can query freely. Repeat
-// calls are cheap: each cohort resumes from its cached positions, so a
-// query-every-round workload degrades gracefully to one step per token
-// per round rather than re-deriving trajectories.
-func (s *Soup) lzSync(wantCounts bool) {
+// stepped round, serialized so concurrent protocol handlers can query
+// freely. Repeat calls are cheap: each cohort resumes from its cached
+// positions, so a query-every-round workload degrades gracefully to one
+// step per token per round rather than re-deriving trajectories.
+func (s *Soup) lzSync() {
 	lz := s.lz
 	s.countsMu.Lock()
 	defer s.countsMu.Unlock()
@@ -699,43 +621,11 @@ func (s *Soup) lzSync(wantCounts bool) {
 			s.lzAdvance(b, R)
 		}
 	}
-	if wantCounts && !lz.countsOK {
-		s.lzFillCounts()
-		lz.countsOK = true
-	}
-}
-
-// lzFillCounts rebuilds the per-shard per-slot token counts from the
-// cached cohort positions plus pending injections. Called under countsMu.
-func (s *Soup) lzFillCounts() {
-	lz := s.lz
-	for i := range s.shards {
-		cs := s.shards[i].counts
-		for j := range cs {
-			cs[j] = 0
-		}
-	}
-	if lz.lastRound >= 0 {
-		for b := max(lz.firstRound, lz.lastRound-lz.T+2); b <= lz.lastRound; b++ {
-			ci := b % lz.depth
-			for i := range s.shards {
-				for _, t := range s.shards[i].lzToks[ci] {
-					loc := s.slotLoc[t.pos]
-					s.shards[loc>>shard.LocalBits].counts[loc&localMask]++
-				}
-			}
-		}
-	}
-	for i := range lz.pending {
-		in := &lz.pending[i]
-		loc := s.slotLoc[in.slot]
-		s.shards[loc>>shard.LocalBits].counts[loc&localMask] += in.count
-	}
 }
 
 // lzTotalTokens sums live cohort sizes plus pending injections.
 func (s *Soup) lzTotalTokens() int {
-	s.lzSync(false)
+	s.lzSync()
 	lz := s.lz
 	t := 0
 	if lz.lastRound >= 0 {
@@ -746,8 +636,8 @@ func (s *Soup) lzTotalTokens() int {
 			}
 		}
 	}
-	for i := range lz.pending {
-		t += int(lz.pending[i].count)
+	for i := range s.inj {
+		t += int(s.inj[i].count)
 	}
 	return t
 }
@@ -756,7 +646,7 @@ func (s *Soup) lzTotalTokens() int {
 // order: cohorts by birth round, within a cohort by birth shard then
 // materialization order, pending injections last.
 func (s *Soup) lzAppendTokens(slot int, dst []Token) []Token {
-	s.lzSync(false)
+	s.lzSync()
 	lz := s.lz
 	if lz.lastRound >= 0 {
 		for b := max(lz.firstRound, lz.lastRound-lz.T+2); b <= lz.lastRound; b++ {
@@ -774,8 +664,8 @@ func (s *Soup) lzAppendTokens(slot int, dst []Token) []Token {
 			}
 		}
 	}
-	for i := range lz.pending {
-		in := &lz.pending[i]
+	for i := range s.inj {
+		in := &s.inj[i]
 		if int(in.slot) != slot {
 			continue
 		}
@@ -785,19 +675,4 @@ func (s *Soup) lzAppendTokens(slot int, dst []Token) []Token {
 		}
 	}
 	return dst
-}
-
-// lzInject records an injection for the next stepped round. The serial
-// base (the slot's stored count at inject time) was computed by the
-// caller via TokensAt, which forced evaluation, so generation continuing
-// from the post-inject count can never mint a colliding identity.
-func (s *Soup) lzInject(slot, count int, id simnet.NodeID, birth int32, base uint16) {
-	if uint64(id) >= maxSrcID {
-		panic("walks: node id exceeds the packed staging range")
-	}
-	lz := s.lz
-	lz.pending = append(lz.pending, injRec{
-		slot: int32(slot), count: int32(count), id: id, birth: birth, base: base,
-	})
-	lz.countsOK = false
 }

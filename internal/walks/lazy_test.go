@@ -14,13 +14,13 @@ func lazyTestParams() Params {
 }
 
 // TestLazyForcingIndependence pins that query-time forcing is purely
-// observational: a lazy soup interrogated every round (Metrics, TokensAt,
-// TotalTokens — all of which force partial cohort evaluation) must
-// deliver byte-for-byte the same per-round sample stream and final
-// counters as an identical run that is never queried mid-flight. This is
-// the regression net for the resume bookkeeping (evalRound, cached
-// positions, incremental arrival counts): any double-count or missed
-// resume shows up as a divergence here.
+// observational: a lazy soup interrogated every round (Metrics,
+// TotalTokens, AppendTokens — all of which force partial cohort
+// evaluation) must deliver byte-for-byte the same per-round sample stream
+// and final counters as an identical run that is never queried
+// mid-flight. This is the regression net for the resume bookkeeping
+// (evalRound, cached positions): any double-count or missed resume shows
+// up as a divergence here.
 func TestLazyForcingIndependence(t *testing.T) {
 	const n, rounds = 128, 60
 	run := func(query bool) ([]Sample, Metrics) {
@@ -40,7 +40,7 @@ func TestLazyForcingIndependence(t *testing.T) {
 				_ = s.Metrics()
 				_ = s.TotalTokens()
 				for slot := 0; slot < n; slot += 17 {
-					_ = s.TokensAt(slot)
+					_ = s.AppendTokens(slot, nil)
 				}
 			}
 		}
@@ -62,59 +62,17 @@ func TestLazyForcingIndependence(t *testing.T) {
 }
 
 // TestLazyDeterministicAcrossWorkerCounts is the lazy-store sibling of
-// TestDeterministicAcrossWorkerCounts (which runs the capped store): the
-// full ordered arrival stream, metrics, and per-slot counts must be
-// identical at every worker count even though multi-worker replays count
-// arrivals in per-lane tables and claim shards in scheduling order.
+// TestDeterministicAcrossWorkerCounts (which runs the capped store): every
+// observation must be identical at every worker count even though
+// multi-worker replays claim shards in scheduling order. Each round's
+// ordered samples are always compared; on query rounds so are the metrics,
+// per-slot counts and every in-flight token identity. Querying every round
+// makes every advance a one-round partial one; the mixed pattern leaves
+// rounds without any query, so full deliveries and query-forced partial
+// advances interleave.
 func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
-	const n, rounds = 128, 40
-	run := func(workers int) (Metrics, []int) {
-		e := newEngine(n, churn.FixedLaw{Count: 4}, 31, 32)
-		s := NewSoup(e, lazyTestParams(), workers)
-		e.AddHook(s)
-		var arrivals []int
-		for r := 0; r < rounds; r++ {
-			if r%9 == 2 {
-				s.Inject(e, (r*5)%n, 7, e.Round())
-			}
-			e.RunRound(simnet.NopHandler{})
-			for slot := 0; slot < n; slot++ {
-				for _, sm := range s.Samples(slot) {
-					arrivals = append(arrivals, slot*1000000+int(sm.Src))
-				}
-				arrivals = append(arrivals, -1-s.TokensAt(slot))
-			}
-		}
-		return s.Metrics(), arrivals
-	}
-	m1, a1 := run(1)
-	m7, a7 := run(7)
-	if m1 != m7 {
-		t.Fatalf("metrics differ across worker counts:\n  w=1: %+v\n  w=7: %+v", m1, m7)
-	}
-	if len(a1) != len(a7) {
-		t.Fatalf("arrival streams differ in length: %d vs %d", len(a1), len(a7))
-	}
-	for i := range a1 {
-		if a1[i] != a7[i] {
-			t.Fatalf("arrival streams differ at %d: %d vs %d", i, a1[i], a7[i])
-		}
-	}
-}
-
-// TestLazyLaneArrivalsMatchSerial pins the lane-private arrival counting
-// against the single-lane run: every lane table must reach the ring's
-// arrival table at the barrier that ends its round, whether the advance
-// is a full delivery (every round) or a query-forced partial one (Inject
-// rounds, which read TokensAt, and the explicit query rounds below) —
-// the next cohort's serial bases are read from those sums. Rounds
-// without any query keep partial and full advances interleaved. Each
-// round's ordered samples, and on query rounds the metrics, per-slot
-// counts and every in-flight token identity, must equal the workers = 1
-// run.
-func TestLazyLaneArrivalsMatchSerial(t *testing.T) {
 	const n, rounds = 128, 48
-	run := func(workers int) [][]uint64 {
+	run := func(workers int, query func(r int) bool) [][]uint64 {
 		e := newEngine(n, churn.FixedLaw{Count: 4}, 51, 52)
 		s := NewSoup(e, lazyTestParams(), workers)
 		e.AddHook(s)
@@ -131,12 +89,12 @@ func TestLazyLaneArrivalsMatchSerial(t *testing.T) {
 					rec = append(rec, uint64(slot), uint64(sm.Src), uint64(sm.Birth))
 				}
 			}
-			if r%7 < 3 {
+			if query(r) || r == rounds-1 {
 				m := s.Metrics()
 				rec = append(rec, uint64(m.Generated), uint64(m.Completed), uint64(m.Died), uint64(m.Moves))
 				for slot := 0; slot < n; slot++ {
-					rec = append(rec, uint64(s.TokensAt(slot)))
 					toks = s.AppendTokens(slot, toks[:0])
+					rec = append(rec, uint64(len(toks)))
 					for _, tok := range toks {
 						rec = append(rec, uint64(tok.Src), uint64(tok.Birth), uint64(tok.Serial), uint64(tok.Steps))
 					}
@@ -146,37 +104,47 @@ func TestLazyLaneArrivalsMatchSerial(t *testing.T) {
 		}
 		return trace
 	}
-	want := run(1)
-	for _, workers := range []int{2, 3, 8} {
-		got := run(workers)
-		for r := range want {
-			if !slices.Equal(got[r], want[r]) {
-				t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
-					workers, r, len(got[r]), len(want[r]))
+	for _, c := range []struct {
+		name  string
+		query func(r int) bool
+	}{
+		{"every-round", func(int) bool { return true }},
+		{"mixed", func(r int) bool { return r%7 < 3 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := run(1, c.query)
+			for _, workers := range []int{2, 3, 8} {
+				got := run(workers, c.query)
+				for r := range want {
+					if !slices.Equal(got[r], want[r]) {
+						t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
+							workers, r, len(got[r]), len(want[r]))
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
-// TestInjectGenerationSerialDisjoint pins the Inject / generation-coda
-// serial-disjointness invariant in both stores: generation continues
-// serials from the *post-inject* stored count, so injecting into a slot
-// immediately before RunRound — including into the slot that also
-// generates that round — must never mint two tokens sharing a
-// (Src, Birth, Serial) step-hash identity (a collision would make the
-// pair walk in lock-step forever). The run churns, so the audit also
-// covers the replaced-slot path where generation restarts at serial 0
-// under a fresh id while the injected tokens died with the old one. All
-// in-flight identities are audited every round up to and including each
-// cohort's delivery round.
+// TestInjectGenerationSerialDisjoint pins the walk-identity invariant in
+// both stores: fresh walks hold serials 0 … WalksPerRound-1 and injected
+// walks continue from WalksPerRound across calls, so injecting into a slot
+// immediately before RunRound — once, twice, or up to the uint16 clamp,
+// into the slot that also generates that round — must never mint two
+// tokens sharing a (Src, Birth, Serial) step-hash identity (a collision
+// would make the pair walk in lock-step forever). The run churns, so the
+// audit also covers the replaced-slot path where generation runs under a
+// fresh id while the injected tokens died with the old one. All in-flight
+// identities are audited every round up to and including each cohort's
+// delivery round.
 func TestInjectGenerationSerialDisjoint(t *testing.T) {
-	const n, rounds = 64, 40
+	const n, rounds, wpr = 64, 40, 3
 	for _, mode := range []struct {
 		name string
 		p    Params
 	}{
-		{"capped", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20}},
-		{"lazy", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20}},
+		{"capped", Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20}},
+		{"lazy", Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
@@ -186,9 +154,22 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 			seen := make(map[Token]bool)
 			for r := 0; r < rounds; r++ {
 				slot := (r * 13) % n
-				injected := s.Inject(e, slot, 25, e.Round())
-				if injected != 25 {
-					t.Fatalf("round %d: injected %d, want 25", r, injected)
+				inject := func(count, want int) {
+					t.Helper()
+					if got := s.Inject(e, slot, count, e.Round()); got != want {
+						t.Fatalf("round %d: injected %d of %d, want %d", r, got, count, want)
+					}
+				}
+				room := 1<<16 - wpr
+				inject(25, 25)
+				room -= 25
+				if r%3 == 1 { // a second call continues the first's serials
+					inject(10, 10)
+					room -= 10
+				}
+				if r == 9 || r == 22 { // fill the slot to the serial clamp
+					inject(1<<16, room)
+					inject(1, 0)
 				}
 				e.RunRound(simnet.NopHandler{})
 				clear(seen)

@@ -19,14 +19,17 @@ import (
 // ascending, so this equals the sharded implementation's (srcShard,
 // srcSlot, seq) merge order), and the three preludes — churn death, sample
 // clearing, generation — run as explicit serial loops. It shares only
-// stepHash with the production code.
+// stepHash with the production code. Serials follow the walk-identity rule
+// (DESIGN.md §6): fresh walks 0 … WalksPerRound-1, injected walks from
+// WalksPerRound upward until the next StepRound.
 type refSoup struct {
-	p       Params
-	n       int
-	seed    uint64
-	buckets [][]Token
-	samples [][]Sample
-	m       Metrics
+	p        Params
+	n        int
+	seed     uint64
+	buckets  [][]Token
+	samples  [][]Sample
+	injected []int // per slot: walks injected since the last StepRound
+	m        Metrics
 }
 
 func newRefSoup(e *simnet.Engine, p Params) *refSoup {
@@ -36,14 +39,15 @@ func newRefSoup(e *simnet.Engine, p Params) *refSoup {
 	n := e.N()
 	return &refSoup{
 		p: p, n: n, seed: e.Config().ProtocolSeed,
-		buckets: make([][]Token, n),
-		samples: make([][]Sample, n),
+		buckets:  make([][]Token, n),
+		samples:  make([][]Sample, n),
+		injected: make([]int, n),
 	}
 }
 
 func (s *refSoup) Inject(e *simnet.Engine, slot, count, round int) int {
 	id := e.IDAt(slot)
-	base := len(s.buckets[slot])
+	base := s.p.WalksPerRound + s.injected[slot]
 	if limit := 1<<16 - base; count > limit {
 		count = max(limit, 0)
 	}
@@ -53,6 +57,7 @@ func (s *refSoup) Inject(e *simnet.Engine, slot, count, round int) int {
 			Steps: uint16(s.p.WalkLength),
 		})
 	}
+	s.injected[slot] += count
 	s.m.Generated += int64(count)
 	return count
 }
@@ -67,23 +72,17 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 	for i := range s.samples {
 		s.samples[i] = s.samples[i][:0]
 	}
-	// 3. Generate fresh walks, clamped at the uint16 serial bound.
-	if s.p.WalksPerRound > 0 {
-		for slot := 0; slot < s.n; slot++ {
-			id := e.IDAt(slot)
-			base := len(s.buckets[slot])
-			count := s.p.WalksPerRound
-			if limit := 1<<16 - base; count > limit {
-				count = max(limit, 0)
-			}
-			for k := 0; k < count; k++ {
-				s.buckets[slot] = append(s.buckets[slot], Token{
-					Src: id, Birth: int32(round), Serial: uint16(base + k),
-					Steps: uint16(s.p.WalkLength),
-				})
-			}
-			s.m.Generated += int64(count)
+	// 3. Generate fresh walks, numbered by their index in the batch.
+	clear(s.injected)
+	for slot := 0; slot < s.n; slot++ {
+		id := e.IDAt(slot)
+		for k := 0; k < s.p.WalksPerRound; k++ {
+			s.buckets[slot] = append(s.buckets[slot], Token{
+				Src: id, Birth: int32(round), Serial: uint16(k),
+				Steps: uint16(s.p.WalkLength),
+			})
 		}
+		s.m.Generated += int64(s.p.WalksPerRound)
 	}
 	// 4. Move every token one step, slot-major; arrivals append in
 	// ascending source-slot order.
@@ -201,9 +200,9 @@ func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, round
 		}
 		for slot := 0; slot < n; slot++ {
 			tokScratch = soup.AppendTokens(slot, tokScratch[:0])
-			if got := soup.TokensAt(slot); got != len(tokScratch) || got != len(ref.buckets[slot]) {
-				t.Fatalf("round %d slot %d: TokensAt = %d, AppendTokens = %d, reference %d",
-					r, slot, got, len(tokScratch), len(ref.buckets[slot]))
+			if len(tokScratch) != len(ref.buckets[slot]) {
+				t.Fatalf("round %d slot %d: AppendTokens = %d tokens, reference %d",
+					r, slot, len(tokScratch), len(ref.buckets[slot]))
 			}
 			gotS := soup.Samples(slot)
 			wantS := ref.samples[slot]
@@ -256,11 +255,11 @@ func TestColumnarMatchesReferenceCapped(t *testing.T) {
 // TestLazyMatchesReference is the bugfix safety net for the lazy
 // trajectory evaluator: several hundred rounds of churn + Lazy + periodic
 // injection, compared against the naive reference model every round —
-// per-slot token multisets, TokensAt/TotalTokens, per-slot sample
-// multisets, and every metric — at worker counts 1, 3, and GOMAXPROCS.
-// Because the harness queries the soup every round, this also drives the
-// query-forced partial-evaluation machinery (cached cohort positions,
-// retrospective arrival counts, resumed delivery) through every round.
+// per-slot token multisets, TotalTokens, per-slot sample multisets, and
+// every metric — at worker counts 1, 3, and GOMAXPROCS. Because the
+// harness queries the soup every round, this also drives the query-forced
+// partial-evaluation machinery (cached cohort positions, resumed delivery)
+// through every round.
 func TestLazyMatchesReference(t *testing.T) {
 	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {

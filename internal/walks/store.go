@@ -100,8 +100,7 @@ type soupShard struct {
 	smp    []Sample
 	smpOff []int32 // len hi-lo+1
 
-	// counts is counting-sort scratch for both gathers; between rounds
-	// the lazy store caches per-slot token counts in it (lzFillCounts).
+	// counts is counting-sort scratch for both gathers.
 	counts []int32
 
 	// Scatter staging, segregated by destination shard (grid-sized). out
@@ -121,12 +120,9 @@ type soupShard struct {
 	// live tokens of cohort b that were born in this shard's slots (their
 	// pos may be anywhere); lzFree recycles the buffers, so the no-query
 	// steady state keeps exactly one cohort's buffer in circulation.
-	// injCount is cohort creation's per-slot count of surviving injected
-	// tokens.
-	lzToks   [][]replayTok
-	lzFree   [][]replayTok
-	lzCap    int // fresh-buffer capacity: one full cohort's tokens
-	injCount []int32
+	lzToks [][]replayTok
+	lzFree [][]replayTok
+	lzCap  int // fresh-buffer capacity: one full cohort's tokens
 }
 
 func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
@@ -139,7 +135,6 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
 		ss.nextOff = make([]int32, slots+1)
 		ss.out = make([][]tokRec, g.Count())
 	} else {
-		ss.injCount = make([]int32, slots)
 		// Cohort token buffers are exactly slots·wpr records at creation
 		// (tokens only die after that), so fresh lzPop allocations start
 		// at full size instead of doubling up from nil.
@@ -172,9 +167,6 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
 // an exchange). O(shard population) for the tail shift — fine for
 // experiment-sized injections.
 func (ss *soupShard) insert(local, count int, id simnet.NodeID, birth int32, baseSerial, steps uint16) {
-	if uint64(id) >= maxSrcID {
-		panic("walks: node id exceeds the packed staging range")
-	}
 	old := len(ss.tok)
 	at := int(ss.off[local+1])
 	ss.tok = slices.Grow(ss.tok, count)[:old+count]
@@ -206,8 +198,7 @@ func (s *Soup) prepRowLoc(ss *soupShard, g *graph.Graph, d int) {
 
 // scatter is the capped store's fused per-round pass over source shards:
 // for every slot it applies churn death, emits the slot's fresh tokens
-// (after the stored ones, serials continuing from the stored count —
-// identical semantics to the former serial generation prelude), and walks
+// (after the stored ones, with serials 0 … WalksPerRound-1), and walks
 // the combined bucket in positional order, dropping overdue tokens,
 // deferring those past the forwarding cap, and stepping the rest into the
 // per-destination-shard staging.
@@ -227,7 +218,7 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 		s.prepRowLoc(ss, g, int(d))
 		// Tally counters live in locals so the token loop keeps them in
 		// registers; they flush to the shard tally once per pass.
-		var generated, died, overdue, deferredN, moves, completed int64
+		var died, overdue, deferredN, moves, completed int64
 		tokens := ss.tok
 		for slot := ss.lo; slot < ss.hi; slot++ {
 			local := slot - ss.lo
@@ -239,16 +230,7 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 				died += int64(stored)
 				stored = 0
 			}
-			// Generation clamps at the uint16 serial bound: a bucket
-			// already holding 65536 tokens (huge injections, extreme
-			// ForwardCap backlogs) cannot mint wrapped serials that
-			// would walk in lock-step.
-			genHere := p.WalksPerRound
-			if limit := 1<<16 - stored; genHere > limit {
-				genHere = max(limit, 0)
-			}
-			generated += int64(genHere)
-			total := stored + genHere
+			total := stored + p.WalksPerRound
 			if total == 0 {
 				continue
 			}
@@ -258,7 +240,7 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 				deferredN += int64(total - budget)
 			}
 			var genLoc uint64
-			if genHere > 0 {
+			if p.WalksPerRound > 0 {
 				id := e.IDAt(slot)
 				if uint64(id) >= maxSrcID {
 					panic("walks: node id exceeds the packed staging range")
@@ -276,9 +258,8 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 						continue
 					}
 				} else {
-					// Fresh token: position == serial, since serials
-					// continue from the stored count.
-					t = tokRec{loc: genLoc, pack: packToken(int32(round), uint16(idx), stepsInit)}
+					// Fresh token: its serial is its index in the batch.
+					t = tokRec{loc: genLoc, pack: packToken(int32(round), uint16(idx-stored), stepsInit)}
 				}
 				if idx >= budget {
 					// Over the forwarding budget: the token waits here
@@ -318,7 +299,8 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 			}
 		}
 		ss.tally = Metrics{
-			Generated: generated, Completed: completed, Died: died,
+			Generated: int64(ss.hi-ss.lo) * int64(p.WalksPerRound),
+			Completed: completed, Died: died,
 			Overdue: overdue, Moves: moves, Deferred: deferredN,
 		}
 	})

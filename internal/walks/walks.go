@@ -140,10 +140,15 @@ type Soup struct {
 	// lz is non-nil iff ForwardCap == 0 (lazy.go): the (T+2)-deep ring of
 	// per-round inputs replacing all between-round token state. nil means
 	// the capped store. countsMu serializes the lazy evaluator's
-	// query-time forcing, so TokensAt/Metrics stay safe to call
-	// concurrently.
+	// query-time forcing, so Metrics and the token queries stay safe to
+	// call concurrently.
 	lz       *lazySoup
 	countsMu sync.Mutex
+
+	// inj records the Inject calls since the last StepRound, which clears
+	// it. Both stores number a slot's next injection from it; the lazy
+	// store also mints the injected tokens from it at cohort creation.
+	inj []injRec
 
 	workers int
 }
@@ -153,6 +158,10 @@ type Soup struct {
 func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 	if p.WalkLength <= 0 {
 		panic("walks: WalkLength must be positive")
+	}
+	// A slot's fresh walks carry serials 0 … WalksPerRound-1 in a uint16.
+	if p.WalksPerRound < 0 || p.WalksPerRound > math.MaxUint16 {
+		panic("walks: WalksPerRound must be in [0, 65535]")
 	}
 	if p.Deadline < p.WalkLength {
 		p.Deadline = p.WalkLength
@@ -207,7 +216,7 @@ func (s *Soup) Params() Params { return s.p }
 // generation) is included iff it occurred in a round that has run.
 func (s *Soup) Metrics() Metrics {
 	if s.lz != nil {
-		s.lzSync(false)
+		s.lzSync()
 	}
 	return s.m
 }
@@ -219,21 +228,6 @@ func (s *Soup) Samples(slot int) []Sample {
 	sh, local := shard.Loc(s.slotLoc[slot])
 	ss := &s.shards[sh]
 	return ss.smp[ss.smpOff[local]:ss.smpOff[local+1]]
-}
-
-// TokensAt returns the number of in-flight tokens currently held at slot.
-// O(1) on the capped store (an offset-index difference); on the lazy
-// store the per-slot counts materialize on the first query after a round
-// (forcing partial evaluation of every in-flight cohort up to the last
-// stepped round), then are O(1) too.
-func (s *Soup) TokensAt(slot int) int {
-	sh, local := shard.Loc(s.slotLoc[slot])
-	ss := &s.shards[sh]
-	if s.lz == nil {
-		return int(ss.off[local+1] - ss.off[local])
-	}
-	s.lzSync(true)
-	return int(ss.counts[local])
 }
 
 // TotalTokens returns the number of in-flight tokens network-wide. O(1)
@@ -267,24 +261,37 @@ func (s *Soup) AppendTokens(slot int, dst []Token) []Token {
 }
 
 // Inject starts count extra walks from the given slot this round (on top
-// of WalksPerRound). Used by experiments that trace a single batch. The
-// per-(source, round) Serial is a uint16, so at most 65536 walks can leave
-// one slot in one round; Inject clamps to that bound (a wrapped serial
-// would make two tokens share their step-hash identity and walk in
-// lock-step) and returns the number actually injected.
+// of WalksPerRound). Used by experiments that trace a single batch. A walk
+// is identified by (source id, birth round, Serial): the round's fresh
+// walks hold serials 0 … WalksPerRound-1, and injected walks continue from
+// WalksPerRound upward across repeated calls on one slot until the next
+// StepRound. The Serial is a uint16, so Inject clamps count at 65536 −
+// WalksPerRound − the walks already injected at slot since the last
+// StepRound (a wrapped serial would make two tokens share their step-hash
+// identity and walk in lock-step) and returns the number actually injected.
+// round is the walks' birth round and should be the round about to run:
+// serials only separate walks of one (source, birth round).
 func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
-	base := s.TokensAt(slot)
-	if limit := 1<<16 - base; count > limit {
-		count = max(limit, 0)
-	}
-	if count > 0 {
-		if s.lz != nil {
-			s.lzInject(slot, count, e.IDAt(slot), int32(round), uint16(base))
-		} else {
-			sh, local := shard.Loc(s.slotLoc[slot])
-			s.shards[sh].insert(local, count, e.IDAt(slot), int32(round),
-				uint16(base), uint16(s.p.WalkLength))
+	base := s.p.WalksPerRound
+	for i := range s.inj {
+		if int(s.inj[i].slot) == slot {
+			base += int(s.inj[i].count)
 		}
+	}
+	count = min(count, 1<<16-base)
+	if count <= 0 {
+		return 0
+	}
+	id := e.IDAt(slot)
+	if uint64(id) >= maxSrcID {
+		panic("walks: node id exceeds the packed staging range")
+	}
+	s.inj = append(s.inj, injRec{
+		slot: int32(slot), count: int32(count), id: id, birth: int32(round), base: uint16(base),
+	})
+	if s.lz == nil {
+		sh, local := shard.Loc(s.slotLoc[slot])
+		s.shards[sh].insert(local, count, id, int32(round), uint16(base), uint16(s.p.WalkLength))
 	}
 	s.m.Generated += int64(count)
 	return count
@@ -322,4 +329,5 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	for i := range s.shards {
 		s.m.add(&s.shards[i].tally)
 	}
+	s.inj = s.inj[:0]
 }

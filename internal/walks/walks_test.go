@@ -259,8 +259,8 @@ func TestInjectCountsGenerated(t *testing.T) {
 	if s.Metrics().Generated != 25 {
 		t.Fatalf("generated = %d, want 25", s.Metrics().Generated)
 	}
-	if s.TokensAt(0) != 25 {
-		t.Fatalf("TokensAt(0) = %d, want 25", s.TokensAt(0))
+	if got := len(s.AppendTokens(0, nil)); got != 25 {
+		t.Fatalf("slot 0 holds %d tokens, want 25", got)
 	}
 }
 
@@ -301,62 +301,77 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 }
 
 func TestInjectClampsSerialOverflow(t *testing.T) {
-	// The per-(source, round) Serial is a uint16: a slot can start at most
-	// 65536 walks in one round before serials would wrap and collide.
-	e := newEngine(32, churn.ZeroLaw{})
-	s := NewSoup(e, Params{WalkLength: 4, Deadline: 10}, 0)
-	if got := s.Inject(e, 0, 1<<16+500, 0); got != 1<<16 {
-		t.Fatalf("injected %d, want %d", got, 1<<16)
-	}
-	if got := s.Inject(e, 0, 10, 0); got != 0 {
-		t.Fatalf("over-full slot injected %d more, want 0", got)
-	}
-	if g := s.Metrics().Generated; g != 1<<16 {
-		t.Fatalf("generated = %d, want %d", g, 1<<16)
-	}
-	if got := s.Inject(e, 1, 10, 0); got != 10 {
-		t.Fatalf("fresh slot injected %d, want 10", got)
+	// The per-(source, round) Serial is a uint16 and the round's fresh
+	// walks hold 0 … WalksPerRound-1: a slot can be injected at most
+	// 65536 − WalksPerRound walks before a StepRound.
+	for _, wpr := range []int{0, 3} {
+		room := 1<<16 - wpr
+		e := newEngine(32, churn.ZeroLaw{})
+		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10}, 0)
+		if got := s.Inject(e, 0, 1<<16+500, 0); got != room {
+			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
+		}
+		if got := s.Inject(e, 0, 10, 0); got != 0 {
+			t.Fatalf("wpr=%d: over-full slot injected %d more, want 0", wpr, got)
+		}
+		if g := s.Metrics().Generated; g != int64(room) {
+			t.Fatalf("wpr=%d: generated = %d, want %d", wpr, g, room)
+		}
+		if got := s.Inject(e, 1, 10, 0); got != 10 {
+			t.Fatalf("wpr=%d: fresh slot injected %d, want 10", wpr, got)
+		}
 	}
 }
 
 func TestInjectClampNoLockstepTokens(t *testing.T) {
 	// Regression for the uint16-serial clamp surviving the columnar
-	// rewrite, on both store representations: injecting past 65536 must
-	// return the clamped count, and no two tokens in the bucket may share
-	// a (Src, Birth, Serial) step-hash identity — a wrapped serial would
-	// make the pair walk in lock-step forever.
-	for _, cap := range []int{0, 1 << 20} { // lazy store, capped store
-		e := newEngine(32, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalkLength: 4, Deadline: 10, ForwardCap: cap}, 0)
-		if got := s.Inject(e, 3, 1<<16+500, 0); got != 1<<16 {
-			t.Fatalf("cap=%d: injected %d, want %d", cap, got, 1<<16)
-		}
-		if got := s.Inject(e, 3, 1, 0); got != 0 {
-			t.Fatalf("cap=%d: over-full slot accepted another token", cap)
-		}
-		toks := s.AppendTokens(3, nil)
-		if len(toks) != 1<<16 {
-			t.Fatalf("cap=%d: bucket holds %d tokens, want %d", cap, len(toks), 1<<16)
-		}
-		seen := make(map[Token]bool, len(toks))
-		for _, tok := range toks {
-			id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
-			if seen[id] {
-				t.Fatalf("cap=%d: duplicate step-hash identity %+v", cap, id)
+	// rewrite, on both store representations: injecting past the bound
+	// must return the clamped count, and no two tokens in the bucket may
+	// share a (Src, Birth, Serial) step-hash identity — a wrapped serial
+	// would make the pair walk in lock-step forever.
+	for _, wpr := range []int{0, 3} {
+		for _, cap := range []int{0, 1 << 20} { // lazy store, capped store
+			room := 1<<16 - wpr
+			e := newEngine(32, churn.ZeroLaw{})
+			s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10, ForwardCap: cap}, 0)
+			if got := s.Inject(e, 3, 1<<16+500, 0); got != room {
+				t.Fatalf("wpr=%d cap=%d: injected %d, want %d", wpr, cap, got, room)
 			}
-			seen[id] = true
+			if got := s.Inject(e, 3, 1, 0); got != 0 {
+				t.Fatalf("wpr=%d cap=%d: over-full slot accepted another token", wpr, cap)
+			}
+			toks := s.AppendTokens(3, nil)
+			if len(toks) != room {
+				t.Fatalf("wpr=%d cap=%d: bucket holds %d tokens, want %d", wpr, cap, len(toks), room)
+			}
+			seen := make(map[Token]bool, len(toks))
+			for _, tok := range toks {
+				id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
+				if seen[id] {
+					t.Fatalf("wpr=%d cap=%d: duplicate step-hash identity %+v", wpr, cap, id)
+				}
+				seen[id] = true
+			}
 		}
 	}
 }
 
 func TestNewSoupValidation(t *testing.T) {
 	e := newEngine(32, churn.ZeroLaw{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero walk length did not panic")
-		}
-	}()
-	NewSoup(e, Params{WalkLength: 0}, 0)
+	for _, p := range []Params{
+		{WalkLength: 0},
+		{WalkLength: 4, WalksPerRound: -1},
+		{WalkLength: 4, WalksPerRound: 1 << 16}, // fresh serials must fit a uint16
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewSoup accepted %+v", p)
+				}
+			}()
+			NewSoup(e, p, 0)
+		}()
+	}
 }
 
 func BenchmarkMicroSoupRound(b *testing.B) {
