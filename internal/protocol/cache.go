@@ -21,7 +21,8 @@ import (
 // proportion to its completed request volume, which is exactly the
 // traffic-proportional random replication the reference paper shows
 // yields polylog expected search time. (Seeding on serves was measured
-// first: Algorithm 4's inquiry fan-out is Θ(√n·T) messages per search,
+// first: Algorithm 4's inquiry fan-out is Θ(√n) messages for every round
+// a search runs — and ran on for Θ(T) rounds after it, until KindSDone —
 // so serve-triggered seeding saturates the whole network off a handful
 // of retrievals.)
 //

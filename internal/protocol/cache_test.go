@@ -98,17 +98,22 @@ func TestCacheReplacedSlotNeverServed(t *testing.T) {
 // expired by the time the second retrieval runs, so the search falls
 // back to the full Algorithm-4 path and still succeeds.
 func TestCacheTTLExpiryFallsBack(t *testing.T) {
-	s, key, data := cacheSim(t, 256, 2)
+	const ttl = 2
+	s, key, data := cacheSim(t, 256, ttl)
 	first := retrieve(t, s, 50, key, data)
 	if !first.Success {
 		t.Fatalf("first retrieval failed: %+v", first)
 	}
-	// Outlive the TTL — generously. The first search's landmarks keep
-	// inquiring until their own TTL expires, and every inquiry lookup
-	// that frees an expired entry lets a later seed re-install (and
-	// re-cascade), so the replica population only ages out for good
-	// once the inquiry tail is gone.
-	s.run(s.h.P.SearchTTL + 2*s.h.P.LandmarkTTL)
+	// Outlive every replica. The completion's seeds cascade through free
+	// slots — at this TTL a slot is free again two rounds on — but a chain is
+	// at most cacheMaxDepth installs long, one a round, and the last
+	// install lives the TTL. The first search's landmarks went quiet
+	// TreeDepth+1 rounds after its result, so nothing touches the replicas
+	// in the meantime.
+	s.run(cacheMaxDepth + ttl + 1)
+	if load := s.h.CacheLoad(s.e.Round()); load != 0 {
+		t.Fatalf("%d live replicas after the longest seed chain plus the TTL", load)
+	}
 	second := retrieve(t, s, 50, key, data)
 	if !second.Success {
 		t.Fatalf("post-expiry retrieval failed: %+v", second)

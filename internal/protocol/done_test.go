@@ -1,0 +1,219 @@
+package protocol
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"dynp2p/internal/churn"
+	"dynp2p/internal/simnet"
+)
+
+// storedSim is a warmed n-node sim with one item stored and a committee
+// period behind it, so retrievals of key succeed.
+func storedSim(t *testing.T, n int, law churn.Law, seed uint64) (*sim, uint64, []byte) {
+	t.Helper()
+	s := newSim(t, n, law, 0, seed)
+	s.warm()
+	key := uint64(99)
+	data := itemBytes(key, 128)
+	s.h.RequestStore(s.e, 3, key, data)
+	s.run(s.h.P.Period)
+	return s, key, data
+}
+
+// await runs rounds until want results have been drained (SearchTTL rounds
+// at most) and returns them appended to got.
+func await(s *sim, got []SearchResult, want int) []SearchResult {
+	for i := 0; i < s.h.P.SearchTTL && len(got) < want; i++ {
+		s.run(1)
+		got = append(got, s.h.DrainResults()...)
+	}
+	return got
+}
+
+// TestSearchDoneEndsTail: once the searcher has its result, the notice
+// reaches the committee in one round and the leaves of every landmark tree
+// in TreeDepth more; after that nobody is a member or a landmark of the
+// search and no inquiry is sent.
+func TestSearchDoneEndsTail(t *testing.T) {
+	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
+	const slot = 200
+	searcher := s.e.IDAt(slot)
+	s.h.RequestRetrieve(s.e, slot, key, data)
+	s.run(1)
+	srch := s.h.states[slot].searches.get(key)
+	if srch == nil {
+		t.Fatal("search state missing")
+	}
+	com := srch.com
+	peak := 0
+	var results []SearchResult
+	for i := 0; i < s.h.P.SearchTTL && len(results) == 0; i++ {
+		s.run(1)
+		peak = max(peak, s.h.SearchLandmarkCount(key, searcher, s.e.Round()))
+		results = s.h.DrainResults()
+	}
+	if len(results) != 1 || !results[0].Success {
+		t.Fatalf("retrieval did not succeed: %+v", results)
+	}
+	if peak <= s.h.inviteCount() {
+		t.Fatalf("at most %d search landmarks before the result: no tree grew, the test shows nothing", peak)
+	}
+	s.run(s.h.P.TreeDepth + 1)
+	if got := s.h.SearchLandmarkCount(key, searcher, s.e.Round()); got != 0 {
+		t.Errorf("%d search landmarks (of %d) left %d rounds after the result", got, peak, s.h.P.TreeDepth+1)
+	}
+	if got := s.h.CommitteeSlots(com); len(got) != 0 {
+		t.Errorf("search committee still has members at slots %v", got)
+	}
+	c := s.h.Counters()
+	if c.Dones < int64(s.h.inviteCount()) {
+		t.Errorf("%d notices sent, want at least the %d to the committee", c.Dones, s.h.inviteCount())
+	}
+	s.run(s.h.P.LandmarkTTL)
+	if got := s.h.Counters().Inquiries; got != c.Inquiries {
+		t.Errorf("inquiries kept growing after the search ended: %d -> %d", c.Inquiries, got)
+	}
+}
+
+// doneFault loses (delay < 0) or delays every search-ended notice, and
+// touches nothing else.
+type doneFault struct{ delay int }
+
+func (f doneFault) Fate(_ int, m *simnet.Msg, _ uint64) (bool, int) {
+	if m.Kind != KindSDone {
+		return false, 0
+	}
+	return f.delay < 0, max(f.delay, 0)
+}
+func (f doneFault) String() string { return fmt.Sprintf("KindSDone delayed %d", f.delay) }
+
+// TestSearchDoneSparesNextSearch: the second of two requests for one key
+// starts in the tick the first finishes, so its invites and tree growth
+// race the first search's notice down much the same nodes — ahead of it
+// when the notice is on time, behind it when the notice is a round late.
+// Either way the notice must end nothing of the second search: its
+// committee and the landmarks its trees recruit are exactly those of the
+// run in which no notice ever arrives.
+func TestSearchDoneSparesNextSearch(t *testing.T) {
+	for _, gap := range []int{0, 1} {
+		second := func(fault simnet.FaultModel) (members, landmarks int) {
+			s, key, data := storedSim(t, 1024, churn.ZeroLaw{}, 3)
+			s.e.SetFault(fault)
+			slot := 200 // a searcher that has to search: a storage landmark fetches at once
+			for s.h.holdsKey(slot, key, s.e.Round()) {
+				slot++
+			}
+			s.h.RequestRetrieve(s.e, slot, key, data)
+			s.run(gap)
+			s.h.RequestRetrieve(s.e, slot, key, data)
+			results := await(s, nil, 1)
+			srch := s.h.states[slot].searches.get(key)
+			if len(results) != 1 || !results[0].Success || srch == nil {
+				t.Fatalf("gap %d, %v: first retrieval %+v, second running: %v", gap, fault, results, srch != nil)
+			}
+			com, ended := srch.com, results[0].Done
+			// The second search's trees are complete, and its own notice —
+			// it needs three rounds to find, fetch and end — has reached nobody.
+			s.run(s.h.P.TreeDepth + 1)
+			for i := range s.h.states { // with gap 0 both searches carry one committee id
+				if m := s.h.states[i].memberships.get(com); m != nil && m.base >= ended {
+					members++
+				}
+				if task := findSearchTask(&s.h.states[i], key, s.e.IDAt(slot)); task != nil && task.wave > ended {
+					landmarks++
+				}
+			}
+			if results = await(s, results, 2); len(results) != 2 || !results[1].Success {
+				t.Fatalf("gap %d, %v: second retrieval: %+v", gap, fault, results)
+			}
+			return members, landmarks
+		}
+		wantM, wantL := second(doneFault{-1})
+		if wantM == 0 || wantL <= wantM {
+			t.Fatalf("gap %d: undisturbed second search has %d members, %d landmarks: the test shows nothing", gap, wantM, wantL)
+		}
+		for _, fault := range []simnet.FaultModel{nil, doneFault{1}} {
+			if m, l := second(fault); m != wantM || l != wantL {
+				t.Errorf("gap %d, %v: second search has %d members and %d landmarks, undisturbed it has %d and %d",
+					gap, fault, m, l, wantM, wantL)
+			}
+		}
+	}
+}
+
+// TestSearchDoneIsAdvisory: under paper churn, with the cache off, a run
+// that loses every notice reports exactly what the run that delivers them
+// reports — and the loss is real: the finished searches' landmarks are
+// still there in the first run and gone in the second.
+func TestSearchDoneIsAdvisory(t *testing.T) {
+	const retrievals = 48
+	run := func(fault simnet.FaultModel) (results []SearchResult, tail int) {
+		s := newSim(t, 512, churn.PaperLaw(0.5, 0.5), 0, 21)
+		s.e.SetFault(fault)
+		s.warm()
+		keys := []uint64{11, 12, 13, 14}
+		for i, key := range keys {
+			s.h.RequestStore(s.e, 7+i, key, itemBytes(key, 64))
+		}
+		s.run(s.h.P.Period)
+		for i := 0; i < retrievals; i++ { // 4 a round, every searcher distinct
+			key := keys[i%len(keys)]
+			s.h.RequestRetrieve(s.e, 20+10*i, key, itemBytes(key, 64))
+			if i%4 == 3 {
+				s.run(1)
+				results = append(results, s.h.DrainResults()...)
+			}
+		}
+		s.run(8)
+		results = append(results, s.h.DrainResults()...)
+		// Landmarks of the searches that reported at least TreeDepth+2
+		// rounds ago, counted before any of them can have aged out.
+		for _, r := range results {
+			if r.Done >= 0 && r.Done <= s.e.Round()-s.h.P.TreeDepth-2 {
+				tail += s.h.SearchLandmarkCount(r.Key, r.Searcher, s.e.Round())
+			}
+		}
+		s.run(s.h.P.SearchTTL)
+		return append(results, s.h.DrainResults()...), tail
+	}
+	lossy, lossyTail := run(doneFault{-1})
+	clean, cleanTail := run(nil)
+	if len(clean) < 40 {
+		t.Fatalf("only %d of %d retrievals reported", len(clean), retrievals)
+	}
+	if !slices.Equal(lossy, clean) {
+		t.Fatalf("results depend on the notice:\n lost      %+v\n delivered %+v", lossy, clean)
+	}
+	if lossyTail < 10*len(clean) || cleanTail*4 > lossyTail {
+		t.Fatalf("finished searches keep %d landmarks with notices lost, %d with them delivered: the drop did not bite", lossyTail, cleanTail)
+	}
+}
+
+// TestSearchDoneLostSearcher: a searcher churned out mid-search sends no
+// notice — there is nobody to send it — so its committee and landmarks
+// live out their TTLs, as every search's did before the notice existed.
+func TestSearchDoneLostSearcher(t *testing.T) {
+	s := newSim(t, 256, churn.ZeroLaw{}, 0, 5)
+	s.warm()
+	const slot, missing = 8, 31337
+	searcher := s.e.IDAt(slot)
+	s.h.RequestRetrieve(s.e, slot, missing, nil)
+	s.run(2 + s.h.P.TreeDepth)
+	s.h.OnJoin(s.e, slot, 1<<40, s.e.Round()) // replace the searcher as the engine would on churn
+	s.run(s.h.P.LandmarkTTL)
+	if got := s.h.SearchLandmarkCount(missing, searcher, s.e.Round()); got == 0 {
+		t.Error("the orphaned search's landmarks are already gone: something ended them")
+	}
+	s.run(s.h.P.SearchTTL)
+	if got := s.h.SearchLandmarkCount(missing, searcher, s.e.Round()); got != 0 {
+		t.Errorf("%d landmarks of the departed searcher left after SearchTTL+LandmarkTTL", got)
+	}
+	if got := s.h.Counters().Dones; got != 0 {
+		t.Errorf("%d notices sent for a search whose searcher is gone", got)
+	}
+	if rs := s.h.DrainResults(); len(rs) != 0 {
+		t.Errorf("the departed searcher reported: %+v", rs)
+	}
+}

@@ -54,6 +54,7 @@ type counters struct {
 	waves             telemetry.Counter
 	growSent          telemetry.Counter
 	inquiries         telemetry.Counter
+	dones             telemetry.Counter
 	founds            telemetry.Counter
 	fetches           telemetry.Counter
 	idaLost           telemetry.Counter
@@ -79,6 +80,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		waves:             reg.Counter("dynp2p_proto_waves_total", "landmark waves started by members"),
 		growSent:          reg.Counter("dynp2p_proto_grow_sent_total", "tree-growth messages sent"),
 		inquiries:         reg.Counter("dynp2p_proto_inquiries_total", "landmark inquiries sent"),
+		dones:             reg.Counter("dynp2p_proto_search_dones_total", "search-ended notices sent (by searchers and forwarded down landmark trees)"),
 		founds:            reg.Counter("dynp2p_proto_founds_total", "positive inquiry responses sent"),
 		fetches:           reg.Counter("dynp2p_proto_fetches_total", "data fetch requests sent"),
 		idaLost:           reg.Counter("dynp2p_proto_ida_lost_total", "handovers where fewer than K pieces survived"),
@@ -105,6 +107,7 @@ type Counters struct {
 	Waves             int64 // landmark waves started by members
 	GrowSent          int64 // tree-growth messages sent
 	Inquiries         int64 // landmark inquiries sent
+	Dones             int64 // search-ended notices sent, forwarded ones included
 	Founds            int64 // positive inquiry responses sent
 	Fetches           int64 // data fetch requests sent
 	IDALost           int64 // handovers where fewer than K pieces survived
@@ -129,6 +132,7 @@ func (h *Handler) Counters() Counters {
 		Waves:             h.ctr.waves.Value(),
 		GrowSent:          h.ctr.growSent.Value(),
 		Inquiries:         h.ctr.inquiries.Value(),
+		Dones:             h.ctr.dones.Value(),
 		Founds:            h.ctr.founds.Value(),
 		Fetches:           h.ctr.fetches.Value(),
 		IDALost:           h.ctr.idaLost.Value(),
@@ -195,6 +199,9 @@ type searchTask struct {
 	expiry   int
 	wave     int
 	trace    uint64 // the search's lifecycle trace id (0 = untraced)
+	// kids are the children it grew the tree to (0 = none): whom it passes
+	// the search's KindSDone on to.
+	kids [TreeFanout]simnet.NodeID
 }
 
 // pendingOp is a Store/Retrieve request waiting for enough walk samples to
@@ -356,6 +363,8 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 		h.onFetch(ctx, st, m)
 	case KindSData:
 		h.onData(ctx, st, m)
+	case KindSDone:
+		h.onDone(ctx, st, m)
 	case KindCacheData:
 		h.onCached(ctx, st, m)
 	case KindCacheSeed:
@@ -436,6 +445,18 @@ func (h *Handler) StorageLandmarkCount(key uint64, round int) int {
 	c := 0
 	for s := range h.states {
 		if ent := h.states[s].storageLM.get(key); ent != nil && round < ent.expiry {
+			c++
+		}
+	}
+	return c
+}
+
+// SearchLandmarkCount returns the number of current (unexpired) search
+// landmarks inquiring about key on searcher's behalf.
+func (h *Handler) SearchLandmarkCount(key uint64, searcher simnet.NodeID, round int) int {
+	c := 0
+	for s := range h.states {
+		if t := findSearchTask(&h.states[s], key, searcher); t != nil && round < t.expiry {
 			c++
 		}
 	}

@@ -37,6 +37,11 @@ const (
 	// Aux = packCount-style (piece index, has piece), Aux2 = item length,
 	// Blob = data.
 	KindSData uint8 = 0x33
+	// KindSDone tells an ended search's committee and landmarks to stop:
+	// the searcher sends it to the roster it invited, every receiver passes
+	// it to the children it grew (finishSearch). Item = key, Aux = the round
+	// the search ended, Aux2 = searcher id. Header only, untraced, advisory.
+	KindSDone uint8 = 0x34
 
 	// KindCacheData answers a search inquiry straight from a hot-key
 	// cache (DESIGN.md §10): the full item bytes go to the searcher,

@@ -37,13 +37,16 @@ func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 
 // growChildren sends tree-growth invitations to TreeFanout recent walk
 // samples ("node v contacts its received sample nodes and adds 2 nodes
-// that are not yet part of the tree as its children").
+// that are not yet part of the tree as its children"). In search mode the
+// caller has registered the node's task, which remembers the children: they
+// are whom it passes the search's KindSDone on to.
 func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, key uint64,
 	mode Mode, searcher simnet.NodeID, roster []simnet.NodeID, depth, wave int, trace uint64) {
 	if depth <= 0 {
 		return
 	}
-	children := st.recentDistinct(nil, TreeFanout)
+	var kids [TreeFanout]simnet.NodeID
+	children := st.recentDistinct(kids[:0], TreeFanout)
 	for _, child := range children {
 		m := ctx.SendRouted(child, KindLGrow)
 		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave, mode), uint64(searcher)
@@ -51,6 +54,9 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, key uint64,
 		ctx.SetPayload(m, roster, nil)
 	}
 	h.ctr.growSent.Add(ctx.Shard, int64(len(children)))
+	if mode == ModeSearch {
+		findSearchTask(st, key, searcher).kids = kids
+	}
 }
 
 // onGrow handles a tree-growth invitation: the node becomes a landmark for

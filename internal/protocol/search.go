@@ -18,6 +18,7 @@ type searchState struct {
 	start    int
 	deadline int
 	found    int             // round the first storage roster arrived; -1 until then
+	invited  []simnet.NodeID // the search committee, as invited: told when the search ends
 	roster   []simnet.NodeID // storage members already asked for data
 	pieces   []ida.Piece
 	itemLen  int
@@ -151,6 +152,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 		key: op.key, com: com, start: op.start,
 		deadline: op.start + h.P.SearchTTL,
 		found:    -1,
+		invited:  roster,
 		want:     op.data,
 		trace:    trace,
 	})
@@ -201,6 +203,7 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 	if len(samples) == 0 {
 		return
 	}
+	sent := 0
 	for i, key := range st.searchLM.keys {
 		for _, t := range st.searchLM.vals[i] {
 			if ctx.Round >= t.expiry {
@@ -216,10 +219,11 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// the sampled source — replicas cut network distance.
 				m := ctx.SendRoutedKeyed(s.Src, KindSInquire)
 				m.Item, m.Aux2, m.Trace = key, uint64(t.searcher), t.trace
+				sent++
 			}
-			h.ctr.inquiries.Add(ctx.Shard, int64(len(samples)))
 		}
 	}
+	h.ctr.inquiries.Add(ctx.Shard, int64(sent))
 }
 
 // onInquire answers an inquiry if this node is a storage landmark (or
@@ -319,7 +323,22 @@ func distinctPieces(ps []ida.Piece) int {
 	return n
 }
 
-// finishSearch records the retrieval outcome and clears the local state.
+// finishSearch ends a retrieval this node ran — done is the round the
+// bytes arrived, -1 if the search expired — by recording the outcome,
+// telling the search's committee and landmarks to stop, and clearing the
+// local state.
+//
+// The telling is not in Algorithm 4, which only says how a search finds its
+// item: left alone, the committee re-waves until SearchTTL and its Θ(√n)
+// landmarks inquire every walk sample for LandmarkTTL more. So the searcher
+// sends a KindSDone to the committee it invited, and every receiver leaves
+// the search and passes the notice to the children it grew, one round
+// behind any growth still in flight. The notice ends only what is older
+// than the round it names — memberships with base < round, tasks with
+// wave <= round — because tickPending may start the searcher's next search
+// for the key in the very tick this one finishes, down much the same nodes.
+// It is advisory: a search whose notice is lost, or whose searcher was
+// churned out, ages out by the TTLs, and no result depends on it.
 func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState, done int, success bool, nbytes int) {
 	h.recordResult(SearchResult{
 		Searcher: st.id, Key: srch.key, Start: srch.start,
@@ -334,35 +353,62 @@ func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState
 			h.ctr.roundsUncached.Observe(ctx.Shard, lat)
 		}
 	}
-	h.emitSearchDone(ctx, st, srch, done, success)
+	if tr := ctx.E.Tracer(); tr != nil && srch.trace != 0 {
+		tr.Emit(ctx.Shard, telemetry.Event{
+			Trace: srch.trace, Round: int64(ctx.Round), Kind: telemetry.EvOpDone,
+			From: uint64(st.id), Item: srch.key,
+			Aux: int64(ctx.Round - srch.start), OK: success,
+		})
+	}
+	h.sendDone(ctx, srch.invited, srch.key, st.id, ctx.Round)
+	h.dropSearchTask(ctx, st, srch.key, st.id, ctx.Round)
 	st.searches.del(srch.key)
 }
 
-// emitSearchDone closes a traced retrieval's lifecycle.
-func (h *Handler) emitSearchDone(ctx *simnet.Ctx, st *nodeState, srch *searchState, done int, success bool) {
-	if srch.trace == 0 {
-		return
-	}
-	if tr := ctx.E.Tracer(); tr != nil {
-		tr.Emit(ctx.Shard, telemetry.Event{
-			Trace: srch.trace, Round: int64(done), Kind: telemetry.EvOpDone,
-			From: uint64(st.id), Item: srch.key,
-			Aux: int64(done - srch.start), OK: success,
-		})
+// sendDone tells each of to (0 = nobody) that searcher's search for key ended in round.
+func (h *Handler) sendDone(ctx *simnet.Ctx, to []simnet.NodeID, key uint64, searcher simnet.NodeID, round int) {
+	for _, id := range to {
+		if id != 0 {
+			m := ctx.SendRouted(id, KindSDone)
+			m.Item, m.Aux, m.Aux2 = key, uint64(round), uint64(searcher)
+			h.ctr.dones.Inc(ctx.Shard)
+		}
 	}
 }
 
-// tickSearches expires overdue retrievals (recorded as failures).
+// onDone leaves the ended search's committee and landmark tree.
+func (h *Handler) onDone(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
+	key, round, searcher := msg.Item, int(msg.Aux), simnet.NodeID(msg.Aux2)
+	for i := 0; i < len(st.memberships.vals); i++ {
+		m := &st.memberships.vals[i]
+		if m.mode == ModeSearch && m.key == key && m.searcher == searcher && m.base < round {
+			st.memberships.delAt(i)
+			i--
+		}
+	}
+	h.dropSearchTask(ctx, st, key, searcher, round)
+}
+
+// dropSearchTask deletes the node's task for (key, searcher) if its tree
+// was rooted by round, and tells the children the task grew.
+func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, searcher simnet.NodeID, round int) {
+	t := findSearchTask(st, key, searcher)
+	if t == nil || t.wave > round {
+		return
+	}
+	h.sendDone(ctx, t.kids[:], key, searcher, round)
+	tasks := st.searchLM.get(key)
+	if *tasks = slices.DeleteFunc(*tasks, func(o searchTask) bool { return o.searcher == searcher }); len(*tasks) == 0 {
+		st.searchLM.del(key)
+	}
+}
+
+// tickSearches expires overdue retrievals (recorded as failures, Done = -1).
 func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 	for i := 0; i < len(st.searches.vals); i++ {
 		srch := &st.searches.vals[i]
 		if ctx.Round >= srch.deadline {
-			h.recordResult(SearchResult{
-				Searcher: st.id, Key: srch.key, Start: srch.start,
-				Found: srch.found, Done: -1, Success: false,
-			})
-			h.emitSearchDone(ctx, st, srch, ctx.Round, false)
-			st.searches.delAt(i)
+			h.finishSearch(ctx, st, srch, -1, false, 0)
 			i--
 			continue
 		}
