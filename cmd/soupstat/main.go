@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 
 	"syscall"
@@ -35,14 +34,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	lazy := flag.Bool("lazy", false, "use lazy walks (stay-put coin)")
 	edges := flag.String("edges", "rerandomize", "topology: rerandomize|static|self-healing (self-healing attaches the overlay repair hook)")
-	memLimit := flag.Float64("memlimit", 0, "soft heap limit in GiB (0 = runtime default). The soup's cohort caches are pointer-free, so capping the GC heap target well below GOGC's 2x-live default costs little mark time and bounds peak RSS")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
 
-	if *memLimit > 0 {
-		debug.SetMemoryLimit(int64(*memLimit * (1 << 30)))
-	}
 	var law churn.Law = churn.ZeroLaw{}
 	if *c > 0 {
 		law = churn.PaperLaw(*c, *delta)
@@ -96,13 +91,6 @@ func main() {
 				receipts = append(receipts, float64(got))
 			}
 		}
-		// Touch the metrics every round. On the lazy store this advances
-		// each in-flight cohort's cached positions incrementally (the
-		// graceful query-every-round path), so the exact end-of-run
-		// metrics never one-shot materialize every live cohort at once —
-		// at n=2^20 that single deferred sync transiently costs several
-		// GB of fresh cohort buffers on top of the run's footprint.
-		_ = s.Metrics()
 		if (r+1)%50 == 0 {
 			var ru syscall.Rusage
 			if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
@@ -124,8 +112,6 @@ func main() {
 	sm := stats.Summarize(receipts)
 	fmt.Printf("per-node receipts/round: mean=%.2f p05=%.0f median=%.0f p95=%.0f\n",
 		sm.Mean, sm.P05, sm.Median, sm.P95)
-	fmt.Printf("in-flight tokens at end: %d (%.1f per node)\n",
-		s.TotalTokens(), float64(s.TotalTokens())/float64(*n))
 	if ov != nil {
 		om := ov.Metrics()
 		fmt.Printf("overlay: severed=%d splices=%d direct-pairs=%d stale-samples=%d\n",

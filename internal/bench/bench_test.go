@@ -45,19 +45,11 @@ func loop(b *testing.B, round func(), budget int) {
 	}
 }
 
-// reportMoves reports the soup's token-moves/s for the loop just timed.
-// Reading the move counter forces every in-flight cohort of the lazy
-// walk store up to the current round — work the next WalkLength rounds
-// then find already done — so it must never precede timed rounds: the
-// moves are counted over b.N further, untimed rounds instead (the soup
-// is in steady state, so the two windows move the same tokens).
-func reportMoves(b *testing.B, round func(), moves func() int64) {
-	start := moves()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
+// reportMoves reports the soup's token-moves/s for the loop just timed,
+// given the move counter's advance across it.
+func reportMoves(b *testing.B, moves int64) {
 	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(moves()-start)/s, "token-moves/s")
+		b.ReportMetric(float64(moves)/s, "token-moves/s")
 	}
 }
 
@@ -141,8 +133,9 @@ func BenchmarkSoupOnly(b *testing.B) {
 	for _, n := range soupSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			round, soup := soupOnly(n, 0)
+			start := soup.Metrics().Moves
 			loop(b, round, steadyAllocs)
-			reportMoves(b, round, func() int64 { return soup.Metrics().Moves })
+			reportMoves(b, soup.Metrics().Moves-start)
 			if n == ratioSize && b.N >= gateRounds && runtime.GOMAXPROCS(0) >= 2 {
 				one, _ := soupOnly(n, 1)
 				two, _ := soupOnly(n, 2)
@@ -256,9 +249,9 @@ func BenchmarkRoutedRound(b *testing.B) {
 // soup throughput.
 func benchFullRound(b *testing.B, n int, observed bool) {
 	nw := fullRound(n, observed)
-	round := func() { nw.Run(1) }
-	loop(b, round, noBudget)
-	reportMoves(b, round, func() int64 { return nw.Stats().Soup.Moves })
+	start := nw.Stats().Soup.Moves
+	loop(b, func() { nw.Run(1) }, noBudget)
+	reportMoves(b, nw.Stats().Soup.Moves-start)
 	b.ReportMetric(float64(nw.Stats().Soup.Moves)/float64(nw.Round()), "token-moves/round")
 }
 

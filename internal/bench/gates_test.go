@@ -94,11 +94,8 @@ func deltaGate(name string, base, other func(), budget int) error {
 // gateRounds rounds per side and keeps each side's fastest; inside a
 // pass the two sides alternate round by round, because this box's speed
 // shifts by up to 1.5× for seconds at a time and only rounds that ran
-// next to each other are comparable. Both sides must come fresh from
-// their builder: a network whose soup counters were read has part of its
-// next WalkLength rounds prepaid (see reportMoves). Because it is a
-// timing, it is reachable from benchmarks only, never from
-// `go test ./...`.
+// next to each other are comparable. Because it is a timing, it is
+// reachable from benchmarks only, never from `go test ./...`.
 func ratioGate(b *testing.B, unit string, base, other func(), limit float64) {
 	minBase, minOther := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for pass := 0; pass < 3; pass++ {

@@ -274,18 +274,3 @@ func (g *Graph) CheckRegular() error {
 	}
 	return nil
 }
-
-// MixingTimeUpperBound returns the standard expander bound on the number of
-// walk steps needed to get within ε of uniform in total variation:
-// t ≥ log(n/ε) / log(1/λ). Protocol parameter selection uses it to pick
-// T = Θ(log n).
-func MixingTimeUpperBound(n int, lambda, eps float64) int {
-	if lambda <= 0 {
-		return 1
-	}
-	if lambda >= 1 {
-		return math.MaxInt32
-	}
-	t := math.Log(float64(n)/eps) / math.Log(1/lambda)
-	return int(math.Ceil(t))
-}

@@ -155,21 +155,6 @@ func TestCheckRegularCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestMixingTimeUpperBound(t *testing.T) {
-	if MixingTimeUpperBound(1000, 0.7, 0.01) <= 0 {
-		t.Fatal("mixing bound should be positive")
-	}
-	// Smaller lambda -> faster mixing.
-	fast := MixingTimeUpperBound(1000, 0.3, 0.01)
-	slow := MixingTimeUpperBound(1000, 0.9, 0.01)
-	if fast >= slow {
-		t.Fatalf("mixing bound not monotone in lambda: %d vs %d", fast, slow)
-	}
-	if MixingTimeUpperBound(1000, 0, 0.01) != 1 {
-		t.Fatal("lambda=0 should give 1 step")
-	}
-}
-
 func BenchmarkMicroFillRandomRegular(b *testing.B) {
 	g := New(10000, 8)
 	r := rng.New(1)

@@ -143,30 +143,6 @@ func DefaultTreeDepth(n, committeeSize int) int {
 	return depth
 }
 
-// PaperTreeDepth evaluates Algorithm 2's equation (4) literally for the
-// given n and churn exponent k = 1+δ. It returns (depth, ok); ok is false
-// when n is too small for the formula's correction factors (denominator
-// non-positive), i.e. outside the asymptotic regime.
-func PaperTreeDepth(n int, k float64) (int, bool) {
-	ln := math.Log(float64(n))
-	a := 1 / math.Pow(ln, (k-1)/2)
-	b := 1 / math.Pow(ln, k-1)
-	c := 1 / math.Pow(float64(n), 3)
-	den := 2 * math.Log2(2*(1-a)*(1-b)*(1-c))
-	if den <= 0 {
-		return 0, false
-	}
-	num := math.Log2(float64(n)) - 2*(math.Log2(ln)+math.Ln2)
-	if num <= 0 {
-		return 0, false
-	}
-	mu := int(math.Floor(num / den))
-	if mu < 1 {
-		mu = 1
-	}
-	return mu, true
-}
-
 // validate panics on nonsensical parameter combinations.
 func (p Params) validate() {
 	switch {

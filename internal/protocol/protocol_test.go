@@ -410,15 +410,6 @@ func TestTreeDepthHelpers(t *testing.T) {
 	if DefaultTreeDepth(1<<20, 35) <= DefaultTreeDepth(1<<10, 17) {
 		t.Fatal("tree depth should grow with n")
 	}
-	// Paper formula: works only at astronomically large n.
-	if _, ok := PaperTreeDepth(1024, 1.5); ok {
-		t.Fatal("PaperTreeDepth should report out-of-regime for n=1024")
-	}
-	// For larger churn exponents the correction factors shrink fast
-	// enough that the formula becomes usable at (still huge) n.
-	if mu, ok := PaperTreeDepth(1<<62, 3.0); !ok || mu < 1 {
-		t.Fatalf("PaperTreeDepth at huge n, k=3 = (%d,%v), want usable", mu, ok)
-	}
 }
 
 func TestPackingRoundTrips(t *testing.T) {

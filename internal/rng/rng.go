@@ -147,16 +147,6 @@ func (r *Stream) Float64() float64 {
 // Bool returns a fair coin flip.
 func (r *Stream) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Perm returns a random permutation of [0, n) as a fresh slice.
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles s in place (Fisher–Yates).
 func (r *Stream) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {

@@ -120,8 +120,11 @@ func TestFloat64Range(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
-		r := New(seed)
-		p := r.Perm(int(n))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		New(seed).ShuffleInts(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= int(n) || seen[v] {

@@ -256,27 +256,3 @@ func (c *Counter) Max() int {
 	}
 	return 0
 }
-
-// BinomialCI returns the Wilson score interval for a proportion with
-// successes k out of n at ~95% confidence. Returns (lo, hi). For n == 0 it
-// returns (0, 1).
-func BinomialCI(k, n int) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	den := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / den
-	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / den
-	lo = center - half
-	hi = center + half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}

@@ -147,28 +147,6 @@ func TestCounterEmptyAndNegative(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestBinomialCI(t *testing.T) {
-	lo, hi := BinomialCI(50, 100)
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Fatalf("CI [%v,%v] does not contain 0.5", lo, hi)
-	}
-	if hi-lo > 0.25 {
-		t.Fatalf("CI too wide for n=100: [%v,%v]", lo, hi)
-	}
-	lo, hi = BinomialCI(0, 0)
-	if lo != 0 || hi != 1 {
-		t.Fatal("CI for n=0 should be [0,1]")
-	}
-	lo, _ = BinomialCI(0, 10)
-	if lo != 0 {
-		t.Fatalf("CI lower bound for k=0 should clamp to 0, got %v", lo)
-	}
-	_, hi = BinomialCI(10, 10)
-	if hi != 1 {
-		t.Fatalf("CI upper bound for k=n should clamp to 1, got %v", hi)
-	}
-}
-
 func TestSummaryStringStable(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.String() == "" {

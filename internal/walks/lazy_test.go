@@ -1,6 +1,7 @@
 package walks
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -13,91 +14,30 @@ func lazyTestParams() Params {
 	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true}
 }
 
-// TestLazyForcingIndependence pins that query-time forcing is purely
-// observational: a lazy soup interrogated every round (Metrics,
-// TotalTokens, AppendTokens — all of which force partial cohort
-// evaluation) must deliver byte-for-byte the same per-round sample stream
-// and final counters as an identical run that is never queried
-// mid-flight. This is the regression net for the resume bookkeeping
-// (evalRound, cached positions): any double-count or missed resume shows
-// up as a divergence here.
-func TestLazyForcingIndependence(t *testing.T) {
-	const n, rounds = 128, 60
-	run := func(query bool) ([]Sample, Metrics) {
-		e := newEngine(n, churn.FixedLaw{Count: 4}, 21, 22)
-		s := NewSoup(e, lazyTestParams(), 0)
-		e.AddHook(s)
-		var stream []Sample
-		for r := 0; r < rounds; r++ {
-			if r%11 == 3 {
-				s.Inject(e, (r*7)%n, 10, e.Round())
-			}
-			e.RunRound(simnet.NopHandler{})
-			for slot := 0; slot < n; slot++ {
-				stream = append(stream, s.Samples(slot)...)
-			}
-			if query {
-				_ = s.Metrics()
-				_ = s.TotalTokens()
-				for slot := 0; slot < n; slot += 17 {
-					_ = s.AppendTokens(slot, nil)
-				}
-			}
-		}
-		return stream, s.Metrics()
-	}
-	qStream, qMetrics := run(true)
-	pStream, pMetrics := run(false)
-	if qMetrics != pMetrics {
-		t.Fatalf("metrics diverge under querying:\nqueried %+v\npure    %+v", qMetrics, pMetrics)
-	}
-	if len(qStream) != len(pStream) {
-		t.Fatalf("sample streams differ in length: %d vs %d", len(qStream), len(pStream))
-	}
-	for i := range qStream {
-		if qStream[i] != pStream[i] {
-			t.Fatalf("sample stream diverges at %d: %+v vs %+v", i, qStream[i], pStream[i])
-		}
-	}
-}
-
 // TestLazyDeterministicAcrossWorkerCounts is the lazy-store sibling of
 // TestDeterministicAcrossWorkerCounts (which runs the capped store): every
-// observation must be identical at every worker count even though
-// multi-worker replays claim shards in scheduling order. Each round's
-// ordered samples are always compared; on query rounds so are the metrics,
-// per-slot counts and every in-flight token identity. Querying every round
-// makes every advance a one-round partial one; the mixed pattern leaves
-// rounds without any query, so full deliveries and query-forced partial
-// advances interleave.
+// observation — each round's ordered samples and the metrics — must be
+// identical at every worker count even though multi-worker deliveries
+// claim shards in scheduling order. Injecting every round gives every
+// cohort a shard whose buffer starts with injected walks; the mixed
+// pattern interleaves cohorts with and without them.
 func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n, rounds = 128, 48
-	run := func(workers int, query func(r int) bool) [][]uint64 {
+	run := func(workers int, inject func(r int) bool) [][]uint64 {
 		e := newEngine(n, churn.FixedLaw{Count: 4}, 51, 52)
 		s := NewSoup(e, lazyTestParams(), workers)
 		e.AddHook(s)
 		trace := make([][]uint64, rounds)
-		var toks []Token
 		for r := 0; r < rounds; r++ {
-			if r%5 == 2 {
+			if inject(r) {
 				s.Inject(e, (r*11)%n, 9, e.Round())
 			}
 			e.RunRound(simnet.NopHandler{})
-			var rec []uint64
+			m := s.Metrics()
+			rec := []uint64{uint64(m.Generated), uint64(m.Completed), uint64(m.Died), uint64(m.Moves)}
 			for slot := 0; slot < n; slot++ {
 				for _, sm := range s.Samples(slot) {
 					rec = append(rec, uint64(slot), uint64(sm.Src), uint64(sm.Birth))
-				}
-			}
-			if query(r) || r == rounds-1 {
-				m := s.Metrics()
-				rec = append(rec, uint64(m.Generated), uint64(m.Completed), uint64(m.Died), uint64(m.Moves))
-				for slot := 0; slot < n; slot++ {
-					toks = s.AppendTokens(slot, toks[:0])
-					rec = append(rec, uint64(len(toks)))
-					for _, tok := range toks {
-						rec = append(rec, uint64(tok.Src), uint64(tok.Birth), uint64(tok.Serial), uint64(tok.Steps))
-					}
 				}
 			}
 			trace[r] = rec
@@ -105,16 +45,16 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 		return trace
 	}
 	for _, c := range []struct {
-		name  string
-		query func(r int) bool
+		name   string
+		inject func(r int) bool
 	}{
 		{"every-round", func(int) bool { return true }},
 		{"mixed", func(r int) bool { return r%7 < 3 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want := run(1, c.query)
+			want := run(1, c.inject)
 			for _, workers := range []int{2, 3, 8} {
-				got := run(workers, c.query)
+				got := run(workers, c.inject)
 				for r := range want {
 					if !slices.Equal(got[r], want[r]) {
 						t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
@@ -126,75 +66,102 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestInjectGenerationSerialDisjoint pins the walk-identity invariant in
-// both stores: fresh walks hold serials 0 … WalksPerRound-1 and injected
-// walks continue from WalksPerRound across calls, so injecting into a slot
-// immediately before RunRound — once, twice, or up to the uint16 clamp,
-// into the slot that also generates that round — must never mint two
-// tokens sharing a (Src, Birth, Serial) step-hash identity (a collision
-// would make the pair walk in lock-step forever). The run churns, so the
-// audit also covers the replaced-slot path where generation runs under a
-// fresh id while the injected tokens died with the old one. All in-flight
-// identities are audited every round up to and including each cohort's
-// delivery round.
+// TestInjectGenerationSerialDisjoint pins the walk-identity invariant:
+// fresh walks hold serials 0 … WalksPerRound-1 and injected walks continue
+// from WalksPerRound across calls, so injecting into a slot immediately
+// before RunRound — once, twice, or up to the uint16 clamp, into the slot
+// that also generates that round — must never mint two tokens sharing a
+// (Src, Birth, Serial) step-hash identity (a collision would make the pair
+// walk in lock-step forever). The run churns, so the audit also covers the
+// replaced-slot path where generation runs under a fresh id while the
+// injected tokens died with the old one. The capped store holds its tokens,
+// so every in-flight identity is audited every round. The lazy store holds
+// none; a walk's endpoint is a function of its identity, so it must deliver
+// the audited capped run's samples, slot for slot and round for round.
 func TestInjectGenerationSerialDisjoint(t *testing.T) {
 	const n, rounds, wpr = 64, 40, 3
-	for _, mode := range []struct {
-		name string
-		p    Params
-	}{
-		{"capped", Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20}},
-		{"lazy", Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
-			s := NewSoup(e, mode.p, 0)
-			e.AddHook(s)
-			var toks []Token
-			seen := make(map[Token]bool)
-			for r := 0; r < rounds; r++ {
-				slot := (r * 13) % n
-				inject := func(count, want int) {
-					t.Helper()
-					if got := s.Inject(e, slot, count, e.Round()); got != want {
-						t.Fatalf("round %d: injected %d of %d, want %d", r, got, count, want)
-					}
-				}
-				room := 1<<16 - wpr
-				inject(25, 25)
-				room -= 25
-				if r%3 == 1 { // a second call continues the first's serials
-					inject(10, 10)
-					room -= 10
-				}
-				if r == 9 || r == 22 { // fill the slot to the serial clamp
-					inject(1<<16, room)
-					inject(1, 0)
-				}
-				e.RunRound(simnet.NopHandler{})
-				clear(seen)
-				for sl := 0; sl < n; sl++ {
-					toks = s.AppendTokens(sl, toks[:0])
-					for _, tok := range toks {
-						id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
-						if seen[id] {
-							t.Fatalf("round %d: duplicate step-hash identity %+v at slot %d", r, id, sl)
-						}
-						seen[id] = true
-					}
-				}
-			}
-			if s.Metrics().Completed == 0 {
-				t.Fatal("no cohort ever delivered; the audit never crossed a delivery round")
-			}
-		})
+	type landing struct {
+		slot int
+		Sample
 	}
+	run := func(t *testing.T, forwardCap int, audit bool) [][]landing {
+		e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
+		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20, ForwardCap: forwardCap}, 0)
+		e.AddHook(s)
+		var toks []Token
+		seen := make(map[Token]bool)
+		delivered := make([][]landing, rounds)
+		for r := 0; r < rounds; r++ {
+			slot := (r * 13) % n
+			inject := func(count, want int) {
+				t.Helper()
+				if got := s.Inject(e, slot, count, e.Round()); got != want {
+					t.Fatalf("round %d: injected %d of %d, want %d", r, got, count, want)
+				}
+			}
+			room := 1<<16 - wpr
+			inject(25, 25)
+			room -= 25
+			if r%3 == 1 { // a second call continues the first's serials
+				inject(10, 10)
+				room -= 10
+			}
+			if r == 9 || r == 22 { // fill the slot to the serial clamp
+				inject(1<<16, room)
+				inject(1, 0)
+			}
+			e.RunRound(simnet.NopHandler{})
+			// Injected walks that died with a carrier churned in their birth
+			// round are part of their cohort too.
+			if m := s.Metrics(); forwardCap == 0 && m.Generated != m.Completed+m.Died {
+				t.Fatalf("round %d: Generated != Completed + Died: %+v", r, m)
+			}
+			for sl := 0; sl < n; sl++ {
+				for _, sm := range s.Samples(sl) {
+					delivered[r] = append(delivered[r], landing{sl, sm})
+				}
+			}
+			slices.SortFunc(delivered[r], func(a, b landing) int {
+				return cmp.Or(cmp.Compare(a.slot, b.slot), cmpSample(a.Sample, b.Sample))
+			})
+			if !audit {
+				continue
+			}
+			clear(seen)
+			for sl := 0; sl < n; sl++ {
+				toks = s.AppendTokens(sl, toks[:0])
+				for _, tok := range toks {
+					id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
+					if seen[id] {
+						t.Fatalf("round %d: duplicate step-hash identity %+v at slot %d", r, id, sl)
+					}
+					seen[id] = true
+				}
+			}
+		}
+		if s.Metrics().Completed == 0 {
+			t.Fatal("no cohort ever delivered; the run never crossed a delivery round")
+		}
+		return delivered
+	}
+	t.Run("capped", func(t *testing.T) { run(t, 1<<20, true) })
+	t.Run("lazy", func(t *testing.T) {
+		want := run(t, 1<<20, false)
+		got := run(t, 0, false)
+		for r := range want {
+			if !slices.Equal(got[r], want[r]) {
+				t.Fatalf("round %d: lazy store delivered %d samples that differ from the capped store's %d",
+					r, len(got[r]), len(want[r]))
+			}
+		}
+	})
 }
 
 // TestLazySteadyStateReleasesBuffers pins the memory story the lazy store
-// exists for: in a no-query steady state the only live token buffers are
-// the delivering cohort's, recycled through the per-shard pool — the
-// in-flight population is never materialized.
+// exists for: the in-flight population is never materialized. Between
+// deliveries every shard's cohort buffer is empty, and deliveries reuse it
+// without growing it — one cohort of n·WalksPerRound 16-byte records in
+// all, which is what the memory ledger's cohort gauge reports.
 func TestLazySteadyStateReleasesBuffers(t *testing.T) {
 	const n = 256
 	e := newEngine(n, churn.FixedLaw{Count: 2})
@@ -204,21 +171,17 @@ func TestLazySteadyStateReleasesBuffers(t *testing.T) {
 	for r := 0; r < 4*p.WalkLength; r++ {
 		e.RunRound(simnet.NopHandler{})
 	}
-	live, pooled := 0, 0
 	for i := range s.shards {
-		ss := &s.shards[i]
-		for _, buf := range ss.lzToks {
-			if buf != nil {
-				live++
-			}
+		if held := len(s.shards[i].cohort); held != 0 {
+			t.Fatalf("shard %d still holds %d tokens between deliveries, want 0", i, held)
 		}
-		pooled += len(ss.lzFree)
 	}
-	if live != 0 {
-		t.Fatalf("%d cohort buffers still live in steady state, want 0 (delivery must release)", live)
+	ring, cohort := s.lzMemBytes()
+	if want := int64(n * p.WalksPerRound * 16); cohort != want {
+		t.Fatalf("cohort buffers hold %d bytes, want one cohort's %d", cohort, want)
 	}
-	if pooled != len(s.shards) {
-		t.Fatalf("pool holds %d buffers, want exactly one per shard (%d)", pooled, len(s.shards))
+	if floor := int64(2 * n * e.Degree() * 4); ring < floor {
+		t.Fatalf("ring reports %d bytes, below its two materialized rows' %d", ring, floor)
 	}
 }
 

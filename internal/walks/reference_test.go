@@ -21,7 +21,10 @@ import (
 // clearing, generation — run as explicit serial loops. It shares only
 // stepHash with the production code. Serials follow the walk-identity rule
 // (DESIGN.md §6): fresh walks 0 … WalksPerRound-1, injected walks from
-// WalksPerRound upward until the next StepRound.
+// WalksPerRound upward until the next StepRound. Every event is counted
+// twice: in m in the round it happens (the capped store's contract) and in
+// cohorts under the walk's birth round (the lazy store books a cohort when
+// it is delivered).
 type refSoup struct {
 	p        Params
 	n        int
@@ -30,6 +33,7 @@ type refSoup struct {
 	samples  [][]Sample
 	injected []int // per slot: walks injected since the last StepRound
 	m        Metrics
+	cohorts  []Metrics // indexed by birth round
 }
 
 func newRefSoup(e *simnet.Engine, p Params) *refSoup {
@@ -43,6 +47,24 @@ func newRefSoup(e *simnet.Engine, p Params) *refSoup {
 		samples:  make([][]Sample, n),
 		injected: make([]int, n),
 	}
+}
+
+// cohort returns the tally of the walks born in round birth.
+func (s *refSoup) cohort(birth int32) *Metrics {
+	for int(birth) >= len(s.cohorts) {
+		s.cohorts = append(s.cohorts, Metrics{})
+	}
+	return &s.cohorts[birth]
+}
+
+// delivered sums the tallies of every cohort born in or before round last:
+// what a lazy soup has booked once cohort last is delivered.
+func (s *refSoup) delivered(last int) Metrics {
+	var m Metrics
+	for b := 0; b <= last && b < len(s.cohorts); b++ {
+		m.add(&s.cohorts[b])
+	}
+	return m
 }
 
 func (s *refSoup) Inject(e *simnet.Engine, slot, count, round int) int {
@@ -59,6 +81,7 @@ func (s *refSoup) Inject(e *simnet.Engine, slot, count, round int) int {
 	}
 	s.injected[slot] += count
 	s.m.Generated += int64(count)
+	s.cohort(int32(round)).Generated += int64(count)
 	return count
 }
 
@@ -66,6 +89,9 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 	// 1. Tokens at churned slots die with their carriers.
 	for _, slot := range e.ChurnedThisRound() {
 		s.m.Died += int64(len(s.buckets[slot]))
+		for _, t := range s.buckets[slot] {
+			s.cohort(t.Birth).Died++
+		}
 		s.buckets[slot] = s.buckets[slot][:0]
 	}
 	// 2. Clear last round's samples.
@@ -83,6 +109,7 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 			})
 		}
 		s.m.Generated += int64(s.p.WalksPerRound)
+		s.cohort(int32(round)).Generated += int64(s.p.WalksPerRound)
 	}
 	// 4. Move every token one step, slot-major; arrivals append in
 	// ascending source-slot order.
@@ -102,6 +129,7 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 			t := bucket[i]
 			if round-int(t.Birth) > s.p.Deadline {
 				s.m.Overdue++
+				s.cohort(t.Birth).Overdue++
 				continue
 			}
 			if i >= budget {
@@ -119,8 +147,10 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 			}
 			t.Steps--
 			s.m.Moves++
+			s.cohort(t.Birth).Moves++
 			if t.Steps == 0 {
 				s.m.Completed++
+				s.cohort(t.Birth).Completed++
 				arrivalS[dst] = append(arrivalS[dst], Sample{Src: t.Src, Birth: t.Birth})
 			} else {
 				arrivalT[dst] = append(arrivalT[dst], t)
@@ -134,19 +164,6 @@ func (s *refSoup) StepRound(e *simnet.Engine, round int) {
 	}
 }
 
-func cmpToken(a, b Token) int {
-	if c := cmp.Compare(a.Src, b.Src); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Birth, b.Birth); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Serial, b.Serial); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Steps, b.Steps)
-}
-
 func cmpSample(a, b Sample) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c
@@ -154,19 +171,22 @@ func cmpSample(a, b Sample) int {
 	return cmp.Compare(a.Birth, b.Birth)
 }
 
-// runAgainstReference drives a columnar soup and the reference model on
-// one engine for rounds rounds (with periodic Injects), comparing buckets,
-// samples, and metrics every round. exactOrder demands bit-identical
-// bucket and sample ordering; otherwise per-slot multisets are compared
-// (the lazy store keeps a canonical order of its own).
-func runAgainstReference(t *testing.T, p Params, workers, n, rounds int, exactOrder bool) {
+// runAgainstReference drives a soup and the reference model on one engine
+// for rounds rounds (with periodic Injects, some of them two calls on one
+// slot), comparing them every round. The capped store (p.ForwardCap > 0)
+// must match bit for bit: bucket contents and order, TotalTokens, sample
+// order and every metric as it happens. The lazy store holds no buckets
+// and keeps a sample order of its own: per-slot sample multisets must be
+// equal, Metrics() must equal the reference's tallies of the cohorts
+// delivered so far (born <= r-T+1), and Generated == Completed + Died.
+func runAgainstReference(t *testing.T, p Params, workers, n, rounds int) {
 	t.Helper()
-	runAgainstReferenceShards(t, p, workers, 0, n, rounds, exactOrder)
+	runAgainstReferenceShards(t, p, workers, 0, n, rounds)
 }
 
 // runAgainstReferenceShards is runAgainstReference with an explicit shard
 // count (0 = the engine's adaptive default).
-func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, rounds int, exactOrder bool) {
+func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, rounds int) {
 	t.Helper()
 	e := simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: expander.Rerandomize, Shards: shards,
@@ -177,60 +197,62 @@ func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, round
 	ref := newRefSoup(e, p)
 	e.AddHook(soup)
 	e.AddHook(ref)
+	capped := p.ForwardCap > 0
 	var tokScratch []Token
 	for r := 0; r < rounds; r++ {
 		if r%37 == 5 {
 			slot := (r * 13) % n
-			got := soup.Inject(e, slot, 40, e.Round())
-			want := ref.Inject(e, slot, 40, e.Round())
-			if got != want {
-				t.Fatalf("round %d: Inject returned %d, reference %d", r, got, want)
+			for call := 0; call <= r%2; call++ { // odd rounds: a second call continues the serials
+				got := soup.Inject(e, slot, 40, e.Round())
+				want := ref.Inject(e, slot, 40, e.Round())
+				if got != want {
+					t.Fatalf("round %d: Inject returned %d, reference %d", r, got, want)
+				}
 			}
 		}
 		e.RunRound(simnet.NopHandler{})
-		if m := soup.Metrics(); m != ref.m {
-			t.Fatalf("round %d workers=%d: metrics diverged:\ncolumnar  %+v\nreference %+v", r, workers, m, ref.m)
-		}
-		refTotal := 0
-		for slot := 0; slot < n; slot++ {
-			refTotal += len(ref.buckets[slot])
-		}
-		if got := soup.TotalTokens(); got != refTotal {
-			t.Fatalf("round %d: TotalTokens = %d, reference %d", r, got, refTotal)
-		}
-		for slot := 0; slot < n; slot++ {
-			tokScratch = soup.AppendTokens(slot, tokScratch[:0])
-			if len(tokScratch) != len(ref.buckets[slot]) {
-				t.Fatalf("round %d slot %d: AppendTokens = %d tokens, reference %d",
-					r, slot, len(tokScratch), len(ref.buckets[slot]))
+		m := soup.Metrics()
+		if capped {
+			if m != ref.m {
+				t.Fatalf("round %d workers=%d: metrics diverged:\ncolumnar  %+v\nreference %+v", r, workers, m, ref.m)
 			}
+			refTotal := 0
+			for slot := 0; slot < n; slot++ {
+				refTotal += len(ref.buckets[slot])
+			}
+			if got := soup.TotalTokens(); got != refTotal {
+				t.Fatalf("round %d: TotalTokens = %d, reference %d", r, got, refTotal)
+			}
+		} else {
+			if want := ref.delivered(r - p.WalkLength + 1); m != want {
+				t.Fatalf("round %d workers=%d: metrics diverged from the delivered cohorts' tallies:\nlazy      %+v\nreference %+v", r, workers, m, want)
+			}
+			if m.Generated != m.Completed+m.Died {
+				t.Fatalf("round %d workers=%d: Generated != Completed + Died: %+v", r, workers, m)
+			}
+		}
+		for slot := 0; slot < n; slot++ {
 			gotS := soup.Samples(slot)
 			wantS := ref.samples[slot]
 			if len(gotS) != len(wantS) {
 				t.Fatalf("round %d slot %d: %d samples, reference %d", r, slot, len(gotS), len(wantS))
 			}
-			gotT := tokScratch
-			wantT := ref.buckets[slot]
-			if !exactOrder {
-				gotT = slices.Clone(gotT)
-				wantT = slices.Clone(wantT)
-				slices.SortFunc(gotT, cmpToken)
-				slices.SortFunc(wantT, cmpToken)
+			if capped {
+				tokScratch = soup.AppendTokens(slot, tokScratch[:0])
+				if !slices.Equal(tokScratch, ref.buckets[slot]) {
+					t.Fatalf("round %d slot %d: bucket diverged:\ncolumnar  %+v\nreference %+v",
+						r, slot, tokScratch, ref.buckets[slot])
+				}
+			} else {
 				gotS = slices.Clone(gotS)
 				wantS = slices.Clone(wantS)
 				slices.SortFunc(gotS, cmpSample)
 				slices.SortFunc(wantS, cmpSample)
 			}
-			for i := range wantT {
-				if gotT[i] != wantT[i] {
-					t.Fatalf("round %d slot %d token %d: %+v, reference %+v (exactOrder=%v)",
-						r, slot, i, gotT[i], wantT[i], exactOrder)
-				}
-			}
 			for i := range wantS {
 				if gotS[i] != wantS[i] {
-					t.Fatalf("round %d slot %d sample %d: %+v, reference %+v (exactOrder=%v)",
-						r, slot, i, gotS[i], wantS[i], exactOrder)
+					t.Fatalf("round %d slot %d sample %d: %+v, reference %+v (capped=%v)",
+						r, slot, i, gotS[i], wantS[i], capped)
 				}
 			}
 		}
@@ -247,7 +269,7 @@ func TestColumnarMatchesReferenceCapped(t *testing.T) {
 	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, ForwardCap: 25, Lazy: true}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for _, n := range []int{50, 128} { // 50 < shard.Count exercises empty shards
-			runAgainstReference(t, p, workers, n, 300, true)
+			runAgainstReference(t, p, workers, n, 300)
 		}
 	}
 }
@@ -255,16 +277,13 @@ func TestColumnarMatchesReferenceCapped(t *testing.T) {
 // TestLazyMatchesReference is the bugfix safety net for the lazy
 // trajectory evaluator: several hundred rounds of churn + Lazy + periodic
 // injection, compared against the naive reference model every round —
-// per-slot token multisets, TotalTokens, per-slot sample multisets, and
-// every metric — at worker counts 1, 3, and GOMAXPROCS. Because the
-// harness queries the soup every round, this also drives the query-forced
-// partial-evaluation machinery (cached cohort positions, resumed delivery)
-// through every round.
+// per-slot sample multisets, the delivered cohorts' metrics and
+// Generated == Completed + Died — at worker counts 1, 3, and GOMAXPROCS.
 func TestLazyMatchesReference(t *testing.T) {
 	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for _, n := range []int{50, 128} { // 50 < shard.Count exercises empty shards
-			runAgainstReference(t, p, workers, n, 300, false)
+			runAgainstReference(t, p, workers, n, 300)
 		}
 	}
 }
@@ -278,7 +297,7 @@ func TestLazyMatchesReferenceShardCounts(t *testing.T) {
 	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true}
 	for _, shards := range []int{16, 256} {
 		for _, workers := range []int{1, 3} {
-			runAgainstReferenceShards(t, p, workers, shards, 128, 200, false)
+			runAgainstReferenceShards(t, p, workers, shards, 128, 200)
 		}
 	}
 }
@@ -289,7 +308,7 @@ func TestLazyMatchesReferenceShardCounts(t *testing.T) {
 func TestLazyMatchesReferenceShortWalks(t *testing.T) {
 	for _, T := range []int{1, 2} {
 		p := Params{WalksPerRound: 2, WalkLength: T, Deadline: 3 * T, Lazy: true}
-		runAgainstReference(t, p, 1, 64, 120, false)
-		runAgainstReference(t, p, 3, 64, 120, false)
+		runAgainstReference(t, p, 1, 64, 120)
+		runAgainstReference(t, p, 3, 64, 120)
 	}
 }

@@ -116,13 +116,10 @@ type soupShard struct {
 	tally  Metrics
 	pfSink uint32 // sink keeping the replay kernel's prefetch loads live
 
-	// Lazy-evaluator state (lazy.go): lzToks[b%depth] holds the cached
-	// live tokens of cohort b that were born in this shard's slots (their
-	// pos may be anywhere); lzFree recycles the buffers, so the no-query
-	// steady state keeps exactly one cohort's buffer in circulation.
-	lzToks [][]replayTok
-	lzFree [][]replayTok
-	lzCap  int // fresh-buffer capacity: one full cohort's tokens
+	// Lazy store (lazy.go): the tokens of the cohort being delivered that
+	// were born in this shard's slots (their pos may be anywhere). Empty
+	// between deliveries; every delivery reuses the one buffer.
+	cohort []replayTok
 }
 
 func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
@@ -135,10 +132,9 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
 		ss.nextOff = make([]int32, slots+1)
 		ss.out = make([][]tokRec, g.Count())
 	} else {
-		// Cohort token buffers are exactly slots·wpr records at creation
-		// (tokens only die after that), so fresh lzPop allocations start
-		// at full size instead of doubling up from nil.
-		ss.lzCap = slots*wpr + 8
+		// A cohort is exactly slots·wpr records at creation plus the round's
+		// injections (tokens only die after that).
+		ss.cohort = make([]replayTok, 0, slots*wpr)
 	}
 
 	// Pre-size the sample staging to its steady-state maximum. Each round
@@ -146,12 +142,11 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int, capped bool) {
 	// near-uniformly over the grid, so outSmp[dsh] holds a multinomial
 	// draw with mean mu = slots·wpr/nsh; mu + 8·sqrt(mu) + 8 puts the
 	// per-buffer per-round overflow probability below ~1e-12, so append
-	// never grows these on the no-query steady state. (Zero-capacity
-	// buffers doubling toward their record maxima scale allocs/round with
-	// nsh² — the 256²-buffer grid at n=262144 sat near 10³ allocs/round
-	// for hundreds of rounds.) All buffers are carved from one arena; a
-	// query-driven overflow peels just that buffer off and keeps the
-	// grown copy, exactly the old monotone behavior.
+	// never grows these in steady state. (Zero-capacity buffers doubling
+	// toward their record maxima scale allocs/round with nsh² — the
+	// 256²-buffer grid at n=262144 sat near 10³ allocs/round for hundreds
+	// of rounds.) All buffers are carved from one arena; an overflow peels
+	// just that buffer off and keeps the grown copy.
 	nsh := g.Count()
 	mu := float64(slots*wpr) / float64(nsh)
 	bufCap := int(mu+8*math.Sqrt(mu)) + 8

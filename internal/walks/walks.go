@@ -19,8 +19,8 @@
 //     token's fate depend on its bucket position, so buckets must exist.
 //     Without a cap the store is the lazy trajectory evaluator (lazy.go):
 //     no per-token state between rounds at all, just a (T+2)-deep ring of
-//     per-round inputs, with each birth cohort replayed once at its
-//     delivery round.
+//     per-round inputs, with each birth cohort replayed once, and counted,
+//     at its delivery round.
 //   - Each token's step is derived by hashing (seed, round, src, birth,
 //     serial), not by consuming a shared stream, so the simulation is
 //     bit-reproducible at any worker count.
@@ -37,7 +37,6 @@ package walks
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"dynp2p/internal/shard"
 	"dynp2p/internal/simnet"
@@ -99,7 +98,11 @@ func DefaultParams(n int) Params {
 	}
 }
 
-// Metrics counts soup events since creation.
+// Metrics counts soup events since creation. The capped store counts an
+// event in the round it happens. The lazy store counts a walk when it is
+// delivered — generation, moves and death or completion together, T-1
+// rounds after its birth — so there Generated == Completed + Died after
+// every round and a walk still in flight is in no counter.
 type Metrics struct {
 	Generated int64 // tokens created
 	Completed int64 // walks that finished all steps and were sampled
@@ -139,15 +142,13 @@ type Soup struct {
 
 	// lz is non-nil iff ForwardCap == 0 (lazy.go): the (T+2)-deep ring of
 	// per-round inputs replacing all between-round token state. nil means
-	// the capped store. countsMu serializes the lazy evaluator's
-	// query-time forcing, so Metrics and the token queries stay safe to
-	// call concurrently.
-	lz       *lazySoup
-	countsMu sync.Mutex
+	// the capped store.
+	lz *lazySoup
 
 	// inj records the Inject calls since the last StepRound, which clears
 	// it. Both stores number a slot's next injection from it; the lazy
-	// store also mints the injected tokens from it at cohort creation.
+	// store moves it into the round's ring entry and mints the injected
+	// tokens from there at delivery.
 	inj []injRec
 
 	workers int
@@ -189,11 +190,9 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 	} else {
 		s.lz = newLazySoup(e, s)
 	}
-	// Bridge the soup's counters into the engine's telemetry registry as
-	// a collector: the soup keeps its own accumulation (the lazy store
-	// back-fills metrics when trajectories force), and snapshots pull the
-	// current totals. Metrics() forces lazy evaluation, so the bridged
-	// values obey the same exactness contract.
+	// Bridge the soup's counters into the engine's telemetry registry as a
+	// collector: the soup keeps its own accumulation and snapshots pull the
+	// current totals. The lazy store adds its row of the memory ledger.
 	reg := e.Telemetry()
 	reg.RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
 		m := s.Metrics()
@@ -203,6 +202,11 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 		emit("dynp2p_soup_overdue_total", telemetry.KindCounter, m.Overdue)
 		emit("dynp2p_soup_moves_total", telemetry.KindCounter, m.Moves)
 		emit("dynp2p_soup_deferred_total", telemetry.KindCounter, m.Deferred)
+		if s.lz != nil {
+			ring, cohort := s.lzMemBytes()
+			emit("dynp2p_soup_mem_ring_bytes", telemetry.KindGauge, ring)
+			emit("dynp2p_soup_mem_cohort_bytes", telemetry.KindGauge, cohort)
+		}
 	})
 	return s
 }
@@ -210,16 +214,8 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 // Params returns the soup parameters.
 func (s *Soup) Params() Params { return s.p }
 
-// Metrics returns a snapshot of the counters. On the lazy store this
-// forces evaluation of every in-flight cohort up to the last stepped
-// round first, so the snapshot is exact: an event (death, move,
-// generation) is included iff it occurred in a round that has run.
-func (s *Soup) Metrics() Metrics {
-	if s.lz != nil {
-		s.lzSync()
-	}
-	return s.m
-}
+// Metrics returns a snapshot of the counters.
+func (s *Soup) Metrics() Metrics { return s.m }
 
 // Samples returns the walks that completed at slot this round: a view into
 // the per-shard sample store, valid until the next StepRound; do not
@@ -230,13 +226,11 @@ func (s *Soup) Samples(slot int) []Sample {
 	return ss.smp[ss.smpOff[local]:ss.smpOff[local+1]]
 }
 
-// TotalTokens returns the number of in-flight tokens network-wide. O(1)
-// in n: a sum over the per-shard store (or cached cohort) lengths; the
-// lazy store forces cohort evaluation first.
+// TotalTokens returns the capped store's number of in-flight tokens
+// network-wide, a sum over the per-shard store lengths. The lazy store
+// holds no tokens to count and panics.
 func (s *Soup) TotalTokens() int {
-	if s.lz != nil {
-		return s.lzTotalTokens()
-	}
+	s.mustHoldTokens("TotalTokens")
 	t := 0
 	for i := range s.shards {
 		t += len(s.shards[i].tok)
@@ -244,20 +238,26 @@ func (s *Soup) TotalTokens() int {
 	return t
 }
 
-// AppendTokens appends slot's in-flight tokens, in canonical bucket order
-// (the lazy store uses its own cohort-major canonical order), to dst and
-// returns it. Used by tests and experiment introspection, not by the hot
-// path.
+// AppendTokens appends slot's in-flight tokens in the capped store, in
+// canonical bucket order, to dst and returns it. Used by tests and
+// experiment introspection, not by the hot path. The lazy store holds no
+// tokens to list and panics.
 func (s *Soup) AppendTokens(slot int, dst []Token) []Token {
-	if s.lz != nil {
-		return s.lzAppendTokens(slot, dst)
-	}
+	s.mustHoldTokens("AppendTokens")
 	sh, local := shard.Loc(s.slotLoc[slot])
 	ss := &s.shards[sh]
 	for _, t := range ss.tok[ss.off[local]:ss.off[local+1]] {
 		dst = append(dst, t.token())
 	}
 	return dst
+}
+
+// mustHoldTokens refuses token introspection on the lazy store, which
+// would otherwise answer with an empty store's silent zero.
+func (s *Soup) mustHoldTokens(query string) {
+	if s.lz != nil {
+		panic("walks: " + query + " asks for in-flight tokens, and a soup without a ForwardCap (the lazy store) holds none")
+	}
 }
 
 // Inject starts count extra walks from the given slot this round (on top
@@ -289,11 +289,13 @@ func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
 	s.inj = append(s.inj, injRec{
 		slot: int32(slot), count: int32(count), id: id, birth: int32(round), base: uint16(base),
 	})
+	// The lazy store mints and counts the walks when their cohort is
+	// delivered; the capped store holds them from now.
 	if s.lz == nil {
 		sh, local := shard.Loc(s.slotLoc[slot])
 		s.shards[sh].insert(local, count, id, int32(round), uint16(base), uint16(s.p.WalkLength))
+		s.m.Generated += int64(count)
 	}
-	s.m.Generated += int64(count)
 	return count
 }
 
@@ -317,8 +319,8 @@ func stepHash(seed uint64, round int, src simnet.NodeID, birth int32, serial uin
 // kills tokens at replaced slots, emits the slot's fresh tokens after its
 // stored ones, and steps everything in one sweep, so no serial O(n)
 // prelude remains. The lazy store (lazy.go) goes further: it records the
-// round's inputs and replays only the one cohort whose delivery falls due
-// this round.
+// round's inputs and replays, and counts, only the one cohort whose
+// delivery falls due this round.
 func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	if s.lz != nil {
 		s.stepLazy(e, round)

@@ -25,21 +25,37 @@ func newEngine(n int, law churn.Law, seeds ...uint64) *simnet.Engine {
 	})
 }
 
+// countSamples returns the number of walks delivered network-wide in the
+// round that just ran.
+func countSamples(e *simnet.Engine, s *Soup) int64 {
+	var c int64
+	for slot := 0; slot < e.N(); slot++ {
+		c += int64(len(s.Samples(slot)))
+	}
+	return c
+}
+
 func TestTokenConservationNoChurn(t *testing.T) {
-	// Without churn, Generated = Completed + InFlight at all times.
-	e := newEngine(256, churn.ZeroLaw{})
+	// Without churn nothing is lost: every cohort the lazy store has
+	// delivered — the ones born by round r-T+1 — was generated in full and
+	// completed in full, and each completion is a delivered sample.
+	const n = 256
+	e := newEngine(n, churn.ZeroLaw{})
 	p := Params{WalksPerRound: 3, WalkLength: 10, Deadline: 100}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
+	var sampled int64
 	for r := 0; r < 30; r++ {
 		e.RunRound(simnet.NopHandler{})
+		sampled += countSamples(e, s)
 		m := s.Metrics()
 		if m.Died != 0 || m.Overdue != 0 {
 			t.Fatalf("round %d: unexpected losses %+v", r, m)
 		}
-		if m.Generated != m.Completed+int64(s.TotalTokens()) {
-			t.Fatalf("round %d: conservation violated: %+v inflight=%d",
-				r, m, s.TotalTokens())
+		want := int64(n*p.WalksPerRound) * int64(max(0, r-p.WalkLength+2))
+		if m.Generated != want || m.Completed != want || sampled != want {
+			t.Fatalf("round %d: conservation violated: %+v, %d samples, want %d of each",
+				r, m, sampled, want)
 		}
 	}
 }
@@ -98,15 +114,21 @@ func TestChurnKillsTokens(t *testing.T) {
 	p := Params{WalksPerRound: 2, WalkLength: 20, Deadline: 100}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
+	var sampled int64
 	for r := 0; r < 25; r++ {
 		e.RunRound(simnet.NopHandler{})
+		sampled += countSamples(e, s)
 	}
 	m := s.Metrics()
 	if m.Died == 0 {
 		t.Fatal("no tokens died despite churn")
 	}
-	if m.Generated != m.Completed+m.Died+m.Overdue+int64(s.TotalTokens()) {
-		t.Fatalf("conservation violated: %+v inflight=%d", m, s.TotalTokens())
+	// Six cohorts are delivered (born in rounds 0 … 5); each is booked whole.
+	if want := int64(6 * 64 * p.WalksPerRound); m.Generated != want {
+		t.Fatalf("generated = %d, want the delivered cohorts' %d", m.Generated, want)
+	}
+	if m.Generated != m.Completed+m.Died+m.Overdue || m.Completed != sampled {
+		t.Fatalf("conservation violated: %+v, %d samples", m, sampled)
 	}
 }
 
@@ -253,14 +275,26 @@ func TestDefaultParamsScaling(t *testing.T) {
 }
 
 func TestInjectCountsGenerated(t *testing.T) {
-	e := newEngine(32, churn.ZeroLaw{})
-	s := NewSoup(e, Params{WalkLength: 4, Deadline: 10}, 0)
-	s.Inject(e, 0, 25, 0)
-	if s.Metrics().Generated != 25 {
-		t.Fatalf("generated = %d, want 25", s.Metrics().Generated)
-	}
-	if got := len(s.AppendTokens(0, nil)); got != 25 {
-		t.Fatalf("slot 0 holds %d tokens, want 25", got)
+	// The capped store holds and counts injected walks from the call; the
+	// lazy store counts them with their cohort, at delivery.
+	const T = 4
+	for _, forwardCap := range []int{0, 1 << 20} {
+		e := newEngine(32, churn.ZeroLaw{})
+		s := NewSoup(e, Params{WalkLength: T, Deadline: 10, ForwardCap: forwardCap}, 0)
+		e.AddHook(s)
+		s.Inject(e, 0, 25, 0)
+		if forwardCap > 0 {
+			if g := s.Metrics().Generated; g != 25 {
+				t.Fatalf("cap=%d: generated = %d at the call, want 25", forwardCap, g)
+			}
+			if got := len(s.AppendTokens(0, nil)); got != 25 {
+				t.Fatalf("cap=%d: slot 0 holds %d tokens, want 25", forwardCap, got)
+			}
+		}
+		e.Run(simnet.NopHandler{}, T)
+		if m := s.Metrics(); m.Generated != 25 || m.Completed != 25 {
+			t.Fatalf("cap=%d: %+v after delivery, want 25 generated and completed", forwardCap, m)
+		}
 	}
 }
 
@@ -303,11 +337,13 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 func TestInjectClampsSerialOverflow(t *testing.T) {
 	// The per-(source, round) Serial is a uint16 and the round's fresh
 	// walks hold 0 … WalksPerRound-1: a slot can be injected at most
-	// 65536 − WalksPerRound walks before a StepRound.
+	// 65536 − WalksPerRound walks before a StepRound. Both stores number
+	// injections from the shared Soup.inj; the capped one counts them at
+	// the call.
 	for _, wpr := range []int{0, 3} {
 		room := 1<<16 - wpr
 		e := newEngine(32, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10}, 0)
+		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10, ForwardCap: 1 << 20}, 0)
 		if got := s.Inject(e, 0, 1<<16+500, 0); got != room {
 			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
 		}
@@ -326,31 +362,41 @@ func TestInjectClampsSerialOverflow(t *testing.T) {
 func TestInjectClampNoLockstepTokens(t *testing.T) {
 	// Regression for the uint16-serial clamp surviving the columnar
 	// rewrite, on both store representations: injecting past the bound
-	// must return the clamped count, and no two tokens in the bucket may
-	// share a (Src, Birth, Serial) step-hash identity — a wrapped serial
-	// would make the pair walk in lock-step forever.
+	// must return the clamped count and every accepted walk must be
+	// delivered. On the capped store, which holds its tokens, no two in the
+	// bucket may share a (Src, Birth, Serial) step-hash identity — a wrapped
+	// serial would make the pair walk in lock-step forever.
+	const T = 4
 	for _, wpr := range []int{0, 3} {
 		for _, cap := range []int{0, 1 << 20} { // lazy store, capped store
 			room := 1<<16 - wpr
 			e := newEngine(32, churn.ZeroLaw{})
-			s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10, ForwardCap: cap}, 0)
+			s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T, Deadline: 10, ForwardCap: cap}, 0)
+			e.AddHook(s)
 			if got := s.Inject(e, 3, 1<<16+500, 0); got != room {
 				t.Fatalf("wpr=%d cap=%d: injected %d, want %d", wpr, cap, got, room)
 			}
 			if got := s.Inject(e, 3, 1, 0); got != 0 {
 				t.Fatalf("wpr=%d cap=%d: over-full slot accepted another token", wpr, cap)
 			}
-			toks := s.AppendTokens(3, nil)
-			if len(toks) != room {
-				t.Fatalf("wpr=%d cap=%d: bucket holds %d tokens, want %d", wpr, cap, len(toks), room)
-			}
-			seen := make(map[Token]bool, len(toks))
-			for _, tok := range toks {
-				id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
-				if seen[id] {
-					t.Fatalf("wpr=%d cap=%d: duplicate step-hash identity %+v", wpr, cap, id)
+			if cap > 0 {
+				toks := s.AppendTokens(3, nil)
+				if len(toks) != room {
+					t.Fatalf("wpr=%d cap=%d: bucket holds %d tokens, want %d", wpr, cap, len(toks), room)
 				}
-				seen[id] = true
+				seen := make(map[Token]bool, len(toks))
+				for _, tok := range toks {
+					id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
+					if seen[id] {
+						t.Fatalf("wpr=%d cap=%d: duplicate step-hash identity %+v", wpr, cap, id)
+					}
+					seen[id] = true
+				}
+			}
+			e.Run(simnet.NopHandler{}, T)
+			// Round 0's cohort: the injected walks plus every slot's fresh batch.
+			if got, want := countSamples(e, s), int64(room+32*wpr); got != want {
+				t.Fatalf("wpr=%d cap=%d: %d walks of round 0 delivered, want %d", wpr, cap, got, want)
 			}
 		}
 	}

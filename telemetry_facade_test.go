@@ -115,6 +115,8 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_engine_mem_routed_arena_bytes",
 		"dynp2p_proto_committees_created_total",
 		"dynp2p_soup_generated_total",
+		"dynp2p_soup_mem_ring_bytes",
+		"dynp2p_soup_mem_cohort_bytes",
 		"dynp2p_overlay_lambda_e6",
 		"dynp2p_search_hops_bucket",
 		"dynp2p_search_rounds_to_resolve_count",
@@ -233,9 +235,12 @@ func TestMetricsJSONLSchema(t *testing.T) {
 			t.Fatalf("unknown metric kind %q in %q", rec.Kind, line)
 		}
 	}
-	// The engine's memory ledger is collector-fed: one gauge per owner.
-	for _, owner := range []string{"out", "xfer", "inbox_arena", "payload_slab", "routed_arena"} {
-		if name := "dynp2p_engine_mem_" + owner + "_bytes"; kinds[name] != "gauge" {
+	// The memory ledger is collector-fed: one gauge per owner.
+	for _, owner := range []string{
+		"engine_mem_out", "engine_mem_xfer", "engine_mem_inbox_arena", "engine_mem_payload_slab",
+		"engine_mem_routed_arena", "soup_mem_ring", "soup_mem_cohort",
+	} {
+		if name := "dynp2p_" + owner + "_bytes"; kinds[name] != "gauge" {
 			t.Errorf("metrics JSONL: %s is %q, want a gauge", name, kinds[name])
 		}
 	}
