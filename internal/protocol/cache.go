@@ -267,7 +267,7 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 // cache: no committee, no landmarks — the operation starts and finishes
 // in the same tick.
 func (h *Handler) serveOwnCacheHit(ctx *simnet.Ctx, st *nodeState, op pendingOp, e *cacheEntry) {
-	trace := h.sampleOp(ctx, st, op, false)
+	trace := h.sampleOp(ctx, st, op)
 	ok := op.data == nil || bytes.Equal(e.data, op.data)
 	h.ctr.cacheHits.Inc(ctx.Shard)
 	h.ctr.cacheHitsByHop.Observe(ctx.Shard, int64(e.depth))

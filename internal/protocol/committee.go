@@ -9,19 +9,17 @@ import (
 	"dynp2p/internal/walks"
 )
 
-// membership is one node's view of one committee it belongs to
+// membership is one node's view of one storage committee it belongs to
 // (Algorithm 1). The epoch machinery re-elects the whole committee from
 // fresh walk samples every Period rounds so the committee outlives its
-// members (Theorem 2).
+// members (Theorem 2). A search committee is never re-elected and holds
+// nothing: its members are searchTasks.
 type membership struct {
-	com      uint64 // committee id (= item key for storage committees)
-	key      uint64 // item key (differs from com for search committees)
-	mode     Mode
-	base     int             // committee creation round; anchors the epoch schedule
-	searcher simnet.NodeID   // search mode: whom results are for
-	roster   []simnet.NodeID // current members (possibly including dead ids)
-	joined   int             // round this node (re-)joined
-	trace    uint64          // lifecycle trace id inherited from the invite (0 = untraced)
+	key    uint64          // item key, the committee's id
+	base   int             // committee creation round; anchors the epoch schedule
+	roster []simnet.NodeID // current members (possibly including dead ids)
+	joined int             // round this node (re-)joined
+	trace  uint64          // lifecycle trace id inherited from the invite (0 = untraced)
 
 	// Per-epoch scratch, reset at each epoch's sample window.
 	curEpoch     int             // epoch the scratch belongs to; -1 before the first window
@@ -50,26 +48,13 @@ func (m *membership) phaseOf(round, period int) int {
 	return (round - m.base) % period
 }
 
-// tickMemberships runs the per-round committee machinery for every
-// committee this node belongs to: sample-window recording, count exchange,
-// ranked handover attempts, landmark waves, and search-committee expiry.
+// tickMemberships runs the per-round committee machinery (Algorithm 1) for
+// every storage committee this node belongs to: sample-window recording,
+// count exchange, ranked handover attempts, and landmark waves.
 func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
 	round := ctx.Round
-	for i := 0; i < len(st.memberships.vals); i++ {
+	for i := range st.memberships.vals {
 		m := &st.memberships.vals[i]
-
-		// Search committees dissolve after SearchTTL (Algorithm 4 step 1).
-		if m.mode == ModeSearch {
-			if round >= m.base+h.P.SearchTTL {
-				st.memberships.delAt(i)
-				i--
-				continue
-			}
-			h.maybeWave(ctx, st, m)
-			continue
-		}
-
-		// Storage committees: epoch maintenance (Algorithm 1).
 		epoch := m.epochOf(round, h.P.Period)
 		phase := m.phaseOf(round, h.P.Period)
 		if epoch >= 1 {
@@ -133,7 +118,7 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 			continue
 		}
 		msg := ctx.SendRouted(peer, KindCCount)
-		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.com, aux, itemLen, m.trace
+		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, aux, itemLen, m.trace
 		ctx.SetPayload(msg, nil, blob)
 	}
 }
@@ -202,54 +187,48 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	// retries at the next epoch boundary.
 	var blobs [][]byte
 	var itemLen uint64
-	if m.mode == ModeStore {
-		if h.code == nil {
-			cp := st.stored.get(m.key)
-			if cp == nil {
-				return
-			}
-			blobs = make([][]byte, len(newRoster))
-			for i := range blobs {
-				blobs[i] = cp.data
-			}
-			itemLen = uint64(cp.itemLen)
-		} else {
-			// §4.4: reconstruct from the pieces piggybacked on counts,
-			// then re-disperse fresh pieces to the new roster.
-			item, ok := h.reconstruct(m)
-			if !ok {
-				h.ctr.idaLost.Inc(ctx.Shard)
-				return
-			}
-			pieces := h.code.Encode(item)
-			blobs = make([][]byte, len(newRoster))
-			for i := range blobs {
-				blobs[i] = pieces[i%len(pieces)].Data
-			}
-			itemLen = uint64(len(item))
-			h.ctr.idaRecoded.Inc(ctx.Shard)
+	if h.code == nil {
+		cp := st.stored.get(m.key)
+		if cp == nil {
+			return
 		}
+		blobs = make([][]byte, len(newRoster))
+		for i := range blobs {
+			blobs[i] = cp.data
+		}
+		itemLen = uint64(cp.itemLen)
+	} else {
+		// §4.4: reconstruct from the pieces piggybacked on counts,
+		// then re-disperse fresh pieces to the new roster.
+		item, ok := h.reconstruct(m)
+		if !ok {
+			h.ctr.idaLost.Inc(ctx.Shard)
+			return
+		}
+		pieces := h.code.Encode(item)
+		blobs = make([][]byte, len(newRoster))
+		for i := range blobs {
+			blobs[i] = pieces[i%len(pieces)].Data
+		}
+		itemLen = uint64(len(item))
+		h.ctr.idaRecoded.Inc(ctx.Shard)
 	}
 	m.handledEpoch = epoch
 
 	for i, peer := range newRoster {
 		pieceIdx := 0
-		var blob []byte
-		if blobs != nil {
-			blob = blobs[i]
-			if h.code != nil {
-				pieceIdx = i % h.P.CommitteeSize
-			}
+		if h.code != nil {
+			pieceIdx = i % h.P.CommitteeSize
 		}
 		msg := ctx.SendRouted(peer, KindCInvite)
-		msg.Item, msg.Aux, msg.Aux2 = m.com, packInvite(m.base, m.mode, pieceIdx), itemLen
+		msg.Item, msg.Aux, msg.Aux2 = m.key, packInvite(m.base, pieceIdx), itemLen
 		msg.Trace = m.trace
-		ctx.SetPayload(msg, newRoster, blob)
+		ctx.SetPayload(msg, newRoster, blobs[i])
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(newRoster)))
 	for _, peer := range m.roster {
 		msg := ctx.SendRouted(peer, KindCHandover)
-		msg.Item, msg.Aux, msg.Trace = m.com, uint64(epoch), m.trace
+		msg.Item, msg.Aux, msg.Trace = m.key, uint64(epoch), m.trace
 		ctx.SetPayload(msg, newRoster, nil)
 	}
 	h.ctr.handovers.Inc(ctx.Shard)
@@ -286,17 +265,10 @@ func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []si
 // onInvite installs (or refreshes) a committee membership, stores the task
 // payload, and registers the new member as a landmark for the item.
 func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	base, mode, pieceIdx := unpackInvite(msg.Aux)
-	com := msg.Item
-	key := com
-	var searcher simnet.NodeID
-	if mode == ModeSearch {
-		key = blobKey(msg.Blob())
-		searcher = simnet.NodeID(msg.Aux2)
-	}
-	m := st.memberships.put(com, membership{
-		com: com, key: key, mode: mode, base: base,
-		searcher: searcher,
+	base, pieceIdx := unpackInvite(msg.Aux)
+	key := msg.Item
+	m := st.memberships.put(key, membership{
+		key: key, base: base,
 		roster:   slices.Clone(msg.IDs()),
 		joined:   ctx.Round,
 		curEpoch: -1,
@@ -304,36 +276,31 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	})
 	m.handledEpoch = m.epochOf(ctx.Round, h.P.Period)
 
-	switch mode {
-	case ModeStore:
-		if blob := msg.Blob(); len(blob) > 0 {
-			idx := -1
-			if h.code != nil {
-				idx = pieceIdx
-			}
-			st.stored.put(key, storedCopy{
-				data:     slices.Clone(blob),
-				pieceIdx: idx,
-				itemLen:  int(msg.Aux2),
+	if blob := msg.Blob(); len(blob) > 0 {
+		idx := -1
+		if h.code != nil {
+			idx = pieceIdx
+		}
+		st.stored.put(key, storedCopy{
+			data:     slices.Clone(blob),
+			pieceIdx: idx,
+			itemLen:  int(msg.Aux2),
+		})
+	}
+	st.storageLM.put(key, lmEntry{
+		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL, wave: ctx.Round,
+	})
+	// A traced store settles when its *creation* invites land (base ==
+	// the send round): every founding member emits a done event, and
+	// the tracer's first-done-wins aggregation closes the lifecycle
+	// deterministically. Handover invites (older base) don't re-close.
+	if msg.Trace != 0 && base == ctx.Round-1 {
+		if tr := ctx.E.Tracer(); tr != nil {
+			tr.Emit(ctx.Shard, telemetry.Event{
+				Trace: msg.Trace, Round: int64(ctx.Round), Kind: telemetry.EvOpDone,
+				From: uint64(st.id), Item: key, OK: true,
 			})
 		}
-		st.storageLM.put(key, lmEntry{
-			roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL, wave: ctx.Round,
-		})
-		// A traced store settles when its *creation* invites land (base ==
-		// the send round): every founding member emits a done event, and
-		// the tracer's first-done-wins aggregation closes the lifecycle
-		// deterministically. Handover invites (older base) don't re-close.
-		if msg.Trace != 0 && base == ctx.Round-1 {
-			if tr := ctx.E.Tracer(); tr != nil {
-				tr.Emit(ctx.Shard, telemetry.Event{
-					Trace: msg.Trace, Round: int64(ctx.Round), Kind: telemetry.EvOpDone,
-					From: uint64(st.id), Item: key, OK: true,
-				})
-			}
-		}
-	case ModeSearch:
-		h.addSearchTask(st, key, searcher, ctx.Round, ctx.Round, msg.Trace)
 	}
 }
 
@@ -351,9 +318,7 @@ func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if slices.Contains(msg.IDs(), st.id) {
 		return // re-invited: the CInvite (processed earlier) refreshed us
 	}
-	if m.mode == ModeStore {
-		st.stored.del(m.key)
-	}
+	st.stored.del(m.key)
 	st.memberships.del(msg.Item)
 	h.ctr.resignations.Inc(ctx.Shard)
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"dynp2p/internal/churn"
@@ -32,6 +33,17 @@ func await(s *sim, got []SearchResult, want int) []SearchResult {
 	return got
 }
 
+// searchMembers counts the nodes that are members of searcher's committee
+// for key, invited to a search that started in round since or later.
+func searchMembers(s *sim, key uint64, searcher simnet.NodeID, since int) (n int) {
+	for i := range s.h.states {
+		if t := findSearchTask(&s.h.states[i], key, searcher); t != nil && t.until != 0 && t.until-s.h.P.SearchTTL >= since {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSearchDoneEndsTail: once the searcher has its result, the notice
 // reaches the committee in one round and the leaves of every landmark tree
 // in TreeDepth more; after that nobody is a member or a landmark of the
@@ -42,11 +54,9 @@ func TestSearchDoneEndsTail(t *testing.T) {
 	searcher := s.e.IDAt(slot)
 	s.h.RequestRetrieve(s.e, slot, key, data)
 	s.run(1)
-	srch := s.h.states[slot].searches.get(key)
-	if srch == nil {
+	if s.h.states[slot].searches.get(key) == nil {
 		t.Fatal("search state missing")
 	}
-	com := srch.com
 	peak := 0
 	var results []SearchResult
 	for i := 0; i < s.h.P.SearchTTL && len(results) == 0; i++ {
@@ -64,8 +74,8 @@ func TestSearchDoneEndsTail(t *testing.T) {
 	if got := s.h.SearchLandmarkCount(key, searcher, s.e.Round()); got != 0 {
 		t.Errorf("%d search landmarks (of %d) left %d rounds after the result", got, peak, s.h.P.TreeDepth+1)
 	}
-	if got := s.h.CommitteeSlots(com); len(got) != 0 {
-		t.Errorf("search committee still has members at slots %v", got)
+	if got := searchMembers(s, key, searcher, 0); got != 0 {
+		t.Errorf("search committee still has %d members", got)
 	}
 	c := s.h.Counters()
 	if c.Dones < int64(s.h.inviteCount()) {
@@ -88,6 +98,152 @@ func (f doneFault) Fate(_ int, m *simnet.Msg, _ uint64) (bool, int) {
 	return f.delay < 0, max(f.delay, 0)
 }
 func (f doneFault) String() string { return fmt.Sprintf("KindSDone delayed %d", f.delay) }
+
+// watchFault shows every sent message to see — concurrently, as Fate is
+// called — and leaves its fate to inner (nil: delivered on time).
+type watchFault struct {
+	inner simnet.FaultModel
+	see   func(*simnet.Msg)
+}
+
+func (f watchFault) Fate(round int, m *simnet.Msg, rnd uint64) (bool, int) {
+	f.see(m)
+	if f.inner == nil {
+		return false, 0
+	}
+	return f.inner.Fate(round, m, rnd)
+}
+func (f watchFault) String() string { return fmt.Sprint("watched: ", f.inner) }
+
+// TestSearchSendsHeadersOnly: nothing the search side sends but a storage
+// roster (KindSFound) and the bytes (KindSData, KindCacheData) has a
+// payload — a search committee is told the key and the searcher, never its
+// own roster.
+func TestSearchSendsHeadersOnly(t *testing.T) {
+	header := (&simnet.Msg{}).Bits()
+	var sent, fat [256]atomic.Int64
+	s := newSim(t, 512, churn.PaperLaw(0.5, 0.5), 0, 21)
+	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+		sent[m.Kind].Add(1)
+		if m.Bits() != header {
+			fat[m.Kind].Add(1)
+		}
+	}})
+	s.warm()
+	s.h.RequestStore(s.e, 7, 11, itemBytes(11, 64))
+	s.run(s.h.P.Period)
+	for i := 0; i < 8; i++ {
+		s.h.RequestRetrieve(s.e, 20+10*i, 11, itemBytes(11, 64))
+	}
+	s.run(s.h.P.WaveEvery + s.h.P.TreeDepth + 2) // past a member's second wave
+	for _, kind := range []uint8{KindSInvite, KindSGrow, KindSInquire, KindSFetch, KindSDone} {
+		if n, f := sent[kind].Load(), fat[kind].Load(); n == 0 || f != 0 {
+			t.Errorf("kind %#x: %d sent, %d of them with a payload", kind, n, f)
+		}
+	}
+	if fat[KindCInvite].Load() == 0 || fat[KindLGrow].Load() == 0 {
+		t.Error("no storage invite or grow carried a roster: the observer sees no payloads")
+	}
+}
+
+// TestSearchDoneLateAfterRewave: a notice that arrives after the committee
+// has re-rooted its trees finds every member's task younger than the round
+// it names. It must still end the membership, or the members re-root until
+// SearchTTL for a search that is over.
+func TestSearchDoneLateAfterRewave(t *testing.T) {
+	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
+	var grows atomic.Int64
+	s.e.SetFault(watchFault{doneFault{s.h.P.WaveEvery}, func(m *simnet.Msg) {
+		if m.Kind == KindSGrow {
+			grows.Add(1)
+		}
+	}})
+	const slot = 200
+	searcher := s.e.IDAt(slot)
+	s.h.RequestRetrieve(s.e, slot, key, data)
+	results := await(s, nil, 1)
+	if len(results) != 1 || !results[0].Success {
+		t.Fatalf("retrieval did not succeed: %+v", results)
+	}
+	s.run(s.h.P.WaveEvery + 1) // the notice lands in the last of these rounds
+	rewaved := 0
+	for i := range s.h.states {
+		if task := findSearchTask(&s.h.states[i], key, searcher); task != nil && task.wave > results[0].Done {
+			rewaved++
+		}
+	}
+	if rewaved <= s.h.inviteCount() {
+		t.Fatalf("%d tasks rooted after the result: no re-wave beat the notice, the test shows nothing", rewaved)
+	}
+	s.run(s.h.P.TreeDepth + 1)
+	if got := searchMembers(s, key, searcher, 0); got != 0 {
+		t.Errorf("%d members left after the late notice", got)
+	}
+	before := grows.Load()
+	s.run(2 * s.h.P.WaveEvery)
+	if got := grows.Load(); got != before {
+		t.Errorf("search trees kept growing after the late notice: %d -> %d grows sent", before, got)
+	}
+}
+
+// lateInvite drops (delay < 0) or delays the search invites sent to one
+// node, and touches nothing else.
+type lateInvite struct {
+	to    simnet.NodeID
+	delay int
+}
+
+func (f lateInvite) Fate(_ int, m *simnet.Msg, _ uint64) (bool, int) {
+	if m.Kind != KindSInvite || m.To != f.to {
+		return false, 0
+	}
+	return f.delay < 0, max(f.delay, 0)
+}
+func (f lateInvite) String() string {
+	return fmt.Sprintf("KindSInvite to %d delayed %d", f.to, f.delay)
+}
+
+// TestSearchDoneBeatsLateInvite: an invite delayed into the inbox that
+// holds the search's notice is read first (it was sent first). The node
+// becomes a member and stops being one within that inbox, before its tick:
+// it roots no tree, exactly as if the invite had been lost.
+func TestSearchDoneBeatsLateInvite(t *testing.T) {
+	const slot = 200
+	// run returns whom the search invited first, the rounds it started and
+	// ended, all grows sent TreeDepth+2 rounds later, and the invitee's task.
+	run := func(fault simnet.FaultModel) (invitee simnet.NodeID, start, done int, grows int64, task *searchTask) {
+		s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
+		s.e.SetFault(fault)
+		start = s.e.Round()
+		s.h.RequestRetrieve(s.e, slot, key, data)
+		s.run(1)
+		srch := s.h.states[slot].searches.get(key)
+		if srch == nil {
+			t.Fatalf("%v: search state missing", fault)
+		}
+		invitee = srch.invited[0]
+		results := await(s, nil, 1)
+		if len(results) != 1 || !results[0].Success {
+			t.Fatalf("%v: retrieval did not succeed: %+v", fault, results)
+		}
+		s.run(s.h.P.TreeDepth + 2)
+		for i := range s.h.states {
+			if s.h.states[i].id == invitee {
+				task = findSearchTask(&s.h.states[i], key, s.e.IDAt(slot))
+			}
+		}
+		return invitee, start, results[0].Done, s.h.Counters().GrowSent, task
+	}
+	invitee, _, _, _, _ := run(nil)
+	_, start, done, want, _ := run(lateInvite{invitee, -1})
+	_, _, lateDone, got, task := run(lateInvite{invitee, done - start})
+	if lateDone != done || task == nil || task.wave != done+1 || task.until != 0 {
+		t.Fatalf("the invite did not land with the notice of round %d (search ended %d, invitee's task %+v)", done, lateDone, task)
+	}
+	if got != want {
+		t.Errorf("%d grows sent with the invite landing beside the notice, %d with it lost", got, want)
+	}
+}
 
 // TestSearchDoneSparesNextSearch: the second of two requests for one key
 // starts in the tick the first finishes, so its invites and tree growth
@@ -113,14 +269,12 @@ func TestSearchDoneSparesNextSearch(t *testing.T) {
 			if len(results) != 1 || !results[0].Success || srch == nil {
 				t.Fatalf("gap %d, %v: first retrieval %+v, second running: %v", gap, fault, results, srch != nil)
 			}
-			com, ended := srch.com, results[0].Done
+			ended := results[0].Done
 			// The second search's trees are complete, and its own notice —
 			// it needs three rounds to find, fetch and end — has reached nobody.
 			s.run(s.h.P.TreeDepth + 1)
-			for i := range s.h.states { // with gap 0 both searches carry one committee id
-				if m := s.h.states[i].memberships.get(com); m != nil && m.base >= ended {
-					members++
-				}
+			members = searchMembers(s, key, s.e.IDAt(slot), ended)
+			for i := range s.h.states {
 				if task := findSearchTask(&s.h.states[i], key, s.e.IDAt(slot)); task != nil && task.wave > ended {
 					landmarks++
 				}

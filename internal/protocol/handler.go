@@ -169,7 +169,7 @@ type nodeState struct {
 	recentPos int
 	recentLen int
 
-	memberships table[membership]   // com id -> membership
+	memberships table[membership]   // item key -> storage-committee membership
 	stored      table[storedCopy]   // item key -> local copy/piece
 	storageLM   table[lmEntry]      // item key -> storage landmark state
 	searchLM    table[[]searchTask] // item key -> active search tasks
@@ -193,11 +193,16 @@ type lmEntry struct {
 	wave   int
 }
 
-// searchTask makes this node a search landmark for (key, searcher).
+// searchTask makes this node a search landmark for (key, searcher). A member
+// of the search's committee (Algorithm 4 step 1) is a task with until set: it
+// roots a landmark tree the round its invite arrived and every WaveEvery
+// rounds from the search's start, until round until.
 type searchTask struct {
 	searcher simnet.NodeID
 	expiry   int
-	wave     int
+	wave     int    // round the tree that last reached the node was rooted
+	until    int    // members only, else 0: search start + SearchTTL
+	invited  int    // members only: round the invite arrived
 	trace    uint64 // the search's lifecycle trace id (0 = untraced)
 	// kids are the children it grew the tree to (0 = none): whom it passes
 	// the search's KindSDone on to.
@@ -207,7 +212,7 @@ type searchTask struct {
 // pendingOp is a Store/Retrieve request waiting for enough walk samples to
 // pick a committee.
 type pendingOp struct {
-	mode  Mode
+	store bool // a Store; else a Retrieve
 	key   uint64
 	data  []byte
 	start int
@@ -365,6 +370,10 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 		h.onData(ctx, st, m)
 	case KindSDone:
 		h.onDone(ctx, st, m)
+	case KindSInvite:
+		h.onSearchInvite(ctx, st, m)
+	case KindSGrow:
+		h.onSearchGrow(ctx, st, m)
 	case KindCacheData:
 		h.onCached(ctx, st, m)
 	case KindCacheSeed:
@@ -417,11 +426,11 @@ func (h *Handler) DrainResults() []SearchResult {
 // --- Introspection helpers for experiments (call between rounds only) ---
 
 // CommitteeSlots returns the slots whose occupants are currently members
-// of committee com.
-func (h *Handler) CommitteeSlots(com uint64) []int {
+// of item key's storage committee.
+func (h *Handler) CommitteeSlots(key uint64) []int {
 	var out []int
 	for s := range h.states {
-		if h.states[s].memberships.get(com) != nil {
+		if h.states[s].memberships.get(key) != nil {
 			out = append(out, s)
 		}
 	}

@@ -6,106 +6,97 @@ import (
 	"dynp2p/internal/simnet"
 )
 
-// maybeWave starts a landmark-construction wave (Algorithm 2) if this is a
-// wave round for the membership: at join, and every WaveEvery rounds from
-// the committee's base round. Each member roots its own sampling tree; the
-// trees' nodes become landmarks that know the committee roster.
+// waveDue reports whether a committee member invited in round joined roots
+// a landmark tree this round (Algorithm 2): at join, and every WaveEvery
+// rounds from the committee's base round.
+func (h *Handler) waveDue(round, base, joined int) bool {
+	return round == joined || round > base && (round-base)%h.P.WaveEvery == 0
+}
+
+// maybeWave starts a storage landmark-construction wave if one is due for
+// the membership. Each member roots its own sampling tree; the trees' nodes
+// become landmarks that know the committee roster.
 func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	round := ctx.Round
-	due := round == m.joined
-	if !due && round > m.base {
-		due = (round-m.base)%h.P.WaveEvery == 0
-	}
-	if !due {
+	if !h.waveDue(round, m.base, m.joined) {
 		return
 	}
 	h.ctr.waves.Inc(ctx.Shard)
-	wave := round
-
-	// The member itself is a landmark for its task.
-	switch m.mode {
-	case ModeStore:
-		st.storageLM.put(m.key, lmEntry{
-			roster: m.roster, expiry: round + h.P.LandmarkTTL, wave: wave,
-		})
-	case ModeSearch:
-		h.addSearchTask(st, m.key, m.searcher, round, wave, m.trace)
-	}
-
-	h.growChildren(ctx, st, m.key, m.mode, m.searcher, m.roster, h.P.TreeDepth, wave, m.trace)
+	// The member itself is a landmark for its item.
+	st.storageLM.put(m.key, lmEntry{
+		roster: m.roster, expiry: round + h.P.LandmarkTTL, wave: round,
+	})
+	h.growChildren(ctx, st, KindLGrow, m.key, 0, m.roster, h.P.TreeDepth, round, m.trace)
 }
 
-// growChildren sends tree-growth invitations to TreeFanout recent walk
-// samples ("node v contacts its received sample nodes and adds 2 nodes
-// that are not yet part of the tree as its children"). In search mode the
-// caller has registered the node's task, which remembers the children: they
-// are whom it passes the search's KindSDone on to.
-func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, key uint64,
-	mode Mode, searcher simnet.NodeID, roster []simnet.NodeID, depth, wave int, trace uint64) {
+// growChildren sends tree-growth invitations of the given kind to TreeFanout
+// recent walk samples ("node v contacts its received sample nodes and adds 2
+// nodes that are not yet part of the tree as its children") and returns the
+// children (0 = none).
+func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, kind uint8, key, aux2 uint64,
+	roster []simnet.NodeID, depth, wave int, trace uint64) (kids [TreeFanout]simnet.NodeID) {
 	if depth <= 0 {
-		return
+		return kids
 	}
-	var kids [TreeFanout]simnet.NodeID
 	children := st.recentDistinct(kids[:0], TreeFanout)
 	for _, child := range children {
-		m := ctx.SendRouted(child, KindLGrow)
-		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave, mode), uint64(searcher)
+		m := ctx.SendRouted(child, kind)
+		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave), aux2
 		m.Trace = trace
 		ctx.SetPayload(m, roster, nil)
 	}
 	h.ctr.growSent.Add(ctx.Shard, int64(len(children)))
-	if mode == ModeSearch {
-		findSearchTask(st, key, searcher).kids = kids
-	}
+	return kids
 }
 
-// onGrow handles a tree-growth invitation: the node becomes a landmark for
-// the item (or search task) and recursively extends the tree unless it was
+// onGrow handles a storage tree-growth invitation: the node becomes a
+// landmark for the item and recursively extends the tree unless it was
 // already recruited into this wave (the paper's "not yet part of the
 // tree" rule, enforced at the receiver).
 func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	depth, wave, mode := unpackGrow(msg.Aux)
+	depth, wave := unpackGrow(msg.Aux)
 	key := msg.Item
-	switch mode {
-	case ModeStore:
-		if ent := st.storageLM.get(key); ent != nil && ent.wave == wave {
-			// Already in this wave's tree: refresh, do not extend.
-			if exp := ctx.Round + h.P.LandmarkTTL; exp > ent.expiry {
-				ent.expiry = exp
-			}
-			return
-		}
-		st.storageLM.put(key, lmEntry{
-			roster: slices.Clone(msg.IDs()),
-			expiry: ctx.Round + h.P.LandmarkTTL,
-			wave:   wave,
-		})
-	case ModeSearch:
-		searcher := simnet.NodeID(msg.Aux2)
-		if t := findSearchTask(st, key, searcher); t != nil && t.wave == wave {
-			if exp := ctx.Round + h.P.LandmarkTTL; exp > t.expiry {
-				t.expiry = exp
-			}
-			return
-		}
-		h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace)
-	default:
+	if ent := st.storageLM.get(key); ent != nil && ent.wave == wave {
+		// Already in this wave's tree: refresh, do not extend.
+		ent.expiry = max(ent.expiry, ctx.Round+h.P.LandmarkTTL)
 		return
 	}
-	h.growChildren(ctx, st, key, mode, simnet.NodeID(msg.Aux2), msg.IDs(), depth, wave, msg.Trace)
+	st.storageLM.put(key, lmEntry{
+		roster: slices.Clone(msg.IDs()),
+		expiry: ctx.Round + h.P.LandmarkTTL,
+		wave:   wave,
+	})
+	h.growChildren(ctx, st, KindLGrow, key, 0, msg.IDs(), depth, wave, msg.Trace)
+}
+
+// onSearchGrow is onGrow for a search landmark tree: the node takes up the
+// search task and remembers the children it grew, whom it passes the
+// search's KindSDone on to.
+func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
+	depth, wave := unpackGrow(msg.Aux)
+	key, searcher := msg.Item, simnet.NodeID(msg.Aux2)
+	if t := findSearchTask(st, key, searcher); t != nil && t.wave == wave {
+		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL)
+		return
+	}
+	t := h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace)
+	if depth > 0 { // a leaf keeps the children an earlier wave gave it
+		t.kids = h.growChildren(ctx, st, KindSGrow, key, msg.Aux2, nil, depth, wave, msg.Trace)
+	}
 }
 
 // addSearchTask registers this node as a search landmark for (key,
 // searcher), creating or refreshing the task; wave is the round its tree
-// was rooted (the current round for a task no tree delivered).
-func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) {
+// was rooted (the current round for a task no tree delivered). The task it
+// returns is valid until the node's next addSearchTask.
+func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) *searchTask {
 	if t := findSearchTask(st, key, searcher); t != nil {
-		t.expiry = round + h.P.LandmarkTTL
+		t.expiry = max(t.expiry, round+h.P.LandmarkTTL)
 		t.wave = wave
 		if trace != 0 {
 			t.trace = trace
 		}
-		return
+		return t
 	}
 	tasks := st.searchLM.get(key)
 	if tasks == nil {
@@ -114,6 +105,7 @@ func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeI
 	*tasks = append(*tasks, searchTask{
 		searcher: searcher, expiry: round + h.P.LandmarkTTL, wave: wave, trace: trace,
 	})
+	return &(*tasks)[len(*tasks)-1]
 }
 
 func findSearchTask(st *nodeState, key uint64, searcher simnet.NodeID) *searchTask {

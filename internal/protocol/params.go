@@ -24,17 +24,9 @@ import (
 	"math"
 )
 
-// Mode distinguishes a committee's task.
-type Mode uint8
-
-// Committee task modes.
-const (
-	ModeStore Mode = iota + 1
-	ModeSearch
-)
-
-// Params configures the protocol stack. Zero values are replaced by
-// DefaultParams-derived values in NewHandler.
+// Params configures the protocol stack. Start from DefaultParams: only
+// CacheTTL and CacheSeedRate have a zero value that selects a default, and
+// NewHandler panics on what validate rejects.
 type Params struct {
 	// CommitteeSize is the paper's h·log n: members per committee and
 	// (in replication mode) copies per item.
@@ -150,8 +142,16 @@ func (p Params) validate() {
 		panic("protocol: CommitteeSize must be >= 1")
 	case p.Period < SampleWindow+2:
 		panic("protocol: Period too short for the epoch phases")
-	case p.TreeDepth < 0:
-		panic("protocol: negative TreeDepth")
+	case p.WaveEvery < 1:
+		panic("protocol: WaveEvery must be >= 1")
+	case p.TreeDepth < 0 || p.TreeDepth > 255:
+		panic("protocol: TreeDepth must be in [0, 255]")
+	case p.LandmarkTTL < 1:
+		panic("protocol: LandmarkTTL must be >= 1")
+	case p.SearchTTL < 1:
+		panic("protocol: SearchTTL must be >= 1")
+	case p.SampleBuffer < 1:
+		panic("protocol: SampleBuffer must be >= 1")
 	case p.IDAThreshold < 0 || p.IDAThreshold > p.CommitteeSize:
 		panic("protocol: IDAThreshold must be in [0, CommitteeSize]")
 	case p.CacheCapacity < 0:

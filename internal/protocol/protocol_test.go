@@ -287,20 +287,17 @@ func TestSearchCommitteeDissolves(t *testing.T) {
 	s := newSim(t, 256, churn.ZeroLaw{}, 0, 10)
 	s.warm()
 	s.h.RequestRetrieve(s.e, 8, 555, nil)
+	searcher := s.e.IDAt(8)
 	s.run(2)
-	// Find the search committee id via the searcher's state.
-	searcher := &s.h.states[8]
-	srch := searcher.searches.get(555)
-	if srch == nil {
+	if s.h.states[8].searches.get(555) == nil {
 		t.Fatal("search state missing")
 	}
-	com := srch.com
 	s.run(2)
-	if len(s.h.CommitteeSlots(com)) == 0 {
+	if searchMembers(s, 555, searcher, 0) == 0 {
 		t.Fatal("search committee never formed")
 	}
 	s.run(s.h.P.SearchTTL + 2)
-	if len(s.h.CommitteeSlots(com)) != 0 {
+	if searchMembers(s, 555, searcher, 0) != 0 {
 		t.Fatal("search committee did not dissolve after TTL")
 	}
 }
@@ -398,6 +395,11 @@ func TestParamsValidate(t *testing.T) {
 	mustPanic("zero committee", func() Params { p := good; p.CommitteeSize = 0; return p }())
 	mustPanic("short period", func() Params { p := good; p.Period = 1; return p }())
 	mustPanic("bad ida", func() Params { p := good; p.IDAThreshold = p.CommitteeSize + 1; return p }())
+	mustPanic("zero wave period", func() Params { p := good; p.WaveEvery = 0; return p }())
+	mustPanic("zero landmark ttl", func() Params { p := good; p.LandmarkTTL = 0; return p }())
+	mustPanic("zero search ttl", func() Params { p := good; p.SearchTTL = 0; return p }())
+	mustPanic("zero sample buffer", func() Params { p := good; p.SampleBuffer = 0; return p }())
+	mustPanic("tree depth past packGrow's 8 bits", func() Params { p := good; p.TreeDepth = 256; return p }())
 	good.validate() // must not panic
 }
 
@@ -412,25 +414,23 @@ func TestTreeDepthHelpers(t *testing.T) {
 	}
 }
 
-func TestPackingRoundTrips(t *testing.T) {
-	base, mode, idx := unpackInvite(packInvite(123456, ModeSearch, 77))
-	if base != 123456 || mode != ModeSearch || idx != 77 {
-		t.Fatalf("invite packing broken: %d %d %d", base, mode, idx)
-	}
-	c, pi, hp := unpackCount(packCount(99, 13, true))
-	if c != 99 || pi != 13 || !hp {
-		t.Fatalf("count packing broken: %d %d %v", c, pi, hp)
-	}
-	d, w, m := unpackGrow(packGrow(5, 100000, ModeStore))
-	if d != 5 || w != 100000 || m != ModeStore {
-		t.Fatalf("grow packing broken: %d %d %d", d, w, m)
-	}
-	if blobKey(keyBlob(0xdeadbeefcafe)) != 0xdeadbeefcafe {
-		t.Fatal("key blob round trip broken")
-	}
-	if blobKey([]byte{1, 2}) != 0 {
-		t.Fatal("short blob should decode to 0")
-	}
+// FuzzPackedFields: the three Aux packings return every in-range tuple as it
+// went in, and a value too wide for its field comes back cut to the field's
+// width with its neighbours untouched.
+func FuzzPackedFields(f *testing.F) {
+	f.Add(123456, 77, 99, 13, true, 5, 100000)
+	f.Add(-1, 1<<16, 1<<32+7, -3, false, 256, -1)
+	f.Fuzz(func(t *testing.T, base, piece, count, cpiece int, has bool, depth, wave int) {
+		if b, p := unpackInvite(packInvite(base, piece)); b != int(uint32(base)) || p != int(uint16(piece)) {
+			t.Errorf("invite (%d, %d) came back (%d, %d)", base, piece, b, p)
+		}
+		if c, p, h := unpackCount(packCount(count, cpiece, has)); c != int(uint32(count)) || p != int(uint16(cpiece)) || h != has {
+			t.Errorf("count (%d, %d, %v) came back (%d, %d, %v)", count, cpiece, has, c, p, h)
+		}
+		if d, w := unpackGrow(packGrow(depth, wave)); d != int(uint8(depth)) || w != int(uint32(wave)) {
+			t.Errorf("grow (%d, %d) came back (%d, %d)", depth, wave, d, w)
+		}
+	})
 }
 
 // TestDrainResultsCanonicalOrder pins that DrainResults hides the order

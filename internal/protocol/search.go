@@ -14,7 +14,6 @@ import (
 // searchState tracks one retrieval this node initiated (Algorithm 4).
 type searchState struct {
 	key      uint64
-	com      uint64 // the search committee's id
 	start    int
 	deadline int
 	found    int             // round the first storage roster arrived; -1 until then
@@ -34,7 +33,7 @@ type searchState struct {
 func (h *Handler) RequestStore(e *simnet.Engine, slot int, key uint64, data []byte) {
 	st := &h.states[slot]
 	st.pending = append(st.pending, pendingOp{
-		mode: ModeStore, key: key,
+		store: true, key: key,
 		data:  append([]byte(nil), data...),
 		start: e.Round(),
 	})
@@ -47,11 +46,7 @@ func (h *Handler) RequestStore(e *simnet.Engine, slot int, key uint64, data []by
 // report, then runs as its own operation.
 func (h *Handler) RequestRetrieve(e *simnet.Engine, slot int, key uint64, expect []byte) {
 	st := &h.states[slot]
-	st.pending = append(st.pending, pendingOp{
-		mode: ModeSearch, key: key,
-		data:  expect,
-		start: e.Round(),
-	})
+	st.pending = append(st.pending, pendingOp{key: key, data: expect, start: e.Round()})
 }
 
 // tickPending creates committees for requested operations once the node
@@ -62,7 +57,7 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 	}
 	kept := st.pending[:0]
 	for _, op := range st.pending {
-		if op.mode == ModeSearch {
+		if !op.store {
 			// One search per key: the running one must report before this
 			// request starts, or one result would answer both.
 			if st.searches.get(op.key) != nil {
@@ -87,10 +82,9 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 			kept = append(kept, op)
 			continue
 		}
-		switch op.mode {
-		case ModeStore:
+		if op.store {
 			h.createStoreCommittee(ctx, st, op, roster)
-		case ModeSearch:
+		} else {
 			h.createSearchCommittee(ctx, st, op, roster)
 		}
 	}
@@ -101,8 +95,7 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 // to form the item's committee, handing each member the item (or its IDA
 // piece).
 func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
-	com := op.key
-	trace := h.sampleOp(ctx, st, op, true)
+	trace := h.sampleOp(ctx, st, op)
 	var pieces []ida.Piece
 	if h.code != nil {
 		pieces = h.code.Encode(op.data)
@@ -116,7 +109,7 @@ func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendin
 			pieceIdx = p.Index
 		}
 		m := ctx.SendRouted(peer, KindCInvite)
-		m.Item, m.Aux, m.Aux2 = com, packInvite(ctx.Round, ModeStore, pieceIdx), uint64(len(op.data))
+		m.Item, m.Aux, m.Aux2 = op.key, packInvite(ctx.Round, pieceIdx), uint64(len(op.data))
 		m.Trace = trace
 		ctx.SetPayload(m, roster, blob)
 	}
@@ -128,7 +121,7 @@ func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendin
 // is, emits its start event (dated at the request round, so
 // rounds-to-resolve includes the soup warm-up wait). The decision is a
 // pure hash of (tracer seed, key, issuer): worker-count independent.
-func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp, isStore bool) uint64 {
+func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp) uint64 {
 	tr := ctx.E.Tracer()
 	if tr == nil {
 		return 0
@@ -137,7 +130,7 @@ func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp, isStore
 	if trace != 0 {
 		tr.Emit(ctx.Shard, telemetry.Event{
 			Trace: trace, Round: int64(op.start), Kind: telemetry.EvOpStart,
-			From: uint64(st.id), Item: op.key, OK: isStore,
+			From: uint64(st.id), Item: op.key, OK: op.store,
 		})
 	}
 	return trace
@@ -146,34 +139,41 @@ func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp, isStore
 // createSearchCommittee implements Algorithm 4 step 1: invite a search
 // committee and start tracking the retrieval locally.
 func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
-	com := searchComID(op.key, st.id, op.start)
-	trace := h.sampleOp(ctx, st, op, false)
+	trace := h.sampleOp(ctx, st, op)
 	srch := st.searches.put(op.key, searchState{
-		key: op.key, com: com, start: op.start,
+		key: op.key, start: op.start,
 		deadline: op.start + h.P.SearchTTL,
 		found:    -1,
 		invited:  roster,
 		want:     op.data,
 		trace:    trace,
 	})
-	kb := keyBlob(op.key)
 	for _, peer := range roster {
-		m := ctx.SendRouted(peer, KindCInvite)
-		m.Item, m.Aux, m.Aux2 = com, packInvite(ctx.Round, ModeSearch, 0), uint64(st.id)
+		m := ctx.SendRouted(peer, KindSInvite)
+		m.Item, m.Aux, m.Aux2 = op.key, uint64(ctx.Round), uint64(st.id)
 		m.Trace = trace
-		ctx.SetPayload(m, roster, kb)
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 	// The searcher doubles as a search landmark so its own walk samples
-	// contribute to the rendezvous.
-	h.addSearchTask(st, op.key, st.id, ctx.Round, ctx.Round, trace)
+	// contribute to the rendezvous, for as long as the search runs.
+	h.addSearchTask(st, op.key, st.id, ctx.Round, ctx.Round, trace).expiry = srch.deadline
 	// Shortcut: if the searcher already happens to be a storage landmark
 	// for the item, it knows the roster and can fetch immediately.
 	if ent := st.storageLM.get(op.key); ent != nil && ctx.Round < ent.expiry {
 		srch.found = ctx.Round
 		h.fetchFrom(ctx, st, srch, ent.roster)
 	}
+}
+
+// onSearchInvite makes this node a member of the search's committee: a
+// search landmark at once, the root of a landmark tree from this round's
+// tick on (tickSearchLandmarks) — not from here, or an invite a fault delays
+// into the inbox that holds the search's KindSDone would grow a whole tree
+// before the notice is read.
+func (h *Handler) onSearchInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
+	t := h.addSearchTask(st, msg.Item, simnet.NodeID(msg.Aux2), ctx.Round, ctx.Round, msg.Trace)
+	t.until, t.invited = int(msg.Aux)+h.P.SearchTTL, ctx.Round
 }
 
 // fetchFrom asks every member the search has not asked yet for the item
@@ -188,25 +188,24 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 	}
 }
 
-// searchComID derives a unique committee id for a retrieval operation.
-func searchComID(key uint64, searcher simnet.NodeID, round int) uint64 {
-	x := key ^ 0x9e3779b97f4a7c15*uint64(searcher) ^ uint64(round)<<32
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// tickSearchLandmarks runs Algorithm 4 step 2's inquiry loop: every search
-// landmark contacts the sources of the walk samples it received this round
-// and inquires about the item.
+// tickSearchLandmarks runs Algorithm 4 after the whole inbox: a committee
+// member roots a landmark tree when a wave is due, until SearchTTL after the
+// search started (step 1); every search landmark contacts the sources of the
+// walk samples it received this round and inquires about the item (step 2).
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
-	if len(samples) == 0 {
-		return
-	}
-	sent := 0
+	round, sent := ctx.Round, 0
 	for i, key := range st.searchLM.keys {
-		for _, t := range st.searchLM.vals[i] {
-			if ctx.Round >= t.expiry {
+		tasks := st.searchLM.vals[i]
+		for j := range tasks {
+			t := &tasks[j]
+			if round >= t.until {
+				t.until = 0 // not a member, or not any more
+			} else if h.waveDue(round, t.until-h.P.SearchTTL, t.invited) {
+				h.ctr.waves.Inc(ctx.Shard)
+				t.expiry, t.wave = max(t.expiry, round+h.P.LandmarkTTL), round
+				t.kids = h.growChildren(ctx, st, KindSGrow, key, uint64(t.searcher), nil, h.P.TreeDepth, round, t.trace)
+			}
+			if round >= t.expiry {
 				continue
 			}
 			for _, s := range samples {
@@ -334,9 +333,10 @@ func distinctPieces(ps []ida.Piece) int {
 // sends a KindSDone to the committee it invited, and every receiver leaves
 // the search and passes the notice to the children it grew, one round
 // behind any growth still in flight. The notice ends only what is older
-// than the round it names — memberships with base < round, tasks with
-// wave <= round — because tickPending may start the searcher's next search
-// for the key in the very tick this one finishes, down much the same nodes.
+// than the round it names — committee membership in a search that started
+// before it, tasks with wave <= round — because tickPending may start the
+// searcher's next search for the key in the very tick this one finishes,
+// down much the same nodes (dropSearchTask; DESIGN.md §2, "The guards").
 // It is advisory: a search whose notice is lost, or whose searcher was
 // churned out, ages out by the TTLs, and no result depends on it.
 func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState, done int, success bool, nbytes int) {
@@ -378,22 +378,22 @@ func (h *Handler) sendDone(ctx *simnet.Ctx, to []simnet.NodeID, key uint64, sear
 
 // onDone leaves the ended search's committee and landmark tree.
 func (h *Handler) onDone(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	key, round, searcher := msg.Item, int(msg.Aux), simnet.NodeID(msg.Aux2)
-	for i := 0; i < len(st.memberships.vals); i++ {
-		m := &st.memberships.vals[i]
-		if m.mode == ModeSearch && m.key == key && m.searcher == searcher && m.base < round {
-			st.memberships.delAt(i)
-			i--
-		}
-	}
-	h.dropSearchTask(ctx, st, key, searcher, round)
+	h.dropSearchTask(ctx, st, msg.Item, simnet.NodeID(msg.Aux2), int(msg.Aux))
 }
 
-// dropSearchTask deletes the node's task for (key, searcher) if its tree
-// was rooted by round, and tells the children the task grew.
+// dropSearchTask ends the node's part in searcher's search for key, which
+// ended in round: it leaves the committee if the search that invited it
+// started before round, and deletes the task, telling the children the task
+// grew, if its tree was rooted by round.
 func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, searcher simnet.NodeID, round int) {
 	t := findSearchTask(st, key, searcher)
-	if t == nil || t.wave > round {
+	if t == nil {
+		return
+	}
+	if t.until != 0 && t.until-h.P.SearchTTL < round {
+		t.until = 0
+	}
+	if t.wave > round {
 		return
 	}
 	h.sendDone(ctx, t.kids[:], key, searcher, round)
@@ -410,12 +410,6 @@ func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 		if ctx.Round >= srch.deadline {
 			h.finishSearch(ctx, st, srch, -1, false, 0)
 			i--
-			continue
-		}
-		// Keep the searcher's own inquiry task alive while the search
-		// runs, even past the landmark TTL.
-		if t := findSearchTask(st, srch.key, st.id); t != nil && t.expiry <= ctx.Round+1 {
-			t.expiry = ctx.Round + 2
 		}
 	}
 }
