@@ -63,7 +63,7 @@ func (fanoutHandler) OnLeave(*simnet.Engine, int, simnet.NodeID, int) {}
 func (h fanoutHandler) HandleRound(ctx *simnet.Ctx) {
 	n := ctx.E.N()
 	for i := 0; i < h.fanout; i++ {
-		ctx.Send(ctx.E.IDAt(ctx.Rand.Intn(n)), 1, 0, 0, nil)
+		ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
 	}
 }
 
@@ -202,7 +202,7 @@ func (h neighborFanout) HandleRound(ctx *simnet.Ctx) {
 		if h.routed {
 			ctx.SendRouted(to, 1)
 		} else {
-			ctx.Send(to, 1, 0, 0, nil)
+			ctx.SendMsg(to, 1)
 		}
 	}
 }

@@ -93,8 +93,11 @@ var (
 
 // Decode reconstructs the original item of length itemLen from any K or
 // more distinct pieces. Extra pieces beyond K are ignored. Duplicated
-// indices count once.
+// indices count once. A negative itemLen is ErrBadPiece.
 func (c *Coder) Decode(pieces []Piece, itemLen int) ([]byte, error) {
+	if itemLen < 0 {
+		return nil, fmt.Errorf("%w: item length %d", ErrBadPiece, itemLen)
+	}
 	plen := c.PieceLen(itemLen)
 	// Select the first K distinct, well-formed pieces.
 	chosen := make([]Piece, 0, c.k)

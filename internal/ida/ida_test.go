@@ -112,6 +112,51 @@ func TestDecodeBadPiece(t *testing.T) {
 	if _, err := c.Decode([]Piece{short, pieces[1], pieces[2]}, len(item)); !errors.Is(err, ErrBadPiece) {
 		t.Fatalf("want ErrBadPiece for short piece, got %v", err)
 	}
+	// A negative length off the wire rounds to zero-length pieces, which
+	// match it: Decode must refuse the length, not slice the item by it.
+	c4, _ := New(4, 6)
+	empty := []Piece{{Index: 0}, {Index: 1}, {Index: 2}, {Index: 3}}
+	if _, err := c4.Decode(empty, -1); !errors.Is(err, ErrBadPiece) {
+		t.Fatalf("want ErrBadPiece for item length -1, got %v", err)
+	}
+}
+
+// FuzzIDA: any K of the L pieces of an item decode to the item, and Decode
+// returns or errors — never panics — on whatever pieces and length it is
+// handed.
+func FuzzIDA(f *testing.F) {
+	for _, size := range []int{0, 1, 17, 43, 255} { // within TestRoundTripRandom's sizes
+		f.Add(uint8(3), uint8(3), make([]byte, size), uint64(0b101010), []byte{}, int64(size))
+	}
+	// k = 4, four zero-length pieces, length -1: the panic Decode had.
+	f.Add(uint8(3), uint8(2), []byte{}, uint64(0b1111), []byte{}, int64(-1))
+	f.Add(uint8(1), uint8(0), []byte("abc"), uint64(1), []byte{0x0f, 0xf8}, int64(3))
+	f.Fuzz(func(t *testing.T, kRaw, extraRaw uint8, item []byte, keep uint64, cut []byte, itemLen int64) {
+		k := int(kRaw)%10 + 1
+		c, err := New(k, k+int(extraRaw)%10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Keep the pieces keep's bits pick, topped up from the tail to K.
+		pieces := c.Encode(item)
+		var kept []Piece
+		for i, p := range pieces {
+			if keep>>i&1 == 1 || len(pieces)-i <= k-len(kept) {
+				kept = append(kept, p)
+			}
+		}
+		got, err := c.Decode(kept, len(item))
+		if err != nil || !bytes.Equal(got, item) {
+			t.Fatalf("k=%d l=%d: %d pieces decoded to %x, %v; want %x", k, c.L(), len(kept), got, err, item)
+		}
+		// Hostile input: cut[i] shifts piece i's index and truncates its
+		// data, and the item length is anything at all.
+		for i := range kept[:min(len(kept), len(cut))] {
+			kept[i].Index += int(int8(cut[i]) >> 3)
+			kept[i].Data = kept[i].Data[:min(len(kept[i].Data), int(cut[i]&7))]
+		}
+		c.Decode(kept, int(itemLen))
+	})
 }
 
 func TestEmptyItem(t *testing.T) {

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -33,12 +34,15 @@ func await(s *sim, got []SearchResult, want int) []SearchResult {
 	return got
 }
 
-// searchMembers counts the nodes that are members of searcher's committee
-// for key, invited to a search that started in round since or later.
-func searchMembers(s *sim, key uint64, searcher simnet.NodeID, since int) (n int) {
-	for i := range s.h.states {
-		if t := findSearchTask(&s.h.states[i], key, searcher); t != nil && t.until != 0 && t.until-s.h.P.SearchTTL >= since {
-			n++
+// searchMembers counts the nodes of roster — a search committee, as
+// captured from searchState.invited — that hold a task of searcher's search
+// for key from a wave rooted after round since.
+func searchMembers(s *sim, key uint64, searcher simnet.NodeID, roster []simnet.NodeID, since int) (n int) {
+	for _, id := range roster {
+		if slot, ok := s.e.SlotOf(id); ok {
+			if t := findSearchTask(&s.h.states[slot], key, searcher); t != nil && t.wave > since {
+				n++
+			}
 		}
 	}
 	return n
@@ -46,8 +50,8 @@ func searchMembers(s *sim, key uint64, searcher simnet.NodeID, since int) (n int
 
 // TestSearchDoneEndsTail: once the searcher has its result, the notice
 // reaches the committee in one round and the leaves of every landmark tree
-// in TreeDepth more; after that nobody is a member or a landmark of the
-// search and no inquiry is sent.
+// in TreeDepth more; after that nobody is a landmark of the search and no
+// inquiry is sent.
 func TestSearchDoneEndsTail(t *testing.T) {
 	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
 	const slot = 200
@@ -73,9 +77,6 @@ func TestSearchDoneEndsTail(t *testing.T) {
 	s.run(s.h.P.TreeDepth + 1)
 	if got := s.h.SearchLandmarkCount(key, searcher, s.e.Round()); got != 0 {
 		t.Errorf("%d search landmarks (of %d) left %d rounds after the result", got, peak, s.h.P.TreeDepth+1)
-	}
-	if got := searchMembers(s, key, searcher, 0); got != 0 {
-		t.Errorf("search committee still has %d members", got)
 	}
 	c := s.h.Counters()
 	if c.Dones < int64(s.h.inviteCount()) {
@@ -135,8 +136,8 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.h.RequestRetrieve(s.e, 20+10*i, 11, itemBytes(11, 64))
 	}
-	s.run(s.h.P.WaveEvery + s.h.P.TreeDepth + 2) // past a member's second wave
-	for _, kind := range []uint8{KindSInvite, KindSGrow, KindSInquire, KindSFetch, KindSDone} {
+	s.run(s.h.P.WaveEvery + s.h.P.TreeDepth + 2) // past the second wave
+	for _, kind := range []uint8{KindSGrow, KindSInquire, KindSFetch, KindSDone} {
 		if n, f := sent[kind].Load(), fat[kind].Load(); n == 0 || f != 0 {
 			t.Errorf("kind %#x: %d sent, %d of them with a payload", kind, n, f)
 		}
@@ -146,10 +147,10 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 	}
 }
 
-// TestSearchDoneLateAfterRewave: a notice that arrives after the committee
-// has re-rooted its trees finds every member's task younger than the round
-// it names. It must still end the membership, or the members re-root until
-// SearchTTL for a search that is over.
+// TestSearchDoneLateAfterRewave: a notice a fault delays past the round the
+// committee would have re-rooted its trees finds nothing re-rooted — only the
+// searcher sends waves, and it sent none after its result — and once the
+// notice lands no tree of the search grows again.
 func TestSearchDoneLateAfterRewave(t *testing.T) {
 	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
 	var grows atomic.Int64
@@ -161,92 +162,107 @@ func TestSearchDoneLateAfterRewave(t *testing.T) {
 	const slot = 200
 	searcher := s.e.IDAt(slot)
 	s.h.RequestRetrieve(s.e, slot, key, data)
+	s.run(1)
+	roster := s.h.states[slot].searches.get(key).invited
 	results := await(s, nil, 1)
 	if len(results) != 1 || !results[0].Success {
 		t.Fatalf("retrieval did not succeed: %+v", results)
 	}
-	s.run(s.h.P.WaveEvery + 1) // the notice lands in the last of these rounds
+	s.run(s.h.P.WaveEvery) // the notice lands next round
+	if searchMembers(s, key, searcher, roster, -1) == 0 {
+		t.Fatal("no member holds the search when the late notice lands: the test shows nothing")
+	}
 	rewaved := 0
 	for i := range s.h.states {
 		if task := findSearchTask(&s.h.states[i], key, searcher); task != nil && task.wave > results[0].Done {
 			rewaved++
 		}
 	}
-	if rewaved <= s.h.inviteCount() {
-		t.Fatalf("%d tasks rooted after the result: no re-wave beat the notice, the test shows nothing", rewaved)
-	}
-	s.run(s.h.P.TreeDepth + 1)
-	if got := searchMembers(s, key, searcher, 0); got != 0 {
-		t.Errorf("%d members left after the late notice", got)
+	if rewaved != 0 {
+		t.Errorf("%d tasks rooted after the result", rewaved)
 	}
 	before := grows.Load()
-	s.run(2 * s.h.P.WaveEvery)
+	s.run(1 + s.h.P.TreeDepth + 1) // the notice lands and walks the trees
+	if got := searchMembers(s, key, searcher, roster, -1); got != 0 {
+		t.Errorf("%d members left after the late notice", got)
+	}
+	s.run(2*s.h.P.WaveEvery - s.h.P.TreeDepth - 2) // 2·WaveEvery rounds from the landing
 	if got := grows.Load(); got != before {
 		t.Errorf("search trees kept growing after the late notice: %d -> %d grows sent", before, got)
 	}
 }
 
-// lateInvite drops (delay < 0) or delays the search invites sent to one
-// node, and touches nothing else.
-type lateInvite struct {
+// lateWave drops (delay < 0) or delays the grow with Aux aux — one wave's,
+// at full depth, so the searcher's — sent to one node, and touches nothing
+// else.
+type lateWave struct {
 	to    simnet.NodeID
+	aux   uint64
 	delay int
 }
 
-func (f lateInvite) Fate(_ int, m *simnet.Msg, _ uint64) (bool, int) {
-	if m.Kind != KindSInvite || m.To != f.to {
+func (f lateWave) Fate(_ int, m *simnet.Msg, _ uint64) (bool, int) {
+	if m.Kind != KindSGrow || m.To != f.to || m.Aux != f.aux {
 		return false, 0
 	}
 	return f.delay < 0, max(f.delay, 0)
 }
-func (f lateInvite) String() string {
-	return fmt.Sprintf("KindSInvite to %d delayed %d", f.to, f.delay)
+func (f lateWave) String() string {
+	return fmt.Sprintf("KindSGrow %#x to %d delayed %d", f.aux, f.to, f.delay)
 }
 
-// TestSearchDoneBeatsLateInvite: an invite delayed into the inbox that
-// holds the search's notice is read first (it was sent first). The node
-// becomes a member and stops being one within that inbox, before its tick:
-// it roots no tree, exactly as if the invite had been lost.
+// TestSearchDoneBeatsLateInvite: the searcher's first-wave grow to a member,
+// delayed into the inbox that holds the search's notice, is read first (it
+// was sent first). The member takes up the task and drops it within that
+// inbox, before its tick: it grows nothing, exactly as if the grow had been
+// lost.
 func TestSearchDoneBeatsLateInvite(t *testing.T) {
 	const slot = 200
-	// run returns whom the search invited first, the rounds it started and
-	// ended, all grows sent TreeDepth+2 rounds later, and the invitee's task.
-	run := func(fault simnet.FaultModel) (invitee simnet.NodeID, start, done int, grows int64, task *searchTask) {
+	// run retrieves the stored key from slot, with the first wave's grow to
+	// `to` dropped (delay < 0) or delayed. It returns the committee, how many
+	// first-wave grows each node received, the rounds the search started and
+	// ended, and all grows sent TreeDepth+2 rounds later.
+	run := func(to simnet.NodeID, delay int) (roster []simnet.NodeID, reached map[simnet.NodeID]int, start, done int, grows int64) {
 		s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
-		s.e.SetFault(fault)
 		start = s.e.Round()
+		var mu sync.Mutex
+		reached = map[simnet.NodeID]int{}
+		s.e.SetFault(watchFault{lateWave{to, packGrow(s.h.P.TreeDepth, start+1), delay}, func(m *simnet.Msg) {
+			if _, wave := unpackGrow(m.Aux); m.Kind == KindSGrow && wave == start+1 {
+				mu.Lock()
+				reached[m.To]++
+				mu.Unlock()
+			}
+		}})
 		s.h.RequestRetrieve(s.e, slot, key, data)
 		s.run(1)
-		srch := s.h.states[slot].searches.get(key)
-		if srch == nil {
-			t.Fatalf("%v: search state missing", fault)
-		}
-		invitee = srch.invited[0]
+		roster = s.h.states[slot].searches.get(key).invited
 		results := await(s, nil, 1)
 		if len(results) != 1 || !results[0].Success {
-			t.Fatalf("%v: retrieval did not succeed: %+v", fault, results)
+			t.Fatalf("grow to %d delayed %d: retrieval did not succeed: %+v", to, delay, results)
 		}
 		s.run(s.h.P.TreeDepth + 2)
-		for i := range s.h.states {
-			if s.h.states[i].id == invitee {
-				task = findSearchTask(&s.h.states[i], key, s.e.IDAt(slot))
-			}
-		}
-		return invitee, start, results[0].Done, s.h.Counters().GrowSent, task
+		return roster, reached, start, results[0].Done, s.h.Counters().GrowSent
 	}
-	invitee, _, _, _, _ := run(nil)
-	_, start, done, want, _ := run(lateInvite{invitee, -1})
-	_, _, lateDone, got, task := run(lateInvite{invitee, done - start})
-	if lateDone != done || task == nil || task.wave != done+1 || task.until != 0 {
-		t.Fatalf("the invite did not land with the notice of round %d (search ended %d, invitee's task %+v)", done, lateDone, task)
+	// A member no other tree of the first wave reaches: the delayed grow is
+	// the only one that could make it grow that wave.
+	roster, reached, _, _, _ := run(0, 0)
+	i := slices.IndexFunc(roster, func(id simnet.NodeID) bool { return reached[id] == 1 })
+	if i < 0 {
+		t.Fatal("every member is reached twice by the first wave: the test shows nothing")
+	}
+	_, _, start, done, want := run(roster[i], -1)
+	_, _, _, lateDone, got := run(roster[i], done-start)
+	if lateDone != done {
+		t.Fatalf("the search ended in round %d with the grow lost, %d with it late: the grow missed the notice", done, lateDone)
 	}
 	if got != want {
-		t.Errorf("%d grows sent with the invite landing beside the notice, %d with it lost", got, want)
+		t.Errorf("%d grows sent with the first wave landing beside the notice, %d with it lost", got, want)
 	}
 }
 
 // TestSearchDoneSparesNextSearch: the second of two requests for one key
-// starts in the tick the first finishes, so its invites and tree growth
+// starts in the tick the first finishes, so its first wave and tree growth
 // race the first search's notice down much the same nodes — ahead of it
 // when the notice is on time, behind it when the notice is a round late.
 // Either way the notice must end nothing of the second search: its
@@ -269,11 +285,11 @@ func TestSearchDoneSparesNextSearch(t *testing.T) {
 			if len(results) != 1 || !results[0].Success || srch == nil {
 				t.Fatalf("gap %d, %v: first retrieval %+v, second running: %v", gap, fault, results, srch != nil)
 			}
-			ended := results[0].Done
+			ended, roster := results[0].Done, srch.invited
 			// The second search's trees are complete, and its own notice —
 			// it needs three rounds to find, fetch and end — has reached nobody.
 			s.run(s.h.P.TreeDepth + 1)
-			members = searchMembers(s, key, s.e.IDAt(slot), ended)
+			members = searchMembers(s, key, s.e.IDAt(slot), roster, ended)
 			for i := range s.h.states {
 				if task := findSearchTask(&s.h.states[i], key, s.e.IDAt(slot)); task != nil && task.wave > ended {
 					landmarks++
@@ -346,23 +362,33 @@ func TestSearchDoneIsAdvisory(t *testing.T) {
 }
 
 // TestSearchDoneLostSearcher: a searcher churned out mid-search sends no
-// notice — there is nobody to send it — so its committee and landmarks
-// live out their TTLs, as every search's did before the notice existed.
+// notice — there is nobody to send it — and no more waves. From then on no
+// tree of its search grows, and every landmark it had is gone LandmarkTTL
+// rounds after it left.
 func TestSearchDoneLostSearcher(t *testing.T) {
 	s := newSim(t, 256, churn.ZeroLaw{}, 0, 5)
 	s.warm()
 	const slot, missing = 8, 31337
 	searcher := s.e.IDAt(slot)
+	var grows atomic.Int64
+	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+		if m.Kind == KindSGrow && simnet.NodeID(m.Aux2) == searcher {
+			grows.Add(1)
+		}
+	}})
 	s.h.RequestRetrieve(s.e, slot, missing, nil)
-	s.run(2 + s.h.P.TreeDepth)
+	s.run(2 + s.h.P.TreeDepth)                // the first wave's trees are complete
 	s.h.OnJoin(s.e, slot, 1<<40, s.e.Round()) // replace the searcher as the engine would on churn
-	s.run(s.h.P.LandmarkTTL)
-	if got := s.h.SearchLandmarkCount(missing, searcher, s.e.Round()); got == 0 {
-		t.Error("the orphaned search's landmarks are already gone: something ended them")
+	left, before := s.h.SearchLandmarkCount(missing, searcher, s.e.Round()), grows.Load()
+	if left <= s.h.inviteCount() {
+		t.Fatalf("the search has %d landmarks when its searcher leaves: no tree grew, the test shows nothing", left)
 	}
-	s.run(s.h.P.SearchTTL)
+	s.run(s.h.P.LandmarkTTL)
+	if got := grows.Load(); got != before {
+		t.Errorf("%d grows sent for the departed searcher's search", got-before)
+	}
 	if got := s.h.SearchLandmarkCount(missing, searcher, s.e.Round()); got != 0 {
-		t.Errorf("%d landmarks of the departed searcher left after SearchTTL+LandmarkTTL", got)
+		t.Errorf("%d of the departed searcher's %d landmarks left LandmarkTTL rounds after it", got, left)
 	}
 	if got := s.h.Counters().Dones; got != 0 {
 		t.Errorf("%d notices sent for a search whose searcher is gone", got)

@@ -77,7 +77,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		fallbackHandovers: reg.Counter("dynp2p_proto_fallback_handovers_total", "handovers performed by a non-primary candidate"),
 		resignations:      reg.Counter("dynp2p_proto_resignations_total", "members resigned after a handover"),
 		committeeCreated:  reg.Counter("dynp2p_proto_committees_created_total", "committees created by store/retrieve requests"),
-		waves:             reg.Counter("dynp2p_proto_waves_total", "landmark waves started by members"),
+		waves:             reg.Counter("dynp2p_proto_waves_total", "landmark waves started by storage members and searchers"),
 		growSent:          reg.Counter("dynp2p_proto_grow_sent_total", "tree-growth messages sent"),
 		inquiries:         reg.Counter("dynp2p_proto_inquiries_total", "landmark inquiries sent"),
 		dones:             reg.Counter("dynp2p_proto_search_dones_total", "search-ended notices sent (by searchers and forwarded down landmark trees)"),
@@ -104,7 +104,7 @@ type Counters struct {
 	FallbackHandovers int64 // handovers performed by a non-primary candidate
 	Resignations      int64 // members resigned after a handover
 	CommitteesCreated int64 // committees created by Store/Retrieve requests
-	Waves             int64 // landmark waves started by members
+	Waves             int64 // landmark waves started by storage members and searchers
 	GrowSent          int64 // tree-growth messages sent
 	Inquiries         int64 // landmark inquiries sent
 	Dones             int64 // search-ended notices sent, forwarded ones included
@@ -193,16 +193,14 @@ type lmEntry struct {
 	wave   int
 }
 
-// searchTask makes this node a search landmark for (key, searcher). A member
-// of the search's committee (Algorithm 4 step 1) is a task with until set: it
-// roots a landmark tree the round its invite arrived and every WaveEvery
-// rounds from the search's start, until round until.
+// searchTask makes this node a search landmark for (key, searcher): a node
+// of one of the searcher's landmark trees, whose first level is the search
+// committee (Algorithm 4 step 1).
 type searchTask struct {
 	searcher simnet.NodeID
 	expiry   int
 	wave     int    // round the tree that last reached the node was rooted
-	until    int    // members only, else 0: search start + SearchTTL
-	invited  int    // members only: round the invite arrived
+	grow     int    // depth the node still grows the tree to, in this round's tick
 	trace    uint64 // the search's lifecycle trace id (0 = untraced)
 	// kids are the children it grew the tree to (0 = none): whom it passes
 	// the search's KindSDone on to.
@@ -370,8 +368,6 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 		h.onData(ctx, st, m)
 	case KindSDone:
 		h.onDone(ctx, st, m)
-	case KindSInvite:
-		h.onSearchInvite(ctx, st, m)
 	case KindSGrow:
 		h.onSearchGrow(ctx, st, m)
 	case KindCacheData:

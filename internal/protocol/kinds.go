@@ -33,19 +33,14 @@ const (
 	// Blob = data.
 	KindSData uint8 = 0x33
 	// KindSDone tells an ended search's committee and landmarks to stop:
-	// the searcher sends it to the roster it invited, every receiver passes
-	// it to the children it grew (finishSearch). Item = item key, Aux = the
-	// round the search ended, Aux2 = searcher id. Header only, untraced,
-	// advisory.
+	// the searcher sends it to its committee, every receiver passes it to
+	// the children it grew (finishSearch). Item = item key, Aux = the round
+	// the search ended, Aux2 = searcher id. Header only, untraced, advisory.
 	KindSDone uint8 = 0x34
-	// KindSInvite invites the recipient into a search committee: it roots
-	// a search landmark tree now and every WaveEvery rounds until the
-	// search's SearchTTL runs out. Item = item key, Aux = the round the
-	// search started, Aux2 = searcher id. Header only.
-	KindSInvite uint8 = 0x35
-	// KindSGrow grows a search landmark tree by one level.
-	// Item = item key, Aux = packGrow(depth, wave), Aux2 = searcher id.
-	// Header only.
+	// KindSGrow grows a search landmark tree by one level. Every wave, the
+	// searcher sends it at full depth to its committee, the tree's first
+	// level. Item = item key, Aux = packGrow(depth, wave), Aux2 = searcher
+	// id. Header only.
 	KindSGrow uint8 = 0x36
 
 	// KindCacheData answers a search inquiry straight from a hot-key

@@ -6,19 +6,13 @@ import (
 	"dynp2p/internal/simnet"
 )
 
-// waveDue reports whether a committee member invited in round joined roots
-// a landmark tree this round (Algorithm 2): at join, and every WaveEvery
-// rounds from the committee's base round.
-func (h *Handler) waveDue(round, base, joined int) bool {
-	return round == joined || round > base && (round-base)%h.P.WaveEvery == 0
-}
-
 // maybeWave starts a storage landmark-construction wave if one is due for
-// the membership. Each member roots its own sampling tree; the trees' nodes
-// become landmarks that know the committee roster.
+// the membership (Algorithm 2): when the member joins, and every WaveEvery
+// rounds from the committee's base round. Each member roots its own sampling
+// tree; the trees' nodes become landmarks that know the committee roster.
 func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	round := ctx.Round
-	if !h.waveDue(round, m.base, m.joined) {
+	if round != m.joined && (round <= m.base || (round-m.base)%h.P.WaveEvery != 0) {
 		return
 	}
 	h.ctr.waves.Inc(ctx.Shard)
@@ -69,9 +63,10 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	h.growChildren(ctx, st, KindLGrow, key, 0, msg.IDs(), depth, wave, msg.Trace)
 }
 
-// onSearchGrow is onGrow for a search landmark tree: the node takes up the
-// search task and remembers the children it grew, whom it passes the
-// search's KindSDone on to.
+// onSearchGrow is onGrow for a search landmark tree, whose first level is
+// the search committee: the node takes up the search task and leaves the
+// growing to its tick (tickSearchLandmarks), which remembers the children,
+// whom it passes the search's KindSDone on to.
 func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	depth, wave := unpackGrow(msg.Aux)
 	key, searcher := msg.Item, simnet.NodeID(msg.Aux2)
@@ -79,10 +74,7 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL)
 		return
 	}
-	t := h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace)
-	if depth > 0 { // a leaf keeps the children an earlier wave gave it
-		t.kids = h.growChildren(ctx, st, KindSGrow, key, msg.Aux2, nil, depth, wave, msg.Trace)
-	}
+	h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace).grow = depth
 }
 
 // addSearchTask registers this node as a search landmark for (key,

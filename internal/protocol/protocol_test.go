@@ -293,12 +293,12 @@ func TestSearchCommitteeDissolves(t *testing.T) {
 		t.Fatal("search state missing")
 	}
 	s.run(2)
-	if searchMembers(s, 555, searcher, 0) == 0 {
+	if s.h.SearchLandmarkCount(555, searcher, s.e.Round()) <= s.h.inviteCount() {
 		t.Fatal("search committee never formed")
 	}
 	s.run(s.h.P.SearchTTL + 2)
-	if searchMembers(s, 555, searcher, 0) != 0 {
-		t.Fatal("search committee did not dissolve after TTL")
+	if got := s.h.SearchLandmarkCount(555, searcher, s.e.Round()); got != 0 {
+		t.Fatalf("search committee did not dissolve after TTL: %d landmarks left", got)
 	}
 }
 

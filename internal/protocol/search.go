@@ -16,8 +16,9 @@ type searchState struct {
 	key      uint64
 	start    int
 	deadline int
+	formed   int             // round the committee was formed: a wave is due every WaveEvery rounds after
 	found    int             // round the first storage roster arrived; -1 until then
-	invited  []simnet.NodeID // the search committee, as invited: told when the search ends
+	invited  []simnet.NodeID // the search committee: each wave's first level, told when the search ends
 	roster   []simnet.NodeID // storage members already asked for data
 	pieces   []ida.Piece
 	itemLen  int
@@ -136,24 +137,21 @@ func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp) uint64 
 	return trace
 }
 
-// createSearchCommittee implements Algorithm 4 step 1: invite a search
-// committee and start tracking the retrieval locally.
+// createSearchCommittee implements Algorithm 4 step 1: form a search
+// committee, send it the first wave and start tracking the retrieval
+// locally.
 func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
 	trace := h.sampleOp(ctx, st, op)
 	srch := st.searches.put(op.key, searchState{
 		key: op.key, start: op.start,
 		deadline: op.start + h.P.SearchTTL,
+		formed:   ctx.Round,
 		found:    -1,
 		invited:  roster,
 		want:     op.data,
 		trace:    trace,
 	})
-	for _, peer := range roster {
-		m := ctx.SendRouted(peer, KindSInvite)
-		m.Item, m.Aux, m.Aux2 = op.key, uint64(ctx.Round), uint64(st.id)
-		m.Trace = trace
-	}
-	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
+	h.sendWave(ctx, st, srch)
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 	// The searcher doubles as a search landmark so its own walk samples
 	// contribute to the rendezvous, for as long as the search runs.
@@ -166,14 +164,18 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	}
 }
 
-// onSearchInvite makes this node a member of the search's committee: a
-// search landmark at once, the root of a landmark tree from this round's
-// tick on (tickSearchLandmarks) — not from here, or an invite a fault delays
-// into the inbox that holds the search's KindSDone would grow a whole tree
-// before the notice is read.
-func (h *Handler) onSearchInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	t := h.addSearchTask(st, msg.Item, simnet.NodeID(msg.Aux2), ctx.Round, ctx.Round, msg.Trace)
-	t.until, t.invited = int(msg.Aux)+h.P.SearchTTL, ctx.Round
+// sendWave roots one of the searcher's landmark trees: the committee is its
+// first level, and each member grows the rest in the round the wave lands.
+// Members root no tree of their own, so a search's trees stop when its
+// searcher stops sending waves — by finishing, or by leaving.
+func (h *Handler) sendWave(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
+	for _, peer := range srch.invited {
+		m := ctx.SendRouted(peer, KindSGrow)
+		m.Item, m.Aux, m.Aux2 = srch.key, packGrow(h.P.TreeDepth, ctx.Round+1), uint64(st.id)
+		m.Trace = srch.trace
+	}
+	h.ctr.waves.Inc(ctx.Shard)
+	h.ctr.growSent.Add(ctx.Shard, int64(len(srch.invited)))
 }
 
 // fetchFrom asks every member the search has not asked yet for the item
@@ -188,22 +190,20 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 	}
 }
 
-// tickSearchLandmarks runs Algorithm 4 after the whole inbox: a committee
-// member roots a landmark tree when a wave is due, until SearchTTL after the
-// search started (step 1); every search landmark contacts the sources of the
-// walk samples it received this round and inquires about the item (step 2).
+// tickSearchLandmarks runs Algorithm 4 after the whole inbox: a tree node a
+// wave reached this round grows the tree on (step 1) — here, not on receipt,
+// so a KindSDone in the same inbox ends the tree at this node — and every
+// search landmark contacts the sources of the walk samples it received this
+// round and inquires about the item (step 2).
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
 	round, sent := ctx.Round, 0
 	for i, key := range st.searchLM.keys {
 		tasks := st.searchLM.vals[i]
 		for j := range tasks {
 			t := &tasks[j]
-			if round >= t.until {
-				t.until = 0 // not a member, or not any more
-			} else if h.waveDue(round, t.until-h.P.SearchTTL, t.invited) {
-				h.ctr.waves.Inc(ctx.Shard)
-				t.expiry, t.wave = max(t.expiry, round+h.P.LandmarkTTL), round
-				t.kids = h.growChildren(ctx, st, KindSGrow, key, uint64(t.searcher), nil, h.P.TreeDepth, round, t.trace)
+			if t.grow > 0 {
+				t.kids = h.growChildren(ctx, st, KindSGrow, key, uint64(t.searcher), nil, t.grow, t.wave, t.trace)
+				t.grow = 0
 			}
 			if round >= t.expiry {
 				continue
@@ -328,17 +328,16 @@ func distinctPieces(ps []ida.Piece) int {
 // local state.
 //
 // The telling is not in Algorithm 4, which only says how a search finds its
-// item: left alone, the committee re-waves until SearchTTL and its Θ(√n)
-// landmarks inquire every walk sample for LandmarkTTL more. So the searcher
-// sends a KindSDone to the committee it invited, and every receiver leaves
-// the search and passes the notice to the children it grew, one round
-// behind any growth still in flight. The notice ends only what is older
-// than the round it names — committee membership in a search that started
-// before it, tasks with wave <= round — because tickPending may start the
-// searcher's next search for the key in the very tick this one finishes,
-// down much the same nodes (dropSearchTask; DESIGN.md §2, "The guards").
-// It is advisory: a search whose notice is lost, or whose searcher was
-// churned out, ages out by the TTLs, and no result depends on it.
+// item: left alone, the last wave's Θ(√n) landmarks inquire every walk
+// sample for LandmarkTTL more. So the searcher sends a KindSDone to its
+// committee, and every receiver leaves the search and passes the notice to
+// the children it grew, one round behind any growth still in flight. The
+// notice ends only tasks with wave <= the round it names, because
+// tickPending may start the searcher's next search for the key in the very
+// tick this one finishes, down much the same nodes (dropSearchTask;
+// DESIGN.md §2, "The guard"). It is advisory: a search whose notice is
+// lost, or whose searcher was churned out, sends no more waves, its
+// landmarks age out by LandmarkTTL, and no result depends on it.
 func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState, done int, success bool, nbytes int) {
 	h.recordResult(SearchResult{
 		Searcher: st.id, Key: srch.key, Start: srch.start,
@@ -382,18 +381,11 @@ func (h *Handler) onDone(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 }
 
 // dropSearchTask ends the node's part in searcher's search for key, which
-// ended in round: it leaves the committee if the search that invited it
-// started before round, and deletes the task, telling the children the task
-// grew, if its tree was rooted by round.
+// ended in round: it deletes the task, telling the children the task grew,
+// if its tree was rooted by round — a later wave is the next search's.
 func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, searcher simnet.NodeID, round int) {
 	t := findSearchTask(st, key, searcher)
-	if t == nil {
-		return
-	}
-	if t.until != 0 && t.until-h.P.SearchTTL < round {
-		t.until = 0
-	}
-	if t.wave > round {
+	if t == nil || t.wave > round {
 		return
 	}
 	h.sendDone(ctx, t.kids[:], key, searcher, round)
@@ -403,13 +395,18 @@ func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, sea
 	}
 }
 
-// tickSearches expires overdue retrievals (recorded as failures, Done = -1).
+// tickSearches expires overdue retrievals (recorded as failures, Done = -1)
+// and sends the others' waves, which land every WaveEvery rounds after the
+// committee formed, up to the deadline.
 func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
+	round := ctx.Round
 	for i := 0; i < len(st.searches.vals); i++ {
 		srch := &st.searches.vals[i]
-		if ctx.Round >= srch.deadline {
+		if round >= srch.deadline {
 			h.finishSearch(ctx, st, srch, -1, false, 0)
 			i--
+		} else if round > srch.formed && (round+1-srch.formed)%h.P.WaveEvery == 0 && round+1 < srch.deadline {
+			h.sendWave(ctx, st, srch)
 		}
 	}
 }

@@ -281,9 +281,6 @@ func New[M any](reg *telemetry.Registry, n int, p Params, workers int) *Router[M
 // SetEnv installs the engine callbacks. Call before the first Step.
 func (r *Router[M]) SetEnv(env Env[M]) { r.env = env }
 
-// Params returns the router's configuration.
-func (r *Router[M]) Params() Params { return r.p }
-
 // Send hands a message to the router at slot `at` (its origin). The walk
 // starts during the next Step. h.Budget 0 takes the router's default.
 // Callers must invoke Send in canonical message order (the engine's

@@ -18,7 +18,7 @@ func (h *pingHandler) OnLeave(*Engine, int, NodeID, int) {}
 func (h *pingHandler) HandleRound(ctx *Ctx) {
 	h.received[ctx.Slot] += len(ctx.Inbox)
 	target := ctx.E.IDAt((ctx.Slot + 1) % ctx.E.N())
-	ctx.Send(target, 1, 0, 0, nil)
+	ctx.SendMsg(target, 1)
 }
 
 func newFaultEngine(t *testing.T, n int, f FaultModel) (*Engine, *pingHandler) {

@@ -637,9 +637,6 @@ func (e *Engine) IsLive(id NodeID) bool {
 // JoinRound returns the round slot s's occupant joined.
 func (e *Engine) JoinRound(s int) int { return int(e.joinRound[s]) }
 
-// Age returns how many rounds slot s's occupant has been alive.
-func (e *Engine) Age(s int) int { return e.round - int(e.joinRound[s]) }
-
 // ChurnedThisRound returns the slots replaced at the start of the current
 // round. The slice is owned by the engine; do not retain it.
 func (e *Engine) ChurnedThisRound() []int { return e.churned }
@@ -738,16 +735,6 @@ type Ctx struct {
 	pay    *payloadSlab // the shard's payload cells for this round
 	seq    uint32
 	bits   int64
-}
-
-// Send queues a message with the common fields filled in: the convenience
-// form of SendMsg for handlers that need nothing else.
-func (c *Ctx) Send(to NodeID, kind uint8, item, aux uint64, ids []NodeID) {
-	m := c.SendMsg(to, kind)
-	m.Item, m.Aux = item, aux
-	if len(ids) > 0 {
-		c.SetPayload(m, ids, nil)
-	}
 }
 
 // SendMsg queues an id-addressed message from this node and returns it for
