@@ -89,15 +89,10 @@ func main() {
 	}
 
 	// -routing A/Bs a spec between the id-addressed oracle and overlay
-	// forwarding without editing it. Like -cachecap, it overrides
-	// phase-level routing blocks so the comparison axis is unambiguous.
+	// forwarding without editing it: the mode is the run's, so one run
+	// per mode at the same seed is the comparison.
 	if *routing != "" {
 		spec.Routing.Mode = *routing
-		for i := range spec.Phases {
-			if spec.Phases[i].Routing != nil {
-				spec.Phases[i].Routing.Mode = *routing
-			}
-		}
 		if err := spec.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -158,11 +158,13 @@ type Config struct {
 	// k rounds (0 = off), surfaced in Stats.Overlay. Telemetry only: it
 	// never affects the simulation's behaviour.
 	SpectralEvery int
-	// Routing selects how protocol messages travel. The zero value is
-	// RoutingOracle (one-round teleports, the historical engine).
-	// Routing.Mode = RoutingOverlay makes every protocol message walk the
-	// expander edge-by-edge with congestion accounting; use
-	// Network.SetRouting to A/B the modes mid-run.
+	// Routing selects how protocol messages travel, for the whole run.
+	// The zero value is RoutingOracle: every message teleports to its
+	// addressee and arrives the next round if the addressee is still
+	// live. Routing.Mode = RoutingOverlay makes every protocol message
+	// walk the expander edge-by-edge with congestion accounting: it
+	// arrives the next round unless it parks at a congested node or is
+	// dropped. To compare the two, run the same seed once per mode.
 	Routing RoutingConfig
 	// Cache enables hot-key caching (DESIGN.md §10): completed retrievals
 	// are cached and probabilistically replicated along walk samples, so
@@ -318,16 +320,6 @@ func (nw *Network) SetFault(f FaultModel) { nw.e.SetFault(f) }
 // between Run calls; scenario phases use this for per-phase overrides
 // and capacity sweeps.
 func (nw *Network) SetCache(c CacheConfig) { nw.h.SetCache(c.Capacity, c.TTL, c.SeedRate) }
-
-// SetRouting switches message routing mid-run (oracle ↔ overlay, or new
-// capacity/budget parameters). Call between Run calls; scenario phases
-// use this to pit routed and teleported delivery against the same churn
-// timeline. Switching away from overlay drops (and accounts) every
-// in-flight walker.
-func (nw *Network) SetRouting(rc RoutingConfig) { nw.e.SetRouting(rc) }
-
-// Routing returns the current routing configuration.
-func (nw *Network) Routing() RoutingConfig { return nw.e.Routing() }
 
 // SetEdgeMode switches the topology's edge dynamics mid-run. Call
 // between Run calls; scenario phases use this to pit oracle-maintained

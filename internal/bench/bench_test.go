@@ -180,14 +180,13 @@ func BenchmarkOverlayRepair(b *testing.B) {
 }
 
 // neighborFanout sends a fixed number of messages per node per round to
-// pseudo-random overlay neighbors, either id-addressed through the oracle
-// or hop-by-hop through the router. Targeting neighbors keeps routed
-// paths short (one forward), so the row isolates the router's per-message
-// machinery — header setup, port draw, arena delivery — rather than walk
-// length.
+// pseudo-random overlay neighbors; the engine's routing mode decides
+// whether they are id-addressed through the oracle or hop-by-hop through
+// the router. Targeting neighbors keeps routed paths short (one forward),
+// so the row isolates the router's per-message machinery — header setup,
+// port draw, arena delivery — rather than walk length.
 type neighborFanout struct {
 	fanout int
-	routed bool
 }
 
 func (neighborFanout) OnJoin(*simnet.Engine, int, simnet.NodeID, int)  {}
@@ -198,12 +197,7 @@ func (h neighborFanout) HandleRound(ctx *simnet.Ctx) {
 		return
 	}
 	for i := 0; i < h.fanout; i++ {
-		to := ctx.E.IDAt(int(nb[ctx.Rand.Intn(len(nb))]))
-		if h.routed {
-			ctx.SendRouted(to, 1)
-		} else {
-			ctx.SendMsg(to, 1)
-		}
+		ctx.SendMsg(ctx.E.IDAt(int(nb[ctx.Rand.Intn(len(nb))])), 1)
 	}
 }
 
@@ -219,7 +213,7 @@ func routedRound(n int, routed bool) func() {
 		cfg.Routing = simnet.RoutingConfig{Mode: simnet.RoutingOverlay, WalkBudget: 64}
 	}
 	e := simnet.New(cfg)
-	h := neighborFanout{fanout: 4, routed: routed}
+	h := neighborFanout{fanout: 4}
 	e.Run(h, 64)
 	return func() { e.RunRound(h) }
 }

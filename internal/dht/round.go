@@ -70,7 +70,7 @@ type find struct {
 
 // sendTo sends the lookup on to the next hop.
 func (f find) sendTo(ctx *simnet.Ctx, next simnet.NodeID) {
-	m := ctx.SendRouted(next, KindFind)
+	m := ctx.SendMsg(next, KindFind)
 	m.Item, m.Aux, m.Aux2 = f.item, f.aux, uint64(f.origin)
 	ctx.SetPayload(m, nil, f.blob)
 }
@@ -78,7 +78,7 @@ func (f find) sendTo(ctx *simnet.Ctx, next simnet.NodeID) {
 // sendItem sends item bytes: a store, a replica push, or (KindData, with
 // the lookup's hop count in aux) the answer to a get.
 func sendItem(ctx *simnet.Ctx, to simnet.NodeID, kind uint8, key, aux uint64, data []byte) {
-	m := ctx.SendRouted(to, kind)
+	m := ctx.SendMsg(to, kind)
 	m.Item, m.Aux = key, aux
 	ctx.SetPayload(m, nil, data)
 }
@@ -133,7 +133,7 @@ func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m find, purpose uint8, fin
 		for _, s := range st.succs {
 			ids = append(ids, s.id)
 		}
-		found := ctx.SendRouted(m.origin, KindFound)
+		found := ctx.SendMsg(m.origin, KindFound)
 		found.Item, found.Aux = m.item, uint64(uint8(purpose))|uint64(uint8(finger))<<8
 		ctx.SetPayload(found, ids, nil)
 	case purposeStore:
@@ -202,7 +202,7 @@ func (h *Handler) onFound(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 		h.sortSuccs(st)
 		if len(st.succs) > 0 {
 			st.joined = true
-			ctx.SendRouted(st.succs[0].id, KindNotify)
+			ctx.SendMsg(st.succs[0].id, KindNotify)
 		}
 	case purposeFinger:
 		if finger >= 0 && finger < numFingers {
@@ -219,11 +219,11 @@ func (h *Handler) stabilize(ctx *simnet.Ctx, st *state) {
 		st.joined = false // lost the ring entirely; rejoin
 		return
 	}
-	ctx.SendRouted(st.succs[0].id, KindGetSuccs)
+	ctx.SendMsg(st.succs[0].id, KindGetSuccs)
 	if len(st.succs) > 1 {
 		probe := st.succs[1+st.probeIdx%(len(st.succs)-1)]
 		st.probeIdx++
-		ctx.SendRouted(probe.id, KindGetSuccs)
+		ctx.SendMsg(probe.id, KindGetSuccs)
 	}
 	if st.pred.id != 0 && ctx.Round-st.predSeen > 2*stabTimeout {
 		st.pred = peer{} // stale predecessor; stop advertising it
@@ -257,7 +257,7 @@ func (h *Handler) onGetSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	for _, s := range st.succs {
 		ids = append(ids, s.id)
 	}
-	ctx.SetPayload(ctx.SendRouted(m.From, KindSuccs), ids, nil)
+	ctx.SetPayload(ctx.SendMsg(m.From, KindSuccs), ids, nil)
 	// The asker is alive and a predecessor candidate.
 	st.seen(m.From, ctx.Round)
 	h.considerPred(st, m.From, ctx.Round)

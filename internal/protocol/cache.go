@@ -234,7 +234,7 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 			continue
 		}
 		e.aliased = int32(ctx.Round)
-		m := ctx.SendRouted(s.Src, KindCacheSeed)
+		m := ctx.SendMsg(s.Src, KindCacheSeed)
 		m.Item, m.Aux, m.Trace = e.key, uint64(e.depth)+1, trace
 		ctx.SetPayload(m, nil, e.data)
 		h.ctr.cacheSeeds.Inc(ctx.Shard)
@@ -256,7 +256,7 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 	}
 	e.served = int32(ctx.Round)
 	e.aliased = int32(ctx.Round)
-	m := ctx.SendRouted(searcher, KindCacheData)
+	m := ctx.SendMsg(searcher, KindCacheData)
 	m.Item, m.Aux, m.Trace = e.key, uint64(e.depth), trace
 	ctx.SetPayload(m, nil, e.data)
 	h.ctr.cacheServed.Inc(ctx.Shard)

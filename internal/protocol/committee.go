@@ -117,7 +117,7 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 		if peer == st.id {
 			continue
 		}
-		msg := ctx.SendRouted(peer, KindCCount)
+		msg := ctx.SendMsg(peer, KindCCount)
 		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, aux, itemLen, m.trace
 		ctx.SetPayload(msg, nil, blob)
 	}
@@ -220,14 +220,14 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 		if h.code != nil {
 			pieceIdx = i % h.P.CommitteeSize
 		}
-		msg := ctx.SendRouted(peer, KindCInvite)
+		msg := ctx.SendMsg(peer, KindCInvite)
 		msg.Item, msg.Aux, msg.Aux2 = m.key, packInvite(m.base, pieceIdx), itemLen
 		msg.Trace = m.trace
 		ctx.SetPayload(msg, newRoster, blobs[i])
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(newRoster)))
 	for _, peer := range m.roster {
-		msg := ctx.SendRouted(peer, KindCHandover)
+		msg := ctx.SendMsg(peer, KindCHandover)
 		msg.Item, msg.Aux, msg.Trace = m.key, uint64(epoch), m.trace
 		ctx.SetPayload(msg, newRoster, nil)
 	}

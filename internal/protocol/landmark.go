@@ -34,7 +34,7 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, kind uint8, key, 
 	}
 	children := st.recentDistinct(kids[:0], TreeFanout)
 	for _, child := range children {
-		m := ctx.SendRouted(child, kind)
+		m := ctx.SendMsg(child, kind)
 		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave), aux2
 		m.Trace = trace
 		ctx.SetPayload(m, roster, nil)

@@ -109,7 +109,7 @@ func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendin
 			blob = p.Data
 			pieceIdx = p.Index
 		}
-		m := ctx.SendRouted(peer, KindCInvite)
+		m := ctx.SendMsg(peer, KindCInvite)
 		m.Item, m.Aux, m.Aux2 = op.key, packInvite(ctx.Round, pieceIdx), uint64(len(op.data))
 		m.Trace = trace
 		ctx.SetPayload(m, roster, blob)
@@ -170,7 +170,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 // searcher stops sending waves — by finishing, or by leaving.
 func (h *Handler) sendWave(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
 	for _, peer := range srch.invited {
-		m := ctx.SendRouted(peer, KindSGrow)
+		m := ctx.SendMsg(peer, KindSGrow)
 		m.Item, m.Aux, m.Aux2 = srch.key, packGrow(h.P.TreeDepth, ctx.Round+1), uint64(st.id)
 		m.Trace = srch.trace
 	}
@@ -184,7 +184,7 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 	asked := len(srch.roster)
 	srch.roster = appendDistinct(srch.roster, members, math.MaxInt, st.id)
 	for _, member := range srch.roster[asked:] {
-		m := ctx.SendRouted(member, KindSFetch)
+		m := ctx.SendMsg(member, KindSFetch)
 		m.Item, m.Trace = srch.key, srch.trace
 		h.ctr.fetches.Inc(ctx.Shard)
 	}
@@ -212,11 +212,11 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				if s.Src == st.id {
 					continue
 				}
-				// Keyed routed send: under overlay routing the walk may
+				// Keyed send: under overlay routing the walk may
 				// terminate early at ANY current holder of the item (cache
 				// replica, storage landmark, committee member), not just
 				// the sampled source — replicas cut network distance.
-				m := ctx.SendRoutedKeyed(s.Src, KindSInquire)
+				m := ctx.SendKeyed(s.Src, KindSInquire)
 				m.Item, m.Aux2, m.Trace = key, uint64(t.searcher), t.trace
 				sent++
 			}
@@ -239,7 +239,7 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if ent == nil || ctx.Round >= ent.expiry {
 		return
 	}
-	m := ctx.SendRouted(simnet.NodeID(msg.Aux2), KindSFound)
+	m := ctx.SendMsg(simnet.NodeID(msg.Aux2), KindSFound)
 	m.Item = msg.Item
 	m.Trace = msg.Trace // the inquiring search's trace rides the reply
 	ctx.SetPayload(m, ent.roster, nil)
@@ -270,7 +270,7 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if idx < 0 {
 		idx = 0
 	}
-	m := ctx.SendRouted(msg.From, KindSData)
+	m := ctx.SendMsg(msg.From, KindSData)
 	m.Item, m.Aux, m.Aux2 = msg.Item, packCount(0, idx, hasPiece), uint64(cp.itemLen)
 	m.Trace = msg.Trace
 	ctx.SetPayload(m, nil, cp.data)
@@ -368,7 +368,7 @@ func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState
 func (h *Handler) sendDone(ctx *simnet.Ctx, to []simnet.NodeID, key uint64, searcher simnet.NodeID, round int) {
 	for _, id := range to {
 		if id != 0 {
-			m := ctx.SendRouted(id, KindSDone)
+			m := ctx.SendMsg(id, KindSDone)
 			m.Item, m.Aux, m.Aux2 = key, uint64(round), uint64(searcher)
 			h.ctr.dones.Inc(ctx.Shard)
 		}

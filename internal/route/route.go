@@ -375,20 +375,6 @@ func (r *Router[M]) DropQueuedAt(slots []int) {
 	}
 }
 
-// Flush discards every in-flight message (parked and transit), counting
-// each as a churn drop. Engines call it when routing is switched off
-// mid-run, the same discipline SetFault applies to delayed messages.
-func (r *Router[M]) Flush() {
-	r.settle()
-	for i := range r.ws {
-		if i < r.nq {
-			r.qlen[r.ws[i].at]--
-		}
-		r.drop(&r.ws[i], DropChurn)
-	}
-	r.ws, r.nq = r.ws[:0], 0
-}
-
 // Step runs one routed-delivery phase: parked walkers resume (oldest
 // first), then fresh transit walks in arrival order. Each walker forwards
 // until it delivers, drops, or parks at a capacity-exhausted slot; the
@@ -407,7 +393,7 @@ func (r *Router[M]) Step() {
 // EachDelivered revisits, in canonical order, every message the last Step
 // delivered and the slot it reached — the engine's inbox placement pass,
 // reading payloads straight out of the walker array. Valid until the next
-// Send, Step, DropQueuedAt or Flush.
+// Send, Step or DropQueuedAt.
 func (r *Router[M]) EachDelivered(fn func(slot int32, m *M)) {
 	for i := range r.ws[:r.walked] {
 		if w := &r.ws[i]; w.out == outDeliver {

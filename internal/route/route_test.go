@@ -1,6 +1,7 @@
 package route
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"dynp2p/internal/graph"
@@ -19,6 +20,7 @@ type harness struct {
 	r         *Router[testMsg]
 	delivered []delivery
 	drops     []droppedMsg
+	dropHops  []int32          // parallel to drops: the header's hop count at the drop
 	holders   map[int32]uint64 // slot -> held key
 	dead      map[uint64]bool  // ids SlotOf refuses to resolve
 }
@@ -60,8 +62,9 @@ func newHarness(t *testing.T, n int, p Params) *harness {
 		Deliver: func(slot int32, m *testMsg, hops int32) {
 			h.delivered = append(h.delivered, delivery{slot, m.id, hops})
 		},
-		OnDrop: func(m *testMsg, _ *Header, reason DropReason) {
+		OnDrop: func(m *testMsg, hd *Header, reason DropReason) {
 			h.drops = append(h.drops, droppedMsg{m.id, reason})
+			h.dropHops = append(h.dropHops, hd.Hops)
 		},
 	})
 	return h
@@ -281,23 +284,6 @@ func TestChurnDropsQueuedWalkersAccounted(t *testing.T) {
 	h.conserve(t)
 }
 
-func TestFlushAccountsEverything(t *testing.T) {
-	h := newHarness(t, 8, Params{Budget: 16, LinkCapacity: 1, QueueLimit: 8})
-	for id := 1; id <= 3; id++ {
-		h.send(id, 0, 2, false, 0)
-	}
-	h.r.Step()                // 1 delivers, 2 and 3 park
-	h.send(4, 3, 6, false, 0) // plus one in transit
-	h.r.Flush()
-	if h.r.InFlight() != 0 {
-		t.Fatal("flush left walkers in flight")
-	}
-	if m := h.r.Metrics(); m.DroppedChurn != 3 {
-		t.Fatalf("DroppedChurn = %d, want 3 (2 parked + 1 transit)", m.DroppedChurn)
-	}
-	h.conserve(t)
-}
-
 func TestWalkIsDeterministic(t *testing.T) {
 	run := func() []delivery {
 		h := newHarness(t, 16, Params{Budget: 64, Seed: 99})
@@ -343,4 +329,97 @@ func TestNewValidates(t *testing.T) {
 		}
 	}()
 	New[testMsg](telemetry.NewRegistry(), 8, Params{}, 1)
+}
+
+// FuzzRouteHeader sends walkers with arbitrary headers — a target that is
+// 0, departed or out of range, any key, keyed or not, a budget at or below
+// 0 or large, a hop count negative or near overflow, any seed — under an
+// input-chosen link capacity and queue limit, on a 4-regular circulant
+// graph with some holders, and steps a few rounds. The router must never
+// panic, its books must balance after every Step, a delivered walk must
+// end where its header allows, and no walker may take more forwards than
+// its budget (the router's default when the header's is ≤ 0).
+//
+// Input: capacity, queue limit, a holder mask and a dead mask, then 16
+// bytes per walker — target, origin, keyed flag, key, budget (int16), hops
+// (int32), seed (48 bits) — little-endian.
+func FuzzRouteHeader(f *testing.F) {
+	const n, defBudget = 16, 48
+	f.Add([]byte{0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{1, 2, 0x07, 0x03,
+		2, 5, 1, 1, 0xff, 0x7f, 0xfe, 0xff, 0xff, 0x7f, 9, 8, 7, 6, 5, 4,
+		0, 3, 0, 0, 0x00, 0x80, 0x00, 0x00, 0x00, 0x80, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{1, 1, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		h := newHarness(t, n, Params{Budget: defBudget, LinkCapacity: int(data[0] % 4), QueueLimit: int(data[1] % 5)})
+		// Ports ±1 and ±3: a symmetric multigraph, as the router requires.
+		h.g = graph.New(n, 4)
+		for v := 0; v < n; v++ {
+			for p, off := range []int{1, n - 1, 3, n - 3} {
+				h.g.SetPort(v, p, int32((v+off)%n))
+			}
+		}
+		for s := 0; s < 8; s++ {
+			if data[2]>>s&1 != 0 {
+				h.holders[int32(2*s)] = uint64(s%3 + 1)
+			}
+			if data[3]>>s&1 != 0 {
+				h.dead[uint64(2*s+2)] = true // slot 2s+1's occupant
+			}
+		}
+		budget := func(hd Header) int32 {
+			if hd.Budget <= 0 {
+				return defBudget
+			}
+			return hd.Budget
+		}
+		sent := map[int]Header{}
+		var budgets int64
+		for id, rec := 1, data[4:]; len(rec) >= 16 && id <= 16; id, rec = id+1, rec[16:] {
+			hd := Header{
+				Target: uint64(rec[0]) % (2 * n),
+				Keyed:  rec[2]&1 != 0,
+				Key:    uint64(rec[3] % 4),
+				Budget: int32(int16(binary.LittleEndian.Uint16(rec[4:]))),
+				Hops:   int32(binary.LittleEndian.Uint32(rec[6:])),
+				Seed:   binary.LittleEndian.Uint64(rec[8:]) >> 16,
+			}
+			sent[id] = hd
+			budgets += int64(budget(hd))
+			h.r.Send(&testMsg{id: id}, hd, int32(rec[1]%n))
+		}
+		for step := 0; step < 4; step++ {
+			h.r.Step()
+			h.conserve(t)
+		}
+		// Hop counts are int32 and may wrap past a fuzzed start near the
+		// limit; the wrapped difference is still the forwards taken.
+		for _, d := range h.delivered {
+			hd := sent[d.id]
+			tslot, live := h.r.env.SlotOf(hd.Target)
+			atTarget := live && d.slot == tslot
+			atHolder := hd.Keyed && hd.Key != 0 && h.holders[d.slot] == hd.Key
+			if !atTarget && !atHolder {
+				t.Fatalf("walker %d %+v delivered at slot %d: neither its target nor a holder", d.id, hd, d.slot)
+			}
+			if fw := d.hops - hd.Hops; fw < 0 || fw > budget(hd) {
+				t.Fatalf("walker %d %+v delivered after %d forwards, budget %d", d.id, hd, fw, budget(hd))
+			}
+		}
+		for i, dr := range h.drops {
+			hd := sent[dr.id]
+			if fw := h.dropHops[i] - hd.Hops; fw < 0 || fw > budget(hd) {
+				t.Fatalf("walker %d %+v dropped (%v) after %d forwards, budget %d", dr.id, hd, dr.reason, fw, budget(hd))
+			}
+		}
+		if fw := h.r.Metrics().Forwards; fw > budgets {
+			t.Fatalf("%d forwards in all, budgets sum to %d", fw, budgets)
+		}
+	})
 }

@@ -208,11 +208,6 @@ func run(spec Spec, opt Options) (*runner, error) {
 			// later phase overrides it again.
 			nw.SetCache(p.Cache.config())
 		}
-		if p.Routing != nil {
-			// Like Edges and Cache: a phase-level routing override
-			// persists until a later phase overrides it again.
-			nw.SetRouting(p.Routing.config())
-		}
 		r.runSegment(i, p.Name, p.Rounds, p.Load)
 	}
 	// Drain: workload stops, the last phase's faults persist, churn goes
@@ -250,7 +245,7 @@ func run(spec Spec, opt Options) (*runner, error) {
 // requests to spec phase pi (-1 = none).
 func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 	start := r.nw.Stats()
-	routed := r.nw.Routing().Mode == dynp2p.RoutingOverlay
+	routed := r.spec.Routing.config().Mode == dynp2p.RoutingOverlay
 	reg := r.nw.Telemetry()
 	var hopsStart telemetry.HistValue
 	if routed {

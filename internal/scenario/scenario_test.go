@@ -34,23 +34,23 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestParseSpecRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":     `{"name":"x","n":64,"phases":[{"name":"p","rounds":5}],"bogus":1}`,
-		"tiny n":            `{"name":"x","n":4,"phases":[{"name":"p","rounds":5}]}`,
-		"no phases":         `{"name":"x","n":64,"phases":[]}`,
-		"zero rounds":       `{"name":"x","n":64,"phases":[{"name":"p","rounds":0}]}`,
-		"drop too high":     `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"drop":1.5}}]}`,
-		"negative rate":     `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"load":{"storeRate":-1}}]}`,
-		"odd degree":        `{"name":"x","n":64,"degree":7,"phases":[{"name":"p","rounds":5}]}`,
-		"bad strategy":      `{"name":"x","n":64,"strategy":"chaotic","phases":[{"name":"p","rounds":5}]}`,
-		"negative churn":    `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"fixed":-2}}]}`,
-		"negative delay":    `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"delayProb":0.5,"maxDelay":-1}}]}`,
-		"negative delta":    `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"rate":0.5,"delta":-0.9}}]}`,
-		"overwide burst":    `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"burstPeriod":4,"burstWidth":10,"burstCount":8}}]}`,
-		"bad route mode":    `{"name":"x","n":64,"routing":{"mode":"teleport"},"phases":[{"name":"p","rounds":5}]}`,
-		"bad phase mode":    `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"routing":{"mode":"teleport"}}]}`,
-		"negative budget":   `{"name":"x","n":64,"routing":{"mode":"overlay","walkBudget":-1},"phases":[{"name":"p","rounds":5}]}`,
-		"negative capacity": `{"name":"x","n":64,"routing":{"mode":"overlay","linkCapacity":-2},"phases":[{"name":"p","rounds":5}]}`,
-		"malformed json":    `{"name":`,
+		"unknown field":       `{"name":"x","n":64,"phases":[{"name":"p","rounds":5}],"bogus":1}`,
+		"tiny n":              `{"name":"x","n":4,"phases":[{"name":"p","rounds":5}]}`,
+		"no phases":           `{"name":"x","n":64,"phases":[]}`,
+		"zero rounds":         `{"name":"x","n":64,"phases":[{"name":"p","rounds":0}]}`,
+		"drop too high":       `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"drop":1.5}}]}`,
+		"negative rate":       `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"load":{"storeRate":-1}}]}`,
+		"odd degree":          `{"name":"x","n":64,"degree":7,"phases":[{"name":"p","rounds":5}]}`,
+		"bad strategy":        `{"name":"x","n":64,"strategy":"chaotic","phases":[{"name":"p","rounds":5}]}`,
+		"negative churn":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"fixed":-2}}]}`,
+		"negative delay":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"delayProb":0.5,"maxDelay":-1}}]}`,
+		"negative delta":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"rate":0.5,"delta":-0.9}}]}`,
+		"overwide burst":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"burstPeriod":4,"burstWidth":10,"burstCount":8}}]}`,
+		"bad route mode":      `{"name":"x","n":64,"routing":{"mode":"teleport"},"phases":[{"name":"p","rounds":5}]}`,
+		"phase routing block": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"routing":{"mode":"overlay"}}]}`,
+		"negative budget":     `{"name":"x","n":64,"routing":{"mode":"overlay","walkBudget":-1},"phases":[{"name":"p","rounds":5}]}`,
+		"negative capacity":   `{"name":"x","n":64,"routing":{"mode":"overlay","linkCapacity":-2},"phases":[{"name":"p","rounds":5}]}`,
+		"malformed json":      `{"name":`,
 	}
 	for label, in := range cases {
 		if _, err := ParseSpec([]byte(in)); err == nil {

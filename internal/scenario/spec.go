@@ -70,7 +70,8 @@ type Spec struct {
 	// Routing selects how protocol messages travel (DESIGN.md §11): the
 	// zero value is the oracle (one-round teleports); mode "overlay"
 	// walks every message edge-by-edge over the expander with congestion
-	// accounting. Phases may override it mid-run (Phase.Routing).
+	// accounting. The mode holds for the whole run; to compare the two,
+	// run the spec once per mode (cmd/scenario -routing).
 	Routing RoutingSpec `json:"routing,omitempty"`
 	// Phases is the timeline; phases run in order after a soup warm-up.
 	Phases []Phase `json:"phases"`
@@ -108,11 +109,6 @@ type Phase struct {
 	// of this phase (capacity 0 switches caching off). Like Edges, the
 	// override persists until a later phase overrides it again.
 	Cache *CacheSpec `json:"cache,omitempty"`
-	// Routing, when non-nil, reconfigures message routing at the start
-	// of this phase (mode "oracle" switches the overlay off, dropping
-	// and accounting in-flight walkers). Like Edges and Cache, the
-	// override persists until a later phase overrides it again.
-	Routing *RoutingSpec `json:"routing,omitempty"`
 }
 
 // CacheSpec configures the hot-key cache (DESIGN.md §10): per-node
@@ -164,7 +160,7 @@ func (r RoutingSpec) config() dynp2p.RoutingConfig {
 	}
 }
 
-// check validates a routing block (shared by the spec and phase levels).
+// check validates the routing block.
 func (r RoutingSpec) check() error {
 	if _, err := dynp2p.ParseRoutingMode(r.Mode); err != nil {
 		return fmt.Errorf("routing mode %q (want oracle|overlay)", r.Mode)
@@ -314,11 +310,6 @@ func (s *Spec) Validate() error {
 	for i, p := range s.Phases {
 		if p.Cache != nil {
 			if err := p.Cache.check(); err != nil {
-				return fmt.Errorf("scenario %q phase %d (%s): %w", s.Name, i, p.Name, err)
-			}
-		}
-		if p.Routing != nil {
-			if err := p.Routing.check(); err != nil {
 				return fmt.Errorf("scenario %q phase %d (%s): %w", s.Name, i, p.Name, err)
 			}
 		}

@@ -97,7 +97,6 @@ func payloadFor(from NodeID, round, i int) ([]NodeID, []byte) {
 // round and checks every delivered payload against what was sent.
 type payloadChecker struct {
 	t        *testing.T
-	routed   bool
 	verified atomic.Int64
 }
 
@@ -114,13 +113,7 @@ func (h *payloadChecker) HandleRound(ctx *Ctx) {
 		h.verified.Add(1)
 	}
 	for i := 0; i < 2; i++ {
-		to := ctx.E.IDAt(ctx.Rand.Intn(ctx.E.N()))
-		var m *Msg
-		if h.routed {
-			m = ctx.SendRouted(to, 1)
-		} else {
-			m = ctx.SendMsg(to, 1)
-		}
+		m := ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(ctx.E.N())), 1)
 		m.Item, m.Aux = uint64(i), uint64(ctx.Round)
 		ids, blob := payloadFor(ctx.ID, ctx.Round, i)
 		ctx.SetPayload(m, ids, blob)
@@ -162,7 +155,7 @@ func TestPayloadSurvivesSlabReuse(t *testing.T) {
 	})
 	t.Run("overlay-parked", func(t *testing.T) {
 		e := New(routedConfig(256, churn.ZeroLaw{}, RoutingConfig{Mode: RoutingOverlay, LinkCapacity: 1}))
-		h := &payloadChecker{t: t, routed: true}
+		h := &payloadChecker{t: t}
 		for r := 0; r < 30; r++ {
 			poisonSlabs(e)
 			e.RunRound(h)
@@ -231,31 +224,166 @@ func TestSendInPlaceAcrossGrowth(t *testing.T) {
 	}
 }
 
-// TestMemoryLedger checks the engine's pull-style memory gauges: all five
-// owners report, and the send buffers' figure is their capacity in bytes.
+// TestMemoryLedger checks the engine's pull-style memory gauges, one
+// engine per routing mode: the buffers both modes use report, the other
+// mode's delivery buffers stay empty, and the send buffers' figure is
+// their capacity in bytes.
 func TestMemoryLedger(t *testing.T) {
-	e := New(routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: RoutingOverlay}))
-	e.Run(&payloadChecker{t: t, routed: true}, 6)
-	e.SetRouting(RoutingConfig{})
-	e.Run(&payloadChecker{t: t}, 6)
-	got := map[string]int64{}
-	for _, mv := range e.Telemetry().Snapshot() {
-		got[mv.Name] = mv.Value
-	}
-	for _, name := range []string{
-		"dynp2p_engine_mem_out_bytes", "dynp2p_engine_mem_xfer_bytes",
-		"dynp2p_engine_mem_inbox_arena_bytes", "dynp2p_engine_mem_payload_slab_bytes",
-		"dynp2p_engine_mem_routed_arena_bytes",
+	for _, tc := range []struct {
+		mode       RoutingMode
+		used, idle []string
+	}{
+		{RoutingOracle, []string{"xfer", "inbox_arena"}, []string{"routed_arena"}},
+		{RoutingOverlay, []string{"routed_arena"}, []string{"xfer", "inbox_arena"}},
 	} {
-		if got[name] <= 0 {
-			t.Errorf("%s = %d, want > 0", name, got[name])
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			e := New(routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: tc.mode}))
+			e.Run(&payloadChecker{t: t}, 6)
+			got := map[string]int64{}
+			for _, mv := range e.Telemetry().Snapshot() {
+				got[mv.Name] = mv.Value
+			}
+			gauge := func(owner string) string { return "dynp2p_engine_mem_" + owner + "_bytes" }
+			for _, owner := range append([]string{"out", "payload_slab"}, tc.used...) {
+				if v := got[gauge(owner)]; v <= 0 {
+					t.Errorf("%s = %d, want > 0", gauge(owner), v)
+				}
+			}
+			for _, owner := range tc.idle {
+				if v := got[gauge(owner)]; v != 0 {
+					t.Errorf("%s = %d, want 0: the other mode's buffer", gauge(owner), v)
+				}
+			}
+			var want int64
+			for sh := range e.shardOut {
+				want += int64(cap(e.shardOut[sh].out)) * 80
+			}
+			if v := got[gauge("out")]; v != want {
+				t.Errorf("out bytes = %d, want %d", v, want)
+			}
+		})
+	}
+}
+
+// panics reports whether fn panicked.
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// FuzzSendPayload drives the Msg payload API with hostile lengths and
+// repeated SetPayload calls through both delivery paths and the fault
+// queue: an n=16 run under the oracle, under the overlay with link
+// capacity 1 (walkers park), and under the oracle with a drop/delay
+// fault. SetPayload must panic exactly when a length exceeds
+// MaxPayloadLen or an earlier call on the message attached a non-empty
+// cell (an empty first call attaches nothing), every delivered payload
+// must be the one attached, BitsSent must be the sum of the sends' Bits,
+// and every message sent must be delivered, dropped, still delayed or
+// still walking.
+//
+// Input: 3 bytes per send, one send per node per round for 4 rounds, then
+// 4 quiet rounds. Byte 0: bit 0 SendKeyed, bits 1-2 the addressee (self,
+// nobody, another node), bit 3 a second SetPayload call. Bytes 1 and 2:
+// the two calls' length classes, ids in the low nibble, blob in the high.
+func FuzzSendPayload(f *testing.F) {
+	// TestSendMsgPayloadBound's two cases: a self-addressed MaxPayloadLen
+	// blob goes through, one byte more panics.
+	f.Add([]byte{0, 0x40, 0})
+	f.Add([]byte{0, 0x50, 0})
+	lens := [...]int{0, 1, 3, 17, MaxPayloadLen, MaxPayloadLen + 1}
+	ids := make([]NodeID, MaxPayloadLen+8)
+	blob := make([]byte, MaxPayloadLen+8)
+	for i := range ids {
+		ids[i], blob[i] = NodeID(i), byte(i*7)
+	}
+	// payloadOf cuts one call's payload out of the shared buffers at an
+	// offset that differs between neighbouring sends, so a cell delivered
+	// to the wrong message shows up as wrong contents.
+	payloadOf := func(op int, class byte) ([]NodeID, []byte) {
+		o := op % 8
+		return ids[o : o+lens[(class&15)%6]], blob[o : o+lens[(class>>4)%6]]
+	}
+	base := testConfig(16, churn.FixedLaw{Count: 1})
+	base.Workers = 1
+	overlay, lossy := base, base
+	overlay.Routing = RoutingConfig{Mode: RoutingOverlay, LinkCapacity: 1}
+	lossy.Fault = DropDelayFaults{DropProb: 0.1, DelayProb: 0.5, MaxDelay: 3}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, cfg := range []Config{base, overlay, lossy} {
+			e := New(cfg)
+			type cell struct {
+				ids  []NodeID
+				blob []byte
+			}
+			attached := map[uint64]cell{} // by Item, which numbers the sends
+			var wantBits, seen int64
+			op, rest := 0, data
+			h := funcHandler(func(ctx *Ctx) {
+				for i := range ctx.Inbox {
+					m := &ctx.Inbox[i]
+					if want := attached[m.Item]; !slices.Equal(m.IDs(), want.ids) || !bytes.Equal(m.Blob(), want.blob) {
+						t.Errorf("send %d delivered %d ids, %d blob bytes; attached %d, %d",
+							m.Item, len(m.IDs()), len(m.Blob()), len(want.ids), len(want.blob))
+					}
+					seen++
+				}
+				if ctx.Round >= 4 || len(rest) < 3 {
+					return
+				}
+				b := rest[:3]
+				rest = rest[3:]
+				to := ctx.ID
+				switch b[0] >> 1 & 3 {
+				case 1:
+					to = 0
+				case 2, 3:
+					to = ctx.E.IDAt((ctx.Slot + 1 + int(b[2])) % ctx.E.N())
+				}
+				var m *Msg
+				if b[0]&1 != 0 {
+					m = ctx.SendKeyed(to, 1)
+				} else {
+					m = ctx.SendMsg(to, 1)
+				}
+				m.Item = uint64(op)
+				calls := b[1:2]
+				if b[0]&8 != 0 {
+					calls = b[1:3]
+				}
+				var got cell
+				for _, class := range calls {
+					ids, blob := payloadOf(op, class)
+					full := len(got.ids) > 0 || len(got.blob) > 0
+					want := len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen || full
+					if p := panics(func() { ctx.SetPayload(m, ids, blob) }); p != want {
+						t.Errorf("send %d: SetPayload(%d ids, %d blob bytes) with a cell attached %v: panicked %v, want %v",
+							op, len(ids), len(blob), full, p, want)
+					}
+					if !want && (len(ids) > 0 || len(blob) > 0) {
+						got = cell{ids, blob}
+					}
+				}
+				attached[m.Item] = got
+				wantBits += int64(m.Bits())
+				op++
+			})
+			e.Run(h, 8)
+			m, rm := e.Metrics(), e.RouteMetrics()
+			if m.BitsSent != wantBits {
+				t.Errorf("BitsSent %d, sends' Bits sum to %d", m.BitsSent, wantBits)
+			}
+			if seen != m.MsgsDelivered {
+				t.Errorf("handlers saw %d messages, engine delivered %d", seen, m.MsgsDelivered)
+			}
+			routedDrops := rm.DroppedBudget + rm.DroppedQueueFull + rm.DroppedChurn + rm.DroppedDead
+			if acc := m.MsgsDelivered + m.MsgsDropped + m.MsgsFaultDropped + int64(len(e.delayed)) +
+				routedDrops + int64(e.RoutedInFlight()); m.MsgsSent != acc {
+				t.Errorf("%s: sent %d, accounted %d (%+v, route %+v, %d delayed)",
+					cfg.Routing.Mode, m.MsgsSent, acc, m, rm, len(e.delayed))
+			}
 		}
-	}
-	var want int64
-	for sh := range e.shardOut {
-		want += int64(cap(e.shardOut[sh].out)+cap(e.shardOut[sh].routed)) * int64(unsafe.Sizeof(Msg{}))
-	}
-	if got["dynp2p_engine_mem_out_bytes"] != want {
-		t.Errorf("out bytes = %d, want %d", got["dynp2p_engine_mem_out_bytes"], want)
-	}
+	})
 }

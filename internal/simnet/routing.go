@@ -3,10 +3,10 @@ package simnet
 // Overlay message routing (DESIGN.md §11): when Config.Routing selects
 // RoutingOverlay the engine stops teleporting protocol messages to their
 // addressee and instead walks each one edge-by-edge over the live
-// topology via internal/route. Handlers opt in per message with
-// Ctx.SendRouted / Ctx.SendRoutedKeyed; under RoutingOracle both are
-// SendMsg, which is what keeps oracle A/B runs byte-compatible with the
-// historical engine.
+// topology via internal/route. The mode is the run's, fixed when the
+// engine is built: handlers send with Ctx.SendMsg / Ctx.SendKeyed either
+// way, and Engine.route either hands the round's sends to the router or
+// runs the oracle exchange, never both.
 //
 // Phase placement: routed delivery runs after the round's hooks (so the
 // walked adjacency is the post-repair graph under self-healing) and
@@ -95,12 +95,9 @@ type deliveryArena struct {
 	counts []int32 // len N
 }
 
-// initRouter (re)builds the overlay router from cfg.Routing. Any
-// in-flight walkers of a previous router are flushed and accounted.
+// initRouter builds the overlay router and its delivery arena from
+// cfg.Routing.
 func (e *Engine) initRouter() {
-	if e.router != nil {
-		e.router.Flush()
-	}
 	rc := e.cfg.Routing
 	budget := rc.WalkBudget
 	if budget <= 0 {
@@ -113,10 +110,8 @@ func (e *Engine) initRouter() {
 		Seed:         rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.workers)
 	e.applyRouterEnv()
-	if e.routedArena.off == nil {
-		e.routedArena.off = make([]int32, e.cfg.N+1)
-		e.routedArena.counts = make([]int32, e.cfg.N)
-	}
+	e.routedArena.off = make([]int32, e.cfg.N+1)
+	e.routedArena.counts = make([]int32, e.cfg.N)
 }
 
 // applyRouterEnv installs the engine-side callbacks on the router.
@@ -145,26 +140,6 @@ func (e *Engine) applyRouterEnv() {
 	}
 	e.router.SetEnv(env)
 }
-
-// SetRouting reconfigures message routing mid-run. Call between rounds;
-// scenario phases and A/B experiments use it to pit overlay and oracle
-// delivery against the same churn timeline. Switching overlay off drops
-// (and accounts) every in-flight walker, the same discipline SetFault
-// applies to delayed messages.
-func (e *Engine) SetRouting(rc RoutingConfig) {
-	e.cfg.Routing = rc
-	if rc.Mode == RoutingOverlay {
-		e.initRouter()
-		return
-	}
-	if e.router != nil {
-		e.router.Flush()
-		e.router = nil
-	}
-}
-
-// Routing returns the current routing configuration.
-func (e *Engine) Routing() RoutingConfig { return e.cfg.Routing }
 
 // RouteMetrics returns the overlay router's counters (zero in oracle
 // mode).
@@ -200,27 +175,6 @@ func (e *Engine) SetHopRecorder(fn func(round, from, to int)) {
 	if e.router != nil {
 		e.applyRouterEnv()
 	}
-}
-
-// SendRouted queues a message for overlay delivery and returns it for the
-// handler to fill in, exactly as SendMsg does: the message walks the
-// expander edge-by-edge toward its addressee, parking at congested slots.
-// Under RoutingOracle it is SendMsg, which lets protocols call it
-// unconditionally and leave the mode to configuration.
-func (c *Ctx) SendRouted(to NodeID, kind uint8) *Msg {
-	if c.E.router == nil {
-		return c.SendMsg(to, kind)
-	}
-	return c.emplace(c.routed, to, kind)
-}
-
-// SendRoutedKeyed is SendRouted for holder-seeking messages: the walk
-// additionally terminates at any slot (or neighbor) currently holding
-// the item the handler names in Item, rewriting To to the holder.
-func (c *Ctx) SendRoutedKeyed(to NodeID, kind uint8) *Msg {
-	m := c.SendRouted(to, kind)
-	m.keyed = c.E.router != nil
-	return m
 }
 
 // sendToRouter hands one stamped message to the overlay router. The walk
@@ -260,9 +214,8 @@ func (e *Engine) deliverRouted(slot int32, m *walkerMsg, hops int32) {
 // runRouted executes the routed-delivery phase: advance every in-flight
 // walker over this round's adjacency, then place the deliveries into
 // this round's inboxes with one stable counting sort, copying each
-// message once, from the walker that carried it. Slots that already hold
-// oracle-delivered messages (mixed SendMsg/SendRouted usage) take the
-// canonical-insert slow path instead.
+// message once, from the walker that carried it. Under the overlay
+// nothing else reaches an inbox, so each slot's view is the arena's run.
 func (e *Engine) runRouted() {
 	ra := &e.routedArena
 	counts := ra.counts
@@ -285,16 +238,8 @@ func (e *Engine) runRouted() {
 		msgs[pos] = m.Msg
 	})
 	for s := 0; s < e.cfg.N; s++ {
-		a, b := ra.off[s], ra.off[s+1]
-		if a == b {
-			continue
-		}
-		if len(e.inbox[s]) == 0 {
-			e.inbox[s] = ra.msgs[a:b:b]
-			continue
-		}
-		for i := a; i < b; i++ {
-			e.insertCanonical(int32(s), &ra.msgs[i])
+		if a, b := ra.off[s], ra.off[s+1]; a != b {
+			e.inbox[s] = msgs[a:b:b]
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"dynp2p/internal/telemetry"
 )
 
-// routedSpammer sends one routed message per node per round at the
+// routedSpammer sends one message per node per round at the
 // current occupant of a fixed slot, tagging every message with a trace id
 // so drop accounting is observable end to end.
 type routedSpammer struct {
@@ -36,7 +36,7 @@ func (h *routedSpammer) HandleRound(ctx *Ctx) {
 	if tr := ctx.E.Tracer(); tr != nil {
 		tr.Emit(ctx.Shard, telemetry.Event{Trace: trace, Round: int64(ctx.Round), Kind: telemetry.EvOpStart})
 	}
-	ctx.SendRouted(ctx.E.IDAt(h.target), 1).Trace = trace
+	ctx.SendMsg(ctx.E.IDAt(h.target), 1).Trace = trace
 }
 
 func routedConfig(n int, law churn.Law, rc RoutingConfig) Config {
@@ -99,37 +99,6 @@ func TestRoutedChurnedQueueDropAccountedAndTraced(t *testing.T) {
 	traced := e.Telemetry().CounterValue("dynp2p_trace_drop_events_total")
 	if traced != drops {
 		t.Fatalf("traced drop events %d != routed drops %d: a drop went unrecorded", traced, drops)
-	}
-}
-
-func TestRoutedModeSwitchFlushesInFlight(t *testing.T) {
-	e := New(routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: RoutingOverlay, WalkBudget: 256, LinkCapacity: 1}))
-	h := &routedSpammer{target: 3}
-	for r := 0; r < 4; r++ {
-		e.RunRound(h)
-	}
-	inflight := e.RoutedInFlight()
-	if inflight == 0 {
-		t.Fatal("no in-flight walkers to flush")
-	}
-	before := e.RouteMetrics()
-	e.SetRouting(RoutingConfig{Mode: RoutingOracle})
-	if e.RoutedInFlight() != 0 {
-		t.Fatal("mode switch left walkers in flight")
-	}
-	// The router handle is gone but its registry counters persist: the
-	// flushed walkers must all have been booked as churn drops.
-	after := e.Telemetry().CounterValue("dynp2p_route_dropped_churn_total")
-	if after != before.DroppedChurn+int64(inflight) {
-		t.Fatalf("flush accounted %d churn drops, want %d more than %d",
-			after, inflight, before.DroppedChurn)
-	}
-	// Oracle mode keeps working after the switch.
-	got := h.got
-	e.RunRound(h)
-	e.RunRound(h)
-	if h.got <= got {
-		t.Fatal("oracle delivery broken after switching overlay off")
 	}
 }
 

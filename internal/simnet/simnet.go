@@ -87,9 +87,9 @@ type Msg struct {
 	payload *payload
 
 	// Hops is the true network path length the message travelled when it
-	// was delivered over the overlay (Ctx.SendRouted under
-	// RoutingOverlay); 0 for oracle-delivered messages. Like Trace it is
-	// out-of-band telemetry and does not count toward Bits().
+	// was delivered over the overlay (RoutingOverlay); 0 for
+	// oracle-delivered messages. Like Trace it is out-of-band telemetry
+	// and does not count toward Bits().
 	Hops int32
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
@@ -102,8 +102,9 @@ type Msg struct {
 
 	Kind uint8
 
-	// keyed marks a holder-seeking routed message (SendRoutedKeyed): the
-	// overlay walk may terminate early at any current holder of Item.
+	// keyed marks a holder-seeking message (SendKeyed): the overlay walk
+	// may terminate early at any current holder of Item. Only the router
+	// reads it.
 	keyed bool
 }
 
@@ -254,9 +255,10 @@ type Config struct {
 	// Metrics() and Telemetry() always work.
 	Telemetry *telemetry.Registry
 
-	// Routing selects how Ctx.SendRouted messages travel: RoutingOracle
-	// (the zero value) delivers them like SendMsg; RoutingOverlay walks
-	// them edge-by-edge over the live topology with link capacities and
+	// Routing selects how every message a handler sends travels, for the
+	// whole run: RoutingOracle (the zero value) teleports it to its
+	// addressee through the sharded exchange; RoutingOverlay walks it
+	// edge-by-edge over the live topology with link capacities and
 	// bounded queues (routing.go, internal/route).
 	Routing RoutingConfig
 }
@@ -331,7 +333,6 @@ type routeShard struct {
 	out     []Msg         // handler output, canonical (slot, seq) order
 	xfer    [][]routedRef // grid-sized: refs to messages bound for each destination shard
 	delayed []delayedMsg  // fault-delayed messages from this shard, canonical order
-	routed  []Msg         // overlay-routed output, canonical (slot, seq) order
 	ctx     *Ctx          // reusable handler context for this shard's slots
 
 	// pay holds the payload cells of this shard's sends, double-buffered
@@ -341,12 +342,11 @@ type routeShard struct {
 
 	bits         int64 // handler bits sent by this shard's slots this round
 	maxBits      int64 // max per-node bits in this shard this round
-	sent         int64
 	dropped      int64
 	faultDropped int64
 	delayedCnt   int64
 
-	_ [56]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
+	_ [88]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
 }
 
 // inboxArena is one destination shard's next-round message store: every
@@ -515,7 +515,7 @@ func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int
 	var out, xfer, inbox, slabs int
 	for sh := range e.shardOut {
 		rs := &e.shardOut[sh]
-		out += (cap(rs.out) + cap(rs.routed)) * msgSize
+		out += cap(rs.out) * msgSize
 		for _, refs := range rs.xfer {
 			xfer += cap(refs) * refSize
 		}
@@ -730,16 +730,18 @@ type Ctx struct {
 	Rand  *rng.Stream
 	Inbox []Msg
 
-	out    *[]Msg       // the shard's oracle send buffer
-	routed *[]Msg       // the shard's overlay send buffer
-	pay    *payloadSlab // the shard's payload cells for this round
-	seq    uint32
-	bits   int64
+	out  *[]Msg       // the shard's send buffer
+	pay  *payloadSlab // the shard's payload cells for this round
+	seq  uint32
+	bits int64
 }
 
 // SendMsg queues an id-addressed message from this node and returns it for
-// the handler to fill in. Delivery happens at the start of the next round,
-// and only if the target is still live then.
+// the handler to fill in. How it travels is the run's routing mode
+// (Config.Routing): under RoutingOracle it is delivered at the start of
+// the next round, and only if the target is still live then; under
+// RoutingOverlay it walks the expander edge-by-edge toward the target,
+// arriving the next round unless it parks at a congested slot or drops.
 //
 // The message is built in place: the returned pointer is the message's
 // slot in the shard's send buffer, already zeroed and stamped with the
@@ -747,20 +749,29 @@ type Ctx struct {
 // attach a payload with SetPayload, and do not use it after the next send
 // of this HandleRound (the buffer may have moved) or assign a whole Msg
 // through it (that would overwrite the stamp).
-func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(c.out, to, kind) }
+func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(to, kind) }
 
-// emplace is the one send path: it grows buf — the shard's oracle buffer
-// (SendMsg) or routed buffer (SendRouted) — by one message, zeroes it,
-// fills in the addressee, the sender identity and the sequencing, and
-// charges the header's bits to the sender.
-func (c *Ctx) emplace(buf *[]Msg, to NodeID, kind uint8) *Msg {
-	b := *buf
+// SendKeyed is SendMsg for holder-seeking messages: under RoutingOverlay
+// the walk also ends at any slot (or neighbour) currently holding the item
+// the handler names in Item, rewriting To to the holder. Under
+// RoutingOracle it is SendMsg.
+func (c *Ctx) SendKeyed(to NodeID, kind uint8) *Msg {
+	m := c.emplace(to, kind)
+	m.keyed = true
+	return m
+}
+
+// emplace is the one send path: it grows the shard's send buffer by one
+// message, zeroes it, fills in the addressee, the sender identity and the
+// sequencing, and charges the header's bits to the sender.
+func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
+	b := *c.out
 	n := len(b)
 	if n == cap(b) {
 		b = slices.Grow(b, 1)
 	}
 	b = b[:n+1]
-	*buf = b
+	*c.out = b
 	m := &b[n]
 	*m = Msg{}
 	m.From, m.To, m.Kind = c.ID, to, kind
@@ -928,13 +939,12 @@ func (e *Engine) runHandlers(h Handler, round int) {
 	e.grid.Run(e.workers, func(sh int) {
 		rs := &e.shardOut[sh]
 		rs.out = rs.out[:0]
-		rs.routed = rs.routed[:0]
 		rs.bits, rs.maxBits = 0, 0
 		pay := &rs.pay[round&1]
 		pay.reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
 		ctx := rs.ctx
-		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, routed: &rs.routed, pay: pay}
+		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay}
 		for s := lo; s < hi; s++ {
 			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], e.inbox[s]
 			ctx.seq, ctx.bits = 0, 0
@@ -956,25 +966,58 @@ func (e *Engine) runHandlers(h Handler, round int) {
 	e.em.maxNodeBits.SetMax(maxBits)
 }
 
-// route moves this round's outgoing messages into next-round inboxes with
-// a two-phase sharded exchange. Scatter: workers walk source shards,
-// decide each message's fault fate (a pure hash of its identity), resolve
-// the destination id to a slot through the dense table, and stage the
-// message in the (source shard, destination shard) transfer buffer.
-// Gather: workers walk destination shards and merge source shards in fixed
-// index order, so each inbox receives messages ordered by (sender slot,
-// sequence) — the canonical order — regardless of worker count.
+// route moves this round's outgoing messages on, by the run's routing
+// mode. Under RoutingOracle the sharded exchange places them in next-round
+// inboxes; under RoutingOverlay the serial merge below hands them to the
+// overlay router, which walks them in the next round's routed phase.
 func (e *Engine) route() {
+	if e.router == nil {
+		e.exchange()
+	}
+	// Serial merge in fixed shard order. Under the overlay it first gives
+	// the shard's sends to the router in canonical order, after the same
+	// faultFate call the exchange's scatter makes. Then tallies and
+	// fault-delayed messages: e.delayed stays sorted by the canonical
+	// (sentRound, srcSlot, seq) key across rounds because rounds are
+	// appended in increasing sentRound order and shards in increasing
+	// srcSlot order.
+	for sh := range e.shardOut {
+		rs := &e.shardOut[sh]
+		if e.router != nil {
+			for i := range rs.out {
+				m := &rs.out[i]
+				if e.fault != nil && e.faultFate(rs, m) {
+					continue
+				}
+				e.sendToRouter(m)
+			}
+		}
+		e.em.sent.Add(0, int64(len(rs.out)))
+		e.em.dropped.Add(0, rs.dropped)
+		e.em.faultDropped.Add(0, rs.faultDropped)
+		e.em.delayed.Add(0, rs.delayedCnt)
+		e.delayed = append(e.delayed, rs.delayed...)
+		rs.delayed = rs.delayed[:0]
+		rs.dropped, rs.faultDropped, rs.delayedCnt = 0, 0, 0
+	}
+}
+
+// exchange is the oracle's two-phase sharded message exchange. Scatter:
+// workers walk source shards, decide each message's fault fate (a pure
+// hash of its identity), resolve the destination id to a slot through the
+// dense table, and stage the message in the (source shard, destination
+// shard) transfer buffer. Gather: workers walk destination shards and
+// merge source shards in fixed index order, so each inbox receives
+// messages ordered by (sender slot, sequence) — the canonical order —
+// regardless of worker count.
+func (e *Engine) exchange() {
 	e.grid.Run(e.workers, func(sh int) {
 		rs := &e.shardOut[sh]
 		for dsh := range rs.xfer {
 			rs.xfer[dsh] = rs.xfer[dsh][:0]
 		}
-		rs.delayed = rs.delayed[:0]
-		rs.sent, rs.dropped, rs.faultDropped, rs.delayedCnt = 0, 0, 0, 0
 		for i := range rs.out {
 			m := &rs.out[i]
-			rs.sent++
 			if e.fault != nil && e.faultFate(rs, m) {
 				continue
 			}
@@ -1032,29 +1075,6 @@ func (e *Engine) route() {
 			}
 		}
 	})
-	// Serial merge of tallies and fault-delayed messages, in fixed shard
-	// order: e.delayed stays sorted by the canonical (sentRound, srcSlot,
-	// seq) key across rounds because rounds are appended in increasing
-	// sentRound order and shards in increasing srcSlot order. Routed
-	// sends are handed to the overlay router here first, in the same
-	// canonical order, after deciding their fault fate the way the scatter
-	// did for the shard's oracle sends (whose delayed messages they queue
-	// behind).
-	for sh := range e.shardOut {
-		rs := &e.shardOut[sh]
-		for i := range rs.routed {
-			m := &rs.routed[i]
-			if e.fault != nil && e.faultFate(rs, m) {
-				continue
-			}
-			e.sendToRouter(m)
-		}
-		e.em.sent.Add(0, rs.sent+int64(len(rs.routed)))
-		e.em.dropped.Add(0, rs.dropped)
-		e.em.faultDropped.Add(0, rs.faultDropped)
-		e.em.delayed.Add(0, rs.delayedCnt)
-		e.delayed = append(e.delayed, rs.delayed...)
-	}
 }
 
 // faultFate decides m's fate under the fault model (non-nil) from a pure
