@@ -287,7 +287,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			itemLen:  int(msg.Aux2),
 		})
 	}
-	st.storageLM.put(key, lmEntry{
+	st.registerLandmark(key, lmEntry{
 		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL, wave: ctx.Round,
 	})
 	// A traced store settles when its *creation* invites land (base ==

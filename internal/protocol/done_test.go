@@ -147,6 +147,61 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 	}
 }
 
+// TestSearchFoundOncePerRound is the oracle leg of the root package's
+// TestRoutedFoundOncePerRound: retrievals run one after another, and no
+// storage landmark sends one searcher one roster twice in one round, though
+// the searches' landmarks inquire some of them more than once.
+func TestSearchFoundOncePerRound(t *testing.T) {
+	const retrievals = 6
+	founds := &foundTally{n: map[foundTold]int{}}
+	s := newSim(t, 512, churn.ZeroLaw{}, 0, 21)
+	s.e.SetFault(founds)
+	s.warm()
+	s.h.RequestStore(s.e, 7, 11, itemBytes(11, 64))
+	s.run(s.h.P.Period)
+	var results []SearchResult
+	for i := 0; i < retrievals; i++ {
+		s.h.RequestRetrieve(s.e, 20+40*i, 11, itemBytes(11, 64))
+		results = await(s, results, i+1)
+		s.run(s.h.P.TreeDepth + 2) // the finished search's tail ends
+	}
+	if len(results) != retrievals || slices.ContainsFunc(results, func(r SearchResult) bool { return !r.Success }) {
+		t.Fatalf("retrievals did not all succeed: %+v", results)
+	}
+	for k, n := range founds.n {
+		if n > 1 {
+			t.Errorf("landmark %d told searcher %d roster %s for key %d %d times in round %d", k.from, k.to, k.roster, k.key, n, k.round)
+		}
+	}
+	if c := s.h.Counters(); c.Founds == 0 || c.FoundRepeats == 0 {
+		t.Fatalf("%d founds, %d repeats left unanswered: the test shows nothing", c.Founds, c.FoundRepeats)
+	}
+}
+
+// foundTally counts every KindSFound sent by (sender, searcher, key,
+// round, roster), and delivers everything on time.
+type foundTally struct {
+	mu sync.Mutex
+	n  map[foundTold]int
+}
+
+type foundTold struct {
+	from, to simnet.NodeID
+	key      uint64
+	round    int
+	roster   string
+}
+
+func (f *foundTally) Fate(round int, m *simnet.Msg, _ uint64) (bool, int) {
+	if m.Kind == KindSFound {
+		f.mu.Lock()
+		f.n[foundTold{m.From, m.To, m.Item, round, fmt.Sprint(m.IDs())}]++
+		f.mu.Unlock()
+	}
+	return false, 0
+}
+func (f *foundTally) String() string { return "KindSFound tally" }
+
 // TestSearchDoneLateAfterRewave: a notice a fault delays past the round the
 // committee would have re-rooted its trees finds nothing re-rooted — only the
 // searcher sends waves, and it sent none after its result — and once the

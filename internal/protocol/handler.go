@@ -56,6 +56,7 @@ type counters struct {
 	inquiries         telemetry.Counter
 	dones             telemetry.Counter
 	founds            telemetry.Counter
+	foundRepeats      telemetry.Counter
 	fetches           telemetry.Counter
 	idaLost           telemetry.Counter
 	idaRecoded        telemetry.Counter
@@ -82,6 +83,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		inquiries:         reg.Counter("dynp2p_proto_inquiries_total", "landmark inquiries sent"),
 		dones:             reg.Counter("dynp2p_proto_search_dones_total", "search-ended notices sent (by searchers and forwarded down landmark trees)"),
 		founds:            reg.Counter("dynp2p_proto_founds_total", "positive inquiry responses sent"),
+		foundRepeats:      reg.Counter("dynp2p_proto_found_repeats_total", "inquiries left unanswered: the landmark already told that searcher this round"),
 		fetches:           reg.Counter("dynp2p_proto_fetches_total", "data fetch requests sent"),
 		idaLost:           reg.Counter("dynp2p_proto_ida_lost_total", "handovers where fewer than K pieces survived"),
 		idaRecoded:        reg.Counter("dynp2p_proto_ida_recoded_total", "handovers that reconstructed and re-dispersed"),
@@ -109,6 +111,7 @@ type Counters struct {
 	Inquiries         int64 // landmark inquiries sent
 	Dones             int64 // search-ended notices sent, forwarded ones included
 	Founds            int64 // positive inquiry responses sent
+	FoundRepeats      int64 // inquiries unanswered: the landmark already told that searcher this round
 	Fetches           int64 // data fetch requests sent
 	IDALost           int64 // handovers where fewer than K pieces survived
 	IDARecoded        int64 // handovers that reconstructed and re-dispersed
@@ -134,6 +137,7 @@ func (h *Handler) Counters() Counters {
 		Inquiries:         h.ctr.inquiries.Value(),
 		Dones:             h.ctr.dones.Value(),
 		Founds:            h.ctr.founds.Value(),
+		FoundRepeats:      h.ctr.foundRepeats.Value(),
 		Fetches:           h.ctr.fetches.Value(),
 		IDALost:           h.ctr.idaLost.Value(),
 		IDARecoded:        h.ctr.idaRecoded.Value(),
@@ -191,6 +195,10 @@ type lmEntry struct {
 	roster []simnet.NodeID
 	expiry int
 	wave   int
+	// toldAt and toldTo are the round and searcher of the last KindSFound
+	// the registration sent: onInquire tells a searcher once a round.
+	toldAt int
+	toldTo simnet.NodeID
 }
 
 // searchTask makes this node a search landmark for (key, searcher): a node
@@ -244,7 +252,9 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 // paths onInquire serves from. It runs in the engine's serial routed
 // phase, between handler phases, so the read-only scan over per-slot
 // state is race-free; it deliberately never bumps LRU clocks — routing
-// observes, never mutates.
+// observes, never mutates. It ignores the one-answer-a-round stamps
+// (cacheEntry.served, lmEntry.toldAt): a routed inquiry that ends at a
+// holder which has already answered this round may get no reply.
 func (h *Handler) holdsKey(slot int, key uint64, round int) bool {
 	if h.cacheCap > 0 {
 		base := slot * h.cacheStride

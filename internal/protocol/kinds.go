@@ -24,7 +24,8 @@ const (
 	// Aux2 = searcher id the answer should be reported for.
 	KindSInquire uint8 = 0x30
 	// KindSFound reports to the searcher that the sender knows item
-	// Item's storage committee. IDs = storage roster.
+	// Item's storage committee. IDs = storage roster. A storage landmark
+	// sends it to a searcher at most once a round per roster (onInquire).
 	KindSFound uint8 = 0x31
 	// KindSFetch asks a storage committee member for the item bytes.
 	KindSFetch uint8 = 0x32

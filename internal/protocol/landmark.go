@@ -17,10 +17,22 @@ func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	}
 	h.ctr.waves.Inc(ctx.Shard)
 	// The member itself is a landmark for its item.
-	st.storageLM.put(m.key, lmEntry{
+	st.registerLandmark(m.key, lmEntry{
 		roster: m.roster, expiry: round + h.P.LandmarkTTL, wave: round,
 	})
 	h.growChildren(ctx, st, KindLGrow, m.key, 0, m.roster, h.P.TreeDepth, round, m.trace)
+}
+
+// registerLandmark makes the node a storage landmark for key, replacing any
+// earlier registration. A new wave usually carries the roster the node
+// already knows: the replacement then keeps the earlier one's KindSFound
+// stamp, so a grow landing between two inquiries does not tell the searcher
+// the same roster twice in a round. A new roster is told at once.
+func (st *nodeState) registerLandmark(key uint64, ent lmEntry) {
+	if old := st.storageLM.get(key); old != nil && slices.Equal(old.roster, ent.roster) {
+		ent.toldAt, ent.toldTo = old.toldAt, old.toldTo
+	}
+	st.storageLM.put(key, ent)
 }
 
 // growChildren sends tree-growth invitations of the given kind to TreeFanout
@@ -55,7 +67,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		ent.expiry = max(ent.expiry, ctx.Round+h.P.LandmarkTTL)
 		return
 	}
-	st.storageLM.put(key, lmEntry{
+	st.registerLandmark(key, lmEntry{
 		roster: slices.Clone(msg.IDs()),
 		expiry: ctx.Round + h.P.LandmarkTTL,
 		wave:   wave,

@@ -227,19 +227,31 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 
 // onInquire answers an inquiry if this node is a storage landmark (or
 // committee member) for the item: it reports the storage roster directly
-// to the searcher.
+// to the searcher, once a round per searcher and roster. The search's
+// other inquiries that land here in the same round — under overlay routing
+// all those a search landmark sends in a round, since the keyed walk stops
+// at the first holder it scans — would carry the same roster to the same
+// searcher, so they go unanswered (DESIGN.md §2, "A landmark tells a
+// searcher once a round"). A registration that brings a new roster starts
+// unstamped (registerLandmark).
 func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
+	searcher := simnet.NodeID(msg.Aux2)
 	// A cached copy beats a roster referral: the bytes go straight to
 	// the searcher, skipping the fetch/reconstruct round-trips.
 	if e := h.cacheLookup(ctx, msg.Item); e != nil {
-		h.cacheServe(ctx, e, simnet.NodeID(msg.Aux2), msg.Trace)
+		h.cacheServe(ctx, e, searcher, msg.Trace)
 		return
 	}
 	ent := st.storageLM.get(msg.Item)
 	if ent == nil || ctx.Round >= ent.expiry {
 		return
 	}
-	m := ctx.SendMsg(simnet.NodeID(msg.Aux2), KindSFound)
+	if ent.toldAt == ctx.Round && ent.toldTo == searcher {
+		h.ctr.foundRepeats.Inc(ctx.Shard)
+		return
+	}
+	ent.toldAt, ent.toldTo = ctx.Round, searcher
+	m := ctx.SendMsg(searcher, KindSFound)
 	m.Item = msg.Item
 	m.Trace = msg.Trace // the inquiring search's trace rides the reply
 	ctx.SetPayload(m, ent.roster, nil)

@@ -1,11 +1,16 @@
 package dynp2p
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
+	"dynp2p/internal/protocol"
 	"dynp2p/internal/rng"
+	"dynp2p/internal/simnet"
 )
 
 // TestRoutedStoreRetrieve is the overlay-routing smoke test: the full
@@ -42,6 +47,69 @@ func TestRoutedStoreRetrieve(t *testing.T) {
 	if st.Route.Forwards < st.Route.Delivered {
 		t.Fatalf("fewer forwards (%d) than deliveries (%d): walks are not walking",
 			st.Route.Forwards, st.Route.Delivered)
+	}
+}
+
+// foundTally is a FaultModel that counts every KindSFound sent by
+// (sender, searcher, key, round, roster) and delivers everything on time.
+type foundTally struct {
+	mu sync.Mutex
+	n  map[foundTold]int
+}
+
+type foundTold struct {
+	from, to simnet.NodeID
+	key      uint64
+	round    int
+	roster   string
+}
+
+func (f *foundTally) Fate(round int, m *simnet.Msg, _ uint64) (bool, int) {
+	if m.Kind == protocol.KindSFound {
+		f.mu.Lock()
+		f.n[foundTold{m.From, m.To, m.Item, round, fmt.Sprint(m.IDs())}]++
+		f.mu.Unlock()
+	}
+	return false, 0
+}
+func (f *foundTally) String() string { return "KindSFound tally" }
+
+// TestRoutedFoundOncePerRound: under overlay routing the keyed walk ends a
+// search landmark's inquiries at the first holder it scans, so one storage
+// landmark receives many of them a round. It tells each searcher the roster
+// once a round and leaves the rest unanswered, and every retrieval still
+// succeeds. Retrievals run one after another, so no two searches share a
+// round. A handover's invite landing between two inquiries tells the
+// searcher the new roster in the same round, so the tally tells rosters
+// apart.
+func TestRoutedFoundOncePerRound(t *testing.T) {
+	founds := &foundTally{n: map[foundTold]int{}}
+	nw := New(Config{
+		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 7,
+		Routing: RoutingConfig{Mode: RoutingOverlay, WalkBudget: 512},
+		Fault:   founds,
+	})
+	nw.Run(nw.WarmupRounds())
+	data := make([]byte, 100)
+	rng.New(1).Fill(data)
+	nw.Store(0, 42, data)
+	nw.Run(nw.Tunables().Protocol.Period)
+	const retrievals = 4
+	for i := 0; i < retrievals; i++ {
+		nw.Retrieve(40+50*i, 42, data)
+		nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	}
+	res := nw.Results()
+	if len(res) != retrievals || slices.ContainsFunc(res, func(r Result) bool { return !r.Success }) {
+		t.Fatalf("routed retrievals did not all succeed: %+v", res)
+	}
+	for k, n := range founds.n {
+		if n > 1 {
+			t.Errorf("landmark %d told searcher %d roster %s for key %d %d times in round %d", k.from, k.to, k.roster, k.key, n, k.round)
+		}
+	}
+	if p := nw.Stats().Proto; p.Founds == 0 || p.FoundRepeats == 0 {
+		t.Fatalf("%d founds, %d repeats left unanswered: the test shows nothing", p.Founds, p.FoundRepeats)
 	}
 }
 
