@@ -148,41 +148,84 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 }
 
 // TestSearchFoundOncePerRound is the oracle leg of the root package's
-// TestRoutedFoundOncePerRound: retrievals run one after another, and no
-// storage landmark sends one searcher one roster twice in one round, though
-// the searches' landmarks inquire some of them more than once.
+// TestRoutedFoundOncePerRound. Retrievals run two at a time, so a search
+// landmark holding tasks of both searches asks for both in one inquiry. A
+// storage landmark tells every searcher an inquiry names its roster exactly
+// once a round: never twice, though the searches' landmarks inquire some of
+// them more than once, and never not at all — the second searcher an
+// inquiry names is answered like the first.
 func TestSearchFoundOncePerRound(t *testing.T) {
-	const retrievals = 6
-	founds := &foundTally{n: map[foundTold]int{}}
+	const retrievals, key = 6, 11
+	founds := &foundTally{n: map[foundTold]int{}, asked: map[askedOf]bool{}}
 	s := newSim(t, 512, churn.ZeroLaw{}, 0, 21)
 	s.e.SetFault(founds)
 	s.warm()
-	s.h.RequestStore(s.e, 7, 11, itemBytes(11, 64))
+	s.h.RequestStore(s.e, 7, key, itemBytes(key, 64))
 	s.run(s.h.P.Period)
+	// registered holds (landmark, round) when the landmark's registration is
+	// live at the start of the round: every inquiry it reads then finds it.
+	registered := map[askedOf]bool{}
+	step := func() {
+		r := s.e.Round()
+		for i := range s.h.states {
+			if ent := s.h.states[i].storageLM.get(key); ent != nil && r < ent.expiry {
+				registered[askedOf{landmark: s.h.states[i].id, round: r}] = true
+			}
+		}
+		s.run(1)
+	}
 	var results []SearchResult
-	for i := 0; i < retrievals; i++ {
-		s.h.RequestRetrieve(s.e, 20+40*i, 11, itemBytes(11, 64))
-		results = await(s, results, i+1)
-		s.run(s.h.P.TreeDepth + 2) // the finished search's tail ends
+	for i := 0; i < retrievals; i += 2 {
+		s.h.RequestRetrieve(s.e, 20+40*i, key, itemBytes(key, 64))
+		s.h.RequestRetrieve(s.e, 60+40*i, key, itemBytes(key, 64))
+		for r := 0; r < s.h.P.SearchTTL && len(results) < i+2; r++ {
+			step()
+			results = append(results, s.h.DrainResults()...)
+		}
+		for r := 0; r < s.h.P.TreeDepth+2; r++ { // the finished searches' tails end
+			step()
+		}
 	}
 	if len(results) != retrievals || slices.ContainsFunc(results, func(r SearchResult) bool { return !r.Success }) {
 		t.Fatalf("retrievals did not all succeed: %+v", results)
 	}
+	told := map[askedOf]bool{}
 	for k, n := range founds.n {
 		if n > 1 {
 			t.Errorf("landmark %d told searcher %d roster %s for key %d %d times in round %d", k.from, k.to, k.roster, k.key, n, k.round)
 		}
+		told[askedOf{k.from, k.to, k.round}] = true
 	}
-	if c := s.h.Counters(); c.Founds == 0 || c.FoundRepeats == 0 {
-		t.Fatalf("%d founds, %d repeats left unanswered: the test shows nothing", c.Founds, c.FoundRepeats)
+	reached := 0
+	for q := range founds.asked { // sent in q.round, read in the next
+		read := askedOf{q.landmark, q.searcher, q.round + 1}
+		if !registered[askedOf{landmark: q.landmark, round: read.round}] {
+			continue
+		}
+		reached++
+		if !told[read] {
+			t.Errorf("landmark %d was asked for searcher %d in round %d and did not tell it", q.landmark, q.searcher, read.round)
+		}
+	}
+	if c := s.h.Counters(); c.Founds == 0 || c.FoundRepeats == 0 || c.InquiryPairs == 0 || reached == 0 {
+		t.Fatalf("%d founds, %d repeats left unanswered, %d paired inquiries, %d searchers asked of a registered landmark: the test shows nothing",
+			c.Founds, c.FoundRepeats, c.InquiryPairs, reached)
 	}
 }
 
 // foundTally counts every KindSFound sent by (sender, searcher, key,
-// round, roster), and delivers everything on time.
+// round, roster), records every searcher an inquiry names by (sample,
+// searcher, round sent), and delivers everything on time.
 type foundTally struct {
-	mu sync.Mutex
-	n  map[foundTold]int
+	mu    sync.Mutex
+	n     map[foundTold]int
+	asked map[askedOf]bool
+}
+
+// askedOf is a landmark asked for, or telling, a searcher in a round.
+type askedOf struct {
+	landmark, searcher simnet.NodeID
+	round              int
 }
 
 type foundTold struct {
@@ -193,14 +236,128 @@ type foundTold struct {
 }
 
 func (f *foundTally) Fate(round int, m *simnet.Msg, _ uint64) (bool, int) {
-	if m.Kind == KindSFound {
-		f.mu.Lock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch m.Kind {
+	case KindSFound:
 		f.n[foundTold{m.From, m.To, m.Item, round, fmt.Sprint(m.IDs())}]++
-		f.mu.Unlock()
+	case KindSInquire:
+		for _, searcher := range []uint64{m.Aux2, m.Aux} {
+			if searcher != 0 {
+				f.asked[askedOf{m.To, simnet.NodeID(searcher), round}] = true
+			}
+		}
 	}
 	return false, 0
 }
 func (f *foundTally) String() string { return "KindSFound tally" }
+
+// TestInquiryNamesEachLiveSearcherOnce: a search landmark asks each of its
+// walk samples once for every two searchers of a key it holds a live task
+// for — a bare header naming the first in Aux2 and the second, or 0, in
+// Aux — and never for a searcher whose task has expired but is not yet
+// swept. The key is stored nowhere, so every search sends a wave every
+// WaveEvery rounds until its deadline; a later wave refreshes a task in
+// place, so a landmark's table holds expired tasks after live ones too.
+func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
+	const key = 31337
+	type asked struct {
+		from, to simnet.NodeID
+	}
+	header := (&simnet.Msg{}).Bits()
+	var mu sync.Mutex
+	named := map[asked][]simnet.NodeID{} // this round's inquiries: the searchers they name
+	msgs := map[asked]int{}
+	s := newSim(t, 512, churn.ZeroLaw{}, 0, 21)
+	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+		if m.Kind != KindSInquire {
+			return
+		}
+		if m.Bits() != header || m.Aux == m.Aux2 || m.Item != key {
+			t.Errorf("inquiry of %d bits for key %d names %d and %d", m.Bits(), m.Item, m.Aux2, m.Aux)
+		}
+		k := asked{m.From, m.To}
+		mu.Lock()
+		defer mu.Unlock()
+		msgs[k]++
+		named[k] = append(named[k], simnet.NodeID(m.Aux2))
+		if m.Aux != 0 {
+			named[k] = append(named[k], simnet.NodeID(m.Aux))
+		}
+	}})
+	s.warm()
+	issued, reported, expiredBehindLive := 0, 0, 0
+	for r := 0; r < s.h.P.SearchTTL+s.h.P.LandmarkTTL; r++ {
+		if r%(s.h.P.WaveEvery/2) == 0 && r < s.h.P.LandmarkTTL {
+			for i := 0; i < 3; i++ { // three at once, each searcher distinct
+				s.h.RequestRetrieve(s.e, 20+50*i+r, key, nil)
+				issued++
+			}
+		}
+		s.run(1)
+		round := s.e.Round() - 1
+		// A search that expired this round dropped its searcher's own task
+		// after the inquiries went out: leave those nodes out.
+		ended := map[simnet.NodeID]bool{}
+		for _, res := range s.h.DrainResults() {
+			ended[res.Searcher] = true
+			reported++
+		}
+		for slot := range s.h.states {
+			st := &s.h.states[slot]
+			tasks := st.searchLM.get(key)
+			if tasks == nil || ended[st.id] {
+				continue
+			}
+			var live []simnet.NodeID
+			for i, task := range *tasks {
+				if round < task.expiry {
+					live = append(live, task.searcher)
+				} else if len(live) > 0 && i > 0 {
+					expiredBehindLive++
+				}
+			}
+			occurs := map[simnet.NodeID]int{}
+			for _, smp := range s.soup.Samples(slot) {
+				if smp.Src != st.id {
+					occurs[smp.Src]++
+				}
+			}
+			for to, n := range occurs {
+				k := asked{st.id, to}
+				var want []simnet.NodeID
+				for _, id := range live {
+					for i := 0; i < n; i++ {
+						want = append(want, id)
+					}
+				}
+				got := named[k]
+				slices.Sort(want)
+				slices.Sort(got)
+				if !slices.Equal(got, want) || msgs[k] != n*((len(live)+1)/2) {
+					t.Errorf("round %d: landmark %d sent %d inquiries naming %v to a sample it holds %d times; live searchers %v",
+						round, st.id, msgs[k], got, n, live)
+				}
+				delete(named, k)
+				delete(msgs, k)
+			}
+		}
+		for k, ids := range named {
+			if !ended[k.from] {
+				t.Errorf("round %d: %d asked %d for %v: not a sample of a landmark with a live task", round, k.from, k.to, ids)
+			}
+		}
+		clear(named)
+		clear(msgs)
+	}
+	if reported != issued {
+		t.Fatalf("%d retrievals issued, %d reported", issued, reported)
+	}
+	if c := s.h.Counters(); c.InquiryPairs == 0 || c.Inquiries == c.InquiryPairs || expiredBehindLive == 0 {
+		t.Fatalf("%d inquiries, %d of them pairs, %d expired tasks behind a live one: the test shows nothing",
+			c.Inquiries, c.InquiryPairs, expiredBehindLive)
+	}
+}
 
 // TestSearchDoneLateAfterRewave: a notice a fault delays past the round the
 // committee would have re-rooted its trees finds nothing re-rooted — only the

@@ -54,6 +54,7 @@ type counters struct {
 	waves             telemetry.Counter
 	growSent          telemetry.Counter
 	inquiries         telemetry.Counter
+	inquiryPairs      telemetry.Counter
 	dones             telemetry.Counter
 	founds            telemetry.Counter
 	foundRepeats      telemetry.Counter
@@ -81,6 +82,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		waves:             reg.Counter("dynp2p_proto_waves_total", "landmark waves started by storage members and searchers"),
 		growSent:          reg.Counter("dynp2p_proto_grow_sent_total", "tree-growth messages sent"),
 		inquiries:         reg.Counter("dynp2p_proto_inquiries_total", "landmark inquiries sent"),
+		inquiryPairs:      reg.Counter("dynp2p_proto_inquiry_pairs_total", "landmark inquiries sent that name a second searcher"),
 		dones:             reg.Counter("dynp2p_proto_search_dones_total", "search-ended notices sent (by searchers and forwarded down landmark trees)"),
 		founds:            reg.Counter("dynp2p_proto_founds_total", "positive inquiry responses sent"),
 		foundRepeats:      reg.Counter("dynp2p_proto_found_repeats_total", "inquiries left unanswered: the landmark already told that searcher this round"),
@@ -109,6 +111,7 @@ type Counters struct {
 	Waves             int64 // landmark waves started by storage members and searchers
 	GrowSent          int64 // tree-growth messages sent
 	Inquiries         int64 // landmark inquiries sent
+	InquiryPairs      int64 // inquiries naming a second searcher (searchers asked = Inquiries + InquiryPairs)
 	Dones             int64 // search-ended notices sent, forwarded ones included
 	Founds            int64 // positive inquiry responses sent
 	FoundRepeats      int64 // inquiries unanswered: the landmark already told that searcher this round
@@ -135,6 +138,7 @@ func (h *Handler) Counters() Counters {
 		Waves:             h.ctr.waves.Value(),
 		GrowSent:          h.ctr.growSent.Value(),
 		Inquiries:         h.ctr.inquiries.Value(),
+		InquiryPairs:      h.ctr.inquiryPairs.Value(),
 		Dones:             h.ctr.dones.Value(),
 		Founds:            h.ctr.founds.Value(),
 		FoundRepeats:      h.ctr.foundRepeats.Value(),
@@ -195,10 +199,11 @@ type lmEntry struct {
 	roster []simnet.NodeID
 	expiry int
 	wave   int
-	// toldAt and toldTo are the round and searcher of the last KindSFound
-	// the registration sent: onInquire tells a searcher once a round.
+	// toldAt and toldTo are the round and the last two searchers (newest
+	// first, 0 = none) the registration's inquiries named in it: onInquire
+	// leaves a searcher the stamp holds unanswered.
 	toldAt int
-	toldTo simnet.NodeID
+	toldTo [2]simnet.NodeID
 }
 
 // searchTask makes this node a search landmark for (key, searcher): a node
@@ -243,6 +248,14 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		h.code = c
 	}
 	e.SetKeyHolder(h.holdsKey)
+	// What the handlers sent of each kind, as the engine counts it.
+	e.Telemetry().RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
+		for _, k := range kindNames {
+			c := e.KindCount(k.kind)
+			emit("dynp2p_proto_kind_"+k.name+"_msgs_total", telemetry.KindCounter, c.Msgs)
+			emit("dynp2p_proto_kind_"+k.name+"_bits_total", telemetry.KindCounter, c.Bits)
+		}
+	})
 	return h
 }
 

@@ -20,12 +20,15 @@ const (
 	// Item = item key, Aux = packGrow(depth, wave), IDs = committee roster.
 	KindLGrow uint8 = 0x20
 
-	// KindSInquire asks a sampled node whether it knows item Item.
-	// Aux2 = searcher id the answer should be reported for.
+	// KindSInquire asks a sampled node whether it knows item Item, for up
+	// to two searchers a search landmark holds tasks for (tickSearchLandmarks).
+	// Aux2 = the first searcher, Aux = the second searcher or 0, Trace = the
+	// first searcher's. Header only.
 	KindSInquire uint8 = 0x30
 	// KindSFound reports to the searcher that the sender knows item
 	// Item's storage committee. IDs = storage roster. A storage landmark
-	// sends it to a searcher at most once a round per roster (onInquire).
+	// does not send it to a searcher among the last two it was asked for
+	// this round (onInquire).
 	KindSFound uint8 = 0x31
 	// KindSFetch asks a storage committee member for the item bytes.
 	KindSFetch uint8 = 0x32
@@ -53,6 +56,19 @@ const (
 	// Item = key, Aux = the recipient's seed depth, Blob = bytes.
 	KindCacheSeed uint8 = 0x41
 )
+
+// kindNames names every kind in the per-kind wire metrics
+// (dynp2p_proto_kind_<name>_msgs_total and _bits_total).
+var kindNames = [...]struct {
+	kind uint8
+	name string
+}{
+	{KindCInvite, "cinvite"}, {KindCCount, "ccount"}, {KindCHandover, "chandover"},
+	{KindLGrow, "lgrow"},
+	{KindSInquire, "sinquire"}, {KindSFound, "sfound"}, {KindSFetch, "sfetch"},
+	{KindSData, "sdata"}, {KindSDone, "sdone"}, {KindSGrow, "sgrow"},
+	{KindCacheData, "cachedata"}, {KindCacheSeed, "cacheseed"},
+}
 
 // packInvite encodes (base round, piece index) into Aux.
 func packInvite(base, pieceIdx int) uint64 {

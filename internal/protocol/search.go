@@ -194,19 +194,32 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 // wave reached this round grows the tree on (step 1) — here, not on receipt,
 // so a KindSDone in the same inbox ends the tree at this node — and every
 // search landmark contacts the sources of the walk samples it received this
-// round and inquires about the item (step 2).
+// round and inquires about the item (step 2). The question is the same for
+// every searcher of the key, so one inquiry asks it for two: the key's live
+// tasks, in table order, are paired up (DESIGN.md §2, "A landmark asks a
+// sample once for two searchers").
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
-	round, sent := ctx.Round, 0
+	round, sent, pairs := ctx.Round, 0, 0
 	for i, key := range st.searchLM.keys {
 		tasks := st.searchLM.vals[i]
 		for j := range tasks {
-			t := &tasks[j]
-			if t.grow > 0 {
+			if t := &tasks[j]; t.grow > 0 {
 				t.kids = h.growChildren(ctx, st, KindSGrow, key, uint64(t.searcher), nil, t.grow, t.wave, t.trace)
 				t.grow = 0
 			}
-			if round >= t.expiry {
+		}
+		for j := 0; j < len(tasks); j++ {
+			first := &tasks[j]
+			if round >= first.expiry {
 				continue
+			}
+			var second simnet.NodeID
+			for j+1 < len(tasks) {
+				j++
+				if round < tasks[j].expiry {
+					second = tasks[j].searcher
+					break
+				}
 			}
 			for _, s := range samples {
 				if s.Src == st.id {
@@ -217,45 +230,66 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// replica, storage landmark, committee member), not just
 				// the sampled source — replicas cut network distance.
 				m := ctx.SendKeyed(s.Src, KindSInquire)
-				m.Item, m.Aux2, m.Trace = key, uint64(t.searcher), t.trace
+				m.Item, m.Aux, m.Aux2, m.Trace = key, uint64(second), uint64(first.searcher), first.trace
 				sent++
+				if second != 0 {
+					pairs++
+				}
 			}
 		}
 	}
 	h.ctr.inquiries.Add(ctx.Shard, int64(sent))
+	h.ctr.inquiryPairs.Add(ctx.Shard, int64(pairs))
 }
 
-// onInquire answers an inquiry if this node is a storage landmark (or
-// committee member) for the item: it reports the storage roster directly
-// to the searcher, once a round per searcher and roster. The search's
-// other inquiries that land here in the same round — under overlay routing
-// all those a search landmark sends in a round, since the keyed walk stops
-// at the first holder it scans — would carry the same roster to the same
-// searcher, so they go unanswered (DESIGN.md §2, "A landmark tells a
-// searcher once a round"). A registration that brings a new roster starts
-// unstamped (registerLandmark).
+// onInquire answers an inquiry for each searcher it names, in order, if
+// this node holds the item in its cache or is a storage landmark (or
+// committee member) for it. A cache replica serves one inquiry a round, so
+// it answers the first searcher. A storage landmark reports the roster
+// directly to each searcher, once a round per roster: a searcher its stamp
+// holds goes unanswered (DESIGN.md §2, "A landmark tells a searcher once a
+// round" and "A landmark asks a sample once for two searchers"). A
+// registration that brings a new roster starts unstamped
+// (registerLandmark). Only the first searcher's reply carries the trace.
 func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	searcher := simnet.NodeID(msg.Aux2)
+	named := [2]simnet.NodeID{simnet.NodeID(msg.Aux2), simnet.NodeID(msg.Aux)}
 	// A cached copy beats a roster referral: the bytes go straight to
 	// the searcher, skipping the fetch/reconstruct round-trips.
 	if e := h.cacheLookup(ctx, msg.Item); e != nil {
-		h.cacheServe(ctx, e, searcher, msg.Trace)
+		h.cacheServe(ctx, e, named[0], msg.Trace)
 		return
 	}
 	ent := st.storageLM.get(msg.Item)
 	if ent == nil || ctx.Round >= ent.expiry {
 		return
 	}
-	if ent.toldAt == ctx.Round && ent.toldTo == searcher {
-		h.ctr.foundRepeats.Inc(ctx.Shard)
-		return
+	told := ent.toldTo
+	if ent.toldAt != ctx.Round {
+		told = [2]simnet.NodeID{}
 	}
-	ent.toldAt, ent.toldTo = ctx.Round, searcher
-	m := ctx.SendMsg(searcher, KindSFound)
-	m.Item = msg.Item
-	m.Trace = msg.Trace // the inquiring search's trace rides the reply
-	ctx.SetPayload(m, ent.roster, nil)
-	h.ctr.founds.Inc(ctx.Shard)
+	// The stamp becomes the last two searchers named this round, newest
+	// first: a lone searcher keeps the other one the stamp held.
+	next := named
+	if next[1] == 0 {
+		if next[1] = told[0]; next[1] == named[0] {
+			next[1] = told[1]
+		}
+	}
+	ent.toldAt, ent.toldTo = ctx.Round, next
+	trace := msg.Trace
+	for _, searcher := range named {
+		switch {
+		case searcher == 0:
+		case searcher == told[0] || searcher == told[1]:
+			h.ctr.foundRepeats.Inc(ctx.Shard)
+		default:
+			m := ctx.SendMsg(searcher, KindSFound)
+			m.Item, m.Trace = msg.Item, trace
+			ctx.SetPayload(m, ent.roster, nil)
+			h.ctr.founds.Inc(ctx.Shard)
+		}
+		trace = 0
+	}
 }
 
 // onFound handles the searcher's side: record the storage roster and fetch

@@ -346,7 +346,17 @@ type routeShard struct {
 	faultDropped int64
 	delayedCnt   int64
 
+	// kinds counts this shard's sends by Msg.Kind over the whole run
+	// (Engine.KindCount sums the shards).
+	kinds [256]KindCount
+
 	_ [88]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
+}
+
+// KindCount is what the handlers sent of one message kind: messages and
+// their modelled wire bits (Msg.Bits).
+type KindCount struct {
+	Msgs, Bits int64
 }
 
 // inboxArena is one destination shard's next-round message store: every
@@ -718,6 +728,19 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
+// KindCount returns what the handlers have sent of the given kind so far,
+// summed over the shards: the same at any worker count. Call between
+// rounds.
+func (e *Engine) KindCount(kind uint8) KindCount {
+	var t KindCount
+	for sh := range e.shardOut {
+		c := e.shardOut[sh].kinds[kind]
+		t.Msgs += c.Msgs
+		t.Bits += c.Bits
+	}
+	return t
+}
+
 // Ctx is the per-node view passed to Handler.HandleRound. It is reused
 // between nodes: neither the Ctx nor its Inbox may be retained after
 // HandleRound returns.
@@ -730,10 +753,11 @@ type Ctx struct {
 	Rand  *rng.Stream
 	Inbox []Msg
 
-	out  *[]Msg       // the shard's send buffer
-	pay  *payloadSlab // the shard's payload cells for this round
-	seq  uint32
-	bits int64
+	out   *[]Msg          // the shard's send buffer
+	pay   *payloadSlab    // the shard's payload cells for this round
+	kinds *[256]KindCount // the shard's per-kind send counts
+	seq   uint32
+	bits  int64
 }
 
 // SendMsg queues an id-addressed message from this node and returns it for
@@ -763,7 +787,7 @@ func (c *Ctx) SendKeyed(to NodeID, kind uint8) *Msg {
 
 // emplace is the one send path: it grows the shard's send buffer by one
 // message, zeroes it, fills in the addressee, the sender identity and the
-// sequencing, and charges the header's bits to the sender.
+// sequencing, and charges the header's bits to the sender and its kind.
 func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
 	b := *c.out
 	n := len(b)
@@ -778,12 +802,16 @@ func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
 	m.sentRound, m.srcSlot, m.seq = int32(c.Round), int32(c.Slot), c.seq
 	c.seq++
 	c.bits += headerBits
+	k := &c.kinds[kind]
+	k.Msgs++
+	k.Bits += headerBits
 	return m
 }
 
 // SetPayload attaches an id list and/or a data blob to m, a message this
 // HandleRound is building (see SendMsg), and charges their bits to the
-// sender. Either may be empty; a message takes a payload at most once.
+// sender and m's kind. Either may be empty; a message takes a payload at
+// most once.
 // The slices are not copied and must stay untouched until the message has
 // been delivered. Panics if either exceeds MaxPayloadLen: the modelled
 // wire format cannot express it, so sending one is a protocol bug.
@@ -801,7 +829,9 @@ func (c *Ctx) SetPayload(m *Msg, ids []NodeID, blob []byte) {
 	p := c.pay.alloc()
 	p.ids, p.blob = ids, blob
 	m.payload = p
-	c.bits += int64(payloadBits(ids, blob))
+	b := int64(payloadBits(ids, blob))
+	c.bits += b
+	c.kinds[m.Kind].Bits += b
 }
 
 // NeighborSlots returns the node's current neighbour slots (aliased; do not
@@ -944,7 +974,7 @@ func (e *Engine) runHandlers(h Handler, round int) {
 		pay.reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
 		ctx := rs.ctx
-		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay}
+		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
 		for s := lo; s < hi; s++ {
 			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], e.inbox[s]
 			ctx.seq, ctx.bits = 0, 0

@@ -78,10 +78,12 @@ func (f *foundTally) String() string { return "KindSFound tally" }
 // search landmark's inquiries at the first holder it scans, so one storage
 // landmark receives many of them a round. It tells each searcher the roster
 // once a round and leaves the rest unanswered, and every retrieval still
-// succeeds. Retrievals run one after another, so no two searches share a
-// round. A handover's invite landing between two inquiries tells the
-// searcher the new roster in the same round, so the tally tells rosters
-// apart.
+// succeeds. Retrievals run two at a time, so a search landmark holding
+// tasks of both searches asks for both in one inquiry, and the holder's
+// stamp must cover the pair: one that kept only the last searcher told
+// would tell the first of every repeated pair again. A handover's invite
+// landing between two inquiries tells the searcher the new roster in the
+// same round, so the tally tells rosters apart.
 func TestRoutedFoundOncePerRound(t *testing.T) {
 	founds := &foundTally{n: map[foundTold]int{}}
 	nw := New(Config{
@@ -95,8 +97,9 @@ func TestRoutedFoundOncePerRound(t *testing.T) {
 	nw.Store(0, 42, data)
 	nw.Run(nw.Tunables().Protocol.Period)
 	const retrievals = 4
-	for i := 0; i < retrievals; i++ {
+	for i := 0; i < retrievals; i += 2 {
 		nw.Retrieve(40+50*i, 42, data)
+		nw.Retrieve(90+50*i, 42, data)
 		nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
 	}
 	res := nw.Results()
@@ -108,8 +111,8 @@ func TestRoutedFoundOncePerRound(t *testing.T) {
 			t.Errorf("landmark %d told searcher %d roster %s for key %d %d times in round %d", k.from, k.to, k.roster, k.key, n, k.round)
 		}
 	}
-	if p := nw.Stats().Proto; p.Founds == 0 || p.FoundRepeats == 0 {
-		t.Fatalf("%d founds, %d repeats left unanswered: the test shows nothing", p.Founds, p.FoundRepeats)
+	if p := nw.Stats().Proto; p.Founds == 0 || p.FoundRepeats == 0 || p.InquiryPairs == 0 {
+		t.Fatalf("%d founds, %d repeats left unanswered, %d paired inquiries: the test shows nothing", p.Founds, p.FoundRepeats, p.InquiryPairs)
 	}
 }
 

@@ -114,6 +114,8 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_engine_mem_payload_slab_bytes",
 		"dynp2p_engine_mem_routed_arena_bytes",
 		"dynp2p_proto_committees_created_total",
+		"dynp2p_proto_inquiry_pairs_total",
+		"dynp2p_proto_kind_sinquire_bits_total",
 		"dynp2p_soup_generated_total",
 		"dynp2p_soup_mem_ring_bytes",
 		"dynp2p_soup_mem_cohort_bytes",
@@ -129,6 +131,35 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 	}
 	if _, det2 := render(); det1 != det2 {
 		t.Error("deterministic prometheus snapshot differs across identical runs")
+	}
+}
+
+// TestWireKindsAddUp: the per-kind wire counters are in the deterministic
+// snapshot, and their messages and bits add up to the engine's own totals —
+// every send is counted once, under its kind.
+func TestWireKindsAddUp(t *testing.T) {
+	nw := traceWorkload(t, 0, nil)
+	var msgs, bits int64
+	kinds := 0
+	for _, mv := range nw.Telemetry().DeterministicSnapshot() {
+		name, ok := strings.CutPrefix(mv.Name, "dynp2p_proto_kind_")
+		switch {
+		case !ok:
+		case strings.HasSuffix(name, "_msgs_total"):
+			msgs += mv.Value
+			if mv.Value > 0 {
+				kinds++
+			}
+		case strings.HasSuffix(name, "_bits_total"):
+			bits += mv.Value
+		}
+	}
+	e := nw.Stats().Engine
+	if msgs != e.MsgsSent || bits != e.BitsSent {
+		t.Errorf("per-kind counters add up to %d msgs and %d bits, the engine sent %d and %d", msgs, bits, e.MsgsSent, e.BitsSent)
+	}
+	if kinds < 6 {
+		t.Errorf("only %d kinds sent anything: the workload shows nothing", kinds)
 	}
 }
 
