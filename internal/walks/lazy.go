@@ -44,6 +44,9 @@ package walks
 // serially). The workers are replay LANES (lzLane): each claims shards off
 // a cursor and writes only that shard's cohort buffer, sample staging and
 // tallies, so the kernel shares no written cache line between cores.
+// Before it steps a round, each lane streams the round's row into its own
+// cache (warmRow), so the tokens' random row loads hit warm lines; every
+// lane pays for the whole row.
 //
 // A cohort's replay reads nothing any other cohort produced: a walk's
 // identity is (source id, birth round, index in its batch) — ids are never
@@ -134,10 +137,11 @@ type lazySoup struct {
 	// nothing. Lane 0 runs on the caller; lane l >= 1 runs spawn[l-1]. The
 	// lanes also publish what Samples() serves: the sample gather is their
 	// last phase.
-	spawn  []func()
-	wg     sync.WaitGroup
-	bar    *shard.Barrier // the lanes' round barrier; lzEndRound is its callback
-	cursor atomic.Int64   // next unclaimed shard of the phase in progress
+	spawn    []func()
+	wg       sync.WaitGroup
+	bar      *shard.Barrier // the lanes' round barrier; lzEndRound is its callback
+	cursor   atomic.Int64   // next unclaimed shard of the phase in progress
+	warmSink atomic.Int32   // warmRow's sum
 
 	// The delivery in progress, written by lzDeliver before the lanes start
 	// and by lzEndRound between rounds: cohort advB replays round advR
@@ -333,6 +337,9 @@ func (s *Soup) lzLane() {
 	final := b + lz.T - 1
 	for {
 		r, row := lz.advR, lz.advRow
+		if r >= b {
+			lz.warmRow(row)
+		}
 		for sh := lz.cursor.Add(1) - 1; sh < nsh; sh = lz.cursor.Add(1) - 1 {
 			if r < b {
 				s.lzCreateShard(&s.shards[sh])
@@ -363,6 +370,21 @@ func (lz *lazySoup) lzEndRound() {
 	if lz.advR > lz.advB && lz.advR < lz.advB+lz.T {
 		lz.advRow = lz.rowAt(lz.advRow, lz.advR)
 	}
+}
+
+// warmRow reads row front to back, one load per 64-byte line, into the
+// calling lane's cache. Under the oracle topology a replay round's row is
+// a ring snapshot written T rounds earlier and long evicted; streamed, it
+// is a pass the hardware prefetcher runs ahead of, where the token loop's
+// random loads would miss on nearly every line. The sum keeps the loads
+// live.
+func (lz *lazySoup) warmRow(row []int32) {
+	const lineInts = 64 / 4
+	var sum int32
+	for i := 0; i < len(row); i += lineInts {
+		sum += row[i]
+	}
+	lz.warmSink.Store(sum)
 }
 
 // lzReplaced tests slot in a replacement bitset (nil = no churn).
@@ -422,9 +444,10 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 
 // lzReplayShard advances the delivering cohort's tokens in ss by the
 // single round r: per-step death check against the ring's replacement
-// bitset, one step hash and one row load against the materialized round-r
-// adjacency. It writes only ss's own cohort buffer, sample staging and
-// tallies. The step core matches store.go's scatter loop bit for bit.
+// bitset, one stepMix over the call's stepSeed and one row load against
+// the materialized round-r adjacency, which warmRow has already put in
+// this lane's cache. It writes only ss's own cohort buffer, sample staging
+// and tallies. The step core matches store.go's scatter loop bit for bit.
 func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
@@ -442,24 +465,18 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 		death = ring.death
 	}
 	lazyWalk := s.p.Lazy
-	seed := s.seed
+	x := stepSeed(s.seed, r)
 	slotLoc := s.slotLoc
 	var died, moves, completed int64
-	var pfSink int32
 	w := 0
 	for i := 0; i < len(toks); i++ {
-		// The upcoming row access is random; touch it a few records ahead
-		// so it hits L1 when its turn comes (the sink keeps the load live).
-		if i+6 < len(toks) {
-			pfSink += row[int(toks[i+6].pos)*d]
-		}
 		t := toks[i]
 		if lzReplaced(death, t.pos) {
 			died++
 			continue
 		}
 		// Step core — keep in sync with scatter (store.go).
-		h := stepHash(seed, r, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
+		h := stepMix(x, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
 		pos := t.pos
 		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
 			if lazyWalk {
@@ -482,7 +499,6 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 		}
 	}
 	ss.cohort = toks[:w]
-	ss.pfSink += uint32(pfSink)
 	ss.tally.Died += died
 	ss.tally.Moves += moves
 	ss.tally.Completed += completed

@@ -9,6 +9,7 @@ import (
 
 	"dynp2p/internal/churn"
 	"dynp2p/internal/expander"
+	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 )
 
@@ -188,11 +189,23 @@ func runAgainstReference(t *testing.T, p Params, workers, n, rounds int) {
 // count (0 = the engine's adaptive default).
 func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, rounds int) {
 	t.Helper()
-	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize, Shards: shards,
+	runAgainstReferenceOn(t, newRefEngine(n, shards, expander.Rerandomize), p, workers, rounds)
+}
+
+// newRefEngine builds the churning engine the reference legs run on.
+func newRefEngine(n, shards int, edges expander.EdgeMode) *simnet.Engine {
+	return simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: edges, Shards: shards,
 		AdversarySeed: 11, ProtocolSeed: 12,
 		Strategy: churn.Uniform, Law: churn.FixedLaw{Count: 3},
 	})
+}
+
+// runAgainstReferenceOn is the comparison loop on a caller-built engine
+// (whose own hooks, if any, run before the soup's), returning the soup.
+func runAgainstReferenceOn(t *testing.T, e *simnet.Engine, p Params, workers, rounds int) *Soup {
+	t.Helper()
+	n := e.N()
 	soup := NewSoup(e, p, workers)
 	ref := newRefSoup(e, p)
 	e.AddHook(soup)
@@ -257,6 +270,7 @@ func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, round
 			}
 		}
 	}
+	return soup
 }
 
 // TestColumnarMatchesReferenceCapped pins the capped path — the
@@ -310,5 +324,46 @@ func TestLazyMatchesReferenceShortWalks(t *testing.T) {
 		p := Params{WalksPerRound: 2, WalkLength: T, Deadline: 3 * T, Lazy: true}
 		runAgainstReference(t, p, 1, 64, 120)
 		runAgainstReference(t, p, 3, 64, 120)
+	}
+}
+
+// portSwapper is a round hook that exchanges the targets of a few random
+// port pairs every round through Graph.SetPort, so a Static topology still
+// changes, by journal deltas only.
+type portSwapper struct{ r *rng.Stream }
+
+func (ps *portSwapper) StepRound(e *simnet.Engine, round int) {
+	g := e.Graph()
+	n, d := g.N(), g.Degree()
+	for k := 0; k < 3; k++ {
+		u, p := ps.r.Intn(n), ps.r.Intn(d)
+		v, q := ps.r.Intn(n), ps.r.Intn(d)
+		a, b := g.Neighbor(u, p), g.Neighbor(v, q)
+		g.SetPort(u, p, b)
+		g.SetPort(v, q, a)
+	}
+}
+
+// TestDeltaRingMatchesReference pins the lazy store's delta-encoded ring
+// against the reference model. Every other reference leg runs Rerandomize,
+// whose rounds are all recorded as snapshots, so there rowAt and
+// advanceTail never apply a journal delta. Here the edges are Static and a
+// hook registered before the soup rewires a few ports a round, so every
+// ring entry after the first is a delta list, and the replay row and the
+// tail must both step through them.
+func TestDeltaRingMatchesReference(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: lazy}
+		for _, workers := range []int{1, 3} {
+			for _, n := range []int{50, 128} {
+				e := newRefEngine(n, 0, expander.Static)
+				e.AddHook(&portSwapper{r: rng.New(uint64(n))})
+				soup := runAgainstReferenceOn(t, e, p, workers, 300)
+				if last := soup.lz.entry(e.Round() - 1); last.disrupted || len(last.deltas) == 0 {
+					t.Fatalf("lazy=%v workers=%d n=%d: the last ring entry holds no deltas (disrupted=%v)",
+						lazy, workers, n, last.disrupted)
+				}
+			}
+		}
 	}
 }

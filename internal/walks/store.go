@@ -113,8 +113,7 @@ type soupShard struct {
 	// is always in this same shard; they sort before all arrivals.
 	deferred []tokRec
 
-	tally  Metrics
-	pfSink uint32 // sink keeping the replay kernel's prefetch loads live
+	tally Metrics
 
 	// Lazy store (lazy.go): the tokens of the cohort being delivered that
 	// were born in this shard's slots (their pos may be anywhere). Empty

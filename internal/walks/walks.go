@@ -301,9 +301,17 @@ func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
 
 // stepHash derives the per-token per-round randomness. Mixing is
 // splitmix64-flavoured; the output decides the neighbour port and the lazy
-// coin, independent of any iteration order.
+// coin, independent of any iteration order. It is split in two so a loop
+// stepping many tokens through one round computes stepSeed once.
 func stepHash(seed uint64, round int, src simnet.NodeID, birth int32, serial uint16) uint64 {
-	x := seed + 0x9e3779b97f4a7c15*uint64(round+1)
+	return stepMix(stepSeed(seed, round), src, birth, serial)
+}
+
+func stepSeed(seed uint64, round int) uint64 {
+	return seed + 0x9e3779b97f4a7c15*uint64(round+1)
+}
+
+func stepMix(x uint64, src simnet.NodeID, birth int32, serial uint16) uint64 {
 	x ^= uint64(src) * 0xd1342543de82ef95
 	x ^= uint64(uint32(birth))<<32 | uint64(serial)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
