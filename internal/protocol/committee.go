@@ -26,7 +26,7 @@ type membership struct {
 	sources      []simnet.NodeID // walk sources recorded in the window
 	myCount      int             // walks received in the window
 	counts       table[int]      // member id -> reported count
-	gathered     []ida.Piece     // IDA pieces piggybacked on counts, ascending by index
+	gathered     []ida.Piece     // IDA pieces sent to this leader candidate, ascending by index
 	gatheredLen  int             // item length for gathered pieces
 	handledEpoch int             // last epoch with a handover seen/attempted
 }
@@ -50,9 +50,16 @@ func (m *membership) phaseOf(round, period int) int {
 
 // tickMemberships runs the per-round committee machinery (Algorithm 1) for
 // every storage committee this node belongs to: sample-window recording,
-// count exchange, ranked handover attempts, and landmark waves.
+// count exchange, (IDA mode) the piece round, ranked handover attempts,
+// and landmark waves.
 func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
 	round := ctx.Round
+	// The primary's turn: the round the counts land, and in IDA mode the
+	// round after, when the pieces sent to the candidates have landed too.
+	firstTurn := SampleWindow + 1
+	if h.code != nil {
+		firstTurn++
+	}
 	for i := range st.memberships.vals {
 		m := &st.memberships.vals[i]
 		epoch := m.epochOf(round, h.P.Period)
@@ -77,8 +84,11 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 			if phase == SampleWindow && m.curEpoch == epoch {
 				h.sendCounts(ctx, st, m)
 			}
+			if phase == SampleWindow+1 && h.code != nil && m.curEpoch == epoch {
+				h.sendPiece(ctx, st, m)
+			}
 			if phase > SampleWindow && m.curEpoch == epoch && m.handledEpoch < epoch {
-				k := phase - SampleWindow - 1
+				k := phase - firstTurn
 				if k >= 0 && k%FallbackSpacing == 0 {
 					k /= FallbackSpacing
 					if k < FallbackCandidates && m.rankOf(st.id) == k {
@@ -91,20 +101,14 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 	}
 }
 
-// sendCounts broadcasts this member's sample count (and, in IDA mode, its
-// piece) to the whole roster.
+// sendCounts sends this member's sample count, a bare header, to the whole
+// roster. In IDA mode it also records the member's own piece, for the
+// reconstruction it runs if it turns out a leader candidate.
 func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	m.counts.put(uint64(st.id), m.myCount)
-	var blob []byte
-	aux := packCount(m.myCount, 0, false)
-	var itemLen uint64
 	if h.code != nil {
 		if cp := st.stored.get(m.key); cp != nil && cp.pieceIdx >= 0 {
-			blob = cp.data
-			aux = packCount(m.myCount, cp.pieceIdx, true)
-			itemLen = uint64(cp.itemLen)
-			// Record own piece for a potential local reconstruction; it
-			// takes the place of a peer's copy of the same piece.
+			// The own piece takes the place of a peer's copy of it.
 			if i, dup := m.pieceAt(cp.pieceIdx); dup {
 				m.gathered[i].Data = cp.data
 			} else {
@@ -118,25 +122,72 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 			continue
 		}
 		msg := ctx.SendMsg(peer, KindCCount)
-		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, aux, itemLen, m.trace
-		ctx.SetPayload(msg, nil, blob)
+		msg.Item, msg.Aux, msg.Trace = m.key, uint64(m.myCount), m.trace
 	}
 }
 
-// onCount records a peer's count (and piece) for the current epoch.
+// onCount records a peer's count for the current epoch.
 func (h *Handler) onCount(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	m := st.memberships.get(msg.Item)
 	if m == nil || m.curEpoch < 0 {
 		return
 	}
-	count, pieceIdx, hasPiece := unpackCount(msg.Aux)
-	m.counts.put(uint64(msg.From), count)
-	if blob := msg.Blob(); hasPiece && len(blob) > 0 {
-		if i, dup := m.pieceAt(pieceIdx); !dup {
-			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: pieceIdx, Data: slices.Clone(blob)})
+	m.counts.put(uint64(msg.From), int(msg.Aux))
+}
+
+// sendPiece is the IDA piece round, the round after the counts: only the
+// epoch leader or a fallback candidate ever reconstructs the item (§4.4),
+// so a member sends its piece to the first FallbackCandidates members of
+// the ranking it has just received, not to the whole roster.
+func (h *Handler) sendPiece(ctx *simnet.Ctx, st *nodeState, m *membership) {
+	cp := st.stored.get(m.key)
+	if cp == nil || cp.pieceIdx < 0 {
+		return
+	}
+	top, n := m.candidates()
+	for _, i := range top[:n] {
+		peer := simnet.NodeID(m.counts.keys[i])
+		if peer == st.id {
+			continue
+		}
+		msg := ctx.SendMsg(peer, KindCPiece)
+		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, uint64(cp.pieceIdx), uint64(cp.itemLen), m.trace
+		ctx.SetPayload(msg, nil, cp.data)
+	}
+}
+
+// onPiece files a member's piece for the current epoch's reconstruction.
+func (h *Handler) onPiece(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
+	m := st.memberships.get(msg.Item)
+	if m == nil || m.curEpoch < 0 {
+		return
+	}
+	if blob := msg.Blob(); len(blob) > 0 {
+		if i, dup := m.pieceAt(int(msg.Aux)); !dup {
+			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: int(msg.Aux), Data: slices.Clone(blob)})
 			m.gatheredLen = int(msg.Aux2)
 		}
 	}
+}
+
+// candidates returns the indexes in counts of the first FallbackCandidates
+// members of the epoch leader ranking (rankOf's order), best first. counts
+// is in ascending id order, so a member passes only those with a smaller
+// count.
+func (m *membership) candidates() (top [FallbackCandidates]int, n int) {
+	for i, c := range m.counts.vals {
+		j := n
+		for j > 0 && c > m.counts.vals[top[j-1]] {
+			j--
+		}
+		if j == FallbackCandidates {
+			continue
+		}
+		n = min(n+1, FallbackCandidates)
+		copy(top[j+1:n], top[j:n-1])
+		top[j] = i
+	}
+	return top, n
 }
 
 // pieceAt returns where piece idx sits, or belongs, in gathered.
@@ -198,8 +249,8 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 		}
 		itemLen = uint64(cp.itemLen)
 	} else {
-		// §4.4: reconstruct from the pieces piggybacked on counts,
-		// then re-disperse fresh pieces to the new roster.
+		// §4.4: reconstruct from the pieces the members sent this
+		// candidate, then re-disperse fresh pieces to the new roster.
 		item, ok := h.reconstruct(m)
 		if !ok {
 			h.ctr.idaLost.Inc(ctx.Shard)

@@ -379,6 +379,8 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 		h.onCount(ctx, st, m)
 	case KindCHandover:
 		h.onHandover(ctx, st, m)
+	case KindCPiece:
+		h.onPiece(ctx, st, m)
 	case KindLGrow:
 		h.onGrow(ctx, st, m)
 	case KindSInquire:

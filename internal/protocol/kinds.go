@@ -8,13 +8,16 @@ const (
 	// Aux2 = item length, IDs = roster, Blob = item copy / IDA piece.
 	KindCInvite uint8 = 0x10
 	// KindCCount is the epoch count exchange between committee members.
-	// Item = item key, Aux = packCount(count, piece index, has piece),
-	// Aux2 = item length, Blob = the member's IDA piece (IDA mode only).
+	// Item = item key, Aux = the member's sample count. Header only.
 	KindCCount uint8 = 0x11
 	// KindCHandover tells old members the epoch handover happened.
 	// Item = item key, Aux = epoch, IDs = new roster (members also present
 	// in the new roster do not resign).
 	KindCHandover uint8 = 0x12
+	// KindCPiece carries a member's IDA piece to one of the epoch's leader
+	// candidates, the round after the counts (sendPiece). Item = item key,
+	// Aux = piece index, Aux2 = item length, Blob = piece.
+	KindCPiece uint8 = 0x13
 
 	// KindLGrow grows a storage landmark tree by one level.
 	// Item = item key, Aux = packGrow(depth, wave), IDs = committee roster.
@@ -32,9 +35,8 @@ const (
 	KindSFound uint8 = 0x31
 	// KindSFetch asks a storage committee member for the item bytes.
 	KindSFetch uint8 = 0x32
-	// KindSData returns the item copy or an IDA piece.
-	// Aux = packCount-style (piece index, has piece), Aux2 = item length,
-	// Blob = data.
+	// KindSData returns the item copy or, in IDA mode, a piece.
+	// Aux = piece index (0 for a copy), Aux2 = item length, Blob = data.
 	KindSData uint8 = 0x33
 	// KindSDone tells an ended search's committee and landmarks to stop:
 	// the searcher sends it to its committee, every receiver passes it to
@@ -64,6 +66,7 @@ var kindNames = [...]struct {
 	name string
 }{
 	{KindCInvite, "cinvite"}, {KindCCount, "ccount"}, {KindCHandover, "chandover"},
+	{KindCPiece, "cpiece"},
 	{KindLGrow, "lgrow"},
 	{KindSInquire, "sinquire"}, {KindSFound, "sfound"}, {KindSFetch, "sfetch"},
 	{KindSData, "sdata"}, {KindSDone, "sdone"}, {KindSGrow, "sgrow"},
@@ -77,19 +80,6 @@ func packInvite(base, pieceIdx int) uint64 {
 
 func unpackInvite(aux uint64) (base, pieceIdx int) {
 	return int(uint32(aux)), int(uint16(aux >> 32))
-}
-
-// packCount encodes (sample count, piece index, piece presence) into Aux.
-func packCount(count, pieceIdx int, hasPiece bool) uint64 {
-	v := uint64(uint32(count)) | uint64(uint16(pieceIdx))<<32
-	if hasPiece {
-		v |= 1 << 48
-	}
-	return v
-}
-
-func unpackCount(aux uint64) (count, pieceIdx int, hasPiece bool) {
-	return int(uint32(aux)), int(uint16(aux >> 32)), aux>>48&1 == 1
 }
 
 // packGrow encodes (remaining depth, wave id) into Aux.

@@ -107,6 +107,9 @@ func DefaultParams(n, walkLen int) Params {
 		SearchTTL:     6 * walkLen,
 		SampleBuffer:  4 * size,
 	}
+	// 13 rounds: in either storage mode every candidate's turn falls inside
+	// the epoch (the last IDA turn, one round after replication's, is at
+	// phase SampleWindow+2+(FallbackCandidates-1)·FallbackSpacing = 9).
 	if min := SampleWindow + 1 + FallbackCandidates*FallbackSpacing + 3; p.Period < min {
 		p.Period = min
 	}
@@ -142,6 +145,8 @@ func (p Params) validate() {
 		panic("protocol: CommitteeSize must be >= 1")
 	case p.Period < SampleWindow+2:
 		panic("protocol: Period too short for the epoch phases")
+	case p.IDAThreshold > 0 && p.Period < SampleWindow+3:
+		panic("protocol: Period too short for an IDA committee's piece round and handover")
 	case p.WaveEvery < 1:
 		panic("protocol: WaveEvery must be >= 1")
 	case p.TreeDepth < 0 || p.TreeDepth > 255:

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"dynp2p/internal/churn"
@@ -236,6 +238,105 @@ func TestIDAStoreAndRetrieve(t *testing.T) {
 	}
 }
 
+// TestIDAPiecesGoToCandidates: a member's count is a bare header, and in IDA
+// mode its piece goes, the round after the counts, only to the members the
+// counts rank among the first FallbackCandidates. The primary acts the
+// round after that, once the pieces have landed, and every handover
+// reconstructs the item. Replication sends no piece and keeps its turns a
+// round earlier.
+func TestIDAPiecesGoToCandidates(t *testing.T) {
+	for _, k := range []int{4, 0} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { idaPiecesLeg(t, k) })
+	}
+}
+
+func idaPiecesLeg(t *testing.T, k int) {
+	const key, size, epochs = 61, 301, 3
+	header := (&simnet.Msg{}).Bits()
+	type sent struct {
+		kind       uint8
+		from, to   simnet.NodeID
+		aux        uint64
+		bits, blob int
+	}
+	var mu sync.Mutex
+	var batch []sent // this round's committee sends
+	s := newSim(t, 256, churn.ZeroLaw{}, k, 17)
+	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+		if m.Kind == KindCCount || m.Kind == KindCPiece || m.Kind == KindCHandover {
+			mu.Lock()
+			batch = append(batch, sent{m.Kind, m.From, m.To, m.Aux, m.Bits(), len(m.Blob())})
+			mu.Unlock()
+		}
+	}})
+	s.warm()
+	data := itemBytes(key, size)
+	s.h.RequestStore(s.e, 3, key, data)
+	s.run(2)
+	slots := s.h.CommitteeSlots(key)
+	if len(slots) == 0 {
+		t.Fatal("no committee formed")
+	}
+	base, period := s.h.states[slots[0]].memberships.get(key).base, s.h.P.Period
+	firstTurn := SampleWindow + 1
+	if k > 0 {
+		firstTurn++
+	}
+
+	counts := map[int]*membership{} // epoch -> the counts its members sent
+	firstHandover := map[int]int{}  // epoch -> phase of its first KindCHandover
+	pieces := 0
+	for s.e.Round() < base+(epochs+1)*period {
+		batch = batch[:0]
+		s.run(1)
+		r := s.e.Round() - 1
+		epoch, phase := (r-base)/period, (r-base)%period
+		for _, m := range batch {
+			switch m.kind {
+			case KindCCount:
+				if m.bits != header {
+					t.Errorf("round %d: a count of %d bits, want a bare header of %d", r, m.bits, header)
+				}
+				if counts[epoch] == nil {
+					counts[epoch] = &membership{}
+				}
+				counts[epoch].counts.put(uint64(m.from), int(m.aux))
+			case KindCPiece:
+				pieces++
+				want := (size + k - 1) / max(k, 1)
+				if phase != SampleWindow+1 || m.blob != want || m.bits != header+16+8*want {
+					t.Errorf("round %d (phase %d): a piece of %d bytes, %d bits; want phase %d and %d bytes",
+						r, phase, m.blob, m.bits, SampleWindow+1, want)
+				}
+				if c := counts[epoch]; c == nil || m.to == m.from || c.rankOf(m.to) >= FallbackCandidates {
+					t.Errorf("round %d: %d sent its piece to %d, not a leader candidate of epoch %d", r, m.from, m.to, epoch)
+				}
+			case KindCHandover:
+				if _, ok := firstHandover[int(m.aux)]; !ok {
+					firstHandover[int(m.aux)] = phase
+				}
+			}
+		}
+	}
+	for e := 1; e <= epochs; e++ {
+		if phase, ok := firstHandover[e]; !ok || phase != firstTurn {
+			t.Errorf("epoch %d: first handover at phase %d (sent: %v), want %d", e, phase, ok, firstTurn)
+		}
+	}
+	c := s.h.Counters()
+	if k == 0 {
+		if pieces != 0 {
+			t.Errorf("replication sent %d pieces", pieces)
+		}
+	} else if pieces == 0 || c.Handovers == 0 || c.IDARecoded != c.Handovers || c.IDALost != 0 {
+		t.Errorf("%d pieces sent; %d handovers, %d recoded, %d lost", pieces, c.Handovers, c.IDARecoded, c.IDALost)
+	}
+	s.h.RequestRetrieve(s.e, 200, key, data)
+	if res := await(s, nil, 1); len(res) != 1 || !res[0].Success {
+		t.Fatalf("retrieval after %d epochs: %+v", epochs, res)
+	}
+}
+
 func TestIDAStorageOverhead(t *testing.T) {
 	// IDA pieces should total ~L/K of the item, far below replication.
 	s := newSim(t, 256, churn.ZeroLaw{}, 8, 8)
@@ -394,6 +495,12 @@ func TestParamsValidate(t *testing.T) {
 	good := DefaultParams(1000, 14)
 	mustPanic("zero committee", func() Params { p := good; p.CommitteeSize = 0; return p }())
 	mustPanic("short period", func() Params { p := good; p.Period = 1; return p }())
+	// SampleWindow+2 leaves an IDA primary no turn: it acts at that phase,
+	// once the pieces have landed. Replication acts a round earlier.
+	short := good
+	short.Period = SampleWindow + 2
+	short.validate()
+	mustPanic("short IDA period", func() Params { p := short; p.IDAThreshold = 1; return p }())
 	mustPanic("bad ida", func() Params { p := good; p.IDAThreshold = p.CommitteeSize + 1; return p }())
 	mustPanic("zero wave period", func() Params { p := good; p.WaveEvery = 0; return p }())
 	mustPanic("zero landmark ttl", func() Params { p := good; p.LandmarkTTL = 0; return p }())
@@ -414,18 +521,15 @@ func TestTreeDepthHelpers(t *testing.T) {
 	}
 }
 
-// FuzzPackedFields: the three Aux packings return every in-range tuple as it
+// FuzzPackedFields: the two Aux packings return every in-range tuple as it
 // went in, and a value too wide for its field comes back cut to the field's
 // width with its neighbours untouched.
 func FuzzPackedFields(f *testing.F) {
-	f.Add(123456, 77, 99, 13, true, 5, 100000)
-	f.Add(-1, 1<<16, 1<<32+7, -3, false, 256, -1)
-	f.Fuzz(func(t *testing.T, base, piece, count, cpiece int, has bool, depth, wave int) {
+	f.Add(123456, 77, 5, 100000)
+	f.Add(-1, 1<<16, 256, -1)
+	f.Fuzz(func(t *testing.T, base, piece, depth, wave int) {
 		if b, p := unpackInvite(packInvite(base, piece)); b != int(uint32(base)) || p != int(uint16(piece)) {
 			t.Errorf("invite (%d, %d) came back (%d, %d)", base, piece, b, p)
-		}
-		if c, p, h := unpackCount(packCount(count, cpiece, has)); c != int(uint32(count)) || p != int(uint16(cpiece)) || h != has {
-			t.Errorf("count (%d, %d, %v) came back (%d, %d, %v)", count, cpiece, has, c, p, h)
 		}
 		if d, w := unpackGrow(packGrow(depth, wave)); d != int(uint8(depth)) || w != int(uint32(wave)) {
 			t.Errorf("grow (%d, %d) came back (%d, %d)", depth, wave, d, w)

@@ -311,13 +311,8 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if cp == nil {
 		return
 	}
-	hasPiece := cp.pieceIdx >= 0
-	idx := cp.pieceIdx
-	if idx < 0 {
-		idx = 0
-	}
 	m := ctx.SendMsg(msg.From, KindSData)
-	m.Item, m.Aux, m.Aux2 = msg.Item, packCount(0, idx, hasPiece), uint64(cp.itemLen)
+	m.Item, m.Aux, m.Aux2 = msg.Item, uint64(max(cp.pieceIdx, 0)), uint64(cp.itemLen)
 	m.Trace = msg.Trace
 	ctx.SetPayload(m, nil, cp.data)
 }
@@ -328,17 +323,13 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if srch == nil {
 		return
 	}
-	_, pieceIdx, hasPiece := unpackCount(msg.Aux)
 	var item []byte
-	if !hasPiece {
+	if h.code == nil {
 		item = msg.Blob()
 	} else {
-		if h.code == nil {
-			return
-		}
 		srch.itemLen = int(msg.Aux2)
 		srch.pieces = append(srch.pieces, ida.Piece{
-			Index: pieceIdx, Data: slices.Clone(msg.Blob()),
+			Index: int(msg.Aux), Data: slices.Clone(msg.Blob()),
 		})
 		if distinctPieces(srch.pieces) < h.code.K() {
 			return

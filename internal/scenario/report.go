@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"dynp2p"
@@ -136,6 +138,44 @@ type ItemState struct {
 	Committee int    `json:"committee"`
 }
 
+// KindWire is what the handlers sent of one message kind over the run.
+type KindWire struct {
+	Kind string `json:"kind"`
+	Msgs int64  `json:"msgs"`
+	Bits int64  `json:"bits"`
+}
+
+// wireByKind reads the per-kind wire counters (dynp2p_proto_kind_<kind>_
+// {msgs,bits}_total) out of a snapshot: every kind that sent anything,
+// most bits first.
+func wireByKind(snap []telemetry.MetricValue) []KindWire {
+	var out []KindWire
+	for _, mv := range snap {
+		name, ok := strings.CutPrefix(mv.Name, "dynp2p_proto_kind_")
+		if !ok || mv.Value == 0 {
+			continue
+		}
+		kind, msgs := strings.CutSuffix(name, "_msgs_total")
+		if !msgs {
+			if kind, ok = strings.CutSuffix(name, "_bits_total"); !ok {
+				continue
+			}
+		}
+		i := slices.IndexFunc(out, func(k KindWire) bool { return k.Kind == kind })
+		if i < 0 {
+			i = len(out)
+			out = append(out, KindWire{Kind: kind})
+		}
+		if msgs {
+			out[i].Msgs = mv.Value
+		} else {
+			out[i].Bits = mv.Value
+		}
+	}
+	slices.SortStableFunc(out, func(a, b KindWire) int { return cmp.Compare(b.Bits, a.Bits) })
+	return out
+}
+
 // Report is the final result of a scenario run. It is deterministic in
 // the Spec: two runs of the same spec render byte-identical reports.
 type Report struct {
@@ -144,6 +184,8 @@ type Report struct {
 	Phases []PhaseReport `json:"phases"`
 	Total  SLO           `json:"total"`
 	Stats  dynp2p.Stats  `json:"stats"`
+	// Wire splits the run's traffic by message kind, most bits first.
+	Wire []KindWire `json:"wire,omitempty"`
 	// Items lists every key the run stored, in store order.
 	Items []ItemState `json:"items,omitempty"`
 	// Per-operation distributions from the lifecycle tracer (scenario
@@ -225,6 +267,17 @@ func (r *Report) Fprint(w io.Writer) {
 			float64(st.Engine.BitsSent)/float64(r.Spec.N)/float64(st.Engine.Rounds),
 			st.Engine.MaxNodeBitsRound)
 	}
+	for _, k := range r.Wire {
+		perOK := "-"
+		if r.Total.Succeeded > 0 {
+			perOK = fmt.Sprintf("%.0f", float64(k.Bits)/float64(r.Total.Succeeded))
+		}
+		fmt.Fprintf(w, "  %-9s %9d msgs %13d bits %5.1f%%  %s bits/ok retrieve\n",
+			k.Kind, k.Msgs, k.Bits, 100*float64(k.Bits)/float64(st.Engine.BitsSent), perOK)
+	}
+	if r.Spec.ErasureK > 0 {
+		fmt.Fprintf(w, "ida: recoded %d, lost %d\n", st.Proto.IDARecoded, st.Proto.IDALost)
+	}
 	if ov := st.Overlay; ov.PortsSevered > 0 || ov.SpectralRounds > 0 {
 		fmt.Fprintf(w, "topology: %d edges severed by churn, %d sample splices, %d direct pairs",
 			ov.PortsSevered/2, ov.Splices, ov.DirectPairs)
@@ -264,10 +317,6 @@ func (r *Report) Fprint(w io.Writer) {
 		}
 		fmt.Fprintf(w, "cache: %d hits (%.1f%% of successes), %d replica serves, %d seeds, %d inserts, %d evictions, %d expired\n",
 			pc.CacheHits, rate, pc.CacheServed, pc.CacheSeeds, pc.CacheInserts, pc.CacheEvictions, pc.CacheExpired)
-	}
-	if r.Spec.ErasureK > 0 {
-		fmt.Fprintf(w, "erasure: %d re-dispersals, %d items lost to piece shortage\n",
-			st.Proto.IDARecoded, st.Proto.IDALost)
 	}
 	if r.SearchHops != nil || r.StoreHops != nil {
 		fmt.Fprintf(w, "\nper-operation distributions (lifecycle tracer):\n")

@@ -476,6 +476,7 @@ func (r *runner) report() *Report {
 		})
 	}
 	reg := r.nw.Telemetry()
+	rep.Wire = wireByKind(reg.Snapshot())
 	for name, dst := range map[string]**telemetry.HistValue{
 		"dynp2p_search_hops":              &rep.SearchHops,
 		"dynp2p_search_rounds_to_resolve": &rep.SearchRounds,

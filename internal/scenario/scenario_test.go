@@ -287,6 +287,13 @@ func TestBuiltinsSmoke(t *testing.T) {
 				t.Fatalf("accounting: issued %d != completed %d + lost %d",
 					tot.Issued, tot.Completed, tot.Lost)
 			}
+			var msgs, bits int64
+			for _, k := range rep.Wire {
+				msgs, bits = msgs+k.Msgs, bits+k.Bits
+			}
+			if eng := rep.Stats.Engine; msgs != eng.MsgsSent || bits != eng.BitsSent {
+				t.Fatalf("wire lines add up to %d msgs, %d bits; the engine sent %d, %d", msgs, bits, eng.MsgsSent, eng.BitsSent)
+			}
 			var out bytes.Buffer
 			rep.Fprint(&out)
 			if !strings.Contains(out.String(), "TOTAL") {

@@ -116,6 +116,7 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_proto_committees_created_total",
 		"dynp2p_proto_inquiry_pairs_total",
 		"dynp2p_proto_kind_sinquire_bits_total",
+		"dynp2p_proto_kind_cpiece_bits_total",
 		"dynp2p_soup_generated_total",
 		"dynp2p_soup_mem_ring_bytes",
 		"dynp2p_soup_mem_cohort_bytes",
