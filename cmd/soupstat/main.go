@@ -103,10 +103,9 @@ func main() {
 	writeHeapProfile(*memProfile)
 
 	m := s.Metrics()
-	resolved := m.Completed + m.Died + m.Overdue
-	fmt.Printf("\nwalks: generated=%d completed=%d died=%d overdue=%d (survival %.1f%%)\n",
-		m.Generated, m.Completed, m.Died, m.Overdue,
-		100*float64(m.Completed)/float64(resolved))
+	fmt.Printf("\nwalks: generated=%d completed=%d died=%d (survival %.1f%%)\n",
+		m.Generated, m.Completed, m.Died,
+		100*float64(m.Completed)/float64(m.Completed+m.Died))
 	fmt.Printf("endpoint TV distance from uniform: %.4f over %d arrivals\n",
 		stats.TVDistanceFromUniform(counts), total(counts))
 	sm := stats.Summarize(receipts)

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -88,6 +89,23 @@ func TestE02CompletionShape(t *testing.T) {
 	last := tb.Rows[len(tb.Rows)-1]
 	if parseF(t, last[5]) == 0 {
 		t.Fatalf("tightest cap deferred nothing: %v", last)
+	}
+	// E02 is a pure function of its seed, so the whole table is pinned: a
+	// change to the walk model it runs shows here cell by cell.
+	want := [][]string{
+		{"inf", "13.00", "13", "13", "0", "0.00"},
+		{"4.00", "13.00", "13", "13", "0", "0.00"},
+		{"2.00", "13.00", "13", "13", "0", "0.00"},
+		{"1.00", "13.00", "13", "13", "0", "5.85"},
+		{"0.50", "22.70", "31", "13", "0", "16723.89"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tb.Rows), len(want))
+	}
+	for i, row := range tb.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("row %d = %v, want %v", i, row, want[i])
+		}
 	}
 }
 

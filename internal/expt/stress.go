@@ -71,7 +71,7 @@ func E11ChurnStress(scale Scale) *Table {
 		nw.Run(nw.WarmupRounds())
 		rate := retrievalRate(nw, 5, searches)
 		sm := nw.Stats().Soup
-		resolved := sm.Completed + sm.Died + sm.Overdue
+		resolved := sm.Completed + sm.Died
 		survival := 0.0
 		if resolved > 0 {
 			survival = float64(sm.Completed) / float64(resolved)

@@ -297,7 +297,7 @@ func (r *Report) Fprint(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-	soupTotal := st.Soup.Completed + st.Soup.Died + st.Soup.Overdue
+	soupTotal := st.Soup.Completed + st.Soup.Died
 	if soupTotal > 0 {
 		fmt.Fprintf(w, "soup: %d walks completed of %d finished (%.1f%% survival)\n",
 			st.Soup.Completed, soupTotal, 100*float64(st.Soup.Completed)/float64(soupTotal))

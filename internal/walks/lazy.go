@@ -1,12 +1,11 @@
 package walks
 
-// The lazy trajectory evaluator is the store of every soup without a
-// forwarding cap. With ForwardCap == 0 no token is ever deferred, so a
-// walk's entire T-step trajectory is a pure function of its identity
+// The soup is a lazy trajectory evaluator. No token is ever deferred, so
+// a walk's entire T-step trajectory is a pure function of its identity
 // (src, birth, serial), the evolving topology, and the churn record: no
 // per-round token exchange is needed at all, and the protocol is owed
 // exactly one thing from a walk — its endpoint after T rounds (the Soup
-// Theorem). So the store holds no token between rounds. StepRound records
+// Theorem). So the soup holds no token between rounds. StepRound records
 // only the round's inputs in a (T+2)-deep ring — topology change, occupant
 // changes, the set of replaced slots and the round's Inject calls — and
 // replays one birth cohort's full trajectory at its delivery round
@@ -18,9 +17,8 @@ package walks
 // The counters follow the tokens: a cohort's generation, moves, deaths and
 // completions are booked in the round it is delivered, so Metrics() is the
 // plain accumulator over delivered cohorts and Generated == Completed +
-// Died after every round. A walk still in flight is in none of them. There
-// is no in-flight state to ask for: TotalTokens and AppendTokens are the
-// capped store's introspection and refuse a lazy soup.
+// Died after every round. A walk still in flight is in none of them, and
+// there is no in-flight state to ask for.
 //
 // The ring is DELTA-ENCODED (DESIGN.md §9). A ring entry does not hold
 // the round's full n·d adjacency snapshot; it holds the round's port
@@ -52,10 +50,6 @@ package walks
 // identity is (source id, birth round, index in its batch) — ids are never
 // reused, so that is unique with no counting — which is what lets a cohort
 // sit unmaterialized until its delivery round.
-//
-// Overdue is identically zero here: an undeferred token steps every
-// round, so its age never exceeds WalkLength-1, and NewSoup clamps
-// Deadline up to WalkLength.
 
 import (
 	"math/bits"
@@ -78,8 +72,7 @@ type replayTok struct {
 }
 
 // injRec is one Inject call, recorded (Soup.inj) until the next StepRound
-// and, on the lazy store, from there in the round's ring entry until its
-// cohort is delivered.
+// and from there in the round's ring entry until its cohort is delivered.
 type injRec struct {
 	slot  int32
 	count int32
@@ -114,7 +107,7 @@ type lazyRound struct {
 	inj       []injRec          // extra walks of the cohort born this round
 }
 
-// lazySoup is the store-wide lazy state hanging off Soup.lz.
+// lazySoup is the soup-wide ring state hanging off Soup.lz.
 type lazySoup struct {
 	T     int // WalkLength: trajectory length and delivery offset
 	depth int // ring depth, T+2: covers every input a replay can need
@@ -239,10 +232,10 @@ func (lz *lazySoup) advanceTail(to int) {
 	}
 }
 
-// stepLazy is the lazy store's StepRound: record the round's inputs
+// StepRound implements simnet.RoundHook: it records the round's inputs
 // (journal drain, id deltas, injections) and, once a cohort falls due,
-// move the tail to its birth round and deliver it (lzDeliver).
-func (s *Soup) stepLazy(e *simnet.Engine, round int) {
+// moves the tail to its birth round and delivers it (lzDeliver).
+func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	lz := s.lz
 	rr := &lz.rounds[round%lz.depth]
 	rr.round = int32(round)
@@ -353,8 +346,7 @@ func (s *Soup) lzLane() {
 		}
 	}
 	// The final round staged the cohort's samples in outSmp: rebuild the
-	// per-shard sample stores (the capped gather's counting sort) while the
-	// lanes are up.
+	// per-shard sample stores while the lanes are up.
 	for dsh := lz.cursor.Add(1) - 1; dsh < nsh; dsh = lz.cursor.Add(1) - 1 {
 		s.gatherSamplesShard(&s.shards[dsh], int(dsh))
 	}
@@ -396,9 +388,9 @@ func lzReplaced(death []uint64, slot int32) bool {
 // slots into the shard's cohort buffer: recorded injections first (they were stored
 // at their slot before the round began, so they die with a churned
 // carrier), then one implicit fresh batch per slot with serials 0 …
-// WalksPerRound-1 — identical semantics to the capped scatter's
-// generation. The tail stands at the cohort's birth round, so tailIds are
-// the occupants.
+// WalksPerRound-1 — identical semantics to the Reference's generation.
+// The tail stands at the cohort's birth round, so tailIds are the
+// occupants.
 func (s *Soup) lzCreateShard(ss *soupShard) {
 	lz := s.lz
 	b := lz.advB
@@ -447,7 +439,7 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 // bitset, one stepMix over the call's stepSeed and one row load against
 // the materialized round-r adjacency, which warmRow has already put in
 // this lane's cache. It writes only ss's own cohort buffer, sample staging
-// and tallies. The step core matches store.go's scatter loop bit for bit.
+// and tallies. The step core matches Reference.StepRound bit for bit.
 func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
@@ -475,7 +467,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 			died++
 			continue
 		}
-		// Step core — keep in sync with scatter (store.go).
+		// Step core — keep in sync with Reference.StepRound (reference.go).
 		h := stepMix(x, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
 		pos := t.pos
 		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
@@ -504,7 +496,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	ss.tally.Completed += completed
 }
 
-// lzMemBytes is the lazy store's row of the memory ledger: the ring (tail
+// lzMemBytes is the soup's row of the memory ledger: the ring (tail
 // and replay rows, snapshots, delta and id-delta lists, death bitsets,
 // injection records) and the shards' cohort buffers, each capacity times
 // element size, read only when a snapshot is taken.

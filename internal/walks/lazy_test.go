@@ -11,14 +11,13 @@ import (
 
 // lazyTestParams is the standard churny configuration the lazy tests run.
 func lazyTestParams() Params {
-	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true}
+	return Params{WalksPerRound: 4, WalkLength: 8, Lazy: true}
 }
 
-// TestLazyDeterministicAcrossWorkerCounts is the lazy-store sibling of
-// TestDeterministicAcrossWorkerCounts (which runs the capped store): every
-// observation — each round's ordered samples and the metrics — must be
-// identical at every worker count even though multi-worker deliveries
-// claim shards in scheduling order. Injecting every round gives every
+// TestLazyDeterministicAcrossWorkerCounts: every observation — each
+// round's ordered samples and the metrics — must be identical at every
+// worker count even though multi-worker deliveries claim shards in
+// scheduling order. Injecting every round gives every
 // cohort a shard whose buffer starts with injected walks; the mixed
 // pattern interleaves cohorts with and without them.
 func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -74,22 +73,30 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 // (Src, Birth, Serial) step-hash identity (a collision would make the pair
 // walk in lock-step forever). The run churns, so the audit also covers the
 // replaced-slot path where generation runs under a fresh id while the
-// injected tokens died with the old one. The capped store holds its tokens,
-// so every in-flight identity is audited every round. The lazy store holds
-// none; a walk's endpoint is a function of its identity, so it must deliver
-// the audited capped run's samples, slot for slot and round for round.
+// injected tokens died with the old one. The reference model holds its
+// tokens, so every in-flight identity is audited every round. The soup
+// holds none; a walk's endpoint is a function of its identity, so it must
+// deliver the audited reference run's samples, slot for slot and round
+// for round.
 func TestInjectGenerationSerialDisjoint(t *testing.T) {
 	const n, rounds, wpr = 64, 40, 3
+	p := Params{WalksPerRound: wpr, WalkLength: 6}
 	type landing struct {
 		slot int
 		Sample
 	}
-	run := func(t *testing.T, forwardCap int, audit bool) [][]landing {
+	type soup interface {
+		simnet.RoundHook
+		Inject(e *simnet.Engine, slot, count, round int) int
+		Samples(slot int) []Sample
+		Metrics() Metrics
+	}
+	// run drives the soup newSoup builds through the injection pattern,
+	// calling check after every round, and returns each round's landings.
+	run := func(t *testing.T, newSoup func(*simnet.Engine) soup, check func(r int)) [][]landing {
 		e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
-		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 6, Deadline: 20, ForwardCap: forwardCap}, 0)
+		s := newSoup(e)
 		e.AddHook(s)
-		var toks []Token
-		seen := make(map[Token]bool)
 		delivered := make([][]landing, rounds)
 		for r := 0; r < rounds; r++ {
 			slot := (r * 13) % n
@@ -111,11 +118,7 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 				inject(1, 0)
 			}
 			e.RunRound(simnet.NopHandler{})
-			// Injected walks that died with a carrier churned in their birth
-			// round are part of their cohort too.
-			if m := s.Metrics(); forwardCap == 0 && m.Generated != m.Completed+m.Died {
-				t.Fatalf("round %d: Generated != Completed + Died: %+v", r, m)
-			}
+			check(r)
 			for sl := 0; sl < n; sl++ {
 				for _, sm := range s.Samples(sl) {
 					delivered[r] = append(delivered[r], landing{sl, sm})
@@ -124,13 +127,19 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 			slices.SortFunc(delivered[r], func(a, b landing) int {
 				return cmp.Or(cmp.Compare(a.slot, b.slot), cmpSample(a.Sample, b.Sample))
 			})
-			if !audit {
-				continue
-			}
+		}
+		if s.Metrics().Completed == 0 {
+			t.Fatal("no cohort ever delivered; the run never crossed a delivery round")
+		}
+		return delivered
+	}
+	reference := func(t *testing.T) [][]landing {
+		var ref *Reference
+		seen := make(map[Token]bool)
+		return run(t, func(e *simnet.Engine) soup { ref = NewReference(e, p, 0, 0); return ref }, func(r int) {
 			clear(seen)
-			for sl := 0; sl < n; sl++ {
-				toks = s.AppendTokens(sl, toks[:0])
-				for _, tok := range toks {
+			for sl, bucket := range ref.buckets {
+				for _, tok := range bucket {
 					id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
 					if seen[id] {
 						t.Fatalf("round %d: duplicate step-hash identity %+v at slot %d", r, id, sl)
@@ -138,19 +147,22 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 					seen[id] = true
 				}
 			}
-		}
-		if s.Metrics().Completed == 0 {
-			t.Fatal("no cohort ever delivered; the run never crossed a delivery round")
-		}
-		return delivered
+		})
 	}
-	t.Run("capped", func(t *testing.T) { run(t, 1<<20, true) })
+	t.Run("reference", func(t *testing.T) { reference(t) })
 	t.Run("lazy", func(t *testing.T) {
-		want := run(t, 1<<20, false)
-		got := run(t, 0, false)
+		want := reference(t)
+		var s *Soup
+		got := run(t, func(e *simnet.Engine) soup { s = NewSoup(e, p, 0); return s }, func(r int) {
+			// Injected walks that died with a carrier churned in their birth
+			// round are part of their cohort too.
+			if m := s.Metrics(); m.Generated != m.Completed+m.Died {
+				t.Fatalf("round %d: Generated != Completed + Died: %+v", r, m)
+			}
+		})
 		for r := range want {
 			if !slices.Equal(got[r], want[r]) {
-				t.Fatalf("round %d: lazy store delivered %d samples that differ from the capped store's %d",
+				t.Fatalf("round %d: the soup delivered %d samples that differ from the reference's %d",
 					r, len(got[r]), len(want[r]))
 			}
 		}

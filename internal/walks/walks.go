@@ -10,28 +10,20 @@
 //
 // Implementation notes (the HPC parts):
 //
-//   - The token store has two representations, selected by the one input
-//     that decides between them, Params.ForwardCap. With a forwarding
-//     cap, tokens live in a columnar store of packed 16-byte two-lane
-//     records (src|slot, birth|serial|steps) moved one step per round by
-//     a two-phase sharded exchange whose counting-sort gather
-//     materializes slot-major buckets (store.go): deferral makes a
-//     token's fate depend on its bucket position, so buckets must exist.
-//     Without a cap the store is the lazy trajectory evaluator (lazy.go):
-//     no per-token state between rounds at all, just a (T+2)-deep ring of
-//     per-round inputs, with each birth cohort replayed once, and counted,
-//     at its delivery round.
+//   - The soup is a lazy trajectory evaluator (lazy.go): it keeps no
+//     per-token state between rounds, just a (T+2)-deep ring of per-round
+//     inputs, and replays each birth cohort once, and counts it, at its
+//     delivery round.
 //   - Each token's step is derived by hashing (seed, round, src, birth,
 //     serial), not by consuming a shared stream, so the simulation is
 //     bit-reproducible at any worker count.
 //   - The shard grid is fixed at engine construction (internal/shard,
-//     shared with the engine's message exchange), the gather merges
-//     source shards in fixed order, and shard slot ranges are contiguous
-//     and ascending, so each slot's token order is canonical — deferred
-//     tokens first, then arrivals by (source slot, source order): the
-//     forwarding cap — the paper's 2h·log n per-round scalability
-//     restriction — always applies to the same tokens no matter the
-//     parallelism.
+//     shared with the engine's message exchange), and the sample gather
+//     merges source shards in fixed order, so each slot's sample order is
+//     canonical no matter the parallelism.
+//   - Reference (reference.go) is the serial per-slot-bucket model the soup
+//     is pinned to, and the model of the paper's per-node forwarding cap
+//     and walk deadline (Lemma 1), which experiments run on it.
 package walks
 
 import (
@@ -43,9 +35,8 @@ import (
 	"dynp2p/internal/telemetry"
 )
 
-// Token is one in-flight random walk. The store keeps tokens as columns
-// (store.go); this struct is the assembled view used by Inject,
-// AppendTokens, and the reference-model tests.
+// Token is one in-flight random walk of the Reference model; the soup
+// holds no tokens between rounds.
 type Token struct {
 	Src    simnet.NodeID // walk origin (its id at generation time)
 	Birth  int32         // round the walk started
@@ -67,16 +58,6 @@ type Params struct {
 	WalksPerRound int
 	// WalkLength is T, the number of steps each walk takes (Θ(log n)).
 	WalkLength int
-	// Deadline is τ, the rounds within which a walk should complete; a
-	// token older than Deadline rounds is dropped and counted overdue.
-	// The paper sets τ = m·log n with m chosen so that, w.h.p., the
-	// forwarding cap never delays a token past its deadline.
-	Deadline int
-	// ForwardCap limits tokens forwarded per node per round (the paper's
-	// 2h·log n). 0 means unlimited. It also selects the token store: the
-	// materialized capped store (store.go) when positive, the lazy
-	// trajectory evaluator (lazy.go) otherwise.
-	ForwardCap int
 	// Lazy makes walks lazy (stay put with probability 1/2). Laziness is
 	// the standard guard against the vanishing-probability bipartite draw
 	// of the random topology; it roughly doubles the mixing length.
@@ -88,26 +69,23 @@ type Params struct {
 // (natural log, as in the paper).
 func DefaultParams(n int) Params {
 	ln := math.Log(float64(n))
-	walkLen := int(math.Ceil(2 * ln)) // T = 2·ln n; ample for λ ≈ 0.66 expanders
 	return Params{
 		WalksPerRound: int(math.Ceil(ln)),
-		WalkLength:    walkLen,
-		Deadline:      3 * walkLen,
-		ForwardCap:    0, // unlimited by default; E2 stresses finite caps
-		Lazy:          false,
+		WalkLength:    int(math.Ceil(2 * ln)), // T = 2·ln n; ample for λ ≈ 0.66 expanders
 	}
 }
 
-// Metrics counts soup events since creation. The capped store counts an
-// event in the round it happens. The lazy store counts a walk when it is
-// delivered — generation, moves and death or completion together, T-1
-// rounds after its birth — so there Generated == Completed + Died after
-// every round and a walk still in flight is in no counter.
+// Metrics counts walk events since creation. The soup counts a walk when
+// it is delivered — generation, moves and death or completion together,
+// T-1 rounds after its birth — so Generated == Completed + Died after
+// every round and a walk still in flight is in no counter. The Reference
+// counts an event in the round it happens; only it has a forwarding cap
+// and a deadline, so Overdue and Deferred are zero on the soup.
 type Metrics struct {
 	Generated int64 // tokens created
 	Completed int64 // walks that finished all steps and were sampled
 	Died      int64 // tokens lost to churn
-	Overdue   int64 // tokens dropped after exceeding Deadline
+	Overdue   int64 // tokens dropped after exceeding the deadline
 	Moves     int64 // total token-steps executed
 	Deferred  int64 // token-rounds spent waiting behind the forward cap
 }
@@ -129,26 +107,21 @@ type Soup struct {
 	seed uint64
 	m    Metrics
 
-	// shards hold the token store, the per-round sample store, and all
-	// exchange staging, one per grid shard (the grid comes from the
-	// engine, so soup and engine exchange agree); slotLoc resolves a slot
-	// to its (shard, local index) with one load (Grid.LocTable). rowLoc is
-	// the capped store's per-round composition of the adjacency with
-	// slotLoc (see store.go).
+	// shards hold the per-round sample store, the cohort buffers and the
+	// sample staging, one per grid shard (the grid comes from the engine,
+	// so soup and engine exchange agree); slotLoc resolves a slot to its
+	// (shard, local index) with one load (Grid.LocTable).
 	grid    shard.Grid
 	shards  []soupShard
 	slotLoc []uint32
-	rowLoc  []uint32
 
-	// lz is non-nil iff ForwardCap == 0 (lazy.go): the (T+2)-deep ring of
-	// per-round inputs replacing all between-round token state. nil means
-	// the capped store.
+	// lz is the (T+2)-deep ring of per-round inputs that replaces all
+	// between-round token state (lazy.go).
 	lz *lazySoup
 
-	// inj records the Inject calls since the last StepRound, which clears
-	// it. Both stores number a slot's next injection from it; the lazy
-	// store moves it into the round's ring entry and mints the injected
-	// tokens from there at delivery.
+	// inj records the Inject calls since the last StepRound, which moves it
+	// into the round's ring entry; the injected tokens are minted from
+	// there at delivery. Inject numbers a slot's next injection from it.
 	inj []injRec
 
 	workers int
@@ -164,9 +137,6 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 	if p.WalksPerRound < 0 || p.WalksPerRound > math.MaxUint16 {
 		panic("walks: WalksPerRound must be in [0, 65535]")
 	}
-	if p.Deadline < p.WalkLength {
-		p.Deadline = p.WalkLength
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -181,32 +151,23 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 		slotLoc: grid.LocTable(n),
 		workers: workers,
 	}
-	capped := p.ForwardCap > 0
 	for i := range s.shards {
-		s.shards[i].init(grid, i, n, p.WalksPerRound, capped)
+		s.shards[i].init(grid, i, n, p.WalksPerRound)
 	}
-	if capped {
-		s.rowLoc = make([]uint32, n*e.Degree())
-	} else {
-		s.lz = newLazySoup(e, s)
-	}
+	s.lz = newLazySoup(e, s)
 	// Bridge the soup's counters into the engine's telemetry registry as a
 	// collector: the soup keeps its own accumulation and snapshots pull the
-	// current totals. The lazy store adds its row of the memory ledger.
+	// current totals, with the store's row of the memory ledger.
 	reg := e.Telemetry()
 	reg.RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
 		m := s.Metrics()
 		emit("dynp2p_soup_generated_total", telemetry.KindCounter, m.Generated)
 		emit("dynp2p_soup_completed_total", telemetry.KindCounter, m.Completed)
 		emit("dynp2p_soup_died_total", telemetry.KindCounter, m.Died)
-		emit("dynp2p_soup_overdue_total", telemetry.KindCounter, m.Overdue)
 		emit("dynp2p_soup_moves_total", telemetry.KindCounter, m.Moves)
-		emit("dynp2p_soup_deferred_total", telemetry.KindCounter, m.Deferred)
-		if s.lz != nil {
-			ring, cohort := s.lzMemBytes()
-			emit("dynp2p_soup_mem_ring_bytes", telemetry.KindGauge, ring)
-			emit("dynp2p_soup_mem_cohort_bytes", telemetry.KindGauge, cohort)
-		}
+		ring, cohort := s.lzMemBytes()
+		emit("dynp2p_soup_mem_ring_bytes", telemetry.KindGauge, ring)
+		emit("dynp2p_soup_mem_cohort_bytes", telemetry.KindGauge, cohort)
 	})
 	return s
 }
@@ -226,40 +187,6 @@ func (s *Soup) Samples(slot int) []Sample {
 	return ss.smp[ss.smpOff[local]:ss.smpOff[local+1]]
 }
 
-// TotalTokens returns the capped store's number of in-flight tokens
-// network-wide, a sum over the per-shard store lengths. The lazy store
-// holds no tokens to count and panics.
-func (s *Soup) TotalTokens() int {
-	s.mustHoldTokens("TotalTokens")
-	t := 0
-	for i := range s.shards {
-		t += len(s.shards[i].tok)
-	}
-	return t
-}
-
-// AppendTokens appends slot's in-flight tokens in the capped store, in
-// canonical bucket order, to dst and returns it. Used by tests and
-// experiment introspection, not by the hot path. The lazy store holds no
-// tokens to list and panics.
-func (s *Soup) AppendTokens(slot int, dst []Token) []Token {
-	s.mustHoldTokens("AppendTokens")
-	sh, local := shard.Loc(s.slotLoc[slot])
-	ss := &s.shards[sh]
-	for _, t := range ss.tok[ss.off[local]:ss.off[local+1]] {
-		dst = append(dst, t.token())
-	}
-	return dst
-}
-
-// mustHoldTokens refuses token introspection on the lazy store, which
-// would otherwise answer with an empty store's silent zero.
-func (s *Soup) mustHoldTokens(query string) {
-	if s.lz != nil {
-		panic("walks: " + query + " asks for in-flight tokens, and a soup without a ForwardCap (the lazy store) holds none")
-	}
-}
-
 // Inject starts count extra walks from the given slot this round (on top
 // of WalksPerRound). Used by experiments that trace a single batch. A walk
 // is identified by (source id, birth round, Serial): the round's fresh
@@ -270,7 +197,8 @@ func (s *Soup) mustHoldTokens(query string) {
 // StepRound (a wrapped serial would make two tokens share their step-hash
 // identity and walk in lock-step) and returns the number actually injected.
 // round is the walks' birth round and should be the round about to run:
-// serials only separate walks of one (source, birth round).
+// serials only separate walks of one (source, birth round). The walks are
+// minted and counted when their cohort is delivered.
 func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
 	base := s.p.WalksPerRound
 	for i := range s.inj {
@@ -289,13 +217,6 @@ func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
 	s.inj = append(s.inj, injRec{
 		slot: int32(slot), count: int32(count), id: id, birth: int32(round), base: uint16(base),
 	})
-	// The lazy store mints and counts the walks when their cohort is
-	// delivered; the capped store holds them from now.
-	if s.lz == nil {
-		sh, local := shard.Loc(s.slotLoc[slot])
-		s.shards[sh].insert(local, count, id, int32(round), uint16(base), uint16(s.p.WalkLength))
-		s.m.Generated += int64(count)
-	}
 	return count
 }
 
@@ -317,27 +238,4 @@ func stepMix(x uint64, src simnet.NodeID, birth int32, serial uint16) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// StepRound implements simnet.RoundHook. Semantics mirror the model's
-// order of operations — churn already happened (tokens at churned slots
-// die), every node generates new walks, then every token takes one
-// synchronous step — but on the capped store all three phases are fused
-// into the single sharded scatter pass (store.go): the per-slot scatter
-// kills tokens at replaced slots, emits the slot's fresh tokens after its
-// stored ones, and steps everything in one sweep, so no serial O(n)
-// prelude remains. The lazy store (lazy.go) goes further: it records the
-// round's inputs and replays, and counts, only the one cohort whose
-// delivery falls due this round.
-func (s *Soup) StepRound(e *simnet.Engine, round int) {
-	if s.lz != nil {
-		s.stepLazy(e, round)
-		return
-	}
-	s.scatter(e, round)
-	s.gather()
-	for i := range s.shards {
-		s.m.add(&s.shards[i].tally)
-	}
-	s.inj = s.inj[:0]
 }

@@ -41,7 +41,7 @@ func TestTokenConservationNoChurn(t *testing.T) {
 	// completed in full, and each completion is a delivered sample.
 	const n = 256
 	e := newEngine(n, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 3, WalkLength: 10, Deadline: 100}
+	p := Params{WalksPerRound: 3, WalkLength: 10}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	var sampled int64
@@ -49,7 +49,7 @@ func TestTokenConservationNoChurn(t *testing.T) {
 		e.RunRound(simnet.NopHandler{})
 		sampled += countSamples(e, s)
 		m := s.Metrics()
-		if m.Died != 0 || m.Overdue != 0 {
+		if m.Died != 0 {
 			t.Fatalf("round %d: unexpected losses %+v", r, m)
 		}
 		want := int64(n*p.WalksPerRound) * int64(max(0, r-p.WalkLength+2))
@@ -64,7 +64,7 @@ func TestWalksCompleteInExactlyTRounds(t *testing.T) {
 	// With no cap and no churn, a batch injected at round r completes at
 	// round r+T-1... the T-th movement. Verify via a single injection.
 	e := newEngine(128, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 0, WalkLength: 5, Deadline: 50}
+	p := Params{WalksPerRound: 0, WalkLength: 5}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{}) // round 0, no tokens
@@ -83,7 +83,7 @@ func TestWalksCompleteInExactlyTRounds(t *testing.T) {
 
 func TestSamplesCarrySource(t *testing.T) {
 	e := newEngine(64, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 0, WalkLength: 3, Deadline: 30}
+	p := Params{WalksPerRound: 0, WalkLength: 3}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{})
@@ -111,7 +111,7 @@ func TestSamplesCarrySource(t *testing.T) {
 
 func TestChurnKillsTokens(t *testing.T) {
 	e := newEngine(64, churn.FixedLaw{Count: 8})
-	p := Params{WalksPerRound: 2, WalkLength: 20, Deadline: 100}
+	p := Params{WalksPerRound: 2, WalkLength: 20}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	var sampled int64
@@ -127,15 +127,17 @@ func TestChurnKillsTokens(t *testing.T) {
 	if want := int64(6 * 64 * p.WalksPerRound); m.Generated != want {
 		t.Fatalf("generated = %d, want the delivered cohorts' %d", m.Generated, want)
 	}
-	if m.Generated != m.Completed+m.Died+m.Overdue || m.Completed != sampled {
+	if m.Generated != m.Completed+m.Died || m.Completed != sampled {
 		t.Fatalf("conservation violated: %+v, %d samples", m, sampled)
 	}
 }
 
+// TestForwardCapDefersTokens and TestDeadlineEvictsTokens run the
+// Reference model: the forwarding cap and the deadline live only there,
+// for E02 (Lemma 1).
 func TestForwardCapDefersTokens(t *testing.T) {
 	e := newEngine(64, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 10, WalkLength: 8, Deadline: 80, ForwardCap: 5}
-	s := NewSoup(e, p, 0)
+	s := NewReference(e, Params{WalksPerRound: 10, WalkLength: 8}, 5, 80)
 	e.AddHook(s)
 	for r := 0; r < 10; r++ {
 		e.RunRound(simnet.NopHandler{})
@@ -149,8 +151,7 @@ func TestDeadlineEvictsTokens(t *testing.T) {
 	// Cap of 1 with 10 generated per round: queues explode, deadline must
 	// reclaim them.
 	e := newEngine(32, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 10, WalkLength: 8, Deadline: 10, ForwardCap: 1}
-	s := NewSoup(e, p, 0)
+	s := NewReference(e, Params{WalksPerRound: 10, WalkLength: 8}, 1, 10)
 	e.AddHook(s)
 	for r := 0; r < 40; r++ {
 		e.RunRound(simnet.NopHandler{})
@@ -159,41 +160,12 @@ func TestDeadlineEvictsTokens(t *testing.T) {
 		t.Fatal("deadline never evicted a token")
 	}
 	// In-flight population must stay bounded (roughly n * gen * deadline).
-	if s.TotalTokens() > 32*10*12 {
-		t.Fatalf("token population unbounded: %d", s.TotalTokens())
+	held := 0
+	for _, bucket := range s.buckets {
+		held += len(bucket)
 	}
-}
-
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) (int64, int64, []int) {
-		e := newEngine(128, churn.FixedLaw{Count: 4})
-		p := Params{WalksPerRound: 4, WalkLength: 10, Deadline: 40, ForwardCap: 30}
-		s := NewSoup(e, p, workers)
-		e.AddHook(s)
-		var arrivals []int
-		for r := 0; r < 20; r++ {
-			e.RunRound(simnet.NopHandler{})
-			for slot := 0; slot < e.N(); slot++ {
-				for _, sm := range s.Samples(slot) {
-					arrivals = append(arrivals, slot*1000000+int(sm.Src))
-				}
-			}
-		}
-		m := s.Metrics()
-		return m.Completed, m.Died, arrivals
-	}
-	c1, d1, a1 := run(1)
-	c2, d2, a2 := run(7)
-	if c1 != c2 || d1 != d2 {
-		t.Fatalf("metrics differ across worker counts: (%d,%d) vs (%d,%d)", c1, d1, c2, d2)
-	}
-	if len(a1) != len(a2) {
-		t.Fatalf("arrival streams differ in length: %d vs %d", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("arrival streams differ at %d", i)
-		}
+	if held > 32*10*12 {
+		t.Fatalf("token population unbounded: %d", held)
 	}
 }
 
@@ -203,7 +175,7 @@ func TestMixingToNearUniform(t *testing.T) {
 	// one slot repeatedly and check the endpoint histogram's TV distance.
 	const n = 512
 	e := newEngine(n, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 0, WalkLength: 2 * int(math.Ceil(math.Log(n))), Deadline: 200}
+	p := Params{WalksPerRound: 0, WalkLength: 2 * int(math.Ceil(math.Log(n)))}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{})
@@ -239,7 +211,7 @@ func TestLazyWalksStillMix(t *testing.T) {
 	const n = 256
 	e := newEngine(n, churn.ZeroLaw{})
 	T := 4 * int(math.Ceil(math.Log(n))) // lazy needs ~2x steps
-	p := Params{WalksPerRound: 0, WalkLength: T, Deadline: 10 * T, Lazy: true}
+	p := Params{WalksPerRound: 0, WalkLength: T, Lazy: true}
 	s := NewSoup(e, p, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{})
@@ -266,35 +238,25 @@ func TestDefaultParamsScaling(t *testing.T) {
 	if p2.WalkLength <= p1.WalkLength {
 		t.Fatal("walk length should grow with n")
 	}
-	if p1.Deadline < p1.WalkLength {
-		t.Fatal("deadline below walk length")
-	}
 	if p1.WalksPerRound < 1 {
 		t.Fatal("walks per round must be positive")
 	}
 }
 
 func TestInjectCountsGenerated(t *testing.T) {
-	// The capped store holds and counts injected walks from the call; the
-	// lazy store counts them with their cohort, at delivery.
+	// The soup counts injected walks with their cohort, at delivery.
 	const T = 4
-	for _, forwardCap := range []int{0, 1 << 20} {
-		e := newEngine(32, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalkLength: T, Deadline: 10, ForwardCap: forwardCap}, 0)
-		e.AddHook(s)
-		s.Inject(e, 0, 25, 0)
-		if forwardCap > 0 {
-			if g := s.Metrics().Generated; g != 25 {
-				t.Fatalf("cap=%d: generated = %d at the call, want 25", forwardCap, g)
-			}
-			if got := len(s.AppendTokens(0, nil)); got != 25 {
-				t.Fatalf("cap=%d: slot 0 holds %d tokens, want 25", forwardCap, got)
-			}
-		}
-		e.Run(simnet.NopHandler{}, T)
-		if m := s.Metrics(); m.Generated != 25 || m.Completed != 25 {
-			t.Fatalf("cap=%d: %+v after delivery, want 25 generated and completed", forwardCap, m)
-		}
+	e := newEngine(32, churn.ZeroLaw{})
+	s := NewSoup(e, Params{WalkLength: T}, 0)
+	e.AddHook(s)
+	s.Inject(e, 0, 25, 0)
+	e.Run(simnet.NopHandler{}, T-1)
+	if g := s.Metrics().Generated; g != 0 {
+		t.Fatalf("generated = %d before delivery, want 0", g)
+	}
+	e.RunRound(simnet.NopHandler{})
+	if m := s.Metrics(); m.Generated != 25 || m.Completed != 25 {
+		t.Fatalf("%+v after delivery, want 25 generated and completed", m)
 	}
 }
 
@@ -307,7 +269,7 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 		N: 64, Degree: 8, EdgeMode: expander.Static,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	})
-	s := NewSoup(e, Params{WalkLength: 1, Deadline: 4, Lazy: true}, 0)
+	s := NewSoup(e, Params{WalkLength: 1, Lazy: true}, 0)
 	e.AddHook(s)
 	s.Inject(e, 0, 4000, 0)
 	srcID := e.IDAt(0)
@@ -337,67 +299,52 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 func TestInjectClampsSerialOverflow(t *testing.T) {
 	// The per-(source, round) Serial is a uint16 and the round's fresh
 	// walks hold 0 … WalksPerRound-1: a slot can be injected at most
-	// 65536 − WalksPerRound walks before a StepRound. Both stores number
-	// injections from the shared Soup.inj; the capped one counts them at
-	// the call.
+	// 65536 − WalksPerRound walks before a StepRound. The round's Inject
+	// calls are numbered from Soup.inj and counted at delivery.
+	const n, T = 32, 4
 	for _, wpr := range []int{0, 3} {
 		room := 1<<16 - wpr
-		e := newEngine(32, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: 4, Deadline: 10, ForwardCap: 1 << 20}, 0)
+		e := newEngine(n, churn.ZeroLaw{})
+		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T}, 0)
+		e.AddHook(s)
 		if got := s.Inject(e, 0, 1<<16+500, 0); got != room {
 			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
 		}
 		if got := s.Inject(e, 0, 10, 0); got != 0 {
 			t.Fatalf("wpr=%d: over-full slot injected %d more, want 0", wpr, got)
 		}
-		if g := s.Metrics().Generated; g != int64(room) {
-			t.Fatalf("wpr=%d: generated = %d, want %d", wpr, g, room)
-		}
 		if got := s.Inject(e, 1, 10, 0); got != 10 {
 			t.Fatalf("wpr=%d: fresh slot injected %d, want 10", wpr, got)
+		}
+		e.Run(simnet.NopHandler{}, T)
+		// Round 0's cohort: the injected walks plus every slot's fresh batch.
+		if g, want := s.Metrics().Generated, int64(room+10+n*wpr); g != want {
+			t.Fatalf("wpr=%d: generated = %d after delivery, want %d", wpr, g, want)
 		}
 	}
 }
 
 func TestInjectClampNoLockstepTokens(t *testing.T) {
-	// Regression for the uint16-serial clamp surviving the columnar
-	// rewrite, on both store representations: injecting past the bound
-	// must return the clamped count and every accepted walk must be
-	// delivered. On the capped store, which holds its tokens, no two in the
-	// bucket may share a (Src, Birth, Serial) step-hash identity — a wrapped
-	// serial would make the pair walk in lock-step forever.
+	// Regression for the uint16-serial clamp: injecting past the bound must
+	// return the clamped count and every accepted walk must be delivered.
+	// (TestInjectGenerationSerialDisjoint audits the identities themselves
+	// on the reference model, which holds its tokens.)
 	const T = 4
 	for _, wpr := range []int{0, 3} {
-		for _, cap := range []int{0, 1 << 20} { // lazy store, capped store
-			room := 1<<16 - wpr
-			e := newEngine(32, churn.ZeroLaw{})
-			s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T, Deadline: 10, ForwardCap: cap}, 0)
-			e.AddHook(s)
-			if got := s.Inject(e, 3, 1<<16+500, 0); got != room {
-				t.Fatalf("wpr=%d cap=%d: injected %d, want %d", wpr, cap, got, room)
-			}
-			if got := s.Inject(e, 3, 1, 0); got != 0 {
-				t.Fatalf("wpr=%d cap=%d: over-full slot accepted another token", wpr, cap)
-			}
-			if cap > 0 {
-				toks := s.AppendTokens(3, nil)
-				if len(toks) != room {
-					t.Fatalf("wpr=%d cap=%d: bucket holds %d tokens, want %d", wpr, cap, len(toks), room)
-				}
-				seen := make(map[Token]bool, len(toks))
-				for _, tok := range toks {
-					id := Token{Src: tok.Src, Birth: tok.Birth, Serial: tok.Serial}
-					if seen[id] {
-						t.Fatalf("wpr=%d cap=%d: duplicate step-hash identity %+v", wpr, cap, id)
-					}
-					seen[id] = true
-				}
-			}
-			e.Run(simnet.NopHandler{}, T)
-			// Round 0's cohort: the injected walks plus every slot's fresh batch.
-			if got, want := countSamples(e, s), int64(room+32*wpr); got != want {
-				t.Fatalf("wpr=%d cap=%d: %d walks of round 0 delivered, want %d", wpr, cap, got, want)
-			}
+		room := 1<<16 - wpr
+		e := newEngine(32, churn.ZeroLaw{})
+		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T}, 0)
+		e.AddHook(s)
+		if got := s.Inject(e, 3, 1<<16+500, 0); got != room {
+			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
+		}
+		if got := s.Inject(e, 3, 1, 0); got != 0 {
+			t.Fatalf("wpr=%d: over-full slot accepted another token", wpr)
+		}
+		e.Run(simnet.NopHandler{}, T)
+		// Round 0's cohort: the injected walks plus every slot's fresh batch.
+		if got, want := countSamples(e, s), int64(room+32*wpr); got != want {
+			t.Fatalf("wpr=%d: %d walks of round 0 delivered, want %d", wpr, got, want)
 		}
 	}
 }
