@@ -77,15 +77,10 @@ func main() {
 	}
 
 	// -cachecap sweeps cache capacity without editing the spec (see
-	// EXPERIMENTS.md). It overrides phase-level cache blocks too, so the
-	// sweep axis is unambiguous.
+	// EXPERIMENTS.md); like the routing mode, the cache is the run's, so
+	// one run per capacity at the same seed is the comparison.
 	if *cacheCap >= 0 {
 		spec.Cache.Capacity = *cacheCap
-		for i := range spec.Phases {
-			if spec.Phases[i].Cache != nil {
-				spec.Phases[i].Cache.Capacity = *cacheCap
-			}
-		}
 	}
 
 	// -routing A/Bs a spec between the id-addressed oracle and overlay

@@ -152,7 +152,8 @@ type Config struct {
 	// Edges selects the topology's edge dynamics. The zero value is
 	// EdgesRerandomize (the oracle draws a fresh expander every round).
 	// EdgesSelfHealing turns the oracle off after round 0 and lets the
-	// peers maintain the expander themselves (internal/overlay).
+	// peers maintain the expander themselves (internal/overlay). Fixed for
+	// the run; to compare modes, run the same seed once per mode.
 	Edges EdgeMode
 	// SpectralEvery estimates the topology's second eigenvalue λ every
 	// k rounds (0 = off), surfaced in Stats.Overlay. Telemetry only: it
@@ -169,7 +170,7 @@ type Config struct {
 	// Cache enables hot-key caching (DESIGN.md §10): completed retrievals
 	// are cached and probabilistically replicated along walk samples, so
 	// hot keys resolve without committee formation. The zero value
-	// disables caching. Use Network.SetCache to vary it mid-run.
+	// disables caching. Fixed for the run, like Edges and Routing.
 	Cache CacheConfig
 	// TraceSampleEvery enables operation-lifecycle tracing: roughly one in
 	// k store/search operations is sampled (deterministically, by hashing
@@ -261,8 +262,8 @@ func NewCustom(cfg Config, adjust func(*walks.Params, *protocol.Params)) *Networ
 	e.AddNamedHook("soup", soup)
 	// The overlay hook must follow the soup: repair consumes the round's
 	// fresh samples and must rewire only after the soup's snapshot. It is
-	// always registered (repairs are inert outside EdgesSelfHealing) so
-	// SetEdgeMode can switch topologies mid-run.
+	// always registered (repairs are inert outside EdgesSelfHealing): its
+	// spectral telemetry runs under every edge mode.
 	ov := overlay.New(e, soup, overlay.Config{SpectralEvery: cfg.SpectralEvery})
 	e.AddNamedHook("overlay", ov)
 	h := protocol.NewHandler(e, soup, pp)
@@ -314,17 +315,6 @@ func (nw *Network) Results() []Result { return nw.h.DrainResults() }
 // SetFault installs (or, with nil, removes) the message fault model. Call
 // between Run calls; scenario phases use this to vary network quality.
 func (nw *Network) SetFault(f FaultModel) { nw.e.SetFault(f) }
-
-// SetCache reconfigures the hot-key cache mid-run: capacity 0 disables
-// it, raising capacity grows every node's cache region in place. Call
-// between Run calls; scenario phases use this for per-phase overrides
-// and capacity sweeps.
-func (nw *Network) SetCache(c CacheConfig) { nw.h.SetCache(c.Capacity, c.TTL, c.SeedRate) }
-
-// SetEdgeMode switches the topology's edge dynamics mid-run. Call
-// between Run calls; scenario phases use this to pit oracle-maintained
-// and self-maintained topologies against the same churn timeline.
-func (nw *Network) SetEdgeMode(mode EdgeMode) { nw.e.SetEdgeMode(mode) }
 
 // Stats returns a combined metrics snapshot.
 func (nw *Network) Stats() Stats {

@@ -128,11 +128,3 @@ func (d *Dynamic) Step(round int) {
 		panic("expander: unknown edge mode")
 	}
 }
-
-// SetMode switches the edge dynamics mid-run (scenario phases compare
-// oracle-maintained and self-maintained topologies inside one timeline).
-// The current graph is kept as-is: Rerandomize resumes rewriting it from
-// the next Step, Static freezes it, and SelfHealing freezes it for the
-// overlay to take over. The oracle's RNG stream is shared across modes,
-// so a run with mode switches remains deterministic in the seed.
-func (d *Dynamic) SetMode(mode EdgeMode) { d.cfg.Mode = mode }

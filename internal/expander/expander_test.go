@@ -146,37 +146,3 @@ func TestSelfHealingStepIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSetModeSwitches: a Dynamic switched from Static to Rerandomize
-// resumes rewiring, and back to SelfHealing freezes again.
-func TestSetModeSwitches(t *testing.T) {
-	d := New(Config{N: 200, Degree: 6, Mode: Static}, 24)
-	snap := func() []int32 { return append([]int32(nil), d.Graph().Neighbors(0)...) }
-	before := snap()
-	d.Step(1)
-	after := snap()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("static mode rewired")
-		}
-	}
-	d.SetMode(Rerandomize)
-	d.Step(2)
-	changed := false
-	for i, w := range snap() {
-		if before[i] != w {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("rerandomize after SetMode did not rewire")
-	}
-	frozen := snap()
-	d.SetMode(SelfHealing)
-	d.Step(3)
-	for i, w := range snap() {
-		if frozen[i] != w {
-			t.Fatal("self-healing mode rewired")
-		}
-	}
-}

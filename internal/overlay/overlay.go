@@ -140,16 +140,12 @@ type Overlay struct {
 	pairSeed uint64        // seeds the per-pair proposal streams
 	prng     []*rng.Stream // per-shard scratch streams, reseeded per pair
 
-	// active tracks whether the repair state (co, dang, ...) reflects the
-	// current graph. It drops whenever an oracle mode owns the edges and
-	// is rebuilt on the next SelfHealing round.
-	active bool
-
 	// co is the reciprocal-port table: for each port v·d+p with
 	// adj[v·d+p] = w, co[v·d+p] is the port q of w with adj[w·d+q] = v
 	// (and co[w·d+q] = p). It makes severing a churned slot's edges O(d)
-	// and is maintained through every rewire; activation rebuilds it in
-	// one pass over the graph.
+	// and is maintained through every rewire. It is built in one pass
+	// over the graph on the first SelfHealing round; nil means not built
+	// (the run's edges belong to an oracle mode, or no round ran yet).
 	co []int32
 	// dang marks dangling ports (bit v·d+p) during a repair round; bits
 	// are cleared as ports heal, so the mask is empty between rounds.
@@ -222,41 +218,34 @@ func New(e *simnet.Engine, soup *walks.Soup, cfg Config) *Overlay {
 // Metrics returns a snapshot of the counters.
 func (o *Overlay) Metrics() Metrics { return o.m }
 
-// StepRound implements simnet.RoundHook: sever and repair when the engine
-// is in SelfHealing mode, then take the round's spectral measurement if
+// StepRound implements simnet.RoundHook: sever and repair when the run's
+// edges are SelfHealing, then take the round's spectral measurement if
 // one is due. Runs serially; all randomness comes from the overlay's own
 // derived streams, so the engine's worker-count independence holds.
 func (o *Overlay) StepRound(e *simnet.Engine, round int) {
 	g := e.Graph()
 	if e.EdgeMode() == expander.SelfHealing {
-		if !o.active {
+		if o.co == nil {
 			o.activate(g)
 		}
 		o.repair(e, g, round)
-	} else {
-		// An oracle owns the edges: our port bookkeeping goes stale the
-		// moment it rewires, so rebuild on the next activation.
-		o.active = false
 	}
 	if o.cfg.SpectralEvery > 0 && round%o.cfg.SpectralEvery == 0 {
 		o.measure(g, round)
 	}
 }
 
-// activate (re)builds the repair state from the current graph: the
+// activate builds the repair state from the round-0 graph: the
 // reciprocal-port table, the scratch buffers, and one guard pass (the
-// inherited graph is only non-bipartite w.h.p.; after this the overlay
+// oracle's graph is only non-bipartite w.h.p.; after this the overlay
 // maintains the property itself).
 func (o *Overlay) activate(g *graph.Graph) {
 	nd := o.n * o.d
-	if o.co == nil {
-		o.co = make([]int32, nd)
-		o.dang = make([]uint64, (nd+63)/64)
-		o.color = make([]int8, o.n)
-		o.stack = make([]int32, 0, 64)
-	}
+	o.co = make([]int32, nd)
+	o.dang = make([]uint64, (nd+63)/64)
+	o.color = make([]int8, o.n)
+	o.stack = make([]int32, 0, 64)
 	o.buildCoPorts(g)
-	o.active = true
 	o.guard(g)
 }
 
@@ -596,7 +585,7 @@ func (o *Overlay) measure(g *graph.Graph, round int) {
 // port is left dangling between rounds. Test and experiment support; not
 // called on the hot path.
 func (o *Overlay) CheckInvariants(g *graph.Graph) error {
-	if !o.active {
+	if o.co == nil {
 		return nil
 	}
 	d := o.d

@@ -62,48 +62,14 @@ const cacheMaxDepth = 16
 // in the same round, and only the first install propagates).
 const cacheSeedFanout = 6
 
-// cacheRegion returns the slot's private window of the arena, sized to
-// the current runtime capacity.
+// cacheRegion returns the slot's private window of the arena.
 func (h *Handler) cacheRegion(slot int) []cacheEntry {
-	base := slot * h.cacheStride
+	base := slot * h.cacheCap
 	return h.cacheArena[base : base+h.cacheCap]
 }
 
 // cacheEnabled reports whether the cache path is active.
 func (h *Handler) cacheEnabled() bool { return h.cacheCap > 0 }
-
-// SetCache reconfigures the cache at runtime (call between rounds).
-// capacity 0 disables caching (entries are retained and reappear if a
-// later call re-enables it); growing the capacity past the high-water
-// stride reallocates the arena, preserving every slot's region. ttl 0
-// and rate 0 select the same defaults NewHandler applies.
-func (h *Handler) SetCache(capacity, ttl int, rate float64) {
-	switch {
-	case capacity < 0:
-		panic("protocol: negative cache capacity")
-	case ttl < 0:
-		panic("protocol: negative cache TTL")
-	case rate < 0 || rate > 1:
-		panic("protocol: cache seed rate must be in [0, 1]")
-	}
-	if ttl == 0 {
-		ttl = 2 * h.P.LandmarkTTL
-	}
-	if rate == 0 {
-		rate = defaultCacheSeedRate
-	}
-	if capacity > h.cacheStride {
-		arena := make([]cacheEntry, len(h.states)*capacity)
-		for s := range h.states {
-			copy(arena[s*capacity:], h.cacheArena[s*h.cacheStride:(s+1)*h.cacheStride])
-		}
-		h.cacheArena = arena
-		h.cacheStride = capacity
-	}
-	h.cacheCap = capacity
-	h.cacheTTL = ttl
-	h.cacheRate = rate
-}
 
 const defaultCacheSeedRate = 0.5
 
@@ -112,12 +78,9 @@ const defaultCacheSeedRate = 0.5
 // stamp survives so a buffer attached to one of the departed node's
 // in-flight replies is never rewritten under the reader.
 func (h *Handler) cacheClearSlot(slot int) {
-	if h.cacheStride == 0 {
-		return
-	}
-	base := slot * h.cacheStride
-	for i := base; i < base+h.cacheStride; i++ {
-		e := &h.cacheArena[i]
+	reg := h.cacheRegion(slot)
+	for i := range reg {
+		e := &reg[i]
 		e.key, e.expiry, e.used, e.served, e.depth = 0, 0, 0, 0, 0
 	}
 }
@@ -323,12 +286,9 @@ func (h *Handler) onSeed(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 // CachedAt reports whether slot currently holds a live cached copy of
 // key (introspection for tests; call between rounds only).
 func (h *Handler) CachedAt(slot int, key uint64, round int) bool {
-	if h.cacheStride == 0 {
-		return false
-	}
-	base := slot * h.cacheStride
-	for i := base; i < base+min(h.cacheCap, h.cacheStride); i++ {
-		e := &h.cacheArena[i]
+	reg := h.cacheRegion(slot)
+	for i := range reg {
+		e := &reg[i]
 		if e.expiry != 0 && e.key == key && round < int(e.expiry) {
 			return true
 		}
@@ -340,13 +300,10 @@ func (h *Handler) CachedAt(slot int, key uint64, round int) bool {
 // (introspection for tests and experiments; call between rounds only).
 func (h *Handler) CacheLoad(round int) int {
 	c := 0
-	for s := range h.states {
-		base := s * h.cacheStride
-		for i := base; i < base+h.cacheCap; i++ {
-			e := &h.cacheArena[i]
-			if e.expiry != 0 && round < int(e.expiry) {
-				c++
-			}
+	for i := range h.cacheArena {
+		e := &h.cacheArena[i]
+		if e.expiry != 0 && round < int(e.expiry) {
+			c++
 		}
 	}
 	return c

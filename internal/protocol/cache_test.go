@@ -10,8 +10,9 @@ import (
 // stored item, settled enough for retrievals to work.
 func cacheSim(t *testing.T, n int, ttl int) (*sim, uint64, []byte) {
 	t.Helper()
-	s := newSim(t, n, churn.ZeroLaw{}, 0, 9)
-	s.h.SetCache(4, ttl, 1)
+	s := newSimWith(t, n, churn.ZeroLaw{}, 9, func(p *Params) {
+		p.CacheCapacity, p.CacheTTL, p.CacheSeedRate = 4, ttl, 1
+	})
 	s.warm()
 	key := uint64(42)
 	data := itemBytes(key, 96)

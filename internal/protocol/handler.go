@@ -23,17 +23,14 @@ type Handler struct {
 
 	states []nodeState
 
-	// Hot-key cache (cache.go): one flat arena, slot s owning the region
-	// [s·stride, (s+1)·stride); cacheCap <= cacheStride is the runtime
-	// per-node capacity (SetCache can shrink without dropping entries and
-	// grow by rebuilding the arena). seed keys the deterministic
-	// replica-placement hash.
-	seed        uint64
-	cacheArena  []cacheEntry
-	cacheStride int
-	cacheCap    int
-	cacheTTL    int
-	cacheRate   float64
+	// Hot-key cache (cache.go): one flat arena sized once from
+	// Params.CacheCapacity, slot s owning the region [s·cap, (s+1)·cap).
+	// seed keys the deterministic replica-placement hash.
+	seed       uint64
+	cacheArena []cacheEntry
+	cacheCap   int
+	cacheTTL   int
+	cacheRate  float64
 
 	mu      sync.Mutex
 	results []SearchResult
@@ -238,8 +235,18 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
 		ctr:    newCounters(e.Telemetry()),
+
+		cacheArena: make([]cacheEntry, e.N()*p.CacheCapacity),
+		cacheCap:   p.CacheCapacity,
+		cacheTTL:   p.CacheTTL,
+		cacheRate:  p.CacheSeedRate,
 	}
-	h.SetCache(p.CacheCapacity, p.CacheTTL, p.CacheSeedRate)
+	if h.cacheTTL == 0 {
+		h.cacheTTL = 2 * p.LandmarkTTL
+	}
+	if h.cacheRate == 0 {
+		h.cacheRate = defaultCacheSeedRate
+	}
 	if p.IDAThreshold > 0 {
 		c, err := ida.New(p.IDAThreshold, p.CommitteeSize)
 		if err != nil {
@@ -270,7 +277,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 // holder which has already answered this round may get no reply.
 func (h *Handler) holdsKey(slot int, key uint64, round int) bool {
 	if h.cacheCap > 0 {
-		base := slot * h.cacheStride
+		base := slot * h.cacheCap
 		for i := base; i < base+h.cacheCap; i++ {
 			e := &h.cacheArena[i]
 			if e.expiry != 0 && e.key == key && round < int(e.expiry) {

@@ -22,6 +22,12 @@ type sim struct {
 
 func newSim(t testing.TB, n int, law churn.Law, idaK int, seed uint64) *sim {
 	t.Helper()
+	return newSimWith(t, n, law, seed, func(p *Params) { p.IDAThreshold = idaK })
+}
+
+// newSimWith is newSim with the protocol parameters adjusted by set.
+func newSimWith(t testing.TB, n int, law churn.Law, seed uint64, set func(*Params)) *sim {
+	t.Helper()
 	e := simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
 		AdversarySeed: seed, ProtocolSeed: seed + 1,
@@ -31,7 +37,7 @@ func newSim(t testing.TB, n int, law churn.Law, idaK int, seed uint64) *sim {
 	soup := walks.NewSoup(e, wp, 0)
 	e.AddHook(soup)
 	p := DefaultParams(n, wp.WalkLength)
-	p.IDAThreshold = idaK
+	set(&p)
 	h := NewHandler(e, soup, p)
 	return &sim{e: e, soup: soup, h: h}
 }

@@ -143,7 +143,7 @@ var builtins = []builtin{
 	},
 	{
 		name: "topology-storm",
-		desc: "churn bursts against static, oracle, and self-healing topologies",
+		desc: "churn bursts against a self-healing topology (edit topology.edges to rerun on static or rerandomize)",
 		build: func(n int, seed uint64) Spec {
 			T := unit(n)
 			burst := Churn{BurstPeriod: T, BurstWidth: max(1, T/4), BurstCount: max(2, n/12)}
@@ -152,17 +152,17 @@ var builtins = []builtin{
 			return Spec{
 				Name: "topology-storm", N: n, Seed: seed,
 				// Spectral telemetry every round: the whole point of the
-				// scenario is charting λ as each topology takes the same
-				// punishment.
-				Topology: Topology{Edges: "static", SpectralEvery: 1},
+				// scenario is charting λ as the peers repair the topology
+				// through the bursts. The edge mode is the run's; the static
+				// and oracle legs are this spec with topology.edges changed
+				// (-dump, edit, -spec), at the same seed.
+				Topology: Topology{Edges: "self-healing", SpectralEvery: 1},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: calm,
 						Load: Workload{StoreRate: 0.5, RetrieveRate: 0.2}},
-					{Name: "static-storm", Rounds: 3 * T, Churn: burst, Load: serve},
-					{Name: "oracle-calm", Rounds: 2 * T, Edges: "rerandomize", Churn: calm, Load: serve},
-					{Name: "oracle-storm", Rounds: 3 * T, Edges: "rerandomize", Churn: burst, Load: serve},
-					{Name: "heal-calm", Rounds: 2 * T, Edges: "self-healing", Churn: calm, Load: serve},
-					{Name: "heal-storm", Rounds: 3 * T, Edges: "self-healing", Churn: burst, Load: serve},
+					{Name: "storm", Rounds: 3 * T, Churn: burst, Load: serve},
+					{Name: "calm", Rounds: 2 * T, Churn: calm, Load: serve},
+					{Name: "storm-2", Rounds: 3 * T, Churn: burst, Load: serve},
 				},
 			}
 		},
@@ -175,25 +175,24 @@ var builtins = []builtin{
 			crowd := Workload{RetrieveRate: 25}
 			// Every protocol message hops the expander edge-by-edge, so the
 			// Zipf crowd's converging walks pile load onto the links around
-			// the hot committees. The two crowd phases differ only in
-			// caching: walk-seeded replicas let searches terminate early at
-			// a holder, which shows up directly as lower hop quantiles,
-			// fewer budget drops, and a smaller max link load. Capacity is
-			// left unlimited on purpose — a finite cap clamps the max-link
-			// gauge to the cap in any saturated round, which would erase
-			// exactly the cold-vs-cached contrast this scenario charts.
+			// the hot committees. Walk-seeded replicas let searches
+			// terminate early at a holder, which shows up directly as
+			// lower hop quantiles, fewer budget drops, and a smaller max
+			// link load; the cold leg is the same run with -cachecap 0.
+			// Link capacity is left unlimited on purpose — a finite cap
+			// clamps the max-link gauge to the cap in any saturated round,
+			// which would erase exactly the cold-vs-cached contrast this
+			// scenario charts.
 			return Spec{
 				Name: "hot-path-congestion", N: n, Seed: seed, ZipfS: 3.0,
 				Keys:    8,
+				Cache:   CacheSpec{Capacity: 8, SeedRate: 1},
 				Routing: RoutingSpec{Mode: "overlay"},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.5},
 						Load: Workload{StoreRate: 0.5}},
-					{Name: "crowd-cold", Rounds: 4 * T, Churn: Churn{Rate: 0.5},
+					{Name: "crowd", Rounds: 8 * T, Churn: Churn{Rate: 0.5},
 						Load: crowd},
-					{Name: "crowd-cached", Rounds: 4 * T, Churn: Churn{Rate: 0.5},
-						Cache: &CacheSpec{Capacity: 8, SeedRate: 1},
-						Load:  crowd},
 				},
 			}
 		},

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"dynp2p"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/telemetry"
 )
@@ -193,20 +192,11 @@ func run(spec Spec, opt Options) (*runner, error) {
 	r.runSegment(-1, "warmup", spec.WarmupRounds(), Workload{})
 	for i := range spec.Phases {
 		p := &spec.Phases[i]
-		nw.SetFault(p.Fault.model())
-		if p.Edges != "" {
-			// Validated by spec.Validate; a phase-level switch persists
-			// until another phase overrides it.
-			m, err := expander.ParseEdgeMode(p.Edges)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q phase %d: %w", spec.Name, i, err)
-			}
-			nw.SetEdgeMode(m)
-		}
-		if p.Cache != nil {
-			// Like Edges: a phase-level cache override persists until a
-			// later phase overrides it again.
-			nw.SetCache(p.Cache.config())
+		// SetFault drops the messages the old model still delays, so a
+		// boundary that keeps the fault model must not call it. Phase 0's
+		// model is the one the network was built with.
+		if i > 0 && p.Fault != spec.Phases[i-1].Fault {
+			nw.SetFault(p.Fault.model())
 		}
 		r.runSegment(i, p.Name, p.Rounds, p.Load)
 	}

@@ -355,15 +355,16 @@ func TestUnknownBuiltin(t *testing.T) {
 }
 
 // TestTopologyBlock pins the spec's topology block: parsing, defaults,
-// degree override, and validation of edge-mode names at both spec and
-// phase level.
+// degree override, and validation of edge-mode names. The edge mode and
+// the cache are the run's, so a phase-level "edges" or "cache" key is an
+// unknown field.
 func TestTopologyBlock(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
 		"name": "topo", "n": 64, "seed": 1,
 		"topology": {"edges": "self-healing", "degree": 6, "spectralEvery": 2},
 		"phases": [
 			{"name": "a", "rounds": 5},
-			{"name": "b", "rounds": 5, "edges": "rerandomize"}
+			{"name": "b", "rounds": 5}
 		]
 	}`))
 	if err != nil {
@@ -377,13 +378,12 @@ func TestTopologyBlock(t *testing.T) {
 	}
 
 	bad := map[string]string{
-		"bad spec mode":  `{"name":"x","n":64,"topology":{"edges":"mesh"},"phases":[{"name":"p","rounds":5}]}`,
-		"bad phase mode": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"mesh"}]}`,
-		"periodic":       `{"name":"x","n":64,"topology":{"edges":"periodic"},"phases":[{"name":"p","rounds":5}]}`,
-		"periodic phase": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"periodic"}]}`,
-		"ring":           `{"name":"x","n":64,"topology":{"edges":"ring+random"},"phases":[{"name":"p","rounds":5}]}`,
-		"ring phase":     `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"ring+random"}]}`,
-		"neg spectral":   `{"name":"x","n":64,"topology":{"spectralEvery":-1},"phases":[{"name":"p","rounds":5}]}`,
+		"bad spec mode": `{"name":"x","n":64,"topology":{"edges":"mesh"},"phases":[{"name":"p","rounds":5}]}`,
+		"periodic":      `{"name":"x","n":64,"topology":{"edges":"periodic"},"phases":[{"name":"p","rounds":5}]}`,
+		"ring":          `{"name":"x","n":64,"topology":{"edges":"ring+random"},"phases":[{"name":"p","rounds":5}]}`,
+		"neg spectral":  `{"name":"x","n":64,"topology":{"spectralEvery":-1},"phases":[{"name":"p","rounds":5}]}`,
+		"phase edges":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"rerandomize"}]}`,
+		"phase cache":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"cache":{"capacity":4}}]}`,
 	}
 	for what, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {
@@ -392,19 +392,18 @@ func TestTopologyBlock(t *testing.T) {
 	}
 }
 
-// TestTopologySwitchAndLambdaTrace runs a two-phase spec that switches
-// from the oracle to self-healing mid-run with per-round spectral
-// telemetry: repairs must happen only after the switch, the trace must
-// carry lambda values, and the phase reports must carry the per-phase
-// spectral maxima.
-func TestTopologySwitchAndLambdaTrace(t *testing.T) {
+// TestSelfHealingLambdaTrace runs a two-phase self-healing spec with
+// per-round spectral telemetry whose first phase has no churn: repairs
+// must happen only once churn starts, the trace must carry lambda values,
+// and the phase reports must carry the per-phase spectral maxima.
+func TestSelfHealingLambdaTrace(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
-		"name": "switch", "n": 128, "seed": 3,
-		"topology": {"spectralEvery": 1},
+		"name": "heal", "n": 128, "seed": 3,
+		"topology": {"edges": "self-healing", "spectralEvery": 1},
 		"phases": [
-			{"name": "oracle", "rounds": 8, "churn": {"fixed": 4},
+			{"name": "calm", "rounds": 8,
 			 "load": {"storeRate": 0.5, "retrieveRate": 0.5}},
-			{"name": "heal", "rounds": 8, "edges": "self-healing", "churn": {"fixed": 4},
+			{"name": "storm", "rounds": 8, "churn": {"fixed": 4},
 			 "load": {"retrieveRate": 0.5}}
 		]
 	}`))
@@ -416,30 +415,30 @@ func TestTopologySwitchAndLambdaTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var oracle, heal *PhaseReport
+	var calm, storm *PhaseReport
 	for i := range rep.Phases {
 		switch rep.Phases[i].Name {
-		case "oracle":
-			oracle = &rep.Phases[i]
-		case "heal":
-			heal = &rep.Phases[i]
+		case "calm":
+			calm = &rep.Phases[i]
+		case "storm":
+			storm = &rep.Phases[i]
 		}
 	}
-	if oracle == nil || heal == nil {
+	if calm == nil || storm == nil {
 		t.Fatal("missing phase reports")
 	}
-	if oracle.Repairs != 0 {
-		t.Fatalf("repairs before the self-healing switch: %d", oracle.Repairs)
+	if calm.Repairs != 0 {
+		t.Fatalf("repairs without churn: %d", calm.Repairs)
 	}
-	if heal.Repairs == 0 {
-		t.Fatal("no repairs after the self-healing switch")
+	if storm.Repairs == 0 {
+		t.Fatal("no repairs under churn")
 	}
-	if oracle.LambdaMax <= 0 || oracle.LambdaMax >= 1 || heal.LambdaMax <= 0 || heal.LambdaMax >= 1 {
-		t.Fatalf("implausible per-phase λ maxima: oracle=%v heal=%v", oracle.LambdaMax, heal.LambdaMax)
+	if calm.LambdaMax <= 0 || calm.LambdaMax >= 1 || storm.LambdaMax <= 0 || storm.LambdaMax >= 1 {
+		t.Fatalf("implausible per-phase λ maxima: calm=%v storm=%v", calm.LambdaMax, storm.LambdaMax)
 	}
 	// Every traced round carries a lambda (spectralEvery=1); repairs
-	// appear only in heal-phase records.
-	lambdas, healRepairs := 0, int64(0)
+	// appear only in storm-phase records.
+	lambdas, stormRepairs := 0, int64(0)
 	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
 		var rec TraceRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -448,18 +447,16 @@ func TestTopologySwitchAndLambdaTrace(t *testing.T) {
 		if rec.Lambda != nil {
 			lambdas++
 		}
-		if rec.Phase == "oracle" && rec.Repairs != 0 {
-			t.Fatalf("trace shows repairs in oracle phase: %+v", rec)
+		if rec.Phase != "storm" && rec.Repairs != 0 {
+			t.Fatalf("trace shows repairs outside the churned phase: %+v", rec)
 		}
-		if rec.Phase == "heal" || rec.Phase == "drain" {
-			healRepairs += rec.Repairs
-		}
+		stormRepairs += rec.Repairs
 	}
 	if lambdas != rep.Rounds {
 		t.Fatalf("lambda on %d of %d traced rounds (want all: spectralEvery=1)", lambdas, rep.Rounds)
 	}
-	if healRepairs == 0 {
-		t.Fatal("trace shows no repairs in the self-healing window")
+	if stormRepairs != storm.Repairs {
+		t.Fatalf("trace shows %d repairs, the storm phase report %d", stormRepairs, storm.Repairs)
 	}
 	var out bytes.Buffer
 	rep.Fprint(&out)
@@ -468,40 +465,74 @@ func TestTopologySwitchAndLambdaTrace(t *testing.T) {
 	}
 }
 
-// TestPhaseCacheOverridePersists pins the override contract for the
-// per-phase cache block: like Edges, a phase-level Cache reconfiguration
-// stays in force for every subsequent phase until another phase overrides
-// it again. The witness is a phase AFTER the enabling one, with no cache
-// field of its own, still producing cache hits.
-func TestPhaseCacheOverridePersists(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{
-		"name": "cache-persist", "n": 64, "seed": 7, "keys": 4, "zipfS": 3.0,
-		"phases": [
-			{"name": "seed", "rounds": 12, "load": {"storeRate": 1}},
-			{"name": "on", "rounds": 20, "cache": {"capacity": 4, "seedRate": 1},
-			 "load": {"retrieveRate": 2}},
-			{"name": "after", "rounds": 20, "load": {"retrieveRate": 2}}
-		]
-	}`))
+// TestSplitPhaseIsInvisible: a phase boundary that changes nothing must
+// change nothing. One 40-round lossy phase and the same phase split into
+// two identical 20-round phases give equal stats and totals; a boundary
+// that reinstalled the same fault model would drop every message it was
+// still delaying. Oracle routing, because the routed max-link gauge
+// resets per segment.
+func TestSplitPhaseIsInvisible(t *testing.T) {
+	p := Phase{
+		Name: "serve", Rounds: 40, Churn: Churn{Rate: 0.5},
+		Load:  Workload{StoreRate: 0.5, RetrieveRate: 1.5},
+		Fault: Fault{Drop: 0.1, DelayProb: 0.2, MaxDelay: 2},
+	}
+	half := p
+	half.Rounds = 20
+	whole := Spec{Name: "split", N: 128, Seed: 4, Phases: []Phase{p}}
+	split := whole
+	split.Phases = []Phase{half, half}
+	a, err := Run(whole, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, Options{})
+	b, err := Run(split, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]PhaseReport{}
-	for _, p := range rep.Phases {
-		byName[p.Name] = p
+	if a.Stats != b.Stats {
+		t.Fatalf("split phase changed the run's stats:\n%+v\n%+v", a.Stats, b.Stats)
 	}
-	if h := byName["seed"].SLO.CacheHits; h != 0 {
-		t.Fatalf("cache hits before the cache override: %d", h)
+	if a.Total != b.Total {
+		t.Fatalf("split phase changed the run's totals:\n%+v\n%+v", a.Total, b.Total)
 	}
-	if h := byName["on"].SLO.CacheHits; h == 0 {
-		t.Fatal("no cache hits in the phase that enabled caching")
+}
+
+// TestHotPathCachedBeatsCold pins the contrast hot-path-congestion exists
+// to show, as two runs at one seed (the cache is the run's): in the crowd
+// phase the cached run drops fewer routed messages, loads its busiest
+// link less, and serves most of its successes from a cache.
+func TestHotPathCachedBeatsCold(t *testing.T) {
+	crowd := func(capacity int) PhaseReport {
+		spec, err := Builtin("hot-path-congestion", 128, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Cache.Capacity = capacity
+		rep, err := Run(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.Phases {
+			if p.Name == "crowd" {
+				return p
+			}
+		}
+		t.Fatal("no crowd phase in the report")
+		return PhaseReport{}
 	}
-	if h := byName["after"].SLO.CacheHits; h == 0 {
-		t.Fatal("cache override did not persist: no hits in the following phase")
+	cached, cold := crowd(8), crowd(0)
+	if cached.RouteDrops >= cold.RouteDrops {
+		t.Errorf("routed drops: cached %d, cold %d", cached.RouteDrops, cold.RouteDrops)
+	}
+	if cached.MaxLinkLoad >= cold.MaxLinkLoad {
+		t.Errorf("max link load: cached %d, cold %d", cached.MaxLinkLoad, cold.MaxLinkLoad)
+	}
+	if 2*cached.SLO.CacheHits <= cached.SLO.Succeeded {
+		t.Errorf("cache-served %d of %d successes, want most", cached.SLO.CacheHits, cached.SLO.Succeeded)
+	}
+	if cold.SLO.CacheHits != 0 {
+		t.Errorf("cold run served %d retrievals from a cache", cold.SLO.CacheHits)
 	}
 }
 

@@ -63,9 +63,9 @@ type Spec struct {
 	// Topology selects the run's edge dynamics (default: the oracle
 	// re-randomizing every round) and spectral telemetry cadence.
 	Topology Topology `json:"topology,omitempty"`
-	// Cache enables hot-key caching (DESIGN.md §10) for the whole run.
-	// Phases may override it mid-run (Phase.Cache); the zero value
-	// disables caching.
+	// Cache enables hot-key caching (DESIGN.md §10) for the whole run;
+	// the zero value disables caching. To compare cache settings, run the
+	// spec once per setting (cmd/scenario -cachecap).
 	Cache CacheSpec `json:"cache,omitempty"`
 	// Routing selects how protocol messages travel (DESIGN.md §11): the
 	// zero value is the oracle (one-round teleports); mode "overlay"
@@ -84,7 +84,7 @@ type Spec struct {
 type Topology struct {
 	// Edges names the edge dynamics:
 	// rerandomize | static | self-healing.
-	// Empty means rerandomize. Phases may override it mid-run (Phase.Edges).
+	// Empty means rerandomize. The mode holds for the whole run.
 	Edges string `json:"edges,omitempty"`
 	// Degree is the expander degree (even); overrides Spec.Degree when
 	// both are set.
@@ -101,14 +101,6 @@ type Phase struct {
 	Churn  Churn    `json:"churn,omitempty"`
 	Load   Workload `json:"load,omitempty"`
 	Fault  Fault    `json:"fault,omitempty"`
-	// Edges, when set, switches the topology's edge dynamics at the
-	// start of this phase (same names as Topology.Edges). Empty keeps
-	// whatever mode is in force — switches persist across later phases.
-	Edges string `json:"edges,omitempty"`
-	// Cache, when non-nil, reconfigures the hot-key cache at the start
-	// of this phase (capacity 0 switches caching off). Like Edges, the
-	// override persists until a later phase overrides it again.
-	Cache *CacheSpec `json:"cache,omitempty"`
 }
 
 // CacheSpec configures the hot-key cache (DESIGN.md §10): per-node
@@ -126,7 +118,7 @@ func (c CacheSpec) config() dynp2p.CacheConfig {
 	return dynp2p.CacheConfig{Capacity: c.Capacity, TTL: c.TTL, SeedRate: c.SeedRate}
 }
 
-// check validates a cache block (shared by the spec and phase levels).
+// check validates the cache block.
 func (c CacheSpec) check() error {
 	switch {
 	case c.Capacity < 0:
@@ -308,16 +300,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	for i, p := range s.Phases {
-		if p.Cache != nil {
-			if err := p.Cache.check(); err != nil {
-				return fmt.Errorf("scenario %q phase %d (%s): %w", s.Name, i, p.Name, err)
-			}
-		}
-		if p.Edges != "" {
-			if _, err := expander.ParseEdgeMode(p.Edges); err != nil {
-				return fmt.Errorf("scenario %q phase %d (%s): %w", s.Name, i, p.Name, err)
-			}
-		}
 		switch {
 		case p.Rounds <= 0:
 			return fmt.Errorf("scenario %q phase %d (%s): rounds must be > 0", s.Name, i, p.Name)

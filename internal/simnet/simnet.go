@@ -606,19 +606,9 @@ func (e *Engine) Workers() int { return e.workers }
 // staging exchanges and the engine's agree on slot ownership.
 func (e *Engine) Grid() shard.Grid { return e.grid }
 
-// EdgeMode returns the topology's current edge-dynamics mode.
+// EdgeMode returns the topology's edge-dynamics mode, fixed for the run
+// at construction (Config.EdgeMode).
 func (e *Engine) EdgeMode() expander.EdgeMode { return e.cfg.EdgeMode }
-
-// SetEdgeMode switches the topology's edge dynamics mid-run. Call between
-// Run calls; scenario phases use it to pit oracle-maintained and
-// self-maintained topologies against the same churn timeline. Switching
-// to SelfHealing hands the current graph to the overlay hook (which
-// rebuilds its port bookkeeping on activation); switching back lets the
-// oracle resume rewriting edges.
-func (e *Engine) SetEdgeMode(mode expander.EdgeMode) {
-	e.cfg.EdgeMode = mode
-	e.topo.SetMode(mode)
-}
 
 // IDAt returns the id occupying slot s.
 func (e *Engine) IDAt(s int) NodeID { return e.ids[s] }

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -14,15 +12,10 @@ import (
 // route) plus one per named hook.
 const maxPhases = 16
 
-// ringDepth is how many rounds of per-phase timings the ring buffer
-// retains for the text summary's recent-window statistics.
-const ringDepth = 256
-
-// PhaseProfiler times the engine round loop phase by phase into a
-// preallocated ring buffer. All of its output is wall-clock and therefore
-// outside the determinism contract: it registers timing counters
-// (excluded from DeterministicSnapshot) and its summaries are only
-// schema-pinned by tests, never value-pinned.
+// PhaseProfiler times the engine round loop phase by phase. All of its
+// output is wall-clock and therefore outside the determinism contract: it
+// registers timing counters (excluded from DeterministicSnapshot) and its
+// JSONL stream is only schema-pinned by tests, never value-pinned.
 //
 // Usage: the engine calls Begin at the top of the round, then Lap(phase)
 // after each phase completes; EndRound closes the round. Single-writer,
@@ -30,15 +23,9 @@ const ringDepth = 256
 type PhaseProfiler struct {
 	names  []string
 	totals []Counter // dynp2p_phase_<name>_ns_total timing counters
-	reg    *Registry
 
-	rounds int64
-	cur    [maxPhases]int64 // this round's per-phase ns
-	last   time.Time
-
-	ring [ringDepth][maxPhases]int64
-	head int
-	fill int
+	cur  [maxPhases]int64 // this round's per-phase ns
+	last time.Time
 
 	w   *bufio.Writer // JSONL stream, nil when off
 	buf []byte
@@ -50,7 +37,7 @@ func NewPhaseProfiler(reg *Registry, names []string) *PhaseProfiler {
 	if len(names) > maxPhases {
 		names = names[:maxPhases]
 	}
-	p := &PhaseProfiler{names: append([]string(nil), names...), reg: reg}
+	p := &PhaseProfiler{names: append([]string(nil), names...)}
 	for _, n := range p.names {
 		p.totals = append(p.totals, reg.TimingCounter("dynp2p_phase_"+n+"_ns_total", "cumulative wall-clock ns in round phase "+n))
 	}
@@ -94,15 +81,9 @@ func (p *PhaseProfiler) Lap(i int) {
 	p.last = now
 }
 
-// EndRound commits the round's timings to the ring, the registry, and the
-// JSONL stream. round is the engine round just finished.
+// EndRound commits the round's timings to the registry and the JSONL
+// stream. round is the engine round just finished.
 func (p *PhaseProfiler) EndRound(round int64) {
-	p.rounds++
-	copy(p.ring[p.head][:], p.cur[:len(p.names)])
-	p.head = (p.head + 1) % ringDepth
-	if p.fill < ringDepth {
-		p.fill++
-	}
 	for i := range p.names {
 		p.totals[i].Add(0, p.cur[i])
 	}
@@ -119,55 +100,5 @@ func (p *PhaseProfiler) EndRound(round int64) {
 		b = append(b, '}', '\n')
 		p.buf = b
 		p.w.Write(b)
-	}
-}
-
-// Summary writes a text table of per-phase timings: cumulative share of
-// the run plus mean/p50/p99 over the recent ring window.
-func (p *PhaseProfiler) Summary(w io.Writer) {
-	fmt.Fprintf(w, "round-phase profile (%d rounds, window %d)\n", p.rounds, p.fill)
-	var grand int64
-	totals := make([]int64, len(p.names))
-	for i := range p.names {
-		totals[i] = p.totals[i].Value()
-		grand += totals[i]
-	}
-	if grand == 0 {
-		grand = 1
-	}
-	fmt.Fprintf(w, "  %-14s %10s %7s %12s %12s %12s\n", "phase", "total", "share", "mean/round", "p50", "p99")
-	window := make([]int64, 0, ringDepth)
-	for i, name := range p.names {
-		window = window[:0]
-		for r := 0; r < p.fill; r++ {
-			window = append(window, p.ring[r][i])
-		}
-		sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
-		var p50, p99 int64
-		if n := len(window); n > 0 {
-			p50, p99 = window[n/2], window[n*99/100]
-		}
-		mean := int64(0)
-		if p.rounds > 0 {
-			mean = totals[i] / p.rounds
-		}
-		fmt.Fprintf(w, "  %-14s %10s %6.1f%% %12s %12s %12s\n",
-			name, fmtNS(totals[i]), 100*float64(totals[i])/float64(grand),
-			fmtNS(mean), fmtNS(p50), fmtNS(p99))
-	}
-	fmt.Fprintf(w, "  %-14s %10s\n", "total", fmtNS(grand))
-}
-
-// fmtNS renders nanoseconds with an adaptive unit.
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 10*1e9:
-		return fmt.Sprintf("%.1fs", float64(ns)/1e9)
-	case ns >= 10*1e6:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	case ns >= 10*1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
 	}
 }

@@ -197,34 +197,3 @@ func TestSelfHealingWorkerIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestSelfHealingModeSwitchFacade pins the facade-level topology switch
-// the scenario runner uses: oracle → self-healing → static on one
-// network, with repairs only in the self-healing window.
-func TestSelfHealingModeSwitchFacade(t *testing.T) {
-	nw := New(Config{N: 512, ChurnRate: 1, ChurnDelta: 0.5, Seed: 9})
-	nw.Run(nw.WarmupRounds())
-	if s := nw.Stats().Overlay; s.PortsSevered != 0 {
-		t.Fatalf("repairs under oracle mode: %+v", s)
-	}
-	nw.SetEdgeMode(EdgesSelfHealing)
-	nw.Run(20)
-	mid := nw.Stats().Overlay
-	if mid.PortsSevered == 0 {
-		t.Fatal("no repairs after switching to self-healing")
-	}
-	if err := nw.Engine().Graph().CheckRegular(); err != nil {
-		t.Fatal(err)
-	}
-	nw.SetEdgeMode(EdgesStatic)
-	snap := append([]int32(nil), nw.Engine().Graph().Adjacency()...)
-	nw.Run(10)
-	if got := nw.Stats().Overlay; got.PortsSevered != mid.PortsSevered {
-		t.Fatalf("repairs continued under static mode: %+v -> %+v", mid, got)
-	}
-	for i, w := range nw.Engine().Graph().Adjacency() {
-		if snap[i] != w {
-			t.Fatal("static mode rewired an edge")
-		}
-	}
-}
