@@ -73,6 +73,21 @@ func TestE01SoupShape(t *testing.T) {
 			t.Fatalf("band fraction %v too low (row %v)", band, row)
 		}
 	}
+	// E01 is a pure function of its seed, so the whole table is pinned, as
+	// E02's is.
+	want := [][]string{
+		{"256", "19", "0.0338", "0.164", "87.2%", "41.7%", "41.0%"},
+		{"512", "32", "0.0323", "0.210", "79.5%", "45.7%", "44.4%"},
+		{"1024", "56", "0.0312", "0.269", "69.3%", "48.0%", "46.5%"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tb.Rows), len(want))
+	}
+	for i, row := range tb.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("row %d = %v, want %v", i, row, want[i])
+		}
+	}
 }
 
 func TestE02CompletionShape(t *testing.T) {

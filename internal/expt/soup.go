@@ -34,7 +34,9 @@ func soupStack(n int, law churn.Law, p walks.Params, seed uint64) (*simnet.Engin
 // Measured: total-variation distance of walk endpoints from uniform
 // (destination marginal and per-tracer-source), the fraction of
 // destinations whose empirical hit probability lies in the theorem's
-// [1/17n, 3/2n] band, and walk survival.
+// [1/17n, 3/2n] band, and walk survival. The tracer batches are extra
+// walks, which only the walks' reference model injects, so E01 runs on it
+// (uncapped, it delivers the soup's samples).
 func E01SoupMixing(scale Scale) *Table {
 	t := &Table{
 		ID:    "E01",
@@ -52,7 +54,9 @@ func E01SoupMixing(scale Scale) *Table {
 	for _, n := range ns {
 		law := churn.PaperLaw(1, 0.5)
 		p := walks.DefaultParams(n)
-		e, s := soupStack(n, law, p, 0xE01)
+		e := soupEngine(n, law, 0xE01)
+		s := walks.NewReference(e, p, 0, 0)
+		e.AddHook(s)
 		warm := 2 * p.WalkLength
 		window := 3 * p.WalkLength
 		e.Run(simnet.NopHandler{}, warm)
@@ -69,7 +73,7 @@ func E01SoupMixing(scale Scale) *Table {
 				slot := (i*n/nTracers + 7) % n
 				id := e.IDAt(slot)
 				tracerIDs[id] = i
-				s.Inject(e, slot, tracerBatch, e.Round())
+				s.Inject(e, slot, tracerBatch)
 			}
 			e.RunRound(simnet.NopHandler{})
 			for slot := 0; slot < n; slot++ {
@@ -95,7 +99,8 @@ func E01SoupMixing(scale Scale) *Table {
 		}
 		tvTracer /= nTracers
 		bandFrac /= nTracers
-		m := s.Metrics()
+		// Survival over the delivered cohorts, as the soup counts it.
+		m := s.Delivered(e.Round() - p.WalkLength)
 		survival := float64(m.Completed) / float64(m.Completed+m.Died)
 		// A walk survives T rounds of churn with probability about
 		// (1 - churn/n)^T = exp(-T*churn/n); with the paper's law that is

@@ -44,6 +44,8 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"bad strategy":        `{"name":"x","n":64,"strategy":"chaotic","phases":[{"name":"p","rounds":5}]}`,
 		"negative churn":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"fixed":-2}}]}`,
 		"negative delay":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"delayProb":0.5,"maxDelay":-1}}]}`,
+		"delay without max":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"delayProb":0.2}}]}`,
+		"max without delay":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"fault":{"drop":0.1,"maxDelay":2}}]}`,
 		"negative delta":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"rate":0.5,"delta":-0.9}}]}`,
 		"overwide burst":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"burstPeriod":4,"burstWidth":10,"burstCount":8}}]}`,
 		"bad route mode":      `{"name":"x","n":64,"routing":{"mode":"teleport"},"phases":[{"name":"p","rounds":5}]}`,
@@ -355,13 +357,13 @@ func TestUnknownBuiltin(t *testing.T) {
 }
 
 // TestTopologyBlock pins the spec's topology block: parsing, defaults,
-// degree override, and validation of edge-mode names. The edge mode and
-// the cache are the run's, so a phase-level "edges" or "cache" key is an
-// unknown field.
+// and validation of edge-mode names. The edge mode and the cache are the
+// run's, so a phase-level "edges" or "cache" key is an unknown field; the
+// degree is the spec's, so a "degree" inside the block is one too.
 func TestTopologyBlock(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
-		"name": "topo", "n": 64, "seed": 1,
-		"topology": {"edges": "self-healing", "degree": 6, "spectralEvery": 2},
+		"name": "topo", "n": 64, "seed": 1, "degree": 6,
+		"topology": {"edges": "self-healing", "spectralEvery": 2},
 		"phases": [
 			{"name": "a", "rounds": 5},
 			{"name": "b", "rounds": 5}
@@ -371,7 +373,7 @@ func TestTopologyBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if spec.Degree != 6 {
-		t.Fatalf("topology degree override not applied: degree=%d", spec.Degree)
+		t.Fatalf("top-level degree not applied: degree=%d", spec.Degree)
 	}
 	if m, err := spec.edgeMode(); err != nil || m.String() != "self-healing" {
 		t.Fatalf("edgeMode = %v, %v", m, err)
@@ -384,6 +386,7 @@ func TestTopologyBlock(t *testing.T) {
 		"neg spectral":  `{"name":"x","n":64,"topology":{"spectralEvery":-1},"phases":[{"name":"p","rounds":5}]}`,
 		"phase edges":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"edges":"rerandomize"}]}`,
 		"phase cache":   `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"cache":{"capacity":4}}]}`,
+		"block degree":  `{"name":"x","n":64,"topology":{"degree":6},"phases":[{"name":"p","rounds":5}]}`,
 	}
 	for what, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {

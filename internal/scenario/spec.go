@@ -78,17 +78,13 @@ type Spec struct {
 }
 
 // Topology is the spec's topology block: which edge dynamics maintain
-// the expander, at what degree, and how often to measure its spectral
-// gap. Historically both mode and degree were hardwired; specs and
-// builtins now select them.
+// the expander and how often to measure its spectral gap. The degree is
+// the spec's top-level Degree.
 type Topology struct {
 	// Edges names the edge dynamics:
 	// rerandomize | static | self-healing.
 	// Empty means rerandomize. The mode holds for the whole run.
 	Edges string `json:"edges,omitempty"`
-	// Degree is the expander degree (even); overrides Spec.Degree when
-	// both are set.
-	Degree int `json:"degree,omitempty"`
 	// SpectralEvery estimates the second eigenvalue λ every k rounds
 	// (0 = off); measured values appear in traces and phase reports.
 	SpectralEvery int `json:"spectralEvery,omitempty"`
@@ -230,7 +226,8 @@ type Fault struct {
 	Drop float64 `json:"drop,omitempty"`
 	// DelayProb delays a surviving message with this probability ...
 	DelayProb float64 `json:"delayProb,omitempty"`
-	// MaxDelay ... by a uniform 1..MaxDelay extra rounds.
+	// MaxDelay ... by a uniform 1..MaxDelay extra rounds. Set both or
+	// neither.
 	MaxDelay int `json:"maxDelay,omitempty"`
 }
 
@@ -245,9 +242,6 @@ func (f Fault) model() dynp2p.FaultModel {
 
 // normalize fills defaults in place.
 func (s *Spec) normalize() {
-	if s.Topology.Degree != 0 {
-		s.Degree = s.Topology.Degree
-	}
 	if s.Degree == 0 {
 		s.Degree = 8
 	}
@@ -309,6 +303,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %q phase %d (%s): drop must be in [0, 1)", s.Name, i, p.Name)
 		case p.Fault.DelayProb < 0 || p.Fault.DelayProb > 1 || p.Fault.MaxDelay < 0:
 			return fmt.Errorf("scenario %q phase %d (%s): invalid delay config", s.Name, i, p.Name)
+		case (p.Fault.DelayProb > 0) != (p.Fault.MaxDelay > 0):
+			return fmt.Errorf("scenario %q phase %d (%s): delayProb and maxDelay must be set together (got %g, %d)",
+				s.Name, i, p.Name, p.Fault.DelayProb, p.Fault.MaxDelay)
 		case p.Churn.Rate < 0 || p.Churn.Fixed < 0 || p.Churn.RampFrom < 0 || p.Churn.RampTo < 0 || p.Churn.BurstCount < 0:
 			return fmt.Errorf("scenario %q phase %d (%s): negative churn config", s.Name, i, p.Name)
 		case p.Churn.Delta < 0:

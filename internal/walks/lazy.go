@@ -7,12 +7,11 @@ package walks
 // exactly one thing from a walk — its endpoint after T rounds (the Soup
 // Theorem). So the soup holds no token between rounds. StepRound records
 // only the round's inputs in a (T+2)-deep ring — topology change, occupant
-// changes, the set of replaced slots and the round's Inject calls — and
-// replays one birth cohort's full trajectory at its delivery round
-// birth+T-1, with per-step death checks against the ring. Every live slot
-// mints WalksPerRound implicit walks and Inject records explicit extras; a
-// cohort's tokens exist only inside its delivery, in one buffer per shard
-// that the next delivery reuses.
+// changes and the set of replaced slots — and replays one birth cohort's
+// full trajectory at its delivery round birth+T-1, with per-step death
+// checks against the ring. A cohort is exactly the WalksPerRound walks
+// every slot mints in one round; its tokens exist only inside its
+// delivery, in one buffer per shard that the next delivery reuses.
 //
 // The counters follow the tokens: a cohort's generation, moves, deaths and
 // completions are booked in the round it is delivered, so Metrics() is the
@@ -63,22 +62,12 @@ import (
 )
 
 // replayTok is one live token of the cohort being delivered: the
-// step-hash identity plus the current slot. 16 bytes, updated in place —
-// replay is a single sequential stream per shard.
+// step-hash identity (its birth round is the cohort's, lazySoup.advB) plus
+// the current slot. 16 bytes, updated in place — replay is a single
+// sequential stream per shard.
 type replayTok struct {
 	idser uint64 // src<<16 | serial
-	birth int32  // birth round (normally the cohort round; Inject may differ)
 	pos   int32  // slot the token occupies after the last replayed round
-}
-
-// injRec is one Inject call, recorded (Soup.inj) until the next StepRound
-// and from there in the round's ring entry until its cohort is delivered.
-type injRec struct {
-	slot  int32
-	count int32
-	birth int32
-	base  uint16 // first serial: WalksPerRound + the slot's earlier injections
-	id    simnet.NodeID
 }
 
 // idDelta records one occupant change: slot's occupant became id in the
@@ -91,12 +80,11 @@ type idDelta struct {
 
 // lazyRound is one ring entry of recorded round inputs: the round's
 // adjacency TRANSITION (deltas from the previous round's row, or a full
-// snapshot when the interval was disrupted), the round's occupant changes
-// and the Inject calls made for the cohort born in it. The occupant
-// changes are kept twice: as the list that steps the id table forward, and
-// as the bitset a replay tests a token's slot against — exact for this
-// round even when the slot churns again inside the window, which the
-// engine's latest-occupancy record is not.
+// snapshot when the interval was disrupted) and the round's occupant
+// changes. The occupant changes are kept twice: as the list that steps
+// the id table forward, and as the bitset a replay tests a token's slot
+// against — exact for this round even when the slot churns again inside
+// the window, which the engine's latest-occupancy record is not.
 type lazyRound struct {
 	round     int32             // validity tag; -1 = empty
 	disrupted bool              // snap holds the round's full row; deltas void
@@ -104,7 +92,6 @@ type lazyRound struct {
 	snap      []int32           // full n·d row, allocated on first disruption
 	idDeltas  []idDelta         // occupant changes in this round (churned slots)
 	death     []uint64          // the same slots as a bitset: bit s%64 of word s/64
-	inj       []injRec          // extra walks of the cohort born this round
 }
 
 // lazySoup is the soup-wide ring state hanging off Soup.lz.
@@ -138,8 +125,7 @@ type lazySoup struct {
 
 	// The delivery in progress, written by lzDeliver before the lanes start
 	// and by lzEndRound between rounds: cohort advB replays round advR
-	// against advRow. advR == advB-1 is the creation phase, which reads
-	// tailIds (the round-advB occupants) instead of a row.
+	// against advRow.
 	advB, advR int
 	advRow     []int32
 }
@@ -233,8 +219,8 @@ func (lz *lazySoup) advanceTail(to int) {
 }
 
 // StepRound implements simnet.RoundHook: it records the round's inputs
-// (journal drain, id deltas, injections) and, once a cohort falls due,
-// moves the tail to its birth round and delivers it (lzDeliver).
+// (journal drain, id deltas) and, once a cohort falls due, moves the tail
+// to its birth round and delivers it (lzDeliver).
 func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	lz := s.lz
 	rr := &lz.rounds[round%lz.depth]
@@ -278,9 +264,6 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 		}
 		lz.tailIds = e.LiveIDs(lz.tailIds[:0])
 	}
-	// The entry takes the round's injection record; the soup gets the ring
-	// slot's previous list back, emptied.
-	rr.inj, s.inj = s.inj, rr.inj[:0]
 	for i := range s.shards {
 		ss := &s.shards[i]
 		for dsh := range ss.outSmp {
@@ -295,16 +278,16 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	}
 }
 
-// lzDeliver creates cohort b from the tail (which stands at round b),
-// replays it through its T rounds and publishes its samples, folding the
-// tallies into the soup metrics.
+// lzDeliver replays cohort b through its T rounds from the tail (which
+// stands at round b), publishes its samples and folds its tallies into the
+// soup metrics.
 //
 // The work runs on the prebuilt replay lanes (lzLane), one per worker
 // with the caller as lane 0; a single lane is the serial case of the
 // same code.
 func (s *Soup) lzDeliver(b int) {
 	lz := s.lz
-	lz.advB, lz.advR, lz.advRow = b, b-1, lz.tailRow
+	lz.advB, lz.advR, lz.advRow = b, b, lz.tailRow
 	lz.cursor.Store(0)
 	lz.wg.Add(len(lz.spawn))
 	for _, spawn := range lz.spawn {
@@ -321,24 +304,22 @@ func (s *Soup) lzDeliver(b int) {
 // lzLane is one replay lane's share of the delivery in progress. Replay is
 // round-major: the lanes claim shards off the cursor and step them
 // through round r against the one materialized adjacency row, and a
-// barrier separates r from r+1 (and cohort creation from the first
-// round); lzEndRound, the barrier's last-arriver callback, moves the row
-// while every lane is parked.
+// barrier separates r from r+1; lzEndRound, the barrier's last-arriver
+// callback, moves the row while every lane is parked. In the birth round a
+// lane creates a shard's cohort just before stepping it: the lane owns the
+// shard's cohort buffer for the whole round.
 func (s *Soup) lzLane() {
 	lz := s.lz
 	b, nsh := lz.advB, int64(len(s.shards))
 	final := b + lz.T - 1
 	for {
 		r, row := lz.advR, lz.advRow
-		if r >= b {
-			lz.warmRow(row)
-		}
+		lz.warmRow(row)
 		for sh := lz.cursor.Add(1) - 1; sh < nsh; sh = lz.cursor.Add(1) - 1 {
-			if r < b {
+			if r == b {
 				s.lzCreateShard(&s.shards[sh])
-			} else {
-				s.lzReplayShard(&s.shards[sh], r, r == final, row)
 			}
+			s.lzReplayShard(&s.shards[sh], r, r == final, row)
 		}
 		lz.bar.Wait(lz.lzEndRound)
 		if r == final {
@@ -352,14 +333,13 @@ func (s *Soup) lzLane() {
 	}
 }
 
-// lzEndRound closes phase advR of the delivery in progress, serially, with
+// lzEndRound closes round advR of the delivery in progress, serially, with
 // every lane parked at the barrier: it re-arms the shard cursor and moves
-// the shared row to the next round. The creation phase is followed by
-// round advB, whose row is the tail row the delivery started with.
+// the shared row to the next round.
 func (lz *lazySoup) lzEndRound() {
 	lz.cursor.Store(0)
 	lz.advR++
-	if lz.advR > lz.advB && lz.advR < lz.advB+lz.T {
+	if lz.advR < lz.advB+lz.T {
 		lz.advRow = lz.rowAt(lz.advRow, lz.advR)
 	}
 }
@@ -385,53 +365,26 @@ func lzReplaced(death []uint64, slot int32) bool {
 }
 
 // lzCreateShard materializes the delivering cohort's tokens born in ss's
-// slots into the shard's cohort buffer: recorded injections first (they were stored
-// at their slot before the round began, so they die with a churned
-// carrier), then one implicit fresh batch per slot with serials 0 …
-// WalksPerRound-1 — identical semantics to the Reference's generation.
-// The tail stands at the cohort's birth round, so tailIds are the
-// occupants.
+// slots into the shard's cohort buffer: one fresh batch per slot with
+// serials 0 … WalksPerRound-1 — identical semantics to the Reference's
+// generation. The tail stands at the cohort's birth round, so tailIds are
+// the occupants.
 func (s *Soup) lzCreateShard(ss *soupShard) {
-	lz := s.lz
-	b := lz.advB
-	ring := lz.entry(b)
-	ids := lz.tailIds
-	var death []uint64
-	if len(ring.idDeltas) > 0 {
-		death = ring.death
-	}
+	ids := s.lz.tailIds
 	toks := ss.cohort[:0]
-	var injected, died int64
-	lo, hi := ss.lo, ss.hi
-	for i := range ring.inj {
-		in := &ring.inj[i]
-		if slot := int(in.slot); slot < lo || slot >= hi {
-			continue
-		}
-		injected += int64(in.count)
-		if lzReplaced(death, in.slot) {
-			died += int64(in.count)
-			continue
-		}
-		idser := uint64(in.id) << 16
-		for k := int32(0); k < in.count; k++ {
-			toks = append(toks, replayTok{idser: idser | uint64(in.base+uint16(k)), birth: in.birth, pos: in.slot})
-		}
-	}
 	wpr := s.p.WalksPerRound
-	for slot := lo; slot < hi; slot++ {
+	for slot := ss.lo; slot < ss.hi; slot++ {
 		id := ids[slot]
 		if uint64(id) >= maxSrcID {
 			panic("walks: node id exceeds the packed staging range")
 		}
 		idser := uint64(id) << 16
 		for k := 0; k < wpr; k++ {
-			toks = append(toks, replayTok{idser: idser | uint64(k), birth: int32(b), pos: int32(slot)})
+			toks = append(toks, replayTok{idser: idser | uint64(k), pos: int32(slot)})
 		}
 	}
 	ss.cohort = toks
-	ss.tally.Generated += int64(hi-lo)*int64(wpr) + injected
-	ss.tally.Died += died
+	ss.tally.Generated += int64(ss.hi-ss.lo) * int64(wpr)
 }
 
 // lzReplayShard advances the delivering cohort's tokens in ss by the
@@ -450,14 +403,14 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	d := lz.d
 	du := uint64(d)
 	var death []uint64
-	// At the cohort's birth round every token is freshly minted (injected
-	// deaths were resolved at creation), so only later rounds check for
-	// churn.
+	// At the cohort's birth round every token is freshly minted at a live
+	// slot, so only later rounds check for churn.
 	if r > lz.advB && len(ring.idDeltas) > 0 {
 		death = ring.death
 	}
 	lazyWalk := s.p.Lazy
 	x := stepSeed(s.seed, r)
+	birth := int32(lz.advB)
 	slotLoc := s.slotLoc
 	var died, moves, completed int64
 	w := 0
@@ -468,7 +421,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 			continue
 		}
 		// Step core — keep in sync with Reference.StepRound (reference.go).
-		h := stepMix(x, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
+		h := stepMix(x, simnet.NodeID(t.idser>>16), birth, uint16(t.idser))
 		pos := t.pos
 		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
 			if lazyWalk {
@@ -483,7 +436,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 			loc := slotLoc[pos]
 			dsh := loc >> shard.LocalBits
 			ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
-				loc: t.idser>>16<<shard.LocalBits | uint64(loc&localMask), birth: t.birth})
+				loc: t.idser>>16<<shard.LocalBits | uint64(loc&localMask)})
 		} else {
 			t.pos = pos
 			toks[w] = t
@@ -496,28 +449,34 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	ss.tally.Completed += completed
 }
 
-// lzMemBytes is the soup's row of the memory ledger: the ring (tail
-// and replay rows, snapshots, delta and id-delta lists, death bitsets,
-// injection records) and the shards' cohort buffers, each capacity times
-// element size, read only when a snapshot is taken.
-func (s *Soup) lzMemBytes() (ring, cohort int64) {
+// lzMemBytes is the soup's row of the memory ledger: the ring (tail and
+// replay rows, snapshots, delta and id-delta lists, death bitsets), the
+// shards' cohort buffers and their samples (staging, store and offset
+// index), each capacity times element size, read only when a snapshot is
+// taken.
+func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
 	lz := s.lz
 	const (
 		idSize  = int(unsafe.Sizeof(simnet.NodeID(0)))
 		pdSize  = int(unsafe.Sizeof(graph.PortDelta{}))
 		idDSize = int(unsafe.Sizeof(idDelta{}))
-		injSize = int(unsafe.Sizeof(injRec{}))
 		tokSize = int(unsafe.Sizeof(replayTok{}))
+		stgSize = int(unsafe.Sizeof(stagedSmp{}))
+		smpSize = int(unsafe.Sizeof(Sample{}))
 	)
 	b := (cap(lz.tailBuf)+cap(lz.repRow))*4 + cap(lz.tailIds)*idSize
 	for i := range lz.rounds {
 		e := &lz.rounds[i]
-		b += cap(e.snap)*4 + cap(e.deltas)*pdSize + cap(e.idDeltas)*idDSize +
-			cap(e.death)*8 + cap(e.inj)*injSize
+		b += cap(e.snap)*4 + cap(e.deltas)*pdSize + cap(e.idDeltas)*idDSize + cap(e.death)*8
 	}
-	c := 0
+	c, m := 0, 0
 	for i := range s.shards {
-		c += cap(s.shards[i].cohort) * tokSize
+		ss := &s.shards[i]
+		c += cap(ss.cohort) * tokSize
+		m += cap(ss.smp)*smpSize + cap(ss.smpOff)*4
+		for _, out := range ss.outSmp {
+			m += cap(out) * stgSize
+		}
 	}
-	return int64(b), int64(c)
+	return int64(b), int64(c), int64(m)
 }

@@ -1,9 +1,9 @@
 package walks
 
 import (
-	"cmp"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dynp2p/internal/churn"
 	"dynp2p/internal/simnet"
@@ -17,20 +17,15 @@ func lazyTestParams() Params {
 // TestLazyDeterministicAcrossWorkerCounts: every observation — each
 // round's ordered samples and the metrics — must be identical at every
 // worker count even though multi-worker deliveries claim shards in
-// scheduling order. Injecting every round gives every
-// cohort a shard whose buffer starts with injected walks; the mixed
-// pattern interleaves cohorts with and without them.
+// scheduling order.
 func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n, rounds = 128, 48
-	run := func(workers int, inject func(r int) bool) [][]uint64 {
+	run := func(workers int) [][]uint64 {
 		e := newEngine(n, churn.FixedLaw{Count: 4}, 51, 52)
 		s := NewSoup(e, lazyTestParams(), workers)
 		e.AddHook(s)
 		trace := make([][]uint64, rounds)
 		for r := 0; r < rounds; r++ {
-			if inject(r) {
-				s.Inject(e, (r*11)%n, 9, e.Round())
-			}
 			e.RunRound(simnet.NopHandler{})
 			m := s.Metrics()
 			rec := []uint64{uint64(m.Generated), uint64(m.Completed), uint64(m.Died), uint64(m.Moves)}
@@ -43,66 +38,42 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return trace
 	}
-	for _, c := range []struct {
-		name   string
-		inject func(r int) bool
-	}{
-		{"every-round", func(int) bool { return true }},
-		{"mixed", func(r int) bool { return r%7 < 3 }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			want := run(1, c.inject)
-			for _, workers := range []int{2, 3, 8} {
-				got := run(workers, c.inject)
-				for r := range want {
-					if !slices.Equal(got[r], want[r]) {
-						t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
-							workers, r, len(got[r]), len(want[r]))
-					}
-				}
+	want := run(1)
+	for _, workers := range []int{2, 3, 8} {
+		got := run(workers)
+		for r := range want {
+			if !slices.Equal(got[r], want[r]) {
+				t.Fatalf("workers=%d diverges from workers=1 at round %d (%d vs %d observations)",
+					workers, r, len(got[r]), len(want[r]))
 			}
-		})
+		}
 	}
 }
 
-// TestInjectGenerationSerialDisjoint pins the walk-identity invariant:
-// fresh walks hold serials 0 … WalksPerRound-1 and injected walks continue
-// from WalksPerRound across calls, so injecting into a slot immediately
-// before RunRound — once, twice, or up to the uint16 clamp, into the slot
-// that also generates that round — must never mint two tokens sharing a
-// (Src, Birth, Serial) step-hash identity (a collision would make the pair
-// walk in lock-step forever). The run churns, so the audit also covers the
+// TestInjectGenerationSerialDisjoint pins the walk-identity invariant on
+// the reference model, the one walk store that injects: fresh walks hold
+// serials 0 … WalksPerRound-1 and injected walks continue from
+// WalksPerRound across calls, so injecting into a slot immediately before
+// RunRound — once, twice, or up to the uint16 clamp, into the slot that
+// also generates that round — must never mint two tokens sharing a (Src,
+// Birth, Serial) step-hash identity (a collision would make the pair walk
+// in lock-step forever). The run churns, so the audit also covers the
 // replaced-slot path where generation runs under a fresh id while the
-// injected tokens died with the old one. The reference model holds its
-// tokens, so every in-flight identity is audited every round. The soup
-// holds none; a walk's endpoint is a function of its identity, so it must
-// deliver the audited reference run's samples, slot for slot and round
-// for round.
+// injected tokens died with the old one. The model holds its tokens, so
+// every in-flight identity is audited every round.
 func TestInjectGenerationSerialDisjoint(t *testing.T) {
-	const n, rounds, wpr = 64, 40, 3
-	p := Params{WalksPerRound: wpr, WalkLength: 6}
-	type landing struct {
-		slot int
-		Sample
-	}
-	type soup interface {
-		simnet.RoundHook
-		Inject(e *simnet.Engine, slot, count, round int) int
-		Samples(slot int) []Sample
-		Metrics() Metrics
-	}
-	// run drives the soup newSoup builds through the injection pattern,
-	// calling check after every round, and returns each round's landings.
-	run := func(t *testing.T, newSoup func(*simnet.Engine) soup, check func(r int)) [][]landing {
+	t.Run("reference", func(t *testing.T) {
+		const n, rounds, wpr = 64, 40, 3
+		p := Params{WalksPerRound: wpr, WalkLength: 6}
 		e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
-		s := newSoup(e)
-		e.AddHook(s)
-		delivered := make([][]landing, rounds)
+		ref := NewReference(e, p, 0, 0)
+		e.AddHook(ref)
+		seen := make(map[Token]bool)
 		for r := 0; r < rounds; r++ {
 			slot := (r * 13) % n
 			inject := func(count, want int) {
 				t.Helper()
-				if got := s.Inject(e, slot, count, e.Round()); got != want {
+				if got := ref.Inject(e, slot, count); got != want {
 					t.Fatalf("round %d: injected %d of %d, want %d", r, got, count, want)
 				}
 			}
@@ -118,25 +89,6 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 				inject(1, 0)
 			}
 			e.RunRound(simnet.NopHandler{})
-			check(r)
-			for sl := 0; sl < n; sl++ {
-				for _, sm := range s.Samples(sl) {
-					delivered[r] = append(delivered[r], landing{sl, sm})
-				}
-			}
-			slices.SortFunc(delivered[r], func(a, b landing) int {
-				return cmp.Or(cmp.Compare(a.slot, b.slot), cmpSample(a.Sample, b.Sample))
-			})
-		}
-		if s.Metrics().Completed == 0 {
-			t.Fatal("no cohort ever delivered; the run never crossed a delivery round")
-		}
-		return delivered
-	}
-	reference := func(t *testing.T) [][]landing {
-		var ref *Reference
-		seen := make(map[Token]bool)
-		return run(t, func(e *simnet.Engine) soup { ref = NewReference(e, p, 0, 0); return ref }, func(r int) {
 			clear(seen)
 			for sl, bucket := range ref.buckets {
 				for _, tok := range bucket {
@@ -147,24 +99,9 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 					seen[id] = true
 				}
 			}
-		})
-	}
-	t.Run("reference", func(t *testing.T) { reference(t) })
-	t.Run("lazy", func(t *testing.T) {
-		want := reference(t)
-		var s *Soup
-		got := run(t, func(e *simnet.Engine) soup { s = NewSoup(e, p, 0); return s }, func(r int) {
-			// Injected walks that died with a carrier churned in their birth
-			// round are part of their cohort too.
-			if m := s.Metrics(); m.Generated != m.Completed+m.Died {
-				t.Fatalf("round %d: Generated != Completed + Died: %+v", r, m)
-			}
-		})
-		for r := range want {
-			if !slices.Equal(got[r], want[r]) {
-				t.Fatalf("round %d: the soup delivered %d samples that differ from the reference's %d",
-					r, len(got[r]), len(want[r]))
-			}
+		}
+		if ref.Metrics().Completed == 0 {
+			t.Fatal("no walk ever completed; the run never crossed a delivery round")
 		}
 	})
 }
@@ -188,9 +125,17 @@ func TestLazySteadyStateReleasesBuffers(t *testing.T) {
 			t.Fatalf("shard %d still holds %d tokens between deliveries, want 0", i, held)
 		}
 	}
-	ring, cohort := s.lzMemBytes()
+	ring, cohort, samples := s.lzMemBytes()
 	if want := int64(n * p.WalksPerRound * 16); cohort != want {
 		t.Fatalf("cohort buffers hold %d bytes, want one cohort's %d", cohort, want)
+	}
+	// A staged sample is its packed source and destination alone: the
+	// birth round is the delivering cohort's.
+	if sz := unsafe.Sizeof(stagedSmp{}); sz != 8 {
+		t.Fatalf("a staged sample is %d bytes, want 8", sz)
+	}
+	if floor := int64(n * p.WalksPerRound * 8); samples < floor {
+		t.Fatalf("sample buffers report %d bytes, below one cohort's staging %d", samples, floor)
 	}
 	if floor := int64(2 * n * e.Degree() * 4); ring < floor {
 		t.Fatalf("ring reports %d bytes, below its two materialized rows' %d", ring, floor)

@@ -9,9 +9,10 @@ import (
 // Reference is the serial reference model of the soup: the per-slot-bucket
 // implementation the soup started as, transcribed serially, and the one
 // place the paper's per-node forwarding cap (2h·log n) and walk deadline τ
-// are modelled (Lemma 1, §3). Under a cap a token's fate depends on its
-// position in its slot's bucket, so the buckets are materialized here as
-// []Token slices; the soup, which never defers a token, holds none.
+// are modelled (Lemma 1, §3), as are traced extra walks (Inject). Under a
+// cap a token's fate depends on its position in its slot's bucket, so the
+// buckets are materialized here as []Token slices; the soup, which never
+// defers a token, holds none.
 //
 // One round: tokens at churned slots die, last round's samples are
 // cleared, every slot appends its fresh walks to its bucket, and every
@@ -19,8 +20,9 @@ import (
 // (Overdue), one past the cap waits in its slot (Deferred), the rest take
 // one step. Arrivals append destination by destination in ascending
 // source-slot order. The model shares only stepHash with the soup and
-// follows the same walk-identity rule (DESIGN.md §6), so without a cap it
-// delivers the soup's samples slot for slot and round for round.
+// follows the same walk-identity rule (DESIGN.md §6), so without a cap and
+// without Inject it delivers the soup's samples slot for slot and round for
+// round.
 //
 // Every event is counted twice: in Metrics in the round it happens, and in
 // cohorts under the walk's birth round (the soup books a cohort when it is
@@ -68,21 +70,36 @@ func (s *Reference) cohort(birth int32) *Metrics {
 	return &s.cohorts[birth]
 }
 
-// Inject is Soup.Inject on the model: the walks join slot's bucket now,
-// numbered and clamped by the same serial rule.
-func (s *Reference) Inject(e *simnet.Engine, slot, count, round int) int {
+// Delivered sums the tallies of every cohort born in or before round
+// last: what the soup has booked once cohort last is delivered.
+func (s *Reference) Delivered(last int) Metrics {
+	var m Metrics
+	for b := 0; b <= last && b < len(s.cohorts); b++ {
+		m.add(&s.cohorts[b])
+	}
+	return m
+}
+
+// Inject starts count extra walks from slot, born in the round about to
+// run (e.Round()), and returns how many it started: their serials continue
+// from WalksPerRound across the slot's calls this round, clamped to the
+// uint16 range (a wrapped serial would make two walks share their
+// step-hash identity and walk in lock-step). The walks join slot's bucket
+// now, so a carrier churned in their birth round takes them with it.
+func (s *Reference) Inject(e *simnet.Engine, slot, count int) int {
 	id := e.IDAt(slot)
+	round := int32(e.Round())
 	base := s.p.WalksPerRound + s.injected[slot]
 	count = max(min(count, 1<<16-base), 0)
 	for k := 0; k < count; k++ {
 		s.buckets[slot] = append(s.buckets[slot], Token{
-			Src: id, Birth: int32(round), Serial: uint16(base + k),
+			Src: id, Birth: round, Serial: uint16(base + k),
 			Steps: uint16(s.p.WalkLength),
 		})
 	}
 	s.injected[slot] += count
 	s.m.Generated += int64(count)
-	s.cohort(int32(round)).Generated += int64(count)
+	s.cohort(round).Generated += int64(count)
 	return count
 }
 

@@ -12,17 +12,6 @@ import (
 	"dynp2p/internal/simnet"
 )
 
-// delivered sums the reference's tallies of every cohort born in or
-// before round last: what the soup has booked once cohort last is
-// delivered.
-func (s *Reference) delivered(last int) Metrics {
-	var m Metrics
-	for b := 0; b <= last && b < len(s.cohorts); b++ {
-		m.add(&s.cohorts[b])
-	}
-	return m
-}
-
 func cmpSample(a, b Sample) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c
@@ -31,11 +20,10 @@ func cmpSample(a, b Sample) int {
 }
 
 // runAgainstReference drives a soup and the uncapped reference model on
-// one engine for rounds rounds (with periodic Injects, some of them two
-// calls on one slot), comparing them every round. The soup keeps a sample
-// order of its own: per-slot sample multisets must be equal, Metrics()
-// must equal the reference's tallies of the cohorts delivered so far
-// (born <= r-T+1), and Generated == Completed + Died.
+// one engine for rounds rounds, comparing them every round. The soup keeps
+// a sample order of its own: per-slot sample multisets must be equal,
+// Metrics() must equal the reference's tallies of the cohorts delivered so
+// far (born <= r-T+1), and Generated == Completed + Died.
 func runAgainstReference(t *testing.T, p Params, workers, n, rounds int) {
 	t.Helper()
 	runAgainstReferenceShards(t, p, workers, 0, n, rounds)
@@ -67,19 +55,9 @@ func runAgainstReferenceOn(t *testing.T, e *simnet.Engine, p Params, workers, ro
 	e.AddHook(soup)
 	e.AddHook(ref)
 	for r := 0; r < rounds; r++ {
-		if r%37 == 5 {
-			slot := (r * 13) % n
-			for call := 0; call <= r%2; call++ { // odd rounds: a second call continues the serials
-				got := soup.Inject(e, slot, 40, e.Round())
-				want := ref.Inject(e, slot, 40, e.Round())
-				if got != want {
-					t.Fatalf("round %d: Inject returned %d, reference %d", r, got, want)
-				}
-			}
-		}
 		e.RunRound(simnet.NopHandler{})
 		m := soup.Metrics()
-		if want := ref.delivered(r - p.WalkLength + 1); m != want {
+		if want := ref.Delivered(r - p.WalkLength + 1); m != want {
 			t.Fatalf("round %d workers=%d: metrics diverged from the delivered cohorts' tallies:\nsoup      %+v\nreference %+v", r, workers, m, want)
 		}
 		if m.Generated != m.Completed+m.Died {
@@ -104,9 +82,9 @@ func runAgainstReferenceOn(t *testing.T, e *simnet.Engine, p Params, workers, ro
 }
 
 // TestLazyMatchesReference is the bugfix safety net for the lazy
-// trajectory evaluator: several hundred rounds of churn + Lazy + periodic
-// injection, compared against the naive reference model every round —
-// per-slot sample multisets, the delivered cohorts' metrics and
+// trajectory evaluator: several hundred rounds of churn + Lazy, compared
+// against the naive reference model every round — per-slot sample
+// multisets, the delivered cohorts' metrics and
 // Generated == Completed + Died — at worker counts 1, 3, and GOMAXPROCS.
 func TestLazyMatchesReference(t *testing.T) {
 	p := Params{WalksPerRound: 3, WalkLength: 7, Lazy: true}

@@ -14,15 +14,15 @@ const (
 	// the source id and its destination's local slot index into one 64-bit
 	// word, so ids must fit 64-LocalBits = 38 bits. Ids are dense and
 	// monotone, so 2.7·10¹¹ of them outlast any feasible simulation;
-	// generation and Inject guard the bound.
+	// generation guards the bound.
 	maxSrcID = 1 << (64 - shard.LocalBits)
 )
 
-// stagedSmp is one completed walk in flight to its endpoint.
+// stagedSmp is one completed walk in flight to its endpoint. Every walk
+// of a delivery is born in the delivering cohort's round, so the birth
+// round is not staged.
 type stagedSmp struct {
-	loc   uint64 // src<<LocalBits | destination-local slot index
-	birth int32
-	_     int32
+	loc uint64 // src<<LocalBits | destination-local slot index
 }
 
 // soupShard is one shard's slice of the soup: the per-round sample store,
@@ -57,8 +57,8 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	slots := ss.hi - ss.lo
 	ss.smpOff = make([]int32, slots+1)
 	ss.counts = make([]int32, slots)
-	// A cohort is exactly slots·wpr records at creation plus the round's
-	// injections (tokens only die after that).
+	// A cohort is exactly slots·wpr records at creation (tokens only die
+	// after that).
 	ss.cohort = make([]replayTok, 0, slots*wpr)
 
 	// Pre-size the sample staging to its steady-state maximum. Each round
@@ -98,6 +98,7 @@ func (s *Soup) gatherSamplesShard(ds *soupShard, dsh int) {
 		}
 	}
 	stotal := int(shard.Offsets(counts, ds.smpOff))
+	birth := int32(s.lz.advB)
 	if cap(ds.smp) < stotal {
 		ds.smp = make([]Sample, stotal, max(stotal, 2*cap(ds.smp)))
 	} else {
@@ -109,7 +110,7 @@ func (s *Soup) gatherSamplesShard(ds *soupShard, dsh int) {
 			l := t.loc & localMask
 			pos := counts[l]
 			counts[l] = pos + 1
-			ds.smp[pos] = Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: t.birth}
+			ds.smp[pos] = Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: birth}
 		}
 	}
 }

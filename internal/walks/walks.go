@@ -23,7 +23,8 @@
 //     canonical no matter the parallelism.
 //   - Reference (reference.go) is the serial per-slot-bucket model the soup
 //     is pinned to, and the model of the paper's per-node forwarding cap
-//     and walk deadline (Lemma 1), which experiments run on it.
+//     and walk deadline (Lemma 1) and of traced extra walks (Inject),
+//     which experiments run on it.
 package walks
 
 import (
@@ -119,11 +120,6 @@ type Soup struct {
 	// between-round token state (lazy.go).
 	lz *lazySoup
 
-	// inj records the Inject calls since the last StepRound, which moves it
-	// into the round's ring entry; the injected tokens are minted from
-	// there at delivery. Inject numbers a slot's next injection from it.
-	inj []injRec
-
 	workers int
 }
 
@@ -165,9 +161,10 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 		emit("dynp2p_soup_completed_total", telemetry.KindCounter, m.Completed)
 		emit("dynp2p_soup_died_total", telemetry.KindCounter, m.Died)
 		emit("dynp2p_soup_moves_total", telemetry.KindCounter, m.Moves)
-		ring, cohort := s.lzMemBytes()
+		ring, cohort, samples := s.lzMemBytes()
 		emit("dynp2p_soup_mem_ring_bytes", telemetry.KindGauge, ring)
 		emit("dynp2p_soup_mem_cohort_bytes", telemetry.KindGauge, cohort)
+		emit("dynp2p_soup_mem_samples_bytes", telemetry.KindGauge, samples)
 	})
 	return s
 }
@@ -185,39 +182,6 @@ func (s *Soup) Samples(slot int) []Sample {
 	sh, local := shard.Loc(s.slotLoc[slot])
 	ss := &s.shards[sh]
 	return ss.smp[ss.smpOff[local]:ss.smpOff[local+1]]
-}
-
-// Inject starts count extra walks from the given slot this round (on top
-// of WalksPerRound). Used by experiments that trace a single batch. A walk
-// is identified by (source id, birth round, Serial): the round's fresh
-// walks hold serials 0 … WalksPerRound-1, and injected walks continue from
-// WalksPerRound upward across repeated calls on one slot until the next
-// StepRound. The Serial is a uint16, so Inject clamps count at 65536 −
-// WalksPerRound − the walks already injected at slot since the last
-// StepRound (a wrapped serial would make two tokens share their step-hash
-// identity and walk in lock-step) and returns the number actually injected.
-// round is the walks' birth round and should be the round about to run:
-// serials only separate walks of one (source, birth round). The walks are
-// minted and counted when their cohort is delivered.
-func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
-	base := s.p.WalksPerRound
-	for i := range s.inj {
-		if int(s.inj[i].slot) == slot {
-			base += int(s.inj[i].count)
-		}
-	}
-	count = min(count, 1<<16-base)
-	if count <= 0 {
-		return 0
-	}
-	id := e.IDAt(slot)
-	if uint64(id) >= maxSrcID {
-		panic("walks: node id exceeds the packed staging range")
-	}
-	s.inj = append(s.inj, injRec{
-		slot: int32(slot), count: int32(count), id: id, birth: int32(round), base: uint16(base),
-	})
-	return count
 }
 
 // stepHash derives the per-token per-round randomness. Mixing is

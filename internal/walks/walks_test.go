@@ -26,8 +26,8 @@ func newEngine(n int, law churn.Law, seeds ...uint64) *simnet.Engine {
 }
 
 // countSamples returns the number of walks delivered network-wide in the
-// round that just ran.
-func countSamples(e *simnet.Engine, s *Soup) int64 {
+// round that just ran, on the soup or the reference model.
+func countSamples(e *simnet.Engine, s interface{ Samples(int) []Sample }) int64 {
 	var c int64
 	for slot := 0; slot < e.N(); slot++ {
 		c += int64(len(s.Samples(slot)))
@@ -62,13 +62,14 @@ func TestTokenConservationNoChurn(t *testing.T) {
 
 func TestWalksCompleteInExactlyTRounds(t *testing.T) {
 	// With no cap and no churn, a batch injected at round r completes at
-	// round r+T-1... the T-th movement. Verify via a single injection.
+	// round r+T-1... the T-th movement. Verify via a single injection on
+	// the reference model, the one walk store that injects.
 	e := newEngine(128, churn.ZeroLaw{})
 	p := Params{WalksPerRound: 0, WalkLength: 5}
-	s := NewSoup(e, p, 0)
+	s := NewReference(e, p, 0, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{}) // round 0, no tokens
-	s.Inject(e, 7, 100, 1)
+	s.Inject(e, 7, 100)
 	completedAt := -1
 	for r := 1; r <= 10; r++ {
 		e.RunRound(simnet.NopHandler{})
@@ -81,31 +82,40 @@ func TestWalksCompleteInExactlyTRounds(t *testing.T) {
 	}
 }
 
+// TestSamplesCarrySource pins the invariant the soup's staging relies on:
+// a delivery is exactly one cohort, so every sample delivered in round r
+// was born in round r-T+1, and its source held a slot in that round.
 func TestSamplesCarrySource(t *testing.T) {
-	e := newEngine(64, churn.ZeroLaw{})
-	p := Params{WalksPerRound: 0, WalkLength: 3}
-	s := NewSoup(e, p, 0)
-	e.AddHook(s)
-	e.RunRound(simnet.NopHandler{})
-	srcID := e.IDAt(5)
-	s.Inject(e, 5, 50, 1)
-	total := 0
-	for r := 1; r <= 3; r++ {
-		e.RunRound(simnet.NopHandler{})
-		for slot := 0; slot < e.N(); slot++ {
-			for _, sample := range s.Samples(slot) {
-				if sample.Src != srcID {
-					t.Fatalf("sample src %d, want %d", sample.Src, srcID)
+	const n, rounds = 64, 30
+	p := Params{WalksPerRound: 3, WalkLength: 4}
+	for _, workers := range []int{1, 3} {
+		e := newEngine(n, churn.FixedLaw{Count: 6})
+		s := NewSoup(e, p, workers)
+		e.AddHook(s)
+		held := make([]map[simnet.NodeID]bool, rounds)
+		total := 0
+		for r := 0; r < rounds; r++ {
+			e.RunRound(simnet.NopHandler{})
+			held[r] = make(map[simnet.NodeID]bool, n)
+			for slot := 0; slot < n; slot++ {
+				held[r][e.IDAt(slot)] = true
+			}
+			b := r - p.WalkLength + 1
+			for slot := 0; slot < n; slot++ {
+				for _, sample := range s.Samples(slot) {
+					if int(sample.Birth) != b {
+						t.Fatalf("workers=%d round %d: sample birth %d, want %d", workers, r, sample.Birth, b)
+					}
+					if !held[b][sample.Src] {
+						t.Fatalf("workers=%d round %d: sample src %d held no slot in round %d", workers, r, sample.Src, b)
+					}
+					total++
 				}
-				if sample.Birth != 1 {
-					t.Fatalf("sample birth %d, want 1", sample.Birth)
-				}
-				total++
 			}
 		}
-	}
-	if total != 50 {
-		t.Fatalf("delivered %d samples, want 50", total)
+		if m := s.Metrics(); total == 0 || int64(total) != m.Completed {
+			t.Fatalf("workers=%d: %d samples delivered, %d walks completed", workers, total, m.Completed)
+		}
 	}
 }
 
@@ -172,18 +182,19 @@ func TestDeadlineEvictsTokens(t *testing.T) {
 func TestMixingToNearUniform(t *testing.T) {
 	// Static-node sanity check of the soup's core promise: on an expander
 	// without churn, walk endpoints approach uniform. Inject batches from
-	// one slot repeatedly and check the endpoint histogram's TV distance.
+	// one slot repeatedly into the reference model (which delivers the
+	// soup's samples) and check the endpoint histogram's TV distance.
 	const n = 512
 	e := newEngine(n, churn.ZeroLaw{})
 	p := Params{WalksPerRound: 0, WalkLength: 2 * int(math.Ceil(math.Log(n)))}
-	s := NewSoup(e, p, 0)
+	s := NewReference(e, p, 0, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{})
 	counts := make([]int, n)
 	const batches = 40
 	const perBatch = 500
 	for b := 0; b < batches; b++ {
-		s.Inject(e, 3, perBatch, e.Round())
+		s.Inject(e, 3, perBatch)
 		for r := 0; r < p.WalkLength; r++ {
 			e.RunRound(simnet.NopHandler{})
 			for slot := 0; slot < n; slot++ {
@@ -212,13 +223,13 @@ func TestLazyWalksStillMix(t *testing.T) {
 	e := newEngine(n, churn.ZeroLaw{})
 	T := 4 * int(math.Ceil(math.Log(n))) // lazy needs ~2x steps
 	p := Params{WalksPerRound: 0, WalkLength: T, Lazy: true}
-	s := NewSoup(e, p, 0)
+	s := NewReference(e, p, 0, 0)
 	e.AddHook(s)
 	e.RunRound(simnet.NopHandler{})
 	counts := make([]int, n)
 	const batches = 20
 	for b := 0; b < batches; b++ {
-		s.Inject(e, 0, 500, e.Round())
+		s.Inject(e, 0, 500)
 		for r := 0; r < T; r++ {
 			e.RunRound(simnet.NopHandler{})
 			for slot := 0; slot < n; slot++ {
@@ -243,35 +254,17 @@ func TestDefaultParamsScaling(t *testing.T) {
 	}
 }
 
-func TestInjectCountsGenerated(t *testing.T) {
-	// The soup counts injected walks with their cohort, at delivery.
-	const T = 4
-	e := newEngine(32, churn.ZeroLaw{})
-	s := NewSoup(e, Params{WalkLength: T}, 0)
-	e.AddHook(s)
-	s.Inject(e, 0, 25, 0)
-	e.Run(simnet.NopHandler{}, T-1)
-	if g := s.Metrics().Generated; g != 0 {
-		t.Fatalf("generated = %d before delivery, want 0", g)
-	}
-	e.RunRound(simnet.NopHandler{})
-	if m := s.Metrics(); m.Generated != 25 || m.Completed != 25 {
-		t.Fatalf("%+v after delivery, want 25 generated and completed", m)
-	}
-}
-
 func TestLazyStepUsesAllPorts(t *testing.T) {
 	// Regression test for the fastrange port pick: with Lazy=true the coin
 	// and the port must come from disjoint hash bits, or half the ports
-	// are never taken. On a static topology, one-step walks injected at a
-	// slot must reach every distinct neighbour of that slot.
+	// are never taken. On a static topology, the one-step walks slot 0
+	// starts in round 0 must reach every distinct neighbour of that slot.
 	e := simnet.New(simnet.Config{
 		N: 64, Degree: 8, EdgeMode: expander.Static,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	})
-	s := NewSoup(e, Params{WalkLength: 1, Lazy: true}, 0)
+	s := NewSoup(e, Params{WalksPerRound: 4000, WalkLength: 1, Lazy: true}, 0)
 	e.AddHook(s)
-	s.Inject(e, 0, 4000, 0)
 	srcID := e.IDAt(0)
 	neighbors := map[int]bool{}
 	for _, w := range e.Graph().Neighbors(0) {
@@ -299,27 +292,27 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 func TestInjectClampsSerialOverflow(t *testing.T) {
 	// The per-(source, round) Serial is a uint16 and the round's fresh
 	// walks hold 0 … WalksPerRound-1: a slot can be injected at most
-	// 65536 − WalksPerRound walks before a StepRound. The round's Inject
-	// calls are numbered from Soup.inj and counted at delivery.
+	// 65536 − WalksPerRound walks before a StepRound. The reference model
+	// counts the injected walks at once and every round's fresh batches as
+	// they are generated.
 	const n, T = 32, 4
 	for _, wpr := range []int{0, 3} {
 		room := 1<<16 - wpr
 		e := newEngine(n, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T}, 0)
+		s := NewReference(e, Params{WalksPerRound: wpr, WalkLength: T}, 0, 0)
 		e.AddHook(s)
-		if got := s.Inject(e, 0, 1<<16+500, 0); got != room {
+		if got := s.Inject(e, 0, 1<<16+500); got != room {
 			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
 		}
-		if got := s.Inject(e, 0, 10, 0); got != 0 {
+		if got := s.Inject(e, 0, 10); got != 0 {
 			t.Fatalf("wpr=%d: over-full slot injected %d more, want 0", wpr, got)
 		}
-		if got := s.Inject(e, 1, 10, 0); got != 10 {
+		if got := s.Inject(e, 1, 10); got != 10 {
 			t.Fatalf("wpr=%d: fresh slot injected %d, want 10", wpr, got)
 		}
 		e.Run(simnet.NopHandler{}, T)
-		// Round 0's cohort: the injected walks plus every slot's fresh batch.
-		if g, want := s.Metrics().Generated, int64(room+10+n*wpr); g != want {
-			t.Fatalf("wpr=%d: generated = %d after delivery, want %d", wpr, g, want)
+		if g, want := s.Metrics().Generated, int64(room+10+T*n*wpr); g != want {
+			t.Fatalf("wpr=%d: generated = %d after %d rounds, want %d", wpr, g, T, want)
 		}
 	}
 }
@@ -327,18 +320,17 @@ func TestInjectClampsSerialOverflow(t *testing.T) {
 func TestInjectClampNoLockstepTokens(t *testing.T) {
 	// Regression for the uint16-serial clamp: injecting past the bound must
 	// return the clamped count and every accepted walk must be delivered.
-	// (TestInjectGenerationSerialDisjoint audits the identities themselves
-	// on the reference model, which holds its tokens.)
+	// (TestInjectGenerationSerialDisjoint audits the identities themselves.)
 	const T = 4
 	for _, wpr := range []int{0, 3} {
 		room := 1<<16 - wpr
 		e := newEngine(32, churn.ZeroLaw{})
-		s := NewSoup(e, Params{WalksPerRound: wpr, WalkLength: T}, 0)
+		s := NewReference(e, Params{WalksPerRound: wpr, WalkLength: T}, 0, 0)
 		e.AddHook(s)
-		if got := s.Inject(e, 3, 1<<16+500, 0); got != room {
+		if got := s.Inject(e, 3, 1<<16+500); got != room {
 			t.Fatalf("wpr=%d: injected %d, want %d", wpr, got, room)
 		}
-		if got := s.Inject(e, 3, 1, 0); got != 0 {
+		if got := s.Inject(e, 3, 1); got != 0 {
 			t.Fatalf("wpr=%d: over-full slot accepted another token", wpr)
 		}
 		e.Run(simnet.NopHandler{}, T)

@@ -120,6 +120,7 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_soup_generated_total",
 		"dynp2p_soup_mem_ring_bytes",
 		"dynp2p_soup_mem_cohort_bytes",
+		"dynp2p_soup_mem_samples_bytes",
 		"dynp2p_overlay_lambda_e6",
 		"dynp2p_search_hops_bucket",
 		"dynp2p_search_rounds_to_resolve_count",
@@ -270,7 +271,7 @@ func TestMetricsJSONLSchema(t *testing.T) {
 	// The memory ledger is collector-fed: one gauge per owner.
 	for _, owner := range []string{
 		"engine_mem_out", "engine_mem_xfer", "engine_mem_inbox_arena", "engine_mem_payload_slab",
-		"engine_mem_routed_arena", "soup_mem_ring", "soup_mem_cohort",
+		"engine_mem_routed_arena", "soup_mem_ring", "soup_mem_cohort", "soup_mem_samples",
 	} {
 		if name := "dynp2p_" + owner + "_bytes"; kinds[name] != "gauge" {
 			t.Errorf("metrics JSONL: %s is %q, want a gauge", name, kinds[name])
