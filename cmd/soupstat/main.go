@@ -19,7 +19,6 @@ import (
 	"syscall"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/overlay"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
@@ -32,7 +31,6 @@ func main() {
 	delta := flag.Float64("delta", 0.5, "churn exponent delta")
 	rounds := flag.Int("rounds", 0, "measurement rounds (0 = 3x walk length)")
 	seed := flag.Uint64("seed", 1, "seed")
-	lazy := flag.Bool("lazy", false, "use lazy walks (stay-put coin)")
 	edges := flag.String("edges", "rerandomize", "topology: rerandomize|static|self-healing (self-healing attaches the overlay repair hook)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -42,7 +40,7 @@ func main() {
 	if *c > 0 {
 		law = churn.PaperLaw(*c, *delta)
 	}
-	mode, err := expander.ParseEdgeMode(*edges)
+	mode, err := simnet.ParseEdgeMode(*edges)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -53,17 +51,16 @@ func main() {
 		Strategy: churn.Uniform, Law: law,
 	})
 	p := walks.DefaultParams(*n)
-	p.Lazy = *lazy
 	s := walks.NewSoup(e, p, 0)
 	e.AddHook(s)
 	var ov *overlay.Overlay
-	if mode == expander.SelfHealing {
+	if mode == simnet.EdgesSelfHealing {
 		ov = overlay.New(e, s, overlay.Config{})
 		e.AddHook(ov)
 	}
 
-	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d lazy=%v edges=%v shards=%d\n",
-		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, *lazy, mode, e.Grid().Count())
+	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d edges=%v shards=%d\n",
+		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, mode, e.Grid().Count())
 
 	// Profiling brackets the simulated rounds, not setup or reporting.
 	stopCPU := startCPUProfile(*cpuProfile)

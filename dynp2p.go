@@ -29,7 +29,6 @@ package dynp2p
 
 import (
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/overlay"
 	"dynp2p/internal/protocol"
 	"dynp2p/internal/route"
@@ -58,21 +57,21 @@ type NodeID = simnet.NodeID
 type Law = churn.Law
 
 // EdgeMode selects how the topology's edges evolve between rounds
-// (re-exported; see internal/expander).
-type EdgeMode = expander.EdgeMode
+// (re-exported; see internal/simnet).
+type EdgeMode = simnet.EdgeMode
 
 // Edge dynamics modes (re-exported). EdgesSelfHealing replaces the
 // oracle with the peer-maintained repair of internal/overlay: live nodes
 // detect dead neighbors and rebuild their adjacency from walk samples.
 const (
-	EdgesRerandomize = expander.Rerandomize
-	EdgesStatic      = expander.Static
-	EdgesSelfHealing = expander.SelfHealing
+	EdgesRerandomize = simnet.EdgesRerandomize
+	EdgesStatic      = simnet.EdgesStatic
+	EdgesSelfHealing = simnet.EdgesSelfHealing
 )
 
 // ParseEdgeMode resolves an edge-mode name ("rerandomize", "static",
 // "self-healing") to its EdgeMode.
-func ParseEdgeMode(s string) (EdgeMode, error) { return expander.ParseEdgeMode(s) }
+func ParseEdgeMode(s string) (EdgeMode, error) { return simnet.ParseEdgeMode(s) }
 
 // RoutingMode selects how protocol messages travel (re-exported; see
 // internal/simnet). RoutingOracle teleports each message to its
@@ -126,7 +125,8 @@ type Config struct {
 	Strategy Strategy
 	// Fault, when non-nil, drops or delays messages at routing time.
 	// Fault randomness derives from Seed's adversary stream, so faulty
-	// runs stay deterministic. Use Network.SetFault to vary it mid-run.
+	// runs stay deterministic. Fixed for the run, like Edges: the
+	// oblivious adversary commits its whole environment before round 0.
 	Fault FaultModel
 	// Seed drives both the adversary (seed) and the protocol (seed+1);
 	// the two streams are independent, which is what makes the adversary
@@ -144,10 +144,9 @@ type Config struct {
 	// enforces this.
 	Workers int
 	// Shards pins the slot-shard grid count (a power of two ≤ 256). 0
-	// lets the engine pick from N and GOMAXPROCS. Results are a pure
-	// function of (Seed, parameters, shard count) at any Workers value;
-	// pin Shards to reproduce a run bit-identically across machines with
-	// different core counts.
+	// lets the engine pick from N and GOMAXPROCS. Like Workers it is a
+	// throughput knob only: a run is bit-identical at every shard count
+	// (TestShardCountIndependence).
 	Shards int
 	// Edges selects the topology's edge dynamics. The zero value is
 	// EdgesRerandomize (the oracle draws a fresh expander every round).
@@ -311,10 +310,6 @@ func (nw *Network) Retrieve(slot int, key uint64, expect []byte) {
 
 // Results returns (and clears) completed retrievals.
 func (nw *Network) Results() []Result { return nw.h.DrainResults() }
-
-// SetFault installs (or, with nil, removes) the message fault model. Call
-// between Run calls; scenario phases use this to vary network quality.
-func (nw *Network) SetFault(f FaultModel) { nw.e.SetFault(f) }
 
 // Stats returns a combined metrics snapshot.
 func (nw *Network) Stats() Stats {

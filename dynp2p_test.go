@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"dynp2p/internal/rng"
+	"dynp2p/internal/telemetry"
 	"dynp2p/internal/walks"
 )
 
@@ -135,6 +138,93 @@ func TestWorkerCountIndependence(t *testing.T) {
 					if !reflect.DeepEqual(base.samples[s], got.samples[s]) {
 						t.Fatalf("workers=%d: soup samples differ at slot %d", w, s)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardCountIndependence pins that the slot-shard grid is a throughput
+// knob like Workers: Stats, retrieval results, every slot's samples in
+// order, the final adjacency, the op-trace stream and the deterministic
+// metric snapshot (less the memory gauges, which measure the grid's own
+// buffers) are identical at 16, 64 and 256 shards. Every leg runs lossy,
+// delaying links, whose late messages land beside other shards' inboxes.
+func TestShardCountIndependence(t *testing.T) {
+	type snapshot struct {
+		stats   Stats
+		results []Result
+		samples [][]walks.Sample
+		adj     []int32
+		ops     string
+		det     string
+	}
+	run := func(cfg Config, shards int) snapshot {
+		cfg.Shards, cfg.Workers, cfg.TraceSampleEvery = shards, 2, 1
+		cfg.N, cfg.ChurnRate, cfg.Seed = 512, 0.5, 13
+		cfg.Fault = FaultConfig{DropProb: 0.03, DelayProb: 0.2, MaxDelay: 2}
+		nw := New(cfg)
+		var ops bytes.Buffer
+		nw.Tracer().StreamTo(&ops)
+		nw.Run(nw.WarmupRounds())
+		data := bytes.Repeat([]byte("shard"), 20)
+		nw.Store(0, 7, data)
+		nw.Run(nw.Tunables().Protocol.Period)
+		for _, slot := range []int{100, 200, 300, 400} {
+			nw.Retrieve(slot, 7, data)
+		}
+		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		if err := nw.Tracer().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var det bytes.Buffer
+		snap := nw.Telemetry().DeterministicSnapshot()
+		snap = slices.DeleteFunc(snap, func(mv telemetry.MetricValue) bool { return strings.Contains(mv.Name, "_mem_") })
+		if err := telemetry.WriteJSONL(&det, snap); err != nil {
+			t.Fatal(err)
+		}
+		out := snapshot{
+			stats: nw.Stats(), results: nw.Results(),
+			adj: slices.Clone(nw.Engine().Graph().Adjacency()),
+			ops: ops.String(), det: det.String(),
+		}
+		for s := 0; s < nw.N(); s++ {
+			out.samples = append(out.samples, slices.Clone(nw.Soup().Samples(s)))
+		}
+		return out
+	}
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"faulty-oracle", Config{}},
+		{"ida-cache", Config{ErasureK: 4, Cache: CacheConfig{Capacity: 2, SeedRate: 0.7}}},
+		{"self-healing-overlay", Config{Edges: EdgesSelfHealing, Routing: RoutingConfig{Mode: RoutingOverlay}}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			base := run(leg.cfg, 16)
+			if len(base.results) == 0 || base.stats.Engine.MsgsDelayed == 0 {
+				t.Fatalf("%d results, %d delayed messages: the test shows nothing", len(base.results), base.stats.Engine.MsgsDelayed)
+			}
+			for _, shards := range []int{64, 256} {
+				got := run(leg.cfg, shards)
+				if base.stats != got.stats {
+					t.Errorf("shards=%d: stats differ:\n%+v\n%+v", shards, base.stats, got.stats)
+				}
+				if !reflect.DeepEqual(base.results, got.results) {
+					t.Errorf("shards=%d: retrieval results differ", shards)
+				}
+				if !slices.Equal(base.adj, got.adj) {
+					t.Errorf("shards=%d: final adjacency differs", shards)
+				}
+				if base.ops != got.ops {
+					t.Errorf("shards=%d: op-trace stream differs", shards)
+				}
+				if base.det != got.det {
+					t.Errorf("shards=%d: deterministic metric snapshot differs", shards)
+				}
+				if !reflect.DeepEqual(base.samples, got.samples) {
+					t.Errorf("shards=%d: soup samples differ", shards)
 				}
 			}
 		})

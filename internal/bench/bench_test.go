@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/overlay"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
@@ -72,7 +71,7 @@ func (h fanoutHandler) HandleRound(ctx *simnet.Ctx) {
 // round — warmed to steady state, and returns its one-round function.
 func routeOnly(n int) func() {
 	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Static,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesStatic,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	})
 	h := fanoutHandler{fanout: 4}
@@ -112,7 +111,7 @@ func soupSizes() []int {
 // warmed until the in-flight token population is steady.
 func soupOnly(n, workers int) (round func(), soup *walks.Soup) {
 	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize, Workers: workers,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize, Workers: workers,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	})
 	p := walks.DefaultParams(n)
@@ -152,7 +151,7 @@ func BenchmarkSoupOnly(b *testing.B) {
 // overlay's budget.
 func overlayRepair(n int) (round func(), ov *overlay.Overlay) {
 	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.SelfHealing,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesSelfHealing,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.PaperLaw(1, 0.5),
 	})
 	p := walks.DefaultParams(n)
@@ -206,7 +205,7 @@ func (h neighborFanout) HandleRound(ctx *simnet.Ctx) {
 // (routed) or through the id-addressed oracle fast path.
 func routedRound(n int, routed bool) func() {
 	cfg := simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Static,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesStatic,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	}
 	if routed {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/overlay"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
@@ -23,7 +22,7 @@ import (
 func TestMillionNodeSmoke(t *testing.T) {
 	const n = 1 << 20
 	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.SelfHealing,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesSelfHealing,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.PaperLaw(1, 0.5),
 	})
 	p := walks.DefaultParams(n)

@@ -3,7 +3,6 @@ package expt
 import (
 	"dynp2p"
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/flood"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
@@ -42,7 +41,7 @@ func E09MessageComplexity(scale Scale) *Table {
 
 		// Flooding workload: one store on the same engine scale.
 		fe := simnet.New(simnet.Config{
-			N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+			N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 			AdversarySeed: 0xF109, ProtocolSeed: 0xF10A,
 			Strategy: churn.Uniform, Law: churn.PaperLaw(1, 0.5),
 		})

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
 	"dynp2p/internal/walks"
@@ -13,7 +12,7 @@ import (
 // soupEngine builds the engine (no protocol) walk experiments run on.
 func soupEngine(n int, law churn.Law, seed uint64) *simnet.Engine {
 	return simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 		AdversarySeed: seed, ProtocolSeed: seed + 1,
 		Strategy: churn.Uniform, Law: law,
 	})

@@ -6,7 +6,6 @@ import (
 	"dynp2p"
 	"dynp2p/internal/churn"
 	"dynp2p/internal/dht"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/flood"
 	"dynp2p/internal/protocol"
 	"dynp2p/internal/simnet"
@@ -137,7 +136,7 @@ func E12BaselineComparison(scale Scale) *Table {
 		// --- DHT ---
 		{
 			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+				N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 				AdversarySeed: 0xD12, ProtocolSeed: 0xD13,
 				Strategy: churn.Uniform, Law: law,
 			})
@@ -173,7 +172,7 @@ func E12BaselineComparison(scale Scale) *Table {
 		// --- flooding ---
 		{
 			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+				N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 				AdversarySeed: 0xF12, ProtocolSeed: 0xF13,
 				Strategy: churn.Uniform, Law: law,
 			})

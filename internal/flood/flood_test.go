@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/simnet"
 )
 
 func newEngine(n int, law churn.Law) *simnet.Engine {
 	return simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 		AdversarySeed: 1, ProtocolSeed: 2,
 		Strategy: churn.Uniform, Law: law,
 	})

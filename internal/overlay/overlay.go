@@ -1,10 +1,10 @@
 // Package overlay is the peer-maintained topology layer: a distributed
 // repair process that keeps the network a d-regular (near-)expander under
-// churn without the oracle of internal/expander re-randomizing edges.
+// churn without the engine's oracle re-randomizing edges.
 //
 // The paper (§2.1) *assumes* every round's topology is a d-regular
 // non-bipartite expander; in a deployment the peers themselves must
-// maintain that invariant. Under expander.SelfHealing the oracle builds
+// maintain that invariant. Under simnet.EdgesSelfHealing the oracle builds
 // only the round-0 graph; from then on the only edge changes are the ones
 // made here, from information a real node would hold:
 //
@@ -61,7 +61,8 @@
 //     either way) and updating the reciprocal-port table in place.
 //
 // All randomness derives from the protocol seed, so runs are a pure
-// function of (seeds, parameters, shard count) — the engine's contract.
+// function of (seeds, parameters) at any worker or shard count — the
+// engine's contract.
 // The repair cost is O(churned·d) with all scratch reused: steady-state
 // rounds allocate nothing (benchmarked by BenchmarkOverlayRepair).
 package overlay
@@ -71,7 +72,6 @@ import (
 	"slices"
 	"sort"
 
-	"dynp2p/internal/expander"
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/shard"
@@ -224,7 +224,7 @@ func (o *Overlay) Metrics() Metrics { return o.m }
 // derived streams, so the engine's worker-count independence holds.
 func (o *Overlay) StepRound(e *simnet.Engine, round int) {
 	g := e.Graph()
-	if e.EdgeMode() == expander.SelfHealing {
+	if e.EdgeMode() == simnet.EdgesSelfHealing {
 		if o.co == nil {
 			o.activate(g)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
@@ -17,7 +16,7 @@ type rig struct {
 	ov   *Overlay
 }
 
-func newRig(t *testing.T, n int, mode expander.EdgeMode, law churn.Law, strat churn.Strategy, cfg Config) *rig {
+func newRig(t *testing.T, n int, mode simnet.EdgeMode, law churn.Law, strat churn.Strategy, cfg Config) *rig {
 	t.Helper()
 	e := simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: mode,
@@ -51,7 +50,7 @@ func (r *rig) run(t *testing.T, rounds int, checkEvery int) {
 // path and checks, every round, that the multigraph stays d-regular and
 // the reciprocal-port table stays a consistent involution.
 func TestRepairPreservesRegularity(t *testing.T) {
-	r := newRig(t, 512, expander.SelfHealing, churn.FixedLaw{Count: 24}, churn.Uniform, Config{})
+	r := newRig(t, 512, simnet.EdgesSelfHealing, churn.FixedLaw{Count: 24}, churn.Uniform, Config{})
 	r.run(t, 80, 1)
 	m := r.ov.Metrics()
 	if m.PortsSevered == 0 || m.Splices+m.DirectPairs == 0 {
@@ -84,7 +83,7 @@ func TestRepairUnderEveryStrategy(t *testing.T) {
 	strategies := []churn.Strategy{churn.Uniform, churn.OldestFirst, churn.YoungestFirst, churn.SweepBurst}
 	for _, law := range laws {
 		for _, strat := range strategies {
-			r := newRig(t, 256, expander.SelfHealing, law, strat, Config{})
+			r := newRig(t, 256, simnet.EdgesSelfHealing, law, strat, Config{})
 			r.run(t, 60, 1)
 			if r.e.Graph().IsBipartite() {
 				t.Fatalf("%v/%v: bipartite after repairs", law, strat)
@@ -97,7 +96,7 @@ func TestRepairUnderEveryStrategy(t *testing.T) {
 // has completed: every heal must fall back to direct pairing without
 // violating regularity, and splices must take over once samples exist.
 func TestRepairSurvivesColdStart(t *testing.T) {
-	r := newRig(t, 256, expander.SelfHealing, churn.FixedLaw{Count: 32}, churn.Uniform, Config{})
+	r := newRig(t, 256, simnet.EdgesSelfHealing, churn.FixedLaw{Count: 32}, churn.Uniform, Config{})
 	walkLen := r.soup.Params().WalkLength
 	r.run(t, walkLen-2, 1)
 	m := r.ov.Metrics()
@@ -117,7 +116,7 @@ func TestRepairSurvivesColdStart(t *testing.T) {
 // metrics must match exactly.
 func TestSelfHealingDeterminism(t *testing.T) {
 	final := func() ([]int32, Metrics) {
-		r := newRig(t, 256, expander.SelfHealing, churn.FixedLaw{Count: 16}, churn.Uniform,
+		r := newRig(t, 256, simnet.EdgesSelfHealing, churn.FixedLaw{Count: 16}, churn.Uniform,
 			Config{SpectralEvery: 7})
 		r.run(t, 50, 0)
 		adj := append([]int32(nil), r.e.Graph().Adjacency()...)
@@ -140,7 +139,7 @@ func TestSelfHealingDeterminism(t *testing.T) {
 // the guard detects it and restores an odd cycle without breaking
 // regularity or the port table.
 func TestGuardFixesBipartite(t *testing.T) {
-	r := newRig(t, 64, expander.SelfHealing, churn.ZeroLaw{}, churn.Uniform, Config{})
+	r := newRig(t, 64, simnet.EdgesSelfHealing, churn.ZeroLaw{}, churn.Uniform, Config{})
 	r.run(t, 1, 0) // activates the overlay on the oracle's round-0 graph
 	g := r.e.Graph()
 	n, d := g.N(), g.Degree()
@@ -178,7 +177,7 @@ func TestGuardFixesBipartite(t *testing.T) {
 // telemetry works under oracle modes too (it is mode-independent), where
 // the overlay repairs nothing and never builds its port table.
 func TestSpectralTelemetry(t *testing.T) {
-	for _, mode := range []expander.EdgeMode{expander.SelfHealing, expander.Rerandomize} {
+	for _, mode := range []simnet.EdgeMode{simnet.EdgesSelfHealing, simnet.EdgesRerandomize} {
 		r := newRig(t, 256, mode, churn.FixedLaw{Count: 8}, churn.Uniform,
 			Config{SpectralEvery: 3})
 		r.run(t, 31, 0)
@@ -196,7 +195,7 @@ func TestSpectralTelemetry(t *testing.T) {
 		if m.LambdaMax > 0.9 {
 			t.Fatalf("%v: not an expander: λmax=%v", mode, m.LambdaMax)
 		}
-		if mode != expander.SelfHealing && (m.PortsSevered != 0 || r.ov.co != nil) {
+		if mode != simnet.EdgesSelfHealing && (m.PortsSevered != 0 || r.ov.co != nil) {
 			t.Fatalf("%v: overlay repaired under an oracle mode: %+v", mode, m)
 		}
 	}
@@ -205,7 +204,7 @@ func TestSpectralTelemetry(t *testing.T) {
 // TestSpectralScratchMatchesAllocating pins the scratch refactor: same
 // stream, same estimate as the allocating wrapper.
 func TestSpectralScratchMatchesAllocating(t *testing.T) {
-	r := newRig(t, 128, expander.Static, churn.ZeroLaw{}, churn.Uniform, Config{})
+	r := newRig(t, 128, simnet.EdgesStatic, churn.ZeroLaw{}, churn.Uniform, Config{})
 	g := r.e.Graph()
 	a := g.SpectralGapEstimate(rng.New(9), 40)
 	x, y := make([]float64, g.N()), make([]float64, g.N())

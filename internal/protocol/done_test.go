@@ -124,7 +124,7 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 	header := (&simnet.Msg{}).Bits()
 	var sent, fat [256]atomic.Int64
 	s := newSim(t, 512, churn.PaperLaw(0.5, 0.5), 0, 21)
-	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+	s.setFault(watchFault{see: func(m *simnet.Msg) {
 		sent[m.Kind].Add(1)
 		if m.Bits() != header {
 			fat[m.Kind].Add(1)
@@ -158,7 +158,7 @@ func TestSearchFoundOncePerRound(t *testing.T) {
 	const retrievals, key = 6, 11
 	founds := &foundTally{n: map[foundTold]int{}, asked: map[askedOf]bool{}}
 	s := newSim(t, 512, churn.ZeroLaw{}, 0, 21)
-	s.e.SetFault(founds)
+	s.setFault(founds)
 	s.warm()
 	s.h.RequestStore(s.e, 7, key, itemBytes(key, 64))
 	s.run(s.h.P.Period)
@@ -269,7 +269,7 @@ func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 	named := map[asked][]simnet.NodeID{} // this round's inquiries: the searchers they name
 	msgs := map[asked]int{}
 	s := newSim(t, 512, churn.ZeroLaw{}, 0, 21)
-	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+	s.setFault(watchFault{see: func(m *simnet.Msg) {
 		if m.Kind != KindSInquire {
 			return
 		}
@@ -366,7 +366,7 @@ func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 func TestSearchDoneLateAfterRewave(t *testing.T) {
 	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
 	var grows atomic.Int64
-	s.e.SetFault(watchFault{doneFault{s.h.P.WaveEvery}, func(m *simnet.Msg) {
+	s.setFault(watchFault{doneFault{s.h.P.WaveEvery}, func(m *simnet.Msg) {
 		if m.Kind == KindSGrow {
 			grows.Add(1)
 		}
@@ -439,7 +439,7 @@ func TestSearchDoneBeatsLateInvite(t *testing.T) {
 		start = s.e.Round()
 		var mu sync.Mutex
 		reached = map[simnet.NodeID]int{}
-		s.e.SetFault(watchFault{lateWave{to, packGrow(s.h.P.TreeDepth, start+1), delay}, func(m *simnet.Msg) {
+		s.setFault(watchFault{lateWave{to, packGrow(s.h.P.TreeDepth, start+1), delay}, func(m *simnet.Msg) {
 			if _, wave := unpackGrow(m.Aux); m.Kind == KindSGrow && wave == start+1 {
 				mu.Lock()
 				reached[m.To]++
@@ -484,7 +484,7 @@ func TestSearchDoneSparesNextSearch(t *testing.T) {
 	for _, gap := range []int{0, 1} {
 		second := func(fault simnet.FaultModel) (members, landmarks int) {
 			s, key, data := storedSim(t, 1024, churn.ZeroLaw{}, 3)
-			s.e.SetFault(fault)
+			s.setFault(fault)
 			slot := 200 // a searcher that has to search: a storage landmark fetches at once
 			for s.h.holdsKey(slot, key, s.e.Round()) {
 				slot++
@@ -533,7 +533,7 @@ func TestSearchDoneIsAdvisory(t *testing.T) {
 	const retrievals = 48
 	run := func(fault simnet.FaultModel) (results []SearchResult, tail int) {
 		s := newSim(t, 512, churn.PaperLaw(0.5, 0.5), 0, 21)
-		s.e.SetFault(fault)
+		s.setFault(fault)
 		s.warm()
 		keys := []uint64{11, 12, 13, 14}
 		for i, key := range keys {
@@ -583,7 +583,7 @@ func TestSearchDoneLostSearcher(t *testing.T) {
 	const slot, missing = 8, 31337
 	searcher := s.e.IDAt(slot)
 	var grows atomic.Int64
-	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+	s.setFault(watchFault{see: func(m *simnet.Msg) {
 		if m.Kind == KindSGrow && simnet.NodeID(m.Aux2) == searcher {
 			grows.Add(1)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
@@ -18,7 +17,26 @@ type sim struct {
 	e    *simnet.Engine
 	soup *walks.Soup
 	h    *Handler
+	tap  *faultTap
 }
+
+// faultTap is the fault model every test sim is built with. The engine's
+// fault model is the run's, so a test that watches or perturbs messages
+// installs its model in the tap (sim.setFault) instead; with none
+// installed every message is delivered on time.
+type faultTap struct{ inner simnet.FaultModel }
+
+func (f *faultTap) Fate(round int, m *simnet.Msg, rnd uint64) (bool, int) {
+	if f.inner == nil {
+		return false, 0
+	}
+	return f.inner.Fate(round, m, rnd)
+}
+func (f *faultTap) String() string { return fmt.Sprint("tap: ", f.inner) }
+
+// setFault makes f decide the fate of every message sent from the next
+// round on (nil: delivered on time). Call between rounds.
+func (s *sim) setFault(f simnet.FaultModel) { s.tap.inner = f }
 
 func newSim(t testing.TB, n int, law churn.Law, idaK int, seed uint64) *sim {
 	t.Helper()
@@ -28,10 +46,11 @@ func newSim(t testing.TB, n int, law churn.Law, idaK int, seed uint64) *sim {
 // newSimWith is newSim with the protocol parameters adjusted by set.
 func newSimWith(t testing.TB, n int, law churn.Law, seed uint64, set func(*Params)) *sim {
 	t.Helper()
+	tap := &faultTap{}
 	e := simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 		AdversarySeed: seed, ProtocolSeed: seed + 1,
-		Strategy: churn.Uniform, Law: law,
+		Strategy: churn.Uniform, Law: law, Fault: tap,
 	})
 	wp := walks.DefaultParams(n)
 	soup := walks.NewSoup(e, wp, 0)
@@ -39,7 +58,7 @@ func newSimWith(t testing.TB, n int, law churn.Law, seed uint64, set func(*Param
 	p := DefaultParams(n, wp.WalkLength)
 	set(&p)
 	h := NewHandler(e, soup, p)
-	return &sim{e: e, soup: soup, h: h}
+	return &sim{e: e, soup: soup, h: h, tap: tap}
 }
 
 func (s *sim) run(rounds int) {
@@ -268,7 +287,7 @@ func idaPiecesLeg(t *testing.T, k int) {
 	var mu sync.Mutex
 	var batch []sent // this round's committee sends
 	s := newSim(t, 256, churn.ZeroLaw{}, k, 17)
-	s.e.SetFault(watchFault{see: func(m *simnet.Msg) {
+	s.setFault(watchFault{see: func(m *simnet.Msg) {
 		if m.Kind == KindCCount || m.Kind == KindCPiece || m.Kind == KindCHandover {
 			mu.Lock()
 			batch = append(batch, sent{m.Kind, m.From, m.To, m.Aux, m.Bits(), len(m.Blob())})
@@ -412,7 +431,7 @@ func TestSearchCommitteeDissolves(t *testing.T) {
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) ([]SearchResult, Counters) {
 		e := simnet.New(simnet.Config{
-			N: 128, Degree: 8, EdgeMode: expander.Rerandomize,
+			N: 128, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 			AdversarySeed: 11, ProtocolSeed: 12,
 			Strategy: churn.Uniform, Law: churn.FixedLaw{Count: 2},
 			Workers: workers,

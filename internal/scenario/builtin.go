@@ -109,14 +109,14 @@ var builtins = []builtin{
 		desc: "10% message drop plus bounded delays on every link",
 		build: func(n int, seed uint64) Spec {
 			T := unit(n)
-			lossy := Fault{Drop: 0.10, DelayProb: 0.2, MaxDelay: 2}
 			return Spec{
 				Name: "lossy", N: n, Seed: seed,
+				Fault: Fault{Drop: 0.10, DelayProb: 0.2, MaxDelay: 2},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.5},
-						Load: Workload{StoreRate: 0.5}, Fault: lossy},
+						Load: Workload{StoreRate: 0.5}},
 					{Name: "serve", Rounds: 6 * T, Churn: Churn{Rate: 0.5},
-						Load: Workload{RetrieveRate: 1.5}, Fault: lossy},
+						Load: Workload{RetrieveRate: 1.5}},
 				},
 			}
 		},
@@ -202,14 +202,14 @@ var builtins = []builtin{
 		desc: "IDA erasure-coded storage (K=4) over a lossy network",
 		build: func(n int, seed uint64) Spec {
 			T := unit(n)
-			lossy := Fault{Drop: 0.08, DelayProb: 0.15, MaxDelay: 2}
 			return Spec{
 				Name: "erasure-lossy", N: n, Seed: seed, ErasureK: 4,
+				Fault: Fault{Drop: 0.08, DelayProb: 0.15, MaxDelay: 2},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.25},
-						Load: Workload{StoreRate: 0.5}, Fault: lossy},
+						Load: Workload{StoreRate: 0.5}},
 					{Name: "serve", Rounds: 6 * T, Churn: Churn{Rate: 0.25},
-						Load: Workload{RetrieveRate: 1.5}, Fault: lossy},
+						Load: Workload{RetrieveRate: 1.5}},
 				},
 			}
 		},

@@ -27,9 +27,7 @@ func TestLargeScaleLossyRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range spec.Phases {
-		spec.Phases[i].Fault.Drop = *largeDrop
-	}
+	spec.Fault.Drop = *largeDrop
 
 	rep, err := Run(spec, Options{})
 	if err != nil {

@@ -116,11 +116,10 @@ type PhaseReport struct {
 	// it (0 when telemetry is off).
 	Repairs   int64   `json:"repairs,omitempty"`
 	LambdaMax float64 `json:"lambdaMax,omitempty"`
-	// Overlay-routing outcomes for the phase (Routed false = oracle):
+	// Overlay-routing outcomes for the phase (zero under the oracle):
 	// quantiles of true overlay path length per search resolved during
 	// it (total hops across every message the search generated), routed
 	// drops, and the largest per-node forward count in any of its rounds.
-	Routed       bool  `json:"routed,omitempty"`
 	RouteHopsP50 int64 `json:"routeHopsP50,omitempty"`
 	RouteHopsP99 int64 `json:"routeHopsP99,omitempty"`
 	RouteDrops   int64 `json:"routeDrops,omitempty"`
@@ -219,12 +218,7 @@ func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%d phases over %d rounds (incl. %d warm-up, %d drain)\n\n",
 		len(r.Spec.Phases), r.Rounds, r.Spec.WarmupRounds(), r.Spec.DrainRounds())
 
-	routed := false
-	for _, p := range r.Phases {
-		if p.Routed {
-			routed = true
-		}
-	}
+	routed := r.Spec.Routing.config().Mode == dynp2p.RoutingOverlay
 	header := []string{"phase", "rounds", "churned", "stores", "retr", "ok", "fail", "lost", "succ%", "p50", "p95", "p99", "cHit", "cP50"}
 	if routed {
 		header = append(header, "hopP50", "hopP99", "rDrop", "maxLink")
@@ -233,7 +227,7 @@ func (r *Report) Fprint(w io.Writer) {
 	for _, p := range r.Phases {
 		row := phaseRow(p.Name, p.Rounds, p.Replacements, p.SLO)
 		if routed {
-			row = append(row, routedCells(p.Routed, p.RouteHopsP50, p.RouteHopsP99, p.RouteDrops, p.MaxLinkLoad)...)
+			row = append(row, routedCells(p.RouteHopsP50, p.RouteHopsP99, p.RouteDrops, p.MaxLinkLoad)...)
 		}
 		rows = append(rows, row)
 	}
@@ -253,7 +247,7 @@ func (r *Report) Fprint(w io.Writer) {
 		if r.SearchPath != nil {
 			hp50, hp99 = r.SearchPath.Quantile(0.50), r.SearchPath.Quantile(0.99)
 		}
-		total = append(total, routedCells(true, hp50, hp99, totalRDrops, totalMaxLink)...)
+		total = append(total, routedCells(hp50, hp99, totalRDrops, totalMaxLink)...)
 	}
 	rows = append(rows, total)
 	printAligned(w, header, rows)
@@ -286,7 +280,6 @@ func (r *Report) Fprint(w io.Writer) {
 				ov.Lambda, ov.LambdaMax, ov.SpectralRounds)
 		}
 		fmt.Fprintln(w)
-		// Per-phase spectral maxima, for runs that switch topologies.
 		if ov.SpectralRounds > 0 {
 			fmt.Fprintf(w, "λmax by phase:")
 			for _, p := range r.Phases {
@@ -357,12 +350,8 @@ func (r *Report) Fprint(w io.Writer) {
 	}
 }
 
-// routedCells renders the routed columns for one table row; a phase that
-// ran in oracle mode shows dashes instead of misleading zeros.
-func routedCells(routed bool, hp50, hp99, drops, maxLink int64) []string {
-	if !routed {
-		return []string{"-", "-", "-", "-"}
-	}
+// routedCells renders the routed columns for one table row.
+func routedCells(hp50, hp99, drops, maxLink int64) []string {
 	return []string{
 		fmt.Sprintf("%d", hp50),
 		fmt.Sprintf("%d", hp99),

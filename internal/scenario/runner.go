@@ -100,10 +100,9 @@ type segMeta struct {
 	fdelay  int64
 	repairs int64
 	lamMax  float64 // largest λ measured during the segment (0 = none)
-	// Overlay-routing deltas for the segment: hop-count quantiles over
-	// messages delivered in it, drops, and the largest per-node forward
-	// count in any of its rounds. routed is false under the oracle.
-	routed  bool
+	// Overlay-routing deltas for the segment (zero under the oracle):
+	// hop-count quantiles over messages delivered in it, drops, and the
+	// largest per-node forward count in any of its rounds.
 	hopsP50 int64
 	hopsP99 int64
 	rdrops  int64
@@ -161,7 +160,7 @@ func run(spec Spec, opt Options) (*runner, error) {
 		N: spec.N, Degree: spec.Degree, Seed: spec.Seed,
 		ChurnLaw: spec.schedule(), Strategy: strat,
 		ErasureK: spec.ErasureK,
-		Fault:    spec.Phases[0].Fault.model(),
+		Fault:    spec.Fault.model(),
 		Cache:    spec.Cache.config(),
 		Routing:  spec.Routing.config(),
 		Edges:    edges, SpectralEvery: spec.Topology.SpectralEvery,
@@ -187,22 +186,14 @@ func run(spec Spec, opt Options) (*runner, error) {
 		accums:      make([]sloAccum, len(spec.Phases)),
 	}
 
-	// Warm-up: let the walk soup mix under phase 0's churn and faults,
-	// no workload yet.
+	// Warm-up: let the walk soup mix under phase 0's churn, no workload
+	// yet.
 	r.runSegment(-1, "warmup", spec.WarmupRounds(), Workload{})
-	for i := range spec.Phases {
-		p := &spec.Phases[i]
-		// SetFault drops the messages the old model still delays, so a
-		// boundary that keeps the fault model must not call it. Phase 0's
-		// model is the one the network was built with.
-		if i > 0 && p.Fault != spec.Phases[i-1].Fault {
-			nw.SetFault(p.Fault.model())
-		}
+	for i, p := range spec.Phases {
 		r.runSegment(i, p.Name, p.Rounds, p.Load)
 	}
-	// Drain: workload stops, the last phase's faults persist, churn goes
-	// quiet (the schedule has ended); in-flight retrievals finish or
-	// expire within one search TTL.
+	// Drain: workload stops, churn goes quiet (the schedule has ended);
+	// in-flight retrievals finish or expire within one search TTL.
 	r.runSegment(-1, "drain", spec.DrainRounds(), Workload{})
 
 	// Anything still outstanding never reported (its issuer survived but
@@ -272,7 +263,6 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 		lamMax: lamMax,
 	}
 	if routed {
-		seg.routed = true
 		hops := histDelta(reg.HistogramValue("dynp2p_search_path_hops"), hopsStart)
 		seg.hopsP50 = hops.Quantile(0.50)
 		seg.hopsP99 = hops.Quantile(0.99)
@@ -488,7 +478,7 @@ func (r *runner) report() *Report {
 			Name: seg.name, Rounds: seg.rounds,
 			Replacements: seg.repl, FaultDropped: seg.fdrop, Delayed: seg.fdelay,
 			Repairs: seg.repairs, LambdaMax: seg.lamMax,
-			Routed: seg.routed, RouteHopsP50: seg.hopsP50, RouteHopsP99: seg.hopsP99,
+			RouteHopsP50: seg.hopsP50, RouteHopsP99: seg.hopsP99,
 			RouteDrops: seg.rdrops, MaxLinkLoad: seg.maxLink,
 		}
 		if seg.phase >= 0 {

@@ -2,15 +2,18 @@
 // P2P simulator: it turns "run an experiment" into data instead of code.
 //
 // A Spec (a plain Go struct, JSON-loadable) describes a timeline of
-// phases. Each phase sets three independent knobs:
+// phases. Each phase sets two independent knobs:
 //
 //   - a churn law and rate (steady paper-law churn, fixed counts,
 //     bursts, ramps, or quiet) — compiled into a single pre-committed
-//     churn.Schedule so the adversary stays oblivious;
+//     churn.Schedule so the adversary stays oblivious; and
 //   - an open-loop workload (store/retrieve arrivals per round, Poisson
-//     distributed, with Zipf-distributed key popularity); and
-//   - a fault model (probabilistic message drop and bounded delivery
-//     delay, drawn from the adversary's seed so runs stay deterministic).
+//     distributed, with Zipf-distributed key popularity).
+//
+// The rest of the environment is the run's, fixed before round 0: the
+// topology, the routing mode, the hot-key cache, and the fault model
+// (probabilistic message drop and bounded delivery delay, drawn from the
+// adversary's seed so runs stay deterministic).
 //
 // The Runner executes a Spec on a dynp2p.Network, tracks per-request SLOs
 // (success rate, locate/complete latency quantiles), optionally emits a
@@ -28,7 +31,6 @@ import (
 
 	"dynp2p"
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/protocol"
 	"dynp2p/internal/walks"
 )
@@ -73,6 +75,9 @@ type Spec struct {
 	// accounting. The mode holds for the whole run; to compare the two,
 	// run the spec once per mode (cmd/scenario -routing).
 	Routing RoutingSpec `json:"routing,omitempty"`
+	// Fault is the run's message fault model, from warm-up to drain; the
+	// zero value means reliable links.
+	Fault Fault `json:"fault,omitempty"`
 	// Phases is the timeline; phases run in order after a soup warm-up.
 	Phases []Phase `json:"phases"`
 }
@@ -96,7 +101,6 @@ type Phase struct {
 	Rounds int      `json:"rounds"`
 	Churn  Churn    `json:"churn,omitempty"`
 	Load   Workload `json:"load,omitempty"`
-	Fault  Fault    `json:"fault,omitempty"`
 }
 
 // CacheSpec configures the hot-key cache (DESIGN.md §10): per-node
@@ -219,7 +223,7 @@ type Workload struct {
 	RetrieveRate float64 `json:"retrieveRate,omitempty"`
 }
 
-// Fault configures the phase's message fault model (see simnet.FaultModel).
+// Fault configures the run's message fault model (see simnet.FaultModel).
 // The zero value means reliable links.
 type Fault struct {
 	// Drop is the independent per-message loss probability in [0, 1).
@@ -238,6 +242,19 @@ func (f Fault) model() dynp2p.FaultModel {
 		return nil
 	}
 	return fc
+}
+
+// check validates the fault block.
+func (f Fault) check() error {
+	switch {
+	case f.Drop < 0 || f.Drop >= 1:
+		return fmt.Errorf("fault drop must be in [0, 1) (got %g)", f.Drop)
+	case f.DelayProb < 0 || f.DelayProb > 1 || f.MaxDelay < 0:
+		return fmt.Errorf("invalid fault delay config (delayProb %g, maxDelay %d)", f.DelayProb, f.MaxDelay)
+	case (f.DelayProb > 0) != (f.MaxDelay > 0):
+		return fmt.Errorf("fault delayProb and maxDelay must be set together (got %g, %d)", f.DelayProb, f.MaxDelay)
+	}
+	return nil
 }
 
 // normalize fills defaults in place.
@@ -293,19 +310,15 @@ func (s *Spec) Validate() error {
 	if err := s.Routing.check(); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
+	if err := s.Fault.check(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
 	for i, p := range s.Phases {
 		switch {
 		case p.Rounds <= 0:
 			return fmt.Errorf("scenario %q phase %d (%s): rounds must be > 0", s.Name, i, p.Name)
 		case p.Load.StoreRate < 0 || p.Load.RetrieveRate < 0:
 			return fmt.Errorf("scenario %q phase %d (%s): negative workload rate", s.Name, i, p.Name)
-		case p.Fault.Drop < 0 || p.Fault.Drop >= 1:
-			return fmt.Errorf("scenario %q phase %d (%s): drop must be in [0, 1)", s.Name, i, p.Name)
-		case p.Fault.DelayProb < 0 || p.Fault.DelayProb > 1 || p.Fault.MaxDelay < 0:
-			return fmt.Errorf("scenario %q phase %d (%s): invalid delay config", s.Name, i, p.Name)
-		case (p.Fault.DelayProb > 0) != (p.Fault.MaxDelay > 0):
-			return fmt.Errorf("scenario %q phase %d (%s): delayProb and maxDelay must be set together (got %g, %d)",
-				s.Name, i, p.Name, p.Fault.DelayProb, p.Fault.MaxDelay)
 		case p.Churn.Rate < 0 || p.Churn.Fixed < 0 || p.Churn.RampFrom < 0 || p.Churn.RampTo < 0 || p.Churn.BurstCount < 0:
 			return fmt.Errorf("scenario %q phase %d (%s): negative churn config", s.Name, i, p.Name)
 		case p.Churn.Delta < 0:
@@ -320,11 +333,11 @@ func (s *Spec) Validate() error {
 
 // edgeMode parses the topology block's Edges field (empty = the oracle
 // default, rerandomize).
-func (s *Spec) edgeMode() (expander.EdgeMode, error) {
+func (s *Spec) edgeMode() (dynp2p.EdgeMode, error) {
 	if s.Topology.Edges == "" {
-		return expander.Rerandomize, nil
+		return dynp2p.EdgesRerandomize, nil
 	}
-	m, err := expander.ParseEdgeMode(s.Topology.Edges)
+	m, err := dynp2p.ParseEdgeMode(s.Topology.Edges)
 	if err != nil {
 		return 0, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -10,18 +10,14 @@
 // the engine deliver canonically ordered inboxes without sorting:
 // determinism is structural, not re-established after the fact.
 //
-// Results are a pure function of (seeds, parameters, shard count), and
-// the shard count leaks only through ordering, narrowly: every Grid
-// partitions the slot range into contiguous ascending intervals, so
-// streams merged per destination SLOT in source-slot order (the engine's
-// inboxes) are identical across grids of different counts, while streams
-// merged per destination SHARD (the soup's per-slot sample lists, whose
-// deferred-tokens-first order is grouped by source shard) keep their
-// per-slot multisets but not their order. Pick may therefore size the
-// grid from n and GOMAXPROCS without perturbing engine messaging or any
-// soup multiset/metric (pinned by the shard-count legs of the oracle
-// tests); anything reading samples positionally must treat the shard
-// count as an input, which simnet.Config.Shards lets callers pin.
+// Results do not depend on the shard count either: every Grid partitions
+// the slot range into contiguous ascending intervals and every gather
+// merges source shards in index order, so whatever lands at a slot
+// arrives in source-slot order on any grid — the engine's inboxes, and
+// the soup's per-slot samples (a source shard holds its cohort in
+// birth-slot order). Pick may therefore size the grid from n and
+// GOMAXPROCS: the count is a throughput knob like the worker count
+// (TestShardCountIndependence in the root package pins it).
 package shard
 
 import (

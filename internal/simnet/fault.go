@@ -76,24 +76,6 @@ type delayedMsg struct {
 	m         Msg
 }
 
-// SetFault installs (or, with nil, removes) the engine's fault model.
-// Call only between rounds. Scenario phases use this to vary network
-// quality over a run; determinism is preserved because the per-message
-// randomness depends only on the fault seed and message identity.
-//
-// Messages the outgoing model was still holding back are dropped (counted
-// in MsgsFaultDropped): they are casualties of the fault environment that
-// delayed them, and must not leak a prior phase's perturbation into a
-// phase that declared, say, reliable links.
-func (e *Engine) SetFault(f FaultModel) {
-	e.em.faultDropped.Add(0, int64(len(e.delayed)))
-	e.delayed = e.delayed[:0]
-	e.fault = f
-}
-
-// Fault returns the current fault model (nil if none).
-func (e *Engine) Fault() FaultModel { return e.fault }
-
 // deliverDelayed moves fault-delayed messages whose time has come into the
 // round's inbox, inserting each at its canonical sort position (fresh
 // messages arrive pre-ordered; only this path pays for an insertion).

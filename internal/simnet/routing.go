@@ -117,7 +117,7 @@ func (e *Engine) initRouter() {
 // applyRouterEnv installs the engine-side callbacks on the router.
 func (e *Engine) applyRouterEnv() {
 	env := route.Env[walkerMsg]{
-		Graph:  func() *graph.Graph { return e.topo.Graph() },
+		Graph:  func() *graph.Graph { return e.g },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
 		Holder: func(slot int32, key uint64) bool {
 			return e.keyHolder != nil && e.keyHolder(int(slot), key, e.round)

@@ -37,7 +37,6 @@ import (
 	"unsafe"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/route"
@@ -231,23 +230,22 @@ type RoundHook interface {
 
 // Config parameterises an Engine.
 type Config struct {
-	N             int // stable network size
-	Degree        int // expander degree (even)
-	EdgeMode      expander.EdgeMode
+	N             int            // stable network size
+	Degree        int            // expander degree (even)
+	EdgeMode      EdgeMode       // edge dynamics (edges.go)
 	AdversarySeed uint64         // drives churn schedule and topology
 	ProtocolSeed  uint64         // drives all protocol randomness
 	Strategy      churn.Strategy // which slots get churned
 	Law           churn.Law      // how many per round
-	Fault         FaultModel     // message-level faults; nil = reliable links
+	Fault         FaultModel     // message-level faults for the run; nil = reliable links
 	Workers       int            // parallel handler workers; 0 = GOMAXPROCS
 
 	// Shards is the slot-shard grid count (power of two ≤ shard.MaxCount).
 	// 0 picks shard.Pick(N, GOMAXPROCS) — enough shards that the slot
 	// ranges stay cache-sized and every core finds work. New writes the
-	// resolved count back into the engine's Config. A run's results are a
-	// pure function of (seeds, parameters, shard count) at ANY worker
-	// count; runs that must reproduce bit-identically across machines
-	// with different core counts should pin Shards explicitly.
+	// resolved count back into the engine's Config. Like Workers it is a
+	// throughput knob only: a run's results are the same at any shard
+	// count (package shard).
 	Shards int
 
 	// Telemetry is the metrics registry the engine (and everything built
@@ -375,9 +373,13 @@ type inboxArena struct {
 
 // Engine is the simulator. Create with New, drive with RunRound.
 type Engine struct {
-	cfg  Config
-	topo *expander.Dynamic
-	adv  *churn.Adversary
+	cfg Config
+	adv *churn.Adversary
+
+	// g is the topology over slots; topoRng is the oracle's stream that
+	// redraws it every round under EdgesRerandomize (edges.go).
+	g       *graph.Graph
+	topoRng *rng.Stream
 
 	ids       []NodeID // slot -> occupant id
 	joinRound []int32  // slot -> round the occupant joined
@@ -400,7 +402,6 @@ type Engine struct {
 	// last round's views out of arenas[1-r&1].
 	arenas [2][]inboxArena
 
-	fault     FaultModel   // nil = reliable links
 	faultSeed uint64       // derived from the adversary seed
 	delayed   []delayedMsg // fault-delayed messages, canonical order
 
@@ -449,6 +450,9 @@ func New(cfg Config) *Engine {
 	if cfg.Degree == 0 {
 		cfg.Degree = 8
 	}
+	if cfg.Degree < 2 || cfg.Degree%2 != 0 {
+		panic("simnet: degree must be even and >= 2")
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -467,10 +471,9 @@ func New(cfg Config) *Engine {
 	}
 	cfg.Shards = grid.Count()
 	e := &Engine{
-		cfg: cfg,
-		topo: expander.New(expander.Config{
-			N: cfg.N, Degree: cfg.Degree, Mode: cfg.EdgeMode,
-		}, cfg.AdversarySeed),
+		cfg:       cfg,
+		g:         graph.New(cfg.N, cfg.Degree),
+		topoRng:   rng.Derive(cfg.AdversarySeed, 0xed6e),
 		adv:       churn.NewAdversary(cfg.N, cfg.AdversarySeed, cfg.Strategy, cfg.Law),
 		ids:       make([]NodeID, cfg.N),
 		slotIndex: newSlotIndex(2*cfg.N + 1),
@@ -478,7 +481,6 @@ func New(cfg Config) *Engine {
 		nodeRng:   make([]*rng.Stream, cfg.N),
 		inbox:     make([][]Msg, cfg.N),
 		nextInbox: make([][]Msg, cfg.N),
-		fault:     cfg.Fault,
 		faultSeed: rng.Hash(cfg.AdversarySeed, 0xfa017),
 		routeSeed: rng.Hash(cfg.ProtocolSeed, 0x4007e),
 		workers:   workers,
@@ -488,6 +490,7 @@ func New(cfg Config) *Engine {
 		reg:       cfg.Telemetry,
 		em:        newEngineMetrics(cfg.Telemetry),
 	}
+	e.g.FillRandomRegular(e.topoRng)
 	for sh := range e.shardOut {
 		e.shardOut[sh].xfer = make([][]routedRef, grid.Count())
 		e.shardOut[sh].ctx = &Ctx{}
@@ -593,7 +596,7 @@ func (e *Engine) Round() int { return e.round }
 func (e *Engine) Config() Config { return e.cfg }
 
 // Graph returns the current topology over slots.
-func (e *Engine) Graph() *graph.Graph { return e.topo.Graph() }
+func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Workers returns the engine's resolved worker count (Config.Workers
 // with 0 mapped to GOMAXPROCS and clamped to N). Round hooks that run
@@ -608,7 +611,7 @@ func (e *Engine) Grid() shard.Grid { return e.grid }
 
 // EdgeMode returns the topology's edge-dynamics mode, fixed for the run
 // at construction (Config.EdgeMode).
-func (e *Engine) EdgeMode() expander.EdgeMode { return e.cfg.EdgeMode }
+func (e *Engine) EdgeMode() EdgeMode { return e.cfg.EdgeMode }
 
 // IDAt returns the id occupying slot s.
 func (e *Engine) IDAt(s int) NodeID { return e.ids[s] }
@@ -870,7 +873,7 @@ func (e *Engine) RunRound(h Handler) {
 			// Pending messages addressed to the departed occupant die
 			// with it.
 			e.em.dropped.Add(0, int64(len(e.nextInbox[s])))
-			e.nextInbox[s] = e.nextInbox[s][:0]
+			e.nextInbox[s] = nil
 			if h != nil {
 				h.OnJoin(e, s, id, round)
 			}
@@ -884,20 +887,27 @@ func (e *Engine) RunRound(h Handler) {
 		if prof != nil {
 			prof.Lap(0) // churn
 		}
-		// 2. Topology change.
-		e.topo.Step(round)
+		// 2. Topology change: only the rerandomizing oracle touches edges
+		// after round 0 (edges.go).
+		if e.cfg.EdgeMode == EdgesRerandomize {
+			e.g.FillRandomRegular(e.topoRng)
+		}
 		if prof != nil {
 			prof.Lap(1) // topology
 		}
 	}
 
 	// Swap inboxes: what was accumulated last round is delivered now.
-	// One fused pass resets next-round inboxes and tallies deliveries.
+	// One fused pass resets next-round inboxes and tallies deliveries. The
+	// reset drops each view's capacity too: it points into an arena the
+	// next exchange rewrites, so a fault-delayed message appended to an
+	// inbox that got no fresh one must copy out rather than overwrite
+	// another slot's run.
 	e.inbox, e.nextInbox = e.nextInbox, e.inbox
 	var delivered int64
 	for s := range e.inbox {
 		delivered += int64(len(e.inbox[s]))
-		e.nextInbox[s] = e.nextInbox[s][:0]
+		e.nextInbox[s] = nil
 	}
 	e.em.delivered.Add(0, delivered)
 	e.deliverDelayed(round)
@@ -1006,7 +1016,7 @@ func (e *Engine) route() {
 		if e.router != nil {
 			for i := range rs.out {
 				m := &rs.out[i]
-				if e.fault != nil && e.faultFate(rs, m) {
+				if e.cfg.Fault != nil && e.faultFate(rs, m) {
 					continue
 				}
 				e.sendToRouter(m)
@@ -1038,7 +1048,7 @@ func (e *Engine) exchange() {
 		}
 		for i := range rs.out {
 			m := &rs.out[i]
-			if e.fault != nil && e.faultFate(rs, m) {
+			if e.cfg.Fault != nil && e.faultFate(rs, m) {
 				continue
 			}
 			dst, ok := e.slotOf(m.To)
@@ -1103,7 +1113,7 @@ func (e *Engine) exchange() {
 // in rs.delayed for a later round — and tallies it in rs.
 func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 	rnd := rng.Hash(e.faultSeed, uint64(e.round), uint64(m.From), uint64(m.seq))
-	drop, delay := e.fault.Fate(e.round, m, rnd)
+	drop, delay := e.cfg.Fault.Fate(e.round, m, rnd)
 	switch {
 	case drop:
 		rs.faultDropped++

@@ -8,12 +8,11 @@ import (
 	"unsafe"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 )
 
 func testConfig(n int, law churn.Law) Config {
 	return Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+		N: n, Degree: 8, EdgeMode: EdgesRerandomize,
 		AdversarySeed: 1, ProtocolSeed: 2,
 		Strategy: churn.Uniform, Law: law,
 	}

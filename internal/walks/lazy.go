@@ -408,7 +408,6 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	if r > lz.advB && len(ring.idDeltas) > 0 {
 		death = ring.death
 	}
-	lazyWalk := s.p.Lazy
 	x := stepSeed(s.seed, r)
 	birth := int32(lz.advB)
 	slotLoc := s.slotLoc
@@ -422,14 +421,8 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 		}
 		// Step core — keep in sync with Reference.StepRound (reference.go).
 		h := stepMix(x, simnet.NodeID(t.idser>>16), birth, uint16(t.idser))
-		pos := t.pos
-		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
-			if lazyWalk {
-				h <<= 1
-			}
-			port, _ := bits.Mul64(h, du)
-			pos = row[int(t.pos)*d+int(port)]
-		}
+		port, _ := bits.Mul64(h, du)
+		pos := row[int(t.pos)*d+int(port)]
 		moves++
 		if final {
 			completed++

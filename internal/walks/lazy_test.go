@@ -11,7 +11,7 @@ import (
 
 // lazyTestParams is the standard churny configuration the lazy tests run.
 func lazyTestParams() Params {
-	return Params{WalksPerRound: 4, WalkLength: 8, Lazy: true}
+	return Params{WalksPerRound: 4, WalkLength: 8}
 }
 
 // TestLazyDeterministicAcrossWorkerCounts: every observation — each

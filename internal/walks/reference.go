@@ -154,14 +154,8 @@ func (s *Reference) StepRound(e *simnet.Engine, round int) {
 			}
 			// Step core — keep in sync with lzReplayShard (lazy.go).
 			h := stepHash(s.seed, round, t.Src, t.Birth, t.Serial)
-			dst := slot
-			if lazyStay := s.p.Lazy && h>>63 == 1; !lazyStay {
-				if s.p.Lazy {
-					h <<= 1
-				}
-				port, _ := bits.Mul64(h, d)
-				dst = int(g.Neighbor(slot, int(port)))
-			}
+			port, _ := bits.Mul64(h, d)
+			dst := int(g.Neighbor(slot, int(port)))
 			t.Steps--
 			s.m.Moves++
 			s.cohort(t.Birth).Moves++

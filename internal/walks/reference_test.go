@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 )
@@ -33,11 +32,11 @@ func runAgainstReference(t *testing.T, p Params, workers, n, rounds int) {
 // count (0 = the engine's adaptive default).
 func runAgainstReferenceShards(t *testing.T, p Params, workers, shards, n, rounds int) {
 	t.Helper()
-	runAgainstReferenceOn(t, newRefEngine(n, shards, expander.Rerandomize), p, workers, rounds)
+	runAgainstReferenceOn(t, newRefEngine(n, shards, simnet.EdgesRerandomize), p, workers, rounds)
 }
 
 // newRefEngine builds the churning engine the reference legs run on.
-func newRefEngine(n, shards int, edges expander.EdgeMode) *simnet.Engine {
+func newRefEngine(n, shards int, edges simnet.EdgeMode) *simnet.Engine {
 	return simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: edges, Shards: shards,
 		AdversarySeed: 11, ProtocolSeed: 12,
@@ -82,12 +81,12 @@ func runAgainstReferenceOn(t *testing.T, e *simnet.Engine, p Params, workers, ro
 }
 
 // TestLazyMatchesReference is the bugfix safety net for the lazy
-// trajectory evaluator: several hundred rounds of churn + Lazy, compared
+// trajectory evaluator: several hundred rounds of churn, compared
 // against the naive reference model every round — per-slot sample
 // multisets, the delivered cohorts' metrics and
 // Generated == Completed + Died — at worker counts 1, 3, and GOMAXPROCS.
 func TestLazyMatchesReference(t *testing.T) {
-	p := Params{WalksPerRound: 3, WalkLength: 7, Lazy: true}
+	p := Params{WalksPerRound: 3, WalkLength: 7}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for _, n := range []int{50, 128} { // 50 < shard.Count exercises empty shards
 			runAgainstReference(t, p, workers, n, 300)
@@ -101,7 +100,7 @@ func TestLazyMatchesReference(t *testing.T) {
 // more than half the shards own zero slots; per-slot multisets and metrics
 // must still match the serial reference exactly.
 func TestLazyMatchesReferenceShardCounts(t *testing.T) {
-	p := Params{WalksPerRound: 3, WalkLength: 7, Lazy: true}
+	p := Params{WalksPerRound: 3, WalkLength: 7}
 	for _, shards := range []int{16, 256} {
 		for _, workers := range []int{1, 3} {
 			runAgainstReferenceShards(t, p, workers, shards, 128, 200)
@@ -114,7 +113,7 @@ func TestLazyMatchesReferenceShardCounts(t *testing.T) {
 // minimum depth) that the default-length oracle never reaches.
 func TestLazyMatchesReferenceShortWalks(t *testing.T) {
 	for _, T := range []int{1, 2} {
-		p := Params{WalksPerRound: 2, WalkLength: T, Lazy: true}
+		p := Params{WalksPerRound: 2, WalkLength: T}
 		runAgainstReference(t, p, 1, 64, 120)
 		runAgainstReference(t, p, 3, 64, 120)
 	}
@@ -145,17 +144,15 @@ func (ps *portSwapper) StepRound(e *simnet.Engine, round int) {
 // ring entry after the first is a delta list, and the replay row and the
 // tail must both step through them.
 func TestDeltaRingMatchesReference(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		p := Params{WalksPerRound: 3, WalkLength: 7, Lazy: lazy}
-		for _, workers := range []int{1, 3} {
-			for _, n := range []int{50, 128} {
-				e := newRefEngine(n, 0, expander.Static)
-				e.AddHook(&portSwapper{r: rng.New(uint64(n))})
-				soup := runAgainstReferenceOn(t, e, p, workers, 300)
-				if last := soup.lz.entry(e.Round() - 1); last.disrupted || len(last.deltas) == 0 {
-					t.Fatalf("lazy=%v workers=%d n=%d: the last ring entry holds no deltas (disrupted=%v)",
-						lazy, workers, n, last.disrupted)
-				}
+	p := Params{WalksPerRound: 3, WalkLength: 7}
+	for _, workers := range []int{1, 3} {
+		for _, n := range []int{50, 128} {
+			e := newRefEngine(n, 0, simnet.EdgesStatic)
+			e.AddHook(&portSwapper{r: rng.New(uint64(n))})
+			soup := runAgainstReferenceOn(t, e, p, workers, 300)
+			if last := soup.lz.entry(e.Round() - 1); last.disrupted || len(last.deltas) == 0 {
+				t.Fatalf("workers=%d n=%d: the last ring entry holds no deltas (disrupted=%v)",
+					workers, n, last.disrupted)
 			}
 		}
 	}

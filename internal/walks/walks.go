@@ -59,10 +59,6 @@ type Params struct {
 	WalksPerRound int
 	// WalkLength is T, the number of steps each walk takes (Θ(log n)).
 	WalkLength int
-	// Lazy makes walks lazy (stay put with probability 1/2). Laziness is
-	// the standard guard against the vanishing-probability bipartite draw
-	// of the random topology; it roughly doubles the mixing length.
-	Lazy bool
 }
 
 // DefaultParams returns soup parameters for network size n, following the
@@ -185,8 +181,8 @@ func (s *Soup) Samples(slot int) []Sample {
 }
 
 // stepHash derives the per-token per-round randomness. Mixing is
-// splitmix64-flavoured; the output decides the neighbour port and the lazy
-// coin, independent of any iteration order. It is split in two so a loop
+// splitmix64-flavoured; the output decides the neighbour port, independent
+// of any iteration order. It is split in two so a loop
 // stepping many tokens through one round computes stepSeed once.
 func stepHash(seed uint64, round int, src simnet.NodeID, birth int32, serial uint16) uint64 {
 	return stepMix(stepSeed(seed, round), src, birth, serial)

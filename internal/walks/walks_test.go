@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/expander"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
 )
@@ -19,7 +18,7 @@ func newEngine(n int, law churn.Law, seeds ...uint64) *simnet.Engine {
 		protoSeed = seeds[1]
 	}
 	return simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: expander.Rerandomize,
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 		AdversarySeed: advSeed, ProtocolSeed: protoSeed,
 		Strategy: churn.Uniform, Law: law,
 	})
@@ -218,31 +217,6 @@ func TestMixingToNearUniform(t *testing.T) {
 	}
 }
 
-func TestLazyWalksStillMix(t *testing.T) {
-	const n = 256
-	e := newEngine(n, churn.ZeroLaw{})
-	T := 4 * int(math.Ceil(math.Log(n))) // lazy needs ~2x steps
-	p := Params{WalksPerRound: 0, WalkLength: T, Lazy: true}
-	s := NewReference(e, p, 0, 0)
-	e.AddHook(s)
-	e.RunRound(simnet.NopHandler{})
-	counts := make([]int, n)
-	const batches = 20
-	for b := 0; b < batches; b++ {
-		s.Inject(e, 0, 500)
-		for r := 0; r < T; r++ {
-			e.RunRound(simnet.NopHandler{})
-			for slot := 0; slot < n; slot++ {
-				counts[slot] += len(s.Samples(slot))
-			}
-		}
-	}
-	tv := stats.TVDistanceFromUniform(counts)
-	if tv > 0.2 {
-		t.Fatalf("lazy endpoint TV = %v, want < 0.2", tv)
-	}
-}
-
 func TestDefaultParamsScaling(t *testing.T) {
 	p1 := DefaultParams(1000)
 	p2 := DefaultParams(1000000)
@@ -255,15 +229,15 @@ func TestDefaultParamsScaling(t *testing.T) {
 }
 
 func TestLazyStepUsesAllPorts(t *testing.T) {
-	// Regression test for the fastrange port pick: with Lazy=true the coin
-	// and the port must come from disjoint hash bits, or half the ports
-	// are never taken. On a static topology, the one-step walks slot 0
-	// starts in round 0 must reach every distinct neighbour of that slot.
+	// Regression test for the fastrange port pick: the port must come from
+	// the hash's high bits, or some ports are never taken. On a static
+	// topology, the one-step walks slot 0 starts in round 0 must reach
+	// every distinct neighbour of that slot.
 	e := simnet.New(simnet.Config{
-		N: 64, Degree: 8, EdgeMode: expander.Static,
+		N: 64, Degree: 8, EdgeMode: simnet.EdgesStatic,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	})
-	s := NewSoup(e, Params{WalksPerRound: 4000, WalkLength: 1, Lazy: true}, 0)
+	s := NewSoup(e, Params{WalksPerRound: 4000, WalkLength: 1}, 0)
 	e.AddHook(s)
 	srcID := e.IDAt(0)
 	neighbors := map[int]bool{}
@@ -284,7 +258,7 @@ func TestLazyStepUsesAllPorts(t *testing.T) {
 	}
 	for slot, hit := range neighbors {
 		if !hit && slot != 0 {
-			t.Errorf("neighbour slot %d (a port of slot 0) never reached by 4000 one-step lazy walks", slot)
+			t.Errorf("neighbour slot %d (a port of slot 0) never reached by 4000 one-step walks", slot)
 		}
 	}
 }

@@ -121,10 +121,9 @@ func TestSelfHealingAcceptance(t *testing.T) {
 // contract to the overlay: a faulty, churning self-healing network must
 // produce identical stats (including overlay metrics), retrieval
 // results, walk samples, and final adjacency for Workers ∈ {1, 3,
-// GOMAXPROCS}. The contract is per shard count — results are a pure
-// function of (seeds, parameters, shard count) — so the test repeats at
-// the pinned grid floor (16) and ceiling (256) in addition to the
-// adaptive default. CI runs it under -race.
+// GOMAXPROCS}. The test repeats at the pinned grid floor (16) and ceiling
+// (256) in addition to the adaptive default, so a worker-count dependence
+// that only one grid geometry shows cannot hide. CI runs it under -race.
 func TestSelfHealingWorkerIndependence(t *testing.T) {
 	type snapshot struct {
 		stats   Stats
