@@ -76,8 +76,8 @@ func ParseEdgeMode(s string) (EdgeMode, error) { return simnet.ParseEdgeMode(s) 
 // RoutingMode selects how protocol messages travel (re-exported; see
 // internal/simnet). RoutingOracle teleports each message to its
 // addressee in one round — the historical engine exchange. RoutingOverlay
-// walks every message edge-by-edge over the live expander with per-slot
-// link capacities and bounded queues (DESIGN.md §11).
+// walks every message edge-by-edge over the live expander on unmetered
+// links (DESIGN.md §11).
 type RoutingMode = simnet.RoutingMode
 
 // Routing modes (re-exported).
@@ -89,9 +89,8 @@ const (
 // ParseRoutingMode resolves a routing-mode name ("oracle", "overlay").
 func ParseRoutingMode(s string) (RoutingMode, error) { return simnet.ParseRoutingMode(s) }
 
-// RoutingConfig parameterises overlay message routing (re-exported):
-// Mode, WalkBudget (0 = auto), LinkCapacity (0 = unlimited), QueueLimit
-// (0 = default).
+// RoutingConfig parameterises overlay message routing (re-exported): its
+// Mode.
 type RoutingConfig = simnet.RoutingConfig
 
 // RouteMetrics is the overlay router's counter snapshot (re-exported).
@@ -162,9 +161,10 @@ type Config struct {
 	// The zero value is RoutingOracle: every message teleports to its
 	// addressee and arrives the next round if the addressee is still
 	// live. Routing.Mode = RoutingOverlay makes every protocol message
-	// walk the expander edge-by-edge with congestion accounting: it
-	// arrives the next round unless it parks at a congested node or is
-	// dropped. To compare the two, run the same seed once per mode.
+	// walk the expander edge-by-edge, with per-link load accounting: it
+	// arrives the next round unless its walk budget runs out or its
+	// addressee has left. To compare the two, run the same seed once per
+	// mode.
 	Routing RoutingConfig
 	// Cache enables hot-key caching (DESIGN.md §10): completed retrievals
 	// are cached and probabilistically replicated along walk samples, so

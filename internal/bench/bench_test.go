@@ -209,7 +209,7 @@ func routedRound(n int, routed bool) func() {
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
 	}
 	if routed {
-		cfg.Routing = simnet.RoutingConfig{Mode: simnet.RoutingOverlay, WalkBudget: 64}
+		cfg.Routing = simnet.RoutingConfig{Mode: simnet.RoutingOverlay}
 	}
 	e := simnet.New(cfg)
 	h := neighborFanout{fanout: 4}

@@ -11,66 +11,36 @@ import (
 )
 
 // refRouter is the serial router the hop kernel replaced, kept as the
-// oracle Step is pinned to: separate parked / transit / next queues, one
-// walker at a time, every side effect taken the moment the walk decides
-// it. Its walk loop is the old production loop verbatim — two-round hash
-// and modulus per hop, a scan of the current row for the target, per-hop
-// bookkeeping in the header.
+// oracle Step is pinned to: one walker at a time, every side effect taken
+// the moment the walk decides it. Its walk loop is the old production
+// loop verbatim — two-round hash and modulus per hop, a scan of the
+// current row for the target, per-hop bookkeeping in the header.
 type refRouter struct {
 	p   Params
 	env Env[testMsg]
 
-	transit, queued, next []walker[testMsg]
-	fwd, qlen             []int32
+	transit []walker[testMsg]
+	fwd     []int32
 
 	m Metrics
 }
 
 func newRefRouter(n int, p Params) *refRouter {
-	if p.QueueLimit <= 0 {
-		p.QueueLimit = DefaultQueueLimit
-	}
-	return &refRouter{p: p, fwd: make([]int32, n), qlen: make([]int32, n)}
+	return &refRouter{p: p, fwd: make([]int32, n)}
 }
 
 func (r *refRouter) Send(m testMsg, h Header, at int32) {
-	if h.Budget <= 0 {
-		h.Budget = int32(r.p.Budget)
-	}
+	h.Hops = 0
 	r.m.Sent++
 	r.transit = append(r.transit, walker[testMsg]{h: h, at: at, m: m})
-}
-
-func (r *refRouter) DropQueuedAt(slots []int) {
-	mark := map[int32]bool{}
-	for _, s := range slots {
-		mark[int32(s)] = true
-	}
-	kept := r.queued[:0]
-	for i := range r.queued {
-		w := &r.queued[i]
-		if mark[w.at] {
-			r.qlen[w.at]--
-			r.drop(w, DropChurn)
-			continue
-		}
-		kept = append(kept, *w)
-	}
-	r.queued = kept
 }
 
 func (r *refRouter) Step() {
 	g := r.env.Graph()
 	clear(r.fwd)
-	clear(r.qlen)
-	r.next = r.next[:0]
-	for i := range r.queued {
-		r.walk(&r.queued[i], g)
-	}
 	for i := range r.transit {
 		r.walk(&r.transit[i], g)
 	}
-	r.queued, r.next = r.next, r.queued[:0]
 	r.transit = r.transit[:0]
 	var maxLink int32
 	for _, f := range r.fwd {
@@ -89,8 +59,7 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 			return
 		}
 	}
-	cap32 := int32(r.p.LinkCapacity)
-	for {
+	for budget := r.p.Budget; ; budget-- {
 		s := w.at
 		if s == tslot {
 			r.deliver(w, s)
@@ -100,12 +69,8 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 			r.deliver(w, s)
 			return
 		}
-		if w.h.Budget <= 0 {
+		if budget <= 0 {
 			r.drop(w, DropBudget)
-			return
-		}
-		if cap32 > 0 && r.fwd[s] >= cap32 {
-			r.park(w, s)
 			return
 		}
 		nbrs := g.Neighbors(int(s))
@@ -123,7 +88,6 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 			next = nbrs[rng.Hash(w.h.Seed, uint64(w.h.Hops))%uint64(len(nbrs))]
 		}
 		r.fwd[s]++
-		w.h.Budget--
 		w.h.Hops++
 		r.m.Forwards++
 		if r.env.OnHop != nil {
@@ -133,31 +97,15 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 	}
 }
 
-func (r *refRouter) park(w *walker[testMsg], s int32) {
-	if int(r.qlen[s]) >= r.p.QueueLimit {
-		r.drop(w, DropQueueFull)
-		return
-	}
-	r.qlen[s]++
-	w.at = s
-	r.m.Parked++
-	r.next = append(r.next, *w)
-}
-
 func (r *refRouter) deliver(w *walker[testMsg], s int32) {
 	r.m.Delivered++
 	r.env.Deliver(s, &w.m, w.h.Hops)
 }
 
 func (r *refRouter) drop(w *walker[testMsg], reason DropReason) {
-	switch reason {
-	case DropBudget:
+	if reason == DropBudget {
 		r.m.DroppedBudget++
-	case DropQueueFull:
-		r.m.DroppedQueueFull++
-	case DropChurn:
-		r.m.DroppedChurn++
-	case DropDead:
+	} else {
 		r.m.DroppedDead++
 	}
 	r.env.OnDrop(&w.m, &w.h, reason)
@@ -168,37 +116,26 @@ type event struct {
 	id     int
 	slot   int32 // delivery slot; -1 for drops
 	hops   int32
-	budget int32 // remaining budget (drops only)
 	reason DropReason
-}
-
-// parkedWalker is one queue entry: who waits where, with what header.
-type parkedWalker struct {
-	id int
-	at int32
-	h  Header
 }
 
 // TestStepMatchesReference pins the sharded Step — lean kernel, lanes,
 // canonical merge — to the serial router it replaced, on re-randomised
 // regular graphs with id, keyed and dead-target walkers, budgets that
-// expire, congested and unlimited links, and every lane count: the same
-// callbacks in the same order with the same hops, the same per-slot link
-// meters, the same queues in the same order, and every Metrics field,
+// expire, and every lane count: the same callbacks in the same order with
+// the same hops, the same per-slot link meters, and every Metrics field,
 // round after round. (A pure id walk to Target 0 is the one deliberate
-// difference and has its own test.)
+// difference and has its own test.) cap=0: links are unmetered.
 func TestStepMatchesReference(t *testing.T) {
 	const n, rounds, perRound = 192, 8, 700
 	for _, d := range []int{6, 8} { // modulus and mask port reduction
-		for _, capacity := range []int{0, 3} {
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, hopRec := range []bool{false, true} {
-					name := fmt.Sprintf("d=%d/cap=%d/workers=%d/hoprec=%v", d, capacity, workers, hopRec)
-					t.Run(name, func(t *testing.T) {
-						p := Params{Budget: 40, LinkCapacity: capacity, QueueLimit: 2, Seed: 11}
-						diffStep(t, n, d, rounds, perRound, p, workers, hopRec)
-					})
-				}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, hopRec := range []bool{false, true} {
+				name := fmt.Sprintf("d=%d/cap=0/workers=%d/hoprec=%v", d, workers, hopRec)
+				t.Run(name, func(t *testing.T) {
+					p := Params{Budget: 40, Seed: 11}
+					diffStep(t, n, d, rounds, perRound, p, workers, hopRec)
+				})
 			}
 		}
 	}
@@ -229,7 +166,7 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 				s.events = append(s.events, event{id: m.id, slot: slot, hops: hops})
 			},
 			OnDrop: func(m *testMsg, h *Header, reason DropReason) {
-				s.events = append(s.events, event{id: m.id, slot: -1, hops: h.Hops, budget: h.Budget, reason: reason})
+				s.events = append(s.events, event{id: m.id, slot: -1, hops: h.Hops, reason: reason})
 			},
 		}
 		if hopRec {
@@ -255,14 +192,6 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 		for i := range dead {
 			dead[i] = i > 0 && load.Intn(16) == 0
 		}
-		var churned []int
-		for s := 0; s < n; s++ {
-			if load.Intn(12) == 0 {
-				churned = append(churned, s)
-			}
-		}
-		rr.DropQueuedAt(churned)
-		nr.DropQueuedAt(churned)
 		for i := 0; i < perRound; i++ {
 			id++
 			h := Header{Target: uint64(1 + load.Intn(n)), Seed: rng.Hash(p.Seed, uint64(id))}
@@ -271,9 +200,6 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 				h.Keyed, h.Key = true, uint64(1+load.Intn(3))
 			case 1: // keyed, no addressee
 				h.Keyed, h.Key, h.Target = true, uint64(1+load.Intn(3)), 0
-			}
-			if load.Intn(8) == 0 {
-				h.Budget = int32(1 + load.Intn(6)) // expires early
 			}
 			at := int32(load.Intn(n))
 			m := testMsg{id: id}
@@ -298,9 +224,6 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 		if !reflect.DeepEqual(rr.fwd, nr.lanes[0].fwd) {
 			t.Fatalf("round %d: per-slot link meters differ", round)
 		}
-		if !reflect.DeepEqual(rr.qlen, nr.qlen) {
-			t.Fatalf("round %d: per-slot queue lengths differ", round)
-		}
 		var delivered []int
 		nr.EachDelivered(func(slot int32, m *testMsg) { delivered = append(delivered, m.id) })
 		var want []int
@@ -312,19 +235,8 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 		if !reflect.DeepEqual(want, delivered) {
 			t.Fatalf("round %d: EachDelivered revisits %d messages, Deliver saw %d", round, len(delivered), len(want))
 		}
-		if nr.InFlight() != len(rr.queued) {
-			t.Fatalf("round %d: in flight %d, reference %d", round, nr.InFlight(), len(rr.queued))
-		}
-		nr.settle()
-		var wantQ, gotQ []parkedWalker
-		for _, w := range rr.queued {
-			wantQ = append(wantQ, parkedWalker{w.m.id, w.at, w.h})
-		}
-		for _, w := range nr.ws[:nr.nq] {
-			gotQ = append(gotQ, parkedWalker{w.m.id, w.at, w.h})
-		}
-		if !reflect.DeepEqual(wantQ, gotQ) {
-			t.Fatalf("round %d: queues differ: reference holds %d, got %d", round, len(wantQ), len(gotQ))
+		if nr.InFlight() != 0 {
+			t.Fatalf("round %d: %d walkers outlived the Step", round, nr.InFlight())
 		}
 		if m := nr.Metrics(); m != rr.m {
 			t.Fatalf("round %d: metrics differ:\nreference %+v\ngot       %+v", round, rr.m, m)
@@ -335,8 +247,5 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 	m := rr.m
 	if m.Delivered == 0 || m.DroppedBudget == 0 || m.DroppedDead == 0 {
 		t.Fatalf("workload is not mixed: %+v", m)
-	}
-	if p.LinkCapacity > 0 && (m.Parked == 0 || m.DroppedQueueFull == 0 || m.DroppedChurn == 0) {
-		t.Fatalf("congestion leg is inert: %+v", m)
 	}
 }

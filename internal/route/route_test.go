@@ -82,7 +82,7 @@ func (h *harness) send(id, from, targetSlot int, keyed bool, key uint64) {
 func (h *harness) conserve(t *testing.T) {
 	t.Helper()
 	m := h.r.Metrics()
-	drops := m.DroppedBudget + m.DroppedQueueFull + m.DroppedChurn + m.DroppedDead
+	drops := m.DroppedBudget + m.DroppedDead
 	if m.Sent != m.Delivered+drops+int64(h.r.InFlight()) {
 		t.Fatalf("conservation violated: sent %d != delivered %d + drops %d + in-flight %d",
 			m.Sent, m.Delivered, drops, h.r.InFlight())
@@ -171,13 +171,19 @@ func TestBudgetExhaustionDrops(t *testing.T) {
 	h.conserve(t)
 }
 
+// TestDeadTargetDropsAtPickup: a walk whose addressee has departed drops
+// before its first forward, and its header reports the hops it took —
+// none — whatever the sender left in Hops.
 func TestDeadTargetDropsAtPickup(t *testing.T) {
 	h := newHarness(t, 8, Params{Budget: 16})
 	h.dead[4] = true // id 4 = slot 3's occupant, departed
-	h.send(1, 0, 3, false, 0)
+	h.r.Send(&testMsg{id: 1}, Header{Target: 4, Hops: 7, Seed: 1}, 0)
 	h.r.Step()
 	if len(h.drops) != 1 || h.drops[0].reason != DropDead {
 		t.Fatalf("drops = %+v, want one DropDead", h.drops)
+	}
+	if h.dropHops[0] != 0 {
+		t.Fatalf("dead-target drop reports %d hops, want 0", h.dropHops[0])
 	}
 	if h.r.Metrics().Forwards != 0 {
 		t.Fatal("dead-target walk must not burn forwards")
@@ -188,10 +194,10 @@ func TestDeadTargetDropsAtPickup(t *testing.T) {
 // TestUnaddressedIdWalkDropsAtPickup pins the no-target fix: a pure id
 // walk to Target 0 has nowhere to arrive, so it is a dead-target drop at
 // pickup — as oracle mode discards mail to id 0 in one round — instead of
-// wandering its whole budget, spending link capacity that parks real
-// traffic, and being booked as a budget drop.
+// wandering its whole budget, loading links, and being booked as a
+// budget drop.
 func TestUnaddressedIdWalkDropsAtPickup(t *testing.T) {
-	h := newHarness(t, 8, Params{Budget: 16, LinkCapacity: 1})
+	h := newHarness(t, 8, Params{Budget: 16})
 	h.r.Send(&testMsg{id: 1}, Header{Target: 0, Seed: 1}, 0)
 	h.send(2, 0, 2, false, 0) // behind it on the same links
 	h.r.Step()
@@ -199,9 +205,9 @@ func TestUnaddressedIdWalkDropsAtPickup(t *testing.T) {
 		t.Fatalf("drops = %+v, want message 1 as DropDead", h.drops)
 	}
 	if len(h.delivered) != 1 || h.delivered[0] != (delivery{slot: 2, id: 2, hops: 2}) {
-		t.Fatalf("delivery = %+v, want message 2 at slot 2 unhindered", h.delivered)
+		t.Fatalf("delivery = %+v, want message 2 at slot 2", h.delivered)
 	}
-	if m := h.r.Metrics(); m.DroppedDead != 1 || m.DroppedBudget != 0 || m.Forwards != 2 || m.Parked != 0 {
+	if m := h.r.Metrics(); m.DroppedDead != 1 || m.DroppedBudget != 0 || m.Forwards != 2 || m.MaxLinkLoad != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
 	h.conserve(t)
@@ -216,72 +222,6 @@ func TestKeyedWalkSurvivesDeadTarget(t *testing.T) {
 	if len(h.delivered) != 1 || h.delivered[0].slot != 2 {
 		t.Fatalf("delivery = %+v, want holder slot 2", h.delivered)
 	}
-}
-
-func TestCongestionParksThenQueueOverflowDrops(t *testing.T) {
-	h := newHarness(t, 8, Params{Budget: 16, LinkCapacity: 1, QueueLimit: 2})
-	for id := 1; id <= 4; id++ {
-		h.send(id, 0, 2, false, 0)
-	}
-	// Step 1: walker 1 uses slot 0's (and slot 1's) capacity and
-	// delivers; walkers 2 and 3 park at slot 0; walker 4 finds the queue
-	// full and drops.
-	h.r.Step()
-	m := h.r.Metrics()
-	if m.Delivered != 1 || m.Parked != 2 || m.DroppedQueueFull != 1 {
-		t.Fatalf("after step 1: %+v", m)
-	}
-	if h.r.QueuedAt(0) != 2 || h.r.InFlight() != 2 {
-		t.Fatalf("queue state: at0=%d inflight=%d", h.r.QueuedAt(0), h.r.InFlight())
-	}
-	if m.MaxLinkLoad != 1 {
-		t.Fatalf("max link load %d, want capacity bound 1", m.MaxLinkLoad)
-	}
-	// Step 2: oldest parked walker (2) drains and delivers; walker 3
-	// parks again behind the capacity bound.
-	h.r.Step()
-	if m = h.r.Metrics(); m.Delivered != 2 || h.r.InFlight() != 1 {
-		t.Fatalf("after step 2: %+v inflight=%d", m, h.r.InFlight())
-	}
-	// Step 3: the last walker drains.
-	h.r.Step()
-	if m = h.r.Metrics(); m.Delivered != 3 || h.r.InFlight() != 0 {
-		t.Fatalf("after step 3: %+v inflight=%d", m, h.r.InFlight())
-	}
-	h.conserve(t)
-}
-
-// TestChurnDropsQueuedWalkersAccounted is the drop-audit regression: a
-// message parked at a slot that churns must be dropped AND accounted —
-// counter plus OnDrop observation — never silently lost, while transit
-// messages (already off their sender) are unaffected.
-func TestChurnDropsQueuedWalkersAccounted(t *testing.T) {
-	h := newHarness(t, 8, Params{Budget: 16, LinkCapacity: 1, QueueLimit: 8})
-	for id := 1; id <= 3; id++ {
-		h.send(id, 0, 2, false, 0)
-	}
-	h.r.Step() // walker 1 delivers; walkers 2 and 3 park at slot 0
-	if h.r.QueuedAt(0) != 2 {
-		t.Fatalf("queued at slot 0 = %d, want 2", h.r.QueuedAt(0))
-	}
-	h.send(4, 5, 7, false, 0) // fresh transit: must survive the churn below
-	h.r.DropQueuedAt([]int{0, 6})
-	if h.r.QueuedAt(0) != 0 {
-		t.Fatal("churned slot still has queued walkers")
-	}
-	if len(h.drops) != 2 ||
-		h.drops[0] != (droppedMsg{2, DropChurn}) || h.drops[1] != (droppedMsg{3, DropChurn}) {
-		t.Fatalf("drops = %+v, want walkers 2 and 3 as DropChurn", h.drops)
-	}
-	if m := h.r.Metrics(); m.DroppedChurn != 2 {
-		t.Fatalf("DroppedChurn = %d, want 2", m.DroppedChurn)
-	}
-	h.conserve(t)
-	h.r.Step() // the transit walker is unaffected and delivers
-	if len(h.delivered) != 2 || h.delivered[1].id != 4 {
-		t.Fatalf("deliveries = %+v, want transit walker 4 delivered", h.delivered)
-	}
-	h.conserve(t)
 }
 
 func TestWalkIsDeterministic(t *testing.T) {
@@ -332,32 +272,32 @@ func TestNewValidates(t *testing.T) {
 }
 
 // FuzzRouteHeader sends walkers with arbitrary headers — a target that is
-// 0, departed or out of range, any key, keyed or not, a budget at or below
-// 0 or large, a hop count negative or near overflow, any seed — under an
-// input-chosen link capacity and queue limit, on a 4-regular circulant
-// graph with some holders, and steps a few rounds. The router must never
-// panic, its books must balance after every Step, a delivered walk must
-// end where its header allows, and no walker may take more forwards than
-// its budget (the router's default when the header's is ≤ 0).
+// 0, departed or out of range, any key, keyed or not, any hop count left
+// in the header, any seed — on a 4-regular circulant graph with some
+// holders, and steps a few rounds. The router must never panic, its books
+// must balance after every Step, a delivered walk must end where its
+// header allows, every walker must deliver or drop in the first Step, and
+// the hop count it reports must be the forwards it took, within the
+// router's budget.
 //
-// Input: capacity, queue limit, a holder mask and a dead mask, then 16
-// bytes per walker — target, origin, keyed flag, key, budget (int16), hops
-// (int32), seed (48 bits) — little-endian.
+// Input: a holder mask and a dead mask, then 16 bytes per walker —
+// target, origin, keyed flag, key, hops (int32), seed (64 bits) —
+// little-endian.
 func FuzzRouteHeader(f *testing.F) {
-	const n, defBudget = 16, 48
-	f.Add([]byte{0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6})
-	f.Add([]byte{1, 2, 0x07, 0x03,
-		2, 5, 1, 1, 0xff, 0x7f, 0xfe, 0xff, 0xff, 0x7f, 9, 8, 7, 6, 5, 4,
-		0, 3, 0, 0, 0x00, 0x80, 0x00, 0x00, 0x00, 0x80, 1, 1, 1, 1, 1, 1})
-	f.Add([]byte{1, 1, 0, 0,
-		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
-		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
-		7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0})
+	const n, budget = 16, 48
+	f.Add([]byte{0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 0, 0})
+	f.Add([]byte{0x07, 0x03,
+		2, 5, 1, 1, 0xfe, 0xff, 0xff, 0x7f, 9, 8, 7, 6, 5, 4, 3, 2,
+		0, 3, 0, 0, 0x00, 0x00, 0x00, 0x80, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 2 {
 			return
 		}
-		h := newHarness(t, n, Params{Budget: defBudget, LinkCapacity: int(data[0] % 4), QueueLimit: int(data[1] % 5)})
+		h := newHarness(t, n, Params{Budget: budget})
 		// Ports ±1 and ±3: a symmetric multigraph, as the router requires.
 		h.g = graph.New(n, 4)
 		for v := 0; v < n; v++ {
@@ -366,40 +306,36 @@ func FuzzRouteHeader(f *testing.F) {
 			}
 		}
 		for s := 0; s < 8; s++ {
-			if data[2]>>s&1 != 0 {
+			if data[0]>>s&1 != 0 {
 				h.holders[int32(2*s)] = uint64(s%3 + 1)
 			}
-			if data[3]>>s&1 != 0 {
+			if data[1]>>s&1 != 0 {
 				h.dead[uint64(2*s+2)] = true // slot 2s+1's occupant
 			}
 		}
-		budget := func(hd Header) int32 {
-			if hd.Budget <= 0 {
-				return defBudget
-			}
-			return hd.Budget
-		}
 		sent := map[int]Header{}
-		var budgets int64
-		for id, rec := 1, data[4:]; len(rec) >= 16 && id <= 16; id, rec = id+1, rec[16:] {
+		for id, rec := 1, data[2:]; len(rec) >= 16 && id <= 16; id, rec = id+1, rec[16:] {
 			hd := Header{
 				Target: uint64(rec[0]) % (2 * n),
 				Keyed:  rec[2]&1 != 0,
 				Key:    uint64(rec[3] % 4),
-				Budget: int32(int16(binary.LittleEndian.Uint16(rec[4:]))),
-				Hops:   int32(binary.LittleEndian.Uint32(rec[6:])),
-				Seed:   binary.LittleEndian.Uint64(rec[8:]) >> 16,
+				Hops:   int32(binary.LittleEndian.Uint32(rec[4:])),
+				Seed:   binary.LittleEndian.Uint64(rec[8:]),
 			}
 			sent[id] = hd
-			budgets += int64(budget(hd))
 			h.r.Send(&testMsg{id: id}, hd, int32(rec[1]%n))
 		}
+		var hops int64
 		for step := 0; step < 4; step++ {
 			h.r.Step()
 			h.conserve(t)
+			if h.r.InFlight() != 0 {
+				t.Fatalf("step %d: %d walkers outlived the Step", step, h.r.InFlight())
+			}
 		}
-		// Hop counts are int32 and may wrap past a fuzzed start near the
-		// limit; the wrapped difference is still the forwards taken.
+		if got := len(h.delivered) + len(h.drops); got != len(sent) {
+			t.Fatalf("%d walkers sent, %d delivered or dropped", len(sent), got)
+		}
 		for _, d := range h.delivered {
 			hd := sent[d.id]
 			tslot, live := h.r.env.SlotOf(hd.Target)
@@ -408,18 +344,19 @@ func FuzzRouteHeader(f *testing.F) {
 			if !atTarget && !atHolder {
 				t.Fatalf("walker %d %+v delivered at slot %d: neither its target nor a holder", d.id, hd, d.slot)
 			}
-			if fw := d.hops - hd.Hops; fw < 0 || fw > budget(hd) {
-				t.Fatalf("walker %d %+v delivered after %d forwards, budget %d", d.id, hd, fw, budget(hd))
+			if d.hops < 0 || d.hops > budget {
+				t.Fatalf("walker %d %+v delivered after %d forwards, budget %d", d.id, hd, d.hops, budget)
 			}
+			hops += int64(d.hops)
 		}
 		for i, dr := range h.drops {
-			hd := sent[dr.id]
-			if fw := h.dropHops[i] - hd.Hops; fw < 0 || fw > budget(hd) {
-				t.Fatalf("walker %d %+v dropped (%v) after %d forwards, budget %d", dr.id, hd, dr.reason, fw, budget(hd))
+			if fw := h.dropHops[i]; fw < 0 || fw > budget {
+				t.Fatalf("walker %d %+v dropped (%v) after %d forwards, budget %d", dr.id, sent[dr.id], dr.reason, fw, budget)
 			}
+			hops += int64(h.dropHops[i])
 		}
-		if fw := h.r.Metrics().Forwards; fw > budgets {
-			t.Fatalf("%d forwards in all, budgets sum to %d", fw, budgets)
+		if fw := h.r.Metrics().Forwards; fw != hops {
+			t.Fatalf("%d forwards in all, walkers report %d hops", fw, hops)
 		}
 	})
 }

@@ -179,10 +179,6 @@ var builtins = []builtin{
 			// terminate early at a holder, which shows up directly as
 			// lower hop quantiles, fewer budget drops, and a smaller max
 			// link load; the cold leg is the same run with -cachecap 0.
-			// Link capacity is left unlimited on purpose — a finite cap
-			// clamps the max-link gauge to the cap in any saturated round,
-			// which would erase exactly the cold-vs-cached contrast this
-			// scenario charts.
 			return Spec{
 				Name: "hot-path-congestion", N: n, Seed: seed, ZipfS: 3.0,
 				Keys:    8,

@@ -200,11 +200,10 @@ type Report struct {
 	CachedRounds   *telemetry.HistValue `json:"cachedRounds,omitempty"`
 	UncachedRounds *telemetry.HistValue `json:"uncachedRounds,omitempty"`
 	// Overlay-routing distributions, present only under routed modes:
-	// forwards per delivered message, queue depth at parking events, and
-	// true overlay path length accumulated per traced search.
-	RouteHops       *telemetry.HistValue `json:"routeHops,omitempty"`
-	RouteQueueDepth *telemetry.HistValue `json:"routeQueueDepth,omitempty"`
-	SearchPath      *telemetry.HistValue `json:"searchPath,omitempty"`
+	// forwards per delivered message, and true overlay path length
+	// accumulated per traced search.
+	RouteHops  *telemetry.HistValue `json:"routeHops,omitempty"`
+	SearchPath *telemetry.HistValue `json:"searchPath,omitempty"`
 }
 
 // Fprint renders the report as an aligned text table (the idiom of
@@ -334,19 +333,14 @@ func (r *Report) Fprint(w io.Writer) {
 		if r.RouteHops != nil {
 			telemetry.FprintHistogram(w, "route hops per delivery", *r.RouteHops)
 		}
-		if r.RouteQueueDepth != nil {
-			telemetry.FprintHistogram(w, "route queue depth at parking", *r.RouteQueueDepth)
-		}
 		if r.SearchPath != nil {
 			telemetry.FprintHistogram(w, "search overlay path length", *r.SearchPath)
 		}
 	}
 	if routed {
 		rt := r.Stats.Route
-		drops := rt.DroppedBudget + rt.DroppedQueueFull + rt.DroppedChurn + rt.DroppedDead
-		fmt.Fprintf(w, "\nrouting: %d routed sends, %d delivered over %d forwards; %d parked, %d dropped (%d budget, %d queue-full, %d churn, %d dead)\n",
-			rt.Sent, rt.Delivered, rt.Forwards, rt.Parked, drops,
-			rt.DroppedBudget, rt.DroppedQueueFull, rt.DroppedChurn, rt.DroppedDead)
+		fmt.Fprintf(w, "\nrouting: %d routed sends, %d delivered over %d forwards; %d dropped (%d budget, %d dead)\n",
+			rt.Sent, rt.Delivered, rt.Forwards, routeDrops(rt), rt.DroppedBudget, rt.DroppedDead)
 	}
 }
 

@@ -64,17 +64,15 @@ type TraceRecord struct {
 	CacheHits   int64 `json:"cacheHits,omitempty"`
 	CacheServed int64 `json:"cacheServed,omitempty"`
 	// Overlay-routing activity this round (always zero under the
-	// oracle): per-edge forwards, walkers parked at congested nodes, and
-	// routed messages dropped (budget, queue overflow, churn, or dead
-	// target).
-	RoutedFwd    int64 `json:"routedFwd,omitempty"`
-	RoutedQueued int64 `json:"routedQueued,omitempty"`
-	RoutedDrops  int64 `json:"routedDrops,omitempty"`
+	// oracle): per-edge forwards, and routed messages dropped (budget or
+	// dead target).
+	RoutedFwd   int64 `json:"routedFwd,omitempty"`
+	RoutedDrops int64 `json:"routedDrops,omitempty"`
 }
 
-// routeDrops sums a route snapshot's four drop counters.
+// routeDrops sums a route snapshot's drop counters.
 func routeDrops(m dynp2p.RouteMetrics) int64 {
-	return m.DroppedBudget + m.DroppedQueueFull + m.DroppedChurn + m.DroppedDead
+	return m.DroppedBudget + m.DroppedDead
 }
 
 // request tracks one in-flight retrieval issued by the runner.
@@ -130,6 +128,7 @@ type runner struct {
 	prev      dynp2p.Stats // snapshot for per-round deltas
 	prevTrace [5]int64     // ops started / done / hop events / cache hits / cache serves
 	segs      []segMeta
+	maxLink   int64 // largest per-node forward count in any round so far
 }
 
 // Run executes the spec and returns its report. The run is deterministic
@@ -229,6 +228,7 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 	routed := r.spec.Routing.config().Mode == dynp2p.RoutingOverlay
 	reg := r.nw.Telemetry()
 	var hopsStart telemetry.HistValue
+	var maxLink telemetry.Gauge
 	if routed {
 		// Per-phase hop quantiles come from the per-search true overlay
 		// path length (not the per-message hop histogram, whose tail is
@@ -236,7 +236,8 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 		hopsStart = reg.HistogramValue("dynp2p_search_path_hops")
 		// The max-link gauge is a running SetMax; resetting it at segment
 		// start makes the segment's reading a true per-phase maximum.
-		reg.Gauge("dynp2p_route_max_link_load", "largest per-slot forward count in any single round").Set(0)
+		maxLink = reg.Gauge("dynp2p_route_max_link_load", "largest per-slot forward count in any single round")
+		maxLink.Set(0)
 	}
 	var lamMax float64
 	for i := 0; i < rounds; i++ {
@@ -267,7 +268,11 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 		seg.hopsP50 = hops.Quantile(0.50)
 		seg.hopsP99 = hops.Quantile(0.99)
 		seg.rdrops = routeDrops(end.Route) - routeDrops(start.Route)
-		seg.maxLink = reg.Gauge("dynp2p_route_max_link_load", "largest per-slot forward count in any single round").Value()
+		seg.maxLink = maxLink.Value()
+		// Hand the gauge back as the run's maximum so far, which is what
+		// the router and the end-of-run snapshot report.
+		r.maxLink = max(r.maxLink, seg.maxLink)
+		maxLink.Set(r.maxLink)
 	}
 	r.segs = append(r.segs, seg)
 }
@@ -432,7 +437,6 @@ func (r *runner) writeTrace(phase string, stores, retrieves, done, ok, lost int)
 	rec.CacheServed = cserv - r.prevTrace[4]
 	r.prevTrace = [5]int64{ops, dones, hops, chits, cserv}
 	rec.RoutedFwd = cur.Route.Forwards - r.prev.Route.Forwards
-	rec.RoutedQueued = cur.Route.Parked - r.prev.Route.Parked
 	rec.RoutedDrops = routeDrops(cur.Route) - routeDrops(r.prev.Route)
 	r.prev = cur
 	b, err := json.Marshal(rec)
@@ -465,7 +469,6 @@ func (r *runner) report() *Report {
 		"dynp2p_search_rounds_cached":     &rep.CachedRounds,
 		"dynp2p_search_rounds_uncached":   &rep.UncachedRounds,
 		"dynp2p_route_hops":               &rep.RouteHops,
-		"dynp2p_route_queue_depth":        &rep.RouteQueueDepth,
 		"dynp2p_search_path_hops":         &rep.SearchPath,
 	} {
 		if hv := reg.HistogramValue(name); hv.Count > 0 {

@@ -51,8 +51,9 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"overwide burst":      `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"churn":{"burstPeriod":4,"burstWidth":10,"burstCount":8}}]}`,
 		"bad route mode":      `{"name":"x","n":64,"routing":{"mode":"teleport"},"phases":[{"name":"p","rounds":5}]}`,
 		"phase routing block": `{"name":"x","n":64,"phases":[{"name":"p","rounds":5,"routing":{"mode":"overlay"}}]}`,
-		"negative budget":     `{"name":"x","n":64,"routing":{"mode":"overlay","walkBudget":-1},"phases":[{"name":"p","rounds":5}]}`,
-		"negative capacity":   `{"name":"x","n":64,"routing":{"mode":"overlay","linkCapacity":-2},"phases":[{"name":"p","rounds":5}]}`,
+		"walk budget field":   `{"name":"x","n":64,"routing":{"mode":"overlay","walkBudget":512},"phases":[{"name":"p","rounds":5}]}`,
+		"link capacity field": `{"name":"x","n":64,"routing":{"mode":"overlay","linkCapacity":2},"phases":[{"name":"p","rounds":5}]}`,
+		"queue limit field":   `{"name":"x","n":64,"routing":{"mode":"overlay","queueLimit":8},"phases":[{"name":"p","rounds":5}]}`,
 		"malformed json":      `{"name":`,
 	}
 	for label, in := range cases {
@@ -540,7 +541,7 @@ func TestHotPathCachedBeatsCold(t *testing.T) {
 func TestRoutedScenario(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
 		"name": "routed", "n": 64, "seed": 11, "keys": 4,
-		"routing": {"mode": "overlay", "walkBudget": 512},
+		"routing": {"mode": "overlay"},
 		"phases": [
 			{"name": "seed", "rounds": 12, "churn": {"rate": 0.5}, "load": {"storeRate": 1}},
 			{"name": "serve", "rounds": 20, "churn": {"rate": 0.5}, "load": {"retrieveRate": 1}}
@@ -574,6 +575,46 @@ func TestRoutedScenario(t *testing.T) {
 		if !strings.Contains(out.String(), col) {
 			t.Fatalf("routed report missing %q:\n%s", col, out.String())
 		}
+	}
+}
+
+// TestRoutedMaxLinkIsRunMax: the runner reads each segment's busiest link
+// off the router's max-link gauge by resetting it at the segment's start,
+// and must hand it back as the run's maximum, so the end-of-run stats and
+// metrics snapshot agree with the report's TOTAL column. The spec's busy
+// phase comes before a quiet one, so a gauge left at the last segment's
+// reading would read low.
+func TestRoutedMaxLinkIsRunMax(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+		"name": "routed-max", "n": 128, "seed": 2, "keys": 4,
+		"routing": {"mode": "overlay"},
+		"phases": [
+			{"name": "seed", "rounds": 10, "load": {"storeRate": 1}},
+			{"name": "crowd", "rounds": 10, "load": {"retrieveRate": 8}},
+			{"name": "quiet", "rounds": 10}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := run(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := r.report()
+	var want, last int64
+	for _, p := range rep.Phases {
+		want = max(want, p.MaxLinkLoad)
+		last = p.MaxLinkLoad
+	}
+	if last >= want {
+		t.Fatalf("the last segment carries the run's busiest link (%d of %d): the test shows nothing", last, want)
+	}
+	if got := rep.Stats.Route.MaxLinkLoad; got != want {
+		t.Errorf("Stats.Route.MaxLinkLoad = %d, largest phase maxLink = %d", got, want)
+	}
+	if got := r.nw.Telemetry().Gauge("dynp2p_route_max_link_load", "").Value(); got != want {
+		t.Errorf("dynp2p_route_max_link_load = %d, largest phase maxLink = %d", got, want)
 	}
 }
 

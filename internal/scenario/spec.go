@@ -71,7 +71,7 @@ type Spec struct {
 	Cache CacheSpec `json:"cache,omitempty"`
 	// Routing selects how protocol messages travel (DESIGN.md §11): the
 	// zero value is the oracle (one-round teleports); mode "overlay"
-	// walks every message edge-by-edge over the expander with congestion
+	// walks every message edge-by-edge over the expander with link-load
 	// accounting. The mode holds for the whole run; to compare the two,
 	// run the spec once per mode (cmd/scenario -routing).
 	Routing RoutingSpec `json:"routing,omitempty"`
@@ -132,38 +132,22 @@ func (c CacheSpec) check() error {
 }
 
 // RoutingSpec configures overlay message routing (DESIGN.md §11): Mode
-// is "oracle" (default) or "overlay"; WalkBudget is the per-message
-// forward budget (0 = auto, 4n/(d+1)); LinkCapacity bounds forwards out
-// of one node per round (0 = unlimited); QueueLimit bounds parked
-// walkers per node (0 = default 64).
+// is "oracle" (default) or "overlay". Overlay links are unmetered and a
+// walk's budget is 4n/(d+1) forwards.
 type RoutingSpec struct {
-	Mode         string `json:"mode,omitempty"`
-	WalkBudget   int    `json:"walkBudget,omitempty"`
-	LinkCapacity int    `json:"linkCapacity,omitempty"`
-	QueueLimit   int    `json:"queueLimit,omitempty"`
+	Mode string `json:"mode,omitempty"`
 }
 
 // config compiles the routing block for the facade.
 func (r RoutingSpec) config() dynp2p.RoutingConfig {
 	mode, _ := dynp2p.ParseRoutingMode(r.Mode) // validated by check()
-	return dynp2p.RoutingConfig{
-		Mode: mode, WalkBudget: r.WalkBudget,
-		LinkCapacity: r.LinkCapacity, QueueLimit: r.QueueLimit,
-	}
+	return dynp2p.RoutingConfig{Mode: mode}
 }
 
 // check validates the routing block.
 func (r RoutingSpec) check() error {
 	if _, err := dynp2p.ParseRoutingMode(r.Mode); err != nil {
 		return fmt.Errorf("routing mode %q (want oracle|overlay)", r.Mode)
-	}
-	switch {
-	case r.WalkBudget < 0:
-		return fmt.Errorf("routing walkBudget must be >= 0 (got %d)", r.WalkBudget)
-	case r.LinkCapacity < 0:
-		return fmt.Errorf("routing linkCapacity must be >= 0 (got %d)", r.LinkCapacity)
-	case r.QueueLimit < 0:
-		return fmt.Errorf("routing queueLimit must be >= 0 (got %d)", r.QueueLimit)
 	}
 	return nil
 }

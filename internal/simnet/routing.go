@@ -10,11 +10,11 @@ package simnet
 //
 // Phase placement: routed delivery runs after the round's hooks (so the
 // walked adjacency is the post-repair graph under self-healing) and
-// before handlers (so an uncongested routed message still arrives the
-// round after it was sent — the oracle's latency). Congestion, by
-// contrast, parks walkers at capacity-exhausted slots and resurfaces as
-// real queueing rounds. Walkers are walked on the engine's workers when
-// link capacity is unlimited and their outcomes booked in one fixed-order
+// before handlers (so a routed message arrives the round after it was
+// sent — the oracle's latency). Links are unmetered: every walker
+// delivers or drops in the routed phase after its send, and the busiest
+// link's forward count is the congestion signal. Walkers are walked on
+// the engine's workers and their outcomes booked in one fixed-order
 // serial merge, so routed metrics are worker-count independent.
 
 import (
@@ -35,7 +35,7 @@ const (
 	// its addressee in one round regardless of topology.
 	RoutingOracle RoutingMode = iota
 	// RoutingOverlay walks every routed message over the expander's
-	// edges, with per-slot link capacities and bounded queues.
+	// edges, on a walk budget of route.AutoBudget(N, Degree) forwards.
 	RoutingOverlay
 )
 
@@ -62,26 +62,6 @@ func ParseRoutingMode(s string) (RoutingMode, error) {
 // RoutingConfig parameterises the engine's message routing.
 type RoutingConfig struct {
 	Mode RoutingMode
-	// WalkBudget is the per-message forward budget (TTL);
-	// 0 = route.AutoBudget(N, Degree).
-	WalkBudget int
-	// LinkCapacity bounds forwards out of one slot per round;
-	// 0 = unlimited.
-	LinkCapacity int
-	// QueueLimit bounds parked walkers per slot;
-	// 0 = route.DefaultQueueLimit.
-	QueueLimit int
-}
-
-// walkerMsg is a message in the overlay router's walker array. A walker can
-// park for many rounds, far past the reuse of the sender's payload slab, so
-// it carries its payload with it: sendToRouter copies the cell in and
-// clears the pointer, and deliverRouted points the delivered message at
-// the walker's own copy, which the router leaves in place until the next
-// Send — after the round's handlers have read it.
-type walkerMsg struct {
-	Msg
-	cell payload
 }
 
 // deliveryArena is the routed phase's flat inbox store, the serial
@@ -95,19 +75,11 @@ type deliveryArena struct {
 	counts []int32 // len N
 }
 
-// initRouter builds the overlay router and its delivery arena from
-// cfg.Routing.
+// initRouter builds the overlay router and its delivery arena.
 func (e *Engine) initRouter() {
-	rc := e.cfg.Routing
-	budget := rc.WalkBudget
-	if budget <= 0 {
-		budget = route.AutoBudget(e.cfg.N, e.cfg.Degree)
-	}
-	e.router = route.New[walkerMsg](e.reg, e.cfg.N, route.Params{
-		Budget:       budget,
-		LinkCapacity: rc.LinkCapacity,
-		QueueLimit:   rc.QueueLimit,
-		Seed:         rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
+	e.router = route.New[Msg](e.reg, e.cfg.N, route.Params{
+		Budget: route.AutoBudget(e.cfg.N, e.cfg.Degree),
+		Seed:   rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.workers)
 	e.applyRouterEnv()
 	e.routedArena.off = make([]int32, e.cfg.N+1)
@@ -116,14 +88,14 @@ func (e *Engine) initRouter() {
 
 // applyRouterEnv installs the engine-side callbacks on the router.
 func (e *Engine) applyRouterEnv() {
-	env := route.Env[walkerMsg]{
+	env := route.Env[Msg]{
 		Graph:  func() *graph.Graph { return e.g },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
 		Holder: func(slot int32, key uint64) bool {
 			return e.keyHolder != nil && e.keyHolder(int(slot), key, e.round)
 		},
 		Deliver: e.deliverRouted,
-		OnDrop: func(m *walkerMsg, h *route.Header, reason route.DropReason) {
+		OnDrop: func(m *Msg, h *route.Header, reason route.DropReason) {
 			if m.Trace == 0 || e.tracer == nil {
 				return
 			}
@@ -150,8 +122,8 @@ func (e *Engine) RouteMetrics() route.Metrics {
 	return e.router.Metrics()
 }
 
-// RoutedInFlight returns the number of routed messages currently walking
-// or parked (0 in oracle mode).
+// RoutedInFlight returns the number of routed messages sent since the
+// last routed phase, which walks them all (0 in oracle mode).
 func (e *Engine) RoutedInFlight() int {
 	if e.router == nil {
 		return 0
@@ -179,7 +151,10 @@ func (e *Engine) SetHopRecorder(fn func(round, from, to int)) {
 
 // sendToRouter hands one stamped message to the overlay router. The walk
 // seed is a pure hash of the message identity, so its port choices are
-// reproducible at any worker count.
+// reproducible at any worker count. The walker keeps the message's
+// payload pointer: it is delivered in the next round's routed phase and
+// read by that round's handlers, while the sender's slab is recycled only
+// the round after (a fault-delayed message carries its own cell).
 func (e *Engine) sendToRouter(m *Msg) {
 	h := route.Header{
 		Target: uint64(m.To),
@@ -189,21 +164,14 @@ func (e *Engine) sendToRouter(m *Msg) {
 		h.Keyed = true
 		h.Key = m.Item
 	}
-	w := walkerMsg{Msg: *m}
-	if m.payload != nil {
-		w.cell, w.payload = *m.payload, nil
-	}
-	e.router.Send(&w, h, m.srcSlot)
+	e.router.Send(m, h, m.srcSlot)
 }
 
 // deliverRouted is the router's delivery callback and the counting pass
 // of the inbox placement: stamp the true path length and rewrite the
 // addressee on holder early-exit, in place in the router's walker array.
-func (e *Engine) deliverRouted(slot int32, m *walkerMsg, hops int32) {
+func (e *Engine) deliverRouted(slot int32, m *Msg, hops int32) {
 	m.Hops = hops
-	if len(m.cell.ids) > 0 || len(m.cell.blob) > 0 {
-		m.payload = &m.cell
-	}
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}
@@ -232,10 +200,10 @@ func (e *Engine) runRouted() {
 	}
 	copy(counts, ra.off[:len(counts)])
 	msgs := ra.msgs
-	e.router.EachDelivered(func(slot int32, m *walkerMsg) {
+	e.router.EachDelivered(func(slot int32, m *Msg) {
 		pos := counts[slot]
 		counts[slot] = pos + 1
-		msgs[pos] = m.Msg
+		msgs[pos] = *m
 	})
 	for s := 0; s < e.cfg.N; s++ {
 		if a, b := ra.off[s], ra.off[s+1]; a != b {

@@ -81,8 +81,8 @@ type Msg struct {
 
 	// payload is the id-list/blob cell, nil for a header-only message. It
 	// points into the sender shard's slab (payloadSlab), which is recycled
-	// two rounds after the send; whoever keeps a Msg longer than its
-	// delivery round must copy the cell out (faultFate, sendToRouter).
+	// two rounds after the send; whoever keeps a Msg past the round after
+	// its send must copy the cell out (faultFate).
 	payload *payload
 
 	// Hops is the true network path length the message travelled when it
@@ -248,16 +248,10 @@ type Config struct {
 	// count (package shard).
 	Shards int
 
-	// Telemetry is the metrics registry the engine (and everything built
-	// on it) reports into. nil = the engine creates a private one, so
-	// Metrics() and Telemetry() always work.
-	Telemetry *telemetry.Registry
-
 	// Routing selects how every message a handler sends travels, for the
 	// whole run: RoutingOracle (the zero value) teleports it to its
 	// addressee through the sharded exchange; RoutingOverlay walks it
-	// edge-by-edge over the live topology with link capacities and
-	// bounded queues (routing.go, internal/route).
+	// edge-by-edge over the live topology (routing.go, internal/route).
 	Routing RoutingConfig
 }
 
@@ -420,7 +414,7 @@ type Engine struct {
 	// Overlay routing state (routing.go): the walker router, the
 	// protocol's key-holder predicate, the test-only hop recorder, the
 	// per-message walk-seed salt, and the delivery arena.
-	router      *route.Router[walkerMsg]
+	router      *route.Router[Msg]
 	keyHolder   func(slot int, key uint64, round int) bool
 	hopRec      func(round, from, to int)
 	routeSeed   uint64
@@ -460,9 +454,6 @@ func New(cfg Config) *Engine {
 	if workers > cfg.N {
 		workers = cfg.N
 	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
 	var grid shard.Grid
 	if cfg.Shards > 0 {
 		grid = shard.New(cfg.Shards)
@@ -470,6 +461,7 @@ func New(cfg Config) *Engine {
 		grid = shard.Pick(cfg.N, runtime.GOMAXPROCS(0))
 	}
 	cfg.Shards = grid.Count()
+	reg := telemetry.NewRegistry()
 	e := &Engine{
 		cfg:       cfg,
 		g:         graph.New(cfg.N, cfg.Degree),
@@ -487,8 +479,8 @@ func New(cfg Config) *Engine {
 		grid:      grid,
 		shardOut:  make([]routeShard, grid.Count()),
 		slotLoc:   grid.LocTable(cfg.N),
-		reg:       cfg.Telemetry,
-		em:        newEngineMetrics(cfg.Telemetry),
+		reg:       reg,
+		em:        newEngineMetrics(reg),
 	}
 	e.g.FillRandomRegular(e.topoRng)
 	for sh := range e.shardOut {
@@ -758,7 +750,8 @@ type Ctx struct {
 // (Config.Routing): under RoutingOracle it is delivered at the start of
 // the next round, and only if the target is still live then; under
 // RoutingOverlay it walks the expander edge-by-edge toward the target,
-// arriving the next round unless it parks at a congested slot or drops.
+// arriving the next round unless its walk budget runs out or the target
+// has left, in which case it drops.
 //
 // The message is built in place: the returned pointer is the message's
 // slot in the shard's send buffer, already zeroed and stamped with the
@@ -878,11 +871,6 @@ func (e *Engine) RunRound(h Handler) {
 				h.OnJoin(e, s, id, round)
 			}
 		}
-		if e.router != nil {
-			// Routed messages parked at a replaced slot die with it —
-			// dropped and accounted, never silently lost.
-			e.router.DropQueuedAt(e.churned)
-		}
 		e.em.replacements.Add(0, int64(len(e.churned)))
 		if prof != nil {
 			prof.Lap(0) // churn
@@ -923,9 +911,9 @@ func (e *Engine) RunRound(h Handler) {
 		}
 	}
 
-	// 4. Routed delivery (routing.go): in-flight overlay walkers advance
+	// 4. Routed delivery (routing.go): last round's overlay walkers advance
 	// over this round's post-repair adjacency and land in this round's
-	// inboxes; congested ones park and resume next round.
+	// inboxes or drop.
 	if e.router != nil {
 		e.runRouted()
 	}

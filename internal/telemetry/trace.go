@@ -21,8 +21,8 @@ const (
 	// records success.
 	EvOpDone
 	// EvDrop marks one traced protocol message discarded by the overlay
-	// router (budget exhausted, queue full, queued at a churned slot, or
-	// dead target); Aux carries the route.DropReason code. The operation
+	// router (budget exhausted or dead target); Aux carries the
+	// route.DropReason code. The operation
 	// itself stays open — protocols retry or fail on their own clock.
 	EvDrop
 )

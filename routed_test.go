@@ -20,7 +20,7 @@ import (
 func TestRoutedStoreRetrieve(t *testing.T) {
 	nw := New(Config{
 		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 7,
-		Routing: RoutingConfig{Mode: RoutingOverlay, WalkBudget: 512},
+		Routing: RoutingConfig{Mode: RoutingOverlay},
 	})
 	nw.Run(nw.WarmupRounds())
 	data := make([]byte, 100)
@@ -88,7 +88,7 @@ func TestRoutedFoundOncePerRound(t *testing.T) {
 	founds := &foundTally{n: map[foundTold]int{}}
 	nw := New(Config{
 		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 7,
-		Routing: RoutingConfig{Mode: RoutingOverlay, WalkBudget: 512},
+		Routing: RoutingConfig{Mode: RoutingOverlay},
 		Fault:   founds,
 	})
 	nw.Run(nw.WarmupRounds())
@@ -130,7 +130,7 @@ func TestRoutedEdgeConformance(t *testing.T) {
 	nw := New(Config{
 		N: 512, ChurnRate: 1, ChurnDelta: 1.0, Seed: 13,
 		Edges:   EdgesSelfHealing,
-		Routing: RoutingConfig{Mode: RoutingOverlay, WalkBudget: 1024, LinkCapacity: 6},
+		Routing: RoutingConfig{Mode: RoutingOverlay},
 	})
 	e := nw.Engine()
 	type hop struct{ from, to int }
@@ -182,7 +182,7 @@ func TestRoutedEdgeConformance(t *testing.T) {
 			st.Engine.MsgsDelivered, m.Delivered)
 	}
 	inFlight := int64(e.RoutedInFlight())
-	drops := m.DroppedBudget + m.DroppedQueueFull + m.DroppedChurn + m.DroppedDead
+	drops := m.DroppedBudget + m.DroppedDead
 	if m.Sent != m.Delivered+drops+inFlight {
 		t.Fatalf("message conservation violated: sent %d != delivered %d + drops %d + in-flight %d",
 			m.Sent, m.Delivered, drops, inFlight)
@@ -193,22 +193,19 @@ func TestRoutedEdgeConformance(t *testing.T) {
 // on a churning self-healing network in overlay mode with tracing on, the
 // combined stats (including every route counter), the retrieval results,
 // and the full deterministic telemetry snapshot must be bit-identical at
-// every worker count — with link capacities tight enough to queue and
-// drop (walkers compete in canonical order on one lane), and with
-// unlimited capacity (walkers are walked on Workers lanes at once and
-// only the merge is ordered).
+// every worker count. Links are unmetered, so walkers are walked on
+// Workers lanes at once and only the merge is ordered.
 func TestRoutedWorkerCountIndependence(t *testing.T) {
 	type snapshot struct {
 		stats   Stats
 		results []Result
 		metrics any
 	}
-	run := func(rc RoutingConfig, workers int) snapshot {
-		rc.Mode, rc.WalkBudget = RoutingOverlay, 2048
+	run := func(workers int) snapshot {
 		nw := New(Config{
 			N: 1024, ChurnRate: 1, ChurnDelta: 1.0, Seed: 5, Workers: workers,
 			Edges:            EdgesSelfHealing,
-			Routing:          rc,
+			Routing:          RoutingConfig{Mode: RoutingOverlay},
 			Cache:            CacheConfig{Capacity: 2, SeedRate: 0.7},
 			TraceSampleEvery: 1,
 		})
@@ -226,36 +223,22 @@ func TestRoutedWorkerCountIndependence(t *testing.T) {
 			metrics: nw.Telemetry().DeterministicSnapshot(),
 		}
 	}
-	for _, leg := range []struct {
-		name    string
-		rc      RoutingConfig
-		workers []int
-	}{
-		{"congested", RoutingConfig{LinkCapacity: 4, QueueLimit: 8}, []int{3, runtime.GOMAXPROCS(0)}},
-		{"unlimited", RoutingConfig{}, []int{2, 3, runtime.GOMAXPROCS(0)}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			base := run(leg.rc, 1)
-			rs := base.stats.Route
-			if rs.Sent == 0 {
-				t.Fatal("no routed traffic")
+	t.Run("unlimited", func(t *testing.T) {
+		base := run(1)
+		if base.stats.Route.Sent == 0 {
+			t.Fatal("no routed traffic")
+		}
+		for _, w := range []int{2, 3, runtime.GOMAXPROCS(0)} {
+			got := run(w)
+			if base.stats != got.stats {
+				t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, base.stats, got.stats)
 			}
-			if queued := rs.Parked > 0 || rs.DroppedQueueFull > 0; queued != (leg.rc.LinkCapacity > 0) {
-				t.Errorf("queueing = %v with LinkCapacity %d (parked %d, queue-full drops %d)",
-					queued, leg.rc.LinkCapacity, rs.Parked, rs.DroppedQueueFull)
+			if !reflect.DeepEqual(base.results, got.results) {
+				t.Errorf("workers=%d: retrieval results differ:\n%+v\n%+v", w, base.results, got.results)
 			}
-			for _, w := range leg.workers {
-				got := run(leg.rc, w)
-				if base.stats != got.stats {
-					t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, base.stats, got.stats)
-				}
-				if !reflect.DeepEqual(base.results, got.results) {
-					t.Errorf("workers=%d: retrieval results differ:\n%+v\n%+v", w, base.results, got.results)
-				}
-				if !reflect.DeepEqual(base.metrics, got.metrics) {
-					t.Errorf("workers=%d: deterministic telemetry snapshots differ", w)
-				}
+			if !reflect.DeepEqual(base.metrics, got.metrics) {
+				t.Errorf("workers=%d: deterministic telemetry snapshots differ", w)
 			}
-		})
-	}
+		}
+	})
 }
