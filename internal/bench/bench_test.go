@@ -95,14 +95,15 @@ func BenchmarkRouteOnly(b *testing.B) {
 
 // soupSizes returns the sizes BenchmarkSoupOnly runs at. The soup is the
 // round loop's dominant cost and the reason the n >= 2^20 scenario sizes
-// are in reach, so it alone also runs at n=262144 (~85M in-flight tokens,
-// a few GB of store+staging) when -short is not set — the scale point
-// that shows whether token-moves/s holds as the working set leaves cache.
+// are in reach, so it alone also runs at n=16384, the benchmark ledger's
+// steady-oracle size, and at n=262144 (~85M in-flight tokens, a few GB of
+// store+staging) when -short is not set — the scale point that shows
+// whether token-moves/s holds as the working set leaves cache.
 func soupSizes() []int {
 	if testing.Short() {
 		return []int{refSize}
 	}
-	return []int{refSize, ratioSize, 262144}
+	return []int{refSize, 16384, ratioSize, 262144}
 }
 
 // soupOnly builds an engine whose only work is the random-walk soup plus

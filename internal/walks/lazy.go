@@ -61,13 +61,23 @@ import (
 	"dynp2p/internal/simnet"
 )
 
-// replayTok is one live token of the cohort being delivered: the
-// step-hash identity (its birth round is the cohort's, lazySoup.advB) plus
-// the current slot. 16 bytes, updated in place — replay is a single
-// sequential stream per shard.
+// replayTok is one live token of the cohort being delivered: its step
+// key, computed once at creation, its current slot, and its index in the
+// shard's creation order, from which the final round resolves the source
+// (lazySoup.tailIds[lo + idx/WalksPerRound]). 16 bytes, updated in place —
+// replay is a single sequential stream per shard.
 type replayTok struct {
-	idser uint64 // src<<16 | serial
-	pos   int32  // slot the token occupies after the last replayed round
+	key uint64 // stepKey(src, birth, serial)
+	pos int32  // slot the token occupies after the last replayed round
+	idx uint32 // (slot-lo)·WalksPerRound + serial
+}
+
+// next is the step core — keep in sync with Reference.StepRound
+// (reference.go): one hash over the round's stepSeed x, a port drawn from
+// it, and one load of the round's adjacency row.
+func (t replayTok) next(x uint64, row []int32, d int) int32 {
+	port, _ := bits.Mul64(stepFinish(x^t.key), uint64(d))
+	return row[int(t.pos)*d+int(port)]
 }
 
 // idDelta records one occupant change: slot's occupant became id in the
@@ -371,6 +381,7 @@ func lzReplaced(death []uint64, slot int32) bool {
 // the occupants.
 func (s *Soup) lzCreateShard(ss *soupShard) {
 	ids := s.lz.tailIds
+	birth := int32(s.lz.advB)
 	toks := ss.cohort[:0]
 	wpr := s.p.WalksPerRound
 	for slot := ss.lo; slot < ss.hi; slot++ {
@@ -378,9 +389,9 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 		if uint64(id) >= maxSrcID {
 			panic("walks: node id exceeds the packed staging range")
 		}
-		idser := uint64(id) << 16
 		for k := 0; k < wpr; k++ {
-			toks = append(toks, replayTok{idser: idser | uint64(k), pos: int32(slot)})
+			toks = append(toks, replayTok{
+				key: stepKey(id, birth, uint16(k)), pos: int32(slot), idx: uint32(len(toks))})
 		}
 	}
 	ss.cohort = toks
@@ -388,11 +399,13 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 }
 
 // lzReplayShard advances the delivering cohort's tokens in ss by the
-// single round r: per-step death check against the ring's replacement
-// bitset, one stepMix over the call's stepSeed and one row load against
-// the materialized round-r adjacency, which warmRow has already put in
-// this lane's cache. It writes only ss's own cohort buffer, sample staging
-// and tallies. The step core matches Reference.StepRound bit for bit.
+// single round r against the materialized round-r adjacency, which
+// warmRow has already put in this lane's cache. A stepping round is the
+// leaf kernel stepCohort; the final round steps each token with the same
+// core (replayTok.next) and stages its sample, the source resolved from
+// the token's creation index. It writes only ss's own cohort buffer,
+// sample staging and tallies, and books the counters from lengths: every
+// token a round keeps moved, every other one died.
 func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
@@ -400,8 +413,6 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	if len(toks) == 0 {
 		return
 	}
-	d := lz.d
-	du := uint64(d)
 	var death []uint64
 	// At the cohort's birth round every token is freshly minted at a live
 	// slot, so only later rounds check for churn.
@@ -409,37 +420,51 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 		death = ring.death
 	}
 	x := stepSeed(s.seed, r)
-	birth := int32(lz.advB)
+	if !final {
+		live := stepCohort(toks, death, row, lz.d, x)
+		ss.cohort = toks[:live]
+		ss.tally.Moves += int64(live)
+		ss.tally.Died += int64(len(toks) - live)
+		return
+	}
+	d := lz.d
+	ids := lz.tailIds[ss.lo:ss.hi]
+	wpr := uint32(s.p.WalksPerRound)
 	slotLoc := s.slotLoc
-	var died, moves, completed int64
-	w := 0
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
+	live := 0
+	for _, t := range toks {
 		if lzReplaced(death, t.pos) {
-			died++
 			continue
 		}
-		// Step core — keep in sync with Reference.StepRound (reference.go).
-		h := stepMix(x, simnet.NodeID(t.idser>>16), birth, uint16(t.idser))
-		port, _ := bits.Mul64(h, du)
-		pos := row[int(t.pos)*d+int(port)]
-		moves++
-		if final {
-			completed++
-			loc := slotLoc[pos]
-			dsh := loc >> shard.LocalBits
-			ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
-				loc: t.idser>>16<<shard.LocalBits | uint64(loc&localMask)})
-		} else {
-			t.pos = pos
-			toks[w] = t
-			w++
-		}
+		loc := slotLoc[t.next(x, row, d)]
+		dsh := loc >> shard.LocalBits
+		ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
+			loc: uint64(ids[t.idx/wpr])<<shard.LocalBits | uint64(loc&localMask)})
+		live++
 	}
-	ss.cohort = toks[:w]
-	ss.tally.Died += died
-	ss.tally.Moves += moves
-	ss.tally.Completed += completed
+	ss.cohort = toks[:0]
+	ss.tally.Moves += int64(live)
+	ss.tally.Completed += int64(live)
+	ss.tally.Died += int64(len(toks) - live)
+}
+
+// stepCohort is the replay's leaf kernel: it steps toks through one
+// non-final round — death check, one step, in-place compaction — and
+// returns how many are still live. It is kept out of line so the loop's index, row
+// and cursor stay in registers rather than sharing them with the final
+// round's sample staging.
+//
+//go:noinline
+func stepCohort(toks []replayTok, death []uint64, row []int32, d int, x uint64) (live int) {
+	for _, t := range toks {
+		if lzReplaced(death, t.pos) {
+			continue
+		}
+		t.pos = t.next(x, row, d)
+		toks[live] = t
+		live++
+	}
+	return live
 }
 
 // lzMemBytes is the soup's row of the memory ledger: the ring (tail and

@@ -152,7 +152,7 @@ func (s *Reference) StepRound(e *simnet.Engine, round int) {
 				keep = append(keep, t)
 				continue
 			}
-			// Step core — keep in sync with lzReplayShard (lazy.go).
+			// Step core — keep in sync with replayTok.next (lazy.go).
 			h := stepHash(s.seed, round, t.Src, t.Birth, t.Serial)
 			port, _ := bits.Mul64(h, d)
 			dst := int(g.Neighbor(slot, int(port)))

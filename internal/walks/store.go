@@ -55,6 +55,11 @@ type soupShard struct {
 func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	ss.lo, ss.hi = g.Bounds(sh, n)
 	slots := ss.hi - ss.lo
+	// A cohort token carries its index in the shard's creation order in a
+	// uint32 (replayTok.idx).
+	if uint64(slots)*uint64(wpr) > math.MaxUint32 {
+		panic("walks: a shard's cohort exceeds the uint32 token index range")
+	}
 	ss.smpOff = make([]int32, slots+1)
 	ss.counts = make([]int32, slots)
 	// A cohort is exactly slots·wpr records at creation (tokens only die

@@ -182,8 +182,10 @@ func (s *Soup) Samples(slot int) []Sample {
 
 // stepHash derives the per-token per-round randomness. Mixing is
 // splitmix64-flavoured; the output decides the neighbour port, independent
-// of any iteration order. It is split in two so a loop
-// stepping many tokens through one round computes stepSeed once.
+// of any iteration order. It is split so a loop stepping many tokens
+// through one round computes stepSeed once, and a token that steps many
+// rounds computes its stepKey once: stepMix(x, …) == stepFinish(x ^
+// stepKey(…)), since the key is XORed in whole.
 func stepHash(seed uint64, round int, src simnet.NodeID, birth int32, serial uint16) uint64 {
 	return stepMix(stepSeed(seed, round), src, birth, serial)
 }
@@ -193,8 +195,16 @@ func stepSeed(seed uint64, round int) uint64 {
 }
 
 func stepMix(x uint64, src simnet.NodeID, birth int32, serial uint16) uint64 {
-	x ^= uint64(src) * 0xd1342543de82ef95
-	x ^= uint64(uint32(birth))<<32 | uint64(serial)
+	return stepFinish(x ^ stepKey(src, birth, serial))
+}
+
+// stepKey is the round-invariant part of a walk's step hash: its identity.
+func stepKey(src simnet.NodeID, birth int32, serial uint16) uint64 {
+	return uint64(src)*0xd1342543de82ef95 ^ (uint64(uint32(birth))<<32 | uint64(serial))
+}
+
+// stepFinish is the splitmix64 finaliser over a round seed XOR a step key.
+func stepFinish(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

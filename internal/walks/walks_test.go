@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
+	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
 )
@@ -311,6 +312,41 @@ func TestInjectClampNoLockstepTokens(t *testing.T) {
 		// Round 0's cohort: the injected walks plus every slot's fresh batch.
 		if got, want := countSamples(e, s), int64(room+32*wpr); got != want {
 			t.Fatalf("wpr=%d: %d walks of round 0 delivered, want %d", wpr, got, want)
+		}
+	}
+}
+
+// TestStepHashGolden pins the walk coin stream. The soup and the
+// reference share the step hash, so a drift in it re-draws both alike and
+// no equivalence test sees it; these values fix it. It also checks the
+// split the soup's replay relies on: a token's round-invariant stepKey,
+// XORed into the round seed, finishes to the same hash as stepMix.
+func TestStepHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		round  int
+		src    simnet.NodeID
+		birth  int32
+		serial uint16
+		want   uint64
+	}{
+		{0x1, 0, 1, 0, 0, 0x84103fef078ee572},
+		{0xc, 57, 123456, 38, 9, 0x9600771de67a15bc},
+		{0xdeadbeef, 1 << 20, 1<<40 - 1, 1<<31 - 1, 65535, 0x08397708a7cdf31e},
+	} {
+		if got := stepHash(c.seed, c.round, c.src, c.birth, c.serial); got != c.want {
+			t.Errorf("stepHash(%#x, %d, %d, %d, %d) = %#016x, want %#016x",
+				c.seed, c.round, c.src, c.birth, c.serial, got, c.want)
+		}
+	}
+	r := rng.New(36)
+	for i := 0; i < 4096; i++ {
+		x := r.Uint64()
+		src := simnet.NodeID(r.Uint64() >> (r.Uint64() & 63))
+		birth, serial := int32(r.Uint64()), uint16(r.Uint64())
+		if got, want := stepFinish(x^stepKey(src, birth, serial)), stepMix(x, src, birth, serial); got != want {
+			t.Fatalf("stepFinish(x ^ stepKey) = %#x, stepMix = %#x at (%#x, %d, %d, %d)",
+				got, want, x, src, birth, serial)
 		}
 	}
 }
