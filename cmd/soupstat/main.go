@@ -59,8 +59,8 @@ func main() {
 		e.AddHook(ov)
 	}
 
-	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d edges=%v shards=%d\n",
-		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, mode, e.Grid().Count())
+	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d edges=%v shards=%d kernel=%s\n",
+		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, mode, e.Grid().Count(), walks.Kernel())
 
 	// Profiling brackets the simulated rounds, not setup or reporting.
 	stopCPU := startCPUProfile(*cpuProfile)

@@ -96,9 +96,12 @@ func BenchmarkRouteOnly(b *testing.B) {
 // soupSizes returns the sizes BenchmarkSoupOnly runs at. The soup is the
 // round loop's dominant cost and the reason the n >= 2^20 scenario sizes
 // are in reach, so it alone also runs at n=16384, the benchmark ledger's
-// steady-oracle size, and at n=262144 (~85M in-flight tokens, a few GB of
-// store+staging) when -short is not set — the scale point that shows
-// whether token-moves/s holds as the working set leaves cache.
+// steady-oracle size, and at n=262144 when -short is not set — the scale
+// point that shows whether token-moves/s holds as the working set leaves
+// cache. There the soup holds one cohort and no token between rounds:
+// dynp2p_soup_mem_ring_bytes reads 246 MB (the T+2 rows and death
+// bitsets), dynp2p_soup_mem_cohort_bytes 55 MB (262144·13 16-byte
+// tokens) and dynp2p_soup_mem_samples_bytes 169 MB.
 func soupSizes() []int {
 	if testing.Short() {
 		return []int{refSize}
@@ -107,9 +110,10 @@ func soupSizes() []int {
 }
 
 // soupOnly builds an engine whose only work is the random-walk soup plus
-// per-round topology re-randomisation — the token exchange at the paper's
+// per-round topology re-randomisation — every walk step at the paper's
 // default walk density — on the given worker count (0 = GOMAXPROCS),
-// warmed until the in-flight token population is steady.
+// warmed past the first delivery until the ring, the cohort buffers and
+// the sample staging have stopped growing.
 func soupOnly(n, workers int) (round func(), soup *walks.Soup) {
 	e := simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize, Workers: workers,
@@ -118,8 +122,7 @@ func soupOnly(n, workers int) (round func(), soup *walks.Soup) {
 	p := walks.DefaultParams(n)
 	soup = walks.NewSoup(e, p, workers)
 	e.AddHook(soup)
-	// One walk lifetime plus slack, so bucket and exchange buffers stop
-	// growing.
+	// One walk lifetime plus slack.
 	e.Run(simnet.NopHandler{}, p.WalkLength+16)
 	return func() { e.RunRound(simnet.NopHandler{}) }, soup
 }

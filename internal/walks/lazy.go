@@ -51,6 +51,7 @@ package walks
 // sit unmaterialized until its delivery round.
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -72,9 +73,11 @@ type replayTok struct {
 	idx uint32 // (slot-lo)·WalksPerRound + serial
 }
 
-// next is the step core — keep in sync with Reference.StepRound
-// (reference.go): one hash over the round's stepSeed x, a port drawn from
-// it, and one load of the round's adjacency row.
+// next is the Go loop's step core — keep in sync with Reference.StepRound
+// (reference.go) and with stepCohortAVX512 (step_amd64.s), which does the
+// same eight tokens at a time: one hash over the round's stepSeed x, a
+// port drawn from it as the high word of hash·d, and one load of the
+// round's adjacency row.
 func (t replayTok) next(x uint64, row []int32, d int) int32 {
 	port, _ := bits.Mul64(stepFinish(x^t.key), uint64(d))
 	return row[int(t.pos)*d+int(port)]
@@ -400,12 +403,12 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 
 // lzReplayShard advances the delivering cohort's tokens in ss by the
 // single round r against the materialized round-r adjacency, which
-// warmRow has already put in this lane's cache. A stepping round is the
-// leaf kernel stepCohort; the final round steps each token with the same
-// core (replayTok.next) and stages its sample, the source resolved from
-// the token's creation index. It writes only ss's own cohort buffer,
-// sample staging and tallies, and books the counters from lengths: every
-// token a round keeps moved, every other one died.
+// warmRow has already put in this lane's cache. Every round, the final one
+// too, is the one kernel stepCohort, and the counters are booked from
+// lengths: every token a round keeps moved, every other one died. The
+// final round then stages the survivors' samples, each source resolved
+// from the token's creation index. It writes only ss's own cohort buffer,
+// sample staging and tallies.
 func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	lz := s.lz
 	ring := &lz.rounds[r%lz.depth]
@@ -419,44 +422,41 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	if r > lz.advB && len(ring.idDeltas) > 0 {
 		death = ring.death
 	}
-	x := stepSeed(s.seed, r)
+	live := stepCohort(toks, death, row, lz.d, stepSeed(s.seed, r))
+	ss.tally.Moves += int64(live)
+	ss.tally.Died += int64(len(toks) - live)
 	if !final {
-		live := stepCohort(toks, death, row, lz.d, x)
 		ss.cohort = toks[:live]
-		ss.tally.Moves += int64(live)
-		ss.tally.Died += int64(len(toks) - live)
 		return
 	}
-	d := lz.d
 	ids := lz.tailIds[ss.lo:ss.hi]
 	wpr := uint32(s.p.WalksPerRound)
 	slotLoc := s.slotLoc
-	live := 0
-	for _, t := range toks {
-		if lzReplaced(death, t.pos) {
-			continue
-		}
-		loc := slotLoc[t.next(x, row, d)]
+	for _, t := range toks[:live] {
+		loc := slotLoc[t.pos]
 		dsh := loc >> shard.LocalBits
 		ss.outSmp[dsh] = append(ss.outSmp[dsh], stagedSmp{
 			loc: uint64(ids[t.idx/wpr])<<shard.LocalBits | uint64(loc&localMask)})
-		live++
 	}
 	ss.cohort = toks[:0]
-	ss.tally.Moves += int64(live)
 	ss.tally.Completed += int64(live)
-	ss.tally.Died += int64(len(toks) - live)
 }
 
-// stepCohort is the replay's leaf kernel: it steps toks through one
-// non-final round — death check, one step, in-place compaction — and
-// returns how many are still live. It is kept out of line so the loop's index, row
-// and cursor stay in registers rather than sharing them with the final
-// round's sample staging.
+// stepCohort is the replay's one step kernel: it steps toks through one
+// round — death check, one step, in-place compaction — and returns how
+// many are still live. On an AVX-512 host stepCohortAVX512 steps the
+// leading multiple of eight tokens eight at a time and the Go loop steps
+// the rest; elsewhere the Go loop is the whole kernel. Both give every
+// token the same slot. It is kept out of line so the loop's index, row and
+// cursor stay in registers.
 //
 //go:noinline
 func stepCohort(toks []replayTok, death []uint64, row []int32, d int, x uint64) (live int) {
-	for _, t := range toks {
+	done := 0
+	if useAVX512 && uint64(d) <= math.MaxUint32 {
+		done, live = stepCohortAVX512(toks, death, row, d, x)
+	}
+	for _, t := range toks[done:] {
 		if lzReplaced(death, t.pos) {
 			continue
 		}
@@ -465,6 +465,17 @@ func stepCohort(toks []replayTok, death []uint64, row []int32, d int, x uint64) 
 		live++
 	}
 	return live
+}
+
+// Kernel names the step kernel this host runs: "avx512x8" when stepCohort
+// steps eight tokens at a time, "go" when the Go loop steps them all. It
+// is a host property, not a simulation event: every trajectory is the
+// same under both.
+func Kernel() string {
+	if useAVX512 {
+		return "avx512x8"
+	}
+	return "go"
 }
 
 // lzMemBytes is the soup's row of the memory ledger: the ring (tail and

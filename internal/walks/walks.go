@@ -17,6 +17,11 @@
 //   - Each token's step is derived by hashing (seed, round, src, birth,
 //     serial), not by consuming a shared stream, so the simulation is
 //     bit-reproducible at any worker count.
+//   - Every replay round runs one step kernel, stepCohort. On a host with
+//     AVX-512 (checked once, from CPUID) it steps eight tokens at a time
+//     (step_amd64.s) and a Go loop steps the rest; elsewhere the Go loop
+//     steps them all. Both give every token the same slot, so the kernel
+//     is a host property that no result depends on (Kernel).
 //   - The shard grid is fixed at engine construction (internal/shard,
 //     shared with the engine's message exchange), and the sample gather
 //     merges source shards in fixed order, so each slot's sample order is
