@@ -10,7 +10,7 @@ import (
 func BenchmarkMicroStoreRetrieve(b *testing.B) {
 	nw := dynp2p.New(dynp2p.Config{N: 512, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 2})
 	nw.Run(nw.WarmupRounds())
-	ttl := nw.Tunables().Protocol.SearchTTL
+	ttl := nw.Tunables().Protocol.SearchTTL()
 	period := nw.Tunables().Protocol.Period
 	b.ResetTimer()
 	ok := 0

@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"dynp2p"
 	"dynp2p/internal/scenario"
 )
 
@@ -87,9 +88,8 @@ func main() {
 	// forwarding without editing it: the mode is the run's, so one run
 	// per mode at the same seed is the comparison.
 	if *routing != "" {
-		spec.Routing.Mode = *routing
-		if err := spec.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if spec.Routing.Mode, err = dynp2p.ParseRoutingMode(*routing); err != nil {
+			fmt.Fprintln(os.Stderr, "-routing:", err)
 			os.Exit(2)
 		}
 	}

@@ -19,7 +19,7 @@
 //	nw.Store(0, 42, []byte("payload")) // node at slot 0 stores item 42
 //	nw.Run(nw.Tunables().Protocol.Period)
 //	nw.Retrieve(512, 42, nil)          // another node searches for it
-//	nw.Run(nw.Tunables().Protocol.SearchTTL)
+//	nw.Run(nw.Tunables().Protocol.SearchTTL())
 //	for _, r := range nw.Results() { fmt.Println(r.Success, r.Done-r.Start) }
 //
 // Everything is deterministic in (Config.Seed, Config). See DESIGN.md for
@@ -185,13 +185,13 @@ type Config struct {
 
 // CacheConfig parameterises the hot-key cache. Capacity is per-node
 // entries (0 = caching off); TTL is the entry lifetime in rounds (0 =
-// 2× the landmark TTL); SeedRate is the probability an eligible walk
+// 2× the landmark TTL, 4τ); SeedRate is the probability an eligible walk
 // sample receives a replica when a node completes or serves a retrieval
-// (0 = 0.5).
+// (0 = 0.5). Tunables reports the resolved TTL and rate.
 type CacheConfig struct {
-	Capacity int
-	TTL      int
-	SeedRate float64
+	Capacity int     `json:"capacity,omitempty"`
+	TTL      int     `json:"ttl,omitempty"`
+	SeedRate float64 `json:"seedRate,omitempty"`
 }
 
 // Tunables exposes the derived protocol and walk parameters of a network.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynp2p/internal/protocol"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/telemetry"
 	"dynp2p/internal/walks"
@@ -27,10 +28,36 @@ func TestFacadeStoreRetrieve(t *testing.T) {
 		t.Fatal("no landmarks")
 	}
 	nw.Retrieve(128, 42, data)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 	res := nw.Results()
 	if len(res) != 1 || !res[0].Success {
 		t.Fatalf("retrieval failed: %+v", res)
+	}
+}
+
+// TestTunablesResolveDerivedParams pins the τ-derived lifetimes and the
+// cache defaults NewHandler resolves: Tunables reports the values the run
+// uses, not the zeros that selected them.
+func TestTunablesResolveDerivedParams(t *testing.T) {
+	p := New(Config{N: 256, Seed: 1}).Tunables().Protocol
+	if p.LandmarkTTL() != 2*p.Tau || p.SearchTTL() != 6*p.Tau || p.SampleBuffer() != 4*p.CommitteeSize {
+		t.Fatalf("derived params: landmark %d, search %d, buffer %d from tau %d, committee %d",
+			p.LandmarkTTL(), p.SearchTTL(), p.SampleBuffer(), p.Tau, p.CommitteeSize)
+	}
+	p = New(Config{N: 256, Seed: 1, Cache: CacheConfig{Capacity: 2}}).Tunables().Protocol
+	if p.CacheTTL != 4*p.Tau || p.CacheSeedRate != 0.5 {
+		t.Fatalf("default cache ttl %d (tau %d), seed rate %g; want 4·tau and 0.5", p.CacheTTL, p.Tau, p.CacheSeedRate)
+	}
+	p = New(Config{N: 256, Seed: 1, Cache: CacheConfig{Capacity: 2, TTL: 7, SeedRate: 0.7}}).Tunables().Protocol
+	if p.CacheTTL != 7 || p.CacheSeedRate != 0.7 {
+		t.Fatalf("explicit cache ttl %d, seed rate %g; want 7 and 0.7", p.CacheTTL, p.CacheSeedRate)
+	}
+	base := New(Config{N: 256, Seed: 1}).Tunables().Protocol
+	p = NewCustom(Config{N: 256, Seed: 1}, func(_ *walks.Params, pp *protocol.Params) {
+		pp.CommitteeSize *= 2
+	}).Tunables().Protocol
+	if p.SampleBuffer() != 2*base.SampleBuffer() {
+		t.Fatalf("doubled committee: sample buffer %d, want %d", p.SampleBuffer(), 2*base.SampleBuffer())
 	}
 }
 
@@ -41,7 +68,7 @@ func TestFacadeErasureMode(t *testing.T) {
 	nw.Store(3, 5, data)
 	nw.Run(nw.Tunables().Protocol.Period + 10)
 	nw.Retrieve(99, 5, data)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 	res := nw.Results()
 	if len(res) != 1 || !res[0].Success {
 		t.Fatalf("erasure retrieval failed: %+v", res)
@@ -94,11 +121,11 @@ func TestWorkerCountIndependence(t *testing.T) {
 		for _, slot := range []int{1024, 99, 300, 700, 1500, 1900} {
 			nw.Retrieve(slot, 7, data)
 		}
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 		// One more retrieval after those completed: with caching
 		// on it exercises serve/admit paths against a warm population.
 		nw.Retrieve(555, 7, data)
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 		snap := snapshot{stats: nw.Stats(), results: nw.Results()}
 		for s := 0; s < nw.N(); s++ {
 			snap.samples = append(snap.samples,
@@ -173,7 +200,7 @@ func TestShardCountIndependence(t *testing.T) {
 		for _, slot := range []int{100, 200, 300, 400} {
 			nw.Retrieve(slot, 7, data)
 		}
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 		if err := nw.Tracer().Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func main() {
 		key := uint64(1000 + i)
 		nw.Retrieve((i*389+11)%n, key, contents[key])
 	}
-	nw.Run(tun.Protocol.SearchTTL + 5)
+	nw.Run(tun.Protocol.SearchTTL() + 5)
 	restored := 0
 	for _, r := range nw.Results() {
 		if r.Success {

@@ -39,7 +39,7 @@ func run(name string, idaK int) {
 	// Survive five maintenance epochs of churn, then restore.
 	nw.Run(5 * nw.Tunables().Protocol.Period)
 	nw.Retrieve(256, 3, data)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 	outcome := "item lost"
 	for _, r := range nw.Results() {
 		if r.Success {

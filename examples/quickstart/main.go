@@ -36,7 +36,7 @@ func main() {
 
 	// A completely unrelated node searches for the item by key.
 	nw.Retrieve(512, 7, payload)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 
 	for _, r := range nw.Results() {
 		if !r.Success {

@@ -31,7 +31,7 @@ func main() {
 				nw.Retrieve((wave*997+i*131+17)%n, 5, data)
 				issued++
 			}
-			nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+			nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 			for _, r := range nw.Results() {
 				if r.Success {
 					ok++

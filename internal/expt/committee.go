@@ -123,7 +123,7 @@ func E06LandmarkSize(scale Scale) *Table {
 		mustStore(nw, 9, itemData(9, 32))
 		nw.Run(nw.Tunables().Protocol.TreeDepth)
 		// Average over several checkpoints within a wave period.
-		period := nw.Tunables().Protocol.WaveEvery
+		period := nw.Tunables().Protocol.Tau
 		var acc float64
 		const checks = 4
 		for i := 0; i < checks; i++ {

@@ -118,7 +118,7 @@ func E10ErasureCoding(scale Scale) *Table {
 		okStr := "fail"
 		for attempt := 0; attempt < 3 && okStr == "fail"; attempt++ {
 			nw.Retrieve((n/2+attempt*67)%n, 11, data)
-			nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+			nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 			for _, r := range nw.Results() {
 				if r.Key == 11 && r.Success {
 					okStr = "ok"

@@ -101,7 +101,7 @@ func E08RetrievalLatency(scale Scale) *Table {
 		success := 0
 		issued := 0
 		completed := 0 // searches whose searcher survived to an outcome
-		ttl := nw.Tunables().Protocol.SearchTTL
+		ttl := nw.Tunables().Protocol.SearchTTL()
 		for wave := 0; wave < 3; wave++ {
 			for i := 0; i < searches/3; i++ {
 				slot := (wave*1009 + i*131 + 11) % n

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"math"
+	"slices"
 
 	"dynp2p"
 	"dynp2p/internal/churn"
@@ -22,7 +23,7 @@ func retrievalRate(nw *dynp2p.Network, key uint64, searches int) float64 {
 	for i := 0; i < searches; i++ {
 		nw.Retrieve((i*211+13)%n, key, data)
 	}
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 6)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 6)
 	ok := 0
 	got := 0
 	for _, r := range nw.Results() {
@@ -117,7 +118,7 @@ func E12BaselineComparison(scale Scale) *Table {
 			for i := 0; i < searches; i++ {
 				nw.Retrieve((i*211+13)%n, 21, data)
 			}
-			nw.Run(nw.Tunables().Protocol.SearchTTL + 6)
+			nw.Run(nw.Tunables().Protocol.SearchTTL() + 6)
 			ok, got := 0, 0
 			for _, r := range nw.Results() {
 				got++
@@ -229,25 +230,23 @@ func E13Ablations(scale Scale) *Table {
 		n = 1024
 		searches = 16
 	}
-	type variant struct {
+	// Each variant scales one factor: walksMul, committeeMul, periodMul,
+	// depthDelta.
+	variants := []struct {
 		name string
-		mod  func(*dynp2p.Config, *tweaks)
-	}
-	variants := []variant{
-		{"defaults", func(*dynp2p.Config, *tweaks) {}},
-		{"walks x0.5", func(_ *dynp2p.Config, tw *tweaks) { tw.walksMul = 0.5 }},
-		{"walks x2", func(_ *dynp2p.Config, tw *tweaks) { tw.walksMul = 2 }},
-		{"committee x0.5", func(_ *dynp2p.Config, tw *tweaks) { tw.committeeMul = 0.5 }},
-		{"committee x2", func(_ *dynp2p.Config, tw *tweaks) { tw.committeeMul = 2 }},
-		{"period x2", func(_ *dynp2p.Config, tw *tweaks) { tw.periodMul = 2 }},
-		{"tree depth -1", func(_ *dynp2p.Config, tw *tweaks) { tw.depthDelta = -1 }},
-		{"tree depth +1", func(_ *dynp2p.Config, tw *tweaks) { tw.depthDelta = +1 }},
+		tw   tweaks
+	}{
+		{"defaults", tweaks{1, 1, 1, 0}},
+		{"walks x0.5", tweaks{0.5, 1, 1, 0}},
+		{"walks x2", tweaks{2, 1, 1, 0}},
+		{"committee x0.5", tweaks{1, 0.5, 1, 0}},
+		{"committee x2", tweaks{1, 2, 1, 0}},
+		{"period x2", tweaks{1, 1, 2, 0}},
+		{"tree depth -1", tweaks{1, 1, 1, -1}},
+		{"tree depth +1", tweaks{1, 1, 1, +1}},
 	}
 	for _, v := range variants {
-		cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 0xE13}
-		tw := tweaks{walksMul: 1, committeeMul: 1, periodMul: 1}
-		v.mod(&cfg, &tw)
-		nw := buildTweaked(cfg, tw)
+		nw := buildTweaked(dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 0xE13}, v.tw)
 		nw.Run(nw.WarmupRounds())
 		data := itemData(31, 48)
 		mustStore(nw, 31, data)
@@ -255,7 +254,7 @@ func E13Ablations(scale Scale) *Table {
 		for i := 0; i < searches; i++ {
 			nw.Retrieve((i*211+13)%n, 31, data)
 		}
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 6)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 6)
 		ok, got := 0, 0
 		var lats []float64
 		for _, r := range nw.Results() {
@@ -302,7 +301,6 @@ func buildTweaked(cfg dynp2p.Config, tw tweaks) *dynp2p.Network {
 		} else {
 			pp.CommitteeSize = 4
 		}
-		pp.SampleBuffer = 4 * pp.CommitteeSize
 		if v := int(float64(pp.Period) * tw.periodMul); v > protocol.SampleWindow+8 {
 			pp.Period = v
 		}
@@ -312,12 +310,9 @@ func buildTweaked(cfg dynp2p.Config, tw tweaks) *dynp2p.Network {
 	})
 }
 
+// median returns the upper median of xs.
 func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return cp[len(cp)/2]
 }

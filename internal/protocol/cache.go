@@ -64,12 +64,12 @@ const cacheSeedFanout = 6
 
 // cacheRegion returns the slot's private window of the arena.
 func (h *Handler) cacheRegion(slot int) []cacheEntry {
-	base := slot * h.cacheCap
-	return h.cacheArena[base : base+h.cacheCap]
+	c := h.P.CacheCapacity
+	return h.cacheArena[slot*c : (slot+1)*c]
 }
 
 // cacheEnabled reports whether the cache path is active.
-func (h *Handler) cacheEnabled() bool { return h.cacheCap > 0 }
+func (h *Handler) cacheEnabled() bool { return h.P.CacheCapacity > 0 }
 
 const defaultCacheSeedRate = 0.5
 
@@ -132,7 +132,7 @@ func (h *Handler) cachePut(ctx *simnet.Ctx, key uint64, data []byte, depth uint8
 	for i := range reg {
 		e := &reg[i]
 		if e.expiry != 0 && e.key == key {
-			e.expiry = round + int32(h.cacheTTL)
+			e.expiry = round + int32(h.P.CacheTTL)
 			e.used = round
 			if depth < e.depth {
 				e.depth = depth
@@ -158,7 +158,7 @@ func (h *Handler) cachePut(ctx *simnet.Ctx, key uint64, data []byte, depth uint8
 		victim.data = append(victim.data[:0], data...)
 	}
 	victim.key = key
-	victim.expiry = round + int32(h.cacheTTL)
+	victim.expiry = round + int32(h.P.CacheTTL)
 	victim.used = round
 	victim.served = 0
 	victim.depth = depth
@@ -182,7 +182,7 @@ func (h *Handler) cacheAdmit(ctx *simnet.Ctx, st *nodeState, key uint64, data []
 // walk endpoints, the reference paper's replication rule. Entries at
 // cacheMaxDepth stop propagating.
 func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace uint64) {
-	if h.cacheRate <= 0 || e.depth >= cacheMaxDepth {
+	if e.depth >= cacheMaxDepth {
 		return
 	}
 	samples := h.soup.Samples(ctx.Slot)
@@ -193,7 +193,7 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 			continue
 		}
 		g := rng.Hash(h.seed, e.key, uint64(ctx.Slot), uint64(ctx.Round), uint64(i))
-		if rng.Unit(g) >= h.cacheRate {
+		if rng.Unit(g) >= h.P.CacheSeedRate {
 			continue
 		}
 		e.aliased = int32(ctx.Round)

@@ -26,7 +26,7 @@ func cacheSim(t *testing.T, n int, ttl int) (*sim, uint64, []byte) {
 func retrieve(t *testing.T, s *sim, slot int, key uint64, want []byte) SearchResult {
 	t.Helper()
 	s.h.RequestRetrieve(s.e, slot, key, want)
-	for i := 0; i < s.h.P.SearchTTL+5; i++ {
+	for i := 0; i < s.h.P.SearchTTL()+5; i++ {
 		s.run(1)
 		if rs := s.h.DrainResults(); len(rs) > 0 {
 			return rs[0]

@@ -339,7 +339,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		})
 	}
 	st.registerLandmark(key, lmEntry{
-		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL, wave: ctx.Round,
+		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL(), wave: ctx.Round,
 	})
 	// A traced store settles when its *creation* invites land (base ==
 	// the send round): every founding member emits a done event, and

@@ -27,7 +27,7 @@ func storedSim(t *testing.T, n int, law churn.Law, seed uint64) (*sim, uint64, [
 // await runs rounds until want results have been drained (SearchTTL rounds
 // at most) and returns them appended to got.
 func await(s *sim, got []SearchResult, want int) []SearchResult {
-	for i := 0; i < s.h.P.SearchTTL && len(got) < want; i++ {
+	for i := 0; i < s.h.P.SearchTTL() && len(got) < want; i++ {
 		s.run(1)
 		got = append(got, s.h.DrainResults()...)
 	}
@@ -63,7 +63,7 @@ func TestSearchDoneEndsTail(t *testing.T) {
 	}
 	peak := 0
 	var results []SearchResult
-	for i := 0; i < s.h.P.SearchTTL && len(results) == 0; i++ {
+	for i := 0; i < s.h.P.SearchTTL() && len(results) == 0; i++ {
 		s.run(1)
 		peak = max(peak, s.h.SearchLandmarkCount(key, searcher, s.e.Round()))
 		results = s.h.DrainResults()
@@ -82,7 +82,7 @@ func TestSearchDoneEndsTail(t *testing.T) {
 	if c.Dones < int64(s.h.inviteCount()) {
 		t.Errorf("%d notices sent, want at least the %d to the committee", c.Dones, s.h.inviteCount())
 	}
-	s.run(s.h.P.LandmarkTTL)
+	s.run(s.h.P.LandmarkTTL())
 	if got := s.h.Counters().Inquiries; got != c.Inquiries {
 		t.Errorf("inquiries kept growing after the search ended: %d -> %d", c.Inquiries, got)
 	}
@@ -136,7 +136,7 @@ func TestSearchSendsHeadersOnly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.h.RequestRetrieve(s.e, 20+10*i, 11, itemBytes(11, 64))
 	}
-	s.run(s.h.P.WaveEvery + s.h.P.TreeDepth + 2) // past the second wave
+	s.run(s.h.P.Tau + s.h.P.TreeDepth + 2) // past the second wave
 	for _, kind := range []uint8{KindSGrow, KindSInquire, KindSFetch, KindSDone} {
 		if n, f := sent[kind].Load(), fat[kind].Load(); n == 0 || f != 0 {
 			t.Errorf("kind %#x: %d sent, %d of them with a payload", kind, n, f)
@@ -178,7 +178,7 @@ func TestSearchFoundOncePerRound(t *testing.T) {
 	for i := 0; i < retrievals; i += 2 {
 		s.h.RequestRetrieve(s.e, 20+40*i, key, itemBytes(key, 64))
 		s.h.RequestRetrieve(s.e, 60+40*i, key, itemBytes(key, 64))
-		for r := 0; r < s.h.P.SearchTTL && len(results) < i+2; r++ {
+		for r := 0; r < s.h.P.SearchTTL() && len(results) < i+2; r++ {
 			step()
 			results = append(results, s.h.DrainResults()...)
 		}
@@ -257,7 +257,7 @@ func (f *foundTally) String() string { return "KindSFound tally" }
 // for — a bare header naming the first in Aux2 and the second, or 0, in
 // Aux — and never for a searcher whose task has expired but is not yet
 // swept. The key is stored nowhere, so every search sends a wave every
-// WaveEvery rounds until its deadline; a later wave refreshes a task in
+// Tau rounds until its deadline; a later wave refreshes a task in
 // place, so a landmark's table holds expired tasks after live ones too.
 func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 	const key = 31337
@@ -287,8 +287,8 @@ func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 	}})
 	s.warm()
 	issued, reported, expiredBehindLive := 0, 0, 0
-	for r := 0; r < s.h.P.SearchTTL+s.h.P.LandmarkTTL; r++ {
-		if r%(s.h.P.WaveEvery/2) == 0 && r < s.h.P.LandmarkTTL {
+	for r := 0; r < s.h.P.SearchTTL()+s.h.P.LandmarkTTL(); r++ {
+		if r%(s.h.P.Tau/2) == 0 && r < s.h.P.LandmarkTTL() {
 			for i := 0; i < 3; i++ { // three at once, each searcher distinct
 				s.h.RequestRetrieve(s.e, 20+50*i+r, key, nil)
 				issued++
@@ -366,7 +366,7 @@ func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 func TestSearchDoneLateAfterRewave(t *testing.T) {
 	s, key, data := storedSim(t, 256, churn.ZeroLaw{}, 3)
 	var grows atomic.Int64
-	s.setFault(watchFault{doneFault{s.h.P.WaveEvery}, func(m *simnet.Msg) {
+	s.setFault(watchFault{doneFault{s.h.P.Tau}, func(m *simnet.Msg) {
 		if m.Kind == KindSGrow {
 			grows.Add(1)
 		}
@@ -380,7 +380,7 @@ func TestSearchDoneLateAfterRewave(t *testing.T) {
 	if len(results) != 1 || !results[0].Success {
 		t.Fatalf("retrieval did not succeed: %+v", results)
 	}
-	s.run(s.h.P.WaveEvery) // the notice lands next round
+	s.run(s.h.P.Tau) // the notice lands next round
 	if searchMembers(s, key, searcher, roster, -1) == 0 {
 		t.Fatal("no member holds the search when the late notice lands: the test shows nothing")
 	}
@@ -398,7 +398,7 @@ func TestSearchDoneLateAfterRewave(t *testing.T) {
 	if got := searchMembers(s, key, searcher, roster, -1); got != 0 {
 		t.Errorf("%d members left after the late notice", got)
 	}
-	s.run(2*s.h.P.WaveEvery - s.h.P.TreeDepth - 2) // 2·WaveEvery rounds from the landing
+	s.run(2*s.h.P.Tau - s.h.P.TreeDepth - 2) // 2·Tau rounds from the landing
 	if got := grows.Load(); got != before {
 		t.Errorf("search trees kept growing after the late notice: %d -> %d grows sent", before, got)
 	}
@@ -557,7 +557,7 @@ func TestSearchDoneIsAdvisory(t *testing.T) {
 				tail += s.h.SearchLandmarkCount(r.Key, r.Searcher, s.e.Round())
 			}
 		}
-		s.run(s.h.P.SearchTTL)
+		s.run(s.h.P.SearchTTL())
 		return append(results, s.h.DrainResults()...), tail
 	}
 	lossy, lossyTail := run(doneFault{-1})
@@ -595,7 +595,7 @@ func TestSearchDoneLostSearcher(t *testing.T) {
 	if left <= s.h.inviteCount() {
 		t.Fatalf("the search has %d landmarks when its searcher leaves: no tree grew, the test shows nothing", left)
 	}
-	s.run(s.h.P.LandmarkTTL)
+	s.run(s.h.P.LandmarkTTL())
 	if got := grows.Load(); got != before {
 		t.Errorf("%d grows sent for the departed searcher's search", got-before)
 	}

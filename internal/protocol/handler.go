@@ -28,9 +28,6 @@ type Handler struct {
 	// seed keys the deterministic replica-placement hash.
 	seed       uint64
 	cacheArena []cacheEntry
-	cacheCap   int
-	cacheTTL   int
-	cacheRate  float64
 
 	mu      sync.Mutex
 	results []SearchResult
@@ -230,6 +227,12 @@ type pendingOp struct {
 // hook on the same engine. Panics on invalid parameters.
 func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 	p.validate()
+	if p.CacheTTL == 0 {
+		p.CacheTTL = 2 * p.LandmarkTTL()
+	}
+	if p.CacheSeedRate == 0 {
+		p.CacheSeedRate = defaultCacheSeedRate
+	}
 	h := &Handler{
 		P: p, soup: soup,
 		seed:   e.Config().ProtocolSeed,
@@ -237,15 +240,6 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		ctr:    newCounters(e.Telemetry()),
 
 		cacheArena: make([]cacheEntry, e.N()*p.CacheCapacity),
-		cacheCap:   p.CacheCapacity,
-		cacheTTL:   p.CacheTTL,
-		cacheRate:  p.CacheSeedRate,
-	}
-	if h.cacheTTL == 0 {
-		h.cacheTTL = 2 * p.LandmarkTTL
-	}
-	if h.cacheRate == 0 {
-		h.cacheRate = defaultCacheSeedRate
 	}
 	if p.IDAThreshold > 0 {
 		c, err := ida.New(p.IDAThreshold, p.CommitteeSize)
@@ -276,9 +270,8 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 // (cacheEntry.served, lmEntry.toldAt): a routed inquiry that ends at a
 // holder which has already answered this round may get no reply.
 func (h *Handler) holdsKey(slot int, key uint64, round int) bool {
-	if h.cacheCap > 0 {
-		base := slot * h.cacheCap
-		for i := base; i < base+h.cacheCap; i++ {
+	if c := h.P.CacheCapacity; c > 0 {
+		for i := slot * c; i < (slot+1)*c; i++ {
 			e := &h.cacheArena[i]
 			if e.expiry != 0 && e.key == key && round < int(e.expiry) {
 				return true
@@ -300,7 +293,7 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 	st := &h.states[slot]
 	st.id = id
 	if st.recent == nil {
-		st.recent = make([]simnet.NodeID, h.P.SampleBuffer)
+		st.recent = make([]simnet.NodeID, h.P.SampleBuffer())
 	}
 	st.recentPos, st.recentLen = 0, 0
 	st.memberships.reset()

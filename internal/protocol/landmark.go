@@ -7,18 +7,18 @@ import (
 )
 
 // maybeWave starts a storage landmark-construction wave if one is due for
-// the membership (Algorithm 2): when the member joins, and every WaveEvery
+// the membership (Algorithm 2): when the member joins, and every Tau
 // rounds from the committee's base round. Each member roots its own sampling
 // tree; the trees' nodes become landmarks that know the committee roster.
 func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	round := ctx.Round
-	if round != m.joined && (round <= m.base || (round-m.base)%h.P.WaveEvery != 0) {
+	if round != m.joined && (round <= m.base || (round-m.base)%h.P.Tau != 0) {
 		return
 	}
 	h.ctr.waves.Inc(ctx.Shard)
 	// The member itself is a landmark for its item.
 	st.registerLandmark(m.key, lmEntry{
-		roster: m.roster, expiry: round + h.P.LandmarkTTL, wave: round,
+		roster: m.roster, expiry: round + h.P.LandmarkTTL(), wave: round,
 	})
 	h.growChildren(ctx, st, KindLGrow, m.key, 0, m.roster, h.P.TreeDepth, round, m.trace)
 }
@@ -64,12 +64,12 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	key := msg.Item
 	if ent := st.storageLM.get(key); ent != nil && ent.wave == wave {
 		// Already in this wave's tree: refresh, do not extend.
-		ent.expiry = max(ent.expiry, ctx.Round+h.P.LandmarkTTL)
+		ent.expiry = max(ent.expiry, ctx.Round+h.P.LandmarkTTL())
 		return
 	}
 	st.registerLandmark(key, lmEntry{
 		roster: slices.Clone(msg.IDs()),
-		expiry: ctx.Round + h.P.LandmarkTTL,
+		expiry: ctx.Round + h.P.LandmarkTTL(),
 		wave:   wave,
 	})
 	h.growChildren(ctx, st, KindLGrow, key, 0, msg.IDs(), depth, wave, msg.Trace)
@@ -83,7 +83,7 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 	depth, wave := unpackGrow(msg.Aux)
 	key, searcher := msg.Item, simnet.NodeID(msg.Aux2)
 	if t := findSearchTask(st, key, searcher); t != nil && t.wave == wave {
-		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL)
+		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL())
 		return
 	}
 	h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace).grow = depth
@@ -95,7 +95,7 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 // returns is valid until the node's next addSearchTask.
 func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) *searchTask {
 	if t := findSearchTask(st, key, searcher); t != nil {
-		t.expiry = max(t.expiry, round+h.P.LandmarkTTL)
+		t.expiry = max(t.expiry, round+h.P.LandmarkTTL())
 		t.wave = wave
 		if trace != 0 {
 			t.trace = trace
@@ -107,7 +107,7 @@ func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeI
 		tasks = st.searchLM.put(key, nil)
 	}
 	*tasks = append(*tasks, searchTask{
-		searcher: searcher, expiry: round + h.P.LandmarkTTL, wave: wave, trace: trace,
+		searcher: searcher, expiry: round + h.P.LandmarkTTL(), wave: wave, trace: trace,
 	})
 	return &(*tasks)[len(*tasks)-1]
 }

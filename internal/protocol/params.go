@@ -25,8 +25,9 @@ import (
 )
 
 // Params configures the protocol stack. Start from DefaultParams: only
-// CacheTTL and CacheSeedRate have a zero value that selects a default, and
-// NewHandler panics on what validate rejects.
+// CacheTTL and CacheSeedRate have a zero value that selects a default,
+// which NewHandler resolves into Handler.P, and NewHandler panics on what
+// validate rejects.
 type Params struct {
 	// CommitteeSize is the paper's h·log n: members per committee and
 	// (in replication mode) copies per item.
@@ -35,21 +36,13 @@ type Params struct {
 	// epoch — count exchange, leader election, handover — runs every
 	// Period rounds.
 	Period int
-	// WaveEvery is the landmark-rebuild period (the paper's "every τ
-	// rounds" in Algorithm 2).
-	WaveEvery int
+	// Tau is the paper's τ: landmark trees are rebuilt every Tau rounds
+	// (Algorithm 2), and the landmark and search lifetimes are multiples
+	// of it (LandmarkTTL, SearchTTL).
+	Tau int
 	// TreeDepth is µ from Algorithm 2 equation (4): landmark trees grow
 	// to this depth with fanout TreeFanout.
 	TreeDepth int
-	// LandmarkTTL is how long a node stays a landmark after its last
-	// refresh (the paper's 2τ).
-	LandmarkTTL int
-	// SearchTTL bounds a retrieval operation: the search committee and
-	// the searcher's state dissolve after this many rounds.
-	SearchTTL int
-	// SampleBuffer is the capacity of each node's ring of recent walk
-	// sample sources.
-	SampleBuffer int
 	// IDA enables erasure-coded storage (§4.4) with the given
 	// reconstruction threshold K; the number of pieces L equals
 	// CommitteeSize. K = 0 selects plain replication.
@@ -58,7 +51,7 @@ type Params struct {
 	// walk-seeded replication (DESIGN.md §10). 0 disables caching.
 	CacheCapacity int
 	// CacheTTL is a cached entry's lifetime in rounds; 0 selects
-	// 2·LandmarkTTL.
+	// 2·LandmarkTTL (4τ).
 	CacheTTL int
 	// CacheSeedRate is the probability that an eligible walk sample
 	// receives a seeded replica when a node completes or serves a
@@ -91,6 +84,18 @@ const (
 	InviteFactor = 1.5
 )
 
+// LandmarkTTL is how long a node stays a landmark after its last
+// refresh: the paper's 2τ.
+func (p Params) LandmarkTTL() int { return 2 * p.Tau }
+
+// SearchTTL bounds a retrieval operation: the search committee and the
+// searcher's state dissolve after 6τ rounds.
+func (p Params) SearchTTL() int { return 6 * p.Tau }
+
+// SampleBuffer is the capacity of each node's ring of recent walk sample
+// sources: four committees' worth.
+func (p Params) SampleBuffer() int { return 4 * p.CommitteeSize }
+
 // DefaultParams derives protocol parameters for network size n from the
 // paper's Θ(log n) prescriptions (natural log, as in the paper) with
 // simulation-calibrated constants. walkLen is the soup's walk length T
@@ -101,11 +106,8 @@ func DefaultParams(n, walkLen int) Params {
 	p := Params{
 		CommitteeSize: size,
 		Period:        2 * walkLen,
-		WaveEvery:     walkLen,
+		Tau:           walkLen,
 		TreeDepth:     DefaultTreeDepth(n, size),
-		LandmarkTTL:   2 * walkLen,
-		SearchTTL:     6 * walkLen,
-		SampleBuffer:  4 * size,
 	}
 	// 13 rounds: in either storage mode every candidate's turn falls inside
 	// the epoch (the last IDA turn, one round after replication's, is at
@@ -147,16 +149,10 @@ func (p Params) validate() {
 		panic("protocol: Period too short for the epoch phases")
 	case p.IDAThreshold > 0 && p.Period < SampleWindow+3:
 		panic("protocol: Period too short for an IDA committee's piece round and handover")
-	case p.WaveEvery < 1:
-		panic("protocol: WaveEvery must be >= 1")
+	case p.Tau < 1:
+		panic("protocol: Tau must be >= 1")
 	case p.TreeDepth < 0 || p.TreeDepth > 255:
 		panic("protocol: TreeDepth must be in [0, 255]")
-	case p.LandmarkTTL < 1:
-		panic("protocol: LandmarkTTL must be >= 1")
-	case p.SearchTTL < 1:
-		panic("protocol: SearchTTL must be >= 1")
-	case p.SampleBuffer < 1:
-		panic("protocol: SampleBuffer must be >= 1")
 	case p.IDAThreshold < 0 || p.IDAThreshold > p.CommitteeSize:
 		panic("protocol: IDAThreshold must be in [0, CommitteeSize]")
 	case p.CacheCapacity < 0:

@@ -125,7 +125,7 @@ func TestRetrieveNoChurn(t *testing.T) {
 	s.run(s.h.P.Period)
 	s.h.RequestRetrieve(s.e, 200, 99, data)
 	var results []SearchResult
-	for i := 0; i < s.h.P.SearchTTL+5 && len(results) == 0; i++ {
+	for i := 0; i < s.h.P.SearchTTL()+5 && len(results) == 0; i++ {
 		s.run(1)
 		results = append(results, s.h.DrainResults()...)
 	}
@@ -162,7 +162,7 @@ func TestRetrieveUnderChurn(t *testing.T) {
 		slot := 50 + a*37
 		s.h.RequestRetrieve(s.e, slot, 1234, data)
 	}
-	deadline := s.e.Round() + s.h.P.SearchTTL + 10
+	deadline := s.e.Round() + s.h.P.SearchTTL() + 10
 	var results []SearchResult
 	for s.e.Round() < deadline && len(results) < attempts {
 		s.run(1)
@@ -251,7 +251,7 @@ func TestIDAStoreAndRetrieve(t *testing.T) {
 	}
 	s.h.RequestRetrieve(s.e, 100, 88, data)
 	var results []SearchResult
-	for i := 0; i < s.h.P.SearchTTL+5 && len(results) == 0; i++ {
+	for i := 0; i < s.h.P.SearchTTL()+5 && len(results) == 0; i++ {
 		s.run(1)
 		results = append(results, s.h.DrainResults()...)
 	}
@@ -397,7 +397,7 @@ func TestSearchForMissingItemFails(t *testing.T) {
 	s.warm()
 	s.h.RequestRetrieve(s.e, 8, 31337, nil)
 	var results []SearchResult
-	for i := 0; i < s.h.P.SearchTTL+10 && len(results) == 0; i++ {
+	for i := 0; i < s.h.P.SearchTTL()+10 && len(results) == 0; i++ {
 		s.run(1)
 		results = append(results, s.h.DrainResults()...)
 	}
@@ -422,7 +422,7 @@ func TestSearchCommitteeDissolves(t *testing.T) {
 	if s.h.SearchLandmarkCount(555, searcher, s.e.Round()) <= s.h.inviteCount() {
 		t.Fatal("search committee never formed")
 	}
-	s.run(s.h.P.SearchTTL + 2)
+	s.run(s.h.P.SearchTTL() + 2)
 	if got := s.h.SearchLandmarkCount(555, searcher, s.e.Round()); got != 0 {
 		t.Fatalf("search committee did not dissolve after TTL: %d landmarks left", got)
 	}
@@ -445,7 +445,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		h.RequestStore(e, 0, 9, itemBytes(9, 50))
 		e.Run(h, p.Period)
 		h.RequestRetrieve(e, 64, 9, itemBytes(9, 50))
-		e.Run(h, p.SearchTTL+5)
+		e.Run(h, p.SearchTTL()+5)
 		return h.DrainResults(), h.Counters()
 	}
 	r1, c1 := run(1)
@@ -487,7 +487,7 @@ func TestPerNodeTrafficPolylog(t *testing.T) {
 	s.h.RequestStore(s.e, 0, 1, itemBytes(1, 32))
 	s.run(s.h.P.Period)
 	s.h.RequestRetrieve(s.e, 101, 1, nil)
-	s.run(s.h.P.SearchTTL)
+	s.run(s.h.P.SearchTTL())
 	maxBits := s.e.Metrics().MaxNodeBitsRound
 	// The busiest node is the epoch leader, which in one round sends
 	// CommitteeSize invites (roster + item blob each), CommitteeSize
@@ -527,10 +527,7 @@ func TestParamsValidate(t *testing.T) {
 	short.validate()
 	mustPanic("short IDA period", func() Params { p := short; p.IDAThreshold = 1; return p }())
 	mustPanic("bad ida", func() Params { p := good; p.IDAThreshold = p.CommitteeSize + 1; return p }())
-	mustPanic("zero wave period", func() Params { p := good; p.WaveEvery = 0; return p }())
-	mustPanic("zero landmark ttl", func() Params { p := good; p.LandmarkTTL = 0; return p }())
-	mustPanic("zero search ttl", func() Params { p := good; p.SearchTTL = 0; return p }())
-	mustPanic("zero sample buffer", func() Params { p := good; p.SampleBuffer = 0; return p }())
+	mustPanic("zero wave period", func() Params { p := good; p.Tau = 0; return p }())
 	mustPanic("tree depth past packGrow's 8 bits", func() Params { p := good; p.TreeDepth = 256; return p }())
 	good.validate() // must not panic
 }
@@ -601,7 +598,7 @@ func TestSecondRetrieveReportsItsOwnResult(t *testing.T) {
 		s.run(gap)
 		s.h.RequestRetrieve(s.e, 200, 99, data)
 		var results []SearchResult
-		for i := 0; i < 2*s.h.P.SearchTTL && len(results) < 2; i++ {
+		for i := 0; i < 2*s.h.P.SearchTTL() && len(results) < 2; i++ {
 			s.run(1)
 			results = append(results, s.h.DrainResults()...)
 		}
@@ -657,7 +654,7 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	if got := st.recentDistinct(nil, 1); len(got) != 0 {
 		t.Errorf("newcomer draws on the departed node's walk samples: %v", got)
 	}
-	s.run(s.h.P.SearchTTL + 5)
+	s.run(s.h.P.SearchTTL() + 5)
 	for _, r := range s.h.DrainResults() {
 		if r.Key == missing || r.Key == queued {
 			t.Errorf("the departed searcher's retrieval reported: %+v", r)

@@ -16,7 +16,7 @@ type searchState struct {
 	key      uint64
 	start    int
 	deadline int
-	formed   int             // round the committee was formed: a wave is due every WaveEvery rounds after
+	formed   int             // round the committee was formed: a wave is due every Tau rounds after
 	found    int             // round the first storage roster arrived; -1 until then
 	invited  []simnet.NodeID // the search committee: each wave's first level, told when the search ends
 	roster   []simnet.NodeID // storage members already asked for data
@@ -144,7 +144,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	trace := h.sampleOp(ctx, st, op)
 	srch := st.searches.put(op.key, searchState{
 		key: op.key, start: op.start,
-		deadline: op.start + h.P.SearchTTL,
+		deadline: op.start + h.P.SearchTTL(),
 		formed:   ctx.Round,
 		found:    -1,
 		invited:  roster,
@@ -433,7 +433,7 @@ func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, sea
 }
 
 // tickSearches expires overdue retrievals (recorded as failures, Done = -1)
-// and sends the others' waves, which land every WaveEvery rounds after the
+// and sends the others' waves, which land every Tau rounds after the
 // committee formed, up to the deadline.
 func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 	round := ctx.Round
@@ -442,7 +442,7 @@ func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 		if round >= srch.deadline {
 			h.finishSearch(ctx, st, srch, -1, false, 0)
 			i--
-		} else if round > srch.formed && (round+1-srch.formed)%h.P.WaveEvery == 0 && round+1 < srch.deadline {
+		} else if round > srch.formed && (round+1-srch.formed)%h.P.Tau == 0 && round+1 < srch.deadline {
 			h.sendWave(ctx, st, srch)
 		}
 	}

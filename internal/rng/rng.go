@@ -131,14 +131,6 @@ func (r *Stream) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int31n returns a uniform int32 in [0, n). n must be > 0.
-func (r *Stream) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("rng: Int31n with n <= 0")
-	}
-	return int32(r.Uint64n(uint64(n)))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dynp2p"
 	"dynp2p/internal/churn"
 	"dynp2p/internal/walks"
 )
@@ -69,7 +70,7 @@ var builtins = []builtin{
 			return Spec{
 				Name: "flash-crowd-cached", N: n, Seed: seed, ZipfS: 3.0,
 				Keys:  8,
-				Cache: CacheSpec{Capacity: 8, SeedRate: 1},
+				Cache: dynp2p.CacheConfig{Capacity: 8, SeedRate: 1},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.5},
 						Load: Workload{StoreRate: 0.5}},
@@ -111,7 +112,7 @@ var builtins = []builtin{
 			T := unit(n)
 			return Spec{
 				Name: "lossy", N: n, Seed: seed,
-				Fault: Fault{Drop: 0.10, DelayProb: 0.2, MaxDelay: 2},
+				Fault: dynp2p.FaultConfig{DropProb: 0.10, DelayProb: 0.2, MaxDelay: 2},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.5},
 						Load: Workload{StoreRate: 0.5}},
@@ -156,7 +157,7 @@ var builtins = []builtin{
 				// through the bursts. The edge mode is the run's; the static
 				// and oracle legs are this spec with topology.edges changed
 				// (-dump, edit, -spec), at the same seed.
-				Topology: Topology{Edges: "self-healing", SpectralEvery: 1},
+				Topology: Topology{Edges: dynp2p.EdgesSelfHealing, SpectralEvery: 1},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: calm,
 						Load: Workload{StoreRate: 0.5, RetrieveRate: 0.2}},
@@ -182,8 +183,8 @@ var builtins = []builtin{
 			return Spec{
 				Name: "hot-path-congestion", N: n, Seed: seed, ZipfS: 3.0,
 				Keys:    8,
-				Cache:   CacheSpec{Capacity: 8, SeedRate: 1},
-				Routing: RoutingSpec{Mode: "overlay"},
+				Cache:   dynp2p.CacheConfig{Capacity: 8, SeedRate: 1},
+				Routing: dynp2p.RoutingConfig{Mode: dynp2p.RoutingOverlay},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.5},
 						Load: Workload{StoreRate: 0.5}},
@@ -200,7 +201,7 @@ var builtins = []builtin{
 			T := unit(n)
 			return Spec{
 				Name: "erasure-lossy", N: n, Seed: seed, ErasureK: 4,
-				Fault: Fault{Drop: 0.08, DelayProb: 0.15, MaxDelay: 2},
+				Fault: dynp2p.FaultConfig{DropProb: 0.08, DelayProb: 0.15, MaxDelay: 2},
 				Phases: []Phase{
 					{Name: "seed", Rounds: 3 * T, Churn: Churn{Rate: 0.25},
 						Load: Workload{StoreRate: 0.5}},

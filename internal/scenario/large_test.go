@@ -27,7 +27,7 @@ func TestLargeScaleLossyRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Fault.Drop = *largeDrop
+	spec.Fault.DropProb = *largeDrop
 
 	rep, err := Run(spec, Options{})
 	if err != nil {

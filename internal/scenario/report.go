@@ -217,7 +217,7 @@ func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%d phases over %d rounds (incl. %d warm-up, %d drain)\n\n",
 		len(r.Spec.Phases), r.Rounds, r.Spec.WarmupRounds(), r.Spec.DrainRounds())
 
-	routed := r.Spec.Routing.config().Mode == dynp2p.RoutingOverlay
+	routed := r.Spec.Routing.Mode == dynp2p.RoutingOverlay
 	header := []string{"phase", "rounds", "churned", "stores", "retr", "ok", "fail", "lost", "succ%", "p50", "p95", "p99", "cHit", "cP50"}
 	if routed {
 		header = append(header, "hopP50", "hopP99", "rDrop", "maxLink")

@@ -88,25 +88,6 @@ type reqKey struct {
 	key uint64
 }
 
-// segMeta records a finished timeline segment and its engine-metric deltas.
-type segMeta struct {
-	name    string
-	rounds  int
-	phase   int // index into Spec.Phases, or -1 for warm-up/drain
-	repl    int64
-	fdrop   int64
-	fdelay  int64
-	repairs int64
-	lamMax  float64 // largest λ measured during the segment (0 = none)
-	// Overlay-routing deltas for the segment (zero under the oracle):
-	// hop-count quantiles over messages delivered in it, drops, and the
-	// largest per-node forward count in any of its rounds.
-	hopsP50 int64
-	hopsP99 int64
-	rdrops  int64
-	maxLink int64
-}
-
 type runner struct {
 	spec Spec
 	nw   *dynp2p.Network
@@ -125,10 +106,10 @@ type runner struct {
 	accums []sloAccum // one per spec phase
 	total  sloAccum
 
-	prev      dynp2p.Stats // snapshot for per-round deltas
-	prevTrace [5]int64     // ops started / done / hop events / cache hits / cache serves
-	segs      []segMeta
-	maxLink   int64 // largest per-node forward count in any round so far
+	prev      dynp2p.Stats  // snapshot for per-round deltas
+	prevTrace [5]int64      // ops started / done / hop events / cache hits / cache serves
+	phases    []PhaseReport // one per finished segment; SLOs filled in by report
+	maxLink   int64         // largest per-node forward count in any round so far
 }
 
 // Run executes the spec and returns its report. The run is deterministic
@@ -151,18 +132,20 @@ func run(spec Spec, opt Options) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	edges, err := spec.edgeMode()
-	if err != nil {
-		return nil, err
+	// A nil model keeps the engine's reliable path: a non-nil zero model
+	// would still hash a fate for every message.
+	var fault dynp2p.FaultModel
+	if !spec.Fault.Zero() {
+		fault = spec.Fault
 	}
 	nw := dynp2p.New(dynp2p.Config{
 		N: spec.N, Degree: spec.Degree, Seed: spec.Seed,
 		ChurnLaw: spec.schedule(), Strategy: strat,
 		ErasureK: spec.ErasureK,
-		Fault:    spec.Fault.model(),
-		Cache:    spec.Cache.config(),
-		Routing:  spec.Routing.config(),
-		Edges:    edges, SpectralEvery: spec.Topology.SpectralEvery,
+		Fault:    fault,
+		Cache:    spec.Cache,
+		Routing:  spec.Routing,
+		Edges:    spec.Topology.Edges, SpectralEvery: spec.Topology.SpectralEvery,
 		// Scenario runs trace every operation: the report's hop-count and
 		// rounds-to-resolve distributions come from the lifecycle tracer.
 		TraceSampleEvery: 1,
@@ -222,10 +205,11 @@ func run(spec Spec, opt Options) (*runner, error) {
 }
 
 // runSegment simulates rounds with the given workload, attributing issued
-// requests to spec phase pi (-1 = none).
+// requests to spec phase pi (-1 = none), and records the segment's
+// PhaseReport.
 func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 	start := r.nw.Stats()
-	routed := r.spec.Routing.config().Mode == dynp2p.RoutingOverlay
+	routed := r.spec.Routing.Mode == dynp2p.RoutingOverlay
 	reg := r.nw.Telemetry()
 	var hopsStart telemetry.HistValue
 	var maxLink telemetry.Gauge
@@ -254,27 +238,27 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 		}
 	}
 	end := r.nw.Stats()
-	seg := segMeta{
-		name: name, rounds: rounds, phase: pi,
-		repl:   end.Engine.Replacements - start.Engine.Replacements,
-		fdrop:  end.Engine.MsgsFaultDropped - start.Engine.MsgsFaultDropped,
-		fdelay: end.Engine.MsgsDelayed - start.Engine.MsgsDelayed,
-		repairs: end.Overlay.Splices + end.Overlay.DirectPairs -
+	pr := PhaseReport{
+		Name: name, Rounds: rounds,
+		Replacements: end.Engine.Replacements - start.Engine.Replacements,
+		FaultDropped: end.Engine.MsgsFaultDropped - start.Engine.MsgsFaultDropped,
+		Delayed:      end.Engine.MsgsDelayed - start.Engine.MsgsDelayed,
+		Repairs: end.Overlay.Splices + end.Overlay.DirectPairs -
 			start.Overlay.Splices - start.Overlay.DirectPairs,
-		lamMax: lamMax,
+		LambdaMax: lamMax,
 	}
 	if routed {
 		hops := histDelta(reg.HistogramValue("dynp2p_search_path_hops"), hopsStart)
-		seg.hopsP50 = hops.Quantile(0.50)
-		seg.hopsP99 = hops.Quantile(0.99)
-		seg.rdrops = routeDrops(end.Route) - routeDrops(start.Route)
-		seg.maxLink = maxLink.Value()
+		pr.RouteHopsP50 = hops.Quantile(0.50)
+		pr.RouteHopsP99 = hops.Quantile(0.99)
+		pr.RouteDrops = routeDrops(end.Route) - routeDrops(start.Route)
+		pr.MaxLinkLoad = maxLink.Value()
 		// Hand the gauge back as the run's maximum so far, which is what
 		// the router and the end-of-run snapshot report.
-		r.maxLink = max(r.maxLink, seg.maxLink)
+		r.maxLink = max(r.maxLink, pr.MaxLinkLoad)
 		maxLink.Set(r.maxLink)
 	}
-	r.segs = append(r.segs, seg)
+	r.phases = append(r.phases, pr)
 }
 
 // histDelta returns the bucket-wise difference a - b: the histogram of
@@ -476,18 +460,10 @@ func (r *runner) report() *Report {
 			*dst = &h
 		}
 	}
-	for _, seg := range r.segs {
-		pr := PhaseReport{
-			Name: seg.name, Rounds: seg.rounds,
-			Replacements: seg.repl, FaultDropped: seg.fdrop, Delayed: seg.fdelay,
-			Repairs: seg.repairs, LambdaMax: seg.lamMax,
-			RouteHopsP50: seg.hopsP50, RouteHopsP99: seg.hopsP99,
-			RouteDrops: seg.rdrops, MaxLinkLoad: seg.maxLink,
-		}
-		if seg.phase >= 0 {
-			pr.SLO = r.accums[seg.phase].finalize()
-		}
-		rep.Phases = append(rep.Phases, pr)
+	// Segment 0 is the warm-up, so spec phase i is segment i+1.
+	rep.Phases = r.phases
+	for i := range r.accums {
+		rep.Phases[i+1].SLO = r.accums[i].finalize()
 	}
 	return rep
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynp2p"
 	"dynp2p/internal/protocol"
 	"dynp2p/internal/walks"
 )
@@ -55,6 +56,7 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"link capacity field": `{"name":"x","n":64,"routing":{"mode":"overlay","linkCapacity":2},"phases":[{"name":"p","rounds":5}]}`,
 		"queue limit field":   `{"name":"x","n":64,"routing":{"mode":"overlay","queueLimit":8},"phases":[{"name":"p","rounds":5}]}`,
 		"malformed json":      `{"name":`,
+		"oversized erasureK":  `{"name":"x","n":64,"erasureK":12,"phases":[{"name":"p","rounds":5}]}`,
 	}
 	for label, in := range cases {
 		if label != "malformed json" && !json.Valid([]byte(in)) {
@@ -65,8 +67,15 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		}
 	}
 	valid := `{"name":"x","n":64,"fault":{"drop":0.1,"delayProb":0.2,"maxDelay":2},"phases":[{"name":"p","rounds":5}]}`
-	if spec, err := ParseSpec([]byte(valid)); err != nil || spec.Fault != (Fault{Drop: 0.1, DelayProb: 0.2, MaxDelay: 2}) {
+	if spec, err := ParseSpec([]byte(valid)); err != nil || spec.Fault != (dynp2p.FaultConfig{DropProb: 0.1, DelayProb: 0.2, MaxDelay: 2}) {
 		t.Errorf("spec-level fault block: %+v, %v", spec.Fault, err)
+	}
+	// At n=64 the committee has 11 members: K = 11 keeps one piece each.
+	if size := protocol.DefaultParams(64, walks.DefaultParams(64).WalkLength).CommitteeSize; size != 11 {
+		t.Fatalf("committee size at n=64 is %d, the erasureK case assumes 11", size)
+	}
+	if _, err := ParseSpec([]byte(`{"name":"x","n":64,"erasureK":11,"phases":[{"name":"p","rounds":5}]}`)); err != nil {
+		t.Errorf("erasureK = committee size rejected: %v", err)
 	}
 }
 
@@ -86,7 +95,7 @@ func TestParseSpecAppliesDefaults(t *testing.T) {
 func testSpec() Spec {
 	return Spec{
 		Name: "phases", N: 64, Seed: 5, Keys: 4, ItemLen: 32,
-		Fault: Fault{Drop: 0.3},
+		Fault: dynp2p.FaultConfig{DropProb: 0.3},
 		Phases: []Phase{
 			{Name: "quiet", Rounds: 12, Load: Workload{StoreRate: 1}},
 			{Name: "churny", Rounds: 10, Churn: Churn{Fixed: 3}, Load: Workload{RetrieveRate: 0.5}},
@@ -308,7 +317,7 @@ func TestBuiltinsSmoke(t *testing.T) {
 // reaped an in-flight request).
 func TestDrainCoversSearchTTL(t *testing.T) {
 	wp := walks.DefaultParams(128)
-	ttl := protocol.DefaultParams(128, wp.WalkLength).SearchTTL
+	ttl := protocol.DefaultParams(128, wp.WalkLength).SearchTTL()
 	for _, name := range Names() {
 		spec, err := Builtin(name, 128, 3)
 		if err != nil {
@@ -368,8 +377,13 @@ func TestTopologyBlock(t *testing.T) {
 	if spec.Degree != 6 {
 		t.Fatalf("top-level degree not applied: degree=%d", spec.Degree)
 	}
-	if m, err := spec.edgeMode(); err != nil || m.String() != "self-healing" {
-		t.Fatalf("edgeMode = %v, %v", m, err)
+	if spec.Topology.Edges != dynp2p.EdgesSelfHealing {
+		t.Fatalf("topology.edges = %v", spec.Topology.Edges)
+	}
+	// An empty name is the default mode, as an absent key is.
+	if spec, err := ParseSpec([]byte(`{"name":"x","n":64,"topology":{"edges":""},"routing":{"mode":""},"phases":[{"name":"p","rounds":5}]}`)); err != nil ||
+		spec.Topology.Edges != dynp2p.EdgesRerandomize || spec.Routing.Mode != dynp2p.RoutingOracle {
+		t.Fatalf("empty mode names: %+v, %v", spec, err)
 	}
 
 	bad := map[string]string{
@@ -476,7 +490,7 @@ func TestSplitPhaseIsInvisible(t *testing.T) {
 	half.Rounds = 20
 	whole := Spec{
 		Name: "split", N: 128, Seed: 4, Phases: []Phase{p},
-		Fault: Fault{Drop: 0.1, DelayProb: 0.2, MaxDelay: 2},
+		Fault: dynp2p.FaultConfig{DropProb: 0.1, DelayProb: 0.2, MaxDelay: 2},
 	}
 	split := whole
 	split.Phases = []Phase{half, half}

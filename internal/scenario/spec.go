@@ -13,7 +13,11 @@
 // The rest of the environment is the run's, fixed before round 0: the
 // topology, the routing mode, the hot-key cache, and the fault model
 // (probabilistic message drop and bounded delivery delay, drawn from the
-// adversary's seed so runs stay deterministic).
+// adversary's seed so runs stay deterministic). Those blocks are the
+// facade's own config types — dynp2p.CacheConfig, RoutingConfig,
+// FaultConfig and EdgeMode — so their JSON tags and mode names (the
+// modes' String and Parse functions) are the spec's JSON format, and a
+// spec setting means what the same Config field means.
 //
 // The Runner executes a Spec on a dynp2p.Network, tracks per-request SLOs
 // (success rate, locate/complete latency quantiles), optionally emits a
@@ -68,16 +72,19 @@ type Spec struct {
 	// Cache enables hot-key caching (DESIGN.md §10) for the whole run;
 	// the zero value disables caching. To compare cache settings, run the
 	// spec once per setting (cmd/scenario -cachecap).
-	Cache CacheSpec `json:"cache,omitempty"`
+	Cache dynp2p.CacheConfig `json:"cache,omitempty"`
 	// Routing selects how protocol messages travel (DESIGN.md §11): the
 	// zero value is the oracle (one-round teleports); mode "overlay"
 	// walks every message edge-by-edge over the expander with link-load
 	// accounting. The mode holds for the whole run; to compare the two,
 	// run the spec once per mode (cmd/scenario -routing).
-	Routing RoutingSpec `json:"routing,omitempty"`
-	// Fault is the run's message fault model, from warm-up to drain; the
-	// zero value means reliable links.
-	Fault Fault `json:"fault,omitempty"`
+	Routing dynp2p.RoutingConfig `json:"routing,omitempty"`
+	// Fault is the run's message fault model, from warm-up to drain: drop
+	// is the per-message loss probability in [0, 1), and a surviving
+	// message is delayed with probability delayProb by a uniform
+	// 1..maxDelay extra rounds (set both or neither). The zero value
+	// means reliable links.
+	Fault dynp2p.FaultConfig `json:"fault,omitempty"`
 	// Phases is the timeline; phases run in order after a soup warm-up.
 	Phases []Phase `json:"phases"`
 }
@@ -86,10 +93,10 @@ type Spec struct {
 // the expander and how often to measure its spectral gap. The degree is
 // the spec's top-level Degree.
 type Topology struct {
-	// Edges names the edge dynamics:
+	// Edges is the edge dynamics, named in JSON as
 	// rerandomize | static | self-healing.
-	// Empty means rerandomize. The mode holds for the whole run.
-	Edges string `json:"edges,omitempty"`
+	// Absent means rerandomize. The mode holds for the whole run.
+	Edges dynp2p.EdgeMode `json:"edges,omitempty"`
 	// SpectralEvery estimates the second eigenvalue λ every k rounds
 	// (0 = off); measured values appear in traces and phase reports.
 	SpectralEvery int `json:"spectralEvery,omitempty"`
@@ -103,23 +110,8 @@ type Phase struct {
 	Load   Workload `json:"load,omitempty"`
 }
 
-// CacheSpec configures the hot-key cache (DESIGN.md §10): per-node
-// Capacity in items (0 = caching off), TTL in rounds (0 = 2× the
-// landmark TTL), and the walk-seeded replication probability SeedRate
-// (0 = 0.5).
-type CacheSpec struct {
-	Capacity int     `json:"capacity,omitempty"`
-	TTL      int     `json:"ttl,omitempty"`
-	SeedRate float64 `json:"seedRate,omitempty"`
-}
-
-// config compiles the cache block for the facade.
-func (c CacheSpec) config() dynp2p.CacheConfig {
-	return dynp2p.CacheConfig{Capacity: c.Capacity, TTL: c.TTL, SeedRate: c.SeedRate}
-}
-
-// check validates the cache block.
-func (c CacheSpec) check() error {
+// checkCache validates the cache block.
+func checkCache(c dynp2p.CacheConfig) error {
 	switch {
 	case c.Capacity < 0:
 		return fmt.Errorf("cache capacity must be >= 0 (got %d)", c.Capacity)
@@ -131,23 +123,15 @@ func (c CacheSpec) check() error {
 	return nil
 }
 
-// RoutingSpec configures overlay message routing (DESIGN.md §11): Mode
-// is "oracle" (default) or "overlay". Overlay links are unmetered and a
-// walk's budget is 4n/(d+1) forwards.
-type RoutingSpec struct {
-	Mode string `json:"mode,omitempty"`
-}
-
-// config compiles the routing block for the facade.
-func (r RoutingSpec) config() dynp2p.RoutingConfig {
-	mode, _ := dynp2p.ParseRoutingMode(r.Mode) // validated by check()
-	return dynp2p.RoutingConfig{Mode: mode}
-}
-
-// check validates the routing block.
-func (r RoutingSpec) check() error {
-	if _, err := dynp2p.ParseRoutingMode(r.Mode); err != nil {
-		return fmt.Errorf("routing mode %q (want oracle|overlay)", r.Mode)
+// checkFault validates the fault block.
+func checkFault(f dynp2p.FaultConfig) error {
+	switch {
+	case f.DropProb < 0 || f.DropProb >= 1:
+		return fmt.Errorf("fault drop must be in [0, 1) (got %g)", f.DropProb)
+	case f.DelayProb < 0 || f.DelayProb > 1 || f.MaxDelay < 0:
+		return fmt.Errorf("invalid fault delay config (delayProb %g, maxDelay %d)", f.DelayProb, f.MaxDelay)
+	case (f.DelayProb > 0) != (f.MaxDelay > 0):
+		return fmt.Errorf("fault delayProb and maxDelay must be set together (got %g, %d)", f.DelayProb, f.MaxDelay)
 	}
 	return nil
 }
@@ -207,40 +191,6 @@ type Workload struct {
 	RetrieveRate float64 `json:"retrieveRate,omitempty"`
 }
 
-// Fault configures the run's message fault model (see simnet.FaultModel).
-// The zero value means reliable links.
-type Fault struct {
-	// Drop is the independent per-message loss probability in [0, 1).
-	Drop float64 `json:"drop,omitempty"`
-	// DelayProb delays a surviving message with this probability ...
-	DelayProb float64 `json:"delayProb,omitempty"`
-	// MaxDelay ... by a uniform 1..MaxDelay extra rounds. Set both or
-	// neither.
-	MaxDelay int `json:"maxDelay,omitempty"`
-}
-
-// model compiles the fault config; nil means reliable links.
-func (f Fault) model() dynp2p.FaultModel {
-	fc := dynp2p.FaultConfig{DropProb: f.Drop, DelayProb: f.DelayProb, MaxDelay: f.MaxDelay}
-	if fc.Zero() {
-		return nil
-	}
-	return fc
-}
-
-// check validates the fault block.
-func (f Fault) check() error {
-	switch {
-	case f.Drop < 0 || f.Drop >= 1:
-		return fmt.Errorf("fault drop must be in [0, 1) (got %g)", f.Drop)
-	case f.DelayProb < 0 || f.DelayProb > 1 || f.MaxDelay < 0:
-		return fmt.Errorf("invalid fault delay config (delayProb %g, maxDelay %d)", f.DelayProb, f.MaxDelay)
-	case (f.DelayProb > 0) != (f.MaxDelay > 0):
-		return fmt.Errorf("fault delayProb and maxDelay must be set together (got %g, %d)", f.DelayProb, f.MaxDelay)
-	}
-	return nil
-}
-
 // normalize fills defaults in place.
 func (s *Spec) normalize() {
 	if s.Degree == 0 {
@@ -276,25 +226,20 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %q: itemLen must be >= 1 (got %d)", s.Name, s.ItemLen)
 	case s.ZipfS < 0:
 		return fmt.Errorf("scenario %q: zipfS must be >= 0 (got %g)", s.Name, s.ZipfS)
-	case s.ErasureK < 0:
-		return fmt.Errorf("scenario %q: erasureK must be >= 0 (got %d)", s.Name, s.ErasureK)
+	case s.ErasureK < 0 || s.ErasureK > s.params().CommitteeSize:
+		return fmt.Errorf("scenario %q: erasureK must be in [0, %d], the committee size at n=%d (got %d)",
+			s.Name, s.params().CommitteeSize, s.N, s.ErasureK)
 	}
 	if _, err := s.strategy(); err != nil {
-		return err
-	}
-	if _, err := s.edgeMode(); err != nil {
 		return err
 	}
 	if s.Topology.SpectralEvery < 0 {
 		return fmt.Errorf("scenario %q: spectralEvery must be >= 0 (got %d)", s.Name, s.Topology.SpectralEvery)
 	}
-	if err := s.Cache.check(); err != nil {
+	if err := checkCache(s.Cache); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	if err := s.Routing.check(); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	if err := s.Fault.check(); err != nil {
+	if err := checkFault(s.Fault); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	for i, p := range s.Phases {
@@ -313,19 +258,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// edgeMode parses the topology block's Edges field (empty = the oracle
-// default, rerandomize).
-func (s *Spec) edgeMode() (dynp2p.EdgeMode, error) {
-	if s.Topology.Edges == "" {
-		return dynp2p.EdgesRerandomize, nil
-	}
-	m, err := dynp2p.ParseEdgeMode(s.Topology.Edges)
-	if err != nil {
-		return 0, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	return m, nil
 }
 
 // strategy parses the Strategy field.
@@ -365,8 +297,12 @@ func (s *Spec) TotalRounds() int {
 // the derived search TTL plus slack, so every retrieval issued in the
 // last phase round either completes or expires before the run ends.
 func (s *Spec) DrainRounds() int {
-	wp := walks.DefaultParams(s.N)
-	return protocol.DefaultParams(s.N, wp.WalkLength).SearchTTL + 4
+	return s.params().SearchTTL() + 4
+}
+
+// params returns the protocol parameters the run derives from N.
+func (s *Spec) params() protocol.Params {
+	return protocol.DefaultParams(s.N, walks.DefaultParams(s.N).WalkLength)
 }
 
 // schedule compiles the per-phase churn configs into one pre-committed

@@ -51,10 +51,11 @@ func (m EdgeMode) String() string {
 
 // ParseEdgeMode is the inverse of String: it resolves a mode name
 // (case-insensitive, with the obvious punctuation-free aliases) to its
-// EdgeMode. JSON scenario specs and CLI flags select topologies with it.
+// EdgeMode; the empty string is rerandomize, matching the zero Config.
+// JSON scenario specs and CLI flags select topologies with it.
 func ParseEdgeMode(s string) (EdgeMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "rerandomize":
+	case "", "rerandomize":
 		return EdgesRerandomize, nil
 	case "static":
 		return EdgesStatic, nil
@@ -63,4 +64,13 @@ func ParseEdgeMode(s string) (EdgeMode, error) {
 	default:
 		return 0, fmt.Errorf("simnet: unknown edge mode %q (want rerandomize|static|self-healing)", s)
 	}
+}
+
+// MarshalText encodes the mode by its String name.
+func (m EdgeMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText decodes a mode name with ParseEdgeMode.
+func (m *EdgeMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParseEdgeMode(string(b))
+	return err
 }

@@ -56,12 +56,21 @@ func ParseRoutingMode(s string) (RoutingMode, error) {
 	case "overlay":
 		return RoutingOverlay, nil
 	}
-	return RoutingOracle, fmt.Errorf("simnet: unknown routing mode %q", s)
+	return RoutingOracle, fmt.Errorf("simnet: unknown routing mode %q (want oracle|overlay)", s)
+}
+
+// MarshalText encodes the mode by its String name.
+func (m RoutingMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText decodes a mode name with ParseRoutingMode.
+func (m *RoutingMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParseRoutingMode(string(b))
+	return err
 }
 
 // RoutingConfig parameterises the engine's message routing.
 type RoutingConfig struct {
-	Mode RoutingMode
+	Mode RoutingMode `json:"mode,omitempty"`
 }
 
 // deliveryArena is the routed phase's flat inbox store, the serial

@@ -31,7 +31,7 @@ func TestRoutedStoreRetrieve(t *testing.T) {
 		t.Fatal("item not stored")
 	}
 	nw.Retrieve(128, 42, data)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 	res := nw.Results()
 	if len(res) != 1 || !res[0].Success {
 		t.Fatalf("routed retrieval failed: %+v", res)
@@ -100,7 +100,7 @@ func TestRoutedFoundOncePerRound(t *testing.T) {
 	for i := 0; i < retrievals; i += 2 {
 		nw.Retrieve(40+50*i, 42, data)
 		nw.Retrieve(90+50*i, 42, data)
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 5)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 5)
 	}
 	res := nw.Results()
 	if len(res) != retrievals || slices.ContainsFunc(res, func(r Result) bool { return !r.Success }) {
@@ -216,7 +216,7 @@ func TestRoutedWorkerCountIndependence(t *testing.T) {
 		nw.Run(nw.Tunables().Protocol.Period)
 		nw.Retrieve(512, 7, data)
 		nw.Retrieve(99, 7, data)
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 		return snapshot{
 			stats:   nw.Stats(),
 			results: nw.Results(),

@@ -35,7 +35,7 @@ func selfHealingRun(t *testing.T, n int, mode EdgeMode, spectralEvery int) (int,
 		nw.Store(nw.OldestSlot(), uint64(100+k), data[k])
 		nw.Run(3)
 	}
-	ttl := nw.Tunables().Protocol.SearchTTL
+	ttl := nw.Tunables().Protocol.SearchTTL()
 	nw.Run(nw.Tunables().Protocol.Period)
 	succ, done := 0, 0
 	// Issue retrieval bursts (several issuers per key) until at least 200
@@ -148,7 +148,7 @@ func TestSelfHealingWorkerIndependence(t *testing.T) {
 		nw.Run(nw.Tunables().Protocol.Period)
 		nw.Retrieve(1024, 7, data)
 		nw.Retrieve(99, 7, data)
-		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 		var det bytes.Buffer
 		if err := telemetry.WriteJSONL(&det, nw.Telemetry().DeterministicSnapshot()); err != nil {
 			t.Fatal(err)

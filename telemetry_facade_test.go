@@ -30,7 +30,7 @@ func traceWorkload(t *testing.T, workers int, opTrace *bytes.Buffer) *Network {
 	nw.Run(nw.Tunables().Protocol.Period)
 	nw.Retrieve(128, 77, data)
 	nw.Retrieve(17, 77, data)
-	nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+	nw.Run(nw.Tunables().Protocol.SearchTTL() + 4)
 	if res := nw.Results(); len(res) != 2 {
 		t.Fatalf("expected 2 retrievals, got %d", len(res))
 	}
