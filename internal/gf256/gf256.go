@@ -197,25 +197,6 @@ func Cauchy(r, c int) *Matrix {
 	return m
 }
 
-// Vandermonde builds the r×c matrix A[i][j] = (g^i)^j where g = 2.
-// Rows use distinct evaluation points g^i so any c rows with distinct
-// points are independent as long as r <= 255.
-func Vandermonde(r, c int) *Matrix {
-	if r > 255 {
-		panic("gf256: Vandermonde with more than 255 rows")
-	}
-	m := NewMatrix(r, c)
-	for i := 0; i < r; i++ {
-		xi := Exp(i)
-		v := byte(1)
-		for j := 0; j < c; j++ {
-			m.Set(i, j, v)
-			v = Mul(v, xi)
-		}
-	}
-	return m
-}
-
 // Mul returns the matrix product m*other.
 func (m *Matrix) Mul(other *Matrix) *Matrix {
 	if m.Cols != other.Rows {
@@ -232,21 +213,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// MulVec computes out = m * v where v has length m.Cols.
-func (m *Matrix) MulVec(out, v []byte) {
-	if len(v) != m.Cols || len(out) != m.Rows {
-		panic("gf256: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc byte
-		for j, c := range row {
-			acc ^= Mul(c, v[j])
-		}
-		out[i] = acc
-	}
 }
 
 // Invert returns the inverse of a square matrix via Gauss–Jordan

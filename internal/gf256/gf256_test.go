@@ -236,45 +236,6 @@ func TestCauchyTooLargePanics(t *testing.T) {
 	Cauchy(200, 100)
 }
 
-func TestVandermondeFirstColumnOnes(t *testing.T) {
-	m := Vandermonde(10, 5)
-	for i := 0; i < 10; i++ {
-		if m.At(i, 0) != 1 {
-			t.Fatalf("Vandermonde row %d does not start with 1", i)
-		}
-	}
-	// Rows must be pairwise distinct in column 1 (distinct points).
-	seen := make(map[byte]bool)
-	for i := 0; i < 10; i++ {
-		v := m.At(i, 1)
-		if seen[v] {
-			t.Fatalf("duplicate evaluation point %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestMulVecMatchesMatrixMul(t *testing.T) {
-	r := rng.New(5)
-	m := NewMatrix(4, 6)
-	r.Fill(m.Data)
-	v := make([]byte, 6)
-	r.Fill(v)
-	out := make([]byte, 4)
-	m.MulVec(out, v)
-	// Compare against Mul with a 6x1 matrix.
-	vm := NewMatrix(6, 1)
-	for i, x := range v {
-		vm.Set(i, 0, x)
-	}
-	prod := m.Mul(vm)
-	for i := 0; i < 4; i++ {
-		if out[i] != prod.At(i, 0) {
-			t.Fatalf("MulVec mismatch at %d", i)
-		}
-	}
-}
-
 func BenchmarkMicroMulAddSlice(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)

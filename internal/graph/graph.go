@@ -153,8 +153,15 @@ func (g *Graph) IsConnected() bool {
 // Non-bipartiteness is required by the model so that random walks converge
 // to the uniform distribution instead of oscillating.
 func (g *Graph) IsBipartite() bool {
-	color := make([]int8, g.n) // 0 = unseen, 1/2 = sides
-	stack := make([]int32, 0, g.n)
+	return g.IsBipartiteScratch(make([]int8, g.n), make([]int32, 0, g.n))
+}
+
+// IsBipartiteScratch is IsBipartite with caller-provided scratch: a colour
+// per vertex (length N) and a DFS stack of capacity at least N, which never
+// grows because each vertex is pushed once. A per-round check (the
+// self-healing overlay's bipartiteness guard) can run allocation-free.
+func (g *Graph) IsBipartiteScratch(color []int8, stack []int32) bool {
+	clear(color) // 0 = unseen, 1/2 = sides
 	for s := 0; s < g.n; s++ {
 		if color[s] != 0 {
 			continue
@@ -165,7 +172,7 @@ func (g *Graph) IsBipartite() bool {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, w := range g.Neighbors(int(v)) {
-				if int32(w) == v {
+				if w == v {
 					return false // self-loop: odd cycle of length 1
 				}
 				switch color[w] {

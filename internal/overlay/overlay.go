@@ -244,7 +244,7 @@ func (o *Overlay) activate(g *graph.Graph) {
 	o.co = make([]int32, nd)
 	o.dang = make([]uint64, (nd+63)/64)
 	o.color = make([]int8, o.n)
-	o.stack = make([]int32, 0, 64)
+	o.stack = make([]int32, 0, o.n)
 	o.buildCoPorts(g)
 	o.guard(g)
 }
@@ -514,7 +514,7 @@ func (o *Overlay) pickEdge(e *simnet.Engine, adj []int32, ua, ub int, pr *rng.St
 // endpoints — degree-exact, one rewire.
 func (o *Overlay) guard(g *graph.Graph) {
 	o.m.GuardChecks++
-	if !o.bipartite(g) {
+	if !g.IsBipartiteScratch(o.color, o.stack) {
 		return
 	}
 	o.m.GuardFixes++
@@ -531,41 +531,6 @@ func (o *Overlay) guard(g *graph.Graph) {
 	o.co[b*d+q0] = int32(q1)
 	g.SetPort(c, q1, int32(b))
 	o.co[c*d+q1] = int32(q0)
-}
-
-// bipartite reports whether g admits a proper 2-coloring, using the
-// overlay's reusable color and stack buffers (graph.IsBipartite allocates;
-// this runs on a per-round cadence and must not).
-func (o *Overlay) bipartite(g *graph.Graph) bool {
-	for i := range o.color {
-		o.color[i] = 0
-	}
-	st := o.stack[:0]
-	defer func() { o.stack = st[:0] }()
-	for s := 0; s < o.n; s++ {
-		if o.color[s] != 0 {
-			continue
-		}
-		o.color[s] = 1
-		st = append(st, int32(s))
-		for len(st) > 0 {
-			v := st[len(st)-1]
-			st = st[:len(st)-1]
-			for _, w := range g.Neighbors(int(v)) {
-				if w == v {
-					return false // self-loop: odd cycle of length 1
-				}
-				switch o.color[w] {
-				case 0:
-					o.color[w] = 3 - o.color[v]
-					st = append(st, w)
-				case o.color[v]:
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // measure records one spectral-gap estimate.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynp2p/internal/rng"
+	"dynp2p/internal/shard"
 )
 
 // FaultModel perturbs message delivery at routing time, modelling lossy or
@@ -72,28 +73,30 @@ func (f DropDelayFaults) String() string {
 
 // delayedMsg is a message held back by the fault model.
 type delayedMsg struct {
-	deliverAt int // round at which delivery is attempted
+	deliverAt int // round whose inbox it lands in; route releases it the round before
 	m         Msg
 }
 
-// deliverDelayed moves fault-delayed messages whose time has come into the
-// round's inbox, inserting each at its canonical sort position (fresh
-// messages arrive pre-ordered; only this path pays for an insertion).
-// Targets that have since been churned out drop the message, the same
-// failure mode as normal routing.
-//
-// Under RoutingOverlay a due message is instead handed back to the
-// overlay router: it resumes as a fresh walk from its origin slot during
-// this round's routed phase, so even delay-released traffic reaches its
-// target edge-by-edge — no teleports.
-func (e *Engine) deliverDelayed(round int) {
-	if len(e.delayed) == 0 {
-		return
+// release hands on the fault-delayed messages due next round, in the
+// round before: route calls it ahead of the round's fresh sends, which
+// every one of them precedes in the canonical order. A message keeps the
+// fate it was given when sent. Under RoutingOracle it is staged as the
+// exchange's first source, serially, and a target that has already left
+// drops it; one that leaves at next round's churn drops it there, with
+// the fresh messages in its inbox. Under RoutingOverlay it is handed to
+// the router, which walks it from its origin slot in next round's routed
+// phase like any fresh send, so delay-released traffic too reaches its
+// target edge-by-edge.
+func (e *Engine) release() {
+	rel := &e.released
+	rel.out = rel.out[:0]
+	for dsh := range rel.xfer {
+		rel.xfer[dsh] = rel.xfer[dsh][:0]
 	}
 	kept := 0
 	for i := range e.delayed {
 		d := &e.delayed[i]
-		if d.deliverAt > round {
+		if d.deliverAt > e.round+1 {
 			if kept != i {
 				e.delayed[kept] = *d
 			}
@@ -104,13 +107,14 @@ func (e *Engine) deliverDelayed(round int) {
 			e.sendToRouter(&d.m)
 			continue
 		}
-		s, ok := e.slotOf(d.m.To)
+		dst, ok := e.slotOf(d.m.To)
 		if !ok {
 			e.em.dropped.Inc(0)
 			continue
 		}
-		e.insertCanonical(s, &d.m)
-		e.em.delivered.Inc(0)
+		dsh := e.slotLoc[dst] >> shard.LocalBits
+		rel.xfer[dsh] = append(rel.xfer[dsh], routedRef{slot: dst, idx: uint32(len(rel.out))})
+		rel.out = append(rel.out, d.m)
 	}
 	e.delayed = e.delayed[:kept]
 }

@@ -127,11 +127,11 @@ func TestDelayedMessageToChurnedNodeIsDropped(t *testing.T) {
 	}
 }
 
-// TestDeliverDelayedChurnedTargetDrops is the directed unit test for
-// Engine.deliverDelayed: a fault-delayed message whose target churns out
-// before delivery must be counted as a drop, not a delivery, while a
-// not-yet-due message stays queued.
-func TestDeliverDelayedChurnedTargetDrops(t *testing.T) {
+// TestReleaseChurnedTargetDrops is the directed unit test for the release
+// path: route, in the round before fault-delayed messages are due, drops
+// and counts one whose target has already left, places one to a live
+// target in its next-round inbox, and keeps a not-yet-due one queued.
+func TestReleaseChurnedTargetDrops(t *testing.T) {
 	e := New(Config{
 		N: 16, Degree: 8, EdgeMode: EdgesStatic,
 		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
@@ -143,52 +143,77 @@ func TestDeliverDelayedChurnedTargetDrops(t *testing.T) {
 		delayedMsg{deliverAt: 9, m: Msg{To: survivor, Kind: 3}},
 	)
 	e.placeNewNode(3, 1) // churn the doomed target's slot
+	e.round = 3          // the round before the first two are due
 	before := e.Metrics()
-	e.deliverDelayed(4)
-	m := e.Metrics()
-	if got := m.MsgsDropped - before.MsgsDropped; got != 1 {
+	e.route()
+	if got := e.Metrics().MsgsDropped - before.MsgsDropped; got != 1 {
 		t.Fatalf("dropped %d messages, want exactly the churned target's 1", got)
-	}
-	if got := m.MsgsDelivered - before.MsgsDelivered; got != 1 {
-		t.Fatalf("delivered %d messages, want exactly the live target's 1", got)
 	}
 	if len(e.inbox[5]) != 1 || e.inbox[5][0].Kind != 2 {
 		t.Fatalf("live target inbox = %+v, want the Kind 2 message", e.inbox[5])
+	}
+	for s, in := range e.inbox {
+		if s != 5 && len(in) != 0 {
+			t.Fatalf("slot %d inbox = %+v, want empty", s, in)
+		}
 	}
 	if len(e.delayed) != 1 || e.delayed[0].m.Kind != 3 {
 		t.Fatalf("not-yet-due message not retained: %+v", e.delayed)
 	}
 }
 
+// precedes reports whether a comes before b in the canonical inbox order
+// (sentRound, srcSlot, seq).
+func precedes(a, b *Msg) bool {
+	if a.sentRound != b.sentRound {
+		return a.sentRound < b.sentRound
+	}
+	if a.srcSlot != b.srcSlot {
+		return a.srcSlot < b.srcSlot
+	}
+	return a.seq < b.seq
+}
+
 // TestInboxHoldsOnlyOwnMessages: every message a handler reads is addressed
-// to it. A fault-delayed message lands in an inbox that may hold no fresh
-// message that round; appending it must not write into the inbox arena
-// behind another slot's view, or that slot reads a message meant for
-// someone else and loses its own.
+// to it, and every inbox is in canonical (sentRound, srcSlot, seq) order,
+// in both routing modes. A fault-delayed message is older than the round's
+// fresh sends, so it must reach the inbox ahead of them, and without
+// writing into the arena behind another slot's view.
 func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 	const n = 256
-	var read, misaddressed atomic.Int64
-	h := funcHandler(func(ctx *Ctx) {
-		for i := range ctx.Inbox {
-			read.Add(1)
-			if ctx.Inbox[i].To != ctx.ID {
-				misaddressed.Add(1)
+	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var read, misaddressed, misordered atomic.Int64
+			h := funcHandler(func(ctx *Ctx) {
+				for i := range ctx.Inbox {
+					read.Add(1)
+					if ctx.Inbox[i].To != ctx.ID {
+						misaddressed.Add(1)
+					}
+					if i > 0 && !precedes(&ctx.Inbox[i-1], &ctx.Inbox[i]) {
+						misordered.Add(1)
+					}
+				}
+				if ctx.Rand.Intn(4) == 0 {
+					ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
+				}
+			})
+			e := New(Config{
+				N: n, Degree: 8, EdgeMode: EdgesStatic,
+				AdversarySeed: 3, ProtocolSeed: 4, Law: churn.ZeroLaw{},
+				Fault:   DropDelayFaults{DelayProb: 0.3, MaxDelay: 2},
+				Routing: RoutingConfig{Mode: mode},
+			})
+			e.Run(h, 60)
+			if m := e.Metrics(); read.Load() == 0 || m.MsgsDelayed == 0 {
+				t.Fatalf("%d messages read, %d delayed: the test shows nothing", read.Load(), m.MsgsDelayed)
 			}
-		}
-		if ctx.Rand.Intn(4) == 0 {
-			ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
-		}
-	})
-	e := New(Config{
-		N: n, Degree: 8, EdgeMode: EdgesStatic,
-		AdversarySeed: 3, ProtocolSeed: 4, Law: churn.ZeroLaw{},
-		Fault: DropDelayFaults{DelayProb: 0.3, MaxDelay: 2},
-	})
-	e.Run(h, 60)
-	if m := e.Metrics(); read.Load() == 0 || m.MsgsDelayed == 0 {
-		t.Fatalf("%d messages read, %d delayed: the test shows nothing", read.Load(), m.MsgsDelayed)
-	}
-	if got := misaddressed.Load(); got != 0 {
-		t.Fatalf("%d of %d messages read were addressed to another node", got, read.Load())
+			if got := misaddressed.Load(); got != 0 {
+				t.Fatalf("%d of %d messages read were addressed to another node", got, read.Load())
+			}
+			if got := misordered.Load(); got != 0 {
+				t.Fatalf("%d of %d messages read arrived out of canonical order", got, read.Load())
+			}
+		})
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/route"
-	"dynp2p/internal/shard"
 	"dynp2p/internal/telemetry"
 )
 
@@ -73,26 +72,15 @@ type RoutingConfig struct {
 	Mode RoutingMode `json:"mode,omitempty"`
 }
 
-// deliveryArena is the routed phase's flat inbox store, the serial
-// sibling of inboxArena: all of a round's routed deliveries are placed
-// slot-major by one counting sort over the router's walker array and the
-// per-slot views sliced out, so steady-state routed rounds allocate
-// nothing.
-type deliveryArena struct {
-	msgs   []Msg
-	off    []int32 // len N+1
-	counts []int32 // len N
-}
-
-// initRouter builds the overlay router and its delivery arena.
+// initRouter builds the overlay router and the routed phase's inbox
+// arena over all N slots.
 func (e *Engine) initRouter() {
 	e.router = route.New[Msg](e.reg, e.cfg.N, route.Params{
 		Budget: route.AutoBudget(e.cfg.N, e.cfg.Degree),
 		Seed:   rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.workers)
 	e.applyRouterEnv()
-	e.routedArena.off = make([]int32, e.cfg.N+1)
-	e.routedArena.counts = make([]int32, e.cfg.N)
+	e.routedArena = newInboxArena(e.cfg.N)
 }
 
 // applyRouterEnv installs the engine-side callbacks on the router.
@@ -190,33 +178,15 @@ func (e *Engine) deliverRouted(slot int32, m *Msg, hops int32) {
 
 // runRouted executes the routed-delivery phase: advance every in-flight
 // walker over this round's adjacency, then place the deliveries into
-// this round's inboxes with one stable counting sort, copying each
-// message once, from the walker that carried it. Under the overlay
-// nothing else reaches an inbox, so each slot's view is the arena's run.
+// this round's inboxes with one stable counting sort (inboxArena),
+// copying each message once, from the walker that carried it, in the
+// router's canonical order. Under the overlay nothing else reaches an
+// inbox, so each slot's view is the arena's run.
 func (e *Engine) runRouted() {
 	ra := &e.routedArena
-	counts := ra.counts
-	clear(counts)
+	clear(ra.counts)
 	e.router.Step()
-	total := int(shard.Offsets(counts, ra.off))
-	if total == 0 {
-		return
-	}
-	if cap(ra.msgs) < total {
-		ra.msgs = make([]Msg, total, max(total, 2*cap(ra.msgs)))
-	} else {
-		ra.msgs = ra.msgs[:total]
-	}
-	copy(counts, ra.off[:len(counts)])
-	msgs := ra.msgs
-	e.router.EachDelivered(func(slot int32, m *Msg) {
-		pos := counts[slot]
-		counts[slot] = pos + 1
-		msgs[pos] = *m
-	})
-	for s := 0; s < e.cfg.N; s++ {
-		if a, b := ra.off[s], ra.off[s+1]; a != b {
-			e.inbox[s] = msgs[a:b:b]
-		}
-	}
+	ra.layout()
+	e.router.EachDelivered(ra.place)
+	ra.views(e.inbox)
 }

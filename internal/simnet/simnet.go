@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"dynp2p/internal/churn"
@@ -92,9 +91,9 @@ type Msg struct {
 	Hops int32
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
-	// inbox order. Fresh messages arrive already ordered (the sharded
-	// exchange merges sender slots in fixed order); fault-delayed messages
-	// are inserted at their sort position when they finally land.
+	// inbox order. Every message arrives already ordered: route hands a
+	// round's fault-released messages on ahead of its fresh sends, and both
+	// the sharded exchange and the router keep sender slots in fixed order.
 	sentRound int32
 	srcSlot   int32  // sender's slot at send time
 	seq       uint32 // per-sender per-round sequence
@@ -192,18 +191,6 @@ func (s *payloadSlab) alloc() *payload {
 	return &s.cells[n]
 }
 
-// msgBefore reports whether a precedes b in the canonical inbox order
-// (sentRound, srcSlot, seq).
-func msgBefore(a, b *Msg) bool {
-	if a.sentRound != b.sentRound {
-		return a.sentRound < b.sentRound
-	}
-	if a.srcSlot != b.srcSlot {
-		return a.srcSlot < b.srcSlot
-	}
-	return a.seq < b.seq
-}
-
 // Handler is a node-level protocol. One Handler instance serves the whole
 // network; per-node state must be kept by the handler keyed by slot or id.
 // HandleRound may be invoked concurrently for different nodes and must only
@@ -276,8 +263,9 @@ type Metrics struct {
 }
 
 // engineMetrics holds the engine's registry handles. All engine-side
-// updates happen in serial round phases (churn, tally merge, delayed
-// delivery), so every write goes to shard 0.
+// updates happen in serial round phases (churn, the deliver tally, route's
+// release and tally merge, the routed phase's merge), so every write goes
+// to shard 0.
 type engineMetrics struct {
 	rounds       telemetry.Counter
 	sent         telemetry.Counter
@@ -314,22 +302,30 @@ type routedRef struct {
 	idx  uint32 // index into the source shard's out buffer
 }
 
+// routeSource is one source of the message exchange: its messages in
+// canonical order, and per destination shard the refs to those bound
+// there. Each slot shard's sends are one; the fault-released messages of
+// the round are another, merged ahead of them all.
+type routeSource struct {
+	out  []Msg         // canonical (sentRound, srcSlot, seq) order
+	xfer [][]routedRef // grid-sized: refs to messages bound for each destination shard
+}
+
 // routeShard is the per-source-shard staging area of the message exchange:
-// handler output, per-destination-shard transfer buffers, fault-delayed
-// messages, and metric tallies. All buffers are reused across rounds. The
-// struct is sized to an exact multiple of the cache line (asserted by
+// handler output and its transfer buffers, fault-delayed messages, and
+// metric tallies. All buffers are reused across rounds. The struct is
+// sized to an exact multiple of the cache line (asserted by
 // TestRouteShardCacheAligned), so workers filling adjacent shards never
 // false-share — the same discipline the engine's original per-worker
 // buffers used.
 type routeShard struct {
-	out     []Msg         // handler output, canonical (slot, seq) order
-	xfer    [][]routedRef // grid-sized: refs to messages bound for each destination shard
-	delayed []delayedMsg  // fault-delayed messages from this shard, canonical order
-	ctx     *Ctx          // reusable handler context for this shard's slots
+	routeSource              // handler output, canonical (slot, seq) order
+	delayed     []delayedMsg // fault-delayed messages from this shard, canonical order
+	ctx         *Ctx         // reusable handler context for this shard's slots
 
 	// pay holds the payload cells of this shard's sends, double-buffered
-	// by round parity like the inbox arenas: round r fills pay[r&1] while
-	// round r's inboxes still read cells out of pay[1-r&1].
+	// by round parity: round r fills pay[r&1] while round r's inboxes still
+	// read cells out of pay[1-r&1].
 	pay [2]payloadSlab
 
 	bits         int64 // handler bits sent by this shard's slots this round
@@ -351,18 +347,53 @@ type KindCount struct {
 	Msgs, Bits int64
 }
 
-// inboxArena is one destination shard's next-round message store: every
-// message bound for the shard's slots lands in one flat slot-major
-// buffer, placed by a counting sort over the exchange refs, and the
-// per-slot inbox views are sliced out of it. One geometrically-grown
-// buffer per shard replaces n per-slot append slices, whose record-maxima
-// growth kept the route gather allocating long into the steady state.
-// Views are capacity-clamped so a late append (the fault-delay insert
-// path) copies out instead of clobbering the neighbouring slot's run.
+// inboxArena is a run of slots' next-round message store: every message
+// bound for those slots lands in one flat slot-major buffer, placed by a
+// counting sort, and the per-slot inbox views are sliced out of it. One
+// geometrically-grown buffer per destination shard replaces n per-slot
+// append slices, whose record-maxima growth kept the route gather
+// allocating long into the steady state. The routed phase places its
+// deliveries with one more arena over all n slots.
+//
+// A placement counts each message into counts[l] (l the slot's index in
+// the run), calls layout, places every message in order with place, and
+// publishes the views with views.
 type inboxArena struct {
 	msgs   []Msg
 	off    []int32 // len slots+1: slot lo+l owns msgs[off[l]:off[l+1]]
-	counts []int32 // placement scratch, len slots
+	counts []int32 // per-slot counts, then placement cursors; len slots
+}
+
+func newInboxArena(slots int) inboxArena {
+	return inboxArena{off: make([]int32, slots+1), counts: make([]int32, slots)}
+}
+
+// layout turns the counts into the slots' offsets, sizes the buffer to
+// hold them all, and leaves each count as its slot's first position.
+func (a *inboxArena) layout() {
+	total := int(shard.Offsets(a.counts, a.off))
+	if cap(a.msgs) < total {
+		a.msgs = make([]Msg, total, max(total, 2*cap(a.msgs)))
+	} else {
+		a.msgs = a.msgs[:total]
+	}
+	copy(a.counts, a.off[:len(a.counts)])
+}
+
+// place copies m to the next position of slot l's run.
+func (a *inboxArena) place(l int32, m *Msg) {
+	pos := a.counts[l]
+	a.counts[l] = pos + 1
+	a.msgs[pos] = *m
+}
+
+// views points every slot's inbox (inbox[l] for slot l of the run) at its
+// run, replacing the view the slot's handler read this round.
+func (a *inboxArena) views(inbox [][]Msg) {
+	for l := range a.counts {
+		lo, hi := a.off[l], a.off[l+1]
+		inbox[l] = a.msgs[lo:hi:hi]
+	}
 }
 
 // Engine is the simulator. Create with New, drive with RunRound.
@@ -388,16 +419,27 @@ type Engine struct {
 	// simulation lifetimes).
 	slotIndex []int32
 
-	inbox     [][]Msg // slot -> messages to deliver this round (arena views)
-	nextInbox [][]Msg // slot -> messages accumulated for next round (arena views)
+	// inbox is slot -> the messages its handler reads this round: views
+	// into the arenas, placed by the previous round's route under
+	// RoutingOracle and by this round's routed phase under RoutingOverlay.
+	// Route replaces (oracle) or clears (overlay) every view once the
+	// round's handlers have read it, and churn empties a departed
+	// occupant's view, so no view is written after placement.
+	inbox [][]Msg
 
-	// arenas are the double-buffered per-destination-shard inbox stores
-	// (inboxArena): round r's route writes arenas[r&1] while handlers read
-	// last round's views out of arenas[1-r&1].
-	arenas [2][]inboxArena
+	// arenas are the per-destination-shard inbox stores (inboxArena),
+	// rewritten by each round's exchange after its handlers have run.
+	arenas []inboxArena
 
 	faultSeed uint64       // derived from the adversary seed
 	delayed   []delayedMsg // fault-delayed messages, canonical order
+
+	// released is the exchange's first source: the delayed messages route
+	// hands on in the round before they are due, ahead of its fresh sends.
+	released routeSource
+	// sources lists the exchange's sources in merge order: released, then
+	// every slot shard's sends in index order.
+	sources []*routeSource
 
 	churned []int // slots replaced in the current round
 
@@ -413,12 +455,13 @@ type Engine struct {
 
 	// Overlay routing state (routing.go): the walker router, the
 	// protocol's key-holder predicate, the test-only hop recorder, the
-	// per-message walk-seed salt, and the delivery arena.
+	// per-message walk-seed salt, and the routed phase's arena over all
+	// slots.
 	router      *route.Router[Msg]
 	keyHolder   func(slot int, key uint64, round int) bool
 	hopRec      func(round, from, to int)
 	routeSeed   uint64
-	routedArena deliveryArena
+	routedArena inboxArena
 
 	reg    *telemetry.Registry
 	em     engineMetrics
@@ -472,7 +515,6 @@ func New(cfg Config) *Engine {
 		joinRound: make([]int32, cfg.N),
 		nodeRng:   make([]*rng.Stream, cfg.N),
 		inbox:     make([][]Msg, cfg.N),
-		nextInbox: make([][]Msg, cfg.N),
 		faultSeed: rng.Hash(cfg.AdversarySeed, 0xfa017),
 		routeSeed: rng.Hash(cfg.ProtocolSeed, 0x4007e),
 		workers:   workers,
@@ -483,17 +525,15 @@ func New(cfg Config) *Engine {
 		em:        newEngineMetrics(reg),
 	}
 	e.g.FillRandomRegular(e.topoRng)
+	e.released.xfer = make([][]routedRef, grid.Count())
+	e.sources = append(e.sources, &e.released)
+	e.arenas = make([]inboxArena, grid.Count())
 	for sh := range e.shardOut {
 		e.shardOut[sh].xfer = make([][]routedRef, grid.Count())
 		e.shardOut[sh].ctx = &Ctx{}
-	}
-	for p := range e.arenas {
-		e.arenas[p] = make([]inboxArena, grid.Count())
-		for sh := range e.arenas[p] {
-			lo, hi := grid.Bounds(sh, cfg.N)
-			e.arenas[p][sh].off = make([]int32, hi-lo+1)
-			e.arenas[p][sh].counts = make([]int32, hi-lo)
-		}
+		e.sources = append(e.sources, &e.shardOut[sh].routeSource)
+		lo, hi := grid.Bounds(sh, cfg.N)
+		e.arenas[sh] = newInboxArena(hi - lo)
 	}
 	e.nextID = 1
 	for s := 0; s < cfg.N; s++ {
@@ -528,10 +568,8 @@ func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int
 			slabs += cap(rs.pay[p].cells) * cellSize
 		}
 	}
-	for p := range e.arenas {
-		for sh := range e.arenas[p] {
-			inbox += cap(e.arenas[p][sh].msgs) * msgSize
-		}
+	for sh := range e.arenas {
+		inbox += cap(e.arenas[sh].msgs) * msgSize
 	}
 	emit("dynp2p_engine_mem_out_bytes", telemetry.KindGauge, int64(out))
 	emit("dynp2p_engine_mem_xfer_bytes", telemetry.KindGauge, int64(xfer))
@@ -839,9 +877,7 @@ func (c *Ctx) NeighborIDs(dst []NodeID) []NodeID {
 func (e *Engine) RunRound(h Handler) {
 	round := e.round
 	prof := e.prof
-	if prof != nil {
-		prof.Begin()
-	}
+	prof.Begin()
 	if round == 0 {
 		// Initial population joins; no churn at round 0.
 		e.churned = e.churned[:0]
@@ -850,10 +886,8 @@ func (e *Engine) RunRound(h Handler) {
 				h.OnJoin(e, s, e.ids[s], 0)
 			}
 		}
-		if prof != nil {
-			prof.Lap(0) // churn
-			prof.Lap(1) // topology
-		}
+		prof.Lap(0) // churn
+		prof.Lap(1) // topology
 	} else {
 		// 1. Adversarial churn.
 		batch := e.adv.Batch(round)
@@ -865,50 +899,35 @@ func (e *Engine) RunRound(h Handler) {
 			id := e.placeNewNode(s, round)
 			// Pending messages addressed to the departed occupant die
 			// with it.
-			e.em.dropped.Add(0, int64(len(e.nextInbox[s])))
-			e.nextInbox[s] = nil
+			e.em.dropped.Add(0, int64(len(e.inbox[s])))
+			e.inbox[s] = nil
 			if h != nil {
 				h.OnJoin(e, s, id, round)
 			}
 		}
 		e.em.replacements.Add(0, int64(len(e.churned)))
-		if prof != nil {
-			prof.Lap(0) // churn
-		}
+		prof.Lap(0) // churn
 		// 2. Topology change: only the rerandomizing oracle touches edges
 		// after round 0 (edges.go).
 		if e.cfg.EdgeMode == EdgesRerandomize {
 			e.g.FillRandomRegular(e.topoRng)
 		}
-		if prof != nil {
-			prof.Lap(1) // topology
-		}
+		prof.Lap(1) // topology
 	}
 
-	// Swap inboxes: what was accumulated last round is delivered now.
-	// One fused pass resets next-round inboxes and tallies deliveries. The
-	// reset drops each view's capacity too: it points into an arena the
-	// next exchange rewrites, so a fault-delayed message appended to an
-	// inbox that got no fresh one must copy out rather than overwrite
-	// another slot's run.
-	e.inbox, e.nextInbox = e.nextInbox, e.inbox
+	// Deliver: what last round's route placed, fault-released messages
+	// included, is what survived churn; tally it.
 	var delivered int64
-	for s := range e.inbox {
-		delivered += int64(len(e.inbox[s]))
-		e.nextInbox[s] = nil
+	for _, in := range e.inbox {
+		delivered += int64(len(in))
 	}
 	e.em.delivered.Add(0, delivered)
-	e.deliverDelayed(round)
-	if prof != nil {
-		prof.Lap(2) // deliver
-	}
+	prof.Lap(2) // deliver
 
 	// 3. Hooks (walk soup etc), each its own profiler phase.
 	for i, hook := range e.hooks {
 		hook.StepRound(e, round)
-		if prof != nil {
-			prof.Lap(3 + i)
-		}
+		prof.Lap(3 + i)
 	}
 
 	// 4. Routed delivery (routing.go): last round's overlay walkers advance
@@ -917,33 +936,29 @@ func (e *Engine) RunRound(h Handler) {
 	if e.router != nil {
 		e.runRouted()
 	}
-	if prof != nil {
-		prof.Lap(3 + len(e.hooks)) // routed
-	}
+	prof.Lap(3 + len(e.hooks)) // routed
 
 	// 5. Handlers, in parallel over slot shards. NopHandler is the
 	// engine's own hooks-only no-op: it sends nothing and keeps no state,
 	// so the per-slot handler sweep and the routing exchange are skipped
-	// outright rather than executed vacuously.
+	// outright rather than executed vacuously; it reads nothing either, so
+	// its round's inboxes are dropped unread.
 	if _, nop := h.(NopHandler); h != nil && !nop {
 		e.runHandlers(h, round)
-		if prof != nil {
-			prof.Lap(4 + len(e.hooks)) // handlers
-		}
-		// 6. Route: messages to live ids land in nextInbox; the rest drop.
+		prof.Lap(4 + len(e.hooks)) // handlers
+		// 6. Route: messages to live ids land in next round's inboxes; the
+		// rest drop.
 		e.route()
-		if prof != nil {
-			prof.Lap(5 + len(e.hooks)) // route
-		}
+		prof.Lap(5 + len(e.hooks)) // route
+	} else {
+		clear(e.inbox)
 	}
 	if e.tracer != nil {
 		// Merge the round's staged trace events (serial, fixed shard
 		// order) and update the lifecycle histograms.
 		e.tracer.EndRound(int64(round))
 	}
-	if prof != nil {
-		prof.EndRound(int64(round))
-	}
+	prof.EndRound(int64(round))
 
 	e.em.rounds.Inc(0)
 	e.round++
@@ -985,12 +1000,18 @@ func (e *Engine) runHandlers(h Handler, round int) {
 }
 
 // route moves this round's outgoing messages on, by the run's routing
-// mode. Under RoutingOracle the sharded exchange places them in next-round
-// inboxes; under RoutingOverlay the serial merge below hands them to the
-// overlay router, which walks them in the next round's routed phase.
+// mode. It first releases the fault-delayed messages due next round
+// (release): each is older than any fresh send, so handing them on first
+// keeps every inbox in canonical order. Under RoutingOracle the sharded
+// exchange places them all in next-round inboxes; under RoutingOverlay
+// the serial merge below hands the round's sends to the overlay router,
+// which walks them in the next round's routed phase.
 func (e *Engine) route() {
+	e.release()
 	if e.router == nil {
 		e.exchange()
+	} else {
+		clear(e.inbox) // the routed phase places next round's views
 	}
 	// Serial merge in fixed shard order. Under the overlay it first gives
 	// the shard's sends to the router in canonical order, after the same
@@ -1025,9 +1046,10 @@ func (e *Engine) route() {
 // hash of its identity), resolve the destination id to a slot through the
 // dense table, and stage the message in the (source shard, destination
 // shard) transfer buffer. Gather: workers walk destination shards and
-// merge source shards in fixed index order, so each inbox receives
-// messages ordered by (sender slot, sequence) — the canonical order —
-// regardless of worker count.
+// merge the sources in fixed order — the released messages, then source
+// shards by index — so each inbox receives messages ordered by (send
+// round, sender slot, sequence), the canonical order, regardless of
+// worker count.
 func (e *Engine) exchange() {
 	e.grid.Run(e.workers, func(sh int) {
 		rs := &e.shardOut[sh]
@@ -1050,48 +1072,25 @@ func (e *Engine) exchange() {
 	})
 	e.grid.Run(e.workers, func(dsh int) {
 		// Counting-sort placement into the destination shard's flat arena
-		// (see inboxArena): count per slot, turn counts into offsets, then
-		// place each ref — source shards in fixed index order, so every
-		// slot's run keeps the canonical (srcSlot, seq) order — and slice
-		// the per-slot inbox views out of the buffer.
-		ga := &e.arenas[e.round&1][dsh]
-		counts := ga.counts
-		for i := range counts {
-			counts[i] = 0
-		}
+		// (see inboxArena), sources in fixed order so every slot's run
+		// keeps the canonical order. The views replace every slot's, the
+		// ones this round's handlers just read included.
+		a := &e.arenas[dsh]
+		clear(a.counts)
 		loInt, _ := e.grid.Bounds(dsh, e.cfg.N)
 		lo := int32(loInt)
-		for ssh := range e.shardOut {
-			for _, ref := range e.shardOut[ssh].xfer[dsh] {
-				counts[ref.slot-lo]++
+		for _, src := range e.sources {
+			for _, ref := range src.xfer[dsh] {
+				a.counts[ref.slot-lo]++
 			}
 		}
-		total := int(shard.Offsets(counts, ga.off))
-		if total == 0 {
-			return // every view was already reset empty in the deliver phase
-		}
-		if cap(ga.msgs) < total {
-			ga.msgs = make([]Msg, total, max(total, 2*cap(ga.msgs)))
-		} else {
-			ga.msgs = ga.msgs[:total]
-		}
-		copy(counts, ga.off[:len(counts)])
-		msgs := ga.msgs
-		for ssh := range e.shardOut {
-			src := e.shardOut[ssh].out
-			for _, ref := range e.shardOut[ssh].xfer[dsh] {
-				l := ref.slot - lo
-				pos := counts[l]
-				counts[l] = pos + 1
-				msgs[pos] = src[ref.idx]
+		a.layout()
+		for _, src := range e.sources {
+			for _, ref := range src.xfer[dsh] {
+				a.place(ref.slot-lo, &src.out[ref.idx])
 			}
 		}
-		for l := range counts {
-			a, b := ga.off[l], ga.off[l+1]
-			if a != b {
-				e.nextInbox[int(lo)+l] = msgs[a:b:b]
-			}
-		}
+		a.views(e.inbox[lo:])
 	})
 }
 
@@ -1118,18 +1117,6 @@ func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 		return false
 	}
 	return true
-}
-
-// insertCanonical places m into slot s's inbox at its canonical position
-// (binary search on the (sentRound, srcSlot, seq) key). Only the
-// fault-delay path pays for this; fresh messages arrive pre-ordered.
-func (e *Engine) insertCanonical(s int32, m *Msg) {
-	in := e.inbox[s]
-	i := sort.Search(len(in), func(j int) bool { return msgBefore(m, &in[j]) })
-	in = append(in, Msg{})
-	copy(in[i+1:], in[i:])
-	in[i] = *m
-	e.inbox[s] = in
 }
 
 // Run advances the engine through rounds [current, current+rounds).

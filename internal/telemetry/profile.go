@@ -19,7 +19,8 @@ const maxPhases = 16
 //
 // Usage: the engine calls Begin at the top of the round, then Lap(phase)
 // after each phase completes; EndRound closes the round. Single-writer,
-// engine-serial.
+// engine-serial. Like a nil Tracer, a nil profiler is off: Begin, Lap and
+// EndRound do nothing.
 type PhaseProfiler struct {
 	names  []string
 	totals []Counter // dynp2p_phase_<name>_ns_total timing counters
@@ -66,6 +67,9 @@ func (p *PhaseProfiler) Flush() error {
 
 // Begin starts timing a round.
 func (p *PhaseProfiler) Begin() {
+	if p == nil {
+		return
+	}
 	for i := range p.cur[:len(p.names)] {
 		p.cur[i] = 0
 	}
@@ -74,6 +78,9 @@ func (p *PhaseProfiler) Begin() {
 
 // Lap records the time since the previous Lap (or Begin) against phase i.
 func (p *PhaseProfiler) Lap(i int) {
+	if p == nil {
+		return
+	}
 	now := time.Now()
 	if i >= 0 && i < len(p.names) {
 		p.cur[i] += now.Sub(p.last).Nanoseconds()
@@ -84,6 +91,9 @@ func (p *PhaseProfiler) Lap(i int) {
 // EndRound commits the round's timings to the registry and the JSONL
 // stream. round is the engine round just finished.
 func (p *PhaseProfiler) EndRound(round int64) {
+	if p == nil {
+		return
+	}
 	for i := range p.names {
 		p.totals[i].Add(0, p.cur[i])
 	}
