@@ -242,6 +242,62 @@ func BenchmarkRoutedRound(b *testing.B) {
 	}
 }
 
+// walkFanout sends, from every eighth slot, one id-addressed message to a
+// random live id — a walk of about n/(d+1) hops — and from every 64th
+// slot one keyed message for one of four keys.
+type walkFanout struct{}
+
+func (walkFanout) OnJoin(*simnet.Engine, int, simnet.NodeID, int)  {}
+func (walkFanout) OnLeave(*simnet.Engine, int, simnet.NodeID, int) {}
+func (walkFanout) HandleRound(ctx *simnet.Ctx) {
+	n := ctx.E.N()
+	if ctx.Slot%8 == 0 {
+		ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
+	}
+	if ctx.Slot%64 == 0 {
+		ctx.SendKeyed(ctx.E.IDAt(ctx.Rand.Intn(n)), 2).Item = uint64(1 + ctx.Slot/64%4)
+	}
+}
+
+// routeWalk builds a routed engine — static topology, no churn — whose
+// handler sends Θ(n) long id-addressed walks a round and a few keyed
+// ones, with every 61st slot holding one of the four keys, and returns
+// its one-round function and the engine. It is the router's hot path:
+// the hop kernel, the loop that refills its ways, and the per-Step
+// holder bitsets.
+func routeWalk(n int) (func(), *simnet.Engine) {
+	e := simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: simnet.EdgesStatic,
+		AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
+		Routing: simnet.RoutingConfig{Mode: simnet.RoutingOverlay},
+	})
+	e.SetHeldKeys(func(slot, round int, dst []uint64) []uint64 {
+		if slot%61 == 0 {
+			dst = append(dst, uint64(1+slot/61%4))
+		}
+		return dst
+	})
+	h := walkFanout{}
+	e.Run(h, 16)
+	return func() { e.RunRound(h) }, e
+}
+
+// BenchmarkRouteWalk measures one engine round of routeWalk and reports
+// what a forward costs. Like RoutedRound's routed mode it is bounded by
+// steadyAllocs.
+func BenchmarkRouteWalk(b *testing.B) {
+	for _, n := range sizes() {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			round, e := routeWalk(n)
+			start := e.RouteMetrics().Forwards
+			loop(b, round, steadyAllocs)
+			if fw := e.RouteMetrics().Forwards - start; fw > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fw), "ns/forward")
+			}
+		})
+	}
+}
+
 // benchFullRound times one round of fullRound's network and reports its
 // soup throughput.
 func benchFullRound(b *testing.B, n int, observed bool) {

@@ -3,6 +3,7 @@
 //
 //   - BenchmarkRouteOnly     — handler fan-out + message routing, no soup;
 //   - BenchmarkRoutedRound   — the same through the overlay router, against the oracle;
+//   - BenchmarkRouteWalk     — long id-addressed and keyed walks, in ns per forward;
 //   - BenchmarkSoupOnly      — walk-soup token exchange + topology re-randomise;
 //   - BenchmarkOverlayRepair — soup + self-healing repair under paper churn;
 //   - BenchmarkFullRound     — the complete dynp2p stack under churn, and

@@ -17,13 +17,13 @@ const (
 	gateRounds = 20
 
 	// steadyAllocs bounds mean allocations per round on the steady-state
-	// engine paths — RouteOnly, SoupOnly, OverlayRepair and RoutedRound's
-	// routed mode — and on FullRound, whose protocol state is reset in
-	// place on churn and swept without a sort. Not literally zero: with
-	// tens of thousands of inboxes, buckets and per-shard exchange
-	// buffers, random per-round size maxima still force an occasional
-	// slice growth (a record-maximum process whose rate decays like
-	// 1/round). It sits three orders of magnitude below the per-slot
+	// engine paths — RouteOnly, SoupOnly, OverlayRepair, RoutedRound's
+	// routed mode and RouteWalk — and on FullRound, whose protocol state
+	// is reset in place on churn and swept without a sort. Not literally
+	// zero: with tens of thousands of inboxes, buckets and per-shard
+	// exchange buffers, random per-round size maxima still force an
+	// occasional slice growth (a record-maximum process whose rate decays
+	// like 1/round). It sits three orders of magnitude below the per-slot
 	// regime it guards against (~8 allocs per slot per round, ~32k/round
 	// at n=4096, before the inbox arena).
 	steadyAllocs = 256
@@ -124,6 +124,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	soup, _ := soupOnly(refSize, 0)
 	repair, _ := overlayRepair(refSize)
 	full := fullRound(refSize, false)
+	walk, _ := routeWalk(refSize)
 	for _, c := range []struct {
 		name  string
 		round func()
@@ -132,6 +133,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"SoupOnly", soup},
 		{"OverlayRepair", repair},
 		{"RoutedRound/mode=routed", routedRound(refSize, true)},
+		{"RouteWalk", walk},
 		{"FullRound", func() { full.Run(1) }},
 	} {
 		if err := steadyGate(c.name, c.round); err != nil {

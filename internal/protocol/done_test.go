@@ -486,7 +486,7 @@ func TestSearchDoneSparesNextSearch(t *testing.T) {
 			s, key, data := storedSim(t, 1024, churn.ZeroLaw{}, 3)
 			s.setFault(fault)
 			slot := 200 // a searcher that has to search: a storage landmark fetches at once
-			for s.h.holdsKey(slot, key, s.e.Round()) {
+			for slices.Contains(s.h.heldKeys(slot, s.e.Round(), nil), key) {
 				slot++
 			}
 			s.h.RequestRetrieve(s.e, slot, key, data)

@@ -248,7 +248,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		}
 		h.code = c
 	}
-	e.SetKeyHolder(h.holdsKey)
+	e.SetHeldKeys(h.heldKeys)
 	// What the handlers sent of each kind, as the engine counts it.
 	e.Telemetry().RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
 		for _, k := range kindNames {
@@ -260,26 +260,28 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 	return h
 }
 
-// holdsKey is the routed-walk holder predicate (simnet.SetKeyHolder):
-// whether slot could answer an inquiry for key right now — a live cache
-// entry or an unexpired storage-landmark registration, exactly the two
-// paths onInquire serves from. It runs in the engine's serial routed
-// phase, between handler phases, so the read-only scan over per-slot
-// state is race-free; it deliberately never bumps LRU clocks — routing
-// observes, never mutates. It ignores the one-answer-a-round stamps
-// (cacheEntry.served, lmEntry.toldAt): a routed inquiry that ends at a
-// holder which has already answered this round may get no reply.
-func (h *Handler) holdsKey(slot int, key uint64, round int) bool {
-	if c := h.P.CacheCapacity; c > 0 {
-		for i := slot * c; i < (slot+1)*c; i++ {
-			e := &h.cacheArena[i]
-			if e.expiry != 0 && e.key == key && round < int(e.expiry) {
-				return true
-			}
+// heldKeys is the routed walk's holder enumeration (simnet.SetHeldKeys):
+// it appends to dst the keys slot could answer an inquiry for right now —
+// its live cache entries and unexpired storage-landmark registrations,
+// exactly the two paths onInquire serves from. The engine calls it
+// serially, between handler phases, so the read-only scan is race-free;
+// it never bumps LRU clocks — routing observes, never mutates. It ignores
+// the one-answer-a-round stamps (cacheEntry.served, lmEntry.toldAt): a
+// routed inquiry that ends at a holder which has already answered this
+// round may get no reply.
+func (h *Handler) heldKeys(slot, round int, dst []uint64) []uint64 {
+	for i := slot * h.P.CacheCapacity; i < (slot+1)*h.P.CacheCapacity; i++ {
+		if e := &h.cacheArena[i]; e.expiry != 0 && round < int(e.expiry) {
+			dst = append(dst, e.key)
 		}
 	}
-	ent := h.states[slot].storageLM.get(key)
-	return ent != nil && round < ent.expiry
+	lm := &h.states[slot].storageLM
+	for i := range lm.vals {
+		if round < lm.vals[i].expiry {
+			dst = append(dst, lm.keys[i])
+		}
+	}
+	return dst
 }
 
 // IDA reports whether erasure-coded storage is active.

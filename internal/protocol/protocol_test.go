@@ -631,7 +631,7 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	s.h.RequestRetrieve(s.e, slot, queued, nil)
 	round := s.e.Round()
 	st := &s.h.states[slot]
-	if st.memberships.get(key) == nil || st.stored.get(key) == nil || !s.h.holdsKey(slot, key, round) ||
+	if st.memberships.get(key) == nil || st.stored.get(key) == nil || !slices.Contains(s.h.heldKeys(slot, round, nil), key) ||
 		st.searchLM.get(missing) == nil || st.searches.get(missing) == nil || len(st.pending) != 1 || st.recentLen == 0 {
 		t.Fatalf("slot %d does not hold every role before the replacement: %+v", slot, st)
 	}
@@ -645,7 +645,7 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	if got := s.h.CopyCount(key); got != copies-1 {
 		t.Errorf("copy count %d after the replacement, want %d", got, copies-1)
 	}
-	if got := s.h.StorageLandmarkCount(key, round); got != landmarks-1 || s.h.holdsKey(slot, key, round) {
+	if got := s.h.StorageLandmarkCount(key, round); got != landmarks-1 || slices.Contains(s.h.heldKeys(slot, round, nil), key) {
 		t.Errorf("replaced slot still a storage landmark (%d counted, want %d)", got, landmarks-1)
 	}
 	if st.searchLM.get(missing) != nil {

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynp2p/internal/graph"
@@ -60,13 +61,16 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 			return
 		}
 	}
+	holds := func(s int32) bool {
+		return w.h.Keyed && r.env.HeldKeys != nil && slices.Contains(r.env.HeldKeys(s, nil), w.h.Key)
+	}
 	for budget := r.p.Budget; ; budget-- {
 		s := w.at
 		if s == tslot {
 			r.deliver(w, s)
 			return
 		}
-		if w.h.Keyed && r.env.Holder != nil && r.env.Holder(s, w.h.Key) {
+		if holds(s) {
 			r.deliver(w, s)
 			return
 		}
@@ -81,7 +85,7 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 				next = nb
 				break
 			}
-			if w.h.Keyed && next < 0 && r.env.Holder != nil && r.env.Holder(nb, w.h.Key) {
+			if next < 0 && holds(nb) {
 				next = nb // keep scanning: the exact target still wins
 			}
 		}
@@ -162,7 +166,12 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 				}
 				return int32(id - 1), true
 			},
-			Holder: func(slot int32, key uint64) bool { return holders[slot] == key },
+			HeldKeys: func(slot int32, dst []uint64) []uint64 {
+				if k := holders[slot]; k != 0 {
+					dst = append(dst, k)
+				}
+				return dst
+			},
 			Deliver: func(slot int32, m *testMsg, hops int32) {
 				s.events = append(s.events, event{id: m.id, slot: slot, hops: hops})
 			},

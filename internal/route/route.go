@@ -7,11 +7,12 @@
 // walked by the Router as a token: at each step the current slot forwards
 // it along a seeded random out-port, except that a neighbor that *is* the
 // target (or, for keyed walks, any slot/neighbor currently holding the
-// key) ends the walk immediately. Links are unmetered, as in the paper's
-// synchronous model: a message sent in round r delivers or drops in round
-// r+1's Step, and nothing outlives it. Bandwidth is a cost, not a queue:
-// the per-slot forward count of the busiest link in a round (max link
-// load) is the congestion signal.
+// key) ends the walk immediately; holders are enumerated into bitsets once
+// per Step (Env.HeldKeys), so the walk never calls back into the protocol.
+// Links are unmetered, as in the paper's synchronous model: a message sent
+// in round r delivers or drops in round r+1's Step, and nothing outlives
+// it. Bandwidth is a cost, not a queue: the per-slot forward count of the
+// busiest link in a round (max link load) is the congestion signal.
 //
 // Determinism: a walker's trajectory is a pure function of (message seed,
 // start slot, round adjacency) — each hop's port is a hash of (seed, hop
@@ -20,23 +21,31 @@
 // (metrics, Deliver, OnDrop) then happens in one serial merge over the
 // canonical walker order, the engine's (send round, source slot, sequence)
 // order. A hop recorder observes hops in that order, so while one is
-// installed the walk runs the same code on a single lane. Nothing depends
+// installed the walk runs the Go loop on a single lane. Nothing depends
 // on worker count or scheduling: every metric the router reports is
 // bit-identical at any Workers value.
 //
+// Two hop loops walk the same trajectories: on amd64, id-addressed walks
+// on a power-of-two degree go through the two-walker kernel hopTwo; the
+// rest, and every walk while a hop recorder is installed, run the Go loop
+// (Router.walk), which is also what the kernel is tested against.
+//
 // Precondition: the adjacency is a symmetric multigraph (u appears in v's
 // row exactly as often as v in u's) — what graph.CheckRegular's callers
-// and the overlay's reciprocal-port table maintain. The hop kernel spots
-// "the target is a neighbour of the current slot" by testing the current
-// slot against the target's own row, loaded once per walker.
+// and the overlay's reciprocal-port table maintain. Both loops spot "the
+// target is a neighbour of the current slot" by testing the current slot
+// against the target's own row, loaded once per walker, and a keyed walk
+// scans a row for a holder only where a holder's row holds the slot.
 //
 // The Router is generic in the message type so the package does not
 // import the engine; simnet instantiates Router[simnet.Msg] and supplies
-// the environment callbacks (adjacency, id→slot resolution, key-holder
-// lookup, delivery).
+// the environment callbacks (adjacency, id→slot resolution, held keys,
+// delivery).
 package route
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"dynp2p/internal/graph"
@@ -113,20 +122,22 @@ const (
 	outDrop
 )
 
-// Env supplies the engine-side environment. Graph, SlotOf and Holder are
-// read during the walk, possibly from several goroutines at once, and
-// must be side-effect free; Deliver, OnDrop and OnHop fire on the Step
-// caller's goroutine only, and must not change what the first three
-// return.
+// Env supplies the engine-side environment. Graph and HeldKeys are read
+// on the Step caller's goroutine before the walk; SlotOf is read during
+// the walk, possibly from several goroutines at once, and must be side-
+// effect free. Deliver, OnDrop and OnHop fire on the Step caller's
+// goroutine only, and must not change what the first three return.
 type Env[M any] struct {
 	// Graph returns the round's live adjacency (post-repair under
 	// self-healing, post-rewire under the oracle modes).
 	Graph func() *graph.Graph
 	// SlotOf resolves a live node id to its slot; ok=false once departed.
 	SlotOf func(id uint64) (int32, bool)
-	// Holder reports whether slot currently holds key (cache entry,
-	// storage landmark, or committee copy). nil = no holder early-exit.
-	Holder func(slot int32, key uint64) bool
+	// HeldKeys appends to dst the keys slot can answer for right now
+	// (cache entry or storage landmark) and returns it; a key may repeat.
+	// A Step with keyed walkers calls it once per slot. nil = no holder
+	// early-exit.
+	HeldKeys func(slot int32, dst []uint64) []uint64
 	// Deliver hands a message that reached slot to the engine, with the
 	// number of forwards it took. Changes made through m are what
 	// EachDelivered later revisits.
@@ -199,14 +210,36 @@ type Router[M any] struct {
 	g       *graph.Graph // adjacency of the Step in progress
 	cursor  atomic.Int64 // next unclaimed walker of the Step in progress
 
+	// The Step's holders (buildHolders): keys is every key a keyed walker
+	// carries, ascending, and key i's holder and near-holder bitsets are
+	// hold[2i·words:] and hold[(2i+1)·words:]. held is HeldKeys' buffer.
+	keys, hold, held []uint64
+	words            int
+
 	m metrics
 }
 
 // lane is one worker's walk scratch, allocated once in New.
 type lane struct {
-	fwd      []int32  // per-slot forwards this lane walked this round
-	near     []uint64 // bitset: slots adjacent to the current walker's target
-	forwards int64    // forwards this lane walked this round
+	fwd      []int32     // per-slot forwards this lane walked this round
+	ways     [2][]uint64 // way i's target-row bitset, at k.way[i].near; the Go loop borrows a free one
+	k        hopKernel
+	forwards int64 // forwards this lane walked this round
+}
+
+// hopWay is one of the hop kernel's two walker slots, and hopKernel is
+// all hopTwo reads (hop_amd64.s, through go_asm.h).
+type hopWay struct {
+	s, t, hops int64   // current slot, target slot, forwards so far
+	base       uint64  // rng.HashInit of the walker's seed
+	near       *uint64 // the way's target-neighbour bitset
+	w          int     // the walker's index in ws (Go only)
+}
+type hopKernel struct {
+	way         [2]hopWay
+	adj, fwd    *int32
+	mask, shift uint64 // d-1 and log2 d
+	limit       int64  // the walk budget
 }
 
 // walkChunk is how many consecutive walkers a lane claims at a time:
@@ -227,8 +260,16 @@ func New[M any](reg *telemetry.Registry, n int, p Params, crew *shard.Crew) *Rou
 		m:     newMetrics(reg),
 	}
 	r.runLane = r.walkLane
+	r.words = (n + 63) / 64
+	// Room for 16 carried keys' bitsets and 16 keys a slot holds; more grow them.
+	r.keys, r.hold, r.held = make([]uint64, 0, 16), make([]uint64, 0, 32*r.words), make([]uint64, 0, 16)
 	for l := range r.lanes {
-		r.lanes[l] = lane{fwd: make([]int32, n), near: make([]uint64, (n+63)/64)}
+		ln := &r.lanes[l]
+		ln.fwd = make([]int32, n)
+		for i := range ln.ways {
+			ln.ways[i] = make([]uint64, r.words)
+			ln.k.way[i].near = &ln.ways[i][0]
+		}
 	}
 	return r
 }
@@ -282,6 +323,8 @@ func (r *Router[M]) Step() {
 	r.settle()
 	var maxLink int32
 	if len(r.ws) > 0 {
+		r.g = r.env.Graph()
+		r.buildHolders()
 		maxLink = r.walkAll()
 		r.merge()
 	}
@@ -313,7 +356,6 @@ func (r *Router[M]) walkAll() int32 {
 	if r.env.OnHop == nil {
 		lanes = max(1, min(len(r.lanes), len(r.ws)/walkChunk))
 	}
-	r.g = r.env.Graph()
 	r.cursor.Store(0)
 	r.crew.Do(lanes, r.runLane)
 
@@ -333,11 +375,71 @@ func (r *Router[M]) walkAll() int32 {
 	return maxLink
 }
 
-// walkLane walks chunks of ws claimed off the cursor on lane l.
+// buildHolders enumerates, serially, the holders of every key a keyed
+// walker carries with one HeldKeys call per slot: a holder's bit goes into
+// the key's holder bitset, and with its row's — by port reciprocity, the
+// slots with a holder in their row — into the near-holder bitset. O(n +
+// held entries) besides clearing; allocation-free once grown.
+func (r *Router[M]) buildHolders() {
+	r.keys = r.keys[:0]
+	last := uint64(0) // walkers of one key come in runs: skip the search
+	for i := range r.ws {
+		if h := &r.ws[i].h; h.Keyed && r.env.HeldKeys != nil && (len(r.keys) == 0 || h.Key != last) {
+			if j, ok := slices.BinarySearch(r.keys, h.Key); !ok {
+				r.keys = slices.Insert(r.keys, j, h.Key)
+			}
+			last = h.Key
+		}
+	}
+	if len(r.keys) == 0 {
+		return
+	}
+	r.hold = append(r.hold[:0], make([]uint64, 2*len(r.keys)*r.words)...) // zeroed; no temporary
+	adj, d := r.g.Adjacency(), r.g.Degree()
+	for s := range r.g.N() {
+		r.held = r.env.HeldKeys(int32(s), r.held[:0])
+		for _, key := range r.held {
+			if i, ok := slices.BinarySearch(r.keys, key); ok {
+				hold, near := r.hold[2*i*r.words:], r.hold[(2*i+1)*r.words:]
+				hold[s>>6] |= 1 << (s & 63)
+				near[s>>6] |= 1 << (s & 63)
+				mark(near, adj[s*d:(s+1)*d])
+			}
+		}
+	}
+}
+
+func has(set []uint64, s int32) bool { return set[s>>6]&(1<<(s&63)) != 0 }
+
+func mark(set []uint64, row []int32) {
+	for _, s := range row {
+		set[s>>6] |= 1 << (s & 63)
+	}
+}
+
+func unmark(set []uint64, row []int32) {
+	for _, s := range row {
+		set[s>>6] &^= 1 << (s & 63)
+	}
+}
+
+// walkLane walks chunks of ws claimed off the cursor on lane l, first
+// resolving each walker's id target: churn cannot move it mid-phase. A
+// departed (or absent) target drops a pure id walk at once, as oracle
+// routing would; a keyed walk goes on, as any holder can answer. With the
+// kernel on, id walks fill its two ways, and each time both are full
+// hopTwo runs until one ends and the next walker takes that way.
 func (r *Router[M]) walkLane(l int) {
 	ln, cur, g := &r.lanes[l], r.ws, r.g
 	clear(ln.fwd)
+	adj, d := g.Adjacency(), g.Degree()
+	kernel := useHopKernel && r.env.OnHop == nil && d > 0 && d&(d-1) == 0
+	if kernel {
+		ln.k.adj, ln.k.fwd = &adj[0], &ln.fwd[0]
+		ln.k.mask, ln.k.shift, ln.k.limit = uint64(d-1), uint64(bits.TrailingZeros(uint(d))), int64(r.p.Budget)
+	}
 	var forwards int64
+	ways := 0 // live kernel ways; one live way is way 0
 	for {
 		hi := int(r.cursor.Add(walkChunk))
 		lo := hi - walkChunk
@@ -345,48 +447,70 @@ func (r *Router[M]) walkLane(l int) {
 			break
 		}
 		for i := lo; i < min(hi, len(cur)); i++ {
-			forwards += r.walk(&cur[i], ln, g)
+			w := &cur[i]
+			tslot := int32(-1)
+			if s, ok := r.env.SlotOf(w.h.Target); ok && w.h.Target != 0 {
+				tslot = s
+			}
+			switch {
+			case tslot < 0 && !w.h.Keyed:
+				w.out, w.h.Hops = outDrop+uint8(DropDead), 0
+			case !kernel || w.h.Keyed:
+				forwards += r.walk(w, tslot, ln.ways[ways], ln.fwd, adj, d)
+			default:
+				ln.k.way[ways] = hopWay{s: int64(w.at), t: int64(tslot), base: rng.HashInit(w.h.Seed), near: ln.k.way[ways].near, w: i}
+				mark(ln.ways[ways], adj[int(tslot)*d:(int(tslot)+1)*d])
+				if ways++; ways == 2 {
+					forwards += r.retire(ln, hopTwo(&ln.k, false), adj, d)
+					ways = 1
+				}
+			}
 		}
+	}
+	if ways == 1 {
+		forwards += r.retire(ln, hopTwo(&ln.k, true), adj, d)
 	}
 	ln.forwards = forwards
 }
 
-// walk is the hop kernel: it advances one message until it delivers or
-// drops, records that outcome and the hop count in w and returns the
-// forwards taken. Per hop it costs one port hash, one adjacency load and
-// one link-meter update; everything hop-invariant is set up here, once.
-func (r *Router[M]) walk(w *walker[M], ln *lane, g *graph.Graph) int64 {
+// retire books the outcome of the walker lane ln's kernel way i ended and
+// leaves the other way, if it is live, as way 0.
+func (r *Router[M]) retire(ln *lane, i int, adj []int32, d int) int64 {
+	wy := &ln.k.way[i]
+	w := &r.ws[wy.w]
+	w.out = outDrop + uint8(DropBudget)
+	if wy.s == wy.t {
+		w.out = outDeliver
+	}
+	w.at, w.h.Hops = int32(wy.s), int32(wy.hops)
+	unmark(ln.ways[i], adj[int(wy.t)*d:(int(wy.t)+1)*d])
+	if i == 0 {
+		ln.k.way[0], ln.k.way[1] = ln.k.way[1], ln.k.way[0]
+		ln.ways[0], ln.ways[1] = ln.ways[1], ln.ways[0]
+	}
+	return int64(w.h.Hops)
+}
+
+// walk is the Go hop loop: it advances one message to tslot (-1 = none),
+// with near as its target-row bitset and counting forwards in fwd, until
+// it delivers or drops, records that outcome and the hop count in w and
+// returns the forwards taken. Per hop it costs one port hash, one
+// adjacency load and one link-meter update, plus holder-bit tests for a
+// keyed walk; everything hop-invariant is set up here, once.
+func (r *Router[M]) walk(w *walker[M], tslot int32, near []uint64, fwd []int32, adj []int32, d int) int64 {
 	h := &w.h
-	// Resolve the id-addressed target once per round: churn cannot move
-	// it mid-phase. A departed (or absent) target ends a pure id walk
-	// immediately — the same failure mode (and drop timing) as oracle
-	// routing — while a keyed walk keeps going: any live holder can still
-	// answer.
-	tslot := int32(-1)
-	if h.Target != 0 {
-		if s, ok := r.env.SlotOf(h.Target); ok {
-			tslot = s
-		}
-	}
-	if tslot < 0 && !h.Keyed {
-		w.out, h.Hops = outDrop+uint8(DropDead), 0
-		return 0
-	}
-	adj, d := g.Adjacency(), g.Degree()
 	// The target's row, as a bitset over slots: by port reciprocity
 	// "s has the target as a neighbour" is "s is in the target's row".
-	near := ln.near
 	var trow []int32
 	if tslot >= 0 {
 		trow = adj[int(tslot)*d : (int(tslot)+1)*d]
-		for _, nb := range trow {
-			near[nb>>6] |= 1 << (nb & 63)
-		}
+		mark(near, trow)
 	}
-	holder, key := r.env.Holder, h.Key
-	keyed := h.Keyed && holder != nil
+	var hold, nearHold []uint64 // the key's holder and near-holder bitsets
+	if i, ok := slices.BinarySearch(r.keys, h.Key); ok && h.Keyed {
+		hold, nearHold = r.hold[2*i*r.words:(2*i+1)*r.words], r.hold[(2*i+1)*r.words:(2*i+2)*r.words]
+	}
 	onHop := r.env.OnHop
-	fwd := ln.fwd
 	// Port p of hop i is rng.Hash(seed, i) mod d, with the seed round of
 	// the hash hoisted and the modulus a mask when d is a power of two.
 	base := rng.HashInit(h.Seed)
@@ -396,7 +520,7 @@ func (r *Router[M]) walk(w *walker[M], ln *lane, g *graph.Graph) int64 {
 	}
 	s, hops, limit := w.at, 0, r.p.Budget
 	for {
-		if s == tslot || (keyed && holder(s, key)) {
+		if s == tslot || (hold != nil && has(hold, s)) {
 			w.out = outDeliver
 			break
 		}
@@ -405,12 +529,12 @@ func (r *Router[M]) walk(w *walker[M], ln *lane, g *graph.Graph) int64 {
 			break
 		}
 		next := tslot // the exact target wins over any holder
-		if near[s>>6]&(1<<(s&63)) == 0 {
+		if !has(near, s) {
 			next = -1
 			row := int(s) * d
-			if keyed {
+			if hold != nil && has(nearHold, s) {
 				for _, nb := range adj[row : row+d] {
-					if holder(nb, key) {
+					if has(hold, nb) {
 						next = nb
 						break
 					}
@@ -433,9 +557,7 @@ func (r *Router[M]) walk(w *walker[M], ln *lane, g *graph.Graph) int64 {
 		}
 		s = next
 	}
-	for _, nb := range trow {
-		near[nb>>6] &^= 1 << (nb & 63)
-	}
+	unmark(near, trow)
 	w.at, h.Hops = s, int32(hops)
 	return int64(hops)
 }

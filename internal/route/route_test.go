@@ -59,7 +59,12 @@ func newHarness(t *testing.T, n int, p Params) *harness {
 			}
 			return int32(id - 1), true
 		},
-		Holder: func(slot int32, key uint64) bool { return h.holders[slot] == key && key != 0 },
+		HeldKeys: func(slot int32, dst []uint64) []uint64 {
+			if k := h.holders[slot]; k != 0 {
+				dst = append(dst, k)
+			}
+			return dst
+		},
 		Deliver: func(slot int32, m *testMsg, hops int32) {
 			h.delivered = append(h.delivered, delivery{slot, m.id, hops})
 		},

@@ -88,8 +88,11 @@ func (e *Engine) applyRouterEnv() {
 	env := route.Env[Msg]{
 		Graph:  func() *graph.Graph { return e.g },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
-		Holder: func(slot int32, key uint64) bool {
-			return e.keyHolder != nil && e.keyHolder(int(slot), key, e.round)
+		HeldKeys: func(slot int32, dst []uint64) []uint64 {
+			if e.heldKeys == nil {
+				return dst
+			}
+			return e.heldKeys(int(slot), e.round, dst)
 		},
 		Deliver: e.deliverRouted,
 		OnDrop: func(m *Msg, h *route.Header, reason route.DropReason) {
@@ -128,12 +131,11 @@ func (e *Engine) RoutedInFlight() int {
 	return e.router.InFlight()
 }
 
-// SetKeyHolder installs the protocol's holder predicate: whether slot
-// currently holds item key (cache entry, storage landmark, committee
-// copy) at the given round. Keyed routed walks terminate early at
-// holders, which is how cache replicas cut true network distance.
-func (e *Engine) SetKeyHolder(fn func(slot int, key uint64, round int) bool) {
-	e.keyHolder = fn
+// SetHeldKeys installs the protocol's holder enumeration: fn appends to
+// dst the item keys slot can answer for at round. Keyed routed walks end
+// early at holders, which is how cache replicas cut true network distance.
+func (e *Engine) SetHeldKeys(fn func(slot, round int, dst []uint64) []uint64) {
+	e.heldKeys = fn
 }
 
 // SetHopRecorder installs an observer invoked for every routed forward

@@ -458,7 +458,7 @@ type Engine struct {
 	// per-message walk-seed salt, and the routed phase's arena over all
 	// slots.
 	router      *route.Router[Msg]
-	keyHolder   func(slot int, key uint64, round int) bool
+	heldKeys    func(slot, round int, dst []uint64) []uint64
 	hopRec      func(round, from, to int)
 	routeSeed   uint64
 	routedArena inboxArena
