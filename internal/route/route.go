@@ -37,10 +37,11 @@
 // against the target's own row, loaded once per walker, and a keyed walk
 // scans a row for a holder only where a holder's row holds the slot.
 //
-// The Router is generic in the message type so the package does not
-// import the engine; simnet instantiates Router[simnet.Msg] and supplies
-// the environment callbacks (adjacency, id→slot resolution, held keys,
-// delivery).
+// The Router is generic in what a walker carries so the package does not
+// import the engine: simnet's walkers carry an 8-byte reference to the
+// message, which stays in the engine's send buffers while it walks, and
+// simnet supplies the environment callbacks (adjacency, id→slot
+// resolution, held keys, delivery).
 package route
 
 import (
@@ -108,7 +109,7 @@ type Header struct {
 
 // walker is one in-flight routed message: its header, the slot holding it
 // (origin before a Step's walk, end slot after), the outcome the walk
-// recorded for the merge, and the payload.
+// recorded for the merge, and what it carries.
 type walker[M any] struct {
 	h   Header
 	at  int32
@@ -139,8 +140,7 @@ type Env[M any] struct {
 	// early-exit.
 	HeldKeys func(slot int32, dst []uint64) []uint64
 	// Deliver hands a message that reached slot to the engine, with the
-	// number of forwards it took. Changes made through m are what
-	// EachDelivered later revisits.
+	// number of forwards it took. m is valid only during the call.
 	Deliver func(slot int32, m *M, hops int32)
 	// OnDrop observes every discarded message (accounting + tracing).
 	// May be nil.
@@ -197,12 +197,7 @@ type Router[M any] struct {
 	p   Params
 	env Env[M]
 
-	// ws is the walker array in canonical (send) order. Step leaves the
-	// walkers it walked in place with their outcomes, so EachDelivered
-	// reads delivered payloads where they lie; walked marks that stale
-	// array, and settle forgets it before anything else touches ws.
-	ws     []walker[M]
-	walked bool
+	ws []walker[M] // the walkers in canonical (send) order; Step empties it
 
 	crew    *shard.Crew
 	lanes   []lane       // per-worker walk scratch; lanes[0] also serves the serial case
@@ -282,26 +277,13 @@ func (r *Router[M]) SetEnv(env Env[M]) { r.env = env }
 // invoke Send in canonical message order (the engine's serial exchange
 // merge does).
 func (r *Router[M]) Send(m *M, h Header, at int32) {
-	r.settle()
 	r.m.sent.Inc(0)
 	r.ws = append(r.ws, walker[M]{h: h, at: at, m: *m})
 }
 
 // InFlight returns the number of messages sent since the last Step: the
 // walkers the next Step will walk.
-func (r *Router[M]) InFlight() int {
-	if r.walked {
-		return 0
-	}
-	return len(r.ws)
-}
-
-// settle forgets the walkers the last Step finished with.
-func (r *Router[M]) settle() {
-	if r.walked {
-		r.ws, r.walked = r.ws[:0], false
-	}
-}
+func (r *Router[M]) InFlight() int { return len(r.ws) }
 
 // Metrics returns a merged snapshot of the router's counters.
 func (r *Router[M]) Metrics() Metrics {
@@ -320,30 +302,15 @@ func (r *Router[M]) Metrics() Metrics {
 // in send order. Must run after the round's topology/repair and before
 // handlers.
 func (r *Router[M]) Step() {
-	r.settle()
 	var maxLink int32
 	if len(r.ws) > 0 {
 		r.g = r.env.Graph()
 		r.buildHolders()
 		maxLink = r.walkAll()
 		r.merge()
+		r.ws = r.ws[:0]
 	}
 	r.m.maxLink.SetMax(int64(maxLink))
-}
-
-// EachDelivered revisits, in canonical order, every message the last Step
-// delivered and the slot it reached — the engine's inbox placement pass,
-// reading payloads straight out of the walker array. Valid until the next
-// Send or Step.
-func (r *Router[M]) EachDelivered(fn func(slot int32, m *M)) {
-	if !r.walked {
-		return
-	}
-	for i := range r.ws {
-		if w := &r.ws[i]; w.out == outDeliver {
-			fn(w.at, &w.m)
-		}
-	}
 }
 
 // walkAll advances every walker in ws to its outcome and returns the
@@ -565,7 +532,6 @@ func (r *Router[M]) walk(w *walker[M], tslot int32, near []uint64, fwd []int32, 
 // merge books every walker's outcome in canonical order — the only place
 // the routed phase touches metrics or callbacks.
 func (r *Router[M]) merge() {
-	r.walked = true
 	for i := range r.ws {
 		w := &r.ws[i]
 		if w.out == outDeliver {

@@ -138,19 +138,63 @@ func Loc(loc uint32) (sh, local int) {
 	return int(loc >> LocalBits), int(loc & localMask)
 }
 
-// Offsets turns per-slot counts into the exclusive prefix-sum offset index
-// of a counting sort: off[0] = 0, off[i+1] = off[i] + counts[i]. It
-// requires len(off) == len(counts)+1 and returns the total. After pass 2
-// of the sort, element range [off[i], off[i+1]) holds bucket i.
-func Offsets(counts, off []int32) int32 {
-	if len(off) != len(counts)+1 {
-		panic("shard: Offsets requires len(off) == len(counts)+1")
-	}
-	var total int32
-	off[0] = 0
-	for i, c := range counts {
-		total += c
-		off[i+1] = total
-	}
-	return total
+// Runs is a flat slot-major store for a range of slots, filled by a stable
+// counting sort: every item bound for those slots lands in one buffer, and
+// each slot's items are a sub-slice of it. One geometrically grown buffer
+// per shard replaces per-slot append slices, whose record-maxima growth
+// kept a gather allocating long into the steady state. The engine's inbox
+// arenas and the soup's sample stores are Runs.
+//
+// A placement calls Reset, Count for every item's slot, Layout, then Place
+// for every item in the same order; Run(l) is then slot l's items in
+// placement order, until the next Reset. The zero value is ready for Reset.
+type Runs[T any] struct {
+	items []T
+	off   []int32 // len slots+1: slot l owns items[off[l]:off[l+1]]
+	next  []int32 // per-slot counts, then placement cursors; len slots
 }
+
+// Reset starts a placement over slots slots, reusing the store's buffers.
+func (r *Runs[T]) Reset(slots int) {
+	if cap(r.off) < slots+1 {
+		r.next, r.off = make([]int32, slots), make([]int32, slots+1)
+		return
+	}
+	r.next, r.off = r.next[:slots], r.off[:slots+1]
+	clear(r.next)
+}
+
+// Count counts one item bound for slot l.
+func (r *Runs[T]) Count(l int) { r.next[l]++ }
+
+// Layout turns the counts into the slots' offsets, sizes the buffer to hold
+// them all, and leaves each slot's cursor at its first position.
+func (r *Runs[T]) Layout() {
+	var total int32
+	for l, c := range r.next {
+		r.off[l], r.next[l] = total, total
+		total += c
+	}
+	r.off[len(r.next)] = total
+	if cap(r.items) < int(total) {
+		r.items = make([]T, total, max(int(total), 2*cap(r.items)))
+	} else {
+		r.items = r.items[:total]
+	}
+}
+
+// Place copies *v to the next position of slot l's run.
+func (r *Runs[T]) Place(l int, v *T) {
+	pos := r.next[l]
+	r.next[l] = pos + 1
+	r.items[pos] = *v
+}
+
+// Run returns slot l's items, capped so an append cannot reach the next run.
+func (r *Runs[T]) Run(l int) []T {
+	lo, hi := r.off[l], r.off[l+1]
+	return r.items[lo:hi:hi]
+}
+
+// Cap returns the item buffer's capacity (the memory ledger's figure).
+func (r *Runs[T]) Cap() int { return cap(r.items) }

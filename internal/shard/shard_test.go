@@ -2,6 +2,7 @@ package shard
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,22 +89,41 @@ func TestPick(t *testing.T) {
 	}
 }
 
-func TestOffsets(t *testing.T) {
-	counts := []int32{3, 0, 2, 5, 0}
-	off := make([]int32, len(counts)+1)
-	if total := Offsets(counts, off); total != 10 {
-		t.Fatalf("total = %d, want 10", total)
-	}
-	want := []int32{0, 3, 3, 5, 10, 10}
-	for i := range want {
-		if off[i] != want[i] {
-			t.Fatalf("off = %v, want %v", off, want)
+// TestRunsPlaceStably reuses one store for three placements, the second
+// growing its buffer and the third over fewer slots: each slot's Run must
+// be exactly its items in placement order. A fresh store over no slots
+// (an empty shard) places nothing.
+func TestRunsPlaceStably(t *testing.T) {
+	type item struct{ slot, seq int }
+	var empty Runs[item]
+	empty.Reset(0)
+	empty.Layout()
+	var r Runs[item]
+	for _, tc := range []struct{ slots, items int }{{5, 10}, {5, 40}, {3, 7}} {
+		r.Reset(tc.slots)
+		in := make([]item, tc.items)
+		for i := range in {
+			in[i] = item{slot: (i*7 + tc.items) % tc.slots, seq: i}
+			r.Count(in[i].slot)
 		}
-	}
-	// Empty input: single zero offset.
-	var empty [1]int32
-	if total := Offsets(nil, empty[:]); total != 0 || empty[0] != 0 {
-		t.Fatalf("empty Offsets: total=%d off=%v", total, empty)
+		r.Layout()
+		for i := range in {
+			r.Place(in[i].slot, &in[i])
+		}
+		for l := range tc.slots {
+			var want []item
+			for _, it := range in {
+				if it.slot == l {
+					want = append(want, it)
+				}
+			}
+			if got := r.Run(l); !slices.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("%d slots, %d items: Run(%d) = %v (cap %d), want %v", tc.slots, tc.items, l, got, cap(got), want)
+			}
+		}
+		if r.Cap() < tc.items {
+			t.Fatalf("%d items in a buffer of %d", tc.items, r.Cap())
+		}
 	}
 }
 

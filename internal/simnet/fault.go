@@ -80,19 +80,16 @@ type delayedMsg struct {
 // release hands on the fault-delayed messages due next round, in the
 // round before: route calls it ahead of the round's fresh sends, which
 // every one of them precedes in the canonical order. A message keeps the
-// fate it was given when sent. Under RoutingOracle it is staged as the
-// exchange's first source, serially, and a target that has already left
-// drops it; one that leaves at next round's churn drops it there, with
-// the fresh messages in its inbox. Under RoutingOverlay it is handed to
-// the router, which walks it from its origin slot in next round's routed
-// phase like any fresh send, so delay-released traffic too reaches its
-// target edge-by-edge.
+// fate it was given when sent. Each is staged in released.out, the
+// exchange's first source, serially. Under RoutingOracle a target that
+// has already left drops it; one that leaves at next round's churn drops
+// it there, with the fresh messages in its inbox. Under RoutingOverlay
+// the router gets its walker, which walks from its origin slot in next
+// round's routed phase like any fresh send, so delay-released traffic too
+// reaches its target edge-by-edge.
 func (e *Engine) release() {
 	rel := &e.released
-	rel.out = rel.out[:0]
-	for dsh := range rel.xfer {
-		rel.xfer[dsh] = rel.xfer[dsh][:0]
-	}
+	rel.reset()
 	kept := 0
 	for i := range e.delayed {
 		d := &e.delayed[i]
@@ -103,17 +100,18 @@ func (e *Engine) release() {
 			kept++
 			continue
 		}
+		idx := uint32(len(rel.out))
 		if e.router != nil {
-			e.sendToRouter(&d.m)
-			continue
+			e.sendToRouter(&d.m, msgRef{src: 0, idx: idx})
+		} else {
+			dst, ok := e.slotOf(d.m.To)
+			if !ok {
+				e.em.dropped.Inc(0)
+				continue
+			}
+			dsh := e.slotLoc[dst] >> shard.LocalBits
+			rel.xfer[dsh] = append(rel.xfer[dsh], routedRef{slot: dst, idx: idx})
 		}
-		dst, ok := e.slotOf(d.m.To)
-		if !ok {
-			e.em.dropped.Inc(0)
-			continue
-		}
-		dsh := e.slotLoc[dst] >> shard.LocalBits
-		rel.xfer[dsh] = append(rel.xfer[dsh], routedRef{slot: dst, idx: uint32(len(rel.out))})
 		rel.out = append(rel.out, d.m)
 	}
 	e.delayed = e.delayed[:kept]

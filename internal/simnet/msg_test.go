@@ -224,16 +224,17 @@ func TestSendInPlaceAcrossGrowth(t *testing.T) {
 }
 
 // TestMemoryLedger checks the engine's pull-style memory gauges, one
-// engine per routing mode: the buffers both modes use report, the other
-// mode's delivery buffers stay empty, and the send buffers' figure is
-// their capacity in bytes.
+// engine per routing mode: the buffers both modes use report — the inbox
+// arenas among them, as both modes place through gather — the other mode's
+// staging buffers stay empty, and the send buffers' figure is their
+// capacity in bytes.
 func TestMemoryLedger(t *testing.T) {
 	for _, tc := range []struct {
 		mode       RoutingMode
 		used, idle []string
 	}{
 		{RoutingOracle, []string{"xfer", "inbox_arena"}, []string{"routed_arena"}},
-		{RoutingOverlay, []string{"routed_arena"}, []string{"xfer", "inbox_arena"}},
+		{RoutingOverlay, []string{"routed_arena", "inbox_arena"}, []string{"xfer"}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			e := New(routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: tc.mode}))
@@ -250,7 +251,7 @@ func TestMemoryLedger(t *testing.T) {
 			}
 			for _, owner := range tc.idle {
 				if v := got[gauge(owner)]; v != 0 {
-					t.Errorf("%s = %d, want 0: the other mode's buffer", gauge(owner), v)
+					t.Errorf("%s = %d, want 0: the other mode's staging", gauge(owner), v)
 				}
 			}
 			var want int64
@@ -272,15 +273,16 @@ func panics(fn func()) (p bool) {
 }
 
 // FuzzSendPayload drives the Msg payload API with hostile lengths and
-// repeated SetPayload calls through both delivery paths and the fault
-// queue: an n=16 run under the oracle, under the overlay with link
-// capacity 1 (walkers park), and under the oracle with a drop/delay
-// fault. SetPayload must panic exactly when a length exceeds
-// MaxPayloadLen or an earlier call on the message attached a non-empty
-// cell (an empty first call attaches nothing), every delivered payload
-// must be the one attached, BitsSent must be the sum of the sends' Bits,
-// and every message sent must be delivered, dropped, still delayed or
-// still walking.
+// repeated SetPayload calls through both routing modes and the fault
+// queue: an n=16 run, one worker and one replacement a round, under the
+// oracle, under the overlay (walkers on the default budget, keyed sends
+// ending at no holder), and under the oracle with a drop/delay fault.
+// SetPayload must panic exactly when a length exceeds MaxPayloadLen or an
+// earlier call on the message attached a non-empty cell (an empty first
+// call attaches nothing), every delivered payload must be the one
+// attached, BitsSent must be the sum of the sends' Bits, and every
+// message sent must be delivered, dropped, still delayed or still
+// walking.
 //
 // Input: 3 bytes per send, one send per node per round for 4 rounds, then
 // 4 quiet rounds. Byte 0: bit 0 SendKeyed, bits 1-2 the addressee (self,

@@ -15,7 +15,8 @@ package simnet
 // delivers or drops in the routed phase after its send, and the busiest
 // link's forward count is the congestion signal. Walkers are walked on
 // the engine's crew and their outcomes booked in one fixed-order
-// serial merge, so routed metrics are worker-count independent.
+// serial merge, so routed metrics are worker-count independent; the
+// merge stages the deliveries, and the oracle's gather places them.
 
 import (
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/route"
+	"dynp2p/internal/shard"
 	"dynp2p/internal/telemetry"
 )
 
@@ -72,20 +74,23 @@ type RoutingConfig struct {
 	Mode RoutingMode `json:"mode,omitempty"`
 }
 
-// initRouter builds the overlay router and the routed phase's inbox
-// arena over all N slots.
+// initRouter builds the overlay router and the routed phase's staging
+// source.
 func (e *Engine) initRouter() {
-	e.router = route.New[Msg](e.reg, e.cfg.N, route.Params{
+	e.router = route.New[msgRef](e.reg, e.cfg.N, route.Params{
 		Budget: route.AutoBudget(e.cfg.N, e.cfg.Degree),
 		Seed:   rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.crew)
 	e.applyRouterEnv()
-	e.routedArena = newInboxArena(e.cfg.N)
+	e.routed = []*routeSource{{xfer: make([][]routedRef, e.grid.Count())}}
 }
+
+// msg returns the message ref names.
+func (e *Engine) msg(ref *msgRef) *Msg { return &e.sources[ref.src].out[ref.idx] }
 
 // applyRouterEnv installs the engine-side callbacks on the router.
 func (e *Engine) applyRouterEnv() {
-	env := route.Env[Msg]{
+	env := route.Env[msgRef]{
 		Graph:  func() *graph.Graph { return e.g },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
 		HeldKeys: func(slot int32, dst []uint64) []uint64 {
@@ -95,7 +100,8 @@ func (e *Engine) applyRouterEnv() {
 			return e.heldKeys(int(slot), e.round, dst)
 		},
 		Deliver: e.deliverRouted,
-		OnDrop: func(m *Msg, h *route.Header, reason route.DropReason) {
+		OnDrop: func(ref *msgRef, h *route.Header, reason route.DropReason) {
+			m := e.msg(ref)
 			if m.Trace == 0 || e.tracer == nil {
 				return
 			}
@@ -148,13 +154,10 @@ func (e *Engine) SetHopRecorder(fn func(round, from, to int)) {
 	}
 }
 
-// sendToRouter hands one stamped message to the overlay router. The walk
-// seed is a pure hash of the message identity, so its port choices are
-// reproducible at any worker count. The walker keeps the message's
-// payload pointer: it is delivered in the next round's routed phase and
-// read by that round's handlers, while the sender's slab is recycled only
-// the round after (a fault-delayed message carries its own cell).
-func (e *Engine) sendToRouter(m *Msg) {
+// sendToRouter hands the router the walker of one stamped message, which
+// ref names. The walk seed is a pure hash of the message identity, so its
+// port choices are reproducible at any worker count.
+func (e *Engine) sendToRouter(m *Msg, ref msgRef) {
 	h := route.Header{
 		Target: uint64(m.To),
 		Seed:   rng.Hash(e.routeSeed, uint64(uint32(m.sentRound)), uint64(uint32(m.srcSlot)), uint64(m.seq)),
@@ -163,32 +166,36 @@ func (e *Engine) sendToRouter(m *Msg) {
 		h.Keyed = true
 		h.Key = m.Item
 	}
-	e.router.Send(m, h, m.srcSlot)
+	e.router.Send(&ref, h, m.srcSlot)
 }
 
-// deliverRouted is the router's delivery callback and the counting pass
-// of the inbox placement: stamp the true path length and rewrite the
-// addressee on holder early-exit, in place in the router's walker array.
-func (e *Engine) deliverRouted(slot int32, m *Msg, hops int32) {
+// deliverRouted is the router's delivery callback: it copies the message
+// into the routed source, stamps the true path length, rewrites the
+// addressee on holder early-exit, and stages it for slot's shard. The
+// copy keeps the message's payload pointer: it is read by this round's
+// handlers, while the sender's slab is recycled only the round after (a
+// fault-delayed message carries its own cell).
+func (e *Engine) deliverRouted(slot int32, ref *msgRef, hops int32) {
+	rt := e.routed[0]
+	idx := len(rt.out)
+	rt.out = append(rt.out, *e.msg(ref))
+	m := &rt.out[idx]
 	m.Hops = hops
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}
+	dsh := e.slotLoc[slot] >> shard.LocalBits
+	rt.xfer[dsh] = append(rt.xfer[dsh], routedRef{slot: slot, idx: uint32(idx)})
 	e.em.delivered.Inc(0)
-	e.routedArena.counts[slot]++
 }
 
 // runRouted executes the routed-delivery phase: advance every in-flight
-// walker over this round's adjacency, then place the deliveries into
-// this round's inboxes with one stable counting sort (inboxArena),
-// copying each message once, from the walker that carried it, in the
-// router's canonical order. Under the overlay nothing else reaches an
-// inbox, so each slot's view is the arena's run.
+// walker over this round's adjacency, staging the deliveries in the
+// router's canonical order, then place them into this round's inboxes
+// with the oracle's gather. Under the overlay nothing else reaches an
+// inbox, so each slot's view is its arena run.
 func (e *Engine) runRouted() {
-	ra := &e.routedArena
-	clear(ra.counts)
+	e.routed[0].reset()
 	e.router.Step()
-	ra.layout()
-	e.router.EachDelivered(ra.place)
-	ra.views(e.inbox)
+	e.gather(e.routed)
 }

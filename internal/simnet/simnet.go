@@ -293,22 +293,40 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 }
 
 // routedRef identifies a message staged for delivery: the destination slot
-// it resolved to, plus its index in the source shard's out buffer. An
-// 8-byte reference rides the exchange instead of an 80-byte Msg copy; the
-// gather phase copies each message exactly once, straight into its inbox —
-// the only Msg-sized copy between a handler's send and the inbox.
+// it resolved to, plus its index in its source's out buffer. An 8-byte
+// reference rides the exchange instead of an 80-byte Msg copy; the gather
+// phase copies each message once, straight into its inbox — under the
+// oracle, the only Msg-sized copy between a handler's send and the inbox.
 type routedRef struct {
 	slot int32  // destination slot
-	idx  uint32 // index into the source shard's out buffer
+	idx  uint32 // index into the source's out buffer
+}
+
+// msgRef is what an overlay walker carries for its message: the source's
+// index in Engine.sources and the message's index in that source's out.
+// Round r's sends and releases stay in those buffers through round r+1's
+// routed phase, which walks them: runHandlers and release reset them only
+// after it.
+type msgRef struct {
+	src, idx uint32
 }
 
 // routeSource is one source of the message exchange: its messages in
 // canonical order, and per destination shard the refs to those bound
 // there. Each slot shard's sends are one; the fault-released messages of
-// the round are another, merged ahead of them all.
+// the round are another, merged ahead of them all. Under the overlay the
+// routed phase's deliveries are the only one.
 type routeSource struct {
 	out  []Msg         // canonical (sentRound, srcSlot, seq) order
 	xfer [][]routedRef // grid-sized: refs to messages bound for each destination shard
+}
+
+// reset empties the source for a new round's messages.
+func (s *routeSource) reset() {
+	s.out = s.out[:0]
+	for dsh := range s.xfer {
+		s.xfer[dsh] = s.xfer[dsh][:0]
+	}
 }
 
 // routeShard is the per-source-shard staging area of the message exchange:
@@ -347,55 +365,6 @@ type KindCount struct {
 	Msgs, Bits int64
 }
 
-// inboxArena is a run of slots' next-round message store: every message
-// bound for those slots lands in one flat slot-major buffer, placed by a
-// counting sort, and the per-slot inbox views are sliced out of it. One
-// geometrically-grown buffer per destination shard replaces n per-slot
-// append slices, whose record-maxima growth kept the route gather
-// allocating long into the steady state. The routed phase places its
-// deliveries with one more arena over all n slots.
-//
-// A placement counts each message into counts[l] (l the slot's index in
-// the run), calls layout, places every message in order with place, and
-// publishes the views with views.
-type inboxArena struct {
-	msgs   []Msg
-	off    []int32 // len slots+1: slot lo+l owns msgs[off[l]:off[l+1]]
-	counts []int32 // per-slot counts, then placement cursors; len slots
-}
-
-func newInboxArena(slots int) inboxArena {
-	return inboxArena{off: make([]int32, slots+1), counts: make([]int32, slots)}
-}
-
-// layout turns the counts into the slots' offsets, sizes the buffer to
-// hold them all, and leaves each count as its slot's first position.
-func (a *inboxArena) layout() {
-	total := int(shard.Offsets(a.counts, a.off))
-	if cap(a.msgs) < total {
-		a.msgs = make([]Msg, total, max(total, 2*cap(a.msgs)))
-	} else {
-		a.msgs = a.msgs[:total]
-	}
-	copy(a.counts, a.off[:len(a.counts)])
-}
-
-// place copies m to the next position of slot l's run.
-func (a *inboxArena) place(l int32, m *Msg) {
-	pos := a.counts[l]
-	a.counts[l] = pos + 1
-	a.msgs[pos] = *m
-}
-
-// views points every slot's inbox (inbox[l] for slot l of the run) at its
-// run, replacing the view the slot's handler read this round.
-func (a *inboxArena) views(inbox [][]Msg) {
-	for l := range a.counts {
-		lo, hi := a.off[l], a.off[l+1]
-		inbox[l] = a.msgs[lo:hi:hi]
-	}
-}
-
 // Engine is the simulator. Create with New, drive with RunRound.
 type Engine struct {
 	cfg Config
@@ -419,17 +388,17 @@ type Engine struct {
 	// simulation lifetimes).
 	slotIndex []int32
 
-	// inbox is slot -> the messages its handler reads this round: views
-	// into the arenas, placed by the previous round's route under
-	// RoutingOracle and by this round's routed phase under RoutingOverlay.
+	// inbox is slot -> the messages its handler reads this round: the
+	// arenas' runs, placed by gather — in the previous round's route under
+	// RoutingOracle, in this round's routed phase under RoutingOverlay.
 	// Route replaces (oracle) or clears (overlay) every view once the
 	// round's handlers have read it, and churn empties a departed
 	// occupant's view, so no view is written after placement.
 	inbox [][]Msg
 
-	// arenas are the per-destination-shard inbox stores (inboxArena),
-	// rewritten by each round's exchange after its handlers have run.
-	arenas []inboxArena
+	// arenas are the per-destination-shard inbox stores, rewritten by each
+	// gather after the last round's handlers have read them.
+	arenas []shard.Runs[Msg]
 
 	faultSeed uint64       // derived from the adversary seed
 	delayed   []delayedMsg // fault-delayed messages, canonical order
@@ -438,7 +407,7 @@ type Engine struct {
 	// hands on in the round before they are due, ahead of its fresh sends.
 	released routeSource
 	// sources lists the exchange's sources in merge order: released, then
-	// every slot shard's sends in index order.
+	// every slot shard's sends in index order. A msgRef's src indexes it.
 	sources []*routeSource
 
 	churned []int // slots replaced in the current round
@@ -455,13 +424,13 @@ type Engine struct {
 
 	// Overlay routing state (routing.go): the walker router, the
 	// protocol's key-holder predicate, the test-only hop recorder, the
-	// per-message walk-seed salt, and the routed phase's arena over all
-	// slots.
-	router      *route.Router[Msg]
-	heldKeys    func(slot, round int, dst []uint64) []uint64
-	hopRec      func(round, from, to int)
-	routeSeed   uint64
-	routedArena inboxArena
+	// per-message walk-seed salt, and the routed phase's deliveries,
+	// staged as gather's one source.
+	router    *route.Router[msgRef]
+	heldKeys  func(slot, round int, dst []uint64) []uint64
+	hopRec    func(round, from, to int)
+	routeSeed uint64
+	routed    []*routeSource // gather's source list: the one staging source
 
 	reg    *telemetry.Registry
 	em     engineMetrics
@@ -524,13 +493,11 @@ func New(cfg Config) *Engine {
 	e.g.FillRandomRegular(e.topoRng)
 	e.released.xfer = make([][]routedRef, grid.Count())
 	e.sources = append(e.sources, &e.released)
-	e.arenas = make([]inboxArena, grid.Count())
+	e.arenas = make([]shard.Runs[Msg], grid.Count())
 	for sh := range e.shardOut {
 		e.shardOut[sh].xfer = make([][]routedRef, grid.Count())
 		e.shardOut[sh].ctx = &Ctx{}
 		e.sources = append(e.sources, &e.shardOut[sh].routeSource)
-		lo, hi := grid.Bounds(sh, cfg.N)
-		e.arenas[sh] = newInboxArena(hi - lo)
 	}
 	e.nextID = 1
 	for s := 0; s < cfg.N; s++ {
@@ -566,13 +533,20 @@ func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int
 		}
 	}
 	for sh := range e.arenas {
-		inbox += cap(e.arenas[sh].msgs) * msgSize
+		inbox += e.arenas[sh].Cap() * msgSize
+	}
+	var routed int // the routed phase's staging source
+	for _, rt := range e.routed {
+		routed += cap(rt.out) * msgSize
+		for _, refs := range rt.xfer {
+			routed += cap(refs) * refSize
+		}
 	}
 	emit("dynp2p_engine_mem_out_bytes", telemetry.KindGauge, int64(out))
 	emit("dynp2p_engine_mem_xfer_bytes", telemetry.KindGauge, int64(xfer))
 	emit("dynp2p_engine_mem_inbox_arena_bytes", telemetry.KindGauge, int64(inbox))
 	emit("dynp2p_engine_mem_payload_slab_bytes", telemetry.KindGauge, int64(slabs))
-	emit("dynp2p_engine_mem_routed_arena_bytes", telemetry.KindGauge, int64(cap(e.routedArena.msgs)*msgSize))
+	emit("dynp2p_engine_mem_routed_arena_bytes", telemetry.KindGauge, int64(routed))
 }
 
 // newSlotIndex returns an id->slot table of the given length with every
@@ -1001,8 +975,9 @@ func (e *Engine) runHandlers(h Handler, round int) {
 // (release): each is older than any fresh send, so handing them on first
 // keeps every inbox in canonical order. Under RoutingOracle the sharded
 // exchange places them all in next-round inboxes; under RoutingOverlay
-// the serial merge below hands the round's sends to the overlay router,
-// which walks them in the next round's routed phase.
+// the serial merge below hands the router a reference to each of the
+// round's sends, which the next round's routed phase walks while the
+// sends are still in their buffers.
 func (e *Engine) route() {
 	e.release()
 	if e.router == nil {
@@ -1025,7 +1000,7 @@ func (e *Engine) route() {
 				if e.cfg.Fault != nil && e.faultFate(rs, m) {
 					continue
 				}
-				e.sendToRouter(m)
+				e.sendToRouter(m, msgRef{src: uint32(sh + 1), idx: uint32(i)})
 			}
 		}
 		e.em.sent.Add(0, int64(len(rs.out)))
@@ -1042,11 +1017,7 @@ func (e *Engine) route() {
 // the crew walks source shards, decides each message's fault fate (a pure
 // hash of its identity), resolves the destination id to a slot through the
 // dense table, and stages the message in the (source shard, destination
-// shard) transfer buffer. Gather: the crew walks destination shards and
-// merges the sources in fixed order — the released messages, then source
-// shards by index — so each inbox receives messages ordered by (send
-// round, sender slot, sequence), the canonical order, regardless of
-// worker count.
+// shard) transfer buffer. Gather places the staged messages.
 func (e *Engine) exchange() {
 	e.crew.Do(e.grid.Count(), func(sh int) {
 		rs := &e.shardOut[sh]
@@ -1067,27 +1038,36 @@ func (e *Engine) exchange() {
 			rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
 		}
 	})
+	e.gather(e.sources)
+}
+
+// gather is the one inbox placement, of both routing modes: the crew walks
+// destination shards and places, by a stable counting sort into the
+// shard's arena, what sources stage there, merging sources in their fixed
+// order — the oracle's released messages, then source shards by index; or
+// the routed phase's one source, in the router's canonical order — so each
+// inbox receives messages ordered by (send round, sender slot, sequence)
+// regardless of worker count. The arena's runs replace every slot's view,
+// the ones the last handlers read included.
+func (e *Engine) gather(sources []*routeSource) {
 	e.crew.Do(e.grid.Count(), func(dsh int) {
-		// Counting-sort placement into the destination shard's flat arena
-		// (see inboxArena), sources in fixed order so every slot's run
-		// keeps the canonical order. The views replace every slot's, the
-		// ones this round's handlers just read included.
 		a := &e.arenas[dsh]
-		clear(a.counts)
-		loInt, _ := e.grid.Bounds(dsh, e.cfg.N)
-		lo := int32(loInt)
-		for _, src := range e.sources {
+		lo, hi := e.grid.Bounds(dsh, e.cfg.N)
+		a.Reset(hi - lo)
+		for _, src := range sources {
 			for _, ref := range src.xfer[dsh] {
-				a.counts[ref.slot-lo]++
+				a.Count(int(ref.slot) - lo)
 			}
 		}
-		a.layout()
-		for _, src := range e.sources {
+		a.Layout()
+		for _, src := range sources {
 			for _, ref := range src.xfer[dsh] {
-				a.place(ref.slot-lo, &src.out[ref.idx])
+				a.Place(int(ref.slot)-lo, &src.out[ref.idx])
 			}
 		}
-		a.views(e.inbox[lo:])
+		for l := range hi - lo {
+			e.inbox[lo+l] = a.Run(l)
+		}
 	})
 }
 

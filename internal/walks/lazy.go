@@ -469,7 +469,7 @@ func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
 	for i := range s.shards {
 		ss := &s.shards[i]
 		c += cap(ss.cohort) * tokSize
-		m += cap(ss.smp)*smpSize + cap(ss.smpOff)*4
+		m += ss.smp.Cap()*smpSize + (ss.hi-ss.lo+1)*4 // and the run offsets
 		for _, out := range ss.outSmp {
 			m += cap(out) * stgSize
 		}

@@ -33,13 +33,9 @@ type stagedSmp struct {
 type soupShard struct {
 	lo, hi int // slot range [lo, hi) owned by this shard
 
-	// Samples completed this round, flat with the per-slot offset-index
-	// scheme; Soup.Samples returns sub-slice views.
-	smp    []Sample
-	smpOff []int32 // len hi-lo+1
-
-	// counts is the sample gather's counting-sort scratch.
-	counts []int32
+	// Samples completed this round, one run per slot; Soup.Samples returns
+	// the runs.
+	smp shard.Runs[Sample]
 
 	// Sample staging, segregated by destination shard (grid-sized).
 	outSmp [][]stagedSmp
@@ -60,8 +56,7 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	if uint64(slots)*uint64(wpr) > math.MaxUint32 {
 		panic("walks: a shard's cohort exceeds the uint32 token index range")
 	}
-	ss.smpOff = make([]int32, slots+1)
-	ss.counts = make([]int32, slots)
+	ss.smp.Reset(slots)
 	// A cohort is exactly slots·wpr records at creation (tokens only die
 	// after that).
 	ss.cohort = make([]replayTok, 0, slots*wpr)
@@ -94,29 +89,18 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 // counting pass is a second scan.
 func (s *Soup) gatherSamples(dsh int) {
 	ds := &s.shards[dsh]
-	counts := ds.counts
-	for i := range counts {
-		counts[i] = 0
-	}
+	ds.smp.Reset(ds.hi - ds.lo)
 	for ssh := range s.shards {
 		for _, t := range s.shards[ssh].outSmp[dsh] {
-			counts[t.loc&localMask]++
+			ds.smp.Count(int(t.loc & localMask))
 		}
 	}
-	stotal := int(shard.Offsets(counts, ds.smpOff))
+	ds.smp.Layout()
 	birth := int32(s.lz.advB)
-	if cap(ds.smp) < stotal {
-		ds.smp = make([]Sample, stotal, max(stotal, 2*cap(ds.smp)))
-	} else {
-		ds.smp = ds.smp[:stotal]
-	}
-	copy(counts, ds.smpOff[:len(counts)])
 	for ssh := range s.shards {
 		for _, t := range s.shards[ssh].outSmp[dsh] {
-			l := t.loc & localMask
-			pos := counts[l]
-			counts[l] = pos + 1
-			ds.smp[pos] = Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: birth}
+			smp := Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: birth}
+			ds.smp.Place(int(t.loc&localMask), &smp)
 		}
 	}
 }

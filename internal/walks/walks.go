@@ -178,8 +178,7 @@ func (s *Soup) Metrics() Metrics { return s.m }
 // retain or modify.
 func (s *Soup) Samples(slot int) []Sample {
 	sh, local := shard.Loc(s.slotLoc[slot])
-	ss := &s.shards[sh]
-	return ss.smp[ss.smpOff[local]:ss.smpOff[local+1]]
+	return s.shards[sh].smp.Run(local)
 }
 
 // stepHash derives the per-token per-round randomness. Mixing is
