@@ -140,7 +140,10 @@ type Env[M any] struct {
 	// early-exit.
 	HeldKeys func(slot int32, dst []uint64) []uint64
 	// Deliver hands a message that reached slot to the engine, with the
-	// number of forwards it took. m is valid only during the call.
+	// number of forwards it took. m is valid only during the call; the
+	// callback may stamp the message m stands for (simnet writes the hop
+	// count, and at a holder the addressee, into the message where it was
+	// sent).
 	Deliver func(slot int32, m *M, hops int32)
 	// OnDrop observes every discarded message (accounting + tracing).
 	// May be nil.

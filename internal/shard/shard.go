@@ -138,6 +138,20 @@ func Loc(loc uint32) (sh, local int) {
 	return int(loc >> LocalBits), int(loc & localMask)
 }
 
+// Carve returns n empty buffers cut from one array, each with room for
+// each items. Append fills a buffer in place until it outgrows its room,
+// then moves it to an array of its own, so a buffer never spills into its
+// neighbour; buffers that stay small cost one allocation between them
+// rather than a growth chain each.
+func Carve[T any](n, each int) [][]T {
+	arena := make([]T, n*each)
+	bufs := make([][]T, n)
+	for i := range bufs {
+		bufs[i] = arena[i*each : i*each : (i+1)*each]
+	}
+	return bufs
+}
+
 // Runs is a flat slot-major store for a range of slots, filled by a stable
 // counting sort: every item bound for those slots lands in one buffer, and
 // each slot's items are a sub-slice of it. One geometrically grown buffer

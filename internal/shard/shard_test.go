@@ -127,6 +127,33 @@ func TestRunsPlaceStably(t *testing.T) {
 	}
 }
 
+// TestCarveKeepsBuffersApart fills carved buffers past their room, in
+// interleaved order: each must hold exactly what was appended to it, so a
+// full buffer moves out instead of writing into its neighbour's room.
+func TestCarveKeepsBuffersApart(t *testing.T) {
+	const n, each = 5, 4
+	bufs := Carve[int](n, each)
+	for i, b := range bufs {
+		if len(b) != 0 || cap(b) != each {
+			t.Fatalf("buffer %d: len %d cap %d, want 0 and %d", i, len(b), cap(b), each)
+		}
+	}
+	want := make([][]int, n)
+	for v := range 3 * n * each {
+		i := v * 3 % n
+		if i%2 == 0 && len(bufs[i]) == each {
+			continue // the even buffers stay within their room
+		}
+		bufs[i] = append(bufs[i], v)
+		want[i] = append(want[i], v)
+	}
+	for i := range bufs {
+		if !slices.Equal(bufs[i], want[i]) {
+			t.Fatalf("buffer %d holds %v, want %v", i, bufs[i], want[i])
+		}
+	}
+}
+
 // TestCrewRunsEveryIndexOnce drives crews of several sizes through many
 // back-to-back phases of several sizes: every index of every phase must
 // run exactly once, and Do must not return before all have. Each index

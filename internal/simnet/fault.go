@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynp2p/internal/rng"
-	"dynp2p/internal/shard"
 )
 
 // FaultModel perturbs message delivery at routing time, modelling lossy or
@@ -79,17 +78,16 @@ type delayedMsg struct {
 
 // release hands on the fault-delayed messages due next round, in the
 // round before: route calls it ahead of the round's fresh sends, which
-// every one of them precedes in the canonical order. A message keeps the
-// fate it was given when sent. Each is staged in released.out, the
-// exchange's first source, serially. Under RoutingOracle a target that
-// has already left drops it; one that leaves at next round's churn drops
-// it there, with the fresh messages in its inbox. Under RoutingOverlay
-// the router gets its walker, which walks from its origin slot in next
-// round's routed phase like any fresh send, so delay-released traffic too
-// reaches its target edge-by-edge.
+// every one of them precedes in the canonical order. It moves them into
+// the first source, where they take the fresh sends' path without a
+// second fate: under RoutingOracle a target that has already left drops
+// it at the scatter, and one that leaves at next round's churn drops it
+// there, with the fresh messages in its inbox; under RoutingOverlay it
+// walks from its origin slot in next round's routed phase like any fresh
+// send, so delay-released traffic too reaches its target edge-by-edge.
 func (e *Engine) release() {
-	rel := &e.released
-	rel.reset()
+	rel := &e.sources[0]
+	rel.out = rel.out[:0]
 	kept := 0
 	for i := range e.delayed {
 		d := &e.delayed[i]
@@ -99,18 +97,6 @@ func (e *Engine) release() {
 			}
 			kept++
 			continue
-		}
-		idx := uint32(len(rel.out))
-		if e.router != nil {
-			e.sendToRouter(&d.m, msgRef{src: 0, idx: idx})
-		} else {
-			dst, ok := e.slotOf(d.m.To)
-			if !ok {
-				e.em.dropped.Inc(0)
-				continue
-			}
-			dsh := e.slotLoc[dst] >> shard.LocalBits
-			rel.xfer[dsh] = append(rel.xfer[dsh], routedRef{slot: dst, idx: idx})
 		}
 		rel.out = append(rel.out, d.m)
 	}

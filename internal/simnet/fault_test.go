@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -175,45 +176,77 @@ func precedes(a, b *Msg) bool {
 }
 
 // TestInboxHoldsOnlyOwnMessages: every message a handler reads is addressed
-// to it, and every inbox is in canonical (sentRound, srcSlot, seq) order,
-// in both routing modes. A fault-delayed message is older than the round's
-// fresh sends, so it must reach the inbox ahead of them, and without
-// writing into the arena behind another slot's view.
+// to it, every inbox is in canonical (sentRound, srcSlot, seq) order, and
+// no message is read twice, in both routing modes. A fault-delayed message
+// is older than the round's fresh sends, so it must reach the inbox ahead
+// of them, and without writing into the arena behind another slot's view.
+// The second schedule makes every third round a NopHandler round, which
+// sends nothing and drops its inboxes unread: the refs a gather placed
+// must be gone by the next one, or it places their messages again.
 func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 	const n = 256
+	type key struct {
+		round, slot int32
+		seq         uint32
+	}
 	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
-		t.Run(mode.String(), func(t *testing.T) {
-			var read, misaddressed, misordered atomic.Int64
-			h := funcHandler(func(ctx *Ctx) {
-				for i := range ctx.Inbox {
-					read.Add(1)
-					if ctx.Inbox[i].To != ctx.ID {
-						misaddressed.Add(1)
+		for _, nopEvery := range []int{0, 3} {
+			name := mode.String()
+			if nopEvery > 0 {
+				name += "/nop-rounds"
+			}
+			t.Run(name, func(t *testing.T) {
+				var read, misaddressed, misordered, twice atomic.Int64
+				var mu sync.Mutex
+				seen := map[key]bool{}
+				h := funcHandler(func(ctx *Ctx) {
+					for i := range ctx.Inbox {
+						m := &ctx.Inbox[i]
+						read.Add(1)
+						if m.To != ctx.ID {
+							misaddressed.Add(1)
+						}
+						if i > 0 && !precedes(&ctx.Inbox[i-1], m) {
+							misordered.Add(1)
+						}
+						k := key{m.sentRound, m.srcSlot, m.seq}
+						mu.Lock()
+						if seen[k] {
+							twice.Add(1)
+						}
+						seen[k] = true
+						mu.Unlock()
 					}
-					if i > 0 && !precedes(&ctx.Inbox[i-1], &ctx.Inbox[i]) {
-						misordered.Add(1)
+					if ctx.Rand.Intn(4) == 0 {
+						ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
+					}
+				})
+				e := New(Config{
+					N: n, Degree: 8, EdgeMode: EdgesStatic,
+					AdversarySeed: 3, ProtocolSeed: 4, Law: churn.ZeroLaw{},
+					Fault:   DropDelayFaults{DelayProb: 0.3, MaxDelay: 2},
+					Routing: RoutingConfig{Mode: mode},
+				})
+				for r := 0; r < 60; r++ {
+					if nopEvery > 0 && r%nopEvery == nopEvery-1 {
+						e.RunRound(NopHandler{})
+					} else {
+						e.RunRound(h)
 					}
 				}
-				if ctx.Rand.Intn(4) == 0 {
-					ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
+				if m := e.Metrics(); read.Load() == 0 || m.MsgsDelayed == 0 {
+					t.Fatalf("%d messages read, %d delayed: the test shows nothing", read.Load(), m.MsgsDelayed)
+				}
+				if got := misaddressed.Load(); got != 0 {
+					t.Fatalf("%d of %d messages read were addressed to another node", got, read.Load())
+				}
+				if got := misordered.Load(); got != 0 {
+					t.Fatalf("%d of %d messages read arrived out of canonical order", got, read.Load())
+				}
+				if got := twice.Load(); got != 0 {
+					t.Fatalf("%d of %d messages read had been read before", got, read.Load())
 				}
 			})
-			e := New(Config{
-				N: n, Degree: 8, EdgeMode: EdgesStatic,
-				AdversarySeed: 3, ProtocolSeed: 4, Law: churn.ZeroLaw{},
-				Fault:   DropDelayFaults{DelayProb: 0.3, MaxDelay: 2},
-				Routing: RoutingConfig{Mode: mode},
-			})
-			e.Run(h, 60)
-			if m := e.Metrics(); read.Load() == 0 || m.MsgsDelayed == 0 {
-				t.Fatalf("%d messages read, %d delayed: the test shows nothing", read.Load(), m.MsgsDelayed)
-			}
-			if got := misaddressed.Load(); got != 0 {
-				t.Fatalf("%d of %d messages read were addressed to another node", got, read.Load())
-			}
-			if got := misordered.Load(); got != 0 {
-				t.Fatalf("%d of %d messages read arrived out of canonical order", got, read.Load())
-			}
-		})
+		}
 	}
 }

@@ -32,8 +32,9 @@ func pointerWords(t reflect.Type) int {
 }
 
 // TestMsgLayout pins the message header: at most 80 bytes (every byte is
-// copied once per message by the gather and held in three buffers), one
-// pointer word, and the offsets DESIGN.md §6 documents.
+// copied once per message by the gather and held in the send buffer and
+// the inbox arena, in both routing modes), one pointer word, and the
+// offsets DESIGN.md §6 documents.
 func TestMsgLayout(t *testing.T) {
 	var m Msg
 	if s := unsafe.Sizeof(m); s > 80 {
@@ -224,44 +225,51 @@ func TestSendInPlaceAcrossGrowth(t *testing.T) {
 }
 
 // TestMemoryLedger checks the engine's pull-style memory gauges, one
-// engine per routing mode: the buffers both modes use report — the inbox
-// arenas among them, as both modes place through gather — the other mode's
-// staging buffers stay empty, and the send buffers' figure is their
-// capacity in bytes.
+// expectation for both routing modes, with and without a delaying fault
+// model: every buffer family reports — the ref buffers and inbox arenas
+// too, as both modes stage in the sending source and place through gather
+// — and the send and ref buffers' figures are their capacity in bytes
+// summed over every source, the released source included.
 func TestMemoryLedger(t *testing.T) {
-	for _, tc := range []struct {
-		mode       RoutingMode
-		used, idle []string
-	}{
-		{RoutingOracle, []string{"xfer", "inbox_arena"}, []string{"routed_arena"}},
-		{RoutingOverlay, []string{"routed_arena", "inbox_arena"}, []string{"xfer"}},
-	} {
-		t.Run(tc.mode.String(), func(t *testing.T) {
-			e := New(routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: tc.mode}))
-			e.Run(&payloadChecker{t: t}, 6)
-			got := map[string]int64{}
-			for _, mv := range e.Telemetry().Snapshot() {
-				got[mv.Name] = mv.Value
+	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
+		for _, fault := range []FaultModel{nil, longDelay{}} {
+			name := mode.String()
+			if fault != nil {
+				name += "/delay"
 			}
-			gauge := func(owner string) string { return "dynp2p_engine_mem_" + owner + "_bytes" }
-			for _, owner := range append([]string{"out", "payload_slab"}, tc.used...) {
-				if v := got[gauge(owner)]; v <= 0 {
-					t.Errorf("%s = %d, want > 0", gauge(owner), v)
+			t.Run(name, func(t *testing.T) {
+				cfg := routedConfig(64, churn.ZeroLaw{}, RoutingConfig{Mode: mode})
+				cfg.Fault = fault
+				e := New(cfg)
+				e.Run(&payloadChecker{t: t}, 6)
+				got := map[string]int64{}
+				for _, mv := range e.Telemetry().Snapshot() {
+					got[mv.Name] = mv.Value
 				}
-			}
-			for _, owner := range tc.idle {
-				if v := got[gauge(owner)]; v != 0 {
-					t.Errorf("%s = %d, want 0: the other mode's staging", gauge(owner), v)
+				gauge := func(owner string) string { return "dynp2p_engine_mem_" + owner + "_bytes" }
+				for _, owner := range []string{"out", "xfer", "inbox_arena", "payload_slab"} {
+					if v := got[gauge(owner)]; v <= 0 {
+						t.Errorf("%s = %d, want > 0", gauge(owner), v)
+					}
 				}
-			}
-			var want int64
-			for sh := range e.shardOut {
-				want += int64(cap(e.shardOut[sh].out)) * 80
-			}
-			if v := got[gauge("out")]; v != want {
-				t.Errorf("out bytes = %d, want %d", v, want)
-			}
-		})
+				var out, xfer int64
+				for i := range e.sources {
+					out += int64(cap(e.sources[i].out)) * 80
+					for _, refs := range e.sources[i].xfer {
+						xfer += int64(cap(refs)) * 8
+					}
+				}
+				if v := got[gauge("out")]; v != out {
+					t.Errorf("out bytes = %d, want %d", v, out)
+				}
+				if v := got[gauge("xfer")]; v != xfer {
+					t.Errorf("xfer bytes = %d, want %d", v, xfer)
+				}
+				if released := cap(e.sources[0].out); (fault != nil) != (released > 0) {
+					t.Errorf("released source holds room for %d messages with fault model %v", released, fault)
+				}
+			})
+		}
 	}
 }
 
@@ -275,8 +283,9 @@ func panics(fn func()) (p bool) {
 // FuzzSendPayload drives the Msg payload API with hostile lengths and
 // repeated SetPayload calls through both routing modes and the fault
 // queue: an n=16 run, one worker and one replacement a round, under the
-// oracle, under the overlay (walkers on the default budget, keyed sends
-// ending at no holder), and under the oracle with a drop/delay fault.
+// oracle and under the overlay (walkers on the default budget, keyed sends
+// ending at no holder), each with reliable links and with a drop/delay
+// fault — where a released message takes the fresh sends' path.
 // SetPayload must panic exactly when a length exceeds MaxPayloadLen or an
 // earlier call on the message attached a non-empty cell (an empty first
 // call attaches nothing), every delivered payload must be the one
@@ -311,9 +320,11 @@ func FuzzSendPayload(f *testing.F) {
 	overlay, lossy := base, base
 	overlay.Routing = RoutingConfig{Mode: RoutingOverlay}
 	lossy.Fault = DropDelayFaults{DropProb: 0.1, DelayProb: 0.5, MaxDelay: 3}
+	lossyOverlay := lossy
+	lossyOverlay.Routing = overlay.Routing
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, cfg := range []Config{base, overlay, lossy} {
+		for _, cfg := range []Config{base, overlay, lossy, lossyOverlay} {
 			e := New(cfg)
 			type cell struct {
 				ids  []NodeID

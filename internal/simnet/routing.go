@@ -74,15 +74,13 @@ type RoutingConfig struct {
 	Mode RoutingMode `json:"mode,omitempty"`
 }
 
-// initRouter builds the overlay router and the routed phase's staging
-// source.
+// initRouter builds the overlay router.
 func (e *Engine) initRouter() {
 	e.router = route.New[msgRef](e.reg, e.cfg.N, route.Params{
 		Budget: route.AutoBudget(e.cfg.N, e.cfg.Degree),
 		Seed:   rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.crew)
 	e.applyRouterEnv()
-	e.routed = []*routeSource{{xfer: make([][]routedRef, e.grid.Count())}}
 }
 
 // msg returns the message ref names.
@@ -169,33 +167,31 @@ func (e *Engine) sendToRouter(m *Msg, ref msgRef) {
 	e.router.Send(&ref, h, m.srcSlot)
 }
 
-// deliverRouted is the router's delivery callback: it copies the message
-// into the routed source, stamps the true path length, rewrites the
-// addressee on holder early-exit, and stages it for slot's shard. The
-// copy keeps the message's payload pointer: it is read by this round's
-// handlers, while the sender's slab is recycled only the round after (a
-// fault-delayed message carries its own cell).
+// deliverRouted is the router's delivery callback: it stamps the true
+// path length into the message where it was sent, rewrites the addressee
+// on holder early-exit, and stages a ref to it in its source for slot's
+// shard, as the oracle's scatter does. The message keeps its payload
+// pointer: it is read by this round's handlers, while the sender's slab
+// is recycled only the round after (a fault-delayed message carries its
+// own cell).
 func (e *Engine) deliverRouted(slot int32, ref *msgRef, hops int32) {
-	rt := e.routed[0]
-	idx := len(rt.out)
-	rt.out = append(rt.out, *e.msg(ref))
-	m := &rt.out[idx]
+	m := e.msg(ref)
 	m.Hops = hops
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}
+	src := &e.sources[ref.src]
 	dsh := e.slotLoc[slot] >> shard.LocalBits
-	rt.xfer[dsh] = append(rt.xfer[dsh], routedRef{slot: slot, idx: uint32(idx)})
+	src.xfer[dsh] = append(src.xfer[dsh], routedRef{slot: slot, idx: ref.idx})
 	e.em.delivered.Inc(0)
 }
 
 // runRouted executes the routed-delivery phase: advance every in-flight
-// walker over this round's adjacency, staging the deliveries in the
-// router's canonical order, then place them into this round's inboxes
-// with the oracle's gather. Under the overlay nothing else reaches an
-// inbox, so each slot's view is its arena run.
+// walker over this round's adjacency, staging the deliveries in their
+// sources in the router's canonical order, then place them into this
+// round's inboxes with the oracle's gather. Under the overlay nothing
+// else reaches an inbox, so each slot's view is its arena run.
 func (e *Engine) runRouted() {
-	e.routed[0].reset()
 	e.router.Step()
-	e.gather(e.routed)
+	e.gather()
 }

@@ -263,9 +263,9 @@ type Metrics struct {
 }
 
 // engineMetrics holds the engine's registry handles. All engine-side
-// updates happen in serial round phases (churn, the deliver tally, route's
-// release and tally merge, the routed phase's merge), so every write goes
-// to shard 0.
+// updates happen in serial round phases (churn, the deliver tally, the
+// handlers' tally, route's tally merge, the routed phase's merge), so
+// every write goes to shard 0.
 type engineMetrics struct {
 	rounds       telemetry.Counter
 	sent         telemetry.Counter
@@ -295,8 +295,9 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 // routedRef identifies a message staged for delivery: the destination slot
 // it resolved to, plus its index in its source's out buffer. An 8-byte
 // reference rides the exchange instead of an 80-byte Msg copy; the gather
-// phase copies each message once, straight into its inbox — under the
-// oracle, the only Msg-sized copy between a handler's send and the inbox.
+// phase copies each message once, straight into its inbox — in both
+// routing modes the only Msg-sized copy between a handler's send and the
+// inbox.
 type routedRef struct {
 	slot int32  // destination slot
 	idx  uint32 // index into the source's out buffer
@@ -305,41 +306,35 @@ type routedRef struct {
 // msgRef is what an overlay walker carries for its message: the source's
 // index in Engine.sources and the message's index in that source's out.
 // Round r's sends and releases stay in those buffers through round r+1's
-// routed phase, which walks them: runHandlers and release reset them only
-// after it.
+// routed phase, which walks them and stages each delivery where it was
+// sent: runHandlers and release reset them only after it.
 type msgRef struct {
 	src, idx uint32
 }
 
-// routeSource is one source of the message exchange: its messages in
+// xferRoom is the room each ref buffer is carved with (shard.Carve). Most
+// (source, destination shard) pairs carry a few refs a round on a routed
+// run's small grid; growing every buffer from zero cost the overlay about
+// 160 allocations a round at n=1024 (64 shards).
+const xferRoom = 16
+
+// routeShard is one source of the message exchange: its messages in
 // canonical order, and per destination shard the refs to those bound
-// there. Each slot shard's sends are one; the fault-released messages of
-// the round are another, merged ahead of them all. Under the overlay the
-// routed phase's deliveries are the only one.
-type routeSource struct {
-	out  []Msg         // canonical (sentRound, srcSlot, seq) order
-	xfer [][]routedRef // grid-sized: refs to messages bound for each destination shard
-}
-
-// reset empties the source for a new round's messages.
-func (s *routeSource) reset() {
-	s.out = s.out[:0]
-	for dsh := range s.xfer {
-		s.xfer[dsh] = s.xfer[dsh][:0]
-	}
-}
-
-// routeShard is the per-source-shard staging area of the message exchange:
-// handler output and its transfer buffers, fault-delayed messages, and
-// metric tallies. All buffers are reused across rounds. The struct is
-// sized to an exact multiple of the cache line (asserted by
+// there, plus its fault-delayed messages and metric tallies. Each slot
+// shard's sends are one, with its handler context and payload slabs; the
+// fault-released messages of the round are another, merged ahead of them
+// all. The refs are written by the oracle's scatter or the overlay's
+// routed phase and consumed by the gather that follows it, so they are
+// empty between rounds. All buffers are reused across rounds. The struct
+// is sized to an exact multiple of the cache line (asserted by
 // TestRouteShardCacheAligned), so workers filling adjacent shards never
 // false-share — the same discipline the engine's original per-worker
 // buffers used.
 type routeShard struct {
-	routeSource              // handler output, canonical (slot, seq) order
-	delayed     []delayedMsg // fault-delayed messages from this shard, canonical order
-	ctx         *Ctx         // reusable handler context for this shard's slots
+	out     []Msg         // canonical (sentRound, srcSlot, seq) order
+	xfer    [][]routedRef // grid-sized: refs to messages bound for each destination shard
+	delayed []delayedMsg  // fault-delayed messages from this shard, canonical order
+	ctx     *Ctx          // reusable handler context for this shard's slots
 
 	// pay holds the payload cells of this shard's sends, double-buffered
 	// by round parity: round r fills pay[r&1] while round r's inboxes still
@@ -403,12 +398,11 @@ type Engine struct {
 	faultSeed uint64       // derived from the adversary seed
 	delayed   []delayedMsg // fault-delayed messages, canonical order
 
-	// released is the exchange's first source: the delayed messages route
-	// hands on in the round before they are due, ahead of its fresh sends.
-	released routeSource
-	// sources lists the exchange's sources in merge order: released, then
-	// every slot shard's sends in index order. A msgRef's src indexes it.
-	sources []*routeSource
+	// sources are the exchange's sources in merge order: first the
+	// released source, the delayed messages route hands on in the round
+	// before they are due, ahead of its fresh sends; then shardOut, every
+	// slot shard's sends in index order. A msgRef's src indexes it.
+	sources []routeShard
 
 	churned []int // slots replaced in the current round
 
@@ -423,14 +417,12 @@ type Engine struct {
 	hookNames []string // parallel to hooks, for profiler phase labels
 
 	// Overlay routing state (routing.go): the walker router, the
-	// protocol's key-holder predicate, the test-only hop recorder, the
-	// per-message walk-seed salt, and the routed phase's deliveries,
-	// staged as gather's one source.
+	// protocol's key-holder predicate, the test-only hop recorder, and the
+	// per-message walk-seed salt.
 	router    *route.Router[msgRef]
 	heldKeys  func(slot, round int, dst []uint64) []uint64
 	hopRec    func(round, from, to int)
 	routeSeed uint64
-	routed    []*routeSource // gather's source list: the one staging source
 
 	reg    *telemetry.Registry
 	em     engineMetrics
@@ -438,7 +430,7 @@ type Engine struct {
 	prof   *telemetry.PhaseProfiler
 
 	crew     *shard.Crew
-	shardOut []routeShard // [shard.Count] scatter/gather staging
+	shardOut []routeShard // sources[1:]: [shard.Count] handler output
 
 	round int
 }
@@ -485,19 +477,19 @@ func New(cfg Config) *Engine {
 		routeSeed: rng.Hash(cfg.ProtocolSeed, 0x4007e),
 		crew:      shard.NewCrew(min(workers, cfg.N, grid.Count())),
 		grid:      grid,
-		shardOut:  make([]routeShard, grid.Count()),
+		sources:   make([]routeShard, 1+grid.Count()),
 		slotLoc:   grid.LocTable(cfg.N),
 		reg:       reg,
 		em:        newEngineMetrics(reg),
 	}
 	e.g.FillRandomRegular(e.topoRng)
-	e.released.xfer = make([][]routedRef, grid.Count())
-	e.sources = append(e.sources, &e.released)
 	e.arenas = make([]shard.Runs[Msg], grid.Count())
+	for i := range e.sources {
+		e.sources[i].xfer = shard.Carve[routedRef](grid.Count(), xferRoom)
+	}
+	e.shardOut = e.sources[1:]
 	for sh := range e.shardOut {
-		e.shardOut[sh].xfer = make([][]routedRef, grid.Count())
 		e.shardOut[sh].ctx = &Ctx{}
-		e.sources = append(e.sources, &e.shardOut[sh].routeSource)
 	}
 	e.nextID = 1
 	for s := 0; s < cfg.N; s++ {
@@ -512,9 +504,10 @@ func New(cfg Config) *Engine {
 
 // collectMemory is the engine's row of the memory ledger: who owns the
 // message bytes. Each gauge is a buffer family's capacity times its element
-// size, summed over shards, read only when a snapshot is taken — nothing is
-// counted per message. Capacities are a function of the message history,
-// so the values are the same at any worker count.
+// size, summed over every source (the released one included) and shard,
+// read only when a snapshot is taken — nothing is counted per message.
+// Capacities are a function of the message history, so the values are the
+// same at any worker count.
 func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
 	const (
 		msgSize  = int(unsafe.Sizeof(Msg{}))
@@ -522,8 +515,8 @@ func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int
 		cellSize = int(unsafe.Sizeof(payload{}))
 	)
 	var out, xfer, inbox, slabs int
-	for sh := range e.shardOut {
-		rs := &e.shardOut[sh]
+	for i := range e.sources {
+		rs := &e.sources[i]
 		out += cap(rs.out) * msgSize
 		for _, refs := range rs.xfer {
 			xfer += cap(refs) * refSize
@@ -535,18 +528,10 @@ func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int
 	for sh := range e.arenas {
 		inbox += e.arenas[sh].Cap() * msgSize
 	}
-	var routed int // the routed phase's staging source
-	for _, rt := range e.routed {
-		routed += cap(rt.out) * msgSize
-		for _, refs := range rt.xfer {
-			routed += cap(refs) * refSize
-		}
-	}
 	emit("dynp2p_engine_mem_out_bytes", telemetry.KindGauge, int64(out))
 	emit("dynp2p_engine_mem_xfer_bytes", telemetry.KindGauge, int64(xfer))
 	emit("dynp2p_engine_mem_inbox_arena_bytes", telemetry.KindGauge, int64(inbox))
 	emit("dynp2p_engine_mem_payload_slab_bytes", telemetry.KindGauge, int64(slabs))
-	emit("dynp2p_engine_mem_routed_arena_bytes", telemetry.KindGauge, int64(routed))
 }
 
 // newSlotIndex returns an id->slot table of the given length with every
@@ -959,25 +944,28 @@ func (e *Engine) runHandlers(h Handler, round int) {
 			}
 		}
 	})
-	var total, maxBits int64
+	var sent, total, maxBits int64
 	for sh := range e.shardOut {
-		total += e.shardOut[sh].bits
-		if e.shardOut[sh].maxBits > maxBits {
-			maxBits = e.shardOut[sh].maxBits
-		}
+		rs := &e.shardOut[sh]
+		sent += int64(len(rs.out))
+		total += rs.bits
+		maxBits = max(maxBits, rs.maxBits)
 	}
+	e.em.sent.Add(0, sent)
 	e.em.bitsSent.Add(0, total)
 	e.em.maxNodeBits.SetMax(maxBits)
 }
 
 // route moves this round's outgoing messages on, by the run's routing
-// mode. It first releases the fault-delayed messages due next round
-// (release): each is older than any fresh send, so handing them on first
-// keeps every inbox in canonical order. Under RoutingOracle the sharded
-// exchange places them all in next-round inboxes; under RoutingOverlay
-// the serial merge below hands the router a reference to each of the
-// round's sends, which the next round's routed phase walks while the
-// sends are still in their buffers.
+// mode. It first releases the fault-delayed messages due next round into
+// the first source (release): each is older than any fresh send, so
+// handing them on first keeps every inbox in canonical order. Both modes
+// then walk every source in order, and only a released message skips
+// faultFate, having had its fate when sent. Under RoutingOracle the
+// sharded exchange places them all in next-round inboxes; under
+// RoutingOverlay the serial loop below hands the router a reference to
+// each, which the next round's routed phase walks while the messages are
+// still in their buffers.
 func (e *Engine) route() {
 	e.release()
 	if e.router == nil {
@@ -985,25 +973,24 @@ func (e *Engine) route() {
 	} else {
 		clear(e.inbox) // the routed phase places next round's views
 	}
-	// Serial merge in fixed shard order. Under the overlay it first gives
-	// the shard's sends to the router in canonical order, after the same
-	// faultFate call the exchange's scatter makes. Then tallies and
+	// Serial merge in fixed source order. Under the overlay it first gives
+	// the source's messages to the router in canonical order, after the
+	// same faultFate call the exchange's scatter makes. Then tallies and
 	// fault-delayed messages: e.delayed stays sorted by the canonical
 	// (sentRound, srcSlot, seq) key across rounds because rounds are
 	// appended in increasing sentRound order and shards in increasing
 	// srcSlot order.
-	for sh := range e.shardOut {
-		rs := &e.shardOut[sh]
+	for src := range e.sources {
+		rs := &e.sources[src]
 		if e.router != nil {
 			for i := range rs.out {
 				m := &rs.out[i]
-				if e.cfg.Fault != nil && e.faultFate(rs, m) {
+				if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
 					continue
 				}
-				e.sendToRouter(m, msgRef{src: uint32(sh + 1), idx: uint32(i)})
+				e.sendToRouter(m, msgRef{src: uint32(src), idx: uint32(i)})
 			}
 		}
-		e.em.sent.Add(0, int64(len(rs.out)))
 		e.em.dropped.Add(0, rs.dropped)
 		e.em.faultDropped.Add(0, rs.faultDropped)
 		e.em.delayed.Add(0, rs.delayedCnt)
@@ -1014,19 +1001,16 @@ func (e *Engine) route() {
 }
 
 // exchange is the oracle's two-phase sharded message exchange. Scatter:
-// the crew walks source shards, decides each message's fault fate (a pure
+// the crew walks sources, decides each fresh message's fault fate (a pure
 // hash of its identity), resolves the destination id to a slot through the
-// dense table, and stages the message in the (source shard, destination
-// shard) transfer buffer. Gather places the staged messages.
+// dense table, and stages a ref to the message in the source's buffer for
+// the destination shard. Gather places the staged messages.
 func (e *Engine) exchange() {
-	e.crew.Do(e.grid.Count(), func(sh int) {
-		rs := &e.shardOut[sh]
-		for dsh := range rs.xfer {
-			rs.xfer[dsh] = rs.xfer[dsh][:0]
-		}
+	e.crew.Do(len(e.sources), func(src int) {
+		rs := &e.sources[src]
 		for i := range rs.out {
 			m := &rs.out[i]
-			if e.cfg.Fault != nil && e.faultFate(rs, m) {
+			if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
 				continue
 			}
 			dst, ok := e.slotOf(m.To)
@@ -1038,32 +1022,39 @@ func (e *Engine) exchange() {
 			rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
 		}
 	})
-	e.gather(e.sources)
+	e.gather()
 }
 
 // gather is the one inbox placement, of both routing modes: the crew walks
 // destination shards and places, by a stable counting sort into the
-// shard's arena, what sources stage there, merging sources in their fixed
-// order — the oracle's released messages, then source shards by index; or
-// the routed phase's one source, in the router's canonical order — so each
-// inbox receives messages ordered by (send round, sender slot, sequence)
-// regardless of worker count. The arena's runs replace every slot's view,
-// the ones the last handlers read included.
-func (e *Engine) gather(sources []*routeSource) {
+// shard's arena, what the sources stage there — the oracle's scatter or
+// the overlay's routed phase — merging sources in their fixed order, the
+// released messages and then source shards by index, so each inbox
+// receives messages ordered by (send round, sender slot, sequence)
+// regardless of worker count. It consumes the refs it places. The arena's
+// runs replace every slot's view, the ones the last handlers read
+// included.
+func (e *Engine) gather() {
 	e.crew.Do(e.grid.Count(), func(dsh int) {
 		a := &e.arenas[dsh]
 		lo, hi := e.grid.Bounds(dsh, e.cfg.N)
 		a.Reset(hi - lo)
-		for _, src := range sources {
-			for _, ref := range src.xfer[dsh] {
+		for i := range e.sources {
+			for _, ref := range e.sources[i].xfer[dsh] {
 				a.Count(int(ref.slot) - lo)
 			}
 		}
 		a.Layout()
-		for _, src := range sources {
-			for _, ref := range src.xfer[dsh] {
+		for i := range e.sources {
+			src := &e.sources[i]
+			refs := src.xfer[dsh]
+			if len(refs) == 0 {
+				continue // unwritten: other workers write the neighbouring shards' headers
+			}
+			for _, ref := range refs {
 				a.Place(int(ref.slot)-lo, &src.out[ref.idx])
 			}
+			src.xfer[dsh] = refs[:0]
 		}
 		for l := range hi - lo {
 			e.inbox[lo+l] = a.Run(l)

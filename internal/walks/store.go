@@ -69,16 +69,12 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	// never grows these in steady state. (Zero-capacity buffers doubling
 	// toward their record maxima scale allocs/round with nsh² — the
 	// 256²-buffer grid at n=262144 sat near 10³ allocs/round for hundreds
-	// of rounds.) All buffers are carved from one arena; an overflow peels
-	// just that buffer off and keeps the grown copy.
+	// of rounds.) All buffers are carved from one array (shard.Carve); an
+	// overflow peels just that buffer off and keeps the grown copy.
 	nsh := g.Count()
 	mu := float64(slots*wpr) / float64(nsh)
 	bufCap := int(mu+8*math.Sqrt(mu)) + 8
-	arena := make([]stagedSmp, nsh*bufCap)
-	ss.outSmp = make([][]stagedSmp, nsh)
-	for d := 0; d < nsh; d++ {
-		ss.outSmp[d] = arena[d*bufCap : d*bufCap : (d+1)*bufCap]
-	}
+	ss.outSmp = shard.Carve[stagedSmp](nsh, bufCap)
 }
 
 // gatherSamples rebuilds destination shard dsh's sample store from

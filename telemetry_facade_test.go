@@ -112,7 +112,6 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_engine_mem_xfer_bytes",
 		"dynp2p_engine_mem_inbox_arena_bytes",
 		"dynp2p_engine_mem_payload_slab_bytes",
-		"dynp2p_engine_mem_routed_arena_bytes",
 		"dynp2p_proto_committees_created_total",
 		"dynp2p_proto_inquiry_pairs_total",
 		"dynp2p_proto_kind_sinquire_bits_total",
@@ -271,7 +270,7 @@ func TestMetricsJSONLSchema(t *testing.T) {
 	// The memory ledger is collector-fed: one gauge per owner.
 	for _, owner := range []string{
 		"engine_mem_out", "engine_mem_xfer", "engine_mem_inbox_arena", "engine_mem_payload_slab",
-		"engine_mem_routed_arena", "soup_mem_ring", "soup_mem_cohort", "soup_mem_samples",
+		"soup_mem_ring", "soup_mem_cohort", "soup_mem_samples",
 	} {
 		if name := "dynp2p_" + owner + "_bytes"; kinds[name] != "gauge" {
 			t.Errorf("metrics JSONL: %s is %q, want a gauge", name, kinds[name])
