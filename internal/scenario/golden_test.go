@@ -15,22 +15,45 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current engine")
 
-// TestGoldenBuiltins pins what every builtin does in both routing modes at
-// n=256, seed 1: the report text verbatim, and the SHA-256 sums of its
-// per-round trace (-trace) and per-operation trace (-optrace). An engine
-// change that claims no behaviour change must leave all three byte for
-// byte the same; a deliberate one re-cuts them with -update and says why.
-// Under -short the per-operation trace is not written and its sum is not
-// checked.
+// goldenRun is one builtin at one size and seed; label names its golden
+// files and subtest.
+type goldenRun struct {
+	name, label string
+	n           int
+	seed        uint64
+}
+
+// goldenRuns is every builtin at n=256, seed 1, and the two fault-model
+// builtins at n=512, seeds 1-3, where faults delay grows, notices and
+// committee pieces past each other.
+func goldenRuns() []goldenRun {
+	var runs []goldenRun
+	for _, name := range Names() {
+		runs = append(runs, goldenRun{name: name, label: name, n: 256, seed: 1})
+	}
+	for _, name := range []string{"lossy", "erasure-lossy"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			runs = append(runs, goldenRun{name: name, label: fmt.Sprintf("%s-n512-seed%d", name, seed), n: 512, seed: seed})
+		}
+	}
+	return runs
+}
+
+// TestGoldenBuiltins pins what every golden run does in both routing
+// modes: the report text verbatim, and the SHA-256 sums of its per-round
+// trace (-trace) and per-operation trace (-optrace). An engine change that
+// claims no behaviour change must leave all three byte for byte the same;
+// a deliberate one re-cuts them with -update and says why. Under -short
+// the per-operation trace is not written and its sum is not checked.
 func TestGoldenBuiltins(t *testing.T) {
 	if *update && testing.Short() {
 		t.Fatal("-update needs the full run: drop -short")
 	}
-	for _, name := range Names() {
+	for _, run := range goldenRuns() {
 		for _, mode := range []dynp2p.RoutingMode{dynp2p.RoutingOracle, dynp2p.RoutingOverlay} {
-			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+			t.Run(run.label+"/"+mode.String(), func(t *testing.T) {
 				t.Parallel()
-				spec, err := Builtin(name, 256, 1)
+				spec, err := Builtin(run.name, run.n, run.seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,7 +74,7 @@ func TestGoldenBuiltins(t *testing.T) {
 					fmt.Sprintf("%x  optrace.jsonl", opSum.Sum(nil)),
 				}
 
-				base := filepath.Join("testdata", "golden", name+"."+mode.String())
+				base := filepath.Join("testdata", "golden", run.label+"."+mode.String())
 				if *update {
 					writeGolden(t, base+".txt", report.String())
 					writeGolden(t, base+".sha256", strings.Join(sums, "\n")+"\n")
