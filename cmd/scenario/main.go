@@ -93,6 +93,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *dump {
 		b, err := spec.MarshalIndent()

@@ -110,7 +110,8 @@ type Result = protocol.SearchResult
 type Config struct {
 	// N is the stable network size (required, >= 8).
 	N int
-	// Degree is the expander degree (even; default 8).
+	// Degree is the expander degree (even; default 8; a power of two under
+	// overlay routing, where New panics on any other).
 	Degree int
 	// ChurnRate is C in the paper's churn law C·n/log^{1+δ} n replaced
 	// per round. 0 disables churn.

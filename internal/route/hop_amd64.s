@@ -5,11 +5,11 @@
 #define WAY1 (hopKernel_way+hopWay__size)
 
 // HOP advances the walker in (slot s, hops h, base b) of way w by one
-// forward: it jumps to done at the target or out of budget, and to near,
-// which must count the forward and step onto the target, from a slot
-// adjacent to it. Otherwise it forwards on port HashMix(b, h) & mask of
-// s's row. It uses AX and R12 as scratch and reads adj from DX, fwd from
-// BX, log2 d from CX and the HashMix constant from R13.
+// forward: it jumps to done at the target or out of budget, and to near
+// from a slot in the way's near bitset. Otherwise it forwards on port
+// HashMix(b, h) & mask of s's row. It uses AX and R12 as scratch and
+// reads adj from DX, fwd from BX, log2 d from CX and the HashMix constant
+// from R13.
 #define HOP(s, h, b, w, done, near) \
 	CMPQ    s, w+hopWay_t(R14);         \ // at the target
 	JEQ     done;                       \
@@ -46,10 +46,14 @@
 	INCQ    h;                          \
 	MOVLQZX (DX)(AX*4), s
 
-// NEAR is HOP's near branch: count the forward and step onto the target.
-#define NEAR(s, h, w) \
-	INCL (BX)(s*4);      \
-	INCQ h;              \
+// NEAR is HOP's near branch. A way with holders jumps to done, for the
+// Go loop to take its last hop; any other is next to its target: count
+// the forward and step onto it.
+#define NEAR(s, h, w, done) \
+	CMPQ w+hopWay_hold(R14), $0; \
+	JNE  done;                   \
+	INCL (BX)(s*4);              \
+	INCQ h;                      \
 	MOVQ w+hopWay_t(R14), s
 
 // func hopTwo(k *hopKernel, one bool) int
@@ -82,11 +86,11 @@ way1:
 	JMP both
 
 near0:
-	NEAR(SI, R8, WAY0)
+	NEAR(SI, R8, WAY0, end0)
 	JMP way1
 
 near1:
-	NEAR(DI, R9, WAY1)
+	NEAR(DI, R9, WAY1, end1)
 	JMP both
 
 	// Either way's end writes both back.
@@ -108,7 +112,7 @@ alone:
 	JMP alone
 
 nearAlone:
-	NEAR(SI, R8, WAY0)
+	NEAR(SI, R8, WAY0, endAlone)
 	JMP alone
 
 endAlone:

@@ -12,9 +12,10 @@ import (
 	"dynp2p/internal/telemetry"
 )
 
-// hopCase is one Step's worth of walkers on a graph: id-addressed ones
-// for the kernel, and keyed ones, which the Go loop walks in between, on
-// the same lane, while the kernel's ways hold walkers of their own.
+// hopCase is one Step's worth of walkers on a graph: id-addressed ones,
+// and keyed ones, which leave the kernel next to a holder or their
+// target for the Go loop to finish, on the same lane, while the other
+// way holds a walker of its own.
 type hopCase struct {
 	g       *graph.Graph
 	budget  int
@@ -84,15 +85,33 @@ func hopWalker(id int, at, target int32, key uint64, seed uint64) walker[testMsg
 // randomHopCase draws a random d-regular graph on n slots and count
 // walkers: a fifth self-addressed, a fifth to a neighbour of the origin,
 // the rest to random slots, with every eighth keyed and a few to no one.
+// Half the keyed walkers seek a key held at slot h and start on h, next
+// to h, or next to h with their target in the row too: at budget 1 the
+// second steps onto h with its last hop.
 func randomHopCase(r *rng.Stream, n, d, budget, count int) hopCase {
 	c := hopCase{g: graph.New(n, d), budget: budget, holders: make([]uint64, n)}
 	c.g.FillRandomRegular(r)
+	var held []int32
 	for s := range c.holders {
 		if r.Intn(16) == 0 {
 			c.holders[s] = uint64(1 + r.Intn(2))
+			held = append(held, int32(s))
 		}
 	}
 	for i := 0; i < count; i++ {
+		if i%8 == 7 && len(held) > 0 && r.Intn(2) == 0 {
+			h := held[r.Intn(len(held))]
+			at, target := h, int32(r.Intn(n))
+			switch r.Intn(3) {
+			case 1:
+				at = c.g.Neighbor(int(h), r.Intn(d))
+			case 2:
+				at = c.g.Neighbor(int(h), r.Intn(d))
+				target = c.g.Neighbor(int(at), r.Intn(d))
+			}
+			c.ws = append(c.ws, hopWalker(i, at, target, c.holders[h], r.Uint64()))
+			continue
+		}
 		at := int32(r.Intn(n))
 		var target int32
 		switch r.Intn(5) {
@@ -119,8 +138,9 @@ func randomHopCase(r *rng.Stream, n, d, budget, count int) hopCase {
 // for walker — end slot, hops, outcome — and slot for slot in the
 // forward counts, on random regular graphs of degree 2 … 16 and 2 … 4096
 // slots, at budgets 0, 1 and AutoBudget, with self-addressed, neighbour
-// and far targets, keyed walkers in between, and odd walker counts, so
-// that way 0 also runs alone. Off amd64 both sides are the Go loop.
+// and far targets, keyed walkers in between, some of them on or next to
+// a holder, and odd walker counts, so that way 0 also runs alone. Off
+// amd64 both sides are the Go loop.
 func TestHopKernelMatchesGo(t *testing.T) {
 	r := rng.New(43)
 	for _, n := range []int{2, 3, 5, 17, 64, 100, 1000, 4096} {
@@ -144,6 +164,14 @@ func FuzzHopKernel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{200, 2, 2, 7, 0, 0, 0, 0, 0, 0, 0, 3, 2, 5, 9, 1, 1, 0, 0, 8, 3, 1, 2, 0, 5, 4, 4})
 	f.Add([]byte{63, 3, 255, 1, 2, 3, 4, 5, 6, 7, 8, 10, 2, 0, 40, 11, 6, 0, 41})
+	// n=30, d=4, holders every seventh slot, behind an id walker. Graph
+	// seed 1 (slot 11's row is 0 20 12 26): a keyed walker starts on
+	// holder 7 with no budget; one stands at 11, where holder 0 and its
+	// target 20 are both in the row. Graph seed 4, budget 2: one takes a
+	// kernel hop from 24 and its last hop onto holder 7.
+	f.Add([]byte{28, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 7, 6, 3, 0})
+	f.Add([]byte{28, 1, 255, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 11, 5, 1, 0})
+	f.Add([]byte{28, 1, 2, 4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 24, 6, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 11 {
 			return

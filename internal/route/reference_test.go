@@ -95,9 +95,6 @@ func (r *refRouter) walk(w *walker[testMsg], g *graph.Graph) {
 		r.fwd[s]++
 		w.h.Hops++
 		r.m.Forwards++
-		if r.env.OnHop != nil {
-			r.env.OnHop(s, next)
-		}
 		w.at = next
 	}
 }
@@ -124,41 +121,70 @@ type event struct {
 	reason DropReason
 }
 
-// TestStepMatchesReference pins the sharded Step — lean kernel, lanes,
-// canonical merge — to the serial router it replaced, on re-randomised
-// regular graphs with id, keyed and dead-target walkers, budgets that
-// expire, and every lane count: the same callbacks in the same order with
-// the same hops, the same per-slot link meters, and every Metrics field,
-// round after round. (A pure id walk to Target 0 is the one deliberate
-// difference and has its own test.) cap=0: links are unmetered.
+// TestStepMatchesReference pins Step — the host's hop loop, lanes,
+// canonical merge — to the serial router it replaced, with id, keyed and
+// dead-target walkers, budgets that expire, and every lane count: the
+// same callbacks in the same order with the same hops, the same per-slot
+// link meters, and every Metrics field, round after round. The reference
+// steps through g.Neighbors, so a hop off the round's adjacency shows as
+// a different end slot, hop count or meter. Between rounds the adjacency
+// is drawn afresh, or — in the splice legs, as under the self-healing
+// overlay — changed by splices. (A pure id walk to Target 0 is the one
+// deliberate difference and has its own test.) The fresh-draw legs keep
+// the names they had when links had a capacity and a hop recorder
+// existed: cap=0, hoprec=false.
 func TestStepMatchesReference(t *testing.T) {
-	const n, rounds, perRound = 192, 8, 700
-	for _, d := range []int{6, 8} { // modulus and mask port reduction
+	const n, d, rounds, perRound = 192, 8, 8, 700
+	for _, splice := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 3, 8} {
-			for _, hopRec := range []bool{false, true} {
-				name := fmt.Sprintf("d=%d/cap=0/workers=%d/hoprec=%v", d, workers, hopRec)
-				t.Run(name, func(t *testing.T) {
-					p := Params{Budget: 40, Seed: 11}
-					diffStep(t, n, d, rounds, perRound, p, workers, hopRec)
-				})
+			name := fmt.Sprintf("d=%d/cap=0/workers=%d/hoprec=false", d, workers)
+			if splice {
+				name = fmt.Sprintf("d=%d/splice/workers=%d", d, workers)
 			}
+			t.Run(name, func(t *testing.T) {
+				p := Params{Budget: 40, Seed: 11}
+				diffStep(t, n, d, rounds, perRound, p, workers, splice)
+			})
 		}
 	}
 }
 
-func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, hopRec bool) {
+// splice replaces two random edges (a,b),(c,e) of g with (a,c),(b,e),
+// as the overlay's repair does, keeping co — co[v·d+p] is the port of v
+// in the row of its neighbour through port p — in step. Self-loops and
+// parallel edges may appear.
+func splice(g *graph.Graph, co []int32, r *rng.Stream) {
+	adj, d := g.Adjacency(), g.Degree()
+	x, u := r.Intn(len(adj)), r.Intn(len(adj)) // ports a·d+pa and c·d+pc
+	a, c := x/d, u/d
+	b, e := int(adj[x]), int(adj[u])
+	y, v := b*d+int(co[x]), e*d+int(co[u]) // their reciprocal ports
+	if u == x || u == y {
+		return // one edge: nothing to splice
+	}
+	g.SetPort(a, x%d, int32(c))
+	g.SetPort(c, u%d, int32(a))
+	g.SetPort(b, y%d, int32(e))
+	g.SetPort(e, v%d, int32(b))
+	co[x], co[u] = int32(u%d), int32(x%d)
+	co[y], co[v] = int32(v%d), int32(y%d)
+}
+
+func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, spliced bool) {
 	g := graph.New(n, d)
 	topo := rng.New(3)
 	holders := make([]uint64, n) // slot -> held key (0 = none)
 	dead := make([]bool, n+1)    // id -> departed
-
-	type side struct {
-		events []event
-		hops   [][2]int32
+	// FillRandomRegular pairs port 2k of v with port 2k+1 of its
+	// neighbour, so the splice legs start from co[x] = x%d ^ 1.
+	co := make([]int32, n*d)
+	for x := range co {
+		co[x] = int32(x%d ^ 1)
 	}
-	var ref, got side
-	env := func(s *side) Env[testMsg] {
-		e := Env[testMsg]{
+
+	var ref, got []event
+	env := func(events *[]event) Env[testMsg] {
+		return Env[testMsg]{
 			Graph: func() *graph.Graph { return g },
 			SlotOf: func(id uint64) (int32, bool) {
 				if id > uint64(n) || dead[id] {
@@ -173,16 +199,12 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 				return dst
 			},
 			Deliver: func(slot int32, m *testMsg, hops int32) {
-				s.events = append(s.events, event{id: m.id, slot: slot, hops: hops})
+				*events = append(*events, event{id: m.id, slot: slot, hops: hops})
 			},
 			OnDrop: func(m *testMsg, h *Header, reason DropReason) {
-				s.events = append(s.events, event{id: m.id, slot: -1, hops: h.Hops, reason: reason})
+				*events = append(*events, event{id: m.id, slot: -1, hops: h.Hops, reason: reason})
 			},
 		}
-		if hopRec {
-			e.OnHop = func(from, to int32) { s.hops = append(s.hops, [2]int32{from, to}) }
-		}
-		return e
 	}
 	rr := newRefRouter(n, p)
 	rr.env = env(&ref)
@@ -192,7 +214,18 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 	load := rng.New(5)
 	id := 0
 	for round := 0; round < rounds; round++ {
-		g.FillRandomRegular(topo)
+		if !spliced || round == 0 {
+			g.FillRandomRegular(topo)
+		} else {
+			for range n / 2 {
+				splice(g, co, topo)
+			}
+			for x, w := range g.Adjacency() {
+				if g.Neighbor(int(w), int(co[x])) != int32(x/d) {
+					t.Fatalf("round %d: port %d of slot %d is not reciprocated", round, x%d, x/d)
+				}
+			}
+		}
 		for s := range holders {
 			holders[s] = 0
 			if load.Intn(24) == 0 {
@@ -219,17 +252,14 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 		rr.Step()
 		nr.Step()
 
-		if !reflect.DeepEqual(ref.events, got.events) {
-			for i := range ref.events {
-				if i >= len(got.events) || ref.events[i] != got.events[i] {
+		if !reflect.DeepEqual(ref, got) {
+			for i := range ref {
+				if i >= len(got) || ref[i] != got[i] {
 					t.Fatalf("round %d: event %d diverges: reference %+v, got %+v (of %d / %d)",
-						round, i, ref.events[i], got.events[min(i, len(got.events)-1)], len(ref.events), len(got.events))
+						round, i, ref[i], got[min(i, len(got)-1)], len(ref), len(got))
 				}
 			}
-			t.Fatalf("round %d: %d extra events", round, len(got.events)-len(ref.events))
-		}
-		if !reflect.DeepEqual(ref.hops, got.hops) {
-			t.Fatalf("round %d: hop sequences differ (%d vs %d hops)", round, len(ref.hops), len(got.hops))
+			t.Fatalf("round %d: %d extra events", round, len(got)-len(ref))
 		}
 		if !reflect.DeepEqual(rr.fwd, nr.lanes[0].fwd) {
 			t.Fatalf("round %d: per-slot link meters differ", round)
@@ -240,8 +270,7 @@ func diffStep(t *testing.T, n, d, rounds, perRound int, p Params, workers int, h
 		if m := nr.Metrics(); m != rr.m {
 			t.Fatalf("round %d: metrics differ:\nreference %+v\ngot       %+v", round, rr.m, m)
 		}
-		ref.events, got.events = ref.events[:0], got.events[:0]
-		ref.hops, got.hops = ref.hops[:0], got.hops[:0]
+		ref, got = ref[:0], got[:0]
 	}
 	m := rr.m
 	if m.Delivered == 0 || m.DroppedBudget == 0 || m.DroppedDead == 0 {

@@ -16,26 +16,28 @@
 //
 // Determinism: a walker's trajectory is a pure function of (message seed,
 // start slot, round adjacency) — each hop's port is a hash of (seed, hop
-// index) — so walkers commute and Step walks them on several lanes at
-// once, each walker recording only its outcome. Every side effect
-// (metrics, Deliver, OnDrop) then happens in one serial merge over the
-// canonical walker order, the engine's (send round, source slot, sequence)
-// order. A hop recorder observes hops in that order, so while one is
-// installed the walk runs the Go loop on a single lane. Nothing depends
-// on worker count or scheduling: every metric the router reports is
-// bit-identical at any Workers value.
+// index) masked to the degree — so walkers commute and Step walks them on
+// several lanes at once, each walker recording only its outcome. Every
+// side effect (metrics, Deliver, OnDrop) then happens in one serial merge
+// over the canonical walker order, the engine's (send round, source slot,
+// sequence) order. Nothing depends on worker count or scheduling: every
+// metric the router reports is bit-identical at any Workers value.
 //
-// Two hop loops walk the same trajectories: on amd64, id-addressed walks
-// on a power-of-two degree go through the two-walker kernel hopTwo; the
-// rest, and every walk while a hop recorder is installed, run the Go loop
-// (Router.walk), which is also what the kernel is tested against.
+// One hop loop per architecture: on amd64 the two-walker kernel hopTwo
+// takes every hop but one kind. A keyed walk whose key someone holds
+// leaves it where a holder or its target is in reach (or never enters
+// it, when it starts there), and the Go loop (Router.walk) takes that
+// last hop. Elsewhere the Go loop walks everything; it is also what the
+// kernel is tested against.
 //
-// Precondition: the adjacency is a symmetric multigraph (u appears in v's
-// row exactly as often as v in u's) — what graph.CheckRegular's callers
-// and the overlay's reciprocal-port table maintain. Both loops spot "the
-// target is a neighbour of the current slot" by testing the current slot
-// against the target's own row, loaded once per walker, and a keyed walk
-// scans a row for a holder only where a holder's row holds the slot.
+// Preconditions: the degree is a power of two (a hop's port is its hash
+// masked to d-1; Step panics on any other), and the adjacency is a
+// symmetric multigraph (u appears in v's row exactly as often as v in
+// u's) — what graph.CheckRegular's callers and the overlay's
+// reciprocal-port table maintain. Both loops test the current slot
+// against the walker's near bitset — its target's row and, keyed, its
+// key's near-holder set, built once per walker — and scan a row, for the
+// target and then a holder, only on a near slot.
 //
 // The Router is generic in what a walker carries so the package does not
 // import the engine: simnet's walkers carry an 8-byte reference to the
@@ -103,7 +105,7 @@ type Header struct {
 	Target uint64 // destination node id (0 = none: keyed walks only)
 	Key    uint64 // item key for keyed (holder-seeking) walks
 	Keyed  bool   // terminate early at any slot currently holding Key
-	Hops   int32  // forwards the walk took; written by the walk, input ignored
+	Hops   int32  // forwards the walk took; Send zeroes it, the walk counts from there
 	Seed   uint64 // per-message walk seed (hash of the message identity)
 }
 
@@ -126,8 +128,8 @@ const (
 // Env supplies the engine-side environment. Graph and HeldKeys are read
 // on the Step caller's goroutine before the walk; SlotOf is read during
 // the walk, possibly from several goroutines at once, and must be side-
-// effect free. Deliver, OnDrop and OnHop fire on the Step caller's
-// goroutine only, and must not change what the first three return.
+// effect free. Deliver and OnDrop fire on the Step caller's goroutine
+// only, and must not change what the first three return.
 type Env[M any] struct {
 	// Graph returns the round's live adjacency (post-repair under
 	// self-healing, post-rewire under the oracle modes).
@@ -148,10 +150,6 @@ type Env[M any] struct {
 	// OnDrop observes every discarded message (accounting + tracing).
 	// May be nil.
 	OnDrop func(m *M, h *Header, reason DropReason)
-	// OnHop observes every forward as a (from, to) slot edge — the
-	// edge-conformance test hook. May be nil (the production case); while
-	// installed the walk stays on one lane so hops arrive in walker order.
-	OnHop func(from, to int32)
 }
 
 // metrics is the router's registry surface. Only the serial parts of the
@@ -219,19 +217,19 @@ type Router[M any] struct {
 
 // lane is one worker's walk scratch, allocated once in New.
 type lane struct {
-	fwd      []int32     // per-slot forwards this lane walked this round
-	ways     [2][]uint64 // way i's target-row bitset, at k.way[i].near; the Go loop borrows a free one
-	k        hopKernel
-	forwards int64 // forwards this lane walked this round
+	fwd  []int32     // per-slot forwards this lane walked this round
+	ways [2][]uint64 // way i's near bitset, at k.way[i].near; the Go loop borrows the free way's
+	k    hopKernel
 }
 
 // hopWay is one of the hop kernel's two walker slots, and hopKernel is
 // all hopTwo reads (hop_amd64.s, through go_asm.h).
 type hopWay struct {
-	s, t, hops int64   // current slot, target slot, forwards so far
-	base       uint64  // rng.HashInit of the walker's seed
-	near       *uint64 // the way's target-neighbour bitset
-	w          int     // the walker's index in ws (Go only)
+	s, t, hops int64    // current slot, target slot (-1 = none), forwards so far
+	base       uint64   // rng.HashInit of the walker's seed
+	near       *uint64  // the walker's near slots (fillNear)
+	hold       []uint64 // its key's holders; non-nil, it leaves at a near slot for the Go loop
+	w          int      // the walker's index in ws (Go only)
 }
 type hopKernel struct {
 	way         [2]hopWay
@@ -281,6 +279,7 @@ func (r *Router[M]) SetEnv(env Env[M]) { r.env = env }
 // merge does).
 func (r *Router[M]) Send(m *M, h Header, at int32) {
 	r.m.sent.Inc(0)
+	h.Hops = 0
 	r.ws = append(r.ws, walker[M]{h: h, at: at, m: *m})
 }
 
@@ -308,6 +307,9 @@ func (r *Router[M]) Step() {
 	var maxLink int32
 	if len(r.ws) > 0 {
 		r.g = r.env.Graph()
+		if d := r.g.Degree(); d&(d-1) != 0 {
+			panic("route: the degree must be a power of two")
+		}
 		r.buildHolders()
 		maxLink = r.walkAll()
 		r.merge()
@@ -319,29 +321,24 @@ func (r *Router[M]) Step() {
 // walkAll advances every walker in ws to its outcome and returns the
 // round's largest per-slot forward count. Walkers commute, so up to
 // len(r.lanes) lanes, one crew phase, claim chunks of ws off a shared
-// cursor; while a hop recorder is installed lane 0 walks them all, in
-// order.
+// cursor.
 func (r *Router[M]) walkAll() int32 {
-	lanes := 1
-	if r.env.OnHop == nil {
-		lanes = max(1, min(len(r.lanes), len(r.ws)/walkChunk))
-	}
+	lanes := max(1, min(len(r.lanes), len(r.ws)/walkChunk))
 	r.cursor.Store(0)
 	r.crew.Do(lanes, r.runLane)
 
 	fwd := r.lanes[0].fwd
-	forwards := r.lanes[0].forwards
 	for l := 1; l < lanes; l++ {
-		forwards += r.lanes[l].forwards
 		for s, f := range r.lanes[l].fwd {
 			fwd[s] += f
 		}
 	}
-	r.m.forwards.Add(0, forwards)
-	var maxLink int32
+	forwards, maxLink := int64(0), int32(0)
 	for _, f := range fwd {
+		forwards += int64(f)
 		maxLink = max(maxLink, f)
 	}
+	r.m.forwards.Add(0, forwards)
 	return maxLink
 }
 
@@ -396,20 +393,20 @@ func unmark(set []uint64, row []int32) {
 // walkLane walks chunks of ws claimed off the cursor on lane l, first
 // resolving each walker's id target: churn cannot move it mid-phase. A
 // departed (or absent) target drops a pure id walk at once, as oracle
-// routing would; a keyed walk goes on, as any holder can answer. With the
-// kernel on, id walks fill its two ways, and each time both are full
-// hopTwo runs until one ends and the next walker takes that way.
+// routing would; a keyed walk goes on, as any holder can answer. Walkers
+// fill the kernel's two ways, and each time both are full hopTwo runs
+// until one ends and the next walker takes that way. The Go loop walks
+// each walker without the kernel, and one that starts where hopTwo would
+// end it at once: on its target or, with holders, on a near slot.
 func (r *Router[M]) walkLane(l int) {
 	ln, cur, g := &r.lanes[l], r.ws, r.g
 	clear(ln.fwd)
 	adj, d := g.Adjacency(), g.Degree()
-	kernel := useHopKernel && r.env.OnHop == nil && d > 0 && d&(d-1) == 0
-	if kernel {
+	if useHopKernel {
 		ln.k.adj, ln.k.fwd = &adj[0], &ln.fwd[0]
 		ln.k.mask, ln.k.shift, ln.k.limit = uint64(d-1), uint64(bits.TrailingZeros(uint(d))), int64(r.p.Budget)
 	}
-	var forwards int64
-	ways := 0 // live kernel ways; one live way is way 0
+	live, free := false, 0 // a kernel way is live; the way the next walker takes
 	for {
 		hi := int(r.cursor.Add(walkChunk))
 		lo := hi - walkChunk
@@ -422,73 +419,93 @@ func (r *Router[M]) walkLane(l int) {
 			if s, ok := r.env.SlotOf(w.h.Target); ok && w.h.Target != 0 {
 				tslot = s
 			}
-			switch {
-			case tslot < 0 && !w.h.Keyed:
-				w.out, w.h.Hops = outDrop+uint8(DropDead), 0
-			case !kernel || w.h.Keyed:
-				forwards += r.walk(w, tslot, ln.ways[ways], ln.fwd, adj, d)
-			default:
-				ln.k.way[ways] = hopWay{s: int64(w.at), t: int64(tslot), base: rng.HashInit(w.h.Seed), near: ln.k.way[ways].near, w: i}
-				mark(ln.ways[ways], adj[int(tslot)*d:(int(tslot)+1)*d])
-				if ways++; ways == 2 {
-					forwards += r.retire(ln, hopTwo(&ln.k, false), adj, d)
-					ways = 1
-				}
+			if tslot < 0 && !w.h.Keyed {
+				w.out = outDrop + uint8(DropDead)
+				continue
 			}
+			near := ln.ways[free]
+			hold := r.fillNear(near, &w.h, tslot, adj, d)
+			if !useHopKernel || w.at == tslot || hold != nil && has(near, w.at) {
+				r.walk(w, tslot, near, hold, ln.fwd, adj, d)
+				clearNear(near, hold, tslot, adj, d)
+				continue
+			}
+			ln.k.way[free] = hopWay{s: int64(w.at), t: int64(tslot), base: rng.HashInit(w.h.Seed), near: &near[0], hold: hold, w: i}
+			if !live {
+				live, free = true, 1-free
+				continue
+			}
+			free = hopTwo(&ln.k, false)
+			r.retire(ln, free, adj, d)
 		}
 	}
-	if ways == 1 {
-		forwards += r.retire(ln, hopTwo(&ln.k, true), adj, d)
+	if live { // hopTwo walks way 0 alone
+		if free == 0 {
+			ln.k.way[0], ln.k.way[1] = ln.k.way[1], ln.k.way[0]
+			ln.ways[0], ln.ways[1] = ln.ways[1], ln.ways[0]
+		}
+		r.retire(ln, hopTwo(&ln.k, true), adj, d)
 	}
-	ln.forwards = forwards
 }
 
-// retire books the outcome of the walker lane ln's kernel way i ended and
-// leaves the other way, if it is live, as way 0.
-func (r *Router[M]) retire(ln *lane, i int, adj []int32, d int) int64 {
-	wy := &ln.k.way[i]
-	w := &r.ws[wy.w]
-	w.out = outDrop + uint8(DropBudget)
-	if wy.s == wy.t {
-		w.out = outDeliver
+// fillNear sets in near, which is clear, the walker's near slots —
+// wherever its walk takes no random port: the slots next to its target
+// tslot (by port reciprocity, the target's row) and, for a keyed walker,
+// its key's near-holder set. It returns the key's holder bitset, nil for
+// an id walk or a key nobody holds.
+func (r *Router[M]) fillNear(near []uint64, h *Header, tslot int32, adj []int32, d int) (hold []uint64) {
+	if h.Keyed {
+		if i, ok := slices.BinarySearch(r.keys, h.Key); ok {
+			hold = r.hold[2*i*r.words : (2*i+1)*r.words]
+			copy(near, r.hold[(2*i+1)*r.words:(2*i+2)*r.words])
+		}
 	}
-	w.at, w.h.Hops = int32(wy.s), int32(wy.hops)
-	unmark(ln.ways[i], adj[int(wy.t)*d:(int(wy.t)+1)*d])
-	if i == 0 {
-		ln.k.way[0], ln.k.way[1] = ln.k.way[1], ln.k.way[0]
-		ln.ways[0], ln.ways[1] = ln.ways[1], ln.ways[0]
-	}
-	return int64(w.h.Hops)
-}
-
-// walk is the Go hop loop: it advances one message to tslot (-1 = none),
-// with near as its target-row bitset and counting forwards in fwd, until
-// it delivers or drops, records that outcome and the hop count in w and
-// returns the forwards taken. Per hop it costs one port hash, one
-// adjacency load and one link-meter update, plus holder-bit tests for a
-// keyed walk; everything hop-invariant is set up here, once.
-func (r *Router[M]) walk(w *walker[M], tslot int32, near []uint64, fwd []int32, adj []int32, d int) int64 {
-	h := &w.h
-	// The target's row, as a bitset over slots: by port reciprocity
-	// "s has the target as a neighbour" is "s is in the target's row".
-	var trow []int32
 	if tslot >= 0 {
-		trow = adj[int(tslot)*d : (int(tslot)+1)*d]
-		mark(near, trow)
+		mark(near, adj[int(tslot)*d:(int(tslot)+1)*d])
 	}
-	var hold, nearHold []uint64 // the key's holder and near-holder bitsets
-	if i, ok := slices.BinarySearch(r.keys, h.Key); ok && h.Keyed {
-		hold, nearHold = r.hold[2*i*r.words:(2*i+1)*r.words], r.hold[(2*i+1)*r.words:(2*i+2)*r.words]
+	return hold
+}
+
+// clearNear clears what fillNear set.
+func clearNear(near, hold []uint64, tslot int32, adj []int32, d int) {
+	if hold != nil {
+		clear(near)
+	} else if tslot >= 0 {
+		unmark(near, adj[int(tslot)*d:(int(tslot)+1)*d])
 	}
-	onHop := r.env.OnHop
-	// Port p of hop i is rng.Hash(seed, i) mod d, with the seed round of
-	// the hash hoisted and the modulus a mask when d is a power of two.
-	base := rng.HashInit(h.Seed)
-	mask := uint64(0)
-	if d&(d-1) == 0 {
-		mask = uint64(d - 1)
+}
+
+// retire books the outcome of the walker lane ln's kernel way i ended
+// and clears the way's near bitset. A walker with no holders ended on its
+// target or out of budget; one with holders may also stand on a near
+// slot, and the Go loop finishes it from there.
+func (r *Router[M]) retire(ln *lane, i int, adj []int32, d int) {
+	wy, near := &ln.k.way[i], ln.ways[i]
+	w := &r.ws[wy.w]
+	w.at, w.h.Hops = int32(wy.s), int32(wy.hops)
+	if wy.hold != nil {
+		r.walk(w, int32(wy.t), near, wy.hold, ln.fwd, adj, d)
+	} else {
+		w.out = outDrop + uint8(DropBudget)
+		if wy.s == wy.t {
+			w.out = outDeliver
+		}
 	}
-	s, hops, limit := w.at, 0, r.p.Budget
+	clearNear(near, wy.hold, int32(wy.t), adj, d)
+}
+
+// walk is the Go hop loop: it advances one message from slot w.at, after
+// w.h.Hops forwards, towards tslot (-1 = none), with near and hold from
+// fillNear and counting forwards in fwd, until it delivers or drops, and
+// records that outcome, the end slot and the hop count in w. Per hop it
+// costs one port hash, one adjacency load, one link-meter update and bit
+// tests; only on a near slot does it scan the row, target first.
+func (r *Router[M]) walk(w *walker[M], tslot int32, near, hold []uint64, fwd []int32, adj []int32, d int) {
+	h := &w.h
+	// Port p of hop i is rng.Hash(seed, i) & (d-1), with the seed round
+	// of the hash hoisted.
+	base, mask := rng.HashInit(h.Seed), uint64(d-1)
+	s, hops, limit := w.at, int(h.Hops), r.p.Budget
 	for {
 		if s == tslot || (hold != nil && has(hold, s)) {
 			w.out = outDeliver
@@ -498,38 +515,27 @@ func (r *Router[M]) walk(w *walker[M], tslot int32, near []uint64, fwd []int32, 
 			w.out = outDrop + uint8(DropBudget)
 			break
 		}
-		next := tslot // the exact target wins over any holder
-		if !has(near, s) {
-			next = -1
-			row := int(s) * d
-			if hold != nil && has(nearHold, s) {
-				for _, nb := range adj[row : row+d] {
-					if has(hold, nb) {
-						next = nb
-						break
-					}
+		row := adj[int(s)*d : (int(s)+1)*d]
+		next := int32(-1)
+		if has(near, s) {
+			for _, nb := range row {
+				if nb == tslot { // the exact target wins over any holder
+					next = nb
+					break
+				}
+				if next < 0 && hold != nil && has(hold, nb) {
+					next = nb
 				}
 			}
-			if next < 0 {
-				x := rng.HashMix(base, uint64(hops))
-				if mask != 0 {
-					x &= mask
-				} else {
-					x %= uint64(d)
-				}
-				next = adj[row+int(x)]
-			}
+		}
+		if next < 0 {
+			next = row[rng.HashMix(base, uint64(hops))&mask]
 		}
 		fwd[s]++
 		hops++
-		if onHop != nil {
-			onHop(s, next)
-		}
 		s = next
 	}
-	unmark(near, trow)
 	w.at, h.Hops = s, int32(hops)
-	return int64(hops)
 }
 
 // merge books every walker's outcome in canonical order — the only place

@@ -57,6 +57,7 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"queue limit field":   `{"name":"x","n":64,"routing":{"mode":"overlay","queueLimit":8},"phases":[{"name":"p","rounds":5}]}`,
 		"malformed json":      `{"name":`,
 		"oversized erasureK":  `{"name":"x","n":64,"erasureK":12,"phases":[{"name":"p","rounds":5}]}`,
+		"overlay degree 6":    `{"name":"x","n":64,"degree":6,"routing":{"mode":"overlay"},"phases":[{"name":"p","rounds":5}]}`,
 	}
 	for label, in := range cases {
 		if label != "malformed json" && !json.Valid([]byte(in)) {
@@ -65,6 +66,9 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		if _, err := ParseSpec([]byte(in)); err == nil {
 			t.Errorf("%s: ParseSpec accepted %s", label, in)
 		}
+	}
+	if _, err := ParseSpec([]byte(cases["overlay degree 6"])); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+		t.Errorf("overlay degree 6: the error does not name the power-of-two rule: %v", err)
 	}
 	valid := `{"name":"x","n":64,"fault":{"drop":0.1,"delayProb":0.2,"maxDelay":2},"phases":[{"name":"p","rounds":5}]}`
 	if spec, err := ParseSpec([]byte(valid)); err != nil || spec.Fault != (dynp2p.FaultConfig{DropProb: 0.1, DelayProb: 0.2, MaxDelay: 2}) {

@@ -47,7 +47,8 @@ type Spec struct {
 	Name string `json:"name"`
 	// N is the stable network size (>= 8).
 	N int `json:"n"`
-	// Degree is the expander degree (even; default 8).
+	// Degree is the expander degree (even; default 8; a power of two under
+	// overlay routing).
 	Degree int `json:"degree,omitempty"`
 	// Seed drives the whole run: adversary (churn + faults), protocol,
 	// and workload draw from independent streams derived from it.
@@ -218,6 +219,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %q: n must be >= 8 (got %d)", s.Name, s.N)
 	case s.Degree%2 != 0 || s.Degree <= 0:
 		return fmt.Errorf("scenario %q: degree must be positive and even (got %d)", s.Name, s.Degree)
+	case s.Routing.Mode == dynp2p.RoutingOverlay && s.Degree&(s.Degree-1) != 0:
+		return fmt.Errorf("scenario %q: overlay routing needs a power-of-two degree (got %d)", s.Name, s.Degree)
 	case len(s.Phases) == 0:
 		return fmt.Errorf("scenario %q: needs at least one phase", s.Name)
 	case s.Keys < 1:

@@ -74,21 +74,14 @@ type RoutingConfig struct {
 	Mode RoutingMode `json:"mode,omitempty"`
 }
 
-// initRouter builds the overlay router.
+// initRouter builds the overlay router and installs the engine-side
+// callbacks on it.
 func (e *Engine) initRouter() {
 	e.router = route.New[msgRef](e.reg, e.cfg.N, route.Params{
 		Budget: route.AutoBudget(e.cfg.N, e.cfg.Degree),
 		Seed:   rng.Hash(e.cfg.ProtocolSeed, 0x6f7665726c6179), // "overlay"
 	}, e.crew)
-	e.applyRouterEnv()
-}
-
-// msg returns the message ref names.
-func (e *Engine) msg(ref *msgRef) *Msg { return &e.sources[ref.src].out[ref.idx] }
-
-// applyRouterEnv installs the engine-side callbacks on the router.
-func (e *Engine) applyRouterEnv() {
-	env := route.Env[msgRef]{
+	e.router.SetEnv(route.Env[msgRef]{
 		Graph:  func() *graph.Graph { return e.g },
 		SlotOf: func(id uint64) (int32, bool) { return e.slotOf(NodeID(id)) },
 		HeldKeys: func(slot int32, dst []uint64) []uint64 {
@@ -109,13 +102,11 @@ func (e *Engine) applyRouterEnv() {
 				Item: m.Item, Aux: int64(reason),
 			})
 		},
-	}
-	if e.hopRec != nil {
-		rec := e.hopRec
-		env.OnHop = func(from, to int32) { rec(e.round, int(from), int(to)) }
-	}
-	e.router.SetEnv(env)
+	})
 }
+
+// msg returns the message ref names.
+func (e *Engine) msg(ref *msgRef) *Msg { return &e.sources[ref.src].out[ref.idx] }
 
 // RouteMetrics returns the overlay router's counters (zero in oracle
 // mode).
@@ -140,16 +131,6 @@ func (e *Engine) RoutedInFlight() int {
 // early at holders, which is how cache replicas cut true network distance.
 func (e *Engine) SetHeldKeys(fn func(slot, round int, dst []uint64) []uint64) {
 	e.heldKeys = fn
-}
-
-// SetHopRecorder installs an observer invoked for every routed forward
-// with (round, from slot, to slot) — the edge-conformance audit hook for
-// tests. nil removes it. Call between rounds.
-func (e *Engine) SetHopRecorder(fn func(round, from, to int)) {
-	e.hopRec = fn
-	if e.router != nil {
-		e.applyRouterEnv()
-	}
 }
 
 // sendToRouter hands the router the walker of one stamped message, which

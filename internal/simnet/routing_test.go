@@ -118,3 +118,19 @@ func TestParseRoutingMode(t *testing.T) {
 		t.Fatal("RoutingMode.String mismatch")
 	}
 }
+
+// TestOverlayNeedsPowerOfTwoDegree: a hop's port is its hash masked to
+// the degree, so New refuses overlay routing at degree 6 and builds the
+// same engine under the oracle.
+func TestOverlayNeedsPowerOfTwoDegree(t *testing.T) {
+	cfg := testConfig(16, churn.ZeroLaw{})
+	cfg.Degree = 6
+	New(cfg)
+	cfg.Routing.Mode = RoutingOverlay
+	defer func() {
+		if recover() == nil {
+			t.Fatal("overlay routing at degree 6 did not panic")
+		}
+	}()
+	New(cfg)
+}

@@ -218,7 +218,7 @@ type RoundHook interface {
 // Config parameterises an Engine.
 type Config struct {
 	N             int            // stable network size
-	Degree        int            // expander degree (even)
+	Degree        int            // expander degree (even; a power of two under RoutingOverlay)
 	EdgeMode      EdgeMode       // edge dynamics (edges.go)
 	AdversarySeed uint64         // drives churn schedule and topology
 	ProtocolSeed  uint64         // drives all protocol randomness
@@ -417,11 +417,9 @@ type Engine struct {
 	hookNames []string // parallel to hooks, for profiler phase labels
 
 	// Overlay routing state (routing.go): the walker router, the
-	// protocol's key-holder predicate, the test-only hop recorder, and the
-	// per-message walk-seed salt.
+	// protocol's key-holder predicate, and the per-message walk-seed salt.
 	router    *route.Router[msgRef]
 	heldKeys  func(slot, round int, dst []uint64) []uint64
-	hopRec    func(round, from, to int)
 	routeSeed uint64
 
 	reg    *telemetry.Registry
@@ -450,6 +448,9 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Degree < 2 || cfg.Degree%2 != 0 {
 		panic("simnet: degree must be even and >= 2")
+	}
+	if cfg.Routing.Mode == RoutingOverlay && cfg.Degree&(cfg.Degree-1) != 0 {
+		panic("simnet: overlay routing needs a power-of-two degree")
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -116,16 +116,14 @@ func TestRoutedFoundOncePerRound(t *testing.T) {
 	}
 }
 
-// TestRoutedEdgeConformance is the edge-conformance oracle: over 200+
-// routed rounds under paper churn with the self-healing overlay repairing
-// the topology, every forward the router takes must traverse an edge of
-// that round's live adjacency. Nothing mutates the graph after the routed
-// phase within a round, so validating the hops recorded during Run(1)
-// against the adjacency visible after it returns is exact. Message
-// conservation and the zero-teleport invariant are checked at the end.
-// The recorder does not switch kernels: it only keeps the walk on one
-// lane, so the hops audited here are the production hop loop's.
-func TestRoutedEdgeConformance(t *testing.T) {
+// TestRoutedConservation runs 200+ routed rounds under paper churn with
+// the self-healing overlay repairing the topology, with stores and
+// retrievals in flight, and checks the router's books: every message it
+// was handed is delivered, dropped or still in flight, and the engine
+// delivered nothing the router did not (no teleports). Whether the walks
+// follow the live adjacency is route's TestStepMatchesReference, and the
+// golden builtins on an architecture without the hop kernel.
+func TestRoutedConservation(t *testing.T) {
 	const rounds = 220
 	nw := New(Config{
 		N: 512, ChurnRate: 1, ChurnDelta: 1.0, Seed: 13,
@@ -133,14 +131,10 @@ func TestRoutedEdgeConformance(t *testing.T) {
 		Routing: RoutingConfig{Mode: RoutingOverlay},
 	})
 	e := nw.Engine()
-	type hop struct{ from, to int }
-	var hops []hop
-	e.SetHopRecorder(func(r, from, to int) { hops = append(hops, hop{from, to}) })
 	nw.Run(nw.WarmupRounds())
 
 	data := make([]byte, 64)
 	rng.New(2).Fill(data)
-	checked, bad := 0, 0
 	for r := 0; r < rounds; r++ {
 		if r%40 == 0 {
 			nw.Store(nw.OldestSlot(), uint64(100+r), data)
@@ -148,35 +142,14 @@ func TestRoutedEdgeConformance(t *testing.T) {
 		if r%17 == 5 {
 			nw.Retrieve((r*37)%nw.N(), uint64(100+40*(r/40)), data)
 		}
-		hops = hops[:0]
 		nw.Run(1)
-		g := e.Graph()
-		for _, h := range hops {
-			ok := false
-			for _, nb := range g.Neighbors(h.from) {
-				if int(nb) == h.to {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				bad++
-				if bad <= 5 {
-					t.Errorf("round %d: hop %d->%d is not an edge of the live adjacency", nw.Round(), h.from, h.to)
-				}
-			}
-			checked++
-		}
-	}
-	if bad > 0 {
-		t.Fatalf("%d of %d hops off-graph", bad, checked)
-	}
-	if checked == 0 {
-		t.Fatal("no hops recorded: routed traffic never flowed")
 	}
 
 	st := nw.Stats()
 	m := st.Route
+	if m.Forwards == 0 {
+		t.Fatal("no forwards: routed traffic never flowed")
+	}
 	if st.Engine.MsgsDelivered != m.Delivered {
 		t.Fatalf("teleported deliveries: engine delivered %d, router delivered %d",
 			st.Engine.MsgsDelivered, m.Delivered)
