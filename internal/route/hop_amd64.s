@@ -5,14 +5,12 @@
 #define WAY1 (hopKernel_way+hopWay__size)
 
 // HOP advances the walker in (slot s, hops h, base b) of way w by one
-// forward: it jumps to done at the target or out of budget, and to near
-// from a slot in the way's near bitset. Otherwise it forwards on port
-// HashMix(b, h) & mask of s's row. It uses AX and R12 as scratch and
+// forward: it jumps to done out of budget or from a slot in the way's
+// near bitset, where the Go loop takes over. Otherwise it forwards on
+// port HashMix(b, h) & mask of s's row. It uses AX and R12 as scratch and
 // reads adj from DX, fwd from BX, log2 d from CX and the HashMix constant
 // from R13.
-#define HOP(s, h, b, w, done, near) \
-	CMPQ    s, w+hopWay_t(R14);         \ // at the target
-	JEQ     done;                       \
+#define HOP(s, h, b, w, done) \
 	CMPQ    h, hopKernel_limit(R14);    \ // out of budget
 	JGE     done;                       \
 	MOVQ    s, AX;                      \ // s in the way's near bitset
@@ -20,7 +18,7 @@
 	MOVQ    w+hopWay_near(R14), R12;    \
 	MOVQ    (R12)(AX*8), AX;            \
 	BTQ     s, AX;                      \
-	JCS     near;                       \
+	JCS     done;                       \
 	MOVQ    h, AX;                      \ // HashMix(b, h) = Remix(b ^ h·K)
 	IMULQ   R13, AX;                    \
 	XORQ    b, AX;                      \
@@ -46,23 +44,13 @@
 	INCQ    h;                          \
 	MOVLQZX (DX)(AX*4), s
 
-// NEAR is HOP's near branch. A way with holders jumps to done, for the
-// Go loop to take its last hop; any other is next to its target: count
-// the forward and step onto it.
-#define NEAR(s, h, w, done) \
-	CMPQ w+hopWay_hold(R14), $0; \
-	JNE  done;                   \
-	INCL (BX)(s*4);              \
-	INCQ h;                      \
-	MOVQ w+hopWay_t(R14), s
-
 // func hopTwo(k *hopKernel, one bool) int
 //
 // Way 0 lives in SI (slot), R8 (hops) and R10 (base), way 1 in DI, R9
-// and R11; k stays in R14 and the target slots, near bitsets, mask and
-// budget are read through it. With both ways on, an iteration is a hop
-// of way 0 then a hop of way 1: their adjacency loads are independent,
-// so the two walks overlap where one walk would wait on each load.
+// and R11; k stays in R14 and the near bitsets, mask and budget are read
+// through it. With both ways on, an iteration is a hop of way 0 then a
+// hop of way 1: their adjacency loads are independent, so the two walks
+// overlap where one walk would wait on each load.
 TEXT ·hopTwo(SB), NOSPLIT, $0-24
 	MOVQ k+0(FP), R14
 	MOVQ hopKernel_adj(R14), DX
@@ -79,18 +67,8 @@ TEXT ·hopTwo(SB), NOSPLIT, $0-24
 	MOVQ WAY1+hopWay_base(R14), R11
 
 both:
-	HOP(SI, R8, R10, WAY0, end0, near0)
-
-way1:
-	HOP(DI, R9, R11, WAY1, end1, near1)
-	JMP both
-
-near0:
-	NEAR(SI, R8, WAY0, end0)
-	JMP way1
-
-near1:
-	NEAR(DI, R9, WAY1, end1)
+	HOP(SI, R8, R10, WAY0, end0)
+	HOP(DI, R9, R11, WAY1, end1)
 	JMP both
 
 	// Either way's end writes both back.
@@ -108,11 +86,7 @@ save1:
 
 	// Way 0 alone.
 alone:
-	HOP(SI, R8, R10, WAY0, endAlone, nearAlone)
-	JMP alone
-
-nearAlone:
-	NEAR(SI, R8, WAY0, endAlone)
+	HOP(SI, R8, R10, WAY0, endAlone)
 	JMP alone
 
 endAlone:

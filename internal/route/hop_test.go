@@ -12,9 +12,9 @@ import (
 	"dynp2p/internal/telemetry"
 )
 
-// hopCase is one Step's worth of walkers on a graph: id-addressed ones,
-// and keyed ones, which leave the kernel next to a holder or their
-// target for the Go loop to finish, on the same lane, while the other
+// hopCase is one Step's worth of walkers on a graph, id-addressed and
+// keyed. The kernel leaves each one out of budget or next to its target
+// or a holder, for the Go loop to finish on the same lane while the other
 // way holds a walker of its own.
 type hopCase struct {
 	g       *graph.Graph
@@ -23,9 +23,8 @@ type hopCase struct {
 	ws      []walker[testMsg]
 }
 
-// walkCase walks c's walkers on one lane with the kernel on or off and
-// returns them with their outcomes, and the lane's per-slot forwards.
-func walkCase(c hopCase, kernel bool) ([]walker[testMsg], []int32, int64) {
+// caseRouter is a one-lane router over c's graph, holders and budget.
+func caseRouter(c hopCase) *Router[testMsg] {
 	n := c.g.N()
 	r := New[testMsg](telemetry.NewRegistry(), n, Params{Budget: 1}, shard.NewCrew(1))
 	r.p.Budget = c.budget // New refuses 0; the kernel must not
@@ -44,12 +43,30 @@ func walkCase(c hopCase, kernel bool) ([]walker[testMsg], []int32, int64) {
 			return dst
 		},
 	})
+	r.g = c.g
+	return r
+}
+
+// walkCase walks c's walkers on one lane with the kernel on or off and
+// returns them with their outcomes, and the lane's per-slot forwards. It
+// fails if the Step leaves a near bit set in either way's bitset: a stale
+// bit would only move hops from the kernel to the Go loop, which the
+// outcomes cannot show.
+func walkCase(t testing.TB, name string, c hopCase, kernel bool) ([]walker[testMsg], []int32, int64) {
+	t.Helper()
+	r := caseRouter(c)
 	r.ws = slices.Clone(c.ws)
 	withHopKernel(kernel, func() {
-		r.g = r.env.Graph()
 		r.buildHolders()
 		r.walkAll()
 	})
+	for l := range r.lanes {
+		for i, near := range r.lanes[l].ways {
+			if j := slices.IndexFunc(near, func(b uint64) bool { return b != 0 }); j >= 0 {
+				t.Fatalf("%s (kernel %v): lane %d way %d keeps near bits %#x in word %d after the Step", name, kernel, l, i, near[j], j)
+			}
+		}
+	}
 	return r.ws, r.lanes[0].fwd, r.Metrics().Forwards
 }
 
@@ -58,8 +75,8 @@ func walkCase(c hopCase, kernel bool) ([]walker[testMsg], []int32, int64) {
 // per-slot forward counts do.
 func diffKernel(t testing.TB, name string, c hopCase) {
 	t.Helper()
-	goWs, goFwd, goSum := walkCase(c, false)
-	kWs, kFwd, kSum := walkCase(c, true)
+	goWs, goFwd, goSum := walkCase(t, name, c, false)
+	kWs, kFwd, kSum := walkCase(t, name, c, true)
 	for i := range goWs {
 		g, k := &goWs[i], &kWs[i]
 		if g.at != k.at || g.h.Hops != k.h.Hops || g.out != k.out {
@@ -155,6 +172,44 @@ func TestHopKernelMatchesGo(t *testing.T) {
 	}
 }
 
+// TestRetireEndsWalksAsTheGoLoop hands hopTwo and retire one walker in
+// every state — on each slot, any hops up to the budget, to itself, a
+// neighbour, a far slot or no one, keyed or not — including the states
+// walkLane keeps from the kernel (on a near slot), and checks that they
+// end it where the Go loop does from the same state, after as many hops
+// and with the same outcome.
+func TestRetireEndsWalksAsTheGoLoop(t *testing.T) {
+	r := rng.New(47)
+	const n, d, budget = 64, 4, 3
+	c := randomHopCase(r, n, d, budget, 0)
+	rt, adj := caseRouter(c), c.g.Adjacency()
+	ln := &rt.lanes[0]
+	ln.k.adj, ln.k.fwd = &adj[0], &ln.fwd[0]
+	ln.k.mask, ln.k.shift, ln.k.limit = d-1, 2, budget
+	for s := int32(0); s < n; s++ {
+		for _, target := range []int32{s, c.g.Neighbor(int(s), r.Intn(d)), int32(r.Intn(n)), -1} {
+			for key := uint64(0); key <= 2; key++ {
+				for hops := int32(0); hops <= budget; hops++ {
+					w := hopWalker(0, s, target, key, r.Uint64())
+					w.h.Hops = hops
+					rt.ws, ln.ki = []walker[testMsg]{w}, 0
+					rt.buildHolders()
+					near := ln.ways[0]
+					hold := rt.fillNear(ln, near, &w.h, target, adj, d)
+					rt.walk(&w, target, near, hold, ln.fwd, adj, d)
+					ln.k.way[0] = hopWay{s: int64(s), hops: int64(hops), base: rng.HashInit(w.h.Seed), near: &near[0], t: target, hold: hold}
+					hopTwo(&ln.k, true)
+					rt.retire(ln, 0, adj, d)
+					if k := &rt.ws[0]; k.at != w.at || k.h.Hops != w.h.Hops || k.out != w.out {
+						t.Fatalf("walker to %d keyed on %d from slot %d after %d hops: kernel and retire end at %d after %d hops (outcome %d), Go loop at %d after %d (outcome %d)",
+							target, key, s, hops, k.at, k.h.Hops, k.out, w.at, w.h.Hops, w.out)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzHopKernel is TestHopKernelMatchesGo from fuzz bytes: n, degree,
 // budget (255 = AutoBudget) and graph seed, then 4 bytes per walker —
 // origin, target kind (self, neighbour through a port, far, none; bit 2
@@ -172,6 +227,13 @@ func FuzzHopKernel(f *testing.F) {
 	f.Add([]byte{28, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 7, 6, 3, 0})
 	f.Add([]byte{28, 1, 255, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 11, 5, 1, 0})
 	f.Add([]byte{28, 1, 2, 4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 5, 0, 24, 6, 3, 0})
+	// Id walkers, n=30, d=4, graph seed 0 (slot 9's row is 3 13 19 1):
+	// one starts next to its target, behind one in the kernel; at budget
+	// 2 the walker from 0 to 9 spends its last hop landing on 1, next to
+	// its target; at budget 0 one stands on its target.
+	f.Add([]byte{28, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 9, 0, 5, 1, 2, 0})
+	f.Add([]byte{28, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 9, 0})
+	f.Add([]byte{28, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 2, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 11 {
 			return

@@ -24,20 +24,21 @@
 // metric the router reports is bit-identical at any Workers value.
 //
 // One hop loop per architecture: on amd64 the two-walker kernel hopTwo
-// takes every hop but one kind. A keyed walk whose key someone holds
-// leaves it where a holder or its target is in reach (or never enters
-// it, when it starts there), and the Go loop (Router.walk) takes that
-// last hop. Elsewhere the Go loop walks everything; it is also what the
-// kernel is tested against.
+// takes every random hop. It stops a walker out of budget or on its near
+// set — its target and every slot with the target or a holder of its key
+// in reach — and the Go loop (Router.walk) ends the walk from there, with
+// at most one near hop. Off amd64, and for a walker that starts on a near
+// slot, the Go loop takes every hop; it is also what the kernel is tested
+// against.
 //
 // Preconditions: the degree is a power of two (a hop's port is its hash
 // masked to d-1; Step panics on any other), and the adjacency is a
 // symmetric multigraph (u appears in v's row exactly as often as v in
 // u's) — what graph.CheckRegular's callers and the overlay's
 // reciprocal-port table maintain. Both loops test the current slot
-// against the walker's near bitset — its target's row and, keyed, its
-// key's near-holder set, built once per walker — and scan a row, for the
-// target and then a holder, only on a near slot.
+// against the walker's near bitset — its target, its target's row and,
+// keyed, its key's near-holder set, built once per walker — and only the
+// Go loop, on a near slot, scans a row, for the target and then a holder.
 //
 // The Router is generic in what a walker carries so the package does not
 // import the engine: simnet's walkers carry an 8-byte reference to the
@@ -219,17 +220,19 @@ type Router[M any] struct {
 type lane struct {
 	fwd  []int32     // per-slot forwards this lane walked this round
 	ways [2][]uint64 // way i's near bitset, at k.way[i].near; the Go loop borrows the free way's
+	ki   int         // index in keys of the last keyed walker's key; walkers of one key come in runs
 	k    hopKernel
 }
 
 // hopWay is one of the hop kernel's two walker slots, and hopKernel is
 // all hopTwo reads (hop_amd64.s, through go_asm.h).
 type hopWay struct {
-	s, t, hops int64    // current slot, target slot (-1 = none), forwards so far
-	base       uint64   // rng.HashInit of the walker's seed
-	near       *uint64  // the walker's near slots (fillNear)
-	hold       []uint64 // its key's holders; non-nil, it leaves at a near slot for the Go loop
-	w          int      // the walker's index in ws (Go only)
+	s, hops int64    // current slot, forwards so far
+	base    uint64   // rng.HashInit of the walker's seed
+	near    *uint64  // the walker's near slots (fillNear)
+	t       int32    // target slot, -1 = none (Go only)
+	hold    []uint64 // its key's holders, nil = none (Go only)
+	w       int      // the walker's index in ws (Go only)
 }
 type hopKernel struct {
 	way         [2]hopWay
@@ -395,12 +398,13 @@ func unmark(set []uint64, row []int32) {
 // departed (or absent) target drops a pure id walk at once, as oracle
 // routing would; a keyed walk goes on, as any holder can answer. Walkers
 // fill the kernel's two ways, and each time both are full hopTwo runs
-// until one ends and the next walker takes that way. The Go loop walks
-// each walker without the kernel, and one that starts where hopTwo would
-// end it at once: on its target or, with holders, on a near slot.
+// until one stops and retire hands it to the Go loop. The Go loop walks
+// each walker without the kernel, and one that starts on a near slot,
+// where hopTwo would stop it at once.
 func (r *Router[M]) walkLane(l int) {
 	ln, cur, g := &r.lanes[l], r.ws, r.g
 	clear(ln.fwd)
+	ln.ki = 0
 	adj, d := g.Adjacency(), g.Degree()
 	if useHopKernel {
 		ln.k.adj, ln.k.fwd = &adj[0], &ln.fwd[0]
@@ -424,13 +428,13 @@ func (r *Router[M]) walkLane(l int) {
 				continue
 			}
 			near := ln.ways[free]
-			hold := r.fillNear(near, &w.h, tslot, adj, d)
-			if !useHopKernel || w.at == tslot || hold != nil && has(near, w.at) {
+			hold := r.fillNear(ln, near, &w.h, tslot, adj, d)
+			if !useHopKernel || has(near, w.at) {
 				r.walk(w, tslot, near, hold, ln.fwd, adj, d)
 				clearNear(near, hold, tslot, adj, d)
 				continue
 			}
-			ln.k.way[free] = hopWay{s: int64(w.at), t: int64(tslot), base: rng.HashInit(w.h.Seed), near: &near[0], hold: hold, w: i}
+			ln.k.way[free] = hopWay{s: int64(w.at), t: tslot, base: rng.HashInit(w.h.Seed), near: &near[0], hold: hold, w: i}
 			if !live {
 				live, free = true, 1-free
 				continue
@@ -449,18 +453,21 @@ func (r *Router[M]) walkLane(l int) {
 }
 
 // fillNear sets in near, which is clear, the walker's near slots —
-// wherever its walk takes no random port: the slots next to its target
-// tslot (by port reciprocity, the target's row) and, for a keyed walker,
-// its key's near-holder set. It returns the key's holder bitset, nil for
-// an id walk or a key nobody holds.
-func (r *Router[M]) fillNear(near []uint64, h *Header, tslot int32, adj []int32, d int) (hold []uint64) {
-	if h.Keyed {
-		if i, ok := slices.BinarySearch(r.keys, h.Key); ok {
-			hold = r.hold[2*i*r.words : (2*i+1)*r.words]
-			copy(near, r.hold[(2*i+1)*r.words:(2*i+2)*r.words])
+// wherever its walk ends or takes no random port: its target tslot, the
+// slots next to it (by port reciprocity, its row) and, keyed, its key's
+// near-holder set, holders included. It returns the key's holder bitset,
+// nil for an id walk or with no HeldKeys.
+func (r *Router[M]) fillNear(ln *lane, near []uint64, h *Header, tslot int32, adj []int32, d int) (hold []uint64) {
+	if h.Keyed && len(r.keys) > 0 { // then keys holds every keyed walker's key
+		if r.keys[ln.ki] != h.Key {
+			ln.ki, _ = slices.BinarySearch(r.keys, h.Key)
 		}
+		i := ln.ki
+		hold = r.hold[2*i*r.words : (2*i+1)*r.words]
+		copy(near, r.hold[(2*i+1)*r.words:(2*i+2)*r.words])
 	}
 	if tslot >= 0 {
+		near[tslot>>6] |= 1 << (tslot & 63)
 		mark(near, adj[int(tslot)*d:(int(tslot)+1)*d])
 	}
 	return hold
@@ -471,27 +478,20 @@ func clearNear(near, hold []uint64, tslot int32, adj []int32, d int) {
 	if hold != nil {
 		clear(near)
 	} else if tslot >= 0 {
+		near[tslot>>6] &^= 1 << (tslot & 63)
 		unmark(near, adj[int(tslot)*d:(int(tslot)+1)*d])
 	}
 }
 
-// retire books the outcome of the walker lane ln's kernel way i ended
-// and clears the way's near bitset. A walker with no holders ended on its
-// target or out of budget; one with holders may also stand on a near
-// slot, and the Go loop finishes it from there.
+// retire hands the walker lane ln's kernel way i stopped — out of budget
+// or on a near slot — to the Go loop, which books its outcome, and clears
+// the way's near bitset.
 func (r *Router[M]) retire(ln *lane, i int, adj []int32, d int) {
 	wy, near := &ln.k.way[i], ln.ways[i]
 	w := &r.ws[wy.w]
 	w.at, w.h.Hops = int32(wy.s), int32(wy.hops)
-	if wy.hold != nil {
-		r.walk(w, int32(wy.t), near, wy.hold, ln.fwd, adj, d)
-	} else {
-		w.out = outDrop + uint8(DropBudget)
-		if wy.s == wy.t {
-			w.out = outDeliver
-		}
-	}
-	clearNear(near, wy.hold, int32(wy.t), adj, d)
+	r.walk(w, wy.t, near, wy.hold, ln.fwd, adj, d)
+	clearNear(near, wy.hold, wy.t, adj, d)
 }
 
 // walk is the Go hop loop: it advances one message from slot w.at, after
