@@ -284,9 +284,6 @@ func (h *Handler) heldKeys(slot, round int, dst []uint64) []uint64 {
 	return dst
 }
 
-// IDA reports whether erasure-coded storage is active.
-func (h *Handler) IDA() bool { return h.code != nil }
-
 // OnJoin implements simnet.Handler: a fresh node knows nothing. The slot's
 // tables and sample ring are emptied in place — churn runs serially between
 // handler phases, and no pointer into a table outlives the handler call

@@ -285,17 +285,6 @@ func (s *Spec) WarmupRounds() int {
 	return walks.DefaultParams(s.N).WalkLength + 3
 }
 
-// TotalRounds returns warm-up plus the sum of phase durations plus the
-// final drain (one search TTL of workload-free rounds that lets in-flight
-// retrievals finish or expire).
-func (s *Spec) TotalRounds() int {
-	t := s.WarmupRounds() + s.DrainRounds()
-	for _, p := range s.Phases {
-		t += p.Rounds
-	}
-	return t
-}
-
 // DrainRounds returns the length of the workload-free tail of the run:
 // the derived search TTL plus slack, so every retrieval issued in the
 // last phase round either completes or expires before the run ends.

@@ -99,15 +99,6 @@ func ceilPow2(x int) int {
 // Count returns the grid's shard count.
 func (g Grid) Count() int { return g.count }
 
-// Of maps a slot in [0, n) to its shard, exactly consistent with Bounds:
-// slot s belongs to the unique shard sh with Bounds(sh, n) containing s.
-// (The naive slot*count/n disagrees with the Bounds partition for some
-// (slot, n); this is the proper inverse: the largest sh with
-// sh*n/count <= slot.)
-func (g Grid) Of(slot, n int) int {
-	return (g.count*(slot+1) - 1) / n
-}
-
 // Bounds returns the slot range [lo, hi) owned by shard sh. Shards may be
 // empty when n < the grid count. Ranges are contiguous and ascending in
 // sh — the property the cross-count determinism argument rests on.
@@ -116,8 +107,9 @@ func (g Grid) Bounds(sh, n int) (lo, hi int) {
 }
 
 // LocTable returns the slot → packed (shard, local) location table for a
-// network of n slots: LocTable(n)[s] >> LocalBits is Of(s, n) and
-// LocTable(n)[s] & (1<<LocalBits - 1) is s - lo where lo, _ = Bounds(...).
+// network of n slots: LocTable(n)[s] >> LocalBits is the shard sh whose
+// Bounds(sh, n) = [lo, hi) holds s, and LocTable(n)[s] & (1<<LocalBits - 1)
+// is s - lo.
 // Build once at setup; 4 bytes per slot.
 func (g Grid) LocTable(n int) []uint32 {
 	t := make([]uint32, n)

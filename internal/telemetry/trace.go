@@ -283,9 +283,6 @@ func (t *Tracer) EndRound(round int64) {
 	}
 }
 
-// LiveTraces returns the number of operations currently being traced.
-func (t *Tracer) LiveTraces() int { return len(t.live) }
-
 func (t *Tracer) getAgg() *traceAgg {
 	if n := len(t.free); n > 0 {
 		a := t.free[n-1]
