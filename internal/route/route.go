@@ -225,7 +225,7 @@ type lane struct {
 }
 
 // hopWay is one of the hop kernel's two walker slots, and hopKernel is
-// all hopTwo reads (hop_amd64.s, through go_asm.h).
+// what hopTwo reads (hop_amd64.s, through go_asm.h) but the Go-only fields.
 type hopWay struct {
 	s, hops int64    // current slot, forwards so far
 	base    uint64   // rng.HashInit of the walker's seed
