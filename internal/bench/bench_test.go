@@ -345,9 +345,10 @@ func BenchmarkFullRoundTelemetry(b *testing.B) {
 // BenchmarkRetrieveHot measures rounds of a Zipf-skewed retrieval
 // workload with the hot-key cache off (the baseline) and on; the body is
 // RetrieveHot. Neither row is alloc-gated: each retrieval still allocates
-// the rosters and child lists it draws and clones out of messages, its
-// landmarks' task lists, and a table's first entry on every node its trees
-// reach.
+// the rosters it draws, a table's first entry on every node its trees
+// reach, and a membership's sample-window sources; holders keep the
+// rosters and pieces they are sent, and a node's search tasks share one
+// array.
 func BenchmarkRetrieveHot(b *testing.B) {
 	for _, n := range sizes() {
 		for _, c := range []bool{false, true} {

@@ -164,7 +164,7 @@ func (h *Handler) onPiece(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	if blob := msg.Blob(); len(blob) > 0 {
 		if i, dup := m.pieceAt(int(msg.Aux)); !dup {
-			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: int(msg.Aux), Data: slices.Clone(blob)})
+			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: int(msg.Aux), Data: blob})
 			m.gatheredLen = int(msg.Aux2)
 		}
 	}
@@ -318,13 +318,24 @@ func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []si
 func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	base, pieceIdx := unpackInvite(msg.Aux)
 	key := msg.Item
-	m := st.memberships.put(key, membership{
+	m := st.memberships.get(key)
+	if m == nil {
+		m = st.memberships.put(key, membership{})
+	}
+	// The roster and the copy or piece are immutable once sent: the new
+	// committee shares the leader's arrays. A re-invited member keeps its
+	// epoch scratch's arrays.
+	*m = membership{
 		key: key, base: base,
-		roster:   slices.Clone(msg.IDs()),
+		roster:   msg.IDs(),
 		joined:   ctx.Round,
 		curEpoch: -1,
 		trace:    msg.Trace,
-	})
+		sources:  m.sources[:0],
+		counts:   m.counts,
+		gathered: m.gathered[:0],
+	}
+	m.counts.reset()
 	m.handledEpoch = m.epochOf(ctx.Round, h.P.Period)
 
 	if blob := msg.Blob(); len(blob) > 0 {
@@ -333,7 +344,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			idx = pieceIdx
 		}
 		st.stored.put(key, storedCopy{
-			data:     slices.Clone(blob),
+			data:     blob,
 			pieceIdx: idx,
 			itemLen:  int(msg.Aux2),
 		})

@@ -305,12 +305,12 @@ func TestInquiryNamesEachLiveSearcherOnce(t *testing.T) {
 		}
 		for slot := range s.h.states {
 			st := &s.h.states[slot]
-			tasks := st.searchLM.get(key)
-			if tasks == nil || ended[st.id] {
+			lo, hi := st.searchLM.span(key)
+			if lo == hi || ended[st.id] {
 				continue
 			}
 			var live []simnet.NodeID
-			for i, task := range *tasks {
+			for i, task := range st.searchLM.vals[lo:hi] {
 				if round < task.expiry {
 					live = append(live, task.searcher)
 				} else if len(live) > 0 && i > 0 {

@@ -171,11 +171,11 @@ type nodeState struct {
 	recentPos int
 	recentLen int
 
-	memberships table[membership]   // item key -> storage-committee membership
-	stored      table[storedCopy]   // item key -> local copy/piece
-	storageLM   table[lmEntry]      // item key -> storage landmark state
-	searchLM    table[[]searchTask] // item key -> active search tasks
-	searches    table[searchState]  // item key -> retrieval this node runs
+	memberships table[membership]  // item key -> storage-committee membership
+	stored      table[storedCopy]  // item key -> local copy/piece
+	storageLM   table[lmEntry]     // item key -> storage landmark state
+	searchLM    table[searchTask]  // item key -> active search tasks, a key's in arrival order (add)
+	searches    table[searchState] // item key -> retrieval this node runs
 	pending     []pendingOp
 }
 
@@ -285,9 +285,10 @@ func (h *Handler) heldKeys(slot, round int, dst []uint64) []uint64 {
 }
 
 // OnJoin implements simnet.Handler: a fresh node knows nothing. The slot's
-// tables and sample ring are emptied in place — churn runs serially between
-// handler phases, and no pointer into a table outlives the handler call
-// that took it — so a replaced slot costs no allocation.
+// tables, pending requests and sample ring are emptied in place — churn
+// runs serially between handler phases, and no pointer into a table
+// outlives the handler call that took it — so a replaced slot costs no
+// allocation.
 func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
 	st := &h.states[slot]
 	st.id = id
@@ -300,7 +301,8 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 	st.storageLM.reset()
 	st.searchLM.reset()
 	st.searches.reset()
-	st.pending = nil
+	clear(st.pending)
+	st.pending = st.pending[:0]
 	h.cacheClearSlot(slot)
 }
 
@@ -313,7 +315,9 @@ func (st *nodeState) pushRecent(src simnet.NodeID) {
 		return
 	}
 	st.recent[st.recentPos] = src
-	st.recentPos = (st.recentPos + 1) % len(st.recent)
+	if st.recentPos++; st.recentPos == len(st.recent) {
+		st.recentPos = 0
+	}
 	if st.recentLen < len(st.recent) {
 		st.recentLen++
 	}
@@ -324,8 +328,12 @@ func (st *nodeState) pushRecent(src simnet.NodeID) {
 // want ids. want is a committee or a tree fanout, so dst is its own
 // seen-set: a linear scan beats building a map per call.
 func (st *nodeState) recentDistinct(dst []simnet.NodeID, want int) []simnet.NodeID {
+	pos := st.recentPos
 	for i := 0; i < st.recentLen && len(dst) < want; i++ {
-		pos := (st.recentPos - 1 - i + len(st.recent)*2) % len(st.recent)
+		if pos == 0 {
+			pos = len(st.recent)
+		}
+		pos--
 		src := st.recent[pos]
 		if src == st.id || slices.Contains(dst, src) {
 			continue
@@ -410,8 +418,7 @@ func (h *Handler) sweepExpired(round int, st *nodeState) {
 		}
 	}
 	for i := 0; i < len(st.searchLM.vals); i++ {
-		kept := slices.DeleteFunc(st.searchLM.vals[i], func(t searchTask) bool { return round >= t.expiry })
-		if st.searchLM.vals[i] = kept; len(kept) == 0 {
+		if round >= st.searchLM.vals[i].expiry {
 			st.searchLM.delAt(i)
 			i--
 		}

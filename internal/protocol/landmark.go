@@ -67,12 +67,15 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		ent.expiry = max(ent.expiry, ctx.Round+h.P.LandmarkTTL())
 		return
 	}
+	// The roster is immutable once sent: every landmark of the wave keeps
+	// the member's own array.
+	roster := msg.IDs()
 	st.registerLandmark(key, lmEntry{
-		roster: slices.Clone(msg.IDs()),
+		roster: roster,
 		expiry: ctx.Round + h.P.LandmarkTTL(),
 		wave:   wave,
 	})
-	h.growChildren(ctx, st, KindLGrow, key, 0, msg.IDs(), depth, wave, msg.Trace)
+	h.growChildren(ctx, st, KindLGrow, key, 0, roster, depth, wave, msg.Trace)
 }
 
 // onSearchGrow is onGrow for a search landmark tree, whose first level is
@@ -91,8 +94,9 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 
 // addSearchTask registers this node as a search landmark for (key,
 // searcher), creating or refreshing the task; wave is the round its tree
-// was rooted (the current round for a task no tree delivered). The task it
-// returns is valid until the node's next addSearchTask.
+// was rooted (the current round for a task no tree delivered). A new task
+// goes after the key's others, so a key's tasks stay in arrival order. The
+// task it returns is valid until the node's next addSearchTask.
 func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) *searchTask {
 	if t := findSearchTask(st, key, searcher); t != nil {
 		t.expiry = max(t.expiry, round+h.P.LandmarkTTL())
@@ -102,23 +106,27 @@ func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeI
 		}
 		return t
 	}
-	tasks := st.searchLM.get(key)
-	if tasks == nil {
-		tasks = st.searchLM.put(key, nil)
-	}
-	*tasks = append(*tasks, searchTask{
+	return st.searchLM.add(key, searchTask{
 		searcher: searcher, expiry: round + h.P.LandmarkTTL(), wave: wave, trace: trace,
 	})
-	return &(*tasks)[len(*tasks)-1]
 }
 
+// findSearchTask returns the node's task for (key, searcher), or nil.
 func findSearchTask(st *nodeState, key uint64, searcher simnet.NodeID) *searchTask {
-	if tasks := st.searchLM.get(key); tasks != nil {
-		for i := range *tasks {
-			if (*tasks)[i].searcher == searcher {
-				return &(*tasks)[i]
-			}
-		}
+	if i := searchTaskAt(st, key, searcher); i >= 0 {
+		return &st.searchLM.vals[i]
 	}
 	return nil
+}
+
+// searchTaskAt returns the index in st.searchLM of the task for (key,
+// searcher), or -1.
+func searchTaskAt(st *nodeState, key uint64, searcher simnet.NodeID) int {
+	lo, hi := st.searchLM.span(key)
+	for i := lo; i < hi; i++ {
+		if st.searchLM.vals[i].searcher == searcher {
+			return i
+		}
+	}
+	return -1
 }

@@ -617,8 +617,8 @@ func TestSecondRetrieveReportsItsOwnResult(t *testing.T) {
 // rest of nodeState, which OnJoin empties in place: a slot replaced while
 // it was a committee member, a copy holder, a storage landmark, a search
 // landmark and a searcher — with a further request still pending — must
-// show up in none of those roles, and the departed searcher's retrievals
-// must never report.
+// show up in none of those roles, and neither the departed searcher's
+// retrievals nor any of the newcomer's may report.
 func TestReplacedSlotKnowsNothing(t *testing.T) {
 	s := newSim(t, 256, churn.ZeroLaw{}, 0, 5)
 	s.warm()
@@ -637,7 +637,8 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	}
 	copies, landmarks := s.h.CopyCount(key), s.h.StorageLandmarkCount(key, round)
 
-	s.h.OnJoin(s.e, slot, 1<<40, round) // replace the node as the engine would on churn
+	const newcomer = 1 << 40
+	s.h.OnJoin(s.e, slot, newcomer, round) // replace the node as the engine would on churn
 
 	if slices.Contains(s.h.CommitteeSlots(key), slot) {
 		t.Error("replaced slot is still a committee member")
@@ -656,7 +657,7 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	}
 	s.run(s.h.P.SearchTTL() + 5)
 	for _, r := range s.h.DrainResults() {
-		if r.Key == missing || r.Key == queued {
+		if r.Key == missing || r.Key == queued || r.Searcher == newcomer {
 			t.Errorf("the departed searcher's retrieval reported: %+v", r)
 		}
 	}

@@ -200,8 +200,11 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 // sample once for two searchers").
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
 	round, sent, pairs := ctx.Round, 0, 0
-	for i, key := range st.searchLM.keys {
-		tasks := st.searchLM.vals[i]
+	for lo := 0; lo < len(st.searchLM.keys); {
+		key := st.searchLM.keys[lo]
+		_, hi := st.searchLM.span(key)
+		tasks := st.searchLM.vals[lo:hi]
+		lo = hi
 		for j := range tasks {
 			if t := &tasks[j]; t.grow > 0 {
 				t.kids = h.growChildren(ctx, st, KindSGrow, key, uint64(t.searcher), nil, t.grow, t.wave, t.trace)
@@ -328,9 +331,7 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		item = msg.Blob()
 	} else {
 		srch.itemLen = int(msg.Aux2)
-		srch.pieces = append(srch.pieces, ida.Piece{
-			Index: int(msg.Aux), Data: slices.Clone(msg.Blob()),
-		})
+		srch.pieces = append(srch.pieces, ida.Piece{Index: int(msg.Aux), Data: msg.Blob()})
 		if distinctPieces(srch.pieces) < h.code.K() {
 			return
 		}
@@ -421,15 +422,12 @@ func (h *Handler) onDone(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 // ended in round: it deletes the task, telling the children the task grew,
 // if its tree was rooted by round — a later wave is the next search's.
 func (h *Handler) dropSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, searcher simnet.NodeID, round int) {
-	t := findSearchTask(st, key, searcher)
-	if t == nil || t.wave > round {
+	i := searchTaskAt(st, key, searcher)
+	if i < 0 || st.searchLM.vals[i].wave > round {
 		return
 	}
-	h.sendDone(ctx, t.kids[:], key, searcher, round)
-	tasks := st.searchLM.get(key)
-	if *tasks = slices.DeleteFunc(*tasks, func(o searchTask) bool { return o.searcher == searcher }); len(*tasks) == 0 {
-		st.searchLM.del(key)
-	}
+	h.sendDone(ctx, st.searchLM.vals[i].kids[:], key, searcher, round)
+	st.searchLM.delAt(i)
 }
 
 // tickSearches expires overdue retrievals (recorded as failures, Done = -1)

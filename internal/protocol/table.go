@@ -6,10 +6,14 @@ import "slices"
 // value slices in ascending key order, so a sweep over keys[i]/vals[i] is
 // canonical by construction and nothing is sorted to undo a map's order. A
 // node takes part in polylog(n) committees, landmark sets and searches at a
-// time (measured on the benchmark workloads: under 6 entries on average, 84
+// time (measured on the benchmark workloads: under 6 entries on average, 86
 // at worst), which is what binary search plus an O(k) insert is sized for.
-// Values are held directly: a *V from get or put points into vals and is
-// valid only until the table's next put, del or reset.
+// Values are held directly: a *V from get, put or add points into vals and
+// is valid only until the table's next put, add, del or reset.
+//
+// A table filled by put holds each key once. One filled by add (a node's
+// search tasks) may hold a key several times: its entries are contiguous,
+// in the order they were added, and get, put and del act on the first.
 type table[V any] struct {
 	keys []uint64
 	vals []V
@@ -25,14 +29,29 @@ func (t *table[V]) get(key uint64) *V {
 
 // put stores v under key, replacing any value already there.
 func (t *table[V]) put(key uint64, v V) *V {
-	i, ok := slices.BinarySearch(t.keys, key)
-	if ok {
-		t.vals[i] = v
-	} else {
-		t.keys = slices.Insert(t.keys, i, key)
-		t.vals = slices.Insert(t.vals, i, v)
+	if p := t.get(key); p != nil {
+		*p = v
+		return p
 	}
+	return t.add(key, v)
+}
+
+// add stores v under key after the entries key already has.
+func (t *table[V]) add(key uint64, v V) *V {
+	_, i := t.span(key)
+	t.keys = slices.Insert(t.keys, i, key)
+	t.vals = slices.Insert(t.vals, i, v)
 	return &t.vals[i]
+}
+
+// span returns the index range [lo, hi) of key's entries.
+func (t *table[V]) span(key uint64) (lo, hi int) {
+	lo, _ = slices.BinarySearch(t.keys, key)
+	hi = lo
+	for hi < len(t.keys) && t.keys[hi] == key {
+		hi++
+	}
+	return lo, hi
 }
 
 // del removes key if present.

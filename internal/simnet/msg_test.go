@@ -156,6 +156,42 @@ func TestPayloadSurvivesSlabReuse(t *testing.T) {
 			t.Fatal("no payload was delivered")
 		}
 	})
+	// A lent blob (SetPayload) is rewritten from the second round after
+	// its send on; a message the fault model delays past that must carry
+	// what was sent.
+	t.Run("lent-blob", func(t *testing.T) {
+		cfg := testConfig(64, churn.ZeroLaw{})
+		cfg.Fault = longDelay{}
+		e := New(cfg)
+		lender := e.IDAt(5)
+		var bufs [3][]byte
+		var checked atomic.Int64
+		h := funcHandler(func(ctx *Ctx) {
+			for i := range ctx.Inbox {
+				m := &ctx.Inbox[i]
+				if want := bytes.Repeat([]byte{byte(m.Aux)}, 16); !bytes.Equal(m.Blob(), want) {
+					t.Errorf("round %d: a blob lent in round %d reads %v", ctx.Round, m.Aux, m.Blob())
+				}
+				checked.Add(1)
+			}
+			if ctx.ID != lender {
+				return
+			}
+			buf := &bufs[ctx.Round%len(bufs)] // last sent three rounds ago
+			*buf = append((*buf)[:0], bytes.Repeat([]byte{byte(ctx.Round)}, 16)...)
+			for i := 0; i < 8; i++ {
+				m := ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(ctx.E.N())), 1)
+				m.Aux = uint64(ctx.Round)
+				ctx.SetPayload(m, nil, *buf)
+			}
+		})
+		for r := 0; r < 30; r++ {
+			e.RunRound(h)
+		}
+		if d := e.Metrics().MsgsDelayed; d == 0 || checked.Load() == 0 {
+			t.Fatalf("%d messages delayed, %d checked", d, checked.Load())
+		}
+	})
 	t.Run("overlay", func(t *testing.T) {
 		e := New(routedConfig(256, churn.ZeroLaw{}, RoutingConfig{Mode: RoutingOverlay}))
 		h := &payloadChecker{t: t}

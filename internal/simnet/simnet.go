@@ -115,22 +115,27 @@ type payload struct {
 	blob []byte
 }
 
-// IDs returns the message's id-list payload, nil if it has none. Like the
-// Inbox it is only valid during the HandleRound that received the message.
+// IDs returns the message's id-list payload, nil if it has none. The list
+// is the sender's, never modified after the send (SetPayload), so the
+// receiver may keep it past its HandleRound; the slice is capped at its
+// length, so an append to it copies instead of writing into the sender's
+// array.
 func (m *Msg) IDs() []NodeID {
 	if m.payload == nil {
 		return nil
 	}
-	return m.payload.ids
+	ids := m.payload.ids
+	return ids[:len(ids):len(ids)]
 }
 
-// Blob returns the message's data payload, nil if it has none; valid as
-// long as IDs.
+// Blob returns the message's data payload, nil if it has none; it may be
+// kept as IDs may, unless its sender's protocol lends it (SetPayload).
 func (m *Msg) Blob() []byte {
 	if m.payload == nil {
 		return nil
 	}
-	return m.payload.blob
+	blob := m.payload.blob
+	return blob[:len(blob):len(blob)]
 }
 
 // headerBits is the modelled wire size of a message without payload:
@@ -793,9 +798,15 @@ func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
 // HandleRound is building (see SendMsg), and charges their bits to the
 // sender and m's kind. Either may be empty; a message takes a payload at
 // most once.
-// The slices are not copied and must stay untouched until the message has
-// been delivered. Panics if either exceeds MaxPayloadLen: the modelled
-// wire format cannot express it, so sending one is a protocol bug.
+// The slices are not copied. A sent id list or blob is never modified
+// again, by its sender or anyone else, so a receiver may keep it as its
+// own state and many receivers may share it. A protocol may lend a blob
+// it will rewrite later instead, if its receivers copy what they keep and
+// it rewrites no blob sent in the current or the previous round (the
+// protocol package's cache entries are the one such blob); the engine
+// copies the blob of a message the fault model delays. Panics if
+// either exceeds MaxPayloadLen: the modelled wire format cannot express
+// it, so sending one is a protocol bug.
 func (c *Ctx) SetPayload(m *Msg, ids []NodeID, blob []byte) {
 	if len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen {
 		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
@@ -1077,8 +1088,11 @@ func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 		rs.delayedCnt++
 		d := delayedMsg{deliverAt: e.round + 1 + delay, m: *m}
 		if m.payload != nil {
-			// The queue outlives the sender's slab: move the cell to the heap.
+			// The queue outlives the sender's slab: move the cell to the
+			// heap. It outlives a lent blob's round too (SetPayload): copy
+			// the blob.
 			cell := *m.payload
+			cell.blob = slices.Clone(cell.blob)
 			d.m.payload = &cell
 		}
 		rs.delayed = append(rs.delayed, d)
