@@ -36,15 +36,16 @@ import (
 
 // cacheEntry is one cached item. expiry == 0 marks an empty slot; a
 // non-empty entry is live while round < expiry and merely expired (data
-// intact, revivable by a same-key refresh) afterwards.
+// intact, revivable by a same-key refresh) afterwards. data is the array
+// the entry was installed from, shared with its sender and every other
+// holder and never written (Ctx.SetPayload).
 type cacheEntry struct {
-	key     uint64
-	data    []byte
-	expiry  int32
-	used    int32 // last round the entry was hit, served, or written
-	served  int32 // last round the entry answered an inquiry
-	aliased int32 // last round e.data was attached to an outgoing Msg
-	depth   uint8 // seed-hops from the completing searcher (0 = completer)
+	key    uint64
+	data   []byte
+	expiry int32
+	used   int32 // last round the entry was hit, served, or written
+	served int32 // last round the entry answered an inquiry
+	depth  uint8 // seed-hops from the completing searcher (0 = completer)
 }
 
 // cacheMaxDepth caps the seed-hop lineage an entry can record; entries
@@ -74,16 +75,8 @@ func (h *Handler) cacheEnabled() bool { return h.P.CacheCapacity > 0 }
 const defaultCacheSeedRate = 0.5
 
 // cacheClearSlot invalidates a replaced slot's entire region (the
-// newcomer knows nothing). Buffers are kept for reuse, and the aliased
-// stamp survives so a buffer attached to one of the departed node's
-// in-flight replies is never rewritten under the reader.
-func (h *Handler) cacheClearSlot(slot int) {
-	reg := h.cacheRegion(slot)
-	for i := range reg {
-		e := &reg[i]
-		e.key, e.expiry, e.used, e.served, e.depth = 0, 0, 0, 0, 0
-	}
-}
+// newcomer knows nothing).
+func (h *Handler) cacheClearSlot(slot int) { clear(h.cacheRegion(slot)) }
 
 // cacheLookup returns the slot's live entry for key, refreshing its LRU
 // stamp, or nil. A TTL-expired match is dropped (counted) so the search
@@ -110,9 +103,10 @@ func (h *Handler) cacheLookup(ctx *simnet.Ctx, key uint64) *cacheEntry {
 }
 
 // cachePut installs (key, data) in the node's region, evicting the
-// least-recently-used entry if no slot is free. A same-key refresh only
-// bumps the clocks: item bytes are immutable per key, so the buffer —
-// possibly aliased by an in-flight reply — is left untouched. The
+// least-recently-used entry if no slot is free. The entry keeps data
+// itself, never copied and never written again: a member's sent copy, a
+// cached reply or seed, or the searcher's decoded item. A same-key
+// refresh only bumps the clocks: item bytes are immutable per key. The
 // returned flag reports whether the install took a FREE slot (empty or
 // TTL-expired): only those cascade further seeds. A refresh does not
 // cascade (the territory is already covered), and neither does an
@@ -147,21 +141,7 @@ func (h *Handler) cachePut(ctx *simnet.Ctx, key uint64, data []byte, depth uint8
 	if !free {
 		h.ctr.cacheEvictions.Inc(ctx.Shard)
 	}
-	// A buffer attached to a Msg in the current or previous round may
-	// still be read by the recipient's concurrently-running handler;
-	// rewriting it would race. Those (rare) evictions take a fresh
-	// buffer instead.
-	if victim.aliased >= round-1 || cap(victim.data) < len(data) {
-		victim.data = append([]byte(nil), data...)
-		victim.aliased = -1
-	} else {
-		victim.data = append(victim.data[:0], data...)
-	}
-	victim.key = key
-	victim.expiry = round + int32(h.P.CacheTTL)
-	victim.used = round
-	victim.served = 0
-	victim.depth = depth
+	*victim = cacheEntry{key: key, data: data, expiry: round + int32(h.P.CacheTTL), used: round, depth: depth}
 	h.ctr.cacheInserts.Inc(ctx.Shard)
 	return victim, free
 }
@@ -196,7 +176,6 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 		if rng.Unit(g) >= h.P.CacheSeedRate {
 			continue
 		}
-		e.aliased = int32(ctx.Round)
 		m := ctx.SendMsg(s.Src, KindCacheSeed)
 		m.Item, m.Aux, m.Trace = e.key, uint64(e.depth)+1, trace
 		ctx.SetPayload(m, nil, e.data)
@@ -218,7 +197,6 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 		return
 	}
 	e.served = int32(ctx.Round)
-	e.aliased = int32(ctx.Round)
 	m := ctx.SendMsg(searcher, KindCacheData)
 	m.Item, m.Aux, m.Trace = e.key, uint64(e.depth), trace
 	ctx.SetPayload(m, nil, e.data)

@@ -1,9 +1,12 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"dynp2p/internal/churn"
+	"dynp2p/internal/simnet"
+	"dynp2p/internal/walks"
 )
 
 // cacheSim builds a no-churn sim with the hot-key cache enabled and one
@@ -164,5 +167,73 @@ func TestCacheDisabledIsInert(t *testing.T) {
 	c := s.h.Counters()
 	if c.CacheHits != 0 || c.CacheServed != 0 || c.CacheSeeds != 0 || c.CacheInserts != 0 {
 		t.Fatalf("cache counters nonzero with caching off: %+v", c)
+	}
+}
+
+// seedProbe is the protocol handler with one measurement: in the first
+// round a node receives a cache seed, it times onSeed on that message
+// into a free entry before the node handles its inbox.
+type seedProbe struct {
+	*Handler
+	t      *testing.T
+	allocs float64
+	done   bool
+}
+
+func (p *seedProbe) HandleRound(ctx *simnet.Ctx) {
+	for i := 0; i < len(ctx.Inbox) && !p.done; i++ {
+		m := &ctx.Inbox[i]
+		if m.Kind != KindCacheSeed {
+			continue
+		}
+		p.done = true
+		st := &p.states[ctx.Slot]
+		reg := p.cacheRegion(ctx.Slot)
+		saved := slices.Clone(reg)
+		// At the depth cap the entry seeds nothing further, so the send
+		// buffers are not part of what is measured.
+		leaf := *m
+		leaf.Aux = cacheMaxDepth
+		p.allocs = testing.AllocsPerRun(50, func() {
+			clear(reg)
+			p.onSeed(ctx, st, &leaf)
+		})
+		if e := &reg[0]; e.key != m.Item || len(e.data) == 0 || &e.data[0] != &m.Blob()[0] {
+			p.t.Errorf("the entry does not keep the seed's blob: %+v", *e)
+		}
+		copy(reg, saved)
+	}
+	p.Handler.HandleRound(ctx)
+}
+
+// TestCacheInstallAllocatesNothing: a cache seed that lands on a free
+// entry allocates nothing — the entry keeps the message's blob.
+func TestCacheInstallAllocatesNothing(t *testing.T) {
+	const n = 256
+	e := simnet.New(simnet.Config{
+		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
+		AdversarySeed: 3, ProtocolSeed: 4, Strategy: churn.Uniform, Law: churn.ZeroLaw{},
+		Workers: 1, // nothing else allocates while the probe measures
+	})
+	wp := walks.DefaultParams(n)
+	soup := walks.NewSoup(e, wp, 1)
+	e.AddHook(soup)
+	params := DefaultParams(n, wp.WalkLength)
+	params.CacheCapacity, params.CacheSeedRate = 2, 1
+	p := &seedProbe{Handler: NewHandler(e, soup, params), t: t}
+	e.Run(p, wp.WalkLength+3)
+	key := uint64(64)
+	data := itemBytes(key, 32)
+	p.RequestStore(e, 5, key, data)
+	e.Run(p, p.P.Period)
+	p.RequestRetrieve(e, 100, key, data)
+	for r := 0; r < p.P.SearchTTL()+5 && !p.done; r++ {
+		e.Run(p, 1)
+	}
+	if !p.done {
+		t.Fatal("no cache seed landed within a search's lifetime")
+	}
+	if p.allocs != 0 {
+		t.Fatalf("a cache install allocated %.0f times", p.allocs)
 	}
 }

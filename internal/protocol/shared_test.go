@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"fmt"
+	"bytes"
 	"slices"
 	"testing"
 
@@ -58,25 +58,41 @@ func (l intactLedger[T]) shared() int {
 	return n
 }
 
-// TestSharedPayloadsStayIntact: a roster, copy or piece is immutable once
-// sent, so every landmark, member, leader candidate and searcher a message
-// reached keeps the sender's array (Ctx.SetPayload). Under churn, with
-// stores, handovers and retrievals over several Periods, the test looks at
-// every roster, stored copy and gathered piece each node holds after every
-// round, and fails if an array it has seen before holds other contents.
+// TestSharedPayloadsStayIntact: a roster, copy, piece or cached item is
+// immutable once sent, so every landmark, member, leader candidate,
+// searcher and cache entry a message reached keeps the sender's array
+// (Ctx.SetPayload). Under churn, with stores, handovers and retrievals
+// over several Periods, the test looks at every roster, stored copy,
+// gathered piece and live cache entry each node holds after every round,
+// and fails if an array it has seen before holds other contents. The
+// cache leg runs two entries a node with half the messages delayed by up
+// to 3 rounds, so seeds and served replies evict entries while delayed
+// copies of their arrays are still in flight.
 func TestSharedPayloadsStayIntact(t *testing.T) {
-	for _, idaK := range []int{0, 4} {
-		t.Run(fmt.Sprintf("ida=%d", idaK), func(t *testing.T) {
-			s := newSim(t, 256, churn.RateLaw{C: 0.5, K: 2.0}, idaK, 17)
+	for _, leg := range []struct {
+		name  string
+		idaK  int
+		cache bool
+	}{{"ida=0", 0, false}, {"ida=4", 4, false}, {"cache", 0, true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			s := newSimWith(t, 256, churn.RateLaw{C: 0.5, K: 2.0}, 17, func(p *Params) {
+				p.IDAThreshold = leg.idaK
+				if leg.cache {
+					p.CacheCapacity, p.CacheSeedRate = 2, 1
+				}
+			})
 			s.warm()
+			if leg.cache {
+				s.setFault(simnet.DropDelayFaults{DelayProb: 0.5, MaxDelay: 3})
+			}
 			items := map[uint64][]byte{}
 			for i := range 6 {
 				key := uint64(500 + i)
 				items[key] = itemBytes(key, 96+40*i)
 				s.h.RequestStore(s.e, 7+31*i, key, items[key])
 			}
-			rosters, blobs := newIntactLedger[simnet.NodeID](), newIntactLedger[byte]()
-			sharedRosters, sharedBytes, gathered, ok := 0, 0, 0, 0
+			rosters, blobs, cached := newIntactLedger[simnet.NodeID](), newIntactLedger[byte](), newIntactLedger[byte]()
+			sharedRosters, sharedBytes, sharedCached, gathered, ok := 0, 0, 0, 0, 0
 			for r := 0; r < 3*s.h.P.Period+s.h.P.SearchTTL(); r++ {
 				if r%5 == 0 && r < 3*s.h.P.Period {
 					key := uint64(500 + r%6)
@@ -106,8 +122,17 @@ func TestSharedPayloadsStayIntact(t *testing.T) {
 						}
 					}
 				}
+				for i := range s.h.cacheArena {
+					if e := &s.h.cacheArena[i]; e.expiry != 0 && round < int(e.expiry) {
+						cached.check(t, round, "cached item", e.data)
+						if !bytes.Equal(e.data, items[e.key]) {
+							t.Fatalf("round %d: a cache entry for key %d holds other bytes", round, e.key)
+						}
+					}
+				}
 				sharedRosters += rosters.shared()
 				sharedBytes += blobs.shared()
+				sharedCached += cached.shared()
 				for _, res := range s.h.DrainResults() {
 					if res.Success {
 						ok++
@@ -115,12 +140,16 @@ func TestSharedPayloadsStayIntact(t *testing.T) {
 				}
 			}
 			c := s.h.Counters()
-			if sharedRosters == 0 || sharedBytes == 0 || c.Handovers == 0 || ok == 0 || idaK > 0 && (gathered == 0 || c.IDARecoded == 0) {
+			if sharedRosters == 0 || sharedBytes == 0 || c.Handovers == 0 || ok == 0 || leg.idaK > 0 && (gathered == 0 || c.IDARecoded == 0) {
 				t.Fatalf("%d roster and %d byte array-rounds with two or more holders, %d handovers (%d recoded), %d gathered pieces, %d retrievals ok: the test shows nothing",
 					sharedRosters, sharedBytes, c.Handovers, c.IDARecoded, gathered, ok)
 			}
-			t.Logf("%d roster and %d byte arrays seen, held by two or more nodes in %d and %d array-rounds; %d handovers, %d gathered pieces, %d retrievals ok",
-				len(rosters.seen), len(blobs.seen), sharedRosters, sharedBytes, c.Handovers, gathered, ok)
+			if delayed := s.e.Metrics().MsgsDelayed; leg.cache && (c.CacheInserts == 0 || c.CacheServed == 0 || delayed == 0 || sharedCached == 0) {
+				t.Fatalf("%d cache inserts, %d serves, %d messages delayed, %d cached array-rounds with two or more entries: the cache leg shows nothing",
+					c.CacheInserts, c.CacheServed, delayed, sharedCached)
+			}
+			t.Logf("%d roster, %d byte and %d cached arrays seen, held by two or more holders in %d, %d and %d array-rounds; %d handovers, %d gathered pieces, %d retrievals ok, %d cache inserts, %d serves",
+				len(rosters.seen), len(blobs.seen), len(cached.seen), sharedRosters, sharedBytes, sharedCached, c.Handovers, gathered, ok, c.CacheInserts, c.CacheServed)
 		})
 	}
 }

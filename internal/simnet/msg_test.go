@@ -134,7 +134,7 @@ func (longDelay) String() string { return "delay half by 3..5" }
 
 // TestPayloadSurvivesSlabReuse checks the payload cells' lifetime rule.
 // The fault-delay queue keeps messages past the round their slab is
-// recycled in, so it must have copied the cell out; an overlay walker is
+// recycled in, so it must have moved the cell out; an overlay walker is
 // delivered the round after its send and keeps the sender's cell, which
 // must still be live when that round's handlers read it. Every slab is
 // poisoned just before reuse; any delivered payload that differs from
@@ -156,40 +156,46 @@ func TestPayloadSurvivesSlabReuse(t *testing.T) {
 			t.Fatal("no payload was delivered")
 		}
 	})
-	// A lent blob (SetPayload) is rewritten from the second round after
-	// its send on; a message the fault model delays past that must carry
-	// what was sent.
-	t.Run("lent-blob", func(t *testing.T) {
+	// A sent blob is never modified (SetPayload), so the delay queue moves
+	// only the cell: a delayed message arrives with the sender's own array.
+	t.Run("delayed-blob-shared", func(t *testing.T) {
 		cfg := testConfig(64, churn.ZeroLaw{})
 		cfg.Fault = longDelay{}
 		e := New(cfg)
-		lender := e.IDAt(5)
-		var bufs [3][]byte
-		var checked atomic.Int64
+		sender := e.IDAt(5)
+		const rounds = 30
+		var sent [rounds][]byte
+		var checked, late atomic.Int64
 		h := funcHandler(func(ctx *Ctx) {
 			for i := range ctx.Inbox {
 				m := &ctx.Inbox[i]
-				if want := bytes.Repeat([]byte{byte(m.Aux)}, 16); !bytes.Equal(m.Blob(), want) {
-					t.Errorf("round %d: a blob lent in round %d reads %v", ctx.Round, m.Aux, m.Blob())
+				blob, want := m.Blob(), sent[m.Aux]
+				if len(blob) == 0 || &blob[0] != &want[0] {
+					t.Errorf("round %d: a blob sent in round %d arrived as another array", ctx.Round, m.Aux)
+				} else if !bytes.Equal(blob, bytes.Repeat([]byte{byte(m.Aux)}, 16)) {
+					t.Errorf("round %d: a blob sent in round %d reads %v", ctx.Round, m.Aux, blob)
 				}
 				checked.Add(1)
+				if ctx.Round > int(m.Aux)+1 {
+					late.Add(1)
+				}
 			}
-			if ctx.ID != lender {
+			if ctx.ID != sender {
 				return
 			}
-			buf := &bufs[ctx.Round%len(bufs)] // last sent three rounds ago
-			*buf = append((*buf)[:0], bytes.Repeat([]byte{byte(ctx.Round)}, 16)...)
+			sent[ctx.Round] = bytes.Repeat([]byte{byte(ctx.Round)}, 16)
 			for i := 0; i < 8; i++ {
 				m := ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(ctx.E.N())), 1)
 				m.Aux = uint64(ctx.Round)
-				ctx.SetPayload(m, nil, *buf)
+				ctx.SetPayload(m, nil, sent[ctx.Round])
 			}
 		})
-		for r := 0; r < 30; r++ {
+		for r := 0; r < rounds; r++ {
+			poisonSlabs(e)
 			e.RunRound(h)
 		}
-		if d := e.Metrics().MsgsDelayed; d == 0 || checked.Load() == 0 {
-			t.Fatalf("%d messages delayed, %d checked", d, checked.Load())
+		if d := e.Metrics().MsgsDelayed; d == 0 || late.Load() == 0 || checked.Load() == 0 {
+			t.Fatalf("%d messages delayed, %d checked, %d of them late", d, checked.Load(), late.Load())
 		}
 	})
 	t.Run("overlay", func(t *testing.T) {

@@ -129,7 +129,7 @@ func (m *Msg) IDs() []NodeID {
 }
 
 // Blob returns the message's data payload, nil if it has none; it may be
-// kept as IDs may, unless its sender's protocol lends it (SetPayload).
+// kept as IDs may.
 func (m *Msg) Blob() []byte {
 	if m.payload == nil {
 		return nil
@@ -800,13 +800,9 @@ func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
 // most once.
 // The slices are not copied. A sent id list or blob is never modified
 // again, by its sender or anyone else, so a receiver may keep it as its
-// own state and many receivers may share it. A protocol may lend a blob
-// it will rewrite later instead, if its receivers copy what they keep and
-// it rewrites no blob sent in the current or the previous round (the
-// protocol package's cache entries are the one such blob); the engine
-// copies the blob of a message the fault model delays. Panics if
-// either exceeds MaxPayloadLen: the modelled wire format cannot express
-// it, so sending one is a protocol bug.
+// own state and many receivers may share it. Panics if either exceeds
+// MaxPayloadLen: the modelled wire format cannot express it, so sending
+// one is a protocol bug.
 func (c *Ctx) SetPayload(m *Msg, ids []NodeID, blob []byte) {
 	if len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen {
 		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
@@ -1089,10 +1085,8 @@ func (e *Engine) faultFate(rs *routeShard, m *Msg) bool {
 		d := delayedMsg{deliverAt: e.round + 1 + delay, m: *m}
 		if m.payload != nil {
 			// The queue outlives the sender's slab: move the cell to the
-			// heap. It outlives a lent blob's round too (SetPayload): copy
-			// the blob.
+			// heap. The slices it holds are never modified (SetPayload).
 			cell := *m.payload
-			cell.blob = slices.Clone(cell.blob)
 			d.m.payload = &cell
 		}
 		rs.delayed = append(rs.delayed, d)

@@ -90,8 +90,7 @@ type Tracer struct {
 
 	bufs [NumShards]traceEventBuf
 
-	live map[uint64]*traceAgg
-	free []*traceAgg // recycled aggs: steady state allocates none
+	live map[uint64]traceAgg
 
 	// round-merged event scratch, reused across rounds
 	merged []Event
@@ -124,7 +123,7 @@ func NewTracer(reg *Registry, seed uint64, sampleEvery int) *Tracer {
 	t := &Tracer{
 		seed:        seed,
 		sampleEvery: uint64(sampleEvery),
-		live:        make(map[uint64]*traceAgg),
+		live:        make(map[uint64]traceAgg),
 		expireAfter: 4096,
 
 		searchHops:   reg.Histogram("dynp2p_search_hops", "delivered protocol messages per traced search"),
@@ -206,13 +205,8 @@ func (t *Tracer) EndRound(round int64) {
 		ev := &t.merged[i]
 		switch ev.Kind {
 		case EvOpStart:
-			agg := t.getAgg()
-			agg.start = ev.Round
-			agg.lastSeen = ev.Round
-			agg.hops = 0
-			agg.path = 0
-			agg.isStore = ev.OK // start events carry isStore in OK
-			t.live[ev.Trace] = agg
+			// Start events carry isStore in OK.
+			t.live[ev.Trace] = traceAgg{start: ev.Round, lastSeen: ev.Round, isStore: ev.OK}
 			t.opsTraced.Inc(0)
 		case EvHop:
 			// Traced ops' stamps outlive them (committee maintenance keeps
@@ -225,6 +219,7 @@ func (t *Tracer) EndRound(round int64) {
 			agg.hops++
 			agg.path += int64(ev.Path)
 			agg.lastSeen = ev.Round
+			t.live[ev.Trace] = agg
 		case EvDrop:
 			agg, ok := t.live[ev.Trace]
 			if !ok {
@@ -232,6 +227,7 @@ func (t *Tracer) EndRound(round int64) {
 			}
 			t.dropEvents.Inc(0)
 			agg.lastSeen = ev.Round
+			t.live[ev.Trace] = agg
 		default:
 			continue
 		}
@@ -263,7 +259,6 @@ func (t *Tracer) EndRound(round int64) {
 				t.opsFailed.Inc(0)
 			}
 			delete(t.live, ev.Trace)
-			t.putAgg(agg)
 			if t.w != nil {
 				t.writeJSON(ev)
 			}
@@ -276,23 +271,11 @@ func (t *Tracer) EndRound(round int64) {
 		for id, agg := range t.live {
 			if round-agg.lastSeen > t.expireAfter {
 				delete(t.live, id)
-				t.putAgg(agg)
 				t.opsExpired.Inc(0)
 			}
 		}
 	}
 }
-
-func (t *Tracer) getAgg() *traceAgg {
-	if n := len(t.free); n > 0 {
-		a := t.free[n-1]
-		t.free = t.free[:n-1]
-		return a
-	}
-	return &traceAgg{}
-}
-
-func (t *Tracer) putAgg(a *traceAgg) { t.free = append(t.free, a) }
 
 // writeJSON appends one trace event as a JSONL line. Hand-rolled to keep
 // the hot path free of encoding/json reflection and allocation.
