@@ -69,10 +69,6 @@ const (
 	EdgesSelfHealing = simnet.EdgesSelfHealing
 )
 
-// ParseEdgeMode resolves an edge-mode name ("rerandomize", "static",
-// "self-healing") to its EdgeMode.
-func ParseEdgeMode(s string) (EdgeMode, error) { return simnet.ParseEdgeMode(s) }
-
 // RoutingMode selects how protocol messages travel (re-exported; see
 // internal/simnet). RoutingOracle teleports each message to its
 // addressee in one round — the historical engine exchange. RoutingOverlay

@@ -153,15 +153,6 @@ func NewAdversary(n int, seed uint64, strategy Strategy, law Law) *Adversary {
 	return a
 }
 
-// N returns the network size the adversary was built for.
-func (a *Adversary) N() int { return a.n }
-
-// Law returns the adversary's churn law.
-func (a *Adversary) Law() Law { return a.law }
-
-// Strategy returns the slot-selection strategy.
-func (a *Adversary) Strategy() Strategy { return a.strategy }
-
 // Batch returns the distinct slot indices to replace in the given round.
 // The returned slice is reused across calls; callers must not retain it.
 func (a *Adversary) Batch(round int) []int {

@@ -21,6 +21,13 @@ type membership struct {
 	joined int             // round this node (re-)joined
 	trace  uint64          // lifecycle trace id inherited from the invite (0 = untraced)
 
+	// data is this member's share of the item: the full bytes in
+	// replication mode, or IDA piece pieceIdx; nil if no invite brought it
+	// one. itemLen is the item's length.
+	data     []byte
+	pieceIdx int // -1 in replication mode
+	itemLen  int
+
 	// Per-epoch scratch, reset at each epoch's sample window.
 	curEpoch     int             // epoch the scratch belongs to; -1 before the first window
 	sources      []simnet.NodeID // walk sources recorded in the window
@@ -107,14 +114,14 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	m.counts.put(uint64(st.id), m.myCount)
 	if h.code != nil {
-		if cp := st.stored.get(m.key); cp != nil && cp.pieceIdx >= 0 {
+		if m.data != nil && m.pieceIdx >= 0 {
 			// The own piece takes the place of a peer's copy of it.
-			if i, dup := m.pieceAt(cp.pieceIdx); dup {
-				m.gathered[i].Data = cp.data
+			if i, dup := m.pieceAt(m.pieceIdx); dup {
+				m.gathered[i].Data = m.data
 			} else {
-				m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: cp.pieceIdx, Data: cp.data})
+				m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: m.pieceIdx, Data: m.data})
 			}
-			m.gatheredLen = cp.itemLen
+			m.gatheredLen = m.itemLen
 		}
 	}
 	for _, peer := range m.roster {
@@ -140,8 +147,7 @@ func (h *Handler) onCount(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 // so a member sends its piece to the first FallbackCandidates members of
 // the ranking it has just received, not to the whole roster.
 func (h *Handler) sendPiece(ctx *simnet.Ctx, st *nodeState, m *membership) {
-	cp := st.stored.get(m.key)
-	if cp == nil || cp.pieceIdx < 0 {
+	if m.data == nil || m.pieceIdx < 0 {
 		return
 	}
 	top, n := m.candidates()
@@ -151,8 +157,8 @@ func (h *Handler) sendPiece(ctx *simnet.Ctx, st *nodeState, m *membership) {
 			continue
 		}
 		msg := ctx.SendMsg(peer, KindCPiece)
-		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, uint64(cp.pieceIdx), uint64(cp.itemLen), m.trace
-		ctx.SetPayload(msg, nil, cp.data)
+		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, uint64(m.pieceIdx), uint64(m.itemLen), m.trace
+		ctx.SetPayload(msg, nil, m.data)
 	}
 }
 
@@ -239,15 +245,14 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	var blobs [][]byte
 	var itemLen uint64
 	if h.code == nil {
-		cp := st.stored.get(m.key)
-		if cp == nil {
+		if m.data == nil {
 			return
 		}
 		blobs = make([][]byte, len(newRoster))
 		for i := range blobs {
-			blobs[i] = cp.data
+			blobs[i] = m.data
 		}
-		itemLen = uint64(cp.itemLen)
+		itemLen = uint64(m.itemLen)
 	} else {
 		// §4.4: reconstruct from the pieces the members sent this
 		// candidate, then re-disperse fresh pieces to the new roster.
@@ -324,13 +329,16 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	// The roster and the copy or piece are immutable once sent: the new
 	// committee shares the leader's arrays. A re-invited member keeps its
-	// epoch scratch's arrays.
+	// epoch scratch's arrays, and its copy if the invite brings none.
 	*m = membership{
 		key: key, base: base,
 		roster:   msg.IDs(),
 		joined:   ctx.Round,
 		curEpoch: -1,
 		trace:    msg.Trace,
+		data:     m.data,
+		pieceIdx: m.pieceIdx,
+		itemLen:  m.itemLen,
 		sources:  m.sources[:0],
 		counts:   m.counts,
 		gathered: m.gathered[:0],
@@ -339,15 +347,10 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	m.handledEpoch = m.epochOf(ctx.Round, h.P.Period)
 
 	if blob := msg.Blob(); len(blob) > 0 {
-		idx := -1
+		m.data, m.pieceIdx, m.itemLen = blob, -1, int(msg.Aux2)
 		if h.code != nil {
-			idx = pieceIdx
+			m.pieceIdx = pieceIdx
 		}
-		st.stored.put(key, storedCopy{
-			data:     blob,
-			pieceIdx: idx,
-			itemLen:  int(msg.Aux2),
-		})
 	}
 	st.registerLandmark(key, lmEntry{
 		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL(), wave: ctx.Round,
@@ -380,7 +383,6 @@ func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if slices.Contains(msg.IDs(), st.id) {
 		return // re-invited: the CInvite (processed earlier) refreshed us
 	}
-	st.stored.del(m.key)
 	st.memberships.del(msg.Item)
 	h.ctr.resignations.Inc(ctx.Shard)
 }

@@ -171,20 +171,11 @@ type nodeState struct {
 	recentPos int
 	recentLen int
 
-	memberships table[membership]  // item key -> storage-committee membership
-	stored      table[storedCopy]  // item key -> local copy/piece
+	memberships table[membership]  // item key -> storage-committee membership and its copy/piece
 	storageLM   table[lmEntry]     // item key -> storage landmark state
 	searchLM    table[searchTask]  // item key -> active search tasks, a key's in arrival order (add)
 	searches    table[searchState] // item key -> retrieval this node runs
 	pending     []pendingOp
-}
-
-// storedCopy is this node's share of an item: the full bytes in
-// replication mode, or one IDA piece.
-type storedCopy struct {
-	data     []byte
-	pieceIdx int // -1 in replication mode
-	itemLen  int
 }
 
 // lmEntry is a storage-landmark registration: this node can point
@@ -297,7 +288,6 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 	}
 	st.recentPos, st.recentLen = 0, 0
 	st.memberships.reset()
-	st.stored.reset()
 	st.storageLM.reset()
 	st.searchLM.reset()
 	st.searches.reset()
@@ -468,7 +458,7 @@ func (h *Handler) CommitteeSlots(key uint64) []int {
 func (h *Handler) CopyCount(key uint64) int {
 	c := 0
 	for s := range h.states {
-		if h.states[s].stored.get(key) != nil {
+		if m := h.states[s].memberships.get(key); m != nil && m.data != nil {
 			c++
 		}
 	}

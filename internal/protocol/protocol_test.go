@@ -371,7 +371,7 @@ func TestIDAStorageOverhead(t *testing.T) {
 	s.run(4)
 	var total int
 	for slot := range s.h.states {
-		if cp := s.h.states[slot].stored.get(11); cp != nil {
+		if cp := s.h.states[slot].memberships.get(11); cp != nil {
 			total += len(cp.data)
 		}
 	}
@@ -631,7 +631,7 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 	s.h.RequestRetrieve(s.e, slot, queued, nil)
 	round := s.e.Round()
 	st := &s.h.states[slot]
-	if st.memberships.get(key) == nil || st.stored.get(key) == nil || !slices.Contains(s.h.heldKeys(slot, round, nil), key) ||
+	if m := st.memberships.get(key); m == nil || m.data == nil || !slices.Contains(s.h.heldKeys(slot, round, nil), key) ||
 		st.searchLM.get(missing) == nil || st.searches.get(missing) == nil || len(st.pending) != 1 || st.recentLen == 0 {
 		t.Fatalf("slot %d does not hold every role before the replacement: %+v", slot, st)
 	}

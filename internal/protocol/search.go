@@ -310,8 +310,8 @@ func (h *Handler) onFound(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 
 // onFetch returns this member's copy or piece of the item.
 func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
-	cp := st.stored.get(msg.Item)
-	if cp == nil {
+	cp := st.memberships.get(msg.Item)
+	if cp == nil || cp.data == nil {
 		return
 	}
 	m := ctx.SendMsg(msg.From, KindSData)

@@ -105,6 +105,7 @@ func TestSharedPayloadsStayIntact(t *testing.T) {
 					for i := range st.memberships.vals {
 						m := &st.memberships.vals[i]
 						rosters.check(t, round, "member's roster", m.roster)
+						blobs.check(t, round, "stored copy", m.data)
 						for _, p := range m.gathered {
 							blobs.check(t, round, "gathered piece", p.Data)
 							gathered++
@@ -112,9 +113,6 @@ func TestSharedPayloadsStayIntact(t *testing.T) {
 					}
 					for i := range st.storageLM.vals {
 						rosters.check(t, round, "landmark's roster", st.storageLM.vals[i].roster)
-					}
-					for i := range st.stored.vals {
-						blobs.check(t, round, "stored copy", st.stored.vals[i].data)
 					}
 					for i := range st.searches.vals {
 						for _, p := range st.searches.vals[i].pieces {

@@ -136,9 +136,6 @@ func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns a fair coin flip.
-func (r *Stream) Bool() bool { return r.Uint64()&1 == 1 }
-
 // ShuffleInts shuffles s in place (Fisher–Yates).
 func (r *Stream) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {

@@ -36,9 +36,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws a rank in [0, n) using r.
 func (z *Zipf) Next(r *Stream) int {
 	u := r.Float64()

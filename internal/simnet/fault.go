@@ -82,9 +82,10 @@ type delayedMsg struct {
 // the first source, where they take the fresh sends' path without a
 // second fate: under RoutingOracle a target that has already left drops
 // it at the scatter, and one that leaves at next round's churn drops it
-// there, with the fresh messages in its inbox; under RoutingOverlay it
-// walks from its origin slot in next round's routed phase like any fresh
-// send, so delay-released traffic too reaches its target edge-by-edge.
+// at next round's gather, with the fresh messages bound for it; under
+// RoutingOverlay it walks from its origin slot in next round's routed
+// phase like any fresh send, so delay-released traffic too reaches its
+// target edge-by-edge.
 func (e *Engine) release() {
 	rel := &e.sources[0]
 	rel.out = rel.out[:0]

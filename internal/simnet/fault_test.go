@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
+	"dynp2p/internal/shard"
 )
 
 // pingHandler counts received messages and has every node ping one fixed
@@ -130,8 +131,9 @@ func TestDelayedMessageToChurnedNodeIsDropped(t *testing.T) {
 
 // TestReleaseChurnedTargetDrops is the directed unit test for the release
 // path: route, in the round before fault-delayed messages are due, drops
-// and counts one whose target has already left, places one to a live
-// target in its next-round inbox, and keeps a not-yet-due one queued.
+// and counts one whose target has already left, stages one to a live
+// target for next round's gather to place in its inbox, and keeps a
+// not-yet-due one queued.
 func TestReleaseChurnedTargetDrops(t *testing.T) {
 	e := New(Config{
 		N: 16, Degree: 8, EdgeMode: EdgesStatic,
@@ -150,17 +152,26 @@ func TestReleaseChurnedTargetDrops(t *testing.T) {
 	if got := e.Metrics().MsgsDropped - before.MsgsDropped; got != 1 {
 		t.Fatalf("dropped %d messages, want exactly the churned target's 1", got)
 	}
-	if len(e.inbox[5]) != 1 || e.inbox[5][0].Kind != 2 {
-		t.Fatalf("live target inbox = %+v, want the Kind 2 message", e.inbox[5])
+	e.round = 4 // the round they are due: its gather places them
+	e.gather()
+	if in := inboxOf(e, 5); len(in) != 1 || in[0].Kind != 2 {
+		t.Fatalf("live target inbox = %+v, want the Kind 2 message", in)
 	}
-	for s, in := range e.inbox {
-		if s != 5 && len(in) != 0 {
+	for s := range e.N() {
+		if in := inboxOf(e, s); s != 5 && len(in) != 0 {
 			t.Fatalf("slot %d inbox = %+v, want empty", s, in)
 		}
 	}
 	if len(e.delayed) != 1 || e.delayed[0].m.Kind != 3 {
 		t.Fatalf("not-yet-due message not retained: %+v", e.delayed)
 	}
+}
+
+// inboxOf returns the inbox the last gather placed for slot s: its run in
+// its shard's arena.
+func inboxOf(e *Engine, s int) []Msg {
+	sh, l := shard.Loc(e.slotLoc[s])
+	return e.arenas[sh].Run(l)
 }
 
 // precedes reports whether a comes before b in the canonical inbox order
@@ -180,9 +191,11 @@ func precedes(a, b *Msg) bool {
 // no message is read twice, in both routing modes. A fault-delayed message
 // is older than the round's fresh sends, so it must reach the inbox ahead
 // of them, and without writing into the arena behind another slot's view.
-// The second schedule makes every third round a NopHandler round, which
-// sends nothing and drops its inboxes unread: the refs a gather placed
-// must be gone by the next one, or it places their messages again.
+// The nop-rounds schedules make every third round a NopHandler round,
+// which sends nothing and drops its inboxes unread: the refs a gather
+// placed must be gone by the next one, or it places their messages again.
+// The churn legs replace 8 slots a round: a message bound for a replaced
+// occupant must die with it, not reach the newcomer in its slot.
 func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 	const n = 256
 	type key struct {
@@ -190,9 +203,17 @@ func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 		seq         uint32
 	}
 	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
-		for _, nopEvery := range []int{0, 3} {
+		for _, leg := range []struct {
+			churn    bool
+			nopEvery int
+		}{{false, 0}, {false, 3}, {true, 0}, {true, 3}} {
 			name := mode.String()
-			if nopEvery > 0 {
+			var law churn.Law = churn.ZeroLaw{}
+			if leg.churn {
+				name += "/churn"
+				law = churn.FixedLaw{Count: 8}
+			}
+			if leg.nopEvery > 0 {
 				name += "/nop-rounds"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -223,19 +244,23 @@ func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 				})
 				e := New(Config{
 					N: n, Degree: 8, EdgeMode: EdgesStatic,
-					AdversarySeed: 3, ProtocolSeed: 4, Law: churn.ZeroLaw{},
+					AdversarySeed: 3, ProtocolSeed: 4, Law: law,
 					Fault:   DropDelayFaults{DelayProb: 0.3, MaxDelay: 2},
 					Routing: RoutingConfig{Mode: mode},
 				})
 				for r := 0; r < 60; r++ {
-					if nopEvery > 0 && r%nopEvery == nopEvery-1 {
+					if leg.nopEvery > 0 && r%leg.nopEvery == leg.nopEvery-1 {
 						e.RunRound(NopHandler{})
 					} else {
 						e.RunRound(h)
 					}
 				}
-				if m := e.Metrics(); read.Load() == 0 || m.MsgsDelayed == 0 {
+				m := e.Metrics()
+				if read.Load() == 0 || m.MsgsDelayed == 0 {
 					t.Fatalf("%d messages read, %d delayed: the test shows nothing", read.Load(), m.MsgsDelayed)
+				}
+				if leg.churn && m.MsgsDropped+e.RouteMetrics().DroppedDead == 0 {
+					t.Fatal("no message was dropped to churn: the churn leg shows nothing")
 				}
 				if got := misaddressed.Load(); got != 0 {
 					t.Fatalf("%d of %d messages read were addressed to another node", got, read.Load())
@@ -248,5 +273,56 @@ func TestInboxHoldsOnlyOwnMessages(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMessageConservation: under churn and a dropping, delaying fault
+// model, every message sent is accounted for once the delay queue and the
+// router have drained — delivered, dropped to churn, lost to the fault
+// model, or (overlay) dropped by the router out of budget or at a departed
+// target — in both routing modes. A drop booked twice, or a message
+// counted as delivered that no inbox received, breaks the identity.
+func TestMessageConservation(t *testing.T) {
+	const (
+		n          = 256
+		sendRounds = 40
+		maxDelay   = 3
+	)
+	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var read atomic.Int64
+			sending := true
+			h := funcHandler(func(ctx *Ctx) {
+				read.Add(int64(len(ctx.Inbox)))
+				if sending && ctx.Rand.Intn(2) == 0 {
+					ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(n)), 1)
+				}
+			})
+			e := New(Config{
+				N: n, Degree: 8, EdgeMode: EdgesStatic,
+				AdversarySeed: 5, ProtocolSeed: 6, Law: churn.FixedLaw{Count: 8},
+				Fault:   DropDelayFaults{DropProb: 0.1, DelayProb: 0.3, MaxDelay: maxDelay},
+				Routing: RoutingConfig{Mode: mode},
+			})
+			e.Run(h, sendRounds)
+			sending = false
+			e.Run(h, maxDelay+3)
+			if len(e.delayed) != 0 || e.RoutedInFlight() != 0 {
+				t.Fatalf("%d delayed and %d routed messages still in flight", len(e.delayed), e.RoutedInFlight())
+			}
+			m, rm := e.Metrics(), e.RouteMetrics()
+			if m.MsgsDropped+rm.DroppedDead == 0 || m.MsgsFaultDropped == 0 || m.MsgsDelayed == 0 {
+				t.Fatalf("churn or fault model inactive: %+v, %+v", m, rm)
+			}
+			if m.MsgsDelivered != read.Load() {
+				t.Fatalf("%d messages counted as delivered, %d read", m.MsgsDelivered, read.Load())
+			}
+			accounted := m.MsgsDelivered + m.MsgsDropped + m.MsgsFaultDropped + rm.DroppedBudget + rm.DroppedDead
+			if m.MsgsSent != accounted {
+				t.Fatalf("sent %d != delivered %d + dropped %d + fault-dropped %d + budget %d + dead %d (= %d)",
+					m.MsgsSent, m.MsgsDelivered, m.MsgsDropped, m.MsgsFaultDropped,
+					rm.DroppedBudget, rm.DroppedDead, accounted)
+			}
+		})
 	}
 }

@@ -16,7 +16,9 @@ package simnet
 // link's forward count is the congestion signal. Walkers are walked on
 // the engine's crew and their outcomes booked in one fixed-order
 // serial merge, so routed metrics are worker-count independent; the
-// merge stages the deliveries, and the oracle's gather places them.
+// merge stages the deliveries, and the gather right after it places them
+// — the same gather that places the oracle's staged sends after churn,
+// in the deliver phase.
 
 import (
 	"fmt"
@@ -164,15 +166,4 @@ func (e *Engine) deliverRouted(slot int32, ref *msgRef, hops int32) {
 	src := &e.sources[ref.src]
 	dsh := e.slotLoc[slot] >> shard.LocalBits
 	src.xfer[dsh] = append(src.xfer[dsh], routedRef{slot: slot, idx: ref.idx})
-	e.em.delivered.Inc(0)
-}
-
-// runRouted executes the routed-delivery phase: advance every in-flight
-// walker over this round's adjacency, staging the deliveries in their
-// sources in the router's canonical order, then place them into this
-// round's inboxes with the oracle's gather. Under the overlay nothing
-// else reaches an inbox, so each slot's view is its arena run.
-func (e *Engine) runRouted() {
-	e.router.Step()
-	e.gather()
 }

@@ -3,7 +3,9 @@
 //
 //  1. the adversary replaces up to its churn budget of nodes and rewires
 //     the d-regular expander topology;
-//  2. every live node learns its current neighbours;
+//  2. every live node learns its current neighbours, and the messages
+//     sent to it last round are placed in its inbox; those addressed to a
+//     node churn has just replaced die with it;
 //  3. registered round hooks run (the random-walk soup lives here);
 //  4. every live node's protocol handler runs with the messages that were
 //     addressed to it, and may send new id-addressed messages;
@@ -11,6 +13,9 @@
 //     churned out is silently dropped — the model's failure mode. An
 //     optional FaultModel (fault.go) may additionally drop or delay
 //     messages at this point, modelling lossy links on top of churn.
+//
+// Under RoutingOverlay (routing.go) step 2 places nothing: a message walks
+// the overlay after the hooks have repaired it, and is placed then.
 //
 // The engine distinguishes *slots* (0..n-1, the stable positions the
 // adversary's topology is defined over) from *node ids* (the identities
@@ -24,7 +29,7 @@
 // seed and the node id, and inbox order is canonical *by construction*:
 // handlers and routing both run over a fixed number of slot shards
 // (internal/shard), messages carry their sender's slot, and the gather
-// phase merges source shards in fixed index order, so every inbox arrives
+// merges source shards in fixed index order, so every inbox arrives
 // sorted by (send round, sender slot, per-sender sequence) without any
 // sorting. See DESIGN.md §6 for the engine internals.
 package simnet
@@ -267,10 +272,10 @@ type Metrics struct {
 	MaxNodeBitsRound int64
 }
 
-// engineMetrics holds the engine's registry handles. All engine-side
-// updates happen in serial round phases (churn, the deliver tally, the
-// handlers' tally, route's tally merge, the routed phase's merge), so
-// every write goes to shard 0.
+// engineMetrics holds the engine's registry handles. The gather counts
+// what it places and drops in its destination shard's stripe; every other
+// engine-side update happens in a serial round phase (churn, the handlers'
+// tally, route's tally merge) and goes to shard 0.
 type engineMetrics struct {
 	rounds       telemetry.Counter
 	sent         telemetry.Counter
@@ -328,9 +333,10 @@ const xferRoom = 16
 // there, plus its fault-delayed messages and metric tallies. Each slot
 // shard's sends are one, with its handler context and payload slabs; the
 // fault-released messages of the round are another, merged ahead of them
-// all. The refs are written by the oracle's scatter or the overlay's
-// routed phase and consumed by the gather that follows it, so they are
-// empty between rounds. All buffers are reused across rounds. The struct
+// all. The refs are written by the oracle's scatter in route and wait
+// there for next round's gather, after churn, or by the overlay's routed
+// phase and consumed by the gather that follows it. All buffers are
+// reused across rounds. The struct
 // is sized to an exact multiple of the cache line (asserted by
 // TestRouteShardCacheAligned), so workers filling adjacent shards never
 // false-share — the same discipline the engine's original per-worker
@@ -388,16 +394,9 @@ type Engine struct {
 	// simulation lifetimes).
 	slotIndex []int32
 
-	// inbox is slot -> the messages its handler reads this round: the
-	// arenas' runs, placed by gather — in the previous round's route under
-	// RoutingOracle, in this round's routed phase under RoutingOverlay.
-	// Route replaces (oracle) or clears (overlay) every view once the
-	// round's handlers have read it, and churn empties a departed
-	// occupant's view, so no view is written after placement.
-	inbox [][]Msg
-
-	// arenas are the per-destination-shard inbox stores, rewritten by each
-	// gather after the last round's handlers have read them.
+	// arenas are the per-destination-shard inbox stores: slot s's inbox is
+	// the run of s's shard at s's local index. Each round's gather rewrites
+	// them after churn, so a departed occupant's messages are never placed.
 	arenas []shard.Runs[Msg]
 
 	faultSeed uint64       // derived from the adversary seed
@@ -478,7 +477,6 @@ func New(cfg Config) *Engine {
 		slotIndex: newSlotIndex(2*cfg.N + 1),
 		joinRound: make([]int32, cfg.N),
 		nodeRng:   make([]*rng.Stream, cfg.N),
-		inbox:     make([][]Msg, cfg.N),
 		faultSeed: rng.Hash(cfg.AdversarySeed, 0xfa017),
 		routeSeed: rng.Hash(cfg.ProtocolSeed, 0x4007e),
 		crew:      shard.NewCrew(min(workers, cfg.N, grid.Count())),
@@ -861,10 +859,6 @@ func (e *Engine) RunRound(h Handler) {
 				h.OnLeave(e, s, e.ids[s], round)
 			}
 			id := e.placeNewNode(s, round)
-			// Pending messages addressed to the departed occupant die
-			// with it.
-			e.em.dropped.Add(0, int64(len(e.inbox[s])))
-			e.inbox[s] = nil
 			if h != nil {
 				h.OnJoin(e, s, id, round)
 			}
@@ -879,13 +873,12 @@ func (e *Engine) RunRound(h Handler) {
 		prof.Lap(1) // topology
 	}
 
-	// Deliver: what last round's route placed, fault-released messages
-	// included, is what survived churn; tally it.
-	var delivered int64
-	for _, in := range e.inbox {
-		delivered += int64(len(in))
+	// Deliver: under RoutingOracle the gather places what last round's
+	// route staged, fault-released messages included, and drops what was
+	// bound for an occupant churn has just replaced.
+	if e.router == nil {
+		e.gather()
 	}
-	e.em.delivered.Add(0, delivered)
 	prof.Lap(2) // deliver
 
 	// 3. Hooks (walk soup etc), each its own profiler phase.
@@ -895,10 +888,11 @@ func (e *Engine) RunRound(h Handler) {
 	}
 
 	// 4. Routed delivery (routing.go): last round's overlay walkers advance
-	// over this round's post-repair adjacency and land in this round's
-	// inboxes or drop.
+	// over this round's post-repair adjacency and are staged where they were
+	// sent, or drop; the gather places them in this round's inboxes.
 	if e.router != nil {
-		e.runRouted()
+		e.router.Step()
+		e.gather()
 	}
 	prof.Lap(3 + len(e.hooks)) // routed
 
@@ -910,12 +904,10 @@ func (e *Engine) RunRound(h Handler) {
 	if _, nop := h.(NopHandler); h != nil && !nop {
 		e.runHandlers(h, round)
 		prof.Lap(4 + len(e.hooks)) // handlers
-		// 6. Route: messages to live ids land in next round's inboxes; the
-		// rest drop.
+		// 6. Route: messages to live ids are staged for next round's
+		// gather; the rest drop.
 		e.route()
 		prof.Lap(5 + len(e.hooks)) // route
-	} else {
-		clear(e.inbox)
 	}
 	if e.tracer != nil {
 		// Merge the round's staged trace events (serial, fixed shard
@@ -940,10 +932,11 @@ func (e *Engine) runHandlers(h Handler, round int) {
 		pay := &rs.pay[round&1]
 		pay.reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
+		a := &e.arenas[sh]
 		ctx := rs.ctx
 		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
 		for s := lo; s < hi; s++ {
-			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], e.inbox[s]
+			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], a.Run(s-lo)
 			ctx.seq, ctx.bits = 0, 0
 			h.HandleRound(ctx)
 			rs.bits += ctx.bits
@@ -970,16 +963,15 @@ func (e *Engine) runHandlers(h Handler, round int) {
 // handing them on first keeps every inbox in canonical order. Both modes
 // then walk every source in order, and only a released message skips
 // faultFate, having had its fate when sent. Under RoutingOracle the
-// sharded exchange places them all in next-round inboxes; under
+// sharded exchange stages a ref to each for next round's gather; under
 // RoutingOverlay the serial loop below hands the router a reference to
-// each, which the next round's routed phase walks while the messages are
-// still in their buffers.
+// each, which the next round's routed phase walks. Either way the
+// messages stay in their buffers until next round's gather has placed
+// them.
 func (e *Engine) route() {
 	e.release()
 	if e.router == nil {
 		e.exchange()
-	} else {
-		clear(e.inbox) // the routed phase places next round's views
 	}
 	// Serial merge in fixed source order. Under the overlay it first gives
 	// the source's messages to the router in canonical order, after the
@@ -1008,11 +1000,11 @@ func (e *Engine) route() {
 	}
 }
 
-// exchange is the oracle's two-phase sharded message exchange. Scatter:
+// exchange is the scatter half of the oracle's sharded message exchange:
 // the crew walks sources, decides each fresh message's fault fate (a pure
 // hash of its identity), resolves the destination id to a slot through the
 // dense table, and stages a ref to the message in the source's buffer for
-// the destination shard. Gather places the staged messages.
+// the destination shard. Next round's gather, after churn, places them.
 func (e *Engine) exchange() {
 	e.crew.Do(len(e.sources), func(src int) {
 		rs := &e.sources[src]
@@ -1030,25 +1022,37 @@ func (e *Engine) exchange() {
 			rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
 		}
 	})
-	e.gather()
 }
 
-// gather is the one inbox placement, of both routing modes: the crew walks
-// destination shards and places, by a stable counting sort into the
-// shard's arena, what the sources stage there — the oracle's scatter or
-// the overlay's routed phase — merging sources in their fixed order, the
-// released messages and then source shards by index, so each inbox
-// receives messages ordered by (send round, sender slot, sequence)
-// regardless of worker count. It consumes the refs it places. The arena's
-// runs replace every slot's view, the ones the last handlers read
-// included.
+// gather is the one inbox placement, of both routing modes, and runs after
+// the round's churn: the crew walks destination shards and places, by a
+// stable counting sort into the shard's arena, what the sources stage
+// there — last round's oracle scatter or this round's routed phase —
+// merging sources in their fixed order, the released messages and then
+// source shards by index, so each inbox receives messages ordered by (send
+// round, sender slot, sequence) regardless of worker count. A ref to a
+// slot churn replaced this round whose message names another id was bound
+// for the departed occupant, and is dropped. The gather consumes the refs
+// and rewrites every run, the ones the last handlers read included; each
+// shard counts what it places and drops in its own telemetry stripe.
 func (e *Engine) gather() {
+	round := int32(e.round)
 	e.crew.Do(e.grid.Count(), func(dsh int) {
 		a := &e.arenas[dsh]
 		lo, hi := e.grid.Bounds(dsh, e.cfg.N)
 		a.Reset(hi - lo)
+		var staged, dropped int64
 		for i := range e.sources {
-			for _, ref := range e.sources[i].xfer[dsh] {
+			src := &e.sources[i]
+			refs := src.xfer[dsh]
+			staged += int64(len(refs))
+			for j := range refs {
+				ref := &refs[j]
+				if e.joinRound[ref.slot] == round && src.out[ref.idx].To != e.ids[ref.slot] {
+					ref.slot = -1 // not placed below
+					dropped++
+					continue
+				}
 				a.Count(int(ref.slot) - lo)
 			}
 		}
@@ -1060,13 +1064,14 @@ func (e *Engine) gather() {
 				continue // unwritten: other workers write the neighbouring shards' headers
 			}
 			for _, ref := range refs {
-				a.Place(int(ref.slot)-lo, &src.out[ref.idx])
+				if ref.slot >= 0 {
+					a.Place(int(ref.slot)-lo, &src.out[ref.idx])
+				}
 			}
 			src.xfer[dsh] = refs[:0]
 		}
-		for l := range hi - lo {
-			e.inbox[lo+l] = a.Run(l)
-		}
+		e.em.delivered.Add(dsh, staged-dropped)
+		e.em.dropped.Add(dsh, dropped)
 	})
 }
 
