@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dynp2p"
 )
 
 // The budgets. Each bounds a ratio or a difference taken inside one
@@ -42,6 +44,13 @@ const (
 	// round time as a multiple of FullRound's there.
 	workerSpeedup = 0.8
 	telemetryTax  = 1.05
+
+	// setupAllocs is how many more allocations building a network and
+	// running its first round may make at n = 16,384 than at n = 1,024:
+	// every per-slot table is one array sized at construction, so setup
+	// allocations are flat in n. It sits three orders of magnitude below
+	// the 2n a per-slot allocation on the join path costs.
+	setupAllocs = 16
 
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt
@@ -160,6 +169,32 @@ func TestSoupSecondWorkerAllocs(t *testing.T) {
 	two, _ := soupOnly(refSize, 2)
 	if err := deltaGate("SoupOnly/workers=2", one, two, workerAllocs); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetupAllocs bounds what building a network costs as n grows:
+// dynp2p.New plus the first round, with 64 shards, two workers, the
+// hot-key cache and IDA on, in both routing modes under both rerandomized
+// and self-healing edges.
+func TestSetupAllocs(t *testing.T) {
+	for _, routing := range []dynp2p.RoutingMode{dynp2p.RoutingOracle, dynp2p.RoutingOverlay} {
+		for _, edges := range []dynp2p.EdgeMode{dynp2p.EdgesRerandomize, dynp2p.EdgesSelfHealing} {
+			setup := func(n int) func() {
+				return func() {
+					dynp2p.New(dynp2p.Config{
+						N: n, Seed: 1, Shards: 64, Workers: 2, ErasureK: 4, Edges: edges,
+						Routing: dynp2p.RoutingConfig{Mode: routing},
+						Cache:   dynp2p.CacheConfig{Capacity: 8},
+					}).Run(1)
+				}
+			}
+			small, large := allocs(setup(1024), 1), allocs(setup(16384), 1)
+			t.Logf("%v/%v: %d allocations at n=1024, %d at n=16384", routing, edges, small, large)
+			if large-small > setupAllocs {
+				t.Errorf("%v/%v: setup allocates %d at n=16384 against %d at n=1024, budget is +%d",
+					routing, edges, large, small, setupAllocs)
+			}
+		}
 	}
 }
 

@@ -123,9 +123,10 @@ type Adversary struct {
 	law      Law
 	r        *rng.Stream
 
-	// ageQueue orders live slots by join time (front = oldest). Only
-	// maintained for the age-based strategies.
+	// ageQueue is a ring of all n slots ordered by join time, oldest at
+	// head. Only maintained for the age-based strategies.
 	ageQueue []int32
+	head     int
 	sweepPos int
 	batch    []int // reusable output buffer
 }
@@ -189,24 +190,20 @@ func (a *Adversary) Batch(round int) []int {
 			}
 		}
 		a.r.ShuffleInts(a.batch)
-	case OldestFirst:
-		// Pop the oldest `count` slots and requeue them at the back
-		// (they rejoin now, becoming the youngest).
-		for i := 0; i < count; i++ {
-			a.batch[i] = int(a.ageQueue[i])
+	case OldestFirst, YoungestFirst:
+		// Oldest-first pops the front and requeues it at the back, where
+		// the replaced slots rejoin as the youngest: in a ring of all n
+		// slots that only advances the head. Youngest-first reads the
+		// back; its replaced slots stay the youngest, so it keeps
+		// hammering the same tail while the old core persists.
+		start := a.head
+		if a.strategy == YoungestFirst {
+			start += a.n - count
+		} else {
+			a.head = (a.head + count) % a.n
 		}
-		rest := a.ageQueue[count:]
-		reborn := make([]int32, count)
-		for i := 0; i < count; i++ {
-			reborn[i] = int32(a.batch[i])
-		}
-		a.ageQueue = append(append(a.ageQueue[:0], rest...), reborn...)
-	case YoungestFirst:
-		// Pop from the back; replaced slots stay the youngest, so this
-		// keeps hammering the same tail while the old core persists.
-		start := len(a.ageQueue) - count
-		for i := 0; i < count; i++ {
-			a.batch[i] = int(a.ageQueue[start+i])
+		for i := range a.batch {
+			a.batch[i] = int(a.ageQueue[(start+i)%a.n])
 		}
 	case SweepBurst:
 		for i := 0; i < count; i++ {

@@ -2,6 +2,7 @@ package churn
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -151,6 +152,46 @@ func TestYoungestFirstKeepsOldCore(t *testing.T) {
 		for _, s := range a.Batch(round) {
 			if !inFirst[s] {
 				t.Fatalf("youngest-first strayed outside initial tail at round %d (slot %d)", round, s)
+			}
+		}
+	}
+}
+
+// rampLaw sweeps the per-round count over [-2, n+1]: no churn, every
+// batch size, and the clamped all-slots batch.
+type rampLaw struct{}
+
+func (rampLaw) PerRound(n, round int) int { return round*7%(n+4) - 2 }
+func (rampLaw) String() string            { return "ramp" }
+
+// TestAgeStrategiesMatchQueue pins the age-based strategies' head-indexed
+// ring to the queue algorithm, kept here as the reference: oldest-first
+// pops the front count slots and requeues them at the back, youngest-first
+// takes the back count slots and leaves the queue as it is.
+func TestAgeStrategiesMatchQueue(t *testing.T) {
+	const n, rounds = 97, 400
+	for _, strat := range []Strategy{OldestFirst, YoungestFirst} {
+		a := NewAdversary(n, 9, strat, rampLaw{})
+		queue := slices.Clone(a.ageQueue)
+		for round := 0; round < rounds; round++ {
+			count := min(rampLaw{}.PerRound(n, round), n)
+			var want []int32
+			switch {
+			case count <= 0:
+			case strat == OldestFirst:
+				want = slices.Clone(queue[:count])
+				queue = append(queue[count:], want...)
+			default:
+				want = queue[n-count:]
+			}
+			got := a.Batch(round)
+			if len(got) != len(want) {
+				t.Fatalf("%v round %d: batch of %d, want %d", strat, round, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != int(want[i]) {
+					t.Fatalf("%v round %d: batch[%d] = %d, want %d", strat, round, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -143,9 +143,9 @@ type Overlay struct {
 	// co is the reciprocal-port table: for each port v·d+p with
 	// adj[v·d+p] = w, co[v·d+p] is the port q of w with adj[w·d+q] = v
 	// (and co[w·d+q] = p). It makes severing a churned slot's edges O(d)
-	// and is maintained through every rewire. It is built in one pass
-	// over the graph on the first SelfHealing round; nil means not built
-	// (the run's edges belong to an oracle mode, or no round ran yet).
+	// and is maintained through every rewire. New builds it in one pass
+	// over the graph when the run's edges are SelfHealing; nil means the
+	// edges belong to an oracle mode, and the overlay repairs nothing.
 	co []int32
 	// dang marks dangling ports (bit v·d+p) during a repair round; bits
 	// are cleared as ports heal, so the mask is empty between rounds.
@@ -198,6 +198,9 @@ func New(e *simnet.Engine, soup *walks.Soup, cfg Config) *Overlay {
 		o.x = make([]float64, o.n)
 		o.y = make([]float64, o.n)
 	}
+	if e.EdgeMode() == simnet.EdgesSelfHealing {
+		o.activate(e.Graph())
+	}
 	// Bridge the overlay's counters into the telemetry registry. λ is a
 	// float in [0,1]; it is exposed in micro-units (×1e6) since registry
 	// values are integers.
@@ -219,15 +222,13 @@ func New(e *simnet.Engine, soup *walks.Soup, cfg Config) *Overlay {
 func (o *Overlay) Metrics() Metrics { return o.m }
 
 // StepRound implements simnet.RoundHook: sever and repair when the run's
-// edges are SelfHealing, then take the round's spectral measurement if
-// one is due. Runs serially; all randomness comes from the overlay's own
-// derived streams, so the engine's worker-count independence holds.
+// edges are SelfHealing (New built the port table), then take the round's
+// spectral measurement if one is due. Runs serially; all randomness comes
+// from the overlay's own derived streams, so the engine's worker-count
+// independence holds.
 func (o *Overlay) StepRound(e *simnet.Engine, round int) {
 	g := e.Graph()
-	if e.EdgeMode() == simnet.EdgesSelfHealing {
-		if o.co == nil {
-			o.activate(g)
-		}
+	if o.co != nil {
 		o.repair(e, g, round)
 	}
 	if o.cfg.SpectralEvery > 0 && round%o.cfg.SpectralEvery == 0 {
@@ -235,10 +236,11 @@ func (o *Overlay) StepRound(e *simnet.Engine, round int) {
 	}
 }
 
-// activate builds the repair state from the round-0 graph: the
-// reciprocal-port table, the scratch buffers, and one guard pass (the
-// oracle's graph is only non-bipartite w.h.p.; after this the overlay
-// maintains the property itself).
+// activate builds the repair state from the oracle's graph (New calls it
+// under SelfHealing edges, before any repair): the reciprocal-port table,
+// the scratch buffers, and one guard pass (the oracle's graph is only
+// non-bipartite w.h.p.; after this the overlay maintains the property
+// itself).
 func (o *Overlay) activate(g *graph.Graph) {
 	nd := o.n * o.d
 	o.co = make([]int32, nd)

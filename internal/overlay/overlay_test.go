@@ -140,7 +140,6 @@ func TestSelfHealingDeterminism(t *testing.T) {
 // regularity or the port table.
 func TestGuardFixesBipartite(t *testing.T) {
 	r := newRig(t, 64, simnet.EdgesSelfHealing, churn.ZeroLaw{}, churn.Uniform, Config{})
-	r.run(t, 1, 0) // activates the overlay on the oracle's round-0 graph
 	g := r.e.Graph()
 	n, d := g.N(), g.Degree()
 	// Even ring on ports 0/1; ports 2k/2k+1 pair v with v^1 (even-side

@@ -242,15 +242,11 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	// members keep their copies/pieces, a better-equipped fallback
 	// candidate may still act this epoch, and otherwise the committee
 	// retries at the next epoch boundary.
-	var blobs [][]byte
+	var pieces []ida.Piece // nil in replication mode: every invite carries m.data
 	var itemLen uint64
 	if h.code == nil {
 		if m.data == nil {
 			return
-		}
-		blobs = make([][]byte, len(newRoster))
-		for i := range blobs {
-			blobs[i] = m.data
 		}
 		itemLen = uint64(m.itemLen)
 	} else {
@@ -261,25 +257,21 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 			h.ctr.idaLost.Inc(ctx.Shard)
 			return
 		}
-		pieces := h.code.Encode(item)
-		blobs = make([][]byte, len(newRoster))
-		for i := range blobs {
-			blobs[i] = pieces[i%len(pieces)].Data
-		}
+		pieces = h.code.Encode(item)
 		itemLen = uint64(len(item))
 		h.ctr.idaRecoded.Inc(ctx.Shard)
 	}
 	m.handledEpoch = epoch
 
 	for i, peer := range newRoster {
-		pieceIdx := 0
-		if h.code != nil {
-			pieceIdx = i % h.P.CommitteeSize
+		blob, pieceIdx := m.data, 0
+		if pieces != nil {
+			blob, pieceIdx = pieces[i%len(pieces)].Data, i%h.P.CommitteeSize
 		}
 		msg := ctx.SendMsg(peer, KindCInvite)
 		msg.Item, msg.Aux, msg.Aux2 = m.key, packInvite(m.base, pieceIdx), itemLen
 		msg.Trace = m.trace
-		ctx.SetPayload(msg, newRoster, blobs[i])
+		ctx.SetPayload(msg, newRoster, blob)
 	}
 	h.ctr.invitesSent.Add(ctx.Shard, int64(len(newRoster)))
 	for _, peer := range m.roster {

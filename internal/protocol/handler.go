@@ -232,6 +232,13 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 
 		cacheArena: make([]cacheEntry, e.N()*p.CacheCapacity),
 	}
+	// Every slot's sample ring is a capped window of one array, carved as
+	// the cache arena is: churn empties a ring in place (OnJoin).
+	sb := p.SampleBuffer()
+	rings := make([]simnet.NodeID, e.N()*sb)
+	for s := range h.states {
+		h.states[s].recent = rings[s*sb : (s+1)*sb : (s+1)*sb]
+	}
 	if p.IDAThreshold > 0 {
 		c, err := ida.New(p.IDAThreshold, p.CommitteeSize)
 		if err != nil {
@@ -283,9 +290,6 @@ func (h *Handler) heldKeys(slot, round int, dst []uint64) []uint64 {
 func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
 	st := &h.states[slot]
 	st.id = id
-	if st.recent == nil {
-		st.recent = make([]simnet.NodeID, h.P.SampleBuffer())
-	}
 	st.recentPos, st.recentLen = 0, 0
 	st.memberships.reset()
 	st.storageLM.reset()
@@ -301,9 +305,6 @@ func (h *Handler) OnLeave(e *simnet.Engine, slot int, id simnet.NodeID, round in
 
 // pushRecent records a walk sample source in the node's ring buffer.
 func (st *nodeState) pushRecent(src simnet.NodeID) {
-	if len(st.recent) == 0 {
-		return
-	}
 	st.recent[st.recentPos] = src
 	if st.recentPos++; st.recentPos == len(st.recent) {
 		st.recentPos = 0

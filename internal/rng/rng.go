@@ -51,9 +51,9 @@ func Derive(seed, id uint64) *Stream {
 }
 
 // ReseedDerived reinitialises r in place to the exact stream Derive(seed,
-// id) would return, without allocating. The simulation engine uses it to
-// recycle a slot's Stream object when churn installs a new occupant, so
-// heavy-churn rounds stay allocation-free.
+// id) would return, without allocating. The simulation engine keeps one
+// Stream per slot and reseeds it in place when churn installs a new
+// occupant, so heavy-churn rounds stay allocation-free.
 func (r *Stream) ReseedDerived(seed, id uint64) {
 	// Mix id into the seed with one splitmix step so that (seed, id) and
 	// (seed, id+1) land far apart in seed space.

@@ -43,6 +43,9 @@ func TestMsgLayout(t *testing.T) {
 	if p := pointerWords(reflect.TypeOf(m)); p != 1 {
 		t.Errorf("Msg has %d pointer words, want 1", p)
 	}
+	// The fields after the payload pointer sit one pointer further on: the
+	// 64-bit offsets DESIGN.md §6 gives, 4 bytes earlier on a 32-bit build.
+	tail := 48 + unsafe.Sizeof(uintptr(0))
 	for _, f := range []struct {
 		name      string
 		got, want uintptr
@@ -54,12 +57,12 @@ func TestMsgLayout(t *testing.T) {
 		{"Aux2", unsafe.Offsetof(m.Aux2), 32},
 		{"Trace", unsafe.Offsetof(m.Trace), 40},
 		{"payload", unsafe.Offsetof(m.payload), 48},
-		{"Hops", unsafe.Offsetof(m.Hops), 56},
-		{"sentRound", unsafe.Offsetof(m.sentRound), 60},
-		{"srcSlot", unsafe.Offsetof(m.srcSlot), 64},
-		{"seq", unsafe.Offsetof(m.seq), 68},
-		{"Kind", unsafe.Offsetof(m.Kind), 72},
-		{"keyed", unsafe.Offsetof(m.keyed), 73},
+		{"Hops", unsafe.Offsetof(m.Hops), tail},
+		{"sentRound", unsafe.Offsetof(m.sentRound), tail + 4},
+		{"srcSlot", unsafe.Offsetof(m.srcSlot), tail + 8},
+		{"seq", unsafe.Offsetof(m.seq), tail + 12},
+		{"Kind", unsafe.Offsetof(m.Kind), tail + 16},
+		{"keyed", unsafe.Offsetof(m.keyed), tail + 17},
 	} {
 		if f.got != f.want {
 			t.Errorf("Msg.%s at offset %d, DESIGN.md §6 says %d", f.name, f.got, f.want)
@@ -296,7 +299,7 @@ func TestMemoryLedger(t *testing.T) {
 				}
 				var out, xfer int64
 				for i := range e.sources {
-					out += int64(cap(e.sources[i].out)) * 80
+					out += int64(cap(e.sources[i].out)) * int64(unsafe.Sizeof(Msg{}))
 					for _, refs := range e.sources[i].xfer {
 						xfer += int64(cap(refs)) * 8
 					}

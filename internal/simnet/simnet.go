@@ -381,9 +381,9 @@ type Engine struct {
 	g       *graph.Graph
 	topoRng *rng.Stream
 
-	ids       []NodeID // slot -> occupant id
-	joinRound []int32  // slot -> round the occupant joined
-	nodeRng   []*rng.Stream
+	ids       []NodeID     // slot -> occupant id
+	joinRound []int32      // slot -> round the occupant joined
+	nodeRng   []rng.Stream // slot -> occupant's stream, reseeded on join
 	nextID    NodeID
 
 	// slotIndex maps id -> occupied slot, or -1 once the id has departed.
@@ -476,7 +476,7 @@ func New(cfg Config) *Engine {
 		ids:       make([]NodeID, cfg.N),
 		slotIndex: newSlotIndex(2*cfg.N + 1),
 		joinRound: make([]int32, cfg.N),
-		nodeRng:   make([]*rng.Stream, cfg.N),
+		nodeRng:   make([]rng.Stream, cfg.N),
 		faultSeed: rng.Hash(cfg.AdversarySeed, 0xfa017),
 		routeSeed: rng.Hash(cfg.ProtocolSeed, 0x4007e),
 		crew:      shard.NewCrew(min(workers, cfg.N, grid.Count())),
@@ -563,13 +563,7 @@ func (e *Engine) placeNewNode(s, round int) NodeID {
 	e.ids[s] = id
 	e.slotIndex[id] = int32(s)
 	e.joinRound[s] = int32(round)
-	if e.nodeRng[s] == nil {
-		e.nodeRng[s] = rng.Derive(e.cfg.ProtocolSeed, uint64(id))
-	} else {
-		// Recycle the slot's Stream object: same derived sequence as a
-		// fresh Derive, no allocation on the churn path.
-		e.nodeRng[s].ReseedDerived(e.cfg.ProtocolSeed, uint64(id))
-	}
+	e.nodeRng[s].ReseedDerived(e.cfg.ProtocolSeed, uint64(id))
 	return id
 }
 
@@ -936,7 +930,7 @@ func (e *Engine) runHandlers(h Handler, round int) {
 		ctx := rs.ctx
 		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
 		for s := lo; s < hi; s++ {
-			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], e.nodeRng[s], a.Run(s-lo)
+			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], &e.nodeRng[s], a.Run(s-lo)
 			ctx.seq, ctx.bits = 0, 0
 			h.HandleRound(ctx)
 			rs.bits += ctx.bits

@@ -32,6 +32,8 @@ package walks
 //   - tailRow/tailIds: the adjacency and the occupant ids at the birth
 //     round of the cohort being delivered, advanced one round per delivery
 //     (the row aliasing a snapshot entry outright when one is on file).
+//     NewSoup anchors them on the engine as built, at the round before
+//     the first one StepRound records, so no round is a first round.
 //   - repRow: the replay scratch row, copied from the tail row and stepped
 //     through the cohort's T rounds by applying each round's deltas.
 //
@@ -53,7 +55,6 @@ package walks
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 
 	"dynp2p/internal/graph"
@@ -64,7 +65,7 @@ import (
 // replayTok is one live token of the cohort being delivered: its step
 // key, computed once at creation, its current slot, and its index in the
 // shard's creation order, from which the final round resolves the source
-// (lazySoup.tailIds[lo + idx/WalksPerRound]). 16 bytes, updated in place —
+// (Soup.tailIds[lo + idx/WalksPerRound]). 16 bytes, updated in place —
 // replay is a single sequential stream per shard.
 type replayTok struct {
 	key uint64 // stepKey(src, birth, serial)
@@ -106,77 +107,11 @@ type lazyRound struct {
 	death     []uint64          // the same slots as a bitset: bit s%64 of word s/64
 }
 
-// lazySoup is the soup-wide ring state hanging off Soup.lz.
-type lazySoup struct {
-	T     int // WalkLength: trajectory length and delivery offset
-	depth int // ring depth, T+2: covers every input a replay can need
-	d     int // topology degree
-
-	rounds []lazyRound
-
-	// The tail: adjacency and occupant ids at tailRound, the oldest round a
-	// future delivery can need — the first recorded round until the first
-	// delivery, the delivering cohort's birth round from then on. -1 before
-	// any round is recorded.
-	tailRound int
-	tailRow   []int32 // row(tailRound); aliases a ring snap when tailOwn is false
-	tailOwn   bool
-	tailBuf   []int32 // tailRow's owned backing store
-	tailIds   []simnet.NodeID
-	repRow    []int32 // replay scratch row, stepped through the ring by deltas
-
-	// Each replayed round runs lane (lzLane) on lanes lanes, then gather runs
-	// over the shards: crew phases bound once, so a delivery allocates nothing.
-	crew     *shard.Crew
-	lanes    int
-	lane     func(l int)
-	gather   func(dsh int)
-	cursor   atomic.Int64 // next unclaimed shard of the phase in progress
-	warmSink atomic.Int32 // warmRow's sum
-
-	// The delivery in progress, written by lzDeliver between phases:
-	// cohort advB replays round advR against advRow.
-	advB, advR int
-	advRow     []int32
-}
-
-// newLazySoup builds the ring. Cursor rows, per-round tables and the
-// shards' cohort buffers are allocated up front; per-round delta lists and
-// snapshot fallbacks grow on demand (a steady incremental topology never
-// allocates a snapshot beyond the first round's).
-func newLazySoup(e *simnet.Engine, s *Soup, lanes int) *lazySoup {
-	T := s.p.WalkLength
-	depth := T + 2
-	n, d := s.n, e.Degree()
-	lz := &lazySoup{
-		T: T, depth: depth, d: d,
-		tailRound: -1,
-		rounds:    make([]lazyRound, depth),
-		tailBuf:   make([]int32, n*d),
-		repRow:    make([]int32, n*d),
-		tailIds:   make([]simnet.NodeID, 0, n),
-		crew:      e.Crew(),
-		lanes:     lanes,
-		lane:      s.lzLane,
-		gather:    s.gatherSamples,
-	}
-	for i := range lz.rounds {
-		lz.rounds[i].round = -1
-		lz.rounds[i].death = make([]uint64, (n+63)/64)
-	}
-	// The ring consumes the graph's change journal: every incremental
-	// rewire between soup observations becomes one 8-byte delta; bulk
-	// rewrites surface as drain-time disruptions. The limit keeps a
-	// worst-case round's delta bytes well under snapshot cost.
-	e.Graph().EnableJournal(n * d / 8)
-	return lz
-}
-
 // entry returns the ring entry for round r, panicking if the ring no
 // longer (or does not yet) cover it — every caller's round arithmetic is
 // bounded by depth, so a miss is a bug, not a condition.
-func (lz *lazySoup) entry(r int) *lazyRound {
-	e := &lz.rounds[r%lz.depth]
+func (s *Soup) entry(r int) *lazyRound {
+	e := &s.rounds[r%s.depth]
 	if int(e.round) != r {
 		panic("walks: lazy ring does not cover the requested round")
 	}
@@ -190,37 +125,37 @@ func (lz *lazySoup) entry(r int) *lazyRound {
 // forward, copying prev into it first when prev is not repRow itself. The
 // returned slice is read-only for callers and valid until the next
 // rowAt/advanceTail call.
-func (lz *lazySoup) rowAt(prev []int32, r int) []int32 {
-	e := lz.entry(r)
+func (s *Soup) rowAt(prev []int32, r int) []int32 {
+	e := s.entry(r)
 	if e.disrupted {
 		return e.snap
 	}
-	if &prev[0] != &lz.repRow[0] {
-		copy(lz.repRow, prev)
+	if &prev[0] != &s.repRow[0] {
+		copy(s.repRow, prev)
 	}
-	graph.ApplyDeltas(lz.repRow, e.deltas)
-	return lz.repRow
+	graph.ApplyDeltas(s.repRow, e.deltas)
+	return s.repRow
 }
 
 // advanceTail moves the tail cursors forward to round to, applying each
 // crossed round's deltas (or adopting its snapshot by reference). Called
 // when cohort to falls due: no later delivery reads an older round.
-func (lz *lazySoup) advanceTail(to int) {
-	for r := lz.tailRound + 1; r <= to; r++ {
-		e := lz.entry(r)
+func (s *Soup) advanceTail(to int) {
+	for r := s.tailRound + 1; r <= to; r++ {
+		e := s.entry(r)
 		if e.disrupted {
-			lz.tailRow, lz.tailOwn = e.snap, false
+			s.tailRow, s.tailOwn = e.snap, false
 		} else {
-			if !lz.tailOwn {
-				copy(lz.tailBuf, lz.tailRow)
-				lz.tailRow, lz.tailOwn = lz.tailBuf, true
+			if !s.tailOwn {
+				copy(s.tailBuf, s.tailRow)
+				s.tailRow, s.tailOwn = s.tailBuf, true
 			}
-			graph.ApplyDeltas(lz.tailRow, e.deltas)
+			graph.ApplyDeltas(s.tailRow, e.deltas)
 		}
 		for _, ch := range e.idDeltas {
-			lz.tailIds[ch.slot] = ch.id
+			s.tailIds[ch.slot] = ch.id
 		}
-		lz.tailRound = r
+		s.tailRound = r
 	}
 }
 
@@ -228,8 +163,7 @@ func (lz *lazySoup) advanceTail(to int) {
 // (journal drain, id deltas) and, once a cohort falls due, moves the tail
 // to its birth round and delivers it (lzDeliver).
 func (s *Soup) StepRound(e *simnet.Engine, round int) {
-	lz := s.lz
-	rr := &lz.rounds[round%lz.depth]
+	rr := &s.rounds[round%s.depth]
 	rr.round = int32(round)
 	// Adjacency transition: the drained change journal when the interval
 	// was incremental, a full snapshot when it was disrupted (bulk
@@ -239,7 +173,7 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	if disrupted {
 		rr.disrupted = true
 		if rr.snap == nil {
-			rr.snap = make([]int32, s.n*lz.d)
+			rr.snap = make([]int32, s.n*s.d)
 		}
 		copy(rr.snap, g.Adjacency())
 	} else {
@@ -252,23 +186,9 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 		rr.death[uint32(ch.slot)>>6] = 0
 	}
 	rr.idDeltas = rr.idDeltas[:0]
-	if round > 0 {
-		for _, slot := range e.ChurnedThisRound() {
-			rr.idDeltas = append(rr.idDeltas, idDelta{slot: int32(slot), id: e.IDAt(slot)})
-			rr.death[uint(slot)>>6] |= 1 << (uint(slot) & 63)
-		}
-	}
-	if lz.tailRound < 0 {
-		lz.tailRound = round
-		if rr.disrupted {
-			lz.tailRow, lz.tailOwn = rr.snap, false
-		} else {
-			// The journal starts disrupted, so the first step's drain is a
-			// snapshot in practice; anchor off the live graph regardless.
-			copy(lz.tailBuf, g.Adjacency())
-			lz.tailRow, lz.tailOwn = lz.tailBuf, true
-		}
-		lz.tailIds = e.LiveIDs(lz.tailIds[:0])
+	for _, slot := range e.ChurnedThisRound() {
+		rr.idDeltas = append(rr.idDeltas, idDelta{slot: int32(slot), id: e.IDAt(slot)})
+		rr.death[uint(slot)>>6] |= 1 << (uint(slot) & 63)
 	}
 	for i := range s.shards {
 		ss := &s.shards[i]
@@ -277,9 +197,10 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 		}
 	}
 	// Cohort c falls due. Until the first delivery the tail stands at the
-	// first recorded round, and an earlier c names a round never recorded.
-	if c := round - lz.T + 1; c >= lz.tailRound {
-		lz.advanceTail(c)
+	// round before the first recorded one, and a c no later than it names
+	// a round never recorded.
+	if c := round - s.T + 1; c > s.tailRound {
+		s.advanceTail(c)
 		s.lzDeliver(c)
 	}
 }
@@ -290,17 +211,16 @@ func (s *Soup) StepRound(e *simnet.Engine, round int) {
 // lanes (lzLane), the sample gather one more over the shards; between
 // phases the caller re-arms the shard cursor and moves the row on.
 func (s *Soup) lzDeliver(b int) {
-	lz := s.lz
-	lz.advB, lz.advRow = b, lz.tailRow
-	for lz.advR = b; lz.advR < b+lz.T; lz.advR++ {
-		if lz.advR > b {
-			lz.advRow = lz.rowAt(lz.advRow, lz.advR)
+	s.advB, s.advRow = b, s.tailRow
+	for s.advR = b; s.advR < b+s.T; s.advR++ {
+		if s.advR > b {
+			s.advRow = s.rowAt(s.advRow, s.advR)
 		}
-		lz.cursor.Store(0)
-		lz.crew.Do(lz.lanes, lz.lane)
+		s.cursor.Store(0)
+		s.crew.Do(s.lanes, s.lane)
 	}
 	// The final round staged the cohort's samples in outSmp.
-	lz.crew.Do(len(s.shards), lz.gather)
+	s.crew.Do(len(s.shards), s.gather)
 	for i := range s.shards {
 		s.m.add(&s.shards[i].tally)
 		s.shards[i].tally = Metrics{}
@@ -313,14 +233,13 @@ func (s *Soup) lzDeliver(b int) {
 // cohort just before stepping it: the lane owns the shard's cohort buffer
 // for the whole round.
 func (s *Soup) lzLane(int) {
-	lz := s.lz
-	b, r, row := lz.advB, lz.advR, lz.advRow
-	lz.warmRow(row)
-	for sh := lz.cursor.Add(1) - 1; sh < int64(len(s.shards)); sh = lz.cursor.Add(1) - 1 {
+	b, r, row := s.advB, s.advR, s.advRow
+	s.warmRow(row)
+	for sh := s.cursor.Add(1) - 1; sh < int64(len(s.shards)); sh = s.cursor.Add(1) - 1 {
 		if r == b {
 			s.lzCreateShard(&s.shards[sh])
 		}
-		s.lzReplayShard(&s.shards[sh], r, r == b+lz.T-1, row)
+		s.lzReplayShard(&s.shards[sh], r, r == b+s.T-1, row)
 	}
 }
 
@@ -330,13 +249,13 @@ func (s *Soup) lzLane(int) {
 // is a pass the hardware prefetcher runs ahead of, where the token loop's
 // random loads would miss on nearly every line. The sum keeps the loads
 // live.
-func (lz *lazySoup) warmRow(row []int32) {
+func (s *Soup) warmRow(row []int32) {
 	const lineInts = 64 / 4
 	var sum int32
 	for i := 0; i < len(row); i += lineInts {
 		sum += row[i]
 	}
-	lz.warmSink.Store(sum)
+	s.warmSink.Store(sum)
 }
 
 // lzReplaced tests slot in a replacement bitset (nil = no churn).
@@ -350,8 +269,8 @@ func lzReplaced(death []uint64, slot int32) bool {
 // generation. The tail stands at the cohort's birth round, so tailIds are
 // the occupants.
 func (s *Soup) lzCreateShard(ss *soupShard) {
-	ids := s.lz.tailIds
-	birth := int32(s.lz.advB)
+	ids := s.tailIds
+	birth := int32(s.advB)
 	toks := ss.cohort[:0]
 	wpr := s.p.WalksPerRound
 	for slot := ss.lo; slot < ss.hi; slot++ {
@@ -377,8 +296,7 @@ func (s *Soup) lzCreateShard(ss *soupShard) {
 // from the token's creation index. It writes only ss's own cohort buffer,
 // sample staging and tallies.
 func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
-	lz := s.lz
-	ring := &lz.rounds[r%lz.depth]
+	ring := &s.rounds[r%s.depth]
 	toks := ss.cohort
 	if len(toks) == 0 {
 		return
@@ -386,17 +304,17 @@ func (s *Soup) lzReplayShard(ss *soupShard, r int, final bool, row []int32) {
 	var death []uint64
 	// At the cohort's birth round every token is freshly minted at a live
 	// slot, so only later rounds check for churn.
-	if r > lz.advB && len(ring.idDeltas) > 0 {
+	if r > s.advB && len(ring.idDeltas) > 0 {
 		death = ring.death
 	}
-	live := stepCohort(toks, death, row, lz.d, stepSeed(s.seed, r))
+	live := stepCohort(toks, death, row, s.d, stepSeed(s.seed, r))
 	ss.tally.Moves += int64(live)
 	ss.tally.Died += int64(len(toks) - live)
 	if !final {
 		ss.cohort = toks[:live]
 		return
 	}
-	ids := lz.tailIds[ss.lo:ss.hi]
+	ids := s.tailIds[ss.lo:ss.hi]
 	wpr := uint32(s.p.WalksPerRound)
 	slotLoc := s.slotLoc
 	for _, t := range toks[:live] {
@@ -451,7 +369,6 @@ func Kernel() string {
 // index), each capacity times element size, read only when a snapshot is
 // taken.
 func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
-	lz := s.lz
 	const (
 		idSize  = int(unsafe.Sizeof(simnet.NodeID(0)))
 		pdSize  = int(unsafe.Sizeof(graph.PortDelta{}))
@@ -460,9 +377,9 @@ func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
 		stgSize = int(unsafe.Sizeof(stagedSmp{}))
 		smpSize = int(unsafe.Sizeof(Sample{}))
 	)
-	b := (cap(lz.tailBuf)+cap(lz.repRow))*4 + cap(lz.tailIds)*idSize
-	for i := range lz.rounds {
-		e := &lz.rounds[i]
+	b := (cap(s.tailBuf)+cap(s.repRow))*4 + cap(s.tailIds)*idSize
+	for i := range s.rounds {
+		e := &s.rounds[i]
 		b += cap(e.snap)*4 + cap(e.deltas)*pdSize + cap(e.idDeltas)*idDSize + cap(e.death)*8
 	}
 	c, m := 0, 0

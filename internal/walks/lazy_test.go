@@ -23,8 +23,8 @@ func TestLazyDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) [][]uint64 {
 		e := newEngine(n, workers, churn.FixedLaw{Count: 4}, 51, 52)
 		s := NewSoup(e, lazyTestParams(), workers)
-		if s.lz.lanes != workers {
-			t.Fatalf("soup asked for %d lanes runs %d", workers, s.lz.lanes)
+		if s.lanes != workers {
+			t.Fatalf("soup asked for %d lanes runs %d", workers, s.lanes)
 		}
 		e.AddHook(s)
 		trace := make([][]uint64, rounds)
@@ -160,10 +160,9 @@ func TestLazyRingReplacedSetExactWithinWindow(t *testing.T) {
 		e.RunRound(simnet.NopHandler{})
 		truth[r] = slices.Clone(e.ChurnedThisRound())
 	}
-	lz := s.lz
 	sawRechurn := false
-	for r := rounds - lz.depth; r < rounds; r++ {
-		ring := lz.entry(r)
+	for r := rounds - s.depth; r < rounds; r++ {
+		ring := s.entry(r)
 		if len(ring.idDeltas) != len(truth[r]) {
 			t.Fatalf("round %d: %d occupant changes recorded, %d slots churned", r, len(ring.idDeltas), len(truth[r]))
 		}

@@ -151,7 +151,7 @@ func TestDeltaRingMatchesReference(t *testing.T) {
 			e := newRefEngine(n, workers, 0, simnet.EdgesStatic)
 			e.AddHook(&portSwapper{r: rng.New(uint64(n))})
 			soup := runAgainstReferenceOn(t, e, p, workers, 300)
-			if last := soup.lz.entry(e.Round() - 1); last.disrupted || len(last.deltas) == 0 {
+			if last := soup.entry(e.Round() - 1); last.disrupted || len(last.deltas) == 0 {
 				t.Fatalf("workers=%d n=%d: the last ring entry holds no deltas (disrupted=%v)",
 					workers, n, last.disrupted)
 			}

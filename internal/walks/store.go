@@ -92,7 +92,7 @@ func (s *Soup) gatherSamples(dsh int) {
 		}
 	}
 	ds.smp.Layout()
-	birth := int32(s.lz.advB)
+	birth := int32(s.advB)
 	for ssh := range s.shards {
 		for _, t := range s.shards[ssh].outSmp[dsh] {
 			smp := Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: birth}

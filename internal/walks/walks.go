@@ -13,7 +13,8 @@
 //   - The soup is a lazy trajectory evaluator (lazy.go): it keeps no
 //     per-token state between rounds, just a (T+2)-deep ring of per-round
 //     inputs, and replays each birth cohort once, and counts it, at its
-//     delivery round.
+//     delivery round. NewSoup builds the ring, its rows and the shards'
+//     buffers whole; StepRound only records and delivers.
 //   - Each token's step is derived by hashing (seed, round, src, birth,
 //     serial), not by consuming a shared stream, so the simulation is
 //     bit-reproducible at any worker count.
@@ -34,6 +35,7 @@ package walks
 
 import (
 	"math"
+	"sync/atomic"
 
 	"dynp2p/internal/shard"
 	"dynp2p/internal/simnet"
@@ -115,9 +117,37 @@ type Soup struct {
 	shards  []soupShard
 	slotLoc []uint32
 
-	// lz is the (T+2)-deep ring of per-round inputs that replaces all
+	// The (T+2)-deep ring of per-round inputs that replaces all
 	// between-round token state (lazy.go).
-	lz *lazySoup
+	T      int // WalkLength: trajectory length and delivery offset
+	depth  int // ring depth, T+2: covers every input a replay can need
+	d      int // topology degree
+	rounds []lazyRound
+
+	// The tail: adjacency and occupant ids at tailRound, the oldest round a
+	// future delivery can need — the round before the first recorded one
+	// (NewSoup anchors it on the built engine) until the first delivery,
+	// the delivering cohort's birth round from then on.
+	tailRound int
+	tailRow   []int32 // row(tailRound); aliases a ring snap when tailOwn is false
+	tailOwn   bool
+	tailBuf   []int32 // tailRow's owned backing store
+	tailIds   []simnet.NodeID
+	repRow    []int32 // replay scratch row, stepped through the ring by deltas
+
+	// Each replayed round runs lane (lzLane) on lanes lanes, then gather runs
+	// over the shards: crew phases bound once, so a delivery allocates nothing.
+	crew     *shard.Crew
+	lanes    int
+	lane     func(l int)
+	gather   func(dsh int)
+	cursor   atomic.Int64 // next unclaimed shard of the phase in progress
+	warmSink atomic.Int32 // warmRow's sum
+
+	// The delivery in progress, written by lzDeliver between phases:
+	// cohort advB replays round advR against advRow.
+	advB, advR int
+	advRow     []int32
 }
 
 // NewSoup creates a soup for the given engine. The soup replays on the
@@ -132,23 +162,51 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 	if p.WalksPerRound < 0 || p.WalksPerRound > math.MaxUint16 {
 		panic("walks: WalksPerRound must be in [0, 65535]")
 	}
-	n := e.N()
+	n, d, T := e.N(), e.Degree(), p.WalkLength
 	grid := e.Grid()
-	s := &Soup{
-		p:       p,
-		n:       n,
-		seed:    e.Config().ProtocolSeed,
-		shards:  make([]soupShard, grid.Count()),
-		slotLoc: grid.LocTable(n),
-	}
-	for i := range s.shards {
-		s.shards[i].init(grid, i, n, p.WalksPerRound)
-	}
+	g := e.Graph()
 	lanes := e.Crew().Workers()
 	if workers > 0 {
 		lanes = min(lanes, workers)
 	}
-	s.lz = newLazySoup(e, s, lanes)
+	// The ring's rows, tables and death bitsets and the shards' buffers are
+	// allocated here; per-round delta lists and snapshot fallbacks grow on
+	// demand (a steady incremental topology never allocates a snapshot
+	// beyond the first round's).
+	s := &Soup{
+		p:         p,
+		n:         n,
+		seed:      e.Config().ProtocolSeed,
+		shards:    make([]soupShard, grid.Count()),
+		slotLoc:   grid.LocTable(n),
+		T:         T,
+		depth:     T + 2,
+		d:         d,
+		rounds:    make([]lazyRound, T+2),
+		tailRound: e.Round() - 1,
+		tailBuf:   make([]int32, n*d),
+		tailOwn:   true,
+		tailIds:   e.LiveIDs(make([]simnet.NodeID, 0, n)),
+		repRow:    make([]int32, n*d),
+		crew:      e.Crew(),
+		lanes:     lanes,
+	}
+	copy(s.tailBuf, g.Adjacency())
+	s.tailRow, s.lane, s.gather = s.tailBuf, s.lzLane, s.gatherSamples
+	for i := range s.shards {
+		s.shards[i].init(grid, i, n, p.WalksPerRound)
+	}
+	for i := range s.rounds {
+		s.rounds[i].round = -1
+		s.rounds[i].death = make([]uint64, (n+63)/64)
+	}
+	// The ring consumes the graph's change journal: every incremental
+	// rewire between soup observations becomes one 8-byte delta; bulk
+	// rewrites surface as drain-time disruptions, and the journal starts
+	// disrupted, so the first delivery adopts its birth round's snapshot.
+	// The limit keeps a worst-case round's delta bytes well under
+	// snapshot cost.
+	g.EnableJournal(n * d / 8)
 	// Bridge the soup's counters into the engine's telemetry registry as a
 	// collector: the soup keeps its own accumulation and snapshots pull the
 	// current totals, with the store's row of the memory ledger.
