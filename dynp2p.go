@@ -373,9 +373,6 @@ func (nw *Network) Engine() *simnet.Engine { return nw.e }
 // Handler exposes the protocol handler for advanced introspection.
 func (nw *Network) Handler() *protocol.Handler { return nw.h }
 
-// Soup exposes the walk soup for advanced introspection.
-func (nw *Network) Soup() *walks.Soup { return nw.soup }
-
 // Overlay exposes the self-healing overlay for advanced introspection
 // (always present; repairs are active only under EdgesSelfHealing).
 func (nw *Network) Overlay() *overlay.Overlay { return nw.ov }

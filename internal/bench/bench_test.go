@@ -344,11 +344,8 @@ func BenchmarkFullRoundTelemetry(b *testing.B) {
 
 // BenchmarkRetrieveHot measures rounds of a Zipf-skewed retrieval
 // workload with the hot-key cache off (the baseline) and on; the body is
-// RetrieveHot. Neither row is alloc-gated: each retrieval still allocates
-// the rosters it draws, a table's first entry on every node its trees
-// reach, and a membership's sample-window sources; holders keep the
-// rosters and pieces they are sent, and a node's search tasks share one
-// array.
+// retrieveHot. Both refSize rows' allocations are gated by
+// TestRetrieveHotAllocs; the larger rows are recorded.
 func BenchmarkRetrieveHot(b *testing.B) {
 	for _, n := range sizes() {
 		for _, c := range []bool{false, true} {
@@ -356,7 +353,7 @@ func BenchmarkRetrieveHot(b *testing.B) {
 			if c {
 				label = "on"
 			}
-			b.Run(fmt.Sprintf("n=%d/cache=%s", n, label), func(b *testing.B) { RetrieveHot(b, n, c) })
+			b.Run(fmt.Sprintf("n=%d/cache=%s", n, label), func(b *testing.B) { benchRetrieveHot(b, n, c) })
 		}
 	}
 }

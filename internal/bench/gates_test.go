@@ -52,6 +52,17 @@ const (
 	// the 2n a per-slot allocation on the join path costs.
 	setupAllocs = 16
 
+	// retrieveAllocs bounds mean allocations per round over the first
+	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
+	// the steady-state paths this one allocates by design: a search or a
+	// handover draws a fresh roster, a table grows on a node a tree
+	// reaches for the first time, and a membership records its
+	// sample-window sources. It reads 983 (off) and 940 (on) on amd64 at
+	// GOMAXPROCS 1, 2 and 4, and 971 and 928 under GOARCH=386. A holder
+	// that clones what it is sent shows at once: one roster clone per
+	// handover invite reads 1,006, one per tree node 1,322.
+	retrieveAllocs = 1000
+
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt
 )
@@ -146,6 +157,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"FullRound", func() { full.Run(1) }},
 	} {
 		if err := steadyGate(c.name, c.round); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestRetrieveHotAllocs bounds what the protocol allocates serving a
+// skewed retrieval stream, with the hot-key cache off and on.
+func TestRetrieveHotAllocs(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		round, _ := retrieveHot(refSize, cached)
+		name := fmt.Sprintf("RetrieveHot/cache=%v", cached)
+		if err := checkBudget(name, allocsPerRound(round, gateRounds), retrieveAllocs); err != nil {
 			t.Error(err)
 		}
 	}

@@ -7,14 +7,16 @@ import (
 	"dynp2p/internal/rng"
 )
 
-// RetrieveHot is the skewed-retrieval benchmark body: an n-node network
-// under the paper's churn law serving a Zipf(s=1.1) retrieval stream
-// over 16 stored keys, two arrivals per round. One iteration is one
-// simulated round. Run with cached=false it is the baseline for the
-// hot-key cache; with cached=true the same workload runs with
-// per-node caches on, so the ns/op and rounds/retrieval deltas are the
-// cache's measured win (and the alloc column its steady-state cost).
-func RetrieveHot(b *testing.B, n int, cached bool) {
+// hotTally counts the retrievals a retrieveHot network has completed and
+// the rounds they took.
+type hotTally struct{ done, roundsSum int }
+
+// retrieveHot builds the skewed-retrieval workload: an n-node network
+// under the paper's churn law serving a Zipf(s=1.1) retrieval stream over
+// 16 stored keys, two arrivals per round, with the hot-key cache off or
+// on. It returns the network's one-round function (arrivals, one
+// simulated round, results) and the tally that round keeps.
+func retrieveHot(n int, cached bool) (func(), *hotTally) {
 	cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 1}
 	if cached {
 		cfg.Cache = dynp2p.CacheConfig{Capacity: 4, SeedRate: 1}
@@ -41,10 +43,8 @@ func RetrieveHot(b *testing.B, n int, cached bool) {
 	zipf := rng.NewZipf(keys, 1.1)
 	wr := rng.New(7)
 	busy := make(map[reqKey]bool)
-	done, roundsSum := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tally := &hotTally{}
+	return func() {
 		for j := 0; j < 2; j++ {
 			k := zipf.Next(wr)
 			slot := wr.Intn(n)
@@ -59,17 +59,25 @@ func RetrieveHot(b *testing.B, n int, cached bool) {
 		for _, r := range nw.Results() {
 			delete(busy, reqKey{id: r.Searcher, key: r.Key})
 			if r.Success {
-				done++
-				roundsSum += r.Done - r.Start
+				tally.done++
+				tally.roundsSum += r.Done - r.Start
 			}
 		}
 		if len(busy) > 256 {
 			busy = make(map[reqKey]bool)
 		}
-	}
-	b.StopTimer()
-	if done > 0 {
-		b.ReportMetric(float64(roundsSum)/float64(done), "rounds/retrieval")
-		b.ReportMetric(float64(done)/float64(b.N), "retrievals/round")
+	}, tally
+}
+
+// benchRetrieveHot times one round of retrieveHot's network. Run with
+// cached=false it is the baseline for the hot-key cache; with cached=true
+// the ns/op and rounds/retrieval deltas are the cache's measured win (and
+// the alloc column its steady-state cost).
+func benchRetrieveHot(b *testing.B, n int, cached bool) {
+	round, tally := retrieveHot(n, cached)
+	loop(b, round, noBudget)
+	if tally.done > 0 {
+		b.ReportMetric(float64(tally.roundsSum)/float64(tally.done), "rounds/retrieval")
+		b.ReportMetric(float64(tally.done)/float64(b.N), "retrievals/round")
 	}
 }

@@ -45,27 +45,12 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse.
-func Add(a, b byte) byte { return a ^ b }
-
-// Mul returns a*b in GF(2^8).
-func Mul(a, b byte) byte { return mulTable[a][b] }
-
 // Inv returns the multiplicative inverse of a. Panics if a == 0.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[255-int(logTable[a])]
-}
-
-// Exp returns the generator 2 raised to the power e (e taken mod 255).
-func Exp(e int) byte {
-	e %= 255
-	if e < 0 {
-		e += 255
-	}
-	return expTable[e]
 }
 
 // MulAddSlice computes dst[i] ^= c * src[i] for all i. This is the hot loop
@@ -195,24 +180,6 @@ func Cauchy(r, c int) *Matrix {
 		}
 	}
 	return m
-}
-
-// Mul returns the matrix product m*other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic("gf256: matrix dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mRow := m.Row(i)
-		outRow := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			if mRow[k] != 0 {
-				MulAddSlice(outRow, other.Row(k), mRow[k])
-			}
-		}
-	}
-	return out
 }
 
 // Invert returns the inverse of a square matrix via Gauss–Jordan

@@ -24,19 +24,11 @@ type journal struct {
 // drained by DrainJournal. limit bounds the entries kept per drain
 // interval: a round that rewires more than limit ports is recorded as a
 // disruption instead (consumers snapshot; memory stays bounded).
-// limit <= 0 picks n·d/4 — well above paper-churn repair volume, well
-// below the cost of a full snapshot.
 //
 // The journal starts in the disrupted state: the adjacency present at
 // enable time has no delta history, so the first drain tells consumers
 // to snapshot.
 func (g *Graph) EnableJournal(limit int) {
-	if limit <= 0 {
-		limit = g.n * g.d / 4
-		if limit < 64 {
-			limit = 64
-		}
-	}
 	g.j = &journal{deltas: make([]PortDelta, 0, 256), limit: limit, disrupted: true}
 }
 

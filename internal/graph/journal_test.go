@@ -12,7 +12,7 @@ import (
 func TestJournalStartsDisrupted(t *testing.T) {
 	r := rng.New(1)
 	g := RandomRegular(64, 4, r)
-	g.EnableJournal(0)
+	g.EnableJournal(64)
 	if _, disrupted := g.DrainJournal(); !disrupted {
 		t.Fatal("first drain after EnableJournal must be disrupted")
 	}
@@ -36,7 +36,7 @@ func TestJournalNoJournalDrain(t *testing.T) {
 func TestJournalSkipsNoopWrites(t *testing.T) {
 	r := rng.New(2)
 	g := RandomRegular(32, 4, r)
-	g.EnableJournal(0)
+	g.EnableJournal(64)
 	g.DrainJournal()
 	g.SetPort(5, 1, g.Neighbor(5, 1))
 	if deltas, disrupted := g.DrainJournal(); disrupted || len(deltas) != 0 {
@@ -103,7 +103,7 @@ func TestJournalReplayProperty(t *testing.T) {
 	build := rng.New(7)
 	mut := rng.Derive(7, 1)
 	g := RandomRegular(n, d, build)
-	g.EnableJournal(0)
+	g.EnableJournal(n * d / 4)
 
 	mirror := append([]int32(nil), g.Adjacency()...)
 	g.DrainJournal() // consume the enable-time disruption

@@ -46,9 +46,6 @@ func New(k, l int) (*Coder, error) {
 // K returns the reconstruction threshold.
 func (c *Coder) K() int { return c.k }
 
-// L returns the total number of pieces produced.
-func (c *Coder) L() int { return c.l }
-
 // PieceLen returns the byte length of each piece for an item of itemLen
 // bytes.
 func (c *Coder) PieceLen(itemLen int) int {

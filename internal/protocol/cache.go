@@ -79,8 +79,8 @@ const defaultCacheSeedRate = 0.5
 func (h *Handler) cacheClearSlot(slot int) { clear(h.cacheRegion(slot)) }
 
 // cacheLookup returns the slot's live entry for key, refreshing its LRU
-// stamp, or nil. A TTL-expired match is dropped (counted) so the search
-// falls back to the full Algorithm-4 path.
+// stamp, or nil. A TTL-expired match is emptied, bytes and all, and
+// counted, so the search falls back to the full Algorithm-4 path.
 func (h *Handler) cacheLookup(ctx *simnet.Ctx, key uint64) *cacheEntry {
 	if !h.cacheEnabled() {
 		return nil
@@ -92,7 +92,7 @@ func (h *Handler) cacheLookup(ctx *simnet.Ctx, key uint64) *cacheEntry {
 			continue
 		}
 		if int(e.expiry) <= ctx.Round {
-			e.expiry = 0
+			*e = cacheEntry{}
 			h.ctr.cacheExpired.Inc(ctx.Shard)
 			return nil
 		}
@@ -227,17 +227,12 @@ func (h *Handler) onCached(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if srch == nil {
 		return
 	}
-	item := msg.Blob()
-	ok := srch.want == nil || bytes.Equal(item, srch.want)
 	if srch.found < 0 {
 		srch.found = ctx.Round
 	}
 	srch.cached = true
-	if ok {
-		h.cacheAdmit(ctx, st, msg.Item, item, srch.trace)
-	}
 	h.ctr.cacheHits.Inc(ctx.Shard)
-	h.finishSearch(ctx, st, srch, ctx.Round, ok, len(item))
+	h.complete(ctx, st, srch, msg.Blob())
 }
 
 // onSeed installs a walk-seeded replica. The receiver was a near-random

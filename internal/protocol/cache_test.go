@@ -237,3 +237,28 @@ func TestCacheInstallAllocatesNothing(t *testing.T) {
 		t.Fatalf("a cache install allocated %.0f times", p.allocs)
 	}
 }
+
+// TestCacheExpiredLookupFreesEntry: a lookup that finds its key's entry
+// past the TTL empties the whole entry, so the free slot pins none of the
+// item's bytes until an install overwrites it.
+func TestCacheExpiredLookupFreesEntry(t *testing.T) {
+	const ttl = 2
+	s := newSimWith(t, 64, churn.ZeroLaw{}, 9, func(p *Params) { p.CacheCapacity, p.CacheTTL = 2, ttl })
+	ctx := &simnet.Ctx{E: s.e, Slot: 3}
+	key := uint64(42)
+	if e, _ := s.h.cachePut(ctx, key, itemBytes(key, 32), 0); e == nil {
+		t.Fatal("the install took no entry")
+	}
+	ctx.Round = ttl
+	if e := s.h.cacheLookup(ctx, key); e != nil {
+		t.Fatalf("an entry past its TTL was served: %+v", *e)
+	}
+	for i, e := range s.h.cacheRegion(ctx.Slot) {
+		if e.expiry != 0 || e.key != 0 || e.data != nil || e.used != 0 || e.depth != 0 {
+			t.Errorf("entry %d after the expired lookup: %+v, want empty", i, e)
+		}
+	}
+	if got := s.h.Counters().CacheExpired; got != 1 {
+		t.Fatalf("%d expired lookups counted, want 1", got)
+	}
+}

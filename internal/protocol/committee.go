@@ -113,16 +113,9 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 // reconstruction it runs if it turns out a leader candidate.
 func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 	m.counts.put(uint64(st.id), m.myCount)
-	if h.code != nil {
-		if m.data != nil && m.pieceIdx >= 0 {
-			// The own piece takes the place of a peer's copy of it.
-			if i, dup := m.pieceAt(m.pieceIdx); dup {
-				m.gathered[i].Data = m.data
-			} else {
-				m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: m.pieceIdx, Data: m.data})
-			}
-			m.gatheredLen = m.itemLen
-		}
+	if h.code != nil && m.data != nil && m.pieceIdx >= 0 {
+		m.gathered = addPiece(m.gathered, ida.Piece{Index: m.pieceIdx, Data: m.data})
+		m.gatheredLen = m.itemLen
 	}
 	for _, peer := range m.roster {
 		if peer == st.id {
@@ -169,10 +162,8 @@ func (h *Handler) onPiece(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		return
 	}
 	if blob := msg.Blob(); len(blob) > 0 {
-		if i, dup := m.pieceAt(int(msg.Aux)); !dup {
-			m.gathered = slices.Insert(m.gathered, i, ida.Piece{Index: int(msg.Aux), Data: blob})
-			m.gatheredLen = int(msg.Aux2)
-		}
+		m.gathered = addPiece(m.gathered, ida.Piece{Index: int(msg.Aux), Data: blob})
+		m.gatheredLen = int(msg.Aux2)
 	}
 }
 
@@ -196,9 +187,27 @@ func (m *membership) candidates() (top [FallbackCandidates]int, n int) {
 	return top, n
 }
 
-// pieceAt returns where piece idx sits, or belongs, in gathered.
-func (m *membership) pieceAt(idx int) (int, bool) {
-	return slices.BinarySearchFunc(m.gathered, idx, func(p ida.Piece, idx int) int { return p.Index - idx })
+// addPiece files p in the piece set ps — sorted by index, one piece per
+// index — unless ps already holds its index, whose bytes a repeat only
+// repeats (Encode cuts the same pieces from an item every time). A
+// committee's leader candidates gather their epoch's pieces this way, and
+// a searcher the pieces its fetches bring.
+func addPiece(ps []ida.Piece, p ida.Piece) []ida.Piece {
+	i, dup := slices.BinarySearchFunc(ps, p.Index, func(q ida.Piece, idx int) int { return q.Index - idx })
+	if !dup {
+		ps = slices.Insert(ps, i, p)
+	}
+	return ps
+}
+
+// decode rebuilds an item of itemLen bytes from a piece set, once it holds
+// K pieces.
+func (h *Handler) decode(ps []ida.Piece, itemLen int) ([]byte, bool) {
+	if len(ps) < h.code.K() {
+		return nil, false
+	}
+	item, err := h.code.Decode(ps, itemLen)
+	return item, err == nil
 }
 
 // rankOf returns node self's position in the epoch leader ranking:
@@ -243,37 +252,25 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	// candidate may still act this epoch, and otherwise the committee
 	// retries at the next epoch boundary.
 	var pieces []ida.Piece // nil in replication mode: every invite carries m.data
-	var itemLen uint64
+	itemLen := m.itemLen
 	if h.code == nil {
 		if m.data == nil {
 			return
 		}
-		itemLen = uint64(m.itemLen)
 	} else {
 		// §4.4: reconstruct from the pieces the members sent this
 		// candidate, then re-disperse fresh pieces to the new roster.
-		item, ok := h.reconstruct(m)
+		item, ok := h.decode(m.gathered, m.gatheredLen)
 		if !ok {
 			h.ctr.idaLost.Inc(ctx.Shard)
 			return
 		}
-		pieces = h.code.Encode(item)
-		itemLen = uint64(len(item))
+		pieces, itemLen = h.code.Encode(item), len(item)
 		h.ctr.idaRecoded.Inc(ctx.Shard)
 	}
 	m.handledEpoch = epoch
 
-	for i, peer := range newRoster {
-		blob, pieceIdx := m.data, 0
-		if pieces != nil {
-			blob, pieceIdx = pieces[i%len(pieces)].Data, i%h.P.CommitteeSize
-		}
-		msg := ctx.SendMsg(peer, KindCInvite)
-		msg.Item, msg.Aux, msg.Aux2 = m.key, packInvite(m.base, pieceIdx), itemLen
-		msg.Trace = m.trace
-		ctx.SetPayload(msg, newRoster, blob)
-	}
-	h.ctr.invitesSent.Add(ctx.Shard, int64(len(newRoster)))
+	h.sendInvites(ctx, m.key, m.base, newRoster, m.data, pieces, itemLen, m.trace)
 	for _, peer := range m.roster {
 		msg := ctx.SendMsg(peer, KindCHandover)
 		msg.Item, msg.Aux, msg.Trace = m.key, uint64(epoch), m.trace
@@ -285,19 +282,31 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	}
 }
 
-// reconstruct rebuilds the item from the pieces gathered this epoch.
-func (h *Handler) reconstruct(m *membership) ([]byte, bool) {
-	if len(m.gathered) < h.code.K() {
-		return nil, false
+// sendInvites invites roster to key's committee, founded in round base
+// (Algorithm 3 at creation, Algorithm 1 at a handover). Each invite
+// carries the roster and the member's share of the item: data itself in
+// replication mode (pieces nil), else piece i mod L of the item's
+// dispersal, so the first L members hold distinct pieces.
+func (h *Handler) sendInvites(ctx *simnet.Ctx, key uint64, base int, roster []simnet.NodeID,
+	data []byte, pieces []ida.Piece, itemLen int, trace uint64) {
+	for i, peer := range roster {
+		blob, pieceIdx := data, 0
+		if pieces != nil {
+			p := pieces[i%len(pieces)]
+			blob, pieceIdx = p.Data, p.Index
+		}
+		msg := ctx.SendMsg(peer, KindCInvite)
+		msg.Item, msg.Aux, msg.Aux2 = key, packInvite(base, pieceIdx), uint64(itemLen)
+		msg.Trace = trace
+		ctx.SetPayload(msg, roster, blob)
 	}
-	item, err := h.code.Decode(m.gathered, m.gatheredLen)
-	return item, err == nil
+	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
 }
 
 // appendDistinct appends src's ids to dst in order, skipping self and
-// anything dst already holds, until dst holds want ids. The lists are
-// rosters — Θ(log n) long — so dst is its own seen-set (the rule
-// recentDistinct states).
+// anything dst already holds, until dst holds want ids. want is a
+// committee or a tree fanout and the lists are rosters — Θ(log n) long —
+// so dst is its own seen-set: a linear scan beats building a map per call.
 func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []simnet.NodeID {
 	for _, id := range src {
 		if len(dst) >= want {
@@ -311,7 +320,8 @@ func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []si
 }
 
 // onInvite installs (or refreshes) a committee membership, stores the task
-// payload, and registers the new member as a landmark for the item.
+// payload, and registers the new member as a landmark for the item; its
+// own tree waits for its first tick (maybeWave).
 func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	base, pieceIdx := unpackInvite(msg.Aux)
 	key := msg.Item
@@ -344,9 +354,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			m.pieceIdx = pieceIdx
 		}
 	}
-	st.registerLandmark(key, lmEntry{
-		roster: m.roster, expiry: ctx.Round + h.P.LandmarkTTL(), wave: ctx.Round,
-	})
+	h.becomeLandmark(ctx, st, key, m.roster, ctx.Round, 0, msg.Trace)
 	// A traced store settles when its *creation* invites land (base ==
 	// the send round): every founding member emits a done event, and
 	// the tracer's first-done-wins aggregation closes the lifecycle

@@ -166,7 +166,8 @@ type nodeState struct {
 	id simnet.NodeID
 
 	// recent is a ring buffer of recent walk-sample sources — the node's
-	// window onto the "soup" from which it draws random peers.
+	// window onto the "soup" from which it draws random peers — written
+	// backwards: its recentLen newest run from recentPos, wrapping.
 	recent    []simnet.NodeID
 	recentPos int
 	recentLen int
@@ -303,12 +304,14 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 // OnLeave implements simnet.Handler.
 func (h *Handler) OnLeave(e *simnet.Engine, slot int, id simnet.NodeID, round int) {}
 
-// pushRecent records a walk sample source in the node's ring buffer.
+// pushRecent records a walk sample source in the node's ring buffer. The
+// ring is written backwards, so from recentPos on it reads newest first.
 func (st *nodeState) pushRecent(src simnet.NodeID) {
-	st.recent[st.recentPos] = src
-	if st.recentPos++; st.recentPos == len(st.recent) {
-		st.recentPos = 0
+	if st.recentPos == 0 {
+		st.recentPos = len(st.recent)
 	}
+	st.recentPos--
+	st.recent[st.recentPos] = src
 	if st.recentLen < len(st.recent) {
 		st.recentLen++
 	}
@@ -316,22 +319,13 @@ func (st *nodeState) pushRecent(src simnet.NodeID) {
 
 // recentDistinct appends recent sample sources to dst, newest first,
 // excluding the node itself and anything already in dst, until dst holds
-// want ids. want is a committee or a tree fanout, so dst is its own
-// seen-set: a linear scan beats building a map per call.
+// want ids: appendDistinct over the ring's two runs, recentPos to the end
+// and then the start.
 func (st *nodeState) recentDistinct(dst []simnet.NodeID, want int) []simnet.NodeID {
-	pos := st.recentPos
-	for i := 0; i < st.recentLen && len(dst) < want; i++ {
-		if pos == 0 {
-			pos = len(st.recent)
-		}
-		pos--
-		src := st.recent[pos]
-		if src == st.id || slices.Contains(dst, src) {
-			continue
-		}
-		dst = append(dst, src)
-	}
-	return dst
+	head := st.recent[st.recentPos:]
+	head = head[:min(len(head), st.recentLen)]
+	dst = appendDistinct(dst, head, want, st.id)
+	return appendDistinct(dst, st.recent[:st.recentLen-len(head)], want, st.id)
 }
 
 // HandleRound implements simnet.Handler. It is the per-node round body:

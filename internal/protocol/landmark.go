@@ -16,23 +16,24 @@ func (h *Handler) maybeWave(ctx *simnet.Ctx, st *nodeState, m *membership) {
 		return
 	}
 	h.ctr.waves.Inc(ctx.Shard)
-	// The member itself is a landmark for its item.
-	st.registerLandmark(m.key, lmEntry{
-		roster: m.roster, expiry: round + h.P.LandmarkTTL(), wave: round,
-	})
-	h.growChildren(ctx, st, KindLGrow, m.key, 0, m.roster, h.P.TreeDepth, round, m.trace)
+	h.becomeLandmark(ctx, st, m.key, m.roster, round, h.P.TreeDepth, m.trace)
 }
 
-// registerLandmark makes the node a storage landmark for key, replacing any
-// earlier registration. A new wave usually carries the roster the node
-// already knows: the replacement then keeps the earlier one's KindSFound
-// stamp, so a grow landing between two inquiries does not tell the searcher
-// the same roster twice in a round. A new roster is told at once.
-func (st *nodeState) registerLandmark(key uint64, ent lmEntry) {
-	if old := st.storageLM.get(key); old != nil && slices.Equal(old.roster, ent.roster) {
+// becomeLandmark makes the node a storage landmark for key, replacing any
+// earlier registration, and grows wave's tree depth more levels below it
+// (none at depth 0). A member registers when it is invited and roots a
+// tree at each wave; a tree node registers when the tree reaches it. A new
+// wave usually carries the roster the node already knows: the replacement
+// then keeps the earlier one's KindSFound stamp, so a grow landing between
+// two inquiries does not tell the searcher the same roster twice in a
+// round. A new roster is told at once.
+func (h *Handler) becomeLandmark(ctx *simnet.Ctx, st *nodeState, key uint64, roster []simnet.NodeID, wave, depth int, trace uint64) {
+	ent := lmEntry{roster: roster, expiry: ctx.Round + h.P.LandmarkTTL(), wave: wave}
+	if old := st.storageLM.get(key); old != nil && slices.Equal(old.roster, roster) {
 		ent.toldAt, ent.toldTo = old.toldAt, old.toldTo
 	}
 	st.storageLM.put(key, ent)
+	h.growChildren(ctx, st, KindLGrow, key, 0, roster, depth, wave, trace)
 }
 
 // growChildren sends tree-growth invitations of the given kind to TreeFanout
@@ -69,13 +70,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	// The roster is immutable once sent: every landmark of the wave keeps
 	// the member's own array.
-	roster := msg.IDs()
-	st.registerLandmark(key, lmEntry{
-		roster: roster,
-		expiry: ctx.Round + h.P.LandmarkTTL(),
-		wave:   wave,
-	})
-	h.growChildren(ctx, st, KindLGrow, key, 0, roster, depth, wave, msg.Trace)
+	h.becomeLandmark(ctx, st, key, msg.IDs(), wave, depth, msg.Trace)
 }
 
 // onSearchGrow is onGrow for a search landmark tree, whose first level is

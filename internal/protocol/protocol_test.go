@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynp2p/internal/churn"
+	"dynp2p/internal/ida"
 	"dynp2p/internal/rng"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
@@ -660,5 +661,82 @@ func TestReplacedSlotKnowsNothing(t *testing.T) {
 		if r.Key == missing || r.Key == queued || r.Searcher == newcomer {
 			t.Errorf("the departed searcher's retrieval reported: %+v", r)
 		}
+	}
+}
+
+// pieceFeed is the protocol handler with a scripted member: in round
+// sendAt the node at slot from sends the searcher at slot to one KindSData
+// message per entry of order, carrying that IDA piece of the item, and in
+// the next round the searcher files them one at a time while the probe
+// notes after which message its search ended. Only the test writes sendAt,
+// between rounds, and only the searcher's slot writes endedAt.
+type pieceFeed struct {
+	*Handler
+	from, to int
+	key      uint64
+	pieces   []ida.Piece
+	order    []int
+	itemLen  int
+	sendAt   int // -1: never
+	endedAt  int // how many pieces the searcher had filed when its search ended (0 = running)
+}
+
+func (p *pieceFeed) HandleRound(ctx *simnet.Ctx) {
+	switch {
+	case ctx.Slot == p.from && ctx.Round == p.sendAt:
+		for _, idx := range p.order {
+			m := ctx.SendMsg(ctx.E.IDAt(p.to), KindSData)
+			m.Item, m.Aux, m.Aux2 = p.key, uint64(idx), uint64(p.itemLen)
+			ctx.SetPayload(m, nil, p.pieces[idx].Data)
+		}
+	case ctx.Slot == p.to && ctx.Round == p.sendAt+1:
+		st := &p.states[ctx.Slot]
+		filed := 0
+		for i := range ctx.Inbox {
+			m := &ctx.Inbox[i]
+			if m.Kind != KindSData || m.From != ctx.E.IDAt(p.from) {
+				continue
+			}
+			filed++
+			p.onData(ctx, st, m)
+			if p.endedAt == 0 && st.searches.get(p.key) == nil {
+				p.endedAt = filed
+			}
+		}
+	}
+	p.Handler.HandleRound(ctx)
+}
+
+// TestSearcherPieceSet: a searcher files the IDA pieces its fetches bring
+// as a committee's leader candidate does, one per index, in any arrival
+// order. Fed pieces 2, 0, 2, 1 at K = 3, it decodes at the fourth message —
+// the repeat does not count — and finishes with the item's bytes.
+func TestSearcherPieceSet(t *testing.T) {
+	const n, k = 256, 3
+	s := newSim(t, n, churn.ZeroLaw{}, k, 21)
+	key := uint64(77)
+	item := itemBytes(key, 100)
+	p := &pieceFeed{
+		Handler: s.h, from: 9, to: 40, key: key,
+		pieces: s.h.code.Encode(item), order: []int{2, 0, 2, 1}, itemLen: len(item),
+		sendAt: -1,
+	}
+	s.e.Run(p, s.soup.Params().WalkLength+3)
+	// Nothing stores key, so the search runs until the pieces end it.
+	p.RequestRetrieve(s.e, p.to, key, item)
+	for r := 0; p.states[p.to].searches.get(key) == nil; r++ {
+		if r > s.h.P.SearchTTL() {
+			t.Fatal("the searcher never formed its search")
+		}
+		s.e.Run(p, 1)
+	}
+	p.sendAt = s.e.Round()
+	s.e.Run(p, 2)
+	if p.endedAt != len(p.order) {
+		t.Fatalf("the search ended after piece %d of %v, want %d", p.endedAt, p.order, len(p.order))
+	}
+	rs := p.DrainResults()
+	if len(rs) != 1 || !rs[0].Success || rs[0].Bytes != len(item) || rs[0].Done != p.sendAt+1 {
+		t.Fatalf("results %+v, want one success of %d bytes in round %d", rs, len(item), p.sendAt+1)
 	}
 }

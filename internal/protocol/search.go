@@ -3,7 +3,6 @@ package protocol
 import (
 	"bytes"
 	"math"
-	"slices"
 
 	"dynp2p/internal/ida"
 	"dynp2p/internal/simnet"
@@ -20,11 +19,10 @@ type searchState struct {
 	found    int             // round the first storage roster arrived; -1 until then
 	invited  []simnet.NodeID // the search committee: each wave's first level, told when the search ends
 	roster   []simnet.NodeID // storage members already asked for data
-	pieces   []ida.Piece
-	itemLen  int
-	want     []byte // expected content, if known (for verification)
-	trace    uint64 // nonzero when this retrieval is lifecycle-traced
-	cached   bool   // a cached copy resolved (or is resolving) the search
+	pieces   []ida.Piece     // IDA pieces fetched so far, one per index (addPiece)
+	want     []byte          // expected content, if known (for verification)
+	trace    uint64          // nonzero when this retrieval is lifecycle-traced
+	cached   bool            // a cached copy resolved (or is resolving) the search
 }
 
 // RequestStore asks the node at slot to persistently store (key, data)
@@ -96,25 +94,11 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 // to form the item's committee, handing each member the item (or its IDA
 // piece).
 func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
-	trace := h.sampleOp(ctx, st, op)
 	var pieces []ida.Piece
 	if h.code != nil {
 		pieces = h.code.Encode(op.data)
 	}
-	for i, peer := range roster {
-		blob := op.data
-		pieceIdx := 0
-		if pieces != nil {
-			p := pieces[i%len(pieces)]
-			blob = p.Data
-			pieceIdx = p.Index
-		}
-		m := ctx.SendMsg(peer, KindCInvite)
-		m.Item, m.Aux, m.Aux2 = op.key, packInvite(ctx.Round, pieceIdx), uint64(len(op.data))
-		m.Trace = trace
-		ctx.SetPayload(m, roster, blob)
-	}
-	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
+	h.sendInvites(ctx, op.key, ctx.Round, roster, op.data, pieces, len(op.data), h.sampleOp(ctx, st, op))
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 }
 
@@ -253,7 +237,7 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 // holds goes unanswered (DESIGN.md §2, "A landmark tells a searcher once a
 // round" and "A landmark asks a sample once for two searchers"). A
 // registration that brings a new roster starts unstamped
-// (registerLandmark). Only the first searcher's reply carries the trace.
+// (becomeLandmark). Only the first searcher's reply carries the trace.
 func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	named := [2]simnet.NodeID{simnet.NodeID(msg.Aux2), simnet.NodeID(msg.Aux)}
 	// A cached copy beats a roster referral: the bytes go straight to
@@ -320,44 +304,33 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	ctx.SetPayload(m, nil, cp.data)
 }
 
-// onData completes (or advances) a retrieval with a data response.
+// onData advances a retrieval with a member's copy or piece, and completes
+// it once the copy, or K distinct pieces, are in.
 func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	srch := st.searches.get(msg.Item)
 	if srch == nil {
 		return
 	}
-	var item []byte
-	if h.code == nil {
-		item = msg.Blob()
-	} else {
-		srch.itemLen = int(msg.Aux2)
-		srch.pieces = append(srch.pieces, ida.Piece{Index: int(msg.Aux), Data: msg.Blob()})
-		if distinctPieces(srch.pieces) < h.code.K() {
+	item := msg.Blob()
+	if h.code != nil {
+		srch.pieces = addPiece(srch.pieces, ida.Piece{Index: int(msg.Aux), Data: item})
+		var ok bool
+		if item, ok = h.decode(srch.pieces, int(msg.Aux2)); !ok {
 			return
 		}
-		dec, err := h.code.Decode(srch.pieces, srch.itemLen)
-		if err != nil {
-			return
-		}
-		item = dec
 	}
-	ok := srch.want == nil || bytes.Equal(item, srch.want)
-	if ok {
-		h.cacheAdmit(ctx, st, msg.Item, item, srch.trace)
-	}
-	h.finishSearch(ctx, st, srch, ctx.Round, ok, len(item))
+	h.complete(ctx, st, srch, item)
 }
 
-// distinctPieces counts the distinct piece indexes in ps: each piece
-// counts unless an earlier one carries its index.
-func distinctPieces(ps []ida.Piece) int {
-	n := 0
-	for i, p := range ps {
-		if !slices.ContainsFunc(ps[:i], func(q ida.Piece) bool { return q.Index == p.Index }) {
-			n++
-		}
+// complete ends a retrieval with the item's bytes, however they came: a
+// verified item is admitted to the node's cache (and seeded) before the
+// search is finished.
+func (h *Handler) complete(ctx *simnet.Ctx, st *nodeState, srch *searchState, item []byte) {
+	ok := srch.want == nil || bytes.Equal(item, srch.want)
+	if ok {
+		h.cacheAdmit(ctx, st, srch.key, item, srch.trace)
 	}
-	return n
+	h.finishSearch(ctx, st, srch, ctx.Round, ok, len(item))
 }
 
 // finishSearch ends a retrieval this node ran — done is the round the

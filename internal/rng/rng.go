@@ -77,12 +77,6 @@ func (r *Stream) Reseed(seed uint64) {
 	}
 }
 
-// Split derives a child stream from the current stream state. The parent
-// advances; the child is independent of the parent's future output.
-func (r *Stream) Split() *Stream {
-	return Derive(r.Uint64(), r.Uint64())
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.

@@ -212,9 +212,6 @@ func (c *Counter) Add(v int) {
 	c.total++
 }
 
-// Total returns the number of observations.
-func (c *Counter) Total() int { return c.total }
-
 // Mean returns the mean observed value.
 func (c *Counter) Mean() float64 {
 	if c.total == 0 {
