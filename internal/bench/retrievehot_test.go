@@ -14,10 +14,11 @@ type hotTally struct{ done, roundsSum int }
 // retrieveHot builds the skewed-retrieval workload: an n-node network
 // under the paper's churn law serving a Zipf(s=1.1) retrieval stream over
 // 16 stored keys, two arrivals per round, with the hot-key cache off or
-// on. It returns the network's one-round function (arrivals, one
+// on and the items replicated (erasureK 0) or dispersed with IDA at K =
+// erasureK. It returns the network's one-round function (arrivals, one
 // simulated round, results) and the tally that round keeps.
-func retrieveHot(n int, cached bool) (func(), *hotTally) {
-	cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 1}
+func retrieveHot(n int, cached bool, erasureK int) (func(), *hotTally) {
+	cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 1, ErasureK: erasureK}
 	if cached {
 		cfg.Cache = dynp2p.CacheConfig{Capacity: 4, SeedRate: 1}
 	}
@@ -74,7 +75,7 @@ func retrieveHot(n int, cached bool) (func(), *hotTally) {
 // the ns/op and rounds/retrieval deltas are the cache's measured win (and
 // the alloc column its steady-state cost).
 func benchRetrieveHot(b *testing.B, n int, cached bool) {
-	round, tally := retrieveHot(n, cached)
+	round, tally := retrieveHot(n, cached, 0)
 	loop(b, round, noBudget)
 	if tally.done > 0 {
 		b.ReportMetric(float64(tally.roundsSum)/float64(tally.done), "rounds/retrieval")

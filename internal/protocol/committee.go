@@ -67,6 +67,7 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 	if h.code != nil {
 		firstTurn++
 	}
+	sl := &h.slabs[ctx.Shard]
 	for i := range st.memberships.vals {
 		m := &st.memberships.vals[i]
 		epoch := m.epochOf(round, h.P.Period)
@@ -82,6 +83,7 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 					m.gatheredLen = 0
 				}
 				m.myCount += len(samples)
+				m.sources = sl.ids.grow(m.sources, len(samples))
 				for _, s := range samples {
 					if s.Src != st.id {
 						m.sources = append(m.sources, s.Src)
@@ -112,9 +114,10 @@ func (h *Handler) tickMemberships(ctx *simnet.Ctx, st *nodeState, samples []walk
 // roster. In IDA mode it also records the member's own piece, for the
 // reconstruction it runs if it turns out a leader candidate.
 func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
-	m.counts.put(uint64(st.id), m.myCount)
+	sl := &h.slabs[ctx.Shard]
+	m.counts.put(sl, uint64(st.id), m.myCount)
 	if h.code != nil && m.data != nil && m.pieceIdx >= 0 {
-		m.gathered = addPiece(m.gathered, ida.Piece{Index: m.pieceIdx, Data: m.data})
+		m.gathered = addPiece(&sl.pieces, m.gathered, ida.Piece{Index: m.pieceIdx, Data: m.data})
 		m.gatheredLen = m.itemLen
 	}
 	for _, peer := range m.roster {
@@ -132,7 +135,7 @@ func (h *Handler) onCount(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if m == nil || m.curEpoch < 0 {
 		return
 	}
-	m.counts.put(uint64(msg.From), int(msg.Aux))
+	m.counts.put(&h.slabs[ctx.Shard], uint64(msg.From), int(msg.Aux))
 }
 
 // sendPiece is the IDA piece round, the round after the counts: only the
@@ -162,7 +165,7 @@ func (h *Handler) onPiece(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		return
 	}
 	if blob := msg.Blob(); len(blob) > 0 {
-		m.gathered = addPiece(m.gathered, ida.Piece{Index: int(msg.Aux), Data: blob})
+		m.gathered = addPiece(&h.slabs[ctx.Shard].pieces, m.gathered, ida.Piece{Index: int(msg.Aux), Data: blob})
 		m.gatheredLen = int(msg.Aux2)
 	}
 }
@@ -191,11 +194,12 @@ func (m *membership) candidates() (top [FallbackCandidates]int, n int) {
 // index — unless ps already holds its index, whose bytes a repeat only
 // repeats (Encode cuts the same pieces from an item every time). A
 // committee's leader candidates gather their epoch's pieces this way, and
-// a searcher the pieces its fetches bring.
-func addPiece(ps []ida.Piece, p ida.Piece) []ida.Piece {
+// a searcher the pieces its fetches bring. The set grows through f, the
+// slot's shard slab's piece lists.
+func addPiece(f *freeLists[ida.Piece], ps []ida.Piece, p ida.Piece) []ida.Piece {
 	i, dup := slices.BinarySearchFunc(ps, p.Index, func(q ida.Piece, idx int) int { return q.Index - idx })
 	if !dup {
-		ps = slices.Insert(ps, i, p)
+		ps = slices.Insert(f.grow(ps, 1), i, p)
 	}
 	return ps
 }
@@ -327,7 +331,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	key := msg.Item
 	m := st.memberships.get(key)
 	if m == nil {
-		m = st.memberships.put(key, membership{})
+		m = st.memberships.put(&h.slabs[ctx.Shard], key, membership{})
 	}
 	// The roster and the copy or piece are immutable once sent: the new
 	// committee shares the leader's arrays. A re-invited member keeps its
@@ -383,6 +387,7 @@ func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if slices.Contains(msg.IDs(), st.id) {
 		return // re-invited: the CInvite (processed earlier) refreshed us
 	}
+	m.release(&h.slabs[ctx.Shard])
 	st.memberships.del(msg.Item)
 	h.ctr.resignations.Inc(ctx.Shard)
 }

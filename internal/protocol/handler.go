@@ -22,6 +22,7 @@ type Handler struct {
 	code *ida.Coder // nil in replication mode
 
 	states []nodeState
+	slabs  []slab // one per engine shard, grown from by its slots' protocol arrays (slab.go)
 
 	// Hot-key cache (cache.go): one flat arena sized once from
 	// Params.CacheCapacity, slot s owning the region [s·cap, (s+1)·cap).
@@ -229,6 +230,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		P: p, soup: soup,
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
+		slabs:  make([]slab, e.Grid().Count()),
 		ctr:    newCounters(e.Telemetry()),
 
 		cacheArena: make([]cacheEntry, e.N()*p.CacheCapacity),
@@ -248,6 +250,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		h.code = c
 	}
 	e.SetHeldKeys(h.heldKeys)
+	e.Telemetry().RegisterCollector(h.collectMemory)
 	// What the handlers sent of each kind, as the engine counts it.
 	e.Telemetry().RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
 		for _, k := range kindNames {
@@ -283,19 +286,27 @@ func (h *Handler) heldKeys(slot, round int, dst []uint64) []uint64 {
 	return dst
 }
 
-// OnJoin implements simnet.Handler: a fresh node knows nothing. The slot's
-// tables, pending requests and sample ring are emptied in place — churn
-// runs serially between handler phases, and no pointer into a table
-// outlives the handler call that took it — so a replaced slot costs no
-// allocation.
+// OnJoin implements simnet.Handler: a fresh node knows nothing. Every
+// array of the departed node's tables, memberships and searches goes back
+// to the slot's shard slab, which the newcomer's tables grow from, and its
+// pending requests and sample ring are emptied in place — churn runs
+// serially between handler phases, and no pointer into a table outlives
+// the handler call that took it — so a replaced slot costs no allocation.
 func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
 	st := &h.states[slot]
 	st.id = id
 	st.recentPos, st.recentLen = 0, 0
-	st.memberships.reset()
-	st.storageLM.reset()
-	st.searchLM.reset()
-	st.searches.reset()
+	sl := &h.slabs[e.Grid().Of(slot, e.N())]
+	for i := range st.memberships.vals {
+		st.memberships.vals[i].release(sl)
+	}
+	for i := range st.searches.vals {
+		st.searches.vals[i].release(sl)
+	}
+	st.memberships.release(sl)
+	st.storageLM.release(sl)
+	st.searchLM.release(sl)
+	st.searches.release(sl)
 	clear(st.pending)
 	st.pending = st.pending[:0]
 	h.cacheClearSlot(slot)
@@ -396,18 +407,8 @@ func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
 
 // sweepExpired drops expired landmark registrations.
 func (h *Handler) sweepExpired(round int, st *nodeState) {
-	for i := 0; i < len(st.storageLM.vals); i++ {
-		if round >= st.storageLM.vals[i].expiry {
-			st.storageLM.delAt(i)
-			i--
-		}
-	}
-	for i := 0; i < len(st.searchLM.vals); i++ {
-		if round >= st.searchLM.vals[i].expiry {
-			st.searchLM.delAt(i)
-			i--
-		}
-	}
+	st.storageLM.sweep(func(e *lmEntry) bool { return round >= e.expiry })
+	st.searchLM.sweep(func(t *searchTask) bool { return round >= t.expiry })
 }
 
 // recordResult appends a finished retrieval outcome (thread-safe). The

@@ -32,7 +32,7 @@ func (h *Handler) becomeLandmark(ctx *simnet.Ctx, st *nodeState, key uint64, ros
 	if old := st.storageLM.get(key); old != nil && slices.Equal(old.roster, roster) {
 		ent.toldAt, ent.toldTo = old.toldAt, old.toldTo
 	}
-	st.storageLM.put(key, ent)
+	st.storageLM.put(&h.slabs[ctx.Shard], key, ent)
 	h.growChildren(ctx, st, KindLGrow, key, 0, roster, depth, wave, trace)
 }
 
@@ -84,7 +84,7 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL())
 		return
 	}
-	h.addSearchTask(st, key, searcher, ctx.Round, wave, msg.Trace).grow = depth
+	h.addSearchTask(ctx, st, key, searcher, wave, msg.Trace).grow = depth
 }
 
 // addSearchTask registers this node as a search landmark for (key,
@@ -92,7 +92,8 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 // was rooted (the current round for a task no tree delivered). A new task
 // goes after the key's others, so a key's tasks stay in arrival order. The
 // task it returns is valid until the node's next addSearchTask.
-func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeID, round, wave int, trace uint64) *searchTask {
+func (h *Handler) addSearchTask(ctx *simnet.Ctx, st *nodeState, key uint64, searcher simnet.NodeID, wave int, trace uint64) *searchTask {
+	round := ctx.Round
 	if t := findSearchTask(st, key, searcher); t != nil {
 		t.expiry = max(t.expiry, round+h.P.LandmarkTTL())
 		t.wave = wave
@@ -101,7 +102,7 @@ func (h *Handler) addSearchTask(st *nodeState, key uint64, searcher simnet.NodeI
 		}
 		return t
 	}
-	return st.searchLM.add(key, searchTask{
+	return st.searchLM.add(&h.slabs[ctx.Shard], key, searchTask{
 		searcher: searcher, expiry: round + h.P.LandmarkTTL(), wave: wave, trace: trace,
 	})
 }

@@ -309,6 +309,7 @@ func idaPiecesLeg(t *testing.T, k int) {
 		firstTurn++
 	}
 
+	var sl slab                     // the count tables' arrays
 	counts := map[int]*membership{} // epoch -> the counts its members sent
 	firstHandover := map[int]int{}  // epoch -> phase of its first KindCHandover
 	pieces := 0
@@ -326,7 +327,7 @@ func idaPiecesLeg(t *testing.T, k int) {
 				if counts[epoch] == nil {
 					counts[epoch] = &membership{}
 				}
-				counts[epoch].counts.put(uint64(m.from), int(m.aux))
+				counts[epoch].counts.put(&sl, uint64(m.from), int(m.aux))
 			case KindCPiece:
 				pieces++
 				want := (size + k - 1) / max(k, 1)

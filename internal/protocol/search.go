@@ -126,7 +126,7 @@ func (h *Handler) sampleOp(ctx *simnet.Ctx, st *nodeState, op pendingOp) uint64 
 // locally.
 func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
 	trace := h.sampleOp(ctx, st, op)
-	srch := st.searches.put(op.key, searchState{
+	srch := st.searches.put(&h.slabs[ctx.Shard], op.key, searchState{
 		key: op.key, start: op.start,
 		deadline: op.start + h.P.SearchTTL(),
 		formed:   ctx.Round,
@@ -139,7 +139,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 	// The searcher doubles as a search landmark so its own walk samples
 	// contribute to the rendezvous, for as long as the search runs.
-	h.addSearchTask(st, op.key, st.id, ctx.Round, ctx.Round, trace).expiry = srch.deadline
+	h.addSearchTask(ctx, st, op.key, st.id, ctx.Round, trace).expiry = srch.deadline
 	// Shortcut: if the searcher already happens to be a storage landmark
 	// for the item, it knows the roster and can fetch immediately.
 	if ent := st.storageLM.get(op.key); ent != nil && ctx.Round < ent.expiry {
@@ -163,9 +163,10 @@ func (h *Handler) sendWave(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
 }
 
 // fetchFrom asks every member the search has not asked yet for the item
-// bytes; srch.roster is the asked-set.
+// bytes; srch.roster is the asked-set, grown through the slot's shard slab.
 func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, members []simnet.NodeID) {
 	asked := len(srch.roster)
+	srch.roster = h.slabs[ctx.Shard].ids.grow(srch.roster, len(members))
 	srch.roster = appendDistinct(srch.roster, members, math.MaxInt, st.id)
 	for _, member := range srch.roster[asked:] {
 		m := ctx.SendMsg(member, KindSFetch)
@@ -313,7 +314,7 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	item := msg.Blob()
 	if h.code != nil {
-		srch.pieces = addPiece(srch.pieces, ida.Piece{Index: int(msg.Aux), Data: item})
+		srch.pieces = addPiece(&h.slabs[ctx.Shard].pieces, srch.pieces, ida.Piece{Index: int(msg.Aux), Data: item})
 		var ok bool
 		if item, ok = h.decode(srch.pieces, int(msg.Aux2)); !ok {
 			return
@@ -372,6 +373,7 @@ func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState
 	}
 	h.sendDone(ctx, srch.invited, srch.key, st.id, ctx.Round)
 	h.dropSearchTask(ctx, st, srch.key, st.id, ctx.Round)
+	srch.release(&h.slabs[ctx.Shard])
 	st.searches.del(srch.key)
 }
 

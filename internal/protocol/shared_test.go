@@ -179,7 +179,8 @@ func (p *growProbe) HandleRound(ctx *simnet.Ctx) {
 		leaf := *m
 		_, wave := unpackGrow(m.Aux)
 		leaf.Aux = packGrow(0, wave)
-		st.storageLM.put(leaf.Item, lmEntry{}) // room for the entry
+		sl := &p.slabs[ctx.Shard]
+		st.storageLM.put(sl, leaf.Item, lmEntry{}) // room for the entry
 		p.allocs = testing.AllocsPerRun(50, func() {
 			st.storageLM.del(leaf.Item)
 			p.onGrow(ctx, st, &leaf)
@@ -189,7 +190,7 @@ func (p *growProbe) HandleRound(ctx *simnet.Ctx) {
 		}
 		st.storageLM.del(leaf.Item)
 		if had {
-			st.storageLM.put(leaf.Item, saved)
+			st.storageLM.put(sl, leaf.Item, saved)
 		}
 	}
 	p.Handler.HandleRound(ctx)

@@ -1,0 +1,339 @@
+package protocol
+
+import (
+	"math/bits"
+	"reflect"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"dynp2p/internal/churn"
+	"dynp2p/internal/ida"
+	"dynp2p/internal/simnet"
+)
+
+// filed reports whether s's array is one f holds free.
+func filed[T any](f *freeLists[T], s []T) bool {
+	if cap(s) == 0 {
+		return false
+	}
+	c := bits.Len(uint(cap(s) - 1))
+	if c >= slabClasses {
+		return false
+	}
+	for _, a := range f[c] {
+		if &a[:1][0] == &s[:1][0] {
+			return true
+		}
+	}
+	return false
+}
+
+// allZero reports whether every element of s's whole array is T's zero.
+func allZero[T any](s []T) bool {
+	s = s[:cap(s)]
+	for i := range s {
+		if !reflect.ValueOf(&s[i]).Elem().IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// heldArray is one array a node's membership or search held, noted before
+// the owner was dropped: check reports whether the slab holds it free and
+// fails the test if it does and still holds anything.
+type heldArray struct {
+	what  string
+	check func(t *testing.T, sl *slab) bool
+}
+
+// noteHeld appends s's array to dst, unless s has none; lists picks the
+// slab's free lists for T.
+func noteHeld[T any](dst []heldArray, what string, s []T, lists func(sl *slab) *freeLists[T]) []heldArray {
+	if cap(s) == 0 {
+		return dst
+	}
+	s = s[:cap(s)]
+	return append(dst, heldArray{what, func(t *testing.T, sl *slab) bool {
+		if !filed(lists(sl), s) {
+			return false
+		}
+		if !allZero(s) {
+			t.Errorf("%s went back to the slab holding %v", what, s)
+		}
+		return true
+	}})
+}
+
+// heldArrays notes every slab-grown array the membership holds.
+func (m *membership) heldArrays() []heldArray {
+	a := noteHeld(nil, "a membership's sources", m.sources, func(sl *slab) *freeLists[simnet.NodeID] { return &sl.ids })
+	a = noteHeld(a, "a membership's count keys", m.counts.keys, func(sl *slab) *freeLists[uint64] { return &sl.keys })
+	a = noteHeld(a, "a membership's counts", m.counts.vals, func(sl *slab) *freeLists[int] { return &sl.counts })
+	return noteHeld(a, "a membership's gathered pieces", m.gathered, func(sl *slab) *freeLists[ida.Piece] { return &sl.pieces })
+}
+
+// heldArrays notes every slab-grown array the search holds.
+func (srch *searchState) heldArrays() []heldArray {
+	a := noteHeld(nil, "a search's pieces", srch.pieces, func(sl *slab) *freeLists[ida.Piece] { return &sl.pieces })
+	return noteHeld(a, "a search's asked-set", srch.roster, func(sl *slab) *freeLists[simnet.NodeID] { return &sl.ids })
+}
+
+// dropProbe is the protocol handler with a check around every node's
+// round: it notes the arrays of the node's memberships and searches, and
+// after the round, for each owner the node dropped — a membership it
+// resigned, a search that ended — checks that every noted array the slot's
+// shard slab now holds free is all zeros. (A noted array the same round
+// handed on to a new owner is not in the slab, and not the old owner's.)
+type dropProbe struct {
+	*Handler
+	t               *testing.T
+	mu              sync.Mutex
+	resigned, ended int // arrays found filed, by how their owner was dropped
+}
+
+func (p *dropProbe) HandleRound(ctx *simnet.Ctx) {
+	st := &p.states[ctx.Slot]
+	members := map[uint64][]heldArray{}
+	for i := range st.memberships.vals {
+		members[st.memberships.keys[i]] = st.memberships.vals[i].heldArrays()
+	}
+	searches := map[uint64][]heldArray{}
+	for i := range st.searches.vals {
+		searches[st.searches.keys[i]] = st.searches.vals[i].heldArrays()
+	}
+	p.Handler.HandleRound(ctx)
+	sl := &p.slabs[ctx.Shard]
+	resigned, ended := 0, 0
+	for key, arrays := range members {
+		if st.memberships.get(key) == nil {
+			for _, a := range arrays {
+				if a.check(p.t, sl) {
+					resigned++
+				}
+			}
+		}
+	}
+	for key, arrays := range searches {
+		if st.searches.get(key) == nil {
+			for _, a := range arrays {
+				if a.check(p.t, sl) {
+					ended++
+				}
+			}
+		}
+	}
+	p.mu.Lock()
+	p.resigned += resigned
+	p.ended += ended
+	p.mu.Unlock()
+}
+
+// checkSlabsZero fails t if any array a slab holds free holds anything.
+func checkSlabsZero(t *testing.T, h *Handler) {
+	t.Helper()
+	for i := range h.slabs {
+		sl := &h.slabs[i]
+		for c := 0; c < slabClasses; c++ {
+			ok := true
+			for _, a := range sl.keys[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.counts[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.members[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.marks[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.tasks[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.searches[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.ids[c] {
+				ok = ok && allZero(a)
+			}
+			for _, a := range sl.pieces[c] {
+				ok = ok && allZero(a)
+			}
+			if !ok {
+				t.Fatalf("shard %d's slab holds a free array of capacity %d that is not cleared", i, 1<<c)
+			}
+		}
+	}
+}
+
+// TestSlabDropsReferences is the slab's counterpart of
+// TestTableResetDropsReferences: an array handed back to a slab holds
+// nothing of its last owner — not on a resign (onHandover), not at a
+// search's end (finishSearch), not when churn replaces its node (OnJoin,
+// which hands back the node's tables' arrays too) — and no
+// array any slab holds free holds anything, after every round. The run
+// stores IDA items (K = 4), so members gather pieces and searchers fetch
+// them.
+func TestSlabDropsReferences(t *testing.T) {
+	const n, k = 256, 4
+	s := newSim(t, n, churn.ZeroLaw{}, k, 31)
+	p := &dropProbe{Handler: s.h, t: t}
+	s.e.Run(p, s.soup.Params().WalkLength+3)
+	const keys = 4
+	for key := uint64(1); key <= keys; key++ {
+		p.RequestStore(s.e, int(key)*37, key, itemBytes(key, 200))
+	}
+	s.e.Run(p, 2)
+	ok := 0
+	for r := 0; r < 3*p.P.Period; r++ {
+		if r%3 == 0 {
+			key := 1 + uint64(r/3)%keys
+			p.RequestRetrieve(s.e, (r*29+11)%n, key, itemBytes(key, 200))
+		}
+		s.e.Run(p, 1)
+		checkSlabsZero(t, p.Handler)
+		for _, res := range p.DrainResults() {
+			if res.Success {
+				ok++
+			}
+		}
+	}
+	if p.resigned == 0 || p.ended == 0 || ok == 0 {
+		t.Fatalf("%d arrays filed on a resign, %d at a search's end (%d retrievals succeeded): every path must run",
+			p.resigned, p.ended, ok)
+	}
+	t.Logf("%d arrays filed on a resign, %d at a search's end; %d retrievals succeeded", p.resigned, p.ended, ok)
+
+	// Churn: replace a member with epoch scratch that runs a search
+	// holding a piece; every array of its tables, memberships and
+	// searches goes back.
+	slot := -1
+	for sl := range p.states {
+		for i := range p.states[sl].memberships.vals {
+			if m := &p.states[sl].memberships.vals[i]; cap(m.sources) > 0 && cap(m.counts.keys) > 0 && cap(m.gathered) > 0 {
+				slot = sl
+			}
+		}
+	}
+	if slot < 0 {
+		t.Fatal("no member holds an epoch's sources, counts and pieces")
+	}
+	const missing = 999
+	p.RequestRetrieve(s.e, slot, missing, nil)
+	st := &p.states[slot]
+	for r := 0; st.searches.get(missing) == nil; r++ {
+		if r > p.P.SearchTTL() {
+			t.Fatal("the search never formed")
+		}
+		s.e.Run(p, 1)
+	}
+	sl := &p.slabs[s.e.Grid().Of(slot, n)]
+	srch := st.searches.get(missing)
+	srch.pieces = addPiece(&sl.pieces, srch.pieces, ida.Piece{Index: 1, Data: []byte{7}})
+	srch.roster = append(sl.ids.grow(srch.roster, 1), 7)
+	keyLists := func(sl *slab) *freeLists[uint64] { return &sl.keys }
+	arrays := noteHeld(nil, "the memberships' keys", st.memberships.keys, keyLists)
+	arrays = noteHeld(arrays, "the memberships", st.memberships.vals, func(sl *slab) *freeLists[membership] { return &sl.members })
+	arrays = noteHeld(arrays, "the storage landmarks' keys", st.storageLM.keys, keyLists)
+	arrays = noteHeld(arrays, "the storage landmarks", st.storageLM.vals, func(sl *slab) *freeLists[lmEntry] { return &sl.marks })
+	arrays = noteHeld(arrays, "the search tasks' keys", st.searchLM.keys, keyLists)
+	arrays = noteHeld(arrays, "the search tasks", st.searchLM.vals, func(sl *slab) *freeLists[searchTask] { return &sl.tasks })
+	arrays = noteHeld(arrays, "the searches' keys", st.searches.keys, keyLists)
+	arrays = noteHeld(arrays, "the searches", st.searches.vals, func(sl *slab) *freeLists[searchState] { return &sl.searches })
+	for i := range st.memberships.vals {
+		arrays = append(arrays, st.memberships.vals[i].heldArrays()...)
+	}
+	for i := range st.searches.vals {
+		arrays = append(arrays, st.searches.vals[i].heldArrays()...)
+	}
+	p.OnJoin(s.e, slot, 1<<40, s.e.Round())
+	for _, a := range arrays {
+		if !a.check(t, sl) {
+			t.Errorf("%s did not go back to the slab on the churn reset", a.what)
+		}
+	}
+	checkSlabsZero(t, p.Handler)
+}
+
+// TestProtocolMemoryLedger: the protocol's row of the memory ledger reads,
+// after a store has been maintained past a handover and an item retrieved,
+// nonzero bytes in the nodes' arrays and in the slabs' free lists, each
+// the arrays' capacities times their element sizes.
+func TestProtocolMemoryLedger(t *testing.T) {
+	const n = 256
+	s := newSim(t, n, churn.ZeroLaw{}, 4, 33)
+	s.warm()
+	const key = 5
+	data := itemBytes(key, 200)
+	s.h.RequestStore(s.e, 9, key, data)
+	s.run(2 * s.h.P.Period)
+	s.h.RequestRetrieve(s.e, 100, key, data)
+	if res := await(s, nil, 1); len(res) != 1 || !res[0].Success {
+		t.Fatalf("retrieval: %+v", res)
+	}
+	got := map[string]int64{}
+	for _, mv := range s.e.Telemetry().Snapshot() {
+		got[mv.Name] = mv.Value
+	}
+
+	var tables, free uintptr
+	for i := range s.h.states {
+		st := &s.h.states[i]
+		tables += uintptr(cap(st.memberships.keys)+cap(st.storageLM.keys)+cap(st.searchLM.keys)+cap(st.searches.keys)) * unsafe.Sizeof(uint64(0))
+		tables += uintptr(cap(st.memberships.vals)) * unsafe.Sizeof(membership{})
+		tables += uintptr(cap(st.storageLM.vals)) * unsafe.Sizeof(lmEntry{})
+		tables += uintptr(cap(st.searchLM.vals)) * unsafe.Sizeof(searchTask{})
+		tables += uintptr(cap(st.searches.vals)) * unsafe.Sizeof(searchState{})
+		for _, m := range st.memberships.vals {
+			tables += uintptr(cap(m.sources)) * unsafe.Sizeof(simnet.NodeID(0))
+			tables += uintptr(cap(m.counts.keys)) * unsafe.Sizeof(uint64(0))
+			tables += uintptr(cap(m.counts.vals)) * unsafe.Sizeof(int(0))
+			tables += uintptr(cap(m.gathered)) * unsafe.Sizeof(ida.Piece{})
+		}
+		for _, srch := range st.searches.vals {
+			tables += uintptr(cap(srch.pieces))*unsafe.Sizeof(ida.Piece{}) + uintptr(cap(srch.roster))*unsafe.Sizeof(simnet.NodeID(0))
+		}
+	}
+	for i := range s.h.slabs {
+		sl := &s.h.slabs[i]
+		for c := 0; c < slabClasses; c++ {
+			for _, a := range sl.keys[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(uint64(0))
+			}
+			for _, a := range sl.counts[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(int(0))
+			}
+			for _, a := range sl.members[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(membership{})
+			}
+			for _, a := range sl.marks[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(lmEntry{})
+			}
+			for _, a := range sl.tasks[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(searchTask{})
+			}
+			for _, a := range sl.searches[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(searchState{})
+			}
+			for _, a := range sl.ids[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(simnet.NodeID(0))
+			}
+			for _, a := range sl.pieces[c] {
+				free += uintptr(cap(a)) * unsafe.Sizeof(ida.Piece{})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want uintptr
+	}{
+		{"dynp2p_proto_mem_table_bytes", tables},
+		{"dynp2p_proto_mem_slab_free_bytes", free},
+	} {
+		if c.want == 0 || got[c.name] != int64(c.want) {
+			t.Errorf("%s = %d, want %d (> 0)", c.name, got[c.name], c.want)
+		}
+	}
+}

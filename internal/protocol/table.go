@@ -9,7 +9,9 @@ import "slices"
 // time (measured on the benchmark workloads: under 6 entries on average, 86
 // at worst), which is what binary search plus an O(k) insert is sized for.
 // Values are held directly: a *V from get, put or add points into vals and
-// is valid only until the table's next put, add, del or reset.
+// is valid only until the table's next put, add, del, sweep or reset.
+// Both arrays grow together, to the next power of two, through the slot's
+// shard slab (slab.go), which takes the outgrown pair back.
 //
 // A table filled by put holds each key once. One filled by add (a node's
 // search tasks) may hold a key several times: its entries are contiguous,
@@ -27,18 +29,24 @@ func (t *table[V]) get(key uint64) *V {
 	return nil
 }
 
-// put stores v under key, replacing any value already there.
-func (t *table[V]) put(key uint64, v V) *V {
+// put stores v under key, replacing any value already there; sl is the
+// slot's shard slab.
+func (t *table[V]) put(sl *slab, key uint64, v V) *V {
 	if p := t.get(key); p != nil {
 		*p = v
 		return p
 	}
-	return t.add(key, v)
+	return t.add(sl, key, v)
 }
 
-// add stores v under key after the entries key already has.
-func (t *table[V]) add(key uint64, v V) *V {
+// add stores v under key after the entries key already has; sl is the
+// slot's shard slab.
+func (t *table[V]) add(sl *slab, key uint64, v V) *V {
 	_, i := t.span(key)
+	if len(t.keys) == cap(t.keys) {
+		t.keys = sl.keys.grow(t.keys, 1)
+		t.vals = valsOf[V](sl).grow(t.vals, 1)
+	}
 	t.keys = slices.Insert(t.keys, i, key)
 	t.vals = slices.Insert(t.vals, i, v)
 	return &t.vals[i]
@@ -61,10 +69,25 @@ func (t *table[V]) del(key uint64) {
 	}
 }
 
-// delAt removes entry i; a sweep that calls it revisits index i next.
+// delAt removes entry i.
 func (t *table[V]) delAt(i int) {
 	t.keys = slices.Delete(t.keys, i, i+1)
 	t.vals = slices.Delete(t.vals, i, i+1)
+}
+
+// sweep removes every entry drop reports true for, in one pass that keeps
+// the others in order, and clears the vacated tail.
+func (t *table[V]) sweep(drop func(*V) bool) {
+	j := 0
+	for i := range t.vals {
+		if drop(&t.vals[i]) {
+			continue
+		}
+		t.keys[j], t.vals[j] = t.keys[i], t.vals[i]
+		j++
+	}
+	clear(t.vals[j:])
+	t.keys, t.vals = t.keys[:j], t.vals[:j]
 }
 
 // reset empties the table in place, keeping both backing arrays and
@@ -73,3 +96,14 @@ func (t *table[V]) reset() {
 	clear(t.vals)
 	t.keys, t.vals = t.keys[:0], t.vals[:0]
 }
+
+// release hands both backing arrays back to sl, leaving the table empty
+// and unbacked.
+func (t *table[V]) release(sl *slab) {
+	sl.keys.free(t.keys)
+	valsOf[V](sl).free(t.vals)
+	t.keys, t.vals = nil, nil
+}
+
+// bytes returns the bytes the table's two arrays hold.
+func (t *table[V]) bytes() int { return capBytes(t.keys) + capBytes(t.vals) }

@@ -106,6 +106,15 @@ func (g Grid) Bounds(sh, n int) (lo, hi int) {
 	return sh * n / g.count, (sh + 1) * n / g.count
 }
 
+// Of maps a slot in [0, n) to its shard, exactly consistent with Bounds:
+// slot s belongs to the unique shard sh with Bounds(sh, n) containing s.
+// (The naive slot*count/n disagrees with the Bounds partition for some
+// (slot, n); this is the proper inverse: the largest sh with
+// sh*n/count <= slot.)
+func (g Grid) Of(slot, n int) int {
+	return (g.count*(slot+1) - 1) / n
+}
+
 // LocTable returns the slot → packed (shard, local) location table for a
 // network of n slots: LocTable(n)[s] >> LocalBits is the shard sh whose
 // Bounds(sh, n) = [lo, hi) holds s, and LocTable(n)[s] & (1<<LocalBits - 1)
