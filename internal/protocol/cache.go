@@ -179,7 +179,6 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 		m := ctx.SendMsg(s.Src, KindCacheSeed)
 		m.Item, m.Aux, m.Trace = e.key, uint64(e.depth)+1, trace
 		ctx.SetPayload(m, nil, e.data)
-		h.ctr.cacheSeeds.Inc(ctx.Shard)
 		sent++
 	}
 }
@@ -200,7 +199,6 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 	m := ctx.SendMsg(searcher, KindCacheData)
 	m.Item, m.Aux, m.Trace = e.key, uint64(e.depth), trace
 	ctx.SetPayload(m, nil, e.data)
-	h.ctr.cacheServed.Inc(ctx.Shard)
 	h.ctr.cacheHitsByHop.Observe(ctx.Shard, int64(e.depth))
 }
 

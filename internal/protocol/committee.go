@@ -304,7 +304,6 @@ func (h *Handler) sendInvites(ctx *simnet.Ctx, key uint64, base int, roster []si
 		msg.Trace = trace
 		ctx.SetPayload(msg, roster, blob)
 	}
-	h.ctr.invitesSent.Add(ctx.Shard, int64(len(roster)))
 }
 
 // appendDistinct appends src's ids to dst in order, skipping self and

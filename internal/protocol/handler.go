@@ -18,6 +18,7 @@ import (
 // immutable configuration, and sharded telemetry cells.
 type Handler struct {
 	P    Params
+	e    *simnet.Engine // counts every send by kind (Sent, Counters)
 	soup *walks.Soup
 	code *ida.Coder // nil in replication mode
 
@@ -41,24 +42,16 @@ type Handler struct {
 // node's shard (ctx.Shard), so the hot path takes no atomics and the
 // merged totals are identical at any worker count.
 type counters struct {
-	invitesSent       telemetry.Counter
 	handovers         telemetry.Counter
 	fallbackHandovers telemetry.Counter
 	resignations      telemetry.Counter
 	committeeCreated  telemetry.Counter
 	waves             telemetry.Counter
-	growSent          telemetry.Counter
-	inquiries         telemetry.Counter
 	inquiryPairs      telemetry.Counter
-	dones             telemetry.Counter
-	founds            telemetry.Counter
 	foundRepeats      telemetry.Counter
-	fetches           telemetry.Counter
 	idaLost           telemetry.Counter
 	idaRecoded        telemetry.Counter
 	cacheHits         telemetry.Counter
-	cacheServed       telemetry.Counter
-	cacheSeeds        telemetry.Counter
 	cacheInserts      telemetry.Counter
 	cacheEvictions    telemetry.Counter
 	cacheExpired      telemetry.Counter
@@ -69,24 +62,16 @@ type counters struct {
 
 func newCounters(reg *telemetry.Registry) counters {
 	return counters{
-		invitesSent:       reg.Counter("dynp2p_proto_invites_sent_total", "committee invitations sent"),
 		handovers:         reg.Counter("dynp2p_proto_handovers_total", "epoch handovers completed"),
 		fallbackHandovers: reg.Counter("dynp2p_proto_fallback_handovers_total", "handovers performed by a non-primary candidate"),
 		resignations:      reg.Counter("dynp2p_proto_resignations_total", "members resigned after a handover"),
 		committeeCreated:  reg.Counter("dynp2p_proto_committees_created_total", "committees created by store/retrieve requests"),
 		waves:             reg.Counter("dynp2p_proto_waves_total", "landmark waves started by storage members and searchers"),
-		growSent:          reg.Counter("dynp2p_proto_grow_sent_total", "tree-growth messages sent"),
-		inquiries:         reg.Counter("dynp2p_proto_inquiries_total", "landmark inquiries sent"),
 		inquiryPairs:      reg.Counter("dynp2p_proto_inquiry_pairs_total", "landmark inquiries sent that name a second searcher"),
-		dones:             reg.Counter("dynp2p_proto_search_dones_total", "search-ended notices sent (by searchers and forwarded down landmark trees)"),
-		founds:            reg.Counter("dynp2p_proto_founds_total", "positive inquiry responses sent"),
 		foundRepeats:      reg.Counter("dynp2p_proto_found_repeats_total", "inquiries left unanswered: the landmark already told that searcher this round"),
-		fetches:           reg.Counter("dynp2p_proto_fetches_total", "data fetch requests sent"),
 		idaLost:           reg.Counter("dynp2p_proto_ida_lost_total", "handovers where fewer than K pieces survived"),
 		idaRecoded:        reg.Counter("dynp2p_proto_ida_recoded_total", "handovers that reconstructed and re-dispersed"),
 		cacheHits:         reg.Counter("dynp2p_cache_hits_total", "retrievals resolved by a cached copy (own-node or served)"),
-		cacheServed:       reg.Counter("dynp2p_cache_served_total", "inquiries answered directly from a cache"),
-		cacheSeeds:        reg.Counter("dynp2p_cache_seeds_total", "cache replicas pushed to walk-sample sources"),
 		cacheInserts:      reg.Counter("dynp2p_cache_inserts_total", "cache entries written (excluding same-key refreshes)"),
 		cacheEvictions:    reg.Counter("dynp2p_cache_evictions_total", "live cache entries evicted by LRU pressure"),
 		cacheExpired:      reg.Counter("dynp2p_cache_expired_total", "cache lookups that found only a TTL-expired entry"),
@@ -121,32 +106,51 @@ type Counters struct {
 	CacheExpired      int64 // lookups that found only a TTL-expired entry
 }
 
-// Counters returns a snapshot of event counters, merged from the
-// telemetry registry (the store of record). Call between rounds.
+// Counters returns a snapshot of event counters. The send counts are read
+// from the engine's per-kind tally (Sent), the store of record for what
+// the handlers sent, so each send is counted once; the rest are merged
+// from the telemetry registry. Call between rounds.
 func (h *Handler) Counters() Counters {
+	sent := func(kind uint8) int64 { return h.e.KindCount(kind).Msgs }
 	return Counters{
-		InvitesSent:       h.ctr.invitesSent.Value(),
+		InvitesSent:       sent(KindCInvite),
 		Handovers:         h.ctr.handovers.Value(),
 		FallbackHandovers: h.ctr.fallbackHandovers.Value(),
 		Resignations:      h.ctr.resignations.Value(),
 		CommitteesCreated: h.ctr.committeeCreated.Value(),
 		Waves:             h.ctr.waves.Value(),
-		GrowSent:          h.ctr.growSent.Value(),
-		Inquiries:         h.ctr.inquiries.Value(),
+		GrowSent:          sent(KindLGrow) + sent(KindSGrow),
+		Inquiries:         sent(KindSInquire),
 		InquiryPairs:      h.ctr.inquiryPairs.Value(),
-		Dones:             h.ctr.dones.Value(),
-		Founds:            h.ctr.founds.Value(),
+		Dones:             sent(KindSDone),
+		Founds:            sent(KindSFound),
 		FoundRepeats:      h.ctr.foundRepeats.Value(),
-		Fetches:           h.ctr.fetches.Value(),
+		Fetches:           sent(KindSFetch),
 		IDALost:           h.ctr.idaLost.Value(),
 		IDARecoded:        h.ctr.idaRecoded.Value(),
 		CacheHits:         h.ctr.cacheHits.Value(),
-		CacheServed:       h.ctr.cacheServed.Value(),
-		CacheSeeds:        h.ctr.cacheSeeds.Value(),
+		CacheServed:       sent(KindCacheData),
+		CacheSeeds:        sent(KindCacheSeed),
 		CacheInserts:      h.ctr.cacheInserts.Value(),
 		CacheEvictions:    h.ctr.cacheEvictions.Value(),
 		CacheExpired:      h.ctr.cacheExpired.Value(),
 	}
+}
+
+// KindSent is what the handlers sent of one message kind.
+type KindSent struct {
+	Name string // the kind's metric name (dynp2p_proto_kind_<Name>_*)
+	simnet.KindCount
+}
+
+// Sent returns what the handlers have sent of every kind so far, in
+// kindNames order, from the engine's per-kind tally. Call between rounds.
+func (h *Handler) Sent() []KindSent {
+	out := make([]KindSent, len(kindNames))
+	for i, k := range kindNames {
+		out[i] = KindSent{k.name, h.e.KindCount(k.kind)}
+	}
+	return out
 }
 
 // SearchResult records the outcome of one retrieval operation.
@@ -227,7 +231,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		p.CacheSeedRate = defaultCacheSeedRate
 	}
 	h := &Handler{
-		P: p, soup: soup,
+		P: p, e: e, soup: soup,
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
 		slabs:  make([]slab, e.Grid().Count()),
@@ -253,10 +257,9 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 	e.Telemetry().RegisterCollector(h.collectMemory)
 	// What the handlers sent of each kind, as the engine counts it.
 	e.Telemetry().RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
-		for _, k := range kindNames {
-			c := e.KindCount(k.kind)
-			emit("dynp2p_proto_kind_"+k.name+"_msgs_total", telemetry.KindCounter, c.Msgs)
-			emit("dynp2p_proto_kind_"+k.name+"_bits_total", telemetry.KindCounter, c.Bits)
+		for _, k := range h.Sent() {
+			emit("dynp2p_proto_kind_"+k.Name+"_msgs_total", telemetry.KindCounter, k.Msgs)
+			emit("dynp2p_proto_kind_"+k.Name+"_bits_total", telemetry.KindCounter, k.Bits)
 		}
 	})
 	return h

@@ -52,7 +52,6 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, kind uint8, key, 
 		m.Trace = trace
 		ctx.SetPayload(m, roster, nil)
 	}
-	h.ctr.growSent.Add(ctx.Shard, int64(len(children)))
 	return kids
 }
 

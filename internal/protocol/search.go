@@ -70,7 +70,8 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 				continue
 			}
 		}
-		roster := st.recentDistinct(nil, h.inviteCount())
+		want := h.inviteCount()
+		roster := st.recentDistinct(make([]simnet.NodeID, 0, want), want)
 		// Wait until a full committee can be drawn; the grace period
 		// covers the soup warm-up (a fresh node sees its first samples
 		// only after one walk length), after which we use what we have.
@@ -159,7 +160,6 @@ func (h *Handler) sendWave(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
 		m.Trace = srch.trace
 	}
 	h.ctr.waves.Inc(ctx.Shard)
-	h.ctr.growSent.Add(ctx.Shard, int64(len(srch.invited)))
 }
 
 // fetchFrom asks every member the search has not asked yet for the item
@@ -171,7 +171,6 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 	for _, member := range srch.roster[asked:] {
 		m := ctx.SendMsg(member, KindSFetch)
 		m.Item, m.Trace = srch.key, srch.trace
-		h.ctr.fetches.Inc(ctx.Shard)
 	}
 }
 
@@ -184,7 +183,7 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 // tasks, in table order, are paired up (DESIGN.md §2, "A landmark asks a
 // sample once for two searchers").
 func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []walks.Sample) {
-	round, sent, pairs := ctx.Round, 0, 0
+	round, pairs := ctx.Round, 0
 	for lo := 0; lo < len(st.searchLM.keys); {
 		key := st.searchLM.keys[lo]
 		_, hi := st.searchLM.span(key)
@@ -219,14 +218,12 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// the sampled source — replicas cut network distance.
 				m := ctx.SendKeyed(s.Src, KindSInquire)
 				m.Item, m.Aux, m.Aux2, m.Trace = key, uint64(second), uint64(first.searcher), first.trace
-				sent++
 				if second != 0 {
 					pairs++
 				}
 			}
 		}
 	}
-	h.ctr.inquiries.Add(ctx.Shard, int64(sent))
 	h.ctr.inquiryPairs.Add(ctx.Shard, int64(pairs))
 }
 
@@ -274,7 +271,6 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			m := ctx.SendMsg(searcher, KindSFound)
 			m.Item, m.Trace = msg.Item, trace
 			ctx.SetPayload(m, ent.roster, nil)
-			h.ctr.founds.Inc(ctx.Shard)
 		}
 		trace = 0
 	}
@@ -383,7 +379,6 @@ func (h *Handler) sendDone(ctx *simnet.Ctx, to []simnet.NodeID, key uint64, sear
 		if id != 0 {
 			m := ctx.SendMsg(id, KindSDone)
 			m.Item, m.Aux, m.Aux2 = key, uint64(round), uint64(searcher)
-			h.ctr.dones.Inc(ctx.Shard)
 		}
 	}
 }

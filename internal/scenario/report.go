@@ -1,10 +1,8 @@
 package scenario
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"dynp2p"
@@ -144,37 +142,6 @@ type KindWire struct {
 	Bits int64  `json:"bits"`
 }
 
-// wireByKind reads the per-kind wire counters (dynp2p_proto_kind_<kind>_
-// {msgs,bits}_total) out of a snapshot: every kind that sent anything,
-// most bits first.
-func wireByKind(snap []telemetry.MetricValue) []KindWire {
-	var out []KindWire
-	for _, mv := range snap {
-		name, ok := strings.CutPrefix(mv.Name, "dynp2p_proto_kind_")
-		if !ok || mv.Value == 0 {
-			continue
-		}
-		kind, msgs := strings.CutSuffix(name, "_msgs_total")
-		if !msgs {
-			if kind, ok = strings.CutSuffix(name, "_bits_total"); !ok {
-				continue
-			}
-		}
-		i := slices.IndexFunc(out, func(k KindWire) bool { return k.Kind == kind })
-		if i < 0 {
-			i = len(out)
-			out = append(out, KindWire{Kind: kind})
-		}
-		if msgs {
-			out[i].Msgs = mv.Value
-		} else {
-			out[i].Bits = mv.Value
-		}
-	}
-	slices.SortStableFunc(out, func(a, b KindWire) int { return cmp.Compare(b.Bits, a.Bits) })
-	return out
-}
-
 // Report is the final result of a scenario run. It is deterministic in
 // the Spec: two runs of the same spec render byte-identical reports.
 type Report struct {
@@ -183,7 +150,8 @@ type Report struct {
 	Phases []PhaseReport `json:"phases"`
 	Total  SLO           `json:"total"`
 	Stats  dynp2p.Stats  `json:"stats"`
-	// Wire splits the run's traffic by message kind, most bits first.
+	// Wire splits the run's traffic by message kind, most bits first
+	// (ties by kind name).
 	Wire []KindWire `json:"wire,omitempty"`
 	// Items lists every key the run stored, in store order.
 	Items []ItemState `json:"items,omitempty"`

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dynp2p"
 	"dynp2p/internal/rng"
@@ -107,7 +109,7 @@ type runner struct {
 	total  sloAccum
 
 	prev      dynp2p.Stats  // snapshot for per-round deltas
-	prevTrace [5]int64      // ops started / done / hop events / cache hits / cache serves
+	prevTrace [3]int64      // ops started / done / hop events
 	phases    []PhaseReport // one per finished segment; SLOs filled in by report
 	maxLink   int64         // largest per-node forward count in any round so far
 }
@@ -412,14 +414,12 @@ func (r *runner) writeTrace(phase string, stores, retrieves, done, ok, lost int)
 	ops := reg.CounterValue("dynp2p_trace_ops_total")
 	dones := reg.CounterValue("dynp2p_trace_ops_done_total")
 	hops := reg.CounterValue("dynp2p_trace_hop_events_total")
-	chits := reg.CounterValue("dynp2p_cache_hits_total")
-	cserv := reg.CounterValue("dynp2p_cache_served_total")
 	rec.OpsStarted = ops - r.prevTrace[0]
 	rec.OpsDone = dones - r.prevTrace[1]
 	rec.HopEvents = hops - r.prevTrace[2]
-	rec.CacheHits = chits - r.prevTrace[3]
-	rec.CacheServed = cserv - r.prevTrace[4]
-	r.prevTrace = [5]int64{ops, dones, hops, chits, cserv}
+	r.prevTrace = [3]int64{ops, dones, hops}
+	rec.CacheHits = cur.Proto.CacheHits - r.prev.Proto.CacheHits
+	rec.CacheServed = cur.Proto.CacheServed - r.prev.Proto.CacheServed
 	rec.RoutedFwd = cur.Route.Forwards - r.prev.Route.Forwards
 	rec.RoutedDrops = routeDrops(cur.Route) - routeDrops(r.prev.Route)
 	r.prev = cur
@@ -443,8 +443,15 @@ func (r *runner) report() *Report {
 			Landmarks: r.nw.LandmarkCount(key), Committee: r.nw.CommitteeSize(key),
 		})
 	}
+	for _, k := range r.nw.Handler().Sent() {
+		if k.Msgs > 0 {
+			rep.Wire = append(rep.Wire, KindWire{Kind: k.Name, Msgs: k.Msgs, Bits: k.Bits})
+		}
+	}
+	slices.SortFunc(rep.Wire, func(a, b KindWire) int {
+		return cmp.Or(cmp.Compare(b.Bits, a.Bits), cmp.Compare(a.Kind, b.Kind))
+	})
 	reg := r.nw.Telemetry()
-	rep.Wire = wireByKind(reg.Snapshot())
 	for name, dst := range map[string]**telemetry.HistValue{
 		"dynp2p_search_hops":              &rep.SearchHops,
 		"dynp2p_search_rounds_to_resolve": &rep.SearchRounds,

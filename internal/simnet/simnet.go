@@ -829,7 +829,8 @@ func (c *Ctx) NeighborIDs(dst []NodeID) []NodeID {
 // RunRound advances the simulation one round:
 // churn → topology → hooks → handlers → routing.
 // The first call must pass the engine's initial round (0), which performs
-// the initial OnJoin for every node and runs a full round.
+// the initial OnJoin for every node and runs a full round. To run the
+// hooks only, pass NopHandler{}.
 func (e *Engine) RunRound(h Handler) {
 	round := e.round
 	prof := e.prof
@@ -837,10 +838,8 @@ func (e *Engine) RunRound(h Handler) {
 	if round == 0 {
 		// Initial population joins; no churn at round 0.
 		e.churned = e.churned[:0]
-		if h != nil {
-			for s := 0; s < e.cfg.N; s++ {
-				h.OnJoin(e, s, e.ids[s], 0)
-			}
+		for s := 0; s < e.cfg.N; s++ {
+			h.OnJoin(e, s, e.ids[s], 0)
 		}
 		prof.Lap(0) // churn
 		prof.Lap(1) // topology
@@ -849,13 +848,9 @@ func (e *Engine) RunRound(h Handler) {
 		batch := e.adv.Batch(round)
 		e.churned = append(e.churned[:0], batch...)
 		for _, s := range e.churned {
-			if h != nil {
-				h.OnLeave(e, s, e.ids[s], round)
-			}
+			h.OnLeave(e, s, e.ids[s], round)
 			id := e.placeNewNode(s, round)
-			if h != nil {
-				h.OnJoin(e, s, id, round)
-			}
+			h.OnJoin(e, s, id, round)
 		}
 		e.em.replacements.Add(0, int64(len(e.churned)))
 		prof.Lap(0) // churn
@@ -895,7 +890,7 @@ func (e *Engine) RunRound(h Handler) {
 	// so the per-slot handler sweep and the routing exchange are skipped
 	// outright rather than executed vacuously; it reads nothing either, so
 	// its round's inboxes are dropped unread.
-	if _, nop := h.(NopHandler); h != nil && !nop {
+	if _, nop := h.(NopHandler); !nop {
 		e.runHandlers(h, round)
 		prof.Lap(4 + len(e.hooks)) // handlers
 		// 6. Route: messages to live ids are staged for next round's

@@ -139,21 +139,35 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 
 // TestWireKindsAddUp: the per-kind wire counters are in the deterministic
 // snapshot, and their messages and bits add up to the engine's own totals —
-// every send is counted once, under its kind.
+// every send is counted once, under its kind. The send counts of
+// Stats().Proto are read from them; the run has churn and the cache on, so
+// each of those counts is nonzero.
 func TestWireKindsAddUp(t *testing.T) {
-	nw := traceWorkload(t, 0, nil)
+	nw := New(Config{
+		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 5,
+		Cache: CacheConfig{Capacity: 2, SeedRate: 0.7},
+	})
+	nw.Run(nw.WarmupRounds())
+	data := make([]byte, 64)
+	rng.New(3).Fill(data)
+	nw.Store(0, 9, data)
+	nw.Run(nw.Tunables().Protocol.Period)
+	for i := 1; i <= 12; i++ {
+		nw.Retrieve(i*20, 9, data)
+		nw.Run(2)
+	}
+	nw.Run(nw.Tunables().Protocol.SearchTTL())
+	sent := map[string]int64{}
 	var msgs, bits int64
-	kinds := 0
 	for _, mv := range nw.Telemetry().DeterministicSnapshot() {
 		name, ok := strings.CutPrefix(mv.Name, "dynp2p_proto_kind_")
-		switch {
-		case !ok:
-		case strings.HasSuffix(name, "_msgs_total"):
+		if !ok {
+			continue
+		}
+		if kind, ok := strings.CutSuffix(name, "_msgs_total"); ok {
+			sent[kind] = mv.Value
 			msgs += mv.Value
-			if mv.Value > 0 {
-				kinds++
-			}
-		case strings.HasSuffix(name, "_bits_total"):
+		} else if strings.HasSuffix(name, "_bits_total") {
 			bits += mv.Value
 		}
 	}
@@ -161,8 +175,28 @@ func TestWireKindsAddUp(t *testing.T) {
 	if msgs != e.MsgsSent || bits != e.BitsSent {
 		t.Errorf("per-kind counters add up to %d msgs and %d bits, the engine sent %d and %d", msgs, bits, e.MsgsSent, e.BitsSent)
 	}
-	if kinds < 6 {
-		t.Errorf("only %d kinds sent anything: the workload shows nothing", kinds)
+	p := nw.Stats().Proto
+	for _, c := range []struct {
+		field string
+		got   int64
+		kinds []string
+	}{
+		{"InvitesSent", p.InvitesSent, []string{"cinvite"}},
+		{"GrowSent", p.GrowSent, []string{"lgrow", "sgrow"}},
+		{"Inquiries", p.Inquiries, []string{"sinquire"}},
+		{"Dones", p.Dones, []string{"sdone"}},
+		{"Founds", p.Founds, []string{"sfound"}},
+		{"Fetches", p.Fetches, []string{"sfetch"}},
+		{"CacheServed", p.CacheServed, []string{"cachedata"}},
+		{"CacheSeeds", p.CacheSeeds, []string{"cacheseed"}},
+	} {
+		var want int64
+		for _, k := range c.kinds {
+			want += sent[k]
+		}
+		if c.got != want || c.got == 0 {
+			t.Errorf("Proto.%s = %d, %v series sum to %d (both must be equal and nonzero)", c.field, c.got, c.kinds, want)
+		}
 	}
 }
 
