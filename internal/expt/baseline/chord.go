@@ -1,28 +1,15 @@
-// Package dht implements the structured-overlay baseline of §1.3: a
-// Chord-like distributed hash table with successor-list replication,
-// finger-table routing, and per-round stabilisation, running under the
-// same dynamic-network engine and the same adversarial churn as the
-// paper's protocol.
-//
-// The comparison is deliberately generous to the DHT: the overlay starts
-// perfectly converged (Bootstrap), stabilisation runs every round, and
-// every holder of an item re-replicates it periodically. Experiment E12
-// shows that lookups nevertheless collapse at churn rates the paper's
-// committee/landmark design tolerates — the paper's core motivation
-// ("DHT schemes have no provable performance guarantees under large
-// adversarial churn").
-package dht
+package baseline
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"dynp2p/internal/simnet"
 )
 
-// Message kinds (0x60 range).
+// Chord message kinds (0x60 range).
 const (
 	// KindFind routes a lookup toward the successor of a target point.
 	// Item = key (or raw point), Aux = packFind(purpose, ttl, finger
@@ -37,8 +24,8 @@ const (
 	KindSuccs uint8 = 0x63
 	// KindNotify tells a node about a possible new predecessor.
 	KindNotify uint8 = 0x64
-	// KindStore hands an item to its responsible node. Blob = data.
-	KindStore uint8 = 0x65
+	// KindChordStore hands an item to its responsible node. Blob = data.
+	KindChordStore uint8 = 0x65
 	// KindRepl replicates an item to a successor. Blob = data.
 	KindRepl uint8 = 0x66
 	// KindData returns item data to a searcher.
@@ -92,7 +79,7 @@ type peer struct {
 	pt uint64
 }
 
-type state struct {
+type chordState struct {
 	pt         uint64
 	joined     bool
 	succs      []peer
@@ -110,65 +97,44 @@ type state struct {
 }
 
 // seen records a sign of life from a peer.
-func (st *state) seen(id simnet.NodeID, round int) {
-	if st.lastSeen == nil {
-		st.lastSeen = make(map[simnet.NodeID]int)
-	}
-	st.lastSeen[id] = round
-}
+func (st *chordState) seen(id simnet.NodeID, round int) { st.lastSeen[id] = round }
 
 type pendingStore struct {
 	key  uint64
 	data []byte
 }
 
-// Result records a completed DHT lookup. Hops counts the network hops
-// the lookup's find/reply chain traversed (0 for expired lookups).
-type Result struct {
-	Searcher simnet.NodeID
-	Key      uint64
-	Start    int
-	Done     int
-	Success  bool
-	Hops     int
-}
-
-// Handler is the DHT baseline protocol.
-type Handler struct {
-	states []state
+// ChordHandler is the structured-overlay baseline of §1.3: a Chord-like
+// distributed hash table with successor-list replication, finger-table
+// routing, and per-round stabilisation.
+//
+// The comparison is deliberately generous to the DHT: the overlay starts
+// perfectly converged (Bootstrap), stabilisation runs every round, and
+// every holder of an item re-replicates it periodically. E12 shows that
+// lookups nevertheless collapse at churn rates the paper's
+// committee/landmark design tolerates — the paper's core motivation
+// ("DHT schemes have no provable performance guarantees under large
+// adversarial churn").
+type ChordHandler struct {
+	ops
+	states []chordState
 	ttl    int
-
-	mu      sync.Mutex
-	results []Result
-	open    map[uint64]openGet
 }
 
-type openGet struct {
-	searcher simnet.NodeID
-	key      uint64
-	start    int
-	deadline int
-}
-
-// NewHandler creates a DHT handler for n slots; lookups carry a hop TTL
+// NewChord creates a DHT handler for n slots; lookups carry a hop TTL
 // derived from n.
-func NewHandler(n int) *Handler {
-	ttl := 2*log2ceil(n) + 10
-	return &Handler{states: make([]state, n), ttl: ttl, open: make(map[uint64]openGet)}
-}
-
-func log2ceil(n int) int {
-	l := 0
-	for v := 1; v < n; v <<= 1 {
-		l++
+func NewChord(n int) *ChordHandler {
+	return &ChordHandler{
+		ops:    ops{open: make(map[uint64]openOp)},
+		states: make([]chordState, n),
+		ttl:    2*bits.Len(uint(n-1)) + 10, // 2·⌈log₂ n⌉ + 10
 	}
-	return l
 }
 
 // Bootstrap initialises a perfectly converged ring over the engine's
 // current population: correct successor lists, predecessors, and fingers.
 // Call once after simnet.New and the initial round-0 joins.
-func (h *Handler) Bootstrap(e *simnet.Engine) {
+func (h *ChordHandler) Bootstrap(e *simnet.Engine) {
 	n := e.N()
 	ring := make([]peer, n)
 	for s := 0; s < n; s++ {
@@ -205,8 +171,8 @@ func (h *Handler) Bootstrap(e *simnet.Engine) {
 
 // OnJoin implements simnet.Handler: replacement nodes run the join
 // protocol through their topology neighbours.
-func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
-	h.states[slot] = state{
+func (h *ChordHandler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int) {
+	h.states[slot] = chordState{
 		pt:       Point(uint64(id)),
 		items:    make(map[uint64][]byte),
 		lastSeen: make(map[simnet.NodeID]int),
@@ -214,74 +180,27 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 }
 
 // OnLeave implements simnet.Handler.
-func (h *Handler) OnLeave(e *simnet.Engine, slot int, id simnet.NodeID, round int) {}
+func (h *ChordHandler) OnLeave(e *simnet.Engine, slot int, id simnet.NodeID, round int) {}
 
 // RequestStore routes (key, data) to its responsible node. Call between
 // rounds; the store is fired from the given slot next round.
-func (h *Handler) RequestStore(e *simnet.Engine, slot int, key uint64, data []byte) {
+func (h *ChordHandler) RequestStore(e *simnet.Engine, slot int, key uint64, data []byte) {
 	st := &h.states[slot]
 	// Queue as a self-addressed pending find executed in HandleRound.
 	st.pendingStores = append(st.pendingStores, pendingStore{key: key, data: append([]byte(nil), data...)})
 }
 
-// RequestGet starts a lookup for key from the node at slot. Call between
-// rounds.
-func (h *Handler) RequestGet(e *simnet.Engine, slot int, key uint64, ttlRounds int) {
+// RequestGet starts a lookup for key from the node at slot, failing
+// ttlRounds rounds from now. Call between rounds.
+func (h *ChordHandler) RequestGet(e *simnet.Engine, slot int, key uint64, ttlRounds int) {
 	st := &h.states[slot]
 	st.pendingGets = append(st.pendingGets, key)
-	id := e.IDAt(slot)
-	h.mu.Lock()
-	h.open[key^uint64(id)] = openGet{
-		searcher: id, key: key, start: e.Round(), deadline: e.Round() + ttlRounds,
-	}
-	h.mu.Unlock()
-}
-
-// DrainResults returns finished lookups, expiring overdue ones. Call
-// between rounds.
-func (h *Handler) DrainResults(round int) []Result {
-	h.mu.Lock()
-	for mark, o := range h.open {
-		if round >= o.deadline {
-			delete(h.open, mark)
-			h.results = append(h.results, Result{
-				Searcher: o.searcher, Key: o.key, Start: o.start, Done: -1, Success: false,
-			})
-		}
-	}
-	r := h.results
-	h.results = nil
-	h.mu.Unlock()
-	return r
-}
-
-func (h *Handler) finish(mark uint64, round int, success bool, hops int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	o, ok := h.open[mark]
-	if !ok {
-		return
-	}
-	delete(h.open, mark)
-	h.results = append(h.results, Result{
-		Searcher: o.searcher, Key: o.key, Start: o.start, Done: round, Success: success, Hops: hops,
-	})
-}
-
-// CopyCount returns how many nodes hold key.
-func (h *Handler) CopyCount(key uint64) int {
-	c := 0
-	for i := range h.states {
-		if _, ok := h.states[i].items[key]; ok {
-			c++
-		}
-	}
-	return c
+	h.begin(e.IDAt(slot), key, e.Round(), e.Round()+ttlRounds)
 }
 
 // RingHealth returns the fraction of live nodes whose successor pointer
 // agrees with the true ring (a convergence diagnostic for experiments).
-func (h *Handler) RingHealth(e *simnet.Engine) float64 {
+func (h *ChordHandler) RingHealth(e *simnet.Engine) float64 {
 	n := e.N()
 	ring := make([]peer, 0, n)
 	for s := 0; s < n; s++ {

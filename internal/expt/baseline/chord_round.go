@@ -1,4 +1,4 @@
-package dht
+package baseline
 
 import (
 	"cmp"
@@ -10,7 +10,7 @@ import (
 // HandleRound implements simnet.Handler: process routing and maintenance
 // traffic, then run this node's periodic duties (join, stabilise, finger
 // refresh, re-replication, pending operations).
-func (h *Handler) HandleRound(ctx *simnet.Ctx) {
+func (h *ChordHandler) HandleRound(ctx *simnet.Ctx) {
 	st := &h.states[ctx.Slot]
 
 	for i := range ctx.Inbox {
@@ -26,12 +26,12 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 			h.onSuccs(ctx, st, m)
 		case KindNotify:
 			h.onNotify(ctx, st, m)
-		case KindStore, KindRepl:
+		case KindChordStore, KindRepl:
 			if blob := m.Blob(); len(blob) > 0 {
 				st.items[m.Item] = append([]byte(nil), blob...)
 			}
 		case KindData:
-			h.finish(m.Item^uint64(ctx.ID), ctx.Round, true, int(m.Aux))
+			h.finish(m.Item^uint64(ctx.ID), ctx.Round, int(m.Aux))
 		}
 	}
 
@@ -47,7 +47,7 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 
 // tryJoin asks a topology neighbour to find this node's ring successor.
 // The model guarantees a fresh node knows its current graph neighbours.
-func (h *Handler) tryJoin(ctx *simnet.Ctx, st *state) {
+func (h *ChordHandler) tryJoin(ctx *simnet.Ctx, st *chordState) {
 	nbs := ctx.NeighborSlots()
 	if len(nbs) == 0 {
 		return
@@ -84,7 +84,7 @@ func sendItem(ctx *simnet.Ctx, to simnet.NodeID, kind uint8, key, aux uint64, da
 }
 
 // route is the Chord greedy routing step for a KindFind message.
-func (h *Handler) route(ctx *simnet.Ctx, st *state, m find) {
+func (h *ChordHandler) route(ctx *simnet.Ctx, st *chordState, m find) {
 	purpose, ttl, finger := unpackFind(m.aux)
 	if !st.joined || len(st.succs) == 0 || ttl <= 0 {
 		return // lookup dies; the originator's deadline handles it
@@ -126,7 +126,7 @@ func (h *Handler) route(ctx *simnet.Ctx, st *state, m find) {
 
 // resolve completes a routed lookup at the hop preceding the responsible
 // node.
-func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m find, purpose uint8, finger int, resp peer) {
+func (h *ChordHandler) resolve(ctx *simnet.Ctx, st *chordState, m find, purpose uint8, finger int, resp peer) {
 	switch purpose {
 	case purposeJoin, purposeFinger:
 		ids := []simnet.NodeID{resp.id}
@@ -141,7 +141,7 @@ func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m find, purpose uint8, fin
 			st.items[m.item] = append([]byte(nil), m.blob...)
 			return
 		}
-		sendItem(ctx, resp.id, KindStore, m.item, 0, m.blob)
+		sendItem(ctx, resp.id, KindChordStore, m.item, 0, m.blob)
 	case purposeGet:
 		if resp.id == ctx.ID {
 			if data, ok := st.items[m.item]; ok {
@@ -158,7 +158,7 @@ func (h *Handler) resolve(ctx *simnet.Ctx, st *state, m find, purpose uint8, fin
 
 // closestPreceding returns the known peer whose point most closely
 // precedes target (classic Chord next-hop choice over fingers+successors).
-func (h *Handler) closestPreceding(st *state, target uint64) peer {
+func (h *ChordHandler) closestPreceding(st *chordState, target uint64) peer {
 	var best peer
 	var bestDist uint64
 	consider := func(p peer) {
@@ -183,7 +183,7 @@ func (h *Handler) closestPreceding(st *state, target uint64) peer {
 }
 
 // onFound installs join/finger lookup results.
-func (h *Handler) onFound(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
+func (h *ChordHandler) onFound(ctx *simnet.Ctx, st *chordState, m *simnet.Msg) {
 	purpose := uint8(m.Aux)
 	finger := int(uint8(m.Aux >> 8))
 	ids := m.IDs()
@@ -213,7 +213,7 @@ func (h *Handler) onFound(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 
 // stabilize prunes successors that have given no sign of life, probes the
 // head plus one rotating entry, and forgets a silent predecessor.
-func (h *Handler) stabilize(ctx *simnet.Ctx, st *state) {
+func (h *ChordHandler) stabilize(ctx *simnet.Ctx, st *chordState) {
 	h.pruneSuccs(ctx.Round, st)
 	if len(st.succs) == 0 {
 		st.joined = false // lost the ring entirely; rejoin
@@ -231,7 +231,7 @@ func (h *Handler) stabilize(ctx *simnet.Ctx, st *state) {
 }
 
 // pruneSuccs removes successor entries that have been silent too long.
-func (h *Handler) pruneSuccs(round int, st *state) {
+func (h *ChordHandler) pruneSuccs(round int, st *chordState) {
 	kept := st.succs[:0]
 	for _, p := range st.succs {
 		if round-st.lastSeen[p.id] <= 2*stabTimeout {
@@ -249,7 +249,7 @@ func (h *Handler) pruneSuccs(round int, st *state) {
 	}
 }
 
-func (h *Handler) onGetSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
+func (h *ChordHandler) onGetSuccs(ctx *simnet.Ctx, st *chordState, m *simnet.Msg) {
 	if !st.joined {
 		return
 	}
@@ -263,7 +263,7 @@ func (h *Handler) onGetSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	h.considerPred(st, m.From, ctx.Round)
 }
 
-func (h *Handler) onSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
+func (h *ChordHandler) onSuccs(ctx *simnet.Ctx, st *chordState, m *simnet.Msg) {
 	ids := m.IDs()
 	if len(ids) == 0 {
 		return
@@ -296,7 +296,7 @@ func (h *Handler) onSuccs(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
 	h.sortSuccs(st)
 }
 
-func (h *Handler) sortSuccs(st *state) {
+func (h *ChordHandler) sortSuccs(st *chordState) {
 	slices.SortFunc(st.succs, func(a, b peer) int {
 		return cmp.Compare(clockwise(st.pt, a.pt), clockwise(st.pt, b.pt))
 	})
@@ -315,12 +315,12 @@ func (h *Handler) sortSuccs(st *state) {
 	st.succs = out
 }
 
-func (h *Handler) onNotify(ctx *simnet.Ctx, st *state, m *simnet.Msg) {
+func (h *ChordHandler) onNotify(ctx *simnet.Ctx, st *chordState, m *simnet.Msg) {
 	st.seen(m.From, ctx.Round)
 	h.considerPred(st, m.From, ctx.Round)
 }
 
-func (h *Handler) considerPred(st *state, id simnet.NodeID, round int) {
+func (h *ChordHandler) considerPred(st *chordState, id simnet.NodeID, round int) {
 	pt := Point(uint64(id))
 	switch {
 	case id == st.pred.id:
@@ -332,7 +332,7 @@ func (h *Handler) considerPred(st *state, id simnet.NodeID, round int) {
 }
 
 // refreshFinger re-looks-up one finger per round (round-robin).
-func (h *Handler) refreshFinger(ctx *simnet.Ctx, st *state) {
+func (h *ChordHandler) refreshFinger(ctx *simnet.Ctx, st *chordState) {
 	f := st.nextFinger
 	st.nextFinger = (st.nextFinger + 1) % numFingers
 	target := st.pt + uint64(1)<<(63-uint(f))
@@ -342,7 +342,7 @@ func (h *Handler) refreshFinger(ctx *simnet.Ctx, st *state) {
 
 // replicate pushes held items to the successor list every replEvery
 // rounds.
-func (h *Handler) replicate(ctx *simnet.Ctx, st *state) {
+func (h *ChordHandler) replicate(ctx *simnet.Ctx, st *chordState) {
 	if len(st.items) == 0 || ctx.Round-st.lastRepl < replEvery {
 		return
 	}
@@ -364,7 +364,7 @@ func (h *Handler) replicate(ctx *simnet.Ctx, st *state) {
 }
 
 // firePending launches queued store/get operations as self-routed finds.
-func (h *Handler) firePending(ctx *simnet.Ctx, st *state) {
+func (h *ChordHandler) firePending(ctx *simnet.Ctx, st *chordState) {
 	for _, ps := range st.pendingStores {
 		h.route(ctx, st, find{item: ps.key, aux: packFind(purposeStore, h.ttl, 0), origin: ctx.ID, blob: ps.data})
 	}

@@ -1,4 +1,4 @@
-package dht
+package baseline
 
 import (
 	"testing"
@@ -13,6 +13,17 @@ func newEngine(n int, law churn.Law, seed uint64) *simnet.Engine {
 		AdversarySeed: seed, ProtocolSeed: seed + 1,
 		Strategy: churn.Uniform, Law: law,
 	})
+}
+
+// CopyCount returns how many nodes hold key.
+func (h *ChordHandler) CopyCount(key uint64) int {
+	c := 0
+	for i := range h.states {
+		if _, ok := h.states[i].items[key]; ok {
+			c++
+		}
+	}
+	return c
 }
 
 func TestBetween(t *testing.T) {
@@ -37,7 +48,7 @@ func TestBetween(t *testing.T) {
 
 func TestBootstrapRingHealthy(t *testing.T) {
 	e := newEngine(256, churn.ZeroLaw{}, 1)
-	h := NewHandler(256)
+	h := NewChord(256)
 	e.RunRound(h) // round 0 joins
 	h.Bootstrap(e)
 	if got := h.RingHealth(e); got != 1.0 {
@@ -47,7 +58,7 @@ func TestBootstrapRingHealthy(t *testing.T) {
 
 func TestStoreAndGetNoChurn(t *testing.T) {
 	e := newEngine(256, churn.ZeroLaw{}, 2)
-	h := NewHandler(256)
+	h := NewChord(256)
 	e.RunRound(h)
 	h.Bootstrap(e)
 	h.RequestStore(e, 3, 42, []byte("hello dht"))
@@ -71,7 +82,7 @@ func TestStoreAndGetNoChurn(t *testing.T) {
 
 func TestGetMissingKeyExpires(t *testing.T) {
 	e := newEngine(128, churn.ZeroLaw{}, 3)
-	h := NewHandler(128)
+	h := NewChord(128)
 	e.RunRound(h)
 	h.Bootstrap(e)
 	h.RequestGet(e, 5, 31337, 20)
@@ -87,7 +98,7 @@ func TestGetMissingKeyExpires(t *testing.T) {
 
 func TestRingSurvivesMildChurn(t *testing.T) {
 	e := newEngine(256, churn.FixedLaw{Count: 2}, 4)
-	h := NewHandler(256)
+	h := NewChord(256)
 	e.RunRound(h)
 	h.Bootstrap(e)
 	e.Run(h, 80)
@@ -98,7 +109,7 @@ func TestRingSurvivesMildChurn(t *testing.T) {
 
 func TestLookupsSucceedUnderMildChurn(t *testing.T) {
 	e := newEngine(256, churn.FixedLaw{Count: 1}, 5)
-	h := NewHandler(256)
+	h := NewChord(256)
 	e.RunRound(h)
 	h.Bootstrap(e)
 	h.RequestStore(e, 0, 9, []byte("v"))
@@ -128,14 +139,14 @@ func TestHeavyChurnDegradesDHT(t *testing.T) {
 	// At paper-scale churn the ring cannot keep up: health decays well
 	// below the mild-churn case. (This is the E12 separation in miniature.)
 	heavy := newEngine(256, churn.RateLaw{C: 4, K: 1.2}, 6)
-	hh := NewHandler(256)
+	hh := NewChord(256)
 	heavy.RunRound(hh)
 	hh.Bootstrap(heavy)
 	heavy.Run(hh, 80)
 	heavyHealth := hh.RingHealth(heavy)
 
 	mild := newEngine(256, churn.FixedLaw{Count: 1}, 6)
-	hm := NewHandler(256)
+	hm := NewChord(256)
 	mild.RunRound(hm)
 	hm.Bootstrap(mild)
 	mild.Run(hm, 80)
@@ -153,7 +164,7 @@ func TestJoinAfterChurn(t *testing.T) {
 	// the steady-state joined fraction is about 1 - c·latency/n; with
 	// c = 2 on n = 128 we expect ~85-95% joined.
 	e := newEngine(128, churn.FixedLaw{Count: 2}, 7)
-	h := NewHandler(128)
+	h := NewChord(128)
 	e.RunRound(h)
 	h.Bootstrap(e)
 	e.Run(h, 60)

@@ -1,23 +1,25 @@
-package flood
+package baseline
 
 import (
 	"testing"
 
 	"dynp2p/internal/churn"
-	"dynp2p/internal/simnet"
 )
 
-func newEngine(n int, law churn.Law) *simnet.Engine {
-	return simnet.New(simnet.Config{
-		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
-		AdversarySeed: 1, ProtocolSeed: 2,
-		Strategy: churn.Uniform, Law: law,
-	})
+// CopyCount returns the number of nodes holding key.
+func (h *FloodHandler) CopyCount(key uint64) int {
+	c := 0
+	for i := range h.states {
+		if _, ok := h.states[i].items[key]; ok {
+			c++
+		}
+	}
+	return c
 }
 
 func TestFloodStoreReachesEveryone(t *testing.T) {
-	e := newEngine(256, churn.ZeroLaw{})
-	h := NewHandler(256)
+	e := newEngine(256, churn.ZeroLaw{}, 1)
+	h := NewFlood(256)
 	e.RunRound(h)
 	h.RequestStore(e, 0, 42, []byte("payload"))
 	// Expander diameter is O(log n); 15 rounds is ample for n=256.
@@ -28,12 +30,12 @@ func TestFloodStoreReachesEveryone(t *testing.T) {
 }
 
 func TestFloodSearchSucceedsAndIsFast(t *testing.T) {
-	e := newEngine(256, churn.ZeroLaw{})
-	h := NewHandler(256)
+	e := newEngine(256, churn.ZeroLaw{}, 1)
+	h := NewFlood(256)
 	e.RunRound(h)
 	h.RequestStore(e, 0, 7, []byte("x"))
 	e.Run(h, 15)
-	h.RequestSearch(e, 100, 7, 30)
+	h.RequestGet(e, 100, 7, 30)
 	var res []Result
 	for i := 0; i < 30 && len(res) == 0; i++ {
 		e.RunRound(h)
@@ -51,8 +53,8 @@ func TestFloodSearchSucceedsAndIsFast(t *testing.T) {
 func TestFloodSearchWithoutLocalCopy(t *testing.T) {
 	// Store only partially flooded (interrupted), then search from a node
 	// without the item: query flood must find a holder.
-	e := newEngine(256, churn.ZeroLaw{})
-	h := NewHandler(256)
+	e := newEngine(256, churn.ZeroLaw{}, 1)
+	h := NewFlood(256)
 	e.RunRound(h)
 	h.RequestStore(e, 0, 9, []byte("y"))
 	e.Run(h, 2) // partial spread
@@ -68,7 +70,7 @@ func TestFloodSearchWithoutLocalCopy(t *testing.T) {
 			break
 		}
 	}
-	h.RequestSearch(e, slot, 9, 40)
+	h.RequestGet(e, slot, 9, 40)
 	var res []Result
 	for i := 0; i < 40 && len(res) == 0; i++ {
 		e.RunRound(h)
@@ -80,10 +82,10 @@ func TestFloodSearchWithoutLocalCopy(t *testing.T) {
 }
 
 func TestFloodSearchMissingItemExpires(t *testing.T) {
-	e := newEngine(128, churn.ZeroLaw{})
-	h := NewHandler(128)
+	e := newEngine(128, churn.ZeroLaw{}, 1)
+	h := NewFlood(128)
 	e.RunRound(h)
-	h.RequestSearch(e, 5, 999, 10)
+	h.RequestGet(e, 5, 999, 10)
 	var res []Result
 	for i := 0; i < 15 && len(res) == 0; i++ {
 		e.RunRound(h)
@@ -96,8 +98,8 @@ func TestFloodSearchMissingItemExpires(t *testing.T) {
 
 func TestFloodCopiesDecayUnderChurn(t *testing.T) {
 	// One-shot flooding has no persistence: churn erodes the copies.
-	e := newEngine(256, churn.FixedLaw{Count: 13})
-	h := NewHandler(256)
+	e := newEngine(256, churn.FixedLaw{Count: 13}, 1)
+	h := NewFlood(256)
 	e.RunRound(h)
 	h.RequestStore(e, 0, 3, []byte("z"))
 	e.Run(h, 40) // let the flood saturate first
@@ -111,8 +113,8 @@ func TestFloodCopiesDecayUnderChurn(t *testing.T) {
 
 func TestFloodMessageCostIsLinear(t *testing.T) {
 	// The scalability wall: one store costs Ω(n) messages.
-	e := newEngine(512, churn.ZeroLaw{})
-	h := NewHandler(512)
+	e := newEngine(512, churn.ZeroLaw{}, 1)
+	h := NewFlood(512)
 	e.RunRound(h)
 	base := e.Metrics().MsgsSent
 	h.RequestStore(e, 0, 1, []byte("w"))

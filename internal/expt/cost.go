@@ -3,8 +3,7 @@ package expt
 import (
 	"dynp2p"
 	"dynp2p/internal/churn"
-	"dynp2p/internal/flood"
-	"dynp2p/internal/simnet"
+	"dynp2p/internal/expt/baseline"
 	"dynp2p/internal/stats"
 )
 
@@ -40,12 +39,8 @@ func E09MessageComplexity(scale Scale) *Table {
 		mean := float64(em.BitsSent) / float64(n) / float64(rounds)
 
 		// Flooding workload: one store on the same engine scale.
-		fe := simnet.New(simnet.Config{
-			N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
-			AdversarySeed: 0xF109, ProtocolSeed: 0xF10A,
-			Strategy: churn.Uniform, Law: churn.PaperLaw(1, 0.5),
-		})
-		fh := flood.NewHandler(n)
+		fe := soupEngine(n, churn.PaperLaw(1, 0.5), 0xF109)
+		fh := baseline.NewFlood(n)
 		fe.RunRound(fh)
 		base := fe.Metrics().MsgsSent
 		fh.RequestStore(fe, 0, 3, data)

@@ -6,36 +6,36 @@ import (
 
 	"dynp2p"
 	"dynp2p/internal/churn"
-	"dynp2p/internal/dht"
-	"dynp2p/internal/flood"
+	"dynp2p/internal/expt/baseline"
 	"dynp2p/internal/protocol"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/walks"
 )
 
 // retrievalRate stores one item and issues searches, returning the success
-// fraction.
-func retrievalRate(nw *dynp2p.Network, key uint64, searches int) float64 {
+// fraction and the messages sent per search. Only the search phase's
+// messages count, so msgs is the marginal retrieval cost, not store+upkeep.
+func retrievalRate(nw *dynp2p.Network, key uint64, searches int) (rate, msgs float64) {
 	data := itemData(key, 48)
 	mustStore(nw, key, data)
 	nw.Run(nw.Tunables().Protocol.Period + 4)
 	n := nw.N()
+	before := nw.Stats().Engine.MsgsSent
 	for i := 0; i < searches; i++ {
 		nw.Retrieve((i*211+13)%n, key, data)
 	}
 	nw.Run(nw.Tunables().Protocol.SearchTTL() + 6)
-	ok := 0
-	got := 0
+	ok, got := 0, 0
 	for _, r := range nw.Results() {
 		got++
 		if r.Success {
 			ok++
 		}
 	}
-	if got == 0 {
-		return 0
+	if got > 0 {
+		rate = float64(ok) / float64(got)
 	}
-	return float64(ok) / float64(got)
+	return rate, float64(nw.Stats().Engine.MsgsSent-before) / float64(searches)
 }
 
 // E11ChurnStress probes the paper's §5 conjecture: random-walk approaches
@@ -69,7 +69,7 @@ func E11ChurnStress(scale Scale) *Table {
 			N: n, ChurnRate: frac, ChurnDelta: 0.0001, Seed: 0xE11,
 		})
 		nw.Run(nw.WarmupRounds())
-		rate := retrievalRate(nw, 5, searches)
+		rate, _ := retrievalRate(nw, 5, searches)
 		sm := nw.Stats().Soup
 		resolved := sm.Completed + sm.Died
 		survival := 0.0
@@ -109,98 +109,26 @@ func E12BaselineComparison(scale Scale) *Table {
 			c := float64(perRound) * math.Log(float64(n)) / float64(n)
 			nw := dynp2p.New(dynp2p.Config{N: n, ChurnRate: c, ChurnDelta: 0.0001, Seed: 0xE12})
 			nw.Run(nw.WarmupRounds())
-			data := itemData(21, 48)
-			mustStore(nw, 21, data)
-			nw.Run(nw.Tunables().Protocol.Period + 4)
-			// Count messages over the search phase only, so msgs/search
-			// is the marginal retrieval cost, not store+upkeep.
-			before := nw.Stats().Engine.MsgsSent
-			for i := 0; i < searches; i++ {
-				nw.Retrieve((i*211+13)%n, 21, data)
-			}
-			nw.Run(nw.Tunables().Protocol.SearchTTL() + 6)
-			ok, got := 0, 0
-			for _, r := range nw.Results() {
-				got++
-				if r.Success {
-					ok++
-				}
-			}
-			rate := 0.0
-			if got > 0 {
-				rate = float64(ok) / float64(got)
-			}
-			msgs := float64(nw.Stats().Engine.MsgsSent-before) / float64(searches)
+			rate, msgs := retrievalRate(nw, 21, searches)
 			t.AddRow(d(perRound), "dynp2p", pct(rate), f2(msgs), "-")
 		}
 
 		// --- DHT ---
 		{
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
-				AdversarySeed: 0xD12, ProtocolSeed: 0xD13,
-				Strategy: churn.Uniform, Law: law,
-			})
-			h := dht.NewHandler(n)
+			e := soupEngine(n, law, 0xD12)
+			h := baseline.NewChord(n)
 			e.RunRound(h)
 			h.Bootstrap(e)
-			data := itemData(21, 48)
-			h.RequestStore(e, 0, 21, data)
-			e.Run(h, 40)
-			before := e.Metrics().MsgsSent
-			for i := 0; i < searches; i++ {
-				h.RequestGet(e, (i*211+13)%n, 21, 80)
-			}
-			deadline := e.Round() + 90
-			ok, got := 0, 0
-			for e.Round() < deadline && got < searches {
-				e.RunRound(h)
-				for _, r := range h.DrainResults(e.Round()) {
-					got++
-					if r.Success {
-						ok++
-					}
-				}
-			}
-			msgs := float64(e.Metrics().MsgsSent-before) / float64(searches)
-			rate := 0.0
-			if got > 0 {
-				rate = float64(ok) / float64(got)
-			}
+			rate, msgs := baselineSearches(e, h, searches, 80)
 			t.AddRow(d(perRound), "chord-dht", pct(rate), f2(msgs), f3(h.RingHealth(e)))
 		}
 
 		// --- flooding ---
 		{
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
-				AdversarySeed: 0xF12, ProtocolSeed: 0xF13,
-				Strategy: churn.Uniform, Law: law,
-			})
-			h := flood.NewHandler(n)
+			e := soupEngine(n, law, 0xF12)
+			h := baseline.NewFlood(n)
 			e.RunRound(h)
-			h.RequestStore(e, 0, 21, itemData(21, 48))
-			e.Run(h, 40)
-			before := e.Metrics().MsgsSent
-			for i := 0; i < searches; i++ {
-				h.RequestSearch(e, (i*211+13)%n, 21, 40)
-			}
-			deadline := e.Round() + 50
-			ok, got := 0, 0
-			for e.Round() < deadline && got < searches {
-				e.RunRound(h)
-				for _, r := range h.DrainResults(e.Round()) {
-					got++
-					if r.Success {
-						ok++
-					}
-				}
-			}
-			msgs := float64(e.Metrics().MsgsSent-before) / float64(searches)
-			rate := 0.0
-			if got > 0 {
-				rate = float64(ok) / float64(got)
-			}
+			rate, msgs := baselineSearches(e, h, searches, 40)
 			t.AddRow(d(perRound), "flooding", pct(rate), f2(msgs), "-")
 		}
 	}
@@ -211,6 +139,42 @@ func E12BaselineComparison(scale Scale) *Table {
 		"dynp2p keeps items alive indefinitely (flooded copies decay — E07/E09).")
 	t.AddNote("dynp2p's inquiry volume falls with churn because landmark populations are thinner.")
 	return t
+}
+
+// baselineHandler is what E12 asks of a baseline (package baseline).
+type baselineHandler interface {
+	simnet.Handler
+	RequestStore(e *simnet.Engine, slot int, key uint64, data []byte)
+	RequestGet(e *simnet.Engine, slot int, key uint64, ttl int)
+	DrainResults(round int) []baseline.Result
+}
+
+// baselineSearches stores item 21 on a started baseline, lets it settle for
+// 40 rounds, then issues the searches, each failing ttl rounds later, and
+// runs until all have resolved or 10 rounds past that. It returns the
+// success rate and the messages sent per search over the search phase.
+func baselineSearches(e *simnet.Engine, h baselineHandler, searches, ttl int) (rate, msgs float64) {
+	h.RequestStore(e, 0, 21, itemData(21, 48))
+	e.Run(h, 40)
+	before := e.Metrics().MsgsSent
+	for i := 0; i < searches; i++ {
+		h.RequestGet(e, (i*211+13)%e.N(), 21, ttl)
+	}
+	deadline := e.Round() + ttl + 10
+	ok, got := 0, 0
+	for e.Round() < deadline && got < searches {
+		e.RunRound(h)
+		for _, r := range h.DrainResults(e.Round()) {
+			got++
+			if r.Success {
+				ok++
+			}
+		}
+	}
+	if got > 0 {
+		rate = float64(ok) / float64(got)
+	}
+	return rate, float64(e.Metrics().MsgsSent-before) / float64(searches)
 }
 
 // E13Ablations sweeps the design knobs the paper fixes by analysis —

@@ -252,10 +252,10 @@ type Config struct {
 	Routing RoutingConfig
 }
 
-// Metrics aggregates engine-level counters for the current run. Since the
-// telemetry registry became the store of record this struct is a *view*:
-// Engine.Metrics() assembles it from the registry's dynp2p_engine_*
-// series, and the two can never disagree.
+// Metrics aggregates engine-level counters for the current run. The struct
+// is a *view*: Engine.Metrics() assembles it from the same stores the
+// dynp2p_engine_* series read (the registry, the per-kind send tally and
+// the round counter), so the two can never disagree.
 type Metrics struct {
 	Rounds        int
 	MsgsSent      int64
@@ -275,28 +275,24 @@ type Metrics struct {
 // engineMetrics holds the engine's registry handles. The gather counts
 // what it places and drops in its destination shard's stripe; every other
 // engine-side update happens in a serial round phase (churn, the handlers'
-// tally, route's tally merge) and goes to shard 0.
+// tally, route's tally merge) and goes to shard 0. What the handlers sent
+// is not here: the per-kind tally (routeShard.kinds) is its one record, and
+// the round is Engine.round; collect exports both.
 type engineMetrics struct {
-	rounds       telemetry.Counter
-	sent         telemetry.Counter
 	delivered    telemetry.Counter
 	dropped      telemetry.Counter
 	faultDropped telemetry.Counter
 	delayed      telemetry.Counter
-	bitsSent     telemetry.Counter
 	replacements telemetry.Counter
 	maxNodeBits  telemetry.Gauge
 }
 
 func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	return engineMetrics{
-		rounds:       reg.Counter("dynp2p_engine_rounds_total", "simulation rounds executed"),
-		sent:         reg.Counter("dynp2p_engine_msgs_sent_total", "protocol messages sent"),
 		delivered:    reg.Counter("dynp2p_engine_msgs_delivered_total", "protocol messages delivered"),
 		dropped:      reg.Counter("dynp2p_engine_msgs_dropped_total", "messages addressed to churned-out ids"),
 		faultDropped: reg.Counter("dynp2p_engine_msgs_fault_dropped_total", "messages lost to the fault model"),
 		delayed:      reg.Counter("dynp2p_engine_msgs_delayed_total", "messages deferred by the fault model"),
-		bitsSent:     reg.Counter("dynp2p_engine_bits_sent_total", "modelled wire bits sent"),
 		replacements: reg.Counter("dynp2p_engine_replacements_total", "churn replacements performed"),
 		maxNodeBits:  reg.Gauge("dynp2p_engine_max_node_bits_round", "largest per-node bits sent in any single round"),
 	}
@@ -352,17 +348,16 @@ type routeShard struct {
 	// read cells out of pay[1-r&1].
 	pay [2]payloadSlab
 
-	bits         int64 // handler bits sent by this shard's slots this round
 	maxBits      int64 // max per-node bits in this shard this round
 	dropped      int64
 	faultDropped int64
 	delayedCnt   int64
 
 	// kinds counts this shard's sends by Msg.Kind over the whole run
-	// (Engine.KindCount sums the shards).
+	// (Engine.KindCount and Engine.Metrics sum the shards).
 	kinds [256]KindCount
 
-	_ [88]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
+	_ [96]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
 }
 
 // KindCount is what the handlers sent of one message kind: messages and
@@ -502,17 +497,24 @@ func New(cfg Config) *Engine {
 	if cfg.Routing.Mode == RoutingOverlay {
 		e.initRouter()
 	}
-	e.reg.RegisterCollector(e.collectMemory)
+	e.reg.RegisterCollector(e.collect)
 	return e
 }
 
-// collectMemory is the engine's row of the memory ledger: who owns the
-// message bytes. Each gauge is a buffer family's capacity times its element
-// size, summed over every source (the released one included) and shard,
-// read only when a snapshot is taken — nothing is counted per message.
+// collect exports the engine's counts that live outside the registry: the
+// rounds run, what the handlers sent (the per-kind tally's sum), and the
+// engine's row of the memory ledger — who owns the message bytes. Each
+// memory gauge is a buffer family's capacity times its element size,
+// summed over every source (the released one included) and shard, read
+// only when a snapshot is taken — nothing is counted per message.
 // Capacities are a function of the message history, so the values are the
 // same at any worker count.
-func (e *Engine) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
+func (e *Engine) collect(emit func(name string, kind telemetry.Kind, v int64)) {
+	sent := e.sentTotal()
+	emit("dynp2p_engine_rounds_total", telemetry.KindCounter, int64(e.round))
+	emit("dynp2p_engine_msgs_sent_total", telemetry.KindCounter, sent.Msgs)
+	emit("dynp2p_engine_bits_sent_total", telemetry.KindCounter, sent.Bits)
+
 	const (
 		msgSize  = int(unsafe.Sizeof(Msg{}))
 		refSize  = int(unsafe.Sizeof(routedRef{}))
@@ -690,19 +692,33 @@ func (e *Engine) EnableProfiling() *telemetry.PhaseProfiler {
 func (e *Engine) Profiler() *telemetry.PhaseProfiler { return e.prof }
 
 // Metrics returns a snapshot of the run counters, assembled from the
-// telemetry registry (the store of record).
+// stores of record: the telemetry registry, the per-kind send tally and
+// the round counter. Call between rounds.
 func (e *Engine) Metrics() Metrics {
+	sent := e.sentTotal()
 	return Metrics{
-		Rounds:           int(e.em.rounds.Value()),
-		MsgsSent:         e.em.sent.Value(),
+		Rounds:           e.round,
+		MsgsSent:         sent.Msgs,
 		MsgsDelivered:    e.em.delivered.Value(),
 		MsgsDropped:      e.em.dropped.Value(),
 		MsgsFaultDropped: e.em.faultDropped.Value(),
 		MsgsDelayed:      e.em.delayed.Value(),
-		BitsSent:         e.em.bitsSent.Value(),
+		BitsSent:         sent.Bits,
 		Replacements:     e.em.replacements.Value(),
 		MaxNodeBitsRound: e.em.maxNodeBits.Value(),
 	}
+}
+
+// sentTotal returns what the handlers have sent of every kind so far.
+func (e *Engine) sentTotal() KindCount {
+	var t KindCount
+	for sh := range e.shardOut {
+		for _, c := range &e.shardOut[sh].kinds {
+			t.Msgs += c.Msgs
+			t.Bits += c.Bits
+		}
+	}
+	return t
 }
 
 // KindCount returns what the handlers have sent of the given kind so far,
@@ -905,7 +921,6 @@ func (e *Engine) RunRound(h Handler) {
 	}
 	prof.EndRound(int64(round))
 
-	e.em.rounds.Inc(0)
 	e.round++
 }
 
@@ -917,7 +932,7 @@ func (e *Engine) runHandlers(h Handler, round int) {
 	e.crew.Do(e.grid.Count(), func(sh int) {
 		rs := &e.shardOut[sh]
 		rs.out = rs.out[:0]
-		rs.bits, rs.maxBits = 0, 0
+		rs.maxBits = 0
 		pay := &rs.pay[round&1]
 		pay.reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
@@ -928,21 +943,13 @@ func (e *Engine) runHandlers(h Handler, round int) {
 			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], &e.nodeRng[s], a.Run(s-lo)
 			ctx.seq, ctx.bits = 0, 0
 			h.HandleRound(ctx)
-			rs.bits += ctx.bits
-			if ctx.bits > rs.maxBits {
-				rs.maxBits = ctx.bits
-			}
+			rs.maxBits = max(rs.maxBits, ctx.bits)
 		}
 	})
-	var sent, total, maxBits int64
+	var maxBits int64
 	for sh := range e.shardOut {
-		rs := &e.shardOut[sh]
-		sent += int64(len(rs.out))
-		total += rs.bits
-		maxBits = max(maxBits, rs.maxBits)
+		maxBits = max(maxBits, e.shardOut[sh].maxBits)
 	}
-	e.em.sent.Add(0, sent)
-	e.em.bitsSent.Add(0, total)
 	e.em.maxNodeBits.SetMax(maxBits)
 }
 
