@@ -330,7 +330,7 @@ func (nw *Network) LandmarkCount(key uint64) int {
 // CommitteeSize reports the current number of live members of the item's
 // storage committee.
 func (nw *Network) CommitteeSize(key uint64) int {
-	return len(nw.h.CommitteeSlots(key))
+	return nw.h.CommitteeCount(key)
 }
 
 // IsLive reports whether a node id is still in the network.

@@ -56,21 +56,21 @@ const (
 	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
 	// the steady-state paths this one allocates by design: a search or a
 	// handover draws a fresh roster, and the first rounds grow each
-	// shard's slab and message buffers. It reads 457 (off) and 447 (on)
-	// on amd64 at GOMAXPROCS 1, 2 and 4, and 456 and 447 under GOARCH=386
-	// (983 and 940 before the protocol's arrays grew from the slab). The
-	// budget is the reading plus 9: one roster clone per handover invite
-	// reads 474 (off) and fails it.
-	retrieveAllocs = 466
+	// shard's slab and message buffers. It reads 447 (off) and 439 (on)
+	// on amd64 at GOMAXPROCS 1, 2 and 4 and under GOARCH=386 (983 and 940
+	// before the protocol's arrays grew from the slab). The budget is the
+	// reading plus 9: a roster clone per invite reads 464 (off) and 457
+	// (on) and fails it.
+	retrieveAllocs = 456
 
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
-	// candidate's gathered pieces, its count table and a searcher's
-	// fetched pieces are gated too. It reads 518 on amd64 at GOMAXPROCS
-	// 1, 2 and 4 and under GOARCH=386 (1,046 before the slab); the budget
-	// is the reading plus 9, and one roster clone per handover invite
-	// reads 535.
-	retrieveErasureAllocs = 527
+	// candidate's gathered pieces, its count table, a searcher's fetched
+	// pieces and the coder's own buffers are gated too. It reads 477 on
+	// amd64 at GOMAXPROCS 1, 2 and 4 and 476 under GOARCH=386 (1,046
+	// before the slab); the budget is the reading plus 9, and a roster
+	// clone per invite reads 494.
+	retrieveErasureAllocs = 486
 
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt

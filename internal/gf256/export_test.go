@@ -32,3 +32,38 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	}
 	return out
 }
+
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	d := make([]byte, len(m.Data))
+	copy(d, m.Data)
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: d}
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Invert returns the inverse of a square matrix, or an error if it is
+// singular. m is not modified.
+func (m *Matrix) Invert() (*Matrix, error) {
+	inv := NewMatrix(m.Rows, m.Cols)
+	if err := m.Clone().InvertInto(inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// SubMatrixRows returns a new matrix made of the given rows of m, in order.
+func (m *Matrix) SubMatrixRows(rows []int) *Matrix {
+	out := NewMatrix(len(rows), m.Cols)
+	for i, r := range rows {
+		copy(out.Row(i), m.Row(r))
+	}
+	return out
+}

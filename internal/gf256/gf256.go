@@ -149,22 +149,6 @@ func (m *Matrix) Set(r, c int, v byte) { m.Data[r*m.Cols+c] = v }
 // Row returns a slice aliasing row r.
 func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	d := make([]byte, len(m.Data))
-	copy(d, m.Data)
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: d}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Cauchy builds the r×c Cauchy matrix A[i][j] = 1/(x_i + y_j) with
 // x_i = i and y_j = r + j. Every square submatrix of a Cauchy matrix is
 // invertible, which is exactly the property IDA needs: any K of the L
@@ -182,35 +166,40 @@ func Cauchy(r, c int) *Matrix {
 	return m
 }
 
-// Invert returns the inverse of a square matrix via Gauss–Jordan
-// elimination, or an error if the matrix is singular. m is not modified.
-func (m *Matrix) Invert() (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("gf256: cannot invert %dx%d matrix", m.Rows, m.Cols)
+// InvertInto writes the inverse of the square matrix m into inv, a
+// matrix of the same shape, by Gauss–Jordan elimination that reduces m to
+// the identity in place; it returns an error if m is singular (m and inv
+// then hold partial results). The caller owns both arrays, so inverting
+// allocates nothing.
+func (m *Matrix) InvertInto(inv *Matrix) error {
+	if m.Rows != m.Cols || inv.Rows != m.Rows || inv.Cols != m.Cols {
+		return fmt.Errorf("gf256: cannot invert %dx%d matrix into %dx%d", m.Rows, m.Cols, inv.Rows, inv.Cols)
 	}
 	n := m.Rows
-	a := m.Clone()
-	inv := Identity(n)
+	clear(inv.Data)
+	for i := 0; i < n; i++ {
+		inv.Set(i, i, 1)
+	}
 	for col := 0; col < n; col++ {
 		// Find a pivot.
 		pivot := -1
 		for r := col; r < n; r++ {
-			if a.At(r, col) != 0 {
+			if m.At(r, col) != 0 {
 				pivot = r
 				break
 			}
 		}
 		if pivot < 0 {
-			return nil, fmt.Errorf("gf256: singular matrix at column %d", col)
+			return fmt.Errorf("gf256: singular matrix at column %d", col)
 		}
 		if pivot != col {
-			swapRows(a, pivot, col)
+			swapRows(m, pivot, col)
 			swapRows(inv, pivot, col)
 		}
 		// Scale pivot row to 1.
-		if p := a.At(col, col); p != 1 {
+		if p := m.At(col, col); p != 1 {
 			ip := Inv(p)
-			MulSlice(a.Row(col), a.Row(col), ip)
+			MulSlice(m.Row(col), m.Row(col), ip)
 			MulSlice(inv.Row(col), inv.Row(col), ip)
 		}
 		// Eliminate the column from other rows.
@@ -218,14 +207,14 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			if r == col {
 				continue
 			}
-			f := a.At(r, col)
+			f := m.At(r, col)
 			if f != 0 {
-				MulAddSlice(a.Row(r), a.Row(col), f)
+				MulAddSlice(m.Row(r), m.Row(col), f)
 				MulAddSlice(inv.Row(r), inv.Row(col), f)
 			}
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 func swapRows(m *Matrix, i, j int) {
@@ -233,13 +222,4 @@ func swapRows(m *Matrix, i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// SubMatrixRows returns a new matrix made of the given rows of m, in order.
-func (m *Matrix) SubMatrixRows(rows []int) *Matrix {
-	out := NewMatrix(len(rows), m.Cols)
-	for i, r := range rows {
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
 }

@@ -188,6 +188,36 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInvertIntoInPlace: InvertInto reduces its receiver to the identity,
+// overwrites whatever inv held, and allocates nothing.
+func TestInvertIntoInPlace(t *testing.T) {
+	r := rng.New(5)
+	m := Cauchy(12, 4).SubMatrixRows([]int{9, 2, 7, 0})
+	want, err := m.Invert()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, inv := NewMatrix(4, 4), NewMatrix(4, 4)
+	if got := testing.AllocsPerRun(10, func() {
+		copy(a.Data, m.Data)
+		r.Fill(inv.Data)
+		if err := a.InvertInto(inv); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("InvertInto makes %v allocations, want 0", got)
+	}
+	id := Identity(4)
+	for i := range want.Data {
+		if inv.Data[i] != want.Data[i] || a.Data[i] != id.Data[i] {
+			t.Fatalf("InvertInto: inverse %v, receiver %v; want %v and the identity", inv.Data, a.Data, want.Data)
+		}
+	}
+	if err := NewMatrix(3, 3).InvertInto(NewMatrix(3, 4)); err == nil {
+		t.Fatal("inverting into a matrix of another shape should fail")
+	}
+}
+
 func TestSingularMatrixError(t *testing.T) {
 	m := NewMatrix(3, 3)
 	// Two equal rows -> singular.

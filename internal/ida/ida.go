@@ -53,29 +53,22 @@ func (c *Coder) PieceLen(itemLen int) int {
 }
 
 // Encode splits item into L pieces. The item may be empty (pieces carry
-// zero-length data). The input is not retained.
+// zero-length data). The input is not retained. Encode makes two
+// allocations: the pieces and one L×PieceLen block their Data is cut from,
+// each capped at its length, so the pieces of one dispersal share the
+// block until the last of them is dropped.
 func (c *Coder) Encode(item []byte) []Piece {
 	plen := c.PieceLen(len(item))
-	// Arrange the item into K stripes of plen bytes (zero-padded).
-	stripes := make([][]byte, c.k)
-	for j := 0; j < c.k; j++ {
-		s := make([]byte, plen)
-		lo := j * plen
-		if lo < len(item) {
-			hi := lo + plen
-			if hi > len(item) {
-				hi = len(item)
-			}
-			copy(s, item[lo:hi])
-		}
-		stripes[j] = s
-	}
 	pieces := make([]Piece, c.l)
-	for i := 0; i < c.l; i++ {
+	block := make([]byte, c.l*plen)
+	for i := range pieces {
+		data := block[i*plen : (i+1)*plen : (i+1)*plen]
 		row := c.matrix.Row(i)
-		data := make([]byte, plen)
+		// Stripe j is item[j*plen:][:plen], short or empty at the end: its
+		// missing bytes are the zero padding, which adds nothing.
 		for j := 0; j < c.k; j++ {
-			gf256.MulAddSlice(data, stripes[j], row[j])
+			lo := min(j*plen, len(item))
+			gf256.MulAddSlice(data, item[lo:min(lo+plen, len(item))], row[j])
 		}
 		pieces[i] = Piece{Index: i, Data: data}
 	}
@@ -88,52 +81,68 @@ var (
 	ErrBadPiece        = errors.New("ida: piece index out of range or length mismatch")
 )
 
+// pieceSet is a set of piece indices; New caps L at 255.
+type pieceSet [4]uint64
+
+// add reports whether i was new to the set, and adds it.
+func (s *pieceSet) add(i int) bool {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if s[w]&b != 0 {
+		return false
+	}
+	s[w] |= b
+	return true
+}
+
 // Decode reconstructs the original item of length itemLen from any K or
 // more distinct pieces. Extra pieces beyond K are ignored. Duplicated
-// indices count once. A negative itemLen is ErrBadPiece.
+// indices count once. A negative itemLen is ErrBadPiece. Decode makes two
+// allocations: the K×K system it inverts, with room for the inverse, and
+// the item.
 func (c *Coder) Decode(pieces []Piece, itemLen int) ([]byte, error) {
 	if itemLen < 0 {
 		return nil, fmt.Errorf("%w: item length %d", ErrBadPiece, itemLen)
 	}
 	plen := c.PieceLen(itemLen)
-	// Select the first K distinct, well-formed pieces.
-	chosen := make([]Piece, 0, c.k)
-	seen := make(map[int]bool, c.k)
-	for _, p := range pieces {
+	// The first K distinct, well-formed pieces are chosen: row r of the
+	// system is the dispersal row of the r-th of them, pieces[:end] the
+	// prefix that holds them.
+	k := c.k
+	sys := make([]byte, 2*k*k)
+	sub := gf256.Matrix{Rows: k, Cols: k, Data: sys[:k*k]}
+	var seen pieceSet
+	n, end := 0, 0
+	for ; end < len(pieces) && n < k; end++ {
+		p := pieces[end]
 		if p.Index < 0 || p.Index >= c.l || len(p.Data) != plen {
 			return nil, fmt.Errorf("%w: index=%d len=%d want len=%d",
 				ErrBadPiece, p.Index, len(p.Data), plen)
 		}
-		if seen[p.Index] {
-			continue
-		}
-		seen[p.Index] = true
-		chosen = append(chosen, p)
-		if len(chosen) == c.k {
-			break
+		if seen.add(p.Index) {
+			copy(sub.Row(n), c.matrix.Row(p.Index))
+			n++
 		}
 	}
-	if len(chosen) < c.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughPieces, len(chosen), c.k)
+	if n < k {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughPieces, n, k)
 	}
-	rows := make([]int, c.k)
-	for i, p := range chosen {
-		rows[i] = p.Index
-	}
-	sub := c.matrix.SubMatrixRows(rows)
-	inv, err := sub.Invert()
-	if err != nil {
+	inv := gf256.Matrix{Rows: k, Cols: k, Data: sys[k*k:]}
+	if err := sub.InvertInto(&inv); err != nil {
 		// Cannot happen for a Cauchy matrix; guard anyway.
 		return nil, fmt.Errorf("ida: dispersal submatrix singular: %v", err)
 	}
-	// stripes = inv * chosenData (matrix of K stripes).
-	item := make([]byte, c.k*plen)
-	for j := 0; j < c.k; j++ {
-		stripe := item[j*plen : (j+1)*plen]
-		row := inv.Row(j)
-		for i := 0; i < c.k; i++ {
-			gf256.MulAddSlice(stripe, chosen[i].Data, row[i])
+	// Stripe j is the sum over the chosen pieces r of inv[j][r]·piece r.
+	item := make([]byte, k*plen)
+	seen = pieceSet{}
+	r := 0
+	for _, p := range pieces[:end] {
+		if !seen.add(p.Index) {
+			continue
 		}
+		for j := 0; j < k; j++ {
+			gf256.MulAddSlice(item[j*plen:(j+1)*plen], p.Data, inv.At(j, r))
+		}
+		r++
 	}
 	return item[:itemLen], nil
 }

@@ -139,6 +139,11 @@ func FuzzIDA(f *testing.F) {
 		}
 		// Keep the pieces keep's bits pick, topped up from the tail to K.
 		pieces := c.Encode(item)
+		for _, p := range pieces {
+			if cap(p.Data) != len(p.Data) {
+				t.Fatalf("piece %d: cap %d, len %d", p.Index, cap(p.Data), len(p.Data))
+			}
+		}
 		var kept []Piece
 		for i, p := range pieces {
 			if keep>>i&1 == 1 || len(pieces)-i <= k-len(kept) {
@@ -235,11 +240,57 @@ func TestPieceLossTolerance(t *testing.T) {
 	}
 }
 
+// TestCoderAllocs pins what Encode and Decode allocate at the
+// store-maintain shape (K = 4, L = 23, 4 KiB items): Encode the pieces and
+// one block, Decode the system it inverts and the item. The pieces share
+// the block, so each is capped at its length: writing one piece's whole
+// capacity must leave every other piece as it was.
+func TestCoderAllocs(t *testing.T) {
+	c, err := New(4, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := make([]byte, 4096)
+	rng.New(5).Fill(item)
+	pieces := c.Encode(item)
+	if got := testing.AllocsPerRun(20, func() { c.Encode(item) }); got != 2 {
+		t.Errorf("Encode makes %v allocations, want 2", got)
+	}
+	sel := []Piece{pieces[20], pieces[3], pieces[3], pieces[11], pieces[0]}
+	if got := testing.AllocsPerRun(20, func() { c.Decode(sel, len(item)) }); got > 2 {
+		t.Errorf("Decode makes %v allocations, want at most 2", got)
+	}
+	if got, err := c.Decode(sel, len(item)); err != nil || !bytes.Equal(got, item) {
+		t.Fatalf("decode: %v", err)
+	}
+
+	want := make([][]byte, len(pieces))
+	for i, p := range pieces {
+		if cap(p.Data) != len(p.Data) {
+			t.Fatalf("piece %d: cap %d, len %d", i, cap(p.Data), len(p.Data))
+		}
+		want[i] = bytes.Clone(p.Data)
+	}
+	for i, p := range pieces {
+		full := p.Data[:cap(p.Data)]
+		for j := range full {
+			full[j] = ^full[j]
+		}
+		for o, q := range pieces {
+			if o != i && !bytes.Equal(q.Data, want[o]) {
+				t.Fatalf("writing piece %d changed piece %d", i, o)
+			}
+		}
+		copy(full, want[i])
+	}
+}
+
 func BenchmarkMicroIDAEncode(b *testing.B) {
 	c, _ := New(10, 20)
 	item := make([]byte, 64*1024)
 	rng.New(1).Fill(item)
 	b.SetBytes(int64(len(item)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.Encode(item)
@@ -253,6 +304,7 @@ func BenchmarkMicroIDADecode(b *testing.B) {
 	pieces := c.Encode(item)
 	sel := pieces[5:15]
 	b.SetBytes(int64(len(item)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Decode(sel, len(item)); err != nil {

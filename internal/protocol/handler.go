@@ -442,15 +442,28 @@ func (h *Handler) DrainResults() []SearchResult {
 // --- Introspection helpers for experiments (call between rounds only) ---
 
 // CommitteeSlots returns the slots whose occupants are currently members
-// of item key's storage committee.
+// of item key's storage committee. The result is sized for a committee as
+// invited, so it grows only for a forked one.
 func (h *Handler) CommitteeSlots(key uint64) []int {
-	var out []int
+	out := make([]int, 0, h.inviteCount())
 	for s := range h.states {
 		if h.states[s].memberships.get(key) != nil {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// CommitteeCount returns len(CommitteeSlots(key)) without building the
+// list.
+func (h *Handler) CommitteeCount(key uint64) int {
+	c := 0
+	for s := range h.states {
+		if h.states[s].memberships.get(key) != nil {
+			c++
+		}
+	}
+	return c
 }
 
 // CopyCount returns how many nodes hold a copy (or piece) of the item.
