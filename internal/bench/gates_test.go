@@ -72,6 +72,21 @@ const (
 	// clone per invite reads 494.
 	retrieveErasureAllocs = 486
 
+	// retrieveHeldBytes bounds what the engine's send buffers and inbox
+	// arenas hold (dynp2p_engine_mem_out_bytes plus
+	// dynp2p_engine_mem_inbox_arena_bytes) after retrieveHot's gate rounds
+	// at refSize, cache off and on and at IDA K = 4: the largest store that
+	// grows with traffic, each message header held twice. The legs read
+	// 3,140,800 / 4,648,704 / 3,173,568 bytes on amd64 at GOMAXPROCS 1, 2
+	// and 4 (the grid is pinned) and 3,006,180 / 4,386,180 / 3,006,180
+	// under GOARCH=386. Each budget is the reading plus about 2 %: an
+	// 8-byte field added to the 64-byte Msg reads 3,540,672 / 5,335,560 /
+	// 3,540,672, and a send buffer grown by doubling 3,689,664 /
+	// 5,902,080 / 4,025,536.
+	retrieveHeldBytes        = 3_200_000
+	retrieveCachedHeldBytes  = 4_740_000
+	retrieveErasureHeldBytes = 3_240_000
+
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt
 )
@@ -186,11 +201,44 @@ func TestRetrieveHotAllocs(t *testing.T) {
 	} {
 		name := fmt.Sprintf("cache=%v/erasureK=%d", c.cached, c.erasureK)
 		t.Run(name, func(t *testing.T) {
-			round, _ := retrieveHot(refSize, c.cached, c.erasureK)
+			round, _, _ := retrieveHot(refSize, c.cached, c.erasureK)
 			got := allocsPerRound(round, gateRounds)
 			t.Logf("%d allocations a round", got)
 			if err := checkBudget("RetrieveHot/"+name, got, c.budget); err != nil {
 				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestRetrieveHotMessageBytes bounds what the engine's message buffers
+// hold after retrieveHot's gate rounds: every source's send buffer plus
+// every shard's inbox arena, the largest store that grows with traffic.
+func TestRetrieveHotMessageBytes(t *testing.T) {
+	for _, c := range []struct {
+		cached   bool
+		erasureK int
+		budget   int64
+	}{
+		{false, 0, retrieveHeldBytes},
+		{true, 0, retrieveCachedHeldBytes},
+		{false, 4, retrieveErasureHeldBytes},
+	} {
+		t.Run(fmt.Sprintf("cache=%v/erasureK=%d", c.cached, c.erasureK), func(t *testing.T) {
+			round, _, nw := retrieveHot(refSize, c.cached, c.erasureK)
+			for i := 0; i < gateRounds; i++ {
+				round()
+			}
+			var held int64
+			for _, m := range nw.Telemetry().Snapshot() {
+				switch m.Name {
+				case "dynp2p_engine_mem_out_bytes", "dynp2p_engine_mem_inbox_arena_bytes":
+					held += m.Value
+				}
+			}
+			t.Logf("%d bytes in the send buffers and inbox arenas", held)
+			if held > c.budget {
+				t.Errorf("the send buffers and inbox arenas hold %d bytes, budget is %d", held, c.budget)
 			}
 		})
 	}

@@ -5,7 +5,13 @@ import (
 
 	"dynp2p"
 	"dynp2p/internal/rng"
+	"dynp2p/internal/shard"
 )
+
+// hotProcs is the core count retrieveHot sizes its shard grid for: at
+// every n the grid shard.Pick gives there is the one it gives on one to
+// four cores.
+const hotProcs = 4
 
 // hotTally counts the retrievals a retrieveHot network has completed and
 // the rounds they took.
@@ -15,10 +21,13 @@ type hotTally struct{ done, roundsSum int }
 // under the paper's churn law serving a Zipf(s=1.1) retrieval stream over
 // 16 stored keys, two arrivals per round, with the hot-key cache off or
 // on and the items replicated (erasureK 0) or dispersed with IDA at K =
-// erasureK. It returns the network's one-round function (arrivals, one
-// simulated round, results) and the tally that round keeps.
-func retrieveHot(n int, cached bool, erasureK int) (func(), *hotTally) {
-	cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 1, ErasureK: erasureK}
+// erasureK. The shard grid is pinned to hotProcs cores' pick, so what its
+// gates read is the same on any host. It returns the network's one-round
+// function (arrivals, one simulated round, results), the tally that round
+// keeps and the network.
+func retrieveHot(n int, cached bool, erasureK int) (func(), *hotTally, *dynp2p.Network) {
+	cfg := dynp2p.Config{N: n, ChurnRate: 1, ChurnDelta: 1.0, Seed: 1, ErasureK: erasureK,
+		Shards: shard.Pick(n, hotProcs).Count()}
 	if cached {
 		cfg.Cache = dynp2p.CacheConfig{Capacity: 4, SeedRate: 1}
 	}
@@ -67,7 +76,7 @@ func retrieveHot(n int, cached bool, erasureK int) (func(), *hotTally) {
 		if len(busy) > 256 {
 			busy = make(map[reqKey]bool)
 		}
-	}, tally
+	}, tally, nw
 }
 
 // benchRetrieveHot times one round of retrieveHot's network. Run with
@@ -75,7 +84,7 @@ func retrieveHot(n int, cached bool, erasureK int) (func(), *hotTally) {
 // the ns/op and rounds/retrieval deltas are the cache's measured win (and
 // the alloc column its steady-state cost).
 func benchRetrieveHot(b *testing.B, n int, cached bool) {
-	round, tally := retrieveHot(n, cached, 0)
+	round, tally, _ := retrieveHot(n, cached, 0)
 	loop(b, round, noBudget)
 	if tally.done > 0 {
 		b.ReportMetric(float64(tally.roundsSum)/float64(tally.done), "rounds/retrieval")

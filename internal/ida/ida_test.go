@@ -59,8 +59,11 @@ func TestRoundTripRandom(t *testing.T) {
 		item := make([]byte, itemLen)
 		r.Fill(item)
 		pieces := c.Encode(item)
-		// Shuffle and take a random K-subset.
-		r.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
+		// Shuffle (Fisher–Yates) and take a random K-subset.
+		for i := len(pieces) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			pieces[i], pieces[j] = pieces[j], pieces[i]
+		}
 		got, err := c.Decode(pieces[:k], itemLen)
 		if err != nil {
 			return false

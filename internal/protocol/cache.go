@@ -177,7 +177,8 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 			continue
 		}
 		m := ctx.SendMsg(s.Src, KindCacheSeed)
-		m.Item, m.Aux, m.Trace = e.key, uint64(e.depth)+1, trace
+		m.Item, m.Aux = e.key, uint64(e.depth)+1
+		ctx.SetTrace(m, trace)
 		ctx.SetPayload(m, nil, e.data)
 		sent++
 	}
@@ -197,7 +198,8 @@ func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.Nod
 	}
 	e.served = int32(ctx.Round)
 	m := ctx.SendMsg(searcher, KindCacheData)
-	m.Item, m.Aux, m.Trace = e.key, uint64(e.depth), trace
+	m.Item, m.Aux = e.key, uint64(e.depth)
+	ctx.SetTrace(m, trace)
 	ctx.SetPayload(m, nil, e.data)
 	h.ctr.cacheHitsByHop.Observe(ctx.Shard, int64(e.depth))
 }
@@ -250,7 +252,7 @@ func (h *Handler) onSeed(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		return
 	}
 	if e, cascade := h.cachePut(ctx, msg.Item, msg.Blob(), uint8(msg.Aux)); cascade {
-		h.cacheSeed(ctx, st, e, msg.Trace)
+		h.cacheSeed(ctx, st, e, msg.Trace())
 	}
 }
 

@@ -125,7 +125,8 @@ func (h *Handler) sendCounts(ctx *simnet.Ctx, st *nodeState, m *membership) {
 			continue
 		}
 		msg := ctx.SendMsg(peer, KindCCount)
-		msg.Item, msg.Aux, msg.Trace = m.key, uint64(m.myCount), m.trace
+		msg.Item, msg.Aux = m.key, uint64(m.myCount)
+		ctx.SetTrace(msg, m.trace)
 	}
 }
 
@@ -153,7 +154,8 @@ func (h *Handler) sendPiece(ctx *simnet.Ctx, st *nodeState, m *membership) {
 			continue
 		}
 		msg := ctx.SendMsg(peer, KindCPiece)
-		msg.Item, msg.Aux, msg.Aux2, msg.Trace = m.key, uint64(m.pieceIdx), uint64(m.itemLen), m.trace
+		msg.Item, msg.Aux, msg.Aux2 = m.key, uint64(m.pieceIdx), uint64(m.itemLen)
+		ctx.SetTrace(msg, m.trace)
 		ctx.SetPayload(msg, nil, m.data)
 	}
 }
@@ -277,7 +279,8 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 	h.sendInvites(ctx, m.key, m.base, newRoster, m.data, pieces, itemLen, m.trace)
 	for _, peer := range m.roster {
 		msg := ctx.SendMsg(peer, KindCHandover)
-		msg.Item, msg.Aux, msg.Trace = m.key, uint64(epoch), m.trace
+		msg.Item, msg.Aux = m.key, uint64(epoch)
+		ctx.SetTrace(msg, m.trace)
 		ctx.SetPayload(msg, newRoster, nil)
 	}
 	h.ctr.handovers.Inc(ctx.Shard)
@@ -301,7 +304,7 @@ func (h *Handler) sendInvites(ctx *simnet.Ctx, key uint64, base int, roster []si
 		}
 		msg := ctx.SendMsg(peer, KindCInvite)
 		msg.Item, msg.Aux, msg.Aux2 = key, packInvite(base, pieceIdx), uint64(itemLen)
-		msg.Trace = trace
+		ctx.SetTrace(msg, trace)
 		ctx.SetPayload(msg, roster, blob)
 	}
 }
@@ -327,7 +330,7 @@ func appendDistinct(dst, src []simnet.NodeID, want int, self simnet.NodeID) []si
 // own tree waits for its first tick (maybeWave).
 func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	base, pieceIdx := unpackInvite(msg.Aux)
-	key := msg.Item
+	key, trace := msg.Item, msg.Trace()
 	m := st.memberships.get(key)
 	if m == nil {
 		m = st.memberships.put(&h.slabs[ctx.Shard], key, membership{})
@@ -340,7 +343,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		roster:   msg.IDs(),
 		joined:   ctx.Round,
 		curEpoch: -1,
-		trace:    msg.Trace,
+		trace:    trace,
 		data:     m.data,
 		pieceIdx: m.pieceIdx,
 		itemLen:  m.itemLen,
@@ -357,15 +360,15 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			m.pieceIdx = pieceIdx
 		}
 	}
-	h.becomeLandmark(ctx, st, key, m.roster, ctx.Round, 0, msg.Trace)
+	h.becomeLandmark(ctx, st, key, m.roster, ctx.Round, 0, trace)
 	// A traced store settles when its *creation* invites land (base ==
 	// the send round): every founding member emits a done event, and
 	// the tracer's first-done-wins aggregation closes the lifecycle
 	// deterministically. Handover invites (older base) don't re-close.
-	if msg.Trace != 0 && base == ctx.Round-1 {
+	if trace != 0 && base == ctx.Round-1 {
 		if tr := ctx.E.Tracer(); tr != nil {
 			tr.Emit(ctx.Shard, telemetry.Event{
-				Trace: msg.Trace, Round: int64(ctx.Round), Kind: telemetry.EvOpDone,
+				Trace: trace, Round: int64(ctx.Round), Kind: telemetry.EvOpDone,
 				From: uint64(st.id), Item: key, OK: true,
 			})
 		}

@@ -369,12 +369,12 @@ func (h *Handler) HandleRound(ctx *simnet.Ctx) {
 // operation records exactly one hop event, so per-op hop counts measure
 // delivered protocol traffic regardless of which sub-handler consumes it.
 func (h *Handler) dispatch(ctx *simnet.Ctx, st *nodeState, m *simnet.Msg) {
-	if m.Trace != 0 {
+	if trace := m.Trace(); trace != 0 {
 		if tr := ctx.E.Tracer(); tr != nil {
 			tr.Emit(ctx.Shard, telemetry.Event{
-				Trace: m.Trace, Round: int64(ctx.Round), Kind: telemetry.EvHop,
+				Trace: trace, Round: int64(ctx.Round), Kind: telemetry.EvHop,
 				Msg: m.Kind, From: uint64(m.From), To: uint64(st.id),
-				Item: m.Item, Aux: int64(m.Bits()), Path: m.Hops,
+				Item: m.Item, Aux: int64(m.Bits()), Path: m.Hops(),
 			})
 		}
 	}

@@ -25,8 +25,8 @@ const (
 
 	// KindSInquire asks a sampled node whether it knows item Item, for up
 	// to two searchers a search landmark holds tasks for (tickSearchLandmarks).
-	// Aux2 = the first searcher, Aux = the second searcher or 0, Trace = the
-	// first searcher's. Header only.
+	// Aux2 = the first searcher, Aux = the second searcher or 0, trace tag
+	// = the first searcher's. Header only.
 	KindSInquire uint8 = 0x30
 	// KindSFound reports to the searcher that the sender knows item
 	// Item's storage committee. IDs = storage roster. A storage landmark

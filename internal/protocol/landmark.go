@@ -49,7 +49,7 @@ func (h *Handler) growChildren(ctx *simnet.Ctx, st *nodeState, kind uint8, key, 
 	for _, child := range children {
 		m := ctx.SendMsg(child, kind)
 		m.Item, m.Aux, m.Aux2 = key, packGrow(depth-1, wave), aux2
-		m.Trace = trace
+		ctx.SetTrace(m, trace)
 		ctx.SetPayload(m, roster, nil)
 	}
 	return kids
@@ -69,7 +69,7 @@ func (h *Handler) onGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	// The roster is immutable once sent: every landmark of the wave keeps
 	// the member's own array.
-	h.becomeLandmark(ctx, st, key, msg.IDs(), wave, depth, msg.Trace)
+	h.becomeLandmark(ctx, st, key, msg.IDs(), wave, depth, msg.Trace())
 }
 
 // onSearchGrow is onGrow for a search landmark tree, whose first level is
@@ -83,7 +83,7 @@ func (h *Handler) onSearchGrow(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) 
 		t.expiry = max(t.expiry, ctx.Round+h.P.LandmarkTTL())
 		return
 	}
-	h.addSearchTask(ctx, st, key, searcher, wave, msg.Trace).grow = depth
+	h.addSearchTask(ctx, st, key, searcher, wave, msg.Trace()).grow = depth
 }
 
 // addSearchTask registers this node as a search landmark for (key,

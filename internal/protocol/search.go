@@ -157,7 +157,7 @@ func (h *Handler) sendWave(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
 	for _, peer := range srch.invited {
 		m := ctx.SendMsg(peer, KindSGrow)
 		m.Item, m.Aux, m.Aux2 = srch.key, packGrow(h.P.TreeDepth, ctx.Round+1), uint64(st.id)
-		m.Trace = srch.trace
+		ctx.SetTrace(m, srch.trace)
 	}
 	h.ctr.waves.Inc(ctx.Shard)
 }
@@ -170,7 +170,8 @@ func (h *Handler) fetchFrom(ctx *simnet.Ctx, st *nodeState, srch *searchState, m
 	srch.roster = appendDistinct(srch.roster, members, math.MaxInt, st.id)
 	for _, member := range srch.roster[asked:] {
 		m := ctx.SendMsg(member, KindSFetch)
-		m.Item, m.Trace = srch.key, srch.trace
+		m.Item = srch.key
+		ctx.SetTrace(m, srch.trace)
 	}
 }
 
@@ -217,7 +218,8 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// replica, storage landmark, committee member), not just
 				// the sampled source — replicas cut network distance.
 				m := ctx.SendKeyed(s.Src, KindSInquire)
-				m.Item, m.Aux, m.Aux2, m.Trace = key, uint64(second), uint64(first.searcher), first.trace
+				m.Item, m.Aux, m.Aux2 = key, uint64(second), uint64(first.searcher)
+				ctx.SetTrace(m, first.trace)
 				if second != 0 {
 					pairs++
 				}
@@ -241,7 +243,7 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	// A cached copy beats a roster referral: the bytes go straight to
 	// the searcher, skipping the fetch/reconstruct round-trips.
 	if e := h.cacheLookup(ctx, msg.Item); e != nil {
-		h.cacheServe(ctx, e, named[0], msg.Trace)
+		h.cacheServe(ctx, e, named[0], msg.Trace())
 		return
 	}
 	ent := st.storageLM.get(msg.Item)
@@ -261,7 +263,7 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		}
 	}
 	ent.toldAt, ent.toldTo = ctx.Round, next
-	trace := msg.Trace
+	trace := msg.Trace()
 	for _, searcher := range named {
 		switch {
 		case searcher == 0:
@@ -269,7 +271,8 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			h.ctr.foundRepeats.Inc(ctx.Shard)
 		default:
 			m := ctx.SendMsg(searcher, KindSFound)
-			m.Item, m.Trace = msg.Item, trace
+			m.Item = msg.Item
+			ctx.SetTrace(m, trace)
 			ctx.SetPayload(m, ent.roster, nil)
 		}
 		trace = 0
@@ -297,7 +300,7 @@ func (h *Handler) onFetch(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	m := ctx.SendMsg(msg.From, KindSData)
 	m.Item, m.Aux, m.Aux2 = msg.Item, uint64(max(cp.pieceIdx, 0)), uint64(cp.itemLen)
-	m.Trace = msg.Trace
+	ctx.SetTrace(m, msg.Trace())
 	ctx.SetPayload(m, nil, cp.data)
 }
 

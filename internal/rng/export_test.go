@@ -13,3 +13,11 @@ func (z *Zipf) Prob(i int) float64 {
 func (r *Stream) Split() *Stream {
 	return Derive(r.Uint64(), r.Uint64())
 }
+
+// Shuffle shuffles n elements using the provided swap function.
+func (r *Stream) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		swap(i, j)
+	}
+}

@@ -138,14 +138,6 @@ func (r *Stream) ShuffleInts(s []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fill fills b with random bytes.
 func (r *Stream) Fill(b []byte) {
 	i := 0

@@ -31,21 +31,27 @@ func pointerWords(t reflect.Type) int {
 	return 0
 }
 
-// TestMsgLayout pins the message header: at most 80 bytes (every byte is
-// copied once per message by the gather and held in the send buffer and
-// the inbox arena, in both routing modes), one pointer word, and the
-// offsets DESIGN.md §6 documents.
+// TestMsgLayout pins the message header: exactly 64 bytes on a 64-bit
+// build, one cache line (every byte is copied once per message by the
+// gather and held in the send buffer and the inbox arena, in both routing
+// modes), one pointer word, and the offsets DESIGN.md §6 documents; and
+// the payload cell that holds the id list, the blob and the trace tag at
+// 64 bytes.
 func TestMsgLayout(t *testing.T) {
 	var m Msg
-	if s := unsafe.Sizeof(m); s > 80 {
-		t.Errorf("Msg is %d bytes, want <= 80", s)
+	word := unsafe.Sizeof(uintptr(0))
+	if s, want := unsafe.Sizeof(m), 56+word; s != want {
+		t.Errorf("Msg is %d bytes, want %d", s, want)
 	}
 	if p := pointerWords(reflect.TypeOf(m)); p != 1 {
 		t.Errorf("Msg has %d pointer words, want 1", p)
 	}
+	if s := unsafe.Sizeof(payload{}); s > 64 {
+		t.Errorf("payload cell is %d bytes, want <= 64", s)
+	}
 	// The fields after the payload pointer sit one pointer further on: the
 	// 64-bit offsets DESIGN.md §6 gives, 4 bytes earlier on a 32-bit build.
-	tail := 48 + unsafe.Sizeof(uintptr(0))
+	tail := 40 + word
 	for _, f := range []struct {
 		name      string
 		got, want uintptr
@@ -55,14 +61,12 @@ func TestMsgLayout(t *testing.T) {
 		{"Item", unsafe.Offsetof(m.Item), 16},
 		{"Aux", unsafe.Offsetof(m.Aux), 24},
 		{"Aux2", unsafe.Offsetof(m.Aux2), 32},
-		{"Trace", unsafe.Offsetof(m.Trace), 40},
-		{"payload", unsafe.Offsetof(m.payload), 48},
-		{"Hops", unsafe.Offsetof(m.Hops), tail},
-		{"sentRound", unsafe.Offsetof(m.sentRound), tail + 4},
-		{"srcSlot", unsafe.Offsetof(m.srcSlot), tail + 8},
-		{"seq", unsafe.Offsetof(m.seq), tail + 12},
-		{"Kind", unsafe.Offsetof(m.Kind), tail + 16},
-		{"keyed", unsafe.Offsetof(m.keyed), tail + 17},
+		{"payload", unsafe.Offsetof(m.payload), 40},
+		{"sentRound", unsafe.Offsetof(m.sentRound), tail},
+		{"srcSlot", unsafe.Offsetof(m.srcSlot), tail + 4},
+		{"seq", unsafe.Offsetof(m.seq), tail + 8},
+		{"Kind", unsafe.Offsetof(m.Kind), tail + 12},
+		{"keyed", unsafe.Offsetof(m.keyed), tail + 13},
 	} {
 		if f.got != f.want {
 			t.Errorf("Msg.%s at offset %d, DESIGN.md §6 says %d", f.name, f.got, f.want)
@@ -84,7 +88,7 @@ func poisonSlabs(e *Engine) {
 		slab := &e.shardOut[sh].pay[e.round&1]
 		cells := slab.cells[:cap(slab.cells)]
 		for i := range cells {
-			cells[i] = payload{ids: poisonIDs, blob: poisonBlob}
+			cells[i] = payload{ids: poisonIDs, blob: poisonBlob, trace: 0xdead, hops: -1}
 		}
 	}
 }
@@ -201,6 +205,41 @@ func TestPayloadSurvivesSlabReuse(t *testing.T) {
 			t.Fatalf("%d messages delayed, %d checked, %d of them late", d, checked.Load(), late.Load())
 		}
 	})
+	// A header-only traced message has a cell for its tag alone, and the
+	// delay queue must move that cell too.
+	t.Run("delayed-trace", func(t *testing.T) {
+		cfg := testConfig(64, churn.ZeroLaw{})
+		cfg.Fault = longDelay{}
+		e := New(cfg)
+		var checked, late atomic.Int64
+		h := funcHandler(func(ctx *Ctx) {
+			for i := range ctx.Inbox {
+				m := &ctx.Inbox[i]
+				if got, want := m.Trace(), m.Aux<<16|uint64(m.From); got != want {
+					t.Errorf("round %d: a message sent in round %d by %d arrived with trace %#x, want %#x",
+						ctx.Round, m.Aux, m.From, got, want)
+				}
+				if m.IDs() != nil || m.Blob() != nil || m.Hops() != 0 {
+					t.Errorf("round %d: a header-only message arrived with %d ids, %d blob bytes, %d hops",
+						ctx.Round, len(m.IDs()), len(m.Blob()), m.Hops())
+				}
+				checked.Add(1)
+				if ctx.Round > int(m.Aux)+1 {
+					late.Add(1)
+				}
+			}
+			m := ctx.SendMsg(ctx.E.IDAt(ctx.Rand.Intn(ctx.E.N())), 1)
+			m.Aux = uint64(ctx.Round)
+			ctx.SetTrace(m, uint64(ctx.Round)<<16|uint64(ctx.ID))
+		})
+		for r := 0; r < 30; r++ {
+			poisonSlabs(e)
+			e.RunRound(h)
+		}
+		if d := e.Metrics().MsgsDelayed; d == 0 || late.Load() == 0 || checked.Load() == 0 {
+			t.Fatalf("%d messages delayed, %d checked, %d of them late", d, checked.Load(), late.Load())
+		}
+	})
 	t.Run("overlay", func(t *testing.T) {
 		e := New(routedConfig(256, churn.ZeroLaw{}, RoutingConfig{Mode: RoutingOverlay}))
 		h := &payloadChecker{t: t}
@@ -212,6 +251,68 @@ func TestPayloadSurvivesSlabReuse(t *testing.T) {
 			t.Fatalf("router delivered %d messages, handlers checked %d", d, h.verified.Load())
 		}
 	})
+}
+
+// TestTraceSharesThePayloadCell checks the trace tag's place in the cell:
+// a traced message is charged exactly what the untraced one is, to the
+// sender and to its kind; SetTrace before or after SetPayload leaves one
+// cell holding the ids, the blob and the tag; a trace id of 0 makes no
+// cell; and a second id or blob attach still panics.
+func TestTraceSharesThePayloadCell(t *testing.T) {
+	e := New(testConfig(16, churn.ZeroLaw{}))
+	sender, target := e.IDAt(3), e.IDAt(9)
+	ids, blob := []NodeID{7, 8, 9}, []byte("piece")
+	h := funcHandler(func(ctx *Ctx) {
+		if ctx.Round != 0 || ctx.ID != sender {
+			return
+		}
+		m := ctx.SendMsg(target, 1)
+		ctx.SetPayload(m, ids, blob)
+		m = ctx.SendMsg(target, 2)
+		ctx.SetPayload(m, ids, blob)
+		ctx.SetTrace(m, 77)
+		m = ctx.SendMsg(target, 3)
+		ctx.SetTrace(m, 77)
+		ctx.SetPayload(m, ids, blob)
+		ctx.SetTrace(ctx.SendMsg(target, 4), 0)
+		m = ctx.SendMsg(target, 5)
+		ctx.SetTrace(m, 77)
+		ctx.SetPayload(m, nil, nil)
+
+		// The buffer may have moved under the sends: read them back from it.
+		out := *ctx.out
+		out = out[len(out)-5:]
+		plain, after, before, bare, tagged := &out[0], &out[1], &out[2], &out[3], &out[4]
+		if bare.payload != nil {
+			t.Error("SetTrace with id 0 attached a cell")
+		}
+		for _, m := range []*Msg{after, before} {
+			if m.Trace() != 77 || !slices.Equal(m.IDs(), ids) || !bytes.Equal(m.Blob(), blob) {
+				t.Errorf("kind %d: cell holds trace %d, ids %v, blob %q", m.Kind, m.Trace(), m.IDs(), m.Blob())
+			}
+			if m.Bits() != plain.Bits() {
+				t.Errorf("kind %d: traced message is %d bits, untraced %d", m.Kind, m.Bits(), plain.Bits())
+			}
+			if !panics(func() { ctx.SetPayload(m, nil, blob) }) {
+				t.Errorf("kind %d: a second SetPayload did not panic", m.Kind)
+			}
+		}
+		if tagged.Trace() != 77 || tagged.Bits() != bare.Bits() {
+			t.Errorf("header-only traced message: trace %d, %d bits, want 77 and %d", tagged.Trace(), tagged.Bits(), bare.Bits())
+		}
+		if got := len(ctx.pay.cells); got != 4 {
+			t.Errorf("%d cells taken, want 4: one per traced or payload-carrying message", got)
+		}
+	})
+	e.Run(h, 2)
+	for kind := uint8(2); kind <= 3; kind++ {
+		if got, want := e.KindCount(kind), e.KindCount(1); got != want {
+			t.Errorf("kind %d tally %+v, untraced kind 1 %+v", kind, got, want)
+		}
+	}
+	if got, want := e.KindCount(5), e.KindCount(4); got != want {
+		t.Errorf("traced header-only tally %+v, untraced %+v", got, want)
+	}
 }
 
 // TestSendInPlaceAcrossGrowth has one node send enough messages in one

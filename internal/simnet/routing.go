@@ -95,11 +95,12 @@ func (e *Engine) initRouter() {
 		Deliver: e.deliverRouted,
 		OnDrop: func(ref *msgRef, h *route.Header, reason route.DropReason) {
 			m := e.msg(ref)
-			if m.Trace == 0 || e.tracer == nil {
+			trace := m.Trace()
+			if trace == 0 || e.tracer == nil {
 				return
 			}
 			e.tracer.Emit(0, telemetry.Event{
-				Trace: m.Trace, Round: int64(e.round), Kind: telemetry.EvDrop,
+				Trace: trace, Round: int64(e.round), Kind: telemetry.EvDrop,
 				Msg: m.Kind, From: uint64(m.From), To: uint64(m.To),
 				Item: m.Item, Aux: int64(reason),
 			})
@@ -151,15 +152,17 @@ func (e *Engine) sendToRouter(m *Msg, ref msgRef) {
 }
 
 // deliverRouted is the router's delivery callback: it stamps the true
-// path length into the message where it was sent, rewrites the addressee
-// on holder early-exit, and stages a ref to it in its source for slot's
-// shard, as the oracle's scatter does. The message keeps its payload
-// pointer: it is read by this round's handlers, while the sender's slab
-// is recycled only the round after (a fault-delayed message carries its
-// own cell).
+// path length into a traced message's cell (only a hop event reads it),
+// rewrites the addressee on holder early-exit, and stages a ref to the
+// message in its source for slot's shard, as the oracle's scatter does.
+// The message keeps its payload pointer: it is read by this round's
+// handlers, while the sender's slab is recycled only the round after (a
+// fault-delayed message carries its own cell).
 func (e *Engine) deliverRouted(slot int32, ref *msgRef, hops int32) {
 	m := e.msg(ref)
-	m.Hops = hops
+	if p := m.payload; p != nil && p.trace != 0 {
+		p.hops = hops
+	}
 	if id := e.ids[slot]; m.To != id {
 		m.To = id // keyed walk ended at a holder: it answers instead
 	}

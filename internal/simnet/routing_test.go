@@ -26,7 +26,7 @@ func (h *routedSpammer) HandleRound(ctx *Ctx) {
 		h.mu.Lock()
 		h.got += n
 		for i := range ctx.Inbox {
-			h.hops = append(h.hops, ctx.Inbox[i].Hops)
+			h.hops = append(h.hops, ctx.Inbox[i].Hops())
 		}
 		h.mu.Unlock()
 	}
@@ -36,7 +36,7 @@ func (h *routedSpammer) HandleRound(ctx *Ctx) {
 	if tr := ctx.E.Tracer(); tr != nil {
 		tr.Emit(ctx.Shard, telemetry.Event{Trace: trace, Round: int64(ctx.Round), Kind: telemetry.EvOpStart})
 	}
-	ctx.SendMsg(ctx.E.IDAt(h.target), 1).Trace = trace
+	ctx.SetTrace(ctx.SendMsg(ctx.E.IDAt(h.target), 1), trace)
 }
 
 func routedConfig(n int, law churn.Law, rc RoutingConfig) Config {

@@ -64,10 +64,11 @@ const MaxPayloadLen = 65535
 // samples carry ids, committee invitations carry id lists, storage and
 // retrieval messages carry an item key plus an id.
 //
-// A Msg is a header: 80 bytes, one pointer word (TestMsgLayout; the field
-// table with offsets is in DESIGN.md §6). The few messages that carry an
-// id list or a data blob hold them in a pooled payload cell behind that
-// pointer, attached with Ctx.SetPayload and read with IDs() and Blob().
+// A Msg is a header: 64 bytes, one cache line, and one pointer word
+// (TestMsgLayout; the field table with offsets is in DESIGN.md §6). The few
+// messages that carry an id list, a data blob or a trace tag hold them in
+// a pooled payload cell behind that pointer, attached with Ctx.SetPayload
+// and Ctx.SetTrace and read with IDs, Blob, Trace and Hops.
 // Fields are ordered widest first so the struct has no padding holes.
 type Msg struct {
 	From NodeID
@@ -76,24 +77,12 @@ type Msg struct {
 	Aux  uint64 // auxiliary value (round numbers, piece indices, ...)
 	Aux2 uint64 // second auxiliary (e.g. the searcher id a reply routes to)
 
-	// Trace is an observability tag: when an operation is sampled for
-	// lifecycle tracing (telemetry.Tracer), protocol messages belonging
-	// to it carry the operation's nonzero trace id, and the receiver
-	// records a hop event. The tag is out-of-band telemetry, not part of
-	// the modelled wire format, so it does not count toward Bits().
-	Trace uint64
-
-	// payload is the id-list/blob cell, nil for a header-only message. It
-	// points into the sender shard's slab (payloadSlab), which is recycled
-	// two rounds after the send; whoever keeps a Msg past the round after
-	// its send must copy the cell out (faultFate).
+	// payload is the cell holding the id list, the blob and the trace tag,
+	// nil for a header-only untraced message. It points into the sender
+	// shard's slab (payloadSlab), which is recycled two rounds after the
+	// send; whoever keeps a Msg past the round after its send must copy
+	// the cell out (faultFate).
 	payload *payload
-
-	// Hops is the true network path length the message travelled when it
-	// was delivered over the overlay (RoutingOverlay); 0 for
-	// oracle-delivered messages. Like Trace it is out-of-band telemetry
-	// and does not count toward Bits().
-	Hops int32
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
 	// inbox order. Every message arrives already ordered: route hands a
@@ -111,13 +100,25 @@ type Msg struct {
 	keyed bool
 }
 
-// payload is the variable-length part of a message: the id list (committee
+// payload is the out-of-header part of a message: the id list (committee
 // rosters etc.) and the data blob (item copies, IDA pieces), each at most
-// MaxPayloadLen long. The slices are the sender's; the engine never copies
-// their contents.
+// MaxPayloadLen long, and the trace tag with its hop count. The slices are
+// the sender's; the engine never copies their contents.
+//
+// trace is an observability tag: when an operation is sampled for
+// lifecycle tracing (telemetry.Tracer), protocol messages belonging to it
+// carry the operation's nonzero trace id (Ctx.SetTrace), and the receiver
+// records a hop event. hops is the true network path length a traced
+// message travelled when it was delivered over the overlay
+// (RoutingOverlay); 0 for oracle-delivered messages. Both are out-of-band
+// telemetry, not part of the modelled wire format, so neither counts
+// toward Bits(); only sampled operations have a nonzero trace, so an
+// untraced run makes no cell for them.
 type payload struct {
-	ids  []NodeID
-	blob []byte
+	ids   []NodeID
+	blob  []byte
+	trace uint64
+	hops  int32
 }
 
 // IDs returns the message's id-list payload, nil if it has none. The list
@@ -141,6 +142,23 @@ func (m *Msg) Blob() []byte {
 	}
 	blob := m.payload.blob
 	return blob[:len(blob):len(blob)]
+}
+
+// Trace returns the message's trace tag, 0 if its operation is not traced.
+func (m *Msg) Trace() uint64 {
+	if m.payload == nil {
+		return 0
+	}
+	return m.payload.trace
+}
+
+// Hops returns the overlay path length of a traced message delivered over
+// the overlay, 0 otherwise.
+func (m *Msg) Hops() int32 {
+	if m.payload == nil {
+		return 0
+	}
+	return m.payload.hops
 }
 
 // headerBits is the modelled wire size of a message without payload:
@@ -300,7 +318,7 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 
 // routedRef identifies a message staged for delivery: the destination slot
 // it resolved to, plus its index in its source's out buffer. An 8-byte
-// reference rides the exchange instead of an 80-byte Msg copy; the gather
+// reference rides the exchange instead of a 64-byte Msg copy; the gather
 // phase copies each message once, straight into its inbox — in both
 // routing modes the only Msg-sized copy between a handler's send and the
 // inbox.
@@ -763,10 +781,10 @@ type Ctx struct {
 //
 // The message is built in place: the returned pointer is the message's
 // slot in the shard's send buffer, already zeroed and stamped with the
-// sender and its sequencing. Set Item, Aux, Aux2 and Trace through it,
-// attach a payload with SetPayload, and do not use it after the next send
-// of this HandleRound (the buffer may have moved) or assign a whole Msg
-// through it (that would overwrite the stamp).
+// sender and its sequencing. Set Item, Aux and Aux2 through it, attach a
+// payload with SetPayload and a trace tag with SetTrace, and do not use it
+// after the next send of this HandleRound (the buffer may have moved) or
+// assign a whole Msg through it (that would overwrite the stamp).
 func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(to, kind) }
 
 // SendKeyed is SendMsg for holder-seeking messages: under RoutingOverlay
@@ -804,8 +822,8 @@ func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
 
 // SetPayload attaches an id list and/or a data blob to m, a message this
 // HandleRound is building (see SendMsg), and charges their bits to the
-// sender and m's kind. Either may be empty; a message takes a payload at
-// most once.
+// sender and m's kind. Either may be empty; a message takes an id list and
+// blob at most once, in the cell SetTrace made if it has one.
 // The slices are not copied. A sent id list or blob is never modified
 // again, by its sender or anyone else, so a receiver may keep it as its
 // own state and many receivers may share it. Panics if either exceeds
@@ -816,18 +834,35 @@ func (c *Ctx) SetPayload(m *Msg, ids []NodeID, blob []byte) {
 		panic(fmt.Sprintf("simnet: payload exceeds MaxPayloadLen (%d ids, %d blob bytes)",
 			len(ids), len(blob)))
 	}
-	if m.payload != nil {
+	if p := m.payload; p != nil && (len(p.ids) > 0 || len(p.blob) > 0) {
 		panic("simnet: SetPayload called twice on one message")
 	}
 	if len(ids) == 0 && len(blob) == 0 {
 		return
 	}
-	p := c.pay.alloc()
+	p := c.cell(m)
 	p.ids, p.blob = ids, blob
-	m.payload = p
 	b := int64(payloadBits(ids, blob))
 	c.bits += b
 	c.kinds[m.Kind].Bits += b
+}
+
+// SetTrace tags m, a message this HandleRound is building (see SendMsg),
+// with its operation's trace id; an id of 0 (an untraced operation) leaves
+// m as it is. The tag is telemetry, not wire: it charges no bits.
+func (c *Ctx) SetTrace(m *Msg, id uint64) {
+	if id != 0 {
+		c.cell(m).trace = id
+	}
+}
+
+// cell returns m's cell, first attaching a zeroed one from the shard's
+// slab if m has none.
+func (c *Ctx) cell(m *Msg) *payload {
+	if m.payload == nil {
+		m.payload = c.pay.alloc()
+	}
+	return m.payload
 }
 
 // NeighborSlots returns the node's current neighbour slots (aliased; do not
