@@ -3,7 +3,8 @@
 // exchange (internal/walks). Both move per-slot data with the same
 // two-phase discipline: scatter by source shard, gather by destination
 // shard, merging source shards in fixed index order. Every parallel
-// phase of a round runs on the engine's one Crew (crew.go).
+// phase of a round runs on the engine's one Crew (crew.go), which gives
+// each worker the same contiguous range of every phase over the grid.
 //
 // The shard count of a Grid is fixed at construction — NOT GOMAXPROCS —
 // so that scatter output and gather merge order are identical on every

@@ -235,3 +235,110 @@ func TestCrewHelpersExitWhenDropped(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestCrewStealsFromAStalledWorker: index count−1 of each phase blocks
+// until every other index has run, so whichever worker claims it stalls,
+// and a helper that joins late leaves its range to the others. The phase
+// must still finish, with every index run exactly once: the workers that
+// are free drain the other ranges.
+func TestCrewStealsFromAStalledWorker(t *testing.T) {
+	for _, workers := range []int{2, 3, 8} {
+		c := NewCrew(workers)
+		for _, count := range []int{1, workers - 1, workers, 65, 300} {
+			for phase := 0; phase < 20; phase++ {
+				visits := make([]atomic.Int32, count)
+				var ran atomic.Int32
+				var stuck atomic.Bool
+				c.Do(count, func(i int) {
+					if i == count-1 {
+						for deadline := time.Now().Add(10 * time.Second); ran.Load() < int32(count-1); {
+							if time.Now().After(deadline) {
+								stuck.Store(true)
+								break
+							}
+							time.Sleep(10 * time.Microsecond)
+						}
+					}
+					visits[i].Add(1)
+					ran.Add(1)
+				})
+				if stuck.Load() {
+					t.Fatalf("workers=%d count=%d phase %d: only %d of the other %d indices ran while index %d waited",
+						workers, count, phase, ran.Load()-1, count-1, count-1)
+				}
+				for i := range visits {
+					if got := visits[i].Load(); got != 1 {
+						t.Fatalf("workers=%d count=%d phase %d: index %d ran %d times",
+							workers, count, phase, i, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCrewWorkClaimsOwnRangeFirst arms a phase without opening it, so no
+// helper joins, and makes worker w's pass alone from one goroutine: it
+// must claim its own range [w·count/W, (w+1)·count/W) in order, then every
+// other range in ring order — w+1, w+2, … mod W.
+func TestCrewWorkClaimsOwnRangeFirst(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		c := NewCrew(workers)
+		for _, count := range []int{0, 1, workers - 1, workers, 65, 300} {
+			for w := 0; w < workers; w++ {
+				var got []int
+				c.arm(count, func(i int) { got = append(got, i) })
+				c.work(w)
+				c.fn = nil
+				var want []int
+				for j := 0; j < workers; j++ {
+					r := (w + j) % workers
+					for i := r * count / workers; i < (r+1)*count/workers; i++ {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("workers=%d count=%d: worker %d claimed %v, want %v", workers, count, w, got, want)
+				}
+			}
+		}
+		runtime.KeepAlive(c)
+	}
+}
+
+// BenchmarkCrewDo prices the crew at its default size. "empty" is one
+// phase of 64 indices that do nothing: the scheduler's own cost. "block"
+// is a pair of phases that write, then read, a 16 KiB block per index, as
+// a round's handlers write a shard's state and its gather reads it back:
+// a worker that runs the same indices in both phases finds its blocks in
+// its own cache.
+func BenchmarkCrewDo(b *testing.B) {
+	const count, block = 64, 16 << 10
+	c := NewCrew(runtime.GOMAXPROCS(0))
+	b.Run("empty", func(b *testing.B) {
+		for range b.N {
+			c.Do(count, func(int) {})
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		data := make([]uint64, count*block/8)
+		sums := make([]uint64, count*8) // one cache line per index
+		b.SetBytes(2 * count * block)
+		b.ResetTimer()
+		for n := range b.N {
+			c.Do(count, func(i int) {
+				blk := data[i*block/8 : (i+1)*block/8]
+				for j := range blk {
+					blk[j] = uint64(n + j)
+				}
+			})
+			c.Do(count, func(i int) {
+				var s uint64
+				for _, v := range data[i*block/8 : (i+1)*block/8] {
+					s += v
+				}
+				sums[i*8] = s
+			})
+		}
+	})
+}

@@ -1036,23 +1036,32 @@ func (e *Engine) route() {
 // hash of its identity), resolves the destination id to a slot through the
 // dense table, and stages a ref to the message in the source's buffer for
 // the destination shard. Next round's gather, after churn, places them.
+// The phase runs over shards, so shard sh's sends (source sh+1) fall to
+// the worker that ran its handlers; the released source rides with shard 0.
 func (e *Engine) exchange() {
-	e.crew.Do(len(e.sources), func(src int) {
-		rs := &e.sources[src]
-		for i := range rs.out {
-			m := &rs.out[i]
-			if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
-				continue
-			}
-			dst, ok := e.slotOf(m.To)
-			if !ok {
-				rs.dropped++
-				continue
-			}
-			dsh := e.slotLoc[dst] >> shard.LocalBits
-			rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
+	e.crew.Do(e.grid.Count(), func(sh int) {
+		if sh == 0 {
+			e.scatter(0)
 		}
+		e.scatter(sh + 1)
 	})
+}
+
+func (e *Engine) scatter(src int) {
+	rs := &e.sources[src]
+	for i := range rs.out {
+		m := &rs.out[i]
+		if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
+			continue
+		}
+		dst, ok := e.slotOf(m.To)
+		if !ok {
+			rs.dropped++
+			continue
+		}
+		dsh := e.slotLoc[dst] >> shard.LocalBits
+		rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
+	}
 }
 
 // gather is the one inbox placement, of both routing modes, and runs after
