@@ -106,6 +106,12 @@ type Counters struct {
 	CacheExpired      int64 // lookups that found only a TTL-expired entry
 }
 
+// SearchRounds returns the rounds-to-resolve histograms of cache-served
+// and of committee-served retrievals. Call between rounds.
+func (h *Handler) SearchRounds() (cached, uncached telemetry.HistValue) {
+	return h.ctr.roundsCached.Value(), h.ctr.roundsUncached.Value()
+}
+
 // Counters returns a snapshot of event counters. The send counts are read
 // from the engine's per-kind tally (Sent), the store of record for what
 // the handlers sent, so each send is counted once; the rest are merged

@@ -157,7 +157,6 @@ type Env[M any] struct {
 // routed phase touch it, so every update goes to shard 0.
 type metrics struct {
 	sent       telemetry.Counter
-	delivered  telemetry.Counter
 	forwards   telemetry.Counter
 	dropBudget telemetry.Counter
 	dropDead   telemetry.Counter
@@ -168,7 +167,6 @@ type metrics struct {
 func newMetrics(reg *telemetry.Registry) metrics {
 	return metrics{
 		sent:       reg.Counter("dynp2p_route_sent_total", "messages handed to the overlay router"),
-		delivered:  reg.Counter("dynp2p_route_delivered_total", "routed messages that reached a target"),
 		forwards:   reg.Counter("dynp2p_route_forwards_total", "per-edge forwards performed by the router"),
 		dropBudget: reg.Counter("dynp2p_route_dropped_budget_total", "routed messages dropped after exhausting their walk budget"),
 		dropDead:   reg.Counter("dynp2p_route_dropped_dead_total", "routed messages whose id-addressed target departed"),
@@ -177,10 +175,10 @@ func newMetrics(reg *telemetry.Registry) metrics {
 	}
 }
 
-// Metrics is a merged snapshot of the router's counters. Parked,
-// DroppedQueueFull and DroppedChurn are always zero — links are unmetered,
-// so nothing parks — and stay only because the benchmark ledger still
-// reads them.
+// Metrics is a merged snapshot of the router's counters; Delivered is the
+// hop histogram's count. Parked, DroppedQueueFull and DroppedChurn are
+// always zero — links are unmetered, so nothing parks — and stay only
+// because the benchmark ledger still reads them.
 type Metrics struct {
 	Sent             int64
 	Delivered        int64
@@ -213,7 +211,15 @@ type Router[M any] struct {
 	keys, hold, held []uint64
 	words            int
 
-	m metrics
+	m       metrics
+	maxLink int64 // the last Step's largest per-slot forward count
+}
+
+// Load is the router's link load: the last Step's largest per-slot
+// forward count, and the forwards of every delivery so far.
+type Load struct {
+	MaxLink int64
+	Hops    telemetry.HistValue
 }
 
 // lane is one worker's walk scratch, allocated once in New.
@@ -294,13 +300,16 @@ func (r *Router[M]) InFlight() int { return len(r.ws) }
 func (r *Router[M]) Metrics() Metrics {
 	return Metrics{
 		Sent:          r.m.sent.Value(),
-		Delivered:     r.m.delivered.Value(),
+		Delivered:     r.m.hops.Value().Count,
 		Forwards:      r.m.forwards.Value(),
 		DroppedBudget: r.m.dropBudget.Value(),
 		DroppedDead:   r.m.dropDead.Value(),
 		MaxLinkLoad:   r.m.maxLink.Value(),
 	}
 }
+
+// Load returns the last Step's busiest link and the hop histogram.
+func (r *Router[M]) Load() Load { return Load{MaxLink: r.maxLink, Hops: r.m.hops.Value()} }
 
 // Step runs one routed-delivery phase: every message sent since the last
 // Step walks until it delivers or drops, and the outcomes are then booked
@@ -318,7 +327,8 @@ func (r *Router[M]) Step() {
 		r.merge()
 		r.ws = r.ws[:0]
 	}
-	r.m.maxLink.SetMax(int64(maxLink))
+	r.maxLink = int64(maxLink)
+	r.m.maxLink.SetMax(r.maxLink)
 }
 
 // walkAll advances every walker in ws to its outcome and returns the
@@ -544,7 +554,6 @@ func (r *Router[M]) merge() {
 	for i := range r.ws {
 		w := &r.ws[i]
 		if w.out == outDeliver {
-			r.m.delivered.Inc(0)
 			r.m.hops.Observe(0, int64(w.h.Hops))
 			r.env.Deliver(w.at, &w.m, w.h.Hops)
 			continue

@@ -158,20 +158,20 @@ type Report struct {
 	// Per-operation distributions from the lifecycle tracer (scenario
 	// runs trace every store and search): delivered protocol messages
 	// per operation, and rounds from issue to resolution/settlement.
-	// Nil when no operation of that kind completed.
-	SearchHops   *telemetry.HistValue `json:"searchHops,omitempty"`
-	SearchRounds *telemetry.HistValue `json:"searchRounds,omitempty"`
-	StoreHops    *telemetry.HistValue `json:"storeHops,omitempty"`
-	StoreRounds  *telemetry.HistValue `json:"storeRounds,omitempty"`
-	// Search rounds-to-resolve split by resolution path, present only
-	// when caching produced/skipped hits respectively.
-	CachedRounds   *telemetry.HistValue `json:"cachedRounds,omitempty"`
-	UncachedRounds *telemetry.HistValue `json:"uncachedRounds,omitempty"`
-	// Overlay-routing distributions, present only under routed modes:
-	// forwards per delivered message, and true overlay path length
+	// Empty when no operation of that kind completed.
+	SearchHops   telemetry.HistValue `json:"searchHops"`
+	SearchRounds telemetry.HistValue `json:"searchRounds"`
+	StoreHops    telemetry.HistValue `json:"storeHops"`
+	StoreRounds  telemetry.HistValue `json:"storeRounds"`
+	// Search rounds-to-resolve split by resolution path (the handler's):
+	// empty when caching produced/skipped no hits respectively.
+	CachedRounds   telemetry.HistValue `json:"cachedRounds"`
+	UncachedRounds telemetry.HistValue `json:"uncachedRounds"`
+	// Overlay-routing distributions, empty under the oracle: forwards per
+	// delivered message (the router's), and true overlay path length
 	// accumulated per traced search.
-	RouteHops  *telemetry.HistValue `json:"routeHops,omitempty"`
-	SearchPath *telemetry.HistValue `json:"searchPath,omitempty"`
+	RouteHops  telemetry.HistValue `json:"routeHops"`
+	SearchPath telemetry.HistValue `json:"searchPath"`
 }
 
 // Fprint renders the report as an aligned text table (the idiom of
@@ -198,28 +198,15 @@ func (r *Report) Fprint(w io.Writer) {
 		}
 		rows = append(rows, row)
 	}
-	totalRounds := 0
-	var totalRepl, totalRDrops, totalMaxLink int64
-	for _, p := range r.Phases {
-		totalRounds += p.Rounds
-		totalRepl += p.Replacements
-		totalRDrops += p.RouteDrops
-		if p.MaxLinkLoad > totalMaxLink {
-			totalMaxLink = p.MaxLinkLoad
-		}
-	}
-	total := phaseRow("TOTAL", totalRounds, totalRepl, r.Total)
+	// The phases cover the run, so its totals are the TOTAL row's.
+	st := r.Stats
+	total := phaseRow("TOTAL", r.Rounds, st.Engine.Replacements, r.Total)
 	if routed {
-		var hp50, hp99 int64
-		if r.SearchPath != nil {
-			hp50, hp99 = r.SearchPath.Quantile(0.50), r.SearchPath.Quantile(0.99)
-		}
-		total = append(total, routedCells(hp50, hp99, totalRDrops, totalMaxLink)...)
+		total = append(total, routedCells(r.SearchPath.Quantile(0.50), r.SearchPath.Quantile(0.99), routeDrops(st.Route), st.Route.MaxLinkLoad)...)
 	}
 	rows = append(rows, total)
 	printAligned(w, header, rows)
 
-	st := r.Stats
 	fmt.Fprintf(w, "\ntraffic: %d msgs sent, %d delivered, %d churn-dropped, %d fault-dropped, %d delayed\n",
 		st.Engine.MsgsSent, st.Engine.MsgsDelivered, st.Engine.MsgsDropped,
 		st.Engine.MsgsFaultDropped, st.Engine.MsgsDelayed)
@@ -278,35 +265,19 @@ func (r *Report) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "cache: %d hits (%.1f%% of successes), %d replica serves, %d seeds, %d inserts, %d evictions, %d expired\n",
 			pc.CacheHits, rate, pc.CacheServed, pc.CacheSeeds, pc.CacheInserts, pc.CacheEvictions, pc.CacheExpired)
 	}
-	if r.SearchHops != nil || r.StoreHops != nil {
+	if r.SearchHops.Count > 0 || r.StoreHops.Count > 0 {
 		fmt.Fprintf(w, "\nper-operation distributions (lifecycle tracer):\n")
-		if r.SearchHops != nil {
-			telemetry.FprintHistogram(w, "search hops", *r.SearchHops)
-		}
-		if r.SearchRounds != nil {
-			telemetry.FprintHistogram(w, "search rounds-to-resolve", *r.SearchRounds)
-		}
-		if r.StoreHops != nil {
-			telemetry.FprintHistogram(w, "store hops", *r.StoreHops)
-		}
-		if r.StoreRounds != nil {
-			telemetry.FprintHistogram(w, "store rounds-to-settle", *r.StoreRounds)
-		}
-		if r.CachedRounds != nil {
-			telemetry.FprintHistogram(w, "search rounds (cache-served)", *r.CachedRounds)
-		}
-		if r.UncachedRounds != nil {
-			telemetry.FprintHistogram(w, "search rounds (committee-served)", *r.UncachedRounds)
-		}
-		if r.RouteHops != nil {
-			telemetry.FprintHistogram(w, "route hops per delivery", *r.RouteHops)
-		}
-		if r.SearchPath != nil {
-			telemetry.FprintHistogram(w, "search overlay path length", *r.SearchPath)
-		}
+		telemetry.FprintHistogram(w, "search hops", r.SearchHops)
+		telemetry.FprintHistogram(w, "search rounds-to-resolve", r.SearchRounds)
+		telemetry.FprintHistogram(w, "store hops", r.StoreHops)
+		telemetry.FprintHistogram(w, "store rounds-to-settle", r.StoreRounds)
+		telemetry.FprintHistogram(w, "search rounds (cache-served)", r.CachedRounds)
+		telemetry.FprintHistogram(w, "search rounds (committee-served)", r.UncachedRounds)
+		telemetry.FprintHistogram(w, "route hops per delivery", r.RouteHops)
+		telemetry.FprintHistogram(w, "search overlay path length", r.SearchPath)
 	}
 	if routed {
-		rt := r.Stats.Route
+		rt := st.Route
 		fmt.Fprintf(w, "\nrouting: %d routed sends, %d delivered over %d forwards; %d dropped (%d budget, %d dead)\n",
 			rt.Sent, rt.Delivered, rt.Forwards, routeDrops(rt), rt.DroppedBudget, rt.DroppedDead)
 	}

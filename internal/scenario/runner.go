@@ -33,11 +33,12 @@ type Options struct {
 
 // TraceRecord is one line of the per-round JSONL trace. Every counter
 // field is a per-round delta, not a cumulative total: Churned, Msgs,
-// FaultDrop, Delayed, Repairs, and the Ops*/HopEvents trio are all
-// computed as differences of cumulative engine/telemetry counters across
-// the round, while Stores/Retrieves/Done/OK/Lost count this round's
-// events directly. Lambda is a point sample, present only on rounds the
-// spectral telemetry measured one.
+// FaultDrop, Delayed, Repairs, the cache and routed pairs are differences
+// of the network's Stats across the round, and the Ops*/HopEvents trio of
+// the tracer's Stats (OpsDone is TraceStats.Done), while
+// Stores/Retrieves/Done/OK/Lost count this round's events directly.
+// Lambda is a point sample, present only on rounds the spectral telemetry
+// measured one.
 type TraceRecord struct {
 	Round     int    `json:"round"`
 	Phase     string `json:"phase"`
@@ -108,10 +109,9 @@ type runner struct {
 	accums []sloAccum // one per spec phase
 	total  sloAccum
 
-	prev      dynp2p.Stats  // snapshot for per-round deltas
-	prevTrace [3]int64      // ops started / done / hop events
-	phases    []PhaseReport // one per finished segment; SLOs filled in by report
-	maxLink   int64         // largest per-node forward count in any round so far
+	prev      dynp2p.Stats         // snapshot for per-round deltas
+	prevTrace telemetry.TraceStats // the tracer's, likewise
+	phases    []PhaseReport        // one per finished segment; SLOs filled in by report
 }
 
 // Run executes the spec and returns its report. The run is deterministic
@@ -212,24 +212,17 @@ func run(spec Spec, opt Options) (*runner, error) {
 func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 	start := r.nw.Stats()
 	routed := r.spec.Routing.Mode == dynp2p.RoutingOverlay
-	reg := r.nw.Telemetry()
-	var hopsStart telemetry.HistValue
-	var maxLink telemetry.Gauge
-	if routed {
-		// Per-phase hop quantiles come from the per-search true overlay
-		// path length (not the per-message hop histogram, whose tail is
-		// dominated by background committee traffic in every phase).
-		hopsStart = reg.HistogramValue("dynp2p_search_path_hops")
-		// The max-link gauge is a running SetMax; resetting it at segment
-		// start makes the segment's reading a true per-phase maximum.
-		maxLink = reg.Gauge("dynp2p_route_max_link_load", "largest per-slot forward count in any single round")
-		maxLink.Set(0)
-	}
+	// Per-phase hop quantiles come from the per-search true overlay path
+	// length (not the per-message hop histogram, whose tail is dominated
+	// by background committee traffic in every phase).
+	pathStart := r.nw.Tracer().Stats().SearchPath
 	var lamMax float64
+	var maxLink int64 // the segment's busiest link: each round's, maximised
 	for i := 0; i < rounds; i++ {
 		stores := r.issueStores(pi, load.StoreRate)
 		retrieves := r.issueRetrieves(pi, load.RetrieveRate)
 		r.nw.Run(1)
+		maxLink = max(maxLink, r.nw.Engine().RouteLoad().MaxLink)
 		if ovm := r.nw.Overlay().Metrics(); ovm.LambdaRound == r.nw.Round()-1 && ovm.Lambda > lamMax {
 			lamMax = ovm.Lambda
 		}
@@ -250,15 +243,11 @@ func (r *runner) runSegment(pi int, name string, rounds int, load Workload) {
 		LambdaMax: lamMax,
 	}
 	if routed {
-		hops := histDelta(reg.HistogramValue("dynp2p_search_path_hops"), hopsStart)
+		hops := histDelta(r.nw.Tracer().Stats().SearchPath, pathStart)
 		pr.RouteHopsP50 = hops.Quantile(0.50)
 		pr.RouteHopsP99 = hops.Quantile(0.99)
 		pr.RouteDrops = routeDrops(end.Route) - routeDrops(start.Route)
-		pr.MaxLinkLoad = maxLink.Value()
-		// Hand the gauge back as the run's maximum so far, which is what
-		// the router and the end-of-run snapshot report.
-		r.maxLink = max(r.maxLink, pr.MaxLinkLoad)
-		maxLink.Set(r.maxLink)
+		pr.MaxLinkLoad = maxLink
 	}
 	r.phases = append(r.phases, pr)
 }
@@ -410,14 +399,11 @@ func (r *runner) writeTrace(phase string, stores, retrieves, done, ok, lost int)
 		l := cur.Overlay.Lambda
 		rec.Lambda = &l
 	}
-	reg := r.nw.Telemetry()
-	ops := reg.CounterValue("dynp2p_trace_ops_total")
-	dones := reg.CounterValue("dynp2p_trace_ops_done_total")
-	hops := reg.CounterValue("dynp2p_trace_hop_events_total")
-	rec.OpsStarted = ops - r.prevTrace[0]
-	rec.OpsDone = dones - r.prevTrace[1]
-	rec.HopEvents = hops - r.prevTrace[2]
-	r.prevTrace = [3]int64{ops, dones, hops}
+	ts := r.nw.Tracer().Stats()
+	rec.OpsStarted = ts.Ops - r.prevTrace.Ops
+	rec.OpsDone = ts.Done() - r.prevTrace.Done()
+	rec.HopEvents = ts.HopEvents - r.prevTrace.HopEvents
+	r.prevTrace = ts
 	rec.CacheHits = cur.Proto.CacheHits - r.prev.Proto.CacheHits
 	rec.CacheServed = cur.Proto.CacheServed - r.prev.Proto.CacheServed
 	rec.RoutedFwd = cur.Route.Forwards - r.prev.Route.Forwards
@@ -451,22 +437,11 @@ func (r *runner) report() *Report {
 	slices.SortFunc(rep.Wire, func(a, b KindWire) int {
 		return cmp.Or(cmp.Compare(b.Bits, a.Bits), cmp.Compare(a.Kind, b.Kind))
 	})
-	reg := r.nw.Telemetry()
-	for name, dst := range map[string]**telemetry.HistValue{
-		"dynp2p_search_hops":              &rep.SearchHops,
-		"dynp2p_search_rounds_to_resolve": &rep.SearchRounds,
-		"dynp2p_store_hops":               &rep.StoreHops,
-		"dynp2p_store_rounds_to_settle":   &rep.StoreRounds,
-		"dynp2p_search_rounds_cached":     &rep.CachedRounds,
-		"dynp2p_search_rounds_uncached":   &rep.UncachedRounds,
-		"dynp2p_route_hops":               &rep.RouteHops,
-		"dynp2p_search_path_hops":         &rep.SearchPath,
-	} {
-		if hv := reg.HistogramValue(name); hv.Count > 0 {
-			h := hv
-			*dst = &h
-		}
-	}
+	ts := r.nw.Tracer().Stats()
+	rep.SearchHops, rep.SearchRounds, rep.SearchPath = ts.SearchHops, ts.SearchRounds, ts.SearchPath
+	rep.StoreHops, rep.StoreRounds = ts.StoreHops, ts.StoreRounds
+	rep.CachedRounds, rep.UncachedRounds = r.nw.Handler().SearchRounds()
+	rep.RouteHops = r.nw.Engine().RouteLoad().Hops
 	// Segment 0 is the warm-up, so spec phase i is segment i+1.
 	rep.Phases = r.phases
 	for i := range r.accums {

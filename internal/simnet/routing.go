@@ -120,6 +120,15 @@ func (e *Engine) RouteMetrics() route.Metrics {
 	return e.router.Metrics()
 }
 
+// RouteLoad returns the overlay router's last busiest link and hop
+// histogram (zero in oracle mode).
+func (e *Engine) RouteLoad() route.Load {
+	if e.router == nil {
+		return route.Load{}
+	}
+	return e.router.Load()
+}
+
 // RoutedInFlight returns the number of routed messages sent since the
 // last routed phase, which walks them all (0 in oracle mode).
 func (e *Engine) RoutedInFlight() int {

@@ -107,10 +107,10 @@ func WriteJSONL(w io.Writer, snap []MetricValue) error {
 }
 
 // FprintHistogram renders a compact text distribution for reports: count,
-// mean, quantiles, and a power-of-two bucket bar chart.
+// mean, quantiles, and a power-of-two bucket bar chart. An empty histogram
+// prints nothing.
 func FprintHistogram(w io.Writer, label string, hv HistValue) {
 	if hv.Count == 0 {
-		fmt.Fprintf(w, "  %-26s (no samples)\n", label)
 		return
 	}
 	mean := float64(hv.Sum) / float64(hv.Count)

@@ -162,7 +162,7 @@ func TestTracerLifecycle(t *testing.T) {
 	if got := reg.CounterValue("dynp2p_trace_ops_total"); got != 1 {
 		t.Fatalf("ops traced = %d", got)
 	}
-	if got := reg.CounterValue("dynp2p_trace_ops_done_total"); got != 1 {
+	if got := tr.Stats().Done(); got != 1 {
 		t.Fatalf("ops done = %d", got)
 	}
 	hops := reg.HistogramValue("dynp2p_search_hops")

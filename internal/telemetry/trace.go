@@ -102,7 +102,6 @@ type Tracer struct {
 	storeRounds  Histogram
 	storePath    Histogram
 	opsTraced    Counter
-	opsDone      Counter
 	opsFailed    Counter
 	hopEvents    Counter
 	dropEvents   Counter
@@ -133,7 +132,6 @@ func NewTracer(reg *Registry, seed uint64, sampleEvery int) *Tracer {
 		storeRounds:  reg.Histogram("dynp2p_store_rounds_to_settle", "rounds from store issue to committee settlement"),
 		storePath:    reg.Histogram("dynp2p_store_path_hops", "true overlay path length accumulated per traced store"),
 		opsTraced:    reg.Counter("dynp2p_trace_ops_total", "operations selected for tracing"),
-		opsDone:      reg.Counter("dynp2p_trace_ops_done_total", "traced operations resolved"),
 		opsFailed:    reg.Counter("dynp2p_trace_ops_failed_total", "traced operations resolved unsuccessfully"),
 		hopEvents:    reg.Counter("dynp2p_trace_hop_events_total", "hop events recorded across traced operations"),
 		dropEvents:   reg.Counter("dynp2p_trace_drop_events_total", "routed-message drop events recorded across traced operations"),
@@ -143,6 +141,37 @@ func NewTracer(reg *Registry, seed uint64, sampleEvery int) *Tracer {
 		t.bufs[i].ev = make([]Event, 0, 64)
 	}
 	return t
+}
+
+// TraceStats is a merged snapshot of what the tracer has counted: the
+// operations it traced, resolved unsuccessfully and expired idle, the hop
+// and drop events of live operations, and the six per-operation
+// histograms. Read it between rounds.
+type TraceStats struct {
+	Ops, Failed, Expired  int64
+	HopEvents, DropEvents int64
+
+	SearchHops, SearchRounds, SearchPath HistValue
+	StoreHops, StoreRounds, StorePath    HistValue
+}
+
+// Done returns the traced operations resolved. EndRound records every
+// resolution as one observation of SearchRounds or StoreRounds, so their
+// counts are the tally.
+func (s TraceStats) Done() int64 { return s.SearchRounds.Count + s.StoreRounds.Count }
+
+// Stats returns the tracer's merged counters and histograms; a nil tracer
+// (tracing off) returns the zero value.
+func (t *Tracer) Stats() TraceStats {
+	if t == nil {
+		return TraceStats{}
+	}
+	return TraceStats{
+		Ops: t.opsTraced.Value(), Failed: t.opsFailed.Value(), Expired: t.opsExpired.Value(),
+		HopEvents: t.hopEvents.Value(), DropEvents: t.dropEvents.Value(),
+		SearchHops: t.searchHops.Value(), SearchRounds: t.searchRounds.Value(), SearchPath: t.searchPath.Value(),
+		StoreHops: t.storeHops.Value(), StoreRounds: t.storeRounds.Value(), StorePath: t.storePath.Value(),
+	}
 }
 
 // StreamTo directs per-event JSONL output to w (nil stops streaming).
@@ -254,7 +283,6 @@ func (t *Tracer) EndRound(round int64) {
 				t.searchRounds.Observe(0, rounds)
 				t.searchPath.Observe(0, agg.path)
 			}
-			t.opsDone.Inc(0)
 			if !ev.OK {
 				t.opsFailed.Inc(0)
 			}

@@ -126,7 +126,7 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_search_hops_bucket",
 		"dynp2p_search_rounds_to_resolve_count",
 		"dynp2p_store_rounds_to_settle_sum",
-		"dynp2p_trace_ops_done_total",
+		"dynp2p_trace_ops_total",
 	} {
 		if !strings.Contains(full, family) {
 			t.Errorf("prometheus snapshot missing %s", family)
@@ -134,6 +134,123 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 	}
 	if _, det2 := render(); det1 != det2 {
 		t.Error("deterministic prometheus snapshot differs across identical runs")
+	}
+}
+
+// TestTypedStatsMatchSeries: every value the scenario runner and report
+// read through a typed accessor — the tracer's Stats, the handler's
+// SearchRounds, the engine's RouteLoad and the route snapshot — equals the
+// registry series of the same quantity, on one traced, cached,
+// overlay-routed run under churn. The tracer's Done is the number of
+// resolutions its op trace streams, Route.Delivered is the hop
+// histogram's count, and the busiest link of any round is the max-link
+// gauge. A nil tracer reads as zero.
+func TestTypedStatsMatchSeries(t *testing.T) {
+	nw := New(Config{
+		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 11,
+		TraceSampleEvery: 1,
+		Cache:            CacheConfig{Capacity: 2, SeedRate: 0.7},
+		Routing:          RoutingConfig{Mode: RoutingOverlay},
+	})
+	var ops bytes.Buffer
+	nw.Tracer().StreamTo(&ops)
+	var maxLink int64
+	run := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			nw.Run(1)
+			maxLink = max(maxLink, nw.Engine().RouteLoad().MaxLink)
+		}
+	}
+	run(nw.WarmupRounds())
+	data := make([]byte, 64)
+	rng.New(4).Fill(data)
+	nw.Store(0, 9, data)
+	run(nw.Tunables().Protocol.Period)
+	for i := 1; i <= 12; i++ {
+		nw.Retrieve(i*20, 9, data)
+		run(2)
+	}
+	run(nw.Tunables().Protocol.SearchTTL())
+	if err := nw.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	series := map[string]telemetry.MetricValue{}
+	for _, mv := range nw.Telemetry().Snapshot() {
+		series[mv.Name] = mv
+	}
+	value := func(name string) int64 {
+		mv, ok := series[name]
+		if !ok {
+			t.Fatalf("no series %s", name)
+		}
+		return mv.Value
+	}
+	hist := func(name string) telemetry.HistValue {
+		mv, ok := series[name]
+		if !ok || mv.Hist == nil {
+			t.Fatalf("no histogram %s", name)
+		}
+		return *mv.Hist
+	}
+	ts := nw.Tracer().Stats()
+	cached, uncached := nw.Handler().SearchRounds()
+	load := nw.Engine().RouteLoad()
+	rt := nw.Stats().Route
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"dynp2p_trace_ops_total", ts.Ops, value("dynp2p_trace_ops_total")},
+		{"dynp2p_trace_ops_failed_total", ts.Failed, value("dynp2p_trace_ops_failed_total")},
+		{"dynp2p_trace_ops_expired_total", ts.Expired, value("dynp2p_trace_ops_expired_total")},
+		{"dynp2p_trace_hop_events_total", ts.HopEvents, value("dynp2p_trace_hop_events_total")},
+		{"dynp2p_trace_drop_events_total", ts.DropEvents, value("dynp2p_trace_drop_events_total")},
+		{"dynp2p_route_sent_total", rt.Sent, value("dynp2p_route_sent_total")},
+		{"dynp2p_route_forwards_total", rt.Forwards, value("dynp2p_route_forwards_total")},
+		{"dynp2p_route_dropped_budget_total", rt.DroppedBudget, value("dynp2p_route_dropped_budget_total")},
+		{"dynp2p_route_dropped_dead_total", rt.DroppedDead, value("dynp2p_route_dropped_dead_total")},
+		{"dynp2p_route_hops_count", rt.Delivered, hist("dynp2p_route_hops").Count},
+		{"dynp2p_route_max_link_load", rt.MaxLinkLoad, value("dynp2p_route_max_link_load")},
+		{"largest RouteLoad().MaxLink of any round", maxLink, value("dynp2p_route_max_link_load")},
+		{`"ev":"done" lines in the op trace`, ts.Done(), int64(strings.Count(ops.String(), `"ev":"done"`))},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: typed value %d, series %d", c.name, c.got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		got  telemetry.HistValue
+	}{
+		{"dynp2p_search_hops", ts.SearchHops},
+		{"dynp2p_search_rounds_to_resolve", ts.SearchRounds},
+		{"dynp2p_search_path_hops", ts.SearchPath},
+		{"dynp2p_store_hops", ts.StoreHops},
+		{"dynp2p_store_rounds_to_settle", ts.StoreRounds},
+		{"dynp2p_store_path_hops", ts.StorePath},
+		{"dynp2p_search_rounds_cached", cached},
+		{"dynp2p_search_rounds_uncached", uncached},
+		{"dynp2p_route_hops", load.Hops},
+	} {
+		if want := hist(c.name); c.got != want {
+			t.Errorf("%s: typed histogram (count %d, sum %d) differs from the series (count %d, sum %d)",
+				c.name, c.got.Count, c.got.Sum, want.Count, want.Sum)
+		}
+	}
+	// Every comparison above must compare something.
+	if ts.StoreRounds.Count == 0 || ts.SearchRounds.Count == 0 || cached.Count == 0 ||
+		uncached.Count == 0 || ts.HopEvents == 0 || rt.Delivered == 0 || maxLink == 0 {
+		t.Fatalf("the run exercised too little: tracer %d stores, %d searches, %d hop events; %d cache-served, %d committee-served; %d routed deliveries, max link %d",
+			ts.StoreRounds.Count, ts.SearchRounds.Count, ts.HopEvents, cached.Count, uncached.Count, rt.Delivered, maxLink)
+	}
+
+	var off *telemetry.Tracer
+	if got := off.Stats(); got != (telemetry.TraceStats{}) || got.Done() != 0 {
+		t.Errorf("nil tracer: Stats() = %+v, want zero", got)
+	}
+	if New(Config{N: 64, Seed: 1}).Tracer() != nil {
+		t.Error("a network without TraceSampleEvery has a tracer")
 	}
 }
 
