@@ -56,36 +56,40 @@ const (
 	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
 	// the steady-state paths this one allocates by design: a search or a
 	// handover draws a fresh roster, and the first rounds grow each
-	// shard's slab and message buffers. It reads 447 (off) and 439 (on)
-	// on amd64 at GOMAXPROCS 1, 2 and 4 and under GOARCH=386 (983 and 940
+	// shard's slab and message buffers. It reads 446 (off) and 441 (on)
+	// on amd64 at GOMAXPROCS 1, 2 and 4, and 447 and 441 under GOARCH=386
+	// (447 and 439 while the send buffers grew by slices.Grow; 983 and 940
 	// before the protocol's arrays grew from the slab). The budget is the
-	// reading plus 9: a roster clone per invite reads 464 (off) and 457
-	// (on) and fails it.
+	// largest reading plus 9: a roster clone per invite reads 464 (off)
+	// and 457 (on) and fails it.
 	retrieveAllocs = 456
 
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
 	// candidate's gathered pieces, its count table, a searcher's fetched
-	// pieces and the coder's own buffers are gated too. It reads 477 on
-	// amd64 at GOMAXPROCS 1, 2 and 4 and 476 under GOARCH=386 (1,046
-	// before the slab); the budget is the reading plus 9, and a roster
-	// clone per invite reads 494.
-	retrieveErasureAllocs = 486
+	// pieces and the coder's own buffers are gated too. It reads 476 on
+	// amd64 at GOMAXPROCS 1, 2 and 4 and under GOARCH=386 (476–477 while
+	// the send buffers grew by slices.Grow, 1,046 before the slab); the
+	// budget is the reading plus 9, and a roster clone per invite reads
+	// 494.
+	retrieveErasureAllocs = 485
 
 	// retrieveHeldBytes bounds what the engine's send buffers and inbox
 	// arenas hold (dynp2p_engine_mem_out_bytes plus
 	// dynp2p_engine_mem_inbox_arena_bytes) after retrieveHot's gate rounds
 	// at refSize, cache off and on and at IDA K = 4: the largest store that
 	// grows with traffic, each message header held twice. The legs read
-	// 3,140,800 / 4,648,704 / 3,173,568 bytes on amd64 at GOMAXPROCS 1, 2
-	// and 4 (the grid is pinned) and 3,006,180 / 4,386,180 / 3,006,180
-	// under GOARCH=386. Each budget is the reading plus about 2 %: an
-	// 8-byte field added to the 64-byte Msg reads 3,540,672 / 5,335,560 /
-	// 3,540,672, and a send buffer grown by doubling 3,689,664 /
-	// 5,902,080 / 4,025,536.
-	retrieveHeldBytes        = 3_200_000
-	retrieveCachedHeldBytes  = 4_740_000
-	retrieveErasureHeldBytes = 3_240_000
+	// 3,013,888 / 4,501,248 / 3,063,040 bytes on amd64 at GOMAXPROCS 1, 2
+	// and 4 (the grid is pinned) and 2,825,520 / 4,219,920 / 2,871,600
+	// under GOARCH=386, the send buffers growing by fixed blocks
+	// (shard.Blocks). Each budget is the reading plus about 2 %: a send
+	// buffer grown by slices.Grow reads 3,140,800 / 4,648,704 / 3,173,568,
+	// an 8-byte field added to the 64-byte Msg 3,390,624 / 5,063,904 /
+	// 3,445,920, and a send buffer grown by doubling read 3,689,664 /
+	// 5,902,080 / 4,025,536 beside slices.Grow's readings.
+	retrieveHeldBytes        = 3_075_000
+	retrieveCachedHeldBytes  = 4_590_000
+	retrieveErasureHeldBytes = 3_125_000
 
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt

@@ -55,7 +55,9 @@ func caseRouter(c hopCase) *Router[testMsg] {
 func walkCase(t testing.TB, name string, c hopCase, kernel bool) ([]walker[testMsg], []int32, int64) {
 	t.Helper()
 	r := caseRouter(c)
-	r.ws = slices.Clone(c.ws)
+	for _, w := range c.ws {
+		*r.ws.Add() = w
+	}
 	withHopKernel(kernel, func() {
 		r.buildHolders()
 		r.walkAll()
@@ -67,7 +69,11 @@ func walkCase(t testing.TB, name string, c hopCase, kernel bool) ([]walker[testM
 			}
 		}
 	}
-	return r.ws, r.lanes[0].fwd, r.Metrics().Forwards
+	ws := make([]walker[testMsg], r.ws.Len())
+	for i := range ws {
+		ws[i] = *r.ws.At(i)
+	}
+	return ws, r.lanes[0].fwd, r.Metrics().Forwards
 }
 
 // diffKernel walks c with the kernel and with the Go loop and fails at the
@@ -192,7 +198,8 @@ func TestRetireEndsWalksAsTheGoLoop(t *testing.T) {
 				for hops := int32(0); hops <= budget; hops++ {
 					w := hopWalker(0, s, target, key, r.Uint64())
 					w.h.Hops = hops
-					rt.ws, ln.ki = []walker[testMsg]{w}, 0
+					rt.ws.Reset()
+					*rt.ws.Add(), ln.ki = w, 0
 					rt.buildHolders()
 					near := ln.ways[0]
 					hold := rt.fillNear(ln, near, &w.h, target, adj, d)
@@ -200,7 +207,7 @@ func TestRetireEndsWalksAsTheGoLoop(t *testing.T) {
 					ln.k.way[0] = hopWay{s: int64(s), hops: int64(hops), base: rng.HashInit(w.h.Seed), near: &near[0], t: target, hold: hold}
 					hopTwo(&ln.k, true)
 					rt.retire(ln, 0, adj, d)
-					if k := &rt.ws[0]; k.at != w.at || k.h.Hops != w.h.Hops || k.out != w.out {
+					if k := rt.ws.At(0); k.at != w.at || k.h.Hops != w.h.Hops || k.out != w.out {
 						t.Fatalf("walker to %d keyed on %d from slot %d after %d hops: kernel and retire end at %d after %d hops (outcome %d), Go loop at %d after %d (outcome %d)",
 							target, key, s, hops, k.at, k.h.Hops, k.out, w.at, w.h.Hops, w.out)
 					}

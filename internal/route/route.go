@@ -51,6 +51,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"dynp2p/internal/graph"
 	"dynp2p/internal/rng"
@@ -197,7 +198,10 @@ type Router[M any] struct {
 	p   Params
 	env Env[M]
 
-	ws []walker[M] // the walkers in canonical (send) order; Step empties it
+	// ws is the walkers in canonical (send) order; Step empties it. It
+	// grows by fixed blocks, so a Send copies no earlier walker and the
+	// store keeps its blocks for the next round's sends.
+	ws shard.Blocks[walker[M]]
 
 	crew    *shard.Crew
 	lanes   []lane       // per-worker walk scratch; lanes[0] also serves the serial case
@@ -249,8 +253,11 @@ type hopKernel struct {
 
 // walkChunk is how many consecutive walkers a lane claims at a time:
 // enough that the shared cursor is touched once per ~10⁴ hops, few enough
-// that lanes finish together.
+// that lanes finish together. It divides shard.BlockLen, so a chunk lies in
+// one block of ws.
 const walkChunk = 64
+
+var _ [shard.BlockLen % walkChunk]struct{} = [0]struct{}{} // walkChunk divides shard.BlockLen
 
 // New builds a router over n slots, registering its metrics on reg. A
 // Step walks on crew, one lane per crew worker at most.
@@ -265,6 +272,7 @@ func New[M any](reg *telemetry.Registry, n int, p Params, crew *shard.Crew) *Rou
 		m:     newMetrics(reg),
 	}
 	r.runLane = r.walkLane
+	reg.RegisterCollector(r.collect)
 	r.words = (n + 63) / 64
 	// Room for 16 carried keys' bitsets and 16 keys a slot holds; more grow them.
 	r.keys, r.hold, r.held = make([]uint64, 0, 16), make([]uint64, 0, 32*r.words), make([]uint64, 0, 16)
@@ -279,6 +287,14 @@ func New[M any](reg *telemetry.Registry, n int, p Params, crew *shard.Crew) *Rou
 	return r
 }
 
+// collect emits the router's row of the memory ledger when a snapshot is
+// taken: the walker store's capacity in bytes. Capacity follows the sends,
+// so the value is the same at any worker count.
+func (r *Router[M]) collect(emit func(name string, kind telemetry.Kind, v int64)) {
+	size := int64(unsafe.Sizeof(walker[M]{}))
+	emit("dynp2p_route_mem_walker_bytes", telemetry.KindGauge, int64(r.ws.Cap())*size)
+}
+
 // SetEnv installs the engine callbacks. Call before the first Step.
 func (r *Router[M]) SetEnv(env Env[M]) { r.env = env }
 
@@ -289,12 +305,12 @@ func (r *Router[M]) SetEnv(env Env[M]) { r.env = env }
 func (r *Router[M]) Send(m *M, h Header, at int32) {
 	r.m.sent.Inc(0)
 	h.Hops = 0
-	r.ws = append(r.ws, walker[M]{h: h, at: at, m: *m})
+	*r.ws.Add() = walker[M]{h: h, at: at, m: *m}
 }
 
 // InFlight returns the number of messages sent since the last Step: the
 // walkers the next Step will walk.
-func (r *Router[M]) InFlight() int { return len(r.ws) }
+func (r *Router[M]) InFlight() int { return r.ws.Len() }
 
 // Metrics returns a merged snapshot of the router's counters.
 func (r *Router[M]) Metrics() Metrics {
@@ -317,7 +333,7 @@ func (r *Router[M]) Load() Load { return Load{MaxLink: r.maxLink, Hops: r.m.hops
 // handlers.
 func (r *Router[M]) Step() {
 	var maxLink int32
-	if len(r.ws) > 0 {
+	if r.ws.Len() > 0 {
 		r.g = r.env.Graph()
 		if d := r.g.Degree(); d&(d-1) != 0 {
 			panic("route: the degree must be a power of two")
@@ -325,7 +341,7 @@ func (r *Router[M]) Step() {
 		r.buildHolders()
 		maxLink = r.walkAll()
 		r.merge()
-		r.ws = r.ws[:0]
+		r.ws.Reset()
 	}
 	r.maxLink = int64(maxLink)
 	r.m.maxLink.SetMax(r.maxLink)
@@ -336,7 +352,7 @@ func (r *Router[M]) Step() {
 // len(r.lanes) lanes, one crew phase, claim chunks of ws off a shared
 // cursor.
 func (r *Router[M]) walkAll() int32 {
-	lanes := max(1, min(len(r.lanes), len(r.ws)/walkChunk))
+	lanes := max(1, min(len(r.lanes), r.ws.Len()/walkChunk))
 	r.cursor.Store(0)
 	r.crew.Do(lanes, r.runLane)
 
@@ -363,8 +379,8 @@ func (r *Router[M]) walkAll() int32 {
 func (r *Router[M]) buildHolders() {
 	r.keys = r.keys[:0]
 	last := uint64(0) // walkers of one key come in runs: skip the search
-	for i := range r.ws {
-		if h := &r.ws[i].h; h.Keyed && r.env.HeldKeys != nil && (len(r.keys) == 0 || h.Key != last) {
+	for i := range r.ws.Len() {
+		if h := &r.ws.At(i).h; h.Keyed && r.env.HeldKeys != nil && (len(r.keys) == 0 || h.Key != last) {
 			if j, ok := slices.BinarySearch(r.keys, h.Key); !ok {
 				r.keys = slices.Insert(r.keys, j, h.Key)
 			}
@@ -403,16 +419,16 @@ func unmark(set []uint64, row []int32) {
 	}
 }
 
-// walkLane walks chunks of ws claimed off the cursor on lane l, first
-// resolving each walker's id target: churn cannot move it mid-phase. A
-// departed (or absent) target drops a pure id walk at once, as oracle
-// routing would; a keyed walk goes on, as any holder can answer. Walkers
-// fill the kernel's two ways, and each time both are full hopTwo runs
-// until one stops and retire hands it to the Go loop. The Go loop walks
-// each walker without the kernel, and one that starts on a near slot,
-// where hopTwo would stop it at once.
+// walkLane walks chunks of ws claimed off the cursor on lane l, each a run
+// inside one block, first resolving each walker's id target: churn cannot
+// move it mid-phase. A departed (or absent) target drops a pure id walk at
+// once, as oracle routing would; a keyed walk goes on, as any holder can
+// answer. Walkers fill the kernel's two ways, and each time both are full
+// hopTwo runs until one stops and retire hands it to the Go loop. The Go
+// loop walks each walker without the kernel, and one that starts on a near
+// slot, where hopTwo would stop it at once.
 func (r *Router[M]) walkLane(l int) {
-	ln, cur, g := &r.lanes[l], r.ws, r.g
+	ln, n, g := &r.lanes[l], r.ws.Len(), r.g
 	clear(ln.fwd)
 	ln.ki = 0
 	adj, d := g.Adjacency(), g.Degree()
@@ -424,11 +440,12 @@ func (r *Router[M]) walkLane(l int) {
 	for {
 		hi := int(r.cursor.Add(walkChunk))
 		lo := hi - walkChunk
-		if lo >= len(cur) {
+		if lo >= n {
 			break
 		}
-		for i := lo; i < min(hi, len(cur)); i++ {
-			w := &cur[i]
+		chunk := r.ws.Span(lo, min(hi, n))
+		for j := range chunk {
+			w, i := &chunk[j], lo+j
 			tslot := int32(-1)
 			if s, ok := r.env.SlotOf(w.h.Target); ok && w.h.Target != 0 {
 				tslot = s
@@ -498,7 +515,7 @@ func clearNear(near, hold []uint64, tslot int32, adj []int32, d int) {
 // the way's near bitset.
 func (r *Router[M]) retire(ln *lane, i int, adj []int32, d int) {
 	wy, near := &ln.k.way[i], ln.ways[i]
-	w := &r.ws[wy.w]
+	w := r.ws.At(wy.w)
 	w.at, w.h.Hops = int32(wy.s), int32(wy.hops)
 	r.walk(w, wy.t, near, wy.hold, ln.fwd, adj, d)
 	clearNear(near, wy.hold, wy.t, adj, d)
@@ -551,8 +568,8 @@ func (r *Router[M]) walk(w *walker[M], tslot int32, near, hold []uint64, fwd []i
 // merge books every walker's outcome in canonical order — the only place
 // the routed phase touches metrics or callbacks.
 func (r *Router[M]) merge() {
-	for i := range r.ws {
-		w := &r.ws[i]
+	for i := range r.ws.Len() {
+		w := r.ws.At(i)
 		if w.out == outDeliver {
 			r.m.hops.Observe(0, int64(w.h.Hops))
 			r.env.Deliver(w.at, &w.m, w.h.Hops)

@@ -3,6 +3,7 @@ package route
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"dynp2p/internal/graph"
 	"dynp2p/internal/shard"
@@ -18,6 +19,7 @@ type testMsg struct{ id int }
 // deterministic corridor and hop counts are exact.
 type harness struct {
 	g         *graph.Graph
+	reg       *telemetry.Registry
 	r         *Router[testMsg]
 	delivered []delivery
 	drops     []droppedMsg
@@ -47,10 +49,11 @@ func newHarness(t *testing.T, n int, p Params) *harness {
 	}
 	h := &harness{
 		g:       g,
+		reg:     telemetry.NewRegistry(),
 		holders: map[int32]uint64{},
 		dead:    map[uint64]bool{},
 	}
-	h.r = New[testMsg](telemetry.NewRegistry(), n, p, shard.NewCrew(1))
+	h.r = New[testMsg](h.reg, n, p, shard.NewCrew(1))
 	h.r.SetEnv(Env[testMsg]{
 		Graph: func() *graph.Graph { return h.g },
 		SlotOf: func(id uint64) (int32, bool) {
@@ -257,6 +260,38 @@ func TestWalkIsDeterministic(t *testing.T) {
 			t.Fatalf("run diverged at delivery %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestWalkerMemoryGauge pins the router's row of the memory ledger:
+// dynp2p_route_mem_walker_bytes is the walker store's capacity times the
+// walker's size, whole blocks of it, and a Step empties the store but
+// keeps its blocks.
+func TestWalkerMemoryGauge(t *testing.T) {
+	h := newHarness(t, 8, Params{Budget: 16})
+	gauge := func() int64 {
+		for _, mv := range h.reg.Snapshot() {
+			if mv.Name == "dynp2p_route_mem_walker_bytes" {
+				return mv.Value
+			}
+		}
+		t.Fatal("no dynp2p_route_mem_walker_bytes in the snapshot")
+		return 0
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("a router that has walked nothing holds %d walker bytes", g)
+	}
+	for i := range shard.BlockLen + 1 {
+		h.send(i, i%8, (i+3)%8, false, 0)
+	}
+	want := int64(2*shard.BlockLen) * int64(unsafe.Sizeof(walker[testMsg]{}))
+	if g := gauge(); g != want {
+		t.Fatalf("%d walkers in flight: gauge %d, want two blocks, %d bytes", shard.BlockLen+1, g, want)
+	}
+	h.r.Step()
+	if g := gauge(); g != want || h.r.InFlight() != 0 {
+		t.Fatalf("after the Step: gauge %d with %d in flight, want %d and 0", g, h.r.InFlight(), want)
+	}
+	h.conserve(t)
 }
 
 func TestAutoBudget(t *testing.T) {

@@ -596,12 +596,13 @@ func TestRoutedScenario(t *testing.T) {
 	}
 }
 
-// TestRoutedMaxLinkIsRunMax: the runner reads each segment's busiest link
-// off the router's max-link gauge by resetting it at the segment's start,
-// and must hand it back as the run's maximum, so the end-of-run stats and
-// metrics snapshot agree with the report's TOTAL column. The spec's busy
-// phase comes before a quiet one, so a gauge left at the last segment's
-// reading would read low.
+// TestRoutedMaxLinkIsRunMax: the runner keeps each phase's busiest link
+// itself, the largest RouteLoad().MaxLink of the phase's rounds, and never
+// writes the router's max-link gauge. The largest phase reading must equal
+// the run's maximum in the end-of-run stats and in the gauge, so both
+// agree with the report's TOTAL column. The spec's busy phase comes before
+// a quiet one, so a run maximum taken from the last phase alone would read
+// low.
 func TestRoutedMaxLinkIsRunMax(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{
 		"name": "routed-max", "n": 128, "seed": 2, "keys": 4,

@@ -214,3 +214,84 @@ func (r *Runs[T]) Run(l int) []T {
 
 // Cap returns the item buffer's capacity (the memory ledger's figure).
 func (r *Runs[T]) Cap() int { return cap(r.items) }
+
+// BlockLen is the length of a Blocks block: 256 elements, 16 KiB of the
+// engine's 64-byte message header. Indices split into block and offset by
+// a shift and a mask.
+const (
+	blockShift = 8
+	BlockLen   = 1 << blockShift
+	blockMask  = BlockLen - 1
+)
+
+// Blocks is an append-only store of fixed-length blocks. Growth allocates
+// one new block and copies nothing, so an element's address is stable
+// until Reset, and a store allocates what it holds, besides its directory
+// of block pointers (8 bytes a block). Reset keeps the blocks for the next
+// fill. The engine's send buffers and payload cells and the router's
+// walkers are Blocks.
+//
+// Every position at or past Len is the zero value: blocks are allocated
+// zeroed and Reset clears the positions it takes back, so Add hands out a
+// zero element and a recycled block pins nothing its earlier elements
+// referenced. The zero value is an empty store.
+type Blocks[T any] struct {
+	blocks []*[BlockLen]T
+	n      int
+}
+
+// Add extends the store by one element and returns it, zeroed.
+func (b *Blocks[T]) Add() *T {
+	n := b.n
+	if n>>blockShift == len(b.blocks) {
+		b.grow()
+	}
+	b.n = n + 1
+	return &b.blocks[n>>blockShift][n&blockMask]
+}
+
+// grow adds one zeroed block. The directory of block pointers starts with
+// room for 16 blocks and doubles, so a store of a few blocks grows it once.
+func (b *Blocks[T]) grow() {
+	if b.blocks == nil {
+		b.blocks = make([]*[BlockLen]T, 0, 16)
+	}
+	b.blocks = append(b.blocks, new([BlockLen]T))
+}
+
+// At returns element i, which must be below Len.
+func (b *Blocks[T]) At(i int) *T {
+	if uint(i) >= uint(b.n) {
+		panic("shard: Blocks index out of range")
+	}
+	return &b.blocks[i>>blockShift][i&blockMask]
+}
+
+// Span returns elements [lo, hi) as a slice of their block; they must lie
+// in one block (lo and hi-1 agree above the low blockShift bits) and below
+// Len. The slice is capped at hi, so an append to it cannot reach hi.
+func (b *Blocks[T]) Span(lo, hi int) []T {
+	if lo < 0 || lo >= hi || hi > b.n || lo>>blockShift != (hi-1)>>blockShift {
+		panic("shard: Blocks span out of range or across blocks")
+	}
+	blk, off := b.blocks[lo>>blockShift], lo&blockMask
+	return blk[off : off+hi-lo : off+hi-lo]
+}
+
+// Len returns the number of elements added since the last Reset.
+func (b *Blocks[T]) Len() int { return b.n }
+
+// Cap returns how many elements the store's blocks hold (the memory
+// ledger's figure).
+func (b *Blocks[T]) Cap() int { return len(b.blocks) * BlockLen }
+
+// Reset empties the store, keeping its blocks, and zeroes the elements it
+// held, so the next fill starts from zero values and pins nothing the last
+// one referenced.
+func (b *Blocks[T]) Reset() {
+	for k := 0; b.n > 0; k++ {
+		m := min(b.n, BlockLen)
+		clear(b.blocks[k][:m])
+		b.n -= m
+	}
+}

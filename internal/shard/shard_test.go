@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -341,4 +342,179 @@ func BenchmarkCrewDo(b *testing.B) {
 			})
 		}
 	})
+}
+
+// blockElem is a pointer-carrying element, as the engine's messages and
+// payload cells are.
+type blockElem struct {
+	v int
+	p *int
+}
+
+// TestBlocksGrowByBlocks grows fresh stores to several lengths: each new
+// block is one allocation and no block is ever copied, so the only other
+// allocations are the directory's doublings, logarithmic in the blocks.
+func TestBlocksGrowByBlocks(t *testing.T) {
+	for _, n := range []int{1, BlockLen - 1, BlockLen, BlockLen + 1, 3000, 40 * BlockLen} {
+		blocks := (n + BlockLen - 1) / BlockLen
+		var dirGrowths int
+		got := testing.AllocsPerRun(5, func() {
+			var b Blocks[blockElem]
+			dirGrowths = 0
+			for range n {
+				dir := cap(b.blocks)
+				b.Add()
+				if cap(b.blocks) != dir {
+					dirGrowths++
+				}
+			}
+			if b.Len() != n || b.Cap() != blocks*BlockLen {
+				t.Fatalf("grown to %d: Len %d, Cap %d, want %d and %d", n, b.Len(), b.Cap(), n, blocks*BlockLen)
+			}
+		})
+		// The directory of block pointers doubles from 16 entries.
+		if most := 1 + bits.Len(uint(blocks-1)); int(got) != blocks+dirGrowths || dirGrowths > most {
+			t.Errorf("growing to %d elements (%d blocks) made %v allocations with %d directory growths, want %d blocks plus at most %d",
+				n, blocks, got, dirGrowths, blocks, most)
+		}
+	}
+}
+
+// TestBlocksResetKeepsBlocks refills a grown store after Reset, to its old
+// length and below: no allocation.
+func TestBlocksResetKeepsBlocks(t *testing.T) {
+	const n = 3000
+	var b Blocks[blockElem]
+	for range n {
+		b.Add()
+	}
+	for _, refill := range []int{n, n / 2, 0} {
+		if got := testing.AllocsPerRun(5, func() {
+			b.Reset()
+			for range refill {
+				b.Add().v = 1
+			}
+		}); got != 0 {
+			t.Errorf("Reset and a refill to %d of %d made %v allocations", refill, n, got)
+		}
+	}
+}
+
+// TestBlocksAddressesHold records every element's address as the store
+// grows: At(i) must return the same pointer, holding what was written
+// through it, after every later block.
+func TestBlocksAddressesHold(t *testing.T) {
+	const n = 10 * BlockLen
+	var b Blocks[blockElem]
+	ptrs := make([]*blockElem, 0, n)
+	for i := range n {
+		e := b.Add()
+		e.v = i
+		ptrs = append(ptrs, e)
+		if (i+1)%BlockLen != 0 {
+			continue
+		}
+		for j, p := range ptrs {
+			if b.At(j) != p || p.v != j {
+				t.Fatalf("after %d adds: At(%d) = %p holding %d, first handed out %p", i+1, j, b.At(j), b.At(j).v, p)
+			}
+		}
+	}
+	for lo := 0; lo < n; lo += 64 {
+		if s := b.Span(lo, lo+64); &s[0] != ptrs[lo] || cap(s) != 64 {
+			t.Fatalf("Span(%d, %d) starts at %p (cap %d), At(%d) is %p", lo, lo+64, &s[0], cap(s), lo, ptrs[lo])
+		}
+	}
+}
+
+// TestBlocksResetDropsReferences fills a store with pointer-carrying
+// elements and resets it: every position of every block must read zero,
+// so a recycled block pins nothing an earlier element pointed at.
+func TestBlocksResetDropsReferences(t *testing.T) {
+	var b Blocks[blockElem]
+	x := 7
+	for i := range 3*BlockLen + 5 {
+		*b.Add() = blockElem{v: i, p: &x}
+	}
+	b.Reset()
+	if b.Len() != 0 || b.Cap() != 4*BlockLen {
+		t.Fatalf("after Reset: Len %d, Cap %d, want 0 and %d", b.Len(), b.Cap(), 4*BlockLen)
+	}
+	for k, blk := range b.blocks {
+		for i := range blk {
+			if blk[i] != (blockElem{}) {
+				t.Fatalf("block %d position %d holds %+v after Reset", k, i, blk[i])
+			}
+		}
+	}
+}
+
+// FuzzBlocks checks sequences of Add, Reset, At and Span against a plain
+// slice. Each input byte is one operation: its low two bits pick it, the
+// rest is its argument. 0: add 1 + 4·arg elements (up to 253, so a few
+// bytes cross blocks); 1: Reset; 2: At at arg scaled into [0, Len], the
+// end panicking; 3: Span of one block's run through arg. After every
+// operation Len must equal the model's, Cap must be whole blocks holding
+// the longest fill so far, and every Add must hand out a zero element.
+func FuzzBlocks(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0xfc, 0xfc, 0xfa, 0x02, 0x01, 0xfc, 0x06, 0xff})
+	f.Add([]byte{0x04, 0x01, 0x00, 0x02, 0xfe, 0x03, 0xfc, 0xfc, 0xfc, 0xfc, 0x1f, 0x01, 0x02})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var b Blocks[blockElem]
+		var model []blockElem
+		x, longest := 0, 0
+		for step, op := range ops {
+			arg := int(op >> 2)
+			switch op & 3 {
+			case 0:
+				for range 1 + 4*arg {
+					e := b.Add()
+					if *e != (blockElem{}) {
+						t.Fatalf("op %d: Add handed out %+v", step, *e)
+					}
+					*e = blockElem{v: len(model) ^ step, p: &x}
+					model = append(model, *e)
+				}
+			case 1:
+				b.Reset()
+				model = model[:0]
+			case 2:
+				i := arg * len(model) / 63
+				if i == len(model) {
+					if !panicked(func() { b.At(i) }) {
+						t.Fatalf("op %d: At(%d) of %d did not panic", step, i, len(model))
+					}
+					break
+				}
+				if got := *b.At(i); got != model[i] {
+					t.Fatalf("op %d: At(%d) = %+v, want %+v", step, i, got, model[i])
+				}
+			case 3:
+				if len(model) == 0 {
+					break
+				}
+				i := arg * (len(model) - 1) / 63
+				lo := i &^ (BlockLen - 1)
+				hi := min(lo+BlockLen, len(model))
+				if got := b.Span(lo, hi); !slices.Equal(got, model[lo:hi]) {
+					t.Fatalf("op %d: Span(%d, %d) differs from the model", step, lo, hi)
+				}
+				if hi < len(model) && !panicked(func() { b.Span(lo, hi+1) }) {
+					t.Fatalf("op %d: Span(%d, %d) across blocks did not panic", step, lo, hi+1)
+				}
+			}
+			longest = max(longest, len(model))
+			if want := (longest + BlockLen - 1) / BlockLen * BlockLen; b.Len() != len(model) || b.Cap() != want {
+				t.Fatalf("op %d: Len %d, Cap %d, want %d and %d", step, b.Len(), b.Cap(), len(model), want)
+			}
+		}
+	})
+}
+
+// panicked reports whether fn panicked.
+func panicked(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
 }

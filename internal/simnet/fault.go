@@ -88,7 +88,7 @@ type delayedMsg struct {
 // target edge-by-edge.
 func (e *Engine) release() {
 	rel := &e.sources[0]
-	rel.out = rel.out[:0]
+	rel.out.Reset()
 	kept := 0
 	for i := range e.delayed {
 		d := &e.delayed[i]
@@ -99,7 +99,7 @@ func (e *Engine) release() {
 			kept++
 			continue
 		}
-		rel.out = append(rel.out, d.m)
+		*rel.out.Add() = d.m
 	}
 	e.delayed = e.delayed[:kept]
 }

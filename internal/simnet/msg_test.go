@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"dynp2p/internal/churn"
+	"dynp2p/internal/shard"
 )
 
 // pointerWords counts the words of t the garbage collector has to scan.
@@ -84,11 +85,14 @@ var (
 // poisonSlabs overwrites every cell — the whole capacity — of the slabs
 // the coming round is about to recycle, standing in for the next tenant.
 func poisonSlabs(e *Engine) {
+	poison := payload{ids: poisonIDs, blob: poisonBlob, trace: 0xdead, hops: -1}
 	for sh := range e.shardOut {
 		slab := &e.shardOut[sh].pay[e.round&1]
-		cells := slab.cells[:cap(slab.cells)]
-		for i := range cells {
-			cells[i] = payload{ids: poisonIDs, blob: poisonBlob, trace: 0xdead, hops: -1}
+		for i := range slab.Len() {
+			*slab.At(i) = poison
+		}
+		for slab.Len() < slab.Cap() {
+			*slab.Add() = poison
 		}
 	}
 }
@@ -266,23 +270,20 @@ func TestTraceSharesThePayloadCell(t *testing.T) {
 		if ctx.Round != 0 || ctx.ID != sender {
 			return
 		}
-		m := ctx.SendMsg(target, 1)
-		ctx.SetPayload(m, ids, blob)
-		m = ctx.SendMsg(target, 2)
-		ctx.SetPayload(m, ids, blob)
-		ctx.SetTrace(m, 77)
-		m = ctx.SendMsg(target, 3)
-		ctx.SetTrace(m, 77)
-		ctx.SetPayload(m, ids, blob)
-		ctx.SetTrace(ctx.SendMsg(target, 4), 0)
-		m = ctx.SendMsg(target, 5)
-		ctx.SetTrace(m, 77)
-		ctx.SetPayload(m, nil, nil)
+		plain := ctx.SendMsg(target, 1)
+		ctx.SetPayload(plain, ids, blob)
+		after := ctx.SendMsg(target, 2)
+		ctx.SetPayload(after, ids, blob)
+		ctx.SetTrace(after, 77)
+		before := ctx.SendMsg(target, 3)
+		ctx.SetTrace(before, 77)
+		ctx.SetPayload(before, ids, blob)
+		bare := ctx.SendMsg(target, 4)
+		ctx.SetTrace(bare, 0)
+		tagged := ctx.SendMsg(target, 5)
+		ctx.SetTrace(tagged, 77)
+		ctx.SetPayload(tagged, nil, nil)
 
-		// The buffer may have moved under the sends: read them back from it.
-		out := *ctx.out
-		out = out[len(out)-5:]
-		plain, after, before, bare, tagged := &out[0], &out[1], &out[2], &out[3], &out[4]
 		if bare.payload != nil {
 			t.Error("SetTrace with id 0 attached a cell")
 		}
@@ -300,7 +301,7 @@ func TestTraceSharesThePayloadCell(t *testing.T) {
 		if tagged.Trace() != 77 || tagged.Bits() != bare.Bits() {
 			t.Errorf("header-only traced message: trace %d, %d bits, want 77 and %d", tagged.Trace(), tagged.Bits(), bare.Bits())
 		}
-		if got := len(ctx.pay.cells); got != 4 {
+		if got := ctx.pay.Len(); got != 4 {
 			t.Errorf("%d cells taken, want 4: one per traced or payload-carrying message", got)
 		}
 	})
@@ -316,9 +317,12 @@ func TestTraceSharesThePayloadCell(t *testing.T) {
 }
 
 // TestSendInPlaceAcrossGrowth has one node send enough messages in one
-// HandleRound that the shard's send buffer reallocates under it many
-// times, and checks that every message still arrives in order with the
-// engine's stamp, the handler's fields and the right bits charged.
+// HandleRound that the shard's send buffer adds many blocks under it, and
+// checks that the first message SendMsg returned has not moved — its
+// pointer still reads its own fields and payload after the growth, and a
+// field written through it then arrives — and that every message arrives
+// in order with the engine's stamp, the handler's fields and the right
+// bits charged.
 func TestSendInPlaceAcrossGrowth(t *testing.T) {
 	const sends = 3000
 	e := New(testConfig(16, churn.ZeroLaw{}))
@@ -328,33 +332,40 @@ func TestSendInPlaceAcrossGrowth(t *testing.T) {
 	var got int
 	h := funcHandler(func(ctx *Ctx) {
 		if ctx.Round == 0 && ctx.ID == sender {
-			grew := 0
+			var first *Msg
+			capBefore := ctx.out.Cap()
 			for i := 0; i < sends; i++ {
-				before := cap(*ctx.out)
 				m := ctx.SendMsg(target, 4)
-				if cap(*ctx.out) != before {
-					grew++
-				}
-				m.Item, m.Aux2 = uint64(i), uint64(2*i)
+				m.Item, m.Aux2 = uint64(i)+1, uint64(2*i)+1
 				if i%5 == 0 {
 					ctx.SetPayload(m, ids, nil)
 				}
 				wantBits += int64(m.Bits())
+				if i == 0 {
+					first = m
+				}
 			}
-			if grew < 5 {
-				t.Errorf("send buffer grew %d times mid-slot, want several", grew)
+			if grown := ctx.out.Cap() - capBefore; grown < 5*shard.BlockLen {
+				t.Errorf("send buffer grew by %d messages mid-slot, want several blocks", grown)
 			}
+			if first.Item != 1 || first.Aux2 != 1 || first.seq != 0 || !slices.Equal(first.IDs(), ids) || first != ctx.out.At(0) {
+				t.Errorf("the first send moved or changed after %d more: %+v (ids %v)", sends-1, *first, first.IDs())
+			}
+			first.Aux = 7 // must reach the inbox: the pointer is still the message
 		}
 		if ctx.Round == 1 && ctx.ID == target {
 			got = len(ctx.Inbox)
 			for i := range ctx.Inbox {
 				m := &ctx.Inbox[i]
-				wantIDs := []NodeID(nil)
+				wantIDs, wantAux := []NodeID(nil), uint64(0)
 				if i%5 == 0 {
 					wantIDs = ids
 				}
+				if i == 0 {
+					wantAux = 7
+				}
 				if m.From != sender || m.To != target || m.Kind != 4 || m.seq != uint32(i) ||
-					m.sentRound != 0 || m.srcSlot != 3 || m.Item != uint64(i) || m.Aux2 != uint64(2*i) ||
+					m.sentRound != 0 || m.srcSlot != 3 || m.Item != uint64(i)+1 || m.Aux != wantAux || m.Aux2 != uint64(2*i)+1 ||
 					!slices.Equal(m.IDs(), wantIDs) {
 					t.Fatalf("inbox[%d] = %+v (ids %v)", i, *m, m.IDs())
 				}
@@ -375,7 +386,9 @@ func TestSendInPlaceAcrossGrowth(t *testing.T) {
 // model: every buffer family reports — the ref buffers and inbox arenas
 // too, as both modes stage in the sending source and place through gather
 // — and the send and ref buffers' figures are their capacity in bytes
-// summed over every source, the released source included.
+// summed over every source, the released source included. The router's
+// walker store has its own gauge, nonzero under the overlay and zero
+// under the oracle, which builds no router.
 func TestMemoryLedger(t *testing.T) {
 	for _, mode := range []RoutingMode{RoutingOracle, RoutingOverlay} {
 		for _, fault := range []FaultModel{nil, longDelay{}} {
@@ -400,7 +413,7 @@ func TestMemoryLedger(t *testing.T) {
 				}
 				var out, xfer int64
 				for i := range e.sources {
-					out += int64(cap(e.sources[i].out)) * int64(unsafe.Sizeof(Msg{}))
+					out += int64(e.sources[i].out.Cap()) * int64(unsafe.Sizeof(Msg{}))
 					for _, refs := range e.sources[i].xfer {
 						xfer += int64(cap(refs)) * 8
 					}
@@ -411,7 +424,10 @@ func TestMemoryLedger(t *testing.T) {
 				if v := got[gauge("xfer")]; v != xfer {
 					t.Errorf("xfer bytes = %d, want %d", v, xfer)
 				}
-				if released := cap(e.sources[0].out); (fault != nil) != (released > 0) {
+				if walkers := got["dynp2p_route_mem_walker_bytes"]; (mode == RoutingOverlay) != (walkers > 0) {
+					t.Errorf("%s routing: dynp2p_route_mem_walker_bytes = %d", mode, walkers)
+				}
+				if released := e.sources[0].out.Cap(); (fault != nil) != (released > 0) {
 					t.Errorf("released source holds room for %d messages with fault model %v", released, fault)
 				}
 			})
@@ -435,19 +451,26 @@ func panics(fn func()) (p bool) {
 // SetPayload must panic exactly when a length exceeds MaxPayloadLen or an
 // earlier call on the message attached a non-empty cell (an empty first
 // call attaches nothing), every delivered payload must be the one
-// attached, BitsSent must be the sum of the sends' Bits, and every
-// message sent must be delivered, dropped, still delayed or still
-// walking.
+// attached, no send may arrive twice, BitsSent must be the sum of the
+// sends' Bits, and every message sent must be delivered, dropped, still
+// delayed or still walking.
 //
-// Input: 3 bytes per send, one send per node per round for 4 rounds, then
-// 4 quiet rounds. Byte 0: bit 0 SendKeyed, bits 1-2 the addressee (self,
-// nobody, another node), bit 3 a second SetPayload call. Bytes 1 and 2:
-// the two calls' length classes, ids in the low nibble, blob in the high.
+// Input: 3 bytes per record, one record per node per round for 4 rounds,
+// then 4 quiet rounds. A record is one send, or with byte 0's bit 4 a burst
+// of 1 + shard.BlockLen alike, which takes its shard's send buffer and
+// payload cells past a block in one round (every slot is a shard of its
+// own at n=16). Byte 0: bit 0 SendKeyed, bits 1-2 the addressee (self,
+// nobody, another node), bit 3 a second SetPayload call, bit 4 the burst.
+// Bytes 1 and 2: the two calls' length classes, ids in the low nibble,
+// blob in the high.
 func FuzzSendPayload(f *testing.F) {
 	// TestSendMsgPayloadBound's two cases: a self-addressed MaxPayloadLen
 	// blob goes through, one byte more panics.
 	f.Add([]byte{0, 0x40, 0})
 	f.Add([]byte{0, 0x50, 0})
+	// Two shards each send more than a block in round 0: plain sends with
+	// ids and a blob, then keyed ones whose second SetPayload panics.
+	f.Add([]byte{0x14, 0x21, 0x03, 0x1d, 0x13, 0x05})
 	lens := [...]int{0, 1, 3, 17, MaxPayloadLen, MaxPayloadLen + 1}
 	ids := make([]NodeID, MaxPayloadLen+8)
 	blob := make([]byte, MaxPayloadLen+8)
@@ -477,6 +500,7 @@ func FuzzSendPayload(f *testing.F) {
 				blob []byte
 			}
 			attached := map[uint64]cell{} // by Item, which numbers the sends
+			arrived := map[uint64]bool{}
 			var wantBits, seen int64
 			op, rest := 0, data
 			h := funcHandler(func(ctx *Ctx) {
@@ -486,6 +510,10 @@ func FuzzSendPayload(f *testing.F) {
 						t.Errorf("send %d delivered %d ids, %d blob bytes; attached %d, %d",
 							m.Item, len(m.IDs()), len(m.Blob()), len(want.ids), len(want.blob))
 					}
+					if arrived[m.Item] {
+						t.Errorf("send %d delivered twice", m.Item)
+					}
+					arrived[m.Item] = true
 					seen++
 				}
 				if ctx.Round >= 4 || len(rest) < 3 {
@@ -500,33 +528,39 @@ func FuzzSendPayload(f *testing.F) {
 				case 2, 3:
 					to = ctx.E.IDAt((ctx.Slot + 1 + int(b[2])) % ctx.E.N())
 				}
-				var m *Msg
-				if b[0]&1 != 0 {
-					m = ctx.SendKeyed(to, 1)
-				} else {
-					m = ctx.SendMsg(to, 1)
-				}
-				m.Item = uint64(op)
 				calls := b[1:2]
 				if b[0]&8 != 0 {
 					calls = b[1:3]
 				}
-				var got cell
-				for _, class := range calls {
-					ids, blob := payloadOf(op, class)
-					full := len(got.ids) > 0 || len(got.blob) > 0
-					want := len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen || full
-					if p := panics(func() { ctx.SetPayload(m, ids, blob) }); p != want {
-						t.Errorf("send %d: SetPayload(%d ids, %d blob bytes) with a cell attached %v: panicked %v, want %v",
-							op, len(ids), len(blob), full, p, want)
-					}
-					if !want && (len(ids) > 0 || len(blob) > 0) {
-						got = cell{ids, blob}
-					}
+				sends := 1
+				if b[0]&16 != 0 {
+					sends += shard.BlockLen
 				}
-				attached[m.Item] = got
-				wantBits += int64(m.Bits())
-				op++
+				for range sends {
+					var m *Msg
+					if b[0]&1 != 0 {
+						m = ctx.SendKeyed(to, 1)
+					} else {
+						m = ctx.SendMsg(to, 1)
+					}
+					m.Item = uint64(op)
+					var got cell
+					for _, class := range calls {
+						ids, blob := payloadOf(op, class)
+						full := len(got.ids) > 0 || len(got.blob) > 0
+						want := len(ids) > MaxPayloadLen || len(blob) > MaxPayloadLen || full
+						if p := panics(func() { ctx.SetPayload(m, ids, blob) }); p != want {
+							t.Errorf("send %d: SetPayload(%d ids, %d blob bytes) with a cell attached %v: panicked %v, want %v",
+								op, len(ids), len(blob), full, p, want)
+						}
+						if !want && (len(ids) > 0 || len(blob) > 0) {
+							got = cell{ids, blob}
+						}
+					}
+					attached[m.Item] = got
+					wantBits += int64(m.Bits())
+					op++
+				}
 			})
 			e.Run(h, 8)
 			m, rm := e.Metrics(), e.RouteMetrics()

@@ -109,7 +109,7 @@ func (e *Engine) initRouter() {
 }
 
 // msg returns the message ref names.
-func (e *Engine) msg(ref *msgRef) *Msg { return &e.sources[ref.src].out[ref.idx] }
+func (e *Engine) msg(ref *msgRef) *Msg { return e.sources[ref.src].out.At(int(ref.idx)) }
 
 // RouteMetrics returns the overlay router's counters (zero in oracle
 // mode).

@@ -37,7 +37,6 @@ package simnet
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"unsafe"
 
 	"dynp2p/internal/churn"
@@ -79,9 +78,9 @@ type Msg struct {
 
 	// payload is the cell holding the id list, the blob and the trace tag,
 	// nil for a header-only untraced message. It points into the sender
-	// shard's slab (payloadSlab), which is recycled two rounds after the
-	// send; whoever keeps a Msg past the round after its send must copy
-	// the cell out (faultFate).
+	// shard's payload cells (routeShard.pay), which are recycled two rounds
+	// after the send; whoever keeps a Msg past the round after its send
+	// must copy the cell out (faultFate).
 	payload *payload
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
@@ -190,35 +189,6 @@ func (m *Msg) Bits() int {
 	return headerBits
 }
 
-// payloadSlab is one shard's pool of payload cells for one round parity.
-// Handlers of round r take cells from their shard's slab r&1; the cells
-// are read out of the round r+1 inboxes, and round r+2 starts the slab
-// over. Only a few percent of messages carry a payload, but a heap cell
-// for each was ~15k allocations a round on the cached workload.
-type payloadSlab struct {
-	cells []payload
-}
-
-// reset starts the slab over, dropping the cells' references so a recycled
-// slab pins no sender's buffers.
-func (s *payloadSlab) reset() {
-	clear(s.cells)
-	s.cells = s.cells[:0]
-}
-
-// alloc returns a zeroed cell. A full slab is replaced by one twice the
-// size rather than grown by copying: the messages already sent this round
-// point into the old array and keep it alive exactly as long as they last.
-func (s *payloadSlab) alloc() *payload {
-	n := len(s.cells)
-	if n == cap(s.cells) {
-		s.cells = make([]payload, 0, max(64, 2*n))
-		n = 0
-	}
-	s.cells = s.cells[:n+1]
-	return &s.cells[n]
-}
-
 // Handler is a node-level protocol. One Handler instance serves the whole
 // network; per-node state must be kept by the handler keyed by slot or id.
 // HandleRound may be invoked concurrently for different nodes and must only
@@ -317,18 +287,19 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 }
 
 // routedRef identifies a message staged for delivery: the destination slot
-// it resolved to, plus its index in its source's out buffer. An 8-byte
+// it resolved to, plus its position in its source's send store, which
+// shard.Blocks.At splits into block and offset by shift and mask. An 8-byte
 // reference rides the exchange instead of a 64-byte Msg copy; the gather
 // phase copies each message once, straight into its inbox — in both
 // routing modes the only Msg-sized copy between a handler's send and the
 // inbox.
 type routedRef struct {
 	slot int32  // destination slot
-	idx  uint32 // index into the source's out buffer
+	idx  uint32 // position in the source's out store
 }
 
 // msgRef is what an overlay walker carries for its message: the source's
-// index in Engine.sources and the message's index in that source's out.
+// index in Engine.sources and the message's position in that source's out.
 // Round r's sends and releases stay in those buffers through round r+1's
 // routed phase, which walks them and stages each delivery where it was
 // sent: runHandlers and release reset them only after it.
@@ -350,21 +321,32 @@ const xferRoom = 16
 // all. The refs are written by the oracle's scatter in route and wait
 // there for next round's gather, after churn, or by the overlay's routed
 // phase and consumed by the gather that follows it. All buffers are
-// reused across rounds. The struct
-// is sized to an exact multiple of the cache line (asserted by
-// TestRouteShardCacheAligned), so workers filling adjacent shards never
-// false-share — the same discipline the engine's original per-worker
-// buffers used.
+// reused across rounds, and the two append-only stores, the messages and
+// the payload cells, grow by fixed blocks (shard.Blocks): a sent message
+// and its cell never move, and a store allocates only what it holds. The
+// struct is padded to an exact multiple of the cache line on every word
+// size (asserted by TestRouteShardCacheAligned, which CI also runs under
+// GOARCH=386), so workers filling adjacent shards never false-share — the
+// same discipline the engine's original per-worker buffers used.
 type routeShard struct {
-	out     []Msg         // canonical (sentRound, srcSlot, seq) order
-	xfer    [][]routedRef // grid-sized: refs to messages bound for each destination shard
-	delayed []delayedMsg  // fault-delayed messages from this shard, canonical order
-	ctx     *Ctx          // reusable handler context for this shard's slots
+	routeFields
+	_ [(64 - unsafe.Sizeof(routeFields{})%64) % 64]byte
+}
+
+// routeFields is what a routeShard holds, before its padding.
+type routeFields struct {
+	out     shard.Blocks[Msg] // canonical (sentRound, srcSlot, seq) order
+	xfer    [][]routedRef     // grid-sized: refs to messages bound for each destination shard
+	delayed []delayedMsg      // fault-delayed messages from this shard, canonical order
+	ctx     *Ctx              // reusable handler context for this shard's slots
 
 	// pay holds the payload cells of this shard's sends, double-buffered
-	// by round parity: round r fills pay[r&1] while round r's inboxes still
-	// read cells out of pay[1-r&1].
-	pay [2]payloadSlab
+	// by round parity: round r's handlers take cells from pay[r&1], round
+	// r+1's inboxes read them, and round r+2 resets the store, which clears
+	// the cells' references so a recycled block pins no sender's arrays.
+	// Only a few percent of messages carry a payload, but a heap cell for
+	// each was ~15k allocations a round on the cached workload.
+	pay [2]shard.Blocks[payload]
 
 	maxBits      int64 // max per-node bits in this shard this round
 	dropped      int64
@@ -374,8 +356,6 @@ type routeShard struct {
 	// kinds counts this shard's sends by Msg.Kind over the whole run
 	// (Engine.KindCount and Engine.Metrics sum the shards).
 	kinds [256]KindCount
-
-	_ [96]byte // pad to a cache-line multiple (TestRouteShardCacheAligned)
 }
 
 // KindCount is what the handlers sent of one message kind: messages and
@@ -541,12 +521,12 @@ func (e *Engine) collect(emit func(name string, kind telemetry.Kind, v int64)) {
 	var out, xfer, inbox, slabs int
 	for i := range e.sources {
 		rs := &e.sources[i]
-		out += cap(rs.out) * msgSize
+		out += rs.out.Cap() * msgSize
 		for _, refs := range rs.xfer {
 			xfer += cap(refs) * refSize
 		}
 		for p := range rs.pay {
-			slabs += cap(rs.pay[p].cells) * cellSize
+			slabs += rs.pay[p].Cap() * cellSize
 		}
 	}
 	for sh := range e.arenas {
@@ -764,9 +744,9 @@ type Ctx struct {
 	Rand  *rng.Stream
 	Inbox []Msg
 
-	out   *[]Msg          // the shard's send buffer
-	pay   *payloadSlab    // the shard's payload cells for this round
-	kinds *[256]KindCount // the shard's per-kind send counts
+	out   *shard.Blocks[Msg]     // the shard's send buffer
+	pay   *shard.Blocks[payload] // the shard's payload cells for this round
+	kinds *[256]KindCount        // the shard's per-kind send counts
 	seq   uint32
 	bits  int64
 }
@@ -781,10 +761,13 @@ type Ctx struct {
 //
 // The message is built in place: the returned pointer is the message's
 // slot in the shard's send buffer, already zeroed and stamped with the
-// sender and its sequencing. Set Item, Aux and Aux2 through it, attach a
-// payload with SetPayload and a trace tag with SetTrace, and do not use it
-// after the next send of this HandleRound (the buffer may have moved) or
-// assign a whole Msg through it (that would overwrite the stamp).
+// sender and its sequencing. Set Item, Aux and Aux2 through it and attach
+// a payload with SetPayload and a trace tag with SetTrace, at any point of
+// this HandleRound: the buffer grows by fixed blocks, so later sends never
+// move the message. Do not keep the pointer past HandleRound (the engine
+// routes the message after the handlers and reuses the buffer next
+// round), and do not assign a whole Msg through it (that would overwrite
+// the stamp).
 func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(to, kind) }
 
 // SendKeyed is SendMsg for holder-seeking messages: under RoutingOverlay
@@ -797,19 +780,11 @@ func (c *Ctx) SendKeyed(to NodeID, kind uint8) *Msg {
 	return m
 }
 
-// emplace is the one send path: it grows the shard's send buffer by one
-// message, zeroes it, fills in the addressee, the sender identity and the
+// emplace is the one send path: it adds one zeroed message to the shard's
+// send buffer, fills in the addressee, the sender identity and the
 // sequencing, and charges the header's bits to the sender and its kind.
 func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
-	b := *c.out
-	n := len(b)
-	if n == cap(b) {
-		b = slices.Grow(b, 1)
-	}
-	b = b[:n+1]
-	*c.out = b
-	m := &b[n]
-	*m = Msg{}
+	m := c.out.Add()
 	m.From, m.To, m.Kind = c.ID, to, kind
 	m.sentRound, m.srcSlot, m.seq = int32(c.Round), int32(c.Slot), c.seq
 	c.seq++
@@ -857,10 +832,10 @@ func (c *Ctx) SetTrace(m *Msg, id uint64) {
 }
 
 // cell returns m's cell, first attaching a zeroed one from the shard's
-// slab if m has none.
+// payload cells if m has none.
 func (c *Ctx) cell(m *Msg) *payload {
 	if m.payload == nil {
-		m.payload = c.pay.alloc()
+		m.payload = c.pay.Add()
 	}
 	return m.payload
 }
@@ -966,10 +941,10 @@ func (e *Engine) RunRound(h Handler) {
 func (e *Engine) runHandlers(h Handler, round int) {
 	e.crew.Do(e.grid.Count(), func(sh int) {
 		rs := &e.shardOut[sh]
-		rs.out = rs.out[:0]
+		rs.out.Reset()
 		rs.maxBits = 0
 		pay := &rs.pay[round&1]
-		pay.reset()
+		pay.Reset()
 		lo, hi := e.grid.Bounds(sh, e.cfg.N)
 		a := &e.arenas[sh]
 		ctx := rs.ctx
@@ -1014,8 +989,8 @@ func (e *Engine) route() {
 	for src := range e.sources {
 		rs := &e.sources[src]
 		if e.router != nil {
-			for i := range rs.out {
-				m := &rs.out[i]
+			for i := range rs.out.Len() {
+				m := rs.out.At(i)
 				if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
 					continue
 				}
@@ -1047,20 +1022,26 @@ func (e *Engine) exchange() {
 	})
 }
 
+// scatter stages a ref to each of source src's messages for its
+// destination shard, walking the send buffer a block at a time.
 func (e *Engine) scatter(src int) {
 	rs := &e.sources[src]
-	for i := range rs.out {
-		m := &rs.out[i]
-		if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
-			continue
+	n := rs.out.Len()
+	for lo := 0; lo < n; lo += shard.BlockLen {
+		blk := rs.out.Span(lo, min(lo+shard.BlockLen, n))
+		for j := range blk {
+			i, m := lo+j, &blk[j]
+			if src > 0 && e.cfg.Fault != nil && e.faultFate(rs, m) {
+				continue
+			}
+			dst, ok := e.slotOf(m.To)
+			if !ok {
+				rs.dropped++
+				continue
+			}
+			dsh := e.slotLoc[dst] >> shard.LocalBits
+			rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
 		}
-		dst, ok := e.slotOf(m.To)
-		if !ok {
-			rs.dropped++
-			continue
-		}
-		dsh := e.slotLoc[dst] >> shard.LocalBits
-		rs.xfer[dsh] = append(rs.xfer[dsh], routedRef{slot: dst, idx: uint32(i)})
 	}
 }
 
@@ -1088,7 +1069,7 @@ func (e *Engine) gather() {
 			staged += int64(len(refs))
 			for j := range refs {
 				ref := &refs[j]
-				if e.joinRound[ref.slot] == round && src.out[ref.idx].To != e.ids[ref.slot] {
+				if e.joinRound[ref.slot] == round && src.out.At(int(ref.idx)).To != e.ids[ref.slot] {
 					ref.slot = -1 // not placed below
 					dropped++
 					continue
@@ -1103,9 +1084,12 @@ func (e *Engine) gather() {
 			if len(refs) == 0 {
 				continue // unwritten: other workers write the neighbouring shards' headers
 			}
+			// A copy of the store's header, which the placements below
+			// cannot change, keeps its directory out of memory reloads.
+			out := src.out
 			for _, ref := range refs {
 				if ref.slot >= 0 {
-					a.Place(int(ref.slot)-lo, &src.out[ref.idx])
+					a.Place(int(ref.slot)-lo, out.At(int(ref.idx)))
 				}
 			}
 			src.xfer[dsh] = refs[:0]
