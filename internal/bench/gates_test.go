@@ -56,23 +56,23 @@ const (
 	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
 	// the steady-state paths this one allocates by design: a search or a
 	// handover draws a fresh roster, and the first rounds grow each
-	// shard's slab and message buffers. It reads 446 (off) and 441 (on)
-	// on amd64 at GOMAXPROCS 1, 2 and 4, and 447 and 441 under GOARCH=386
-	// (447 and 439 while the send buffers grew by slices.Grow; 983 and 940
-	// before the protocol's arrays grew from the slab). The budget is the
-	// largest reading plus 9: a roster clone per invite reads 464 (off)
-	// and 457 (on) and fails it.
-	retrieveAllocs = 456
+	// shard's slab and message buffers. It reads 111 (off) and 128 (on)
+	// on amd64 at GOMAXPROCS 1, 2 and 4, and 110 and 127 under
+	// GOARCH=386, since new slab arrays are cut from blocks (446 and 441
+	// when each was its own allocation; 983 and 940 before the protocol's
+	// arrays grew from the slab). The budget is the largest reading plus
+	// 3 (2 %): a roster clone per invite reads 135 (off) and 151 (on)
+	// and fails it.
+	retrieveAllocs = 131
 
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
 	// candidate's gathered pieces, its count table, a searcher's fetched
-	// pieces and the coder's own buffers are gated too. It reads 476 on
-	// amd64 at GOMAXPROCS 1, 2 and 4 and under GOARCH=386 (476–477 while
-	// the send buffers grew by slices.Grow, 1,046 before the slab); the
-	// budget is the reading plus 9, and a roster clone per invite reads
-	// 494.
-	retrieveErasureAllocs = 485
+	// pieces and the coder's own buffers are gated too. It reads 127 on
+	// amd64 at GOMAXPROCS 1, 2 and 4 and 126 under GOARCH=386 (476 before
+	// slab arrays were cut from blocks, 1,046 before the slab); the budget
+	// is the reading plus 3, and a roster clone per invite reads 151.
+	retrieveErasureAllocs = 130
 
 	// retrieveHeldBytes bounds what the engine's send buffers and inbox
 	// arenas hold (dynp2p_engine_mem_out_bytes plus

@@ -11,15 +11,15 @@ import (
 )
 
 // slab is one engine shard's store of the protocol arrays its nodes never
-// send: per element type, free lists by power-of-two capacity. A table's
-// keys and values, a membership's sample-window sources, count table and
-// gathered pieces, and a search's fetched pieces and asked-set all grow
-// through their slot's shard slab, and go back to it when their owner
-// drops them: a table's old arrays when it grows, a membership's when the
-// node resigns (onHandover), a search's when it finishes (finishSearch),
-// and all of a node's when churn replaces it (OnJoin). An array is
-// cleared before it is filed, so nothing in a slab keeps a departed
-// owner's rosters or bytes reachable.
+// send: per element type, free lists by power-of-two capacity and a block
+// to cut new arrays from. A table's keys and values, a membership's
+// sample-window sources, count table and gathered pieces, and a search's
+// fetched pieces and asked-set all grow through their slot's shard slab,
+// and go back to it when their owner drops them: a table's old arrays when
+// it grows, a membership's when the node resigns (onHandover), a search's
+// when it finishes (finishSearch), and all of a node's when churn replaces
+// it (OnJoin). An array is cleared before it is filed, so nothing in a
+// slab keeps a departed owner's rosters or bytes reachable.
 //
 // A shard's slab is touched only by that shard's handler phase and by the
 // serial churn phase, so nothing is locked; and an array's capacity is a
@@ -43,27 +43,40 @@ type slab struct {
 // is dropped.
 const slabClasses = 24
 
-// freeLists holds cleared arrays of T with room to reuse, by capacity
-// class: class c holds arrays of capacity 1<<c.
-type freeLists[T any] [slabClasses][][]T
+// freeLists holds cleared arrays of T by capacity class (lists[c] holds
+// arrays of capacity 1<<c), and the unused, zero rest of the current block.
+type freeLists[T any] struct {
+	lists [slabClasses][][]T
+	rest  []T
+}
+
+// blockLen returns the elements in a block of T: the largest power of two
+// whose bytes fit in 2 KiB, and at least one.
+func blockLen[T any]() int { return 1 << (bits.Len(uint(2048/sizeOf[T]())|1) - 1) }
 
 // grow returns s with room for n more elements: s itself if it has the
 // room, else s's elements moved to an array of the next power-of-two
-// capacity that holds them all, reused from f when f has one, and s's
-// array handed back to f.
+// capacity — reused from f, else cut from f's block or, if larger than a
+// block, made — and s's array handed back to f.
 func (f *freeLists[T]) grow(s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
 	c := bits.Len(uint(len(s) + n - 1))
 	var t []T
-	if c < slabClasses && len(f[c]) > 0 {
-		l := f[c]
+	switch k := 1 << c; {
+	case c < slabClasses && len(f.lists[c]) > 0:
+		l := f.lists[c]
 		t = l[len(l)-1]
 		l[len(l)-1] = nil
-		f[c] = l[:len(l)-1]
-	} else {
-		t = make([]T, 0, 1<<c)
+		f.lists[c] = l[:len(l)-1]
+	case k <= blockLen[T]():
+		if len(f.rest) < k {
+			f.rest = make([]T, blockLen[T]())
+		}
+		t, f.rest = f.rest[:0:k], f.rest[k:]
+	default:
+		t = make([]T, 0, k)
 	}
 	t = append(t, s...)
 	f.free(s)
@@ -83,15 +96,15 @@ func (f *freeLists[T]) free(s []T) {
 	}
 	clear(s[:cap(s)])
 	if c < slabClasses {
-		f[c] = append(f[c], s[:0])
+		f.lists[c] = append(f.lists[c], s[:0])
 	}
 }
 
-// bytes returns the capacity the free lists hold, in bytes.
+// bytes returns the bytes the free lists and the block's rest hold.
 func (f *freeLists[T]) bytes() int {
-	n := 0
-	for c := range f {
-		n += len(f[c]) << c
+	n := len(f.rest)
+	for c := range f.lists {
+		n += len(f.lists[c]) << c
 	}
 	return n * sizeOf[T]()
 }
@@ -143,8 +156,8 @@ func (srch *searchState) release(sl *slab) {
 // collectMemory is the protocol's row of the memory ledger: the bytes the
 // nodes' protocol arrays hold (every table's keys and values, and the
 // arrays inside a membership or a search that grow through the slab), and
-// the bytes the slabs hold free for reuse. Both are capacity times element
-// size, read only when a snapshot is taken.
+// the bytes the slabs hold free for reuse, each block's unused rest
+// included. Both are capacity times element size, read at a snapshot.
 func (h *Handler) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
 	tables := 0
 	for s := range h.states {

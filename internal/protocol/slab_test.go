@@ -1,8 +1,11 @@
 package protocol
 
 import (
+	"cmp"
+	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -21,7 +24,7 @@ func filed[T any](f *freeLists[T], s []T) bool {
 	if c >= slabClasses {
 		return false
 	}
-	for _, a := range f[c] {
+	for _, a := range f.lists[c] {
 		if &a[:1][0] == &s[:1][0] {
 			return true
 		}
@@ -130,41 +133,98 @@ func (p *dropProbe) HandleRound(ctx *simnet.Ctx) {
 	p.mu.Unlock()
 }
 
-// checkSlabsZero fails t if any array a slab holds free holds anything.
+// arrayRange is the address range [lo, hi) of an array's whole capacity.
+type arrayRange struct {
+	lo, hi uintptr
+	what   string
+}
+
+// rangeOf returns the range of s's array, empty if s has none.
+func rangeOf[T any](s []T, what string) arrayRange {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return arrayRange{lo, lo + uintptr(cap(s))*unsafe.Sizeof(*new(T)), what}
+}
+
+// overlap names two of the ranges that share a byte, or returns "" if no
+// two do. Comparing whole ranges, not first elements, is what sees two
+// arrays cut overlapping from one block.
+func overlap(rs []arrayRange) string {
+	rs = slices.DeleteFunc(rs, func(r arrayRange) bool { return r.hi == r.lo })
+	slices.SortFunc(rs, func(a, b arrayRange) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(rs); i++ {
+		if a, b := rs[i-1], rs[i]; b.lo < a.hi {
+			return fmt.Sprintf("%s [%#x, %#x) and %s [%#x, %#x) overlap", a.what, a.lo, a.hi, b.what, b.lo, b.hi)
+		}
+	}
+	return ""
+}
+
+// freeRanges appends the ranges of the arrays f holds free and of its
+// block's rest, and reports whether they all hold zeros only.
+func freeRanges[T any](rs []arrayRange, zero bool, f *freeLists[T], what string) ([]arrayRange, bool) {
+	for c := range f.lists {
+		for _, a := range f.lists[c] {
+			rs = append(rs, rangeOf(a, "free "+what))
+			zero = zero && allZero(a)
+		}
+	}
+	return append(rs, rangeOf(f.rest, "the rest of a block of "+what)), zero && allZero(f.rest)
+}
+
+// freeRanges returns the ranges of every array sl holds free and of every
+// block's unused rest, and whether they all hold zeros only.
+func (sl *slab) freeRanges() ([]arrayRange, bool) {
+	rs, zero := freeRanges(nil, true, &sl.keys, "keys")
+	rs, zero = freeRanges(rs, zero, &sl.counts, "counts")
+	rs, zero = freeRanges(rs, zero, &sl.members, "memberships")
+	rs, zero = freeRanges(rs, zero, &sl.marks, "storage landmarks")
+	rs, zero = freeRanges(rs, zero, &sl.tasks, "search tasks")
+	rs, zero = freeRanges(rs, zero, &sl.searches, "searches")
+	rs, zero = freeRanges(rs, zero, &sl.ids, "ids")
+	return freeRanges(rs, zero, &sl.pieces, "pieces")
+}
+
+// heldRanges returns the ranges of every slab-grown array h's nodes hold:
+// their tables' keys and values, and the arrays inside their memberships
+// and searches.
+func heldRanges(h *Handler) []arrayRange {
+	var rs []arrayRange
+	for s := range h.states {
+		st := &h.states[s]
+		rs = append(rs,
+			rangeOf(st.memberships.keys, "memberships' keys"), rangeOf(st.memberships.vals, "memberships"),
+			rangeOf(st.storageLM.keys, "storage landmarks' keys"), rangeOf(st.storageLM.vals, "storage landmarks"),
+			rangeOf(st.searchLM.keys, "search tasks' keys"), rangeOf(st.searchLM.vals, "search tasks"),
+			rangeOf(st.searches.keys, "searches' keys"), rangeOf(st.searches.vals, "searches"))
+		for i := range st.memberships.vals {
+			m := &st.memberships.vals[i]
+			rs = append(rs, rangeOf(m.sources, "a membership's sources"),
+				rangeOf(m.counts.keys, "a membership's count keys"), rangeOf(m.counts.vals, "a membership's counts"),
+				rangeOf(m.gathered, "a membership's gathered pieces"))
+		}
+		for i := range st.searches.vals {
+			srch := &st.searches.vals[i]
+			rs = append(rs, rangeOf(srch.pieces, "a search's pieces"), rangeOf(srch.roster, "a search's asked-set"))
+		}
+	}
+	return rs
+}
+
+// checkSlabsZero fails t if any array a slab holds free, or the unused rest
+// of any block, holds anything, or if two arrays the nodes hold or the
+// slabs hold free share an element.
 func checkSlabsZero(t *testing.T, h *Handler) {
 	t.Helper()
+	rs, zero := heldRanges(h), true
 	for i := range h.slabs {
-		sl := &h.slabs[i]
-		for c := 0; c < slabClasses; c++ {
-			ok := true
-			for _, a := range sl.keys[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.counts[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.members[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.marks[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.tasks[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.searches[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.ids[c] {
-				ok = ok && allZero(a)
-			}
-			for _, a := range sl.pieces[c] {
-				ok = ok && allZero(a)
-			}
-			if !ok {
-				t.Fatalf("shard %d's slab holds a free array of capacity %d that is not cleared", i, 1<<c)
-			}
-		}
+		free, z := h.slabs[i].freeRanges()
+		rs, zero = append(rs, free...), zero && z
+	}
+	if msg := overlap(rs); msg != "" {
+		t.Fatal(msg)
+	}
+	if !zero {
+		t.Fatal("a slab holds a free array or a block's rest that is not cleared")
 	}
 }
 
@@ -279,50 +339,13 @@ func TestProtocolMemoryLedger(t *testing.T) {
 	}
 
 	var tables, free uintptr
-	for i := range s.h.states {
-		st := &s.h.states[i]
-		tables += uintptr(cap(st.memberships.keys)+cap(st.storageLM.keys)+cap(st.searchLM.keys)+cap(st.searches.keys)) * unsafe.Sizeof(uint64(0))
-		tables += uintptr(cap(st.memberships.vals)) * unsafe.Sizeof(membership{})
-		tables += uintptr(cap(st.storageLM.vals)) * unsafe.Sizeof(lmEntry{})
-		tables += uintptr(cap(st.searchLM.vals)) * unsafe.Sizeof(searchTask{})
-		tables += uintptr(cap(st.searches.vals)) * unsafe.Sizeof(searchState{})
-		for _, m := range st.memberships.vals {
-			tables += uintptr(cap(m.sources)) * unsafe.Sizeof(simnet.NodeID(0))
-			tables += uintptr(cap(m.counts.keys)) * unsafe.Sizeof(uint64(0))
-			tables += uintptr(cap(m.counts.vals)) * unsafe.Sizeof(int(0))
-			tables += uintptr(cap(m.gathered)) * unsafe.Sizeof(ida.Piece{})
-		}
-		for _, srch := range st.searches.vals {
-			tables += uintptr(cap(srch.pieces))*unsafe.Sizeof(ida.Piece{}) + uintptr(cap(srch.roster))*unsafe.Sizeof(simnet.NodeID(0))
-		}
+	for _, r := range heldRanges(s.h) {
+		tables += r.hi - r.lo
 	}
 	for i := range s.h.slabs {
-		sl := &s.h.slabs[i]
-		for c := 0; c < slabClasses; c++ {
-			for _, a := range sl.keys[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(uint64(0))
-			}
-			for _, a := range sl.counts[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(int(0))
-			}
-			for _, a := range sl.members[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(membership{})
-			}
-			for _, a := range sl.marks[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(lmEntry{})
-			}
-			for _, a := range sl.tasks[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(searchTask{})
-			}
-			for _, a := range sl.searches[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(searchState{})
-			}
-			for _, a := range sl.ids[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(simnet.NodeID(0))
-			}
-			for _, a := range sl.pieces[c] {
-				free += uintptr(cap(a)) * unsafe.Sizeof(ida.Piece{})
-			}
+		rs, _ := s.h.slabs[i].freeRanges()
+		for _, r := range rs {
+			free += r.hi - r.lo
 		}
 	}
 	for _, c := range []struct {
@@ -335,5 +358,49 @@ func TestProtocolMemoryLedger(t *testing.T) {
 		if c.want == 0 || got[c.name] != int64(c.want) {
 			t.Errorf("%s = %d, want %d (> 0)", c.name, got[c.name], c.want)
 		}
+	}
+}
+
+// emptyKeepingRoom drops every array f holds free and its block's rest, and
+// keeps the free lists' own room.
+func emptyKeepingRoom[T any](f *freeLists[T]) {
+	for c := range f.lists {
+		f.lists[c] = f.lists[c][:0]
+	}
+	f.rest = nil
+}
+
+// TestSlabAllocs: new arrays are cut from blocks, so growing many tables
+// through one slab costs a block per blockLen elements cut, plus one
+// allocation for each array larger than a block — not one per array. Each
+// run starts from empty tables and free lists that keep their room, so
+// filing an outgrown array allocates nothing.
+func TestSlabAllocs(t *testing.T) {
+	bk, bv := blockLen[uint64](), blockLen[searchTask]()
+	if 4*bv > bk {
+		t.Fatalf("blocks of %d keys and %d search tasks: the count below needs 4×%d ≤ %d", bk, bv, bv, bk)
+	}
+	// small one-entry tables fill whole blocks of keys and of values. The
+	// big table grows to 2bv entries: its keys (1+2+…+2bv < 4bv ≤ bk) fit one
+	// block; its values up to bv take two (1+…+bv/2 leaves one element,
+	// too few for bv), and its last array, of 2bv, is larger than a block.
+	small, big := 4*bk, 2*bv
+	want := small/bk + small/bv + 1 + 2 + 1
+	var sl slab
+	tabs := make([]table[searchTask], small+1)
+	got := testing.AllocsPerRun(10, func() {
+		emptyKeepingRoom(&sl.keys)
+		emptyKeepingRoom(&sl.tasks)
+		clear(tabs)
+		for i := range small {
+			tabs[i].put(&sl, uint64(i), searchTask{})
+		}
+		for k := range big {
+			tabs[small].put(&sl, uint64(k), searchTask{})
+		}
+	})
+	if int(got) != want {
+		t.Fatalf("growing %d one-entry tables and one of %d entries allocated %v times, want %d: %d blocks of %d keys, %d of %d search tasks, and one array of %d",
+			small, big, got, want, small/bk+1, bk, small/bv+2, bv, 2*bv)
 	}
 }

@@ -11,7 +11,7 @@ import "slices"
 // Values are held directly: a *V from get, put or add points into vals and
 // is valid only until the table's next put, add, del, sweep or reset.
 // Both arrays grow together, to the next power of two, through the slot's
-// shard slab (slab.go), which takes the outgrown pair back.
+// shard slab (slab.go), cut from its blocks and the outgrown pair handed back.
 //
 // A table filled by put holds each key once. One filled by add (a node's
 // search tasks) may hold a key several times: its entries are contiguous,

@@ -96,10 +96,10 @@ func runTableScript(t *testing.T, script []byte) table[int] {
 		case opAdd:
 			model[key] = append(model[key], v)
 		}
+		checkArraysApart(t, v, &sl, tabs[:])
 		for j := range tabs {
 			checkTable(t, v, &tabs[j], model, j*tableOffset)
 		}
-		checkArraysApart(t, v, &sl, tabs[:])
 	}
 	return tabs[0]
 }
@@ -134,29 +134,19 @@ func checkTable(t *testing.T, op int, tab *table[int], model map[uint64][]int, o
 }
 
 // checkArraysApart fails if two of the tables' arrays, or a table's array
-// and one the slab holds free, are the same array.
+// and one the slab holds free or the unused rest of its block, share an
+// element, or if anything the slab holds free is not zero.
 func checkArraysApart(t *testing.T, op int, sl *slab, tabs []table[int]) {
 	t.Helper()
-	seen := map[any]string{}
-	note := func(p any, what string) {
-		if other, ok := seen[p]; ok {
-			t.Fatalf("op %d: %s and %s are one array", op, other, what)
-		}
-		seen[p] = what
-	}
+	rs, zero := sl.freeRanges()
 	for j := range tabs {
-		if cap(tabs[j].keys) > 0 {
-			note(&tabs[j].keys[:1][0], fmt.Sprintf("table %d's keys", j))
-			note(&tabs[j].vals[:1][0], fmt.Sprintf("table %d's values", j))
-		}
+		rs = append(rs, rangeOf(tabs[j].keys, fmt.Sprintf("table %d's keys", j)), rangeOf(tabs[j].vals, fmt.Sprintf("table %d's values", j)))
 	}
-	for c := range sl.keys {
-		for i, s := range sl.keys[c] {
-			note(&s[:1][0], fmt.Sprintf("free keys %d/%d", c, i))
-		}
-		for i, s := range sl.counts[c] {
-			note(&s[:1][0], fmt.Sprintf("free values %d/%d", c, i))
-		}
+	if msg := overlap(rs); msg != "" {
+		t.Fatalf("op %d: %s", op, msg)
+	}
+	if !zero {
+		t.Fatalf("op %d: the slab holds a free array or a block's rest that is not cleared", op)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestReleaseChurnedTargetDrops(t *testing.T) {
 		t.Fatalf("dropped %d messages, want exactly the churned target's 1", got)
 	}
 	e.round = 4 // the round they are due: its gather places them
-	e.gather()
+	e.crew.Do(e.grid.Count(), e.gatherFn)
 	if in := inboxOf(e, 5); len(in) != 1 || in[0].Kind != 2 {
 		t.Fatalf("live target inbox = %+v, want the Kind 2 message", in)
 	}

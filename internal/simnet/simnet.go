@@ -426,6 +426,9 @@ type Engine struct {
 
 	crew     *shard.Crew
 	shardOut []routeShard // sources[1:]: [shard.Count] handler output
+	// The crew's per-round phases, bound once, and the handler phase's handler.
+	handleFn, exchangeFn, gatherFn func(sh int)
+	handler                        Handler
 
 	round int
 }
@@ -479,6 +482,7 @@ func New(cfg Config) *Engine {
 		reg:       reg,
 		em:        newEngineMetrics(reg),
 	}
+	e.handleFn, e.exchangeFn, e.gatherFn = e.handleShard, e.exchange, e.gather
 	e.g.FillRandomRegular(e.topoRng)
 	e.arenas = make([]shard.Runs[Msg], grid.Count())
 	for i := range e.sources {
@@ -892,7 +896,7 @@ func (e *Engine) RunRound(h Handler) {
 	// route staged, fault-released messages included, and drops what was
 	// bound for an occupant churn has just replaced.
 	if e.router == nil {
-		e.gather()
+		e.crew.Do(e.grid.Count(), e.gatherFn)
 	}
 	prof.Lap(2) // deliver
 
@@ -907,7 +911,7 @@ func (e *Engine) RunRound(h Handler) {
 	// sent, or drop; the gather places them in this round's inboxes.
 	if e.router != nil {
 		e.router.Step()
-		e.gather()
+		e.crew.Do(e.grid.Count(), e.gatherFn)
 	}
 	prof.Lap(3 + len(e.hooks)) // routed
 
@@ -917,7 +921,7 @@ func (e *Engine) RunRound(h Handler) {
 	// outright rather than executed vacuously; it reads nothing either, so
 	// its round's inboxes are dropped unread.
 	if _, nop := h.(NopHandler); !nop {
-		e.runHandlers(h, round)
+		e.runHandlers(h)
 		prof.Lap(4 + len(e.hooks)) // handlers
 		// 6. Route: messages to live ids are staged for next round's
 		// gather; the rest drop.
@@ -938,29 +942,34 @@ func (e *Engine) RunRound(h Handler) {
 // slot shards. Each shard appends its slots' outgoing messages to its own
 // buffer in (slot, seq) order, which is what makes the subsequent exchange
 // — and therefore every inbox — canonically ordered with no sorting.
-func (e *Engine) runHandlers(h Handler, round int) {
-	e.crew.Do(e.grid.Count(), func(sh int) {
-		rs := &e.shardOut[sh]
-		rs.out.Reset()
-		rs.maxBits = 0
-		pay := &rs.pay[round&1]
-		pay.Reset()
-		lo, hi := e.grid.Bounds(sh, e.cfg.N)
-		a := &e.arenas[sh]
-		ctx := rs.ctx
-		*ctx = Ctx{E: e, Round: round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
-		for s := lo; s < hi; s++ {
-			ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], &e.nodeRng[s], a.Run(s-lo)
-			ctx.seq, ctx.bits = 0, 0
-			h.HandleRound(ctx)
-			rs.maxBits = max(rs.maxBits, ctx.bits)
-		}
-	})
+func (e *Engine) runHandlers(h Handler) {
+	e.handler = h
+	e.crew.Do(e.grid.Count(), e.handleFn)
+	e.handler = nil
 	var maxBits int64
 	for sh := range e.shardOut {
 		maxBits = max(maxBits, e.shardOut[sh].maxBits)
 	}
 	e.em.maxNodeBits.SetMax(maxBits)
+}
+
+// handleShard runs HandleRound for shard sh's slots, in slot order.
+func (e *Engine) handleShard(sh int) {
+	rs := &e.shardOut[sh]
+	rs.out.Reset()
+	rs.maxBits = 0
+	pay := &rs.pay[e.round&1]
+	pay.Reset()
+	lo, hi := e.grid.Bounds(sh, e.cfg.N)
+	a := &e.arenas[sh]
+	ctx := rs.ctx
+	*ctx = Ctx{E: e, Round: e.round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
+	for s := lo; s < hi; s++ {
+		ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], &e.nodeRng[s], a.Run(s-lo)
+		ctx.seq, ctx.bits = 0, 0
+		e.handler.HandleRound(ctx)
+		rs.maxBits = max(rs.maxBits, ctx.bits)
+	}
 }
 
 // route moves this round's outgoing messages on, by the run's routing
@@ -977,7 +986,7 @@ func (e *Engine) runHandlers(h Handler, round int) {
 func (e *Engine) route() {
 	e.release()
 	if e.router == nil {
-		e.exchange()
+		e.crew.Do(e.grid.Count(), e.exchangeFn)
 	}
 	// Serial merge in fixed source order. Under the overlay it first gives
 	// the source's messages to the router in canonical order, after the
@@ -1006,20 +1015,19 @@ func (e *Engine) route() {
 	}
 }
 
-// exchange is the scatter half of the oracle's sharded message exchange:
-// the crew walks sources, decides each fresh message's fault fate (a pure
-// hash of its identity), resolves the destination id to a slot through the
-// dense table, and stages a ref to the message in the source's buffer for
-// the destination shard. Next round's gather, after churn, places them.
-// The phase runs over shards, so shard sh's sends (source sh+1) fall to
-// the worker that ran its handlers; the released source rides with shard 0.
-func (e *Engine) exchange() {
-	e.crew.Do(e.grid.Count(), func(sh int) {
-		if sh == 0 {
-			e.scatter(0)
-		}
-		e.scatter(sh + 1)
-	})
+// exchange is shard sh's part of the scatter half of the oracle's sharded
+// message exchange: the crew walks sources, decides each fresh message's
+// fault fate (a pure hash of its identity), resolves the destination id to
+// a slot through the dense table, and stages a ref to the message in the
+// source's buffer for the destination shard. Next round's gather, after
+// churn, places them. The phase runs over shards, so shard sh's sends
+// (source sh+1) fall to the worker that ran its handlers; the released
+// source rides with shard 0.
+func (e *Engine) exchange(sh int) {
+	if sh == 0 {
+		e.scatter(0)
+	}
+	e.scatter(sh + 1)
 }
 
 // scatter stages a ref to each of source src's messages for its
@@ -1045,58 +1053,57 @@ func (e *Engine) scatter(src int) {
 	}
 }
 
-// gather is the one inbox placement, of both routing modes, and runs after
-// the round's churn: the crew walks destination shards and places, by a
-// stable counting sort into the shard's arena, what the sources stage
-// there — last round's oracle scatter or this round's routed phase —
-// merging sources in their fixed order, the released messages and then
-// source shards by index, so each inbox receives messages ordered by (send
-// round, sender slot, sequence) regardless of worker count. A ref to a
+// gather is destination shard dsh's part of the one inbox placement, of
+// both routing modes, and runs after the round's churn: the crew walks
+// destination shards and places, by a stable counting sort into the
+// shard's arena, what the sources stage there — last round's oracle
+// scatter or this round's routed phase — merging sources in their fixed
+// order, the released messages and then source shards by index, so each
+// inbox receives messages ordered by (send round, sender slot, sequence)
+// regardless of worker count. A ref to a
 // slot churn replaced this round whose message names another id was bound
 // for the departed occupant, and is dropped. The gather consumes the refs
 // and rewrites every run, the ones the last handlers read included; each
 // shard counts what it places and drops in its own telemetry stripe.
-func (e *Engine) gather() {
+func (e *Engine) gather(dsh int) {
 	round := int32(e.round)
-	e.crew.Do(e.grid.Count(), func(dsh int) {
-		a := &e.arenas[dsh]
-		lo, hi := e.grid.Bounds(dsh, e.cfg.N)
-		a.Reset(hi - lo)
-		var staged, dropped int64
-		for i := range e.sources {
-			src := &e.sources[i]
-			refs := src.xfer[dsh]
-			staged += int64(len(refs))
-			for j := range refs {
-				ref := &refs[j]
-				if e.joinRound[ref.slot] == round && src.out.At(int(ref.idx)).To != e.ids[ref.slot] {
-					ref.slot = -1 // not placed below
-					dropped++
-					continue
-				}
-				a.Count(int(ref.slot) - lo)
+	a := &e.arenas[dsh]
+	lo, hi := e.grid.Bounds(dsh, e.cfg.N)
+	a.Reset(hi - lo)
+	var staged, dropped int64
+	for i := range e.sources {
+		src := &e.sources[i]
+		refs := src.xfer[dsh]
+		staged += int64(len(refs))
+		for j := range refs {
+			ref := &refs[j]
+			if e.joinRound[ref.slot] == round && src.out.At(int(ref.idx)).To != e.ids[ref.slot] {
+				ref.slot = -1 // not placed below
+				dropped++
+				continue
+			}
+			a.Count(int(ref.slot) - lo)
+		}
+	}
+	a.Layout()
+	for i := range e.sources {
+		src := &e.sources[i]
+		refs := src.xfer[dsh]
+		if len(refs) == 0 {
+			continue // unwritten: other workers write the neighbouring shards' headers
+		}
+		// A copy of the store's header, which the placements below
+		// cannot change, keeps its directory out of memory reloads.
+		out := src.out
+		for _, ref := range refs {
+			if ref.slot >= 0 {
+				a.Place(int(ref.slot)-lo, out.At(int(ref.idx)))
 			}
 		}
-		a.Layout()
-		for i := range e.sources {
-			src := &e.sources[i]
-			refs := src.xfer[dsh]
-			if len(refs) == 0 {
-				continue // unwritten: other workers write the neighbouring shards' headers
-			}
-			// A copy of the store's header, which the placements below
-			// cannot change, keeps its directory out of memory reloads.
-			out := src.out
-			for _, ref := range refs {
-				if ref.slot >= 0 {
-					a.Place(int(ref.slot)-lo, out.At(int(ref.idx)))
-				}
-			}
-			src.xfer[dsh] = refs[:0]
-		}
-		e.em.delivered.Add(dsh, staged-dropped)
-		e.em.dropped.Add(dsh, dropped)
-	})
+		src.xfer[dsh] = refs[:0]
+	}
+	e.em.delivered.Add(dsh, staged-dropped)
+	e.em.dropped.Add(dsh, dropped)
 }
 
 // faultFate decides m's fate under the fault model (non-nil) from a pure
