@@ -21,11 +21,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"dynp2p"
 	"dynp2p/internal/scenario"
+	"dynp2p/internal/telemetry"
 )
 
 func main() {
@@ -72,10 +71,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "need -name or -spec (try -list)")
 		os.Exit(2)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitIf(err, 2)
 
 	// -cachecap sweeps cache capacity without editing the spec (see
 	// EXPERIMENTS.md); like the routing mode, the cache is the run's, so
@@ -93,17 +89,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if err := spec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitIf(spec.Validate(), 2)
 
 	if *dump {
 		b, err := spec.MarshalIndent()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitIf(err, 1)
 		fmt.Printf("%s\n", b)
 		return
 	}
@@ -122,47 +112,25 @@ func main() {
 			continue
 		}
 		f, err := os.Create(out.path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitIf(err, 1)
 		defer f.Close()
 		*out.dst = f
 	}
 
 	// Profiling brackets the run itself (not spec loading or reporting) so
 	// perf work profiles real scenario workloads, not CLI overhead.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	stopProfile, err := telemetry.Profile(*cpuProfile, *memProfile)
+	exitIf(err, 1)
 	rep, runErr := scenario.Run(spec, opt)
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle the heap so the profile shows live memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
-		os.Exit(1)
-	}
+	exitIf(stopProfile(), 1)
+	exitIf(runErr, 1)
 	rep.Fprint(os.Stdout)
+}
+
+// exitIf prints a non-nil err to stderr and exits with code.
+func exitIf(err error, code int) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 }

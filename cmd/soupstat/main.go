@@ -13,15 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-
 	"syscall"
 
 	"dynp2p/internal/churn"
 	"dynp2p/internal/overlay"
 	"dynp2p/internal/simnet"
 	"dynp2p/internal/stats"
+	"dynp2p/internal/telemetry"
 	"dynp2p/internal/walks"
 )
 
@@ -63,7 +61,11 @@ func main() {
 		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, mode, e.Grid().Count(), walks.Kernel())
 
 	// Profiling brackets the simulated rounds, not setup or reporting.
-	stopCPU := startCPUProfile(*cpuProfile)
+	stopProfile, err := telemetry.Profile(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	warm := 2 * p.WalkLength
 	e.Run(simnet.NopHandler{}, warm)
@@ -72,7 +74,7 @@ func main() {
 	if window <= 0 {
 		window = 3 * p.WalkLength
 	}
-	counts := make([]int, *n)
+	counts, arrivals := make([]int, *n), 0
 	// The receipt distribution is sampled on a fixed slot stride above
 	// n=2^16 so the measurement arrays stay bounded (~100 MB of float64s
 	// over a 200-round 2^20 run would otherwise dominate the tool's own
@@ -84,6 +86,7 @@ func main() {
 		for slot := 0; slot < *n; slot++ {
 			got := len(s.Samples(slot))
 			counts[slot] += got
+			arrivals += got
 			if slot%recStride == 0 {
 				receipts = append(receipts, float64(got))
 			}
@@ -96,15 +99,17 @@ func main() {
 			}
 		}
 	}
-	stopCPU()
-	writeHeapProfile(*memProfile)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	m := s.Metrics()
 	fmt.Printf("\nwalks: generated=%d completed=%d died=%d (survival %.1f%%)\n",
 		m.Generated, m.Completed, m.Died,
 		100*float64(m.Completed)/float64(m.Completed+m.Died))
 	fmt.Printf("endpoint TV distance from uniform: %.4f over %d arrivals\n",
-		stats.TVDistanceFromUniform(counts), total(counts))
+		stats.TVDistanceFromUniform(counts), arrivals)
 	sm := stats.Summarize(receipts)
 	fmt.Printf("per-node receipts/round: mean=%.2f p05=%.0f median=%.0f p95=%.0f\n",
 		sm.Mean, sm.P05, sm.Median, sm.P95)
@@ -124,51 +129,4 @@ func main() {
 		// Linux reports ru_maxrss in KiB.
 		fmt.Printf("peak RSS: %.2f GB (%d KB)\n", float64(ru.Maxrss)/(1<<20), ru.Maxrss)
 	}
-}
-
-func total(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
-// startCPUProfile begins CPU profiling to path ("" = no-op) and returns
-// the stop function.
-func startCPUProfile(path string) func() {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}
-}
-
-// writeHeapProfile writes a post-GC heap profile to path ("" = no-op).
-func writeHeapProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	runtime.GC() // settle the heap so the profile shows live memory
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	f.Close()
 }

@@ -56,22 +56,24 @@ const (
 	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
 	// the steady-state paths this one allocates by design: a search or a
 	// handover draws a fresh roster, and the first rounds grow each
-	// shard's slab and message buffers. It reads 111 (off) and 128 (on)
-	// on amd64 at GOMAXPROCS 1, 2 and 4, and 110 and 127 under
-	// GOARCH=386, since new slab arrays are cut from blocks (446 and 441
-	// when each was its own allocation; 983 and 940 before the protocol's
-	// arrays grew from the slab). The budget is the largest reading plus
-	// 3 (2 %): a roster clone per invite reads 135 (off) and 151 (on)
-	// and fails it.
+	// shard's slab and message buffers. It reads 111 (off) and 129 (on)
+	// on amd64 at GOMAXPROCS 1, 2 and 4, and 110 and 128 under
+	// GOARCH=386, since the inbox arenas grow by blocks (112 and 128
+	// while they doubled) and new slab arrays are cut from blocks (446 and
+	// 441 when each was its own allocation; 983 and 940 before the
+	// protocol's arrays grew from the slab). The budget was set at the
+	// largest reading plus 3 (2 %) when that was 128, and is kept: a roster
+	// clone per invite reads 135 (off) and 151 (on) and fails it.
 	retrieveAllocs = 131
 
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
 	// candidate's gathered pieces, its count table, a searcher's fetched
 	// pieces and the coder's own buffers are gated too. It reads 127 on
-	// amd64 at GOMAXPROCS 1, 2 and 4 and 126 under GOARCH=386 (476 before
-	// slab arrays were cut from blocks, 1,046 before the slab); the budget
-	// is the reading plus 3, and a roster clone per invite reads 151.
+	// amd64 at GOMAXPROCS 1, 2 and 4 and 125 under GOARCH=386 (126 there
+	// while the inbox arenas doubled; 476 before slab arrays were cut from
+	// blocks, 1,046 before the slab); the budget is the reading plus 3, and
+	// a roster clone per invite reads 151.
 	retrieveErasureAllocs = 130
 
 	// retrieveHeldBytes bounds what the engine's send buffers and inbox
@@ -79,17 +81,18 @@ const (
 	// dynp2p_engine_mem_inbox_arena_bytes) after retrieveHot's gate rounds
 	// at refSize, cache off and on and at IDA K = 4: the largest store that
 	// grows with traffic, each message header held twice. The legs read
-	// 3,013,888 / 4,501,248 / 3,063,040 bytes on amd64 at GOMAXPROCS 1, 2
-	// and 4 (the grid is pinned) and 2,825,520 / 4,219,920 / 2,871,600
-	// under GOARCH=386, the send buffers growing by fixed blocks
-	// (shard.Blocks). Each budget is the reading plus about 2 %: a send
-	// buffer grown by slices.Grow reads 3,140,800 / 4,648,704 / 3,173,568,
-	// an 8-byte field added to the 64-byte Msg 3,390,624 / 5,063,904 /
-	// 3,445,920, and a send buffer grown by doubling read 3,689,664 /
-	// 5,902,080 / 4,025,536 beside slices.Grow's readings.
-	retrieveHeldBytes        = 3_075_000
-	retrieveCachedHeldBytes  = 4_590_000
-	retrieveErasureHeldBytes = 3_125_000
+	// 2,621,440 / 4,145,152 / 2,686,976 bytes on amd64 at GOMAXPROCS 1, 2
+	// and 4 (the grid is pinned) and 2,457,600 / 3,886,080 / 2,519,040
+	// under GOARCH=386, both stores growing by fixed blocks (shard.Blocks,
+	// and shard.Runs over them). Each budget is the reading plus about 2 %:
+	// inbox arenas grown by doubling read 3,013,888 / 4,501,248 /
+	// 3,063,040, a send buffer grown by slices.Grow on top of those
+	// 3,140,800 / 4,648,704 / 3,173,568, an 8-byte field added to the
+	// 64-byte Msg 3,390,624 / 5,063,904 / 3,445,920 there, and a send
+	// buffer grown by doubling 3,689,664 / 5,902,080 / 4,025,536.
+	retrieveHeldBytes        = 2_675_000
+	retrieveCachedHeldBytes  = 4_228_000
+	retrieveErasureHeldBytes = 2_741_000
 
 	// noBudget marks a benchmark row that is recorded, not gated.
 	noBudget = math.MaxInt

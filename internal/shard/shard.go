@@ -154,48 +154,76 @@ func Carve[T any](n, each int) [][]T {
 	return bufs
 }
 
-// Runs is a flat slot-major store for a range of slots, filled by a stable
-// counting sort: every item bound for those slots lands in one buffer, and
-// each slot's items are a sub-slice of it. One geometrically grown buffer
-// per shard replaces per-slot append slices, whose record-maxima growth
-// kept a gather allocating long into the steady state. The engine's inbox
-// arenas and the soup's sample stores are Runs.
+// Runs is a slot-major store for a range of slots, filled by a stable
+// counting sort. Layout lays the slots' runs out in slot order over fixed
+// BlockLen-element blocks: a run that does not fit in the rest of the
+// current block starts the next one, so each run is one contiguous slice.
+// A run longer than a block goes to the store's one spill array, where such
+// runs lie end to end; it grows, by whole blocks, only when a placement's
+// long runs exceed it. The engine's inbox arenas and the soup's sample
+// stores are Runs.
 //
 // A placement calls Reset, Count for every item's slot, Layout, then Place
 // for every item in the same order; Run(l) is then slot l's items in
 // placement order, until the next Reset. The zero value is ready for Reset.
 type Runs[T any] struct {
-	items []T
-	off   []int32 // len slots+1: slot l owns items[off[l]:off[l+1]]
-	next  []int32 // per-slot counts, then placement cursors; len slots
+	// blocks addresses every position: the own blocks the store holds,
+	// then the spill's BlockLen-element chunks, so position p is block
+	// p>>blockShift at p&blockMask wherever its run lies.
+	blocks []*[BlockLen]T
+	own    int
+	spill  []T
+	off    []int32 // slot l's first position
+	next   []int32 // per-slot counts, then placement cursors
 }
 
 // Reset starts a placement over slots slots, reusing the store's buffers.
 func (r *Runs[T]) Reset(slots int) {
-	if cap(r.off) < slots+1 {
-		r.next, r.off = make([]int32, slots), make([]int32, slots+1)
+	if cap(r.off) < slots {
+		r.next, r.off = make([]int32, slots), make([]int32, slots)
 		return
 	}
-	r.next, r.off = r.next[:slots], r.off[:slots+1]
+	r.next, r.off = r.next[:slots], r.off[:slots]
 	clear(r.next)
 }
 
 // Count counts one item bound for slot l.
 func (r *Runs[T]) Count(l int) { r.next[l]++ }
 
-// Layout turns the counts into the slots' offsets, sizes the buffer to hold
-// them all, and leaves each slot's cursor at its first position.
+// Layout turns the counts into the slots' first positions and cursors, and
+// adds the blocks and spill room they need.
 func (r *Runs[T]) Layout() {
-	var total int32
+	var pos, spill int32
 	for l, c := range r.next {
-		r.off[l], r.next[l] = total, total
-		total += c
+		p := ^spill // a long run's spill offset, rebased below
+		if c > BlockLen {
+			spill += c
+		} else {
+			if pos&blockMask+c > BlockLen {
+				pos = (pos + blockMask) &^ blockMask // start the next block
+			}
+			p, pos = pos, pos+c
+		}
+		r.off[l], r.next[l] = p, p
 	}
-	r.off[len(r.next)] = total
-	if cap(r.items) < int(total) {
-		r.items = make([]T, total, max(int(total), 2*cap(r.items)))
-	} else {
-		r.items = r.items[:total]
+	r.blocks = r.blocks[:r.own] // drop the spill's chunks, re-added below
+	for need := int(pos+blockMask) >> blockShift; r.own < need; r.own++ {
+		r.blocks = addBlock(r.blocks)
+	}
+	if int(spill) > len(r.spill) {
+		r.spill = make([]T, (spill+blockMask)&^blockMask)
+	}
+	for i := 0; i < len(r.spill); i += BlockLen {
+		r.blocks = append(r.blocks, (*[BlockLen]T)(r.spill[i:]))
+	}
+	if spill > 0 {
+		base := int32(r.own) << blockShift
+		for l, p := range r.off {
+			if p < 0 {
+				p = ^p + base
+				r.off[l], r.next[l] = p, p
+			}
+		}
 	}
 }
 
@@ -203,17 +231,22 @@ func (r *Runs[T]) Layout() {
 func (r *Runs[T]) Place(l int, v *T) {
 	pos := r.next[l]
 	r.next[l] = pos + 1
-	r.items[pos] = *v
+	r.blocks[pos>>blockShift][pos&blockMask] = *v
 }
 
 // Run returns slot l's items, capped so an append cannot reach the next run.
 func (r *Runs[T]) Run(l int) []T {
-	lo, hi := r.off[l], r.off[l+1]
-	return r.items[lo:hi:hi]
+	lo, n := int(r.off[l]), int(r.next[l]-r.off[l])
+	if b := lo >> blockShift; b < r.own {
+		lo &= blockMask
+		return r.blocks[b][lo : lo+n : lo+n]
+	}
+	lo -= r.own << blockShift
+	return r.spill[lo : lo+n : lo+n]
 }
 
-// Cap returns the item buffer's capacity (the memory ledger's figure).
-func (r *Runs[T]) Cap() int { return cap(r.items) }
+// Cap returns how many items the blocks and spill hold (the ledger's figure).
+func (r *Runs[T]) Cap() int { return r.own*BlockLen + cap(r.spill) }
 
 // BlockLen is the length of a Blocks block: 256 elements, 16 KiB of the
 // engine's 64-byte message header. Indices split into block and offset by
@@ -244,19 +277,20 @@ type Blocks[T any] struct {
 func (b *Blocks[T]) Add() *T {
 	n := b.n
 	if n>>blockShift == len(b.blocks) {
-		b.grow()
+		b.blocks = addBlock(b.blocks)
 	}
 	b.n = n + 1
 	return &b.blocks[n>>blockShift][n&blockMask]
 }
 
-// grow adds one zeroed block. The directory of block pointers starts with
-// room for 16 blocks and doubles, so a store of a few blocks grows it once.
-func (b *Blocks[T]) grow() {
-	if b.blocks == nil {
-		b.blocks = make([]*[BlockLen]T, 0, 16)
+// addBlock appends one zeroed block to a directory of block pointers, the
+// one block allocator of Blocks and Runs. A directory starts with room for
+// 16 blocks and doubles, so a store of a few blocks grows it once.
+func addBlock[T any](dir []*[BlockLen]T) []*[BlockLen]T {
+	if dir == nil {
+		dir = make([]*[BlockLen]T, 0, 16)
 	}
-	b.blocks = append(b.blocks, new([BlockLen]T))
+	return append(dir, new([BlockLen]T))
 }
 
 // At returns element i, which must be below Len.

@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"cmp"
 	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // grids under test: the minimum, the default, and the maximum Pick can
@@ -90,42 +93,219 @@ func TestPick(t *testing.T) {
 	}
 }
 
-// TestRunsPlaceStably reuses one store for three placements, the second
-// growing its buffer and the third over fewer slots: each slot's Run must
-// be exactly its items in placement order. A fresh store over no slots
-// (an empty shard) places nothing.
-func TestRunsPlaceStably(t *testing.T) {
-	type item struct{ slot, seq int }
-	var empty Runs[item]
-	empty.Reset(0)
-	empty.Layout()
-	var r Runs[item]
-	for _, tc := range []struct{ slots, items int }{{5, 10}, {5, 40}, {3, 7}} {
-		r.Reset(tc.slots)
-		in := make([]item, tc.items)
-		for i := range in {
-			in[i] = item{slot: (i*7 + tc.items) % tc.slots, seq: i}
-			r.Count(in[i].slot)
-		}
-		r.Layout()
-		for i := range in {
-			r.Place(in[i].slot, &in[i])
-		}
-		for l := range tc.slots {
-			var want []item
-			for _, it := range in {
-				if it.slot == l {
-					want = append(want, it)
-				}
-			}
-			if got := r.Run(l); !slices.Equal(got, want) || cap(got) != len(got) {
-				t.Fatalf("%d slots, %d items: Run(%d) = %v (cap %d), want %v", tc.slots, tc.items, l, got, cap(got), want)
-			}
-		}
-		if r.Cap() < tc.items {
-			t.Fatalf("%d items in a buffer of %d", tc.items, r.Cap())
+// runItem is a Runs test item: its slot and its place in placement order.
+type runItem struct{ slot, seq int }
+
+// placeRuns fills r with counts[l] items for each slot l, in an order
+// that interleaves the slots (a fixed shuffle per mix), and returns the
+// items in that order.
+func placeRuns(r *Runs[runItem], counts []int, mix uint64) []runItem {
+	var in []runItem
+	for l, c := range counts {
+		for range c {
+			in = append(in, runItem{slot: l})
 		}
 	}
+	rand.New(rand.NewPCG(mix, 1)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	r.Reset(len(counts))
+	for i := range in {
+		in[i].seq = i
+		r.Count(in[i].slot)
+	}
+	r.Layout()
+	for i := range in {
+		r.Place(in[i].slot, &in[i])
+	}
+	return in
+}
+
+// checkRuns fails unless each of the slots' Runs is exactly its items of
+// in, in order, capped at its length, within one block or the spill, and
+// unless no two runs share an address.
+func checkRuns(t *testing.T, r *Runs[runItem], in []runItem, slots int) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for l := range slots {
+		var want []runItem
+		for _, it := range in {
+			if it.slot == l {
+				want = append(want, it)
+			}
+		}
+		got := r.Run(l)
+		if !slices.Equal(got, want) || cap(got) != len(got) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%d slots, %d items: Run(%d) has len %d and cap %d, want len %d; first difference at %d",
+				slots, len(in), l, len(got), cap(got), len(want), i)
+		}
+		if len(got) == 0 {
+			continue
+		}
+		if lo := int(r.off[l]); lo>>blockShift < r.own && lo>>blockShift != (lo+len(got)-1)>>blockShift {
+			t.Fatalf("Run(%d) of %d items at position %d crosses a block", l, len(got), lo)
+		} else if lo>>blockShift >= r.own && len(got) <= BlockLen {
+			t.Fatalf("Run(%d) of %d items is in the spill", l, len(got))
+		}
+		lo := uintptr(unsafe.Pointer(&got[0]))
+		spans = append(spans, span{lo, lo + uintptr(len(got))*unsafe.Sizeof(got[0])})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("two runs overlap: [%#x, %#x) and [%#x, %#x)", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+}
+
+// TestRunsPlaceStably reuses one store for a series of placements, growing
+// and shrinking: each slot's Run must be exactly its items in placement
+// order. The placements include a run of exactly one block, runs one item
+// longer (which go to the spill), and a run that would straddle a block
+// boundary (which must start the next block). A fresh store over no slots
+// (an empty shard) places nothing, and a fresh store's runs read empty
+// from Reset on, as the soup's samples do before its first delivery.
+func TestRunsPlaceStably(t *testing.T) {
+	var empty Runs[runItem]
+	empty.Reset(0)
+	empty.Layout()
+	if empty.Cap() != 0 {
+		t.Fatalf("an empty placement holds %d items", empty.Cap())
+	}
+	var fresh Runs[runItem]
+	fresh.Reset(3)
+	for l := range 3 {
+		if got := fresh.Run(l); len(got) != 0 {
+			t.Fatalf("a fresh store's Run(%d) = %v", l, got)
+		}
+	}
+	var r Runs[runItem]
+	for i, counts := range [][]int{
+		{2, 2, 2, 2, 2},
+		{8, 8, 8, 8, 8},
+		{3, 2, 2},
+		{BlockLen},
+		{1, BlockLen, 1},
+		{BlockLen + 1},
+		{5, BlockLen + 1, 0, 2*BlockLen + 3, 7},
+		{200, 100},
+		{0, 200, 0, 56, 1, 255, 2},
+	} {
+		in := placeRuns(&r, counts, uint64(i))
+		checkRuns(t, &r, in, len(counts))
+	}
+	// {200, 100}: the second run would cross the first block's end.
+	placeRuns(&r, []int{200, 100}, 0)
+	if r.off[1] != BlockLen {
+		t.Fatalf("a 100-item run after a 200-item one starts at %d, want %d", r.off[1], BlockLen)
+	}
+}
+
+// TestRunsCap pins the memory ledger's figure: blocks × BlockLen plus the
+// spill's capacity, after placements of short and long runs. The spill
+// grows, by whole blocks, only when a placement's long runs exceed it, and
+// the directory addresses every block of both.
+func TestRunsCap(t *testing.T) {
+	var r Runs[runItem]
+	for _, tc := range []struct {
+		counts        []int
+		blocks, spill int
+	}{
+		{[]int{200, 100, 300, 5}, 2, 512}, // 200 | 100 5, and 300 in the spill
+		{[]int{600}, 2, 768},              // the spill grows; the blocks stay
+		{[]int{300, 300, 10}, 2, 768},     // two long runs end to end, in room held
+		{[]int{256, 256, 256}, 3, 768},    // whole blocks
+		{nil, 3, 768},
+	} {
+		placeRuns(&r, tc.counts, 0)
+		if r.own != tc.blocks || cap(r.spill) != tc.spill || r.Cap() != tc.blocks*BlockLen+tc.spill || len(r.blocks)*BlockLen != r.Cap() {
+			t.Fatalf("after placing %v: %d blocks, spill %d, Cap %d, directory %d; want %d, %d and %d",
+				tc.counts, r.own, cap(r.spill), r.Cap(), len(r.blocks), tc.blocks, tc.spill, tc.blocks*BlockLen+tc.spill)
+		}
+	}
+}
+
+// TestRunsRefillAllocatesNothing places into a store that already holds
+// the blocks and spill the placement needs, short and long runs alike, and
+// over fewer slots: no allocation.
+func TestRunsRefillAllocatesNothing(t *testing.T) {
+	var r Runs[runItem]
+	big := []int{5, BlockLen + 1, 0, 2*BlockLen + 3, 7, 200, 100}
+	items := make([]runItem, 2048)
+	place := func(counts []int) {
+		r.Reset(len(counts))
+		for l, c := range counts {
+			for range c {
+				r.Count(l)
+			}
+		}
+		r.Layout()
+		n := 0
+		for l, c := range counts {
+			for range c {
+				items[n].slot = l
+				r.Place(l, &items[n])
+				n++
+			}
+		}
+	}
+	place(big)
+	for _, counts := range [][]int{big, {BlockLen + 1, 3}, {1, 1, 1}, nil} {
+		if got := testing.AllocsPerRun(5, func() { place(counts) }); got != 0 {
+			t.Errorf("placing %v into a grown store made %v allocations", counts, got)
+		}
+	}
+}
+
+// FuzzRuns checks a series of placements into one store against a
+// per-slot slice model. Each input byte is one slot's count in the
+// current placement, 0xff ends a placement: a byte below 0x80 is that
+// many items, one at or above it 200 + 3·(b&0x7f) (long runs and runs
+// near a block's end). Every Run must equal its model slice in placement
+// order, capped at its length, no run may cross a block, and no two runs
+// may share an address; the store must hold exactly the blocks and spill
+// (in whole blocks) its largest placement so far needed.
+func FuzzRuns(f *testing.F) {
+	f.Add([]byte{1, 2, 3})
+	f.Add([]byte{0x7f, 0x7f, 0x7f, 0xff, 0x80, 0x90, 0x05, 0xff, 0x00})
+	f.Add([]byte{0xa0, 0x00, 0xc8, 0xff, 0x7f, 0x7f, 0xff, 0xfe, 0xfe})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Runs[runItem]
+		var blocks, spill int
+		var counts []int
+		for i := 0; i <= len(data); i++ {
+			if i < len(data) && data[i] != 0xff {
+				c := int(data[i])
+				if c >= 0x80 {
+					c = 200 + 3*(c&0x7f)
+				}
+				counts = append(counts, c)
+				continue
+			}
+			in := placeRuns(&r, counts, uint64(i))
+			checkRuns(t, &r, in, len(counts))
+			var pos, long int
+			for _, c := range counts {
+				switch {
+				case c > BlockLen:
+					long += c
+					continue
+				case pos%BlockLen+c > BlockLen:
+					pos = (pos + BlockLen - 1) / BlockLen * BlockLen
+				}
+				pos += c
+			}
+			blocks, spill = max(blocks, (pos+BlockLen-1)/BlockLen), max(spill, (long+BlockLen-1)/BlockLen*BlockLen)
+			if r.own != blocks || cap(r.spill) != spill {
+				t.Fatalf("placement ending at byte %d: %d blocks and spill %d, want %d and %d",
+					i, r.own, cap(r.spill), blocks, spill)
+			}
+			counts = counts[:0]
+		}
+	})
 }
 
 // TestCarveKeepsBuffersApart fills carved buffers past their room, in
@@ -216,9 +396,16 @@ func TestCrewRunsPhasesInParallel(t *testing.T) {
 }
 
 // TestCrewHelpersExitWhenDropped: a crew nothing references any more is
-// finalized, and its helpers — parked or polling — exit.
+// finalized, and its helpers — parked or polling — exit. Crews that earlier
+// tests dropped are collected first, so that only this test's crews move
+// the count: one of them finalized mid-test would read as missing helpers.
 func TestCrewHelpersExitWhenDropped(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := -1
+	for try := 0; try < 500 && runtime.NumGoroutine() != base; try++ {
+		base = runtime.NumGoroutine()
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 	crews := make([]*Crew, 4)
 	for i := range crews {
 		crews[i] = NewCrew(4)

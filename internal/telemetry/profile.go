@@ -2,7 +2,11 @@ package telemetry
 
 import (
 	"bufio"
+	"errors"
 	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"time"
 )
@@ -111,4 +115,37 @@ func (p *PhaseProfiler) EndRound(round int64) {
 		p.buf = b
 		p.w.Write(b)
 	}
+}
+
+// Profile starts a CPU profile written to cpuPath and returns the function
+// that stops it and then writes a heap profile of live memory to memPath;
+// an empty path skips its profile.
+func Profile(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the heap so the profile shows live memory
+		return errors.Join(pprof.WriteHeapProfile(f), f.Close())
+	}, nil
 }

@@ -365,9 +365,9 @@ func Kernel() string {
 
 // lzMemBytes is the soup's row of the memory ledger: the ring (tail and
 // replay rows, snapshots, delta and id-delta lists, death bitsets), the
-// shards' cohort buffers and their samples (staging, store and offset
-// index), each capacity times element size, read only when a snapshot is
-// taken.
+// shards' cohort buffers and their samples (staging, store, and its
+// per-slot offsets and cursors), each capacity times element size, read
+// only when a snapshot is taken.
 func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
 	const (
 		idSize  = int(unsafe.Sizeof(simnet.NodeID(0)))
@@ -386,7 +386,7 @@ func (s *Soup) lzMemBytes() (ring, cohort, samples int64) {
 	for i := range s.shards {
 		ss := &s.shards[i]
 		c += cap(ss.cohort) * tokSize
-		m += ss.smp.Cap()*smpSize + (ss.hi-ss.lo+1)*4 // and the run offsets
+		m += ss.smp.Cap()*smpSize + 2*(ss.hi-ss.lo)*4 // and the run offsets and cursors
 		for _, out := range ss.outSmp {
 			m += cap(out) * stgSize
 		}
