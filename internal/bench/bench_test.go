@@ -35,7 +35,7 @@ func sizes() []int {
 func loop(b *testing.B, round func(), budget int) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	got := allocsPerRound(round, b.N)
+	got := mallocs(round, b.N) / b.N
 	b.StopTimer()
 	if b.N >= gateRounds {
 		if err := checkBudget(b.Name(), got, budget); err != nil {

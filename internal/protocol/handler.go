@@ -265,6 +265,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 	e.Telemetry().RegisterCollector(func(emit func(string, telemetry.Kind, int64)) {
 		for _, k := range h.Sent() {
 			emit("dynp2p_proto_kind_"+k.Name+"_msgs_total", telemetry.KindCounter, k.Msgs)
+			emit("dynp2p_proto_kind_"+k.Name+"_dead_total", telemetry.KindCounter, k.Dead)
 			emit("dynp2p_proto_kind_"+k.Name+"_bits_total", telemetry.KindCounter, k.Bits)
 		}
 	})

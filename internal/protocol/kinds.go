@@ -60,7 +60,7 @@ const (
 )
 
 // kindNames names every kind in the per-kind wire metrics
-// (dynp2p_proto_kind_<name>_msgs_total and _bits_total).
+// (dynp2p_proto_kind_<name>_msgs_total, _bits_total and _dead_total).
 var kindNames = [...]struct {
 	kind uint8
 	name string

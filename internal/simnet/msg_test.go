@@ -451,16 +451,19 @@ func panics(fn func()) (p bool) {
 // SetPayload must panic exactly when a length exceeds MaxPayloadLen or an
 // earlier call on the message attached a non-empty cell (an empty first
 // call attaches nothing), every delivered payload must be the one
-// attached, no send may arrive twice, BitsSent must be the sum of the
-// sends' Bits, and every message sent must be delivered, dropped, still
-// delayed or still walking.
+// attached, no send may arrive twice or at a node other than its
+// addressee, a send to an id already gone when sent (a dead letter) may
+// never arrive, BitsSent must be the sum of the sends' Bits, and every
+// message sent must be delivered, dropped, still delayed or still walking.
 //
 // Input: 3 bytes per record, one record per node per round for 4 rounds,
 // then 4 quiet rounds. A record is one send, or with byte 0's bit 4 a burst
 // of 1 + shard.BlockLen alike, which takes its shard's send buffer and
 // payload cells past a block in one round (every slot is a shard of its
 // own at n=16). Byte 0: bit 0 SendKeyed, bits 1-2 the addressee (self,
-// nobody, another node), bit 3 a second SetPayload call, bit 4 the burst.
+// nobody, another node, or one of the 16 first ids, which churn retires
+// one a round), bit 3 a second SetPayload call, bit 4 the burst, bit 5 a
+// trace tag.
 // Bytes 1 and 2: the two calls' length classes, ids in the low nibble,
 // blob in the high.
 func FuzzSendPayload(f *testing.F) {
@@ -471,6 +474,22 @@ func FuzzSendPayload(f *testing.F) {
 	// Two shards each send more than a block in round 0: plain sends with
 	// ids and a blob, then keyed ones whose second SetPayload panics.
 	f.Add([]byte{0x14, 0x21, 0x03, 0x1d, 0x13, 0x05})
+	// All four rounds: sends to nobody and to the first ids, departed or
+	// not, carrying ids, blobs and trace tags, some keyed, some with a
+	// second SetPayload, each after a live send; in round 2 a burst to a
+	// first id and one to nobody, many dead letters from one node.
+	var late []byte
+	for i := range 64 {
+		b0 := [...]byte{0x04, 0x06, 0x0a, 0x07}[i%4] // live; first id; nobody, twice; first id, keyed
+		if i%3 == 0 {
+			b0 |= 0x20
+		}
+		if i == 37 || i == 38 {
+			b0 |= 0x10
+		}
+		late = append(late, b0, [...]byte{0x21, 0x13, 0x32}[i%3], byte(i*5))
+	}
+	f.Add(late)
 	lens := [...]int{0, 1, 3, 17, MaxPayloadLen, MaxPayloadLen + 1}
 	ids := make([]NodeID, MaxPayloadLen+8)
 	blob := make([]byte, MaxPayloadLen+8)
@@ -496,22 +515,29 @@ func FuzzSendPayload(f *testing.F) {
 		for _, cfg := range []Config{base, overlay, lossy, lossyOverlay} {
 			e := New(cfg)
 			type cell struct {
-				ids  []NodeID
-				blob []byte
+				ids   []NodeID
+				blob  []byte
+				trace uint64
 			}
 			attached := map[uint64]cell{} // by Item, which numbers the sends
-			arrived := map[uint64]bool{}
+			arrived, dead := map[uint64]bool{}, map[uint64]bool{}
 			var wantBits, seen int64
 			op, rest := 0, data
 			h := funcHandler(func(ctx *Ctx) {
 				for i := range ctx.Inbox {
 					m := &ctx.Inbox[i]
-					if want := attached[m.Item]; !slices.Equal(m.IDs(), want.ids) || !bytes.Equal(m.Blob(), want.blob) {
-						t.Errorf("send %d delivered %d ids, %d blob bytes; attached %d, %d",
-							m.Item, len(m.IDs()), len(m.Blob()), len(want.ids), len(want.blob))
+					if want := attached[m.Item]; !slices.Equal(m.IDs(), want.ids) || !bytes.Equal(m.Blob(), want.blob) || m.Trace() != want.trace {
+						t.Errorf("send %d delivered %d ids, %d blob bytes, trace %d; attached %d, %d, %d",
+							m.Item, len(m.IDs()), len(m.Blob()), m.Trace(), len(want.ids), len(want.blob), want.trace)
 					}
 					if arrived[m.Item] {
 						t.Errorf("send %d delivered twice", m.Item)
+					}
+					if dead[m.Item] {
+						t.Errorf("send %d, a dead letter, was delivered", m.Item)
+					}
+					if m.To != ctx.ID {
+						t.Errorf("send %d to %d delivered to %d", m.Item, m.To, ctx.ID)
 					}
 					arrived[m.Item] = true
 					seen++
@@ -525,8 +551,10 @@ func FuzzSendPayload(f *testing.F) {
 				switch b[0] >> 1 & 3 {
 				case 1:
 					to = 0
-				case 2, 3:
+				case 2:
 					to = ctx.E.IDAt((ctx.Slot + 1 + int(b[2])) % ctx.E.N())
+				case 3:
+					to = NodeID(1 + int(b[2])%ctx.E.N())
 				}
 				calls := b[1:2]
 				if b[0]&8 != 0 {
@@ -544,7 +572,12 @@ func FuzzSendPayload(f *testing.F) {
 						m = ctx.SendMsg(to, 1)
 					}
 					m.Item = uint64(op)
+					dead[m.Item] = !ctx.E.IsLive(to)
 					var got cell
+					if b[0]&32 != 0 {
+						got.trace = uint64(op) + 1
+						ctx.SetTrace(m, got.trace)
+					}
 					for _, class := range calls {
 						ids, blob := payloadOf(op, class)
 						full := len(got.ids) > 0 || len(got.blob) > 0
@@ -554,7 +587,7 @@ func FuzzSendPayload(f *testing.F) {
 								op, len(ids), len(blob), full, p, want)
 						}
 						if !want && (len(ids) > 0 || len(blob) > 0) {
-							got = cell{ids, blob}
+							got.ids, got.blob = ids, blob
 						}
 					}
 					attached[m.Item] = got

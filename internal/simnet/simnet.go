@@ -79,8 +79,9 @@ type Msg struct {
 	// payload is the cell holding the id list, the blob and the trace tag,
 	// nil for a header-only untraced message. It points into the sender
 	// shard's payload cells (routeShard.pay), which are recycled two rounds
-	// after the send; whoever keeps a Msg past the round after its send
-	// must copy the cell out (faultFate).
+	// after the send, or, for a dead letter dropped at its send, at the
+	// context's scratch cell (Ctx.emplace); whoever keeps a Msg past the
+	// round after its send must copy the cell out (faultFate).
 	payload *payload
 
 	// (sentRound, srcSlot, seq) is unique per message and is the canonical
@@ -358,10 +359,13 @@ type routeFields struct {
 	kinds [256]KindCount
 }
 
-// KindCount is what the handlers sent of one message kind: messages and
-// their modelled wire bits (Msg.Bits).
+// KindCount is what the handlers sent of one message kind: messages, their
+// modelled wire bits (Msg.Bits), and how many of the messages were dead at
+// send — addressed to an id already gone when sent. Under RoutingOracle
+// each of those is also one of Metrics.MsgsDropped; under RoutingOverlay a
+// keyed one may still end at a holder of its item.
 type KindCount struct {
-	Msgs, Bits int64
+	Msgs, Bits, Dead int64
 }
 
 // Engine is the simulator. Create with New, drive with RunRound.
@@ -732,6 +736,7 @@ func (e *Engine) KindCount(kind uint8) KindCount {
 		c := e.shardOut[sh].kinds[kind]
 		t.Msgs += c.Msgs
 		t.Bits += c.Bits
+		t.Dead += c.Dead
 	}
 	return t
 }
@@ -748,11 +753,17 @@ type Ctx struct {
 	Rand  *rng.Stream
 	Inbox []Msg
 
-	out   *shard.Blocks[Msg]     // the shard's send buffer
-	pay   *shard.Blocks[payload] // the shard's payload cells for this round
-	kinds *[256]KindCount        // the shard's per-kind send counts
-	seq   uint32
-	bits  int64
+	out     *shard.Blocks[Msg]     // the shard's send buffer
+	pay     *shard.Blocks[payload] // the shard's payload cells for this round
+	kinds   *[256]KindCount        // the shard's per-kind send counts
+	dropped *int64                 // the shard's churn drops, if dead letters drop at the send
+	seq     uint32
+	bits    int64
+
+	// dead and deadCell are the scratch message and cell a dead letter
+	// dropped at its send is built in (emplace).
+	dead     Msg
+	deadCell payload
 }
 
 // SendMsg queues an id-addressed message from this node and returns it for
@@ -771,7 +782,9 @@ type Ctx struct {
 // move the message. Do not keep the pointer past HandleRound (the engine
 // routes the message after the handlers and reuses the buffer next
 // round), and do not assign a whole Msg through it (that would overwrite
-// the stamp).
+// the stamp). A dead letter, a message to an id already gone, may be a
+// scratch message instead (emplace): finish it before the node's next
+// send, which may reuse it.
 func (c *Ctx) SendMsg(to NodeID, kind uint8) *Msg { return c.emplace(to, kind) }
 
 // SendKeyed is SendMsg for holder-seeking messages: under RoutingOverlay
@@ -787,13 +800,31 @@ func (c *Ctx) SendKeyed(to NodeID, kind uint8) *Msg {
 // emplace is the one send path: it adds one zeroed message to the shard's
 // send buffer, fills in the addressee, the sender identity and the
 // sequencing, and charges the header's bits to the sender and its kind.
+// A send to an id already gone counts in its kind's Dead. Under
+// RoutingOracle with no fault model the scatter's liveness check is its
+// only fate, and no churn runs before it, so such a dead letter drops here:
+// it counts with the scatter's drops and is built in the context's scratch
+// message and cell, reset at each dead send, never in the send buffer, the
+// payload cells or the exchange.
 func (c *Ctx) emplace(to NodeID, kind uint8) *Msg {
-	m := c.out.Add()
+	k := &c.kinds[kind]
+	_, live := c.E.slotOf(to)
+	var m *Msg
+	if live || c.dropped == nil {
+		m = c.out.Add()
+	} else {
+		*c.dropped++
+		c.deadCell = payload{}
+		c.dead = Msg{payload: &c.deadCell}
+		m = &c.dead
+	}
+	if !live {
+		k.Dead++
+	}
 	m.From, m.To, m.Kind = c.ID, to, kind
 	m.sentRound, m.srcSlot, m.seq = int32(c.Round), int32(c.Slot), c.seq
 	c.seq++
 	c.bits += headerBits
-	k := &c.kinds[kind]
 	k.Msgs++
 	k.Bits += headerBits
 	return m
@@ -964,6 +995,9 @@ func (e *Engine) handleShard(sh int) {
 	a := &e.arenas[sh]
 	ctx := rs.ctx
 	*ctx = Ctx{E: e, Round: e.round, Shard: sh, out: &rs.out, pay: pay, kinds: &rs.kinds}
+	if e.router == nil && e.cfg.Fault == nil {
+		ctx.dropped = &rs.dropped // emplace drops dead letters
+	}
 	for s := lo; s < hi; s++ {
 		ctx.Slot, ctx.ID, ctx.Rand, ctx.Inbox = s, e.ids[s], &e.nodeRng[s], a.Run(s-lo)
 		ctx.seq, ctx.bits = 0, 0
@@ -1031,7 +1065,8 @@ func (e *Engine) exchange(sh int) {
 }
 
 // scatter stages a ref to each of source src's messages for its
-// destination shard, walking the send buffer a block at a time.
+// destination shard, walking the send buffer a block at a time. A message
+// to a departed id reaches it only under a fault model (emplace).
 func (e *Engine) scatter(src int) {
 	rs := &e.sources[src]
 	n := rs.out.Len()

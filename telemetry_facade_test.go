@@ -258,7 +258,9 @@ func TestTypedStatsMatchSeries(t *testing.T) {
 // snapshot, and their messages and bits add up to the engine's own totals —
 // every send is counted once, under its kind. The send counts of
 // Stats().Proto are read from them; the run has churn and the cache on, so
-// each of those counts is nonzero.
+// each of those counts is nonzero. Under the oracle with reliable links a
+// message dead at send is one the engine drops to churn, so the kinds'
+// dead counts sum to at most the engine's churn drops.
 func TestWireKindsAddUp(t *testing.T) {
 	nw := New(Config{
 		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 5,
@@ -275,7 +277,7 @@ func TestWireKindsAddUp(t *testing.T) {
 	}
 	nw.Run(nw.Tunables().Protocol.SearchTTL())
 	sent := map[string]int64{}
-	var msgs, bits int64
+	var msgs, bits, dead int64
 	for _, mv := range nw.Telemetry().DeterministicSnapshot() {
 		name, ok := strings.CutPrefix(mv.Name, "dynp2p_proto_kind_")
 		if !ok {
@@ -286,11 +288,16 @@ func TestWireKindsAddUp(t *testing.T) {
 			msgs += mv.Value
 		} else if strings.HasSuffix(name, "_bits_total") {
 			bits += mv.Value
+		} else if strings.HasSuffix(name, "_dead_total") {
+			dead += mv.Value
 		}
 	}
 	e := nw.Stats().Engine
 	if msgs != e.MsgsSent || bits != e.BitsSent {
 		t.Errorf("per-kind counters add up to %d msgs and %d bits, the engine sent %d and %d", msgs, bits, e.MsgsSent, e.BitsSent)
+	}
+	if dead == 0 || dead > e.MsgsDropped {
+		t.Errorf("%d messages dead at send, %d dropped to churn: want 0 < dead ≤ dropped", dead, e.MsgsDropped)
 	}
 	p := nw.Stats().Proto
 	for _, c := range []struct {
