@@ -70,12 +70,15 @@ const (
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
 	// candidate's gathered pieces, its count table, a searcher's fetched
-	// pieces and the coder's own buffers are gated too. It reads 126 on
-	// amd64 at GOMAXPROCS 1, 2 and 4 and 124 under GOARCH=386 (127 and
-	// 125 while a dead letter took a send-buffer slot; 476 before slab
-	// arrays were cut from blocks, 1,046 before the slab); the budget is
-	// the reading plus 3, and a roster clone per invite reads 151.
-	retrieveErasureAllocs = 129
+	// pieces and the coder's own buffers are gated too. It reads 122 on
+	// amd64 at GOMAXPROCS 1, 2 and 4 and 120 under GOARCH=386, since a
+	// handover hands out the item's recorded dispersal and decodes into
+	// its shard's scratch (126 and 124 with a re-encode per handover and
+	// a decode that made its item and system; 127 and 125 while a dead
+	// letter took a send-buffer slot; 476 before slab arrays were cut from
+	// blocks, 1,046 before the slab); the budget is the reading plus 3,
+	// and a roster clone per invite reads 139.
+	retrieveErasureAllocs = 125
 
 	// retrieveHeldBytes bounds what the engine's send buffers and inbox
 	// arenas hold (dynp2p_engine_mem_out_bytes plus

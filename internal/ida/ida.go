@@ -96,10 +96,16 @@ func (s *pieceSet) add(i int) bool {
 
 // Decode reconstructs the original item of length itemLen from any K or
 // more distinct pieces. Extra pieces beyond K are ignored. Duplicated
-// indices count once. A negative itemLen is ErrBadPiece. Decode makes two
-// allocations: the K×K system it inverts, with room for the inverse, and
-// the item.
+// indices count once. A negative itemLen is ErrBadPiece. Decode is
+// DecodeInto with no buffer.
 func (c *Coder) Decode(pieces []Piece, itemLen int) ([]byte, error) {
+	return c.DecodeInto(nil, pieces, itemLen)
+}
+
+// DecodeInto is Decode into buf's storage, whatever it holds, if buf is
+// not nil and has room for K×PieceLen(itemLen) bytes, else into a new
+// array. Up to K = 16 it allocates nothing else: the system is on the stack.
+func (c *Coder) DecodeInto(buf []byte, pieces []Piece, itemLen int) ([]byte, error) {
 	if itemLen < 0 {
 		return nil, fmt.Errorf("%w: item length %d", ErrBadPiece, itemLen)
 	}
@@ -108,7 +114,11 @@ func (c *Coder) Decode(pieces []Piece, itemLen int) ([]byte, error) {
 	// system is the dispersal row of the r-th of them, pieces[:end] the
 	// prefix that holds them.
 	k := c.k
-	sys := make([]byte, 2*k*k)
+	var stack [2 * 16 * 16]byte
+	sys := stack[:]
+	if k > 16 {
+		sys = make([]byte, 2*k*k)
+	}
 	sub := gf256.Matrix{Rows: k, Cols: k, Data: sys[:k*k]}
 	var seen pieceSet
 	n, end := 0, 0
@@ -126,13 +136,17 @@ func (c *Coder) Decode(pieces []Piece, itemLen int) ([]byte, error) {
 	if n < k {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughPieces, n, k)
 	}
-	inv := gf256.Matrix{Rows: k, Cols: k, Data: sys[k*k:]}
+	inv := gf256.Matrix{Rows: k, Cols: k, Data: sys[k*k : 2*k*k]}
 	if err := sub.InvertInto(&inv); err != nil {
 		// Cannot happen for a Cauchy matrix; guard anyway.
 		return nil, fmt.Errorf("ida: dispersal submatrix singular: %v", err)
 	}
 	// Stripe j is the sum over the chosen pieces r of inv[j][r]·piece r.
-	item := make([]byte, k*plen)
+	if buf == nil || cap(buf) < k*plen {
+		buf = make([]byte, k*plen)
+	}
+	item := buf[:k*plen]
+	clear(item)
 	seen = pieceSet{}
 	r := 0
 	for _, p := range pieces[:end] {

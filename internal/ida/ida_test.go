@@ -124,9 +124,10 @@ func TestDecodeBadPiece(t *testing.T) {
 	}
 }
 
-// FuzzIDA: any K of the L pieces of an item decode to the item, and Decode
+// FuzzIDA: any K of the L pieces of an item decode to the item, Decode
 // returns or errors — never panics — on whatever pieces and length it is
-// handed.
+// handed, and DecodeInto over a reused buffer of stale bytes answers as
+// Decode does.
 func FuzzIDA(f *testing.F) {
 	for _, size := range []int{0, 1, 17, 43, 255} { // within TestRoundTripRandom's sizes
 		f.Add(uint8(3), uint8(3), make([]byte, size), uint64(0b101010), []byte{}, int64(size))
@@ -157,13 +158,23 @@ func FuzzIDA(f *testing.F) {
 		if err != nil || !bytes.Equal(got, item) {
 			t.Fatalf("k=%d l=%d: %d pieces decoded to %x, %v; want %x", k, c.L(), len(kept), got, err, item)
 		}
+		// DecodeInto over a reused buffer of stale bytes, with room to
+		// spare or (cut's length picks) too little, decodes the same.
+		buf := bytes.Repeat([]byte{0xff ^ byte(len(cut))}, max(0, k*c.PieceLen(len(item))+len(cut)%3-1))
+		if into, err := c.DecodeInto(buf, kept, len(item)); err != nil || !bytes.Equal(into, got) {
+			t.Fatalf("k=%d l=%d: DecodeInto over %d stale bytes gave %x, %v; Decode gave %x", k, c.L(), len(buf), into, err, got)
+		}
 		// Hostile input: cut[i] shifts piece i's index and truncates its
 		// data, and the item length is anything at all.
 		for i := range kept[:min(len(kept), len(cut))] {
 			kept[i].Index += int(int8(cut[i]) >> 3)
 			kept[i].Data = kept[i].Data[:min(len(kept[i].Data), int(cut[i]&7))]
 		}
-		c.Decode(kept, int(itemLen))
+		dec, decErr := c.Decode(kept, int(itemLen))
+		into, intoErr := c.DecodeInto(buf, kept, int(itemLen))
+		if (decErr == nil) != (intoErr == nil) || !bytes.Equal(dec, into) {
+			t.Fatalf("hostile pieces: Decode gave %x, %v; DecodeInto %x, %v", dec, decErr, into, intoErr)
+		}
 	})
 }
 
@@ -243,11 +254,14 @@ func TestPieceLossTolerance(t *testing.T) {
 	}
 }
 
-// TestCoderAllocs pins what Encode and Decode allocate at the
-// store-maintain shape (K = 4, L = 23, 4 KiB items): Encode the pieces and
-// one block, Decode the system it inverts and the item. The pieces share
-// the block, so each is capped at its length: writing one piece's whole
-// capacity must leave every other piece as it was.
+// TestCoderAllocs pins what the coder allocates at the store-maintain
+// shape (K = 4, L = 23, 4 KiB items): Encode the pieces and one block,
+// Decode only the item (its K×K system is on the stack), and DecodeInto
+// nothing when its buffer holds the item, whatever stale bytes it holds.
+// Past K = 16 the system is made: Decode makes two allocations and
+// DecodeInto one. The pieces share the block, so each is capped at its
+// length: writing one piece's whole capacity must leave every other piece
+// as it was.
 func TestCoderAllocs(t *testing.T) {
 	c, err := New(4, 23)
 	if err != nil {
@@ -260,11 +274,28 @@ func TestCoderAllocs(t *testing.T) {
 		t.Errorf("Encode makes %v allocations, want 2", got)
 	}
 	sel := []Piece{pieces[20], pieces[3], pieces[3], pieces[11], pieces[0]}
-	if got := testing.AllocsPerRun(20, func() { c.Decode(sel, len(item)) }); got > 2 {
-		t.Errorf("Decode makes %v allocations, want at most 2", got)
+	if got := testing.AllocsPerRun(20, func() { c.Decode(sel, len(item)) }); got != 1 {
+		t.Errorf("Decode makes %v allocations, want 1", got)
 	}
 	if got, err := c.Decode(sel, len(item)); err != nil || !bytes.Equal(got, item) {
 		t.Fatalf("decode: %v", err)
+	}
+	buf := bytes.Repeat([]byte{0xa5}, c.K()*c.PieceLen(len(item)))
+	if got := testing.AllocsPerRun(20, func() { c.DecodeInto(buf, sel, len(item)) }); got != 0 {
+		t.Errorf("DecodeInto with room makes %v allocations, want 0", got)
+	}
+	if got, err := c.DecodeInto(buf, sel, len(item)); err != nil || !bytes.Equal(got, item) || &got[0] != &buf[0] {
+		t.Fatalf("DecodeInto: %v, or not into buf", err)
+	}
+
+	big, _ := New(20, 40)
+	bigPieces := big.Encode(item)
+	bigBuf := make([]byte, 20*big.PieceLen(len(item)))
+	if got := testing.AllocsPerRun(20, func() { big.Decode(bigPieces[5:25], len(item)) }); got != 2 {
+		t.Errorf("Decode at K = 20 makes %v allocations, want 2", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { big.DecodeInto(bigBuf, bigPieces[5:25], len(item)) }); got != 1 {
+		t.Errorf("DecodeInto at K = 20 makes %v allocations, want 1", got)
 	}
 
 	want := make([][]byte, len(pieces))

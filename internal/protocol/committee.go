@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"slices"
 
 	"dynp2p/internal/ida"
@@ -207,13 +208,37 @@ func addPiece(f *freeLists[ida.Piece], ps []ida.Piece, p ida.Piece) []ida.Piece 
 }
 
 // decode rebuilds an item of itemLen bytes from a piece set, once it holds
-// K pieces.
-func (h *Handler) decode(ps []ida.Piece, itemLen int) ([]byte, bool) {
+// K pieces, into buf's storage if it has the room (ida.DecodeInto).
+func (h *Handler) decode(buf []byte, ps []ida.Piece, itemLen int) ([]byte, bool) {
 	if len(ps) < h.code.K() {
 		return nil, false
 	}
-	item, err := h.code.Decode(ps, itemLen)
+	item, err := h.code.DecodeInto(buf, ps, itemLen)
 	return item, err == nil
+}
+
+// dispersal is an item's bytes and Encode's pieces of them, both immutable.
+type dispersal struct {
+	item   []byte
+	pieces []ida.Piece
+}
+
+// disperse returns key's recorded pieces if they were cut from item's
+// bytes, else Encode's, which it records, item copied if scratch. Encode
+// cuts the same pieces from the same bytes, so no result can tell the two
+// apart. Shards disperse concurrently: the table is behind h.mu.
+func (h *Handler) disperse(key uint64, item []byte, scratch bool) []ida.Piece {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if d, ok := h.dispersals[key]; ok && bytes.Equal(d.item, item) {
+		return d.pieces
+	}
+	if scratch {
+		item = bytes.Clone(item)
+	}
+	d := dispersal{item, h.code.Encode(item)}
+	h.dispersals[key] = d
+	return d.pieces
 }
 
 // rankOf returns node self's position in the epoch leader ranking:
@@ -265,13 +290,14 @@ func (h *Handler) attemptHandover(ctx *simnet.Ctx, st *nodeState, m *membership,
 		}
 	} else {
 		// §4.4: reconstruct from the pieces the members sent this
-		// candidate, then re-disperse fresh pieces to the new roster.
-		item, ok := h.decode(m.gathered, m.gatheredLen)
+		// candidate, into the shard's scratch, and re-disperse the item.
+		item, ok := h.decode(h.slabs[ctx.Shard].item, m.gathered, m.gatheredLen)
 		if !ok {
 			h.ctr.idaLost.Inc(ctx.Shard)
 			return
 		}
-		pieces, itemLen = h.code.Encode(item), len(item)
+		h.slabs[ctx.Shard].item = item
+		pieces, itemLen = h.disperse(m.key, item, true), len(item)
 		h.ctr.idaRecoded.Inc(ctx.Shard)
 	}
 	m.handledEpoch = epoch

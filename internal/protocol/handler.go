@@ -14,8 +14,8 @@ import (
 // Handler is the protocol stack: a simnet.Handler that runs committees,
 // landmark trees, storage, and retrieval for every node in the network.
 // Per-node state is kept per slot; HandleRound runs concurrently across
-// slots but each invocation touches only its own slot's state, shared
-// immutable configuration, and sharded telemetry cells.
+// slots but each invocation touches only its own slot's and shard's state,
+// immutable configuration, sharded telemetry cells and what mu guards.
 type Handler struct {
 	P    Params
 	e    *simnet.Engine // counts every send by kind (Sent, Counters)
@@ -31,8 +31,9 @@ type Handler struct {
 	seed       uint64
 	cacheArena []cacheEntry
 
-	mu      sync.Mutex
-	results []SearchResult
+	mu         sync.Mutex
+	results    []SearchResult
+	dispersals map[uint64]dispersal // IDA mode: each stored key's last dispersal (disperse)
 
 	ctr counters
 }
@@ -258,6 +259,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 			panic("protocol: " + err.Error())
 		}
 		h.code = c
+		h.dispersals = make(map[uint64]dispersal)
 	}
 	e.SetHeldKeys(h.heldKeys)
 	e.Telemetry().RegisterCollector(h.collectMemory)
@@ -449,12 +451,14 @@ func (h *Handler) DrainResults() []SearchResult {
 // --- Introspection helpers for experiments (call between rounds only) ---
 
 // CommitteeSlots returns the slots whose occupants are currently members
-// of item key's storage committee. The result is sized for a committee as
-// invited, so it grows only for a forked one.
+// of item key's storage committee, nil (no allocation) if there are none.
 func (h *Handler) CommitteeSlots(key uint64) []int {
-	out := make([]int, 0, h.inviteCount())
+	var out []int
 	for s := range h.states {
 		if h.states[s].memberships.get(key) != nil {
+			if out == nil {
+				out = make([]int, 0, h.inviteCount())
+			}
 			out = append(out, s)
 		}
 	}

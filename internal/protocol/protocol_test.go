@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dynp2p/internal/churn"
 	"dynp2p/internal/ida"
@@ -361,6 +363,72 @@ func idaPiecesLeg(t *testing.T, k int) {
 	s.h.RequestRetrieve(s.e, 200, key, data)
 	if res := await(s, nil, 1); len(res) != 1 || !res[0].Success {
 		t.Fatalf("retrieval after %d epochs: %+v", epochs, res)
+	}
+}
+
+// TestHandoverReusesDispersal: every handover hands its new roster the
+// pieces the item was dispersed into when it was stored. Each invite, at
+// the store and at every epoch's handover, carries its piece of a fresh
+// Encode of the item byte for byte, and carries it in the array the
+// store's recorded dispersal holds: no handover encodes.
+func TestHandoverReusesDispersal(t *testing.T) {
+	const key, size, epochs = 29, 301, 4
+	type invite struct {
+		piece int
+		blob  []byte
+	}
+	var mu sync.Mutex
+	var invites []invite
+	s := newSim(t, 256, churn.ZeroLaw{}, 4, 23)
+	s.setFault(watchFault{see: func(m *simnet.Msg) {
+		if m.Kind == KindCInvite && m.Item == key {
+			_, piece := unpackInvite(m.Aux)
+			mu.Lock()
+			invites = append(invites, invite{piece, m.Blob()})
+			mu.Unlock()
+		}
+	}})
+	s.warm()
+	data := itemBytes(key, size)
+	s.h.RequestStore(s.e, 3, key, data)
+	s.run(2)
+	stored, ok := s.h.dispersals[key]
+	created := len(invites)
+	if !ok || created == 0 {
+		t.Fatalf("the store sent %d invites and recorded a dispersal: %v", created, ok)
+	}
+	s.run((epochs + 1) * s.h.P.Period)
+
+	fresh := s.h.code.Encode(data)
+	for i, inv := range invites {
+		if inv.piece < 0 || inv.piece >= len(fresh) || !bytes.Equal(inv.blob, fresh[inv.piece].Data) {
+			t.Fatalf("invite %d: piece %d differs from a fresh Encode's", i, inv.piece)
+		}
+		if unsafe.SliceData(inv.blob) != unsafe.SliceData(stored.pieces[inv.piece].Data) {
+			t.Errorf("invite %d (%d sent at the store): piece %d is a fresh dispersal's", i, created, inv.piece)
+		}
+	}
+	if d := s.h.dispersals[key]; unsafe.SliceData(d.pieces) != unsafe.SliceData(stored.pieces) {
+		t.Error("a handover recorded a new dispersal")
+	}
+	c := s.h.Counters()
+	if len(invites) <= created || c.Handovers < epochs || c.IDARecoded != c.Handovers || c.IDALost != 0 {
+		t.Errorf("%d handover invites; %d handovers, %d recoded, %d lost over %d epochs",
+			len(invites)-created, c.Handovers, c.IDARecoded, c.IDALost, epochs)
+	}
+	// Other bytes under the key are dispersed afresh, from a copy of a
+	// scratch item, and the item's own bytes again after them.
+	other := itemBytes(key+1, size)
+	scratch := bytes.Clone(other)
+	got := s.h.disperse(key, scratch, true)
+	clear(scratch)
+	if want := s.h.code.Encode(other); !slices.EqualFunc(got, want, func(a, b ida.Piece) bool {
+		return a.Index == b.Index && bytes.Equal(a.Data, b.Data)
+	}) || !bytes.Equal(s.h.dispersals[key].item, other) {
+		t.Error("other bytes under the key were not dispersed afresh")
+	}
+	if got := s.h.disperse(key, data, false); !bytes.Equal(got[5].Data, fresh[5].Data) {
+		t.Error("the item's bytes after other bytes got the other bytes' pieces")
 	}
 }
 

@@ -97,7 +97,7 @@ func (h *Handler) tickPending(ctx *simnet.Ctx, st *nodeState) {
 func (h *Handler) createStoreCommittee(ctx *simnet.Ctx, st *nodeState, op pendingOp, roster []simnet.NodeID) {
 	var pieces []ida.Piece
 	if h.code != nil {
-		pieces = h.code.Encode(op.data)
+		pieces = h.disperse(op.key, op.data, false)
 	}
 	h.sendInvites(ctx, op.key, ctx.Round, roster, op.data, pieces, len(op.data), h.sampleOp(ctx, st, op))
 	h.ctr.committeeCreated.Inc(ctx.Shard)
@@ -315,7 +315,7 @@ func (h *Handler) onData(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	if h.code != nil {
 		srch.pieces = addPiece(&h.slabs[ctx.Shard].pieces, srch.pieces, ida.Piece{Index: int(msg.Aux), Data: item})
 		var ok bool
-		if item, ok = h.decode(srch.pieces, int(msg.Aux2)); !ok {
+		if item, ok = h.decode(nil, srch.pieces, int(msg.Aux2)); !ok {
 			return
 		}
 	}

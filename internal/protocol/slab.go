@@ -36,6 +36,7 @@ type slab struct {
 	searches freeLists[searchState]   // searches' values
 	ids      freeLists[simnet.NodeID] // a membership's sources, a search's asked-set
 	pieces   freeLists[ida.Piece]     // a membership's gathered pieces, a search's pieces
+	item     []byte                   // the item a leader candidate decodes, reused by the shard's next handover
 }
 
 // slabClasses is the number of capacity classes, 1 to 2^(slabClasses-1).
@@ -155,9 +156,9 @@ func (srch *searchState) release(sl *slab) {
 
 // collectMemory is the protocol's row of the memory ledger: the bytes the
 // nodes' protocol arrays hold (every table's keys and values, and the
-// arrays inside a membership or a search that grow through the slab), and
-// the bytes the slabs hold free for reuse, each block's unused rest
-// included. Both are capacity times element size, read at a snapshot.
+// arrays inside a membership or a search that grow through the slab), the
+// slabs' free arrays and blocks' rests, and the IDA dispersals (items, piece
+// headers, blocks) and decode scratch: capacity × element size, at a snapshot.
 func (h *Handler) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
 	tables := 0
 	for s := range h.states {
@@ -172,12 +173,17 @@ func (h *Handler) collectMemory(emit func(name string, kind telemetry.Kind, v in
 			tables += capBytes(srch.pieces) + capBytes(srch.roster)
 		}
 	}
-	free := 0
+	free, dispersals := 0, 0
 	for i := range h.slabs {
 		sl := &h.slabs[i]
 		free += sl.keys.bytes() + sl.counts.bytes() + sl.members.bytes() + sl.marks.bytes() +
 			sl.tasks.bytes() + sl.searches.bytes() + sl.ids.bytes() + sl.pieces.bytes()
+		dispersals += cap(sl.item)
+	}
+	for _, d := range h.dispersals {
+		dispersals += cap(d.item) + capBytes(d.pieces) + h.code.TotalStoredBytes(len(d.item))
 	}
 	emit("dynp2p_proto_mem_table_bytes", telemetry.KindGauge, int64(tables))
 	emit("dynp2p_proto_mem_slab_free_bytes", telemetry.KindGauge, int64(free))
+	emit("dynp2p_proto_mem_dispersal_bytes", telemetry.KindGauge, int64(dispersals))
 }

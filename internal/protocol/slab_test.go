@@ -319,8 +319,9 @@ func TestSlabDropsReferences(t *testing.T) {
 
 // TestProtocolMemoryLedger: the protocol's row of the memory ledger reads,
 // after a store has been maintained past a handover and an item retrieved,
-// nonzero bytes in the nodes' arrays and in the slabs' free lists, each
-// the arrays' capacities times their element sizes.
+// nonzero bytes in the nodes' arrays, in the slabs' free lists and in the
+// item's recorded dispersal and the shards' decode scratch, each the
+// arrays' capacities times their element sizes.
 func TestProtocolMemoryLedger(t *testing.T) {
 	const n = 256
 	s := newSim(t, n, churn.ZeroLaw{}, 4, 33)
@@ -348,12 +349,29 @@ func TestProtocolMemoryLedger(t *testing.T) {
 			free += r.hi - r.lo
 		}
 	}
+	// The dispersal the store recorded and a leader candidate's scratch:
+	// every piece is capped at its length, so their capacities add up to
+	// the block they are cut from.
+	var dispersal, scratch uintptr
+	for _, d := range s.h.dispersals {
+		dispersal += uintptr(cap(d.item)) + uintptr(cap(d.pieces))*unsafe.Sizeof(ida.Piece{})
+		for _, p := range d.pieces {
+			dispersal += uintptr(cap(p.Data))
+		}
+	}
+	for i := range s.h.slabs {
+		scratch += uintptr(cap(s.h.slabs[i].item))
+	}
+	if len(s.h.dispersals) != 1 || scratch == 0 {
+		t.Errorf("%d dispersals recorded and %d scratch bytes, want one and a handover's", len(s.h.dispersals), scratch)
+	}
 	for _, c := range []struct {
 		name string
 		want uintptr
 	}{
 		{"dynp2p_proto_mem_table_bytes", tables},
 		{"dynp2p_proto_mem_slab_free_bytes", free},
+		{"dynp2p_proto_mem_dispersal_bytes", dispersal + scratch},
 	} {
 		if c.want == 0 || got[c.name] != int64(c.want) {
 			t.Errorf("%s = %d, want %d (> 0)", c.name, got[c.name], c.want)

@@ -118,6 +118,7 @@ func TestPrometheusSnapshotSchema(t *testing.T) {
 		"dynp2p_proto_kind_cpiece_bits_total",
 		"dynp2p_proto_mem_table_bytes",
 		"dynp2p_proto_mem_slab_free_bytes",
+		"dynp2p_proto_mem_dispersal_bytes",
 		"dynp2p_soup_generated_total",
 		"dynp2p_soup_mem_ring_bytes",
 		"dynp2p_soup_mem_cohort_bytes",
@@ -431,7 +432,7 @@ func TestMetricsJSONLSchema(t *testing.T) {
 	for _, owner := range []string{
 		"engine_mem_out", "engine_mem_xfer", "engine_mem_inbox_arena", "engine_mem_payload_slab",
 		"soup_mem_ring", "soup_mem_cohort", "soup_mem_samples",
-		"proto_mem_table", "proto_mem_slab_free",
+		"proto_mem_table", "proto_mem_slab_free", "proto_mem_dispersal",
 	} {
 		if name := "dynp2p_" + owner + "_bytes"; kinds[name] != "gauge" {
 			t.Errorf("metrics JSONL: %s is %q, want a gauge", name, kinds[name])
