@@ -53,32 +53,36 @@ const (
 	// the 2n a per-slot allocation on the join path costs.
 	setupAllocs = 16
 
-	// retrieveAllocs bounds mean allocations per round over the first
-	// gateRounds rounds of retrieveHot at refSize, cache off and on. Unlike
-	// the steady-state paths this one allocates by design: a search or a
-	// handover draws a fresh roster, and the first rounds grow each
-	// shard's slab and message buffers. It reads 110 (off) and 127 (on)
-	// on amd64 at GOMAXPROCS 1, 2 and 4, and 109 and 126 under
-	// GOARCH=386, since a dead letter drops at its send (111 and 129 while
-	// it took a send-buffer slot; 112 and 128 while the inbox arenas
+	// retrieveAllocs and retrieveCachedAllocs bound mean allocations per
+	// round over the first gateRounds rounds of retrieveHot at refSize,
+	// cache off and on. Unlike the steady-state paths this one allocates
+	// by design: a search or a handover draws a fresh roster, and the
+	// first rounds grow each shard's slab and message buffers. They read
+	// 75 (off) and 93 (on) on amd64 at GOMAXPROCS 1, 2 and 4, and 74 and
+	// 92 under GOARCH=386, since each slab element type files its free
+	// arrays in one linked store (110 and 127, and 109 and 126, while
+	// every capacity class had a list of its own; 111 and 129 while a dead
+	// letter took a send-buffer slot; 112 and 128 while the inbox arenas
 	// doubled; 446 and 441 when each new slab array was its own
 	// allocation; 983 and 940 before the protocol's arrays grew from the
-	// slab). The budget is the largest reading plus 3: a roster clone per
-	// invite reads 135 (off) and 151 (on) and fails it.
-	retrieveAllocs = 130
+	// slab). Each budget is its leg's largest reading plus 3: a roster
+	// clone per invite fails both.
+	retrieveAllocs       = 78
+	retrieveCachedAllocs = 96
 
 	// retrieveErasureAllocs is retrieveAllocs for the same workload with
 	// the items dispersed at IDA K = 4 and the cache off, so a leader
 	// candidate's gathered pieces, its count table, a searcher's fetched
-	// pieces and the coder's own buffers are gated too. It reads 122 on
-	// amd64 at GOMAXPROCS 1, 2 and 4 and 120 under GOARCH=386, since a
-	// handover hands out the item's recorded dispersal and decodes into
-	// its shard's scratch (126 and 124 with a re-encode per handover and
-	// a decode that made its item and system; 127 and 125 while a dead
-	// letter took a send-buffer slot; 476 before slab arrays were cut from
-	// blocks, 1,046 before the slab); the budget is the reading plus 3,
-	// and a roster clone per invite reads 139.
-	retrieveErasureAllocs = 125
+	// pieces and the coder's own buffers are gated too. It reads 83 on
+	// amd64 at GOMAXPROCS 1, 2 and 4 and 81 under GOARCH=386 since the
+	// one linked store per slab element type (122 and 120 with a list per
+	// capacity class, since a handover hands out the item's recorded
+	// dispersal and decodes into its shard's scratch; 126 and 124 with a
+	// re-encode per handover and a decode that made its item and system;
+	// 127 and 125 while a dead letter took a send-buffer slot; 476 before
+	// slab arrays were cut from blocks, 1,046 before the slab); the budget
+	// is the reading plus 3, and a roster clone per invite fails it.
+	retrieveErasureAllocs = 86
 
 	// retrieveHeldBytes bounds what the engine's send buffers and inbox
 	// arenas hold (dynp2p_engine_mem_out_bytes plus
@@ -218,7 +222,7 @@ func TestRetrieveHotAllocs(t *testing.T) {
 		budget   int
 	}{
 		{false, 0, retrieveAllocs},
-		{true, 0, retrieveAllocs},
+		{true, 0, retrieveCachedAllocs},
 		{false, 4, retrieveErasureAllocs},
 	} {
 		name := fmt.Sprintf("cache=%v/erasureK=%d", c.cached, c.erasureK)

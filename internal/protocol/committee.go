@@ -360,6 +360,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	m := st.memberships.get(key)
 	if m == nil {
 		m = st.memberships.put(&h.slabs[ctx.Shard], key, membership{})
+		h.enlist(ctx.Shard, key)
 	}
 	// The roster and the copy or piece are immutable once sent: the new
 	// committee shares the leader's arrays. A re-invited member keeps its
@@ -417,5 +418,6 @@ func (h *Handler) onHandover(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	}
 	m.release(&h.slabs[ctx.Shard])
 	st.memberships.del(msg.Item)
+	h.delist(ctx.Shard, msg.Item)
 	h.ctr.resignations.Inc(ctx.Shard)
 }

@@ -28,3 +28,18 @@ func (h *Handler) CacheLoad(round int) int {
 	}
 	return c
 }
+
+// committeeScan is what CommitteeSlots and CopyCount read, found by
+// looking at every slot's memberships: the reference the census is tested
+// against.
+func (h *Handler) committeeScan(key uint64) (slots []int, copies int) {
+	for s := range h.states {
+		if m := h.states[s].memberships.get(key); m != nil {
+			slots = append(slots, s)
+			if m.data != nil {
+				copies++
+			}
+		}
+	}
+	return slots, copies
+}

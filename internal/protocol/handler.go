@@ -24,6 +24,11 @@ type Handler struct {
 
 	states []nodeState
 	slabs  []slab // one per engine shard, grown from by its slots' protocol arrays (slab.go)
+	// census is one table per engine shard: item key -> how many of the
+	// shard's slots hold a membership of its committee, no key at 0. A
+	// shard's table changes only where one of its slots joins or leaves a
+	// committee (enlist, delist), in its handler phase or in churn.
+	census []table[int]
 
 	// Hot-key cache (cache.go): one flat arena sized once from
 	// Params.CacheCapacity, slot s owning the region [s·cap, (s+1)·cap).
@@ -242,6 +247,7 @@ func NewHandler(e *simnet.Engine, soup *walks.Soup, p Params) *Handler {
 		seed:   e.Config().ProtocolSeed,
 		states: make([]nodeState, e.N()),
 		slabs:  make([]slab, e.Grid().Count()),
+		census: make([]table[int], e.Grid().Count()),
 		ctr:    newCounters(e.Telemetry()),
 
 		cacheArena: make([]cacheEntry, e.N()*p.CacheCapacity),
@@ -308,8 +314,10 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 	st := &h.states[slot]
 	st.id = id
 	st.recentPos, st.recentLen = 0, 0
-	sl := &h.slabs[e.Grid().Of(slot, e.N())]
+	sh := e.Grid().Of(slot, e.N())
+	sl := &h.slabs[sh]
 	for i := range st.memberships.vals {
+		h.delist(sh, st.memberships.keys[i])
 		st.memberships.vals[i].release(sl)
 	}
 	for i := range st.searches.vals {
@@ -326,6 +334,24 @@ func (h *Handler) OnJoin(e *simnet.Engine, slot int, id simnet.NodeID, round int
 
 // OnLeave implements simnet.Handler.
 func (h *Handler) OnLeave(e *simnet.Engine, slot int, id simnet.NodeID, round int) {}
+
+// enlist counts one more of shard sh's slots in key's committee.
+func (h *Handler) enlist(sh int, key uint64) {
+	if c := h.census[sh].get(key); c != nil {
+		*c++
+	} else {
+		h.census[sh].put(&h.slabs[sh], key, 1)
+	}
+}
+
+// delist counts one fewer of shard sh's slots in key's committee.
+func (h *Handler) delist(sh int, key uint64) {
+	if c := h.census[sh].get(key); *c > 1 {
+		*c--
+	} else {
+		h.census[sh].del(key)
+	}
+}
 
 // pushRecent records a walk sample source in the node's ring buffer. The
 // ring is written backwards, so from recentPos on it reads newest first.
@@ -450,28 +476,47 @@ func (h *Handler) DrainResults() []SearchResult {
 
 // --- Introspection helpers for experiments (call between rounds only) ---
 
-// CommitteeSlots returns the slots whose occupants are currently members
-// of item key's storage committee, nil (no allocation) if there are none.
-func (h *Handler) CommitteeSlots(key uint64) []int {
-	var out []int
-	for s := range h.states {
-		if h.states[s].memberships.get(key) != nil {
-			if out == nil {
-				out = make([]int, 0, h.inviteCount())
+// members calls f, in ascending slot order, with every slot whose
+// occupant is a member of item key's storage committee and its
+// membership. It scans only the shards whose census counts a member, each
+// until it has met them all.
+func (h *Handler) members(key uint64, f func(slot int, m *membership)) {
+	g, n := h.e.Grid(), len(h.states)
+	for sh := range h.census {
+		c := h.census[sh].get(key)
+		if c == nil {
+			continue
+		}
+		lo, hi := g.Bounds(sh, n)
+		for s, left := lo, *c; s < hi && left > 0; s++ {
+			if m := h.states[s].memberships.get(key); m != nil {
+				f(s, m)
+				left--
 			}
-			out = append(out, s)
 		}
 	}
+}
+
+// CommitteeSlots returns the slots whose occupants are currently members
+// of item key's storage committee, ascending, nil (no allocation) if
+// there are none. It reads the shards the census names, not every slot.
+func (h *Handler) CommitteeSlots(key uint64) []int {
+	var out []int
+	h.members(key, func(slot int, _ *membership) {
+		if out == nil {
+			out = make([]int, 0, h.inviteCount())
+		}
+		out = append(out, slot)
+	})
 	return out
 }
 
-// CommitteeCount returns len(CommitteeSlots(key)) without building the
-// list.
+// CommitteeCount returns len(CommitteeSlots(key)) from the census alone.
 func (h *Handler) CommitteeCount(key uint64) int {
 	c := 0
-	for s := range h.states {
-		if h.states[s].memberships.get(key) != nil {
-			c++
+	for sh := range h.census {
+		if n := h.census[sh].get(key); n != nil {
+			c += *n
 		}
 	}
 	return c
@@ -480,11 +525,11 @@ func (h *Handler) CommitteeCount(key uint64) int {
 // CopyCount returns how many nodes hold a copy (or piece) of the item.
 func (h *Handler) CopyCount(key uint64) int {
 	c := 0
-	for s := range h.states {
-		if m := h.states[s].memberships.get(key); m != nil && m.data != nil {
+	h.members(key, func(_ int, m *membership) {
+		if m.data != nil {
 			c++
 		}
-	}
+	})
 	return c
 }
 

@@ -49,11 +49,18 @@ func newSim(t testing.TB, n int, law churn.Law, idaK int, seed uint64) *sim {
 // newSimWith is newSim with the protocol parameters adjusted by set.
 func newSimWith(t testing.TB, n int, law churn.Law, seed uint64, set func(*Params)) *sim {
 	t.Helper()
+	return newSimRouted(t, n, law, seed, simnet.RoutingOracle, set)
+}
+
+// newSimRouted is newSimWith in the given routing mode.
+func newSimRouted(t testing.TB, n int, law churn.Law, seed uint64, mode simnet.RoutingMode, set func(*Params)) *sim {
+	t.Helper()
 	tap := &faultTap{}
 	e := simnet.New(simnet.Config{
 		N: n, Degree: 8, EdgeMode: simnet.EdgesRerandomize,
 		AdversarySeed: seed, ProtocolSeed: seed + 1,
 		Strategy: churn.Uniform, Law: law, Fault: tap,
+		Routing: simnet.RoutingConfig{Mode: mode},
 	})
 	wp := walks.DefaultParams(n)
 	soup := walks.NewSoup(e, wp, 0)
@@ -807,5 +814,77 @@ func TestSearcherPieceSet(t *testing.T) {
 	rs := p.DrainResults()
 	if len(rs) != 1 || !rs[0].Success || rs[0].Bytes != len(item) || rs[0].Done != p.sendAt+1 {
 		t.Fatalf("results %+v, want one success of %d bytes in round %d", rs, len(item), p.sendAt+1)
+	}
+}
+
+// TestCommitteeCensus: CommitteeSlots, CommitteeCount and CopyCount read
+// the shards' committee census, and must read what a scan of every slot
+// finds (committeeScan) after every round of a run in which memberships
+// come and go every way they can — invites, resigns on a handover, churn
+// replacing a member — with IDA pieces held, and a tenth of all messages
+// lost, so a member a handover notice misses stays on beside the new
+// committee and committees fork. Both routing modes.
+func TestCommitteeCensus(t *testing.T) {
+	for _, mode := range []simnet.RoutingMode{simnet.RoutingOracle, simnet.RoutingOverlay} {
+		t.Run(mode.String(), func(t *testing.T) {
+			const n, keys = 256, 6
+			s := newSimRouted(t, n, churn.RateLaw{C: 0.5, K: 2.0}, 43, mode, func(p *Params) { p.IDAThreshold = 4 })
+			s.warm()
+			s.setFault(simnet.DropDelayFaults{DropProb: 0.1})
+			checked := []uint64{999} // and every stored key
+			for i := range keys {
+				key := uint64(300 + i)
+				s.h.RequestStore(s.e, 5+41*i, key, itemBytes(key, 120))
+				checked = append(checked, key)
+			}
+			// members holds each key's member slots and their ids after the
+			// last round: a slot whose id has changed since lost its
+			// membership to churn (OnJoin).
+			members := map[uint64]map[int]simnet.NodeID{}
+			churned, forked := 0, 0
+			for r := 0; r < 4*s.h.P.Period; r++ {
+				if r%4 == 0 {
+					key := uint64(300 + r/4%keys)
+					s.h.RequestRetrieve(s.e, (17+29*r)%n, key, itemBytes(key, 120))
+				}
+				s.run(1)
+				s.h.DrainResults()
+				for _, key := range checked {
+					slots, copies := s.h.committeeScan(key)
+					if got := s.h.CommitteeSlots(key); !slices.Equal(got, slots) {
+						t.Fatalf("round %d, key %d: CommitteeSlots = %v, a scan finds %v", s.e.Round(), key, got, slots)
+					}
+					if got := s.h.CommitteeCount(key); got != len(slots) {
+						t.Fatalf("round %d, key %d: CommitteeCount = %d, a scan finds %d", s.e.Round(), key, got, len(slots))
+					}
+					if got := s.h.CopyCount(key); got != copies {
+						t.Fatalf("round %d, key %d: CopyCount = %d, a scan finds %d", s.e.Round(), key, got, copies)
+					}
+					if len(slots) > s.h.P.CommitteeSize {
+						forked++
+					}
+					for slot, id := range members[key] {
+						if s.h.states[slot].id != id {
+							churned++
+						}
+					}
+					now := map[int]simnet.NodeID{}
+					for _, slot := range slots {
+						now[slot] = s.h.states[slot].id
+					}
+					members[key] = now
+				}
+				for sh := range s.h.census {
+					if i := slices.IndexFunc(s.h.census[sh].vals, func(c int) bool { return c <= 0 }); i >= 0 {
+						t.Fatalf("round %d: shard %d's census holds key %d at %d", s.e.Round(), sh, s.h.census[sh].keys[i], s.h.census[sh].vals[i])
+					}
+				}
+			}
+			resigned := s.h.Counters().Resignations
+			if resigned == 0 || churned == 0 || forked == 0 {
+				t.Fatalf("%d resigns, %d members churned, %d key-rounds with a forked committee: every path must run", resigned, churned, forked)
+			}
+			t.Logf("%d resigns, %d members churned, %d key-rounds with a forked committee", resigned, churned, forked)
+		})
 	}
 }

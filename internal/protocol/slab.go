@@ -11,15 +11,16 @@ import (
 )
 
 // slab is one engine shard's store of the protocol arrays its nodes never
-// send: per element type, free lists by power-of-two capacity and a block
-// to cut new arrays from. A table's keys and values, a membership's
-// sample-window sources, count table and gathered pieces, and a search's
-// fetched pieces and asked-set all grow through their slot's shard slab,
-// and go back to it when their owner drops them: a table's old arrays when
-// it grows, a membership's when the node resigns (onHandover), a search's
-// when it finishes (finishSearch), and all of a node's when churn replaces
-// it (OnJoin). An array is cleared before it is filed, so nothing in a
-// slab keeps a departed owner's rosters or bytes reachable.
+// send: per element type, one linked free store of arrays by power-of-two
+// capacity and a block to cut new arrays from. A table's keys and values, a
+// membership's sample-window sources, count table and gathered pieces, a
+// search's fetched pieces and asked-set, and the shard's committee census
+// all grow through their shard's slab, and go back to it when their owner
+// drops them: a table's old arrays when it grows, a membership's when the
+// node resigns (onHandover), a search's when it finishes (finishSearch),
+// and all of a node's when churn replaces it (OnJoin). An array is cleared
+// before it is filed, so nothing in a slab keeps a departed owner's
+// rosters or bytes reachable.
 //
 // A shard's slab is touched only by that shard's handler phase and by the
 // serial churn phase, so nothing is locked; and an array's capacity is a
@@ -29,7 +30,7 @@ import (
 // once sent (DESIGN.md §2) and never enter a slab.
 type slab struct {
 	keys     freeLists[uint64]        // every table's keys
-	counts   freeLists[int]           // a membership's count table values
+	counts   freeLists[int]           // a membership's count table values, the census's counts
 	members  freeLists[membership]    // memberships' values
 	marks    freeLists[lmEntry]       // storageLM's values
 	tasks    freeLists[searchTask]    // searchLM's values
@@ -44,11 +45,26 @@ type slab struct {
 // is dropped.
 const slabClasses = 24
 
-// freeLists holds cleared arrays of T by capacity class (lists[c] holds
-// arrays of capacity 1<<c), and the unused, zero rest of the current block.
+// freeLists is one free store of cleared arrays of T. Every filed array
+// sits in an entry of filed, linked into the chain of its capacity class:
+// heads[c] starts the chain of arrays of capacity 1<<c, newest first. An
+// entry whose array was taken again is linked into the chain of empty
+// entries, which the next filing reuses, so the store grows by one
+// doubling chain however many classes it files — not one per class. Links
+// are entry indexes plus one; 0 ends a chain, so the zero store is empty.
+// rest is the unused, zero rest of the current block.
 type freeLists[T any] struct {
-	lists [slabClasses][][]T
+	filed []filedArray[T]
+	heads [slabClasses]int32
+	empty int32
 	rest  []T
+}
+
+// filedArray is one entry of a free store: a filed array (nil in an empty
+// entry) and the link to the next entry of its chain.
+type filedArray[T any] struct {
+	array []T
+	next  int32
 }
 
 // blockLen returns the elements in a block of T: the largest power of two
@@ -57,8 +73,8 @@ func blockLen[T any]() int { return 1 << (bits.Len(uint(2048/sizeOf[T]())|1) - 1
 
 // grow returns s with room for n more elements: s itself if it has the
 // room, else s's elements moved to an array of the next power-of-two
-// capacity — reused from f, else cut from f's block or, if larger than a
-// block, made — and s's array handed back to f.
+// capacity — the one f filed last in that class, else cut from f's block
+// or, if larger than a block, made — and s's array handed back to f.
 func (f *freeLists[T]) grow(s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
@@ -66,11 +82,11 @@ func (f *freeLists[T]) grow(s []T, n int) []T {
 	c := bits.Len(uint(len(s) + n - 1))
 	var t []T
 	switch k := 1 << c; {
-	case c < slabClasses && len(f.lists[c]) > 0:
-		l := f.lists[c]
-		t = l[len(l)-1]
-		l[len(l)-1] = nil
-		f.lists[c] = l[:len(l)-1]
+	case c < slabClasses && f.heads[c] != 0:
+		i := f.heads[c]
+		e := &f.filed[i-1]
+		t, f.heads[c] = e.array, e.next
+		e.array, e.next, f.empty = nil, f.empty, i
 	case k <= blockLen[T]():
 		if len(f.rest) < k {
 			f.rest = make([]T, blockLen[T]())
@@ -84,9 +100,9 @@ func (f *freeLists[T]) grow(s []T, n int) []T {
 	return t
 }
 
-// free clears s's whole array and files it for reuse. s must come from
-// grow (or be empty): a capacity that is not a power of two is a slice
-// that did not, and panics.
+// free clears s's whole array and files it for reuse, at the head of its
+// class's chain. s must come from grow (or be empty): a capacity that is
+// not a power of two is a slice that did not, and panics.
 func (f *freeLists[T]) free(s []T) {
 	if cap(s) == 0 {
 		return
@@ -96,16 +112,25 @@ func (f *freeLists[T]) free(s []T) {
 		panic(fmt.Sprintf("protocol: a slab array of capacity %d", cap(s)))
 	}
 	clear(s[:cap(s)])
-	if c < slabClasses {
-		f.lists[c] = append(f.lists[c], s[:0])
+	if c >= slabClasses {
+		return
 	}
+	i := f.empty
+	if i != 0 {
+		f.empty = f.filed[i-1].next
+	} else {
+		f.filed = append(f.filed, filedArray[T]{})
+		i = int32(len(f.filed))
+	}
+	f.filed[i-1] = filedArray[T]{s[:0], f.heads[c]}
+	f.heads[c] = i
 }
 
-// bytes returns the bytes the free lists and the block's rest hold.
+// bytes returns the bytes the filed arrays and the block's rest hold.
 func (f *freeLists[T]) bytes() int {
 	n := len(f.rest)
-	for c := range f.lists {
-		n += len(f.lists[c]) << c
+	for i := range f.filed {
+		n += cap(f.filed[i].array)
 	}
 	return n * sizeOf[T]()
 }
@@ -155,10 +180,11 @@ func (srch *searchState) release(sl *slab) {
 }
 
 // collectMemory is the protocol's row of the memory ledger: the bytes the
-// nodes' protocol arrays hold (every table's keys and values, and the
-// arrays inside a membership or a search that grow through the slab), the
-// slabs' free arrays and blocks' rests, and the IDA dispersals (items, piece
-// headers, blocks) and decode scratch: capacity × element size, at a snapshot.
+// nodes' protocol arrays hold (every table's keys and values, the arrays
+// inside a membership or a search that grow through the slab, and the
+// shards' committee census), the slabs' free arrays and blocks' rests, and
+// the IDA dispersals (items, piece headers, blocks) and decode scratch:
+// capacity × element size, at a snapshot.
 func (h *Handler) collectMemory(emit func(name string, kind telemetry.Kind, v int64)) {
 	tables := 0
 	for s := range h.states {
@@ -172,6 +198,9 @@ func (h *Handler) collectMemory(emit func(name string, kind telemetry.Kind, v in
 			srch := &st.searches.vals[i]
 			tables += capBytes(srch.pieces) + capBytes(srch.roster)
 		}
+	}
+	for i := range h.census {
+		tables += h.census[i].bytes()
 	}
 	free, dispersals := 0, 0
 	for i := range h.slabs {

@@ -24,12 +24,54 @@ func filed[T any](f *freeLists[T], s []T) bool {
 	if c >= slabClasses {
 		return false
 	}
-	for _, a := range f.lists[c] {
-		if &a[:1][0] == &s[:1][0] {
+	for i := f.heads[c]; i != 0; i = f.filed[i-1].next {
+		if a := f.filed[i-1].array; &a[:1][0] == &s[:1][0] {
 			return true
 		}
 	}
 	return false
+}
+
+// checkStore returns what is wrong with f's links, or "": every entry must
+// be on exactly one chain, a class chain or the empty chain; a class-c
+// chain must hold only arrays of capacity 1<<c, and the empty chain no
+// array.
+func checkStore[T any](f *freeLists[T]) string {
+	seen := make([]bool, len(f.filed))
+	walk := func(head int32, what string, ok func([]T) bool) string {
+		for i := head; i != 0; i = f.filed[i-1].next {
+			if i < 0 || int(i) > len(f.filed) {
+				return fmt.Sprintf("the %s chain links to entry %d of %d", what, i, len(f.filed))
+			}
+			if seen[i-1] {
+				return fmt.Sprintf("entry %d is on the %s chain and on another, or twice", i, what)
+			}
+			seen[i-1] = true
+			if a := f.filed[i-1].array; !ok(a) {
+				return fmt.Sprintf("the %s chain holds an array of capacity %d", what, cap(a))
+			}
+		}
+		return ""
+	}
+	for c := range f.heads {
+		if msg := walk(f.heads[c], fmt.Sprintf("class-%d", c), func(a []T) bool { return cap(a) == 1<<c }); msg != "" {
+			return msg
+		}
+	}
+	if msg := walk(f.empty, "empty", func(a []T) bool { return a == nil }); msg != "" {
+		return msg
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		return fmt.Sprintf("entry %d of %d is on no chain", i+1, len(f.filed))
+	}
+	return ""
+}
+
+// checkStores returns what is wrong with the links of any of sl's stores,
+// or "".
+func (sl *slab) checkStores() string {
+	return cmp.Or(checkStore(&sl.keys), checkStore(&sl.counts), checkStore(&sl.members), checkStore(&sl.marks),
+		checkStore(&sl.tasks), checkStore(&sl.searches), checkStore(&sl.ids), checkStore(&sl.pieces))
 }
 
 // allZero reports whether every element of s's whole array is T's zero.
@@ -162,11 +204,9 @@ func overlap(rs []arrayRange) string {
 // freeRanges appends the ranges of the arrays f holds free and of its
 // block's rest, and reports whether they all hold zeros only.
 func freeRanges[T any](rs []arrayRange, zero bool, f *freeLists[T], what string) ([]arrayRange, bool) {
-	for c := range f.lists {
-		for _, a := range f.lists[c] {
-			rs = append(rs, rangeOf(a, "free "+what))
-			zero = zero && allZero(a)
-		}
+	for _, e := range f.filed {
+		rs = append(rs, rangeOf(e.array, "free "+what))
+		zero = zero && allZero(e.array)
 	}
 	return append(rs, rangeOf(f.rest, "the rest of a block of "+what)), zero && allZero(f.rest)
 }
@@ -184,11 +224,14 @@ func (sl *slab) freeRanges() ([]arrayRange, bool) {
 	return freeRanges(rs, zero, &sl.pieces, "pieces")
 }
 
-// heldRanges returns the ranges of every slab-grown array h's nodes hold:
+// heldRanges returns the ranges of every slab-grown array h's nodes hold —
 // their tables' keys and values, and the arrays inside their memberships
-// and searches.
+// and searches — and of the shards' census tables.
 func heldRanges(h *Handler) []arrayRange {
 	var rs []arrayRange
+	for i := range h.census {
+		rs = append(rs, rangeOf(h.census[i].keys, "the census's keys"), rangeOf(h.census[i].vals, "the census's counts"))
+	}
 	for s := range h.states {
 		st := &h.states[s]
 		rs = append(rs,
@@ -225,6 +268,11 @@ func checkSlabsZero(t *testing.T, h *Handler) {
 	}
 	if !zero {
 		t.Fatal("a slab holds a free array or a block's rest that is not cleared")
+	}
+	for i := range h.slabs {
+		if msg := h.slabs[i].checkStores(); msg != "" {
+			t.Fatalf("shard %d's slab: %s", i, msg)
+		}
 	}
 }
 
@@ -319,9 +367,9 @@ func TestSlabDropsReferences(t *testing.T) {
 
 // TestProtocolMemoryLedger: the protocol's row of the memory ledger reads,
 // after a store has been maintained past a handover and an item retrieved,
-// nonzero bytes in the nodes' arrays, in the slabs' free lists and in the
-// item's recorded dispersal and the shards' decode scratch, each the
-// arrays' capacities times their element sizes.
+// nonzero bytes in the nodes' arrays and the shards' census, in the slabs'
+// free stores and in the item's recorded dispersal and the shards' decode
+// scratch, each the arrays' capacities times their element sizes.
 func TestProtocolMemoryLedger(t *testing.T) {
 	const n = 256
 	s := newSim(t, n, churn.ZeroLaw{}, 4, 33)
@@ -380,20 +428,25 @@ func TestProtocolMemoryLedger(t *testing.T) {
 }
 
 // emptyKeepingRoom drops every array f holds free and its block's rest, and
-// keeps the free lists' own room.
+// keeps the store's own room: every entry goes on the empty chain.
 func emptyKeepingRoom[T any](f *freeLists[T]) {
-	for c := range f.lists {
-		f.lists[c] = f.lists[c][:0]
+	for i := range f.filed {
+		f.filed[i] = filedArray[T]{nil, int32(i)}
 	}
+	f.heads = [slabClasses]int32{}
+	f.empty = int32(len(f.filed))
 	f.rest = nil
 }
 
 // TestSlabAllocs: new arrays are cut from blocks, so growing many tables
 // through one slab costs a block per blockLen elements cut, plus one
 // allocation for each array larger than a block — not one per array. Each
-// run starts from empty tables and free lists that keep their room, so
-// filing an outgrown array allocates nothing.
+// run starts from empty tables and free stores that keep their room, so
+// filing an outgrown array allocates nothing. And filing arrays into an
+// empty store costs the store's own doublings alone, however many classes
+// the arrays spread over.
 func TestSlabAllocs(t *testing.T) {
+	t.Run("file", testStoreAllocs)
 	bk, bv := blockLen[uint64](), blockLen[searchTask]()
 	if 4*bv > bk {
 		t.Fatalf("blocks of %d keys and %d search tasks: the count below needs 4×%d ≤ %d", bk, bv, bv, bk)
@@ -420,5 +473,40 @@ func TestSlabAllocs(t *testing.T) {
 	if int(got) != want {
 		t.Fatalf("growing %d one-entry tables and one of %d entries allocated %v times, want %d: %d blocks of %d keys, %d of %d search tasks, and one array of %d",
 			small, big, got, want, small/bk+1, bk, small/bv+2, bv, 2*bv)
+	}
+}
+
+// testStoreAllocs files arrays of 16 classes, a class at a time, into an
+// empty store: its one entry array grows as a slice appended to from nil
+// does, which is what it costs. Lists per class would grow 16 chains.
+func testStoreAllocs(t *testing.T) {
+	const classes, each = 16, 24
+	arrays := make([][]uint64, 0, classes*each)
+	for c := range classes {
+		for range each {
+			arrays = append(arrays, make([]uint64, 0, 1<<c))
+		}
+	}
+	want := 0
+	var entries []filedArray[uint64]
+	for range arrays {
+		if len(entries) == cap(entries) {
+			want++
+		}
+		entries = append(entries, filedArray[uint64]{})
+	}
+	var f freeLists[uint64]
+	got := testing.AllocsPerRun(10, func() {
+		f = freeLists[uint64]{}
+		for _, a := range arrays {
+			f.free(a)
+		}
+	})
+	if int(got) != want {
+		t.Fatalf("filing %d arrays of %d classes into an empty store allocated %v times, want %d: the doublings of one array of %d entries",
+			len(arrays), classes, got, want, len(arrays))
+	}
+	if msg := checkStore(&f); msg != "" {
+		t.Fatal(msg)
 	}
 }

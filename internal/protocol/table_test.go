@@ -135,7 +135,8 @@ func checkTable(t *testing.T, op int, tab *table[int], model map[uint64][]int, o
 
 // checkArraysApart fails if two of the tables' arrays, or a table's array
 // and one the slab holds free or the unused rest of its block, share an
-// element, or if anything the slab holds free is not zero.
+// element, if anything the slab holds free is not zero, or if a free
+// store's links are broken (checkStore).
 func checkArraysApart(t *testing.T, op int, sl *slab, tabs []table[int]) {
 	t.Helper()
 	rs, zero := sl.freeRanges()
@@ -147,6 +148,9 @@ func checkArraysApart(t *testing.T, op int, sl *slab, tabs []table[int]) {
 	}
 	if !zero {
 		t.Fatalf("op %d: the slab holds a free array or a block's rest that is not cleared", op)
+	}
+	if msg := sl.checkStores(); msg != "" {
+		t.Fatalf("op %d: %s", op, msg)
 	}
 }
 
